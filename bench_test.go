@@ -19,6 +19,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/quark"
 	"repro/internal/queue"
@@ -275,5 +276,38 @@ func BenchmarkStoreApply(b *testing.B) {
 		if _, err := st.Apply("main", orset.Op{Kind: orset.Add, E: int64(i % 1000)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreApplyGrowing measures one append committed onto a
+// mergeable log that already holds n entries: the per-commit cost of a
+// state that grows with history (encode, SHA-256 and delta.Make all see
+// the whole state). Commits go to a branch forked from the n-entry log
+// and replaced once it has grown by a tenth, so every timed commit sees
+// about n entries.
+func BenchmarkStoreApplyGrowing(b *testing.B) {
+	appendOp := mlog.Op{Kind: mlog.Append, Msg: "a message of 24 bytes ok"}
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("mlog-%d", n), func(b *testing.B) {
+			st := store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main")
+			for i := 0; i < n; i++ {
+				if _, err := st.Apply("main", appendOp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			branch := ""
+			for i := 0; b.Loop(); i++ {
+				if i%(n/10) == 0 {
+					branch = fmt.Sprintf("b%d", i)
+					if err := st.Fork("main", branch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := st.Apply(branch, appendOp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

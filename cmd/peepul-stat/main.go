@@ -1,10 +1,11 @@
 // Command peepul-stat inspects a running node through its live debug
 // endpoint (peepul.WithDebugAddr). By default it fetches
 // /debug/peepul/snapshot and renders the node's health as tables: the
-// aggregate sync counters with their negotiation-ladder tier split, a
-// per-object row set, the per-peer mesh supervisor state (health score,
-// backoff, quarantine), and the most recent sync-session spans as a
-// timeline.
+// aggregate sync counters with their negotiation-ladder tier split, the
+// local write path (commit count, mean latency and its encode / hash /
+// delta split), a per-object row set, the per-peer mesh supervisor state
+// (health score, backoff, quarantine), and the most recent sync-session
+// spans as a timeline.
 //
 // Usage:
 //
@@ -112,6 +113,8 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 		s.BytesSent, s.BytesRecv, s.CommitsSent, s.CommitsRecv,
 		s.RedundantCommits, s.InboundShed)
 
+	renderWrites(snap.Metrics)
+
 	if len(snap.Objects) > 0 {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "OBJECT\tDATATYPE\tCOMMITS\tDELTA\tFULL\tBYTES OUT\tBYTES IN\tSEGMENTS")
@@ -160,6 +163,33 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 			fmt.Println("  " + obs.FormatSpan(sp))
 		}
 	}
+}
+
+// renderWrites prints the local write path: how many operation commits
+// the node's stores made, their mean latency, and the mean of each phase
+// of storing a state (the phase histograms also count merge commits).
+func renderWrites(metrics []obs.Metric) {
+	mean := func(m obs.Metric) time.Duration {
+		if m.Count == 0 {
+			return 0
+		}
+		return time.Duration(m.Sum / m.Count)
+	}
+	var apply obs.Metric
+	phases := make(map[string]time.Duration)
+	for _, m := range metrics {
+		switch m.Name {
+		case "peepul_store_apply_ns":
+			apply = m
+		case "peepul_store_put_state_ns":
+			phases[m.Labels["phase"]] = mean(m)
+		}
+	}
+	if apply.Count == 0 {
+		return
+	}
+	fmt.Printf("writes: %d commit(s), mean %s (encode %s, hash %s, delta %s)\n\n",
+		apply.Count, mean(apply), phases["encode"], phases["hash"], phases["delta"])
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -41,6 +41,60 @@ func TestRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
+// trimBoundaryCases are the inputs that sit on the edges of Make's trim:
+// each is a seed of FuzzRoundTrip and a case of TestTrimBoundaries.
+func trimBoundaryCases() []struct {
+	name         string
+	base, target []byte
+} {
+	rep := func(s string, n int) []byte { return bytes.Repeat([]byte(s), n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	block := []byte("0123456789abcdefghijklmnopqrstuv") // 32 distinct bytes
+	return []struct {
+		name         string
+		base, target []byte
+	}{
+		{"identical", rep("0123456789abcdef", 40), rep("0123456789abcdef", 40)},
+		// Periodic input: the shared prefix and the shared suffix overlap.
+		{"periodic-grow", rep("a", 100), rep("a", 130)},
+		{"periodic-shrink", rep("a", 130), rep("a", 100)},
+		{"periodic-grow-by-one", rep("ab", 50), rep("ab", 51)},
+		// Shared runs one short of, exactly, and one past a block.
+		{"prefix-15", cat(block[:15], rep("x", 40)), cat(block[:15], rep("y", 40))},
+		{"prefix-16", cat(block[:16], rep("x", 40)), cat(block[:16], rep("y", 40))},
+		{"prefix-17", cat(block[:17], rep("x", 40)), cat(block[:17], rep("y", 40))},
+		{"suffix-15", cat(rep("x", 40), block[:15]), cat(rep("y", 40), block[:15])},
+		{"suffix-16", cat(rep("x", 40), block[:16]), cat(rep("y", 40), block[:16])},
+		{"suffix-17", cat(rep("x", 40), block[:17]), cat(rep("y", 40), block[:17])},
+		// One middle empty.
+		{"pure-insertion", cat(block, block), cat(block, []byte("inserted"), block)},
+		{"pure-deletion", cat(block, []byte("deleted"), block), cat(block, block)},
+		{"short-base", []byte("fifteen bytes.."), cat(block, block)},
+		{"short-target", cat(block, block), []byte("fifteen bytes..")},
+		// The edit sits in the last, partial window of a base whose length
+		// is not a multiple of the block size.
+		{"edit-in-partial-window", cat(block, block, []byte("tail-A")), cat(block, block, []byte("tail-B"))},
+		{"edit-before-partial-window", cat(block, block[:20], []byte("Z"), block[:5]), cat(block, block[:20], []byte("Q"), block[:5])},
+	}
+}
+
+// TestTrimBoundaries: every boundary case round-trips, an unchanged input
+// costs no more than the identity patch, and a patch never has spare
+// capacity for the store to pin.
+func TestTrimBoundaries(t *testing.T) {
+	for _, c := range trimBoundaryCases() {
+		t.Run(c.name, func(t *testing.T) {
+			patch := roundTrip(t, c.base, c.target)
+			if cap(patch) != len(patch) {
+				t.Errorf("patch has cap %d for len %d", cap(patch), len(patch))
+			}
+			if bytes.Equal(c.base, c.target) && len(patch) > len(delta.Identity(len(c.base))) {
+				t.Errorf("patch of an unchanged input is %d bytes, identity patch %d", len(patch), len(delta.Identity(len(c.base))))
+			}
+		})
+	}
+}
+
 func TestPatchCompressesSmallEdits(t *testing.T) {
 	// A small edit on a large base must yield a patch much smaller than
 	// the target — the whole point of chaining states as deltas.
@@ -197,6 +251,9 @@ func FuzzApply(f *testing.F) {
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("some base"), []byte("some target"))
 	f.Add([]byte(""), []byte(""))
+	for _, c := range trimBoundaryCases() {
+		f.Add(c.base, c.target)
+	}
 	f.Fuzz(func(t *testing.T, base, target []byte) {
 		patch := delta.Make(base, target)
 		got, err := delta.Apply(base, patch)
@@ -205,6 +262,10 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, target) {
 			t.Fatal("round trip mismatch")
+		}
+		// Below one 16-byte block Make does not look for copies at all.
+		if len(base) >= 16 && bytes.Equal(base, target) && len(patch) > len(delta.Identity(len(base))) {
+			t.Fatalf("unchanged %d-byte input costs a %d-byte patch", len(base), len(patch))
 		}
 	})
 }

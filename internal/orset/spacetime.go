@@ -70,6 +70,13 @@ func RsimSpaceTime(abs *core.AbstractState[Op, Val], s TreeState) bool {
 // Flatten returns the tree's pairs in element order.
 func Flatten(s TreeState) SpaceState { return flatten(s) }
 
+// Len returns the number of pairs in the tree (O(n)).
+func Len(s TreeState) int { return size(s) }
+
+// Walk calls f on the tree's pairs in element order, without building the
+// slice Flatten returns.
+func Walk(s TreeState, f func(Pair)) { walk(s, f) }
+
 // BuildBalanced constructs a perfectly height-balanced tree from an
 // element-sorted pair slice (used by codecs and tests; merge uses it
 // internally).

@@ -95,19 +95,25 @@ func (s State) Len() int { return listLen(s.front) + listLen(s.back) }
 
 // ToSlice returns the queue contents oldest-first.
 func (s State) ToSlice() []Pair {
-	out := make([]Pair, 0, s.Len())
-	for l := s.front; l != nil; l = l.tail {
-		out = append(out, l.head)
-	}
-	n := len(out)
-	for l := s.back; l != nil; l = l.tail {
-		out = append(out, l.head)
-	}
-	// The back list is newest-first; reverse its portion.
-	for i, j := n, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	out := make([]Pair, s.Len())
+	s.Walk(func(i int, p Pair) { out[i] = p })
 	return out
+}
+
+// Walk calls f on every queued element with its oldest-first position.
+// The back list is stored newest-first and visited in that order, so
+// positions do not arrive sorted.
+func (s State) Walk(f func(i int, p Pair)) {
+	i := 0
+	for l := s.front; l != nil; l = l.tail {
+		f(i, l.head)
+		i++
+	}
+	i += listLen(s.back)
+	for l := s.back; l != nil; l = l.tail {
+		i--
+		f(i, l.head)
+	}
 }
 
 // FromSlice builds a queue holding the given elements oldest-first.

@@ -1,16 +1,35 @@
 package store
 
-// Store-layer observability: merge and pull latency, LCA walk effort,
-// and the hit ratios of the two caches that make deep histories cheap
+// Store-layer observability: apply, merge and pull latency, the phase
+// split of storing one state (encode, hash, delta), LCA walk effort, and
+// the hit ratios of the two caches that make deep histories cheap
 // (the decoded-state LRU and the one-slot reassembly cache). All
 // instruments hang off an optional obs.Registry handed in with WithObs;
 // without one s.metrics stays nil and every instrumented site pays a
 // single nil check. Instruments are looked up by name, so several
 // stores on one node (one per replicated object) share the same series.
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
+
+// storePhase is one step of storing a state (putState → packLocked).
+type storePhase int
+
+const (
+	phaseEncode storePhase = iota // codec.Encode of the new state
+	phaseHash                     // SHA-256 of the encoding
+	phaseDelta                    // materializing the base and delta.Make against it
+	numStorePhases
+)
+
+var storePhaseNames = [numStorePhases]string{"encode", "hash", "delta"}
 
 type storeMetrics struct {
+	applyNs   *obs.Histogram
+	phaseNs   [numStorePhases]*obs.Histogram
 	pullNs    *obs.Histogram
 	mergeNs   *obs.Histogram
 	lcaSteps  *obs.Counter
@@ -25,6 +44,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		return nil
 	}
 	m := &storeMetrics{
+		applyNs:   reg.Histogram("peepul_store_apply_ns", obs.LatencyBuckets),
 		pullNs:    reg.Histogram("peepul_store_pull_ns", obs.LatencyBuckets),
 		mergeNs:   reg.Histogram("peepul_store_merge_ns", obs.LatencyBuckets),
 		lcaSteps:  reg.Counter("peepul_store_lca_steps_total"),
@@ -33,10 +53,35 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		reasmHit:  reg.Counter("peepul_store_reassembly_total", "result", "hit"),
 		reasmMiss: reg.Counter("peepul_store_reassembly_total", "result", "miss"),
 	}
+	for p, name := range storePhaseNames {
+		m.phaseNs[p] = reg.Histogram("peepul_store_put_state_ns", obs.LatencyBuckets, "phase", name)
+	}
+	reg.Describe("peepul_store_apply_ns", "wall time of one operation commit (Apply) under the store lock: Do, put state, put commit, persist")
+	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (SHA-256), delta (base reassembly + delta.Make)")
 	reg.Describe("peepul_store_pull_ns", "wall time of one branch pull, merge base to head move")
 	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge commit")
 	reg.Describe("peepul_store_lca_steps_total", "commits popped by paint-down-to-common LCA walks")
 	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	return m
+}
+
+// startPhases reads the clock the first lap is measured from; the zero
+// time (and no clock read) when instrumentation is off.
+func (m *storeMetrics) startPhases() (t time.Time) {
+	if m != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+// lap records the time since *since as one observation of phase p and
+// restarts *since, so back-to-back phases cost one clock read each.
+func (m *storeMetrics) lap(p storePhase, since *time.Time) {
+	if m == nil {
+		return
+	}
+	now := time.Now()
+	m.phaseNs[p].Observe(now.Sub(*since).Nanoseconds())
+	*since = now
 }

@@ -308,9 +308,11 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 	if bo, ok := s.objLocked(base); ok && base != h && len(enc) <= delta.MaxTarget &&
 		bo.depth+1 < s.opts.SnapshotEvery {
 		if patch == nil {
+			t := s.metrics.startPhases()
 			if baseEnc, err := s.materializeLocked(base); err == nil {
 				patch = delta.Make(baseEnc, enc)
 			}
+			s.metrics.lap(phaseDelta, &t)
 		}
 		if patch != nil && len(patch) < len(enc) {
 			obj.data, obj.base, obj.delta, obj.depth = patch, base, true, bo.depth+1

@@ -1,0 +1,110 @@
+package store
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mlog"
+	"repro/internal/obs"
+)
+
+// mlogCodec encodes a mergeable log the way wire.MLog does (count, then
+// timestamp + length-prefixed message per entry) in one exact-size
+// allocation; the wire package itself would import-cycle back into store.
+type mlogCodec struct{}
+
+func (mlogCodec) Encode(s mlog.State) []byte {
+	n := 4 + 12*len(s)
+	for _, e := range s {
+		n += len(e.Msg)
+	}
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(s)))
+	for _, e := range s {
+		b = binary.BigEndian.AppendUint64(b, uint64(e.T))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(e.Msg)))
+		b = append(b, e.Msg...)
+	}
+	return b
+}
+
+func (mlogCodec) Decode(b []byte) (mlog.State, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("mlog codec: %d bytes", len(b))
+	}
+	s := make(mlog.State, 0, binary.BigEndian.Uint32(b))
+	for b = b[4:]; len(b) >= 12; {
+		n := int(binary.BigEndian.Uint32(b[8:]))
+		if len(b) < 12+n {
+			break
+		}
+		s = append(s, mlog.Entry{T: core.Timestamp(binary.BigEndian.Uint64(b)), Msg: string(b[12 : 12+n])})
+		b = b[12+n:]
+	}
+	if len(s) != cap(s) {
+		return nil, fmt.Errorf("mlog codec: truncated")
+	}
+	return s, nil
+}
+
+func appendN(t *testing.T, s *Store[mlog.State, mlog.Op, mlog.Val], n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPackedObjectsPinNoSlack: what the pack layer keeps resident is what
+// PackStats reports. Patches used to arrive from delta.Make with
+// len(target)/8 bytes of capacity, so a 50-byte patch against a 72 KB log
+// pinned ~9 KB and the heap held a multiple of PackedBytes.
+func TestPackedObjectsPinNoSlack(t *testing.T) {
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
+	appendN(t, s, 1000)
+	appendN(t, s, 2000)
+	var resident int64
+	for _, o := range s.objects {
+		resident += int64(cap(o.data))
+	}
+	packed := s.PackStats().PackedBytes
+	if float64(resident) > 1.1*float64(packed) {
+		t.Fatalf("resident objects hold %d bytes of capacity for %d packed bytes (%.2fx)",
+			resident, packed, float64(resident)/float64(packed))
+	}
+	if err := s.VerifyPack(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyPhaseMetrics: with a registry attached, every Apply lands one
+// observation in the apply histogram and in each put-state phase — except
+// delta, which the commits the spacing policy snapshots never attempt.
+func TestApplyPhaseMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithObs(reg), WithSnapshotEvery(4))
+	const applies = 40
+	appendN(t, s, applies)
+
+	counts := make(map[string]int64)
+	for _, m := range reg.Snapshot() {
+		switch m.Name {
+		case "peepul_store_apply_ns":
+			counts["apply"] = m.Count
+		case "peepul_store_put_state_ns":
+			counts[m.Labels["phase"]] = m.Count
+		}
+	}
+	// New also stores the initial state: one more encode and hash.
+	want := map[string]int64{"apply": applies, "encode": applies + 1, "hash": applies + 1}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Errorf("%s histogram has %d observations, want %d", name, counts[name], n)
+		}
+	}
+	if deltas := int64(s.PackStats().Deltas); counts["delta"] < deltas || counts["delta"] >= applies {
+		t.Errorf("delta phase observed %d times: %d patches stored over %d applies at snapshot spacing 4", counts["delta"], deltas, applies)
+	}
+}

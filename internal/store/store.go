@@ -299,6 +299,10 @@ func (s *Store[S, Op, Val]) Fork(src, name string) error {
 func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if m := s.metrics; m != nil {
+		start := time.Now()
+		defer func() { m.applyNs.Observe(time.Since(start).Nanoseconds()) }()
+	}
 	var zero Val
 	head, ok := s.heads[b]
 	if !ok {
@@ -538,8 +542,11 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 // putState packs state, chained against the base state hash (its commit
 // parent's state; zero for the root), and returns its content address.
 func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
+	t := s.metrics.startPhases()
 	enc := s.codec.Encode(state)
+	s.metrics.lap(phaseEncode, &t)
 	h := sha256.Sum256(enc)
+	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
 	s.packLocked(h, enc, base, nil)
 	return h

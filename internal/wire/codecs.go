@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"repro/internal/alphamap"
 	"repro/internal/chat"
 	"repro/internal/counter"
@@ -34,8 +36,16 @@ func (IncCounter) Decode(b []byte) (int64, error) {
 type PNCounter struct{}
 
 // Encode serializes the PN-counter.
-func (PNCounter) Encode(s counter.PNState) []byte {
-	var w Writer
+func (c PNCounter) Encode(s counter.PNState) []byte {
+	return c.Append(make([]byte, 0, c.EncodedLen(s)), s)
+}
+
+// EncodedLen returns len(Encode(s)).
+func (PNCounter) EncodedLen(counter.PNState) int { return 16 }
+
+// Append appends Encode(s) to dst.
+func (PNCounter) Append(dst []byte, s counter.PNState) []byte {
+	w := Writer{buf: dst}
 	w.PutInt64(s.P)
 	w.PutInt64(s.N)
 	return w.Bytes()
@@ -107,7 +117,7 @@ type GSet struct{}
 
 // Encode serializes the set.
 func (GSet) Encode(s gset.State) []byte {
-	var w Writer
+	w := sizedWriter(4 + 8*len(s))
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutInt64(e)
@@ -131,7 +141,11 @@ type GMap struct{}
 
 // Encode serializes the map.
 func (GMap) Encode(s gmap.State) []byte {
-	var w Writer
+	n := 4 + 20*len(s)
+	for _, e := range s {
+		n += len(e.K)
+	}
+	w := sizedWriter(n)
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutString(e.K)
@@ -156,8 +170,22 @@ func (GMap) Decode(b []byte) (gmap.State, error) {
 type MLog struct{}
 
 // Encode serializes the log.
-func (MLog) Encode(s mlog.State) []byte {
-	var w Writer
+func (c MLog) Encode(s mlog.State) []byte {
+	return c.Append(make([]byte, 0, c.EncodedLen(s)), s)
+}
+
+// EncodedLen returns len(Encode(s)).
+func (MLog) EncodedLen(s mlog.State) int {
+	n := 4 + 12*len(s)
+	for _, e := range s {
+		n += len(e.Msg)
+	}
+	return n
+}
+
+// Append appends Encode(s) to dst.
+func (MLog) Append(dst []byte, s mlog.State) []byte {
+	w := Writer{buf: dst}
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutTimestamp(e.T)
@@ -177,12 +205,25 @@ func (MLog) Decode(b []byte) (mlog.State, error) {
 	return s, r.Close()
 }
 
-func encodePairs(w *Writer, ps []orset.Pair) {
+// pairsLen is the encoded size of n OR-set pairs behind their count.
+func pairsLen(n int) int { return 4 + 16*n }
+
+func putPair(w *Writer, p orset.Pair) {
+	w.PutInt64(p.E)
+	w.PutTimestamp(p.T)
+}
+
+func appendPairs(dst []byte, ps []orset.Pair) []byte {
+	w := Writer{buf: dst}
 	w.PutLen(len(ps))
 	for _, p := range ps {
-		w.PutInt64(p.E)
-		w.PutTimestamp(p.T)
+		putPair(&w, p)
 	}
+	return w.Bytes()
+}
+
+func encodePairs(ps []orset.Pair) []byte {
+	return appendPairs(make([]byte, 0, pairsLen(len(ps))), ps)
 }
 
 func decodePairs(r *Reader) []orset.Pair {
@@ -198,11 +239,7 @@ func decodePairs(r *Reader) []orset.Pair {
 type OrSet struct{}
 
 // Encode serializes the set.
-func (OrSet) Encode(s orset.State) []byte {
-	var w Writer
-	encodePairs(&w, s)
-	return w.Bytes()
-}
+func (OrSet) Encode(s orset.State) []byte { return encodePairs(s) }
 
 // Decode deserializes the set.
 func (OrSet) Decode(b []byte) (orset.State, error) {
@@ -215,11 +252,13 @@ func (OrSet) Decode(b []byte) (orset.State, error) {
 type OrSetSpace struct{}
 
 // Encode serializes the set.
-func (OrSetSpace) Encode(s orset.SpaceState) []byte {
-	var w Writer
-	encodePairs(&w, s)
-	return w.Bytes()
-}
+func (OrSetSpace) Encode(s orset.SpaceState) []byte { return encodePairs(s) }
+
+// EncodedLen returns len(Encode(s)).
+func (OrSetSpace) EncodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
+
+// Append appends Encode(s) to dst.
+func (OrSetSpace) Append(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
 
 // Decode deserializes the set.
 func (OrSetSpace) Decode(b []byte) (orset.SpaceState, error) {
@@ -236,8 +275,10 @@ type OrSetSpaceTime struct{}
 
 // Encode serializes the set.
 func (OrSetSpaceTime) Encode(s orset.TreeState) []byte {
-	var w Writer
-	encodePairs(&w, orset.Flatten(s))
+	n := orset.Len(s)
+	w := sizedWriter(pairsLen(n))
+	w.PutLen(n)
+	orset.Walk(s, func(p orset.Pair) { putPair(&w, p) })
 	return w.Bytes()
 }
 
@@ -258,14 +299,14 @@ type Queue struct{}
 
 // Encode serializes the queue.
 func (Queue) Encode(s queue.State) []byte {
-	var w Writer
-	ps := s.ToSlice()
-	w.PutLen(len(ps))
-	for _, p := range ps {
-		w.PutTimestamp(p.T)
-		w.PutInt64(p.V)
-	}
-	return w.Bytes()
+	n := s.Len()
+	buf := make([]byte, 4+16*n)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	s.Walk(func(i int, p queue.Pair) {
+		binary.BigEndian.PutUint64(buf[4+16*i:], uint64(p.T))
+		binary.BigEndian.PutUint64(buf[12+16*i:], uint64(p.V))
+	})
+	return buf
 }
 
 // Decode deserializes the queue.
@@ -287,17 +328,35 @@ func (Queue) Decode(b []byte) (queue.State, error) {
 // counters, α-map of OR-sets, …).
 type AlphaMap[S any] struct {
 	// Inner serializes the value states the map binds.
-	Inner Codec[S]
+	Inner InnerCodec[S]
+}
+
+// InnerCodec is a Codec that can also size its encoding up front and write
+// it in place — what lets AlphaMap encode a whole map, inner states
+// included, in one exact-size allocation.
+type InnerCodec[S any] interface {
+	Codec[S]
+	// EncodedLen returns len(Encode(s)) without encoding.
+	EncodedLen(S) int
+	// Append appends exactly the bytes of Encode(s) to dst.
+	Append(dst []byte, s S) []byte
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
 // pairs in binding order.
 func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
-	var w Writer
+	n := 4 + 8*len(s)
+	for _, e := range s {
+		n += len(e.K) + c.Inner.EncodedLen(e.V)
+	}
+	w := sizedWriter(n)
 	w.PutLen(len(s))
 	for _, e := range s {
 		w.PutString(e.K)
-		w.PutBytes(c.Inner.Encode(e.V))
+		at := len(w.buf)
+		w.PutLen(0) // patched below, once the inner payload's length is known
+		w.buf = c.Inner.Append(w.buf, e.V)
+		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()
 }

@@ -32,6 +32,12 @@ type Writer struct {
 	buf []byte
 }
 
+// sizedWriter returns a Writer with room for exactly n bytes. A codec that
+// sizes its output first encodes in one allocation and returns a slice
+// with cap == len, so the snapshots the store keeps resident carry no
+// slack.
+func sizedWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
+
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
 
