@@ -31,7 +31,7 @@ func classifyFailure(err error) mesh.FailureClass {
 		return mesh.FailTransient
 	}
 	switch {
-	case errors.Is(err, ErrPeerBusy), errors.Is(err, errFallback):
+	case errors.Is(err, errFallback):
 		return mesh.FailTransient
 	case errors.Is(err, ErrProtocol),
 		errors.Is(err, wire.ErrFraming),

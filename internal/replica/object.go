@@ -27,17 +27,14 @@ type Object interface {
 	// (for peers that negotiated wire.CapPatch); otherwise every commit
 	// carries its full state.
 	ExportSince(have []store.Hash, packed bool) ([]store.ExportedCommit, store.Hash, error)
-	// Integrate installs a peer's (possibly partial) history under a
-	// tracking branch and pulls it into the node's branch.
-	Integrate(track string, commits []store.ExportedCommit, head store.Hash) error
-	// IntegrateExact is Integrate for the reconciliation dialect: it
-	// additionally reports how many of the shipped commits were already
-	// present (redundant re-ships — zero when the negotiation resolved
-	// the exact diff), which shipped commits were freshly installed
-	// (commits the peer provably holds, excluded from any reply), and
-	// which commits the exchange minted locally (merge commits a reply
-	// must ship on top of the peer's want list).
-	IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (redundant int, fresh, minted []store.Hash, err error)
+	// IntegrateExact installs a peer's (possibly partial) history under a
+	// tracking branch and pulls it into the node's branch. It reports how
+	// many of the shipped commits were already present (redundant
+	// re-ships — zero when the negotiation resolved the exact diff) and
+	// which commits the pull minted locally (merge commits a reply must
+	// ship on top of the peer's want list). Sessions call it under the
+	// object's merge lock.
+	IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (redundant int, minted []store.Hash, err error)
 	// Head returns the node branch's current head hash.
 	Head() (store.Hash, error)
 	// HasCommit reports whether the object's store holds commit h.
@@ -51,19 +48,23 @@ type Object interface {
 	ReconRange(x, y recon.Item) (recon.Fingerprint, int)
 	ReconItems(x, y recon.Item, max int) []recon.Item
 	ReconSelect(x, y recon.Item, k int) (recon.Item, bool)
-	// ExportSet exports exactly the given commit set (plus the branch
-	// head as graft point) — the ship phase after a reconciliation
-	// resolved the precise missing commits.
-	ExportSet(ship map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error)
-	// BeginInstallCapture / EndInstallCapture / ExportSetCapture expose
-	// the store's install-capture tokens: a reconciliation session arms
-	// a capture before its first probe and exports through it, so
-	// commits a concurrent local Apply installs mid-descent still reach
-	// the ship set atomically with the exported head (store.Store has
-	// the full contract).
+	// Snapshot and ExportSetAsOf are a client session's view of the
+	// object: the branch head plus an install-capture token taken before
+	// the session's first frame, and the export of a resolved ship set
+	// cut back to commits that existed then (store.Store has the full
+	// contract). A session that ends early releases the token with
+	// EndInstallCapture.
+	Snapshot() (head store.Hash, token int, err error)
+	ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int, packed bool) ([]store.ExportedCommit, error)
+	// BeginInstallCapture / EndInstallCapture / ExportSetCapture are the
+	// serving side's counterpart: a handler arms a capture at the hello
+	// ack and exports its reply through it, so commits a concurrent local
+	// Apply installs mid-descent still reach the reply atomically with
+	// the exported head — except the commits imported under heldVia, the
+	// receiver's tracking branch, which the receiver sent itself.
 	BeginInstallCapture() int
 	EndInstallCapture(token int) []store.Hash
-	ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error)
+	ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string, packed bool) ([]store.ExportedCommit, store.Hash, error)
 	// FlushStorage pushes buffered persistence out and surfaces any
 	// sticky storage error; a no-op on in-memory objects.
 	FlushStorage() error
@@ -187,41 +188,32 @@ func (o *TypedObject[S, Op, Val]) Store() *store.Store[S, Op, Val] { return o.st
 
 // Do applies an operation on the node's branch with a fresh timestamp
 // and notifies the node's mesh daemon, which pushes the commit to
-// interested peers (bursts coalesce into one push). Do takes the node's
-// sync freeze: if an exchange is mid-flight, the commit waits for its
-// integrate, so the exchange's reply always merges against the head it
-// was computed for.
+// interested peers (bursts coalesce into one push). Do takes only the
+// store's lock: a sync session in flight ships from the snapshot it
+// opened with and merges its reply into whatever head the branch has by
+// then, so a commit never waits for the network.
 func (o *TypedObject[S, Op, Val]) Do(op Op) (Val, error) {
-	o.node.syncMu.Lock()
 	v, err := o.st.Apply(o.branch, op)
-	o.node.syncMu.Unlock()
 	if err == nil {
 		o.node.engine.NotifyCommit(o.object)
 	}
 	return v, err
 }
 
-// PullLocal merges local branch src into dst under the node's sync
-// freeze, so a pull that lands on the node branch cannot slip inside an
-// exchange's export-to-integrate window. A pull that moves the node
+// PullLocal merges local branch src into dst. A pull that moves the node
 // branch notifies the mesh daemon like any other commit.
 func (o *TypedObject[S, Op, Val]) PullLocal(dst, src string) error {
-	o.node.syncMu.Lock()
 	err := o.st.Pull(dst, src)
-	o.node.syncMu.Unlock()
 	if err == nil && dst == o.branch {
 		o.node.engine.NotifyCommit(o.object)
 	}
 	return err
 }
 
-// SyncLocal converges two local branches atomically under the node's
-// sync freeze (see PullLocal); involving the node branch notifies the
-// mesh daemon.
+// SyncLocal converges two local branches atomically (store.Sync);
+// involving the node branch notifies the mesh daemon.
 func (o *TypedObject[S, Op, Val]) SyncLocal(a, b string) error {
-	o.node.syncMu.Lock()
 	err := o.st.Sync(a, b)
-	o.node.syncMu.Unlock()
 	if err == nil && (a == o.branch || b == o.branch) {
 		o.node.engine.NotifyCommit(o.object)
 	}
@@ -262,36 +254,33 @@ func (o *TypedObject[S, Op, Val]) ExportSince(have []store.Hash, packed bool) ([
 	return o.st.ExportSince(o.branch, have)
 }
 
-// Integrate implements Object. A pull that moves the node branch's head
-// fires the object's watchers and re-notifies the mesh daemon: the news
-// a merge brought in is itself pushed onward, so commits cascade
-// hop-by-hop through ring and mesh topologies instead of waiting out a
-// full anti-entropy round per hop. (The cascade terminates: once peers
-// converge, re-syncs ship zero commits and move no heads.)
-func (o *TypedObject[S, Op, Val]) Integrate(track string, commits []store.ExportedCommit, head store.Hash) error {
-	_, _, _, err := o.IntegrateExact(track, commits, head)
-	return err
-}
-
 // IntegrateExact implements Object. The captured import and pull
 // variants separate the two kinds of news an exchange creates — commits
 // the peer shipped that were already present (redundant), and commits
 // the pull minted locally (merges the peer has never seen) — with each
 // record cut inside the store's own critical section, so concurrent
-// local Applies can never blur the attribution (their commits land only
-// in the session-long capture the reconciliation handlers hold).
-func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (int, []store.Hash, []store.Hash, error) {
-	before, _ := o.st.HeadHash(o.branch)
+// local Applies can never blur the attribution.
+//
+// A pull that moves the node branch's head fires the object's watchers
+// and re-notifies the mesh daemon: the news a merge brought in is itself
+// pushed onward, so commits cascade hop-by-hop through ring and mesh
+// topologies instead of waiting out a full anti-entropy round per hop.
+// (The cascade terminates: once peers converge, re-syncs ship zero
+// commits and move no heads.) Whether the pull moved the head is the
+// store's verdict, not a before/after comparison from here — a Do
+// racing the integrate moves the head too, and must neither fire
+// watchers nor trigger a second push.
+func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (int, []store.Hash, error) {
 	fresh, importErr := o.st.ImportCaptured(track, commits, head)
 	if importErr != nil {
-		return 0, nil, nil, importErr
+		return 0, nil, importErr
 	}
 	redundant := len(commits) - len(fresh)
 	// Even a failing Pull (a storage error, say) may have moved the head
 	// before reporting — any movement is real news and must still fan
 	// out to watchers and peers.
-	minted, pullErr := o.st.PullCaptured(o.branch, track)
-	if after, err := o.st.HeadHash(o.branch); err == nil && after != before {
+	minted, after, moved, pullErr := o.st.PullCaptured(o.branch, track)
+	if moved {
 		o.entry.watchers.broadcast(WatchEvent{
 			Object: o.object,
 			From:   strings.TrimPrefix(track, "remote/"),
@@ -299,7 +288,7 @@ func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.E
 		})
 		o.node.engine.NotifyCommit(o.object)
 	}
-	return redundant, fresh, minted, pullErr
+	return redundant, minted, pullErr
 }
 
 // Head implements Object.
@@ -328,9 +317,14 @@ func (o *TypedObject[S, Op, Val]) ReconSelect(x, y recon.Item, k int) (recon.Ite
 	return o.st.ReconSelect(x, y, k)
 }
 
-// ExportSet implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSet(ship map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSet(o.branch, ship, packed)
+// Snapshot implements Object.
+func (o *TypedObject[S, Op, Val]) Snapshot() (store.Hash, int, error) {
+	return o.st.Snapshot(o.branch)
+}
+
+// ExportSetAsOf implements Object.
+func (o *TypedObject[S, Op, Val]) ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int, packed bool) ([]store.ExportedCommit, error) {
+	return o.st.ExportSetAsOf(head, ship, token, packed)
 }
 
 // BeginInstallCapture implements Object.
@@ -342,8 +336,8 @@ func (o *TypedObject[S, Op, Val]) EndInstallCapture(token int) []store.Hash {
 }
 
 // ExportSetCapture implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, skip map[store.Hash]bool, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSetCapture(o.branch, ship, token, skip, packed)
+func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string, packed bool) ([]store.ExportedCommit, store.Hash, error) {
+	return o.st.ExportSetCapture(o.branch, ship, token, heldVia, packed)
 }
 
 // FlushStorage implements Object.

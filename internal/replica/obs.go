@@ -93,6 +93,7 @@ type nodeMetrics struct {
 	reg             *obs.Registry
 	sessionNsClient *obs.Histogram
 	sessionNsServer *obs.Histogram
+	mergeWaitNs     *obs.Histogram
 	shed            *obs.Counter
 	descentDepth    *obs.Histogram
 	rangesClient    *obs.Counter
@@ -112,6 +113,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		reg:             reg,
 		sessionNsClient: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "client"),
 		sessionNsServer: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "server"),
+		mergeWaitNs:     reg.Histogram("peepul_replica_merge_wait_ns", obs.LatencyBuckets),
 		shed:            reg.Counter("peepul_replica_inbound_shed_total"),
 		descentDepth:    reg.Histogram("peepul_recon_descent_ranges", obs.DepthBuckets),
 		rangesClient:    reg.Counter("peepul_recon_ranges_total", "role", "client"),
@@ -131,6 +133,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	}
 	reg.Describe("peepul_replica_session_ns", "wall time of whole sync sessions by role")
 	reg.Describe("peepul_replica_sessions_total", "completed sync sessions by role, ladder tier and outcome")
+	reg.Describe("peepul_replica_merge_wait_ns", "time a session waited for an object's merge lock (import + pull + reply export of another session)")
 	reg.Describe("peepul_replica_inbound_shed_total", "inbound connections closed unserved at the session cap")
 	reg.Describe("peepul_recon_descent_ranges", "ranges probed per reconciliation descent")
 	reg.Describe("peepul_recon_ranges_total", "reconciliation range probes issued (client) and answered (server)")
@@ -188,9 +191,6 @@ func failClassName(c mesh.FailureClass) string {
 type spanRec struct {
 	rec  *obs.Recorder
 	span obs.Span
-	// class is the failure class of a handler-recorded failure ("" until
-	// fail/failTransient ran); finish promotes it into the span.
-	class string
 }
 
 // newSpan opens a span; nil when the node records no traces.
@@ -266,32 +266,6 @@ func tierFromName(name string) tier {
 	return tierNone
 }
 
-// fail marks the span failed on a protocol violation without an error
-// value (server handlers report failure as a closed session, not an
-// error).
-func (sr *spanRec) fail(msg string) {
-	if sr != nil && sr.span.Err == "" {
-		sr.span.Err, sr.class = msg, "violation"
-	}
-}
-
-// failTransient marks the span failed on a transient condition — the
-// busy rejection, which the peer retries, is the canonical case.
-func (sr *spanRec) failTransient(msg string) {
-	if sr != nil && sr.span.Err == "" {
-		sr.span.Err, sr.class = msg, "transient"
-	}
-}
-
-// failed returns the recorded failure class ("" when the span has no
-// handler-recorded failure).
-func (sr *spanRec) failed() string {
-	if sr == nil {
-		return ""
-	}
-	return sr.class
-}
-
 // finish stamps duration, byte and commit totals (from the session's
 // counters) and the failure classification, then commits the span to
 // the ring.
@@ -306,14 +280,9 @@ func (sr *spanRec) finish(call *syncStats, err error) {
 		sr.span.CommitsSent = call.commitsSent.Load()
 		sr.span.CommitsRecv = call.commitsRecv.Load()
 	}
-	if err != nil && sr.span.Err == "" {
+	if err != nil {
 		sr.span.Err = err.Error()
 		sr.span.FailClass = failClassName(classifyFailure(err))
-	} else if sr.span.Err != "" && sr.span.FailClass == "" {
-		sr.span.FailClass = sr.class
-		if sr.span.FailClass == "" {
-			sr.span.FailClass = "violation"
-		}
 	}
 	sr.rec.AddSpan(sr.span)
 }

@@ -237,9 +237,9 @@ func WithDebugAddr(addr string) NodeOption {
 
 // WithSessionTimeout bounds a whole sync session, client or server side
 // (default 3m). The idle timeout cannot stop a dribbling peer — one
-// byte per idle window is progress forever — and a client exchange
-// holds the node's branch freeze, so this is the hard cap on how long
-// any one peer can hold it. Zero or negative disables the bound.
+// byte per idle window is progress forever — so this is the hard cap on
+// how long any one peer can hold a session (a handler slot, a
+// peer-address turn). Zero or negative disables the bound.
 func WithSessionTimeout(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.sessionTO, c.sessionTOSet = d, true }
 }

@@ -33,22 +33,42 @@
 // and failures back off exponentially per peer. Watch exposes the merge
 // path's head moves as a notification channel.
 //
-// Concurrency discipline: an exchange must integrate the peer's reply
-// against the same head it exported — an operation slipped into that
-// window would make the reply merge against a moved head, minting merge
-// commits the peer has never seen and forcing another full round to
-// reconcile them. The node therefore holds syncMu across the whole
-// client exchange and takes it for every local commit (Do) and inbound
-// merge, freezing the branch for the exchange's duration. Two nodes
-// syncing each other simultaneously would deadlock on that discipline,
-// so lock acquisition is tie-broken by node name: a server asked to
-// merge by a client whose name sorts after its own only try-locks,
-// answering
-// "busy" when the node is itself mid-exchange — the client retries its
-// round later, and no waits-for cycle can form because every blocking
-// edge goes from a smaller to a larger name. Exchanges additionally
-// serialize per peer address, so a daemon round and a manual SyncWith
-// to the same peer never duplicate each other's transfer.
+// Concurrency discipline: a client session is a reader of a snapshot.
+// Right after the dial, before its first frame, it takes for every
+// object in scope the branch head H0 and a store install-capture token
+// in one store critical section. The span probe and hello advertise H0;
+// the recon descent reads the live fingerprint tree (a superset of the
+// snapshot); the ship set is the resolved diff minus everything the
+// token captured, exported with head H0; and the peer's reply is merged
+// into whatever head the branch has by then — a fast-forward, a semantic
+// fast-forward or one merge commit, all ordinary store.Pull cases. A
+// session's work is therefore bounded by the state it connected with,
+// and commits younger than it ride the push their NotifyCommit already
+// queued. Local commits (Do, PullLocal, SyncLocal) take only the store's
+// lock and never wait for a session. The serving side answers from the
+// live store: its reply export folds in whatever landed since its hello
+// ack — bar what arrived under the client's own tracking branch —
+// because its reply head is the head it just merged.
+//
+// The one replica-level lock on the data path is the per-object merge
+// lock: a session holds it around "import the peer's delta, pull it into
+// the node branch (and, serving, export the reply)", so two sessions
+// sharing a tracking branch cannot pull each other's import and each
+// reply matches the pull that minted it. It covers local store calls
+// only — nothing blocks on a connection while holding it — so two nodes
+// syncing each other simultaneously have no waits-for edge between them
+// and need no tie-break. That crossed sessions still converge is the
+// store's doing, not a lock's: Pull declines to mint a merge when the
+// operation sets already agree and elects the smaller head hash, so
+// crossed merges meet on one head within a round or two. What crossing
+// can cost is a second delivery: two sessions running opposite ways
+// between one pair may both carry the same commit (one in its ship set,
+// one in its reply), which content addressing drops on arrival and
+// RedundantCommits counts. Uncrossed sessions ship exactly once. Client
+// sessions additionally take turns per peer address (a session-admission
+// lock no write and no handler ever takes), so a daemon round and a
+// manual SyncWith to the same peer never duplicate each other's
+// transfer.
 package replica
 
 import (
@@ -80,25 +100,6 @@ var ErrObject = errors.New("replica: object error")
 // errFallback marks a failed v2 negotiation; SyncWith retries with the
 // legacy full-history protocol.
 var errFallback = errors.New("replica: delta negotiation unavailable")
-
-// ErrPeerBusy reports that the peer declined to merge because it was
-// mid-exchange itself and the deadlock tie-break told it not to wait.
-// The state is momentary: a retry (the mesh daemon's next round, or the
-// caller repeating SyncWith) succeeds once the peer's exchange ends.
-var ErrPeerBusy = errors.New("replica: peer busy")
-
-// busyMsg is the wire form of ErrPeerBusy, recognized by both protocol
-// versions' clients.
-const busyMsg = "busy: node is mid-exchange, retry"
-
-// Merge-lock patience: how long a handler on the busy-reject side of the
-// name tie-break keeps try-locking before answering busy. Long enough to
-// ride out other handlers' brief merge sections, far shorter than a
-// client exchange it must not wait for.
-const (
-	mergeLockPatience = 25 * time.Millisecond
-	mergeLockPoll     = 250 * time.Microsecond
-)
 
 // SyncStats counts sync traffic across both client and server roles.
 // The node's aggregate stats cover both directions of every connection
@@ -237,8 +238,8 @@ const defaultSyncTimeout = 30 * time.Second
 // defaultSessionTimeout bounds a whole sync session (override or
 // disable with WithSessionTimeout). The idle timeout alone cannot stop
 // a dribbling peer — one byte per idle window makes progress forever —
-// and a client exchange holds the node's sync freeze, so the session
-// bound is what caps how long a hostile peer can hold syncMu.
+// so the session bound is what caps how long a hostile peer can hold a
+// handler slot, a peer-address turn and a session's capture token.
 const defaultSessionTimeout = 3 * time.Minute
 
 // countedConn counts the bytes crossing a connection into the node's
@@ -338,6 +339,11 @@ type objectEntry struct {
 	log      *disk.Log
 	stats    syncStats
 	watchers *watcherSet
+	// mergeMu makes a session's "import, pull (and export the reply)" one
+	// step with respect to other sessions on this object. It is held over
+	// store calls only, never across a connection read or write, and
+	// local commits do not take it (see the package comment).
+	mergeMu sync.Mutex
 }
 
 // Node is one replica hosting a set of named MRDT objects. It is safe
@@ -349,15 +355,6 @@ type Node struct {
 
 	mu      sync.Mutex // guards objects
 	objects map[string]*objectEntry
-
-	// syncMu freezes the node's branches for the duration of a client
-	// exchange: syncPeer holds it from first export to last integrate,
-	// and every other head-moving path — Do, local-branch pulls, inbound
-	// handler merges — takes it too, so replies always integrate against
-	// the head that was exported (see the package comment); handlers
-	// avoid the resulting cross-node deadlock with the name tie-break in
-	// acquireMergeLock.
-	syncMu sync.Mutex
 
 	// peerMus serializes whole exchanges per peer address, so a manual
 	// SyncWith and a mesh daemon round to the same peer never run
@@ -666,30 +663,36 @@ func (n *Node) serve() {
 	}
 }
 
-// acquireMergeLock takes syncMu for an inbound merge on behalf of the
-// named client, or reports false to answer busy. A server whose name
-// sorts above the client's blocks outright; one whose name sorts below
-// (or ties — a misconfigured fleet syncing itself) only try-locks, with
-// a little patience to ride out other handlers' brief merge sections.
-// Every blocking edge therefore goes from a smaller to a larger name,
-// so the waits-for graph of a fleet of mutually-syncing nodes cannot
-// contain a cycle: simultaneous exchanges resolve with one side's
-// round answered busy and retried, never with a distributed deadlock.
-func (n *Node) acquireMergeLock(client string) bool {
-	if n.name > client {
-		n.syncMu.Lock()
-		return true
+// lockMerge takes e's merge lock for a session, recording how long the
+// session waited behind another one's merge section.
+func (n *Node) lockMerge(e *objectEntry) {
+	m := n.metrics
+	if m == nil {
+		e.mergeMu.Lock()
+		return
 	}
-	deadline := time.Now().Add(mergeLockPatience)
-	for {
-		if n.syncMu.TryLock() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(mergeLockPoll)
+	start := time.Now()
+	e.mergeMu.Lock()
+	m.mergeWaitNs.Observe(time.Since(start).Nanoseconds())
+}
+
+// writeDelta streams a delta in the dialect the session negotiated.
+func writeDelta(c *countedConn, commits []store.ExportedCommit, head store.Hash, packed bool) error {
+	if packed {
+		return wire.WriteDeltaPacked(c, commits, head)
 	}
+	return wire.WriteDelta(c, commits, head)
+}
+
+// readReply reads the peer's reply delta; a refusal the peer sent in its
+// place is a protocol error.
+func readReply(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
+	commits, head, err := wire.ReadDelta(c)
+	var pe *wire.PeerError
+	if errors.As(err, &pe) {
+		err = fmt.Errorf("%w: peer: %s", ErrProtocol, pe.Msg)
+	}
+	return commits, head, err
 }
 
 // reconSession is the per-connection state of a reconciliation-dialect
@@ -698,8 +701,8 @@ func (n *Node) acquireMergeLock(client string) bool {
 // the next hello. Sessions are single-goroutine, so no locking. token
 // is a store install capture armed at the hello ack and consumed by the
 // want handler's export: local commits installed while the descent is
-// in flight (an Apply takes only the store lock, not the merge lock)
-// would otherwise be invisible to both the probes and the want list,
+// in flight (an Apply takes only the store lock) would otherwise be
+// invisible to both the probes and the want list,
 // and a reply minted on top of them would graft onto commits the client
 // has never heard of.
 type reconSession struct {
@@ -739,7 +742,7 @@ func (n *Node) handle(conn *countedConn) {
 	aborted := false
 	var sessErr error
 	defer func() {
-		if aborted && sessErr == nil && sp.failed() == "" {
+		if aborted && sessErr == nil {
 			sessErr = fmt.Errorf("%w: session aborted", ErrProtocol)
 		}
 		sp.finish(conn.call, sessErr)
@@ -748,10 +751,6 @@ func (n *Node) handle(conn *countedConn) {
 			outcome := "ok"
 			if sessErr != nil {
 				outcome = failClassName(classifyFailure(sessErr))
-			} else if c := sp.failed(); c != "" {
-				outcome = c
-			} else if aborted {
-				outcome = "violation"
 			}
 			m.session("server", tierFromName(sp.tierName()), outcome)
 		}
@@ -858,11 +857,8 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 		return true
 	}
 
-	// The network round-trips happen outside syncMu: a stalled or
-	// malicious client must only tie up its own handler, never the
-	// node's sync path. The frontier needs no lock — it advertises
-	// commits we have, which stays true however concurrent exchanges
-	// advance the branch.
+	// The frontier needs no lock — it advertises commits we have, which
+	// stays true however concurrent exchanges advance the branch.
 	mine, err := e.obj.Frontier()
 	if err != nil {
 		fail(err.Error())
@@ -908,18 +904,14 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 		return false
 	}
 
-	if !n.acquireMergeLock(hello.Node) {
-		sp.failTransient(busyMsg)
-		fail(busyMsg)
-		return false
-	}
-	redundant, _, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
+	n.lockMerge(e)
+	redundant, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
 	var reply []store.ExportedCommit
 	var replyHead store.Hash
 	if err == nil {
 		reply, replyHead, err = e.obj.ExportSince(hello.Frontier.HaveSet(), peerPatch)
 	}
-	n.syncMu.Unlock()
+	e.mergeMu.Unlock()
 	if err != nil {
 		fail(err.Error())
 		return false
@@ -944,10 +936,7 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	sp.phase("exchange", hello.Object, hStart)
 	// Commits are immutable, so the materialized reply stays valid even
 	// if another exchange advances the branch while it streams out.
-	if peerPatch {
-		return wire.WriteDeltaPacked(conn, reply, replyHead) == nil
-	}
-	return wire.WriteDelta(conn, reply, replyHead) == nil
+	return writeDelta(conn, reply, replyHead, peerPatch) == nil
 }
 
 // reconItemsCap is the range size below which a probed server
@@ -956,10 +945,11 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 const reconItemsCap = 64
 
 // handleReconProbe answers one range-fingerprint probe. The answer needs
-// no merge lock — it reads a consistent snapshot of the fingerprint tree
-// under the store's read lock, and the client's own sync freeze keeps
-// its side still; a range another exchange grows mid-descent surfaces as
-// a re-negotiation next round, never as corruption.
+// no merge lock — every read of the fingerprint tree is consistent under
+// the store's read lock. Both sides' trees may grow mid-descent; the
+// client cuts its ship set back to its snapshot and the session capture
+// covers this side, so a range that moved surfaces as a re-negotiation
+// next round, never as corruption.
 func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSession) bool {
 	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
 	if !rs.active || len(fields) != 1 {
@@ -1024,12 +1014,9 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		return false
 	}
 	e := rs.e
-	if !n.acquireMergeLock(rs.hello.Node) {
-		sp.failTransient(busyMsg)
-		fail(busyMsg)
-		return false
-	}
-	redundant, fresh, minted, err := e.obj.IntegrateExact("remote/"+rs.hello.Node, commits, head)
+	n.lockMerge(e)
+	track := "remote/" + rs.hello.Node
+	redundant, minted, err := e.obj.IntegrateExact(track, commits, head)
 	var reply []store.ExportedCommit
 	var replyHead store.Hash
 	if err == nil {
@@ -1041,17 +1028,14 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 			ship[h] = true
 		}
 		// The session capture holds everything installed since the hello
-		// ack: the integrate's own installs plus any commits local Applies
-		// raced in mid-descent. The latter must ship — the client's want
-		// list cannot name them, yet the reply head reaches them — while
-		// the client's just-imported delta (fresh) must not bounce back.
-		skip := make(map[store.Hash]bool, len(fresh))
-		for _, h := range fresh {
-			skip[h] = true
-		}
-		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, skip, rs.peerPatch)
+		// ack. Commits local Applies and other peers' sessions raced in
+		// mid-descent must ship — the client's want list cannot name them,
+		// yet the reply head reaches them — while whatever arrived under
+		// the client's own tracking branch, here or on a session that
+		// crossed this one, must not bounce back.
+		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track, rs.peerPatch)
 	}
-	n.syncMu.Unlock()
+	e.mergeMu.Unlock()
 	if err != nil {
 		fail(err.Error())
 		return false
@@ -1073,10 +1057,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	}
 	sp.object(tierRecon)
 	sp.phase("ship", rs.hello.Object, wStart)
-	if rs.peerPatch {
-		return wire.WriteDeltaPacked(conn, reply, replyHead) == nil
-	}
-	return wire.WriteDelta(conn, reply, replyHead) == nil
+	return writeDelta(conn, reply, replyHead, rs.peerPatch) == nil
 }
 
 // handleReconSpan answers a whole-node span probe: fold a fingerprint
@@ -1127,32 +1108,36 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 	return wire.WriteMsg(conn, wire.FrameReconSpan, wire.EncodeReconSpan(mine)) == nil
 }
 
-// nodeSpan folds the named objects into one digest: per object, the
-// commit-set fingerprint XOR a domain-separated hash of the object's
-// name and branch head. Equal spans mean the pair agrees on object
-// names, commit sets and heads all at once; the count (total commits)
-// guards the XOR against the trivial collision of swapped sets.
+// nodeSpan folds the named objects, at their live heads, into one
+// digest (see foldSpan).
 func (n *Node) nodeSpan(names []string) wire.ReconSpan {
 	var sp wire.ReconSpan
 	for _, name := range names {
-		e, ok := n.entry(name)
-		if !ok {
-			continue
+		if e, ok := n.entry(name); ok {
+			head, _ := e.obj.Head()
+			foldSpan(&sp, name, e, head)
 		}
-		root, count := e.obj.ReconRoot()
-		head, _ := e.obj.Head()
-		h := sha256.New()
-		h.Write([]byte("peepul-recon-span\x00"))
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write(head[:])
-		var fold recon.Fingerprint
-		copy(fold[:], h.Sum(nil))
-		sp.FP.Xor(root)
-		sp.FP.Xor(fold)
-		sp.Count += count
 	}
 	return sp
+}
+
+// foldSpan folds one object into a whole-node span: the commit-set
+// fingerprint XOR a domain-separated hash of the object's name and
+// branch head. Equal spans mean the pair agrees on object names, commit
+// sets and heads all at once; the count (total commits) guards the XOR
+// against the trivial collision of swapped sets.
+func foldSpan(sp *wire.ReconSpan, name string, e *objectEntry, head store.Hash) {
+	root, count := e.obj.ReconRoot()
+	h := sha256.New()
+	h.Write([]byte("peepul-recon-span\x00"))
+	h.Write([]byte(name))
+	h.Write([]byte{0})
+	h.Write(head[:])
+	var fold recon.Fingerprint
+	copy(fold[:], h.Sum(nil))
+	sp.FP.Xor(root)
+	sp.FP.Xor(fold)
+	sp.Count += count
 }
 
 // handleFull serves the legacy v1 exchange: import the client's whole
@@ -1203,18 +1188,14 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 		return
 	}
 
-	if !n.acquireMergeLock(peer) {
-		sp.failTransient(busyMsg)
-		fail(busyMsg)
-		return
-	}
-	err = e.obj.Integrate("remote/"+peer, commits, head)
+	n.lockMerge(e)
+	_, _, err = e.obj.IntegrateExact("remote/"+peer, commits, head)
 	var reply []store.ExportedCommit
 	var replyHead store.Hash
 	if err == nil {
 		reply, replyHead, err = e.obj.Export()
 	}
-	n.syncMu.Unlock()
+	e.mergeMu.Unlock()
 	if err != nil {
 		fail(err.Error())
 		return
@@ -1237,8 +1218,11 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 // merges the peer's reply delta (usually a fast-forward, since the reply
 // is computed after the peer merged). Objects the peer does not host (or
 // hosts under a different datatype) are skipped and counted in Misses.
-// After a successful exchange both nodes hold equal states on every
-// shared object. Negotiation runs richest-first: the packed delta
+// The session ships what this node held when it connected; commits made
+// on either side while it runs are not waited for and travel with the
+// next push or round. Between quiescent nodes a successful exchange
+// leaves both with equal states on every shared object. Negotiation
+// runs richest-first: the packed delta
 // protocol (capability hellos, patch-bearing commit chunks), then the
 // plain delta protocol (full-state chunks, for peers that predate
 // capabilities), then the legacy full-history protocol, one connection
@@ -1266,16 +1250,11 @@ func (n *Node) peerLock(addr string) *sync.Mutex {
 }
 
 // syncPeer runs one client exchange with addr over the negotiation
-// ladder, serialized per peer address. Each object's exchange holds the
-// node-wide syncMu from the export of its frontier to the integrate of
-// the peer's reply: the branch a hello advertises must not move until
-// the reply is merged back, or the integrate lands on a moved head and
-// the pair needs another round to reconcile (see the package comment).
-// Local commits and inbound merges wait that window out; a peer
-// simultaneously syncing us gets the acquireMergeLock tie-break instead
-// of a deadlock. Dials stay outside the freeze, so an unreachable peer
-// costs its supervisor a dial timeout but never stalls the node's
-// commits.
+// ladder, taking turns per peer address. The session ships from the
+// snapshot syncDelta takes after the dial and, that turn aside, holds
+// no lock across its round trips (see the package comment), so neither
+// local commits nor inbound sessions wait for it, and an unreachable
+// peer costs its supervisor a dial timeout and nothing else.
 func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ mesh.Report, retErr error) {
 	lock := n.peerLock(addr)
 	lock.Lock()
@@ -1362,6 +1341,41 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 // span opening.
 var errSpanRetry = errors.New("replica: span probe refused")
 
+// sessionObject is one object in a client session's scope together with
+// the snapshot the session ships from: the branch head at connect time
+// and the capture token recording every commit installed since.
+type sessionObject struct {
+	name  string
+	e     *objectEntry
+	head  store.Hash
+	token int
+}
+
+// snapshotScope snapshots every named object the node still hosts.
+func (n *Node) snapshotScope(names []string) ([]sessionObject, error) {
+	scope := make([]sessionObject, 0, len(names))
+	for _, name := range names {
+		e, ok := n.entry(name)
+		if !ok {
+			continue // removed concurrently; nothing to sync
+		}
+		head, token, err := e.obj.Snapshot()
+		if err != nil {
+			releaseScope(scope)
+			return nil, err
+		}
+		scope = append(scope, sessionObject{name: name, e: e, head: head, token: token})
+	}
+	return scope, nil
+}
+
+// releaseScope ends the capture tokens no export consumed.
+func releaseScope(scope []sessionObject) {
+	for _, so := range scope {
+		so.e.obj.EndInstallCapture(so.token)
+	}
+}
+
 // syncDelta runs the client side of a v2 session: one connection, one
 // negotiate-and-ship-missing exchange per object. withCaps selects the
 // capability dialects (capability hello; patch commits and range
@@ -1387,8 +1401,16 @@ func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withC
 	defer stop()
 	c := n.newConn(conn, &call.stats)
 
+	// The snapshot precedes the first frame: everything this session
+	// ships existed now, however many round trips it takes.
+	scope, err := n.snapshotScope(names)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseScope(scope)
+
 	if reconKnown && spanOK {
-		done, err := n.syncSpan(c, addr, names, call)
+		done, err := n.syncSpan(c, addr, scope, call)
 		if err != nil {
 			return nil, err
 		}
@@ -1397,54 +1419,53 @@ func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withC
 		}
 	}
 	var missed []string
-	for i, object := range names {
-		e, ok := n.entry(object)
-		if !ok {
-			continue // removed concurrently; nothing to sync
-		}
-		c.obj.Store(&e.stats)
-		miss, err := n.syncObjectDelta(c, addr, object, e, i == 0, withCaps, reconKnown, call)
+	for i, so := range scope {
+		c.obj.Store(&so.e.stats)
+		miss, err := n.syncObjectDelta(c, addr, so, i == 0, withCaps, reconKnown, call)
 		if err != nil {
 			return missed, err
 		}
 		if miss {
-			missed = append(missed, object)
+			missed = append(missed, so.name)
 		}
 	}
 	return missed, nil
 }
 
-// syncSpan opens a session with the whole-node span probe, under the
-// sync freeze so the digest cannot move between fold and answer. It
-// reports done=true when the peer's span matched (nothing to sync
-// anywhere), and errSpanRetry — after clearing the recon memo — when
-// the peer refused the frame.
-func (n *Node) syncSpan(c *countedConn, addr string, names []string, call *callState) (done bool, _ error) {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
+// syncSpan opens a session with the whole-node span probe over the
+// session's snapshot heads. It reports done=true when the peer's span
+// matched (nothing to sync anywhere), and errSpanRetry — after clearing
+// the recon memo — when the peer refused the frame. A transport error
+// is returned as it is and keeps the memo: a peer that is merely down
+// resumes its dialect on reconnect, and a retry would only pay a second
+// dial against it.
+func (n *Node) syncSpan(c *countedConn, addr string, scope []sessionObject, call *callState) (done bool, _ error) {
 	pStart := time.Now()
 	n.total.rangesSent.Add(1)
 	if m := n.metrics; m != nil {
 		m.rangesClient.Inc()
 	}
-	sp := n.nodeSpan(names)
+	var sp wire.ReconSpan
+	for _, so := range scope {
+		foldSpan(&sp, so.name, so.e, so.head)
+	}
 	if err := wire.WriteMsg(c, wire.FrameReconSpan, wire.EncodeReconSpan(sp)); err != nil {
 		return false, err
 	}
 	kind, _, err := wire.ReadMsg(c)
 	switch {
-	case err != nil, kind == wire.FrameErr:
+	case err != nil:
+		return false, err
+	case kind == wire.FrameErr:
 		n.reconPeers.Delete(addr)
 		return false, errSpanRetry
 	case kind == wire.FrameReconMatch:
 		// One converged exchange per object, resolved in aggregate: the
 		// per-object counters tick exactly as if each object had run its
 		// own (trivial) exchange.
-		for _, name := range names {
-			if e, ok := n.entry(name); ok {
-				e.stats.deltaSyncs.Add(1)
-				e.stats.addTier(tierRecon)
-			}
+		for _, so := range scope {
+			so.e.stats.deltaSyncs.Add(1)
+			so.e.stats.addTier(tierRecon)
 			n.total.deltaSyncs.Add(1)
 			n.total.addTier(tierRecon)
 		}
@@ -1452,7 +1473,7 @@ func (n *Node) syncSpan(c *countedConn, addr string, names []string, call *callS
 			m.spanMatch.Inc()
 		}
 		call.tier = tierRecon
-		call.span.objects(tierRecon, len(names))
+		call.span.objects(tierRecon, len(scope))
 		call.span.phase("span-probe", "", pStart)
 		return true, nil
 	case kind == wire.FrameReconSpan:
@@ -1469,25 +1490,23 @@ func (n *Node) syncSpan(c *countedConn, addr string, names []string, call *callS
 // syncObjectDelta negotiates and transfers one object on an open
 // session. It reports miss=true when the peer answered the hello with
 // "object not hosted here" (the session stays usable for the next
-// object). The node's syncMu is held for the whole call — network
-// round-trips included — because the frontier the hello advertises is a
-// promise that the branch will stand still until the reply is merged.
-// A peer that echoes wire.CapRecon gets the reconciliation exchange
-// instead of the frontier-delta one, on the same session.
-func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEntry, first, withCaps, reconKnown bool, call *callState) (miss bool, _ error) {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
+// object). A peer that echoes wire.CapRecon gets the reconciliation
+// exchange, shipped from the session's snapshot; the classic frontier
+// exchange needs none — its export is one atomic read of the commits
+// above the peer's frontier and the head they lead to.
+func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, first, withCaps, reconKnown bool, call *callState) (miss bool, _ error) {
+	object, e := so.name, so.e
 	negStart := time.Now()
-	mine, err := e.obj.Frontier()
-	if err != nil {
-		return false, err
-	}
-	if reconKnown {
-		// A memo-known recon peer resolves the diff by probing, so the
-		// sampled have-set is dead weight; keep only the head. Should the
-		// memo prove stale (the peer downgraded in place), the classic
-		// exchange still works off the bare head — it just re-ships more.
-		mine.Have = nil
+	// A memo-known recon peer resolves the diff by probing, so the hello
+	// carries only the snapshot head. Should the memo prove stale (the
+	// peer downgraded in place), the classic exchange still works off the
+	// bare head — it just re-ships more.
+	mine := store.Frontier{Head: so.head}
+	var err error
+	if !reconKnown {
+		if mine, err = e.obj.Frontier(); err != nil {
+			return false, err
+		}
 	}
 	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Frontier: mine}
 	if withCaps {
@@ -1553,7 +1572,7 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 	if peerRecon {
 		n.reconPeers.Store(addr, struct{}{})
 		call.span.phase("negotiate", object, negStart)
-		return false, n.syncObjectRecon(c, object, e, ack, peerPatch, call)
+		return false, n.syncObjectRecon(c, so, ack, peerPatch, call)
 	}
 	call.span.phase("negotiate", object, negStart)
 
@@ -1562,28 +1581,16 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 	if err != nil {
 		return false, err
 	}
-	if peerPatch {
-		err = wire.WriteDeltaPacked(c, commits, head)
-	} else {
-		err = wire.WriteDelta(c, commits, head)
-	}
-	if err != nil {
+	if err := writeDelta(c, commits, head, peerPatch); err != nil {
 		return false, err
 	}
 	call.span.phase("ship", object, shipStart)
 	importStart := time.Now()
-	reply, replyHead, err := wire.ReadDelta(c)
+	reply, replyHead, err := readReply(c)
 	if err != nil {
-		var pe *wire.PeerError
-		if errors.As(err, &pe) {
-			if pe.Msg == busyMsg {
-				return false, fmt.Errorf("%w: %s", ErrPeerBusy, object)
-			}
-			return false, fmt.Errorf("%w: peer: %s", ErrProtocol, pe.Msg)
-		}
 		return false, err
 	}
-	redundant, _, _, err := e.obj.IntegrateExact("remote/"+ack.Node, reply, replyHead)
+	redundant, err := n.integrateReply(e, "remote/"+ack.Node, reply, replyHead)
 	if err != nil {
 		return false, err
 	}
@@ -1605,6 +1612,15 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 	return false, nil
 }
 
+// integrateReply merges a peer's reply into the node branch — whatever
+// head it has by now — under the object's merge lock.
+func (n *Node) integrateReply(e *objectEntry, track string, reply []store.ExportedCommit, head store.Hash) (redundant int, _ error) {
+	n.lockMerge(e)
+	defer e.mergeMu.Unlock()
+	redundant, _, err := e.obj.IntegrateExact(track, reply, head)
+	return redundant, err
+}
+
 // syncObjectRecon runs the client side of one object's reconciliation
 // exchange, after the hello ack echoed wire.CapRecon. The client drives
 // a lock-step descent over hash ranges: probe a range with its local
@@ -1615,23 +1631,20 @@ func (n *Node) syncObjectDelta(c *countedConn, addr, object string, e *objectEnt
 // split strictly halves the server's range — and resolves the exact
 // symmetric difference in O(diff · log n) frames. A want list and one
 // delta in each direction then ship precisely the missing commits; the
-// server's reply adds only the merge commits its pull minted. The
-// caller holds syncMu throughout, so the local set stands still.
-func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ack wire.Hello, peerPatch bool, call *callState) error {
+// server's reply adds only the merge commits its pull minted.
+//
+// The descent reads the live fingerprint tree, which local commits and
+// inbound sessions keep growing; what ships is the resolved set cut back
+// to the session's snapshot (ExportSetAsOf), under the snapshot's head.
+// Every ancestor of that head predates the snapshot and so was in the
+// tree for every probe: the batch grafts onto what the peer holds.
+func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, peerPatch bool, call *callState) error {
+	object, e := so.name, so.e
 	type keyRange struct{ x, y recon.Item }
 	work := []keyRange{{}} // the zero pair spans the whole keyspace
 	var want []store.Hash
 	ship := make(map[store.Hash]bool)
 	descStart, probes := time.Now(), 0
-	// The node's sync freeze keeps other exchanges out, but a local
-	// Apply takes only the store lock and can land a commit after its
-	// range was already compared. Capture everything installed during
-	// the descent and fold it into the ship set atomically with the
-	// export — otherwise the shipped head could reach commits the
-	// export's pruning hid from the peer. The deferred end is a no-op
-	// once the export consumes the token.
-	token := e.obj.BeginInstallCapture()
-	defer e.obj.EndInstallCapture(token)
 	shipRange := func(x, y recon.Item) {
 		for _, it := range e.obj.ReconItems(x, y, -1) {
 			ship[it.Addr()] = true
@@ -1722,15 +1735,18 @@ func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ac
 	if m := n.metrics; m != nil {
 		m.descent(probes)
 	}
+	// What ships is the resolved set as of the snapshot; commits younger
+	// than the session ride the push their NotifyCommit already queued.
+	shipStart := time.Now()
+	commits, err := e.obj.ExportSetAsOf(so.head, ship, so.token, peerPatch)
+	if err != nil {
+		return err
+	}
 	// Converged shortcut: equal sets and equal heads need no delta phase
 	// at all — the whole re-sync was the root probe. (Equal sets with
 	// differing branch heads still run the empty-delta exchange below,
 	// which resolves the heads by pulling each other's.)
-	localHead, err := e.obj.Head()
-	if err != nil {
-		return err
-	}
-	if len(want) == 0 && len(ship) == 0 && ack.Frontier.Head == localHead {
+	if len(want) == 0 && len(commits) == 0 && ack.Frontier.Head == so.head {
 		for _, s := range []*syncStats{&n.total, &e.stats} {
 			s.deltaSyncs.Add(1)
 			s.addTier(tierRecon)
@@ -1738,36 +1754,19 @@ func (n *Node) syncObjectRecon(c *countedConn, object string, e *objectEntry, ac
 		call.object(tierRecon)
 		return nil
 	}
-	shipStart := time.Now()
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
 		return err
 	}
-	commits, head, err := e.obj.ExportSetCapture(ship, token, nil, peerPatch)
-	if err != nil {
-		return err
-	}
-	if peerPatch {
-		err = wire.WriteDeltaPacked(c, commits, head)
-	} else {
-		err = wire.WriteDelta(c, commits, head)
-	}
-	if err != nil {
+	if err := writeDelta(c, commits, so.head, peerPatch); err != nil {
 		return err
 	}
 	call.span.phase("ship", object, shipStart)
 	importStart := time.Now()
-	reply, replyHead, err := wire.ReadDelta(c)
+	reply, replyHead, err := readReply(c)
 	if err != nil {
-		var pe *wire.PeerError
-		if errors.As(err, &pe) {
-			if pe.Msg == busyMsg {
-				return fmt.Errorf("%w: %s", ErrPeerBusy, object)
-			}
-			return fmt.Errorf("%w: peer: %s", ErrProtocol, pe.Msg)
-		}
 		return err
 	}
-	redundant, _, _, err := e.obj.IntegrateExact("remote/"+ack.Node, reply, replyHead)
+	redundant, err := n.integrateReply(e, "remote/"+ack.Node, reply, replyHead)
 	if err != nil {
 		return err
 	}
@@ -1825,9 +1824,6 @@ func (n *Node) syncFullOnce(ctx context.Context, addr, object string, e *objectE
 	c := n.newConn(conn, &call.stats)
 	c.obj.Store(&e.stats)
 
-	// As in syncObjectDelta, the branch freezes from export to integrate.
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
 	exStart := time.Now()
 	commits, head, err := e.obj.Export()
 	if err != nil {
@@ -1855,9 +1851,6 @@ func (n *Node) syncFullOnce(ctx context.Context, addr, object string, e *objectE
 		if msg == "bad request" {
 			return fmt.Errorf("%w: %w", ErrProtocol, errLegacyRequest)
 		}
-		if msg == busyMsg {
-			return fmt.Errorf("%w: %s", ErrPeerBusy, object)
-		}
 		return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
 	}
 	if kind != wire.FrameSyncResponse || len(fields) != 1 {
@@ -1867,7 +1860,7 @@ func (n *Node) syncFullOnce(ctx context.Context, addr, object string, e *objectE
 	if err != nil {
 		return err
 	}
-	if err := e.obj.Integrate("remote/peer@"+addr, peerCommits, peerHead); err != nil {
+	if _, err := n.integrateReply(e, "remote/peer@"+addr, peerCommits, peerHead); err != nil {
 		return err
 	}
 	for _, s := range []*syncStats{&n.total, &e.stats} {

@@ -211,10 +211,12 @@ func (s *Store[S, Op, Val]) ImportCaptured(name string, commits []ExportedCommit
 	defer s.mu.Unlock()
 	tok := s.beginInstallCaptureLocked()
 	err := s.importLocked(name, commits, head)
-	return s.endInstallCaptureLocked(tok), err
+	return installedHashes(s.endInstallCaptureLocked(tok)), err
 }
 
 func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, head Hash) error {
+	s.importVia = name
+	defer func() { s.importVia = "" }()
 	for i, ec := range commits {
 		// The generation-guided DAG walks (lca.go) are only correct under
 		// the invariant Gen = 1 + max parent generation, so a transferred

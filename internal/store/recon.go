@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -117,11 +118,28 @@ func (s *Store[S, Op, Val]) BeginInstallCapture() int {
 
 func (s *Store[S, Op, Val]) beginInstallCaptureLocked() int {
 	if s.installLogs == nil {
-		s.installLogs = make(map[int][]Hash)
+		s.installLogs = make(map[int][]install)
 	}
 	s.installSeq++
-	s.installLogs[s.installSeq] = []Hash{}
+	s.installLogs[s.installSeq] = nil
 	return s.installSeq
+}
+
+// install is one capture-log entry: a newly installed commit and the
+// tracking branch it was imported under — the name of a peer that
+// provably holds it — or "" for a commit this store made itself (an
+// Apply or a merge).
+type install struct {
+	hash Hash
+	via  string
+}
+
+func installedHashes(log []install) []Hash {
+	out := make([]Hash, len(log))
+	for i, in := range log {
+		out[i] = in.hash
+	}
+	return out
 }
 
 // EndInstallCapture stops the token's recording and returns the hashes
@@ -131,24 +149,103 @@ func (s *Store[S, Op, Val]) beginInstallCaptureLocked() int {
 func (s *Store[S, Op, Val]) EndInstallCapture(token int) []Hash {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.endInstallCaptureLocked(token)
-}
-
-func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []Hash {
-	log, ok := s.installLogs[token]
-	if !ok {
+	if _, live := s.installLogs[token]; !live {
 		return nil
 	}
+	return installedHashes(s.endInstallCaptureLocked(token))
+}
+
+func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []install {
+	log := s.installLogs[token]
 	delete(s.installLogs, token)
 	return log
 }
 
-// ExportSet exports exactly the commits in ship, parents-before-children,
-// in generation order — Gen = 1 + max parent generation, so a parent
-// always sorts strictly before its children and no DAG walk is needed.
-// The returned head is branch b's current head (the graft point the
-// receiver's Import expects). Ship hashes the store does not hold are
-// skipped silently (the peer re-negotiates them next round).
+// ExportSetCapture exports a negotiated ship set (see exportSetLocked)
+// with the race against concurrent commits closed: under one critical
+// section it folds the commits recorded by the capture token into ship,
+// then exports, returning branch b's head as the graft point. The
+// token spans the whole negotiation (armed before the first probe), so a
+// commit a local Apply or another session installs after its range was
+// already compared still reaches the ship set, and because putCommit
+// serializes on the same lock, any commit the exported head can reach is
+// either pre-negotiation (resolved by the probes), in the capture, or
+// held by the receiver — the ancestry closure the set export relies on.
+// heldVia names the receiver's tracking branch: captured commits
+// imported under it came from the receiver — its delta of this very
+// session, or one that crossed it on another connection — and are not
+// shipped back. This is the serving side's export: its reply head is
+// the head it just merged, which reaches whatever landed mid-session.
+func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, heldVia string, packed bool) ([]ExportedCommit, Hash, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, in := range s.endInstallCaptureLocked(token) {
+		if in.via != heldVia {
+			ship[in.hash] = true
+		}
+	}
+	head, ok := s.heads[b]
+	if !ok {
+		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	}
+	commits, err := s.exportSetLocked(ship, packed)
+	return commits, head, err
+}
+
+// ErrNoCapture is returned by ExportSetAsOf for a capture token that was
+// already ended or consumed: without its record the store cannot tell
+// which commits are younger than the snapshot.
+var ErrNoCapture = errors.New("store: install capture is not live")
+
+// Snapshot pins what a sync session opened now may ship: branch b's
+// head and a capture token recording every commit installed from here
+// on, cut in one critical section — so a commit is either an ancestor
+// candidate of the returned head or in the token's record, never
+// neither. The token is consumed by ExportSetAsOf or, on sessions that
+// end early, released with EndInstallCapture.
+func (s *Store[S, Op, Val]) Snapshot(b string) (head Hash, token int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	head, ok := s.heads[b]
+	if !ok {
+		return Hash{}, 0, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	}
+	return head, s.beginInstallCaptureLocked(), nil
+}
+
+// ExportSetAsOf is the mirror image of ExportSetCapture, for the side
+// that opened the session: it exports ship minus everything the
+// Snapshot's token recorded, to be sent with the snapshot's head. The
+// ship set may have been resolved against the live (growing) commit set;
+// subtracting the record cuts it back to commits that existed at the
+// snapshot. The batch stays graftable: head's ancestry is closed and
+// entirely pre-snapshot, so every ancestor the receiver lacks was there
+// for the negotiation to find and nothing subtracted can be one of them.
+// Commits younger than the session are left for the next one — a
+// session's work is bounded by the state it connected with, however
+// long it runs under sustained writes. Members removed from ship stay
+// removed; the token is consumed.
+func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token int, packed bool) ([]ExportedCommit, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, live := s.installLogs[token]; !live {
+		return nil, ErrNoCapture
+	}
+	for _, in := range s.endInstallCaptureLocked(token) {
+		delete(ship, in.hash)
+	}
+	if !s.commitExistsLocked(head) {
+		return nil, fmt.Errorf("store: snapshot head %v no longer present", head)
+	}
+	return s.exportSetLocked(ship, packed)
+}
+
+// exportSetLocked exports exactly the commits in ship,
+// parents-before-children, in generation order — Gen = 1 + max parent
+// generation, so a parent always sorts strictly before its children and
+// no DAG walk is needed. Ship hashes the store does not hold are skipped
+// silently (the peer re-negotiates them next round). Callers must hold
+// s.mu.
 //
 // Enumerating the set directly — rather than walking down from the
 // branch heads — matters for completeness: a reconciliation can
@@ -163,42 +260,9 @@ func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []Hash {
 // provably lacks": a parent outside the batch is therefore a commit the
 // receiver already holds. Packed exports may ship a commit as a patch
 // against its first parent for the same reason.
-func (s *Store[S, Op, Val]) ExportSet(b string, ship map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.exportSetLocked(b, ship, packed)
-}
-
-// ExportSetCapture is ExportSet with the race between a negotiated ship
-// set and concurrent local commits closed: under one critical section it
-// folds the commits recorded by the capture token — minus the skip set —
-// into ship, then exports. The token spans the whole negotiation
-// (armed before the first probe), so a commit a local Apply installs
-// after its range was already compared still reaches the ship set, and
-// because putCommit serializes on the same lock, any commit the exported
-// head can reach is either pre-negotiation (resolved by the probes), in
-// the capture, or in skip (known held by the receiver) — the ancestry
-// closure ExportSet's pruning relies on. skip is the receiver's own
-// just-imported delta: commits it provably holds and must not be shipped
-// back.
-func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, skip map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, h := range s.endInstallCaptureLocked(token) {
-		if !skip[h] {
-			ship[h] = true
-		}
-	}
-	return s.exportSetLocked(b, ship, packed)
-}
-
-func (s *Store[S, Op, Val]) exportSetLocked(b string, ship map[Hash]bool, packed bool) ([]ExportedCommit, Hash, error) {
-	head, ok := s.heads[b]
-	if !ok {
-		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
-	}
+func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool, packed bool) ([]ExportedCommit, error) {
 	if len(ship) == 0 {
-		return nil, head, nil
+		return nil, nil
 	}
 	order := make([]Hash, 0, len(ship))
 	for h := range ship {
@@ -213,6 +277,5 @@ func (s *Store[S, Op, Val]) exportSetLocked(b string, ship map[Hash]bool, packed
 		}
 		return bytes.Compare(order[i][:], order[j][:]) < 0
 	})
-	commits, err := s.exportOrderLocked(order, packed)
-	return commits, head, err
+	return s.exportOrderLocked(order, packed)
 }

@@ -214,9 +214,12 @@ type Store[S, Op, Val any] struct {
 	rtree *recon.Tree
 	// installLogs records every commit putCommit newly installs, one
 	// log per live capture token (BeginInstallCapture /
-	// EndInstallCapture); installSeq mints the tokens.
-	installLogs map[int][]Hash
+	// EndInstallCapture); installSeq mints the tokens. importVia is the
+	// tracking branch of the Import in progress, stamped on the entries
+	// it installs.
+	installLogs map[int][]install
 	installSeq  int
+	importVia   string
 	// persistErr is the sticky persistence failure (persist.go): once a
 	// Persister call fails, every later mutation reports it.
 	persistErr error
@@ -400,18 +403,24 @@ func (s *Store[S, Op, Val]) Pull(dst, src string) error {
 
 // PullCaptured is Pull returning the hashes of the commits the pull
 // minted (the merge commits a reconciliation reply must ship on top of
-// the peer's want list). Like ImportCaptured, the record is cut inside
-// the pull's own critical section, immune to concurrent Applies.
-func (s *Store[S, Op, Val]) PullCaptured(dst, src string) ([]Hash, error) {
+// the peer's want list) and, when this pull moved dst, dst's new head.
+// Like ImportCaptured, both are cut inside the pull's own critical
+// section: a concurrent Apply on dst can neither leak into minted nor
+// pass for a move — comparing HeadHash before and after from outside
+// would take a local commit for remote news. A failing pull may still
+// have moved dst before it failed; moved reports that too.
+func (s *Store[S, Op, Val]) PullCaptured(dst, src string) (minted []Hash, head Hash, moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	before := s.heads[dst]
 	tok := s.beginInstallCaptureLocked()
-	err := s.pullLocked(dst, src)
-	minted := s.endInstallCaptureLocked(tok)
-	if err != nil {
-		return minted, err
+	err = s.pullLocked(dst, src)
+	minted = installedHashes(s.endInstallCaptureLocked(tok))
+	head = s.heads[dst]
+	if err == nil {
+		err = s.finishPersistLocked()
 	}
-	return minted, s.finishPersistLocked()
+	return minted, head, head != before, err
 }
 
 func (s *Store[S, Op, Val]) pullLocked(dst, src string) error {
@@ -573,7 +582,7 @@ func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {
 		s.rtree.Add(recon.MakeItem(uint64(c.Gen), h))
 	}
 	for tok := range s.installLogs {
-		s.installLogs[tok] = append(s.installLogs[tok], h)
+		s.installLogs[tok] = append(s.installLogs[tok], install{hash: h, via: s.importVia})
 	}
 	s.persistCommitLocked(h, c)
 	return h

@@ -40,10 +40,9 @@ func WithSyncTimeout(d time.Duration) NodeOption { return replica.WithSyncTimeou
 
 // WithSessionTimeout bounds a whole sync session, client or server side
 // (default 3m). The idle timeout cannot stop a dribbling peer — one
-// byte per idle window is progress forever, and a client exchange
-// freezes the node's branches for its duration — so this is the hard
-// cap on how long any single session can run. Zero or negative
-// disables the bound.
+// byte per idle window is progress forever — so this is the hard cap on
+// how long any single session can run. Zero or negative disables the
+// bound.
 func WithSessionTimeout(d time.Duration) NodeOption { return replica.WithSessionTimeout(d) }
 
 // WithMeshQuarantine tunes how the sync daemon quarantines

@@ -147,9 +147,11 @@ func (n *Node) Close() error { return n.rn.Close() }
 // SyncWith synchronizes every object this node hosts with the peer at
 // addr over a single connection, object by object: frontiers are
 // exchanged per object and only missing commits cross the wire. Objects
-// the peer does not host are skipped (counted in Stats().Misses). After a
-// successful exchange both nodes hold equal states on every shared
-// object.
+// the peer does not host are skipped (counted in Stats().Misses). The
+// session ships what this node held when it connected — Do never waits
+// for it, and commits made while it runs travel with the next push or
+// round; between quiescent nodes a successful exchange leaves both with
+// equal states on every shared object.
 func (n *Node) SyncWith(addr string) error { return n.rn.SyncWith(addr) }
 
 // Stats returns the node's aggregate sync counters.
