@@ -6,10 +6,14 @@ package replica_test
 // the downgrade ladder down to the legacy one-shot protocol.
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/faultnet"
+	"repro/internal/recon"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -149,12 +153,47 @@ func TestReconStatsPerObject(t *testing.T) {
 	}
 }
 
+// firstFrames taps a faultnet and parses the first frame each direction
+// carried: what the dialing node sent, then what the other answered.
+type firstFrames struct {
+	mu      sync.Mutex
+	streams map[[2]string]*bytes.Buffer
+}
+
+func (f *firstFrames) tap(from, to string, data []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := [2]string{from, to}
+	if f.streams[key] == nil {
+		f.streams[key] = &bytes.Buffer{}
+	}
+	f.streams[key].Write(data)
+}
+
+func (f *firstFrames) first(t *testing.T, from, to string) (wire.FrameKind, [][]byte) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	buf := f.streams[[2]string{from, to}]
+	if buf == nil {
+		t.Fatalf("nothing flowed %s → %s", from, to)
+	}
+	kind, fields, err := wire.ReadMsg(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kind, fields
+}
+
 // TestReconDisabledPeerDowngrade: a recon client meeting a server with
 // the dialect switched off converges over the patch dialect on the same
-// connection — the ack simply does not echo the capability.
+// connection — the server ignores the root probe the hello carries, and
+// the ack simply does not echo the capability.
 func TestReconDisabledPeerDowngrade(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
+	frames := &firstFrames{streams: make(map[[2]string]*bytes.Buffer)}
+	fn := faultnet.New(1, faultnet.WithTap(frames.tap))
+	a := newObsCounterNode(t, "a", 1, replica.WithTransport(fn.Transport("a")))
+	b := newObsCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")))
 	b.SetReconEnabled(false)
 	inc(t, a, 2)
 	inc(t, b, 5)
@@ -163,6 +202,20 @@ func TestReconDisabledPeerDowngrade(t *testing.T) {
 	}
 	if av, bv := peek(t, a), peek(t, b); av != 7 || bv != 7 {
 		t.Fatalf("a=%d b=%d, want 7", av, bv)
+	}
+	kind, fields := frames.first(t, "a", "b")
+	if kind != wire.FrameHello || len(fields) != 3 {
+		t.Fatalf("client opened with kind %d and %d fields, want a hello carrying its root probe", kind, len(fields))
+	}
+	if rr, err := wire.DecodeReconRange(fields[2]); err != nil || rr.X != (recon.Item{}) || rr.Y != (recon.Item{}) {
+		t.Fatalf("third hello field is not the whole-keyspace probe: %+v, %v", rr, err)
+	}
+	kind, fields = frames.first(t, "b", "a")
+	if kind != wire.FrameHelloAck || len(fields) != 2 {
+		t.Fatalf("recon-off server acked with kind %d and %d fields, want a two-field ack", kind, len(fields))
+	}
+	if caps, err := wire.DecodeCaps(fields[1]); err != nil || caps&wire.CapRecon != 0 {
+		t.Fatalf("recon-off server echoed caps %b (%v)", caps, err)
 	}
 	sa := a.Stats()
 	if sa.DeltaSyncs != 1 || sa.Fallbacks != 0 || sa.FullSyncs != 0 {

@@ -25,6 +25,18 @@
 // carrying exactly the operations common to both heads (Ψ_lca by
 // construction), and fast-forwards adopt commits.
 //
+// Session connections flush on block: each is buffered both ways, frames
+// written during a protocol turn accumulate in the write buffer, and the
+// raw read under the read buffer — which runs only when the session is
+// about to wait for the peer — first flushes them. A turn (a hello with
+// its root recon probe, a probe, a want with its delta, a reply) thus
+// leaves in one write however many frames and fields it holds, a session
+// costs about two conn operations per round trip, and the framing layer
+// (internal/wire) never learns that buffering exists. The serving
+// handler flushes once more on exit, so its last reply or refusal still
+// reaches the client. Deadlines and byte accounting apply per raw fill
+// and flush.
+//
 // Replication can be always-on: every node embeds an internal/mesh
 // engine. Peers configured with WithPeers (or added with AddPeer) get a
 // supervisor goroutine running jittered anti-entropy rounds through the
@@ -72,6 +84,7 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -126,7 +139,11 @@ type SyncStats struct {
 	PatchesRecv int64
 	// RangesSent and RangesRecv count reconciliation range probes, by
 	// role: probes this node issued as a client and probes it answered
-	// as a server. A converged pair exchanges exactly one per re-sync.
+	// as a server — the whole-node span probe, the root probe a recon
+	// hello carries (counted once the ack answers it; a peer with recon
+	// off ignores it and nothing is counted) and every probe of the
+	// descent. A converged pair exchanges exactly one (the span) per
+	// re-sync.
 	RangesSent int64
 	RangesRecv int64
 	// RedundantCommits counts received commits that were already present
@@ -242,13 +259,17 @@ const defaultSyncTimeout = 30 * time.Second
 // handler slot, a peer-address turn and a session's capture token.
 const defaultSessionTimeout = 3 * time.Minute
 
-// countedConn counts the bytes crossing a connection into the node's
-// aggregate stats, the stats of the object whose exchange is in flight,
-// and (client side) the per-exchange counters the mesh engine attributes
-// to one peer. Every read and write refreshes the idle deadline, capped
-// by the absolute session deadline.
+// countedConn is a session connection: buffered both ways, so a protocol
+// turn leaves in one write (see the package comment), and metered at the
+// raw layer underneath the buffers. It counts the bytes crossing the
+// socket into the node's aggregate stats, the stats of the object whose
+// exchange is in flight, and (client side) the per-exchange counters the
+// mesh engine attributes to one peer. Every raw fill and flush refreshes
+// the idle deadline, capped by the absolute session deadline.
 type countedConn struct {
 	net.Conn
+	r     *bufio.Reader
+	w     *bufio.Writer
 	total *syncStats
 	call  *syncStats // one exchange's counters; nil on inbound handlers
 	obj   atomic.Pointer[syncStats]
@@ -281,7 +302,19 @@ func (c *countedConn) stamp() time.Time {
 	return d
 }
 
-func (c *countedConn) Read(p []byte) (int, error) {
+// Read and Write are the framing layer's view: they go through the
+// session buffers.
+func (c *countedConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *countedConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+// fill is the raw read under the read buffer. It runs only when the
+// buffer is empty — the session is about to block on the peer — so it
+// first flushes this side's pending turn: the peer cannot answer what it
+// has not been sent.
+func (c *countedConn) fill(p []byte) (int, error) {
+	if err := c.w.Flush(); err != nil {
+		return 0, err
+	}
 	if err := c.Conn.SetReadDeadline(c.stamp()); err != nil {
 		return 0, err
 	}
@@ -296,7 +329,8 @@ func (c *countedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *countedConn) Write(p []byte) (int, error) {
+// flush is the raw write under the write buffer.
+func (c *countedConn) flush(p []byte) (int, error) {
 	if err := c.Conn.SetWriteDeadline(c.stamp()); err != nil {
 		return 0, err
 	}
@@ -311,10 +345,29 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// newConn wraps a session connection with the node's byte accounting
-// and deadline policy.
+// sessionWriteBuf sizes a session's write buffer: a typical turn — a
+// hello, a probe, a want with a delta of a few dozen commits — leaves in
+// one write, and a larger delta streams out in writes of this size. The
+// read buffer keeps bufio's default; a reply larger than it arrives in
+// several reads of one turn.
+const sessionWriteBuf = 16 << 10
+
+// readerFunc and writerFunc adapt countedConn's raw methods to the
+// interfaces its buffers wrap.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// newConn wraps a session connection with the session buffers and the
+// node's byte accounting and deadline policy.
 func (n *Node) newConn(conn net.Conn, call *syncStats) *countedConn {
 	c := &countedConn{Conn: conn, total: &n.total, call: call, idle: n.cfg.syncTimeout(), metrics: n.metrics}
+	c.r = bufio.NewReader(readerFunc(c.fill))
+	c.w = bufio.NewWriterSize(writerFunc(c.flush), sessionWriteBuf)
 	if d := n.cfg.sessionTimeout(); d > 0 {
 		c.sessionEnd = time.Now().Add(d)
 	}
@@ -326,8 +379,8 @@ func (n *Node) newConn(conn net.Conn, call *syncStats) *countedConn {
 const dialTimeout = 10 * time.Second
 
 // dialPeer opens a sync connection through the node's transport,
-// honouring ctx for both the dial and — via the returned stop func's
-// AfterFunc registration in the caller — the life of the exchange.
+// honouring ctx for the dial. The caller ties the rest of the exchange
+// to ctx itself, closing the connection from a context.AfterFunc.
 func (n *Node) dialPeer(ctx context.Context, addr string) (net.Conn, error) {
 	return n.cfg.transportOrTCP().Dial(ctx, addr)
 }
@@ -684,9 +737,9 @@ func writeDelta(c *countedConn, commits []store.ExportedCommit, head store.Hash,
 	return wire.WriteDelta(c, commits, head)
 }
 
-// readReply reads the peer's reply delta; a refusal the peer sent in its
-// place is a protocol error.
-func readReply(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
+// readDelta reads the peer's delta — a client's ship set or a server's
+// reply; a refusal the peer sent in its place is a protocol error.
+func readDelta(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
 	commits, head, err := wire.ReadDelta(c)
 	var pe *wire.PeerError
 	if errors.As(err, &pe) {
@@ -699,12 +752,12 @@ func readReply(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
 // exchange: set by a hello that negotiated wire.CapRecon, consulted by
 // the probe and want frames that follow on the same session, reset by
 // the next hello. Sessions are single-goroutine, so no locking. token
-// is a store install capture armed at the hello ack and consumed by the
-// want handler's export: local commits installed while the descent is
-// in flight (an Apply takes only the store lock) would otherwise be
-// invisible to both the probes and the want list,
-// and a reply minted on top of them would graft onto commits the client
-// has never heard of.
+// is a store install capture armed by the hello, before its root probe
+// is answered, and consumed by the want handler's export: local commits
+// installed while the descent is in flight (an Apply takes only the
+// store lock) would otherwise be invisible to both the probes and the
+// want list, and a reply minted on top of them would graft onto commits
+// the client has never heard of.
 type reconSession struct {
 	active    bool
 	e         *objectEntry
@@ -733,110 +786,125 @@ func (rs *reconSession) release() {
 // whole-node span probe may open a session (one frame confirms a
 // converged pair). A v1 request gets the legacy one-shot exchange and
 // closes the session.
+//
+// The handler flushes on exit, so a trailing reply or FrameErr still
+// reaches the client, and the session's outcome carries its real cause:
+// a refusal is a protocol violation, while a connection that failed
+// under a read, a mid-session flush or the exit flush is transport
+// trouble.
 func (n *Node) handle(conn *countedConn) {
 	start := time.Now()
 	sp := n.newSpan("server", "")
-	// aborted marks a session this side ended on a violation; sessErr
-	// carries the read error when the transport (not the dialect) broke,
-	// so the span and outcome metric report the true failure class.
-	aborted := false
-	var sessErr error
-	defer func() {
-		if aborted && sessErr == nil {
-			sessErr = fmt.Errorf("%w: session aborted", ErrProtocol)
-		}
-		sp.finish(conn.call, sessErr)
-		if m := n.metrics; m != nil {
-			m.sessionNsServer.Observe(time.Since(start).Nanoseconds())
-			outcome := "ok"
-			if sessErr != nil {
-				outcome = failClassName(classifyFailure(sessErr))
-			}
-			m.session("server", tierFromName(sp.tierName()), outcome)
-		}
-	}()
 	var rs reconSession
+	err := n.serveSession(conn, &rs, sp)
 	// A dropped connection or protocol error can abandon a session
 	// mid-descent; its install capture must not keep recording forever.
-	defer rs.release()
+	rs.release()
+	if ferr := conn.w.Flush(); err == nil {
+		err = ferr
+	}
+	sp.finish(conn.call, err)
+	if m := n.metrics; m != nil {
+		m.sessionNsServer.Observe(time.Since(start).Nanoseconds())
+		outcome := "ok"
+		if err != nil {
+			outcome = failClassName(classifyFailure(err))
+		}
+		m.session("server", tierFromName(sp.tierName()), outcome)
+	}
+}
+
+// serveSession dispatches one inbound session's frames until the client
+// hangs up (nil) or an exchange fails (its error).
+func (n *Node) serveSession(conn *countedConn, rs *reconSession, sp *spanRec) error {
 	for {
 		kind, fields, err := wire.ReadMsg(conn)
 		if err != nil {
 			// Bare EOF is the client ending the session; anything else is
 			// a framing violation worth reporting before hanging up.
-			if !errors.Is(err, io.EOF) {
-				wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
-				sessErr = err
+			if errors.Is(err, io.EOF) {
+				return nil
 			}
-			return
+			wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
+			return err
 		}
 		switch kind {
 		case wire.FrameHello:
 			rs.release()
-			if !n.handleHello(conn, fields, &rs, sp) {
-				aborted = true
-				return
-			}
+			err = n.handleHello(conn, fields, rs, sp)
 		case wire.FrameReconSpan:
-			if !n.handleReconSpan(conn, fields, sp) {
-				aborted = true
-				return
-			}
+			err = n.handleReconSpan(conn, fields, sp)
 		case wire.FrameReconFP:
-			if !n.handleReconProbe(conn, fields, &rs) {
-				aborted = true
-				return
-			}
+			err = n.handleReconProbe(conn, fields, rs)
 		case wire.FrameReconWant:
-			if !n.handleReconWant(conn, fields, &rs, sp) {
-				aborted = true
-				return
-			}
+			err = n.handleReconWant(conn, fields, rs, sp)
 			rs.release()
 		case wire.FrameSyncRequest:
-			n.handleFull(conn, fields, sp)
-			return
+			return n.handleFull(conn, fields, sp)
 		default:
-			wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
-			aborted = true
-			return
+			return refuse(conn, "bad request")
+		}
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// refuse answers a request this side will not serve: the client reads
+// msg in a FrameErr, and the session ends on a protocol violation.
+func refuse(conn *countedConn, msg string) error {
+	wire.WriteMsg(conn, wire.FrameErr, []byte(msg))
+	return fmt.Errorf("%w: %s", ErrProtocol, msg)
+}
+
+// refuseErr is refuse for a failure with a cause: the client reads the
+// cause's text, and the session keeps the cause itself, so a connection
+// that died under a read stays transport trouble.
+func refuseErr(conn *countedConn, err error) error {
+	wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
+	return err
 }
 
 // handleHello serves one object's v2 negotiation: answer with the local
 // frontier (or a miss for unhosted objects) and, in the classic dialects,
 // read the client's missing-commit delta, merge it, and stream back the
-// commits the client's frontier does not dominate. A two-field hello
-// carries the client's capability set; the ack then carries ours. A
-// client that advertised wire.CapPatch exchanges packed (delta-state)
-// commit chunks in both directions; one that advertised wire.CapRecon
-// (and found it echoed) instead follows up with range-fingerprint probes
-// — this handler only arms the session state and returns after the ack,
-// the probe and want frames are dispatched by handle. One-field hellos
-// are the pre-capability dialect and get full-state chunks. The return
-// value reports whether the session may continue.
-func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) bool {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
+// commits the client's frontier does not dominate. A capability hello
+// carries the client's capability set in its second field; the ack then
+// carries ours. A client that advertised wire.CapPatch exchanges packed
+// (delta-state) commit chunks in both directions. One that advertised
+// wire.CapRecon sends its root range probe as a third field; if this
+// node echoes the capability, the ack's third field answers that probe
+// and the handler arms the session state and returns — the probe and
+// want frames that follow are dispatched by handle. A node with recon
+// off ignores the probe. One-field hellos are the pre-capability dialect
+// and get full-state chunks.
+func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	hStart := time.Now()
-	if len(fields) != 1 && len(fields) != 2 {
-		fail("bad hello")
-		return false
+	if len(fields) < 1 || len(fields) > 3 {
+		return refuse(conn, "bad hello")
 	}
 	peerPatch, peerRecon := false, false
-	if len(fields) == 2 {
+	if len(fields) >= 2 {
 		caps, err := wire.DecodeCaps(fields[1])
 		if err != nil {
-			fail(err.Error())
-			return false
+			return refuseErr(conn, err)
 		}
 		peerPatch = caps&wire.CapPatch != 0
 		peerRecon = caps&wire.CapRecon != 0 && n.reconEnabled()
 	}
+	var root wire.ReconRange
+	if peerRecon {
+		if len(fields) != 3 {
+			return refuse(conn, "bad hello")
+		}
+		var err error
+		if root, err = wire.DecodeReconRange(fields[2]); err != nil {
+			return refuseErr(conn, err)
+		}
+	}
 	hello, err := wire.DecodeHello(fields[0])
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 	sp.setPeer(hello.Node)
 	// Re-point byte attribution before any reply: traffic of this
@@ -845,63 +913,63 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	e, ok := n.entry(hello.Object)
 	if !ok {
 		n.total.misses.Add(1)
-		wire.WriteMsg(conn, wire.FrameHelloMiss, []byte("object not hosted: "+hello.Object))
-		return true
+		return wire.WriteMsg(conn, wire.FrameHelloMiss, []byte("object not hosted: "+hello.Object))
 	}
 	conn.obj.Store(&e.stats)
 	if dt := e.obj.Datatype(); dt != hello.Datatype {
 		n.total.misses.Add(1)
 		e.stats.misses.Add(1)
-		wire.WriteMsg(conn, wire.FrameHelloMiss,
+		return wire.WriteMsg(conn, wire.FrameHelloMiss,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
-		return true
 	}
 
 	// The frontier needs no lock — it advertises commits we have, which
 	// stays true however concurrent exchanges advance the branch.
 	mine, err := e.obj.Frontier()
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
-	if peerRecon {
-		// The probes resolve the exact diff, so the sampled have-set is
-		// dead weight in this dialect; the head still rides along for the
-		// client's converged-pair shortcut.
-		mine.Have = nil
-	}
-	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Frontier: mine}
 	caps := uint64(0)
 	if peerPatch {
 		caps |= wire.CapPatch
 	}
+	var answer []byte
 	if peerRecon {
 		caps |= wire.CapRecon
-	}
-	var ackErr error
-	if caps != 0 {
-		ackErr = wire.WriteMsg(conn, wire.FrameHelloAck,
-			wire.EncodeHello(ack), wire.EncodeCaps(caps))
-	} else {
-		ackErr = wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack))
-	}
-	if ackErr != nil {
-		return false
-	}
-	if peerRecon {
-		// Arm the session's install capture before the first probe can
-		// arrive: every commit a concurrent local Apply installs from
-		// here on joins the want handler's reply, however the descent
-		// races it.
+		// The probes resolve the exact diff, so the sampled have-set is
+		// dead weight in this dialect; the head still rides along for the
+		// client's converged-pair shortcut.
+		mine.Have = nil
+		// Arm the session's install capture before answering the root
+		// probe: every commit a concurrent local Apply installs from here
+		// on joins the want handler's reply, and every older one is in the
+		// tree every probe of the descent reads.
 		*rs = reconSession{active: true, e: e, hello: hello, peerPatch: peerPatch,
 			token: e.obj.BeginInstallCapture()}
-		sp.phase("negotiate", hello.Object, hStart)
-		return true
+		a, err := n.answerProbe(rs, root)
+		if err != nil {
+			return refuseErr(conn, err)
+		}
+		answer = wire.EncodeReconAnswer(a)
 	}
-	commits, head, err := wire.ReadDelta(conn)
+	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Frontier: mine}
+	ackFields := [][]byte{wire.EncodeHello(ack)}
+	if caps != 0 {
+		ackFields = append(ackFields, wire.EncodeCaps(caps))
+	}
+	if answer != nil {
+		ackFields = append(ackFields, answer)
+	}
+	if err := wire.WriteMsg(conn, wire.FrameHelloAck, ackFields...); err != nil {
+		return err
+	}
+	if peerRecon {
+		sp.phase("negotiate", hello.Object, hStart)
+		return nil
+	}
+	commits, head, err := readDelta(conn)
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 
 	n.lockMerge(e)
@@ -913,8 +981,7 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	}
 	e.mergeMu.Unlock()
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 	// Count the exchange before the reply streams out: the client may
 	// read its own stats the moment its SyncWith returns, and this
@@ -936,7 +1003,7 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	sp.phase("exchange", hello.Object, hStart)
 	// Commits are immutable, so the materialized reply stays valid even
 	// if another exchange advances the branch while it streams out.
-	return writeDelta(conn, reply, replyHead, peerPatch) == nil
+	return writeDelta(conn, reply, replyHead, peerPatch)
 }
 
 // reconItemsCap is the range size below which a probed server
@@ -944,51 +1011,58 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 // enumeration is cheaper than more round trips.
 const reconItemsCap = 64
 
-// handleReconProbe answers one range-fingerprint probe. The answer needs
-// no merge lock — every read of the fingerprint tree is consistent under
-// the store's read lock. Both sides' trees may grow mid-descent; the
-// client cuts its ship set back to its snapshot and the session capture
-// covers this side, so a range that moved surfaces as a re-negotiation
-// next round, never as corruption.
-func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSession) bool {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
+// handleReconProbe answers one range-fingerprint probe with a frame of
+// the answer's kind.
+func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSession) error {
 	if !rs.active || len(fields) != 1 {
-		fail("recon probe outside a recon exchange")
-		return false
+		return refuse(conn, "recon probe outside a recon exchange")
 	}
 	rr, err := wire.DecodeReconRange(fields[0])
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
+	answer, err := n.answerProbe(rs, rr)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	return wire.WriteReconAnswer(conn, answer)
+}
+
+// answerProbe answers one range probe of the session's exchange — the
+// root probe a hello carries as well as every probe of the descent — and
+// counts it. The answer needs no merge lock — every read of the
+// fingerprint tree is consistent under the store's read lock. Both
+// sides' trees may grow mid-descent; the client cuts its ship set back
+// to its snapshot and the session capture covers this side, so a range
+// that moved surfaces as a re-negotiation next round, never as
+// corruption.
+func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnswer, error) {
 	n.total.rangesRecv.Add(1)
 	rs.e.stats.rangesRecv.Add(1)
 	rs.probes++
 	if m := n.metrics; m != nil {
 		m.rangesServer.Inc()
 	}
-	fp, count := rs.e.obj.ReconRange(rr.X, rr.Y)
+	obj := rs.e.obj
+	fp, count := obj.ReconRange(rr.X, rr.Y)
 	switch {
 	case fp == rr.FP && count == rr.Count:
-		return wire.WriteMsg(conn, wire.FrameReconMatch) == nil
+		return wire.ReconAnswer{Kind: wire.FrameReconMatch}, nil
 	case count == 0:
-		return wire.WriteMsg(conn, wire.FrameReconEmptyRange) == nil
+		return wire.ReconAnswer{Kind: wire.FrameReconEmptyRange}, nil
 	case count <= reconItemsCap:
-		items := rs.e.obj.ReconItems(rr.X, rr.Y, count)
-		return wire.WriteMsg(conn, wire.FrameReconItems, wire.EncodeReconItems(items)) == nil
-	default:
-		// Split at the median item; both halves are non-empty because
-		// count > reconItemsCap ≥ 2, so the descent strictly shrinks.
-		mid, ok := rs.e.obj.ReconSelect(rr.X, rr.Y, count/2)
-		if !ok {
-			fail("recon split lost the range")
-			return false
-		}
-		fpLo, cLo := rs.e.obj.ReconRange(rr.X, mid)
-		fpHi, cHi := rs.e.obj.ReconRange(mid, rr.Y)
-		sp := wire.ReconSplit{Mid: mid, FPLo: fpLo, CountLo: cLo, FPHi: fpHi, CountHi: cHi}
-		return wire.WriteMsg(conn, wire.FrameReconSplit, wire.EncodeReconSplit(sp)) == nil
+		return wire.ReconAnswer{Kind: wire.FrameReconItems, Items: obj.ReconItems(rr.X, rr.Y, count)}, nil
 	}
+	// Split at the median item; both halves are non-empty because
+	// count > reconItemsCap ≥ 2, so the descent strictly shrinks.
+	mid, ok := obj.ReconSelect(rr.X, rr.Y, count/2)
+	if !ok {
+		return wire.ReconAnswer{}, errors.New("recon split lost the range")
+	}
+	fpLo, cLo := obj.ReconRange(rr.X, mid)
+	fpHi, cHi := obj.ReconRange(mid, rr.Y)
+	return wire.ReconAnswer{Kind: wire.FrameReconSplit,
+		Split: wire.ReconSplit{Mid: mid, FPLo: fpLo, CountLo: cLo, FPHi: fpHi, CountHi: cHi}}, nil
 }
 
 // handleReconWant finishes a recon exchange: read the client's want list
@@ -996,22 +1070,18 @@ func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSes
 // wanted commits plus whatever merge commits the pull minted — commits
 // the client cannot have, grafted onto commits it provably has, so the
 // reply re-ships nothing.
-func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) bool {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
+func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	wStart := time.Now()
 	if !rs.active || len(fields) != 1 {
-		fail("recon want outside a recon exchange")
-		return false
+		return refuse(conn, "recon want outside a recon exchange")
 	}
 	want, err := wire.DecodeReconWant(fields[0])
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
-	commits, head, err := wire.ReadDelta(conn)
+	commits, head, err := readDelta(conn)
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 	e := rs.e
 	n.lockMerge(e)
@@ -1027,18 +1097,17 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		for _, h := range minted {
 			ship[h] = true
 		}
-		// The session capture holds everything installed since the hello
-		// ack. Commits local Applies and other peers' sessions raced in
-		// mid-descent must ship — the client's want list cannot name them,
-		// yet the reply head reaches them — while whatever arrived under
-		// the client's own tracking branch, here or on a session that
-		// crossed this one, must not bounce back.
+		// The session capture holds everything installed since the root
+		// probe was answered. Commits local Applies and other peers'
+		// sessions raced in mid-descent must ship — the client's want list
+		// cannot name them, yet the reply head reaches them — while
+		// whatever arrived under the client's own tracking branch, here or
+		// on a session that crossed this one, must not bounce back.
 		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track, rs.peerPatch)
 	}
 	e.mergeMu.Unlock()
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 	// Count the exchange before the reply streams out: the client may
 	// read its own stats the moment its SyncWith returns, and this
@@ -1057,24 +1126,21 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	}
 	sp.object(tierRecon)
 	sp.phase("ship", rs.hello.Object, wStart)
-	return writeDelta(conn, reply, replyHead, rs.peerPatch) == nil
+	return writeDelta(conn, reply, replyHead, rs.peerPatch)
 }
 
 // handleReconSpan answers a whole-node span probe: fold a fingerprint
 // over every hosted object and reply FrameReconMatch when it equals the
 // prober's — one frame confirming a converged pair — or our own span
 // when it does not (the prober then runs per-object exchanges).
-func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) bool {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
+func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) error {
 	sStart := time.Now()
 	if !n.reconEnabled() || len(fields) != 1 {
-		fail("bad request")
-		return false
+		return refuse(conn, "bad request")
 	}
 	probe, err := wire.DecodeReconSpan(fields[0])
 	if err != nil {
-		fail(err.Error())
-		return false
+		return refuseErr(conn, err)
 	}
 	conn.obj.Store(nil)
 	n.total.rangesRecv.Add(1)
@@ -1099,13 +1165,13 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 		}
 		sp.objects(tierRecon, len(names))
 		sp.phase("span-probe", "", sStart)
-		return wire.WriteMsg(conn, wire.FrameReconMatch) == nil
+		return wire.WriteMsg(conn, wire.FrameReconMatch)
 	}
 	if m := n.metrics; m != nil {
 		m.spanDiff.Inc()
 	}
 	sp.phase("span-probe", "", sStart)
-	return wire.WriteMsg(conn, wire.FrameReconSpan, wire.EncodeReconSpan(mine)) == nil
+	return wire.WriteMsg(conn, wire.FrameReconSpan, wire.EncodeReconSpan(mine))
 }
 
 // nodeSpan folds the named objects, at their live heads, into one
@@ -1146,8 +1212,7 @@ func foldSpan(sp *wire.ReconSpan, name string, e *objectEntry, head store.Hash) 
 // the two-field form predates object naming and resolves to the node's
 // sole object with no datatype check (pre-multi-object peers cannot send
 // one).
-func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
-	fail := func(msg string) { wire.WriteMsg(conn, wire.FrameErr, []byte(msg)) }
+func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) error {
 	fStart := time.Now()
 	var peer, object, datatype string
 	var payload []byte
@@ -1157,35 +1222,29 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 		var ok bool
 		if object, _, ok = n.soleEntry(); !ok {
 			if len(n.Objects()) == 0 {
-				fail("no objects hosted")
-			} else {
-				fail("object name required: node hosts several objects")
+				return refuse(conn, "no objects hosted")
 			}
-			return
+			return refuse(conn, "object name required: node hosts several objects")
 		}
 	case 4:
 		peer, object, datatype = string(fields[0]), string(fields[1]), string(fields[2])
 		payload = fields[3]
 	default:
-		fail("bad request")
-		return
+		return refuse(conn, "bad request")
 	}
 	e, ok := n.entry(object)
 	if !ok {
-		fail("object not hosted: " + object)
-		return
+		return refuse(conn, "object not hosted: "+object)
 	}
 	if datatype != "" {
 		if dt := e.obj.Datatype(); dt != datatype {
-			fail(fmt.Sprintf("object %s is %s here, peer has %s", object, dt, datatype))
-			return
+			return refuse(conn, fmt.Sprintf("object %s is %s here, peer has %s", object, dt, datatype))
 		}
 	}
 	conn.obj.Store(&e.stats)
 	commits, head, err := wire.DecodeCommitList(payload)
 	if err != nil {
-		fail(err.Error())
-		return
+		return refuseErr(conn, err)
 	}
 
 	n.lockMerge(e)
@@ -1197,8 +1256,7 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 	}
 	e.mergeMu.Unlock()
 	if err != nil {
-		fail(err.Error())
-		return
+		return refuseErr(conn, err)
 	}
 	for _, s := range []*syncStats{&n.total, &e.stats} {
 		s.fullSyncs.Add(1)
@@ -1209,7 +1267,7 @@ func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) {
 	sp.setPeer(peer)
 	sp.object(tierV1)
 	sp.phase("exchange", object, fStart)
-	wire.WriteMsg(conn, wire.FrameSyncResponse, wire.EncodeCommitList(reply, replyHead))
+	return wire.WriteMsg(conn, wire.FrameSyncResponse, wire.EncodeCommitList(reply, replyHead))
 }
 
 // SyncWith synchronizes every object this node hosts with the peer
@@ -1509,16 +1567,20 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 		}
 	}
 	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Frontier: mine}
-	if withCaps {
-		caps := wire.CapPatch
-		if n.reconEnabled() {
-			caps |= wire.CapRecon
-		}
-		err = wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello), wire.EncodeCaps(caps))
-	} else {
-		err = wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello))
+	fields := [][]byte{wire.EncodeHello(hello)}
+	offerRecon := withCaps && n.reconEnabled()
+	switch {
+	case offerRecon:
+		// Offering recon, the hello carries the root probe — the live
+		// fingerprint and count of the whole keyspace — so the ack's
+		// answer already starts the descent one level down.
+		fp, count := e.obj.ReconRange(recon.Item{}, recon.Item{})
+		fields = append(fields, wire.EncodeCaps(wire.CapPatch|wire.CapRecon),
+			wire.EncodeReconRange(wire.ReconRange{FP: fp, Count: count}))
+	case withCaps:
+		fields = append(fields, wire.EncodeCaps(wire.CapPatch))
 	}
-	if err != nil {
+	if err := wire.WriteMsg(c, wire.FrameHello, fields...); err != nil {
 		if first {
 			return false, fmt.Errorf("%w: %v", errFallback, err)
 		}
@@ -1541,7 +1603,7 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 			return false, fmt.Errorf("%w: peer refused hello", errFallback)
 		}
 		return false, fmt.Errorf("%w: peer refused hello for object %s", ErrProtocol, object)
-	case kind != wire.FrameHelloAck || (len(fields) != 1 && len(fields) != 2):
+	case kind != wire.FrameHelloAck || len(fields) < 1 || len(fields) > 3:
 		if first {
 			return false, fmt.Errorf("%w: unexpected reply kind %d", errFallback, kind)
 		}
@@ -1549,15 +1611,19 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 	}
 	// The peer speaks the packed (and recon) dialects iff it echoed them
 	// in a capability field (it never volunteers one to a pre-capability
-	// hello).
+	// hello). An ack that echoes recon answers the root probe in its
+	// third field, and only such an ack has one.
 	peerPatch, peerRecon := false, false
-	if len(fields) == 2 {
+	if len(fields) >= 2 {
 		caps, err := wire.DecodeCaps(fields[1])
 		if err != nil {
 			return false, fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
 		peerPatch = withCaps && caps&wire.CapPatch != 0
-		peerRecon = withCaps && caps&wire.CapRecon != 0 && n.reconEnabled()
+		peerRecon = offerRecon && caps&wire.CapRecon != 0
+	}
+	if peerRecon != (len(fields) == 3) {
+		return false, fmt.Errorf("%w: hello ack with %d fields", ErrProtocol, len(fields))
 	}
 	ack, err := wire.DecodeHello(fields[0])
 	if err != nil {
@@ -1570,9 +1636,13 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 		return false, fmt.Errorf("%w: peer acked object %q, want %q", ErrProtocol, ack.Object, object)
 	}
 	if peerRecon {
+		root, err := wire.DecodeReconAnswer(fields[2])
+		if err != nil {
+			return false, fmt.Errorf("%w: root answer: %w", ErrProtocol, err)
+		}
 		n.reconPeers.Store(addr, struct{}{})
 		call.span.phase("negotiate", object, negStart)
-		return false, n.syncObjectRecon(c, so, ack, peerPatch, call)
+		return false, n.syncObjectRecon(c, so, ack, root, peerPatch, call)
 	}
 	call.span.phase("negotiate", object, negStart)
 
@@ -1586,7 +1656,7 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 	}
 	call.span.phase("ship", object, shipStart)
 	importStart := time.Now()
-	reply, replyHead, err := readReply(c)
+	reply, replyHead, err := readDelta(c)
 	if err != nil {
 		return false, err
 	}
@@ -1622,68 +1692,55 @@ func (n *Node) integrateReply(e *objectEntry, track string, reply []store.Export
 }
 
 // syncObjectRecon runs the client side of one object's reconciliation
-// exchange, after the hello ack echoed wire.CapRecon. The client drives
-// a lock-step descent over hash ranges: probe a range with its local
-// fingerprint and count, and on mismatch either receive the server's
-// items (small ranges — diffed locally into want and ship lists) or a
-// split into two fingerprinted halves (matching halves are discarded
-// locally, differing ones probed in turn). The descent terminates — every
-// split strictly halves the server's range — and resolves the exact
-// symmetric difference in O(diff · log n) frames. A want list and one
-// delta in each direction then ship precisely the missing commits; the
-// server's reply adds only the merge commits its pull minted.
+// exchange, after the hello ack echoed wire.CapRecon and answered the
+// root probe the hello carried. The client drives a lock-step descent
+// over hash ranges: probe a range with its local fingerprint and count,
+// and on mismatch either receive the server's items (small ranges —
+// diffed locally into want and ship lists) or a split into two
+// fingerprinted halves (matching halves are discarded locally, differing
+// ones probed in turn). The descent terminates — every split strictly
+// halves the server's range — and resolves the exact symmetric
+// difference in O(diff · log n) frames. A want list and one delta in
+// each direction then ship precisely the missing commits; the server's
+// reply adds only the merge commits its pull minted.
 //
 // The descent reads the live fingerprint tree, which local commits and
 // inbound sessions keep growing; what ships is the resolved set cut back
 // to the session's snapshot (ExportSetAsOf), under the snapshot's head.
 // Every ancestor of that head predates the snapshot and so was in the
 // tree for every probe: the batch grafts onto what the peer holds.
-func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, peerPatch bool, call *callState) error {
+func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer, peerPatch bool, call *callState) error {
 	object, e := so.name, so.e
 	type keyRange struct{ x, y recon.Item }
-	work := []keyRange{{}} // the zero pair spans the whole keyspace
+	var work []keyRange
 	var want []store.Hash
 	ship := make(map[store.Hash]bool)
 	descStart, probes := time.Now(), 0
-	shipRange := func(x, y recon.Item) {
-		for _, it := range e.obj.ReconItems(x, y, -1) {
-			ship[it.Addr()] = true
-		}
-	}
-	for len(work) > 0 {
-		r := work[len(work)-1]
-		work = work[:len(work)-1]
-		fp, count := e.obj.ReconRange(r.x, r.y)
-		probe := wire.ReconRange{X: r.x, Y: r.y, FP: fp, Count: count}
-		if err := wire.WriteMsg(c, wire.FrameReconFP, wire.EncodeReconRange(probe)); err != nil {
-			return err
-		}
+	countProbe := func() {
 		n.total.rangesSent.Add(1)
 		e.stats.rangesSent.Add(1)
 		probes++
 		if m := n.metrics; m != nil {
 			m.rangesClient.Inc()
 		}
-		kind, fields, err := wire.ReadMsg(c)
-		if err != nil {
-			return err
+	}
+	shipRange := func(x, y recon.Item) {
+		for _, it := range e.obj.ReconItems(x, y, -1) {
+			ship[it.Addr()] = true
 		}
-		switch kind {
+	}
+	// settle folds the server's answer for range r into the want and ship
+	// lists, queueing the halves of a split that still differ.
+	settle := func(r keyRange, a wire.ReconAnswer) {
+		switch a.Kind {
 		case wire.FrameReconMatch:
 			// Identical fingerprint and count: the range agrees.
 		case wire.FrameReconEmptyRange:
 			// The server holds nothing here: everything local is news.
 			shipRange(r.x, r.y)
 		case wire.FrameReconItems:
-			if len(fields) != 1 {
-				return fmt.Errorf("%w: recon items without payload", ErrProtocol)
-			}
-			items, err := wire.DecodeReconItems(fields[0])
-			if err != nil {
-				return err
-			}
-			theirs := make(map[recon.Item]bool, len(items))
-			for _, it := range items {
+			theirs := make(map[recon.Item]bool, len(a.Items))
+			for _, it := range a.Items {
 				theirs[it] = true
 				if !e.obj.HasCommit(it.Addr()) {
 					want = append(want, it.Addr())
@@ -1695,13 +1752,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 				}
 			}
 		case wire.FrameReconSplit:
-			if len(fields) != 1 {
-				return fmt.Errorf("%w: recon split without payload", ErrProtocol)
-			}
-			sp, err := wire.DecodeReconSplit(fields[0])
-			if err != nil {
-				return err
-			}
+			sp := a.Split
 			halves := []struct {
 				x, y  recon.Item
 				fp    recon.Fingerprint
@@ -1721,15 +1772,37 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 					work = append(work, keyRange{half.x, half.y})
 				}
 			}
-		case wire.FrameErr:
+		}
+	}
+	// The root probe rode in the hello; the zero pair spans the whole
+	// keyspace.
+	countProbe()
+	settle(keyRange{}, root)
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work = work[:len(work)-1]
+		fp, count := e.obj.ReconRange(r.x, r.y)
+		probe := wire.ReconRange{X: r.x, Y: r.y, FP: fp, Count: count}
+		if err := wire.WriteMsg(c, wire.FrameReconFP, wire.EncodeReconRange(probe)); err != nil {
+			return err
+		}
+		countProbe()
+		kind, fields, err := wire.ReadMsg(c)
+		if err != nil {
+			return err
+		}
+		if kind == wire.FrameErr {
 			msg := "unspecified"
 			if len(fields) > 0 {
 				msg = string(fields[0])
 			}
 			return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
-		default:
-			return fmt.Errorf("%w: unexpected kind %d in recon descent", ErrProtocol, kind)
 		}
+		a, err := wire.ParseReconAnswer(kind, fields)
+		if err != nil {
+			return fmt.Errorf("%w: recon descent: %w", ErrProtocol, err)
+		}
+		settle(r, a)
 	}
 	call.span.phase("descend", object, descStart)
 	if m := n.metrics; m != nil {
@@ -1743,7 +1816,8 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 		return err
 	}
 	// Converged shortcut: equal sets and equal heads need no delta phase
-	// at all — the whole re-sync was the root probe. (Equal sets with
+	// at all — the whole re-sync was the hello, its root probe and the
+	// ack's answer. (Equal sets with
 	// differing branch heads still run the empty-delta exchange below,
 	// which resolves the heads by pulling each other's.)
 	if len(want) == 0 && len(commits) == 0 && ack.Frontier.Head == so.head {
@@ -1762,7 +1836,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	}
 	call.span.phase("ship", object, shipStart)
 	importStart := time.Now()
-	reply, replyHead, err := readReply(c)
+	reply, replyHead, err := readDelta(c)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,10 @@ package wire_test
 // run, not just synthetic frames.
 //
 // Regenerate with PEEPUL_WRITE_CORPUS=1 go test ./internal/wire
-// -run TestWriteFuzzCorpus after wire-format changes.
+// -run TestWriteFuzzCorpus after wire-format changes. Recording adds the
+// current dialect's frames and keeps the seeds already committed: a
+// frame an older dialect sent is still a hostile input the parser must
+// refuse or round-trip.
 
 import (
 	"bytes"
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,9 +59,9 @@ func TestRecordedSessionCorpusCommitted(t *testing.T) {
 	}
 }
 
-// TestWriteFuzzCorpus records live sessions and rewrites the seed
-// files. Gated behind PEEPUL_WRITE_CORPUS so ordinary runs never churn
-// testdata.
+// TestWriteFuzzCorpus records live sessions and adds their frames to the
+// seed files. Gated behind PEEPUL_WRITE_CORPUS so ordinary runs never
+// churn testdata.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("PEEPUL_WRITE_CORPUS") == "" {
 		t.Skip("set PEEPUL_WRITE_CORPUS=1 to re-record the session corpus")
@@ -119,18 +123,13 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	old, err := filepath.Glob(filepath.Join(corpusDir, "session-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range old {
-		os.Remove(f)
-	}
 
 	seen := make(map[[32]byte]bool)
-	count := 0
+	// Up to 60 new seeds per direction, so both the client's frames and
+	// the server's answers make it in.
+	count, limit := 0, 0
 	emit := func(variant string, data []byte) {
-		if len(data) == 0 || count >= 120 {
+		if len(data) == 0 || count >= limit {
 			return
 		}
 		h := sha256.Sum256(data)
@@ -139,8 +138,11 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 		seen[h] = true
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		name := fmt.Sprintf("session-%s-%x", variant, h[:6])
-		if err := os.WriteFile(filepath.Join(corpusDir, name), []byte(content), 0o644); err != nil {
+		path := filepath.Join(corpusDir, fmt.Sprintf("session-%s-%x", variant, h[:6]))
+		if _, err := os.Stat(path); err == nil {
+			return // committed already
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		count++
@@ -148,8 +150,16 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	for _, buf := range streams {
-		r := bytes.NewReader(buf.Bytes())
+	keys := make([][2]string, 0, len(streams))
+	for k := range streams {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i][0]+"\x00"+keys[i][1] < keys[j][0]+"\x00"+keys[j][1]
+	})
+	for _, k := range keys {
+		limit = count + 60
+		r := bytes.NewReader(streams[k].Bytes())
 		for {
 			kind, fields, err := wire.ReadMsg(r)
 			if err != nil {

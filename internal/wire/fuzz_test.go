@@ -45,6 +45,11 @@ func FuzzReadMsg(f *testing.F) {
 	manyFields := []byte{byte(wire.FrameHello)}
 	manyFields = binary.BigEndian.AppendUint32(manyFields, 1<<31)
 	f.Add(manyFields)
+	// The recon hello carries the root probe as a third field, and the
+	// ack that echoes recon answers it in its own third field.
+	for _, fr := range threeFieldHellos() {
+		f.Add(fr)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, fields, err := wire.ReadMsg(bytes.NewReader(data))
@@ -130,8 +135,36 @@ func FuzzDecodeRecon(f *testing.F) {
 	})
 }
 
-// FuzzDecodeHello: the first payload a server decodes from an untrusted
-// peer must never panic or over-allocate on arbitrary bytes.
+// rootAnswers is one root-probe answer of each kind, encoded as the
+// hello ack's third field.
+func rootAnswers() [][]byte {
+	return [][]byte{
+		wire.EncodeReconAnswer(wire.ReconAnswer{Kind: wire.FrameReconMatch}),
+		wire.EncodeReconAnswer(wire.ReconAnswer{Kind: wire.FrameReconEmptyRange}),
+		wire.EncodeReconAnswer(wire.ReconAnswer{Kind: wire.FrameReconItems, Items: []recon.Item{{4}, {5}}}),
+		wire.EncodeReconAnswer(wire.ReconAnswer{Kind: wire.FrameReconSplit,
+			Split: wire.ReconSplit{Mid: recon.MakeItem(3, [32]byte{3}), CountLo: 80, CountHi: 81}}),
+	}
+}
+
+// threeFieldHellos frames a recon hello carrying its root probe and an
+// ack carrying each answer kind, plus a truncated and an unknown answer.
+func threeFieldHellos() [][]byte {
+	hello := wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter"})
+	caps := wire.EncodeCaps(wire.CapPatch | wire.CapRecon)
+	root := wire.EncodeReconRange(wire.ReconRange{FP: recon.Fingerprint{7}, Count: 200})
+	out := [][]byte{frame(wire.FrameHello, hello, caps, root)}
+	answers := rootAnswers()
+	answers = append(answers, answers[3][:len(answers[3])-4], []byte{byte(wire.FrameHello)})
+	for _, a := range answers {
+		out = append(out, frame(wire.FrameHelloAck, hello, caps, a))
+	}
+	return out
+}
+
+// FuzzDecodeHello: the first payloads a server decodes from an untrusted
+// peer — and the root answer a client decodes from the ack — must never
+// panic or over-allocate on arbitrary bytes.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte{})
 	good := wire.EncodeHello(wire.Hello{
@@ -140,13 +173,29 @@ func FuzzDecodeHello(f *testing.F) {
 	})
 	f.Add(good)
 	f.Add(good[:len(good)-3])
+	// Third fields: the root probe and every answer kind, then a
+	// truncated split, an unknown kind and a forged item count.
+	f.Add(wire.EncodeReconRange(wire.ReconRange{FP: recon.Fingerprint{7}, Count: 200}))
+	answers := rootAnswers()
+	for _, a := range answers {
+		f.Add(a)
+	}
+	f.Add(answers[3][:len(answers[3])-4])
+	f.Add([]byte{byte(wire.FrameHello)})
+	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.FrameReconItems)}, wire.MaxReconItems))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := wire.DecodeHello(data)
-		if err != nil {
-			return
+		if h, err := wire.DecodeHello(data); err == nil {
+			if !bytes.Equal(wire.EncodeHello(h), data) {
+				t.Fatalf("decoded hello does not re-encode to its input")
+			}
 		}
-		if !bytes.Equal(wire.EncodeHello(h), data) {
-			t.Fatalf("decoded hello does not re-encode to its input")
+		if a, err := wire.DecodeReconAnswer(data); err == nil {
+			if len(a.Items) > wire.MaxReconItems {
+				t.Fatalf("answer admitted %d items past the cap", len(a.Items))
+			}
+			if !bytes.Equal(wire.EncodeReconAnswer(a), data) {
+				t.Fatalf("decoded answer does not re-encode to its input")
+			}
 		}
 	})
 }

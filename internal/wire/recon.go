@@ -11,6 +11,7 @@ package wire
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/recon"
 	"repro/internal/store"
@@ -188,6 +189,88 @@ func DecodeReconItems(b []byte) ([]recon.Item, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ReconAnswer is a responder's answer to one range probe: Match and
+// EmptyRange carry nothing, Items the responder's members of the range,
+// Split its bisection. It travels as a frame of its own kind in reply to
+// a FrameReconFP, or — for the root probe a capability hello carries —
+// as the hello ack's third field (EncodeReconAnswer).
+type ReconAnswer struct {
+	Kind  FrameKind
+	Items []recon.Item
+	Split ReconSplit
+}
+
+// payload returns the answer's single frame field, nil for the kinds
+// that carry none.
+func (a ReconAnswer) payload() []byte {
+	switch a.Kind {
+	case FrameReconItems:
+		return EncodeReconItems(a.Items)
+	case FrameReconSplit:
+		return EncodeReconSplit(a.Split)
+	}
+	return nil
+}
+
+// WriteReconAnswer frames an answer as its own message.
+func WriteReconAnswer(w io.Writer, a ReconAnswer) error {
+	if p := a.payload(); p != nil {
+		return WriteMsg(w, a.Kind, p)
+	}
+	return WriteMsg(w, a.Kind)
+}
+
+// ParseReconAnswer validates a frame read in reply to a probe and
+// decodes its payload. Any kind but the four answers is refused.
+func ParseReconAnswer(kind FrameKind, fields [][]byte) (ReconAnswer, error) {
+	want := 1
+	switch kind {
+	case FrameReconMatch, FrameReconEmptyRange:
+		want = 0
+	case FrameReconItems, FrameReconSplit:
+	default:
+		return ReconAnswer{}, fmt.Errorf("%w: kind %d is not a recon answer", ErrMalformed, kind)
+	}
+	if len(fields) != want {
+		return ReconAnswer{}, fmt.Errorf("%w: answer kind %d carries %d fields, want %d", ErrMalformed, kind, len(fields), want)
+	}
+	a := ReconAnswer{Kind: kind}
+	var err error
+	switch kind {
+	case FrameReconItems:
+		a.Items, err = DecodeReconItems(fields[0])
+	case FrameReconSplit:
+		a.Split, err = DecodeReconSplit(fields[0])
+	}
+	if err != nil {
+		return ReconAnswer{}, err
+	}
+	return a, nil
+}
+
+// EncodeReconAnswer serializes an answer into one field: the kind byte,
+// then the payload the standalone frame would carry.
+func EncodeReconAnswer(a ReconAnswer) []byte {
+	return append([]byte{byte(a.Kind)}, a.payload()...)
+}
+
+// DecodeReconAnswer parses an EncodeReconAnswer field with the same
+// checks as ParseReconAnswer; bytes after a payload-free kind are
+// refused.
+func DecodeReconAnswer(b []byte) (ReconAnswer, error) {
+	if len(b) == 0 {
+		return ReconAnswer{}, fmt.Errorf("%w: empty recon answer", ErrMalformed)
+	}
+	kind, rest := FrameKind(b[0]), b[1:]
+	var fields [][]byte
+	if kind == FrameReconItems || kind == FrameReconSplit {
+		fields = [][]byte{rest}
+	} else if len(rest) > 0 {
+		return ReconAnswer{}, fmt.Errorf("%w: %d trailing bytes after answer kind %d", ErrMalformed, len(rest), kind)
+	}
+	return ParseReconAnswer(kind, fields)
 }
 
 // EncodeReconWant serializes the want list that ends a descent

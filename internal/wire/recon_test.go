@@ -1,6 +1,11 @@
 package wire_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/recon"
@@ -128,6 +133,79 @@ func TestReconSpanRoundTrip(t *testing.T) {
 	}
 	if _, err := wire.DecodeReconSpan([]byte{1, 2}); err == nil {
 		t.Fatal("truncated span must fail")
+	}
+}
+
+// reconAnswers is one answer of each kind, as a server sends them.
+func reconAnswers() []wire.ReconAnswer {
+	return []wire.ReconAnswer{
+		{Kind: wire.FrameReconMatch},
+		{Kind: wire.FrameReconEmptyRange},
+		{Kind: wire.FrameReconItems, Items: []recon.Item{recon.MakeItem(1, [32]byte{1}), recon.MakeItem(2, [32]byte{2})}},
+		{Kind: wire.FrameReconSplit, Split: wire.ReconSplit{Mid: recon.MakeItem(5, [32]byte{5}), FPLo: recon.Fingerprint{1}, CountLo: 70, FPHi: recon.Fingerprint{2}, CountHi: 71}},
+	}
+}
+
+// TestReconAnswerRoundTrip: an answer reads back the same from the hello
+// ack's field and from a frame of its own.
+func TestReconAnswerRoundTrip(t *testing.T) {
+	for _, in := range reconAnswers() {
+		out, err := wire.DecodeReconAnswer(wire.EncodeReconAnswer(in))
+		if err != nil {
+			t.Fatalf("kind %d: %v", in.Kind, err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("field round trip: got %+v, want %+v", out, in)
+		}
+		var buf bytes.Buffer
+		if err := wire.WriteReconAnswer(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		kind, fields, err := wire.ReadMsg(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = wire.ParseReconAnswer(kind, fields); err != nil {
+			t.Fatalf("kind %d: %v", in.Kind, err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("frame round trip: got %+v, want %+v", out, in)
+		}
+	}
+}
+
+// TestReconAnswerRefusesMalformed: a malformed ack field is an
+// ErrMalformed, and a forged item count is refused before anything is
+// allocated for it.
+func TestReconAnswerRefusesMalformed(t *testing.T) {
+	items := wire.EncodeReconAnswer(reconAnswers()[2])
+	split := wire.EncodeReconAnswer(reconAnswers()[3])
+	forged := binary.BigEndian.AppendUint32([]byte{byte(wire.FrameReconItems)}, wire.MaxReconItems)
+	cases := map[string][]byte{
+		"empty":                {},
+		"unknown kind":         {byte(wire.FrameHello)},
+		"match with payload":   {byte(wire.FrameReconMatch), 0},
+		"empty with payload":   {byte(wire.FrameReconEmptyRange), 1, 2},
+		"items truncated":      items[:len(items)-5],
+		"items without count":  items[:1],
+		"split truncated":      split[:len(split)-1],
+		"split trailing bytes": append(append([]byte(nil), split...), 0),
+		"forged item count":    forged,
+	}
+	for name, b := range cases {
+		if _, err := wire.DecodeReconAnswer(b); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		wire.DecodeReconAnswer(forged)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1024 {
+		t.Fatalf("a forged count of %d items allocated %d bytes per decode", wire.MaxReconItems, per)
 	}
 }
 
