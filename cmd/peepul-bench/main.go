@@ -3,12 +3,12 @@
 //
 //	peepul-bench                 # everything, paper-scale sweeps
 //	peepul-bench -fig 12         # one figure
-//	peepul-bench -fig sync       # sync cost: delta vs full-history replication
+//	peepul-bench -fig sync       # sync cost: wire bytes per exchange vs history length
 //	peepul-bench -fig dag        # DAG scaling: merge cost vs history length
 //	peepul-bench -fig space      # pack layer: resident + sync bytes vs full snapshots
 //	peepul-bench -fig durable    # disk log: commit latency, recovery time, footprint
 //	peepul-bench -fig mesh       # always-on fleets: converge/propagate latency, idle cost
-//	peepul-bench -fig recon      # set reconciliation vs sampled-frontier negotiation
+//	peepul-bench -fig recon      # set reconciliation: converged and diverged wire cost
 //	peepul-bench -fig chaos      # fault recovery: converge-after-heal vs loss and partitions
 //	peepul-bench -fig obs        # instrumentation overhead: WithObservability vs disabled
 //	peepul-bench -quick          # reduced sweeps for a fast sanity pass

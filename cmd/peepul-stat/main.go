@@ -1,11 +1,10 @@
 // Command peepul-stat inspects a running node through its live debug
 // endpoint (peepul.WithDebugAddr). By default it fetches
 // /debug/peepul/snapshot and renders the node's health as tables: the
-// aggregate sync counters with their negotiation-ladder tier split, the
-// local write path (commit count, mean latency and its encode / hash /
-// delta split), a per-object row set, the per-peer mesh supervisor state
-// (health score, backoff, quarantine), and the most recent sync-session
-// spans as a timeline.
+// aggregate sync counters, the local write path (commit count, mean
+// latency and its encode / hash / delta split), a per-object row set,
+// the per-peer mesh supervisor state (health score, backoff,
+// quarantine), and the most recent sync-session spans as a timeline.
 //
 // Usage:
 //
@@ -106,9 +105,8 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 	fmt.Printf("  snapshot %s\n\n", snap.Time.Format(time.RFC3339))
 
 	s := snap.Stats
-	fmt.Printf("sync: %d delta (%d recon / %d packed / %d plain), %d full (v1 %d), %d fallback(s), %d miss(es)\n",
-		s.DeltaSyncs, s.ReconSessions, s.PackedSessions, s.PlainSessions,
-		s.FullSyncs, s.V1Sessions, s.Fallbacks, s.Misses)
+	fmt.Printf("sync: %d exchange(s), %d range probe(s) out / %d in, %d miss(es)\n",
+		s.DeltaSyncs, s.RangesSent, s.RangesRecv, s.Misses)
 	fmt.Printf("wire: %d B out / %d B in, %d commit(s) out / %d in, %d redundant, %d shed\n\n",
 		s.BytesSent, s.BytesRecv, s.CommitsSent, s.CommitsRecv,
 		s.RedundantCommits, s.InboundShed)
@@ -117,15 +115,15 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 
 	if len(snap.Objects) > 0 {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "OBJECT\tDATATYPE\tCOMMITS\tDELTA\tFULL\tBYTES OUT\tBYTES IN\tSEGMENTS")
+		fmt.Fprintln(w, "OBJECT\tDATATYPE\tCOMMITS\tSYNCS\tBYTES OUT\tBYTES IN\tSEGMENTS")
 		for _, name := range sortedKeys(snap.Objects) {
 			o := snap.Objects[name]
 			seg := "-"
 			if o.Storage != nil {
 				seg = fmt.Sprintf("%d (%d B)", o.Storage.Segments, o.Storage.Bytes)
 			}
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%s\n",
-				name, o.Datatype, o.Commits, o.Stats.DeltaSyncs, o.Stats.FullSyncs,
+			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%s\n",
+				name, o.Datatype, o.Commits, o.Stats.DeltaSyncs,
 				o.Stats.BytesSent, o.Stats.BytesRecv, seg)
 		}
 		w.Flush()

@@ -5,10 +5,10 @@
 // everyone's entries into one reverse-chronological feed with no entry
 // lost or duplicated.
 //
-// Syncs use the incremental delta protocol: each exchange negotiates
-// branch frontiers and ships only the missing commits, so gossiping an
-// already-seen feed costs a handful of frontier bytes, not the whole
-// history. The per-node wire stats printed at the end show it.
+// Each sync reconciles the two replicas' commit sets with range
+// fingerprints and ships only the missing commits, so gossiping an
+// already-seen feed costs a few dozen bytes, not the whole history. The
+// per-node wire stats printed at the end show it.
 //
 //	go run ./examples/collab-log
 package main
@@ -79,8 +79,8 @@ func main() {
 
 	for _, r := range []researcher{ada, grace, barbara} {
 		st := r.node.Stats()
-		fmt.Printf("%s wire: %d B sent, %d B recv, %d commits shipped, %d delta syncs, %d fallbacks\n",
-			r.node.Name(), st.BytesSent, st.BytesRecv, st.CommitsSent, st.DeltaSyncs, st.Fallbacks)
+		fmt.Printf("%s wire: %d B sent, %d B recv, %d commits shipped, %d syncs\n",
+			r.node.Name(), st.BytesSent, st.BytesRecv, st.CommitsSent, st.DeltaSyncs)
 	}
 }
 

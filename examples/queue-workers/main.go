@@ -4,7 +4,7 @@
 // replicas on loopback TCP; the workers dequeue concurrently and gossip
 // reconciles: a job dequeued anywhere disappears everywhere, so a job may
 // run twice (both workers grabbed it before syncing) but is never lost.
-// Every sync is an incremental delta exchange — only the missing commits
+// Every sync reconciles commit sets first — only the missing commits
 // cross the wire.
 //
 // The example also replays Figure 11's worked merge exactly, driving the
@@ -118,8 +118,8 @@ func workers() {
 		panic(fmt.Sprintf("unexpected queue state: %v", remaining))
 	}
 	st := producer.node.Stats()
-	fmt.Printf("producer wire: %d B sent, %d B recv, %d delta syncs, %d fallbacks\n",
-		st.BytesSent, st.BytesRecv, st.DeltaSyncs, st.Fallbacks)
+	fmt.Printf("producer wire: %d B sent, %d B recv, %d syncs\n",
+		st.BytesSent, st.BytesRecv, st.DeltaSyncs)
 }
 
 func must(err error) {

@@ -1,8 +1,8 @@
 // Replicated counter over real TCP: three nodes on localhost, each with
 // its own Lamport clock, concurrently update a PN-counter and gossip
 // commit histories peer-to-peer — the paper's geo-distributed deployment
-// model in miniature. Each pairwise exchange negotiates branch frontiers
-// and ships only missing commits.
+// model in miniature. Each pairwise exchange reconciles the two commit
+// sets with range fingerprints and ships only missing commits.
 //
 //	go run ./examples/replicated-counter
 package main

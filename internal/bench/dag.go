@@ -18,9 +18,9 @@ import (
 // history (which grows 10²–10⁵) — the flat trajectory recorded in
 // BENCH_dag.json is the regression signal CI watches. Only the merge
 // calls (Pull/Sync) are inside the timers: shipping is excluded in the
-// replicated scenarios because its frontier sampling is
-// O(FrontierWalkBudget)-capped — constant, but a constant large enough
-// to drown the merge signal being measured.
+// replicated scenarios because its frontier sampling walks a capped but
+// large number of commits — constant, but a constant large enough to
+// drown the merge signal being measured.
 
 // DagRow is one measured merge at one history length.
 type DagRow struct {
@@ -145,7 +145,7 @@ func (p *dagPeer) ship(q *dagPeer) {
 	if f, err := p.s.Frontier(track); err == nil {
 		have = f.HaveSet()
 	}
-	delta, head, err := q.s.ExportSince("main", have)
+	delta, head, err := q.s.ExportSincePacked("main", have)
 	if err != nil {
 		panic(err)
 	}

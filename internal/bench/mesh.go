@@ -20,9 +20,9 @@ import (
 //     until the commit is on every node (push-on-commit cascading
 //     hop-by-hop, not waiting out anti-entropy rounds);
 //   - steady-state wire cost: bytes/sec across the whole fleet over an
-//     idle window after convergence. Re-syncing a converged pair ships
-//     frontiers only, so this should stay near zero and scale with the
-//     round rate, never with history size.
+//     idle window after convergence. Re-syncing a converged pair is one
+//     span probe and its match, so this should stay near zero and scale
+//     with the round rate, never with history size.
 
 // MeshRow is one measured fleet.
 type MeshRow struct {
@@ -49,14 +49,6 @@ type MeshRow struct {
 	// SteadyBytesPerSec is SteadyBytes normalized by the window — the
 	// cost of keeping a converged fleet converged.
 	SteadyBytesPerSec float64 `json:"steady_bytes_per_sec"`
-	// BaselineSteadyBytes is the same idle window measured on an
-	// identical fleet with recon disabled — the sampled-frontier
-	// anti-entropy cost the span probe replaces. Recon's SteadyBytes
-	// should sit strictly below it: a converged round is one fingerprint
-	// compare instead of a frontier sample per object.
-	BaselineSteadyBytes int64 `json:"baseline_steady_bytes"`
-	// BaselineSteadyBytesPerSec normalizes BaselineSteadyBytes by the window.
-	BaselineSteadyBytesPerSec float64 `json:"baseline_steady_bytes_per_sec"`
 }
 
 // MeshRingNs is the fleet-size sweep of the ring topology.
@@ -72,23 +64,14 @@ const MeshSteadyWindow = 800 * time.Millisecond
 
 const meshWritesPerNode = 3
 
-// Mesh runs the fleet scenarios over their sweeps. Every fleet runs
-// twice — recon negotiation, then the frontier baseline — so each row
-// carries its own steady-state comparison.
+// Mesh runs the fleet scenarios over their sweeps.
 func Mesh(ringNs, fullNs []int, steady time.Duration) []MeshRow {
 	var rows []MeshRow
-	measure := func(topology string, n int) {
-		row := meshFleet(topology, n, steady, true)
-		base := meshFleet(topology, n, steady, false)
-		row.BaselineSteadyBytes = base.SteadyBytes
-		row.BaselineSteadyBytesPerSec = base.SteadyBytesPerSec
-		rows = append(rows, row)
-	}
 	for _, n := range ringNs {
-		measure("ring", n)
+		rows = append(rows, meshFleet("ring", n, steady))
 	}
 	for _, n := range fullNs {
-		measure("full", n)
+		rows = append(rows, meshFleet("full", n, steady))
 	}
 	return rows
 }
@@ -102,7 +85,7 @@ type meshNode struct {
 // takes the row's three measurements. The daemon interval is tightened
 // well below the default so the benchmark measures the engine, not the
 // idle period.
-func meshFleet(topology string, n int, steady time.Duration, recon bool) MeshRow {
+func meshFleet(topology string, n int, steady time.Duration) MeshRow {
 	fleet := make([]meshNode, n)
 	for i := range fleet {
 		node, err := peepul.NewNode(fmt.Sprintf("bench-m%d", i), i+1,
@@ -113,7 +96,6 @@ func meshFleet(topology string, n int, steady time.Duration, recon bool) MeshRow
 			panic(err)
 		}
 		defer node.Close()
-		node.SetReconEnabled(recon)
 		h, err := peepul.Open(node, peepul.PNCounter, "hits")
 		if err != nil {
 			panic(err)
@@ -161,7 +143,7 @@ func meshFleet(topology string, n int, steady time.Duration, recon bool) MeshRow
 	meshAwait(fleet, writes)
 	convergeNs := time.Since(start).Nanoseconds()
 
-	// Steady state: a converged fleet keeps gossiping frontiers. Let any
+	// Steady state: a converged fleet keeps gossiping span probes. Let any
 	// in-flight exchanges settle before charging the idle window — heads
 	// converge a few rounds before commit *sets* do (reconciliation
 	// keeps shipping tracking-branch stragglers until every pair's

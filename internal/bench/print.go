@@ -50,15 +50,14 @@ func PrintFig15(w io.Writer, rows []Fig15Row) {
 }
 
 // PrintSyncCost renders the sync-cost table: wire bytes and wall time of
-// one exchange (pair) or one gossip round (ring) against history length,
-// legacy full-history protocol versus incremental delta protocol.
+// one exchange (pair) or one gossip round (ring) against history length.
 func PrintSyncCost(w io.Writer, rows []SyncCostRow) {
-	fmt.Fprintln(w, "Sync cost: wire bytes per exchange, full-history vs incremental delta")
-	fmt.Fprintf(w, "%10s %8s %8s %10s %12s %10s %12s\n",
-		"#history", "topo", "phase", "proto", "bytes", "commits", "time")
+	fmt.Fprintln(w, "Sync cost: wire bytes per exchange vs history length")
+	fmt.Fprintf(w, "%10s %8s %8s %12s %10s %12s\n",
+		"#history", "topo", "phase", "bytes", "commits", "time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%10d %8s %8s %10s %12d %10d %12s\n",
-			r.History, r.Topology, r.Phase, r.Proto, r.Bytes, r.Commits, fmtDur(r.Elapsed))
+		fmt.Fprintf(w, "%10d %8s %8s %12d %10d %12s\n",
+			r.History, r.Topology, r.Phase, r.Bytes, r.Commits, fmtDur(r.Elapsed))
 	}
 }
 
@@ -79,18 +78,17 @@ func PrintDag(w io.Writer, rows []DagRow) {
 
 // PrintMesh renders the always-on fleet table: convergence and
 // propagation wall times plus the steady-state wire cost of keeping a
-// converged fleet converged (frontier-only re-syncs — the bytes/sec
-// column should stay small and history-independent).
+// converged fleet converged (span-probe re-syncs — the bytes/sec column
+// should stay small and history-independent).
 func PrintMesh(w io.Writer, rows []MeshRow) {
 	fmt.Fprintln(w, "Mesh: always-on daemon fleets, no SyncWith (converge / propagate / idle cost)")
-	fmt.Fprintf(w, "%8s %7s %8s %12s %12s %12s %14s %14s\n",
-		"topo", "nodes", "writes", "converge", "propagate", "idle-window", "idle-rate", "frontier-rate")
+	fmt.Fprintf(w, "%8s %7s %8s %12s %12s %12s %14s\n",
+		"topo", "nodes", "writes", "converge", "propagate", "idle-window", "idle-rate")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%8s %7d %8d %12s %12s %12s %12s/s %12s/s\n",
+		fmt.Fprintf(w, "%8s %7d %8d %12s %12s %12s %12s/s\n",
 			r.Topology, r.Nodes, r.Writes,
 			fmtDur(time.Duration(r.ConvergeNs)), fmtDur(time.Duration(r.PropagateNs)),
-			fmtDur(time.Duration(r.SteadyWindowNs)), fmtBytes(int64(r.SteadyBytesPerSec)),
-			fmtBytes(int64(r.BaselineSteadyBytesPerSec)))
+			fmtDur(time.Duration(r.SteadyWindowNs)), fmtBytes(int64(r.SteadyBytesPerSec)))
 	}
 }
 

@@ -11,15 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Recon benchmark (`peepul-bench -fig recon`): the range-fingerprint
-// set-reconciliation dialect against the sampled-frontier baseline it
-// replaces. Two sweeps over history depth, each measured under both
-// negotiation modes on otherwise identical pairs:
+// Recon benchmark (`peepul-bench -fig recon`): the wire cost of
+// range-fingerprint set reconciliation. Two sweeps over history depth:
 //
 //   - converged: a fully converged pair re-syncs. Recon resolves this
 //     with a single span probe and its match — O(1) frames, zero
-//     commits, cost flat in depth — where the frontier baseline still
-//     ships its ancestor sample every round;
+//     commits, cost flat in depth;
 //   - diverged: after a shared prefix of n commits the sides diverge by
 //     a fixed d operations each. Recon negotiates the exact symmetric
 //     difference (redundant re-ships must be zero), so its wire cost
@@ -39,18 +36,14 @@ type ReconRow struct {
 	Divergence int `json:"divergence"`
 	// Objects is the number of objects on the pair (1 except multi-object).
 	Objects int `json:"objects"`
-	// Mode is "recon" (fingerprint negotiation) or "frontier" (the
-	// sampled-frontier baseline, recon disabled on both nodes).
-	Mode string `json:"mode"`
 	// Bytes counts wire traffic in both directions, client side.
 	Bytes int64 `json:"bytes"`
 	// Commits counts commits shipped in either direction.
 	Commits int64 `json:"commits"`
-	// RangesSent counts fingerprint probes the client issued (zero under
-	// the frontier baseline).
+	// RangesSent counts fingerprint probes the client issued.
 	RangesSent int64 `json:"ranges_sent"`
-	// RedundantCommits counts received commits already held — the
-	// baseline's overshoot; exactness means zero for recon.
+	// RedundantCommits counts received commits already held; exactness
+	// means zero.
 	RedundantCommits int64 `json:"redundant_commits"`
 	// ElapsedNs is the wall time of the exchange.
 	ElapsedNs int64 `json:"elapsed_ns"`
@@ -66,19 +59,13 @@ var ReconQuickNs = []int{100, 10000}
 // reconDivergence is the fixed per-side gap of the diverged scenario.
 const reconDivergence = 512
 
-// Recon measures both negotiation modes across the sweep.
+// Recon measures every scenario across the sweep.
 func Recon(ns []int, seed int64) []ReconRow {
 	var rows []ReconRow
 	for _, n := range ns {
-		for _, mode := range []string{"frontier", "recon"} {
-			rows = append(rows, reconConverged(n, mode))
-			rows = append(rows, reconDiverged(n, mode, seed))
-		}
+		rows = append(rows, reconConverged(n), reconDiverged(n, seed))
 	}
-	for _, mode := range []string{"frontier", "recon"} {
-		rows = append(rows, reconMultiObject(500, 4, mode))
-	}
-	return rows
+	return append(rows, reconMultiObject(500, 4))
 }
 
 // reconMeasure runs one client→server exchange and charges the client's
@@ -102,13 +89,9 @@ func reconMeasure(client, server *syncNode) (ReconRow, error) {
 }
 
 // reconPair builds a converged two-node pair with history commits split
-// between the sides, negotiation mode applied to both nodes.
-func reconPair(history int, mode string) (*syncNode, *syncNode) {
+// between the sides.
+func reconPair(history int) (*syncNode, *syncNode) {
 	a, b := newSyncNode("a", 1), newSyncNode("b", 2)
-	if mode == "frontier" {
-		a.SetReconEnabled(false)
-		b.SetReconEnabled(false)
-	}
 	for i := 0; i < history; i++ {
 		if i%2 == 0 {
 			syncInc(a)
@@ -124,20 +107,20 @@ func reconPair(history int, mode string) (*syncNode, *syncNode) {
 	return a, b
 }
 
-func reconConverged(history int, mode string) ReconRow {
-	a, b := reconPair(history, mode)
+func reconConverged(history int) ReconRow {
+	a, b := reconPair(history)
 	defer a.Close()
 	defer b.Close()
 	row, err := reconMeasure(a, b)
 	if err != nil {
 		panic(err)
 	}
-	row.Scenario, row.History, row.Objects, row.Mode = "converged", history, 1, mode
+	row.Scenario, row.History, row.Objects = "converged", history, 1
 	return row
 }
 
-func reconDiverged(history int, mode string, seed int64) ReconRow {
-	a, b := reconPair(history, mode)
+func reconDiverged(history int, seed int64) ReconRow {
+	a, b := reconPair(history)
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < reconDivergence; i++ {
@@ -148,22 +131,17 @@ func reconDiverged(history int, mode string, seed int64) ReconRow {
 	if err != nil {
 		panic(err)
 	}
-	row.Scenario, row.History, row.Divergence, row.Objects, row.Mode =
-		"diverged", history, reconDivergence, 1, mode
+	row.Scenario, row.History, row.Divergence, row.Objects =
+		"diverged", history, reconDivergence, 1
 	return row
 }
 
 // reconMultiObject builds a converged pair hosting several objects and
-// measures the re-sync: under recon one node-span probe settles all of
-// them; the baseline negotiates every object separately.
-func reconMultiObject(history, objects int, mode string) ReconRow {
+// measures the re-sync: one node-span probe settles all of them.
+func reconMultiObject(history, objects int) ReconRow {
 	a, b := newMultiNode("a", 1, objects), newMultiNode("b", 2, objects)
 	defer a.Close()
 	defer b.Close()
-	if mode == "frontier" {
-		a.SetReconEnabled(false)
-		b.SetReconEnabled(false)
-	}
 	for i := 0; i < history; i++ {
 		a.inc(i % objects)
 	}
@@ -176,7 +154,7 @@ func reconMultiObject(history, objects int, mode string) ReconRow {
 	if err != nil {
 		panic(err)
 	}
-	row.Scenario, row.History, row.Objects, row.Mode = "multi-object", history, objects, mode
+	row.Scenario, row.History, row.Objects = "multi-object", history, objects
 	return row
 }
 
@@ -214,7 +192,7 @@ func ReconGateErr(rows []ReconRow) error {
 	const ceiling = 1024
 	deepest := ReconRow{History: -1}
 	for _, r := range rows {
-		if r.Scenario == "converged" && r.Mode == "recon" && r.History > deepest.History {
+		if r.Scenario == "converged" && r.History > deepest.History {
 			deepest = r
 		}
 	}
@@ -233,16 +211,15 @@ func ReconGateErr(rows []ReconRow) error {
 }
 
 // PrintRecon renders the recon table: wire cost of one exchange per
-// scenario and depth, fingerprint negotiation vs the sampled-frontier
-// baseline. Healthy output shows the recon converged column flat and
+// scenario and depth. Healthy output shows the converged rows flat and
 // tiny down the depth sweep, and zero redundant commits everywhere.
 func PrintRecon(w io.Writer, rows []ReconRow) {
-	fmt.Fprintln(w, "Recon: range-fingerprint negotiation vs sampled-frontier baseline")
-	fmt.Fprintf(w, "%-14s %10s %6s %5s %10s %10s %9s %10s %10s\n",
-		"scenario", "#history", "gap", "objs", "mode", "bytes", "commits", "redundant", "time")
+	fmt.Fprintln(w, "Recon: range-fingerprint negotiation, wire cost per exchange")
+	fmt.Fprintf(w, "%-14s %10s %6s %5s %10s %9s %10s %10s\n",
+		"scenario", "#history", "gap", "objs", "bytes", "commits", "redundant", "time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %10d %6d %5d %10s %10s %9d %10d %10s\n",
-			r.Scenario, r.History, r.Divergence, r.Objects, r.Mode,
+		fmt.Fprintf(w, "%-14s %10d %6d %5d %10s %9d %10d %10s\n",
+			r.Scenario, r.History, r.Divergence, r.Objects,
 			fmtBytes(r.Bytes), r.Commits, r.RedundantCommits,
 			fmtDur(time.Duration(r.ElapsedNs)))
 	}

@@ -23,18 +23,18 @@ import (
 //
 //   - resident object bytes — the store's Figure 15-style footprint;
 //   - sync bytes for a deep pull (a fresh peer fetching the whole
-//     history) and a converged re-sync (frontier negotiation, nothing to
-//     ship);
+//     history) and a converged re-sync (the export cut at the branch's
+//     own frontier, nothing to ship);
 //   - cold materialize latency — reassembling an out-of-cache state
 //     through its delta chain;
 //   - allocations per committed operation on the Apply path.
 //
 // Packed wire bytes are measured by streaming the actual packed delta
 // frames through a counting writer. The pre-pack comparison figures are
-// computed exactly from per-commit state sizes plus the v2 frame
-// layout, because materializing every full state of a 10⁴-operation log
-// at once — O(history × state size) bytes — is precisely the cost the
-// pack layer exists to avoid.
+// computed exactly from per-commit state sizes plus the full-state
+// commit layout, because materializing every full state of a
+// 10⁴-operation log at once — O(history × state size) bytes — is
+// precisely the cost the pack layer exists to avoid.
 
 // SpaceRow is one (datatype, history) measurement.
 type SpaceRow struct {
@@ -59,9 +59,9 @@ type SpaceRow struct {
 	DeepPullPackedBytes int64 `json:"deep_pull_packed_bytes"`
 	DeepPullFullBytes   int64 `json:"deep_pull_full_bytes"`
 	// Converged re-sync: wire bytes of the delta stream after frontier
-	// subtraction (identical histories).
-	ResyncPackedBytes int64 `json:"resync_packed_bytes"`
-	ResyncFullBytes   int64 `json:"resync_full_bytes"`
+	// subtraction (identical histories), packed and full-state.
+	ResyncPackedBytes   int64 `json:"resync_packed_bytes"`
+	ResyncUnpackedBytes int64 `json:"resync_full_bytes"`
 	// SyncReduction is (resync+deep-pull) full over packed.
 	SyncReduction float64 `json:"sync_reduction"`
 	// MaterializeNs is the mean cold reassembly time of one state
@@ -164,15 +164,15 @@ func spaceRun[S, Op, Val any](
 	row.DeepPullPackedBytes = cw.n
 
 	// Deep pull, pre-pack: every commit ships its full state. Computed
-	// from per-commit sizes and the exact v2 commit layout (4-byte parent
-	// count + 32 bytes per parent + 4-byte length prefix + state + 8-byte
-	// generation + 8-byte timestamp), plus the same header/chunk/end
-	// framing the packed stream paid.
+	// from per-commit sizes and the full-state commit layout (4-byte
+	// parent count + 32 bytes per parent + 4-byte length prefix + state +
+	// 8-byte generation + 8-byte timestamp), plus the same
+	// header/chunk/end framing the packed stream paid.
 	headHash, err := s.HeadHash("main")
 	if err != nil {
 		panic(err)
 	}
-	row.DeepPullFullBytes = fullDeltaBytes(s, headHash)
+	row.DeepPullFullBytes = fullDeltaBytes(s, headHash, nil)
 
 	// Converged re-sync: subtract the branch's own frontier.
 	f, err := s.Frontier("main")
@@ -188,17 +188,9 @@ func spaceRun[S, Op, Val any](
 		panic(err)
 	}
 	row.ResyncPackedBytes = cw.n
-	resyncFull, resyncHead, err := s.ExportSince("main", f.HaveSet())
-	if err != nil {
-		panic(err)
-	}
-	cw = countingWriter{}
-	if err := wire.WriteDelta(&cw, resyncFull, resyncHead); err != nil {
-		panic(err)
-	}
-	row.ResyncFullBytes = cw.n
+	row.ResyncUnpackedBytes = fullDeltaBytes(s, headHash, f.HaveSet())
 	row.SyncReduction = ratio(
-		row.ResyncFullBytes+row.DeepPullFullBytes,
+		row.ResyncUnpackedBytes+row.DeepPullFullBytes,
 		row.ResyncPackedBytes+row.DeepPullPackedBytes)
 
 	// Cold materialize latency: reassemble states spread across the
@@ -222,9 +214,10 @@ func spaceRun[S, Op, Val any](
 	return row
 }
 
-// fullDeltaBytes computes the wire size of a full-state v2 delta of the
-// whole history without materializing one.
-func fullDeltaBytes[S, Op, Val any](s *store.Store[S, Op, Val], head store.Hash) int64 {
+// fullDeltaBytes computes the wire size of a full-state delta of the
+// history above the have-set (nil: the whole history) without
+// materializing one.
+func fullDeltaBytes[S, Op, Val any](s *store.Store[S, Op, Val], head store.Hash, have []store.Hash) int64 {
 	const (
 		msgOverhead   = 5 + 4 // kind + field count + field length prefix
 		commitFixed   = 4 + 4 + 8 + 8
@@ -237,8 +230,15 @@ func fullDeltaBytes[S, Op, Val any](s *store.Store[S, Op, Val], head store.Hash)
 	chunks := int64(0)
 	inChunk := int64(0)
 	inChunkN := 0
-	seen := map[store.Hash]bool{head: true}
-	stack := []store.Hash{head}
+	seen := make(map[store.Hash]bool, len(have)+1)
+	for _, h := range have {
+		seen[h] = true
+	}
+	var stack []store.Hash
+	if !seen[head] {
+		seen[head] = true
+		stack = append(stack, head)
+	}
 	for len(stack) > 0 {
 		h := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

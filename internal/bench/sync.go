@@ -10,11 +10,9 @@ import (
 )
 
 // Sync-cost benchmark: wire bytes and wall time of a replica sync as a
-// function of history length, for the legacy full-history protocol and
-// the incremental delta protocol, over pair and ring topologies. The
-// full protocol's cost grows with the whole history on every exchange;
-// the delta protocol pays O(frontier) once a pair has converged and
-// O(gap) when it has not — the difference this table measures.
+// function of history length, over pair and ring topologies. A sync
+// pays one span probe once a pair has converged and O(gap) when it has
+// not — never O(history), which is what this table shows.
 
 // SyncCostRow is one measured sync exchange (or ring round).
 type SyncCostRow struct {
@@ -22,8 +20,6 @@ type SyncCostRow struct {
 	History int
 	// Topology is "pair" (one exchange) or "ring" (a 3-node round).
 	Topology string
-	// Proto is "full" (legacy one-shot) or "delta" (frontier-negotiated).
-	Proto string
 	// Phase is "resync" (already converged) or "fresh-op" (one operation
 	// behind).
 	Phase string
@@ -66,13 +62,9 @@ func syncInc(n *syncNode) {
 	}
 }
 
-// measureSync runs one client→server exchange under the given protocol
-// and returns its wire cost from the stats deltas of both nodes.
-func measureSync(client, server *syncNode, proto string) (int64, int64, time.Duration) {
-	if proto == "full" {
-		client.SetFullSyncOnly(true)
-		defer client.SetFullSyncOnly(false)
-	}
+// measureSync runs one client→server exchange and returns its wire cost
+// from the stats deltas of both nodes.
+func measureSync(client, server *syncNode) (int64, int64, time.Duration) {
 	cb, sb := client.Stats(), server.Stats()
 	start := time.Now()
 	if err := client.SyncWith(server.Addr()); err != nil {
@@ -86,8 +78,8 @@ func measureSync(client, server *syncNode, proto string) (int64, int64, time.Dur
 }
 
 // SyncCost measures sync cost across the history sweep. Histories are
-// built with seeded random op placement and periodic delta syncs, then
-// fully converged before measuring.
+// built with seeded random op placement and periodic syncs, then fully
+// converged before measuring.
 func SyncCost(ns []int, seed int64) []SyncCostRow {
 	var rows []SyncCostRow
 	for _, n := range ns {
@@ -110,29 +102,20 @@ func pairSyncCost(history int, seed int64) []SyncCostRow {
 			syncInc(b)
 		}
 		if i%16 == 15 {
-			measureSync(a, b, "delta")
+			measureSync(a, b)
 		}
 	}
-	measureSync(a, b, "delta")
-	measureSync(a, b, "delta") // fully converged
+	measureSync(a, b)
+	measureSync(a, b) // fully converged
 
-	var rows []SyncCostRow
-	for _, proto := range []string{"full", "delta"} {
-		by, cm, el := measureSync(a, b, proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "pair", Proto: proto, Phase: "resync",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
-	}
-	for _, proto := range []string{"full", "delta"} {
-		syncInc(a)
-		by, cm, el := measureSync(a, b, proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "pair", Proto: proto, Phase: "fresh-op",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
-	}
-	return rows
+	by, cm, el := measureSync(a, b)
+	resync := SyncCostRow{History: history, Topology: "pair", Phase: "resync",
+		Bytes: by, Commits: cm, Elapsed: el}
+	syncInc(a)
+	by, cm, el = measureSync(a, b)
+	freshOp := SyncCostRow{History: history, Topology: "pair", Phase: "fresh-op",
+		Bytes: by, Commits: cm, Elapsed: el}
+	return []SyncCostRow{resync, freshOp}
 }
 
 func ringSyncCost(history int, seed int64) []SyncCostRow {
@@ -140,11 +123,11 @@ func ringSyncCost(history int, seed int64) []SyncCostRow {
 	for _, n := range nodes {
 		defer n.Close()
 	}
-	ringRound := func(proto string) (int64, int64, time.Duration) {
+	ringRound := func() (int64, int64, time.Duration) {
 		var bytes, commits int64
 		var elapsed time.Duration
 		for i := range nodes {
-			by, cm, el := measureSync(nodes[i], nodes[(i+1)%len(nodes)], proto)
+			by, cm, el := measureSync(nodes[i], nodes[(i+1)%len(nodes)])
 			bytes += by
 			commits += cm
 			elapsed += el
@@ -155,19 +138,13 @@ func ringSyncCost(history int, seed int64) []SyncCostRow {
 	for i := 0; i < history; i++ {
 		syncInc(nodes[r.Intn(len(nodes))])
 		if i%24 == 23 {
-			ringRound("delta")
+			ringRound()
 		}
 	}
-	ringRound("delta")
-	ringRound("delta") // fully converged
+	ringRound()
+	ringRound() // fully converged
 
-	var rows []SyncCostRow
-	for _, proto := range []string{"full", "delta"} {
-		by, cm, el := ringRound(proto)
-		rows = append(rows, SyncCostRow{
-			History: history, Topology: "ring", Proto: proto, Phase: "resync",
-			Bytes: by, Commits: cm, Elapsed: el,
-		})
-	}
-	return rows
+	by, cm, el := ringRound()
+	return []SyncCostRow{{History: history, Topology: "ring", Phase: "resync",
+		Bytes: by, Commits: cm, Elapsed: el}}
 }

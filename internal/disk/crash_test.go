@@ -13,7 +13,7 @@ package disk_test
 // tail region. Recovery must then (1) succeed, (2) recover only commits
 // the original store had, (3) put every branch head at an
 // ancestor-or-equal of its original position, and (4) converge with the
-// undamaged original via ExportSince/Import/Pull.
+// undamaged original via ExportSincePacked/Import/Pull.
 
 import (
 	"fmt"

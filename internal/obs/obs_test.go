@@ -215,23 +215,23 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 // TestFormatTrace: the human-readable rendering mentions the span's
-// peer, tier, phases and the event kinds, in time order.
+// peer, object count, phases and the event kinds, in time order.
 func TestFormatTrace(t *testing.T) {
 	rec := obs.NewRecorder()
 	base := time.Now()
 	rec.AddEvent(obs.Event{Time: base, Kind: "quarantine-enter", Peer: "1.2.3.4:9", Detail: "reason=corrupt frame"})
 	rec.AddSpan(obs.Span{
-		Role: "client", Peer: "1.2.3.4:9", Tier: "recon", Objects: 1,
+		Role: "client", Peer: "1.2.3.4:9", Objects: 1,
 		Phases: []obs.Phase{{Name: "negotiate", DurNs: 1000}, {Name: "ship", Object: "counter", DurNs: 2000}},
 		Start:  base.Add(time.Millisecond), DurNs: 5000,
 	})
 	text := obs.FormatTrace(rec.Snapshot())
-	for _, want := range []string{"quarantine-enter", "tier=recon", "negotiate", "ship[counter]", "1.2.3.4:9"} {
+	for _, want := range []string{"quarantine-enter", "objects=1", "negotiate", "ship[counter]", "1.2.3.4:9"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("formatted trace missing %q:\n%s", want, text)
 		}
 	}
-	if strings.Index(text, "quarantine-enter") > strings.Index(text, "tier=recon") {
+	if strings.Index(text, "quarantine-enter") > strings.Index(text, "objects=1") {
 		t.Fatalf("entries not in time order:\n%s", text)
 	}
 }

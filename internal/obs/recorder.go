@@ -25,14 +25,13 @@ type Phase struct {
 }
 
 // Span is one sync session, client or server side: who it talked to,
-// which ladder tier the negotiation landed on, the per-phase timeline,
+// how many objects it settled, the per-phase timeline,
 // the wire cost, and how it ended (Err empty on success; FailClass is
 // the mesh taxonomy's word for the error — "transient" or "violation").
 type Span struct {
 	ID          uint64    `json:"id"`
 	Role        string    `json:"role"`
 	Peer        string    `json:"peer,omitempty"`
-	Tier        string    `json:"tier,omitempty"`
 	Objects     int       `json:"objects,omitempty"`
 	Phases      []Phase   `json:"phases,omitempty"`
 	BytesSent   int64     `json:"bytes_sent"`
@@ -169,8 +168,8 @@ func FormatSpan(s Span) string {
 	if s.Err != "" {
 		status = "ERR(" + s.FailClass + "): " + s.Err
 	}
-	fmt.Fprintf(&b, "#%d %s %-6s peer=%s tier=%s objects=%d %s sent=%dB/%dc recv=%dB/%dc %s",
-		s.ID, s.Start.Format("15:04:05.000"), s.Role, s.Peer, orDash(s.Tier), s.Objects,
+	fmt.Fprintf(&b, "#%d %s %-6s peer=%s objects=%d %s sent=%dB/%dc recv=%dB/%dc %s",
+		s.ID, s.Start.Format("15:04:05.000"), s.Role, s.Peer, s.Objects,
 		time.Duration(s.DurNs).Round(time.Microsecond), s.BytesSent, s.CommitsSent,
 		s.BytesRecv, s.CommitsRecv, status)
 	if len(s.Phases) > 0 {
@@ -187,13 +186,6 @@ func FormatSpan(s Span) string {
 		}
 	}
 	return b.String()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }
 
 // FormatTrace renders a whole trace: events and spans interleaved by

@@ -1,7 +1,9 @@
 package replica_test
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/chat"
 	"repro/internal/replica"
@@ -49,5 +51,50 @@ func TestCloseIdempotentWithoutListen(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestSecondListenRefused: a node serves one listener. A second Listen
+// is refused — were it to replace the first, the first accept loop would
+// never be woken, and Close would wait for it forever.
+func TestSecondListenRefused(t *testing.T) {
+	n, err := replica.NewNode("z", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	first := n.Addr()
+	// Serve one request first, so the accept loop is parked on the first
+	// listener when the second Listen comes.
+	c, err := net.Dial("tcp", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteMsg(c, 99); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := wire.ReadMsg(c); err != nil || kind != wire.FrameErr {
+		t.Fatalf("first listener answered kind %d, %v", kind, err)
+	}
+	c.Close()
+	time.Sleep(10 * time.Millisecond)
+	if err := n.Listen("127.0.0.1:0"); err == nil {
+		t.Error("second Listen succeeded")
+	}
+	if got := n.Addr(); got != first {
+		t.Errorf("Addr moved from %s to %s", first, got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- n.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still waiting after 2s")
 	}
 }

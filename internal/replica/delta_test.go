@@ -1,15 +1,11 @@
 package replica_test
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"testing"
 
-	"repro/internal/counter"
 	"repro/internal/mlog"
 	"repro/internal/replica"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -34,9 +30,9 @@ func peek(t *testing.T, n *counterNode) int64 {
 	return s.P - s.N
 }
 
-// TestDeltaResyncTransfersNothing is the heart of the refactor: once a
-// pair has converged, another sync ships zero commits and O(frontier)
-// bytes, independent of how long the shared history is.
+// TestDeltaResyncTransfersNothing: once a pair has converged, another
+// sync ships zero commits and costs one span probe and its match,
+// independent of how long the shared history is.
 func TestDeltaResyncTransfersNothing(t *testing.T) {
 	a := newCounterNode(t, "a", 1)
 	b := newCounterNode(t, "b", 2)
@@ -68,27 +64,14 @@ func TestDeltaResyncTransfersNothing(t *testing.T) {
 	if moved := commitsMoved(before, after); moved != 0 {
 		t.Fatalf("re-sync of a converged pair moved %d commits, want 0", moved)
 	}
-	// One hello each way plus two empty deltas: a few KiB of frontier,
-	// however long the history. 300+ commits of full export would be far
-	// larger (each commit alone carries a 32-byte parent hash + state).
-	if by := bytesMoved(before, after); by > 16<<10 {
-		t.Fatalf("re-sync cost %d bytes, want O(frontier)", by)
+	if probes := after.RangesSent - before.RangesSent; probes != 1 {
+		t.Fatalf("re-sync of a converged pair sent %d probes, want the span probe alone", probes)
 	}
-	if after.Fallbacks != before.Fallbacks {
-		t.Fatal("converged re-sync must not fall back to full export")
-	}
-
-	// The same re-sync through the legacy protocol moves the whole
-	// history — the contrast the delta engine exists to eliminate.
-	a.SetFullSyncOnly(true)
-	defer a.SetFullSyncOnly(false)
-	before = a.Stats()
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	after = a.Stats()
-	if moved := commitsMoved(before, after); moved < int64(history) {
-		t.Fatalf("full re-sync moved %d commits, expected at least the %d-op history", moved, history)
+	// Two frames of a few dozen bytes, however long the history: 300+
+	// commits would be far larger (each carries a 32-byte parent hash
+	// alone).
+	if by := bytesMoved(before, after); by > 256 {
+		t.Fatalf("re-sync cost %d bytes, want one span probe and its match", by)
 	}
 }
 
@@ -117,8 +100,8 @@ func TestDeltaCrissCrossConverges(t *testing.T) {
 			t.Fatalf("round %d: a=%d b=%d, want %d", round, av, bv, want)
 		}
 	}
-	if st := a.Stats(); st.DeltaSyncs == 0 || st.Fallbacks != 0 {
-		t.Fatalf("criss-cross must run on the delta path: %+v", st)
+	if st := a.Stats(); st.DeltaSyncs == 0 || st.RedundantCommits != 0 {
+		t.Fatalf("criss-cross must sync exactly: %+v", st)
 	}
 }
 
@@ -154,7 +137,7 @@ func TestDeltaRingGossip(t *testing.T) {
 			t.Fatalf("%s = %d, want 111 (no double counting around the ring)", n.Name(), v)
 		}
 	}
-	// Converged ring: one more full round is all frontier, no commits.
+	// Converged ring: one more full round is span probes, no commits.
 	var before [3]replica.SyncStats
 	for i, n := range ring {
 		before[i] = n.Stats()
@@ -162,11 +145,7 @@ func TestDeltaRingGossip(t *testing.T) {
 	ringRound()
 	var moved int64
 	for i, n := range ring {
-		after := n.Stats()
-		moved += after.CommitsSent - before[i].CommitsSent
-		if after.Fallbacks != before[i].Fallbacks {
-			t.Fatalf("%s fell back to full export on a converged ring", n.Name())
-		}
+		moved += n.Stats().CommitsSent - before[i].CommitsSent
 	}
 	if moved != 0 {
 		t.Fatalf("converged ring round shipped %d commits, want 0", moved)
@@ -223,105 +202,6 @@ func TestDeltaMeshGossip(t *testing.T) {
 	}
 }
 
-// legacyV1Server is a minimal peer speaking only the legacy one-shot
-// protocol: any v2 hello is answered with an error, exactly like a
-// pre-delta node. It drives the client's fallback path.
-func legacyV1Server(t *testing.T) (addr string, st *store.Store[counter.PNState, counter.Op, counter.Val]) {
-	t.Helper()
-	st = store.NewAt[counter.PNState, counter.Op, counter.Val](
-		counter.PNCounter{}, wire.PNCounter{}, "legacy", 900*64)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				kind, fields, err := wire.ReadMsg(conn)
-				if err != nil || kind != wire.FrameSyncRequest || len(fields) != 2 {
-					wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
-					return
-				}
-				commits, head, err := wire.DecodeCommitList(fields[1])
-				if err != nil {
-					wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-					return
-				}
-				track := "remote/" + string(fields[0])
-				if err := st.Import(track, commits, head); err != nil {
-					wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-					return
-				}
-				if err := st.Pull("legacy", track); err != nil {
-					wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-					return
-				}
-				reply, replyHead, err := st.Export("legacy")
-				if err != nil {
-					wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-					return
-				}
-				wire.WriteMsg(conn, wire.FrameSyncResponse, wire.EncodeCommitList(reply, replyHead))
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), st
-}
-
-func TestFallbackToLegacyPeer(t *testing.T) {
-	addr, legacy := legacyV1Server(t)
-	if _, err := legacy.Apply("legacy", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
-	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if st.Fallbacks != 1 || st.FullSyncs != 1 || st.DeltaSyncs != 0 {
-		t.Fatalf("expected one fallback to one full sync, got %+v", st)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7 after merging the legacy peer", v)
-	}
-	lv, err := legacy.Head("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lv.P - lv.N; got != 7 {
-		t.Fatalf("legacy = %d, want 7", got)
-	}
-}
-
-func TestSetFullSyncOnly(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
-	a.SetFullSyncOnly(true)
-	inc(t, a, 3)
-	inc(t, b, 4)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if st.FullSyncs != 1 || st.DeltaSyncs != 0 || st.Fallbacks != 0 {
-		t.Fatalf("forced full sync stats: %+v", st)
-	}
-	if av, bv := read(t, a), read(t, b); av != 7 || bv != 7 {
-		t.Fatalf("a=%d b=%d, want 7", av, bv)
-	}
-	// The server side of that exchange ran the v1 handler.
-	if st := b.Stats(); st.FullSyncs != 1 {
-		t.Fatalf("server should count a full sync: %+v", st)
-	}
-}
-
 // TestDeltaShipsOnlyTheGap checks the proportionality claim directly: a
 // node that falls k commits behind receives O(k) commits, not the whole
 // history.
@@ -350,10 +230,6 @@ func TestDeltaShipsOnlyTheGap(t *testing.T) {
 	}
 	if av, bv := read(t, a), read(t, b); av != bv {
 		t.Fatalf("diverged: a=%d b=%d", av, bv)
-	}
-	var pe *wire.PeerError
-	if errors.As(errors.New("x"), &pe) {
-		t.Fatal("sanity")
 	}
 }
 
@@ -401,9 +277,8 @@ func logLen(t *testing.T, n *logNode) int {
 	return len(s)
 }
 
-// TestPackedSyncShipsPatches: two current nodes negotiate the packed
-// dialect and most of a deep log history crosses the wire as binary
-// patches, not full states.
+// TestPackedSyncShipsPatches: most of a deep log history crosses the
+// wire as binary patches, not full states.
 func TestPackedSyncShipsPatches(t *testing.T) {
 	a := newLogNode(t, "a", 1)
 	b := newLogNode(t, "b", 2)
@@ -415,7 +290,7 @@ func TestPackedSyncShipsPatches(t *testing.T) {
 		t.Fatalf("log lengths a=%d b=%d, want 80", la, lb)
 	}
 	sa, sb := a.Stats(), b.Stats()
-	if sa.DeltaSyncs != 1 || sa.Fallbacks != 0 {
+	if sa.DeltaSyncs != 1 {
 		t.Fatalf("client stats: %+v", sa)
 	}
 	// The bulk of 80+ shipped commits must have traveled as patches
@@ -426,132 +301,17 @@ func TestPackedSyncShipsPatches(t *testing.T) {
 	if sb.PatchesRecv != sa.PatchesSent {
 		t.Fatalf("server received %d patches, client sent %d", sb.PatchesRecv, sa.PatchesSent)
 	}
-	// And the packed transfer must be far smaller than the full-state
-	// transfer of the same history: re-sync a fresh legacy-mode pair as
-	// the yardstick.
-	c := newLogNode(t, "c", 3)
-	d := newLogNode(t, "d", 4)
-	appendLog(t, c, 80, "deep")
-	c.SetFullSyncOnly(true)
-	if err := c.SyncWith(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if packed, full := sa.BytesSent, c.Stats().BytesSent; packed*2 > full {
-		t.Fatalf("packed deep sync sent %d bytes, full sent %d — expected at least 2x win", packed, full)
-	}
-}
-
-// plainV2Server speaks the pre-capability delta protocol verbatim:
-// strict one-field hellos, full-state chunks — what a PR 1–3 node
-// answers. It drives the packed→plain downgrade path.
-func plainV2Server(t *testing.T) (string, *store.Store[counter.PNState, counter.Op, counter.Val]) {
-	t.Helper()
-	st := store.NewAt[counter.PNState, counter.Op, counter.Val](
-		counter.PNCounter{}, wire.PNCounter{}, "v2", 901*64)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// And the packed transfer must be far smaller than the full states of
+	// the same history, the yardstick.
+	history, _, err := a.obj.Store().Export("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					kind, fields, err := wire.ReadMsg(conn)
-					if err != nil {
-						return
-					}
-					if kind != wire.FrameHello || len(fields) != 1 {
-						wire.WriteMsg(conn, wire.FrameErr, []byte("bad hello"))
-						return
-					}
-					hello, err := wire.DecodeHello(fields[0])
-					if err != nil {
-						wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-						return
-					}
-					f, err := st.Frontier("v2")
-					if err != nil {
-						wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-						return
-					}
-					ack := wire.Hello{Node: "v2", Object: hello.Object, Datatype: hello.Datatype, Frontier: f}
-					if err := wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack)); err != nil {
-						return
-					}
-					commits, head, err := wire.ReadDelta(conn)
-					if err != nil {
-						return
-					}
-					track := "remote/" + hello.Node
-					if err := st.Import(track, commits, head); err != nil {
-						wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-						return
-					}
-					if err := st.Pull("v2", track); err != nil {
-						wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-						return
-					}
-					reply, replyHead, err := st.ExportSince("v2", hello.Frontier.HaveSet())
-					if err != nil {
-						wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
-						return
-					}
-					if err := wire.WriteDelta(conn, reply, replyHead); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), st
-}
-
-// TestPlainV2PeerDowngrade: a packed-dialect client meeting a strict
-// pre-capability peer retries with plain hellos and still completes a
-// delta sync — no patches, no v1 fallback.
-func TestPlainV2PeerDowngrade(t *testing.T) {
-	addr, st := plainV2Server(t)
-	if _, err := st.Apply("v2", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
+	full := int64(0)
+	for _, c := range history {
+		full += int64(len(c.State))
 	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Stats()
-	if sa.DeltaSyncs != 1 || sa.FullSyncs != 0 || sa.Fallbacks != 0 {
-		t.Fatalf("downgrade stats: %+v", sa)
-	}
-	if sa.PatchesSent != 0 || sa.PatchesRecv != 0 {
-		t.Fatalf("plain dialect must carry no patches: %+v", sa)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7 after merging the plain-v2 peer", v)
-	}
-	hv, err := st.Head("v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hv.P - hv.N; got != 7 {
-		t.Fatalf("v2 peer = %d, want 7", got)
-	}
-	// The dialect is remembered: a second sync skips the doomed
-	// capability probe and still completes a plain delta exchange.
-	inc(t, a, 3)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	if sa := a.Stats(); sa.DeltaSyncs != 2 || sa.FullSyncs != 0 || sa.Fallbacks != 0 {
-		t.Fatalf("re-sync stats after remembered downgrade: %+v", sa)
-	}
-	if v := read(t, a); v != 10 {
-		t.Fatalf("a = %d, want 10 after the second exchange", v)
+	if packed := sa.BytesSent; packed*2 > full {
+		t.Fatalf("packed deep sync sent %d bytes, the full states are %d — expected at least 2x win", packed, full)
 	}
 }

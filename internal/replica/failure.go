@@ -21,21 +21,20 @@ import (
 // resets, cut connections, deadlines — is transient: the peer is down
 // or the network is flaky, and the ordinary exponential backoff is the
 // right schedule. Protocol violations — corrupt frames, malformed
-// payloads, bad hellos, hash or canonicality failures on import — mean
-// the bytes arrived and were wrong: the peer (or the path to it) is
-// hostile or broken, and earns quarantine. Network causes are checked
-// first because a framing error wrapping ECONNRESET is a cut wire, not
-// a hostile peer.
+// payloads, bad hellos, another protocol version, hash or canonicality
+// failures on import — mean the bytes arrived and were wrong: the peer
+// (or the path to it) is hostile or broken, and earns quarantine.
+// Network causes are checked first because a framing error wrapping
+// ECONNRESET is a cut wire, not a hostile peer.
 func classifyFailure(err error) mesh.FailureClass {
 	if err == nil || isNetworkCause(err) {
 		return mesh.FailTransient
 	}
 	switch {
-	case errors.Is(err, errFallback):
-		return mesh.FailTransient
 	case errors.Is(err, ErrProtocol),
 		errors.Is(err, wire.ErrFraming),
 		errors.Is(err, wire.ErrMalformed),
+		errors.Is(err, wire.ErrVersion),
 		errors.Is(err, store.ErrBadImport),
 		errors.Is(err, store.ErrCorruptPack):
 		return mesh.FailViolation

@@ -1,15 +1,18 @@
 package replica_test
 
 // Hardening regression tests: the inbound session cap under a dial
-// storm, goroutine hygiene when peers misbehave (malformed hellos,
-// mid-frame disconnects, Close racing in-flight sessions), and the
-// idle/session deadlines that cut off silent and dribbling peers.
+// storm, backoff on a listener whose Accept keeps failing, goroutine
+// hygiene when peers misbehave (malformed hellos, mid-frame disconnects,
+// Close racing in-flight sessions), and the idle/session deadlines that
+// cut off silent and dribbling peers.
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +86,52 @@ func TestDialStormShedsExcessInbound(t *testing.T) {
 	}
 	if got := value(t, cli); got != 9 {
 		t.Fatalf("post-storm sync got %d, want 9", got)
+	}
+}
+
+// failingListener fails every Accept — the listener of a process out of
+// file descriptors — counting the calls.
+type failingListener struct{ accepts atomic.Int64 }
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.accepts.Add(1)
+	return nil, errors.New("accept: too many open files")
+}
+
+func (l *failingListener) Close() error { return nil }
+
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// failingTransport listens on a failingListener.
+type failingTransport struct {
+	replica.TCPTransport
+	ln *failingListener
+}
+
+func (t failingTransport) Listen(string) (net.Listener, error) { return t.ln, nil }
+
+// TestAcceptErrorsBackOff: a listener that fails every Accept is retried
+// with backoff, not in a busy loop, and Close still returns promptly.
+func TestAcceptErrorsBackOff(t *testing.T) {
+	ln := &failingListener{}
+	n, err := replica.NewNode("srv", 1, replica.WithTransport(failingTransport{ln: ln}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	accepts := ln.accepts.Load()
+	start := time.Now()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v while the accept loop backed off", d)
+	}
+	if accepts > 10 {
+		t.Fatalf("%d Accept calls in 100ms, want at most 10", accepts)
 	}
 }
 

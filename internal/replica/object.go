@@ -18,15 +18,6 @@ type Object interface {
 	// Datatype is the registered datatype name; hellos carry it so two
 	// nodes never merge states of different types under one object name.
 	Datatype() string
-	// Frontier summarizes the node's branch for sync negotiation.
-	Frontier() (store.Frontier, error)
-	// Export returns the branch's full history (legacy v1 transfers).
-	Export() ([]store.ExportedCommit, store.Hash, error)
-	// ExportSince returns the commits a peer with the given have-set is
-	// missing. When packed, commits ship in the patch-bearing wire form
-	// (for peers that negotiated wire.CapPatch); otherwise every commit
-	// carries its full state.
-	ExportSince(have []store.Hash, packed bool) ([]store.ExportedCommit, store.Hash, error)
 	// IntegrateExact installs a peer's (possibly partial) history under a
 	// tracking branch and pulls it into the node's branch. It reports how
 	// many of the shipped commits were already present (redundant
@@ -55,7 +46,7 @@ type Object interface {
 	// contract). A session that ends early releases the token with
 	// EndInstallCapture.
 	Snapshot() (head store.Hash, token int, err error)
-	ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int, packed bool) ([]store.ExportedCommit, error)
+	ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error)
 	// BeginInstallCapture / EndInstallCapture / ExportSetCapture are the
 	// serving side's counterpart: a handler arms a capture at the hello
 	// ack and exports its reply through it, so commits a concurrent local
@@ -64,7 +55,7 @@ type Object interface {
 	// receiver's tracking branch, which the receiver sent itself.
 	BeginInstallCapture() int
 	EndInstallCapture(token int) []store.Hash
-	ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string, packed bool) ([]store.ExportedCommit, store.Hash, error)
+	ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string) ([]store.ExportedCommit, store.Hash, error)
 	// FlushStorage pushes buffered persistence out and surfaces any
 	// sticky storage error; a no-op on in-memory objects.
 	FlushStorage() error
@@ -236,24 +227,6 @@ func (o *TypedObject[S, Op, Val]) State() (S, error) {
 	return o.st.Head(o.branch)
 }
 
-// Frontier implements Object.
-func (o *TypedObject[S, Op, Val]) Frontier() (store.Frontier, error) {
-	return o.st.Frontier(o.branch)
-}
-
-// Export implements Object.
-func (o *TypedObject[S, Op, Val]) Export() ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.Export(o.branch)
-}
-
-// ExportSince implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSince(have []store.Hash, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	if packed {
-		return o.st.ExportSincePacked(o.branch, have)
-	}
-	return o.st.ExportSince(o.branch, have)
-}
-
 // IntegrateExact implements Object. The captured import and pull
 // variants separate the two kinds of news an exchange creates — commits
 // the peer shipped that were already present (redundant), and commits
@@ -323,8 +296,8 @@ func (o *TypedObject[S, Op, Val]) Snapshot() (store.Hash, int, error) {
 }
 
 // ExportSetAsOf implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int, packed bool) ([]store.ExportedCommit, error) {
-	return o.st.ExportSetAsOf(head, ship, token, packed)
+func (o *TypedObject[S, Op, Val]) ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error) {
+	return o.st.ExportSetAsOf(head, ship, token)
 }
 
 // BeginInstallCapture implements Object.
@@ -336,8 +309,8 @@ func (o *TypedObject[S, Op, Val]) EndInstallCapture(token int) []store.Hash {
 }
 
 // ExportSetCapture implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string, packed bool) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSetCapture(o.branch, ship, token, heldVia, packed)
+func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string) ([]store.ExportedCommit, store.Hash, error) {
+	return o.st.ExportSetCapture(o.branch, ship, token, heldVia)
 }
 
 // FlushStorage implements Object.

@@ -1,7 +1,7 @@
 package replica
 
-// Replica-layer observability: session duration and outcomes by
-// negotiation-ladder tier, per-frame wire accounting, reconciliation
+// Replica-layer observability: session duration and outcomes by role,
+// per-frame wire accounting, reconciliation
 // descent depth, and the flight-recorder spans a sync session leaves
 // behind. All of it is off by default: WithObservability (or
 // WithDebugAddr, which implies it) allocates the node's registry and
@@ -16,31 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// tier is the rung of the negotiation ladder an exchange completed at.
-type tier uint8
-
-const (
-	tierNone   tier = iota
-	tierRecon       // range-fingerprint reconciliation (v2 + CapRecon)
-	tierPacked      // packed delta exchange (v2 + CapPatch)
-	tierPlain       // plain delta exchange (v2, pre-capability)
-	tierV1          // legacy one-shot full-history exchange
-)
-
-func (t tier) String() string {
-	switch t {
-	case tierRecon:
-		return "recon"
-	case tierPacked:
-		return "packed"
-	case tierPlain:
-		return "plain"
-	case tierV1:
-		return "v1"
-	}
-	return "none"
-}
-
 // maxFrameKind bounds the pre-resolved frame counter arrays; kinds past
 // it (future protocol growth) land on index 0, exposed as kind "other".
 const maxFrameKind = 24
@@ -48,10 +23,6 @@ const maxFrameKind = 24
 // kindName labels a frame kind for the wire metrics.
 func kindName(k wire.FrameKind) string {
 	switch k {
-	case wire.FrameSyncRequest:
-		return "sync-request"
-	case wire.FrameSyncResponse:
-		return "sync-response"
 	case wire.FrameErr:
 		return "err"
 	case wire.FrameHello:
@@ -60,8 +31,6 @@ func kindName(k wire.FrameKind) string {
 		return "hello-ack"
 	case wire.FrameDeltaHeader:
 		return "delta-header"
-	case wire.FrameCommits:
-		return "commits"
 	case wire.FrameDeltaEnd:
 		return "delta-end"
 	case wire.FrameHelloMiss:
@@ -132,7 +101,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		m.frameBytesOut[k] = reg.Counter("peepul_wire_frame_bytes_total", "kind", name, "dir", "out")
 	}
 	reg.Describe("peepul_replica_session_ns", "wall time of whole sync sessions by role")
-	reg.Describe("peepul_replica_sessions_total", "completed sync sessions by role, ladder tier and outcome")
+	reg.Describe("peepul_replica_sessions_total", "completed sync sessions by role and outcome")
 	reg.Describe("peepul_replica_merge_wait_ns", "time a session waited for an object's merge lock (import + pull + reply export of another session)")
 	reg.Describe("peepul_replica_inbound_shed_total", "inbound connections closed unserved at the session cap")
 	reg.Describe("peepul_recon_descent_ranges", "ranges probed per reconciliation descent")
@@ -144,13 +113,12 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 }
 
 // session counts one completed session. Sessions are per-round, not
-// per-frame, so the lazy (role, tier, outcome) resolution is fine.
-func (m *nodeMetrics) session(role string, t tier, outcome string) {
+// per-frame, so the lazy (role, outcome) resolution is fine.
+func (m *nodeMetrics) session(role, outcome string) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter("peepul_replica_sessions_total",
-		"role", role, "tier", t.String(), "outcome", outcome).Inc()
+	m.reg.Counter("peepul_replica_sessions_total", "role", role, "outcome", outcome).Inc()
 }
 
 // frame feeds one frame into the pre-resolved counters (FrameMeter).
@@ -224,46 +192,12 @@ func (sr *spanRec) setPeer(peer string) {
 	}
 }
 
-// object records one completed per-object exchange at tier t. The
-// span's tier is the last exchange's (sessions negotiate one dialect,
-// so mixes are rare and the last value is representative).
-func (sr *spanRec) object(t tier) {
+// objects records k completed per-object exchanges (k > 1 for a
+// span-probe match, which settles every object at once).
+func (sr *spanRec) objects(k int) {
 	if sr != nil {
-		sr.span.Tier = t.String()
-		sr.span.Objects++
-	}
-}
-
-// objects records k exchanges resolved at once (a span-probe match).
-func (sr *spanRec) objects(t tier, k int) {
-	if sr != nil {
-		sr.span.Tier = t.String()
 		sr.span.Objects += k
 	}
-}
-
-// tierName returns the span's current tier label ("" when unset or
-// tracing is disabled).
-func (sr *spanRec) tierName() string {
-	if sr == nil {
-		return ""
-	}
-	return sr.span.Tier
-}
-
-// tierFromName inverts tier.String for the session-outcome metric.
-func tierFromName(name string) tier {
-	switch name {
-	case "recon":
-		return tierRecon
-	case "packed":
-		return tierPacked
-	case "plain":
-		return tierPlain
-	case "v1":
-		return tierV1
-	}
-	return tierNone
 }
 
 // finish stamps duration, byte and commit totals (from the session's

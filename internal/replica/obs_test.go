@@ -1,7 +1,7 @@
 package replica_test
 
-// Observability tests: the negotiation-ladder tier counters partition
-// the session stats truthfully, the Stats/Trace/Snapshot surfaces stay
+// Observability tests: the session counters count one exchange per role
+// and object, the Stats/Trace/Snapshot surfaces stay
 // race-free under peer churn, and the live debug endpoint serves
 // parseable metrics and a round-trippable snapshot, then shuts down
 // with the node without leaking its goroutines.
@@ -44,94 +44,50 @@ func newObsCounterNode(t *testing.T, name string, id int, opts ...replica.NodeOp
 	return &counterNode{Node: n, obj: obj}
 }
 
-// tiersOf extracts the four ladder-tier counters for assertion messages.
-func tiersOf(s replica.SyncStats) [4]int64 {
-	return [4]int64{s.ReconSessions, s.PackedSessions, s.PlainSessions, s.V1Sessions}
-}
-
-// checkTierPartition: the first three tiers partition DeltaSyncs and v1
-// mirrors FullSyncs — on every node, always.
-func checkTierPartition(t *testing.T, n *counterNode) {
-	t.Helper()
-	s := n.Stats()
-	if got := s.ReconSessions + s.PackedSessions + s.PlainSessions; got != s.DeltaSyncs {
-		t.Fatalf("%s: tier counters %v sum to %d, want DeltaSyncs %d",
-			n.Name(), tiersOf(s), got, s.DeltaSyncs)
-	}
-	if s.V1Sessions != s.FullSyncs {
-		t.Fatalf("%s: V1Sessions %d != FullSyncs %d", n.Name(), s.V1Sessions, s.FullSyncs)
-	}
-}
-
-// TestTierCountersRecon: a default pairing lands on the reconciliation
-// tier and counts nothing anywhere else.
+// TestTierCountersRecon: one exchange counts once per role and per
+// object, and the session-outcome metric is labelled by role and outcome
+// alone — there is one dialect, so no tier.
 func TestTierCountersRecon(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
+	a := newObsCounterNode(t, "a", 1, replica.WithObservability())
+	b := newObsCounterNode(t, "b", 2, replica.WithObservability())
 	inc(t, a, 5)
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []*counterNode{a, b} {
-		s := n.Stats()
-		if s.ReconSessions == 0 || s.PackedSessions != 0 || s.PlainSessions != 0 || s.V1Sessions != 0 {
-			t.Fatalf("%s: tiers %v, want only recon sessions", n.Name(), tiersOf(s))
+		if s, o := n.Stats(), n.ObjectStats("counter"); s.DeltaSyncs != 1 || o.DeltaSyncs != 1 {
+			t.Fatalf("%s: node %d, object %d exchanges; want 1 and 1", n.Name(), s.DeltaSyncs, o.DeltaSyncs)
 		}
-		checkTierPartition(t, n)
+	}
+	// The server's session ends when the client hangs up, so its sample
+	// may land just after SyncWith returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for role, n := range map[string]*counterNode{"client": a, "server": b} {
+		for !okSession(t, n, role) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: registry holds no ok session sample", role)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 
-// TestTierCountersReconDisabledPeer is the ladder regression pin: a
-// peer with reconciliation switched off must drag the pairing down to
-// exactly the packed-v2 tier — no recon sessions, no plain fallback.
-func TestTierCountersReconDisabledPeer(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
-	b.SetReconEnabled(false)
-	inc(t, a, 3)
-	inc(t, b, 4)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*counterNode{a, b} {
-		s := n.Stats()
-		if s.PackedSessions == 0 {
-			t.Fatalf("%s: no packed sessions counted, tiers %v", n.Name(), tiersOf(s))
-		}
-		if s.ReconSessions != 0 || s.PlainSessions != 0 || s.V1Sessions != 0 {
-			t.Fatalf("%s: recon-disabled pairing leaked onto other tiers: %v", n.Name(), tiersOf(s))
-		}
-		checkTierPartition(t, n)
-	}
-}
-
-// TestTierCountersV1: the legacy protocol counts on the v1 tier, and
-// the tier also lands in the session-outcome metric when observability
-// is on.
-func TestTierCountersV1(t *testing.T) {
-	a := newObsCounterNode(t, "a", 1, replica.WithObservability())
-	b := newCounterNode(t, "b", 2)
-	a.SetFullSyncOnly(true)
-	inc(t, a, 2)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	s := a.Stats()
-	if s.V1Sessions == 0 || s.DeltaSyncs != 0 {
-		t.Fatalf("full-sync-only client: tiers %v, DeltaSyncs %d; want only v1", tiersOf(s), s.DeltaSyncs)
-	}
-	checkTierPartition(t, a)
-	checkTierPartition(t, b)
+// okSession reports whether n's registry counted one ok session in role,
+// failing the test on a session sample labelled with anything but role
+// and outcome.
+func okSession(t *testing.T, n *counterNode, role string) bool {
+	t.Helper()
 	found := false
-	for _, m := range a.Registry().Snapshot() {
-		if m.Name == "peepul_replica_sessions_total" &&
-			m.Labels["tier"] == "v1" && m.Labels["outcome"] == "ok" && m.Value > 0 {
-			found = true
+	for _, m := range n.Registry().Snapshot() {
+		if m.Name != "peepul_replica_sessions_total" {
+			continue
 		}
+		if _, ok := m.Labels["tier"]; ok || len(m.Labels) != 2 {
+			t.Fatalf("%s: session metric labels %v, want role and outcome only", role, m.Labels)
+		}
+		found = found || m.Labels["role"] == role && m.Labels["outcome"] == "ok" && m.Value == 1
 	}
-	if !found {
-		t.Fatal("registry holds no ok v1 session sample")
-	}
+	return found
 }
 
 // TestStatsSurfacesRaceFree hammers every read surface — Stats,
@@ -181,7 +137,6 @@ func TestStatsSurfacesRaceFree(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	checkTierPartition(t, a)
 }
 
 // expositionLine is the grammar every non-comment /metrics line must
@@ -235,7 +190,7 @@ func TestDebugEndpoint(t *testing.T) {
 			t.Fatalf("malformed exposition line: %q", line)
 		}
 	}
-	if !strings.Contains(metrics, `peepul_replica_sessions_total{role="client",tier="recon",outcome="ok"}`) {
+	if !strings.Contains(metrics, `peepul_replica_sessions_total{role="client",outcome="ok"}`) {
 		t.Fatalf("scrape is missing the client session counter:\n%s", metrics)
 	}
 
@@ -263,8 +218,8 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 
 	trace := get("/debug/peepul/trace?format=text")
-	if !strings.Contains(trace, "client") || !strings.Contains(trace, "recon") {
-		t.Fatalf("text trace shows no recon client session:\n%s", trace)
+	if !strings.Contains(trace, "client") || !strings.Contains(trace, "negotiate[counter]") {
+		t.Fatalf("text trace shows no client session:\n%s", trace)
 	}
 
 	// Teardown: the debug server dies with the node, and nothing —

@@ -105,9 +105,8 @@ func (c *nodeConfig) sessionTimeout() time.Duration {
 // NodeOption adjusts node construction.
 type NodeOption func(*nodeConfig)
 
-// WithStoreOptions passes store options (frontier sampling caps,
-// snapshot spacing, cache sizes) through to every object store the node
-// opens.
+// WithStoreOptions passes store options (snapshot spacing, cache sizes)
+// through to every object store the node opens.
 func WithStoreOptions(opts ...store.Option) NodeOption {
 	return func(c *nodeConfig) { c.storeOpts = append(c.storeOpts, opts...) }
 }

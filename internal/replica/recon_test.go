@@ -1,9 +1,9 @@
 package replica_test
 
-// Tests for the range-fingerprint reconciliation dialect: the O(1)
-// converged re-sync it promises, the exactness of its diffs (zero
-// redundant commits), the per-object counters it adds, and every rung of
-// the downgrade ladder down to the legacy one-shot protocol.
+// Tests for range-fingerprint reconciliation: the O(1) converged re-sync
+// it promises, the exactness of its diffs (zero redundant commits), the
+// per-object counters it adds, and the first-contact rule for the span
+// probe.
 
 import (
 	"bytes"
@@ -153,14 +153,17 @@ func TestReconStatsPerObject(t *testing.T) {
 	}
 }
 
-// firstFrames taps a faultnet and parses the first frame each direction
-// carried: what the dialing node sent, then what the other answered.
-type firstFrames struct {
+// frameTap taps a faultnet and parses the frames each direction carried.
+type frameTap struct {
 	mu      sync.Mutex
 	streams map[[2]string]*bytes.Buffer
 }
 
-func (f *firstFrames) tap(from, to string, data []byte) {
+func newFrameTap() *frameTap {
+	return &frameTap{streams: make(map[[2]string]*bytes.Buffer)}
+}
+
+func (f *frameTap) tap(from, to string, data []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	key := [2]string{from, to}
@@ -170,7 +173,13 @@ func (f *firstFrames) tap(from, to string, data []byte) {
 	f.streams[key].Write(data)
 }
 
-func (f *firstFrames) first(t *testing.T, from, to string) (wire.FrameKind, [][]byte) {
+type tappedFrame struct {
+	kind   wire.FrameKind
+	fields [][]byte
+}
+
+// frames parses everything that flowed from → to so far, oldest first.
+func (f *frameTap) frames(t *testing.T, from, to string) []tappedFrame {
 	t.Helper()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -178,148 +187,72 @@ func (f *firstFrames) first(t *testing.T, from, to string) (wire.FrameKind, [][]
 	if buf == nil {
 		t.Fatalf("nothing flowed %s → %s", from, to)
 	}
-	kind, fields, err := wire.ReadMsg(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	var out []tappedFrame
+	r := bytes.NewReader(buf.Bytes())
+	for r.Len() > 0 {
+		kind, fields, err := wire.ReadMsg(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tappedFrame{kind, fields})
 	}
-	return kind, fields
+	return out
 }
 
-// TestReconDisabledPeerDowngrade: a recon client meeting a server with
-// the dialect switched off converges over the patch dialect on the same
-// connection — the server ignores the root probe the hello carries, and
-// the ack simply does not echo the capability.
-func TestReconDisabledPeerDowngrade(t *testing.T) {
-	frames := &firstFrames{streams: make(map[[2]string]*bytes.Buffer)}
+// spanProbes counts the span probes among frames.
+func spanProbes(frames []tappedFrame) int {
+	n := 0
+	for _, fr := range frames {
+		if fr.kind == wire.FrameReconSpan {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFirstContactSkipsSpan: the first session to an address opens
+// straight with the hello — against a peer this node has never synced
+// with, a span probe could only report a difference — and the hello
+// carries the head alone, no have-list. Once the peer has acked a hello,
+// the next session opens with exactly one span probe.
+func TestFirstContactSkipsSpan(t *testing.T) {
+	frames := newFrameTap()
 	fn := faultnet.New(1, faultnet.WithTap(frames.tap))
 	a := newObsCounterNode(t, "a", 1, replica.WithTransport(fn.Transport("a")))
 	b := newObsCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")))
-	b.SetReconEnabled(false)
 	inc(t, a, 2)
 	inc(t, b, 5)
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if av, bv := peek(t, a), peek(t, b); av != 7 || bv != 7 {
-		t.Fatalf("a=%d b=%d, want 7", av, bv)
+	first := frames.frames(t, "a", "b")
+	if n := spanProbes(first); n != 0 {
+		t.Fatalf("first contact sent %d span probes, want 0", n)
 	}
-	kind, fields := frames.first(t, "a", "b")
-	if kind != wire.FrameHello || len(fields) != 3 {
-		t.Fatalf("client opened with kind %d and %d fields, want a hello carrying its root probe", kind, len(fields))
+	hello := first[0]
+	if hello.kind != wire.FrameHello || len(hello.fields) != 2 {
+		t.Fatalf("first contact opened with kind %d and %d fields, want a hello and its root probe", hello.kind, len(hello.fields))
 	}
-	if rr, err := wire.DecodeReconRange(fields[2]); err != nil || rr.X != (recon.Item{}) || rr.Y != (recon.Item{}) {
-		t.Fatalf("third hello field is not the whole-keyspace probe: %+v, %v", rr, err)
-	}
-	kind, fields = frames.first(t, "b", "a")
-	if kind != wire.FrameHelloAck || len(fields) != 2 {
-		t.Fatalf("recon-off server acked with kind %d and %d fields, want a two-field ack", kind, len(fields))
-	}
-	if caps, err := wire.DecodeCaps(fields[1]); err != nil || caps&wire.CapRecon != 0 {
-		t.Fatalf("recon-off server echoed caps %b (%v)", caps, err)
-	}
-	sa := a.Stats()
-	if sa.DeltaSyncs != 1 || sa.Fallbacks != 0 || sa.FullSyncs != 0 {
-		t.Fatalf("downgrade must stay a delta sync: %+v", sa)
-	}
-	if sa.RangesSent != 0 {
-		t.Fatalf("no probes may flow to a recon-disabled peer: %+v", sa)
-	}
-	// And the reverse: a recon-disabled client never advertises the
-	// capability, so a recon-capable server stays on the patch dialect.
-	c := newCounterNode(t, "c", 3)
-	d := newCounterNode(t, "d", 4)
-	c.SetReconEnabled(false)
-	inc(t, c, 1)
-	inc(t, d, 2)
-	if err := c.SyncWith(d.Addr()); err != nil {
+	h, err := wire.DecodeHello(hello.fields[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sd := d.Stats(); sd.RangesRecv != 0 {
-		t.Fatalf("recon-disabled client still triggered %d probes", sd.RangesRecv)
+	if bare := wire.EncodeHello(wire.Hello{Node: h.Node, Object: h.Object, Datatype: h.Datatype}); len(hello.fields[0]) != len(bare) {
+		t.Fatalf("hello payload of %d bytes, want %d: the names and the head, no have-list", len(hello.fields[0]), len(bare))
 	}
-	if sc := c.Stats(); sc.DeltaSyncs != 1 || sc.Fallbacks != 0 {
-		t.Fatalf("patch dialect must complete: %+v", sc)
+	if rr, err := wire.DecodeReconRange(hello.fields[1]); err != nil || rr.X != (recon.Item{}) || rr.Y != (recon.Item{}) {
+		t.Fatalf("second hello field is not the whole-keyspace probe: %+v, %v", rr, err)
 	}
-}
 
-// TestReconStaleMemoSpanRefused: a peer that spoke recon once and was
-// then switched off refuses the next round's span probe; the client
-// clears its memo, retries the session without the span, and the pair
-// still converges on the patch dialect.
-func TestReconStaleMemoSpanRefused(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b := newCounterNode(t, "b", 2)
 	inc(t, a, 1)
-	inc(t, b, 2)
-	if err := a.SyncWith(b.Addr()); err != nil { // memorizes b as recon-capable
-		t.Fatal(err)
-	}
-	b.SetReconEnabled(false)
-	inc(t, a, 4)
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if av, bv := peek(t, a), peek(t, b); av != 7 || bv != 7 {
-		t.Fatalf("a=%d b=%d, want 7 after the stale-memo round", av, bv)
+	if n := spanProbes(frames.frames(t, "a", "b")[len(first):]); n != 1 {
+		t.Fatalf("second session sent %d span probes, want 1", n)
 	}
-	if sa := a.Stats(); sa.Fallbacks != 0 || sa.FullSyncs != 0 {
-		t.Fatalf("span refusal must not cascade past the delta dialects: %+v", sa)
-	}
-	// The memo is gone: the following round opens without a span probe
-	// and completes directly on the patch dialect.
-	inc(t, a, 1)
-	before := a.Stats()
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if after := a.Stats(); after.RangesSent != before.RangesSent {
-		t.Fatalf("cleared memo must suppress span probes: %d -> %d", before.RangesSent, after.RangesSent)
-	}
-}
-
-// TestReconLadderToPlainV2 runs the recon client against the strict
-// pre-capability v2 server: the capability hello is refused outright and
-// the client lands on the plain delta dialect, not v1.
-func TestReconLadderToPlainV2(t *testing.T) {
-	addr, st := plainV2Server(t)
-	if _, err := st.Apply("v2", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
-	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Stats()
-	if sa.DeltaSyncs != 1 || sa.FullSyncs != 0 || sa.Fallbacks != 0 {
-		t.Fatalf("plain-v2 downgrade stats: %+v", sa)
-	}
-	if sa.RangesSent != 0 || sa.PatchesSent != 0 {
-		t.Fatalf("plain dialect carries neither probes nor patches: %+v", sa)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7", v)
-	}
-}
-
-// TestReconLadderToLegacyV1 runs the recon client all the way down the
-// ladder to the one-shot v1 protocol.
-func TestReconLadderToLegacyV1(t *testing.T) {
-	addr, legacy := legacyV1Server(t)
-	if _, err := legacy.Apply("legacy", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
-		t.Fatal(err)
-	}
-	a := newCounterNode(t, "a", 1)
-	inc(t, a, 2)
-	if err := a.SyncWith(addr); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Stats()
-	if sa.Fallbacks != 1 || sa.FullSyncs != 1 || sa.DeltaSyncs != 0 {
-		t.Fatalf("v1 fallback stats: %+v", sa)
-	}
-	if v := read(t, a); v != 7 {
-		t.Fatalf("a = %d, want 7", v)
+	if av, bv := peek(t, a), peek(t, b); av != 8 || bv != 8 {
+		t.Fatalf("a=%d b=%d, want 8", av, bv)
 	}
 }
 

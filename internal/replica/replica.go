@@ -6,24 +6,25 @@
 // A Node hosts any number of named replicated objects, the way an Irmin
 // repository hosts many keys: each object is an independent versioned
 // store (internal/store) of one registered datatype. One sync connection
-// negotiates and delta-syncs every object the two nodes share. Per object,
-// a sync is an incremental delta exchange (protocol v2): the client opens
-// with a hello carrying the object's name, its datatype, and the branch
-// frontier — head hash plus a sampled have-set — the server answers with
-// its own frontier (or a miss for objects it does not host), and then each
-// side streams only the commits the other's frontier does not dominate.
-// The receiver grafts the partial DAG onto the commits it already holds
-// (content addressing deduplicates anything shipped twice) and performs a
-// store Pull, whose DAG-based lowest common ancestor is correct even when
-// history reached a node indirectly through third parties — ring and mesh
-// gossip topologies converge, which per-pair state exchange cannot
-// achieve. A re-sync of an already-converged pair therefore costs
-// O(frontier) bytes, not O(history). Peers that do not speak the frontier
-// negotiation (or fail it before it starts) are handled by falling back to
-// the legacy v1 one-shot full-history exchange. Merging is the store's
-// job and keeps its guarantees verbatim: every pull merges over a base
-// carrying exactly the operations common to both heads (Ψ_lca by
-// construction), and fast-forwards adopt commits.
+// reconciles every object the two nodes share, in one protocol whose
+// hello and span payloads open with wire.Version (any other version is
+// refused). Per object, the client's hello carries the object's name,
+// its datatype, its branch head and the root range probe of its commit
+// set; the ack carries the server's head and the probe's answer (or a
+// miss for objects the server does not host). The client then descends
+// the hash ranges that differ until the exact symmetric difference is
+// known, ships a want list and a packed delta of the commits the server
+// lacks, and the server replies with exactly the wanted commits plus the
+// merges its pull minted. The receiver grafts the partial DAG onto the
+// commits it already holds and performs a store Pull, whose DAG-based
+// lowest common ancestor is correct even when history reached a node
+// indirectly through third parties — ring and mesh gossip topologies
+// converge, which per-pair state exchange cannot achieve. A peer that has
+// acked a hello before is opened with a whole-node span probe, so a
+// re-sync of a converged pair costs one round trip, not one per object.
+// Merging is the store's job and keeps its guarantees verbatim: every
+// pull merges over a base carrying exactly the operations common to both
+// heads (Ψ_lca by construction), and fast-forwards adopt commits.
 //
 // Session connections flush on block: each is buffered both ways, frames
 // written during a protocol turn accumulate in the write buffer, and the
@@ -110,10 +111,6 @@ var ErrProtocol = errors.New("replica: protocol error")
 // ErrObject is wrapped by object lookup and registration failures.
 var ErrObject = errors.New("replica: object error")
 
-// errFallback marks a failed v2 negotiation; SyncWith retries with the
-// legacy full-history protocol.
-var errFallback = errors.New("replica: delta negotiation unavailable")
-
 // SyncStats counts sync traffic across both client and server roles.
 // The node's aggregate stats cover both directions of every connection
 // the node took part in; per-object stats attribute commits exactly and
@@ -125,73 +122,40 @@ type SyncStats struct {
 	BytesRecv   int64
 	CommitsSent int64
 	CommitsRecv int64
-	// DeltaSyncs and FullSyncs count completed exchanges by protocol, one
-	// per role (a two-node delta exchange increments each node once).
+	// DeltaSyncs counts completed per-object exchanges, one per role (a
+	// two-node exchange increments each node once).
 	DeltaSyncs int64
-	FullSyncs  int64
-	// Fallbacks counts delta negotiations abandoned for the full path.
-	Fallbacks int64
 	// Misses counts hellos answered with "object not hosted here".
 	Misses int64
 	// PatchesSent and PatchesRecv count commits that crossed the wire as
-	// binary patches rather than full states — the packed dialect's win.
+	// binary patches rather than full states.
 	PatchesSent int64
 	PatchesRecv int64
 	// RangesSent and RangesRecv count reconciliation range probes, by
 	// role: probes this node issued as a client and probes it answered
-	// as a server — the whole-node span probe, the root probe a recon
-	// hello carries (counted once the ack answers it; a peer with recon
-	// off ignores it and nothing is counted) and every probe of the
+	// as a server — the whole-node span probe, the root probe a hello
+	// carries (counted once the ack answers it) and every probe of the
 	// descent. A converged pair exchanges exactly one (the span) per
 	// re-sync.
 	RangesSent int64
 	RangesRecv int64
-	// RedundantCommits counts received commits that were already present
-	// — re-ships a sampled frontier failed to subtract. The
-	// reconciliation dialect's contract is to keep this at zero.
+	// RedundantCommits counts received commits that were already present.
+	// Reconciliation resolves the exact difference, so this stays at zero
+	// unless two sessions crossed (see the package comment).
 	RedundantCommits int64
 	// InboundShed counts inbound connections closed unserved because the
 	// concurrent-session cap (WithMaxInbound) was reached.
 	InboundShed int64
-	// ReconSessions, PackedSessions, PlainSessions and V1Sessions count
-	// completed per-object exchanges by the negotiation-ladder tier they
-	// ran at: range-fingerprint reconciliation, packed (patch-bearing)
-	// delta, plain (full-state) delta, and the legacy v1 full-history
-	// protocol. The first three partition DeltaSyncs; V1Sessions mirrors
-	// FullSyncs. They pin down which rung a pairing actually negotiated.
-	ReconSessions  int64
-	PackedSessions int64
-	PlainSessions  int64
-	V1Sessions     int64
 }
 
 type syncStats struct {
 	bytesSent, bytesRecv     atomic.Int64
 	commitsSent, commitsRecv atomic.Int64
-	deltaSyncs, fullSyncs    atomic.Int64
-	fallbacks, misses        atomic.Int64
+	deltaSyncs, misses       atomic.Int64
 	patchesSent, patchesRecv atomic.Int64
 	rangesSent, rangesRecv   atomic.Int64
 	redundantCommits         atomic.Int64
 	inboundShed              atomic.Int64
-	reconSessions            atomic.Int64
-	packedSessions           atomic.Int64
-	plainSessions            atomic.Int64
-	v1Sessions               atomic.Int64
-}
-
-// addTier counts one completed per-object exchange at its ladder tier.
-func (s *syncStats) addTier(t tier) {
-	switch t {
-	case tierRecon:
-		s.reconSessions.Add(1)
-	case tierPacked:
-		s.packedSessions.Add(1)
-	case tierPlain:
-		s.plainSessions.Add(1)
-	case tierV1:
-		s.v1Sessions.Add(1)
-	}
 }
 
 func (s *syncStats) snapshot() SyncStats {
@@ -201,8 +165,6 @@ func (s *syncStats) snapshot() SyncStats {
 		CommitsSent:      s.commitsSent.Load(),
 		CommitsRecv:      s.commitsRecv.Load(),
 		DeltaSyncs:       s.deltaSyncs.Load(),
-		FullSyncs:        s.fullSyncs.Load(),
-		Fallbacks:        s.fallbacks.Load(),
 		Misses:           s.misses.Load(),
 		PatchesSent:      s.patchesSent.Load(),
 		PatchesRecv:      s.patchesRecv.Load(),
@@ -210,27 +172,16 @@ func (s *syncStats) snapshot() SyncStats {
 		RangesRecv:       s.rangesRecv.Load(),
 		RedundantCommits: s.redundantCommits.Load(),
 		InboundShed:      s.inboundShed.Load(),
-		ReconSessions:    s.reconSessions.Load(),
-		PackedSessions:   s.packedSessions.Load(),
-		PlainSessions:    s.plainSessions.Load(),
-		V1Sessions:       s.v1Sessions.Load(),
 	}
 }
 
 // callState is one client exchange's in-flight context: the byte and
-// commit counters feeding the mesh Report, the flight-recorder span,
-// and the ladder tier the exchange settled at. span is nil (and every
-// use of it a no-op) when the node runs without observability.
+// commit counters feeding the mesh Report, and the flight-recorder span.
+// span is nil (and every use of it a no-op) when the node runs without
+// observability.
 type callState struct {
 	stats syncStats
 	span  *spanRec
-	tier  tier
-}
-
-// object records one completed per-object exchange at tier t.
-func (cs *callState) object(t tier) {
-	cs.tier = t
-	cs.span.object(t)
 }
 
 // countPatches reports how many of the commits travel as patches.
@@ -419,26 +370,14 @@ type Node struct {
 	// no goroutines) until WithPeers or AddPeer names some.
 	engine *mesh.Engine
 
-	total    syncStats
-	fullOnly atomic.Bool
-	// reconOff disables the reconciliation dialect on both roles: the
-	// node neither advertises nor echoes wire.CapRecon, so pairings
-	// converge on the frontier-sampling dialect. Benchmarks use it as
-	// the baseline switch; tests use it to pin the downgrade ladder.
-	reconOff atomic.Bool
-	// plainPeers remembers addresses that rejected the capability hello,
-	// so periodic re-syncs with a pre-capability peer skip the doomed
-	// probe connection instead of paying it every round. Like the
-	// fullOnly switch it is best-effort session state: a peer upgraded
-	// in place keeps getting the plain dialect until this node restarts.
-	plainPeers sync.Map // addr -> struct{}
-	// reconPeers remembers addresses that echoed wire.CapRecon, the
-	// confidence gate for the two cheap openings of the recon dialect —
-	// the whole-node span probe and head-only hello frontiers. Both
-	// degrade safely when the memo goes stale (a span refusal clears it
-	// and the round retries; a head-only frontier only costs re-shipped
-	// commits), so like plainPeers it is best-effort session state.
-	reconPeers sync.Map // addr -> struct{}
+	total syncStats
+	// ackedPeers is the first-contact set: addresses that have acked a
+	// hello. Only a session to such an address opens with the whole-node
+	// span probe — a first session never pays that turn, since against a
+	// peer it has never synced with the probe would only report a
+	// difference. The set only grows; a peer that restarts in place
+	// answers the probe like any other.
+	ackedPeers sync.Map // addr -> struct{}
 
 	ln     net.Listener
 	closed chan struct{}
@@ -569,19 +508,6 @@ func (n *Node) ObjectStats(object string) SyncStats {
 	return e.stats.snapshot()
 }
 
-// SetFullSyncOnly forces outgoing syncs onto the legacy v1 full-history
-// protocol (the serving side always speaks both). Benchmarks use it to
-// compare protocols; tests use it to pin down the fallback path.
-func (n *Node) SetFullSyncOnly(v bool) { n.fullOnly.Store(v) }
-
-// SetReconEnabled switches the set-reconciliation dialect on or off
-// (default on) for both roles: disabled, the node negotiates the
-// frontier-sampling dialects instead. Benchmarks use it to compare
-// negotiation strategies; tests use it to pin the downgrade ladder.
-func (n *Node) SetReconEnabled(v bool) { n.reconOff.Store(!v) }
-
-func (n *Node) reconEnabled() bool { return !n.reconOff.Load() }
-
 // entry returns the object entry for object, if hosted.
 func (n *Node) entry(object string) (*objectEntry, bool) {
 	n.mu.Lock()
@@ -590,24 +516,13 @@ func (n *Node) entry(object string) (*objectEntry, bool) {
 	return e, ok
 }
 
-// soleEntry returns the node's only object, for legacy v1 requests that
-// predate object naming.
-func (n *Node) soleEntry() (string, *objectEntry, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.objects) != 1 {
-		return "", nil, false
-	}
-	for name, e := range n.objects {
-		return name, e, true
-	}
-	return "", nil, false // unreachable
-}
-
 // Listen starts serving sync requests on addr ("127.0.0.1:0" picks a free
 // port) through the node's transport. The chosen address is available
-// from Addr.
+// from Addr. A node serves one listener: a second Listen is an error.
 func (n *Node) Listen(addr string) error {
+	if n.ln != nil {
+		return fmt.Errorf("replica: node %s already listening on %s", n.name, n.ln.Addr())
+	}
 	ln, err := n.cfg.transportOrTCP().Listen(addr)
 	if err != nil {
 		return err
@@ -668,6 +583,16 @@ func (n *Node) Close() error {
 	return n.closeErr
 }
 
+// Accept backoff: after a failed Accept the serve loop waits
+// acceptBackoffMin, doubling per consecutive failure up to
+// acceptBackoffMax, and resets on the next success — a listener stuck
+// failing (out of file descriptors, say) costs a few wakeups a second,
+// not a core.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 // serve accepts inbound sync sessions, one handler goroutine each, with
 // concurrency capped by a semaphore (WithMaxInbound): a dial storm gets
 // its excess connections closed promptly instead of an unbounded
@@ -675,16 +600,19 @@ func (n *Node) Close() error {
 func (n *Node) serve() {
 	defer n.wg.Done()
 	sem := make(chan struct{}, n.cfg.inboundLimit())
+	var backoff time.Duration
 	for {
 		conn, err := n.ln.Accept()
 		if err != nil {
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
 			select {
 			case <-n.closed:
 				return
-			default:
+			case <-time.After(backoff):
 				continue
 			}
 		}
+		backoff = 0
 		select {
 		case sem <- struct{}{}:
 		default:
@@ -729,14 +657,6 @@ func (n *Node) lockMerge(e *objectEntry) {
 	m.mergeWaitNs.Observe(time.Since(start).Nanoseconds())
 }
 
-// writeDelta streams a delta in the dialect the session negotiated.
-func writeDelta(c *countedConn, commits []store.ExportedCommit, head store.Hash, packed bool) error {
-	if packed {
-		return wire.WriteDeltaPacked(c, commits, head)
-	}
-	return wire.WriteDelta(c, commits, head)
-}
-
 // readDelta reads the peer's delta — a client's ship set or a server's
 // reply; a refusal the peer sent in its place is a protocol error.
 func readDelta(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
@@ -748,22 +668,20 @@ func readDelta(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
 	return commits, head, err
 }
 
-// reconSession is the per-connection state of a reconciliation-dialect
-// exchange: set by a hello that negotiated wire.CapRecon, consulted by
-// the probe and want frames that follow on the same session, reset by
-// the next hello. Sessions are single-goroutine, so no locking. token
-// is a store install capture armed by the hello, before its root probe
-// is answered, and consumed by the want handler's export: local commits
-// installed while the descent is in flight (an Apply takes only the
-// store lock) would otherwise be invisible to both the probes and the
-// want list, and a reply minted on top of them would graft onto commits
-// the client has never heard of.
+// reconSession is the per-connection state of one object's exchange:
+// set by a hello, consulted by the probe and want frames that follow on
+// the same session, reset by the next hello. Sessions are
+// single-goroutine, so no locking. token is a store install capture
+// armed by the hello, before its root probe is answered, and consumed by
+// the want handler's export: local commits installed while the descent
+// is in flight (an Apply takes only the store lock) would otherwise be
+// invisible to both the probes and the want list, and a reply minted on
+// top of them would graft onto commits the client has never heard of.
 type reconSession struct {
-	active    bool
-	e         *objectEntry
-	hello     wire.Hello
-	peerPatch bool
-	token     int
+	active bool
+	e      *objectEntry
+	hello  wire.Hello
+	token  int
 	// probes counts the range probes answered this exchange — the
 	// server-side descent depth, observed when the want frame ends it.
 	probes int
@@ -779,13 +697,10 @@ func (rs *reconSession) release() {
 }
 
 // handle serves one inbound sync session. A session is a sequence of
-// per-object exchanges on a single connection: each v2 hello negotiates
-// and delta-syncs one named object — a hello that negotiated the recon
-// dialect is instead followed by range probes and a want/delta finish on
-// the same session — and the session ends when the client hangs up. A
+// per-object exchanges on a single connection — each a hello, range
+// probes and a want/delta finish — and ends when the client hangs up. A
 // whole-node span probe may open a session (one frame confirms a
-// converged pair). A v1 request gets the legacy one-shot exchange and
-// closes the session.
+// converged pair).
 //
 // The handler flushes on exit, so a trailing reply or FrameErr still
 // reaches the client, and the session's outcome carries its real cause:
@@ -810,7 +725,7 @@ func (n *Node) handle(conn *countedConn) {
 		if err != nil {
 			outcome = failClassName(classifyFailure(err))
 		}
-		m.session("server", tierFromName(sp.tierName()), outcome)
+		m.session("server", outcome)
 	}
 }
 
@@ -839,8 +754,6 @@ func (n *Node) serveSession(conn *countedConn, rs *reconSession, sp *spanRec) er
 		case wire.FrameReconWant:
 			err = n.handleReconWant(conn, fields, rs, sp)
 			rs.release()
-		case wire.FrameSyncRequest:
-			return n.handleFull(conn, fields, sp)
 		default:
 			return refuse(conn, "bad request")
 		}
@@ -865,44 +778,28 @@ func refuseErr(conn *countedConn, err error) error {
 	return err
 }
 
-// handleHello serves one object's v2 negotiation: answer with the local
-// frontier (or a miss for unhosted objects) and, in the classic dialects,
-// read the client's missing-commit delta, merge it, and stream back the
-// commits the client's frontier does not dominate. A capability hello
-// carries the client's capability set in its second field; the ack then
-// carries ours. A client that advertised wire.CapPatch exchanges packed
-// (delta-state) commit chunks in both directions. One that advertised
-// wire.CapRecon sends its root range probe as a third field; if this
-// node echoes the capability, the ack's third field answers that probe
-// and the handler arms the session state and returns — the probe and
-// want frames that follow are dispatched by handle. A node with recon
-// off ignores the probe. One-field hellos are the pre-capability dialect
-// and get full-state chunks.
+// handleHello opens one object's exchange: a hello carries the client's
+// hello payload and its root range probe; the ack carries this node's
+// head and the probe's answer (or the hello is answered with a miss for
+// an object not hosted here). The handler arms the session state and
+// returns — the probe and want frames that follow are dispatched by
+// handle.
 func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	hStart := time.Now()
-	if len(fields) < 1 || len(fields) > 3 {
+	if len(fields) == 0 {
 		return refuse(conn, "bad hello")
 	}
-	peerPatch, peerRecon := false, false
-	if len(fields) >= 2 {
-		caps, err := wire.DecodeCaps(fields[1])
-		if err != nil {
-			return refuseErr(conn, err)
-		}
-		peerPatch = caps&wire.CapPatch != 0
-		peerRecon = caps&wire.CapRecon != 0 && n.reconEnabled()
-	}
-	var root wire.ReconRange
-	if peerRecon {
-		if len(fields) != 3 {
-			return refuse(conn, "bad hello")
-		}
-		var err error
-		if root, err = wire.DecodeReconRange(fields[2]); err != nil {
-			return refuseErr(conn, err)
-		}
-	}
+	// The hello payload is decoded first: it opens with the protocol
+	// version, and a peer of another version is told so, whatever else
+	// its hello carries.
 	hello, err := wire.DecodeHello(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	if len(fields) != 2 {
+		return refuse(conn, "bad hello")
+	}
+	root, err := wire.DecodeReconRange(fields[1])
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -922,88 +819,27 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 		return wire.WriteMsg(conn, wire.FrameHelloMiss,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
 	}
-
-	// The frontier needs no lock — it advertises commits we have, which
-	// stays true however concurrent exchanges advance the branch.
-	mine, err := e.obj.Frontier()
+	// The head needs no lock — the client only compares it with its own
+	// for the converged shortcut.
+	head, err := e.obj.Head()
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	caps := uint64(0)
-	if peerPatch {
-		caps |= wire.CapPatch
+	// Arm the session's install capture before answering the root probe:
+	// every commit a concurrent local Apply installs from here on joins
+	// the want handler's reply, and every older one is in the tree every
+	// probe of the descent reads.
+	*rs = reconSession{active: true, e: e, hello: hello, token: e.obj.BeginInstallCapture()}
+	answer, err := n.answerProbe(rs, root)
+	if err != nil {
+		return refuseErr(conn, err)
 	}
-	var answer []byte
-	if peerRecon {
-		caps |= wire.CapRecon
-		// The probes resolve the exact diff, so the sampled have-set is
-		// dead weight in this dialect; the head still rides along for the
-		// client's converged-pair shortcut.
-		mine.Have = nil
-		// Arm the session's install capture before answering the root
-		// probe: every commit a concurrent local Apply installs from here
-		// on joins the want handler's reply, and every older one is in the
-		// tree every probe of the descent reads.
-		*rs = reconSession{active: true, e: e, hello: hello, peerPatch: peerPatch,
-			token: e.obj.BeginInstallCapture()}
-		a, err := n.answerProbe(rs, root)
-		if err != nil {
-			return refuseErr(conn, err)
-		}
-		answer = wire.EncodeReconAnswer(a)
-	}
-	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Frontier: mine}
-	ackFields := [][]byte{wire.EncodeHello(ack)}
-	if caps != 0 {
-		ackFields = append(ackFields, wire.EncodeCaps(caps))
-	}
-	if answer != nil {
-		ackFields = append(ackFields, answer)
-	}
-	if err := wire.WriteMsg(conn, wire.FrameHelloAck, ackFields...); err != nil {
+	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Head: head}
+	if err := wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack), wire.EncodeReconAnswer(answer)); err != nil {
 		return err
 	}
-	if peerRecon {
-		sp.phase("negotiate", hello.Object, hStart)
-		return nil
-	}
-	commits, head, err := readDelta(conn)
-	if err != nil {
-		return refuseErr(conn, err)
-	}
-
-	n.lockMerge(e)
-	redundant, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
-	var reply []store.ExportedCommit
-	var replyHead store.Hash
-	if err == nil {
-		reply, replyHead, err = e.obj.ExportSince(hello.Frontier.HaveSet(), peerPatch)
-	}
-	e.mergeMu.Unlock()
-	if err != nil {
-		return refuseErr(conn, err)
-	}
-	// Count the exchange before the reply streams out: the client may
-	// read its own stats the moment its SyncWith returns, and this
-	// handler goroutine has no happens-before edge past the write.
-	exTier := tierPlain
-	if peerPatch {
-		exTier = tierPacked
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.deltaSyncs.Add(1)
-		s.commitsRecv.Add(int64(len(commits)))
-		s.commitsSent.Add(int64(len(reply)))
-		s.patchesRecv.Add(countPatches(commits))
-		s.patchesSent.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-		s.addTier(exTier)
-	}
-	sp.object(exTier)
-	sp.phase("exchange", hello.Object, hStart)
-	// Commits are immutable, so the materialized reply stays valid even
-	// if another exchange advances the branch while it streams out.
-	return writeDelta(conn, reply, replyHead, peerPatch)
+	sp.phase("negotiate", hello.Object, hStart)
+	return nil
 }
 
 // reconItemsCap is the range size below which a probed server
@@ -1103,7 +939,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		// cannot name them, yet the reply head reaches them — while
 		// whatever arrived under the client's own tracking branch, here or
 		// on a session that crossed this one, must not bounce back.
-		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track, rs.peerPatch)
+		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track)
 	}
 	e.mergeMu.Unlock()
 	if err != nil {
@@ -1119,14 +955,13 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		s.patchesRecv.Add(countPatches(commits))
 		s.patchesSent.Add(countPatches(reply))
 		s.redundantCommits.Add(int64(redundant))
-		s.addTier(tierRecon)
 	}
 	if m := n.metrics; m != nil {
 		m.descent(rs.probes)
 	}
-	sp.object(tierRecon)
+	sp.objects(1)
 	sp.phase("ship", rs.hello.Object, wStart)
-	return writeDelta(conn, reply, replyHead, rs.peerPatch)
+	return wire.WriteDeltaPacked(conn, reply, replyHead)
 }
 
 // handleReconSpan answers a whole-node span probe: fold a fingerprint
@@ -1135,7 +970,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 // when it does not (the prober then runs per-object exchanges).
 func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) error {
 	sStart := time.Now()
-	if !n.reconEnabled() || len(fields) != 1 {
+	if len(fields) != 1 {
 		return refuse(conn, "bad request")
 	}
 	probe, err := wire.DecodeReconSpan(fields[0])
@@ -1155,15 +990,13 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 		for _, name := range names {
 			if e, ok := n.entry(name); ok {
 				e.stats.deltaSyncs.Add(1)
-				e.stats.addTier(tierRecon)
 			}
 			n.total.deltaSyncs.Add(1)
-			n.total.addTier(tierRecon)
 		}
 		if m := n.metrics; m != nil {
 			m.spanMatch.Inc()
 		}
-		sp.objects(tierRecon, len(names))
+		sp.objects(len(names))
 		sp.phase("span-probe", "", sStart)
 		return wire.WriteMsg(conn, wire.FrameReconMatch)
 	}
@@ -1206,85 +1039,17 @@ func foldSpan(sp *wire.ReconSpan, name string, e *objectEntry, head store.Hash) 
 	sp.Count += count
 }
 
-// handleFull serves the legacy v1 exchange: import the client's whole
-// history for one object, merge it, reply with the merged whole history.
-// The request names its object and datatype in third and fourth fields;
-// the two-field form predates object naming and resolves to the node's
-// sole object with no datatype check (pre-multi-object peers cannot send
-// one).
-func (n *Node) handleFull(conn *countedConn, fields [][]byte, sp *spanRec) error {
-	fStart := time.Now()
-	var peer, object, datatype string
-	var payload []byte
-	switch len(fields) {
-	case 2:
-		peer, payload = string(fields[0]), fields[1]
-		var ok bool
-		if object, _, ok = n.soleEntry(); !ok {
-			if len(n.Objects()) == 0 {
-				return refuse(conn, "no objects hosted")
-			}
-			return refuse(conn, "object name required: node hosts several objects")
-		}
-	case 4:
-		peer, object, datatype = string(fields[0]), string(fields[1]), string(fields[2])
-		payload = fields[3]
-	default:
-		return refuse(conn, "bad request")
-	}
-	e, ok := n.entry(object)
-	if !ok {
-		return refuse(conn, "object not hosted: "+object)
-	}
-	if datatype != "" {
-		if dt := e.obj.Datatype(); dt != datatype {
-			return refuse(conn, fmt.Sprintf("object %s is %s here, peer has %s", object, dt, datatype))
-		}
-	}
-	conn.obj.Store(&e.stats)
-	commits, head, err := wire.DecodeCommitList(payload)
-	if err != nil {
-		return refuseErr(conn, err)
-	}
-
-	n.lockMerge(e)
-	_, _, err = e.obj.IntegrateExact("remote/"+peer, commits, head)
-	var reply []store.ExportedCommit
-	var replyHead store.Hash
-	if err == nil {
-		reply, replyHead, err = e.obj.Export()
-	}
-	e.mergeMu.Unlock()
-	if err != nil {
-		return refuseErr(conn, err)
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.fullSyncs.Add(1)
-		s.commitsRecv.Add(int64(len(commits)))
-		s.commitsSent.Add(int64(len(reply)))
-		s.addTier(tierV1)
-	}
-	sp.setPeer(peer)
-	sp.object(tierV1)
-	sp.phase("exchange", object, fStart)
-	return wire.WriteMsg(conn, wire.FrameSyncResponse, wire.EncodeCommitList(reply, replyHead))
-}
-
 // SyncWith synchronizes every object this node hosts with the peer
-// listening at addr, over a single connection: per object, the peer
-// merges this node's missing commits into its branch, and this node then
-// merges the peer's reply delta (usually a fast-forward, since the reply
-// is computed after the peer merged). Objects the peer does not host (or
-// hosts under a different datatype) are skipped and counted in Misses.
-// The session ships what this node held when it connected; commits made
-// on either side while it runs are not waited for and travel with the
-// next push or round. Between quiescent nodes a successful exchange
-// leaves both with equal states on every shared object. Negotiation
-// runs richest-first: the packed delta
-// protocol (capability hellos, patch-bearing commit chunks), then the
-// plain delta protocol (full-state chunks, for peers that predate
-// capabilities), then the legacy full-history protocol, one connection
-// per object.
+// listening at addr, over a single connection: per object, the pair
+// reconciles its commit sets, the peer merges this node's missing
+// commits into its branch, and this node then merges the peer's reply
+// (usually a fast-forward, since the reply is computed after the peer
+// merged). Objects the peer does not host (or hosts under a different
+// datatype) are skipped and counted in Misses. The session ships what
+// this node held when it connected; commits made on either side while it
+// runs are not waited for and travel with the next push or round.
+// Between quiescent nodes a successful exchange leaves both with equal
+// states on every shared object.
 func (n *Node) SyncWith(addr string) error {
 	_, err := n.syncPeer(context.Background(), addr, nil)
 	return err
@@ -1307,12 +1072,12 @@ func (n *Node) peerLock(addr string) *sync.Mutex {
 	return mu.(*sync.Mutex)
 }
 
-// syncPeer runs one client exchange with addr over the negotiation
-// ladder, taking turns per peer address. The session ships from the
-// snapshot syncDelta takes after the dial and, that turn aside, holds
-// no lock across its round trips (see the package comment), so neither
-// local commits nor inbound sessions wait for it, and an unreachable
-// peer costs its supervisor a dial timeout and nothing else.
+// syncPeer runs one client session with addr, taking turns per peer
+// address. The session ships from the snapshot syncSession takes after
+// the dial and, that turn aside, holds no lock across its round trips
+// (see the package comment), so neither local commits nor inbound
+// sessions wait for it, and an unreachable peer costs its supervisor a
+// dial timeout and nothing else.
 func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ mesh.Report, retErr error) {
 	lock := n.peerLock(addr)
 	lock.Lock()
@@ -1345,59 +1110,16 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 			if retErr != nil {
 				outcome = failClassName(classifyFailure(retErr))
 			}
-			m.session("client", call.tier, outcome)
+			m.session("client", outcome)
 		}
 	}()
-	// A protocol violation poisons the rich-dialect memos: the next round
-	// renegotiates from the bottom of the ladder instead of trusting
-	// session state learned from a peer that just broke the protocol.
-	// Transient failures keep the memos — a peer that is merely down
-	// resumes its negotiated dialect on reconnect.
-	defer func() {
-		if retErr != nil && classifyFailure(retErr) == mesh.FailViolation {
-			n.reconPeers.Delete(addr)
-		}
-	}()
-	if !n.fullOnly.Load() {
-		if _, plain := n.plainPeers.Load(addr); !plain {
-			// The whole-node span probe is only worth a frame when every
-			// hosted object is in scope (the server folds over all of its
-			// objects) and the peer is memo-known to speak recon.
-			spanOK := objects == nil
-			missed, err := n.syncDelta(ctx, addr, names, true, spanOK, &call)
-			if errors.Is(err, errSpanRetry) {
-				// The peer refused the span probe (downgraded in place);
-				// the memo is already cleared — retry the same dialect on
-				// a fresh connection, without the span opening.
-				missed, err = n.syncDelta(ctx, addr, names, true, false, &call)
-			}
-			if err == nil || !errors.Is(err, errFallback) {
-				return report(missed), err
-			}
-			// The peer refused the capability hello outright (and closed
-			// the session): remember that and retry the pre-capability
-			// dialect on a fresh connection before abandoning delta sync
-			// entirely.
-			n.plainPeers.Store(addr, struct{}{})
-		}
-		missed, err := n.syncDelta(ctx, addr, names, false, false, &call)
-		if err == nil || !errors.Is(err, errFallback) {
-			return report(missed), err
-		}
-		n.total.fallbacks.Add(1)
-	}
-	for _, object := range names {
-		if err := n.syncFull(ctx, addr, object, len(names) == 1, &call); err != nil {
-			return report(nil), err
-		}
-	}
-	return report(nil), nil
+	// The whole-node span probe is only worth a frame when every hosted
+	// object is in scope (the server folds over all of its objects) and
+	// the peer has acked a hello before (see ackedPeers).
+	_, acked := n.ackedPeers.Load(addr)
+	missed, err := n.syncSession(ctx, addr, names, objects == nil && acked, &call)
+	return report(missed), err
 }
-
-// errSpanRetry marks a span probe the peer refused: the recon memo was
-// stale and has been cleared; the caller retries the session without the
-// span opening.
-var errSpanRetry = errors.New("replica: span probe refused")
 
 // sessionObject is one object in a client session's scope together with
 // the snapshot the session ships from: the branch head at connect time
@@ -1434,22 +1156,13 @@ func releaseScope(scope []sessionObject) {
 	}
 }
 
-// syncDelta runs the client side of a v2 session: one connection, one
-// negotiate-and-ship-missing exchange per object. withCaps selects the
-// capability dialects (capability hello; patch commits and range
-// reconciliation when the peer acks them). When spanOK and the peer is
-// memo-known to speak recon, the session opens with a whole-node span
-// probe: a match ends the round after two frames — the converged mesh
-// pair's steady-state cost. A failure of the first hello is reported as
-// errFallback (the peer predates the dialect); failures after that are
-// real errors. The returned list names the objects the peer answered
-// with a miss — the mesh daemon uses it to learn which objects a peer
-// is interested in.
-func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withCaps, spanOK bool, call *callState) ([]string, error) {
-	reconKnown := false
-	if withCaps && n.reconEnabled() {
-		_, reconKnown = n.reconPeers.Load(addr)
-	}
+// syncSession runs the client side of one session: one connection, one
+// exchange per object. With spanFirst the session opens with a
+// whole-node span probe: a match ends the round after two frames — the
+// converged mesh pair's steady-state cost. The returned list names the
+// objects the peer answered with a miss — the mesh daemon uses it to
+// learn which objects a peer is interested in.
+func (n *Node) syncSession(ctx context.Context, addr string, names []string, spanFirst bool, call *callState) ([]string, error) {
 	conn, err := n.dialPeer(ctx, addr)
 	if err != nil {
 		return nil, err
@@ -1467,19 +1180,16 @@ func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withC
 	}
 	defer releaseScope(scope)
 
-	if reconKnown && spanOK {
-		done, err := n.syncSpan(c, addr, scope, call)
-		if err != nil {
+	if spanFirst {
+		done, err := n.syncSpan(c, scope, call)
+		if err != nil || done {
 			return nil, err
-		}
-		if done {
-			return nil, nil
 		}
 	}
 	var missed []string
-	for i, so := range scope {
+	for _, so := range scope {
 		c.obj.Store(&so.e.stats)
-		miss, err := n.syncObjectDelta(c, addr, so, i == 0, withCaps, reconKnown, call)
+		miss, err := n.syncObject(c, addr, so, call)
 		if err != nil {
 			return missed, err
 		}
@@ -1492,12 +1202,8 @@ func (n *Node) syncDelta(ctx context.Context, addr string, names []string, withC
 
 // syncSpan opens a session with the whole-node span probe over the
 // session's snapshot heads. It reports done=true when the peer's span
-// matched (nothing to sync anywhere), and errSpanRetry — after clearing
-// the recon memo — when the peer refused the frame. A transport error
-// is returned as it is and keeps the memo: a peer that is merely down
-// resumes its dialect on reconnect, and a retry would only pay a second
-// dial against it.
-func (n *Node) syncSpan(c *countedConn, addr string, scope []sessionObject, call *callState) (done bool, _ error) {
+// matched (nothing to sync anywhere); a refusal is a protocol violation.
+func (n *Node) syncSpan(c *countedConn, scope []sessionObject, call *callState) (done bool, _ error) {
 	pStart := time.Now()
 	n.total.rangesSent.Add(1)
 	if m := n.metrics; m != nil {
@@ -1510,88 +1216,67 @@ func (n *Node) syncSpan(c *countedConn, addr string, scope []sessionObject, call
 	if err := wire.WriteMsg(c, wire.FrameReconSpan, wire.EncodeReconSpan(sp)); err != nil {
 		return false, err
 	}
-	kind, _, err := wire.ReadMsg(c)
+	kind, fields, err := wire.ReadMsg(c)
 	switch {
 	case err != nil:
 		return false, err
 	case kind == wire.FrameErr:
-		n.reconPeers.Delete(addr)
-		return false, errSpanRetry
+		return false, fmt.Errorf("%w: peer refused span probe: %s", ErrProtocol, peerMsg(fields))
 	case kind == wire.FrameReconMatch:
 		// One converged exchange per object, resolved in aggregate: the
 		// per-object counters tick exactly as if each object had run its
 		// own (trivial) exchange.
 		for _, so := range scope {
 			so.e.stats.deltaSyncs.Add(1)
-			so.e.stats.addTier(tierRecon)
 			n.total.deltaSyncs.Add(1)
-			n.total.addTier(tierRecon)
 		}
 		if m := n.metrics; m != nil {
 			m.spanMatch.Inc()
 		}
-		call.tier = tierRecon
-		call.span.objects(tierRecon, len(scope))
+		call.span.objects(len(scope))
 		call.span.phase("span-probe", "", pStart)
 		return true, nil
-	case kind == wire.FrameReconSpan:
+	case kind == wire.FrameReconSpan && len(fields) == 1:
+		if _, err := wire.DecodeReconSpan(fields[0]); err != nil {
+			return false, fmt.Errorf("%w: span reply: %w", ErrProtocol, err)
+		}
 		if m := n.metrics; m != nil {
 			m.spanDiff.Inc()
 		}
 		call.span.phase("span-probe", "", pStart)
-		return false, nil // differs somewhere; run the per-object ladder
+		return false, nil // differs somewhere; run the per-object exchanges
 	default:
 		return false, fmt.Errorf("%w: unexpected span reply kind %d", ErrProtocol, kind)
 	}
 }
 
-// syncObjectDelta negotiates and transfers one object on an open
-// session. It reports miss=true when the peer answered the hello with
-// "object not hosted here" (the session stays usable for the next
-// object). A peer that echoes wire.CapRecon gets the reconciliation
-// exchange, shipped from the session's snapshot; the classic frontier
-// exchange needs none — its export is one atomic read of the commits
-// above the peer's frontier and the head they lead to.
-func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, first, withCaps, reconKnown bool, call *callState) (miss bool, _ error) {
+// peerMsg is the text of a FrameErr the peer sent.
+func peerMsg(fields [][]byte) string {
+	if len(fields) == 0 {
+		return "unspecified"
+	}
+	return string(fields[0])
+}
+
+// syncObject opens one object's exchange on an open session: a hello
+// carrying the snapshot head and the root range probe, whose ack answers
+// the probe, so the descent starts one level down. It reports miss=true
+// when the peer answered "object not hosted here" (the session stays
+// usable for the next object).
+func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *callState) (miss bool, _ error) {
 	object, e := so.name, so.e
 	negStart := time.Now()
-	// A memo-known recon peer resolves the diff by probing, so the hello
-	// carries only the snapshot head. Should the memo prove stale (the
-	// peer downgraded in place), the classic exchange still works off the
-	// bare head — it just re-ships more.
-	mine := store.Frontier{Head: so.head}
-	var err error
-	if !reconKnown {
-		if mine, err = e.obj.Frontier(); err != nil {
-			return false, err
-		}
-	}
-	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Frontier: mine}
-	fields := [][]byte{wire.EncodeHello(hello)}
-	offerRecon := withCaps && n.reconEnabled()
-	switch {
-	case offerRecon:
-		// Offering recon, the hello carries the root probe — the live
-		// fingerprint and count of the whole keyspace — so the ack's
-		// answer already starts the descent one level down.
-		fp, count := e.obj.ReconRange(recon.Item{}, recon.Item{})
-		fields = append(fields, wire.EncodeCaps(wire.CapPatch|wire.CapRecon),
-			wire.EncodeReconRange(wire.ReconRange{FP: fp, Count: count}))
-	case withCaps:
-		fields = append(fields, wire.EncodeCaps(wire.CapPatch))
-	}
-	if err := wire.WriteMsg(c, wire.FrameHello, fields...); err != nil {
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
+	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: so.head}
+	// The root probe is the live fingerprint and count of the whole
+	// keyspace.
+	fp, count := e.obj.ReconRange(recon.Item{}, recon.Item{})
+	root := wire.ReconRange{FP: fp, Count: count}
+	if err := wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello), wire.EncodeReconRange(root)); err != nil {
 		return false, err
 	}
 	kind, fields, err := wire.ReadMsg(c)
 	switch {
 	case err != nil:
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
 		return false, err
 	case kind == wire.FrameHelloMiss:
 		// Peer does not host this object (or hosts it as another type).
@@ -1599,87 +1284,24 @@ func (n *Node) syncObjectDelta(c *countedConn, addr string, so sessionObject, fi
 		e.stats.misses.Add(1)
 		return true, nil
 	case kind == wire.FrameErr:
-		if first {
-			return false, fmt.Errorf("%w: peer refused hello", errFallback)
-		}
-		return false, fmt.Errorf("%w: peer refused hello for object %s", ErrProtocol, object)
-	case kind != wire.FrameHelloAck || len(fields) < 1 || len(fields) > 3:
-		if first {
-			return false, fmt.Errorf("%w: unexpected reply kind %d", errFallback, kind)
-		}
-		return false, fmt.Errorf("%w: unexpected reply kind %d", ErrProtocol, kind)
-	}
-	// The peer speaks the packed (and recon) dialects iff it echoed them
-	// in a capability field (it never volunteers one to a pre-capability
-	// hello). An ack that echoes recon answers the root probe in its
-	// third field, and only such an ack has one.
-	peerPatch, peerRecon := false, false
-	if len(fields) >= 2 {
-		caps, err := wire.DecodeCaps(fields[1])
-		if err != nil {
-			return false, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		peerPatch = withCaps && caps&wire.CapPatch != 0
-		peerRecon = offerRecon && caps&wire.CapRecon != 0
-	}
-	if peerRecon != (len(fields) == 3) {
-		return false, fmt.Errorf("%w: hello ack with %d fields", ErrProtocol, len(fields))
+		return false, fmt.Errorf("%w: peer refused hello for object %s: %s", ErrProtocol, object, peerMsg(fields))
+	case kind != wire.FrameHelloAck || len(fields) != 2:
+		return false, fmt.Errorf("%w: unexpected hello reply kind %d with %d fields", ErrProtocol, kind, len(fields))
 	}
 	ack, err := wire.DecodeHello(fields[0])
 	if err != nil {
-		if first {
-			return false, fmt.Errorf("%w: %v", errFallback, err)
-		}
-		return false, err
+		return false, fmt.Errorf("%w: hello ack: %w", ErrProtocol, err)
 	}
 	if ack.Object != object {
 		return false, fmt.Errorf("%w: peer acked object %q, want %q", ErrProtocol, ack.Object, object)
 	}
-	if peerRecon {
-		root, err := wire.DecodeReconAnswer(fields[2])
-		if err != nil {
-			return false, fmt.Errorf("%w: root answer: %w", ErrProtocol, err)
-		}
-		n.reconPeers.Store(addr, struct{}{})
-		call.span.phase("negotiate", object, negStart)
-		return false, n.syncObjectRecon(c, so, ack, root, peerPatch, call)
+	answer, err := wire.DecodeReconAnswer(fields[1])
+	if err != nil {
+		return false, fmt.Errorf("%w: root answer: %w", ErrProtocol, err)
 	}
+	n.ackedPeers.Store(addr, struct{}{})
 	call.span.phase("negotiate", object, negStart)
-
-	shipStart := time.Now()
-	commits, head, err := e.obj.ExportSince(ack.Frontier.HaveSet(), peerPatch)
-	if err != nil {
-		return false, err
-	}
-	if err := writeDelta(c, commits, head, peerPatch); err != nil {
-		return false, err
-	}
-	call.span.phase("ship", object, shipStart)
-	importStart := time.Now()
-	reply, replyHead, err := readDelta(c)
-	if err != nil {
-		return false, err
-	}
-	redundant, err := n.integrateReply(e, "remote/"+ack.Node, reply, replyHead)
-	if err != nil {
-		return false, err
-	}
-	exTier := tierPlain
-	if peerPatch {
-		exTier = tierPacked
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.deltaSyncs.Add(1)
-		s.commitsSent.Add(int64(len(commits)))
-		s.commitsRecv.Add(int64(len(reply)))
-		s.patchesSent.Add(countPatches(commits))
-		s.patchesRecv.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-		s.addTier(exTier)
-	}
-	call.object(exTier)
-	call.span.phase("import", object, importStart)
-	return false, nil
+	return false, n.syncObjectRecon(c, so, ack, answer, call)
 }
 
 // integrateReply merges a peer's reply into the node branch — whatever
@@ -1692,8 +1314,8 @@ func (n *Node) integrateReply(e *objectEntry, track string, reply []store.Export
 }
 
 // syncObjectRecon runs the client side of one object's reconciliation
-// exchange, after the hello ack echoed wire.CapRecon and answered the
-// root probe the hello carried. The client drives a lock-step descent
+// exchange, after the hello ack answered the root probe the hello
+// carried. The client drives a lock-step descent
 // over hash ranges: probe a range with its local fingerprint and count,
 // and on mismatch either receive the server's items (small ranges —
 // diffed locally into want and ship lists) or a split into two
@@ -1709,7 +1331,7 @@ func (n *Node) integrateReply(e *objectEntry, track string, reply []store.Export
 // to the session's snapshot (ExportSetAsOf), under the snapshot's head.
 // Every ancestor of that head predates the snapshot and so was in the
 // tree for every probe: the batch grafts onto what the peer holds.
-func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer, peerPatch bool, call *callState) error {
+func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer, call *callState) error {
 	object, e := so.name, so.e
 	type keyRange struct{ x, y recon.Item }
 	var work []keyRange
@@ -1792,11 +1414,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 			return err
 		}
 		if kind == wire.FrameErr {
-			msg := "unspecified"
-			if len(fields) > 0 {
-				msg = string(fields[0])
-			}
-			return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
+			return fmt.Errorf("%w: peer: %s", ErrProtocol, peerMsg(fields))
 		}
 		a, err := wire.ParseReconAnswer(kind, fields)
 		if err != nil {
@@ -1811,27 +1429,26 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	// What ships is the resolved set as of the snapshot; commits younger
 	// than the session ride the push their NotifyCommit already queued.
 	shipStart := time.Now()
-	commits, err := e.obj.ExportSetAsOf(so.head, ship, so.token, peerPatch)
+	commits, err := e.obj.ExportSetAsOf(so.head, ship, so.token)
 	if err != nil {
 		return err
 	}
 	// Converged shortcut: equal sets and equal heads need no delta phase
 	// at all — the whole re-sync was the hello, its root probe and the
-	// ack's answer. (Equal sets with
-	// differing branch heads still run the empty-delta exchange below,
-	// which resolves the heads by pulling each other's.)
-	if len(want) == 0 && len(commits) == 0 && ack.Frontier.Head == so.head {
+	// ack's answer. (Equal sets with differing branch heads still run the
+	// empty-delta exchange below, which resolves the heads by pulling each
+	// other's.)
+	if len(want) == 0 && len(commits) == 0 && ack.Head == so.head {
 		for _, s := range []*syncStats{&n.total, &e.stats} {
 			s.deltaSyncs.Add(1)
-			s.addTier(tierRecon)
 		}
-		call.object(tierRecon)
+		call.span.objects(1)
 		return nil
 	}
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
 		return err
 	}
-	if err := writeDelta(c, commits, so.head, peerPatch); err != nil {
+	if err := wire.WriteDeltaPacked(c, commits, so.head); err != nil {
 		return err
 	}
 	call.span.phase("ship", object, shipStart)
@@ -1851,100 +1468,9 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 		s.patchesSent.Add(countPatches(commits))
 		s.patchesRecv.Add(countPatches(reply))
 		s.redundantCommits.Add(int64(redundant))
-		s.addTier(tierRecon)
 	}
-	call.object(tierRecon)
+	call.span.objects(1)
 	call.span.phase("import", object, importStart)
-	return nil
-}
-
-// syncFull runs the client side of the legacy v1 exchange for one
-// object: ship the whole branch history, merge the peer's whole merged
-// history from the reply. The named (four-field) request form is tried
-// first — it carries the object and datatype, so multi-object peers
-// resolve and type-check it; if the peer refuses it and this node hosts
-// a single object, the original two-field form is retried on a fresh
-// connection for interop with pre-multi-object peers.
-func (n *Node) syncFull(ctx context.Context, addr string, object string, sole bool, call *callState) error {
-	e, ok := n.entry(object)
-	if !ok {
-		return nil
-	}
-	err := n.syncFullOnce(ctx, addr, object, e, true, call)
-	if err != nil && sole && errors.Is(err, errLegacyRequest) {
-		return n.syncFullOnce(ctx, addr, object, e, false, call)
-	}
-	return err
-}
-
-// errLegacyRequest marks a v1 request the peer could not even parse —
-// the answer a pre-multi-object node gives the named request form, and
-// the one failure where retrying with the legacy two-field form can
-// help. Semantic refusals (unknown object, datatype mismatch) do not
-// qualify: retrying those through the unchecked legacy form would
-// bypass the datatype check.
-var errLegacyRequest = errors.New("replica: peer cannot parse request")
-
-// syncFullOnce runs one v1 exchange on its own connection, using the
-// named request form when named is true.
-func (n *Node) syncFullOnce(ctx context.Context, addr, object string, e *objectEntry, named bool, call *callState) error {
-	conn, err := n.dialPeer(ctx, addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	c := n.newConn(conn, &call.stats)
-	c.obj.Store(&e.stats)
-
-	exStart := time.Now()
-	commits, head, err := e.obj.Export()
-	if err != nil {
-		return err
-	}
-	payload := wire.EncodeCommitList(commits, head)
-	if named {
-		err = wire.WriteMsg(c, wire.FrameSyncRequest,
-			[]byte(n.name), []byte(object), []byte(e.obj.Datatype()), payload)
-	} else {
-		err = wire.WriteMsg(c, wire.FrameSyncRequest, []byte(n.name), payload)
-	}
-	if err != nil {
-		return err
-	}
-	kind, fields, err := wire.ReadMsg(c)
-	if err != nil {
-		return err
-	}
-	if kind == wire.FrameErr {
-		msg := "unspecified"
-		if len(fields) > 0 {
-			msg = string(fields[0])
-		}
-		if msg == "bad request" {
-			return fmt.Errorf("%w: %w", ErrProtocol, errLegacyRequest)
-		}
-		return fmt.Errorf("%w: peer: %s", ErrProtocol, msg)
-	}
-	if kind != wire.FrameSyncResponse || len(fields) != 1 {
-		return fmt.Errorf("%w: unexpected message kind %d", ErrProtocol, kind)
-	}
-	peerCommits, peerHead, err := wire.DecodeCommitList(fields[0])
-	if err != nil {
-		return err
-	}
-	if _, err := n.integrateReply(e, "remote/peer@"+addr, peerCommits, peerHead); err != nil {
-		return err
-	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
-		s.fullSyncs.Add(1)
-		s.commitsSent.Add(int64(len(commits)))
-		s.commitsRecv.Add(int64(len(peerCommits)))
-		s.addTier(tierV1)
-	}
-	call.object(tierV1)
-	call.span.phase("exchange", object, exStart)
 	return nil
 }
 

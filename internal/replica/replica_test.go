@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/counter"
-	"repro/internal/lwwreg"
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/queue"
@@ -443,71 +442,6 @@ func TestEnsureRejectsMismatch(t *testing.T) {
 	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
 		n, "obj", "mergeable-log", mlog.Log{}, wire.MLog{}); err == nil {
 		t.Fatal("mismatched Ensure must fail")
-	}
-}
-
-// TestFullSyncAgainstMultiObjectServer: a single-object client forced
-// onto the v1 full protocol must still sync with a server hosting
-// several objects — the named request form resolves the object.
-func TestFullSyncAgainstMultiObjectServer(t *testing.T) {
-	a := newCounterNode(t, "a", 1)
-	b, err := replica.NewNode("b", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	bCnt, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		b, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		b, "extra", "mergeable-log", mlog.Log{}, wire.MLog{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	inc(t, a, 2)
-	bCnt.Do(counter.Op{Kind: counter.Inc, N: 3})
-	a.SetFullSyncOnly(true)
-	if err := a.SyncWith(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if v := peek(t, a); v != 5 {
-		t.Fatalf("a = %d, want 5", v)
-	}
-	if st := a.Stats(); st.FullSyncs != 1 {
-		t.Fatalf("expected one full sync, got %+v", st)
-	}
-}
-
-// TestFullSyncRejectsDatatypeMismatch: the named v1 request carries the
-// datatype, so byte-compatible states of different types are refused
-// instead of merged into garbage — and the legacy two-field retry must
-// not bypass the check.
-func TestFullSyncRejectsDatatypeMismatch(t *testing.T) {
-	a, _ := replica.NewNode("a", 1)
-	b, _ := replica.NewNode("b", 2)
-	t.Cleanup(func() { a.Close(); b.Close() })
-	// pn-counter and lww-register states are both 16 bytes: a decode
-	// succeeds, only the datatype name tells them apart.
-	aObj, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		a, "x", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	bObj, _ := replica.Ensure[lwwreg.State, lwwreg.Op, lwwreg.Val](
-		b, "x", "lww-register", lwwreg.Reg{}, wire.LWWReg{})
-	if err := b.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	aObj.Do(counter.Op{Kind: counter.Inc, N: 9})
-	bObj.Do(lwwreg.Op{Kind: lwwreg.Write, V: 4})
-	a.SetFullSyncOnly(true)
-	if err := a.SyncWith(b.Addr()); err == nil {
-		t.Fatal("full sync across datatypes must fail")
-	}
-	s, err := bObj.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.V != 4 {
-		t.Fatalf("server register corrupted: %+v", s)
 	}
 }
 

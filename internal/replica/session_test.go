@@ -8,6 +8,8 @@ package replica_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -147,8 +149,8 @@ func TestReconSessionOneFlushPerTurn(t *testing.T) {
 	if ranges <= 2 {
 		t.Fatalf("diverged re-sync sent %d ranges; the descent took no probe of its own", ranges)
 	}
-	if after.ReconSessions != before.ReconSessions+1 {
-		t.Fatalf("exchange did not run the recon dialect: %+v", after)
+	if after.DeltaSyncs != before.DeltaSyncs+1 {
+		t.Fatalf("exchange did not complete one object: %+v", after)
 	}
 	turns := ranges + 1
 	cli, srv := ta.last(t, false), tb.last(t, true)
@@ -184,11 +186,10 @@ func serverSessions(n *counterNode) map[string]int64 {
 	return out
 }
 
-// rawHello frames a capability hello for the counter object; extra
-// fields follow the capability field.
-func rawHello(datatype string, caps uint64, extra ...[]byte) []byte {
-	hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: "counter", Datatype: datatype})
-	return frameOf(wire.FrameHello, append([][]byte{hello, wire.EncodeCaps(caps)}, extra...)...)
+// rawHello frames a hello for object with its root probe field.
+func rawHello(object, datatype string, root []byte) []byte {
+	hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: object, Datatype: datatype})
+	return frameOf(wire.FrameHello, hello, root)
 }
 
 func frameOf(kind wire.FrameKind, fields ...[]byte) []byte {
@@ -213,12 +214,13 @@ func TestServerRefusalsReachThePeer(t *testing.T) {
 		text string
 	}{
 		{"bad hello", frameOf(wire.FrameHello), wire.FrameErr, "bad hello"},
-		{"malformed root probe", rawHello("pn-counter", wire.CapPatch|wire.CapRecon, root[:len(root)-1]), wire.FrameErr, "malformed"},
-		{"unhosted object", frameOf(wire.FrameHello, wire.EncodeHello(wire.Hello{Node: "raw", Object: "nope", Datatype: "pn-counter"})), wire.FrameHelloMiss, "object not hosted: nope"},
-		{"datatype mismatch", rawHello("g-set", wire.CapPatch), wire.FrameHelloMiss, "is pn-counter here, peer has g-set"},
+		{"malformed root probe", rawHello("counter", "pn-counter", root[:len(root)-1]), wire.FrameErr, "malformed"},
+		{"unhosted object", rawHello("nope", "pn-counter", root), wire.FrameHelloMiss, "object not hosted: nope"},
+		{"datatype mismatch", rawHello("counter", "g-set", root), wire.FrameHelloMiss, "is pn-counter here, peer has g-set"},
 		{"probe outside an exchange", frameOf(wire.FrameReconFP, root), wire.FrameErr, "recon probe outside a recon exchange"},
 		{"unknown frame kind", frameOf(99), wire.FrameErr, "bad request"},
-		{"v1 bad request", frameOf(wire.FrameSyncRequest, []byte("raw"), []byte("x"), []byte("y")), wire.FrameErr, "bad request"},
+		// Kind 1 was the retired one-shot full-history request.
+		{"v1 bad request", frameOf(1, []byte("raw"), []byte("x")), wire.FrameErr, "bad request"},
 	}
 	violations := int64(0)
 	for _, tc := range cases {
@@ -253,21 +255,23 @@ func TestServerRefusalsReachThePeer(t *testing.T) {
 	}
 }
 
-// TestServerCountsHangupAsTransient: a client that hangs up after
-// sending its delta — mid-stream, or with a reset that also kills the
+// TestServerCountsHangupAsTransient: a client that hangs up during its
+// want + delta turn — mid-stream, or with a reset that also kills the
 // reply — broke the transport, not the protocol, and the server's
 // session outcome says so.
 func TestServerCountsHangupAsTransient(t *testing.T) {
 	cases := map[string]func(c *net.TCPConn, head store.Hash){
 		"mid-delta": func(c *net.TCPConn, head store.Hash) {
-			var hdr bytes.Buffer
-			wire.WriteMsg(&hdr, wire.FrameDeltaHeader, append(head[:], 0, 0, 0, 1))
-			c.Write(hdr.Bytes())
+			var turn bytes.Buffer
+			wire.WriteMsg(&turn, wire.FrameReconWant, wire.EncodeReconWant(nil))
+			wire.WriteMsg(&turn, wire.FrameDeltaHeader, append(head[:], 0, 0, 0, 1))
+			c.Write(turn.Bytes())
 		},
 		"reset after delta": func(c *net.TCPConn, head store.Hash) {
-			var delta bytes.Buffer
-			wire.WriteDeltaPacked(&delta, nil, head)
-			c.Write(delta.Bytes())
+			var turn bytes.Buffer
+			wire.WriteMsg(&turn, wire.FrameReconWant, wire.EncodeReconWant(nil))
+			wire.WriteDeltaPacked(&turn, nil, head)
+			c.Write(turn.Bytes())
 			c.SetLinger(0)
 		},
 	}
@@ -281,8 +285,8 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 			}
 			c := conn.(*net.TCPConn)
 			c.SetDeadline(time.Now().Add(5 * time.Second))
-			// The patch dialect without recon: the server reads a delta next.
-			if _, err := c.Write(rawHello("pn-counter", wire.CapPatch)); err != nil {
+			root := wire.EncodeReconRange(wire.ReconRange{Count: 1})
+			if _, err := c.Write(rawHello("counter", "pn-counter", root)); err != nil {
 				t.Fatal(err)
 			}
 			kind, fields, err := wire.ReadMsg(c)
@@ -293,7 +297,9 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			send(c, ack.Frontier.Head)
+			// Skip the descent: want nothing, ship an empty delta onto the
+			// server's own head.
+			send(c, ack.Head)
 			c.Close()
 
 			deadline := time.Now().Add(5 * time.Second)
@@ -308,5 +314,66 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestUnsupportedVersionRefused: a hello or a span probe of another
+// protocol version is answered with a FrameErr naming that version, and
+// the server records one violation for each; a client whose peer acks in
+// another version fails with ErrProtocol.
+func TestUnsupportedVersionRefused(t *testing.T) {
+	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
+	other := wire.Version + 1
+	want := fmt.Sprintf("unsupported protocol version %d", other)
+	hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: "counter", Datatype: "pn-counter"})
+	hello[0] = other
+	span := wire.EncodeReconSpan(wire.ReconSpan{})
+	span[0] = other
+	root := wire.EncodeReconRange(wire.ReconRange{})
+	for i, send := range [][]byte{frameOf(wire.FrameHello, hello, root), frameOf(wire.FrameReconSpan, span)} {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Write(send); err != nil {
+			t.Fatal(err)
+		}
+		kind, fields, err := wire.ReadMsg(c)
+		if err != nil || kind != wire.FrameErr || len(fields) != 1 || string(fields[0]) != want {
+			t.Fatalf("frame %d: kind %d %q (%v), want a FrameErr %q", i, kind, fields, err, want)
+		}
+		if _, _, err := wire.ReadMsg(c); err != io.EOF {
+			t.Fatalf("frame %d: after the refusal: %v, want the server to hang up", i, err)
+		}
+		c.Close()
+		if got := serverSessions(srv); got["violation"] != int64(i+1) || got["ok"] != 0 {
+			t.Fatalf("frame %d: server session outcomes %v, want %d violation(s)", i, got, i+1)
+		}
+	}
+
+	// A peer that answers the hello in another version.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := wire.ReadMsg(conn); err != nil {
+			return
+		}
+		ack := wire.EncodeHello(wire.Hello{Node: "peer", Object: "counter", Datatype: "pn-counter"})
+		ack[0] = other
+		wire.WriteMsg(conn, wire.FrameHelloAck, ack, wire.EncodeReconAnswer(wire.ReconAnswer{Kind: wire.FrameReconMatch}))
+	}()
+	cli := newCounterNode(t, "cli", 2)
+	err = cli.SyncWith(ln.Addr().String())
+	if !errors.Is(err, replica.ErrProtocol) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("client against another version: %v, want ErrProtocol naming %q", err, want)
 	}
 }

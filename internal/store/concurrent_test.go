@@ -10,7 +10,7 @@ import (
 
 // TestConcurrentReadersAndWriters exercises the store's read-parallel
 // locking discipline under -race: queries (Head, HeadHash, Size,
-// Branches, Frontier, Export, ExportSince, Commit, NumCommits) run on
+// Branches, Frontier, Export, ExportSincePacked, Commit, NumCommits) run on
 // shared read locks while writers apply operations and merge branches.
 // The assertions are deliberately weak — no reader may ever observe an
 // error or a torn state; the race detector does the heavy lifting.
@@ -74,7 +74,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, _, err = s.ExportSince("main", f.HaveSet())
+			_, _, err = s.ExportSincePacked("main", f.HaveSet())
 			return err
 		},
 		func() error { _, _, err := s.Export("dev"); return err },

@@ -42,27 +42,23 @@ func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, Hash, error) {
 	return s.export(b, nil, false)
 }
 
-// ExportSince returns the part of branch b's history a peer is missing:
-// every ancestor of the head not dominated by the have-set, a set of
-// commit hashes the peer is known to possess (possession of a commit
-// implies possession of all its ancestors, so the walk cuts there).
-// Commits come parents-before-children; any parent outside the returned
-// slice is a member of the have-set, so the peer's Import grafts the
-// partial DAG onto commits it already holds. Have hashes unknown locally
-// are harmless: they cannot lie on any walked path. An empty have-set
-// degenerates to Export.
-func (s *Store[S, Op, Val]) ExportSince(b string, have []Hash) ([]ExportedCommit, Hash, error) {
-	return s.export(b, have, false)
-}
-
-// ExportSincePacked is ExportSince in the packed wire form: commits whose
-// stored object is a delta against their first parent's state ship that
-// patch instead of a re-materialized full encoding — O(op) bytes per
-// commit instead of O(state). Every patched commit's parent is provably
-// available to the receiver (topological order puts it earlier in the
-// batch, or it is a member of the have-set the walk was cut at), so
-// Import can always reassemble. Snapshots and commits whose chain base is
-// not their parent (deduplicated states) ship full.
+// ExportSincePacked returns the part of branch b's history a peer is
+// missing: every ancestor of the head not dominated by the have-set, a
+// set of commit hashes the peer is known to possess (possession of a
+// commit implies possession of all its ancestors, so the walk cuts
+// there). Commits come parents-before-children; any parent outside the
+// returned slice is a member of the have-set, so the peer's Import grafts
+// the partial DAG onto commits it already holds. Have hashes unknown
+// locally are harmless: they cannot lie on any walked path.
+//
+// Commits ship in the packed wire form: one whose stored object is a
+// delta against its first parent's state ships that patch instead of a
+// re-materialized full encoding — O(op) bytes per commit instead of
+// O(state). Every patched commit's parent is provably available to the
+// receiver (topological order puts it earlier in the batch, or it is a
+// member of the have-set the walk was cut at), so Import can always
+// reassemble. Snapshots and commits whose chain base is not their parent
+// (deduplicated states) ship full.
 func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]ExportedCommit, Hash, error) {
 	return s.export(b, have, true)
 }
@@ -177,7 +173,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // Import installs a transferred history — full or partial — and points
 // branch name at its head. The branch is created if needed (tracking
 // branches for remote peers); the caller is expected to merge via Pull
-// afterwards. A partial history (from ExportSince) grafts onto the local
+// afterwards. A partial history (from ExportSincePacked) grafts onto the local
 // DAG: every parent must resolve either earlier in the batch or among
 // commits already present, so a dangling parent fails the import. Commit
 // hashes are recomputed locally; a corrupted transfer cannot forge

@@ -2,17 +2,12 @@ package store
 
 import "fmt"
 
-// Frontier is a compact summary of a branch's history used to negotiate
-// incremental syncs: the head hash and generation plus a sample of
-// ancestor hashes — dense over the most recent commits, exponentially
-// sparse further back (the spacing trick of Git's commit negotiation).
-// A peer subtracts everything dominated by the frontier's hashes from
-// what it ships, so re-syncing an already-converged pair transfers
-// O(frontier) bytes instead of O(history).
-//
-// The sampling caps — dense window, sample size, walk budget — default to
-// DefaultOptions and are tuned per store via WithFrontierDense,
-// WithFrontierMaxHave and WithFrontierWalkBudget.
+// Frontier is a compact summary of a branch's history: the head hash plus
+// a sample of ancestor hashes — dense over the most recent commits,
+// exponentially sparse further back (the spacing trick of Git's commit
+// negotiation). Everything dominated by the frontier's hashes can be cut
+// from an export (ExportSincePacked), so shipping to a store that holds
+// the frontier costs the gap, not the history.
 type Frontier struct {
 	// Head is the branch's current head commit.
 	Head Hash
@@ -22,16 +17,26 @@ type Frontier struct {
 }
 
 // HaveSet returns the frontier's hashes — head and sample — as the
-// have-set understood by ExportSince.
+// have-set understood by ExportSincePacked.
 func (f Frontier) HaveSet() []Hash {
 	out := make([]Hash, 0, len(f.Have)+1)
 	out = append(out, f.Head)
 	return append(out, f.Have...)
 }
 
-// Frontier summarizes branch b for sync negotiation.
+// Frontier sampling bounds: every ancestor within frontierDense
+// generations of the head joins the sample, which holds at most
+// frontierMaxHave hashes and is drawn from a walk of at most
+// frontierWalkBudget commits (past it the sample is merely sparser).
+const (
+	frontierDense      = 16
+	frontierMaxHave    = 128
+	frontierWalkBudget = 4096
+)
+
+// Frontier summarizes branch b.
 //
-// The sample budget is split: a quarter of FrontierMaxHave is reserved
+// The sample budget is split: a quarter of frontierMaxHave is reserved
 // for the sparse power-of-two tail, the rest goes to the dense window.
 // On wide DAGs (many merges close to the head) the dense window alone
 // can hold more commits than the whole budget, and an unsplit budget
@@ -46,29 +51,20 @@ func (s *Store[S, Op, Val]) Frontier(b string) (Frontier, error) {
 		return Frontier{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
 	headGen := s.commitAtLocked(head).Gen
-	// A quarter of the budget, rounded up, goes to the sparse tail —
-	// rounding up rather than down so tiny budgets (2 and 3, where the
-	// quarter truncates to zero) still reserve a deep-cut slot — while
-	// the dense window always keeps at least one slot, so a budget of 1
-	// spends it on the freshest ancestor rather than a deep one.
-	sparseCap := (s.opts.FrontierMaxHave + 3) / 4
-	if sparseCap > s.opts.FrontierMaxHave-1 {
-		sparseCap = s.opts.FrontierMaxHave - 1
-	}
-	if sparseCap < 0 {
-		sparseCap = 0
-	}
-	denseCap := s.opts.FrontierMaxHave - sparseCap
+	const (
+		sparseCap = frontierMaxHave / 4
+		denseCap  = frontierMaxHave - sparseCap
+	)
 	var dense, sparse []Hash
 	seen := map[Hash]bool{head: true}
 	queue := []Hash{head}
-	for visited := 0; len(queue) > 0 && visited < s.opts.FrontierWalkBudget &&
+	for visited := 0; len(queue) > 0 && visited < frontierWalkBudget &&
 		(len(dense) < denseCap || len(sparse) < sparseCap); visited++ {
 		h := queue[0]
 		queue = queue[1:]
 		if h != head {
 			switch d := headGen - s.commitAtLocked(h).Gen; {
-			case d <= s.opts.FrontierDense:
+			case d <= frontierDense:
 				if len(dense) < denseCap {
 					dense = append(dense, h)
 				}

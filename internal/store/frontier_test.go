@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/counter"
@@ -52,17 +53,43 @@ func TestFrontierShape(t *testing.T) {
 	}
 }
 
-// TestFrontierSparseTailReserved pins the budget split: when the dense
-// window alone would exhaust the sample cap, part of the budget must
-// still be spent on sparse power-of-two ancestors, so deep cut points
-// survive in the sample.
+// TestFrontierSparseTailReserved pins the budget split on a wide DAG:
+// when the dense window alone holds more commits than the whole sample
+// cap, part of the budget must still be spent on sparse power-of-two
+// ancestors, so deep cut points survive in the sample.
 func TestFrontierSparseTailReserved(t *testing.T) {
-	s := store.New[int64, counter.Op, counter.Val](
-		counter.IncCounter{}, wire.IncCounter{}, "main",
-		store.WithFrontierDense(16), store.WithFrontierMaxHave(8))
+	s := counterStore()
+	// A linear prefix deep enough for power-of-two ancestors beyond the
+	// dense window...
 	for i := 0; i < 200; i++ {
 		inc(t, s, "main", 1)
 	}
+	// ...under a wide top: 128 branches commit once each off the prefix
+	// head, and pairwise merges fold them back into main in seven levels.
+	// All 255 commits of the top lie within 16 generations of the head —
+	// twice the default sample cap of 128 on their own.
+	branches := []string{"main"}
+	for i := 1; i < 128; i++ {
+		name := fmt.Sprintf("b%d", i)
+		if err := s.Fork("main", name); err != nil {
+			t.Fatal(err)
+		}
+		branches = append(branches, name)
+	}
+	for _, b := range branches {
+		inc(t, s, b, 1)
+	}
+	for len(branches) > 1 {
+		var next []string
+		for i := 0; i < len(branches); i += 2 {
+			if err := s.Pull(branches[i], branches[i+1]); err != nil {
+				t.Fatal(err)
+			}
+			next = append(next, branches[i])
+		}
+		branches = next
+	}
+
 	f, err := s.Frontier("main")
 	if err != nil {
 		t.Fatal(err)
@@ -70,19 +97,27 @@ func TestFrontierSparseTailReserved(t *testing.T) {
 	head, _ := s.HeadHash("main")
 	headCommit, _ := s.Commit(head)
 	dists := make(map[int]bool)
+	dense := 0
 	for _, h := range f.Have {
 		c, ok := s.Commit(h)
 		if !ok {
 			t.Fatal("Have contains an unknown commit")
 		}
-		dists[headCommit.Gen-c.Gen] = true
+		d := headCommit.Gen - c.Gen
+		dists[d] = true
+		if d <= 16 {
+			dense++
+		}
 	}
-	if len(f.Have) > 8 {
-		t.Fatalf("sample size %d exceeds FrontierMaxHave", len(f.Have))
+	if len(f.Have) > 128 {
+		t.Fatalf("sample size %d exceeds the cap of 128", len(f.Have))
 	}
-	// 16 dense candidates compete for 6 dense slots; the reserved quarter
-	// (2 slots) must still surface sparse ancestors at distances 32, 64.
-	for _, d := range []int{32, 64} {
+	// The dense candidates fill their three quarters of the cap; the
+	// reserved quarter still surfaces every sparse ancestor there is.
+	if dense != 96 {
+		t.Fatalf("dense window took %d slots, want 96", dense)
+	}
+	for _, d := range []int{32, 64, 128} {
 		if !dists[d] {
 			t.Fatalf("sparse tail misses distance %d; sampled distances %v", d, dists)
 		}
@@ -92,61 +127,12 @@ func TestFrontierSparseTailReserved(t *testing.T) {
 	}
 }
 
-// TestFrontierTinyBudgets pins the rounding of the sparse reservation.
-// The quarter is taken rounded up — budgets of 2 and 3, where a floored
-// quarter is zero, must still reserve one deep-cut slot — while a budget
-// of 1 spends its only slot on the dense window.
-func TestFrontierTinyBudgets(t *testing.T) {
-	for _, tc := range []struct {
-		maxHave               int
-		wantDense, wantSparse int
-	}{
-		{1, 1, 0},
-		{2, 1, 1},
-		{3, 2, 1},
-	} {
-		s := store.New[int64, counter.Op, counter.Val](
-			counter.IncCounter{}, wire.IncCounter{}, "main",
-			store.WithFrontierDense(16), store.WithFrontierMaxHave(tc.maxHave))
-		// Deep enough that dense candidates overflow any tiny budget and
-		// sparse power-of-two ancestors exist (32, 64 beyond the window).
-		for i := 0; i < 100; i++ {
-			inc(t, s, "main", 1)
-		}
-		f, err := s.Frontier("main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f.Have) > tc.maxHave {
-			t.Fatalf("MaxHave=%d: sample size %d exceeds budget", tc.maxHave, len(f.Have))
-		}
-		head, _ := s.HeadHash("main")
-		headCommit, _ := s.Commit(head)
-		dense, sparse := 0, 0
-		for _, h := range f.Have {
-			c, ok := s.Commit(h)
-			if !ok {
-				t.Fatal("Have contains an unknown commit")
-			}
-			if headCommit.Gen-c.Gen <= 16 {
-				dense++
-			} else {
-				sparse++
-			}
-		}
-		if dense != tc.wantDense || sparse != tc.wantSparse {
-			t.Fatalf("MaxHave=%d: dense=%d sparse=%d, want dense=%d sparse=%d",
-				tc.maxHave, dense, sparse, tc.wantDense, tc.wantSparse)
-		}
-	}
-}
-
 func TestFrontierUnknownBranch(t *testing.T) {
 	s := counterStore()
 	if _, err := s.Frontier("nope"); err == nil {
 		t.Fatal("unknown branch must fail")
 	}
-	if _, _, err := s.ExportSince("nope", nil); err == nil {
+	if _, _, err := s.ExportSincePacked("nope", nil); err == nil {
 		t.Fatal("unknown branch must fail")
 	}
 }
@@ -157,7 +143,7 @@ func TestExportSinceConvergedIsEmpty(t *testing.T) {
 		inc(t, s, "main", 1)
 	}
 	head, _ := s.HeadHash("main")
-	commits, h, err := s.ExportSince("main", []store.Hash{head})
+	commits, h, err := s.ExportSincePacked("main", []store.Hash{head})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +161,7 @@ func TestExportSinceSuffixOnly(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		inc(t, s, "main", 1)
 	}
-	commits, _, err := s.ExportSince("main", []store.Hash{mid})
+	commits, _, err := s.ExportSincePacked("main", []store.Hash{mid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +169,7 @@ func TestExportSinceSuffixOnly(t *testing.T) {
 		t.Fatalf("delta above mid = %d commits, want 3", len(commits))
 	}
 	// Unknown have hashes cut nothing and break nothing.
-	commits, _, err = s.ExportSince("main", []store.Hash{{0xde, 0xad}})
+	commits, _, err = s.ExportSincePacked("main", []store.Hash{{0xde, 0xad}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +205,7 @@ func TestExportSinceGrafts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, newHead, err := src.ExportSince("main", f.HaveSet())
+	delta, newHead, err := src.ExportSincePacked("main", f.HaveSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +259,7 @@ func TestImportDanglingParentFails(t *testing.T) {
 	}
 	mid, _ := src.HeadHash("main")
 	inc(t, src, "main", 1)
-	delta, head, err := src.ExportSince("main", []store.Hash{mid})
+	delta, head, err := src.ExportSincePacked("main", []store.Hash{mid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []install {
 // session, or one that crossed it on another connection — and are not
 // shipped back. This is the serving side's export: its reply head is
 // the head it just merged, which reaches whatever landed mid-session.
-func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, heldVia string, packed bool) ([]ExportedCommit, Hash, error) {
+func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, heldVia string) ([]ExportedCommit, Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, in := range s.endInstallCaptureLocked(token) {
@@ -188,7 +188,7 @@ func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token
 	if !ok {
 		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	commits, err := s.exportSetLocked(ship, packed)
+	commits, err := s.exportSetLocked(ship)
 	return commits, head, err
 }
 
@@ -225,7 +225,7 @@ func (s *Store[S, Op, Val]) Snapshot(b string) (head Hash, token int, err error)
 // session's work is bounded by the state it connected with, however
 // long it runs under sustained writes. Members removed from ship stay
 // removed; the token is consumed.
-func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token int, packed bool) ([]ExportedCommit, error) {
+func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token int) ([]ExportedCommit, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, live := s.installLogs[token]; !live {
@@ -237,7 +237,7 @@ func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token i
 	if !s.commitExistsLocked(head) {
 		return nil, fmt.Errorf("store: snapshot head %v no longer present", head)
 	}
-	return s.exportSetLocked(ship, packed)
+	return s.exportSetLocked(ship)
 }
 
 // exportSetLocked exports exactly the commits in ship,
@@ -258,9 +258,9 @@ func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token i
 // The receiver can graft the batch because its holdings are closed
 // under ancestry and the caller builds ship as "commits the receiver
 // provably lacks": a parent outside the batch is therefore a commit the
-// receiver already holds. Packed exports may ship a commit as a patch
-// against its first parent for the same reason.
-func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool, packed bool) ([]ExportedCommit, error) {
+// receiver already holds. The export is packed — a commit may ship as a
+// patch against its first parent — for the same reason.
+func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommit, error) {
 	if len(ship) == 0 {
 		return nil, nil
 	}
@@ -277,5 +277,5 @@ func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool, packed bool) ([]
 		}
 		return bytes.Compare(order[i][:], order[j][:]) < 0
 	})
-	return s.exportOrderLocked(order, packed)
+	return s.exportOrderLocked(order, true)
 }

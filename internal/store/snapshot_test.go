@@ -143,7 +143,7 @@ func snapshotExportRound(t *testing.T, seed int64) {
 			ship[it.Addr()] = true
 		}
 	}
-	batch, err := local.ExportSetAsOf(h0, ship, token, seed%2 == 0)
+	batch, err := local.ExportSetAsOf(h0, ship, token)
 	stop.Store(true)
 	wg.Wait()
 	if err != nil {
@@ -193,11 +193,11 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.ExportSetAsOf(head, map[Hash]bool{}, token, true)
+	batch, err := s.ExportSetAsOf(head, map[Hash]bool{}, token)
 	if err != nil || len(batch) != 0 {
 		t.Fatalf("empty ship: %d commits, err %v", len(batch), err)
 	}
-	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token, true); !errors.Is(err, ErrNoCapture) {
+	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token); !errors.Is(err, ErrNoCapture) {
 		t.Fatalf("consumed token: err = %v, want ErrNoCapture", err)
 	}
 
@@ -208,7 +208,7 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	if got := s.EndInstallCapture(token); len(got) != 1 {
 		t.Fatalf("capture recorded %d installs, want 1", len(got))
 	}
-	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token, false); !errors.Is(err, ErrNoCapture) {
+	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token); !errors.Is(err, ErrNoCapture) {
 		t.Fatalf("ended token: err = %v, want ErrNoCapture", err)
 	}
 	if _, _, err := s.Snapshot("nope"); !errors.Is(err, ErrNoBranch) {
@@ -221,7 +221,7 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	mustApply(t, s, "main")
 	young, _ := s.HeadHash("main")
 	ship := map[Hash]bool{root: true, head: true, young: true}
-	batch, err = s.ExportSetAsOf(head, ship, token, false)
+	batch, err = s.ExportSetAsOf(head, ship, token)
 	if err != nil || len(batch) != 2 || ship[young] {
 		t.Fatalf("batch of %d (want 2), young still in ship: %v, err %v", len(batch), ship[young], err)
 	}
@@ -255,7 +255,7 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 	fromThird, _ := third.HeadHash("third")
 
 	ship := make(map[Hash]bool)
-	batch, head, err := s.ExportSetCapture("main", ship, token, "remote/peer", false)
+	batch, head, err := s.ExportSetCapture("main", ship, token, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}

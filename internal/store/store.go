@@ -49,19 +49,6 @@ type Codec[S any] interface {
 // directly — DefaultOptions supplies the defaults and functional Option
 // values override them.
 type Options struct {
-	// FrontierDense is the generation window below the head inside which
-	// every ancestor joins the frontier sample, so short divergences cut
-	// exactly.
-	FrontierDense int
-	// FrontierMaxHave caps the sample size: a frontier stays O(1) on the
-	// wire no matter how long the history grows. A quarter of the budget
-	// is reserved for the sparse power-of-two tail so that dense-window
-	// commits on wide DAGs cannot crowd out deep cut points.
-	FrontierMaxHave int
-	// FrontierWalkBudget caps the commits visited while sampling, bounding
-	// the local cost of frontier construction on huge DAGs. Beyond the
-	// budget the sample is merely sparser; correctness is unaffected.
-	FrontierWalkBudget int
 	// SnapshotEvery is the pack layer's snapshot spacing: a state is
 	// stored as a full snapshot whenever chaining it would put more than
 	// SnapshotEvery-1 patches between it and the nearest snapshot, so no
@@ -90,39 +77,17 @@ type Options struct {
 	VerifyOnOpen bool
 }
 
-// DefaultOptions returns the store defaults: frontier sampling dense for
-// 16 generations, at most 128 sampled hashes, a 4096-commit walk, a
-// snapshot every 32 states, and 128 cached decoded states.
+// DefaultOptions returns the store defaults: a snapshot every 32 states
+// and 128 cached decoded states.
 func DefaultOptions() Options {
 	return Options{
-		FrontierDense:      16,
-		FrontierMaxHave:    128,
-		FrontierWalkBudget: 4096,
-		SnapshotEvery:      32,
-		StateCacheSize:     128,
+		SnapshotEvery:  32,
+		StateCacheSize: 128,
 	}
 }
 
 // Option adjusts store construction.
 type Option func(*Options)
-
-// WithFrontierDense sets the dense generation window of frontier
-// sampling. Values below zero are clamped to zero.
-func WithFrontierDense(n int) Option {
-	return func(o *Options) { o.FrontierDense = max(n, 0) }
-}
-
-// WithFrontierMaxHave caps the frontier sample size. Values below one are
-// clamped to one so a frontier always advertises at least one ancestor.
-func WithFrontierMaxHave(n int) Option {
-	return func(o *Options) { o.FrontierMaxHave = max(n, 1) }
-}
-
-// WithFrontierWalkBudget caps the sampling walk. Values below one are
-// clamped to one.
-func WithFrontierWalkBudget(n int) Option {
-	return func(o *Options) { o.FrontierWalkBudget = max(n, 1) }
-}
 
 // WithSnapshotEvery sets the pack layer's snapshot spacing — the maximum
 // delta-chain length between a state and the snapshot it reassembles
@@ -186,7 +151,7 @@ var (
 
 // Store is a single-object replicated datastore for one MRDT. It is safe
 // for concurrent use and read-parallel: queries (Head, HeadHash, Size,
-// Branches, Frontier, Export, ExportSince, Commit, NumCommits) take a
+// Branches, Frontier, Export, ExportSincePacked, Commit, NumCommits) take a
 // shared read lock and run concurrently with each other, while mutations
 // (Apply, Pull, Sync, Fork, Import, GC, DeleteBranch) serialize behind
 // the write lock. Each branch carries its own Lamport clock, modelling

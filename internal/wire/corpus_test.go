@@ -100,10 +100,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	a, aobj := mk("a", 1)
 	b, bobj := mk("b", 2)
 
-	// Several rounds with commits on both sides: the first exchange runs
-	// the capability hello and delta dialect, later ones negotiate the
-	// recon dialect off the peer memo, so the capture holds hello,
-	// commit, and recon probe/want frames.
+	// Several rounds with commits on both sides: the first exchange each
+	// way opens with the hello, later ones with the span probe, so the
+	// capture holds span, hello, recon probe/want and commit frames.
 	for i := 0; i < 4; i++ {
 		if _, err := aobj.Do(counter.Op{Kind: counter.Inc, N: int64(i + 1)}); err != nil {
 			t.Fatal(err)

@@ -33,8 +33,9 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add(frame(wire.FrameHello, []byte("payload")))
 	f.Add(frame(wire.FrameErr, []byte("oops"), []byte("extra")))
 	f.Add(frame(wire.FrameDeltaEnd))
-	// Truncated frame: header promises more than the stream holds.
-	f.Add(frame(wire.FrameCommits, bytes.Repeat([]byte{7}, 64))[:12])
+	// Truncated frame: header promises more than the stream holds. Kind 7
+	// is the retired full-state commit chunk.
+	f.Add(frame(7, bytes.Repeat([]byte{7}, 64))[:12])
 	// Hostile field length: announces MaxFieldBytes with 4 bytes behind it.
 	hostile := []byte{byte(wire.FrameHello)}
 	hostile = binary.BigEndian.AppendUint32(hostile, 1)
@@ -45,9 +46,14 @@ func FuzzReadMsg(f *testing.F) {
 	manyFields := []byte{byte(wire.FrameHello)}
 	manyFields = binary.BigEndian.AppendUint32(manyFields, 1<<31)
 	f.Add(manyFields)
-	// The recon hello carries the root probe as a third field, and the
-	// ack that echoes recon answers it in its own third field.
+	// The retired capability dialect's hellos carried the root probe as
+	// a third field, and acks answered it in their own third field.
 	for _, fr := range threeFieldHellos() {
+		f.Add(fr)
+	}
+	// The versioned hello carries the root probe as its second field, and
+	// the ack answers it in its own second field.
+	for _, fr := range versionedHellos() {
 		f.Add(fr)
 	}
 
@@ -147,19 +153,53 @@ func rootAnswers() [][]byte {
 	}
 }
 
-// threeFieldHellos frames a recon hello carrying its root probe and an
-// ack carrying each answer kind, plus a truncated and an unknown answer.
+// legacyHello is a hello payload of the retired unversioned dialect:
+// name, object and datatype strings, the head, then a counted have-list.
+func legacyHello(have ...store.Hash) []byte {
+	var w wire.Writer
+	w.PutString("a")
+	w.PutString("o")
+	w.PutString("mergeable-log")
+	w.PutHash(store.Hash{})
+	w.PutLen(len(have))
+	for _, h := range have {
+		w.PutHash(h)
+	}
+	return w.Bytes()
+}
+
+// threeFieldHellos frames a hello of the retired capability dialect —
+// legacy payload, capability bits, root probe — and an ack carrying each
+// answer kind, plus a truncated and an unknown answer.
 func threeFieldHellos() [][]byte {
-	hello := wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter"})
-	caps := wire.EncodeCaps(wire.CapPatch | wire.CapRecon)
+	hello := legacyHello()
+	caps := binary.BigEndian.AppendUint64(nil, 3)
 	root := wire.EncodeReconRange(wire.ReconRange{FP: recon.Fingerprint{7}, Count: 200})
 	out := [][]byte{frame(wire.FrameHello, hello, caps, root)}
-	answers := rootAnswers()
-	answers = append(answers, answers[3][:len(answers[3])-4], []byte{byte(wire.FrameHello)})
-	for _, a := range answers {
+	for _, a := range hostileAnswers() {
 		out = append(out, frame(wire.FrameHelloAck, hello, caps, a))
 	}
 	return out
+}
+
+// hostileAnswers is every root answer kind plus a truncated split and an
+// unknown kind.
+func hostileAnswers() [][]byte {
+	answers := rootAnswers()
+	return append(answers, answers[3][:len(answers[3])-4], []byte{byte(wire.FrameHello)})
+}
+
+// versionedHellos frames the current hello with its root probe and an
+// ack carrying each answer, plus a hello of another protocol version.
+func versionedHellos() [][]byte {
+	hello := wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter"})
+	root := wire.EncodeReconRange(wire.ReconRange{FP: recon.Fingerprint{7}, Count: 200})
+	out := [][]byte{frame(wire.FrameHello, hello, root)}
+	for _, a := range hostileAnswers() {
+		out = append(out, frame(wire.FrameHelloAck, hello, a))
+	}
+	other := append([]byte{wire.Version + 1}, hello[1:]...)
+	return append(out, frame(wire.FrameHello, other, root))
 }
 
 // FuzzDecodeHello: the first payloads a server decodes from an untrusted
@@ -167,14 +207,13 @@ func threeFieldHellos() [][]byte {
 // panic or over-allocate on arbitrary bytes.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte{})
-	good := wire.EncodeHello(wire.Hello{
-		Node: "a", Object: "o", Datatype: "mergeable-log",
-		Frontier: store.Frontier{Have: []store.Hash{{1}, {2}}},
-	})
-	f.Add(good)
-	f.Add(good[:len(good)-3])
-	// Third fields: the root probe and every answer kind, then a
-	// truncated split, an unknown kind and a forged item count.
+	// A hello of the retired unversioned dialect, whole and truncated.
+	legacy := legacyHello(store.Hash{1}, store.Hash{2})
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)-3])
+	// The hello's second field and the ack's: the root probe and every
+	// answer kind, then a truncated split, an unknown kind and a forged
+	// item count.
 	f.Add(wire.EncodeReconRange(wire.ReconRange{FP: recon.Fingerprint{7}, Count: 200}))
 	answers := rootAnswers()
 	for _, a := range answers {
@@ -183,6 +222,11 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(answers[3][:len(answers[3])-4])
 	f.Add([]byte{byte(wire.FrameHello)})
 	f.Add(binary.BigEndian.AppendUint32([]byte{byte(wire.FrameReconItems)}, wire.MaxReconItems))
+	// The versioned hello: whole, truncated, and of another version.
+	good := wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "mergeable-log", Head: store.Hash{9}})
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(append([]byte{wire.Version + 1}, good[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := wire.DecodeHello(data); err == nil {
 			if !bytes.Equal(wire.EncodeHello(h), data) {

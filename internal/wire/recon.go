@@ -17,7 +17,7 @@ import (
 	"repro/internal/store"
 )
 
-// Recon frames, negotiated by CapRecon. The probe/answer pairs reference
+// Recon frames. The probe/answer pairs reference
 // half-open hash ranges [x, y) where a zero y means "unbounded above"
 // (so the zero pair spans the whole keyspace).
 const (
@@ -50,11 +50,6 @@ const (
 	// to run per-object syncs.
 	FrameReconSpan FrameKind = 17
 )
-
-// CapRecon: the sender understands the recon frames and prefers
-// fingerprint negotiation over frontier sampling. Negotiated in the same
-// hello capabilities field as CapPatch.
-const CapRecon uint64 = 1 << 1
 
 // MaxReconItems bounds the item count of one FrameReconItems payload; a
 // responder enumerates only small ranges, so a larger announcement is a
@@ -194,8 +189,8 @@ func DecodeReconItems(b []byte) ([]recon.Item, error) {
 // ReconAnswer is a responder's answer to one range probe: Match and
 // EmptyRange carry nothing, Items the responder's members of the range,
 // Split its bisection. It travels as a frame of its own kind in reply to
-// a FrameReconFP, or — for the root probe a capability hello carries —
-// as the hello ack's third field (EncodeReconAnswer).
+// a FrameReconFP, or — for the root probe a hello carries — as the hello
+// ack's second field (EncodeReconAnswer).
 type ReconAnswer struct {
 	Kind  FrameKind
 	Items []recon.Item
@@ -305,7 +300,7 @@ func DecodeReconWant(b []byte) ([]store.Hash, error) {
 
 // ReconSpan is a whole-node digest: the fold of every hosted object's
 // commit-set fingerprint, name and head, plus the total commit count
-// (the FrameReconSpan payload).
+// (the FrameReconSpan payload, which opens with the protocol version).
 type ReconSpan struct {
 	FP    recon.Fingerprint
 	Count int
@@ -314,6 +309,7 @@ type ReconSpan struct {
 // EncodeReconSpan serializes a node-span probe.
 func EncodeReconSpan(sp ReconSpan) []byte {
 	var w Writer
+	w.putVersion()
 	w.PutFingerprint(sp.FP)
 	w.PutLen(sp.Count)
 	return w.Bytes()
@@ -322,6 +318,7 @@ func EncodeReconSpan(sp ReconSpan) []byte {
 // DecodeReconSpan parses a node-span probe.
 func DecodeReconSpan(b []byte) (ReconSpan, error) {
 	r := NewReader(b)
+	r.checkVersion()
 	var sp ReconSpan
 	sp.FP = r.Fingerprint()
 	sp.Count = r.Len(0)

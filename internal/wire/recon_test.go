@@ -208,13 +208,3 @@ func TestReconAnswerRefusesMalformed(t *testing.T) {
 		t.Fatalf("a forged count of %d items allocated %d bytes per decode", wire.MaxReconItems, per)
 	}
 }
-
-func TestCapReconNegotiation(t *testing.T) {
-	caps, err := wire.DecodeCaps(wire.EncodeCaps(wire.CapPatch | wire.CapRecon))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps&wire.CapRecon == 0 || caps&wire.CapPatch == 0 {
-		t.Fatalf("caps round trip lost bits: %b", caps)
-	}
-}

@@ -1,4 +1,4 @@
-// Sync codec: the framing and commit/frontier encodings of the replica
+// Sync codec: the framing and commit/hello encodings of the replica
 // sync protocol. Messages are kind-tagged with length-prefixed fields;
 // commit deltas stream as bounded chunks so a sync never materializes one
 // history-sized buffer. Every count or length read off the wire is
@@ -18,71 +18,62 @@ import (
 // FrameKind tags one protocol message.
 type FrameKind byte
 
-// Protocol frames. The first three are the legacy v1 one-shot protocol
-// (whole history in a single field); the rest implement the v2
-// negotiate-and-ship-missing exchange. A v1 peer answers any v2 frame
-// with FrameErr, which v2 clients treat as "fall back to full export".
+// Protocol frames. Kinds 1, 2 and 7 belonged to retired dialects (the
+// one-shot full-history request and response, and full-state commit
+// chunks); they are never reused, so a frame of those kinds is refused
+// as an unknown request.
 const (
-	FrameSyncRequest  FrameKind = 1 // v1: name [+ object + datatype] + full commit list
-	FrameSyncResponse FrameKind = 2 // v1: full commit list
-	FrameErr          FrameKind = 3 // error text (any phase, either protocol)
-	FrameHello        FrameKind = 4 // v2: name + object + datatype + frontier
-	FrameHelloAck     FrameKind = 5 // v2: responder name + object + datatype + frontier
-	FrameDeltaHeader  FrameKind = 6 // v2: head hash + announced commit count
-	FrameCommits      FrameKind = 7 // v2: one chunk of commits
-	FrameDeltaEnd     FrameKind = 8 // v2: end of commit stream
+	FrameErr         FrameKind = 3 // error text (any phase)
+	FrameHello       FrameKind = 4 // hello + root recon probe
+	FrameHelloAck    FrameKind = 5 // hello + root probe answer
+	FrameDeltaHeader FrameKind = 6 // head hash + announced commit count
+	FrameDeltaEnd    FrameKind = 8 // end of commit stream
 	// FrameHelloMiss answers a hello for an object the responder does not
 	// host (or hosts under a different datatype): the pair skips that
 	// object and the session continues with the client's next hello.
 	FrameHelloMiss FrameKind = 9
-	// FramePackedCommits is the delta-state chunk: commits whose state
-	// may travel as a binary patch against the first parent instead of a
-	// full encoding. Only sent to peers that advertised CapPatch in the
-	// hello negotiation; full-state FrameCommits chunks remain the format
-	// for chain snapshots and legacy peers.
+	// FramePackedCommits is one chunk of a delta: commits whose state
+	// travels either whole or as a binary patch against the first
+	// parent's state.
 	FramePackedCommits FrameKind = 10
 )
 
-// Capability bits negotiated in the hello exchange: a hello (or ack)
-// carrying a capabilities field is the packed dialect of the v2 protocol.
-// A peer that predates capabilities rejects the extended hello outright,
-// which the client treats as "retry without capabilities, then fall back
-// to v1" — so every pairing converges on the richest protocol both ends
-// speak.
-const (
-	// CapPatch: the sender understands FramePackedCommits chunks and
-	// commits shipped as patches.
-	CapPatch uint64 = 1 << 0
-)
+// Version is the sync protocol version. The hello and the span probe
+// payloads open with it, so the first frame a peer decodes tells it
+// whether the two sides speak the same protocol.
+const Version byte = 3
 
-// EncodeCaps serializes a capability set (the optional second hello
-// field).
-func EncodeCaps(caps uint64) []byte {
-	var w Writer
-	w.PutInt64(int64(caps))
-	return w.Bytes()
-}
+// ErrVersion is wrapped by decoding errors of a payload that opens with
+// a protocol version other than Version.
+var ErrVersion = errors.New("unsupported protocol version")
 
-// DecodeCaps parses a capability set.
-func DecodeCaps(b []byte) (uint64, error) {
-	r := NewReader(b)
-	caps := uint64(r.Int64())
-	if err := r.Close(); err != nil {
-		return 0, err
+// putVersion appends the protocol version byte.
+func (w *Writer) putVersion() { w.buf = append(w.buf, Version) }
+
+// checkVersion consumes the protocol version byte; any value but
+// Version fails the payload with ErrVersion.
+func (r *Reader) checkVersion() {
+	if !r.need(1) {
+		return
 	}
-	return caps, nil
+	v := r.buf[r.off]
+	r.off++
+	if v != Version {
+		r.err = fmt.Errorf("%w %d", ErrVersion, v)
+	}
 }
 
 // Wire limits. Chunk constants shape writes; Max* constants are enforced
 // on reads.
 const (
-	// MaxFieldBytes bounds one message field (the ceiling for a legacy
-	// one-shot history transfer).
+	// MaxFieldBytes bounds one message field.
 	MaxFieldBytes = 64 << 20
-	// maxFields bounds the field count of one message.
-	maxFields = 4
-	// commitChunkBytes is the target payload size of one FrameCommits
-	// chunk; WriteDelta flushes a chunk once it crosses this size.
+	// maxFields bounds the field count of one message (a hello and its
+	// root probe).
+	maxFields = 2
+	// commitChunkBytes is the target payload size of one
+	// FramePackedCommits chunk; WriteDeltaPacked flushes a chunk once it
+	// crosses this size.
 	commitChunkBytes = 256 << 10
 	// commitChunkMax bounds commits per chunk even when states are tiny.
 	commitChunkMax = 512
@@ -251,7 +242,7 @@ func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 // Hello is the negotiation payload of one object's sync: who is asking,
 // which named object on the node, the datatype it is expected to hold
 // (so mismatched registrations fail cleanly instead of corrupting
-// states), and the branch frontier to subtract from the transfer.
+// states), and the sender's branch head.
 type Hello struct {
 	// Node is the sending node's name.
 	Node string
@@ -259,71 +250,34 @@ type Hello struct {
 	Object string
 	// Datatype is the registered datatype name of the object.
 	Datatype string
-	// Frontier summarizes the sender's branch for delta negotiation.
-	Frontier store.Frontier
+	// Head is the sender's branch head.
+	Head store.Hash
 }
 
-// EncodeHello serializes a hello for the v2 negotiation (FrameHello /
-// FrameHelloAck payload).
+// EncodeHello serializes a hello (FrameHello / FrameHelloAck payload).
 func EncodeHello(h Hello) []byte {
 	var w Writer
+	w.putVersion()
 	w.PutString(h.Node)
 	w.PutString(h.Object)
 	w.PutString(h.Datatype)
-	w.PutHash(h.Frontier.Head)
-	w.PutLen(len(h.Frontier.Have))
-	for _, hh := range h.Frontier.Have {
-		w.PutHash(hh)
-	}
+	w.PutHash(h.Head)
 	return w.Bytes()
 }
 
 // DecodeHello parses a hello payload.
 func DecodeHello(b []byte) (Hello, error) {
 	r := NewReader(b)
+	r.checkVersion()
 	var h Hello
 	h.Node = r.String()
 	h.Object = r.String()
 	h.Datatype = r.String()
-	h.Frontier.Head = r.Hash()
-	n := r.Len(len(store.Hash{}))
-	h.Frontier.Have = make([]store.Hash, 0, min(n, maxHashPrealloc))
-	for i := 0; i < n; i++ {
-		h.Frontier.Have = append(h.Frontier.Have, r.Hash())
-	}
+	h.Head = r.Hash()
 	if err := r.Close(); err != nil {
 		return Hello{}, err
 	}
 	return h, nil
-}
-
-// appendCommit serializes one commit: parent hashes, pinned state, then
-// generation and timestamp (the full-state form; patches never travel in
-// these chunks).
-func appendCommit(w *Writer, c store.ExportedCommit) {
-	w.PutLen(len(c.Parents))
-	for _, p := range c.Parents {
-		w.PutHash(p)
-	}
-	w.PutBytes(c.State)
-	w.PutInt64(int64(c.Gen))
-	w.PutTimestamp(c.Time)
-}
-
-// readCommit deserializes one commit; errors surface through the reader.
-func readCommit(r *Reader) store.ExportedCommit {
-	var c store.ExportedCommit
-	np := r.Len(len(store.Hash{}))
-	if np > 0 {
-		c.Parents = make([]store.Hash, 0, min(np, 4))
-		for i := 0; i < np; i++ {
-			c.Parents = append(c.Parents, r.Hash())
-		}
-	}
-	c.State = r.Bytes()
-	c.Gen = int(r.Int64())
-	c.Time = r.Timestamp()
-	return c
 }
 
 // State-form tags of the packed commit encoding.
@@ -382,82 +336,26 @@ func readPackedCommit(r *Reader) store.ExportedCommit {
 	return c
 }
 
-// EncodeCommitList serializes a whole history plus head in one buffer —
-// the legacy v1 one-shot payload.
-func EncodeCommitList(commits []store.ExportedCommit, head store.Hash) []byte {
-	var w Writer
-	w.PutLen(len(commits))
-	for i := range commits {
-		appendCommit(&w, commits[i])
-	}
-	w.PutHash(head)
-	return w.Bytes()
-}
-
-// DecodeCommitList parses a legacy one-shot payload. Preallocation is
-// capped, so a forged count cannot force a huge allocation.
-func DecodeCommitList(b []byte) ([]store.ExportedCommit, store.Hash, error) {
-	r := NewReader(b)
-	n := r.Len(1)
-	commits := make([]store.ExportedCommit, 0, min(n, maxCommitPrealloc))
-	for i := 0; i < n; i++ {
-		c := readCommit(r)
-		if r.Err() != nil {
-			return nil, store.Hash{}, r.Err()
-		}
-		commits = append(commits, c)
-	}
-	head := r.Hash()
-	if err := r.Close(); err != nil {
-		return nil, store.Hash{}, err
-	}
-	return commits, head, nil
-}
-
-// WriteDelta streams a commit delta: a header frame announcing the head
-// and commit count, then commit chunks of bounded size, then an end
-// frame. The caller's slice is never re-buffered whole. Commits must
-// carry full states (the legacy-compatible form); use WriteDeltaPacked
-// for a peer that negotiated CapPatch.
-func WriteDelta(w io.Writer, commits []store.ExportedCommit, head store.Hash) error {
-	return writeDelta(w, commits, head, false)
-}
-
-// WriteDeltaPacked streams a commit delta in the packed form: chunks are
-// FramePackedCommits and each commit ships either its full state or a
-// patch against its first parent. Only send to peers that advertised
-// CapPatch.
+// WriteDeltaPacked streams a commit delta: a header frame announcing the
+// head and commit count, then FramePackedCommits chunks of bounded size,
+// each commit shipping either its full state or a patch against its
+// first parent, then an end frame. The caller's slice is never
+// re-buffered whole.
 func WriteDeltaPacked(w io.Writer, commits []store.ExportedCommit, head store.Hash) error {
-	return writeDelta(w, commits, head, true)
-}
-
-func writeDelta(w io.Writer, commits []store.ExportedCommit, head store.Hash, packed bool) error {
 	var hdr Writer
 	hdr.PutHash(head)
 	hdr.PutLen(len(commits))
 	if err := WriteMsg(w, FrameDeltaHeader, hdr.Bytes()); err != nil {
 		return err
 	}
-	kind := FrameCommits
-	if packed {
-		kind = FramePackedCommits
-	}
 	for start := 0; start < len(commits); {
 		var chunk Writer
 		n := 0
 		for start+n < len(commits) && n < commitChunkMax && len(chunk.buf) < commitChunkBytes {
-			c := commits[start+n]
-			if packed {
-				appendPackedCommit(&chunk, c)
-			} else {
-				if c.Patch != nil {
-					return fmt.Errorf("%w: patch commit in a full-state delta", ErrFraming)
-				}
-				appendCommit(&chunk, c)
-			}
+			appendPackedCommit(&chunk, commits[start+n])
 			n++
 		}
-		if err := WriteMsg(w, kind, chunk.Bytes()); err != nil {
+		if err := WriteMsg(w, FramePackedCommits, chunk.Bytes()); err != nil {
 			return err
 		}
 		start += n
@@ -496,7 +394,7 @@ func ReadDelta(r io.Reader) ([]store.ExportedCommit, store.Hash, error) {
 			return nil, store.Hash{}, err
 		}
 		switch kind {
-		case FrameCommits, FramePackedCommits:
+		case FramePackedCommits:
 			if len(fields) != 1 {
 				return nil, store.Hash{}, fmt.Errorf("%w: commit chunk wants 1 field, got %d", ErrFraming, len(fields))
 			}
@@ -506,12 +404,7 @@ func ReadDelta(r io.Reader) ([]store.ExportedCommit, store.Hash, error) {
 			}
 			cr := NewReader(fields[0])
 			for cr.Remaining() > 0 {
-				var c store.ExportedCommit
-				if kind == FramePackedCommits {
-					c = readPackedCommit(cr)
-				} else {
-					c = readCommit(cr)
-				}
+				c := readPackedCommit(cr)
 				if err := cr.Err(); err != nil {
 					return nil, store.Hash{}, err
 				}

@@ -64,7 +64,7 @@ func TestMsgRoundTrip(t *testing.T) {
 
 func TestReadMsgCapsFieldSize(t *testing.T) {
 	var raw []byte
-	raw = append(raw, byte(FrameCommits))
+	raw = append(raw, byte(FramePackedCommits))
 	raw = binary.BigEndian.AppendUint32(raw, 1)
 	raw = binary.BigEndian.AppendUint32(raw, MaxFieldBytes+1)
 	if _, _, err := ReadMsg(bytes.NewReader(raw)); !errors.Is(err, ErrFraming) {
@@ -82,57 +82,44 @@ func TestReadMsgCapsFieldCount(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{
-		Node:     "node-7",
-		Object:   "cart",
-		Datatype: "or-set-space",
-		Frontier: store.Frontier{
-			Head: store.Hash{1, 2, 3},
-			Have: []store.Hash{{4}, {5}, {6}},
-		},
+	h := Hello{Node: "node-7", Object: "cart", Datatype: "or-set-space", Head: store.Hash{1, 2, 3}}
+	enc := EncodeHello(h)
+	if enc[0] != Version {
+		t.Fatalf("hello opens with byte %d, want the version %d", enc[0], Version)
 	}
-	got, err := DecodeHello(EncodeHello(h))
+	got, err := DecodeHello(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Node != "node-7" || got.Object != "cart" || got.Datatype != "or-set-space" ||
-		got.Frontier.Head != h.Frontier.Head || len(got.Frontier.Have) != 3 ||
-		got.Frontier.Have[2] != h.Frontier.Have[2] {
+	if got != h {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
 }
 
 func TestDecodeHelloForgedCountFails(t *testing.T) {
 	var w Writer
-	w.PutString("x")
-	w.PutString("obj")
-	w.PutString("dt")
-	w.PutHash(store.Hash{})
-	w.PutLen(1 << 30) // claims a billion hashes with no payload behind it
+	w.putVersion()
+	w.PutLen(1 << 30) // a node name of a billion bytes with no payload behind it
 	if _, err := DecodeHello(w.Bytes()); err == nil {
-		t.Fatal("forged have count must fail")
+		t.Fatal("forged name length must fail")
 	}
 }
 
-func TestCommitListRoundTrip(t *testing.T) {
-	commits := testCommits(17, 9)
-	head := store.Hash{9, 9}
-	got, gotHead, err := DecodeCommitList(EncodeCommitList(commits, head))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHead != head || !sameCommits(commits, got) {
-		t.Fatal("commit list round trip mismatch")
-	}
-}
-
-func TestDecodeCommitListRejectsTrailing(t *testing.T) {
-	b := EncodeCommitList(testCommits(2, 4), store.Hash{})
-	if _, _, err := DecodeCommitList(append(b, 0)); err == nil {
-		t.Fatal("trailing bytes must fail")
-	}
-	if _, _, err := DecodeCommitList(b[:len(b)-1]); err == nil {
-		t.Fatal("truncation must fail")
+// TestDecodeRefusesOtherVersion: the hello and the span probe open with
+// the protocol version, and a payload of any other version fails with
+// ErrVersion naming it — whatever follows.
+func TestDecodeRefusesOtherVersion(t *testing.T) {
+	hello := EncodeHello(Hello{Node: "a", Object: "o", Datatype: "pn-counter"})
+	span := EncodeReconSpan(ReconSpan{Count: 3})
+	for _, v := range []byte{0, 2, Version + 1, 0xff} {
+		hello[0], span[0] = v, v
+		want := fmt.Sprintf("unsupported protocol version %d", v)
+		if _, err := DecodeHello(hello); !errors.Is(err, ErrVersion) || err.Error() != want {
+			t.Fatalf("hello of version %d: %v, want %q", v, err, want)
+		}
+		if _, err := DecodeReconSpan(span); !errors.Is(err, ErrVersion) || err.Error() != want {
+			t.Fatalf("span of version %d: %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -142,7 +129,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 	commits := testCommits(2000, 1024)
 	head := store.Hash{7}
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, commits, head); err != nil {
+	if err := WriteDeltaPacked(&buf, commits, head); err != nil {
 		t.Fatal(err)
 	}
 	// The stream must be made of bounded frames, not one big buffer.
@@ -153,7 +140,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == FrameCommits {
+		if kind == FramePackedCommits {
 			frames++
 			if len(fields[0]) > commitChunkBytes+64<<10 {
 				t.Fatalf("chunk of %d bytes exceeds bound", len(fields[0]))
@@ -178,7 +165,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 func TestDeltaEmpty(t *testing.T) {
 	head := store.Hash{1}
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, nil, head); err != nil {
+	if err := WriteDeltaPacked(&buf, nil, head); err != nil {
 		t.Fatal(err)
 	}
 	got, gotHead, err := ReadDelta(&buf)
@@ -242,9 +229,9 @@ func TestReadDeltaExtraCommitsFail(t *testing.T) {
 	}
 	var chunk Writer
 	for i := range commits {
-		appendCommit(&chunk, commits[i])
+		appendPackedCommit(&chunk, commits[i])
 	}
-	if err := WriteMsg(&buf, FrameCommits, chunk.Bytes()); err != nil {
+	if err := WriteMsg(&buf, FramePackedCommits, chunk.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadDelta(&buf); !errors.Is(err, ErrFraming) {
@@ -303,16 +290,6 @@ func TestPackedDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteDeltaRejectsPatchCommits(t *testing.T) {
-	// The full-state writer must never silently drop a patch — sending
-	// one to a legacy peer would ship a nil state in its place.
-	commits := packedTestCommits(4)
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, commits, store.Hash{}); !errors.Is(err, ErrFraming) {
-		t.Fatalf("WriteDelta with patch commits = %v, want ErrFraming", err)
-	}
-}
-
 func TestPackedCommitRejectsBadForm(t *testing.T) {
 	var w Writer
 	w.PutLen(0)              // no parents
@@ -338,20 +315,5 @@ func TestPackedCommitRejectsEmptyPatch(t *testing.T) {
 	readPackedCommit(r)
 	if r.Err() == nil {
 		t.Fatal("empty patch field must fail")
-	}
-}
-
-func TestCapsRoundTrip(t *testing.T) {
-	for _, caps := range []uint64{0, CapPatch, CapPatch | 1<<7} {
-		got, err := DecodeCaps(EncodeCaps(caps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != caps {
-			t.Fatalf("caps round trip: got %x, want %x", got, caps)
-		}
-	}
-	if _, err := DecodeCaps([]byte{1, 2}); err == nil {
-		t.Fatal("truncated caps must fail")
 	}
 }

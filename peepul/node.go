@@ -13,26 +13,6 @@ import (
 // storage directory and fsync policy.
 type NodeOption = replica.NodeOption
 
-// WithFrontierDense sets the dense generation window of frontier
-// sampling: every ancestor within n generations of the head joins the
-// sync-negotiation sample, so divergences shorter than n cut exactly.
-func WithFrontierDense(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierDense(n))
-}
-
-// WithFrontierMaxHave caps the number of sampled ancestor hashes a
-// frontier advertises — the constant factor of a re-sync's wire cost.
-func WithFrontierMaxHave(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierMaxHave(n))
-}
-
-// WithFrontierWalkBudget caps the commits visited while sampling a
-// frontier, bounding negotiation cost on huge DAGs. Past the budget the
-// sample is merely sparser; correctness is unaffected.
-func WithFrontierWalkBudget(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithFrontierWalkBudget(n))
-}
-
 // WithSnapshotEvery sets the pack layer's snapshot spacing in every
 // object store the node opens: states are delta-chained to their parent
 // with a full snapshot at most every n links, so resident bytes track the
@@ -54,9 +34,8 @@ func WithStateCacheSize(n int) NodeOption {
 // every commit and delta-chained state object appended as it happens,
 // compacted whenever the store garbage-collects. Reopening a node of
 // the same name over the same directory resumes each object with its
-// full history, branches, sync frontiers and clocks intact; a log
-// damaged by a crash recovers to a verified prefix and re-converges
-// through ordinary delta sync.
+// full history, branches and clocks intact; a log damaged by a crash
+// recovers to a verified prefix and re-converges through ordinary sync.
 func WithStorage(dir string) NodeOption { return replica.WithStorage(dir) }
 
 // FsyncPolicy selects what a machine crash may cost a durable node:
@@ -106,8 +85,8 @@ type StorageStats = disk.Stats
 
 // Node is one replica hosting a set of named replicated objects. Create
 // objects with Open; replicate with Listen/SyncWith. Safe for concurrent
-// use, and read-parallel: per-object queries (State, Stats, frontier
-// negotiation, delta export) share a read lock on the object's store and
+// use, and read-parallel: per-object queries (State, Stats, range
+// fingerprints, delta export) share a read lock on the object's store and
 // run concurrently with each other, serializing only against mutations
 // (Do, Pull, Sync). Merge cost is O(divergence) — the store's
 // generation-guided DAG walks never descend past the merge base — so
@@ -145,13 +124,14 @@ func (n *Node) Addr() string { return n.rn.Addr() }
 func (n *Node) Close() error { return n.rn.Close() }
 
 // SyncWith synchronizes every object this node hosts with the peer at
-// addr over a single connection, object by object: frontiers are
-// exchanged per object and only missing commits cross the wire. Objects
-// the peer does not host are skipped (counted in Stats().Misses). The
-// session ships what this node held when it connected — Do never waits
-// for it, and commits made while it runs travel with the next push or
-// round; between quiescent nodes a successful exchange leaves both with
-// equal states on every shared object.
+// addr over a single connection, object by object: range fingerprints
+// resolve exactly which commits each side lacks, and only those cross
+// the wire. Objects the peer does not host are skipped (counted in
+// Stats().Misses). The session ships what this node held when it
+// connected — Do never waits for it, and commits made while it runs
+// travel with the next push or round; between quiescent nodes a
+// successful exchange leaves both with equal states on every shared
+// object.
 func (n *Node) SyncWith(addr string) error { return n.rn.SyncWith(addr) }
 
 // Stats returns the node's aggregate sync counters.
@@ -159,16 +139,6 @@ func (n *Node) Stats() SyncStats { return n.rn.Stats() }
 
 // ObjectStats returns one object's sync counters.
 func (n *Node) ObjectStats(object string) SyncStats { return n.rn.ObjectStats(object) }
-
-// SetFullSyncOnly forces outgoing syncs onto the legacy full-history
-// protocol; benchmarks use it to compare against delta sync.
-func (n *Node) SetFullSyncOnly(v bool) { n.rn.SetFullSyncOnly(v) }
-
-// SetReconEnabled switches the range-fingerprint set-reconciliation
-// dialect on or off (default on) for both sync roles; disabled, the
-// node negotiates the sampled-frontier dialects instead. Benchmarks use
-// it to compare negotiation strategies.
-func (n *Node) SetReconEnabled(v bool) { n.rn.SetReconEnabled(v) }
 
 // Open returns a typed handle on node n's object named object,
 // creating the object with datatype d if it does not exist yet
@@ -231,16 +201,16 @@ func (h *Handle[S, Op, Val]) StateOf(branch string) (S, error) {
 // Pull merges branch src into branch dst (the MERGE rule): a three-way
 // MRDT merge over a base carrying exactly the branches' common
 // operations (the store's Ψ_lca guarantee). A pull onto the node branch
-// waits out any in-flight sync exchange and is pushed to mesh peers
-// like a Do.
+// takes only the store's lock — it never waits for a sync session — and
+// is pushed to mesh peers like a Do.
 func (h *Handle[S, Op, Val]) Pull(dst, src string) error {
 	return h.obj.PullLocal(dst, src)
 }
 
 // Sync converges two local branches atomically: a pulls b, then b
 // fast-forwards to the merge commit. After Sync both branches hold equal
-// states. Like Pull, involving the node branch coordinates with the
-// node's sync exchanges and notifies mesh peers.
+// states. Like Pull, it never waits for a sync session, and involving
+// the node branch notifies mesh peers.
 func (h *Handle[S, Op, Val]) Sync(a, b string) error {
 	return h.obj.SyncLocal(a, b)
 }

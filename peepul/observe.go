@@ -20,12 +20,12 @@ type Metric = obs.Metric
 // sync-session spans and mesh lifecycle events, oldest first.
 type Trace = obs.Trace
 
-// Span is one recorded sync session: role, peer, negotiated ladder
-// tier, per-phase durations, byte/commit totals and outcome.
+// Span is one recorded sync session: role, peer, objects settled,
+// per-phase durations, byte/commit totals and outcome.
 type Span = obs.Span
 
 // SpanPhase is one named phase of a sync-session span (negotiate,
-// descend, span-probe, ship, import, exchange) with its duration.
+// descend, span-probe, ship, import) with its duration.
 type SpanPhase = obs.Phase
 
 // TraceEvent is one mesh lifecycle event (backoff change, quarantine
