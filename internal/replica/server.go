@@ -1,0 +1,384 @@
+package replica
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"time"
+
+	"repro/internal/recon"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// reconSession is the per-connection state of one object's exchange:
+// set by a hello, consulted by the probe and want frames that follow on
+// the same session, reset by the next hello. Sessions are
+// single-goroutine, so no locking. token is a store install capture
+// armed by the hello, before its root probe is answered, and consumed by
+// the want handler's export: local commits installed while the descent
+// is in flight (an Apply takes only the store lock) would otherwise be
+// invisible to both the probes and the want list, and a reply minted on
+// top of them would graft onto commits the client has never heard of.
+type reconSession struct {
+	active bool
+	e      *objectEntry
+	hello  wire.Hello
+	token  int
+	// probes counts the range probes answered this exchange — the
+	// server-side descent depth, observed when the want frame ends it.
+	probes int
+}
+
+// release ends a live session's install capture (a no-op when the want
+// handler's export already consumed it) and resets the session.
+func (rs *reconSession) release() {
+	if rs.active {
+		rs.e.obj.EndInstallCapture(rs.token)
+	}
+	*rs = reconSession{}
+}
+
+// handle serves one inbound sync session. A session is a sequence of
+// per-object exchanges on a single connection — each a hello, range
+// probes and a want/delta finish — and ends when the client hangs up. A
+// whole-node span probe may open a session (one frame confirms a
+// converged pair).
+//
+// The handler flushes on exit, so a trailing reply or FrameErr still
+// reaches the client, and the session's outcome carries its real cause:
+// a refusal is a protocol violation, while a connection that failed
+// under a read, a mid-session flush or the exit flush is transport
+// trouble.
+func (n *Node) handle(conn *countedConn) {
+	start := time.Now()
+	sp := n.newSpan("server", "")
+	var rs reconSession
+	err := n.serveSession(conn, &rs, sp)
+	// A dropped connection or protocol error can abandon a session
+	// mid-descent; its install capture must not keep recording forever.
+	rs.release()
+	if ferr := conn.w.Flush(); err == nil {
+		err = ferr
+	}
+	sp.finish(conn.call, err)
+	if m := n.metrics; m != nil {
+		m.sessionNsServer.Observe(time.Since(start).Nanoseconds())
+		outcome := "ok"
+		if err != nil {
+			outcome = failClassName(classifyFailure(err))
+		}
+		m.session("server", outcome)
+	}
+}
+
+// serveSession dispatches one inbound session's frames until the client
+// hangs up (nil) or an exchange fails (its error).
+func (n *Node) serveSession(conn *countedConn, rs *reconSession, sp *spanRec) error {
+	for {
+		kind, fields, err := wire.ReadMsg(conn)
+		if err != nil {
+			// Bare EOF is the client ending the session; anything else is
+			// a framing violation worth reporting before hanging up.
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			wire.WriteMsg(conn, wire.FrameErr, []byte("bad request"))
+			return err
+		}
+		switch kind {
+		case wire.FrameHello:
+			rs.release()
+			err = n.handleHello(conn, fields, rs, sp)
+		case wire.FrameReconSpan:
+			err = n.handleReconSpan(conn, fields, sp)
+		case wire.FrameReconFP:
+			err = n.handleReconProbe(conn, fields, rs)
+		case wire.FrameReconWant:
+			err = n.handleReconWant(conn, fields, rs, sp)
+			rs.release()
+		default:
+			return refuse(conn, "bad request")
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// refuse answers a request this side will not serve: the client reads
+// msg in a FrameErr, and the session ends on a protocol violation.
+func refuse(conn *countedConn, msg string) error {
+	wire.WriteMsg(conn, wire.FrameErr, []byte(msg))
+	return fmt.Errorf("%w: %s", ErrProtocol, msg)
+}
+
+// refuseErr is refuse for a failure with a cause: the client reads the
+// cause's text, and the session keeps the cause itself, so a connection
+// that died under a read stays transport trouble.
+func refuseErr(conn *countedConn, err error) error {
+	wire.WriteMsg(conn, wire.FrameErr, []byte(err.Error()))
+	return err
+}
+
+// handleHello opens one object's exchange: a hello carries the client's
+// hello payload and its root range probe; the ack carries this node's
+// head and the probe's answer (or the hello is answered with a miss for
+// an object not hosted here). The handler arms the session state and
+// returns — the probe and want frames that follow are dispatched by
+// handle.
+func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
+	hStart := time.Now()
+	if len(fields) == 0 {
+		return refuse(conn, "bad hello")
+	}
+	// The hello payload is decoded first: it opens with the protocol
+	// version, and a peer of another version is told so, whatever else
+	// its hello carries.
+	hello, err := wire.DecodeHello(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	if len(fields) != 2 {
+		return refuse(conn, "bad hello")
+	}
+	root, err := wire.DecodeReconRange(fields[1])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	sp.setPeer(hello.Node)
+	// Re-point byte attribution before any reply: traffic of this
+	// exchange must not land on the previous exchange's object.
+	conn.obj.Store(nil)
+	e, ok := n.entry(hello.Object)
+	if !ok {
+		n.total.misses.Add(1)
+		return wire.WriteMsg(conn, wire.FrameHelloMiss, []byte("object not hosted: "+hello.Object))
+	}
+	conn.obj.Store(&e.stats)
+	if dt := e.obj.Datatype(); dt != hello.Datatype {
+		n.total.misses.Add(1)
+		e.stats.misses.Add(1)
+		return wire.WriteMsg(conn, wire.FrameHelloMiss,
+			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
+	}
+	// The head needs no lock — the client only compares it with its own
+	// for the converged shortcut.
+	head, err := e.obj.Head()
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	// Arm the session's install capture before answering the root probe:
+	// every commit a concurrent local Apply installs from here on joins
+	// the want handler's reply, and every older one is in the tree every
+	// probe of the descent reads.
+	*rs = reconSession{active: true, e: e, hello: hello, token: e.obj.BeginInstallCapture()}
+	answer, err := n.answerProbe(rs, root)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Head: head}
+	if err := wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack), wire.EncodeReconAnswer(answer)); err != nil {
+		return err
+	}
+	sp.phase("negotiate", hello.Object, hStart)
+	return nil
+}
+
+// reconItemsCap is the range size below which a probed server
+// enumerates the range instead of splitting it: recursion stops once
+// enumeration is cheaper than more round trips.
+const reconItemsCap = 64
+
+// handleReconProbe answers one range-fingerprint probe with a frame of
+// the answer's kind.
+func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSession) error {
+	if !rs.active || len(fields) != 1 {
+		return refuse(conn, "recon probe outside a recon exchange")
+	}
+	rr, err := wire.DecodeReconRange(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	answer, err := n.answerProbe(rs, rr)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	return wire.WriteReconAnswer(conn, answer)
+}
+
+// answerProbe answers one range probe of the session's exchange — the
+// root probe a hello carries as well as every probe of the descent — and
+// counts it. The answer needs no merge lock — every read of the
+// fingerprint tree is consistent under the store's read lock. Both
+// sides' trees may grow mid-descent; the client cuts its ship set back
+// to its snapshot and the session capture covers this side, so a range
+// that moved surfaces as a re-negotiation next round, never as
+// corruption.
+func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnswer, error) {
+	n.total.rangesRecv.Add(1)
+	rs.e.stats.rangesRecv.Add(1)
+	rs.probes++
+	if m := n.metrics; m != nil {
+		m.rangesServer.Inc()
+	}
+	obj := rs.e.obj
+	fp, count := obj.ReconRange(rr.X, rr.Y)
+	switch {
+	case fp == rr.FP && count == rr.Count:
+		return wire.ReconAnswer{Kind: wire.FrameReconMatch}, nil
+	case count == 0:
+		return wire.ReconAnswer{Kind: wire.FrameReconEmptyRange}, nil
+	case count <= reconItemsCap:
+		return wire.ReconAnswer{Kind: wire.FrameReconItems, Items: obj.ReconItems(rr.X, rr.Y, count)}, nil
+	}
+	// Split at the median item; both halves are non-empty because
+	// count > reconItemsCap ≥ 2, so the descent strictly shrinks.
+	mid, ok := obj.ReconSelect(rr.X, rr.Y, count/2)
+	if !ok {
+		return wire.ReconAnswer{}, errors.New("recon split lost the range")
+	}
+	fpLo, cLo := obj.ReconRange(rr.X, mid)
+	fpHi, cHi := obj.ReconRange(mid, rr.Y)
+	return wire.ReconAnswer{Kind: wire.FrameReconSplit,
+		Split: wire.ReconSplit{Mid: mid, FPLo: fpLo, CountLo: cLo, FPHi: fpHi, CountHi: cHi}}, nil
+}
+
+// handleReconWant finishes a recon exchange: read the client's want list
+// and its delta of commits we lack, merge, and reply with exactly the
+// wanted commits plus whatever merge commits the pull minted — commits
+// the client cannot have, grafted onto commits it provably has, so the
+// reply re-ships nothing.
+func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
+	wStart := time.Now()
+	if !rs.active || len(fields) != 1 {
+		return refuse(conn, "recon want outside a recon exchange")
+	}
+	want, err := wire.DecodeReconWant(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	commits, head, err := readDelta(conn)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	e := rs.e
+	n.lockMerge(e)
+	track := "remote/" + rs.hello.Node
+	redundant, minted, err := e.obj.IntegrateExact(track, commits, head)
+	var reply []store.ExportedCommit
+	var replyHead store.Hash
+	if err == nil {
+		ship := make(map[store.Hash]bool, len(want)+len(minted))
+		for _, h := range want {
+			ship[h] = true
+		}
+		for _, h := range minted {
+			ship[h] = true
+		}
+		// The session capture holds everything installed since the root
+		// probe was answered. Commits local Applies and other peers'
+		// sessions raced in mid-descent must ship — the client's want list
+		// cannot name them, yet the reply head reaches them — while
+		// whatever arrived under the client's own tracking branch, here or
+		// on a session that crossed this one, must not bounce back.
+		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track)
+	}
+	e.mergeMu.Unlock()
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	// Count the exchange before the reply streams out: the client may
+	// read its own stats the moment its SyncWith returns, and this
+	// handler goroutine has no happens-before edge past the write.
+	for _, s := range []*syncStats{&n.total, &e.stats} {
+		s.deltaSyncs.Add(1)
+		s.commitsRecv.Add(int64(len(commits)))
+		s.commitsSent.Add(int64(len(reply)))
+		s.patchesRecv.Add(countPatches(commits))
+		s.patchesSent.Add(countPatches(reply))
+		s.redundantCommits.Add(int64(redundant))
+	}
+	if m := n.metrics; m != nil {
+		m.descent(rs.probes)
+	}
+	sp.objects(1)
+	sp.phase("ship", rs.hello.Object, wStart)
+	return wire.WriteDeltaPacked(conn, reply, replyHead)
+}
+
+// handleReconSpan answers a whole-node span probe: fold a fingerprint
+// over every hosted object and reply FrameReconMatch when it equals the
+// prober's — one frame confirming a converged pair — or our own span
+// when it does not (the prober then runs per-object exchanges).
+func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) error {
+	sStart := time.Now()
+	if len(fields) != 1 {
+		return refuse(conn, "bad request")
+	}
+	probe, err := wire.DecodeReconSpan(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	conn.obj.Store(nil)
+	n.total.rangesRecv.Add(1)
+	if m := n.metrics; m != nil {
+		m.rangesServer.Inc()
+	}
+	names := n.Objects()
+	mine := n.nodeSpan(names)
+	if mine == probe {
+		// Mirror the client's accounting: a matching span completes one
+		// converged exchange per hosted object.
+		for _, name := range names {
+			if e, ok := n.entry(name); ok {
+				e.stats.deltaSyncs.Add(1)
+			}
+			n.total.deltaSyncs.Add(1)
+		}
+		if m := n.metrics; m != nil {
+			m.spanMatch.Inc()
+		}
+		sp.objects(len(names))
+		sp.phase("span-probe", "", sStart)
+		return wire.WriteMsg(conn, wire.FrameReconMatch)
+	}
+	if m := n.metrics; m != nil {
+		m.spanDiff.Inc()
+	}
+	sp.phase("span-probe", "", sStart)
+	return wire.WriteMsg(conn, wire.FrameReconSpan, wire.EncodeReconSpan(mine))
+}
+
+// nodeSpan folds the named objects, at their live heads, into one
+// digest (see foldSpan).
+func (n *Node) nodeSpan(names []string) wire.ReconSpan {
+	var sp wire.ReconSpan
+	for _, name := range names {
+		if e, ok := n.entry(name); ok {
+			head, _ := e.obj.Head()
+			foldSpan(&sp, name, e, head)
+		}
+	}
+	return sp
+}
+
+// foldSpan folds one object into a whole-node span: the commit-set
+// fingerprint XOR a domain-separated hash of the object's name and
+// branch head. Equal spans mean the pair agrees on object names, commit
+// sets and heads all at once; the count (total commits) guards the XOR
+// against the trivial collision of swapped sets.
+func foldSpan(sp *wire.ReconSpan, name string, e *objectEntry, head store.Hash) {
+	root, count := e.obj.ReconRoot()
+	h := sha256.New()
+	h.Write([]byte("peepul-recon-span\x00"))
+	h.Write([]byte(name))
+	h.Write([]byte{0})
+	h.Write(head[:])
+	var fold recon.Fingerprint
+	copy(fold[:], h.Sum(nil))
+	sp.FP.Xor(root)
+	sp.FP.Xor(fold)
+	sp.Count += count
+}
