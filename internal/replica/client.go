@@ -288,12 +288,12 @@ func (n *Node) integrateReply(e *objectEntry, track string, reply []store.Export
 
 // syncObjectRecon runs the client side of one object's reconciliation
 // exchange, after the hello ack answered the root probe the hello
-// carried. The client drives a lock-step descent
-// over hash ranges: probe a range with its local fingerprint and count,
-// and on mismatch either receive the server's items (small ranges —
-// diffed locally into want and ship lists) or a split into two
-// fingerprinted halves (matching halves are discarded locally, differing
-// ones probed in turn). The descent terminates — every split strictly
+// carried. The client drives a lock-step descent over hash ranges: probe
+// a range with its local fingerprint and count, and on mismatch either
+// receive the server's items (small ranges — diffed locally into want
+// and ship lists) or a split into two fingerprinted halves (matching
+// halves are discarded locally, differing ones probed in turn). The
+// descent terminates — every split strictly
 // halves the server's range — and resolves the exact symmetric
 // difference in O(diff · log n) frames. A want list and one delta in
 // each direction then ship precisely the missing commits; the server's
