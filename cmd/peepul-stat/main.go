@@ -3,8 +3,9 @@
 // /debug/peepul/snapshot and renders the node's health as tables: the
 // aggregate sync counters, the local write path (commit count, mean
 // latency and its encode / hash / delta split), a per-object row set,
-// the per-peer mesh supervisor state (health score, backoff,
-// quarantine), and the most recent sync-session spans as a timeline.
+// the per-peer mesh supervisor state (link up or down, health score,
+// backoff, quarantine), and the most recent sync-session spans as a
+// timeline.
 //
 // Usage:
 //
@@ -132,7 +133,7 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 
 	if len(snap.Mesh) > 0 {
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "PEER\tSCORE\tROUNDS\tPUSHES\tFAILS\tBACKOFF\tQUARANTINE\tLAST ERROR")
+		fmt.Fprintln(w, "PEER\tLINK\tSCORE\tROUNDS\tPUSHES\tFAILS\tBACKOFF\tQUARANTINE\tLAST ERROR")
 		for _, addr := range sortedKeys(snap.Mesh) {
 			p := snap.Mesh[addr]
 			quar := "-"
@@ -145,8 +146,12 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 			if lastErr == "" {
 				lastErr = "-"
 			}
-			fmt.Fprintf(w, "%s\t%.2f\t%d\t%d\t%d\t%s\t%s\t%s\n",
-				addr, p.Score, p.Rounds, p.Pushes, p.Failures, p.Backoff, quar, lastErr)
+			link := "down"
+			if p.LinkUp {
+				link = "up"
+			}
+			fmt.Fprintf(w, "%s\t%s\t%.2f\t%d\t%d\t%d\t%s\t%s\t%s\n",
+				addr, link, p.Score, p.Rounds, p.Pushes, p.Failures, p.Backoff, quar, lastErr)
 		}
 		w.Flush()
 		fmt.Println()

@@ -2,9 +2,9 @@
 // and a live debug endpoint per node. The fleet converges a PN-counter
 // through the always-on daemon, then the example plays operator: it
 // scrapes alice's /metrics over HTTP and asserts the sync counters are
-// live, pulls the unified /debug/peepul/snapshot, and prints the
-// per-peer health table plus the recent sync-session timeline — the
-// same views `peepul-stat` renders.
+// live and her link is up, pulls the unified /debug/peepul/snapshot,
+// and prints the per-peer health table plus the recent sync-session
+// timeline — the same views `peepul-stat` renders.
 //
 //	go run ./examples/observed-mesh
 package main
@@ -61,12 +61,13 @@ func main() {
 		"peepul_replica_sessions_total",
 		"peepul_wire_frames_total",
 		"peepul_mesh_rounds_total",
+		"peepul_mesh_links_up",
 	} {
 		if !hasNonzeroSeries(scrape, series) {
 			panic("scrape shows no nonzero " + series + " series:\n" + scrape)
 		}
 	}
-	fmt.Printf("\nscrape OK: %d metric lines, sync sessions and wire frames nonzero\n",
+	fmt.Printf("\nscrape OK: %d metric lines, sync sessions, wire frames and live links nonzero\n",
 		strings.Count(scrape, "\n"))
 
 	// Operator view 2: the unified snapshot, read in process here (the
@@ -74,7 +75,10 @@ func main() {
 	snap := fleet[0].node.DebugSnapshot()
 	fmt.Printf("\n%s hosts %d object(s); peer health:\n", snap.Node, len(snap.Objects))
 	for addr, p := range snap.Mesh {
-		fmt.Printf("  %s score=%.2f rounds=%d pushes=%d quarantined=%v\n",
+		if !p.LinkUp {
+			panic("link to " + addr + " is down in a converged fleet")
+		}
+		fmt.Printf("  %s link=up score=%.2f rounds=%d pushes=%d quarantined=%v\n",
 			addr, p.Score, p.Rounds, p.Pushes, p.Quarantined)
 	}
 	trace := fleet[0].node.Trace()

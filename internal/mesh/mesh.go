@@ -4,17 +4,22 @@
 // deployment of it) assumes replicas that gossip continuously; this
 // package supplies that loop as a supervisor per configured peer.
 //
-// Each peer gets one supervisor goroutine running jittered anti-entropy
-// rounds: every Interval (± up to Jitter) the supervisor syncs every
-// shared object with the peer through the same negotiate-and-ship-missing
-// code path a manual SyncWith uses. Between rounds, local commits are
-// pushed immediately: the replica layer calls NotifyCommit on every local
-// operation and every remote-merge head move, the engine enqueues the
-// object in a bounded per-peer outbox (bursts coalesce — the outbox is a
-// set, and the supervisor waits PushDelay before draining it), and the
-// supervisor runs a push round covering only the dirty objects. An outbox
-// that overflows OutboxSize degrades to a full round, never drops a
-// commit.
+// Each supervisor keeps one long-lived outbound link to its peer. Adding
+// the peer dials it at once: the connect session — the same
+// reconcile-and-ship-missing code path a manual SyncWith uses — repairs
+// whatever the pair lacks, and the connection then streams. The replica
+// layer calls NotifyCommit on every local operation and every
+// remote-merge head move; the kick wakes the link's streamer, which
+// writes everything the node installed since its previous write as one
+// batch (commits that arrived from the peer itself excepted). A burst
+// that lands while a write is in flight rides the next one, so bursts
+// coalesce with no timer. An idle link writes an empty heartbeat batch
+// often enough that the peer's idle deadline never cuts it. A link that
+// fails closes, and the supervisor reconnects it; the next connect
+// session is the repair, so a stream is never replayed. While the link
+// is up, jittered anti-entropy rounds run every Interval (± up to
+// Jitter): one-shot sessions that serve pairs supervised in one direction
+// only and re-check converged ones with a single span probe.
 //
 // Failure handling is per peer and classified: a transient failure (a
 // failed dial, a reset — the peer is presumed down) doubles the retry
@@ -22,28 +27,30 @@
 // score; a success resets the backoff instantly and recovers the score
 // halfway to 1 — fast recovery, so one blip does not linger. A protocol
 // violation (Config.Classify reports FailViolation: corrupt frames, bad
-// hellos, hash mismatches) additionally counts toward quarantine: after
-// QuarantineAfter violations in a row the peer moves to the quarantine
-// schedule (QuarantineMin doubling to QuarantineMax) with the triggering
-// reason recorded in its PeerStats, and stays there until one clean
-// exchange proves it recovered. While a peer is backing off or
-// quarantined, pushes to it are suppressed (the outbox keeps
-// accumulating) and the retry timer owns the schedule. Close cancels the
-// engine context — aborting any in-flight dial or exchange — and drains
-// every supervisor before returning, so a peer that is down can never
-// wedge node shutdown.
+// hellos, hash mismatches, a refused batch) additionally counts toward
+// quarantine: after QuarantineAfter violations in a row the peer moves
+// to the quarantine schedule (QuarantineMin doubling to QuarantineMax)
+// with the triggering reason recorded in its PeerStats, and stays there
+// until one clean exchange proves it recovered. While a peer is backing
+// off or quarantined its link stays down and the retry timer owns the
+// schedule. RemovePeer and Close cancel the peer's context — aborting
+// any in-flight dial or exchange — close its link and wait for the
+// supervisor, so a peer that is down can never wedge node shutdown.
 //
 // The engine knows nothing of the sync protocol: it drives a Syncer (the
-// replica node) and consumes the per-round Report, including which
-// objects the peer turned out not to host — those are skipped by later
-// pushes until a full anti-entropy round observes the peer hosting them
-// (the subscription model: interest is learned from the wire, not
+// replica node) and consumes its Reports, including which objects the
+// peer turned out not to host — the link skips those, and a later round
+// that finds the peer hosting one reconnects the link to cover it (the
+// subscription model: interest is learned from the wire, not
 // configured).
 package mesh
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,27 +58,57 @@ import (
 	"repro/internal/obs"
 )
 
-// Report is what one sync exchange with a peer cost and found out.
-// The replica layer fills it from its per-call byte and commit counters.
+// Report is what one sync exchange — or one stream batch — with a peer
+// cost and found out. The replica layer fills it from its per-call byte
+// and commit counters.
 type Report struct {
 	BytesSent   int64
 	BytesRecv   int64
 	CommitsSent int64
 	CommitsRecv int64
-	// Missed lists the requested objects the peer answered "not hosted"
-	// (or "different datatype") for; the engine uses it to learn peer
-	// interest so pushes skip objects the peer does not subscribe to.
+	// Missed lists the objects the peer answered "not hosted" (or
+	// "different datatype") for; the engine uses it to learn peer
+	// interest.
 	Missed []string
 }
 
-// Syncer runs one sync exchange with the peer at addr. objects narrows
-// the exchange to the named objects (a push round); nil means every
-// object the node hosts (an anti-entropy round). The context aborts an
-// in-flight dial or exchange — engine shutdown cancels it. The Report
-// must be valid (best-effort counters) even when err is non-nil.
+// Syncer is what the engine drives. The context aborts an in-flight dial
+// or exchange — peer removal and engine shutdown cancel it. Reports must
+// be valid (best-effort counters) even alongside an error.
 type Syncer interface {
-	MeshSync(ctx context.Context, addr string, objects []string) (Report, error)
+	// MeshSync runs one anti-entropy round with the peer at addr: a
+	// one-shot session over every object the node hosts.
+	MeshSync(ctx context.Context, addr string) (Report, error)
+	// OpenLink dials addr, runs the connect session over the connection
+	// — a round in every respect — and switches it to stream mode. The
+	// Report is the connect session's.
+	OpenLink(ctx context.Context, addr string) (Link, Report, error)
 }
+
+// Link is one live outbound connection in stream mode. The engine calls
+// Push from one goroutine at a time and Close from any.
+type Link interface {
+	// Push writes one batch: every commit installed since the previous
+	// push, bar what the peer sent. With nothing pending it writes nothing
+	// — unless heartbeat is set, when it writes an empty batch. The Report
+	// counts what this write cost.
+	Push(heartbeat bool) (Report, error)
+	// Heartbeat is the longest the link may stay silent before the
+	// peer's idle deadline would cut it short.
+	Heartbeat() time.Duration
+	// Done is closed once the link is dead — it failed (the peer refused
+	// a batch or hung up) or was closed — and Err then says why (never
+	// nil).
+	Done() <-chan struct{}
+	Err() error
+	// Close ends the link and releases what it holds. Idempotent.
+	Close()
+}
+
+// ErrRelink marks a link ending that is not a failure: the node's or
+// the peer's set of objects changed under it, and the supervisor
+// reconnects at once so a fresh connect session covers the new ones.
+var ErrRelink = errors.New("mesh: link scope changed")
 
 // FailureClass is how the supervisor schedules retries after a failed
 // exchange: the engine knows nothing of the sync protocol, so the
@@ -106,13 +143,6 @@ type Config struct {
 	BackoffMin time.Duration
 	// BackoffMax caps the retry delay.
 	BackoffMax time.Duration
-	// PushDelay is how long a supervisor waits after a commit
-	// notification before draining the outbox, so a burst of commits
-	// coalesces into one push round. Negative disables the wait.
-	PushDelay time.Duration
-	// OutboxSize bounds the per-peer outbox (distinct dirty objects); an
-	// overflowing outbox degrades to a full anti-entropy round.
-	OutboxSize int
 	// Classify maps a failed exchange's error to its FailureClass. Nil
 	// classifies everything transient (no quarantine).
 	Classify func(error) FailureClass
@@ -127,26 +157,24 @@ type Config struct {
 	QuarantineMin time.Duration
 	QuarantineMax time.Duration
 	// Obs, when non-nil, receives the engine's metrics (round outcomes,
-	// overflows, quarantine transitions — see obs.go). Nil disables
+	// live links, quarantine transitions — see obs.go). Nil disables
 	// instrumentation.
 	Obs *obs.Registry
-	// Recorder, when non-nil, receives lifecycle events: backoff
-	// changes, quarantine enter/lift with the triggering reason.
+	// Recorder, when non-nil, receives lifecycle events: links going up
+	// and down, backoff changes, quarantine enter/lift, each with its
+	// cause.
 	Recorder *obs.Recorder
 }
 
 // DefaultConfig returns the engine defaults: 2s rounds with up to 500ms
-// of jitter, backoff 250ms doubling to 30s, 5ms push coalescing, a
-// 64-object outbox, and quarantine after 3 straight violations with
-// retries from 1m doubling to 15m.
+// of jitter, backoff 250ms doubling to 30s, and quarantine after 3
+// straight violations with retries from 1m doubling to 15m.
 func DefaultConfig() Config {
 	return Config{
 		Interval:        2 * time.Second,
 		Jitter:          500 * time.Millisecond,
 		BackoffMin:      250 * time.Millisecond,
 		BackoffMax:      30 * time.Second,
-		PushDelay:       5 * time.Millisecond,
-		OutboxSize:      64,
 		QuarantineAfter: 3,
 		QuarantineMin:   time.Minute,
 		QuarantineMax:   15 * time.Minute,
@@ -171,15 +199,6 @@ func (c Config) withDefaults() Config {
 	if c.BackoffMax < c.BackoffMin {
 		c.BackoffMax = max(d.BackoffMax, c.BackoffMin)
 	}
-	switch {
-	case c.PushDelay < 0:
-		c.PushDelay = 0
-	case c.PushDelay == 0:
-		c.PushDelay = d.PushDelay
-	}
-	if c.OutboxSize <= 0 {
-		c.OutboxSize = d.OutboxSize
-	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = d.QuarantineAfter
 	}
@@ -196,12 +215,15 @@ func (c Config) withDefaults() Config {
 type PeerStats struct {
 	// Addr is the peer's dial address.
 	Addr string
-	// Rounds counts completed anti-entropy rounds; Pushes counts
-	// completed push-on-commit rounds.
+	// LinkUp reports the outbound link is connected and streaming.
+	LinkUp bool
+	// Rounds counts completed anti-entropy exchanges, the link's connect
+	// sessions included; Pushes counts stream batches written that
+	// carried commits (heartbeats excluded).
 	Rounds int64
 	Pushes int64
-	// Failures counts failed exchanges; ConsecutiveFailures is the
-	// current failing streak (zero for a healthy peer).
+	// Failures counts failed exchanges and links; ConsecutiveFailures is
+	// the current failing streak (zero for a healthy peer).
 	Failures            int64
 	ConsecutiveFailures int
 	// Backoff is the current retry delay (zero when healthy) and Score
@@ -209,8 +231,8 @@ type PeerStats struct {
 	// to 1 per success.
 	Backoff time.Duration
 	Score   float64
-	// Wire cost accumulated across this peer's exchanges, both
-	// directions, client side.
+	// Wire cost accumulated across this peer's rounds and link, both
+	// directions, dial side.
 	BytesSent   int64
 	BytesRecv   int64
 	CommitsSent int64
@@ -220,10 +242,10 @@ type PeerStats struct {
 	// message, cleared on success.
 	LastConverged time.Time
 	LastError     string
-	// Violations counts exchanges that failed with a protocol violation
-	// (as classified by Config.Classify) rather than plain network
-	// trouble; ConsecutiveViolations is the streak since the last
-	// success (transient failures in between do not reset it).
+	// Violations counts failures classified as protocol violations (by
+	// Config.Classify) rather than plain network trouble;
+	// ConsecutiveViolations is the streak since the last success
+	// (transient failures in between do not reset it).
 	Violations            int64
 	ConsecutiveViolations int
 	// Quarantined reports the peer is on the quarantine retry schedule;
@@ -244,7 +266,6 @@ type Engine struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{}
 	wg     sync.WaitGroup
 
 	mu     sync.RWMutex
@@ -268,7 +289,6 @@ func New(s Syncer, cfg Config) *Engine {
 		cfg:     cfg.withDefaults(),
 		ctx:     ctx,
 		cancel:  cancel,
-		done:    make(chan struct{}),
 		peers:   make(map[string]*peer),
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		metrics: newMeshMetrics(cfg.Obs),
@@ -276,27 +296,27 @@ func New(s Syncer, cfg Config) *Engine {
 	}
 }
 
-// peer is one supervised peer: its outbox, failure state and counters,
-// all guarded by mu except the channels.
+// peer is one supervised peer: its supervisor's context, failure state
+// and counters, all guarded by mu except the channels.
 type peer struct {
-	addr    string
-	kick    chan struct{} // cap 1: commit notifications, naturally coalescing
-	removed chan struct{} // closed by RemovePeer
+	addr string
+	kick chan struct{} // cap 1: commit notifications, naturally coalescing
+	// ctx ends the supervisor: cancelled by RemovePeer or engine Close.
+	ctx    context.Context
+	cancel context.CancelFunc
+	exited chan struct{} // closed when the supervisor has returned
 
 	mu sync.Mutex
-	// outbox is the set of dirty objects awaiting a push; full records an
-	// overflow (the next push degrades to a full round).
-	outbox map[string]struct{}
-	full   bool
-	// uninterested is the learned non-subscription set: objects the peer
-	// answered HelloMiss for on its most recent probe.
-	uninterested map[string]struct{}
-	stats        PeerStats
-	removeOnce   sync.Once
+	// missed is the learned non-subscription set: objects the live
+	// link's connect session found the peer not hosting, which its
+	// stream therefore skips.
+	missed []string
+	stats  PeerStats
 }
 
-// AddPeer registers addr and starts its supervisor. Re-adding a present
-// peer (or adding after Close) is a no-op.
+// AddPeer registers addr and starts its supervisor, which dials the
+// link at once. Re-adding a present peer (or adding after Close) is a
+// no-op.
 func (e *Engine) AddPeer(addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -306,20 +326,23 @@ func (e *Engine) AddPeer(addr string) {
 	if _, ok := e.peers[addr]; ok {
 		return
 	}
+	ctx, cancel := context.WithCancel(e.ctx)
 	p := &peer{
-		addr:    addr,
-		kick:    make(chan struct{}, 1),
-		removed: make(chan struct{}),
-		stats:   PeerStats{Addr: addr, Score: 1},
+		addr:   addr,
+		kick:   make(chan struct{}, 1),
+		ctx:    ctx,
+		cancel: cancel,
+		exited: make(chan struct{}),
+		stats:  PeerStats{Addr: addr, Score: 1},
 	}
 	e.peers[addr] = p
 	e.wg.Add(1)
 	go e.supervise(p)
 }
 
-// RemovePeer stops addr's supervisor (cancelling nothing in flight —
-// the current exchange, if any, finishes or fails on its own) and
-// forgets the peer. Removing an unknown peer is a no-op.
+// RemovePeer stops addr's supervisor — aborting an in-flight exchange
+// and closing the link — waits for it, and forgets the peer. Removing an
+// unknown peer is a no-op.
 func (e *Engine) RemovePeer(addr string) {
 	e.mu.Lock()
 	p, ok := e.peers[addr]
@@ -328,10 +351,9 @@ func (e *Engine) RemovePeer(addr string) {
 	}
 	e.mu.Unlock()
 	if ok {
-		p.removeOnce.Do(func() {
-			close(p.removed)
-			e.forget(p)
-		})
+		p.cancel()
+		<-p.exited
+		e.forget(p)
 	}
 }
 
@@ -373,86 +395,28 @@ func (e *Engine) PeerStats(addr string) (PeerStats, bool) {
 	return p.stats, true
 }
 
-// NotifyCommit records that object changed locally (a commit or a
-// remote-merge head move) and kicks every peer's supervisor for an
-// immediate push. Peers known not to host the object are skipped; peers
-// in backoff accumulate the object for their next retry instead of being
-// dialled while failing.
-func (e *Engine) NotifyCommit(object string) {
+// NotifyCommit records that the node installed commits (a local
+// operation or a remote-merge head move) and kicks every peer's link to
+// stream them. A peer whose link is down keeps the kick for its next
+// link, whose connect session ships the commits anyway.
+func (e *Engine) NotifyCommit() {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
-		return
-	}
 	for _, p := range e.peers {
-		if p.enqueue(object, e.cfg.OutboxSize) {
-			e.metrics.overflowed()
-			e.event("outbox-overflow", p.addr, "next push degrades to a full round")
+		select {
+		case p.kick <- struct{}{}:
+		default:
 		}
 	}
 }
 
-// enqueue adds object to the outbox (degrading to a full round on
-// overflow) and kicks the supervisor. It reports whether this call
-// overflowed the outbox (the transition, not the steady state).
-func (p *peer) enqueue(object string, limit int) (overflowed bool) {
-	p.mu.Lock()
-	if _, skip := p.uninterested[object]; skip {
-		p.mu.Unlock()
-		return false
-	}
-	if !p.full {
-		if p.outbox == nil {
-			p.outbox = make(map[string]struct{})
-		}
-		if len(p.outbox) >= limit {
-			p.outbox, p.full = nil, true
-			overflowed = true
-		} else {
-			p.outbox[object] = struct{}{}
-		}
-	}
-	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-	return overflowed
-}
-
-// takeOutbox drains the outbox: the dirty object names (nil with
-// full=true after an overflow — sync everything) and resets it.
-func (p *peer) takeOutbox() (objects []string, full bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	full = p.full
-	for o := range p.outbox {
-		objects = append(objects, o)
-	}
-	p.outbox, p.full = nil, false
-	return objects, full
-}
-
-// inBackoff reports whether the peer is on a failing streak.
-func (p *peer) inBackoff() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats.ConsecutiveFailures > 0
-}
-
-// Close stops every supervisor, cancels any in-flight exchange, and
-// waits for the drain. Idempotent.
+// Close stops every supervisor, cancels any in-flight exchange, closes
+// every link, and waits for the drain. Idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		e.wg.Wait()
-		return
-	}
 	e.closed = true
 	e.mu.Unlock()
 	e.cancel()
-	close(e.done)
 	e.wg.Wait()
 }
 
@@ -466,69 +430,170 @@ func (e *Engine) jitter(max time.Duration) time.Duration {
 	return time.Duration(e.rng.Int63n(int64(max)))
 }
 
-// supervise is one peer's daemon loop: an initial probe round almost
-// immediately (jitter only), then anti-entropy every Interval+jitter,
-// push rounds on kicks, and backoff-timed retries while failing.
+// liveLink is a connected link and its streamer's exit: exited closes
+// when the streamer returns, and cause (read after that) says why.
+type liveLink struct {
+	Link
+	exited chan struct{}
+	cause  error
+}
+
+// supervise is one peer's daemon loop. The link dials at once; while it
+// is up, anti-entropy rounds run every Interval+jitter; when it fails,
+// the backoff (or quarantine) schedule times the reconnect, and rounds
+// pause — the reconnect's connect session is the round.
 func (e *Engine) supervise(p *peer) {
 	defer e.wg.Done()
-	timer := time.NewTimer(e.jitter(e.cfg.Jitter) + e.cfg.Interval/16)
-	defer timer.Stop()
+	defer close(p.exited)
+	var l *liveLink
+	defer func() {
+		if l != nil {
+			e.unlink(p, l, "supervision ended")
+		}
+	}()
+	connect := time.NewTimer(0)
+	defer connect.Stop()
+	round := time.NewTimer(time.Hour)
+	round.Stop()
+	defer round.Stop()
 	for {
-		push := false
+		var roundC <-chan time.Time
+		var down <-chan struct{}
+		if l != nil {
+			roundC, down = round.C, l.exited
+		}
 		select {
-		case <-e.done:
+		case <-p.ctx.Done():
 			return
-		case <-p.removed:
-			return
-		case <-timer.C:
-		case <-p.kick:
-			// Coalesce the burst: commits arriving within PushDelay join
-			// this push instead of paying one round each.
-			if d := e.cfg.PushDelay; d > 0 {
-				coalesce := time.NewTimer(d)
-				select {
-				case <-e.done:
-					coalesce.Stop()
-					return
-				case <-p.removed:
-					coalesce.Stop()
-					return
-				case <-coalesce.C:
-				}
+		case <-connect.C:
+			var err error
+			if l, err = e.connect(p); err != nil {
+				connect.Reset(e.nextDelay(p, err))
+			} else {
+				round.Reset(e.nextDelay(p, nil))
 			}
-			if p.inBackoff() {
-				// A failing peer is the backoff timer's job; the outbox
-				// keeps accumulating until the retry succeeds.
+		case <-roundC:
+			uncovered, err := e.round(p)
+			if len(uncovered) > 0 {
+				e.unlink(p, l, fmt.Sprintf("peer now hosts %v", uncovered))
+				l = nil
+				connect.Reset(0)
 				continue
 			}
-			push = true
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+			round.Reset(e.nextDelay(p, err))
+		case <-down:
+			err := l.cause
+			e.unlink(p, l, err.Error())
+			l = nil
+			round.Stop()
+			if errors.Is(err, ErrRelink) {
+				connect.Reset(0)
+			} else {
+				e.settle(p, "stream", Report{}, err)
+				connect.Reset(e.nextDelay(p, err))
 			}
 		}
-		var objects []string
-		if push {
-			var full bool
-			objects, full = p.takeOutbox()
-			if full || len(objects) == 0 {
-				objects = nil // overflow (or spurious kick): full round
-			}
-		}
-		err := e.round(p, objects, push)
-		timer.Reset(e.nextDelay(p, err))
 	}
 }
 
-// round runs one exchange and folds its outcome into the peer's state.
-func (e *Engine) round(p *peer, objects []string, push bool) error {
-	kind := "full"
-	if push {
-		kind = "push"
+// connect opens the link and starts its streamer. The connect session
+// settles like a round.
+func (e *Engine) connect(p *peer) (*liveLink, error) {
+	lk, rep, err := e.syncer.OpenLink(p.ctx, p.addr)
+	e.settle(p, "link", rep, err)
+	if err != nil {
+		return nil, err
 	}
-	rep, err := e.syncer.MeshSync(e.ctx, p.addr, objects)
+	l := &liveLink{Link: lk, exited: make(chan struct{})}
+	p.mu.Lock()
+	p.missed = rep.Missed
+	p.stats.LinkUp = true
+	p.mu.Unlock()
+	e.metrics.linkUp(1)
+	e.event("link-up", p.addr, fmt.Sprintf("connect session sent %d, received %d commits", rep.CommitsSent, rep.CommitsRecv))
+	go e.stream(p, l)
+	return l, nil
+}
+
+// unlink closes a live link, waits for its streamer, and records why it
+// went down.
+func (e *Engine) unlink(p *peer, l *liveLink, cause string) {
+	l.Close()
+	<-l.exited
+	p.mu.Lock()
+	p.stats.LinkUp = false
+	p.missed = nil
+	p.mu.Unlock()
+	e.metrics.linkUp(-1)
+	e.event("link-down", p.addr, cause)
+}
+
+// stream is a live link's writer: one push right away (whatever the
+// connect session left behind), then one per kick, and a heartbeat
+// whenever the link has been silent for its Heartbeat period. It exits
+// when a push fails or the link dies, leaving the cause in l.cause.
+func (e *Engine) stream(p *peer, l *liveLink) {
+	defer close(l.exited)
+	beat := time.NewTimer(l.Heartbeat())
+	defer beat.Stop()
+	heartbeat := false
+	for {
+		rep, err := l.Push(heartbeat)
+		e.pushed(p, rep)
+		if err != nil {
+			l.cause = err
+			return
+		}
+		if rep.BytesSent > 0 {
+			beat.Reset(l.Heartbeat())
+		}
+		select {
+		case <-l.Done():
+			l.cause = l.Err()
+			return
+		case <-p.kick:
+			heartbeat = false
+		case <-beat.C:
+			heartbeat = true
+		}
+	}
+}
+
+// pushed folds one stream write into the peer's counters.
+func (e *Engine) pushed(p *peer, rep Report) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := &p.stats
+	st.BytesSent += rep.BytesSent
+	st.BytesRecv += rep.BytesRecv
+	st.CommitsSent += rep.CommitsSent
+	if rep.CommitsSent > 0 {
+		st.Pushes++
+	}
+}
+
+// round runs one anti-entropy round. It returns the objects the peer
+// turned out to host that the live link skips — the link must reconnect
+// to stream them.
+func (e *Engine) round(p *peer) (uncovered []string, _ error) {
+	rep, err := e.syncer.MeshSync(p.ctx, p.addr)
+	e.settle(p, "full", rep, err)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, o := range p.missed {
+		if !slices.Contains(rep.Missed, o) {
+			uncovered = append(uncovered, o)
+		}
+	}
+	return uncovered, nil
+}
+
+// settle folds one exchange's outcome — a round, a connect session, or a
+// failed stream — into the peer's state.
+func (e *Engine) settle(p *peer, kind string, rep Report, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := &p.stats
@@ -563,14 +628,9 @@ func (e *Engine) round(p *peer, objects []string, push bool) error {
 		}
 		e.metrics.round(kind, outcome)
 		e.transitions(p, prevBackoff, prevQuar, st, err)
-		return err
+		return
 	}
-	if push {
-		st.Pushes++
-		e.metrics.pushed(len(objects))
-	} else {
-		st.Rounds++
-	}
+	st.Rounds++
 	st.ConsecutiveFailures = 0
 	st.ConsecutiveViolations = 0
 	st.Quarantined = false
@@ -578,36 +638,8 @@ func (e *Engine) round(p *peer, objects []string, push bool) error {
 	st.Score += (1 - st.Score) / 2
 	st.LastError = ""
 	st.LastConverged = time.Now()
-	// Learn interest from the misses: a full round probed everything, so
-	// its miss list replaces the set; a push round only refreshes the
-	// objects it asked about.
-	if objects == nil {
-		p.uninterested = nil
-		for _, o := range rep.Missed {
-			if p.uninterested == nil {
-				p.uninterested = make(map[string]struct{})
-			}
-			p.uninterested[o] = struct{}{}
-		}
-	} else {
-		missed := make(map[string]struct{}, len(rep.Missed))
-		for _, o := range rep.Missed {
-			missed[o] = struct{}{}
-		}
-		for _, o := range objects {
-			if _, m := missed[o]; m {
-				if p.uninterested == nil {
-					p.uninterested = make(map[string]struct{})
-				}
-				p.uninterested[o] = struct{}{}
-			} else {
-				delete(p.uninterested, o)
-			}
-		}
-	}
 	e.metrics.round(kind, "ok")
 	e.transitions(p, prevBackoff, prevQuar, st, nil)
-	return nil
 }
 
 // backoff is the retry delay for the n-th consecutive failure:

@@ -1,10 +1,11 @@
 package mesh
 
-// Mesh-layer observability: round outcomes by kind, outbox overflows,
-// quarantine transitions, and how many peers are currently backing off
-// or quarantined. Lifecycle transitions (backoff changes, quarantine
-// enter/lift) are additionally emitted as flight-recorder events when a
-// Recorder is configured, so a trace shows *why* a peer went quiet.
+// Mesh-layer observability: round outcomes by kind, quarantine
+// transitions, and how many links are up and how many peers are
+// currently backing off or quarantined. Lifecycle transitions (links
+// going up and down, backoff changes, quarantine enter/lift) are
+// additionally emitted as flight-recorder events when a Recorder is
+// configured, so a trace shows *why* a peer went quiet.
 // Both hooks are nil-safe: an unconfigured engine pays nothing.
 
 import (
@@ -16,12 +17,11 @@ import (
 
 type meshMetrics struct {
 	reg         *obs.Registry
-	overflows   *obs.Counter
 	quarEnter   *obs.Counter
 	quarLift    *obs.Counter
+	linksUp     *obs.Gauge
 	backingOff  *obs.Gauge
 	quarantined *obs.Gauge
-	pushObjects *obs.Counter
 }
 
 func newMeshMetrics(reg *obs.Registry) *meshMetrics {
@@ -30,19 +30,17 @@ func newMeshMetrics(reg *obs.Registry) *meshMetrics {
 	}
 	m := &meshMetrics{
 		reg:         reg,
-		overflows:   reg.Counter("peepul_mesh_outbox_overflows_total"),
 		quarEnter:   reg.Counter("peepul_mesh_quarantine_transitions_total", "change", "enter"),
 		quarLift:    reg.Counter("peepul_mesh_quarantine_transitions_total", "change", "lift"),
+		linksUp:     reg.Gauge("peepul_mesh_links_up"),
 		backingOff:  reg.Gauge("peepul_mesh_peers_backing_off"),
 		quarantined: reg.Gauge("peepul_mesh_peers_quarantined"),
-		pushObjects: reg.Counter("peepul_mesh_push_objects_total"),
 	}
-	reg.Describe("peepul_mesh_rounds_total", "completed exchanges by kind (full/push) and outcome (ok/transient/violation)")
-	reg.Describe("peepul_mesh_outbox_overflows_total", "outbox overflows degrading the next push to a full round")
+	reg.Describe("peepul_mesh_rounds_total", "exchanges by kind (full round, link connect session, failed stream) and outcome (ok/transient/violation)")
 	reg.Describe("peepul_mesh_quarantine_transitions_total", "peers entering and leaving quarantine")
+	reg.Describe("peepul_mesh_links_up", "outbound links currently connected and streaming")
 	reg.Describe("peepul_mesh_peers_backing_off", "peers currently on the backoff schedule")
 	reg.Describe("peepul_mesh_peers_quarantined", "peers currently quarantined")
-	reg.Describe("peepul_mesh_push_objects_total", "objects shipped by push rounds (compare with push-round count for coalescing)")
 	return m
 }
 
@@ -55,15 +53,10 @@ func (m *meshMetrics) round(kind, outcome string) {
 	}
 }
 
-func (m *meshMetrics) overflowed() {
+// linkUp moves the live-link gauge by delta.
+func (m *meshMetrics) linkUp(delta int64) {
 	if m != nil {
-		m.overflows.Inc()
-	}
-}
-
-func (m *meshMetrics) pushed(objects int) {
-	if m != nil {
-		m.pushObjects.Add(int64(objects))
+		m.linksUp.Add(delta)
 	}
 }
 

@@ -42,7 +42,7 @@ func peerState(t *testing.T, e *Engine, addr string) PeerStats {
 }
 
 func TestQuarantineAfterConsecutiveViolations(t *testing.T) {
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		return Report{}, errCorrupt
 	}}
 	e := New(s, violationConfig())
@@ -65,7 +65,7 @@ func TestQuarantineAfterConsecutiveViolations(t *testing.T) {
 }
 
 func TestTransientFailuresNeverQuarantine(t *testing.T) {
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		return Report{}, errors.New("connection refused")
 	}}
 	e := New(s, violationConfig())
@@ -86,7 +86,7 @@ func TestTransientFailureDoesNotResetViolationStreak(t *testing.T) {
 	// peer whose cuts sometimes beat its corruption. The streak must
 	// survive the transient failures, or mixed-fault peers never
 	// quarantine.
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		if n%2 == 0 {
 			return Report{}, errCorrupt
 		}
@@ -101,7 +101,7 @@ func TestTransientFailureDoesNotResetViolationStreak(t *testing.T) {
 }
 
 func TestQuarantineRecoveryOnCleanExchange(t *testing.T) {
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		if n < 4 {
 			return Report{}, errCorrupt
 		}
@@ -127,7 +127,7 @@ func TestQuarantineRecoveryOnCleanExchange(t *testing.T) {
 }
 
 func TestQuarantineBackoffDoublesToMax(t *testing.T) {
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		return Report{}, errCorrupt
 	}}
 	e := New(s, violationConfig())
@@ -144,7 +144,7 @@ func TestQuarantineBackoffDoublesToMax(t *testing.T) {
 }
 
 func TestNilClassifierNeverQuarantines(t *testing.T) {
-	s := &script{fn: func(ctx context.Context, n int, addr string, objects []string) (Report, error) {
+	s := &script{fn: func(ctx context.Context, n int, addr, kind string) (Report, error) {
 		return Report{}, errCorrupt
 	}}
 	e := New(s, fastConfig()) // no Classify

@@ -44,9 +44,9 @@ type Span struct {
 	DurNs       int64     `json:"dur_ns"`
 }
 
-// Event is one mesh lifecycle transition: backoff changes, quarantine
-// enter/lift, push-coalescing outbox overflow — anything worth a line
-// in the forensic record that is not a whole session.
+// Event is one mesh lifecycle transition: links going up and down,
+// backoff changes, quarantine enter/lift — anything worth a line in the
+// forensic record that is not a whole session.
 type Event struct {
 	Time   time.Time `json:"time"`
 	Kind   string    `json:"kind"`

@@ -20,45 +20,45 @@ import (
 // merged). Objects the peer does not host (or hosts under a different
 // datatype) are skipped and counted in Misses. The session ships what
 // this node held when it connected; commits made on either side while it
-// runs are not waited for and travel with the next push or round.
-// Between quiescent nodes a successful exchange leaves both with equal
-// states on every shared object.
+// runs are not waited for and travel with the next stream batch or
+// round. Between quiescent nodes a successful exchange leaves both with
+// equal states on every shared object.
 func (n *Node) SyncWith(addr string) error {
-	_, err := n.syncPeer(context.Background(), addr, nil)
+	_, _, err := n.syncPeer(context.Background(), addr, false)
 	return err
 }
 
-// MeshSync implements mesh.Syncer: it is the daemon's entry into the
-// exact code path SyncWith uses, restricted to the named objects (nil
-// means every hosted object) and abortable through ctx. The returned
+// MeshSync implements mesh.Syncer: the daemon's anti-entropy round is the
+// exact code path SyncWith uses, abortable through ctx. The returned
 // Report is meaningful even on error — partial byte counts still feed
 // the per-peer mesh stats.
-func (n *Node) MeshSync(ctx context.Context, addr string, objects []string) (mesh.Report, error) {
-	return n.syncPeer(ctx, addr, objects)
+func (n *Node) MeshSync(ctx context.Context, addr string) (mesh.Report, error) {
+	rep, _, err := n.syncPeer(ctx, addr, false)
+	return rep, err
 }
 
-// peerLock returns the mutex serializing exchanges with addr: a manual
-// SyncWith and a daemon round aimed at the same peer take turns instead
-// of running duplicate concurrent sessions.
+// peerLock returns the mutex serializing client sessions with addr: a
+// manual SyncWith, a daemon round and a link's connect session aimed at
+// the same peer take turns instead of running duplicate concurrent
+// sessions. A link's stream, once connected, does not take it.
 func (n *Node) peerLock(addr string) *sync.Mutex {
 	mu, _ := n.peerMus.LoadOrStore(addr, &sync.Mutex{})
 	return mu.(*sync.Mutex)
 }
 
-// syncPeer runs one client session with addr, taking turns per peer
-// address. The session ships from the snapshot syncSession takes after
-// the dial and, that turn aside, holds no lock across its round trips
-// (see the package comment), so neither local commits nor inbound
-// sessions wait for it, and an unreachable peer costs its supervisor a
-// dial timeout and nothing else.
-func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ mesh.Report, retErr error) {
+// syncPeer runs one client session with addr over every hosted object,
+// taking turns per peer address. The session ships from the snapshot
+// syncSession takes after the dial and, that turn aside, holds no lock
+// across its round trips (see the package comment), so neither local
+// commits nor inbound sessions wait for it, and an unreachable peer
+// costs its supervisor a dial timeout and nothing else. With link set it
+// is a link's connect session, and on success the connection comes back
+// as the link, in stream mode.
+func (n *Node) syncPeer(ctx context.Context, addr string, link bool) (_ mesh.Report, _ *peerLink, retErr error) {
 	lock := n.peerLock(addr)
 	lock.Lock()
 	defer lock.Unlock()
-	names := objects
-	if names == nil {
-		names = n.Objects()
-	}
+	names := n.Objects()
 	var call callState
 	report := func(missed []string) mesh.Report {
 		s := call.stats.snapshot()
@@ -70,8 +70,8 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 			Missed:      missed,
 		}
 	}
-	if len(names) == 0 {
-		return report(nil), nil
+	if len(names) == 0 && !link {
+		return report(nil), nil, nil
 	}
 	start := time.Now()
 	call.span = n.newSpan("client", addr)
@@ -86,38 +86,48 @@ func (n *Node) syncPeer(ctx context.Context, addr string, objects []string) (_ m
 			m.session("client", outcome)
 		}
 	}()
-	// The whole-node span probe is only worth a frame when every hosted
-	// object is in scope (the server folds over all of its objects) and
-	// the peer has acked a hello before (see ackedPeers).
+	// The whole-node span probe is only worth a frame when the peer has
+	// acked a hello before (see ackedPeers).
 	_, acked := n.ackedPeers.Load(addr)
-	missed, err := n.syncSession(ctx, addr, names, objects == nil && acked, &call)
-	return report(missed), err
+	missed, l, err := n.syncSession(ctx, addr, names, acked, link, &call)
+	return report(missed), l, err
 }
 
 // sessionObject is one object in a client session's scope together with
 // the snapshot the session ships from: the branch head at connect time
-// and the capture token recording every commit installed since.
+// and the capture token recording every commit installed since. A link's
+// connect session also arms link, the capture its stream drains (zero
+// otherwise).
 type sessionObject struct {
 	name  string
 	e     *objectEntry
 	head  store.Hash
 	token int
+	link  int
 }
 
-// snapshotScope snapshots every named object the node still hosts.
-func (n *Node) snapshotScope(names []string) ([]sessionObject, error) {
+// snapshotScope snapshots every named object the node still hosts,
+// arming each object's link capture too when link is set.
+func (n *Node) snapshotScope(names []string, link bool) ([]sessionObject, error) {
 	scope := make([]sessionObject, 0, len(names))
 	for _, name := range names {
 		e, ok := n.entry(name)
 		if !ok {
 			continue // removed concurrently; nothing to sync
 		}
-		head, token, err := e.obj.Snapshot()
+		so := sessionObject{name: name, e: e}
+		var err error
+		if link {
+			so.head, so.token, so.link, err = e.obj.SnapshotLink()
+		} else {
+			so.head, so.token, err = e.obj.Snapshot()
+		}
 		if err != nil {
 			releaseScope(scope)
+			releaseLinks(scope)
 			return nil, err
 		}
-		scope = append(scope, sessionObject{name: name, e: e, head: head, token: token})
+		scope = append(scope, so)
 	}
 	return scope, nil
 }
@@ -129,30 +139,56 @@ func releaseScope(scope []sessionObject) {
 	}
 }
 
+// releaseLinks ends the link captures of a connect session whose link
+// never came up.
+func releaseLinks(scope []sessionObject) {
+	for _, so := range scope {
+		if so.link != 0 {
+			so.e.obj.EndInstallCapture(so.link)
+		}
+	}
+}
+
 // syncSession runs the client side of one session: one connection, one
 // exchange per object. With spanFirst the session opens with a
 // whole-node span probe: a match ends the round after two frames — the
 // converged mesh pair's steady-state cost. The returned list names the
 // objects the peer answered with a miss — the mesh daemon uses it to
-// learn which objects a peer is interested in.
-func (n *Node) syncSession(ctx context.Context, addr string, names []string, spanFirst bool, call *callState) ([]string, error) {
+// learn which objects a peer is interested in. With link set, a session
+// that succeeds keeps its connection and returns it as a link.
+func (n *Node) syncSession(ctx context.Context, addr string, names []string, spanFirst, link bool, call *callState) ([]string, *peerLink, error) {
 	conn, err := n.dialPeer(ctx, addr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
 	c := n.newConn(conn, &call.stats)
 
 	// The snapshot precedes the first frame: everything this session
 	// ships existed now, however many round trips it takes.
-	scope, err := n.snapshotScope(names)
-	if err != nil {
-		return nil, err
+	scope, err := n.snapshotScope(names, link)
+	var missed []string
+	if err == nil {
+		missed, err = n.exchange(c, addr, scope, spanFirst, call)
+		releaseScope(scope)
 	}
-	defer releaseScope(scope)
+	if !stop() && link && err == nil {
+		err = ctx.Err() // cancelled on the way out: the connection is closed
+	}
+	if link && err == nil {
+		err = c.stream()
+	}
+	if err != nil || !link {
+		conn.Close()
+		releaseLinks(scope)
+		return missed, nil, err
+	}
+	return missed, n.newPeerLink(c, addr, scope, missed), nil
+}
 
+// exchange runs a session's frames over an open connection: the optional
+// span probe, then one exchange per object in scope.
+func (n *Node) exchange(c *countedConn, addr string, scope []sessionObject, spanFirst bool, call *callState) ([]string, error) {
 	if spanFirst {
 		done, err := n.syncSpan(c, scope, call)
 		if err != nil || done {
@@ -272,7 +308,7 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *c
 	if err != nil {
 		return false, fmt.Errorf("%w: root answer: %w", ErrProtocol, err)
 	}
-	n.ackedPeers.Store(addr, struct{}{})
+	n.ackedPeers.Store(addr, ack.Node)
 	call.span.phase("negotiate", object, negStart)
 	return false, n.syncObjectRecon(c, so, ack, answer, call)
 }
@@ -400,7 +436,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 		m.descent(probes)
 	}
 	// What ships is the resolved set as of the snapshot; commits younger
-	// than the session ride the push their NotifyCommit already queued.
+	// than the session ride the next stream batch or round.
 	shipStart := time.Now()
 	commits, err := e.obj.ExportSetAsOf(so.head, ship, so.token)
 	if err != nil {
@@ -434,7 +470,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err != nil {
 		return err
 	}
-	for _, s := range []*syncStats{&n.total, &e.stats} {
+	for _, s := range []*syncStats{&n.total, &e.stats, &call.stats} {
 		s.deltaSyncs.Add(1)
 		s.commitsSent.Add(int64(len(commits)))
 		s.commitsRecv.Add(int64(len(reply)))

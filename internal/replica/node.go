@@ -40,11 +40,16 @@
 //
 // Replication can be always-on: every node embeds an internal/mesh
 // engine. Peers configured with WithPeers (or added with AddPeer) get a
-// supervisor goroutine running jittered anti-entropy rounds through the
-// same syncPeer code path a manual SyncWith uses, local commits and
-// remote-merge head moves are pushed to interested peers immediately,
-// and failures back off exponentially per peer. Watch exposes the merge
-// path's head moves as a notification channel.
+// supervisor goroutine that keeps one outbound link to the peer (link.go)
+// and runs jittered anti-entropy rounds — the same syncPeer code path a
+// manual SyncWith uses — while the link is up. A link is a client session
+// whose connection outlives it: the connect session repairs the pair, and
+// then the connection streams, one way, every commit the node installs —
+// local commits and remote-merge head moves alike — except those that
+// arrived from that peer. The serving side integrates each stream batch
+// as it integrates a session's delta. Failures back off exponentially per
+// peer, and a failed link reconnects, its connect session the repair.
+// Watch exposes the merge path's head moves as a notification channel.
 //
 // Concurrency discipline: a client session is a reader of a snapshot.
 // Right after the dial, before its first frame, it takes for every
@@ -56,8 +61,8 @@
 // into whatever head the branch has by then — a fast-forward, a semantic
 // fast-forward or one merge commit, all ordinary store.Pull cases. A
 // session's work is therefore bounded by the state it connected with,
-// and commits younger than it ride the push their NotifyCommit already
-// queued. Local commits (Do, PullLocal, SyncLocal) take only the store's
+// and commits younger than it ride the link's next batch or the next
+// round. Local commits (Do, PullLocal, SyncLocal) take only the store's
 // lock and never wait for a session. The serving side answers from the
 // live store: its reply export folds in whatever landed since its hello
 // ack — bar what arrived under the client's own tracking branch —
@@ -77,11 +82,13 @@
 // can cost is a second delivery: two sessions running opposite ways
 // between one pair may both carry the same commit (one in its ship set,
 // one in its reply), which content addressing drops on arrival and
-// RedundantCommits counts. Uncrossed sessions ship exactly once. Client
-// sessions additionally take turns per peer address (a session-admission
-// lock no write and no handler ever takes), so a daemon round and a
-// manual SyncWith to the same peer never duplicate each other's
-// transfer.
+// RedundantCommits counts. Uncrossed sessions ship exactly once, and a
+// link never streams back what its peer sent, so between linked nodes
+// crossing happens only between a round (or connect session) and the
+// other side's stream. Client sessions additionally take turns per peer
+// address (a session-admission lock no write, no handler and no link's
+// stream ever takes), so a daemon round, a connect session and a manual
+// SyncWith to the same peer never duplicate each other's transfer.
 package replica
 
 import (
@@ -145,6 +152,10 @@ type countedConn struct {
 	// metrics feeds the per-frame wire counters (nil when the node runs
 	// without observability).
 	metrics *nodeMetrics
+	// streaming marks the dial side of a link in stream mode, where the
+	// reader goroutine and the writer share the connection: a raw fill
+	// neither flushes (the writer flushes after each batch) nor times out.
+	streaming bool
 }
 
 // FrameRead and FrameWrote implement wire.FrameMeter: the framing layer
@@ -175,13 +186,16 @@ func (c *countedConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 // fill is the raw read under the read buffer. It runs only when the
 // buffer is empty — the session is about to block on the peer — so it
 // first flushes this side's pending turn: the peer cannot answer what it
-// has not been sent.
+// has not been sent. A streaming link's reader skips both the flush and
+// the deadline.
 func (c *countedConn) fill(p []byte) (int, error) {
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	if err := c.Conn.SetReadDeadline(c.stamp()); err != nil {
-		return 0, err
+	if !c.streaming {
+		if err := c.w.Flush(); err != nil {
+			return 0, err
+		}
+		if err := c.Conn.SetReadDeadline(c.stamp()); err != nil {
+			return 0, err
+		}
 	}
 	n, err := c.Conn.Read(p)
 	c.total.bytesRecv.Add(int64(n))
@@ -208,6 +222,16 @@ func (c *countedConn) flush(p []byte) (int, error) {
 		s.bytesSent.Add(int64(n))
 	}
 	return n, err
+}
+
+// stream switches the dial side of a finished connect session to stream
+// mode, before its reader goroutine starts: the session clip no longer
+// applies, writes keep their idle deadline, and reads wait for as long
+// as the link lives.
+func (c *countedConn) stream() error {
+	c.streaming = true
+	c.sessionEnd = time.Time{}
+	return c.Conn.SetReadDeadline(time.Time{})
 }
 
 // sessionWriteBuf sizes a session's write buffer: a typical turn — a
@@ -286,12 +310,13 @@ type Node struct {
 
 	total syncStats
 	// ackedPeers is the first-contact set: addresses that have acked a
-	// hello. Only a session to such an address opens with the whole-node
-	// span probe — a first session never pays that turn, since against a
-	// peer it has never synced with the probe would only report a
-	// difference. The set only grows; a peer that restarts in place
-	// answers the probe like any other.
-	ackedPeers sync.Map // addr -> struct{}
+	// hello, with the node name the latest ack carried. Only a session to
+	// such an address opens with the whole-node span probe — a first
+	// session never pays that turn, since against a peer it has never
+	// synced with the probe would only report a difference. A link takes
+	// the name for its peer's tracking branch. The set only grows; a peer
+	// that restarts in place answers the probe like any other.
+	ackedPeers sync.Map // addr -> peer node name
 
 	ln     net.Listener
 	closed chan struct{}
@@ -358,21 +383,22 @@ func NewNode(name string, replicaID int, opts ...NodeOption) (*Node, error) {
 }
 
 // AddPeer registers addr with the node's always-on sync daemon: a
-// supervisor goroutine starts anti-entropy rounds against it immediately
-// and receives push-on-commit notifications. Unreachable peers are
+// supervisor goroutine dials its link immediately — a connect session,
+// then a stream of every commit the node installs — and runs
+// anti-entropy rounds while the link is up. Unreachable peers are
 // retried with exponential backoff. Adding a present peer is a no-op.
 func (n *Node) AddPeer(addr string) { n.engine.AddPeer(addr) }
 
-// RemovePeer stops the daemon's supervision of addr. Removing an unknown
-// peer is a no-op.
+// RemovePeer stops the daemon's supervision of addr and closes its link
+// before returning. Removing an unknown peer is a no-op.
 func (n *Node) RemovePeer(addr string) { n.engine.RemovePeer(addr) }
 
 // Peers returns the daemon's supervised peer addresses, sorted.
 func (n *Node) Peers() []string { return n.engine.Peers() }
 
-// MeshStats snapshots the daemon's per-peer state: rounds, pushes,
-// failures, backoff, health score, wire cost and last-converged time,
-// keyed by peer address.
+// MeshStats snapshots the daemon's per-peer state: link up or down,
+// rounds, stream batches, failures, backoff, health score, wire cost and
+// last-converged time, keyed by peer address.
 func (n *Node) MeshStats() map[string]mesh.PeerStats { return n.engine.Stats() }
 
 // PeerMeshStats snapshots one peer's daemon state; ok is false for
@@ -394,6 +420,13 @@ func (n *Node) Objects() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// objectCount returns how many objects the node hosts.
+func (n *Node) objectCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.objects)
 }
 
 // Object returns the hosted object named object.

@@ -47,6 +47,14 @@ type Object interface {
 	// EndInstallCapture.
 	Snapshot() (head store.Hash, token int, err error)
 	ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error)
+	// SnapshotLink and DrainCapture are a link's: a link's connect
+	// session snapshots with SnapshotLink, which also arms the link's own
+	// capture in the same store critical section, and the link's stream
+	// drains that capture batch by batch, skipping what arrived under
+	// heldVia, the peer's tracking branch. Close ends it with
+	// EndInstallCapture.
+	SnapshotLink() (head store.Hash, token, link int, err error)
+	DrainCapture(token int, heldVia string) ([]store.ExportedCommit, store.Hash, error)
 	// BeginInstallCapture / EndInstallCapture / ExportSetCapture are the
 	// serving side's counterpart: a handler arms a capture at the hello
 	// ack and exports its reply through it, so commits a concurrent local
@@ -178,15 +186,16 @@ func (o *TypedObject[S, Op, Val]) Branch() string { return o.branch }
 func (o *TypedObject[S, Op, Val]) Store() *store.Store[S, Op, Val] { return o.st }
 
 // Do applies an operation on the node's branch with a fresh timestamp
-// and notifies the node's mesh daemon, which pushes the commit to
-// interested peers (bursts coalesce into one push). Do takes only the
-// store's lock: a sync session in flight ships from the snapshot it
-// opened with and merges its reply into whatever head the branch has by
-// then, so a commit never waits for the network.
+// and notifies the node's mesh daemon, whose links stream the commit to
+// interested peers (commits landing while a write is in flight share the
+// next one). Do takes only the store's lock: a sync session in flight
+// ships from the snapshot it opened with and merges its reply into
+// whatever head the branch has by then, and a link drains its capture
+// on its own goroutine, so a commit never waits for the network.
 func (o *TypedObject[S, Op, Val]) Do(op Op) (Val, error) {
 	v, err := o.st.Apply(o.branch, op)
 	if err == nil {
-		o.node.engine.NotifyCommit(o.object)
+		o.node.engine.NotifyCommit()
 	}
 	return v, err
 }
@@ -196,7 +205,7 @@ func (o *TypedObject[S, Op, Val]) Do(op Op) (Val, error) {
 func (o *TypedObject[S, Op, Val]) PullLocal(dst, src string) error {
 	err := o.st.Pull(dst, src)
 	if err == nil && dst == o.branch {
-		o.node.engine.NotifyCommit(o.object)
+		o.node.engine.NotifyCommit()
 	}
 	return err
 }
@@ -206,7 +215,7 @@ func (o *TypedObject[S, Op, Val]) PullLocal(dst, src string) error {
 func (o *TypedObject[S, Op, Val]) SyncLocal(a, b string) error {
 	err := o.st.Sync(a, b)
 	if err == nil && (a == o.branch || b == o.branch) {
-		o.node.engine.NotifyCommit(o.object)
+		o.node.engine.NotifyCommit()
 	}
 	return err
 }
@@ -236,13 +245,13 @@ func (o *TypedObject[S, Op, Val]) State() (S, error) {
 //
 // A pull that moves the node branch's head fires the object's watchers
 // and re-notifies the mesh daemon: the news a merge brought in is itself
-// pushed onward, so commits cascade hop-by-hop through ring and mesh
+// streamed onward, so commits cascade hop-by-hop through ring and mesh
 // topologies instead of waiting out a full anti-entropy round per hop.
-// (The cascade terminates: once peers converge, re-syncs ship zero
-// commits and move no heads.) Whether the pull moved the head is the
-// store's verdict, not a before/after comparison from here — a Do
-// racing the integrate moves the head too, and must neither fire
-// watchers nor trigger a second push.
+// (The cascade terminates: a link never streams a commit back to the
+// peer it came from, and a commit already present installs nothing.)
+// Whether the pull moved the head is the store's verdict, not a
+// before/after comparison from here — a Do racing the integrate moves
+// the head too, and must not fire watchers.
 func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (int, []store.Hash, error) {
 	fresh, importErr := o.st.ImportCaptured(track, commits, head)
 	if importErr != nil {
@@ -259,7 +268,7 @@ func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.E
 			From:   strings.TrimPrefix(track, "remote/"),
 			Head:   after,
 		})
-		o.node.engine.NotifyCommit(o.object)
+		o.node.engine.NotifyCommit()
 	}
 	return redundant, minted, pullErr
 }
@@ -298,6 +307,16 @@ func (o *TypedObject[S, Op, Val]) Snapshot() (store.Hash, int, error) {
 // ExportSetAsOf implements Object.
 func (o *TypedObject[S, Op, Val]) ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error) {
 	return o.st.ExportSetAsOf(head, ship, token)
+}
+
+// SnapshotLink implements Object.
+func (o *TypedObject[S, Op, Val]) SnapshotLink() (store.Hash, int, int, error) {
+	return o.st.SnapshotLink(o.branch)
+}
+
+// DrainCapture implements Object.
+func (o *TypedObject[S, Op, Val]) DrainCapture(token int, heldVia string) ([]store.ExportedCommit, store.Hash, error) {
+	return o.st.DrainCapture(o.branch, token, heldVia)
 }
 
 // BeginInstallCapture implements Object.

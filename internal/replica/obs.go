@@ -51,6 +51,8 @@ func kindName(k wire.FrameKind) string {
 		return "recon-want"
 	case wire.FrameReconSpan:
 		return "recon-span"
+	case wire.FrameLinkBatch:
+		return "link-batch"
 	}
 	return "other"
 }

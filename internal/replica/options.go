@@ -151,10 +151,11 @@ func WithVerifyOnOpen(v bool) NodeOption {
 }
 
 // WithPeers seeds the node's always-on sync daemon with peer addresses:
-// from construction on, a supervisor goroutine per address runs jittered
-// anti-entropy rounds and receives push-on-commit notifications, with
-// exponential backoff while a peer is unreachable. Equivalent to calling
-// AddPeer for each address right after NewNode.
+// from construction on, a supervisor goroutine per address keeps a link
+// to it streaming every commit the node installs and runs jittered
+// anti-entropy rounds, with exponential backoff while a peer is
+// unreachable. Equivalent to calling AddPeer for each address right
+// after NewNode.
 func WithPeers(addrs ...string) NodeOption {
 	return func(c *nodeConfig) { c.peers = append(c.peers, addrs...) }
 }
@@ -208,7 +209,8 @@ func WithMaxInbound(n int) NodeOption {
 // WithSyncTimeout bounds how long one read or write of a sync exchange
 // may stall before the connection errors out (default 30s). A peer that
 // keeps making progress can transfer arbitrarily much; one that goes
-// silent is cut off. Zero and below keep the default.
+// silent is cut off. An idle link writes a heartbeat every third of this
+// bound, so fleets should share it. Zero and below keep the default.
 func WithSyncTimeout(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.syncTO = d }
 }
@@ -238,7 +240,9 @@ func WithDebugAddr(addr string) NodeOption {
 // (default 3m). The idle timeout cannot stop a dribbling peer — one
 // byte per idle window is progress forever — so this is the hard cap on
 // how long any one peer can hold a session (a handler slot, a
-// peer-address turn). Zero or negative disables the bound.
+// peer-address turn). A mesh link leaves the bound once its connect
+// session is done: it lives until its dialer closes it. Zero or negative
+// disables the bound.
 func WithSessionTimeout(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.sessionTO, c.sessionTOSet = d, true }
 }

@@ -98,6 +98,8 @@ func (n *Node) serveSession(conn *countedConn, rs *reconSession, sp *spanRec) er
 		case wire.FrameReconWant:
 			err = n.handleReconWant(conn, fields, rs, sp)
 			rs.release()
+		case wire.FrameLinkBatch:
+			err = n.handleLinkBatch(conn, fields, sp)
 		default:
 			return refuse(conn, "bad request")
 		}
@@ -231,7 +233,11 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 	case count == 0:
 		return wire.ReconAnswer{Kind: wire.FrameReconEmptyRange}, nil
 	case count <= reconItemsCap:
-		return wire.ReconAnswer{Kind: wire.FrameReconItems, Items: obj.ReconItems(rr.X, rr.Y, count)}, nil
+		// Enumerate the range as it is now, not capped at the count just
+		// read: a commit that landed in the range since (a concurrent
+		// import can add one below older items) would otherwise push an
+		// older one out of the list, which the prober then never wants.
+		return wire.ReconAnswer{Kind: wire.FrameReconItems, Items: obj.ReconItems(rr.X, rr.Y, -1)}, nil
 	}
 	// Split at the median item; both halves are non-empty because
 	// count > reconItemsCap ≥ 2, so the descent strictly shrinks.
@@ -292,7 +298,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	// Count the exchange before the reply streams out: the client may
 	// read its own stats the moment its SyncWith returns, and this
 	// handler goroutine has no happens-before edge past the write.
-	for _, s := range []*syncStats{&n.total, &e.stats} {
+	for _, s := range []*syncStats{&n.total, &e.stats, conn.call} {
 		s.deltaSyncs.Add(1)
 		s.commitsRecv.Add(int64(len(commits)))
 		s.commitsSent.Add(int64(len(reply)))
@@ -306,6 +312,55 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	sp.objects(1)
 	sp.phase("ship", rs.hello.Object, wStart)
 	return wire.WriteDeltaPacked(conn, reply, replyHead)
+}
+
+// handleLinkBatch integrates one batch of a link's stream: the commits
+// the dialer installed since its previous batch, grafted on its branch
+// head, go under its tracking branch and are pulled into the node branch
+// exactly as a session's delta is — IntegrateExact under the merge lock.
+// A batch that does not graft (or names an object not hosted here) is a
+// violation: the refusal reaches the dialer's reader and ends the link.
+// The first batch takes the connection out of the session clip: a link
+// lives until its dialer closes it, kept past the idle deadline by
+// heartbeats (a batch with no fields).
+func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) error {
+	conn.sessionEnd = time.Time{}
+	if len(fields) == 0 {
+		return nil
+	}
+	if len(fields) != 1 {
+		return refuse(conn, "bad link batch")
+	}
+	hello, err := wire.DecodeHello(fields[0])
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	sp.setPeer(hello.Node)
+	conn.obj.Store(nil)
+	e, ok := n.entry(hello.Object)
+	if !ok || e.obj.Datatype() != hello.Datatype {
+		return refuse(conn, fmt.Sprintf("link batch for object %s (%s), not hosted here", hello.Object, hello.Datatype))
+	}
+	conn.obj.Store(&e.stats)
+	commits, head, err := readDelta(conn)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	if head != hello.Head {
+		return refuse(conn, "link batch head differs from its delta's")
+	}
+	n.lockMerge(e)
+	redundant, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
+	e.mergeMu.Unlock()
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	for _, s := range []*syncStats{&n.total, &e.stats, conn.call} {
+		s.commitsRecv.Add(int64(len(commits)))
+		s.patchesRecv.Add(countPatches(commits))
+		s.redundantCommits.Add(int64(redundant))
+	}
+	return nil
 }
 
 // handleReconSpan answers a whole-node span probe: fold a fingerprint

@@ -213,6 +213,59 @@ func (s *Store[S, Op, Val]) Snapshot(b string) (head Hash, token int, err error)
 	return head, s.beginInstallCaptureLocked(), nil
 }
 
+// SnapshotLink is Snapshot for a link's connect session: in the same
+// critical section it arms a second capture, link, which outlives the
+// session and feeds the link's stream through DrainCapture. Every commit
+// is then either an ancestor candidate of head — the session's to ship —
+// or in link's record, never neither.
+func (s *Store[S, Op, Val]) SnapshotLink(b string) (head Hash, token, link int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	head, ok := s.heads[b]
+	if !ok {
+		return Hash{}, 0, 0, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	}
+	return head, s.beginInstallCaptureLocked(), s.beginInstallCaptureLocked(), nil
+}
+
+// DrainCapture exports every commit the token recorded since it was
+// armed or last drained — bar those imported under heldVia, which the
+// receiver sent, and the virtual merge bases of criss-cross pulls, which
+// are on no branch and which every store that needs one folds itself —
+// in generation order, with branch b's head as the graft point, and
+// keeps the token armed for the next drain. Drained in turn, the batches
+// stay graftable: a commit's parents were installed before it, so each
+// sits in the same or an earlier batch, predates the token, or came from
+// the receiver; and no branch commit has a virtual parent.
+func (s *Store[S, Op, Val]) DrainCapture(b string, token int, heldVia string) ([]ExportedCommit, Hash, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	log, live := s.installLogs[token]
+	if !live {
+		return nil, Hash{}, ErrNoCapture
+	}
+	s.installLogs[token] = nil
+	head, ok := s.heads[b]
+	if !ok {
+		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	}
+	ship := make(map[Hash]bool, len(log))
+	for _, in := range log {
+		if in.via != heldVia && !s.virtualLocked(in.hash) {
+			ship[in.hash] = true
+		}
+	}
+	commits, err := s.exportSetLocked(ship)
+	return commits, head, err
+}
+
+// virtualLocked reports whether h is a virtual merge base (foldBases):
+// the only commits with parents that carry no timestamp.
+func (s *Store[S, Op, Val]) virtualLocked(h Hash) bool {
+	c, ok := s.commitLocked(h)
+	return ok && c.Time == 0 && len(c.Parents) > 0
+}
+
 // ExportSetAsOf is the mirror image of ExportSetCapture, for the side
 // that opened the session: it exports ship minus everything the
 // Snapshot's token recorded, to be sent with the snapshot's head. The

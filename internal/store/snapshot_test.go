@@ -264,3 +264,96 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 			len(batch), ship[local], ship[fromThird], ship[fromPeer])
 	}
 }
+
+// TestDrainCaptureStreamsWhatTheReceiverLacks: a link's capture, armed
+// with the connect session's snapshot, outlives the session's export and
+// drains batch by batch — everything installed since, bar what came from
+// the receiver — and every batch grafts onto the receiver.
+func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
+	s := newCounterStoreAt("main", 0)
+	peer := newCounterStoreAt("peer", 64)
+	third := newCounterStoreAt("third", 128)
+	mustApply(t, peer, "peer")
+	mustApply(t, third, "third")
+
+	head, token, link, err := s.SnapshotLink("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExportSetAsOf(head, map[Hash]bool{}, token); err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, s, "main")
+	for _, src := range []*counterStoreT{peer, third} {
+		if err := absorb(s, src, src.Branches()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, head, err := s.DrainCapture("main", link, "remote/peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The local commit, third's commit and the two merges; not peer's own.
+	if now, _ := s.HeadHash("main"); len(batch) != 4 || head != now {
+		t.Fatalf("drained %d commits under %v, want 4 under the head %v", len(batch), head, now)
+	}
+	if err := peer.Import("remote/main", batch, head); err != nil {
+		t.Fatalf("batch does not graft onto the receiver: %v", err)
+	}
+
+	// The token stays armed: the next drain holds only what came after.
+	if again, _, err := s.DrainCapture("main", link, "remote/peer"); err != nil || len(again) != 0 {
+		t.Fatalf("second drain: %d commits, %v; want none", len(again), err)
+	}
+	mustApply(t, s, "main")
+	next, head, err := s.DrainCapture("main", link, "remote/peer")
+	if err != nil || len(next) != 1 {
+		t.Fatalf("drain after one apply: %d commits, %v", len(next), err)
+	}
+	if err := peer.Import("remote/main", next, head); err != nil {
+		t.Fatalf("second batch does not graft: %v", err)
+	}
+	s.EndInstallCapture(link)
+	if _, _, err := s.DrainCapture("main", link, "remote/peer"); !errors.Is(err, ErrNoCapture) {
+		t.Fatalf("ended token: err = %v, want ErrNoCapture", err)
+	}
+}
+
+// TestDrainCaptureSkipsVirtualBases: a criss-cross pull folds its merge
+// bases into a virtual commit on no branch; the drain leaves it out —
+// every store that needs it folds it itself.
+func TestDrainCaptureSkipsVirtualBases(t *testing.T) {
+	x := newCounterStoreAt("main", 0)
+	y := newCounterStoreAt("main", 64)
+	mustApply(t, x, "main")
+	mustApply(t, y, "main")
+	early, earlyHead, err := x.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := absorb(x, y, "main"); err != nil { // x merges y's commit
+		t.Fatal(err)
+	}
+	if err := y.Import("remote/main", early, earlyHead); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Pull("main", "remote/main"); err != nil { // y merges x's: a criss-cross
+		t.Fatal(err)
+	}
+
+	link := x.BeginInstallCapture()
+	before := len(commitSet(x))
+	if err := absorb(x, y, "main"); err != nil {
+		t.Fatal(err)
+	}
+	if grown := len(commitSet(x)) - before; grown != 2 {
+		t.Fatalf("criss-cross pull installed %d commits, want y's merge and a virtual base", grown)
+	}
+	batch, _, err := x.DrainCapture("main", link, "elsewhere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 1 || batch[0].Time == 0 {
+		t.Fatalf("drained %d commits %+v, want y's merge alone", len(batch), batch)
+	}
+}

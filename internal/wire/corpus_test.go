@@ -1,7 +1,8 @@
 package wire_test
 
 // Recorded-session fuzz corpus: real sync and recon exchanges between
-// two live nodes, captured byte-for-byte through a faultnet tap, split
+// two live nodes, then a link's connect session and stream, captured
+// byte-for-byte through a faultnet tap, split
 // into frames, and committed as FuzzReadMsg seeds — each frame whole,
 // truncated mid-body, and with a bit flipped. `go test` replays every
 // committed seed through the fuzz target, so the parser is exercised
@@ -25,6 +26,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/counter"
 	"repro/internal/faultnet"
@@ -82,7 +84,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	fn := faultnet.New(1, faultnet.WithTap(tap))
 
 	mk := func(name string, id int) (*replica.Node, *replica.TypedObject[counter.PNState, counter.Op, counter.Val]) {
-		n, err := replica.NewNode(name, id, replica.WithTransport(fn.Transport(name)))
+		n, err := replica.NewNode(name, id, replica.WithTransport(fn.Transport(name)), replica.WithMeshInterval(time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +119,32 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	// Then a link from a to b: its connect session, and commits streaming
+	// over it as link batches, with no round to interleave.
+	a.AddPeer(b.Addr())
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := a.PeerMeshStats(b.Addr()); st.LinkUp {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("link never came up")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := aobj.Do(counter.Op{Kind: counter.Inc, N: 10}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if sa, _ := aobj.State(); func() bool { sb, _ := bobj.State(); return sa == sb }() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("link batch never arrived")
+			}
+		}
+	}
+	a.RemovePeer(b.Addr())
 
 	// Split each direction's stream into frames and emit seed variants.
 	if err := os.MkdirAll(corpusDir, 0o755); err != nil {

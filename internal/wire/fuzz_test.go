@@ -56,6 +56,11 @@ func FuzzReadMsg(f *testing.F) {
 	for _, fr := range versionedHellos() {
 		f.Add(fr)
 	}
+	// A link's stream: a heartbeat, a batch opener with its delta, the
+	// opener truncated, and one carrying a stray second field.
+	for _, fr := range linkBatches() {
+		f.Add(fr)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, fields, err := wire.ReadMsg(bytes.NewReader(data))
@@ -202,9 +207,36 @@ func versionedHellos() [][]byte {
 	return append(out, frame(wire.FrameHello, other, root))
 }
 
+// linkHello is the opener of one link batch: the sender, the object and
+// its datatype, and the graft head.
+func linkHello() []byte {
+	return wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter", Head: store.Hash{4}})
+}
+
+// linkBatches frames a link's traffic: a heartbeat, a batch (opener,
+// then its delta of one patched commit), the opener cut short, and an
+// opener with an extra field.
+func linkBatches() [][]byte {
+	hello := linkHello()
+	var batch bytes.Buffer
+	batch.Write(frame(wire.FrameLinkBatch, hello))
+	commit := store.ExportedCommit{Parents: []store.Hash{{3}}, Patch: []byte{1, 2}, Gen: 2, Time: 65}
+	if err := wire.WriteDeltaPacked(&batch, []store.ExportedCommit{commit}, store.Hash{4}); err != nil {
+		panic(err)
+	}
+	opener := frame(wire.FrameLinkBatch, hello)
+	return [][]byte{
+		frame(wire.FrameLinkBatch),
+		batch.Bytes(),
+		opener[:len(opener)-5],
+		frame(wire.FrameLinkBatch, hello, []byte("stray")),
+	}
+}
+
 // FuzzDecodeHello: the first payloads a server decodes from an untrusted
-// peer — and the root answer a client decodes from the ack — must never
-// panic or over-allocate on arbitrary bytes.
+// peer — a session's hello or a link batch's opener — and the root answer
+// a client decodes from the ack must never panic or over-allocate on
+// arbitrary bytes.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte{})
 	// A hello of the retired unversioned dialect, whole and truncated.
@@ -227,6 +259,11 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add(append([]byte{wire.Version + 1}, good[1:]...))
+	// A link batch opens with a hello naming its graft head: whole and
+	// truncated.
+	opener := linkHello()
+	f.Add(opener)
+	f.Add(opener[:len(opener)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := wire.DecodeHello(data); err == nil {
 			if !bytes.Equal(wire.EncodeHello(h), data) {

@@ -36,6 +36,13 @@ const (
 	// travels either whole or as a binary patch against the first
 	// parent's state.
 	FramePackedCommits FrameKind = 10
+	// FrameLinkBatch opens one batch of a link's commit stream, which the
+	// dialer writes after its connect session's exchanges: a Hello naming
+	// the sender, the object and its datatype, with Head the graft point,
+	// followed by a delta of the commits (WriteDeltaPacked) under that same
+	// head. With no field it is a heartbeat: an idle link's proof of life
+	// against the reader's idle deadline, followed by nothing.
+	FrameLinkBatch FrameKind = 18
 )
 
 // Version is the sync protocol version. The hello and the span probe

@@ -34,15 +34,16 @@ func WithMaxInbound(n int) NodeOption { return replica.WithMaxInbound(n) }
 // WithSyncTimeout bounds how long one read or write of a sync exchange
 // may stall before the connection errors out (default 30s). A peer that
 // keeps making progress can transfer arbitrarily much; one that goes
-// silent is cut off instead of wedging the exchange. Zero and below
-// keep the default.
+// silent is cut off instead of wedging the exchange. An idle mesh link
+// writes a heartbeat every third of this bound, so fleets should share
+// it. Zero and below keep the default.
 func WithSyncTimeout(d time.Duration) NodeOption { return replica.WithSyncTimeout(d) }
 
 // WithSessionTimeout bounds a whole sync session, client or server side
 // (default 3m). The idle timeout cannot stop a dribbling peer — one
 // byte per idle window is progress forever — so this is the hard cap on
-// how long any single session can run. Zero or negative disables the
-// bound.
+// how long any single session can run. A mesh link leaves the bound once
+// its connect session is done. Zero or negative disables the bound.
 func WithSessionTimeout(d time.Duration) NodeOption { return replica.WithSessionTimeout(d) }
 
 // WithMeshQuarantine tunes how the sync daemon quarantines

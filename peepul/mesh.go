@@ -3,11 +3,13 @@ package peepul
 // Always-on replication: the public face of the internal/mesh engine.
 // A node given peers (WithPeers at construction, AddPeer later) keeps
 // itself converged without any application SyncWith calls — one
-// supervisor goroutine per peer runs jittered anti-entropy rounds,
-// local commits are pushed to interested peers immediately (bursts
-// coalesce), and unreachable peers are retried with exponential
-// backoff. Watch turns remote-merge head moves into a channel, so a UI
-// or cache reacts to replication instead of polling state.
+// supervisor goroutine per peer keeps one long-lived link to it, which
+// streams every commit the node installs as it lands (commits that land
+// during a write share the next one), jittered anti-entropy rounds
+// repair what the links cannot see, and unreachable peers are retried
+// with exponential backoff. Watch turns remote-merge head moves into a
+// channel, so a UI or cache reacts to replication instead of polling
+// state.
 
 import (
 	"context"
@@ -18,9 +20,9 @@ import (
 )
 
 // WithPeers seeds the node's always-on sync daemon: from construction
-// on, every address gets a supervisor goroutine running anti-entropy
-// rounds and receiving push-on-commit notifications. Equivalent to
-// calling AddPeer for each address right after NewNode.
+// on, every address gets a supervisor goroutine that links to it and
+// runs anti-entropy rounds. Equivalent to calling AddPeer for each
+// address right after NewNode.
 func WithPeers(addrs ...string) NodeOption { return replica.WithPeers(addrs...) }
 
 // WithMeshInterval sets the daemon's anti-entropy round period per peer
@@ -37,21 +39,24 @@ func WithMeshJitter(d time.Duration) NodeOption { return replica.WithMeshJitter(
 // 250ms and 30s). Non-positive values keep the defaults.
 func WithMeshBackoff(min, max time.Duration) NodeOption { return replica.WithMeshBackoff(min, max) }
 
-// AddPeer registers addr with the node's sync daemon and starts
-// supervising it immediately. Adding a present peer is a no-op.
+// AddPeer registers addr with the node's sync daemon, which dials its
+// link immediately. Adding a present peer is a no-op.
 func (n *Node) AddPeer(addr string) { n.rn.AddPeer(addr) }
 
-// RemovePeer stops the daemon's supervision of addr. Removing an
-// unknown peer is a no-op.
+// RemovePeer stops the daemon's supervision of addr and closes its link;
+// once it returns, the peer receives nothing more from the daemon.
+// Removing an unknown peer is a no-op.
 func (n *Node) RemovePeer(addr string) { n.rn.RemovePeer(addr) }
 
 // Peers returns the daemon's supervised peer addresses, sorted.
 func (n *Node) Peers() []string { return n.rn.Peers() }
 
-// MeshStats is a snapshot of one peer's daemon state: anti-entropy
-// rounds and pushes completed, failures and the backoff they earned,
-// a health score (1 = healthy, halved per failure), wire cost, the
-// last time an exchange completed, and the last error.
+// MeshStats is a snapshot of one peer's daemon state: whether its link
+// is up, anti-entropy rounds completed (the link's connect sessions
+// included), Pushes — stream batches written that carried commits —
+// failures and the backoff they earned, a health score (1 = healthy,
+// halved per failure), wire cost, the last time an exchange completed,
+// and the last error.
 type MeshStats = mesh.PeerStats
 
 // MeshStats snapshots the daemon's per-peer state, keyed by address.
@@ -66,7 +71,7 @@ func (n *Node) PeerMeshStats(addr string) (MeshStats, bool) { return n.rn.PeerMe
 type WatchEvent = replica.WatchEvent
 
 // Watch returns a channel of this object's remote-merge head moves.
-// Events fire when a sync exchange (daemon round, push, or manual
+// Events fire when a sync exchange (daemon round, link batch, or manual
 // SyncWith — as client or server) changes the node branch's head with a
 // peer's commits; local Do calls never produce events. Delivery never
 // blocks replication: a slow consumer's buffer drops its oldest events

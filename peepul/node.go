@@ -129,7 +129,7 @@ func (n *Node) Close() error { return n.rn.Close() }
 // the wire. Objects the peer does not host are skipped (counted in
 // Stats().Misses). The session ships what this node held when it
 // connected — Do never waits for it, and commits made while it runs
-// travel with the next push or round; between quiescent nodes a
+// travel with the next link batch or round; between quiescent nodes a
 // successful exchange leaves both with equal states on every shared
 // object.
 func (n *Node) SyncWith(addr string) error { return n.rn.SyncWith(addr) }
@@ -202,7 +202,7 @@ func (h *Handle[S, Op, Val]) StateOf(branch string) (S, error) {
 // MRDT merge over a base carrying exactly the branches' common
 // operations (the store's Ψ_lca guarantee). A pull onto the node branch
 // takes only the store's lock — it never waits for a sync session — and
-// is pushed to mesh peers like a Do.
+// is streamed to mesh peers like a Do.
 func (h *Handle[S, Op, Val]) Pull(dst, src string) error {
 	return h.obj.PullLocal(dst, src)
 }

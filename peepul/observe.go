@@ -28,8 +28,8 @@ type Span = obs.Span
 // descend, span-probe, ship, import) with its duration.
 type SpanPhase = obs.Phase
 
-// TraceEvent is one mesh lifecycle event (backoff change, quarantine
-// enter/lift, outbox overflow) with its reason.
+// TraceEvent is one mesh lifecycle event (link up/down, backoff change,
+// quarantine enter/lift) with its cause.
 type TraceEvent = obs.Event
 
 // DebugSnapshot is the one-document debug view: node identity,
