@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/disk"
 	"repro/internal/mlog"
 	"repro/internal/store"
@@ -371,6 +372,71 @@ func TestCheckpointSeek(t *testing.T) {
 	appendMsg(t, s2, "main", "after seek")
 	if st := l2.Stats(); st.CheckpointAge == 0 {
 		t.Fatalf("CheckpointAge did not advance with new records")
+	}
+}
+
+// TestReopenFlatInHistory is the flat-recovery gate: after a clean
+// close, a reopen seeks to the close checkpoint and replays the same
+// number of records at 10², 10³ and 10⁴ commits of history. Its
+// full-replay twin reads the same directories and replays more records
+// the deeper the history, so a lost or skipped checkpoint cannot pass
+// as flat.
+func TestReopenFlatInHistory(t *testing.T) {
+	openCounter := func(dir string) (*store.Store[int64, counter.Op, counter.Val], *disk.Log, *disk.Recovered) {
+		t.Helper()
+		l, rec, err := disk.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.OpenRecovered[int64, counter.Op, counter.Val](
+			counter.IncCounter{}, wire.IncCounter{}, "main", 0, &rec.State, store.WithPersister(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, l, rec
+	}
+	var seek, full []int64
+	for _, history := range []int{100, 1_000, 10_000} {
+		dir := t.TempDir()
+		s, l, _ := openCounter(dir)
+		for i := 0; i < history; i++ {
+			if _, err := s.Apply("main", counter.Op{Kind: counter.Inc, N: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s, l, rec := openCounter(dir)
+		if rec.Mode != disk.ModeCheckpoint {
+			t.Fatalf("history %d: reopened in mode %q, want %q", history, rec.Mode, disk.ModeCheckpoint)
+		}
+		if n := s.NumCommits(); n != history+1 {
+			t.Fatalf("history %d: recovered %d commits, want %d", history, n, history+1)
+		}
+		seek = append(seek, rec.Records)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		l, rec, err := disk.Open(dir, disk.WithFullReplay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(full, rec.Records)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("records replayed at 10², 10³, 10⁴: checkpoint seek %v, full replay %v", seek, full)
+	for i := 1; i < len(seek); i++ {
+		if seek[i] != seek[0] {
+			t.Fatalf("checkpoint reopen replays %v records at 10², 10³, 10⁴; want the same count at every depth", seek)
+		}
+		if full[i] <= full[i-1] {
+			t.Fatalf("full replay reads %v records at 10², 10³, 10⁴; want growth with depth", full)
+		}
 	}
 }
 

@@ -438,25 +438,8 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 	return nil
 }
 
-// StateSize reports the full encoded size of the state pinned by commit
-// c, without materializing it — the per-commit space accounting the
-// benchmarks aggregate.
-func (s *Store[S, Op, Val]) StateSize(c Hash) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cm, ok := s.commitLocked(c)
-	if !ok {
-		return 0, false
-	}
-	obj, ok := s.objLocked(cm.State)
-	if !ok {
-		return 0, false
-	}
-	return obj.size, true
-}
-
 // EncodedState materializes the encoded state pinned by state hash h and
-// returns a copy (benchmarks use it to time cold chain reassembly).
+// returns a copy.
 func (s *Store[S, Op, Val]) EncodedState(h Hash) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

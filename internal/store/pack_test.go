@@ -28,33 +28,42 @@ func appendN(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val], b stri
 }
 
 func TestPackSnapshotSpacing(t *testing.T) {
-	s := logStore(store.WithSnapshotEvery(8))
-	appendN(t, s, "main", 100, "op")
+	for _, tc := range []struct {
+		spacing int
+		opts    []store.Option
+	}{
+		{8, []store.Option{store.WithSnapshotEvery(8)}},
+		{store.DefaultOptions().SnapshotEvery, nil}, // the default spacing
+	} {
+		s := logStore(tc.opts...)
+		appendN(t, s, "main", 100, "op")
 
-	ps := s.PackStats()
-	if ps.Deltas == 0 {
-		t.Fatal("no delta objects formed on a growing log")
-	}
-	if ps.MaxDepth >= 8 {
-		t.Fatalf("MaxDepth = %d, want < SnapshotEvery (8)", ps.MaxDepth)
-	}
-	if ps.PackedBytes >= ps.FullBytes {
-		t.Fatalf("packed bytes %d not below full bytes %d", ps.PackedBytes, ps.FullBytes)
-	}
-	// Roughly one snapshot per 8 states (plus the root); the exact count
-	// depends on patch-vs-encoding size races early in the history.
-	if ps.Snapshots > ps.Objects/4 {
-		t.Fatalf("%d snapshots of %d objects — spacing is not bounding snapshots", ps.Snapshots, ps.Objects)
-	}
-	if err := s.VerifyPack(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Head("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st) != 100 {
-		t.Fatalf("head log has %d entries, want 100", len(st))
+		ps := s.PackStats()
+		if ps.Deltas == 0 {
+			t.Fatalf("spacing %d: no delta objects formed on a growing log", tc.spacing)
+		}
+		if ps.MaxDepth >= tc.spacing {
+			t.Fatalf("MaxDepth = %d, want < SnapshotEvery (%d)", ps.MaxDepth, tc.spacing)
+		}
+		if ps.PackedBytes >= ps.FullBytes {
+			t.Fatalf("spacing %d: packed bytes %d not below full bytes %d", tc.spacing, ps.PackedBytes, ps.FullBytes)
+		}
+		// Roughly one snapshot per spacing states (plus the root); the
+		// exact count depends on patch-vs-encoding size races early in the
+		// history.
+		if ps.Snapshots > ps.Objects/4 {
+			t.Fatalf("spacing %d: %d snapshots of %d objects — spacing is not bounding snapshots", tc.spacing, ps.Snapshots, ps.Objects)
+		}
+		if err := s.VerifyPack(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Head("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st) != 100 {
+			t.Fatalf("spacing %d: head log has %d entries, want 100", tc.spacing, len(st))
+		}
 	}
 }
 
