@@ -160,9 +160,18 @@ func TestDaemonRetriesUnreachablePeer(t *testing.T) {
 	bn := &counterNode{Node: b, obj: bobj}
 
 	waitValue(t, 7, 10*time.Second, bn)
-	st, _ := a.PeerMeshStats(addr)
-	if st.ConsecutiveFailures != 0 {
-		t.Fatalf("recovered peer still failing: %+v", st)
+	// b applies the pushed commits before a's round returns and records
+	// its outcome, so the reset can trail the value by a moment.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		st, _ := a.PeerMeshStats(addr)
+		if st.ConsecutiveFailures == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recovered peer still failing: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

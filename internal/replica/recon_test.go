@@ -34,76 +34,89 @@ func convergePair(t *testing.T, a, b *counterNode) {
 }
 
 // TestReconConvergedResyncO1 is the acceptance core of the dialect: a
-// converged fleet's re-sync costs O(1) frames and zero commits per
-// session, and the cost is flat in history depth — the same bound at
-// 10² and at 10⁴ commits, where a sampled frontier would still ship its
-// whole sample. The fleets are a pair (one session, a to b) and a
-// 3-node ring (each node syncs its successor), whose history reached
-// every node through third parties.
+// converged pair's re-sync costs O(1) frames and zero commits, and the
+// cost is flat in history depth — the same bound at 10² and at 10⁴
+// commits, where a sampled frontier would still ship its whole sample.
 func TestReconConvergedResyncO1(t *testing.T) {
-	// resyncBytes builds a converged fleet holding history commits and
-	// returns the client bytes of one more round of sessions, node i
-	// syncing node i+1.
-	resyncBytes := func(nodes, sessions, history, idBase int) int64 {
-		fleet := make([]*counterNode, nodes)
-		for i := range fleet {
-			fleet[i] = newCounterNode(t, fmt.Sprintf("n%d-%d-%d", nodes, history, i), idBase+i)
-		}
-		for i := 0; i < history; i++ {
-			inc(t, fleet[i%nodes], 1)
-		}
-		round := func(check bool) int64 {
-			var bytes int64
-			for i := 0; i < sessions; i++ {
-				client, server := fleet[i], fleet[(i+1)%nodes]
-				before := client.Stats()
-				if err := client.SyncWith(server.Addr()); err != nil {
-					t.Fatal(err)
-				}
-				after := client.Stats()
-				bytes += bytesMoved(before, after)
-				if !check {
-					continue
-				}
-				if moved := commitsMoved(before, after); moved != 0 {
-					t.Fatalf("%d nodes, history %d: converged re-sync moved %d commits, want 0", nodes, history, moved)
-				}
-				if after.RedundantCommits != before.RedundantCommits {
-					t.Fatalf("%d nodes, history %d: converged re-sync re-shipped %d commits",
-						nodes, history, after.RedundantCommits-before.RedundantCommits)
-				}
-				// The whole re-sync is one span probe and one match frame.
-				if probes := after.RangesSent - before.RangesSent; probes != 1 {
-					t.Fatalf("%d nodes, history %d: converged re-sync sent %d probes, want exactly 1", nodes, history, probes)
-				}
-			}
-			return bytes
-		}
-		// The first round merges, the second ships the merges on.
-		round(false)
-		round(false)
-		for _, n := range fleet[1:] {
-			if v, want := peek(t, n), peek(t, fleet[0]); v != want {
-				t.Fatalf("%d nodes, history %d: fleet failed to converge: %d vs %d", nodes, history, v, want)
-			}
-		}
-		return round(true)
+	checkConvergedResyncFlat(t, 2, 1)
+}
+
+// TestReconRingResyncO1 holds a 3-node ring, each node syncing its
+// successor, to the same bound per session: its history reached every
+// node through third parties, and a converged round still ships no
+// commits and costs the same bytes at 10² and at 10⁴ commits.
+func TestReconRingResyncO1(t *testing.T) {
+	checkConvergedResyncFlat(t, 3, 3)
+}
+
+// checkConvergedResyncFlat builds converged fleets of nodes holding 10²
+// and 10⁴ commits and requires one more round of sessions, node i
+// syncing node i+1, to move zero commits with one probe per session and
+// the same small number of bytes at both depths.
+func checkConvergedResyncFlat(t *testing.T, nodes, sessions int) {
+	t.Helper()
+	at100 := convergedResyncBytes(t, nodes, sessions, 100, 1)
+	at10k := convergedResyncBytes(t, nodes, sessions, 10_000, 1+nodes)
+	// O(1): a hard small-constant ceiling per session at both depths
+	// (two frames of ~50 bytes plus framing), and flat across two
+	// orders of magnitude.
+	ceiling := int64(512 * sessions)
+	if at100 > ceiling || at10k > ceiling {
+		t.Fatalf("%d nodes: converged re-sync cost %d bytes at 10², %d at 10⁴; want ≤ %d", nodes, at100, at10k, ceiling)
 	}
-	for _, topo := range []struct{ nodes, sessions int }{{2, 1}, {3, 3}} {
-		nodes := topo.nodes
-		at100 := resyncBytes(nodes, topo.sessions, 100, 1)
-		at10k := resyncBytes(nodes, topo.sessions, 10_000, 4)
-		// O(1): a hard small-constant ceiling per session at both depths
-		// (two frames of ~50 bytes plus framing), and flat across two
-		// orders of magnitude.
-		ceiling := int64(512 * topo.sessions)
-		if at100 > ceiling || at10k > ceiling {
-			t.Fatalf("%d nodes: converged re-sync cost %d bytes at 10², %d at 10⁴; want ≤ %d", nodes, at100, at10k, ceiling)
+	if at10k != at100 {
+		t.Fatalf("%d nodes: converged re-sync cost must be flat in depth: %d bytes at 10², %d at 10⁴", nodes, at100, at10k)
+	}
+}
+
+// convergedResyncBytes builds a converged fleet holding history commits
+// and returns the client bytes of one more round of sessions, node i
+// syncing node i+1.
+func convergedResyncBytes(t *testing.T, nodes, sessions, history, idBase int) int64 {
+	t.Helper()
+	fleet := make([]*counterNode, nodes)
+	for i := range fleet {
+		fleet[i] = newCounterNode(t, fmt.Sprintf("n%d-%d-%d", nodes, history, i), idBase+i)
+	}
+	for i := 0; i < history; i++ {
+		inc(t, fleet[i%nodes], 1)
+	}
+	round := func(check bool) int64 {
+		var bytes int64
+		for i := 0; i < sessions; i++ {
+			client, server := fleet[i], fleet[(i+1)%nodes]
+			before := client.Stats()
+			if err := client.SyncWith(server.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			after := client.Stats()
+			bytes += bytesMoved(before, after)
+			if !check {
+				continue
+			}
+			if moved := commitsMoved(before, after); moved != 0 {
+				t.Fatalf("%d nodes, history %d: converged re-sync moved %d commits, want 0", nodes, history, moved)
+			}
+			if after.RedundantCommits != before.RedundantCommits {
+				t.Fatalf("%d nodes, history %d: converged re-sync re-shipped %d commits",
+					nodes, history, after.RedundantCommits-before.RedundantCommits)
+			}
+			// The whole re-sync is one span probe and one match frame.
+			if probes := after.RangesSent - before.RangesSent; probes != 1 {
+				t.Fatalf("%d nodes, history %d: converged re-sync sent %d probes, want exactly 1", nodes, history, probes)
+			}
 		}
-		if at10k != at100 {
-			t.Fatalf("%d nodes: converged re-sync cost must be flat in depth: %d bytes at 10², %d at 10⁴", nodes, at100, at10k)
+		return bytes
+	}
+	// The first round merges, the second ships the merges on.
+	round(false)
+	round(false)
+	for _, n := range fleet[1:] {
+		if v, want := peek(t, n), peek(t, fleet[0]); v != want {
+			t.Fatalf("%d nodes, history %d: fleet failed to converge: %d vs %d", nodes, history, v, want)
 		}
 	}
+	return round(true)
 }
 
 // TestReconExactDiffNoRedundant pins the dialect's contract on deep

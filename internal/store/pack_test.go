@@ -28,42 +28,47 @@ func appendN(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val], b stri
 }
 
 func TestPackSnapshotSpacing(t *testing.T) {
-	for _, tc := range []struct {
-		spacing int
-		opts    []store.Option
-	}{
-		{8, []store.Option{store.WithSnapshotEvery(8)}},
-		{store.DefaultOptions().SnapshotEvery, nil}, // the default spacing
-	} {
-		s := logStore(tc.opts...)
-		appendN(t, s, "main", 100, "op")
+	checkSnapshotSpacing(t, 8, store.WithSnapshotEvery(8))
+}
 
-		ps := s.PackStats()
-		if ps.Deltas == 0 {
-			t.Fatalf("spacing %d: no delta objects formed on a growing log", tc.spacing)
-		}
-		if ps.MaxDepth >= tc.spacing {
-			t.Fatalf("MaxDepth = %d, want < SnapshotEvery (%d)", ps.MaxDepth, tc.spacing)
-		}
-		if ps.PackedBytes >= ps.FullBytes {
-			t.Fatalf("spacing %d: packed bytes %d not below full bytes %d", tc.spacing, ps.PackedBytes, ps.FullBytes)
-		}
-		// Roughly one snapshot per spacing states (plus the root); the
-		// exact count depends on patch-vs-encoding size races early in the
-		// history.
-		if ps.Snapshots > ps.Objects/4 {
-			t.Fatalf("spacing %d: %d snapshots of %d objects — spacing is not bounding snapshots", tc.spacing, ps.Snapshots, ps.Objects)
-		}
-		if err := s.VerifyPack(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := s.Head("main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(st) != 100 {
-			t.Fatalf("spacing %d: head log has %d entries, want 100", tc.spacing, len(st))
-		}
+// TestPackDefaultSnapshotSpacing holds a store built with no options to
+// the same chain bound at the default spacing.
+func TestPackDefaultSnapshotSpacing(t *testing.T) {
+	checkSnapshotSpacing(t, store.DefaultOptions().SnapshotEvery)
+}
+
+// checkSnapshotSpacing appends 100 ops to a log store built with opts
+// and requires delta chains shorter than spacing, packed bytes below
+// full bytes, and a pack that verifies and reads back the whole log.
+func checkSnapshotSpacing(t *testing.T, spacing int, opts ...store.Option) {
+	t.Helper()
+	s := logStore(opts...)
+	appendN(t, s, "main", 100, "op")
+
+	ps := s.PackStats()
+	if ps.Deltas == 0 {
+		t.Fatalf("spacing %d: no delta objects formed on a growing log", spacing)
+	}
+	if ps.MaxDepth >= spacing {
+		t.Fatalf("MaxDepth = %d, want < SnapshotEvery (%d)", ps.MaxDepth, spacing)
+	}
+	if ps.PackedBytes >= ps.FullBytes {
+		t.Fatalf("spacing %d: packed bytes %d not below full bytes %d", spacing, ps.PackedBytes, ps.FullBytes)
+	}
+	// Roughly one snapshot per spacing states (plus the root); the exact
+	// count depends on patch-vs-encoding size races early in the history.
+	if ps.Snapshots > ps.Objects/4 {
+		t.Fatalf("spacing %d: %d snapshots of %d objects — spacing is not bounding snapshots", spacing, ps.Snapshots, ps.Objects)
+	}
+	if err := s.VerifyPack(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Head("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st) != 100 {
+		t.Fatalf("spacing %d: head log has %d entries, want 100", spacing, len(st))
 	}
 }
 
