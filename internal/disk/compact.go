@@ -26,6 +26,7 @@ package disk
 import (
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/store"
 )
@@ -246,8 +247,23 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 			}
 		}
 	}
-	for name, b := range rs.Branches {
-		if err := emit(encodeBranch(name, b)); err != nil {
+	// Branches in creation order — the store allocates replica ids
+	// ascending, the main branch first — so a torn tail keeps the
+	// branches created first, as any prefix of the append path does; a
+	// prefix holding a fork but not the main branch would not reopen.
+	names := make([]string, 0, len(rs.Branches))
+	for name := range rs.Branches {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := rs.Branches[names[i]], rs.Branches[names[j]]
+		if a.Replica != b.Replica {
+			return a.Replica < b.Replica
+		}
+		return names[i] < names[j]
+	})
+	for _, name := range names {
+		if err := emit(encodeBranch(name, rs.Branches[name])); err != nil {
 			return fail(err)
 		}
 	}

@@ -6,17 +6,21 @@ package disk_test
 // or invented state — and the reopened replica converges with an
 // undamaged peer through the ordinary delta-sync path.
 //
-// Each seed builds a random history (operations on two branches, syncs,
-// occasional GC so compaction runs too), closes the log, then injures
-// the segment files one of three ways: truncating the byte stream at a
-// random point, appending garbage, or flipping a random bit inside the
-// tail region. Recovery must then (1) succeed, (2) recover only commits
-// the original store had, (3) put every branch head at an
+// Each seed builds a random history over several sessions (operations on
+// two branches, syncs, occasional GC so compaction runs too; every
+// session closes the log, leaving a full or delta checkpoint), then
+// injures the segment files one of three ways: truncating the byte
+// stream at a random point, appending garbage, or flipping a random bit
+// inside the tail region. Recovery must then (1) succeed, (2) recover
+// only commits the original store had, (3) put every branch head at an
 // ancestor-or-equal of its original position, and (4) converge with the
-// undamaged original via ExportSincePacked/Import/Pull.
+// undamaged original via ExportSincePacked/Import/Pull. TestCrashPointSweep
+// replaces the random cut with every cut of one recorded log.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,39 +32,107 @@ import (
 	"repro/internal/store"
 )
 
-// buildRandomHistory drives a persistent store through a random but
-// Ψ_lca-sound workload and returns it (its log closed, ready to damage).
+// buildRandomHistory drives a persistent store in dir through a random
+// but Ψ_lca-sound workload over 2–4 sessions — each opens the log, runs
+// some operations and closes it — so the log holds several sessions'
+// close checkpoints: deltas against a full base, or full ones after a
+// compaction. It returns the final history as an undamaged replica: a
+// store over a pristine copy of the log, so damage to dir never reaches
+// the objects it loads lazily.
 func buildRandomHistory(t *testing.T, dir string, rng *rand.Rand, opts ...disk.Option) *store.Store[mlog.State, mlog.Op, mlog.Val] {
 	t.Helper()
-	s, l, _ := openLogStore(t, dir, append([]disk.Option{disk.WithSegmentBytes(4 << 10)}, opts...)...)
-	if err := s.Fork("main", "dev"); err != nil {
-		t.Fatal(err)
-	}
-	ops := 30 + rng.Intn(40)
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(10) {
-		case 0, 1:
-			appendMsg(t, s, "dev", fmt.Sprintf("dev %d", i))
-		case 2:
+	opts = append([]disk.Option{disk.WithSegmentBytes(4 << 10)}, opts...)
+	sessions := 2 + rng.Intn(3)
+	var heads map[string]store.Hash
+	var commits int
+	for sess := 0; sess < sessions; sess++ {
+		s, l, _ := openLogStore(t, dir, opts...)
+		ops := 3 + rng.Intn(8)
+		if sess == 0 {
+			if err := s.Fork("main", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			ops = 30 + rng.Intn(40)
+		}
+		for i := 0; i < ops; i++ {
+			switch rng.Intn(10) {
+			case 0, 1:
+				appendMsg(t, s, "dev", fmt.Sprintf("dev %d.%d", sess, i))
+			case 2:
+				if err := s.Sync("main", "dev"); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				s.GC() // exercises compaction mid-history
+				if err := s.FlushStorage(); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				appendMsg(t, s, "main", fmt.Sprintf("main %d.%d", sess, i))
+			}
+		}
+		if sess == sessions-1 {
 			if err := s.Sync("main", "dev"); err != nil {
 				t.Fatal(err)
 			}
-		case 3:
-			s.GC() // exercises compaction mid-history
-			if err := s.FlushStorage(); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			appendMsg(t, s, "main", fmt.Sprintf("main %d", i))
+			heads, commits = branchHeads(t, s), s.NumCommits()
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := s.Sync("main", "dev"); err != nil {
+	pristine := dir + ".orig"
+	copyLog(t, dir, pristine, "", -1)
+	orig, l, _ := openLogStore(t, pristine, opts...)
+	t.Cleanup(func() { l.Close() })
+	// The oracle comes from the same recovery code the tests exercise, so
+	// it must hold exactly what the last session wrote.
+	if got := branchHeads(t, orig); !maps.Equal(got, heads) || orig.NumCommits() != commits {
+		t.Fatalf("clean reopen: %d commits, heads %v; the last session closed with %d, heads %v",
+			orig.NumCommits(), got, commits, heads)
+	}
+	return orig
+}
+
+// branchHeads maps each of s's branches to its head.
+func branchHeads(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val]) map[string]store.Hash {
+	t.Helper()
+	heads := map[string]store.Hash{}
+	for _, b := range s.Branches() {
+		h, err := s.HeadHash(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads[b] = h
+	}
+	return heads
+}
+
+// copyLog copies the segment files of src into a fresh directory dst. If
+// cutSeg names one of them, it is cut to its first cutAt bytes and no
+// later segment is copied — a crash that lost the byte stream from there
+// on.
+func copyLog(t *testing.T, src, dst, cutSeg string, cutAt int64) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	for _, p := range segmentFiles(t, src) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := filepath.Base(p) == cutSeg
+		if cut {
+			b = b[:cutAt]
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(p)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cut {
+			return
+		}
 	}
-	return s
 }
 
 // segmentFiles returns the directory's segment paths in replay order.
@@ -261,9 +333,35 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
+// flipInHead flips one random bit inside the payload of the first record
+// of the segment at path — its checkpoint, after a clean close.
+func flipInHead(t *testing.T, path string, rng *rand.Rand) int64 {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lenb [4]byte
+	if _, err := f.ReadAt(lenb[:], 8); err != nil {
+		t.Fatal(err)
+	}
+	off := 8 + 8 + rng.Int63n(max(int64(binary.BigEndian.Uint32(lenb[:])), 1))
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1 << uint(rng.Intn(8))
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	return off
+}
+
 // injureCheckpoint damages checkpoint-bearing state specifically: the
-// newest segment's head record is a checkpoint after a clean close, and
-// older segments hold the bytes its index references.
+// newest segment's head record is a checkpoint after a clean close — a
+// delta, often, naming an older full checkpoint as its base — and older
+// segments hold the bytes their index references.
 func injureCheckpoint(t *testing.T, dir string, rng *rand.Rand, mode int) string {
 	t.Helper()
 	segs := segmentFiles(t, dir)
@@ -285,26 +383,15 @@ func injureCheckpoint(t *testing.T, dir string, rng *rand.Rand, mode int) string
 		}
 		return fmt.Sprintf("truncate checkpoint %s at %d", filepath.Base(last), cut)
 	case 1: // flip a bit inside the checkpoint record's payload
-		f, err := os.OpenFile(last, os.O_RDWR, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		var lenb [4]byte
-		if _, err := f.ReadAt(lenb[:], 8); err != nil {
-			t.Fatal(err)
-		}
-		length := int64(lenb[0])<<24 | int64(lenb[1])<<16 | int64(lenb[2])<<8 | int64(lenb[3])
-		off := hdr + rng.Int63n(max(length, 1))
-		var b [1]byte
-		if _, err := f.ReadAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 1 << uint(rng.Intn(8))
-		if _, err := f.WriteAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
+		off := flipInHead(t, last, rng)
 		return fmt.Sprintf("flip bit at %d inside checkpoint %s", off, filepath.Base(last))
+	case 3: // flip a bit inside the full checkpoint the newest delta names
+		base, ok := disk.NewestDeltaBase(dir)
+		if !ok {
+			return noDelta
+		}
+		off := flipInHead(t, base, rng)
+		return fmt.Sprintf("flip bit at %d inside delta base %s", off, filepath.Base(base))
 	default: // flip a bit in the oldest segment: bytes the checkpoint indexes
 		first := segs[0]
 		info, err := os.Stat(first)
@@ -332,24 +419,33 @@ func injureCheckpoint(t *testing.T, dir string, rng *rand.Rand, mode int) string
 	}
 }
 
+// noDelta is injureCheckpoint's report when no delta names a base.
+const noDelta = "no delta checkpoint to damage the base of"
+
 // TestCrashCheckpointDamage: damage aimed at the checkpoint machinery —
-// a torn or bit-flipped checkpoint record, or corruption in the older
-// bytes a checkpoint's index references — must still recover to a
-// verified prefix that re-converges over delta sync. The first two fall
-// back inside disk.Open (probe an older checkpoint or replay segments);
-// the third passes disk.Open but fails the store's verification, driving
+// a torn or bit-flipped checkpoint record, corruption in the older bytes
+// a checkpoint's index references, or a bit flip in the full checkpoint
+// a delta names as its base — must still recover to a verified prefix
+// that re-converges over delta sync. Torn and flipped checkpoints fall
+// back inside disk.Open (a delta whose base fails its CRC counts as torn:
+// probe an older checkpoint or replay segments); damaged indexed bytes
+// pass disk.Open but fail the store's verification, driving
 // openLogStore's full-replay ladder rung.
 func TestCrashCheckpointDamage(t *testing.T) {
 	opts := []disk.Option{disk.WithCheckpointEvery(4)}
+	bases := 0
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			for mode := 0; mode < 3; mode++ {
+			for mode := 0; mode < 4; mode++ {
 				rng := rand.New(rand.NewSource(seed*37 + int64(mode)))
 				dir := filepath.Join(t.TempDir(), "log")
 				orig := buildRandomHistory(t, dir, rng, opts...)
 
 				what := injureCheckpoint(t, dir, rng, mode)
+				if mode == 3 && what != noDelta {
+					bases++
+				}
 
 				s2, l2, _ := openLogStore(t, dir, append([]disk.Option{disk.WithSegmentBytes(4 << 10)}, opts...)...)
 				defer l2.Close()
@@ -357,4 +453,147 @@ func TestCrashCheckpointDamage(t *testing.T) {
 			}
 		})
 	}
+	if bases == 0 {
+		t.Fatal("no seed left a delta checkpoint whose base could be damaged")
+	}
+	t.Logf("%d of 8 seeds damaged a delta's base", bases)
+}
+
+// segmentRecords returns the record boundaries of the segment at path —
+// where its first record starts, just past the magic, then where each
+// record ends — and each record's kind byte.
+func segmentRecords(t *testing.T, path string) (bounds []int64, kinds []byte) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(8)
+	bounds = []int64{off}
+	for off+8 < int64(len(b)) {
+		end := off + 8 + int64(binary.BigEndian.Uint32(b[off:]))
+		if end > int64(len(b)) {
+			t.Fatalf("%s: record at %d runs past the end", filepath.Base(path), off)
+		}
+		kinds = append(kinds, b[off+8])
+		bounds = append(bounds, end)
+		off = end
+	}
+	if off != int64(len(b)) {
+		t.Fatalf("%s: %d stray bytes past the last record", filepath.Base(path), int64(len(b))-off)
+	}
+	return bounds, kinds
+}
+
+// TestCrashPointSweep cuts one recorded log at every record boundary and
+// once inside every record, and reopens each cut through the recovery
+// ladder: every cut must recover a VerifyPack-clean store whose branch
+// heads are ancestors of (or equal to) the original heads. The log is
+// built without randomness and holds a compacted segment, the full
+// checkpoint written after the compaction, and three sessions' delta
+// checkpoints against it.
+func TestCrashPointSweep(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "log")
+	opts := []disk.Option{disk.WithSegmentBytes(4 << 10)}
+	sync := func(s *store.Store[mlog.State, mlog.Op, mlog.Val]) {
+		t.Helper()
+		if err := s.Sync("main", "dev"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, l, _ := openLogStore(t, dir, opts...)
+	for _, b := range []string{"dev", "scratch"} {
+		if err := s.Fork("main", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		appendMsg(t, s, "main", fmt.Sprintf("main %d", i))
+		switch i % 4 {
+		case 0:
+			appendMsg(t, s, "dev", fmt.Sprintf("dev %d", i))
+		case 1:
+			appendMsg(t, s, "scratch", fmt.Sprintf("scratch %d", i))
+		case 2:
+			sync(s)
+		}
+	}
+	if err := s.DeleteBranch("scratch"); err != nil {
+		t.Fatal(err)
+	}
+	s.GC()
+	if err := s.FlushStorage(); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Stats().Compactions; n != 1 {
+		t.Fatalf("%d compactions, want 1", n)
+	}
+	for sess := 0; sess < 3; sess++ {
+		if sess > 0 {
+			s, l, _ = openLogStore(t, dir, opts...)
+		}
+		appendMsg(t, s, "main", fmt.Sprintf("session %d", sess))
+		appendMsg(t, s, "dev", fmt.Sprintf("session %d", sess))
+		sync(s)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	orig, lo, _ := openLogStore(t, dir, opts...)
+	defer lo.Close()
+	origHeads := branchHeads(t, orig)
+
+	heads := map[byte]int{}
+	for _, p := range segmentFiles(t, dir) {
+		if _, kinds := segmentRecords(t, p); len(kinds) > 0 {
+			heads[kinds[0]]++
+		}
+	}
+	if heads[disk.RecCheckpoint] < 1 || heads[disk.RecCheckpointDelta] < 2 {
+		t.Fatalf("segment heads: %d full checkpoints, %d deltas; want at least 1 and 2",
+			heads[disk.RecCheckpoint], heads[disk.RecCheckpointDelta])
+	}
+
+	cuts := 0
+	check := func(seg string, at int64) {
+		t.Helper()
+		what := fmt.Sprintf("cut %s at %d", seg, at)
+		cutDir := filepath.Join(root, fmt.Sprintf("cut-%d", cuts))
+		cuts++
+		copyLog(t, dir, cutDir, seg, at)
+		s2, l2, _ := openLogStore(t, cutDir, opts...)
+		defer func() {
+			l2.Close()
+			os.RemoveAll(cutDir)
+		}()
+		if err := s2.VerifyPack(); err != nil {
+			t.Fatalf("%s: VerifyPack: %v", what, err)
+		}
+		for _, b := range s2.Branches() {
+			want, ok := origHeads[b]
+			if !ok {
+				t.Fatalf("%s: recovered branch %q the original never had", what, b)
+			}
+			got, err := s2.HeadHash(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !isAncestor(orig, got, want) {
+				t.Fatalf("%s: recovered %s head %v is not an ancestor of the original %v", what, b, got, want)
+			}
+		}
+	}
+	for _, p := range segmentFiles(t, dir) {
+		bounds, _ := segmentRecords(t, p)
+		for i, at := range bounds {
+			check(filepath.Base(p), at)
+			if i+1 < len(bounds) {
+				check(filepath.Base(p), (at+bounds[i+1])/2)
+			}
+		}
+	}
+	t.Logf("%d cuts over %d full and %d delta checkpoint heads", cuts, heads[disk.RecCheckpoint], heads[disk.RecCheckpointDelta])
 }

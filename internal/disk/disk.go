@@ -85,8 +85,10 @@ type Options struct {
 	// calls): once that many mutations accumulate since the last
 	// checkpoint, the next Flush seals the active segment and writes an
 	// index checkpoint at the head of a fresh one. Checkpoints are also
-	// written after every compaction and on clean Close. Zero or negative
-	// disables checkpointing entirely.
+	// written after every compaction and on clean Close; each is a full
+	// index or, when the entries since the last full one are under a
+	// quarter of it, a delta against it. Zero or negative disables
+	// checkpointing entirely.
 	CheckpointEvery int
 	// FullReplay makes Open ignore checkpoints and replay every segment
 	// front to back — the recovery-of-last-resort mode the fallback
@@ -123,7 +125,9 @@ func WithFsync(p Policy) Option {
 // cadence is a floor, not an exact period: on deep histories checkpoints
 // self-throttle until the un-checkpointed suffix is a quarter of the
 // index, keeping total checkpoint bytes linear in the log (see
-// maybeCheckpointLocked). Clean closes always checkpoint.
+// maybeCheckpointLocked). Clean closes always checkpoint, with a delta
+// of what was recorded since the last full checkpoint while that is
+// under a quarter of it, so a close costs O(session), not O(history).
 func WithCheckpointEvery(n int) Option {
 	return func(o *Options) { o.CheckpointEvery = n }
 }
@@ -246,9 +250,10 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the pack log in dir and recovers it.
-// Recovery seeks: the newest segment whose head record is a valid
+// Recovery seeks: the newest segment whose head record is a usable
 // checkpoint supplies the full index (commits, object locations — their
-// bytes stay on disk behind lazy loaders — branches, metadata), and only
+// bytes stay on disk behind lazy loaders — branches, metadata), read from
+// a full checkpoint or from a delta plus the full base it names, and only
 // the records after it replay, so open time is flat in history depth.
 // With no usable checkpoint (or WithFullReplay), every segment is
 // scanned — concurrently, one goroutine per segment bounded by
@@ -287,22 +292,24 @@ func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 	l := &Log{dir: dir, opts: o, meta: rec.Meta, shadow: newShadow(), metrics: newDiskMetrics(o.Obs)}
 
 	// Checkpoint seek: probe segment heads newest-first (one record read
-	// each); the first valid checkpoint supplies the index, and scanning
-	// starts at that segment, just past the checkpoint's frame.
-	start, ckEnd := 0, int64(0)
-	var ck *checkpoint
+	// each, two for a delta and its base); the first usable checkpoint
+	// supplies the index, and scanning starts at that segment, just past
+	// the checkpoint's frame.
+	var sk seek
+	seeked := false
 	if !o.FullReplay {
-		for i := len(seqs) - 1; i >= 0; i-- {
-			if c, end, ok := probeCheckpoint(filepath.Join(dir, segName(seqs[i]))); ok {
-				ck, ckEnd, start = c, end, i
-				break
-			}
-		}
+		sk, seeked = seekCheckpoint(dir, seqs)
 	}
+	start := sk.at
 	var keep []int
-	if ck != nil {
-		l.attachCheckpoint(rec, ck)
+	if seeked {
+		if err := l.attachCheckpoint(rec, sk); err != nil {
+			return nil, nil, err
+		}
 		rec.Records++ // the checkpoint record itself
+		if sk.delta != nil {
+			rec.Records++ // and the base it names
+		}
 		// Segments before the checkpoint are never scanned; they stay
 		// live as the lazy loaders' backing store.
 		for _, seq := range seqs[:start] {
@@ -324,8 +331,8 @@ func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 	var wg sync.WaitGroup
 	for i, seq := range scans {
 		from := int64(0)
-		if ck != nil && i == 0 {
-			from = ckEnd
+		if seeked && i == 0 {
+			from = sk.end
 		}
 		wg.Add(1)
 		go func(i, seq int, from int64) {
@@ -415,7 +422,7 @@ func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 	rec.State.NextID = max(rec.State.NextID, maxBranchReplica(rec)+1)
 	l.shadow.nextID = rec.State.NextID
 	switch {
-	case ck != nil:
+	case seeked:
 		l.mode = ModeCheckpoint
 	case rec.Records > 0:
 		l.mode = ModeReplay
@@ -457,14 +464,15 @@ func (l *Log) applyOp(rec *Recovered, seq int, op *scanOp) {
 		if op.id > l.shadow.nextID {
 			l.shadow.nextID = op.id
 		}
-	case recCheckpoint:
-		// Only reachable during a full replay — the seek path consumes
-		// its checkpoint before scanning. Install-if-absent semantics
-		// make it a no-op for everything the scan already supplied.
+	case recCheckpoint, recCheckpointDelta:
+		// Reached during a full replay, or past a newer head the seek
+		// could not use — the seek path consumes its own checkpoint before
+		// scanning. Install-if-absent semantics make it a no-op for
+		// everything the scan already supplied.
 		l.mergeCheckpoint(rec, op.ckpt)
 	}
 	rec.Records++
-	if op.kind == recCheckpoint {
+	if op.ckpt != nil {
 		l.sinceCkpt = 0
 	} else {
 		l.sinceCkpt++
@@ -717,8 +725,11 @@ func (l *Log) Close() error {
 	}
 	// A clean close checkpoints first when anything accumulated since the
 	// last one, so the next open seeks instead of replaying — an orderly
-	// restart recovers in flat time regardless of session length. Errors
-	// fall through to the normal close path and are reported once.
+	// restart recovers in flat time regardless of session length. The
+	// checkpoint is a delta against the last full one while the entries
+	// since it are under a quarter of it, so a short session's close
+	// writes O(session) bytes, not the whole index. Errors fall through
+	// to the normal close path and are reported once.
 	var ckErr error
 	if l.f != nil && l.opts.CheckpointEvery > 0 && l.sinceCkpt > 0 && len(l.shadow.branches) > 0 {
 		ckErr = l.checkpointLocked()

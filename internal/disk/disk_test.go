@@ -2,6 +2,7 @@ package disk_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/counter"
 	"repro/internal/disk"
 	"repro/internal/mlog"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -375,16 +377,23 @@ func TestCheckpointSeek(t *testing.T) {
 	}
 }
 
-// TestReopenFlatInHistory is the flat-recovery gate: after a clean
-// close, a reopen seeks to the close checkpoint and replays the same
-// number of records at 10², 10³ and 10⁴ commits of history. Its
-// full-replay twin reads the same directories and replays more records
-// the deeper the history, so a lost or skipped checkpoint cannot pass
-// as flat.
+// TestReopenFlatInHistory is the flat-recovery and flat-close gate at
+// 10², 10³ and 10⁴ commits of history. After a clean close at the
+// default cadence, a reopen seeks to the newest checkpoint — a full one,
+// or a delta and its base, as the build's last periodic checkpoint left
+// it — and reads at most two records at every depth. Its full-replay
+// twin reads the same directories and replays more records the deeper
+// the history, so a lost or skipped checkpoint cannot pass as flat.
+// Beside it, a history written with a cadence it never reaches closes
+// with one full checkpoint of the whole history; a session of 4 incs on
+// it then closes with a delta that adds the same bytes at every depth,
+// and the reopen after it reads that delta plus its base — the same
+// count at every depth. A close that writes the full index grows with
+// depth and fails the byte check.
 func TestReopenFlatInHistory(t *testing.T) {
-	openCounter := func(dir string) (*store.Store[int64, counter.Op, counter.Val], *disk.Log, *disk.Recovered) {
+	openCounter := func(dir string, opts ...disk.Option) (*store.Store[int64, counter.Op, counter.Val], *disk.Log, *disk.Recovered) {
 		t.Helper()
-		l, rec, err := disk.Open(dir)
+		l, rec, err := disk.Open(dir, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,47 +404,104 @@ func TestReopenFlatInHistory(t *testing.T) {
 		}
 		return s, l, rec
 	}
-	var seek, full []int64
-	for _, history := range []int{100, 1_000, 10_000} {
-		dir := t.TempDir()
-		s, l, _ := openCounter(dir)
-		for i := 0; i < history; i++ {
+	incs := func(s *store.Store[int64, counter.Op, counter.Val], n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
 			if _, err := s.Apply("main", counter.Op{Kind: counter.Inc, N: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	closeLog := func(l *disk.Log) {
+		t.Helper()
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		s, l, rec := openCounter(dir)
+	}
+	// reopen opens dir, which must seek to a checkpoint and recover
+	// commits commits, VerifyPack-clean.
+	reopen := func(what string, dir string, commits int, opts ...disk.Option) (*store.Store[int64, counter.Op, counter.Val], *disk.Log, *disk.Recovered) {
+		t.Helper()
+		s, l, rec := openCounter(dir, opts...)
 		if rec.Mode != disk.ModeCheckpoint {
-			t.Fatalf("history %d: reopened in mode %q, want %q", history, rec.Mode, disk.ModeCheckpoint)
+			t.Fatalf("%s: reopened in mode %q, want %q", what, rec.Mode, disk.ModeCheckpoint)
 		}
-		if n := s.NumCommits(); n != history+1 {
-			t.Fatalf("history %d: recovered %d commits, want %d", history, n, history+1)
+		if n := s.NumCommits(); n != commits {
+			t.Fatalf("%s: recovered %d commits, want %d", what, n, commits)
+		}
+		if err := s.VerifyPack(); err != nil {
+			t.Fatalf("%s: VerifyPack: %v", what, err)
+		}
+		return s, l, rec
+	}
+	ckpt := func(reg *obs.Registry, name, kind string) int64 {
+		return reg.Counter("peepul_disk_checkpoint_"+name+"_total", "kind", kind).Value()
+	}
+	var seek, full, closeBytes, reseek []int64
+	for _, history := range []int{100, 1_000, 10_000} {
+		dir := t.TempDir()
+		s, l, _ := openCounter(dir)
+		incs(s, history)
+		closeLog(l)
+
+		_, l, rec := reopen(fmt.Sprintf("history %d", history), dir, history+1)
+		if rec.Records > 2 {
+			t.Fatalf("history %d: reopen replayed %d records, want at most a delta and its base", history, rec.Records)
 		}
 		seek = append(seek, rec.Records)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeLog(l)
 
 		l, rec, err := disk.Open(dir, disk.WithFullReplay())
 		if err != nil {
 			t.Fatal(err)
 		}
 		full = append(full, rec.Records)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
+		closeLog(l)
+
+		// The session step, over a history whose close checkpoint is full.
+		dir, reg := t.TempDir(), obs.NewRegistry()
+		opts := []disk.Option{disk.WithCheckpointEvery(1 << 20), disk.WithObs(reg)}
+		s, l, _ = openCounter(dir, opts...)
+		incs(s, history)
+		closeLog(l)
+
+		s, l, _ = reopen(fmt.Sprintf("history %d, one close", history), dir, history+1, opts...)
+		incs(s, 4)
+		before := l.Stats().Bytes
+		closeLog(l)
+		added := l.Stats().Bytes - before
+		closeBytes = append(closeBytes, added)
+
+		// Both closes are counted by kind: the history's close is full,
+		// the session's a delta, and the delta's framed bytes are what
+		// its close added past the fresh segment's 8-byte header.
+		fullN, deltaN := ckpt(reg, "writes", "full"), ckpt(reg, "writes", "delta")
+		fullB, deltaB := ckpt(reg, "bytes", "full"), ckpt(reg, "bytes", "delta")
+		if fullN != 1 || deltaN != 1 {
+			t.Fatalf("history %d: checkpoint writes full=%d delta=%d, want 1 and 1", history, fullN, deltaN)
 		}
+		if deltaB != added-8 || 4*deltaB >= fullB {
+			t.Fatalf("history %d: checkpoint bytes full=%d delta=%d, close added %d; want delta = added-8 < full/4", history, fullB, deltaB, added)
+		}
+
+		_, l, rec = reopen(fmt.Sprintf("history %d, after a session", history), dir, history+5, opts...)
+		if rec.Records != 2 {
+			t.Fatalf("history %d: reopen after a session replayed %d records, want the delta and its base", history, rec.Records)
+		}
+		reseek = append(reseek, rec.Records)
+		closeLog(l)
 	}
-	t.Logf("records replayed at 10², 10³, 10⁴: checkpoint seek %v, full replay %v", seek, full)
+	t.Logf("at 10², 10³, 10⁴: checkpoint seek %v records, full replay %v records; session close %v B, reopen after it %v records",
+		seek, full, closeBytes, reseek)
 	for i := 1; i < len(seek); i++ {
-		if seek[i] != seek[0] {
-			t.Fatalf("checkpoint reopen replays %v records at 10², 10³, 10⁴; want the same count at every depth", seek)
-		}
 		if full[i] <= full[i-1] {
 			t.Fatalf("full replay reads %v records at 10², 10³, 10⁴; want growth with depth", full)
+		}
+		if closeBytes[i] != closeBytes[0] {
+			t.Fatalf("a 4-inc session's close adds %v bytes at 10², 10³, 10⁴; want the same at every depth", closeBytes)
+		}
+		if reseek[i] != reseek[0] {
+			t.Fatalf("reopen after a session replays %v records at 10², 10³, 10⁴; want the same count at every depth", reseek)
 		}
 	}
 }

@@ -13,7 +13,6 @@ type diskMetrics struct {
 	appendNs    *obs.Histogram
 	fsyncNs     *obs.Histogram
 	rotations   *obs.Counter
-	checkpoints *obs.Counter
 	compactions *obs.Counter
 	recoveryNs  *obs.Histogram
 }
@@ -27,14 +26,14 @@ func newDiskMetrics(reg *obs.Registry) *diskMetrics {
 		appendNs:    reg.Histogram("peepul_disk_append_ns", obs.LatencyBuckets),
 		fsyncNs:     reg.Histogram("peepul_disk_fsync_ns", obs.LatencyBuckets),
 		rotations:   reg.Counter("peepul_disk_segment_rotations_total"),
-		checkpoints: reg.Counter("peepul_disk_checkpoint_writes_total"),
 		compactions: reg.Counter("peepul_disk_compactions_total"),
 		recoveryNs:  reg.Histogram("peepul_disk_recovery_ns", obs.LatencyBuckets),
 	}
 	reg.Describe("peepul_disk_append_ns", "latency of one framed record append (buffered write, rotation included)")
 	reg.Describe("peepul_disk_fsync_ns", "latency of append-path fsync calls")
 	reg.Describe("peepul_disk_segment_rotations_total", "active-segment seals followed by a fresh segment")
-	reg.Describe("peepul_disk_checkpoint_writes_total", "index checkpoints written")
+	reg.Describe("peepul_disk_checkpoint_writes_total", "index checkpoints written, by kind (full/delta)")
+	reg.Describe("peepul_disk_checkpoint_bytes_total", "framed bytes of index checkpoints written, by kind (full/delta)")
 	reg.Describe("peepul_disk_compactions_total", "completed log compactions")
 	reg.Describe("peepul_disk_recovery_ns", "wall time of recovery-on-open")
 	reg.Describe("peepul_disk_recovery_total", "opens by recovery mode (checkpoint/replay/cold)")
@@ -48,11 +47,19 @@ func (m *diskMetrics) rotated() {
 	}
 }
 
-// checkpointed records one index checkpoint write, nil-safely.
-func (m *diskMetrics) checkpointed() {
-	if m != nil {
-		m.checkpoints.Inc()
+// checkpointed records one index checkpoint write of n framed bytes,
+// nil-safely. Like recovered, it resolves its series per call: the kind
+// is known only at write time, and checkpoints are rare.
+func (m *diskMetrics) checkpointed(delta bool, n int) {
+	if m == nil {
+		return
 	}
+	kind := "full"
+	if delta {
+		kind = "delta"
+	}
+	m.reg.Counter("peepul_disk_checkpoint_writes_total", "kind", kind).Inc()
+	m.reg.Counter("peepul_disk_checkpoint_bytes_total", "kind", kind).Add(int64(n))
 }
 
 // compacted records one completed compaction, nil-safely.

@@ -38,6 +38,12 @@ const (
 	// branches, metadata, allocator floor — written as the first record of
 	// a fresh segment so Open can seek past history (checkpoint.go).
 	recCheckpoint byte = 7
+	// recCheckpointDelta is an incremental checkpoint: only the index
+	// entries recorded since a full checkpoint (its base, named by segment
+	// and frame CRC), plus the same tail. It also heads a fresh segment.
+	// A reader that knows only kinds 1–7 truncates the log at the first
+	// one (DESIGN.md, "Record framing"), so it is a one-way format change.
+	recCheckpointDelta byte = 8
 )
 
 func encodeMeta(key, value string) []byte {
@@ -160,11 +166,11 @@ func decodeRecord(payload []byte, off int64) (scanOp, error) {
 		op.name = r.String()
 	case recNextID:
 		op.id = int(r.Int64())
-	case recCheckpoint:
+	case recCheckpoint, recCheckpointDelta:
 		// decodeCheckpoint adopts its index sections by reference, and the
-		// scan loop reuses its payload buffer across records — this is the
-		// one kind that must copy.
-		ck, err := decodeCheckpoint(append([]byte(nil), body...))
+		// scan loop reuses its payload buffer across records — these are
+		// the kinds that must copy.
+		ck, err := decodeCheckpoint(op.kind, append([]byte(nil), body...))
 		if err != nil {
 			return op, err
 		}

@@ -207,8 +207,9 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 // offset off, returning its payload and the offset just past the frame.
 // It is the random-access complement to scanSegmentOps: checkpoint
 // probing reads a segment's head record with it, lazy object loads
-// re-read one record mid-file.
-func readFrameAt(f io.ReaderAt, off int64) (payload []byte, end int64, err error) {
+// re-read one record mid-file. The payload is allocated with room spare
+// bytes of capacity past its end, for a caller that grows it in place.
+func readFrameAt(f io.ReaderAt, off int64, room int) (payload []byte, end int64, err error) {
 	var hdr [8]byte
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
 		return nil, 0, err
@@ -218,7 +219,7 @@ func readFrameAt(f io.ReaderAt, off int64) (payload []byte, end int64, err error
 	if length > maxRecordBytes {
 		return nil, 0, fmt.Errorf("frame at %d announces %d bytes", off, length)
 	}
-	payload = make([]byte, length)
+	payload = make([]byte, length, int(length)+room)
 	if _, err := f.ReadAt(payload, off+8); err != nil {
 		return nil, 0, err
 	}

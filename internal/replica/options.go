@@ -134,8 +134,9 @@ func WithSegmentBytes(n int64) NodeOption {
 // WithCheckpointEvery sets the checkpoint cadence of the node's object
 // logs: after n mutations (a floor — deep logs throttle to geometric
 // spacing) the log writes an index checkpoint, so reopening seeks past
-// history instead of replaying it. Zero or negative disables
-// checkpointing. It has no effect without WithStorage.
+// history instead of replaying it; a clean close writes a delta against
+// the last full checkpoint while that is under a quarter of it. Zero or
+// negative disables checkpointing. It has no effect without WithStorage.
 func WithCheckpointEvery(n int) NodeOption {
 	return func(c *nodeConfig) { c.checkpointEvery, c.ckptSet = n, true }
 }

@@ -59,11 +59,13 @@ func WithFsync(p FsyncPolicy) NodeOption { return replica.WithFsync(p) }
 // reopening the node seeks to the checkpoint and replays only the records
 // after it — flat-time restart however deep the history. Checkpoints are
 // also written after compaction and on clean close. The cadence is a
-// floor: since each checkpoint snapshots the whole index, deep logs
+// floor: since a full checkpoint snapshots the whole index, deep logs
 // throttle to geometric spacing so checkpoint bytes stay linear in the
-// log (a clean close still checkpoints, so clean reopens stay flat).
-// The default cadence is 1024; zero or negative disables checkpoints
-// entirely. No effect without WithStorage.
+// log. A clean close still checkpoints, so clean reopens stay flat, but
+// while the entries since the last full checkpoint are under a quarter
+// of it the close writes only those (a delta), so a close costs what the
+// session added, not the history. The default cadence is 1024; zero or
+// negative disables checkpoints entirely. No effect without WithStorage.
 func WithCheckpointEvery(n int) NodeOption { return replica.WithCheckpointEvery(n) }
 
 // WithVerifyOnOpen(true) restores eager verification: every recovered
