@@ -24,7 +24,7 @@ import (
 
 func main() {
 	data := flag.String("data", "", "storage directory; the demo resumes the conversation across restarts")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence for -data (records between index checkpoints; 0 keeps the default, negative disables)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence for -data (mutations between index checkpoints; 0 keeps the default)")
 	verify := flag.Bool("verify-on-open", false, "with -data, eagerly verify the whole recovered pack at open instead of the lazy default")
 	debug := flag.String("debug", "", "serve the live debug endpoint (metrics, snapshot, trace, pprof) on this address; the live fleet gives this address to alice and auto-picks ports for the rest")
 	flag.Parse()

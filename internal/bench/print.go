@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/sim"
+	"repro/peepul"
 )
 
 // PrintFig12 renders Figure 12 as the series the paper plots (merge time
@@ -60,7 +60,7 @@ func MatchType(name, filter string) bool {
 // name passes the -type filter and returns the reports — the
 // reproduction's analogue of the paper's Table 3.
 func Table3(scale float64, typeFilter string) []sim.Report {
-	runners := harness.All()
+	runners := peepul.All()
 	reports := make([]sim.Report, 0, len(runners))
 	for _, r := range runners {
 		if !MatchType(r.Name(), typeFilter) {

@@ -12,7 +12,10 @@ package disk
 // object loaders pointing back into the older segments, and replay only
 // the records that follow. Recovery cost becomes O(live index + suffix),
 // flat in history depth — the shape Git gets from commit-graph and
-// multi-pack-index files over its packs.
+// multi-pack-index files over its packs. Like those files, a checkpoint
+// is only a cache of the records: every entry it indexes was appended as
+// a record before it. So only the seek reads one; replay, full or past
+// the seek, counts a checkpoint as a record and installs nothing from it.
 //
 // The index sections are stored as fixed-width entry arrays in the
 // store's frozen-index layout (store/frozen.go), commit and object
@@ -443,15 +446,6 @@ func (l *Log) loader() store.FrozenLoader {
 	}
 }
 
-// lazyRecord wraps an index entry as a store.ObjectRecord whose bytes
-// load (and CRC-verify) from the log on first use.
-func (l *Log) lazyRecord(h store.Hash, loc objLoc) store.ObjectRecord {
-	return store.ObjectRecord{
-		Base: loc.base, Delta: loc.delta, Size: loc.size, Depth: loc.depth, Stored: loc.stored,
-		Load: func() ([]byte, error) { return l.readObjectData(loc.seg, loc.off, h) },
-	}
-}
-
 // readObjectData re-reads one object record at (seg, off), re-verifies
 // its CRC and content, and returns its stored bytes — the lazy-load path
 // behind checkpoint-recovered objects. It opens its own descriptor, so
@@ -518,53 +512,6 @@ func (l *Log) attachCheckpoint(rec *Recovered, sk seek) error {
 		l.shadow.nextID = ck.nextID
 	}
 	return nil
-}
-
-// mergeCheckpoint replays a checkpoint record of either kind encountered
-// mid-scan (full replay, or a checkpoint the seek did not consume).
-// Commits and objects install only if absent — the earlier records
-// already supplied the bytes, and a lazy entry must never shadow resident
-// data. Branches, metadata and the allocator floor are the checkpoint's
-// snapshot of current truth and replace what replay accumulated before
-// it.
-func (l *Log) mergeCheckpoint(rec *Recovered, ck *checkpoint) {
-	for k, v := range ck.meta {
-		rec.Meta[k] = v
-	}
-	// The sections hold whole entries (decodeCheckpoint), so this cannot fail.
-	fz, _ := store.NewFrozenIndex(ck.commits, ck.objects, nil)
-	for i, n := 0, fz.NumCommits(); i < n; i++ {
-		h, c := fz.CommitAt(i)
-		if _, ok := rec.State.Commits[h]; !ok {
-			rec.State.Commits[h] = c
-			l.shadow.commits[h] = c
-		}
-	}
-	for i, n := 0, fz.NumObjects(); i < n; i++ {
-		h, fo := fz.ObjectAt(i)
-		if _, ok := rec.State.Objects[h]; !ok {
-			loc := objLoc{
-				base: fo.Base, delta: fo.Delta, size: fo.Size, depth: fo.Depth,
-				stored: fo.Stored, seg: fo.Seg, off: fo.Off,
-			}
-			rec.State.Objects[h] = l.lazyRecord(h, loc)
-			l.shadow.objects[h] = loc
-		}
-	}
-	for name := range rec.State.Branches {
-		delete(rec.State.Branches, name)
-		delete(l.shadow.branches, name)
-	}
-	for name, b := range ck.branches {
-		rec.State.Branches[name] = b
-		l.shadow.branches[name] = b
-	}
-	if ck.nextID > rec.State.NextID {
-		rec.State.NextID = ck.nextID
-	}
-	if ck.nextID > l.shadow.nextID {
-		l.shadow.nextID = ck.nextID
-	}
 }
 
 // checkpointLocked serializes the shadow state as a checkpoint record at
@@ -637,7 +584,7 @@ func (l *Log) checkpointLocked() error {
 // whatever the depth; only recovery from a crash pays the bounded
 // suffix.
 func (l *Log) maybeCheckpointLocked() error {
-	if l.opts.CheckpointEvery <= 0 || l.mutsSince < l.opts.CheckpointEvery {
+	if l.mutsSince < l.opts.CheckpointEvery {
 		return nil
 	}
 	entries := len(l.shadow.commits) + len(l.shadow.objects) + l.shadow.frozen.entries()

@@ -114,12 +114,7 @@ func (l *Log) Compact(rs *store.RecoveredState) error {
 	// Cap the rewrite with a checkpoint: the compacted segment is as deep
 	// as this log's history gets, and the checkpoint (heading the next
 	// segment) lets the following open skip straight past it.
-	if l.opts.CheckpointEvery > 0 {
-		if err := l.checkpointLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.checkpointLocked()
 }
 
 // writeCompacted streams the live state as framed records. It returns

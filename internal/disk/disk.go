@@ -87,8 +87,7 @@ type Options struct {
 	// index checkpoint at the head of a fresh one. Checkpoints are also
 	// written after every compaction and on clean Close; each is a full
 	// index or, when the entries since the last full one are under a
-	// quarter of it, a delta against it. Zero or negative disables
-	// checkpointing entirely.
+	// quarter of it, a delta against it.
 	CheckpointEvery int
 	// FullReplay makes Open ignore checkpoints and replay every segment
 	// front to back — the recovery-of-last-resort mode the fallback
@@ -120,16 +119,16 @@ func WithFsync(p Policy) Option {
 	return func(o *Options) { o.Fsync = p }
 }
 
-// WithCheckpointEvery sets the checkpoint cadence in mutations; zero or
-// negative disables checkpointing (every open replays segments). The
-// cadence is a floor, not an exact period: on deep histories checkpoints
-// self-throttle until the un-checkpointed suffix is a quarter of the
-// index, keeping total checkpoint bytes linear in the log (see
-// maybeCheckpointLocked). Clean closes always checkpoint, with a delta
-// of what was recorded since the last full checkpoint while that is
-// under a quarter of it, so a close costs O(session), not O(history).
+// WithCheckpointEvery sets the checkpoint cadence in mutations; values
+// below 1 are clamped to 1. The cadence is a floor, not an exact period:
+// on deep histories checkpoints self-throttle until the un-checkpointed
+// suffix is a quarter of the index, keeping total checkpoint bytes
+// linear in the log (see maybeCheckpointLocked). Clean closes always
+// checkpoint, with a delta of what was recorded since the last full
+// checkpoint while that is under a quarter of it, so a close costs
+// O(session), not O(history).
 func WithCheckpointEvery(n int) Option {
-	return func(o *Options) { o.CheckpointEvery = n }
+	return func(o *Options) { o.CheckpointEvery = max(n, 1) }
 }
 
 // WithFullReplay makes Open ignore checkpoints and replay every segment.
@@ -261,8 +260,10 @@ type Log struct {
 // holds everything the log contained up to the first torn or corrupted
 // record; the suffix past that point has been truncated on disk (and any
 // later segments deleted), so a second Open of the same directory
-// recovers identically. Stray temporary files from an interrupted
-// compaction or checkpoint are removed.
+// recovers identically. A record that passes its checksum but carries a
+// kind this build does not know is not damage: Open fails, naming its
+// segment, offset and kind, and truncates nothing. Stray temporary files
+// from an interrupted compaction or checkpoint are removed.
 func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 	o := DefaultOptions()
 	for _, opt := range opts {
@@ -439,6 +440,8 @@ func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 
 // applyOp replays one decoded record into rec and the shadow index.
 func (l *Log) applyOp(rec *Recovered, seq int, op *scanOp) {
+	rec.Records++
+	l.sinceCkpt++
 	switch op.kind {
 	case recMeta:
 		rec.Meta[op.name] = op.value
@@ -465,17 +468,11 @@ func (l *Log) applyOp(rec *Recovered, seq int, op *scanOp) {
 			l.shadow.nextID = op.id
 		}
 	case recCheckpoint, recCheckpointDelta:
-		// Reached during a full replay, or past a newer head the seek
-		// could not use — the seek path consumes its own checkpoint before
-		// scanning. Install-if-absent semantics make it a no-op for
-		// everything the scan already supplied.
-		l.mergeCheckpoint(rec, op.ckpt)
-	}
-	rec.Records++
-	if op.ckpt != nil {
+		// A marker, reached during a full replay or past a newer head the
+		// seek could not use. Every entry it indexes was appended as a
+		// record before it, which this replay scanned or the seek's
+		// checkpoint adopted, so there is nothing in it to install.
 		l.sinceCkpt = 0
-	} else {
-		l.sinceCkpt++
 	}
 }
 
@@ -578,13 +575,9 @@ func (l *Log) AppendObject(h store.Hash, o store.ObjectRecord) error {
 	if err != nil {
 		return err
 	}
-	stored := len(o.Data)
-	if o.Data == nil {
-		stored = o.Stored
-	}
 	l.shadow.objects[h] = objLoc{
 		base: o.Base, delta: o.Delta, size: o.Size, depth: o.Depth,
-		stored: stored, seg: seg, off: off,
+		stored: len(o.Data), seg: seg, off: off,
 	}
 	return nil
 }
@@ -731,7 +724,7 @@ func (l *Log) Close() error {
 	// writes O(session) bytes, not the whole index. Errors fall through
 	// to the normal close path and are reported once.
 	var ckErr error
-	if l.f != nil && l.opts.CheckpointEvery > 0 && l.sinceCkpt > 0 && len(l.shadow.branches) > 0 {
+	if l.f != nil && l.sinceCkpt > 0 && len(l.shadow.branches) > 0 {
 		ckErr = l.checkpointLocked()
 	}
 	l.closed = true

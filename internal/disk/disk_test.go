@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/counter"
@@ -506,28 +507,136 @@ func TestReopenFlatInHistory(t *testing.T) {
 	}
 }
 
-// TestCheckpointDisabled: cadence 0 turns checkpoints off; every open is
-// a full segment replay.
-func TestCheckpointDisabled(t *testing.T) {
-	dir := t.TempDir()
-	opts := []disk.Option{disk.WithCheckpointEvery(0)}
-	s, l, _ := openLogStore(t, dir, opts...)
-	for i := 0; i < 20; i++ {
-		appendMsg(t, s, "main", "m")
-	}
-	if st := l.Stats(); st.Checkpoints != 0 {
-		t.Fatalf("checkpoints written while disabled: %+v", st)
-	}
-	want := headMsgs(t, s, "main")
-	l.Close()
+// TestUnknownKindRefused: a record that passes its checksum but carries
+// a kind this build does not know was written by a newer format; it is
+// not a torn tail. Open refuses the log with an error naming the segment,
+// the offset and the kind, and leaves every file byte-identical — both
+// for a record mid-log, which a full replay reaches with segments after
+// it, and for one past the checkpoint a seek resumes from.
+func TestUnknownKindRefused(t *testing.T) {
+	opts := []disk.Option{disk.WithSegmentBytes(4 << 10)}
+	for _, tc := range []struct {
+		name string
+		at   func(segs []string) string
+		open []disk.Option
+	}{
+		{"mid-log, full replay", func(segs []string) string { return segs[0] }, []disk.Option{disk.WithFullReplay()}},
+		{"past the seek", func(segs []string) string { return segs[len(segs)-1] }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, l, _ := openLogStore(t, dir, opts...)
+			for i := 0; i < 200; i++ {
+				appendMsg(t, s, "main", "a reasonably long chat message to grow the state")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs := segmentFiles(t, dir)
+			if len(segs) < 3 {
+				t.Fatalf("%d segments, want at least 3", len(segs))
+			}
+			target := tc.at(segs)
+			info, err := os.Stat(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(target, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(disk.Frame([]byte{99, 'n', 'e', 'w'})); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	s2, l2, rec := openLogStore(t, dir, opts...)
-	defer l2.Close()
-	if rec.Mode != disk.ModeReplay {
-		t.Fatalf("recovered in mode %q, want %q", rec.Mode, disk.ModeReplay)
+			files := func() map[string][]byte {
+				out := map[string][]byte{}
+				for _, p := range segmentFiles(t, dir) {
+					b, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[filepath.Base(p)] = b
+				}
+				return out
+			}
+			before := files()
+			_, _, err = disk.Open(dir, append(append([]disk.Option(nil), opts...), tc.open...)...)
+			if err == nil {
+				t.Fatal("Open accepted a record of unknown kind 99")
+			}
+			for _, want := range []string{filepath.Base(target), fmt.Sprintf("offset %d", info.Size()), "kind 99"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("Open error %q does not name %q", err, want)
+				}
+			}
+			after := files()
+			if len(after) != len(before) {
+				t.Fatalf("Open left %d segments of %d", len(after), len(before))
+			}
+			for name, b := range before {
+				if !bytes.Equal(after[name], b) {
+					t.Fatalf("Open changed %s: %d bytes, was %d", name, len(after[name]), len(b))
+				}
+			}
+		})
 	}
-	if got := headMsgs(t, s2, "main"); !statesEqual(got, want) {
-		t.Fatalf("replay recovery lost state")
+}
+
+// TestReplayIgnoresCheckpointContent: to replay, a checkpoint is a
+// marker. A later segment headed by a CRC-valid checkpoint that indexes
+// a commit and an object no record carries adds neither: a full replay
+// recovers exactly the commits the log's commit records hold, and the
+// pack verifies clean.
+func TestReplayIgnoresCheckpointContent(t *testing.T) {
+	dir := t.TempDir()
+	s, l, _ := openLogStore(t, dir)
+	if err := s.Fork("main", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		appendMsg(t, s, []string{"main", "dev"}[i%2], fmt.Sprintf("m%d", i))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := disk.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches := rec.State.Branches
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	commits := 0
+	for _, p := range segmentFiles(t, dir) {
+		_, kinds := segmentRecords(t, p)
+		for _, k := range kinds {
+			if k == disk.RecCommit {
+				commits++
+			}
+		}
+	}
+	forged := store.Hash{0xF0}
+	if err := disk.ForgeCheckpointSegment(dir, forged, store.Commit{State: store.Hash{0xF1}, Gen: 1}, branches); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, l2, rec2 := openLogStore(t, dir, disk.WithFullReplay())
+	defer l2.Close()
+	if rec2.Mode != disk.ModeReplay {
+		t.Fatalf("full replay reported mode %q", rec2.Mode)
+	}
+	if n := s2.NumCommits(); n != commits {
+		t.Fatalf("full replay recovered %d commits; the log's commit records hold %d", n, commits)
+	}
+	if _, ok := s2.Commit(forged); ok {
+		t.Fatal("full replay installed a commit only a checkpoint named")
+	}
+	if err := s2.VerifyPack(); err != nil {
+		t.Fatalf("VerifyPack: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package disk
 // store's persistence records.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/store"
@@ -41,10 +42,13 @@ const (
 	// recCheckpointDelta is an incremental checkpoint: only the index
 	// entries recorded since a full checkpoint (its base, named by segment
 	// and frame CRC), plus the same tail. It also heads a fresh segment.
-	// A reader that knows only kinds 1–7 truncates the log at the first
-	// one (DESIGN.md, "Record framing"), so it is a one-way format change.
 	recCheckpointDelta byte = 8
 )
+
+// errUnknownKind marks a record that passed its checksum but carries a
+// kind this build does not know — written by a newer format, not torn.
+// Open refuses the log rather than truncate history it cannot read.
+var errUnknownKind = errors.New("unknown record kind")
 
 func encodeMeta(key, value string) []byte {
 	var w wire.Writer
@@ -109,7 +113,7 @@ func frame(kind byte, body []byte) []byte {
 // scanOp is one decoded record, tagged with the offset its frame starts
 // at within its segment — replay applies ops in order, checkpoints index
 // object ops by that position. Only the fields for the record's kind are
-// populated.
+// populated; a checkpoint populates none.
 type scanOp struct {
 	kind   byte
 	off    int64
@@ -120,15 +124,16 @@ type scanOp struct {
 	value  string
 	branch store.BranchRecord
 	id     int
-	ckpt   *checkpoint
 }
 
-// decodeRecord parses one checksummed payload into a scanOp. Errors mean
-// the payload does not parse as its declared kind — with the checksum
-// already verified that indicates a format mismatch, which recovery
-// treats exactly like corruption: truncate here. Decoded fields never
-// alias payload (the wire reader copies), so the caller may reuse its
-// buffer.
+// decodeRecord parses one checksummed payload into a scanOp. A checkpoint
+// comes back undecoded: only the open-time seek reads checkpoints, and to
+// replay one is a marker. An error wrapping errUnknownKind means the kind
+// byte is not one this build knows; any other error means the payload
+// does not parse as its declared kind, which with the checksum already
+// verified recovery treats exactly like corruption: truncate here.
+// Decoded fields never alias payload (the wire reader copies), so the
+// caller may reuse its buffer.
 func decodeRecord(payload []byte, off int64) (scanOp, error) {
 	op := scanOp{off: off}
 	if len(payload) == 0 {
@@ -167,17 +172,9 @@ func decodeRecord(payload []byte, off int64) (scanOp, error) {
 	case recNextID:
 		op.id = int(r.Int64())
 	case recCheckpoint, recCheckpointDelta:
-		// decodeCheckpoint adopts its index sections by reference, and the
-		// scan loop reuses its payload buffer across records — these are
-		// the kinds that must copy.
-		ck, err := decodeCheckpoint(op.kind, append([]byte(nil), body...))
-		if err != nil {
-			return op, err
-		}
-		op.ckpt = ck
 		return op, nil
 	default:
-		return op, fmt.Errorf("unknown record kind %d", op.kind)
+		return op, fmt.Errorf("%w %d", errUnknownKind, op.kind)
 	}
 	if err := r.Close(); err != nil {
 		return op, err

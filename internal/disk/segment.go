@@ -17,6 +17,7 @@ package disk
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -112,7 +113,8 @@ type segScan struct {
 // scanSegmentOps decodes the segment at path from byte offset from
 // (clamped to just past the magic header, which is always verified).
 // A non-zero from lets the checkpoint path skip the already-decoded
-// head record. I/O errors other than EOF surface as err.
+// head record. I/O errors other than EOF, and an intact record of a kind
+// this build does not know, surface as err.
 func scanSegmentOps(path string, seq int, from int64) segScan {
 	res := segScan{seq: seq}
 	f, err := os.Open(path)
@@ -191,6 +193,11 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 			return res
 		}
 		op, err := decodeRecord(payload, res.good)
+		if errors.Is(err, errUnknownKind) {
+			// A newer format's record, intact: refuse, never truncate.
+			res.err = fmt.Errorf("record at offset %d: %w", res.good, err)
+			return res
+		}
 		if err != nil {
 			// The checksum passed but the payload does not parse: a
 			// format mismatch is handled like corruption — keep the

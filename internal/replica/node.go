@@ -346,9 +346,8 @@ const MaxReplicaID = 1023
 // NewNode creates a replica named name with fleet-unique id replicaID.
 // Node names double as branch names in each object's embedded store and
 // as peer identities on the wire; names and ids must be unique across the
-// fleet. Options configure durable storage (WithStorage, WithFsync) and
-// per-object store tunables (WithStoreOptions); they apply to every
-// object subsequently opened on the node.
+// fleet. Options configure durable storage (WithStorage, WithFsync); they
+// apply to every object subsequently opened on the node.
 func NewNode(name string, replicaID int, opts ...NodeOption) (*Node, error) {
 	if replicaID < 0 || replicaID > MaxReplicaID {
 		return nil, fmt.Errorf("replica: id %d out of range [0, %d]", replicaID, MaxReplicaID)

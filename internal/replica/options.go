@@ -1,8 +1,8 @@
 package replica
 
-// Node construction options. A NodeOption configures node-level concerns
-// — durable storage, fsync policy — or carries store options through to
-// every object store the node opens.
+// Node construction options. A NodeOption configures node-level concerns:
+// durable storage, fsync policy, the mesh daemon, transport and
+// observability.
 
 import (
 	"path/filepath"
@@ -17,15 +17,12 @@ import (
 
 // nodeConfig collects a node's construction-time settings.
 type nodeConfig struct {
-	storeOpts  []store.Option
 	storageDir string
 	fsync      disk.Policy
-	segBytes   int64
-	// checkpointEvery overrides the log's checkpoint cadence when ckptSet
-	// (zero and below disable checkpoints); verifyOnOpen turns the full
-	// pack verification back on at open time.
+	// checkpointEvery overrides the log's checkpoint cadence when
+	// positive; verifyOnOpen turns the full pack verification back on at
+	// open time.
 	checkpointEvery int
-	ckptSet         bool
 	verifyOnOpen    bool
 	// peers seeds the mesh engine's supervised peer set; the mesh*
 	// fields tune its cadence (zero values keep the engine defaults,
@@ -105,12 +102,6 @@ func (c *nodeConfig) sessionTimeout() time.Duration {
 // NodeOption adjusts node construction.
 type NodeOption func(*nodeConfig)
 
-// WithStoreOptions passes store options (snapshot spacing, cache sizes)
-// through to every object store the node opens.
-func WithStoreOptions(opts ...store.Option) NodeOption {
-	return func(c *nodeConfig) { c.storeOpts = append(c.storeOpts, opts...) }
-}
-
 // WithStorage makes the node durable: every object opened on it keeps a
 // segmented pack log (internal/disk) in its own subdirectory of dir, and
 // reopening a node with the same name over the same directory resumes
@@ -125,20 +116,14 @@ func WithFsync(p disk.Policy) NodeOption {
 	return func(c *nodeConfig) { c.fsync = p }
 }
 
-// WithSegmentBytes sets the log segment rotation threshold of the
-// node's object logs; it has no effect without WithStorage.
-func WithSegmentBytes(n int64) NodeOption {
-	return func(c *nodeConfig) { c.segBytes = n }
-}
-
 // WithCheckpointEvery sets the checkpoint cadence of the node's object
 // logs: after n mutations (a floor — deep logs throttle to geometric
 // spacing) the log writes an index checkpoint, so reopening seeks past
 // history instead of replaying it; a clean close writes a delta against
-// the last full checkpoint while that is under a quarter of it. Zero or
-// negative disables checkpointing. It has no effect without WithStorage.
+// the last full checkpoint while that is under a quarter of it. Values
+// below 1 are clamped to 1. It has no effect without WithStorage.
 func WithCheckpointEvery(n int) NodeOption {
-	return func(c *nodeConfig) { c.checkpointEvery, c.ckptSet = n, true }
+	return func(c *nodeConfig) { c.checkpointEvery = max(n, 1) }
 }
 
 // WithVerifyOnOpen makes every object open fully verify its recovered
@@ -273,11 +258,10 @@ func (c *nodeConfig) meshConfig() mesh.Config {
 // storeOptions assembles the store options for one object, including
 // the node's observability registry when enabled.
 func (c *nodeConfig) storeOptions() []store.Option {
-	opts := append([]store.Option(nil), c.storeOpts...)
 	if c.obsReg != nil {
-		opts = append(opts, store.WithObs(c.obsReg))
+		return []store.Option{store.WithObs(c.obsReg)}
 	}
-	return opts
+	return nil
 }
 
 // objectDirName maps an object name to a filesystem-safe directory name:
@@ -311,10 +295,7 @@ func (c *nodeConfig) objectDir(object string) string {
 // logOptions assembles the disk options for one object log.
 func (c *nodeConfig) logOptions() []disk.Option {
 	opts := []disk.Option{disk.WithFsync(c.fsync)}
-	if c.segBytes > 0 {
-		opts = append(opts, disk.WithSegmentBytes(c.segBytes))
-	}
-	if c.ckptSet {
+	if c.checkpointEvery > 0 {
 		opts = append(opts, disk.WithCheckpointEvery(c.checkpointEvery))
 	}
 	if c.obsReg != nil {

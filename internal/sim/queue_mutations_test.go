@@ -9,7 +9,8 @@ import (
 
 // Mutation tests for the queue merge: each mutant breaks one piece of the
 // Appendix B algorithm and the harness must reject it. Together with the
-// passing certification of the real implementation (internal/harness),
+// passing certification of the real implementation (peepul's
+// TestCertifyAll),
 // these show every component of the merge is load-bearing.
 
 type mutantQueue struct {

@@ -23,26 +23,14 @@ import (
 // ObjectRecord is the persisted form of one pack object: the stored
 // bytes (snapshot or patch), the chain base for patches, and the
 // recorded full size and chain depth, exactly as pack.go keeps them.
-//
-// A checkpoint-recovered record may carry its stored bytes lazily: Data
-// is nil, Stored records the on-disk length, and Load fetches (and
-// CRC-verifies) the bytes from the durable log on first use. The store
-// installs such records as lazy pack objects, so opening a deep history
-// costs the index, not the state bytes.
+// Records always carry their bytes; the one lazy form of a recovered
+// object is a FrozenIndex entry, whose bytes load through its loader.
 type ObjectRecord struct {
 	Data  []byte
 	Base  Hash
 	Delta bool
 	Size  int
 	Depth int
-	// Stored is the stored-byte length when Data is nil (lazy); ignored
-	// (recomputed from Data) otherwise.
-	Stored int
-	// Load fetches the stored bytes from the durable log; nil when Data
-	// is resident. Implementations must verify integrity (the disk log
-	// re-checks the record's CRC) and must stay callable until the store
-	// compacts — compaction forces every live object resident first.
-	Load func() ([]byte, error)
 }
 
 // BranchRecord is the persisted form of one branch: its head commit and
@@ -103,7 +91,7 @@ func (s *Store[S, Op, Val]) persistCommitLocked(h Hash, c Commit) {
 func (s *Store[S, Op, Val]) persistObjectLocked(h Hash, o *packObject) {
 	if p := s.opts.Persister; p != nil && s.persistErr == nil {
 		err := p.AppendObject(h, ObjectRecord{
-			Data: o.data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth, Stored: o.stored,
+			Data: o.data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth,
 		})
 		if err != nil {
 			s.persistErr = err
@@ -170,9 +158,8 @@ func (s *Store[S, Op, Val]) FlushStorage() error {
 // A non-empty rs is installed and then validated: every branch head must
 // resolve, every reachable commit's parents and state object must be
 // present, and the generation invariant must hold — an O(commit index)
-// walk that never touches state bytes. State objects install lazily:
-// records carrying a Load hook keep their bytes on disk until first
-// read, and nothing is decoded at open. With WithVerifyOnOpen(true),
+// walk that never touches state bytes. The state objects of a frozen
+// index stay on disk until first read, and nothing is decoded at open. With WithVerifyOnOpen(true),
 // VerifyPack additionally reassembles and decodes every retained object
 // before the store is handed out (the pre-lazy behaviour — crash tests
 // and tools use it to fail at open instead of first read). When
@@ -243,14 +230,10 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		}
 	}
 	for h, or := range rs.Objects {
-		obj := &packObject{
+		s.objects[h] = &packObject{
 			data: or.Data, base: or.Base, delta: or.Delta, size: or.Size, depth: or.Depth,
-			stored: len(or.Data), load: or.Load,
+			stored: len(or.Data),
 		}
-		if or.Data == nil && or.Load != nil {
-			obj.stored = or.Stored
-		}
-		s.objects[h] = obj
 	}
 	maxReplica := -1
 	for name, b := range rs.Branches {
@@ -367,7 +350,7 @@ func (s *Store[S, Op, Val]) liveStateLocked() (*RecoveredState, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs.Objects[h] = ObjectRecord{Data: data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth, Stored: o.stored}
+		rs.Objects[h] = ObjectRecord{Data: data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth}
 	}
 	for b, head := range s.heads {
 		c := s.clocks[b]

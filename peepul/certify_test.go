@@ -1,10 +1,9 @@
-package harness_test
+package peepul_test
 
 import (
 	"testing"
 
-	"repro/internal/harness"
-	"repro/internal/sim"
+	"repro/peepul"
 )
 
 // TestCertifyAll runs the full certification (exhaustive + random
@@ -12,7 +11,7 @@ import (
 // every transition) for every registered MRDT. This is the reproduction's
 // counterpart of the paper's Table 3 verification runs.
 func TestCertifyAll(t *testing.T) {
-	for _, r := range harness.All() {
+	for _, r := range peepul.All() {
 		r := r
 		t.Run(r.Name(), func(t *testing.T) {
 			t.Parallel()
@@ -41,7 +40,7 @@ func TestCertifyDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep certification skipped in -short mode")
 	}
-	for _, r := range harness.All() {
+	for _, r := range peepul.All() {
 		r := r
 		t.Run(r.Name(), func(t *testing.T) {
 			t.Parallel()
@@ -62,7 +61,7 @@ func TestCertifyDeep(t *testing.T) {
 // TestCertifySmokeFastBounds keeps a cheap always-on configuration so a
 // broken obligation fails fast even under -short.
 func TestCertifySmokeFastBounds(t *testing.T) {
-	cfg := sim.Config{
+	cfg := peepul.Config{
 		MaxBranches:      2,
 		MaxSteps:         3,
 		RandomExecutions: 10,
@@ -70,7 +69,7 @@ func TestCertifySmokeFastBounds(t *testing.T) {
 		RandomBranches:   3,
 		Seed:             7,
 	}
-	for _, r := range harness.All() {
+	for _, r := range peepul.All() {
 		if rep := r.Certify(cfg); rep.Err != nil {
 			t.Errorf("%s: %v", r.Name(), rep.Err)
 		}

@@ -9,25 +9,9 @@ import (
 )
 
 // NodeOption adjusts node construction; options plumb through to every
-// object the node opens — store tunables and, for durable nodes, the
-// storage directory and fsync policy.
+// object the node opens — for durable nodes, the storage directory,
+// fsync policy and checkpoint cadence.
 type NodeOption = replica.NodeOption
-
-// WithSnapshotEvery sets the pack layer's snapshot spacing in every
-// object store the node opens: states are delta-chained to their parent
-// with a full snapshot at most every n links, so resident bytes track the
-// operations, not the state size, while no cold read walks more than n
-// patches. 1 stores every state whole (the pre-pack format).
-func WithSnapshotEvery(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithSnapshotEvery(n))
-}
-
-// WithStateCacheSize bounds each object store's LRU of decoded states:
-// branch heads and recent merge bases stay hot, deep history is
-// re-materialized on demand instead of pinning memory forever.
-func WithStateCacheSize(n int) NodeOption {
-	return replica.WithStoreOptions(store.WithStateCacheSize(n))
-}
 
 // WithStorage makes the node durable: every object opened on it keeps a
 // segmented, checksummed pack log in its own subdirectory of dir —
@@ -64,8 +48,8 @@ func WithFsync(p FsyncPolicy) NodeOption { return replica.WithFsync(p) }
 // log. A clean close still checkpoints, so clean reopens stay flat, but
 // while the entries since the last full checkpoint are under a quarter
 // of it the close writes only those (a delta), so a close costs what the
-// session added, not the history. The default cadence is 1024; zero or
-// negative disables checkpoints entirely. No effect without WithStorage.
+// session added, not the history. The default cadence is 1024; values
+// below 1 are clamped to 1. No effect without WithStorage.
 func WithCheckpointEvery(n int) NodeOption { return replica.WithCheckpointEvery(n) }
 
 // WithVerifyOnOpen(true) restores eager verification: every recovered
