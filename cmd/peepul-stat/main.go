@@ -170,10 +170,7 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 
 // renderWrites prints the local write path: how many operation commits
 // the node's stores made, their mean latency, and the mean of each phase
-// of storing a state (the phase histograms also count merge commits) —
-// and how long sync sessions waited for each other's merge sections,
-// the one wait a session can impose (on another session, never on a
-// write).
+// of storing a state (the phase histograms also count merge commits).
 func renderWrites(metrics []obs.Metric) {
 	mean := func(m obs.Metric) time.Duration {
 		if m.Count == 0 {
@@ -181,7 +178,7 @@ func renderWrites(metrics []obs.Metric) {
 		}
 		return time.Duration(m.Sum / m.Count)
 	}
-	var apply, mergeWait obs.Metric
+	var apply obs.Metric
 	phases := make(map[string]time.Duration)
 	for _, m := range metrics {
 		switch m.Name {
@@ -189,20 +186,11 @@ func renderWrites(metrics []obs.Metric) {
 			apply = m
 		case "peepul_store_put_state_ns":
 			phases[m.Labels["phase"]] = mean(m)
-		case "peepul_replica_merge_wait_ns":
-			mergeWait = m
 		}
 	}
 	if apply.Count > 0 {
-		fmt.Printf("writes: %d commit(s), mean %s (encode %s, hash %s, delta %s)\n",
+		fmt.Printf("writes: %d commit(s), mean %s (encode %s, hash %s, delta %s)\n\n",
 			apply.Count, mean(apply), phases["encode"], phases["hash"], phases["delta"])
-	}
-	if mergeWait.Count > 0 {
-		fmt.Printf("merges: %d session merge(s), mean wait for the merge lock %s\n",
-			mergeWait.Count, mean(mergeWait))
-	}
-	if apply.Count > 0 || mergeWait.Count > 0 {
-		fmt.Println()
 	}
 }
 

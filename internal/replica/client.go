@@ -94,58 +94,37 @@ func (n *Node) syncPeer(ctx context.Context, addr string, link bool) (_ mesh.Rep
 }
 
 // sessionObject is one object in a client session's scope together with
-// the snapshot the session ships from: the branch head at connect time
-// and the capture token recording every commit installed since. A link's
-// connect session also arms link, the capture its stream drains (zero
-// otherwise).
+// the capture the session ships from: its head is the branch head at
+// connect time. A link's connect session hands its captures on to the
+// link, which drains them.
 type sessionObject struct {
-	name  string
-	e     *objectEntry
-	head  store.Hash
-	token int
-	link  int
+	name    string
+	e       *objectEntry
+	capture *store.Capture
 }
 
-// snapshotScope snapshots every named object the node still hosts,
-// arming each object's link capture too when link is set.
-func (n *Node) snapshotScope(names []string, link bool) ([]sessionObject, error) {
+// snapshotScope captures every named object the node still hosts.
+func (n *Node) snapshotScope(names []string) ([]sessionObject, error) {
 	scope := make([]sessionObject, 0, len(names))
 	for _, name := range names {
 		e, ok := n.entry(name)
 		if !ok {
 			continue // removed concurrently; nothing to sync
 		}
-		so := sessionObject{name: name, e: e}
-		var err error
-		if link {
-			so.head, so.token, so.link, err = e.obj.SnapshotLink()
-		} else {
-			so.head, so.token, err = e.obj.Snapshot()
-		}
+		c, err := e.st.Snapshot(n.name)
 		if err != nil {
-			releaseScope(scope)
-			releaseLinks(scope)
+			closeScope(scope)
 			return nil, err
 		}
-		scope = append(scope, so)
+		scope = append(scope, sessionObject{name: name, e: e, capture: c})
 	}
 	return scope, nil
 }
 
-// releaseScope ends the capture tokens no export consumed.
-func releaseScope(scope []sessionObject) {
+// closeScope closes a scope's captures.
+func closeScope(scope []sessionObject) {
 	for _, so := range scope {
-		so.e.obj.EndInstallCapture(so.token)
-	}
-}
-
-// releaseLinks ends the link captures of a connect session whose link
-// never came up.
-func releaseLinks(scope []sessionObject) {
-	for _, so := range scope {
-		if so.link != 0 {
-			so.e.obj.EndInstallCapture(so.link)
-		}
+		so.capture.Close()
 	}
 }
 
@@ -166,11 +145,10 @@ func (n *Node) syncSession(ctx context.Context, addr string, names []string, spa
 
 	// The snapshot precedes the first frame: everything this session
 	// ships existed now, however many round trips it takes.
-	scope, err := n.snapshotScope(names, link)
+	scope, err := n.snapshotScope(names)
 	var missed []string
 	if err == nil {
 		missed, err = n.exchange(c, addr, scope, spanFirst, call)
-		releaseScope(scope)
 	}
 	if !stop() && link && err == nil {
 		err = ctx.Err() // cancelled on the way out: the connection is closed
@@ -180,7 +158,7 @@ func (n *Node) syncSession(ctx context.Context, addr string, names []string, spa
 	}
 	if err != nil || !link {
 		conn.Close()
-		releaseLinks(scope)
+		closeScope(scope)
 		return missed, nil, err
 	}
 	return missed, n.newPeerLink(c, addr, scope, missed), nil
@@ -220,7 +198,7 @@ func (n *Node) syncSpan(c *countedConn, scope []sessionObject, call *callState) 
 	}
 	var sp wire.ReconSpan
 	for _, so := range scope {
-		foldSpan(&sp, so.name, so.e, so.head)
+		foldSpan(&sp, so.name, so.e, so.capture.Head())
 	}
 	if err := wire.WriteMsg(c, wire.FrameReconSpan, wire.EncodeReconSpan(sp)); err != nil {
 		return false, err
@@ -275,10 +253,10 @@ func peerMsg(fields [][]byte) string {
 func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *callState) (miss bool, _ error) {
 	object, e := so.name, so.e
 	negStart := time.Now()
-	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: so.head}
+	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: so.capture.Head()}
 	// The root probe is the live fingerprint and count of the whole
 	// keyspace.
-	fp, count := e.obj.ReconRange(recon.Item{}, recon.Item{})
+	fp, count := e.st.ReconRange(recon.Item{}, recon.Item{})
 	root := wire.ReconRange{FP: fp, Count: count}
 	if err := wire.WriteMsg(c, wire.FrameHello, wire.EncodeHello(hello), wire.EncodeReconRange(root)); err != nil {
 		return false, err
@@ -313,15 +291,6 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *c
 	return false, n.syncObjectRecon(c, so, ack, answer, call)
 }
 
-// integrateReply merges a peer's reply into the node branch — whatever
-// head it has by now — under the object's merge lock.
-func (n *Node) integrateReply(e *objectEntry, track string, reply []store.ExportedCommit, head store.Hash) (redundant int, _ error) {
-	n.lockMerge(e)
-	defer e.mergeMu.Unlock()
-	redundant, _, err := e.obj.IntegrateExact(track, reply, head)
-	return redundant, err
-}
-
 // syncObjectRecon runs the client side of one object's reconciliation
 // exchange, after the hello ack answered the root probe the hello
 // carried. The client drives a lock-step descent over hash ranges: probe
@@ -337,9 +306,7 @@ func (n *Node) integrateReply(e *objectEntry, track string, reply []store.Export
 //
 // The descent reads the live fingerprint tree, which local commits and
 // inbound sessions keep growing; what ships is the resolved set cut back
-// to the session's snapshot (ExportSetAsOf), under the snapshot's head.
-// Every ancestor of that head predates the snapshot and so was in the
-// tree for every probe: the batch grafts onto what the peer holds.
+// to the session's capture (store.AsOf), under the snapshot's head.
 func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer, call *callState) error {
 	object, e := so.name, so.e
 	type keyRange struct{ x, y recon.Item }
@@ -356,7 +323,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 		}
 	}
 	shipRange := func(x, y recon.Item) {
-		for _, it := range e.obj.ReconItems(x, y, -1) {
+		for _, it := range e.st.ReconItems(x, y, -1) {
 			ship[it.Addr()] = true
 		}
 	}
@@ -373,11 +340,11 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 			theirs := make(map[recon.Item]bool, len(a.Items))
 			for _, it := range a.Items {
 				theirs[it] = true
-				if !e.obj.HasCommit(it.Addr()) {
+				if !e.st.HasCommit(it.Addr()) {
 					want = append(want, it.Addr())
 				}
 			}
-			for _, it := range e.obj.ReconItems(r.x, r.y, -1) {
+			for _, it := range e.st.ReconItems(r.x, r.y, -1) {
 				if !theirs[it] {
 					ship[it.Addr()] = true
 				}
@@ -393,7 +360,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 				{sp.Mid, r.y, sp.FPHi, sp.CountHi},
 			}
 			for _, half := range halves {
-				lfp, lcount := e.obj.ReconRange(half.x, half.y)
+				lfp, lcount := e.st.ReconRange(half.x, half.y)
 				switch {
 				case lfp == half.fp && lcount == half.count:
 					// This half agrees; only the other one descends.
@@ -412,7 +379,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	for len(work) > 0 {
 		r := work[len(work)-1]
 		work = work[:len(work)-1]
-		fp, count := e.obj.ReconRange(r.x, r.y)
+		fp, count := e.st.ReconRange(r.x, r.y)
 		probe := wire.ReconRange{X: r.x, Y: r.y, FP: fp, Count: count}
 		if err := wire.WriteMsg(c, wire.FrameReconFP, wire.EncodeReconRange(probe)); err != nil {
 			return err
@@ -438,7 +405,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	// What ships is the resolved set as of the snapshot; commits younger
 	// than the session ride the next stream batch or round.
 	shipStart := time.Now()
-	commits, err := e.obj.ExportSetAsOf(so.head, ship, so.token)
+	commits, head, err := e.st.ExportSet(so.capture, ship, store.AsOf, "")
 	if err != nil {
 		return err
 	}
@@ -447,7 +414,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	// ack's answer. (Equal sets with differing branch heads still run the
 	// empty-delta exchange below, which resolves the heads by pulling each
 	// other's.)
-	if len(want) == 0 && len(commits) == 0 && ack.Head == so.head {
+	if len(want) == 0 && len(commits) == 0 && ack.Head == head {
 		for _, s := range []*syncStats{&n.total, &e.stats} {
 			s.deltaSyncs.Add(1)
 		}
@@ -457,7 +424,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
 		return err
 	}
-	if err := wire.WriteDeltaPacked(c, commits, so.head); err != nil {
+	if err := wire.WriteDeltaPacked(c, commits, head); err != nil {
 		return err
 	}
 	call.span.phase("ship", object, shipStart)
@@ -466,7 +433,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err != nil {
 		return err
 	}
-	redundant, err := n.integrateReply(e, "remote/"+ack.Node, reply, replyHead)
+	redundant, err := n.integrate(e, object, ack.Node, reply, replyHead)
 	if err != nil {
 		return err
 	}

@@ -51,12 +51,6 @@ type ObjectDebug struct {
 	Storage *disk.Stats `json:"storage,omitempty"`
 }
 
-// storageStatser is the optional per-object storage stats surface
-// (TypedObject implements it; only durable objects report true).
-type storageStatser interface {
-	StorageStats() (disk.Stats, bool)
-}
-
 // DebugSnapshot assembles the unified debug document. It works without
 // WithDebugAddr — any observability-enabled node can be snapshotted in
 // process — and degrades to the plain Stats surfaces when even that is
@@ -72,20 +66,18 @@ func (n *Node) DebugSnapshot() DebugSnapshot {
 		Mesh:      n.MeshStats(),
 	}
 	for _, name := range n.Objects() {
-		o, ok := n.Object(name)
+		e, ok := n.entry(name)
 		if !ok {
 			continue
 		}
-		od := ObjectDebug{Datatype: o.Datatype(), Stats: n.ObjectStats(name)}
-		_, od.Commits = o.ReconRoot()
-		if h, err := o.Head(); err == nil {
+		od := ObjectDebug{Datatype: e.obj.Datatype(), Stats: n.ObjectStats(name)}
+		_, od.Commits = e.st.ReconRoot()
+		if h, err := e.obj.Head(); err == nil {
 			od.Head = hex.EncodeToString(h[:])
 		}
-		if ss, ok := o.(storageStatser); ok {
-			if st, durable := ss.StorageStats(); durable {
-				stCopy := st
-				od.Storage = &stCopy
-			}
+		if e.log != nil {
+			st := e.log.Stats()
+			od.Storage = &st
 		}
 		snap.Objects[name] = od
 	}

@@ -3,8 +3,9 @@ package replica
 // Links: the mesh daemon's long-lived outbound connections. A link is a
 // client session whose connection outlives it. The connect session runs
 // unchanged — span probe or hellos, recon descent, packed delta each way
-// — with one addition: the snapshot also arms, per object and in the
-// same store critical section, the capture the stream drains. The
+// — and then hands its captures to the link instead of closing them:
+// each records every commit installed since the session's snapshot,
+// which is exactly what the stream must drain (store.Drain). The
 // connection then switches to stream mode, one direction only: the
 // dialer writes a FrameLinkBatch per object with news, and its reader
 // waits only for a refusal or the peer hanging up. The serving side
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -42,16 +44,12 @@ type peerLink struct {
 	// via is the peer's tracking branch: commits imported under it came
 	// from the peer and never stream back.
 	via string
-	// objs are the objects the link streams, each with the link capture
-	// its connect session's snapshot armed.
+	// objs are the objects the link streams, each with its connect
+	// session's capture.
 	objs []sessionObject
 	// known counts the objects the node hosted at connect, streamed or
 	// missed; a node hosting more has opened one the link does not cover.
 	known int
-
-	// mu serializes Push with Close's release of the captures.
-	mu       sync.Mutex
-	released bool
 
 	once   sync.Once
 	done   chan struct{}
@@ -61,7 +59,7 @@ type peerLink struct {
 
 // newPeerLink starts the reader of a connect session's connection, now in
 // stream mode. Objects the peer missed stream nothing: their captures
-// end here. The peer's name comes from the first-contact set: an object
+// close here. The peer's name comes from the first-contact set: an object
 // the peer did not miss was acked, in this session or — when a span
 // match settled it — in an earlier one.
 func (n *Node) newPeerLink(c *countedConn, addr string, scope []sessionObject, missed []string) *peerLink {
@@ -75,7 +73,7 @@ func (n *Node) newPeerLink(c *countedConn, addr string, scope []sessionObject, m
 	}
 	for _, so := range scope {
 		if skip[so.name] {
-			so.e.obj.EndInstallCapture(so.link)
+			so.capture.Close()
 			continue
 		}
 		l.objs = append(l.objs, so)
@@ -127,18 +125,12 @@ func (l *peerLink) Err() error {
 // heartbeats can be late before the peer's read deadline fires.
 func (l *peerLink) Heartbeat() time.Duration { return l.n.cfg.syncTimeout() / 3 }
 
-// Close implements mesh.Link.
+// Close implements mesh.Link. A Push still in flight finds the captures
+// closed and fails like any push on a dead link.
 func (l *peerLink) Close() {
 	l.fail(net.ErrClosed)
 	<-l.reader
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.released {
-		l.released = true
-		for _, so := range l.objs {
-			so.e.obj.EndInstallCapture(so.link)
-		}
-	}
+	closeScope(l.objs)
 }
 
 // Push implements mesh.Link: per object, drain the link capture and
@@ -148,8 +140,6 @@ func (l *peerLink) Close() {
 // reports the link's first cause of death — a refusal the reader saw
 // outranks the write it broke.
 func (l *peerLink) Push(heartbeat bool) (mesh.Report, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	select {
 	case <-l.done:
 		return mesh.Report{}, l.err
@@ -179,7 +169,7 @@ func (l *peerLink) Push(heartbeat bool) (mesh.Report, error) {
 // frame when asked and there is none — and flushes.
 func (l *peerLink) write(heartbeat bool) (commits int64, _ error) {
 	for _, so := range l.objs {
-		batch, head, err := so.e.obj.DrainCapture(so.link, l.via)
+		batch, head, err := so.e.st.ExportSet(so.capture, nil, store.Drain, l.via)
 		if err != nil {
 			return commits, err
 		}

@@ -51,37 +51,31 @@
 // peer, and a failed link reconnects, its connect session the repair.
 // Watch exposes the merge path's head moves as a notification channel.
 //
-// Concurrency discipline: a client session is a reader of a snapshot.
-// Right after the dial, before its first frame, it takes for every
-// object in scope the branch head H0 and a store install-capture token
-// in one store critical section. The span probe and hello advertise H0;
-// the recon descent reads the live fingerprint tree (a superset of the
-// snapshot); the ship set is the resolved diff minus everything the
-// token captured, exported with head H0; and the peer's reply is merged
-// into whatever head the branch has by then — a fast-forward, a semantic
-// fast-forward or one merge commit, all ordinary store.Pull cases. A
-// session's work is therefore bounded by the state it connected with,
-// and commits younger than it ride the link's next batch or the next
+// Concurrency discipline: no replica-level lock sits on the data path.
+// Right after the dial, before its first frame, a client session takes a
+// store.Capture of every object in scope; the span probe and hello
+// advertise the capture's head, the recon descent reads the live
+// fingerprint tree, the ship set is exported as of the capture
+// (store.AsOf), and the peer's reply is integrated — imported and pulled
+// in one store critical section (store.Integrate) — into whatever head
+// the branch has by then. A serving session captures at its hello and
+// replies through the capture (store.Reply); a link keeps its connect
+// session's capture and drains it (store.Drain). Why each export is exact
+// while writes and other sessions interleave is argued once, on
+// store.Capture. A session's work is bounded by the state it connected
+// with: commits younger than it ride the link's next batch or the next
 // round. Local commits (Do, PullLocal, SyncLocal) take only the store's
-// lock and never wait for a session. The serving side answers from the
-// live store: its reply export folds in whatever landed since its hello
-// ack — bar what arrived under the client's own tracking branch —
-// because its reply head is the head it just merged.
+// lock and never wait for a session.
 //
-// The one replica-level lock on the data path is the per-object merge
-// lock: a session holds it around "import the peer's delta, pull it into
-// the node branch (and, serving, export the reply)", so two sessions
-// sharing a tracking branch cannot pull each other's import and each
-// reply matches the pull that minted it. It covers local store calls
-// only — nothing blocks on a connection while holding it — so two nodes
-// syncing each other simultaneously have no waits-for edge between them
-// and need no tie-break. That crossed sessions still converge is the
-// store's doing, not a lock's: Pull declines to mint a merge when the
-// operation sets already agree and elects the smaller head hash, so
-// crossed merges meet on one head within a round or two. What crossing
-// can cost is a second delivery: two sessions running opposite ways
-// between one pair may both carry the same commit (one in its ship set,
-// one in its reply), which content addressing drops on arrival and
+// Nothing blocks on a connection while holding a lock another session
+// needs, so two nodes syncing each other simultaneously have no
+// waits-for edge between them and need no tie-break. That crossed
+// sessions still converge is the store's doing: Pull declines to mint a
+// merge when the operation sets already agree and elects the smaller head
+// hash, so crossed merges meet on one head within a round or two. What
+// crossing can cost is a second delivery: two sessions running opposite
+// ways between one pair may both carry the same commit (one in its ship
+// set, one in its reply), which content addressing drops on arrival and
 // RedundantCommits counts. Uncrossed sessions ship exactly once, and a
 // link never streams back what its peer sent, so between linked nodes
 // crossing happens only between a round (or connect session) and the
@@ -128,7 +122,7 @@ const defaultSyncTimeout = 30 * time.Second
 // disable with WithSessionTimeout). The idle timeout alone cannot stop
 // a dribbling peer — one byte per idle window makes progress forever —
 // so the session bound is what caps how long a hostile peer can hold a
-// handler slot, a peer-address turn and a session's capture token.
+// handler slot, a peer-address turn and a session's store capture.
 const defaultSessionTimeout = 3 * time.Minute
 
 // countedConn is a session connection: buffered both ways, so a protocol
@@ -274,18 +268,15 @@ func (n *Node) dialPeer(ctx context.Context, addr string) (net.Conn, error) {
 	return n.cfg.transportOrTCP().Dial(ctx, addr)
 }
 
-// objectEntry pairs a hosted object with its sync counters, its Watch
-// subscribers and, on durable nodes, its pack log.
+// objectEntry pairs a hosted object with the store surface its sessions
+// use, its sync counters, its Watch subscribers and, on durable nodes,
+// its pack log.
 type objectEntry struct {
 	obj      Object
+	st       syncStore
 	log      *disk.Log
 	stats    syncStats
 	watchers *watcherSet
-	// mergeMu makes a session's "import, pull (and export the reply)" one
-	// step with respect to other sessions on this object. It is held over
-	// store calls only, never across a connection read or write, and
-	// local commits do not take it (see the package comment).
-	mergeMu sync.Mutex
 }
 
 // Node is one replica hosting a set of named MRDT objects. It is safe
@@ -503,7 +494,7 @@ func (n *Node) Close() error {
 			if e.log == nil {
 				continue
 			}
-			if err := e.obj.FlushStorage(); err != nil && n.closeErr == nil {
+			if err := e.st.FlushStorage(); err != nil && n.closeErr == nil {
 				n.closeErr = err
 			}
 			if err := e.log.Close(); err != nil && n.closeErr == nil {
@@ -575,17 +566,23 @@ func (n *Node) serve() {
 	}
 }
 
-// lockMerge takes e's merge lock for a session, recording how long the
-// session waited behind another one's merge section.
-func (n *Node) lockMerge(e *objectEntry) {
-	m := n.metrics
-	if m == nil {
-		e.mergeMu.Lock()
-		return
+// integrate lands a peer's batch on an object's store under the peer's
+// tracking branch (store.Integrate). A pull that moved the node branch's
+// head fires the object's watchers and re-notifies the mesh daemon: the
+// news a merge brought in is itself streamed onward, so commits cascade
+// hop by hop through ring and mesh topologies instead of waiting out an
+// anti-entropy round per hop. (The cascade terminates: a link never
+// streams a commit back to the peer it came from, and a commit already
+// present installs nothing.) Whether the head moved is the store's
+// verdict, so a Do racing the integrate never fires watchers, and a pull
+// that failed after moving the head still does.
+func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.ExportedCommit, head store.Hash) (redundant int, _ error) {
+	redundant, after, moved, err := e.st.Integrate(n.name, "remote/"+peer, batch, head)
+	if moved {
+		e.watchers.broadcast(WatchEvent{Object: object, From: peer, Head: after})
+		n.engine.NotifyCommit()
 	}
-	start := time.Now()
-	e.mergeMu.Lock()
-	m.mergeWaitNs.Observe(time.Since(start).Nanoseconds())
+	return redundant, err
 }
 
 // readDelta reads the peer's delta — a client's ship set or a server's

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -12,60 +11,28 @@ import (
 )
 
 // Object is the type-erased view of one named replicated object a Node
-// hosts: exactly the surface the sync protocol needs, so heterogeneous
-// datatypes share one session. Concrete objects are TypedObjects.
+// hosts. Concrete objects are TypedObjects.
 type Object interface {
 	// Datatype is the registered datatype name; hellos carry it so two
 	// nodes never merge states of different types under one object name.
 	Datatype() string
-	// IntegrateExact installs a peer's (possibly partial) history under a
-	// tracking branch and pulls it into the node's branch. It reports how
-	// many of the shipped commits were already present (redundant
-	// re-ships — zero when the negotiation resolved the exact diff) and
-	// which commits the pull minted locally (merge commits a reply must
-	// ship on top of the peer's want list). Sessions call it under the
-	// object's merge lock.
-	IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (redundant int, minted []store.Hash, err error)
 	// Head returns the node branch's current head hash.
 	Head() (store.Hash, error)
-	// HasCommit reports whether the object's store holds commit h.
+}
+
+// syncStore is the store surface sync sessions and links use, with the
+// object's concrete types erased: *store.Store implements it for every
+// datatype, and sessions pass the node branch explicitly.
+type syncStore interface {
+	HeadHash(branch string) (store.Hash, error)
 	HasCommit(h store.Hash) bool
-	// ReconRoot, ReconRange, ReconItems and ReconSelect expose the
-	// store's fingerprint tree to the reconciliation protocol: the
-	// fingerprint and count of the whole commit set or a hash range
-	// [x, y), the range's members, and its k-th member (the split-point
-	// oracle of the recursive descent).
 	ReconRoot() (recon.Fingerprint, int)
 	ReconRange(x, y recon.Item) (recon.Fingerprint, int)
 	ReconItems(x, y recon.Item, max int) []recon.Item
 	ReconSelect(x, y recon.Item, k int) (recon.Item, bool)
-	// Snapshot and ExportSetAsOf are a client session's view of the
-	// object: the branch head plus an install-capture token taken before
-	// the session's first frame, and the export of a resolved ship set
-	// cut back to commits that existed then (store.Store has the full
-	// contract). A session that ends early releases the token with
-	// EndInstallCapture.
-	Snapshot() (head store.Hash, token int, err error)
-	ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error)
-	// SnapshotLink and DrainCapture are a link's: a link's connect
-	// session snapshots with SnapshotLink, which also arms the link's own
-	// capture in the same store critical section, and the link's stream
-	// drains that capture batch by batch, skipping what arrived under
-	// heldVia, the peer's tracking branch. Close ends it with
-	// EndInstallCapture.
-	SnapshotLink() (head store.Hash, token, link int, err error)
-	DrainCapture(token int, heldVia string) ([]store.ExportedCommit, store.Hash, error)
-	// BeginInstallCapture / EndInstallCapture / ExportSetCapture are the
-	// serving side's counterpart: a handler arms a capture at the hello
-	// ack and exports its reply through it, so commits a concurrent local
-	// Apply installs mid-descent still reach the reply atomically with
-	// the exported head — except the commits imported under heldVia, the
-	// receiver's tracking branch, which the receiver sent itself.
-	BeginInstallCapture() int
-	EndInstallCapture(token int) []store.Hash
-	ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string) ([]store.ExportedCommit, store.Hash, error)
-	// FlushStorage pushes buffered persistence out and surfaces any
-	// sticky storage error; a no-op on in-memory objects.
+	Snapshot(branch string) (*store.Capture, error)
+	ExportSet(c *store.Capture, ship map[store.Hash]bool, mode store.ExportMode, held string) ([]store.ExportedCommit, store.Hash, error)
+	Integrate(branch, via string, batch []store.ExportedCommit, head store.Hash) (redundant int, after store.Hash, moved bool, err error)
 	FlushStorage() error
 }
 
@@ -75,7 +42,6 @@ type Object interface {
 type TypedObject[S, Op, Val any] struct {
 	datatype string
 	branch   string
-	object   string
 	node     *Node
 	entry    *objectEntry
 	st       *store.Store[S, Op, Val]
@@ -108,8 +74,8 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 	// object.
 	if n.cfg.storageDir == "" {
 		st := store.NewAt(impl, codec, n.name, n.replicaID*64, n.cfg.storeOptions()...)
-		to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, object: object, node: n, st: st}
-		e := &objectEntry{obj: to, watchers: newWatcherSet()}
+		to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, node: n, st: st}
+		e := &objectEntry{obj: to, st: st, watchers: newWatcherSet()}
 		to.entry = e
 		n.objects[object] = e
 		return to, nil
@@ -140,8 +106,8 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 		log.Close()
 		return nil, err
 	}
-	to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, object: object, node: n, st: st, log: log}
-	e := &objectEntry{obj: to, log: log, watchers: newWatcherSet()}
+	to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, node: n, st: st, log: log}
+	e := &objectEntry{obj: to, st: st, log: log, watchers: newWatcherSet()}
 	to.entry = e
 	n.objects[object] = e
 	return to, nil
@@ -236,108 +202,9 @@ func (o *TypedObject[S, Op, Val]) State() (S, error) {
 	return o.st.Head(o.branch)
 }
 
-// IntegrateExact implements Object. The captured import and pull
-// variants separate the two kinds of news an exchange creates — commits
-// the peer shipped that were already present (redundant), and commits
-// the pull minted locally (merges the peer has never seen) — with each
-// record cut inside the store's own critical section, so concurrent
-// local Applies can never blur the attribution.
-//
-// A pull that moves the node branch's head fires the object's watchers
-// and re-notifies the mesh daemon: the news a merge brought in is itself
-// streamed onward, so commits cascade hop-by-hop through ring and mesh
-// topologies instead of waiting out a full anti-entropy round per hop.
-// (The cascade terminates: a link never streams a commit back to the
-// peer it came from, and a commit already present installs nothing.)
-// Whether the pull moved the head is the store's verdict, not a
-// before/after comparison from here — a Do racing the integrate moves
-// the head too, and must not fire watchers.
-func (o *TypedObject[S, Op, Val]) IntegrateExact(track string, commits []store.ExportedCommit, head store.Hash) (int, []store.Hash, error) {
-	fresh, importErr := o.st.ImportCaptured(track, commits, head)
-	if importErr != nil {
-		return 0, nil, importErr
-	}
-	redundant := len(commits) - len(fresh)
-	// Even a failing Pull (a storage error, say) may have moved the head
-	// before reporting — any movement is real news and must still fan
-	// out to watchers and peers.
-	minted, after, moved, pullErr := o.st.PullCaptured(o.branch, track)
-	if moved {
-		o.entry.watchers.broadcast(WatchEvent{
-			Object: o.object,
-			From:   strings.TrimPrefix(track, "remote/"),
-			Head:   after,
-		})
-		o.node.engine.NotifyCommit()
-	}
-	return redundant, minted, pullErr
-}
-
 // Head implements Object.
 func (o *TypedObject[S, Op, Val]) Head() (store.Hash, error) {
 	return o.st.HeadHash(o.branch)
-}
-
-// HasCommit implements Object.
-func (o *TypedObject[S, Op, Val]) HasCommit(h store.Hash) bool { return o.st.HasCommit(h) }
-
-// ReconRoot implements Object.
-func (o *TypedObject[S, Op, Val]) ReconRoot() (recon.Fingerprint, int) { return o.st.ReconRoot() }
-
-// ReconRange implements Object.
-func (o *TypedObject[S, Op, Val]) ReconRange(x, y recon.Item) (recon.Fingerprint, int) {
-	return o.st.ReconRange(x, y)
-}
-
-// ReconItems implements Object.
-func (o *TypedObject[S, Op, Val]) ReconItems(x, y recon.Item, max int) []recon.Item {
-	return o.st.ReconItems(x, y, max)
-}
-
-// ReconSelect implements Object.
-func (o *TypedObject[S, Op, Val]) ReconSelect(x, y recon.Item, k int) (recon.Item, bool) {
-	return o.st.ReconSelect(x, y, k)
-}
-
-// Snapshot implements Object.
-func (o *TypedObject[S, Op, Val]) Snapshot() (store.Hash, int, error) {
-	return o.st.Snapshot(o.branch)
-}
-
-// ExportSetAsOf implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetAsOf(head store.Hash, ship map[store.Hash]bool, token int) ([]store.ExportedCommit, error) {
-	return o.st.ExportSetAsOf(head, ship, token)
-}
-
-// SnapshotLink implements Object.
-func (o *TypedObject[S, Op, Val]) SnapshotLink() (store.Hash, int, int, error) {
-	return o.st.SnapshotLink(o.branch)
-}
-
-// DrainCapture implements Object.
-func (o *TypedObject[S, Op, Val]) DrainCapture(token int, heldVia string) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.DrainCapture(o.branch, token, heldVia)
-}
-
-// BeginInstallCapture implements Object.
-func (o *TypedObject[S, Op, Val]) BeginInstallCapture() int { return o.st.BeginInstallCapture() }
-
-// EndInstallCapture implements Object.
-func (o *TypedObject[S, Op, Val]) EndInstallCapture(token int) []store.Hash {
-	return o.st.EndInstallCapture(token)
-}
-
-// ExportSetCapture implements Object.
-func (o *TypedObject[S, Op, Val]) ExportSetCapture(ship map[store.Hash]bool, token int, heldVia string) ([]store.ExportedCommit, store.Hash, error) {
-	return o.st.ExportSetCapture(o.branch, ship, token, heldVia)
-}
-
-// FlushStorage implements Object.
-func (o *TypedObject[S, Op, Val]) FlushStorage() error {
-	if o.log == nil {
-		return nil
-	}
-	return o.st.FlushStorage()
 }
 
 // StorageStats reports the object's pack-log accounting; ok is false on

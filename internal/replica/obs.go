@@ -64,7 +64,6 @@ type nodeMetrics struct {
 	reg             *obs.Registry
 	sessionNsClient *obs.Histogram
 	sessionNsServer *obs.Histogram
-	mergeWaitNs     *obs.Histogram
 	shed            *obs.Counter
 	descentDepth    *obs.Histogram
 	rangesClient    *obs.Counter
@@ -84,7 +83,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		reg:             reg,
 		sessionNsClient: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "client"),
 		sessionNsServer: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "server"),
-		mergeWaitNs:     reg.Histogram("peepul_replica_merge_wait_ns", obs.LatencyBuckets),
 		shed:            reg.Counter("peepul_replica_inbound_shed_total"),
 		descentDepth:    reg.Histogram("peepul_recon_descent_ranges", obs.DepthBuckets),
 		rangesClient:    reg.Counter("peepul_recon_ranges_total", "role", "client"),
@@ -104,7 +102,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	}
 	reg.Describe("peepul_replica_session_ns", "wall time of whole sync sessions by role")
 	reg.Describe("peepul_replica_sessions_total", "completed sync sessions by role and outcome")
-	reg.Describe("peepul_replica_merge_wait_ns", "time a session waited for an object's merge lock (import + pull + reply export of another session)")
 	reg.Describe("peepul_replica_inbound_shed_total", "inbound connections closed unserved at the session cap")
 	reg.Describe("peepul_recon_descent_ranges", "ranges probed per reconciliation descent")
 	reg.Describe("peepul_recon_ranges_total", "reconciliation range probes issued (client) and answered (server)")

@@ -15,27 +15,22 @@ import (
 // reconSession is the per-connection state of one object's exchange:
 // set by a hello, consulted by the probe and want frames that follow on
 // the same session, reset by the next hello. Sessions are
-// single-goroutine, so no locking. token is a store install capture
-// armed by the hello, before its root probe is answered, and consumed by
-// the want handler's export: local commits installed while the descent
-// is in flight (an Apply takes only the store lock) would otherwise be
-// invisible to both the probes and the want list, and a reply minted on
-// top of them would graft onto commits the client has never heard of.
+// single-goroutine, so no locking. capture is taken at the hello, before
+// its root probe is answered, and the want handler replies through it
+// (store.Reply); it is nil between exchanges.
 type reconSession struct {
-	active bool
-	e      *objectEntry
-	hello  wire.Hello
-	token  int
+	e       *objectEntry
+	hello   wire.Hello
+	capture *store.Capture
 	// probes counts the range probes answered this exchange — the
 	// server-side descent depth, observed when the want frame ends it.
 	probes int
 }
 
-// release ends a live session's install capture (a no-op when the want
-// handler's export already consumed it) and resets the session.
+// release closes a live session's capture and resets the session.
 func (rs *reconSession) release() {
-	if rs.active {
-		rs.e.obj.EndInstallCapture(rs.token)
+	if rs.capture != nil {
+		rs.capture.Close()
 	}
 	*rs = reconSession{}
 }
@@ -57,7 +52,7 @@ func (n *Node) handle(conn *countedConn) {
 	var rs reconSession
 	err := n.serveSession(conn, &rs, sp)
 	// A dropped connection or protocol error can abandon a session
-	// mid-descent; its install capture must not keep recording forever.
+	// mid-descent; its capture must not keep recording forever.
 	rs.release()
 	if ferr := conn.w.Flush(); err == nil {
 		err = ferr
@@ -165,22 +160,21 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 		return wire.WriteMsg(conn, wire.FrameHelloMiss,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
 	}
-	// The head needs no lock — the client only compares it with its own
-	// for the converged shortcut.
-	head, err := e.obj.Head()
+	// Capture before answering the root probe: every commit installed from
+	// here on joins the want handler's reply, and every older one is in
+	// the tree every probe of the descent reads. The ack carries the
+	// capture's head, which the client compares with its own for the
+	// converged shortcut.
+	capture, err := e.st.Snapshot(n.name)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	// Arm the session's install capture before answering the root probe:
-	// every commit a concurrent local Apply installs from here on joins
-	// the want handler's reply, and every older one is in the tree every
-	// probe of the descent reads.
-	*rs = reconSession{active: true, e: e, hello: hello, token: e.obj.BeginInstallCapture()}
+	*rs = reconSession{e: e, hello: hello, capture: capture}
 	answer, err := n.answerProbe(rs, root)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Head: head}
+	ack := wire.Hello{Node: n.name, Object: hello.Object, Datatype: hello.Datatype, Head: capture.Head()}
 	if err := wire.WriteMsg(conn, wire.FrameHelloAck, wire.EncodeHello(ack), wire.EncodeReconAnswer(answer)); err != nil {
 		return err
 	}
@@ -196,7 +190,7 @@ const reconItemsCap = 64
 // handleReconProbe answers one range-fingerprint probe with a frame of
 // the answer's kind.
 func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSession) error {
-	if !rs.active || len(fields) != 1 {
+	if rs.capture == nil || len(fields) != 1 {
 		return refuse(conn, "recon probe outside a recon exchange")
 	}
 	rr, err := wire.DecodeReconRange(fields[0])
@@ -212,12 +206,10 @@ func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSes
 
 // answerProbe answers one range probe of the session's exchange — the
 // root probe a hello carries as well as every probe of the descent — and
-// counts it. The answer needs no merge lock — every read of the
-// fingerprint tree is consistent under the store's read lock. Both
-// sides' trees may grow mid-descent; the client cuts its ship set back
-// to its snapshot and the session capture covers this side, so a range
-// that moved surfaces as a re-negotiation next round, never as
-// corruption.
+// counts it. Every read of the fingerprint tree is consistent under the
+// store's read lock. Both sides' trees may grow mid-descent; each side's
+// capture covers what grew (see store.Capture), so a range that moved
+// surfaces as a re-negotiation next round, never as corruption.
 func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnswer, error) {
 	n.total.rangesRecv.Add(1)
 	rs.e.stats.rangesRecv.Add(1)
@@ -225,7 +217,7 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 	if m := n.metrics; m != nil {
 		m.rangesServer.Inc()
 	}
-	obj := rs.e.obj
+	obj := rs.e.st
 	fp, count := obj.ReconRange(rr.X, rr.Y)
 	switch {
 	case fp == rr.FP && count == rr.Count:
@@ -252,13 +244,15 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 }
 
 // handleReconWant finishes a recon exchange: read the client's want list
-// and its delta of commits we lack, merge, and reply with exactly the
-// wanted commits plus whatever merge commits the pull minted — commits
-// the client cannot have, grafted onto commits it provably has, so the
-// reply re-ships nothing.
+// and its delta of commits we lack, integrate it, and reply through the
+// session's capture with exactly the wanted commits plus whatever was
+// installed since the hello — the merges the pull minted, and commits
+// local writes and other sessions raced in, which the reply head may
+// reach — bar what arrived under the client's own tracking branch. The
+// client cannot have any of it, and the reply re-ships nothing.
 func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	wStart := time.Now()
-	if !rs.active || len(fields) != 1 {
+	if rs.capture == nil || len(fields) != 1 {
 		return refuse(conn, "recon want outside a recon exchange")
 	}
 	want, err := wire.DecodeReconWant(fields[0])
@@ -270,28 +264,15 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		return refuseErr(conn, err)
 	}
 	e := rs.e
-	n.lockMerge(e)
-	track := "remote/" + rs.hello.Node
-	redundant, minted, err := e.obj.IntegrateExact(track, commits, head)
-	var reply []store.ExportedCommit
-	var replyHead store.Hash
-	if err == nil {
-		ship := make(map[store.Hash]bool, len(want)+len(minted))
-		for _, h := range want {
-			ship[h] = true
-		}
-		for _, h := range minted {
-			ship[h] = true
-		}
-		// The session capture holds everything installed since the root
-		// probe was answered. Commits local Applies and other peers'
-		// sessions raced in mid-descent must ship — the client's want list
-		// cannot name them, yet the reply head reaches them — while
-		// whatever arrived under the client's own tracking branch, here or
-		// on a session that crossed this one, must not bounce back.
-		reply, replyHead, err = e.obj.ExportSetCapture(ship, rs.token, track)
+	redundant, err := n.integrate(e, rs.hello.Object, rs.hello.Node, commits, head)
+	if err != nil {
+		return refuseErr(conn, err)
 	}
-	e.mergeMu.Unlock()
+	ship := make(map[store.Hash]bool, len(want))
+	for _, h := range want {
+		ship[h] = true
+	}
+	reply, replyHead, err := e.st.ExportSet(rs.capture, ship, store.Reply, "remote/"+rs.hello.Node)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -317,7 +298,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 // handleLinkBatch integrates one batch of a link's stream: the commits
 // the dialer installed since its previous batch, grafted on its branch
 // head, go under its tracking branch and are pulled into the node branch
-// exactly as a session's delta is — IntegrateExact under the merge lock.
+// exactly as a session's delta is.
 // A batch that does not graft (or names an object not hosted here) is a
 // violation: the refusal reaches the dialer's reader and ends the link.
 // The first batch takes the connection out of the session clip: a link
@@ -349,9 +330,7 @@ func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) 
 	if head != hello.Head {
 		return refuse(conn, "link batch head differs from its delta's")
 	}
-	n.lockMerge(e)
-	redundant, _, err := e.obj.IntegrateExact("remote/"+hello.Node, commits, head)
-	e.mergeMu.Unlock()
+	redundant, err := n.integrate(e, hello.Object, hello.Node, commits, head)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -412,7 +391,7 @@ func (n *Node) nodeSpan(names []string) wire.ReconSpan {
 	var sp wire.ReconSpan
 	for _, name := range names {
 		if e, ok := n.entry(name); ok {
-			head, _ := e.obj.Head()
+			head, _ := e.st.HeadHash(n.name)
 			foldSpan(&sp, name, e, head)
 		}
 	}
@@ -425,7 +404,7 @@ func (n *Node) nodeSpan(names []string) wire.ReconSpan {
 // sets and heads all at once; the count (total commits) guards the XOR
 // against the trivial collision of swapped sets.
 func foldSpan(sp *wire.ReconSpan, name string, e *objectEntry, head store.Hash) {
-	root, count := e.obj.ReconRoot()
+	root, count := e.st.ReconRoot()
 	h := sha256.New()
 	h.Write([]byte("peepul-recon-span\x00"))
 	h.Write([]byte(name))

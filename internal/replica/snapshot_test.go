@@ -162,16 +162,6 @@ func TestCrossedSessionsNeedNoTieBreak(t *testing.T) {
 			// RedundantCommits stays out of this oracle: each of two crossed
 			// sessions may ship the other a commit its twin delivered first.
 			settle(t, x, y, total.Load(), 2)
-			// Every merge section a session entered reported its wait.
-			merges := int64(0)
-			for _, m := range x.Registry().Snapshot() {
-				if m.Name == "peepul_replica_merge_wait_ns" {
-					merges = m.Count
-				}
-			}
-			if merges == 0 {
-				t.Fatal("peepul_replica_merge_wait_ns recorded no merge-lock acquisition")
-			}
 		})
 	}
 }

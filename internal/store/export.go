@@ -24,8 +24,9 @@ type ExportedCommit struct {
 	// Patch is a delta (internal/delta) from the encoded state of
 	// Parents[0]'s commit to this commit's encoded state. Packed exports
 	// use it for every commit the receiver can provably rebase: the
-	// parent is either earlier in the batch or inside the have-set the
-	// export was cut at.
+	// parent is either earlier in the batch or one the receiver holds —
+	// a set export ships only commits the receiver provably lacks, so a
+	// parent outside the batch is one it has.
 	Patch []byte
 	Gen   int
 	Time  core.Timestamp
@@ -173,14 +174,16 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // Import installs a transferred history — full or partial — and points
 // branch name at its head. The branch is created if needed (tracking
 // branches for remote peers); the caller is expected to merge via Pull
-// afterwards. A partial history (from ExportSincePacked) grafts onto the local
-// DAG: every parent must resolve either earlier in the batch or among
-// commits already present, so a dangling parent fails the import. Commit
-// hashes are recomputed locally; a corrupted transfer cannot forge
+// afterwards, or to call Integrate, which does both. A partial history —
+// a recon session's delta or reply, a link's batch — grafts onto the
+// local DAG: every parent must resolve either earlier in the batch or
+// among commits already present, so a dangling parent fails the import.
+// Commit hashes are recomputed locally; a corrupted transfer cannot forge
 // history. An empty batch is a valid delta as long as the advertised
 // head is already known. States decode through the store's own codec,
-// except that an encoded state whose hash is already present — re-shipped
-// history a frontier sample failed to advertise — skips the decode.
+// except that an encoded state whose hash is already present — a commit
+// two crossed sessions both delivered, or a new commit pinning a known
+// state — skips the decode.
 //
 // A commit may carry its state as a Patch against its first parent's
 // state (packed exports); the parent is necessarily known — the batch is
@@ -196,18 +199,33 @@ func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, head H
 	return s.importLocked(name, commits, head)
 }
 
-// ImportCaptured is Import returning the hashes of the commits the
-// batch freshly installed (already-present re-ships excluded), in
-// installation order. The record is cut inside Import's own critical
-// section, so a concurrent Apply can never leak into it — the exactness
-// the reconciliation dialect's redundancy accounting and reply skip set
-// depend on.
-func (s *Store[S, Op, Val]) ImportCaptured(name string, commits []ExportedCommit, head Hash) ([]Hash, error) {
+// Integrate lands a peer's batch: it imports it under the tracking branch
+// via and pulls via into branch, in one critical section, so no other
+// session's import interleaves between the two. redundant counts the
+// batch's commits that were already present — re-ships an exact
+// negotiation never makes. after is branch's head afterwards and moved
+// whether the pull changed it: a concurrent Apply cannot pass for remote
+// news, and a pull that failed after moving the head still reports the
+// move. Open captures record the imported commits under via and the
+// merges the pull mints as the store's own.
+func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit, head Hash) (redundant int, after Hash, moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tok := s.beginInstallCaptureLocked()
-	err := s.importLocked(name, commits, head)
-	return installedHashes(s.endInstallCaptureLocked(tok)), err
+	before, known := s.heads[branch], len(s.commits)
+	if err := s.importLocked(via, batch, head); err != nil {
+		return 0, before, false, err
+	}
+	// putCommit adds to s.commits exactly the commits it newly installs.
+	redundant = len(batch) - (len(s.commits) - known)
+	// importLocked has cleared importVia: the merges the pull mints are
+	// recorded as the store's own, so a reply or a drain that skips via
+	// still ships them.
+	err = s.pullLocked(branch, via)
+	after = s.heads[branch]
+	if err == nil {
+		err = s.finishPersistLocked()
+	}
+	return redundant, after, after != before, err
 }
 
 func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, head Hash) error {

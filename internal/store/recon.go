@@ -102,29 +102,6 @@ func (s *Store[S, Op, Val]) HasCommit(h Hash) bool {
 	return s.commitExistsLocked(h)
 }
 
-// BeginInstallCapture starts recording the hash of every commit newly
-// installed by subsequent mutations (Apply, Import, merge commits minted
-// by Pull), until the returned token is collected by EndInstallCapture
-// or consumed by ExportSetCapture. Captures nest: each live token keeps
-// its own log, so the sync layer can hold one capture across a whole
-// reconciliation session (every commit a concurrent local Apply slips
-// past the probe descent) while Integrate opens short inner captures to
-// separate redundant re-ships from freshly minted merge commits.
-func (s *Store[S, Op, Val]) BeginInstallCapture() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.beginInstallCaptureLocked()
-}
-
-func (s *Store[S, Op, Val]) beginInstallCaptureLocked() int {
-	if s.installLogs == nil {
-		s.installLogs = make(map[int][]install)
-	}
-	s.installSeq++
-	s.installLogs[s.installSeq] = nil
-	return s.installSeq
-}
-
 // install is one capture-log entry: a newly installed commit and the
 // tracking branch it was imported under — the name of a peer that
 // provably holds it — or "" for a commit this store made itself (an
@@ -134,126 +111,137 @@ type install struct {
 	via  string
 }
 
-func installedHashes(log []install) []Hash {
-	out := make([]Hash, len(log))
-	for i, in := range log {
-		out[i] = in.hash
-	}
-	return out
+// Capture is a snapshot of one branch that keeps recording: the branch
+// head at the instant Snapshot took it, and every commit the store
+// installs from that instant on — by Apply, Import or the merges a pull
+// mints — with the tracking branch it was imported under ("" for the
+// store's own commits). Only Close stops the recording; no export
+// consumes a capture.
+//
+// This is the one exactness argument every sync path rests on. The head
+// and the record start in one critical section, and every installation
+// (putCommit) runs under the same lock, so each commit is either an
+// ancestor candidate of the snapshot head — it existed at the snapshot
+// and a recon descent can find it — or in the record; never neither. No
+// lock is held across the network: local writes and other sessions
+// interleave freely, and ExportSet's three modes each use the record to
+// stay exact anyway.
+//
+//   - AsOf (a client session): the ship set was resolved against the
+//     live, growing commit set; minus the record, it is cut back to
+//     commits that existed at the snapshot, and ships under the snapshot
+//     head. Every ancestor of that head predates the snapshot, so what
+//     the receiver lacks of it was there for the negotiation to find and
+//     nothing subtracted is one of them: the batch grafts. A session's
+//     work is bounded by the state it connected with, however long it
+//     runs under sustained writes.
+//   - Reply (a serving session, captured at its hello): the batch ships
+//     under the live head, which may reach commits installed after the
+//     probes read the tree — a local Apply, another session's import,
+//     this session's own pull. All of them are in the record, so folding
+//     it in keeps the batch grafting onto what the receiver holds; the
+//     entries imported under held, the receiver's own tracking branch,
+//     came from the receiver and stay out.
+//   - Drain (a link, which keeps its connect session's capture): what was
+//     recorded since the last drain, bar held and virtual merge bases,
+//     under the live head. Drained in turn the batches stay graftable: a
+//     commit's parents were installed before it, so each sits in the same
+//     or an earlier batch, predates the snapshot (the connect session's
+//     to ship), or came from the receiver; and no branch commit has a
+//     virtual parent.
+type Capture struct {
+	branch string
+	head   Hash
+	// log is guarded by the store's lock.
+	log   []install
+	close func()
 }
 
-// EndInstallCapture stops the token's recording and returns the hashes
-// installed since its BeginInstallCapture, in installation order. A
-// token already ended (or consumed by ExportSetCapture) returns nil, so
-// cleanup paths may call it unconditionally.
-func (s *Store[S, Op, Val]) EndInstallCapture(token int) []Hash {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, live := s.installLogs[token]; !live {
-		return nil
-	}
-	return installedHashes(s.endInstallCaptureLocked(token))
-}
+// Head returns the branch head the capture was taken at.
+func (c *Capture) Head() Hash { return c.head }
 
-func (s *Store[S, Op, Val]) endInstallCaptureLocked(token int) []install {
-	log := s.installLogs[token]
-	delete(s.installLogs, token)
-	return log
-}
+// Close stops the recording. It is idempotent, and a closed capture
+// refuses every export.
+func (c *Capture) Close() { c.close() }
 
-// ExportSetCapture exports a negotiated ship set (see exportSetLocked)
-// with the race against concurrent commits closed: under one critical
-// section it folds the commits recorded by the capture token into ship,
-// then exports, returning branch b's head as the graft point. The
-// token spans the whole negotiation (armed before the first probe), so a
-// commit a local Apply or another session installs after its range was
-// already compared still reaches the ship set, and because putCommit
-// serializes on the same lock, any commit the exported head can reach is
-// either pre-negotiation (resolved by the probes), in the capture, or
-// held by the receiver — the ancestry closure the set export relies on.
-// heldVia names the receiver's tracking branch: captured commits
-// imported under it came from the receiver — its delta of this very
-// session, or one that crossed it on another connection — and are not
-// shipped back. This is the serving side's export: its reply head is
-// the head it just merged, which reaches whatever landed mid-session.
-func (s *Store[S, Op, Val]) ExportSetCapture(b string, ship map[Hash]bool, token int, heldVia string) ([]ExportedCommit, Hash, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, in := range s.endInstallCaptureLocked(token) {
-		if in.via != heldVia {
-			ship[in.hash] = true
-		}
-	}
-	head, ok := s.heads[b]
-	if !ok {
-		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
-	}
-	commits, err := s.exportSetLocked(ship)
-	return commits, head, err
-}
+// ErrNoCapture is returned by ExportSet for a closed capture: without its
+// record the store cannot tell which commits are younger than the
+// snapshot.
+var ErrNoCapture = errors.New("store: capture is closed")
 
-// ErrNoCapture is returned by ExportSetAsOf for a capture token that was
-// already ended or consumed: without its record the store cannot tell
-// which commits are younger than the snapshot.
-var ErrNoCapture = errors.New("store: install capture is not live")
-
-// Snapshot pins what a sync session opened now may ship: branch b's
-// head and a capture token recording every commit installed from here
-// on, cut in one critical section — so a commit is either an ancestor
-// candidate of the returned head or in the token's record, never
-// neither. The token is consumed by ExportSetAsOf or, on sessions that
-// end early, released with EndInstallCapture.
-func (s *Store[S, Op, Val]) Snapshot(b string) (head Hash, token int, err error) {
+// Snapshot captures branch b: its head, and a record of every commit
+// installed from now on (see Capture).
+func (s *Store[S, Op, Val]) Snapshot(b string) (*Capture, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	head, ok := s.heads[b]
 	if !ok {
-		return Hash{}, 0, fmt.Errorf("%w: %s", ErrNoBranch, b)
+		return nil, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	return head, s.beginInstallCaptureLocked(), nil
+	c := &Capture{branch: b, head: head}
+	c.close = func() {
+		s.mu.Lock()
+		delete(s.captures, c)
+		s.mu.Unlock()
+	}
+	if s.captures == nil {
+		s.captures = make(map[*Capture]struct{})
+	}
+	s.captures[c] = struct{}{}
+	return c, nil
 }
 
-// SnapshotLink is Snapshot for a link's connect session: in the same
-// critical section it arms a second capture, link, which outlives the
-// session and feeds the link's stream through DrainCapture. Every commit
-// is then either an ancestor candidate of head — the session's to ship —
-// or in link's record, never neither.
-func (s *Store[S, Op, Val]) SnapshotLink(b string) (head Hash, token, link int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	head, ok := s.heads[b]
-	if !ok {
-		return Hash{}, 0, 0, fmt.Errorf("%w: %s", ErrNoBranch, b)
-	}
-	return head, s.beginInstallCaptureLocked(), s.beginInstallCaptureLocked(), nil
-}
+// ExportMode selects how ExportSet combines a capture's record with the
+// caller's ship set (see Capture).
+type ExportMode int
 
-// DrainCapture exports every commit the token recorded since it was
-// armed or last drained — bar those imported under heldVia, which the
-// receiver sent, and the virtual merge bases of criss-cross pulls, which
-// are on no branch and which every store that needs one folds itself —
-// in generation order, with branch b's head as the graft point, and
-// keeps the token armed for the next drain. Drained in turn, the batches
-// stay graftable: a commit's parents were installed before it, so each
-// sits in the same or an earlier batch, predates the token, or came from
-// the receiver; and no branch commit has a virtual parent.
-func (s *Store[S, Op, Val]) DrainCapture(b string, token int, heldVia string) ([]ExportedCommit, Hash, error) {
+const (
+	// AsOf removes the recorded commits from ship and exports under the
+	// snapshot head.
+	AsOf ExportMode = iota
+	// Reply adds the recorded commits not imported under held and exports
+	// under the live head.
+	Reply
+	// Drain adds the commits recorded since the last drain, bar those
+	// imported under held and virtual merge bases, exports under the live
+	// head, and resets the record.
+	Drain
+)
+
+// ExportSet exports a negotiated ship set through capture c, in one
+// critical section, and returns the batch with the head it grafts under.
+// ship is the caller's map and shows the mode's additions or removals; a
+// nil ship is an empty one. The batch is in generation order (see
+// exportSetLocked). AsOf fails if the snapshot head is gone.
+func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode ExportMode, held string) ([]ExportedCommit, Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	log, live := s.installLogs[token]
-	if !live {
+	if _, open := s.captures[c]; !open {
 		return nil, Hash{}, ErrNoCapture
 	}
-	s.installLogs[token] = nil
-	head, ok := s.heads[b]
-	if !ok {
-		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	if ship == nil {
+		ship = make(map[Hash]bool, len(c.log))
 	}
-	ship := make(map[Hash]bool, len(log))
-	for _, in := range log {
-		if in.via != heldVia && !s.virtualLocked(in.hash) {
+	head, ok := s.heads[c.branch]
+	for _, in := range c.log {
+		switch {
+		case mode == AsOf:
+			delete(ship, in.hash)
+		case in.via != held && (mode == Reply || !s.virtualLocked(in.hash)):
 			ship[in.hash] = true
 		}
+	}
+	switch mode {
+	case AsOf:
+		if !s.commitExistsLocked(c.head) {
+			return nil, Hash{}, fmt.Errorf("store: snapshot head %v no longer present", c.head)
+		}
+		head, ok = c.head, true
+	case Drain:
+		c.log = nil
+	}
+	if !ok {
+		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, c.branch)
 	}
 	commits, err := s.exportSetLocked(ship)
 	return commits, head, err
@@ -264,33 +252,6 @@ func (s *Store[S, Op, Val]) DrainCapture(b string, token int, heldVia string) ([
 func (s *Store[S, Op, Val]) virtualLocked(h Hash) bool {
 	c, ok := s.commitLocked(h)
 	return ok && c.Time == 0 && len(c.Parents) > 0
-}
-
-// ExportSetAsOf is the mirror image of ExportSetCapture, for the side
-// that opened the session: it exports ship minus everything the
-// Snapshot's token recorded, to be sent with the snapshot's head. The
-// ship set may have been resolved against the live (growing) commit set;
-// subtracting the record cuts it back to commits that existed at the
-// snapshot. The batch stays graftable: head's ancestry is closed and
-// entirely pre-snapshot, so every ancestor the receiver lacks was there
-// for the negotiation to find and nothing subtracted can be one of them.
-// Commits younger than the session are left for the next one — a
-// session's work is bounded by the state it connected with, however
-// long it runs under sustained writes. Members removed from ship stay
-// removed; the token is consumed.
-func (s *Store[S, Op, Val]) ExportSetAsOf(head Hash, ship map[Hash]bool, token int) ([]ExportedCommit, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, live := s.installLogs[token]; !live {
-		return nil, ErrNoCapture
-	}
-	for _, in := range s.endInstallCaptureLocked(token) {
-		delete(ship, in.hash)
-	}
-	if !s.commitExistsLocked(head) {
-		return nil, fmt.Errorf("store: snapshot head %v no longer present", head)
-	}
-	return s.exportSetLocked(ship)
 }
 
 // exportSetLocked exports exactly the commits in ship,

@@ -13,7 +13,7 @@ import (
 )
 
 // Property test for the snapshot export a client sync session ships
-// from (Snapshot + ExportSetAsOf): however local Applies and foreign
+// from (Snapshot + ExportSet in AsOf mode): however local Applies and foreign
 // Imports race the negotiation, the batch holds nothing younger than the
 // snapshot, everything older that the receiver lacked, and grafts onto a
 // receiver holding exactly ancestors(H0) ∖ ship. Ancestry is checked
@@ -129,10 +129,12 @@ func snapshotExportRound(t *testing.T, seed int64) {
 	// The snapshot instant lies between these two reads of the commit
 	// set: pre ⊆ (set at snapshot) ⊆ post.
 	pre := commitSet(local)
-	h0, token, err := local.Snapshot("main")
+	c, err := local.Snapshot("main")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	h0 := c.Head()
 	post := commitSet(local)
 	for local.NumCommits() < len(post)+8 {
 		runtime.Gosched() // let younger commits land before ship is resolved
@@ -143,11 +145,11 @@ func snapshotExportRound(t *testing.T, seed int64) {
 			ship[it.Addr()] = true
 		}
 	}
-	batch, err := local.ExportSetAsOf(h0, ship, token)
+	batch, _, err := local.ExportSet(c, ship, AsOf, "")
 	stop.Store(true)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("seed %d: ExportSetAsOf: %v", seed, err)
+		t.Fatalf("seed %d: ExportSet(AsOf): %v", seed, err)
 	}
 
 	if err := receiver.Import("remote/main", batch, h0); err != nil {
@@ -188,42 +190,149 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	mustApply(t, s, "main")
 	root := s.ReconItems(recon.Item{}, recon.Item{}, 1)[0].Addr()
 
-	// An empty ship set is an empty batch, and consumes the token.
-	head, token, err := s.Snapshot("main")
+	// An empty ship set is an empty batch.
+	c, err := s.Snapshot("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.ExportSetAsOf(head, map[Hash]bool{}, token)
+	batch, _, err := s.ExportSet(c, map[Hash]bool{}, AsOf, "")
 	if err != nil || len(batch) != 0 {
 		t.Fatalf("empty ship: %d commits, err %v", len(batch), err)
 	}
-	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token); !errors.Is(err, ErrNoCapture) {
-		t.Fatalf("consumed token: err = %v, want ErrNoCapture", err)
+	c.Close()
+	if _, _, err := s.ExportSet(c, map[Hash]bool{root: true}, AsOf, ""); !errors.Is(err, ErrNoCapture) {
+		t.Fatalf("closed capture: err = %v, want ErrNoCapture", err)
 	}
 
-	// A token ended by the session's cleanup refuses the export: its
+	// A capture closed by the session's cleanup refuses the export: its
 	// record of what is younger than the snapshot is gone.
-	head, token, _ = s.Snapshot("main")
+	c, _ = s.Snapshot("main")
 	mustApply(t, s, "main")
-	if got := s.EndInstallCapture(token); len(got) != 1 {
-		t.Fatalf("capture recorded %d installs, want 1", len(got))
+	if got := len(c.log); got != 1 {
+		t.Fatalf("capture recorded %d installs, want 1", got)
 	}
-	if _, err := s.ExportSetAsOf(head, map[Hash]bool{root: true}, token); !errors.Is(err, ErrNoCapture) {
-		t.Fatalf("ended token: err = %v, want ErrNoCapture", err)
+	c.Close()
+	if _, _, err := s.ExportSet(c, map[Hash]bool{root: true}, AsOf, ""); !errors.Is(err, ErrNoCapture) {
+		t.Fatalf("closed capture: err = %v, want ErrNoCapture", err)
 	}
-	if _, _, err := s.Snapshot("nope"); !errors.Is(err, ErrNoBranch) {
+	if _, err := s.Snapshot("nope"); !errors.Is(err, ErrNoBranch) {
 		t.Fatalf("unknown branch: err = %v, want ErrNoBranch", err)
 	}
 
 	// Everything installed after the snapshot is cut from ship, which the
 	// caller sees shrink.
-	head, token, _ = s.Snapshot("main")
+	c, _ = s.Snapshot("main")
+	head := c.Head()
 	mustApply(t, s, "main")
 	young, _ := s.HeadHash("main")
 	ship := map[Hash]bool{root: true, head: true, young: true}
-	batch, err = s.ExportSetAsOf(head, ship, token)
+	batch, _, err = s.ExportSet(c, ship, AsOf, "")
 	if err != nil || len(batch) != 2 || ship[young] {
 		t.Fatalf("batch of %d (want 2), young still in ship: %v, err %v", len(batch), ship[young], err)
+	}
+
+	// Only Close ends a capture: AsOf left this one armed, so a drain
+	// still works, and Integrate opens none of its own. A second Close is
+	// a no-op, and a closed capture records nothing and refuses every mode.
+	mustApply(t, s, "main")
+	if batch, _, err := s.ExportSet(c, nil, Drain, "remote/peer"); err != nil || len(batch) != 2 {
+		t.Fatalf("drain after AsOf: %d commits, %v; want the two applies", len(batch), err)
+	}
+	peer := newCounterStoreAt("peer", 64)
+	mustApply(t, peer, "peer")
+	commits, head, err := peer.Export("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.Integrate("main", "remote/peer", commits, head); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.captures); n != 1 {
+		t.Fatalf("%d captures open after Integrate, want the snapshot's alone", n)
+	}
+	c.Close()
+	c.Close()
+	if n := len(s.captures); n != 0 {
+		t.Fatalf("%d captures open after Close", n)
+	}
+	recorded := len(c.log)
+	mustApply(t, s, "main")
+	if len(c.log) != recorded {
+		t.Fatal("a closed capture still records installs")
+	}
+	for _, mode := range []ExportMode{AsOf, Reply, Drain} {
+		if _, _, err := s.ExportSet(c, nil, mode, ""); !errors.Is(err, ErrNoCapture) {
+			t.Fatalf("mode %d on a closed capture: err = %v, want ErrNoCapture", mode, err)
+		}
+	}
+}
+
+// TestIntegrateRecordsMergesAsOwn: a capture armed before an Integrate
+// whose pull mints a merge records the merge as the store's own and the
+// imported commits under the tracking branch — so a reply ships the
+// merge with no list of what the pull minted, a drain that skips the
+// sender's commits still streams it, and only re-shipped commits count
+// as redundant.
+func TestIntegrateRecordsMergesAsOwn(t *testing.T) {
+	s := newCounterStoreAt("main", 0)
+	peer := newCounterStoreAt("peer", 64)
+	mustApply(t, s, "main")
+	mustApply(t, peer, "peer")
+	// s already holds peer's first commit; the batch re-ships it.
+	early, earlyHead, err := peer.Export("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Import("remote/peer", early, earlyHead); err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, peer, "peer")
+	batch, head, err := peer.Export("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, _ := s.HeadHash("main")
+
+	c, err := s.Snapshot("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	redundant, merged, moved, err := s.Integrate("main", "remote/peer", batch, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := s.HeadHash("main"); !moved || merged != now {
+		t.Fatalf("Integrate: head %v moved=%v, want the branch head %v", merged, moved, now)
+	}
+	if mc, _ := s.Commit(merged); len(mc.Parents) != 2 {
+		t.Fatalf("pull minted %v with %d parents, want a merge", merged, len(mc.Parents))
+	}
+	if redundant != len(early) {
+		t.Fatalf("redundant = %d, want the %d re-shipped commits", redundant, len(early))
+	}
+
+	// The reply to a peer that wants the local commit: that commit plus
+	// the merge, and nothing the peer sent. It grafts onto the peer.
+	ship := map[Hash]bool{local: true}
+	reply, replyHead, err := s.ExportSet(c, ship, Reply, "remote/peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reply) != 2 || len(ship) != 2 || !ship[merged] || replyHead != merged {
+		t.Fatalf("reply of %d commits under %v, ship %v; want the local commit and the merge %v", len(reply), replyHead, ship, merged)
+	}
+	if err := peer.Import("remote/main", reply, replyHead); err != nil {
+		t.Fatalf("reply does not graft onto the peer: %v", err)
+	}
+
+	// A link's drain skips what the peer sent, not what the pull minted.
+	drained, _, err := s.ExportSet(c, nil, Drain, "remote/peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) != 1 || len(drained[0].Parents) != 2 {
+		t.Fatalf("drained %d commits %+v, want the merge alone", len(drained), drained)
 	}
 }
 
@@ -238,7 +347,11 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 	mustApply(t, peer, "peer")
 	mustApply(t, third, "third")
 
-	token := s.BeginInstallCapture()
+	c, err := s.Snapshot("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	mustApply(t, s, "main")
 	for _, src := range []*counterStoreT{peer, third} {
 		branch := src.Branches()[0]
@@ -255,7 +368,7 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 	fromThird, _ := third.HeadHash("third")
 
 	ship := make(map[Hash]bool)
-	batch, head, err := s.ExportSetCapture("main", ship, token, "remote/peer")
+	batch, head, err := s.ExportSet(c, ship, Reply, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +389,11 @@ func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
 	mustApply(t, peer, "peer")
 	mustApply(t, third, "third")
 
-	head, token, link, err := s.SnapshotLink("main")
+	link, err := s.Snapshot("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExportSetAsOf(head, map[Hash]bool{}, token); err != nil {
+	if _, _, err := s.ExportSet(link, map[Hash]bool{}, AsOf, ""); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "main")
@@ -289,7 +402,7 @@ func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch, head, err := s.DrainCapture("main", link, "remote/peer")
+	batch, head, err := s.ExportSet(link, nil, Drain, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,21 +414,21 @@ func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
 		t.Fatalf("batch does not graft onto the receiver: %v", err)
 	}
 
-	// The token stays armed: the next drain holds only what came after.
-	if again, _, err := s.DrainCapture("main", link, "remote/peer"); err != nil || len(again) != 0 {
+	// The capture stays armed: the next drain holds only what came after.
+	if again, _, err := s.ExportSet(link, nil, Drain, "remote/peer"); err != nil || len(again) != 0 {
 		t.Fatalf("second drain: %d commits, %v; want none", len(again), err)
 	}
 	mustApply(t, s, "main")
-	next, head, err := s.DrainCapture("main", link, "remote/peer")
+	next, head, err := s.ExportSet(link, nil, Drain, "remote/peer")
 	if err != nil || len(next) != 1 {
 		t.Fatalf("drain after one apply: %d commits, %v", len(next), err)
 	}
 	if err := peer.Import("remote/main", next, head); err != nil {
 		t.Fatalf("second batch does not graft: %v", err)
 	}
-	s.EndInstallCapture(link)
-	if _, _, err := s.DrainCapture("main", link, "remote/peer"); !errors.Is(err, ErrNoCapture) {
-		t.Fatalf("ended token: err = %v, want ErrNoCapture", err)
+	link.Close()
+	if _, _, err := s.ExportSet(link, nil, Drain, "remote/peer"); !errors.Is(err, ErrNoCapture) {
+		t.Fatalf("closed capture: err = %v, want ErrNoCapture", err)
 	}
 }
 
@@ -341,7 +454,11 @@ func TestDrainCaptureSkipsVirtualBases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	link := x.BeginInstallCapture()
+	link, err := x.Snapshot("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
 	before := len(commitSet(x))
 	if err := absorb(x, y, "main"); err != nil {
 		t.Fatal(err)
@@ -349,7 +466,7 @@ func TestDrainCaptureSkipsVirtualBases(t *testing.T) {
 	if grown := len(commitSet(x)) - before; grown != 2 {
 		t.Fatalf("criss-cross pull installed %d commits, want y's merge and a virtual base", grown)
 	}
-	batch, _, err := x.DrainCapture("main", link, "elsewhere")
+	batch, _, err := x.ExportSet(link, nil, Drain, "elsewhere")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,9 +153,10 @@ var (
 // for concurrent use and read-parallel: queries (Head, HeadHash, Size,
 // Branches, Frontier, Export, ExportSincePacked, Commit, NumCommits) take a
 // shared read lock and run concurrently with each other, while mutations
-// (Apply, Pull, Sync, Fork, Import, GC, DeleteBranch) serialize behind
-// the write lock. Each branch carries its own Lamport clock, modelling
-// one replica per branch.
+// (Apply, Pull, Sync, Fork, Import, Integrate, GC, DeleteBranch) and the
+// capture calls (Snapshot, ExportSet, Capture.Close) serialize behind the
+// write lock. Each branch carries its own Lamport clock, modelling one
+// replica per branch.
 type Store[S, Op, Val any] struct {
 	mu      sync.RWMutex
 	impl    core.MRDT[S, Op, Val]
@@ -177,14 +178,12 @@ type Store[S, Op, Val any] struct {
 	// so open time stays flat in history — and kept exact by putCommit
 	// and GC from then on.
 	rtree *recon.Tree
-	// installLogs records every commit putCommit newly installs, one
-	// log per live capture token (BeginInstallCapture /
-	// EndInstallCapture); installSeq mints the tokens. importVia is the
-	// tracking branch of the Import in progress, stamped on the entries
-	// it installs.
-	installLogs map[int][]install
-	installSeq  int
-	importVia   string
+	// captures are the open Captures; putCommit appends every commit it
+	// newly installs to each one's record. importVia is the tracking
+	// branch of the Import in progress, stamped on the entries it
+	// installs.
+	captures  map[*Capture]struct{}
+	importVia string
 	// persistErr is the sticky persistence failure (persist.go): once a
 	// Persister call fails, every later mutation reports it.
 	persistErr error
@@ -366,28 +365,6 @@ func (s *Store[S, Op, Val]) Pull(dst, src string) error {
 	return s.finishPersistLocked()
 }
 
-// PullCaptured is Pull returning the hashes of the commits the pull
-// minted (the merge commits a reconciliation reply must ship on top of
-// the peer's want list) and, when this pull moved dst, dst's new head.
-// Like ImportCaptured, both are cut inside the pull's own critical
-// section: a concurrent Apply on dst can neither leak into minted nor
-// pass for a move — comparing HeadHash before and after from outside
-// would take a local commit for remote news. A failing pull may still
-// have moved dst before it failed; moved reports that too.
-func (s *Store[S, Op, Val]) PullCaptured(dst, src string) (minted []Hash, head Hash, moved bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	before := s.heads[dst]
-	tok := s.beginInstallCaptureLocked()
-	err = s.pullLocked(dst, src)
-	minted = installedHashes(s.endInstallCaptureLocked(tok))
-	head = s.heads[dst]
-	if err == nil {
-		err = s.finishPersistLocked()
-	}
-	return minted, head, head != before, err
-}
-
 func (s *Store[S, Op, Val]) pullLocked(dst, src string) error {
 	if m := s.metrics; m != nil {
 		start := time.Now()
@@ -546,8 +523,8 @@ func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {
 	if s.rtree != nil {
 		s.rtree.Add(recon.MakeItem(uint64(c.Gen), h))
 	}
-	for tok := range s.installLogs {
-		s.installLogs[tok] = append(s.installLogs[tok], install{hash: h, via: s.importVia})
+	for cp := range s.captures {
+		cp.log = append(cp.log, install{hash: h, via: s.importVia})
 	}
 	s.persistCommitLocked(h, c)
 	return h
