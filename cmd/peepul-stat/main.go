@@ -170,7 +170,10 @@ func render(snap replica.DebugSnapshot, maxSpans int) {
 
 // renderWrites prints the local write path: how many operation commits
 // the node's stores made, their mean latency, and the mean of each phase
-// of storing a state (the phase histograms also count merge commits).
+// of storing a state (the phase histograms also count merge commits);
+// then how many peer batches landed and how long each held the store's
+// write lock, which is how long it stalled the local writes queued
+// behind it.
 func renderWrites(metrics []obs.Metric) {
 	mean := func(m obs.Metric) time.Duration {
 		if m.Count == 0 {
@@ -178,19 +181,28 @@ func renderWrites(metrics []obs.Metric) {
 		}
 		return time.Duration(m.Sum / m.Count)
 	}
-	var apply obs.Metric
+	var apply, integrate obs.Metric
 	phases := make(map[string]time.Duration)
 	for _, m := range metrics {
 		switch m.Name {
 		case "peepul_store_apply_ns":
 			apply = m
+		case "peepul_store_integrate_ns":
+			integrate = m
 		case "peepul_store_put_state_ns":
 			phases[m.Labels["phase"]] = mean(m)
 		}
 	}
 	if apply.Count > 0 {
-		fmt.Printf("writes: %d commit(s), mean %s (encode %s, hash %s, delta %s)\n\n",
+		fmt.Printf("writes: %d commit(s), mean %s (encode %s, hash %s, delta %s)\n",
 			apply.Count, mean(apply), phases["encode"], phases["hash"], phases["delta"])
+	}
+	if integrate.Count > 0 {
+		fmt.Printf("integrates: %d batch(es), mean %s under the write lock\n",
+			integrate.Count, mean(integrate))
+	}
+	if apply.Count > 0 || integrate.Count > 0 {
+		fmt.Println()
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -181,18 +184,28 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // Commit hashes are recomputed locally; a corrupted transfer cannot forge
 // history. An empty batch is a valid delta as long as the advertised
 // head is already known. States decode through the store's own codec,
-// except that an encoded state whose hash is already present — a commit
-// two crossed sessions both delivered, or a new commit pinning a known
-// state — skips the decode.
+// each first-seen state exactly once: an encoded state whose hash is
+// already present — a commit two crossed sessions both delivered, a new
+// commit pinning a known state, a no-op shipped as an identity patch —
+// or that an earlier batch commit pins skips the decode.
 //
 // A commit may carry its state as a Patch against its first parent's
 // state (packed exports); the parent is necessarily known — the batch is
 // parents-before-children and dangling parents fail the import — so the
-// patch is applied to the parent's materialized encoding and the result
-// goes through the same hash/decode/canonicality verification as a full
-// state. A corrupt patch therefore cannot forge state: the reassembled
-// bytes hash to a state address the commit chain must be consistent with,
-// and the advertised head check fails otherwise.
+// patch is applied to the parent's encoding and the result goes through
+// the same hash/decode/canonicality verification as a full state. A
+// corrupt patch therefore cannot forge state: the reassembled bytes hash
+// to a state address the commit chain must be consistent with, and the
+// advertised head check fails otherwise.
+//
+// Verification is pipelined. The caller's goroutine checks parents and
+// generations, applies patches and hashes states in batch order; decode
+// and canonical re-encode, which need only the state's own bytes, run on
+// up to GOMAXPROCS helper goroutines, a few states per helper in flight,
+// or on the caller's goroutine when no helper has started one it needs.
+// Commits install in batch order as their verdicts arrive, so a failed
+// import reports the first bad commit in the batch and leaves exactly
+// the commits before it installed, however the helpers finish.
 func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, head Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,6 +224,10 @@ func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, head H
 func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit, head Hash) (redundant int, after Hash, moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if m := s.metrics; m != nil {
+		start := time.Now()
+		defer func() { m.integrateNs.Observe(time.Since(start).Nanoseconds()) }()
+	}
 	before, known := s.heads[branch], len(s.commits)
 	if err := s.importLocked(via, batch, head); err != nil {
 		return 0, before, false, err
@@ -228,76 +245,87 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 	return redundant, after, after != before, err
 }
 
+// importLocked is the body of Import and Integrate, the pipeline Import
+// describes: prepareImportLocked, then verify for a first-seen state, on
+// a helper or on this goroutine, then drain's in-order install.
 func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, head Hash) error {
 	s.importVia = name
 	defer func() { s.importVia = "" }()
-	for i, ec := range commits {
-		// The generation-guided DAG walks (lca.go) are only correct under
-		// the invariant Gen = 1 + max parent generation, so a transferred
-		// generation is verified, never trusted: a peer shipping a bogus
-		// one gets a rejected import instead of silently wrong merges.
-		wantGen := 1
-		for _, p := range ec.Parents {
-			pc, known := s.commitLocked(p)
-			if !known {
-				return fmt.Errorf("%w: commit %d references unknown parent %v", ErrBadImport, i, p)
-			}
-			if pc.Gen >= wantGen {
-				wantGen = pc.Gen + 1
+	// The producer blocks once window commits are queued: enough to keep
+	// every helper busy while it runs ahead, and a bound on the
+	// reassembled encodings held however deep the batch.
+	helpers := runtime.GOMAXPROCS(0)
+	window := 4 * helpers
+	v := &verifiers[S]{codec: s.codec, jobs: make(chan *importItem[S], window), max: helpers}
+	var (
+		queue   []*importItem[S]                // prepared, not yet installed
+		pending = make(map[Hash]Commit)         // their commits, by commit hash
+		fresh   = make(map[Hash]*importItem[S]) // their first-seen states, by state hash
+	)
+	defer func() {
+		// No helper may touch an item once the import returns: claim the
+		// ones no helper started, wait for the ones one did.
+		for _, it := range queue {
+			if it.done != nil && !it.claimed.CompareAndSwap(false, true) {
+				<-it.done
 			}
 		}
-		if ec.Gen != wantGen {
-			return fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
+		close(v.jobs)
+	}()
+	// drain installs queued items, oldest first, until keep remain. A bad
+	// verdict stops it: the commits before the failing one are installed,
+	// it and everything after are not.
+	drain := func(keep int) error {
+		for len(queue) > keep {
+			it := queue[0]
+			queue[0], queue = nil, queue[1:]
+			if it.done != nil {
+				// A verdict no helper has started is cheaper to reach here
+				// than to wait for.
+				if it.claimed.CompareAndSwap(false, true) {
+					it.verify(s.codec)
+				} else {
+					<-it.done
+				}
+				if it.err != nil {
+					return it.err
+				}
+				s.cache.put(it.commit.State, it.state)
+				// The defensive copy happens only for first-seen states:
+				// re-shipped known history never stores the patch at all.
+				patch := it.patch
+				if patch != nil {
+					patch = append([]byte(nil), patch...)
+				}
+				s.packLocked(it.commit.State, it.reenc, it.base, patch)
+				delete(fresh, it.commit.State)
+			}
+			s.addCommitLocked(it.hash, it.commit)
+			delete(pending, it.hash)
 		}
-		// Resolve the commit's encoded state: either shipped whole, or a
-		// patch reassembled against the first parent's state.
-		enc := ec.State
-		var chainBase Hash
-		var patch []byte
-		if len(ec.Parents) > 0 {
-			chainBase = s.commitAtLocked(ec.Parents[0]).State
+		return nil
+	}
+	for i := range commits {
+		if err := drain(window - 1); err != nil {
+			return err
 		}
-		if ec.Patch != nil {
-			if ec.State != nil {
-				return fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
+		it, err := s.prepareImportLocked(i, &commits[i], pending, fresh)
+		if err != nil {
+			// A bad verdict on an earlier commit is the first error.
+			if derr := drain(0); derr != nil {
+				return derr
 			}
-			if len(ec.Parents) == 0 {
-				return fmt.Errorf("%w: commit %d is a patch with no parent", ErrBadImport, i)
-			}
-			baseEnc, err := s.materializeLocked(chainBase)
-			if err != nil {
-				return fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
-			}
-			enc, err = delta.Apply(baseEnc, ec.Patch)
-			if err != nil {
-				return fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
-			}
-			patch = ec.Patch
+			return err
 		}
-		// Content addressing lets re-imported history short-circuit: when
-		// the encoded state is already present, skip the decode entirely.
-		// A first-seen state must round-trip to the same bytes — accepting
-		// a non-canonical encoding would give one logical state two
-		// content addresses and fork identical histories forever.
-		st := sha256.Sum256(enc)
-		if !s.objExistsLocked(st) {
-			state, err := s.codec.Decode(enc)
-			if err != nil {
-				return fmt.Errorf("%w: commit %d state: %v", ErrBadImport, i, err)
-			}
-			reenc := s.codec.Encode(state)
-			if !bytes.Equal(reenc, enc) {
-				return fmt.Errorf("%w: commit %d state encoding is not canonical", ErrBadImport, i)
-			}
-			s.cache.put(st, state)
-			// The defensive copy happens only for first-seen states:
-			// re-shipped known history never stores the patch at all.
-			if patch != nil {
-				patch = append([]byte(nil), patch...)
-			}
-			s.packLocked(st, reenc, chainBase, patch)
+		queue = append(queue, it)
+		pending[it.hash] = it.commit
+		if it.enc != nil {
+			fresh[it.commit.State] = it
+			v.submit(it)
 		}
-		s.putCommit(Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time})
+	}
+	if err := drain(0); err != nil {
+		return err
 	}
 	if !s.commitExistsLocked(head) {
 		return fmt.Errorf("%w: advertised head %v not present after import", ErrBadImport, head)
@@ -330,4 +358,143 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 	s.heads[name] = head
 	s.persistBranchLocked(name)
 	return s.finishPersistLocked()
+}
+
+// importItem is one batch commit between the two ordered stages of an
+// import. prepareImportLocked fills in the commit; for a first-seen state
+// it also keeps the encoding, and verify then sets state, reenc and err.
+type importItem[S any] struct {
+	i      int // batch position, for errors
+	hash   Hash
+	commit Commit
+	base   Hash   // the chain base: the first parent's state
+	patch  []byte // the shipped patch; nil for a full state
+	// enc is the reassembled encoding of a first-seen state, nil for a
+	// state already stored or queued. Until the item is installed it is
+	// also the patch base for later batch commits that chain to it.
+	enc []byte
+	// done is nil unless enc is being verified. Whoever sets claimed
+	// verifies; a helper closes done when it has.
+	done    chan struct{}
+	claimed atomic.Bool
+	state   S
+	reenc   []byte
+	err     error
+}
+
+// prepareImportLocked runs the order-dependent stage for batch commit i:
+// parent and generation checks, then the encoding, shipped whole or
+// reassembled against the first parent's state, and its hash. Parents and
+// patch bases resolve among the queued commits (pending, fresh) before
+// the store. Callers hold the write lock.
+func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem[S]) (*importItem[S], error) {
+	it := &importItem[S]{i: i}
+	// The generation-guided DAG walks (lca.go) are only correct under
+	// the invariant Gen = 1 + max parent generation, so a transferred
+	// generation is verified, never trusted: a peer shipping a bogus
+	// one gets a rejected import instead of silently wrong merges.
+	wantGen := 1
+	for j, p := range ec.Parents {
+		pc, known := pending[p]
+		if !known {
+			pc, known = s.commitLocked(p)
+		}
+		if !known {
+			return nil, fmt.Errorf("%w: commit %d references unknown parent %v", ErrBadImport, i, p)
+		}
+		if pc.Gen >= wantGen {
+			wantGen = pc.Gen + 1
+		}
+		if j == 0 {
+			it.base = pc.State
+		}
+	}
+	if ec.Gen != wantGen {
+		return nil, fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
+	}
+	enc := ec.State
+	if ec.Patch != nil {
+		if ec.State != nil {
+			return nil, fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
+		}
+		if len(ec.Parents) == 0 {
+			return nil, fmt.Errorf("%w: commit %d is a patch with no parent", ErrBadImport, i)
+		}
+		var baseEnc []byte
+		var err error
+		if f, ok := fresh[it.base]; ok {
+			baseEnc = f.enc
+		} else if baseEnc, err = s.materializeLocked(it.base); err != nil {
+			return nil, fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
+		}
+		if enc, err = delta.Apply(baseEnc, ec.Patch); err != nil {
+			return nil, fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
+		}
+		it.patch = ec.Patch
+	}
+	// Content addressing lets re-imported history short-circuit: a state
+	// already stored, or queued earlier in this batch, is never decoded.
+	st := sha256.Sum256(enc)
+	if !s.objExistsLocked(st) && fresh[st] == nil {
+		it.enc = enc
+	}
+	it.commit = Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
+	it.hash = commitHash(it.commit)
+	return it, nil
+}
+
+// verify is the per-state stage: a first-seen state must decode and
+// round-trip to the same bytes — accepting a non-canonical encoding would
+// give one logical state two content addresses and fork identical
+// histories forever. It reads only the item and the codec.
+func (it *importItem[S]) verify(codec Codec[S]) {
+	state, err := codec.Decode(it.enc)
+	if err != nil {
+		it.err = fmt.Errorf("%w: commit %d state: %v", ErrBadImport, it.i, err)
+		return
+	}
+	reenc := codec.Encode(state)
+	if !bytes.Equal(reenc, it.enc) {
+		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical", ErrBadImport, it.i)
+		return
+	}
+	it.state, it.reenc = state, reenc
+}
+
+// verifiers is one import's pool of helper goroutines. The first state
+// submitted is left to the importing goroutine, which verifies any state
+// no helper has claimed by the time it needs the verdict; each later one
+// starts a helper, up to max. So a one-state batch starts none, and the
+// importer never waits for a helper to be scheduled or to exit. A helper
+// touches only the codec and the items it claims, never a store field,
+// so the write lock the importer holds throughout guards the store as
+// before.
+type verifiers[S any] struct {
+	codec     Codec[S]
+	jobs      chan *importItem[S]
+	max       int
+	submitted int
+}
+
+// submit queues it for verification. jobs holds a full window, so a send
+// waits only while it is full of items the importer verified itself and
+// a helper — running once two were sent — has yet to skip.
+func (v *verifiers[S]) submit(it *importItem[S]) {
+	it.done = make(chan struct{})
+	v.jobs <- it
+	// Helper k starts with the (k+1)-th state.
+	if v.submitted++; v.submitted > 1 && v.submitted <= v.max+1 {
+		go v.work()
+	}
+}
+
+// work verifies the queued items no one has claimed yet, until the
+// import closes jobs.
+func (v *verifiers[S]) work() {
+	for it := range v.jobs {
+		if it.claimed.CompareAndSwap(false, true) {
+			it.verify(v.codec)
+			close(it.done)
+		}
+	}
 }

@@ -1,0 +1,176 @@
+package store
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/counter"
+	"repro/internal/delta"
+)
+
+// Tests of the import pipeline: commits verify on workers but install in
+// batch order, and each first-seen state decodes once.
+
+// batchBuilder assembles an import batch by hand, so a test can ship
+// encodings no store would export. Each commit chains to the receiver's
+// root or to an earlier batch commit.
+type batchBuilder struct {
+	batch []ExportedCommit
+	enc   map[Hash][]byte // commit hash → its state's encoding
+	gen   map[Hash]int
+}
+
+func newBatchBuilder(t *testing.T, s *counterStoreT) (*batchBuilder, Hash) {
+	t.Helper()
+	root, err := s.HeadHash("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s.Commit(root)
+	enc, err := s.EncodedState(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &batchBuilder{
+		enc: map[Hash][]byte{root: enc},
+		gen: map[Hash]int{root: c.Gen},
+	}, root
+}
+
+// add appends a commit on parent pinning enc — as a patch against the
+// parent's state (an identity patch when they are equal), or in full —
+// and returns its hash.
+func (b *batchBuilder) add(parent Hash, enc []byte, patch bool) Hash {
+	c := Commit{
+		Parents: []Hash{parent},
+		State:   sha256.Sum256(enc),
+		Gen:     b.gen[parent] + 1,
+		Time:    core.Timestamp(len(b.batch) + 1),
+	}
+	ec := ExportedCommit{Parents: c.Parents, Gen: c.Gen, Time: c.Time}
+	switch base := b.enc[parent]; {
+	case !patch:
+		ec.State = enc
+	case bytes.Equal(base, enc):
+		ec.Patch = delta.Identity(len(enc))
+	default:
+		ec.Patch = delta.Make(base, enc)
+	}
+	h := commitHash(c)
+	b.batch = append(b.batch, ec)
+	b.enc[h], b.gen[h] = enc, c.Gen
+	return h
+}
+
+// slowPaddedCodec is int64Codec that accepts trailing bytes — a
+// non-canonical encoding it decodes, slowly, so that a later commit's
+// decode failure is the first verdict any worker reaches.
+type slowPaddedCodec struct{ int64Codec }
+
+func (slowPaddedCodec) Decode(b []byte) (int64, error) {
+	if len(b) > 8 {
+		time.Sleep(50 * time.Millisecond)
+		b = b[:8]
+	}
+	return int64Codec{}.Decode(b)
+}
+
+// TestImportErrorNamesFirstBadCommit: in a 12-commit packed batch where
+// commit 5 is not canonical and commit 8 does not decode, Import names
+// commit 5 whichever verdict lands first, installs commits 0–4 and
+// nothing after, and no capture records anything past commit 4.
+func TestImportErrorNamesFirstBadCommit(t *testing.T) {
+	s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, slowPaddedCodec{}, "main")
+	b, parent := newBatchBuilder(t, s)
+	var hashes []Hash
+	for i := 0; i < 12; i++ {
+		enc := int64Codec{}.Encode(int64(i + 1))
+		switch i {
+		case 5:
+			enc = append(enc, 0xff)
+		case 8:
+			enc = enc[:3]
+		}
+		parent = b.add(parent, enc, i > 0)
+		hashes = append(hashes, parent)
+	}
+	c, err := s.Snapshot("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	err = s.Import("remote/peer", b.batch, parent)
+	if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 5 state encoding is not canonical") {
+		t.Fatalf("Import = %v, want commit 5's canonicality failure", err)
+	}
+	for i, h := range hashes {
+		if got := s.HasCommit(h); got != (i < 5) {
+			t.Errorf("commit %d installed = %v, want %v", i, got, i < 5)
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(c.log) != 5 {
+		t.Fatalf("capture recorded %d commits, want commits 0-4", len(c.log))
+	}
+	for i, in := range c.log {
+		if in.hash != hashes[i] || in.via != "remote/peer" {
+			t.Fatalf("capture entry %d = %v via %q, want commit %d via remote/peer", i, in.hash, in.via, i)
+		}
+	}
+}
+
+// countingCodec is int64Codec that counts its decodes.
+type countingCodec struct {
+	int64Codec
+	decodes *atomic.Int64
+}
+
+func (c countingCodec) Decode(b []byte) (int64, error) {
+	c.decodes.Add(1)
+	return c.int64Codec.Decode(b)
+}
+
+// TestImportDecodesEachFreshStateOnce: the pipeline decides before
+// install which states are first seen, so a no-op shipped as an identity
+// patch, a state the receiver holds and a state two batch commits pin
+// cost no decode beyond the first.
+func TestImportDecodesEachFreshStateOnce(t *testing.T) {
+	var decodes atomic.Int64
+	s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, countingCodec{decodes: &decodes}, "main")
+	b, root := newBatchBuilder(t, s)
+	enc := func(v int64) []byte { return int64Codec{}.Encode(v) }
+	c1 := b.add(root, enc(1), true) // first seen
+	c2 := b.add(c1, enc(1), true)   // no-op: identity patch
+	c3 := b.add(c2, enc(2), true)   // first seen
+	c4 := b.add(c3, enc(0), true)   // the receiver's root state
+	b.add(root, enc(2), false)      // c3's state again, shipped in full
+	head := b.add(c4, enc(3), true) // first seen
+	if !bytes.Equal(b.batch[1].Patch, delta.Identity(8)) {
+		t.Fatalf("no-op commit ships %x, want an identity patch", b.batch[1].Patch)
+	}
+
+	decodes.Store(0)
+	if err := s.Import("remote/peer", b.batch, head); err != nil {
+		t.Fatal(err)
+	}
+	if got := decodes.Load(); got != 3 {
+		t.Fatalf("%d decodes, want one per first-seen state (3)", got)
+	}
+	if got, want := s.NumCommits(), 1+len(b.batch); got != want {
+		t.Fatalf("%d commits after import, want %d", got, want)
+	}
+	if err := s.Import("remote/peer", b.batch, head); err != nil {
+		t.Fatal(err)
+	}
+	if got := decodes.Load(); got != 3 {
+		t.Fatalf("re-import decoded %d more states, want none", got-3)
+	}
+}

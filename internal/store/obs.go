@@ -1,9 +1,9 @@
 package store
 
-// Store-layer observability: apply, merge and pull latency, the phase
-// split of storing one state (encode, hash, delta), LCA walk effort, and
-// the hit ratios of the two caches that make deep histories cheap
-// (the decoded-state LRU and the one-slot reassembly cache). All
+// Store-layer observability: apply, merge, pull and integrate latency,
+// the phase split of storing one state (encode, hash, delta), LCA walk
+// effort, and the hit ratios of the two caches that make deep histories
+// cheap (the decoded-state LRU and the one-slot reassembly cache). All
 // instruments hang off an optional obs.Registry handed in with WithObs;
 // without one s.metrics stays nil and every instrumented site pays a
 // single nil check. Instruments are looked up by name, so several
@@ -28,15 +28,16 @@ const (
 var storePhaseNames = [numStorePhases]string{"encode", "hash", "delta"}
 
 type storeMetrics struct {
-	applyNs   *obs.Histogram
-	phaseNs   [numStorePhases]*obs.Histogram
-	pullNs    *obs.Histogram
-	mergeNs   *obs.Histogram
-	lcaSteps  *obs.Counter
-	cacheHit  *obs.Counter
-	cacheMiss *obs.Counter
-	reasmHit  *obs.Counter
-	reasmMiss *obs.Counter
+	applyNs     *obs.Histogram
+	phaseNs     [numStorePhases]*obs.Histogram
+	pullNs      *obs.Histogram
+	mergeNs     *obs.Histogram
+	integrateNs *obs.Histogram
+	lcaSteps    *obs.Counter
+	cacheHit    *obs.Counter
+	cacheMiss   *obs.Counter
+	reasmHit    *obs.Counter
+	reasmMiss   *obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -44,14 +45,15 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		return nil
 	}
 	m := &storeMetrics{
-		applyNs:   reg.Histogram("peepul_store_apply_ns", obs.LatencyBuckets),
-		pullNs:    reg.Histogram("peepul_store_pull_ns", obs.LatencyBuckets),
-		mergeNs:   reg.Histogram("peepul_store_merge_ns", obs.LatencyBuckets),
-		lcaSteps:  reg.Counter("peepul_store_lca_steps_total"),
-		cacheHit:  reg.Counter("peepul_store_state_cache_total", "result", "hit"),
-		cacheMiss: reg.Counter("peepul_store_state_cache_total", "result", "miss"),
-		reasmHit:  reg.Counter("peepul_store_reassembly_total", "result", "hit"),
-		reasmMiss: reg.Counter("peepul_store_reassembly_total", "result", "miss"),
+		applyNs:     reg.Histogram("peepul_store_apply_ns", obs.LatencyBuckets),
+		pullNs:      reg.Histogram("peepul_store_pull_ns", obs.LatencyBuckets),
+		mergeNs:     reg.Histogram("peepul_store_merge_ns", obs.LatencyBuckets),
+		integrateNs: reg.Histogram("peepul_store_integrate_ns", obs.LatencyBuckets),
+		lcaSteps:    reg.Counter("peepul_store_lca_steps_total"),
+		cacheHit:    reg.Counter("peepul_store_state_cache_total", "result", "hit"),
+		cacheMiss:   reg.Counter("peepul_store_state_cache_total", "result", "miss"),
+		reasmHit:    reg.Counter("peepul_store_reassembly_total", "result", "hit"),
+		reasmMiss:   reg.Counter("peepul_store_reassembly_total", "result", "miss"),
 	}
 	for p, name := range storePhaseNames {
 		m.phaseNs[p] = reg.Histogram("peepul_store_put_state_ns", obs.LatencyBuckets, "phase", name)
@@ -60,6 +62,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (SHA-256), delta (base reassembly + delta.Make)")
 	reg.Describe("peepul_store_pull_ns", "wall time of one branch pull, merge base to head move")
 	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge commit")
+	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the pull that lands it")
 	reg.Describe("peepul_store_lca_steps_total", "commits popped by paint-down-to-common LCA walks")
 	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")

@@ -504,6 +504,13 @@ func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
 }
 
 func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {
+	h := commitHash(c)
+	s.addCommitLocked(h, c)
+	return h
+}
+
+// commitHash is c's content address.
+func commitHash(c Commit) Hash {
 	// A commit's preimage is at most 3 hashes (two parents + state) and
 	// two fixed-width integers; seeding the appends from a stack array
 	// keeps the hot Apply path free of a per-commit heap allocation.
@@ -515,9 +522,14 @@ func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {
 	buf = append(buf, c.State[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(c.Gen))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(c.Time))
-	h := sha256.Sum256(buf)
+	return sha256.Sum256(buf)
+}
+
+// addCommitLocked installs c under its address h, unless it is present:
+// content addressing makes it identical.
+func (s *Store[S, Op, Val]) addCommitLocked(h Hash, c Commit) {
 	if s.commitExistsLocked(h) {
-		return h // already present: content addressing makes it identical
+		return
 	}
 	s.commits[h] = c
 	if s.rtree != nil {
@@ -527,5 +539,4 @@ func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {
 		cp.log = append(cp.log, install{hash: h, via: s.importVia})
 	}
 	s.persistCommitLocked(h, c)
-	return h
 }
