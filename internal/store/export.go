@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -201,8 +200,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // Verification is pipelined. The caller's goroutine checks parents and
 // generations, applies patches and hashes states in batch order; decode
 // and canonical re-encode, which need only the state's own bytes, run on
-// up to GOMAXPROCS helper goroutines, a few states per helper in flight,
-// or on the caller's goroutine when no helper has started one it needs.
+// up to GOMAXPROCS helper goroutines, a few states per helper in flight.
 // Commits install in batch order as their verdicts arrive, so a failed
 // import reports the first bad commit in the batch and leaves exactly
 // the commits before it installed, however the helpers finish.
@@ -232,7 +230,8 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 	if err := s.importLocked(via, batch, head); err != nil {
 		return 0, before, false, err
 	}
-	// putCommit adds to s.commits exactly the commits it newly installs.
+	// addCommitLocked adds to s.commits exactly the commits it newly
+	// installs.
 	redundant = len(batch) - (len(s.commits) - known)
 	// importLocked has cleared importVia: the merges the pull mints are
 	// recorded as the store's own, so a reply or a drain that skips via
@@ -246,14 +245,15 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 }
 
 // importLocked is the body of Import and Integrate, the pipeline Import
-// describes: prepareImportLocked, then verify for a first-seen state, on
-// a helper or on this goroutine, then drain's in-order install.
+// describes: prepareImportLocked, then verify on a helper for a
+// first-seen state, then drain's in-order install.
 func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, head Hash) error {
 	s.importVia = name
 	defer func() { s.importVia = "" }()
 	// The producer blocks once window commits are queued: enough to keep
 	// every helper busy while it runs ahead, and a bound on the
-	// reassembled encodings held however deep the batch.
+	// reassembled encodings held however deep the batch. jobs holds a
+	// full window, so a submit never blocks.
 	helpers := runtime.GOMAXPROCS(0)
 	window := 4 * helpers
 	v := &verifiers[S]{codec: s.codec, jobs: make(chan *importItem[S], window), max: helpers}
@@ -263,10 +263,9 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 		fresh   = make(map[Hash]*importItem[S]) // their first-seen states, by state hash
 	)
 	defer func() {
-		// No helper may touch an item once the import returns: claim the
-		// ones no helper started, wait for the ones one did.
+		// No helper may touch an item once the import returns.
 		for _, it := range queue {
-			if it.done != nil && !it.claimed.CompareAndSwap(false, true) {
+			if it.done != nil {
 				<-it.done
 			}
 		}
@@ -280,13 +279,7 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 			it := queue[0]
 			queue[0], queue = nil, queue[1:]
 			if it.done != nil {
-				// A verdict no helper has started is cheaper to reach here
-				// than to wait for.
-				if it.claimed.CompareAndSwap(false, true) {
-					it.verify(s.codec)
-				} else {
-					<-it.done
-				}
+				<-it.done
 				if it.err != nil {
 					return it.err
 				}
@@ -373,13 +366,12 @@ type importItem[S any] struct {
 	// state already stored or queued. Until the item is installed it is
 	// also the patch base for later batch commits that chain to it.
 	enc []byte
-	// done is nil unless enc is being verified. Whoever sets claimed
-	// verifies; a helper closes done when it has.
-	done    chan struct{}
-	claimed atomic.Bool
-	state   S
-	reenc   []byte
-	err     error
+	// done is nil unless enc is being verified; a helper closes it when
+	// it has set state, reenc and err.
+	done  chan struct{}
+	state S
+	reenc []byte
+	err   error
 }
 
 // prepareImportLocked runs the order-dependent stage for batch commit i:
@@ -461,40 +453,31 @@ func (it *importItem[S]) verify(codec Codec[S]) {
 	it.state, it.reenc = state, reenc
 }
 
-// verifiers is one import's pool of helper goroutines. The first state
-// submitted is left to the importing goroutine, which verifies any state
-// no helper has claimed by the time it needs the verdict; each later one
-// starts a helper, up to max. So a one-state batch starts none, and the
-// importer never waits for a helper to be scheduled or to exit. A helper
-// touches only the codec and the items it claims, never a store field,
-// so the write lock the importer holds throughout guards the store as
-// before.
+// verifiers is one import's pool of helper goroutines: each submitted
+// state starts a helper until max run, so a batch of n first-seen states
+// runs min(max, n). A helper touches only the codec and the items it
+// takes, never a store field, so the write lock the importer holds
+// throughout guards the store as before.
 type verifiers[S any] struct {
-	codec     Codec[S]
-	jobs      chan *importItem[S]
-	max       int
-	submitted int
+	codec   Codec[S]
+	jobs    chan *importItem[S]
+	max     int
+	started int
 }
 
-// submit queues it for verification. jobs holds a full window, so a send
-// waits only while it is full of items the importer verified itself and
-// a helper — running once two were sent — has yet to skip.
 func (v *verifiers[S]) submit(it *importItem[S]) {
 	it.done = make(chan struct{})
 	v.jobs <- it
-	// Helper k starts with the (k+1)-th state.
-	if v.submitted++; v.submitted > 1 && v.submitted <= v.max+1 {
+	if v.started < v.max {
+		v.started++
 		go v.work()
 	}
 }
 
-// work verifies the queued items no one has claimed yet, until the
-// import closes jobs.
+// work verifies queued items until the import closes jobs.
 func (v *verifiers[S]) work() {
 	for it := range v.jobs {
-		if it.claimed.CompareAndSwap(false, true) {
-			it.verify(v.codec)
-			close(it.done)
-		}
+		it.verify(v.codec)
+		close(it.done)
 	}
 }

@@ -326,7 +326,7 @@ func (s *Store[S, Op, Val]) commitExistsLocked(h Hash) bool {
 }
 
 // numCommitsLocked counts retained commits across the map and the frozen
-// index. The two are disjoint by construction: putCommit refuses hashes
+// index. The two are disjoint by construction: addCommitLocked refuses hashes
 // the index already holds, and recovery installs a replayed suffix entry
 // only when the index lacks it.
 func (s *Store[S, Op, Val]) numCommitsLocked() int {

@@ -27,9 +27,9 @@ import (
 // seeding over the commit map plus any frozen checkpoint index — so a
 // node that never syncs (or syncs only with pre-recon peers) pays
 // nothing, and checkpointed recovery stays flat in history. Once built,
-// putCommit and GC keep it exact: every commit installation funnels
-// through putCommit (Apply, Import, merges), and GC's sweep removes the
-// collected hashes.
+// addCommitLocked and GC keep it exact: every commit installation
+// funnels through addCommitLocked (Apply, Import, merges), and GC's
+// sweep removes the collected hashes.
 
 // ensureRecon builds the recon tree if it does not exist yet. It takes
 // the write lock only on the build path; steady-state callers get a
@@ -120,7 +120,7 @@ type install struct {
 //
 // This is the one exactness argument every sync path rests on. The head
 // and the record start in one critical section, and every installation
-// (putCommit) runs under the same lock, so each commit is either an
+// (addCommitLocked) runs under the same lock, so each commit is either an
 // ancestor candidate of the snapshot head — it existed at the snapshot
 // and a recon descent can find it — or in the record; never neither. No
 // lock is held across the network: local writes and other sessions

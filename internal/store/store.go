@@ -39,7 +39,9 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // content addressing and the space-accounting used by the benchmarks;
 // decoding lets the store install transferred histories (Import) without
 // a side-channel decoder, which is what allows a registry of data types
-// to round-trip states uniformly.
+// to round-trip states uniformly. Import calls Encode and Decode from
+// several goroutines at once, so a codec must not share mutable state
+// between calls.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)
@@ -175,10 +177,10 @@ type Store[S, Op, Val any] struct {
 	nextID  int
 	// rtree mirrors the commit-hash set for range-fingerprint set
 	// reconciliation (recon.go). Built lazily on the first recon query —
-	// so open time stays flat in history — and kept exact by putCommit
-	// and GC from then on.
+	// so open time stays flat in history — and kept exact by
+	// addCommitLocked and GC from then on.
 	rtree *recon.Tree
-	// captures are the open Captures; putCommit appends every commit it
+	// captures are the open Captures; addCommitLocked appends every commit it
 	// newly installs to each one's record. importVia is the tracking
 	// branch of the Import in progress, stamped on the entries it
 	// installs.

@@ -53,6 +53,8 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 
 // Codec serializes and deserializes states of type S; encoding drives
 // content addressing, decoding lets transferred histories round-trip.
+// Encode and Decode may be called concurrently from several goroutines
+// and must not share mutable state.
 type Codec[S any] = store.Codec[S]
 
 // Spec is a declarative replicated data type specification F_τ: the value
