@@ -58,23 +58,27 @@ import (
 	"repro/internal/obs"
 )
 
-// Report is what one sync exchange — or one stream batch — with a peer
-// cost and found out. The replica layer fills it from its per-call byte
-// and commit counters.
+// Report is what one sync exchange with a peer found out. What it cost
+// is not in it: the Syncer counts that into the engine's registry (see
+// BytesSeries).
 type Report struct {
-	BytesSent   int64
-	BytesRecv   int64
-	CommitsSent int64
-	CommitsRecv int64
 	// Missed lists the objects the peer answered "not hosted" (or
 	// "different datatype") for; the engine uses it to learn peer
 	// interest.
 	Missed []string
 }
 
+// The traffic series: a Syncer counts the wire cost of every exchange
+// and stream write it runs with a peer into Config.Obs under these
+// counter families, labelled peer (the dial address) and dir (sent or
+// recv), and PeerStats reads its byte and commit totals back from them.
+const (
+	BytesSeries   = "peepul_replica_bytes_total"
+	CommitsSeries = "peepul_replica_commits_total"
+)
+
 // Syncer is what the engine drives. The context aborts an in-flight dial
-// or exchange — peer removal and engine shutdown cancel it. Reports must
-// be valid (best-effort counters) even alongside an error.
+// or exchange — peer removal and engine shutdown cancel it.
 type Syncer interface {
 	// MeshSync runs one anti-entropy round with the peer at addr: a
 	// one-shot session over every object the node hosts.
@@ -90,9 +94,9 @@ type Syncer interface {
 type Link interface {
 	// Push writes one batch: every commit installed since the previous
 	// push, bar what the peer sent. With nothing pending it writes nothing
-	// — unless heartbeat is set, when it writes an empty batch. The Report
-	// counts what this write cost.
-	Push(heartbeat bool) (Report, error)
+	// — unless heartbeat is set, when it writes an empty batch. carried
+	// reports the batch held commits, also alongside an error.
+	Push(heartbeat bool) (carried bool, _ error)
 	// Heartbeat is the longest the link may stay silent before the
 	// peer's idle deadline would cut it short.
 	Heartbeat() time.Duration
@@ -156,9 +160,10 @@ type Config struct {
 	// recovery, not retried eagerly.
 	QuarantineMin time.Duration
 	QuarantineMax time.Duration
-	// Obs, when non-nil, receives the engine's metrics (round outcomes,
-	// live links, quarantine transitions — see obs.go). Nil disables
-	// instrumentation.
+	// Obs is the registry the engine counts into (round outcomes, pushes,
+	// live links, quarantine transitions — see obs.go) and the Syncer
+	// counts traffic into; PeerStats is read back from it. Nil gives the
+	// engine a registry of its own.
 	Obs *obs.Registry
 	// Recorder, when non-nil, receives lifecycle events: links going up
 	// and down, backoff changes, quarantine enter/lift, each with its
@@ -211,7 +216,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PeerStats is a snapshot of one peer's supervisor state.
+// PeerStats is a snapshot of one peer's supervisor state. Its counter
+// fields (Rounds, Pushes, Failures, Violations, Quarantines and the wire
+// cost) are a view over the engine's registry: each is the sum of the
+// series labelled with the peer's address, so they count from the first
+// time the address was supervised or dialled and survive RemovePeer.
 type PeerStats struct {
 	// Addr is the peer's dial address.
 	Addr string
@@ -231,8 +240,9 @@ type PeerStats struct {
 	// to 1 per success.
 	Backoff time.Duration
 	Score   float64
-	// Wire cost accumulated across this peer's rounds and link, both
-	// directions, dial side.
+	// Wire cost of every client session and link this node dialled to
+	// the address — rounds, connect sessions, stream batches and manual
+	// syncs alike — both directions.
 	BytesSent   int64
 	BytesRecv   int64
 	CommitsSent int64
@@ -275,8 +285,8 @@ type Engine struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// metrics and rec are the optional instrumentation (obs.go); nil
-	// without Config.Obs / Config.Recorder.
+	// metrics is the engine's instrumentation on Config.Obs (obs.go);
+	// rec is the optional flight recorder, nil without Config.Recorder.
 	metrics *meshMetrics
 	rec     *obs.Recorder
 }
@@ -284,6 +294,9 @@ type Engine struct {
 // New creates an engine driving s. No goroutines start until AddPeer.
 func New(s Syncer, cfg Config) *Engine {
 	ctx, cancel := context.WithCancel(context.Background())
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	return &Engine{
 		syncer:  s,
 		cfg:     cfg.withDefaults(),
@@ -296,8 +309,8 @@ func New(s Syncer, cfg Config) *Engine {
 	}
 }
 
-// peer is one supervised peer: its supervisor's context, failure state
-// and counters, all guarded by mu except the channels.
+// peer is one supervised peer: its supervisor's context and failure
+// state, guarded by mu except the channels and the push counter.
 type peer struct {
 	addr string
 	kick chan struct{} // cap 1: commit notifications, naturally coalescing
@@ -305,13 +318,16 @@ type peer struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	exited chan struct{} // closed when the supervisor has returned
+	pushes *obs.Counter  // stream batches that carried commits
 
 	mu sync.Mutex
 	// missed is the learned non-subscription set: objects the live
 	// link's connect session found the peer not hosting, which its
 	// stream therefore skips.
 	missed []string
-	stats  PeerStats
+	// stats holds the supervisor state; its counter fields stay zero
+	// (view fills them from the registry).
+	stats PeerStats
 }
 
 // AddPeer registers addr and starts its supervisor, which dials the
@@ -333,6 +349,7 @@ func (e *Engine) AddPeer(addr string) {
 		ctx:    ctx,
 		cancel: cancel,
 		exited: make(chan struct{}),
+		pushes: e.metrics.pushes(addr),
 		stats:  PeerStats{Addr: addr, Score: 1},
 	}
 	e.peers[addr] = p
@@ -375,9 +392,7 @@ func (e *Engine) Stats() map[string]PeerStats {
 	defer e.mu.RUnlock()
 	out := make(map[string]PeerStats, len(e.peers))
 	for addr, p := range e.peers {
-		p.mu.Lock()
-		out[addr] = p.stats
-		p.mu.Unlock()
+		out[addr] = e.view(p)
 	}
 	return out
 }
@@ -390,9 +405,29 @@ func (e *Engine) PeerStats(addr string) (PeerStats, bool) {
 	if !ok {
 		return PeerStats{}, false
 	}
+	return e.view(p), true
+}
+
+// view snapshots one peer: its supervisor state, with the counter fields
+// summed from the registry. Reading under p.mu keeps the counters settle
+// ticks consistent with the state it moves.
+func (e *Engine) view(p *peer) PeerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats, true
+	st := p.stats
+	sum := func(name string, match ...string) int64 {
+		return e.cfg.Obs.Sum(name, append(match, "peer", p.addr)...)
+	}
+	st.Rounds = sum(roundsSeries, "outcome", "ok")
+	st.Violations = sum(roundsSeries, "outcome", "violation")
+	st.Failures = sum(roundsSeries, "outcome", "transient") + st.Violations
+	st.Quarantines = sum(quarantineSeries, "change", "enter")
+	st.Pushes = p.pushes.Value()
+	st.BytesSent = sum(BytesSeries, "dir", "sent")
+	st.BytesRecv = sum(BytesSeries, "dir", "recv")
+	st.CommitsSent = sum(CommitsSeries, "dir", "sent")
+	st.CommitsRecv = sum(CommitsSeries, "dir", "recv")
+	return st
 }
 
 // NotifyCommit records that the node installed commits (a local
@@ -489,7 +524,7 @@ func (e *Engine) supervise(p *peer) {
 			if errors.Is(err, ErrRelink) {
 				connect.Reset(0)
 			} else {
-				e.settle(p, "stream", Report{}, err)
+				e.settle(p, "stream", err)
 				connect.Reset(e.nextDelay(p, err))
 			}
 		}
@@ -500,7 +535,7 @@ func (e *Engine) supervise(p *peer) {
 // settles like a round.
 func (e *Engine) connect(p *peer) (*liveLink, error) {
 	lk, rep, err := e.syncer.OpenLink(p.ctx, p.addr)
-	e.settle(p, "link", rep, err)
+	e.settle(p, "link", err)
 	if err != nil {
 		return nil, err
 	}
@@ -509,8 +544,8 @@ func (e *Engine) connect(p *peer) (*liveLink, error) {
 	p.missed = rep.Missed
 	p.stats.LinkUp = true
 	p.mu.Unlock()
-	e.metrics.linkUp(1)
-	e.event("link-up", p.addr, fmt.Sprintf("connect session sent %d, received %d commits", rep.CommitsSent, rep.CommitsRecv))
+	e.metrics.linksUp.Add(1)
+	e.event("link-up", p.addr, fmt.Sprintf("connect session done; peer does not host %v", rep.Missed))
 	go e.stream(p, l)
 	return l, nil
 }
@@ -524,7 +559,7 @@ func (e *Engine) unlink(p *peer, l *liveLink, cause string) {
 	p.stats.LinkUp = false
 	p.missed = nil
 	p.mu.Unlock()
-	e.metrics.linkUp(-1)
+	e.metrics.linksUp.Add(-1)
 	e.event("link-down", p.addr, cause)
 }
 
@@ -538,13 +573,15 @@ func (e *Engine) stream(p *peer, l *liveLink) {
 	defer beat.Stop()
 	heartbeat := false
 	for {
-		rep, err := l.Push(heartbeat)
-		e.pushed(p, rep)
+		carried, err := l.Push(heartbeat)
+		if carried {
+			p.pushes.Inc()
+		}
 		if err != nil {
 			l.cause = err
 			return
 		}
-		if rep.BytesSent > 0 {
+		if carried || heartbeat {
 			beat.Reset(l.Heartbeat())
 		}
 		select {
@@ -559,25 +596,12 @@ func (e *Engine) stream(p *peer, l *liveLink) {
 	}
 }
 
-// pushed folds one stream write into the peer's counters.
-func (e *Engine) pushed(p *peer, rep Report) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := &p.stats
-	st.BytesSent += rep.BytesSent
-	st.BytesRecv += rep.BytesRecv
-	st.CommitsSent += rep.CommitsSent
-	if rep.CommitsSent > 0 {
-		st.Pushes++
-	}
-}
-
 // round runs one anti-entropy round. It returns the objects the peer
 // turned out to host that the live link skips — the link must reconnect
 // to stream them.
 func (e *Engine) round(p *peer) (uncovered []string, _ error) {
 	rep, err := e.syncer.MeshSync(p.ctx, p.addr)
-	e.settle(p, "full", rep, err)
+	e.settle(p, "full", err)
 	if err != nil {
 		return nil, err
 	}
@@ -592,29 +616,22 @@ func (e *Engine) round(p *peer) (uncovered []string, _ error) {
 }
 
 // settle folds one exchange's outcome — a round, a connect session, or a
-// failed stream — into the peer's state.
-func (e *Engine) settle(p *peer, kind string, rep Report, err error) {
+// failed stream — into the peer's state, and counts it.
+func (e *Engine) settle(p *peer, kind string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := &p.stats
 	prevBackoff, prevQuar := st.Backoff, st.Quarantined
-	st.BytesSent += rep.BytesSent
-	st.BytesRecv += rep.BytesRecv
-	st.CommitsSent += rep.CommitsSent
-	st.CommitsRecv += rep.CommitsRecv
 	if err != nil {
-		st.Failures++
 		st.ConsecutiveFailures++
 		st.Score /= 2
 		st.LastError = err.Error()
 		outcome := "transient"
 		if e.cfg.Classify != nil && e.cfg.Classify(err) == FailViolation {
 			outcome = "violation"
-			st.Violations++
 			st.ConsecutiveViolations++
 			if !st.Quarantined && st.ConsecutiveViolations >= e.cfg.QuarantineAfter {
 				st.Quarantined = true
-				st.Quarantines++
 				st.QuarantineReason = err.Error()
 			}
 		}
@@ -626,11 +643,10 @@ func (e *Engine) settle(p *peer, kind string, rep Report, err error) {
 		} else {
 			st.Backoff = e.backoff(st.ConsecutiveFailures)
 		}
-		e.metrics.round(kind, outcome)
+		e.metrics.round(p.addr, kind, outcome)
 		e.transitions(p, prevBackoff, prevQuar, st, err)
 		return
 	}
-	st.Rounds++
 	st.ConsecutiveFailures = 0
 	st.ConsecutiveViolations = 0
 	st.Quarantined = false
@@ -638,7 +654,7 @@ func (e *Engine) settle(p *peer, kind string, rep Report, err error) {
 	st.Score += (1 - st.Score) / 2
 	st.LastError = ""
 	st.LastConverged = time.Now()
-	e.metrics.round(kind, "ok")
+	e.metrics.round(p.addr, kind, "ok")
 	e.transitions(p, prevBackoff, prevQuar, st, nil)
 }
 

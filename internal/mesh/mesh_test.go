@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // call records one Syncer invocation: kind is "link" (OpenLink) or
@@ -33,7 +35,7 @@ type script struct {
 	// beat is the heartbeat period of the links it opens (default long).
 	beat time.Duration
 	// push, when set, scripts every link's Push.
-	push func(heartbeat bool) (Report, error)
+	push func(heartbeat bool) (bool, error)
 }
 
 func (s *script) invoke(ctx context.Context, addr, kind string) (Report, error) {
@@ -95,7 +97,7 @@ func (s *script) count(kind string) int {
 type fakeLink struct {
 	addr string
 	beat time.Duration
-	push func(heartbeat bool) (Report, error)
+	push func(heartbeat bool) (bool, error)
 
 	mu                 sync.Mutex
 	pushes, heartbeats int
@@ -106,7 +108,7 @@ type fakeLink struct {
 	err  error
 }
 
-func (l *fakeLink) Push(heartbeat bool) (Report, error) {
+func (l *fakeLink) Push(heartbeat bool) (bool, error) {
 	l.mu.Lock()
 	if heartbeat {
 		l.heartbeats++
@@ -117,10 +119,7 @@ func (l *fakeLink) Push(heartbeat bool) (Report, error) {
 	if l.push != nil {
 		return l.push(heartbeat)
 	}
-	if heartbeat {
-		return Report{BytesSent: 1}, nil
-	}
-	return Report{}, nil
+	return false, nil
 }
 
 func (l *fakeLink) Heartbeat() time.Duration { return l.beat }
@@ -239,12 +238,16 @@ func TestLinkConnectsOnAddPeer(t *testing.T) {
 }
 
 // TestLinkStreamsOnKick: a commit notification is one push on the live
-// link, counted when it carried commits; no round runs for it.
+// link, counted when it carried commits; no round runs for it. The
+// commits the link counts into the traffic series show in PeerStats.
 func TestLinkStreamsOnKick(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Interval = time.Hour // isolate the stream
-	s := &script{push: func(heartbeat bool) (Report, error) {
-		return Report{BytesSent: 100, CommitsSent: 2}, nil
+	cfg.Obs = obs.NewRegistry()
+	sent := cfg.Obs.Counter(CommitsSeries, "dir", "sent", "peer", "p1")
+	s := &script{push: func(heartbeat bool) (bool, error) {
+		sent.Add(2)
+		return true, nil
 	}}
 	e := New(s, cfg)
 	defer e.Close()

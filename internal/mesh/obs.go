@@ -1,12 +1,12 @@
 package mesh
 
-// Mesh-layer observability: round outcomes by kind, quarantine
-// transitions, and how many links are up and how many peers are
-// currently backing off or quarantined. Lifecycle transitions (links
-// going up and down, backoff changes, quarantine enter/lift) are
-// additionally emitted as flight-recorder events when a Recorder is
-// configured, so a trace shows *why* a peer went quiet.
-// Both hooks are nil-safe: an unconfigured engine pays nothing.
+// Mesh-layer observability: round outcomes by peer and kind, pushes and
+// quarantine transitions by peer — the series PeerStats sums — and how
+// many links are up and how many peers are currently backing off or
+// quarantined. Lifecycle transitions (links going up and down, backoff
+// changes, quarantine enter/lift) are additionally emitted as
+// flight-recorder events when a Recorder is configured, so a trace shows
+// *why* a peer went quiet.
 
 import (
 	"fmt"
@@ -15,49 +15,52 @@ import (
 	"repro/internal/obs"
 )
 
+// Series the engine ticks per peer and PeerStats sums.
+const (
+	roundsSeries     = "peepul_mesh_rounds_total"
+	pushesSeries     = "peepul_mesh_pushes_total"
+	quarantineSeries = "peepul_mesh_quarantine_transitions_total"
+)
+
 type meshMetrics struct {
 	reg         *obs.Registry
-	quarEnter   *obs.Counter
-	quarLift    *obs.Counter
 	linksUp     *obs.Gauge
 	backingOff  *obs.Gauge
 	quarantined *obs.Gauge
 }
 
 func newMeshMetrics(reg *obs.Registry) *meshMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &meshMetrics{
 		reg:         reg,
-		quarEnter:   reg.Counter("peepul_mesh_quarantine_transitions_total", "change", "enter"),
-		quarLift:    reg.Counter("peepul_mesh_quarantine_transitions_total", "change", "lift"),
 		linksUp:     reg.Gauge("peepul_mesh_links_up"),
 		backingOff:  reg.Gauge("peepul_mesh_peers_backing_off"),
 		quarantined: reg.Gauge("peepul_mesh_peers_quarantined"),
 	}
-	reg.Describe("peepul_mesh_rounds_total", "exchanges by kind (full round, link connect session, failed stream) and outcome (ok/transient/violation)")
-	reg.Describe("peepul_mesh_quarantine_transitions_total", "peers entering and leaving quarantine")
+	reg.Describe(roundsSeries, "exchanges by peer, kind (full round, link connect session, failed stream) and outcome (ok/transient/violation)")
+	reg.Describe(pushesSeries, "link stream batches that carried commits, by peer")
+	reg.Describe(quarantineSeries, "peers entering and leaving quarantine")
 	reg.Describe("peepul_mesh_links_up", "outbound links currently connected and streaming")
 	reg.Describe("peepul_mesh_peers_backing_off", "peers currently on the backoff schedule")
 	reg.Describe("peepul_mesh_peers_quarantined", "peers currently quarantined")
 	return m
 }
 
-// round records one exchange outcome. The (kind, outcome) counter is
-// resolved by name — rounds run at anti-entropy cadence, so the lookup
-// cost is irrelevant.
-func (m *meshMetrics) round(kind, outcome string) {
-	if m != nil {
-		m.reg.Counter("peepul_mesh_rounds_total", "kind", kind, "outcome", outcome).Inc()
-	}
+// pushes resolves a peer's push counter, once per AddPeer: the stream
+// ticks it per batch.
+func (m *meshMetrics) pushes(peer string) *obs.Counter {
+	return m.reg.Counter(pushesSeries, "peer", peer)
 }
 
-// linkUp moves the live-link gauge by delta.
-func (m *meshMetrics) linkUp(delta int64) {
-	if m != nil {
-		m.linksUp.Add(delta)
-	}
+// round records one exchange outcome. The (peer, kind, outcome) counter
+// is resolved by name — rounds run at anti-entropy cadence, so the
+// lookup cost is irrelevant.
+func (m *meshMetrics) round(peer, kind, outcome string) {
+	m.reg.Counter(roundsSeries, "kind", kind, "outcome", outcome, "peer", peer).Inc()
+}
+
+// quarantine counts one peer entering or leaving quarantine.
+func (m *meshMetrics) quarantine(peer, change string) {
+	m.reg.Counter(quarantineSeries, "change", change, "peer", peer).Inc()
 }
 
 // transitions folds one round's before/after supervisor state into the
@@ -66,26 +69,20 @@ func (e *Engine) transitions(p *peer, prevBackoff time.Duration, prevQuar bool, 
 	m := e.metrics
 	if prevQuar != st.Quarantined {
 		if st.Quarantined {
-			if m != nil {
-				m.quarEnter.Inc()
-				m.quarantined.Add(1)
-			}
+			m.quarantine(p.addr, "enter")
+			m.quarantined.Add(1)
 			e.event("quarantine-enter", p.addr, st.QuarantineReason)
 		} else {
-			if m != nil {
-				m.quarLift.Inc()
-				m.quarantined.Add(-1)
-			}
+			m.quarantine(p.addr, "lift")
+			m.quarantined.Add(-1)
 			e.event("quarantine-lift", p.addr, "clean exchange")
 		}
 	}
 	if (prevBackoff > 0) != (st.Backoff > 0) {
-		if m != nil {
-			if st.Backoff > 0 {
-				m.backingOff.Add(1)
-			} else {
-				m.backingOff.Add(-1)
-			}
+		if st.Backoff > 0 {
+			m.backingOff.Add(1)
+		} else {
+			m.backingOff.Add(-1)
 		}
 	}
 	if prevBackoff != st.Backoff {
@@ -113,9 +110,6 @@ func (e *Engine) event(kind, peer, detail string) {
 // drift permanently positive.
 func (e *Engine) forget(p *peer) {
 	m := e.metrics
-	if m == nil {
-		return
-	}
 	p.mu.Lock()
 	backoff, quar := p.stats.Backoff, p.stats.Quarantined
 	p.mu.Unlock()

@@ -29,15 +29,16 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	// Snapshot the family list under the lock; instrument reads are
 	// atomic so the render itself runs unlocked.
 	fams := make([]*family, len(names))
+	helps := make([]string, len(names))
 	for i, name := range names {
-		fams[i] = r.families[name]
+		fams[i], helps[i] = r.families[name], r.help[name]
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+	for i, f := range fams {
+		if helps[i] != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, helps[i])
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind.String())
 		r.mu.Lock()

@@ -70,6 +70,40 @@ func TestRegistryDedup(t *testing.T) {
 	}
 }
 
+// TestRegistrySum: Sum adds the counters whose labels include every
+// pair asked for; a series without the label never matches it, and
+// gauges, histograms and unknown names sum to zero.
+func TestRegistrySum(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("bytes_total", "dir", "sent", "object", "x", "peer", "p").Add(5)
+	r.Counter("bytes_total", "dir", "sent", "object", "y").Add(7)
+	r.Counter("bytes_total", "dir", "sent").Add(11)
+	r.Counter("bytes_total", "dir", "recv", "object", "x").Add(13)
+	r.Gauge("links").Set(3)
+	for _, c := range []struct {
+		name  string
+		match []string
+		want  int64
+	}{
+		{"bytes_total", nil, 36},
+		{"bytes_total", []string{"dir", "sent"}, 23},
+		{"bytes_total", []string{"dir", "sent", "object", "x"}, 5},
+		{"bytes_total", []string{"object", "x"}, 18},
+		{"bytes_total", []string{"object", ""}, 0},
+		{"bytes_total", []string{"peer", "p"}, 5},
+		{"links", nil, 0},
+		{"absent", nil, 0},
+	} {
+		if got := r.Sum(c.name, c.match...); got != c.want {
+			t.Errorf("Sum(%s, %v) = %d, want %d", c.name, c.match, got, c.want)
+		}
+	}
+	var nilReg *obs.Registry
+	if nilReg.Sum("bytes_total") != 0 {
+		t.Fatal("nil registry must sum to zero")
+	}
+}
+
 // TestHistogramBuckets: observations land in the right cumulative
 // buckets and the sum/count track exactly.
 func TestHistogramBuckets(t *testing.T) {
@@ -110,6 +144,7 @@ func TestWritePromFormat(t *testing.T) {
 	r.Counter("sessions_total", "tier", "recon").Add(2)
 	r.Counter("sessions_total", "tier", "plain").Inc()
 	r.Describe("sessions_total", "sync sessions by tier")
+	r.Describe("peers", "peers supervised") // before the family exists
 	r.Gauge("peers").Set(3)
 	r.Histogram("dur_ns", []int64{100, 1000}).Observe(150)
 
@@ -118,7 +153,8 @@ func TestWritePromFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "# HELP sessions_total sync sessions by tier") {
+	if !strings.Contains(text, "# HELP sessions_total sync sessions by tier") ||
+		!strings.Contains(text, "# HELP peers peers supervised") {
 		t.Fatalf("missing HELP line:\n%s", text)
 	}
 	if !strings.Contains(text, "# TYPE sessions_total counter") ||

@@ -140,11 +140,10 @@ func (k kind) String() string {
 }
 
 // family groups every instrument sharing one metric name: same kind,
-// one optional help string, one instrument per label signature.
+// one instrument per label signature.
 type family struct {
 	name  string
 	kind  kind
-	help  string
 	insts map[string]*instrument // keyed by canonical label signature
 }
 
@@ -164,11 +163,12 @@ type instrument struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	help     map[string]string // by family name
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), help: make(map[string]string)}
 }
 
 // labelKey canonicalizes alternating key/value pairs into a map key:
@@ -264,18 +264,57 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...string) *His
 	return r.get(name, kindHistogram, bounds, labels).h
 }
 
-// Describe attaches help text to a metric family; exposition prints it
-// as the # HELP line. No-op on nil or for unknown names (call after
-// the first instrument of the family exists).
+// Describe attaches help text to a metric family, before or after its
+// first instrument exists; exposition prints it as the # HELP line.
+// No-op on nil.
 func (r *Registry) Describe(name, help string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		f.help = help
+	r.help[name] = help
+}
+
+// Sum adds up the counters of the family named name whose labels
+// include every given key/value pair: the read side of a struct that is
+// a view over the registry. Zero on nil, for an unknown name, and for a
+// family that does not hold counters.
+func (r *Registry) Sum(name string, match ...string) int64 {
+	if r == nil {
+		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok || f.kind != kindCounter {
+		return 0
+	}
+	var sum int64
+	for _, inst := range f.insts {
+		if inst.has(match) {
+			sum += inst.c.Value()
+		}
+	}
+	return sum
+}
+
+// has reports whether the instrument carries every key/value pair of
+// match.
+func (inst *instrument) has(match []string) bool {
+next:
+	for i := 0; i+1 < len(match); i += 2 {
+		for j := 0; j+1 < len(inst.labels); j += 2 {
+			if inst.labels[j] == match[i] {
+				if inst.labels[j+1] != match[i+1] {
+					return false
+				}
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Metric is one instrument's state in a Snapshot: counters and gauges

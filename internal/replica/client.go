@@ -29,12 +29,10 @@ func (n *Node) SyncWith(addr string) error {
 }
 
 // MeshSync implements mesh.Syncer: the daemon's anti-entropy round is the
-// exact code path SyncWith uses, abortable through ctx. The returned
-// Report is meaningful even on error — partial byte counts still feed
-// the per-peer mesh stats.
+// exact code path SyncWith uses, abortable through ctx.
 func (n *Node) MeshSync(ctx context.Context, addr string) (mesh.Report, error) {
-	rep, _, err := n.syncPeer(ctx, addr, false)
-	return rep, err
+	missed, _, err := n.syncPeer(ctx, addr, false)
+	return mesh.Report{Missed: missed}, err
 }
 
 // peerLock returns the mutex serializing client sessions with addr: a
@@ -53,44 +51,25 @@ func (n *Node) peerLock(addr string) *sync.Mutex {
 // commits nor inbound sessions wait for it, and an unreachable peer
 // costs its supervisor a dial timeout and nothing else. With link set it
 // is a link's connect session, and on success the connection comes back
-// as the link, in stream mode.
-func (n *Node) syncPeer(ctx context.Context, addr string, link bool) (_ mesh.Report, _ *peerLink, retErr error) {
+// as the link, in stream mode. It returns the objects the peer missed.
+func (n *Node) syncPeer(ctx context.Context, addr string, link bool) (missed []string, _ *peerLink, retErr error) {
 	lock := n.peerLock(addr)
 	lock.Lock()
 	defer lock.Unlock()
 	names := n.Objects()
-	var call callState
-	report := func(missed []string) mesh.Report {
-		s := call.stats.snapshot()
-		return mesh.Report{
-			BytesSent:   s.BytesSent,
-			BytesRecv:   s.BytesRecv,
-			CommitsSent: s.CommitsSent,
-			CommitsRecv: s.CommitsRecv,
-			Missed:      missed,
-		}
-	}
 	if len(names) == 0 && !link {
-		return report(nil), nil, nil
+		return nil, nil, nil
 	}
 	start := time.Now()
-	call.span = n.newSpan("client", addr)
+	sp := n.newSpan("client", addr)
 	defer func() {
-		call.span.finish(&call.stats, retErr)
-		if m := n.metrics; m != nil {
-			m.sessionNsClient.Observe(time.Since(start).Nanoseconds())
-			outcome := "ok"
-			if retErr != nil {
-				outcome = failClassName(classifyFailure(retErr))
-			}
-			m.session("client", outcome)
-		}
+		sp.finish(retErr)
+		n.metrics.session("client", start, retErr)
 	}()
 	// The whole-node span probe is only worth a frame when the peer has
 	// acked a hello before (see ackedPeers).
 	_, acked := n.ackedPeers.Load(addr)
-	missed, l, err := n.syncSession(ctx, addr, names, acked, link, &call)
-	return report(missed), l, err
+	return n.syncSession(ctx, addr, names, acked, link, sp)
 }
 
 // sessionObject is one object in a client session's scope together with
@@ -135,20 +114,20 @@ func closeScope(scope []sessionObject) {
 // objects the peer answered with a miss — the mesh daemon uses it to
 // learn which objects a peer is interested in. With link set, a session
 // that succeeds keeps its connection and returns it as a link.
-func (n *Node) syncSession(ctx context.Context, addr string, names []string, spanFirst, link bool, call *callState) ([]string, *peerLink, error) {
+func (n *Node) syncSession(ctx context.Context, addr string, names []string, spanFirst, link bool, sp *spanRec) ([]string, *peerLink, error) {
 	conn, err := n.dialPeer(ctx, addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	c := n.newConn(conn, &call.stats)
+	c := n.newConn(conn, addr, sp)
 
 	// The snapshot precedes the first frame: everything this session
 	// ships existed now, however many round trips it takes.
 	scope, err := n.snapshotScope(names)
 	var missed []string
 	if err == nil {
-		missed, err = n.exchange(c, addr, scope, spanFirst, call)
+		missed, err = n.exchange(c, addr, scope, spanFirst)
 	}
 	if !stop() && link && err == nil {
 		err = ctx.Err() // cancelled on the way out: the connection is closed
@@ -166,17 +145,17 @@ func (n *Node) syncSession(ctx context.Context, addr string, names []string, spa
 
 // exchange runs a session's frames over an open connection: the optional
 // span probe, then one exchange per object in scope.
-func (n *Node) exchange(c *countedConn, addr string, scope []sessionObject, spanFirst bool, call *callState) ([]string, error) {
+func (n *Node) exchange(c *countedConn, addr string, scope []sessionObject, spanFirst bool) ([]string, error) {
 	if spanFirst {
-		done, err := n.syncSpan(c, scope, call)
+		done, err := n.syncSpan(c, scope)
 		if err != nil || done {
 			return nil, err
 		}
 	}
 	var missed []string
 	for _, so := range scope {
-		c.obj.Store(&so.e.stats)
-		miss, err := n.syncObject(c, addr, so, call)
+		c.at(so.e)
+		miss, err := n.syncObject(c, addr, so)
 		if err != nil {
 			return missed, err
 		}
@@ -190,12 +169,9 @@ func (n *Node) exchange(c *countedConn, addr string, scope []sessionObject, span
 // syncSpan opens a session with the whole-node span probe over the
 // session's snapshot heads. It reports done=true when the peer's span
 // matched (nothing to sync anywhere); a refusal is a protocol violation.
-func (n *Node) syncSpan(c *countedConn, scope []sessionObject, call *callState) (done bool, _ error) {
+func (n *Node) syncSpan(c *countedConn, scope []sessionObject) (done bool, _ error) {
 	pStart := time.Now()
-	n.total.rangesSent.Add(1)
-	if m := n.metrics; m != nil {
-		m.rangesClient.Inc()
-	}
+	c.flow.Load().rangesSent.Inc()
 	var sp wire.ReconSpan
 	for _, so := range scope {
 		foldSpan(&sp, so.name, so.e, so.capture.Head())
@@ -214,23 +190,18 @@ func (n *Node) syncSpan(c *countedConn, scope []sessionObject, call *callState) 
 		// per-object counters tick exactly as if each object had run its
 		// own (trivial) exchange.
 		for _, so := range scope {
-			so.e.stats.deltaSyncs.Add(1)
-			n.total.deltaSyncs.Add(1)
+			n.flow(so.e, c.peer).exchanges.Inc()
 		}
-		if m := n.metrics; m != nil {
-			m.spanMatch.Inc()
-		}
-		call.span.objects(len(scope))
-		call.span.phase("span-probe", "", pStart)
+		n.metrics.spanMatch.Inc()
+		c.span.objects(len(scope))
+		c.span.phase("span-probe", "", pStart)
 		return true, nil
 	case kind == wire.FrameReconSpan && len(fields) == 1:
 		if _, err := wire.DecodeReconSpan(fields[0]); err != nil {
 			return false, fmt.Errorf("%w: span reply: %w", ErrProtocol, err)
 		}
-		if m := n.metrics; m != nil {
-			m.spanDiff.Inc()
-		}
-		call.span.phase("span-probe", "", pStart)
+		n.metrics.spanDiff.Inc()
+		c.span.phase("span-probe", "", pStart)
 		return false, nil // differs somewhere; run the per-object exchanges
 	default:
 		return false, fmt.Errorf("%w: unexpected span reply kind %d", ErrProtocol, kind)
@@ -250,7 +221,7 @@ func peerMsg(fields [][]byte) string {
 // the probe, so the descent starts one level down. It reports miss=true
 // when the peer answered "object not hosted here" (the session stays
 // usable for the next object).
-func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *callState) (miss bool, _ error) {
+func (n *Node) syncObject(c *countedConn, addr string, so sessionObject) (miss bool, _ error) {
 	object, e := so.name, so.e
 	negStart := time.Now()
 	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: so.capture.Head()}
@@ -267,8 +238,7 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *c
 		return false, err
 	case kind == wire.FrameHelloMiss:
 		// Peer does not host this object (or hosts it as another type).
-		n.total.misses.Add(1)
-		e.stats.misses.Add(1)
+		c.flow.Load().misses.Inc()
 		return true, nil
 	case kind == wire.FrameErr:
 		return false, fmt.Errorf("%w: peer refused hello for object %s: %s", ErrProtocol, object, peerMsg(fields))
@@ -287,8 +257,8 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *c
 		return false, fmt.Errorf("%w: root answer: %w", ErrProtocol, err)
 	}
 	n.ackedPeers.Store(addr, ack.Node)
-	call.span.phase("negotiate", object, negStart)
-	return false, n.syncObjectRecon(c, so, ack, answer, call)
+	c.span.phase("negotiate", object, negStart)
+	return false, n.syncObjectRecon(c, so, ack, answer)
 }
 
 // syncObjectRecon runs the client side of one object's reconciliation
@@ -307,20 +277,16 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject, call *c
 // The descent reads the live fingerprint tree, which local commits and
 // inbound sessions keep growing; what ships is the resolved set cut back
 // to the session's capture (store.AsOf), under the snapshot's head.
-func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer, call *callState) error {
-	object, e := so.name, so.e
+func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer) error {
+	object, e, fl := so.name, so.e, c.flow.Load()
 	type keyRange struct{ x, y recon.Item }
 	var work []keyRange
 	var want []store.Hash
 	ship := make(map[store.Hash]bool)
 	descStart, probes := time.Now(), 0
 	countProbe := func() {
-		n.total.rangesSent.Add(1)
-		e.stats.rangesSent.Add(1)
+		fl.rangesSent.Inc()
 		probes++
-		if m := n.metrics; m != nil {
-			m.rangesClient.Inc()
-		}
 	}
 	shipRange := func(x, y recon.Item) {
 		for _, it := range e.st.ReconItems(x, y, -1) {
@@ -398,10 +364,8 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 		}
 		settle(r, a)
 	}
-	call.span.phase("descend", object, descStart)
-	if m := n.metrics; m != nil {
-		m.descent(probes)
-	}
+	c.span.phase("descend", object, descStart)
+	n.metrics.descent(probes)
 	// What ships is the resolved set as of the snapshot; commits younger
 	// than the session ride the next stream batch or round.
 	shipStart := time.Now()
@@ -415,10 +379,8 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	// empty-delta exchange below, which resolves the heads by pulling each
 	// other's.)
 	if len(want) == 0 && len(commits) == 0 && ack.Head == head {
-		for _, s := range []*syncStats{&n.total, &e.stats} {
-			s.deltaSyncs.Add(1)
-		}
-		call.span.objects(1)
+		fl.exchanges.Inc()
+		c.span.objects(1)
 		return nil
 	}
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
@@ -427,7 +389,7 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err := wire.WriteDeltaPacked(c, commits, head); err != nil {
 		return err
 	}
-	call.span.phase("ship", object, shipStart)
+	c.span.phase("ship", object, shipStart)
 	importStart := time.Now()
 	reply, replyHead, err := readDelta(c)
 	if err != nil {
@@ -437,15 +399,11 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err != nil {
 		return err
 	}
-	for _, s := range []*syncStats{&n.total, &e.stats, &call.stats} {
-		s.deltaSyncs.Add(1)
-		s.commitsSent.Add(int64(len(commits)))
-		s.commitsRecv.Add(int64(len(reply)))
-		s.patchesSent.Add(countPatches(commits))
-		s.patchesRecv.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-	}
-	call.span.objects(1)
-	call.span.phase("import", object, importStart)
+	fl.exchanges.Inc()
+	fl.shipped(commits)
+	fl.landed(reply, redundant)
+	c.span.commits(len(commits), len(reply))
+	c.span.objects(1)
+	c.span.phase("import", object, importStart)
 	return nil
 }

@@ -52,9 +52,9 @@ type ObjectDebug struct {
 }
 
 // DebugSnapshot assembles the unified debug document. It works without
-// WithDebugAddr — any observability-enabled node can be snapshotted in
-// process — and degrades to the plain Stats surfaces when even that is
-// off.
+// WithDebugAddr — any node can be snapshotted in process, metrics
+// included — and its spans and events are empty without
+// WithObservability.
 func (n *Node) DebugSnapshot() DebugSnapshot {
 	snap := DebugSnapshot{
 		Node:      n.name,
@@ -81,9 +81,7 @@ func (n *Node) DebugSnapshot() DebugSnapshot {
 		}
 		snap.Objects[name] = od
 	}
-	if reg := n.Registry(); reg != nil {
-		snap.Metrics = reg.Snapshot()
-	}
+	snap.Metrics = n.Registry().Snapshot()
 	tr := n.Trace()
 	snap.Spans, snap.Events = tr.Spans, tr.Events
 	return snap

@@ -30,11 +30,11 @@ import (
 // — the code path SyncWith uses, abortable through ctx — and returns its
 // connection as a link in stream mode.
 func (n *Node) OpenLink(ctx context.Context, addr string) (mesh.Link, mesh.Report, error) {
-	rep, l, err := n.syncPeer(ctx, addr, true)
+	missed, l, err := n.syncPeer(ctx, addr, true)
 	if err != nil {
-		return nil, rep, err
+		return nil, mesh.Report{Missed: missed}, err
 	}
-	return l, rep, nil
+	return l, mesh.Report{Missed: missed}, nil
 }
 
 // peerLink is the dial side of a link (mesh.Link).
@@ -139,35 +139,28 @@ func (l *peerLink) Close() {
 // dies, and the next connect session's recon finds them. A failed push
 // reports the link's first cause of death — a refusal the reader saw
 // outranks the write it broke.
-func (l *peerLink) Push(heartbeat bool) (mesh.Report, error) {
+func (l *peerLink) Push(heartbeat bool) (carried bool, _ error) {
 	select {
 	case <-l.done:
-		return mesh.Report{}, l.err
+		return false, l.err
 	default:
 	}
 	if l.n.objectCount() > l.known {
 		l.fail(fmt.Errorf("%w: an object was opened after the link connected", mesh.ErrRelink))
-		return mesh.Report{}, l.err
+		return false, l.err
 	}
-	stats := l.conn.call
-	sent, recv := stats.bytesSent.Load(), stats.bytesRecv.Load()
 	commits, err := l.write(heartbeat)
-	rep := mesh.Report{
-		BytesSent:   stats.bytesSent.Load() - sent,
-		BytesRecv:   stats.bytesRecv.Load() - recv,
-		CommitsSent: commits,
-	}
 	if err != nil {
 		l.fail(err)
-		return rep, l.err
+		return commits > 0, l.err
 	}
-	return rep, nil
+	return commits > 0, nil
 }
 
 // write drains every object's capture into the connection's buffer —
 // one FrameLinkBatch and delta per object with news, or a bare heartbeat
 // frame when asked and there is none — and flushes.
-func (l *peerLink) write(heartbeat bool) (commits int64, _ error) {
+func (l *peerLink) write(heartbeat bool) (commits int, _ error) {
 	for _, so := range l.objs {
 		batch, head, err := so.e.st.ExportSet(so.capture, nil, store.Drain, l.via)
 		if err != nil {
@@ -176,7 +169,7 @@ func (l *peerLink) write(heartbeat bool) (commits int64, _ error) {
 		if len(batch) == 0 {
 			continue
 		}
-		l.conn.obj.Store(&so.e.stats)
+		l.conn.at(so.e)
 		hello := wire.Hello{Node: l.n.name, Object: so.name, Datatype: so.e.obj.Datatype(), Head: head}
 		if err := wire.WriteMsg(l.conn, wire.FrameLinkBatch, wire.EncodeHello(hello)); err != nil {
 			return commits, err
@@ -184,11 +177,8 @@ func (l *peerLink) write(heartbeat bool) (commits int64, _ error) {
 		if err := wire.WriteDeltaPacked(l.conn, batch, head); err != nil {
 			return commits, err
 		}
-		for _, s := range []*syncStats{&l.n.total, &so.e.stats, l.conn.call} {
-			s.commitsSent.Add(int64(len(batch)))
-			s.patchesSent.Add(countPatches(batch))
-		}
-		commits += int64(len(batch))
+		l.conn.flow.Load().shipped(batch)
+		commits += len(batch)
 	}
 	if commits == 0 && heartbeat {
 		if err := wire.WriteMsg(l.conn, wire.FrameLinkBatch); err != nil {

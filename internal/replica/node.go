@@ -128,24 +128,25 @@ const defaultSessionTimeout = 3 * time.Minute
 // countedConn is a session connection: buffered both ways, so a protocol
 // turn leaves in one write (see the package comment), and metered at the
 // raw layer underneath the buffers. It counts the bytes crossing the
-// socket into the node's aggregate stats, the stats of the object whose
-// exchange is in flight, and (client side) the per-exchange counters the
-// mesh engine attributes to one peer. Every raw fill and flush refreshes
-// the idle deadline, capped by the absolute session deadline.
+// socket into one flow — the series of the object whose exchange is in
+// flight, with the peer it dialled (none on inbound handlers) — and into
+// the session's span. Every raw fill and flush refreshes the idle
+// deadline, capped by the absolute session deadline.
 type countedConn struct {
 	net.Conn
-	r     *bufio.Reader
-	w     *bufio.Writer
-	total *syncStats
-	call  *syncStats // one exchange's counters; nil on inbound handlers
-	obj   atomic.Pointer[syncStats]
+	r    *bufio.Reader
+	w    *bufio.Writer
+	node *Node
+	peer string // the dialled address; "" on inbound handlers
+	flow atomic.Pointer[flow]
+	// span is the session's flight-recorder span (nil without a
+	// recorder, and once a link streams: the link's reader and writer
+	// then share the connection).
+	span *spanRec
 	// idle is the per-operation stall bound; sessionEnd (zero = none) is
 	// the whole-session deadline no refresh may extend past.
 	idle       time.Duration
 	sessionEnd time.Time
-	// metrics feeds the per-frame wire counters (nil when the node runs
-	// without observability).
-	metrics *nodeMetrics
 	// streaming marks the dial side of a link in stream mode, where the
 	// reader goroutine and the writer share the connection: a raw fill
 	// neither flushes (the writer flushes after each batch) nor times out.
@@ -155,12 +156,16 @@ type countedConn struct {
 // FrameRead and FrameWrote implement wire.FrameMeter: the framing layer
 // reports each complete frame's kind and size here.
 func (c *countedConn) FrameRead(kind wire.FrameKind, bytes int) {
-	c.metrics.frame(false, kind, bytes)
+	c.node.metrics.frame(false, kind, bytes)
 }
 
 func (c *countedConn) FrameWrote(kind wire.FrameKind, bytes int) {
-	c.metrics.frame(true, kind, bytes)
+	c.node.metrics.frame(true, kind, bytes)
 }
+
+// at points byte attribution at e's exchange (nil: traffic no exchange
+// owns) before any of its frames cross.
+func (c *countedConn) at(e *objectEntry) { c.flow.Store(c.node.flow(e, c.peer)) }
 
 // stamp computes the next operation deadline: now+idle, clipped to the
 // session end.
@@ -192,38 +197,36 @@ func (c *countedConn) fill(p []byte) (int, error) {
 		}
 	}
 	n, err := c.Conn.Read(p)
-	c.total.bytesRecv.Add(int64(n))
-	if c.call != nil {
-		c.call.bytesRecv.Add(int64(n))
-	}
-	if s := c.obj.Load(); s != nil {
-		s.bytesRecv.Add(int64(n))
-	}
+	c.flow.Load().bytesRecv.Add(int64(n))
+	c.span.bytes(0, n)
 	return n, err
 }
 
-// flush is the raw write under the write buffer.
+// flush is the raw write under the write buffer. It counts the bytes
+// before writing them: the peer may read and answer them before Write
+// returns, and whoever then reads this node's counters must see them.
+// What a failed write did not send is taken back.
 func (c *countedConn) flush(p []byte) (int, error) {
 	if err := c.Conn.SetWriteDeadline(c.stamp()); err != nil {
 		return 0, err
 	}
+	sent := c.flow.Load().bytesSent
+	sent.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.total.bytesSent.Add(int64(n))
-	if c.call != nil {
-		c.call.bytesSent.Add(int64(n))
+	if n < len(p) {
+		sent.Add(int64(n - len(p)))
 	}
-	if s := c.obj.Load(); s != nil {
-		s.bytesSent.Add(int64(n))
-	}
+	c.span.bytes(n, 0)
 	return n, err
 }
 
 // stream switches the dial side of a finished connect session to stream
 // mode, before its reader goroutine starts: the session clip no longer
-// applies, writes keep their idle deadline, and reads wait for as long
-// as the link lives.
+// applies, writes keep their idle deadline, reads wait for as long as
+// the link lives, and the connect session's span stops counting.
 func (c *countedConn) stream() error {
 	c.streaming = true
+	c.span = nil
 	c.sessionEnd = time.Time{}
 	return c.Conn.SetReadDeadline(time.Time{})
 }
@@ -246,9 +249,11 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // newConn wraps a session connection with the session buffers and the
-// node's byte accounting and deadline policy.
-func (n *Node) newConn(conn net.Conn, call *syncStats) *countedConn {
-	c := &countedConn{Conn: conn, total: &n.total, call: call, idle: n.cfg.syncTimeout(), metrics: n.metrics}
+// node's byte accounting and deadline policy. peer is the dialled
+// address, "" for an inbound connection.
+func (n *Node) newConn(conn net.Conn, peer string, span *spanRec) *countedConn {
+	c := &countedConn{Conn: conn, node: n, peer: peer, span: span, idle: n.cfg.syncTimeout()}
+	c.at(nil)
 	c.r = bufio.NewReader(readerFunc(c.fill))
 	c.w = bufio.NewWriterSize(writerFunc(c.flush), sessionWriteBuf)
 	if d := n.cfg.sessionTimeout(); d > 0 {
@@ -269,13 +274,14 @@ func (n *Node) dialPeer(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // objectEntry pairs a hosted object with the store surface its sessions
-// use, its sync counters, its Watch subscribers and, on durable nodes,
-// its pack log.
+// use, its traffic series per peer, its Watch subscribers and, on
+// durable nodes, its pack log.
 type objectEntry struct {
+	name     string
 	obj      Object
 	st       syncStore
 	log      *disk.Log
-	stats    syncStats
+	flows    sync.Map // peer -> *flow
 	watchers *watcherSet
 }
 
@@ -299,7 +305,8 @@ type Node struct {
 	// no goroutines) until WithPeers or AddPeer names some.
 	engine *mesh.Engine
 
-	total syncStats
+	// flows holds the series of traffic no exchange owns, per peer.
+	flows sync.Map // peer -> *flow
 	// ackedPeers is the first-contact set: addresses that have acked a
 	// hello, with the node name the latest ack carried. Only a session to
 	// such an address opens with the whole-node span probe — a first
@@ -320,10 +327,11 @@ type Node struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// metrics and rec are the node's observability hooks (obs.go),
-	// allocated by WithObservability / WithDebugAddr; nil by default, in
-	// which case every instrumentation site is one nil check. debug is
-	// the live debug HTTP server (debug.go), nil without WithDebugAddr.
+	// metrics is the node's view of its registry (obs.go), always on.
+	// rec is the flight recorder, nil without WithObservability or
+	// WithDebugAddr, in which case every span hook is one nil check.
+	// debug is the live debug HTTP server (debug.go), nil without
+	// WithDebugAddr.
 	metrics *nodeMetrics
 	rec     *obs.Recorder
 	debug   *debugServer
@@ -353,10 +361,10 @@ func NewNode(name string, replicaID int, opts ...NodeOption) (*Node, error) {
 	for _, opt := range opts {
 		opt(&n.cfg)
 	}
+	n.cfg.obsReg = obs.NewRegistry()
+	n.metrics = newNodeMetrics(n.cfg.obsReg)
 	if n.cfg.obsEnabled {
-		n.cfg.obsReg = obs.NewRegistry()
 		n.cfg.obsRec = obs.NewRecorder()
-		n.metrics = newNodeMetrics(n.cfg.obsReg)
 		n.rec = n.cfg.obsRec
 	}
 	n.engine = mesh.New(n, n.cfg.meshConfig())
@@ -538,10 +546,7 @@ func (n *Node) serve() {
 		select {
 		case sem <- struct{}{}:
 		default:
-			n.total.inboundShed.Add(1)
-			if m := n.metrics; m != nil {
-				m.shed.Inc()
-			}
+			n.metrics.shed.Inc()
 			conn.Close()
 			continue
 		}
@@ -551,17 +556,14 @@ func (n *Node) serve() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				conn.Close()
-				n.inboundMu.Lock()
-				delete(n.inbound, conn)
-				n.inboundMu.Unlock()
-			}()
-			// A per-session stat set rides along so the handler's span can
-			// report this session's bytes and commits in isolation.
-			var sess syncStats
-			n.handle(n.newConn(conn, &sess))
+			n.handle(conn)
+			// The slot goes back before the connection closes: a client
+			// that redials the moment it sees EOF must find it free.
+			<-sem
+			conn.Close()
+			n.inboundMu.Lock()
+			delete(n.inbound, conn)
+			n.inboundMu.Unlock()
 		}()
 	}
 }

@@ -75,7 +75,7 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 	if n.cfg.storageDir == "" {
 		st := store.NewAt(impl, codec, n.name, n.replicaID*64, n.cfg.storeOptions()...)
 		to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, node: n, st: st}
-		e := &objectEntry{obj: to, st: st, watchers: newWatcherSet()}
+		e := &objectEntry{name: object, obj: to, st: st, watchers: newWatcherSet()}
 		to.entry = e
 		n.objects[object] = e
 		return to, nil
@@ -107,7 +107,7 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 		return nil, err
 	}
 	to := &TypedObject[S, Op, Val]{datatype: datatype, branch: n.name, node: n, st: st, log: log}
-	e := &objectEntry{obj: to, st: st, log: log, watchers: newWatcherSet()}
+	e := &objectEntry{name: object, obj: to, st: st, log: log, watchers: newWatcherSet()}
 	to.entry = e
 	n.objects[object] = e
 	return to, nil

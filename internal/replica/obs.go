@@ -1,14 +1,15 @@
 package replica
 
 // Replica-layer observability: session duration and outcomes by role,
-// per-frame wire accounting, reconciliation
-// descent depth, and the flight-recorder spans a sync session leaves
-// behind. All of it is off by default: WithObservability (or
-// WithDebugAddr, which implies it) allocates the node's registry and
-// recorder; without them n.metrics and n.rec stay nil and every hook
-// here is a single nil check.
+// per-frame wire accounting, reconciliation descent depth, the traffic
+// series SyncStats is a view over (stats.go), and the flight-recorder
+// spans a sync session leaves behind. The registry is always on: every
+// node builds one and hands it to its stores, logs and mesh engine. The
+// recorder is opt-in (WithObservability, or WithDebugAddr which implies
+// it); without it n.rec stays nil and every span hook is a nil check.
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mesh"
@@ -58,90 +59,93 @@ func kindName(k wire.FrameKind) string {
 }
 
 // nodeMetrics is the replica layer's registry view. Frame counters are
-// pre-resolved into arrays indexed by kind so the per-frame hot path is
-// one bounds check and two atomic adds, never a registry lookup.
+// resolved on a kind's first frame into arrays indexed by kind, so the
+// per-frame hot path is one bounds check, one load and two atomic adds,
+// and a node holds series only for the kinds it has seen.
 type nodeMetrics struct {
 	reg             *obs.Registry
 	sessionNsClient *obs.Histogram
 	sessionNsServer *obs.Histogram
 	shed            *obs.Counter
 	descentDepth    *obs.Histogram
-	rangesClient    *obs.Counter
-	rangesServer    *obs.Counter
 	spanMatch       *obs.Counter
 	spanDiff        *obs.Counter
 
-	framesIn, framesOut         [maxFrameKind + 1]*obs.Counter
-	frameBytesIn, frameBytesOut [maxFrameKind + 1]*obs.Counter
+	framesIn, framesOut [maxFrameKind + 1]atomic.Pointer[frameSeries]
 }
 
+// frameSeries is one frame kind's counters in one direction.
+type frameSeries struct{ frames, bytes *obs.Counter }
+
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &nodeMetrics{
 		reg:             reg,
 		sessionNsClient: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "client"),
 		sessionNsServer: reg.Histogram("peepul_replica_session_ns", obs.LatencyBuckets, "role", "server"),
-		shed:            reg.Counter("peepul_replica_inbound_shed_total"),
+		shed:            reg.Counter(shedSeries),
 		descentDepth:    reg.Histogram("peepul_recon_descent_ranges", obs.DepthBuckets),
-		rangesClient:    reg.Counter("peepul_recon_ranges_total", "role", "client"),
-		rangesServer:    reg.Counter("peepul_recon_ranges_total", "role", "server"),
 		spanMatch:       reg.Counter("peepul_recon_span_probes_total", "result", "match"),
 		spanDiff:        reg.Counter("peepul_recon_span_probes_total", "result", "diff"),
 	}
-	for k := wire.FrameKind(0); k <= maxFrameKind; k++ {
-		name := kindName(k)
-		if k == 0 {
-			name = "other"
-		}
-		m.framesIn[k] = reg.Counter("peepul_wire_frames_total", "kind", name, "dir", "in")
-		m.framesOut[k] = reg.Counter("peepul_wire_frames_total", "kind", name, "dir", "out")
-		m.frameBytesIn[k] = reg.Counter("peepul_wire_frame_bytes_total", "kind", name, "dir", "in")
-		m.frameBytesOut[k] = reg.Counter("peepul_wire_frame_bytes_total", "kind", name, "dir", "out")
-	}
+	reg.Describe(mesh.BytesSeries, "raw session bytes by direction, object and (dial side) peer")
+	reg.Describe(mesh.CommitsSeries, "commits shipped by direction, object and (dial side) peer")
+	reg.Describe(patchesSeries, "commits that crossed the wire as binary patches, by direction, object and peer")
+	reg.Describe(exchangesSeries, "completed per-object exchanges, one per role")
+	reg.Describe(missesSeries, "hellos answered with object not hosted here")
+	reg.Describe(redundantSeries, "received commits that were already present")
+	reg.Describe(rangesSeries, "reconciliation range probes issued (client) and answered (server), by object and peer")
 	reg.Describe("peepul_replica_session_ns", "wall time of whole sync sessions by role")
 	reg.Describe("peepul_replica_sessions_total", "completed sync sessions by role and outcome")
-	reg.Describe("peepul_replica_inbound_shed_total", "inbound connections closed unserved at the session cap")
+	reg.Describe(shedSeries, "inbound connections closed unserved at the session cap")
 	reg.Describe("peepul_recon_descent_ranges", "ranges probed per reconciliation descent")
-	reg.Describe("peepul_recon_ranges_total", "reconciliation range probes issued (client) and answered (server)")
 	reg.Describe("peepul_recon_span_probes_total", "whole-node span probes by result; a match short-circuits the round")
 	reg.Describe("peepul_wire_frames_total", "protocol frames by kind and direction")
 	reg.Describe("peepul_wire_frame_bytes_total", "protocol frame bytes by kind and direction")
 	return m
 }
 
-// session counts one completed session. Sessions are per-round, not
-// per-frame, so the lazy (role, outcome) resolution is fine.
-func (m *nodeMetrics) session(role, outcome string) {
-	if m == nil {
-		return
+// session counts one finished session in role: its wall time since
+// start, and its outcome. Sessions are per-round, not per-frame, so the
+// lazy (role, outcome) resolution is fine.
+func (m *nodeMetrics) session(role string, start time.Time, err error) {
+	ns := m.sessionNsClient
+	if role == "server" {
+		ns = m.sessionNsServer
+	}
+	ns.Observe(time.Since(start).Nanoseconds())
+	outcome := "ok"
+	if err != nil {
+		outcome = failClassName(classifyFailure(err))
 	}
 	m.reg.Counter("peepul_replica_sessions_total", "role", role, "outcome", outcome).Inc()
 }
 
-// frame feeds one frame into the pre-resolved counters (FrameMeter).
+// frame feeds one frame into its kind's counters (FrameMeter).
 func (m *nodeMetrics) frame(out bool, kind wire.FrameKind, bytes int) {
-	if m == nil {
-		return
-	}
 	if kind > maxFrameKind {
 		kind = 0
 	}
+	slot, dir := &m.framesIn[kind], "in"
 	if out {
-		m.framesOut[kind].Inc()
-		m.frameBytesOut[kind].Add(int64(bytes))
-	} else {
-		m.framesIn[kind].Inc()
-		m.frameBytesIn[kind].Add(int64(bytes))
+		slot, dir = &m.framesOut[kind], "out"
 	}
+	s := slot.Load()
+	if s == nil {
+		// Racing first frames resolve the same registry series.
+		name := kindName(kind)
+		s = &frameSeries{
+			frames: m.reg.Counter("peepul_wire_frames_total", "kind", name, "dir", dir),
+			bytes:  m.reg.Counter("peepul_wire_frame_bytes_total", "kind", name, "dir", dir),
+		}
+		slot.Store(s)
+	}
+	s.frames.Inc()
+	s.bytes.Add(int64(bytes))
 }
 
 // descent records one finished reconciliation descent's probe count.
 func (m *nodeMetrics) descent(ranges int) {
-	if m != nil {
-		m.descentDepth.Observe(int64(ranges))
-	}
+	m.descentDepth.Observe(int64(ranges))
 }
 
 // failClassName maps the mesh failure taxonomy to metric label values.
@@ -199,20 +203,30 @@ func (sr *spanRec) objects(k int) {
 	}
 }
 
-// finish stamps duration, byte and commit totals (from the session's
-// counters) and the failure classification, then commits the span to
-// the ring.
-func (sr *spanRec) finish(call *syncStats, err error) {
+// bytes adds raw bytes the session's connection moved; the connection
+// reports them as it counts them into its flow.
+func (sr *spanRec) bytes(sent, recv int) {
+	if sr != nil {
+		sr.span.BytesSent += int64(sent)
+		sr.span.BytesRecv += int64(recv)
+	}
+}
+
+// commits adds commits the session shipped and received.
+func (sr *spanRec) commits(sent, recv int) {
+	if sr != nil {
+		sr.span.CommitsSent += int64(sent)
+		sr.span.CommitsRecv += int64(recv)
+	}
+}
+
+// finish stamps the duration and the failure classification, then
+// commits the span to the ring.
+func (sr *spanRec) finish(err error) {
 	if sr == nil {
 		return
 	}
 	sr.span.DurNs = time.Since(sr.span.Start).Nanoseconds()
-	if call != nil {
-		sr.span.BytesSent = call.bytesSent.Load()
-		sr.span.BytesRecv = call.bytesRecv.Load()
-		sr.span.CommitsSent = call.commitsSent.Load()
-		sr.span.CommitsRecv = call.commitsRecv.Load()
-	}
 	if err != nil {
 		sr.span.Err = err.Error()
 		sr.span.FailClass = failClassName(classifyFailure(err))
@@ -230,11 +244,6 @@ func (n *Node) Trace() obs.Trace {
 	return n.rec.Snapshot()
 }
 
-// Registry exposes the node's metrics registry, nil without
-// WithObservability.
-func (n *Node) Registry() *obs.Registry {
-	if n.metrics == nil {
-		return nil
-	}
-	return n.metrics.reg
-}
+// Registry exposes the node's metrics registry, the one counter source
+// every layer of the node ticks.
+func (n *Node) Registry() *obs.Registry { return n.metrics.reg }

@@ -49,11 +49,11 @@ type nodeConfig struct {
 	syncTO       time.Duration
 	sessionTO    time.Duration
 	sessionTOSet bool
-	// obsEnabled turns on the node's metrics registry and flight
-	// recorder (WithObservability, or WithDebugAddr which implies it);
-	// debugAddr, when set, serves the live debug endpoint. obsReg and
-	// obsRec are resolved by NewNode once the options are folded, so
-	// the store, disk and mesh layers all share the node's registry.
+	// obsEnabled turns on the node's flight recorder (WithObservability,
+	// or WithDebugAddr which implies it); debugAddr, when set, serves the
+	// live debug endpoint. obsReg (always) and obsRec (when enabled) are
+	// resolved by NewNode once the options are folded, so the store, disk
+	// and mesh layers all share the node's registry.
 	obsEnabled bool
 	debugAddr  string
 	obsReg     *obs.Registry
@@ -187,7 +187,8 @@ func WithTransport(t Transport) NodeOption {
 // WithMaxInbound caps the node's concurrent inbound sync sessions
 // (default 64): connections accepted past the cap are closed promptly
 // and counted in SyncStats.InboundShed, so a dial storm cannot pile up
-// goroutines. Zero keeps the default; negative removes the cap.
+// goroutines. A handler frees its slot before it closes its connection.
+// Zero keeps the default; negative removes the cap.
 func WithMaxInbound(n int) NodeOption {
 	return func(c *nodeConfig) { c.maxInbound = n }
 }
@@ -201,12 +202,12 @@ func WithSyncTimeout(d time.Duration) NodeOption {
 	return func(c *nodeConfig) { c.syncTO = d }
 }
 
-// WithObservability turns on the node's flight recorder and metrics
-// registry: every layer — wire framing, store merges, disk appends,
-// mesh rounds, sync sessions — records into one obs.Registry, sync
-// sessions leave trace spans retrievable with Trace, and the registry
-// is exposed through Registry (and, with WithDebugAddr, over HTTP).
-// Off by default; the disabled hot paths pay one nil check per site.
+// WithObservability turns on the node's flight recorder: sync sessions
+// leave trace spans and the mesh daemon lifecycle events, retrievable
+// with Trace. The metrics registry every layer — wire framing, store
+// merges, disk appends, mesh rounds, sync sessions — records into is
+// always on (Registry); the recorder is opt-in because its rings cost
+// about 120 KB per node. Without it each span hook is one nil check.
 func WithObservability() NodeOption {
 	return func(c *nodeConfig) { c.obsEnabled = true }
 }
@@ -217,7 +218,7 @@ func WithObservability() NodeOption {
 // unifying sync stats, per-object stats, mesh peer state, the metric
 // registry and the recent trace), /debug/peepul/trace, /healthz, and
 // the net/http/pprof profiles under /debug/pprof/. Implies
-// WithObservability.
+// WithObservability, for the trace.
 func WithDebugAddr(addr string) NodeOption {
 	return func(c *nodeConfig) { c.debugAddr, c.obsEnabled = addr, true }
 }
@@ -255,13 +256,10 @@ func (c *nodeConfig) meshConfig() mesh.Config {
 	return mc
 }
 
-// storeOptions assembles the store options for one object, including
-// the node's observability registry when enabled.
+// storeOptions assembles the store options for one object: the store
+// counts into the node's registry.
 func (c *nodeConfig) storeOptions() []store.Option {
-	if c.obsReg != nil {
-		return []store.Option{store.WithObs(c.obsReg)}
-	}
-	return nil
+	return []store.Option{store.WithObs(c.obsReg)}
 }
 
 // objectDirName maps an object name to a filesystem-safe directory name:
@@ -294,12 +292,9 @@ func (c *nodeConfig) objectDir(object string) string {
 
 // logOptions assembles the disk options for one object log.
 func (c *nodeConfig) logOptions() []disk.Option {
-	opts := []disk.Option{disk.WithFsync(c.fsync)}
+	opts := []disk.Option{disk.WithFsync(c.fsync), disk.WithObs(c.obsReg)}
 	if c.checkpointEvery > 0 {
 		opts = append(opts, disk.WithCheckpointEvery(c.checkpointEvery))
-	}
-	if c.obsReg != nil {
-		opts = append(opts, disk.WithObs(c.obsReg))
 	}
 	return opts
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"repro/internal/recon"
@@ -20,6 +21,7 @@ import (
 // (store.Reply); it is nil between exchanges.
 type reconSession struct {
 	e       *objectEntry
+	flow    *flow // the exchange's series
 	hello   wire.Hello
 	capture *store.Capture
 	// probes counts the range probes answered this exchange — the
@@ -46,9 +48,10 @@ func (rs *reconSession) release() {
 // a refusal is a protocol violation, while a connection that failed
 // under a read, a mid-session flush or the exit flush is transport
 // trouble.
-func (n *Node) handle(conn *countedConn) {
+func (n *Node) handle(raw net.Conn) {
 	start := time.Now()
 	sp := n.newSpan("server", "")
+	conn := n.newConn(raw, "", sp)
 	var rs reconSession
 	err := n.serveSession(conn, &rs, sp)
 	// A dropped connection or protocol error can abandon a session
@@ -57,15 +60,8 @@ func (n *Node) handle(conn *countedConn) {
 	if ferr := conn.w.Flush(); err == nil {
 		err = ferr
 	}
-	sp.finish(conn.call, err)
-	if m := n.metrics; m != nil {
-		m.sessionNsServer.Observe(time.Since(start).Nanoseconds())
-		outcome := "ok"
-		if err != nil {
-			outcome = failClassName(classifyFailure(err))
-		}
-		m.session("server", outcome)
-	}
+	sp.finish(err)
+	n.metrics.session("server", start, err)
 }
 
 // serveSession dispatches one inbound session's frames until the client
@@ -147,16 +143,15 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	sp.setPeer(hello.Node)
 	// Re-point byte attribution before any reply: traffic of this
 	// exchange must not land on the previous exchange's object.
-	conn.obj.Store(nil)
 	e, ok := n.entry(hello.Object)
 	if !ok {
-		n.total.misses.Add(1)
+		conn.at(nil)
+		conn.flow.Load().misses.Inc()
 		return wire.WriteMsg(conn, wire.FrameHelloMiss, []byte("object not hosted: "+hello.Object))
 	}
-	conn.obj.Store(&e.stats)
+	conn.at(e)
 	if dt := e.obj.Datatype(); dt != hello.Datatype {
-		n.total.misses.Add(1)
-		e.stats.misses.Add(1)
+		conn.flow.Load().misses.Inc()
 		return wire.WriteMsg(conn, wire.FrameHelloMiss,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
 	}
@@ -169,7 +164,7 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	*rs = reconSession{e: e, hello: hello, capture: capture}
+	*rs = reconSession{e: e, flow: conn.flow.Load(), hello: hello, capture: capture}
 	answer, err := n.answerProbe(rs, root)
 	if err != nil {
 		return refuseErr(conn, err)
@@ -211,12 +206,8 @@ func (n *Node) handleReconProbe(conn *countedConn, fields [][]byte, rs *reconSes
 // capture covers what grew (see store.Capture), so a range that moved
 // surfaces as a re-negotiation next round, never as corruption.
 func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnswer, error) {
-	n.total.rangesRecv.Add(1)
-	rs.e.stats.rangesRecv.Add(1)
+	rs.flow.rangesRecv.Inc()
 	rs.probes++
-	if m := n.metrics; m != nil {
-		m.rangesServer.Inc()
-	}
 	obj := rs.e.st
 	fp, count := obj.ReconRange(rr.X, rr.Y)
 	switch {
@@ -279,17 +270,11 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	// Count the exchange before the reply streams out: the client may
 	// read its own stats the moment its SyncWith returns, and this
 	// handler goroutine has no happens-before edge past the write.
-	for _, s := range []*syncStats{&n.total, &e.stats, conn.call} {
-		s.deltaSyncs.Add(1)
-		s.commitsRecv.Add(int64(len(commits)))
-		s.commitsSent.Add(int64(len(reply)))
-		s.patchesRecv.Add(countPatches(commits))
-		s.patchesSent.Add(countPatches(reply))
-		s.redundantCommits.Add(int64(redundant))
-	}
-	if m := n.metrics; m != nil {
-		m.descent(rs.probes)
-	}
+	rs.flow.exchanges.Inc()
+	rs.flow.landed(commits, redundant)
+	rs.flow.shipped(reply)
+	n.metrics.descent(rs.probes)
+	sp.commits(len(reply), len(commits))
 	sp.objects(1)
 	sp.phase("ship", rs.hello.Object, wStart)
 	return wire.WriteDeltaPacked(conn, reply, replyHead)
@@ -317,12 +302,12 @@ func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) 
 		return refuseErr(conn, err)
 	}
 	sp.setPeer(hello.Node)
-	conn.obj.Store(nil)
 	e, ok := n.entry(hello.Object)
 	if !ok || e.obj.Datatype() != hello.Datatype {
+		conn.at(nil)
 		return refuse(conn, fmt.Sprintf("link batch for object %s (%s), not hosted here", hello.Object, hello.Datatype))
 	}
-	conn.obj.Store(&e.stats)
+	conn.at(e)
 	commits, head, err := readDelta(conn)
 	if err != nil {
 		return refuseErr(conn, err)
@@ -334,11 +319,8 @@ func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) 
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	for _, s := range []*syncStats{&n.total, &e.stats, conn.call} {
-		s.commitsRecv.Add(int64(len(commits)))
-		s.patchesRecv.Add(countPatches(commits))
-		s.redundantCommits.Add(int64(redundant))
-	}
+	conn.flow.Load().landed(commits, redundant)
+	sp.commits(0, len(commits))
 	return nil
 }
 
@@ -355,11 +337,8 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	conn.obj.Store(nil)
-	n.total.rangesRecv.Add(1)
-	if m := n.metrics; m != nil {
-		m.rangesServer.Inc()
-	}
+	conn.at(nil)
+	conn.flow.Load().rangesRecv.Inc()
 	names := n.Objects()
 	mine := n.nodeSpan(names)
 	if mine == probe {
@@ -367,20 +346,15 @@ func (n *Node) handleReconSpan(conn *countedConn, fields [][]byte, sp *spanRec) 
 		// converged exchange per hosted object.
 		for _, name := range names {
 			if e, ok := n.entry(name); ok {
-				e.stats.deltaSyncs.Add(1)
+				n.flow(e, "").exchanges.Inc()
 			}
-			n.total.deltaSyncs.Add(1)
 		}
-		if m := n.metrics; m != nil {
-			m.spanMatch.Inc()
-		}
+		n.metrics.spanMatch.Inc()
 		sp.objects(len(names))
 		sp.phase("span-probe", "", sStart)
 		return wire.WriteMsg(conn, wire.FrameReconMatch)
 	}
-	if m := n.metrics; m != nil {
-		m.spanDiff.Inc()
-	}
+	n.metrics.spanDiff.Inc()
 	sp.phase("span-probe", "", sStart)
 	return wire.WriteMsg(conn, wire.FrameReconSpan, wire.EncodeReconSpan(mine))
 }

@@ -1,17 +1,20 @@
 package replica
 
 import (
-	"sync/atomic"
-
+	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// SyncStats counts sync traffic across both client and server roles.
-// The node's aggregate stats cover both directions of every connection
-// the node took part in; per-object stats attribute commits exactly and
-// bytes to the object whose exchange was in flight when they crossed the
-// wire. Commit counts are commits shipped, before content-address
-// deduplication on the receiving side.
+// SyncStats counts sync traffic across both client and server roles. It
+// is a view over the node's registry: each field is the sum of the
+// series one kind of event ticks (see flow), over the whole node for
+// Stats and over one object's series for ObjectStats. The node's
+// aggregate covers both directions of every connection the node took
+// part in; per-object stats attribute commits exactly and bytes to the
+// object whose exchange was in flight when they crossed the wire. Commit
+// counts are commits shipped, before content-address deduplication on
+// the receiving side.
 type SyncStats struct {
 	BytesSent   int64
 	BytesRecv   int64
@@ -43,40 +46,80 @@ type SyncStats struct {
 	InboundShed int64
 }
 
-type syncStats struct {
-	bytesSent, bytesRecv     atomic.Int64
-	commitsSent, commitsRecv atomic.Int64
-	deltaSyncs, misses       atomic.Int64
-	patchesSent, patchesRecv atomic.Int64
-	rangesSent, rangesRecv   atomic.Int64
-	redundantCommits         atomic.Int64
-	inboundShed              atomic.Int64
+// The replica layer's traffic series, besides mesh.BytesSeries and
+// mesh.CommitsSeries. Each is labelled object, except for traffic no
+// exchange owns (span probes, hellos for objects not hosted here), and
+// on the dial side peer, the dialled address. Shed connections belong to
+// neither and are one unlabelled series.
+const (
+	patchesSeries   = "peepul_replica_patches_total"
+	exchangesSeries = "peepul_replica_exchanges_total"
+	missesSeries    = "peepul_replica_misses_total"
+	redundantSeries = "peepul_replica_redundant_commits_total"
+	rangesSeries    = "peepul_recon_ranges_total"
+	shedSeries      = "peepul_replica_inbound_shed_total"
+)
+
+// flow is the set of series one object's traffic with one peer ticks,
+// resolved once per pair and cached, so that counting a raw read or
+// write costs one atomic add.
+type flow struct {
+	bytesSent, bytesRecv         *obs.Counter
+	commitsSent, commitsRecv     *obs.Counter
+	patchesSent, patchesRecv     *obs.Counter
+	rangesSent, rangesRecv       *obs.Counter
+	exchanges, misses, redundant *obs.Counter
 }
 
-func (s *syncStats) snapshot() SyncStats {
-	return SyncStats{
-		BytesSent:        s.bytesSent.Load(),
-		BytesRecv:        s.bytesRecv.Load(),
-		CommitsSent:      s.commitsSent.Load(),
-		CommitsRecv:      s.commitsRecv.Load(),
-		DeltaSyncs:       s.deltaSyncs.Load(),
-		Misses:           s.misses.Load(),
-		PatchesSent:      s.patchesSent.Load(),
-		PatchesRecv:      s.patchesRecv.Load(),
-		RangesSent:       s.rangesSent.Load(),
-		RangesRecv:       s.rangesRecv.Load(),
-		RedundantCommits: s.redundantCommits.Load(),
-		InboundShed:      s.inboundShed.Load(),
+func newFlow(reg *obs.Registry, labels []string) *flow {
+	c := func(name string, kv ...string) *obs.Counter {
+		return reg.Counter(name, append(kv, labels...)...)
+	}
+	return &flow{
+		bytesSent:   c(mesh.BytesSeries, "dir", "sent"),
+		bytesRecv:   c(mesh.BytesSeries, "dir", "recv"),
+		commitsSent: c(mesh.CommitsSeries, "dir", "sent"),
+		commitsRecv: c(mesh.CommitsSeries, "dir", "recv"),
+		patchesSent: c(patchesSeries, "dir", "sent"),
+		patchesRecv: c(patchesSeries, "dir", "recv"),
+		rangesSent:  c(rangesSeries, "role", "client"),
+		rangesRecv:  c(rangesSeries, "role", "server"),
+		exchanges:   c(exchangesSeries),
+		misses:      c(missesSeries),
+		redundant:   c(redundantSeries),
 	}
 }
 
-// callState is one client exchange's in-flight context: the byte and
-// commit counters feeding the mesh Report, and the flight-recorder span.
-// span is nil (and every use of it a no-op) when the node runs without
-// observability.
-type callState struct {
-	stats syncStats
-	span  *spanRec
+// flow returns the series of e's traffic with peer: a nil e is traffic
+// no exchange owns, and peer "" an inbound session, whose dial address
+// this side never learns.
+func (n *Node) flow(e *objectEntry, peer string) *flow {
+	cache, labels := &n.flows, []string(nil)
+	if e != nil {
+		cache, labels = &e.flows, []string{"object", e.name}
+	}
+	if f, ok := cache.Load(peer); ok {
+		return f.(*flow)
+	}
+	if peer != "" {
+		labels = append(labels, "peer", peer)
+	}
+	f, _ := cache.LoadOrStore(peer, newFlow(n.metrics.reg, labels))
+	return f.(*flow)
+}
+
+// shipped counts one delta or batch of commits sent.
+func (f *flow) shipped(commits []store.ExportedCommit) {
+	f.commitsSent.Add(int64(len(commits)))
+	f.patchesSent.Add(countPatches(commits))
+}
+
+// landed counts one delta or batch of commits received, redundant of
+// which were already present.
+func (f *flow) landed(commits []store.ExportedCommit, redundant int) {
+	f.commitsRecv.Add(int64(len(commits)))
+	f.patchesRecv.Add(countPatches(commits))
+	f.redundant.Add(int64(redundant))
 }
 
 // countPatches reports how many of the commits travel as patches.
@@ -90,17 +133,35 @@ func countPatches(commits []store.ExportedCommit) int64 {
 	return n
 }
 
+// stats sums the node's traffic series whose labels include match.
+func (m *nodeMetrics) stats(match ...string) SyncStats {
+	sum := func(name string, kv ...string) int64 {
+		return m.reg.Sum(name, append(kv, match...)...)
+	}
+	return SyncStats{
+		BytesSent:        sum(mesh.BytesSeries, "dir", "sent"),
+		BytesRecv:        sum(mesh.BytesSeries, "dir", "recv"),
+		CommitsSent:      sum(mesh.CommitsSeries, "dir", "sent"),
+		CommitsRecv:      sum(mesh.CommitsSeries, "dir", "recv"),
+		DeltaSyncs:       sum(exchangesSeries),
+		Misses:           sum(missesSeries),
+		PatchesSent:      sum(patchesSeries, "dir", "sent"),
+		PatchesRecv:      sum(patchesSeries, "dir", "recv"),
+		RangesSent:       sum(rangesSeries, "role", "client"),
+		RangesRecv:       sum(rangesSeries, "role", "server"),
+		RedundantCommits: sum(redundantSeries),
+		InboundShed:      sum(shedSeries),
+	}
+}
+
 // Stats returns a snapshot of the node's aggregate sync counters.
-func (n *Node) Stats() SyncStats { return n.total.snapshot() }
+func (n *Node) Stats() SyncStats { return n.metrics.stats() }
 
 // ObjectStats returns a snapshot of one object's sync counters (zero for
 // objects the node does not host).
 func (n *Node) ObjectStats(object string) SyncStats {
-	n.mu.Lock()
-	e, ok := n.objects[object]
-	n.mu.Unlock()
-	if !ok {
+	if _, ok := n.entry(object); !ok {
 		return SyncStats{}
 	}
-	return e.stats.snapshot()
+	return n.metrics.stats("object", object)
 }

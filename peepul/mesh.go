@@ -56,7 +56,8 @@ func (n *Node) Peers() []string { return n.rn.Peers() }
 // included), Pushes — stream batches written that carried commits —
 // failures and the backoff they earned, a health score (1 = healthy,
 // halved per failure), wire cost, the last time an exchange completed,
-// and the last error.
+// and the last error. Its counters are a view over the node's metrics
+// registry: the series labelled with the peer's address.
 type MeshStats = mesh.PeerStats
 
 // MeshStats snapshots the daemon's per-peer state, keyed by address.

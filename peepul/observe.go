@@ -1,9 +1,10 @@
 package peepul
 
-// Observability surface: the flight recorder and metrics registry
-// behind WithObservability, and the live debug endpoint behind
-// WithDebugAddr. Both are off by default and cost the hot paths one
-// nil check per instrumentation site when disabled.
+// Observability surface: the metrics registry every node keeps, the
+// flight recorder behind WithObservability, and the live debug endpoint
+// behind WithDebugAddr. The registry is always on — Stats, ObjectStats
+// and MeshStats are views over it. The recorder and the endpoint are
+// opt-in; without them each span hook costs one nil check.
 
 import (
 	"io"
@@ -41,11 +42,11 @@ type DebugSnapshot = replica.DebugSnapshot
 // ObjectDebug is one object's row in a DebugSnapshot.
 type ObjectDebug = replica.ObjectDebug
 
-// WithObservability turns on the node's metrics registry and flight
-// recorder: wire framing, store merges, disk appends, mesh rounds and
-// sync sessions all record into one registry, and each sync session
-// leaves a trace span. Read them back with Metrics, WriteMetrics,
-// Trace and DebugSnapshot.
+// WithObservability turns on the node's flight recorder: each sync
+// session leaves a trace span and the mesh daemon its lifecycle events.
+// Read them back with Trace and DebugSnapshot. The metrics registry
+// (Metrics, WriteMetrics) needs no option: wire framing, store merges,
+// disk appends, mesh rounds and sync sessions always record into it.
 func WithObservability() NodeOption { return replica.WithObservability() }
 
 // WithDebugAddr serves the node's live debug endpoint on addr
@@ -69,25 +70,12 @@ func (n *Node) DebugAddr() string { return n.rn.DebugAddr() }
 func (n *Node) DebugSnapshot() DebugSnapshot { return n.rn.DebugSnapshot() }
 
 // Metrics snapshots every metric series of the node's registry, sorted
-// by name and labels. Nil without WithObservability.
-func (n *Node) Metrics() []Metric {
-	reg := n.rn.Registry()
-	if reg == nil {
-		return nil
-	}
-	return reg.Snapshot()
-}
+// by name and labels.
+func (n *Node) Metrics() []Metric { return n.rn.Registry().Snapshot() }
 
 // WriteMetrics writes the node's registry to w in Prometheus text
-// exposition format — what /metrics serves. A no-op without
-// WithObservability.
-func (n *Node) WriteMetrics(w io.Writer) error {
-	reg := n.rn.Registry()
-	if reg == nil {
-		return nil
-	}
-	return reg.WriteProm(w)
-}
+// exposition format — what /metrics serves.
+func (n *Node) WriteMetrics(w io.Writer) error { return n.rn.Registry().WriteProm(w) }
 
 // FormatTrace renders a trace as a human-readable timeline, one line
 // per event and per span phase.

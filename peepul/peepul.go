@@ -89,7 +89,9 @@ type Report = sim.Report
 // for the simple data types.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
-// SyncStats counts a node's (or one object's) sync traffic.
+// SyncStats counts a node's (or one object's) sync traffic. It is a view
+// over the node's metrics registry: each field sums the series of one
+// kind of event (see Metrics).
 type SyncStats = replica.SyncStats
 
 // MaxReplicaID is the largest node id accepted by NewNode.
