@@ -60,3 +60,50 @@ func BenchmarkDeltaMake(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeltaCompose composes what the store composes when a chain is
+// full: a composed patch at the bottom (here 300 earlier edits), 30
+// chained edits and the new state's own patch, on a 64 KB log (prepends)
+// and or-set (scattered inserts).
+func BenchmarkDeltaCompose(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	log := make(mlog.State, (64<<10)/(12+24))
+	for i := range log {
+		log[i] = mlog.Entry{T: lamport(int64(len(log)-i), 1), Msg: randMsg(rng, 24)}
+	}
+	ps := sortedPairs(rng, (64<<10)/16)
+	shapes := []struct {
+		name string
+		next func(int) []byte
+	}{
+		{"prepend", func(i int) []byte {
+			log = append(mlog.State{{T: lamport(int64(1<<20+i), 1), Msg: randMsg(rng, 24)}}, log...)
+			return wire.MLog{}.Encode(log)
+		}},
+		{"sorted-insert", func(int) []byte {
+			ps = insertSorted(rng, ps, 1)
+			return wire.OrSetSpace{}.Encode(ps)
+		}},
+	}
+	for _, sh := range shapes {
+		snapshot := sh.next(0)
+		prev := snapshot
+		var chain [][]byte
+		for i := 1; i <= 331; i++ {
+			next := sh.next(i)
+			chain = append(chain, delta.Make(prev, next))
+			prev = next
+		}
+		bottom, err := delta.Compose(chain[:300]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chain = append([][]byte{bottom}, chain[300:]...)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				benchSink, _ = delta.Compose(chain...)
+			}
+		})
+	}
+}

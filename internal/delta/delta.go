@@ -40,6 +40,14 @@
 // Make always produces a valid patch; when base and target share nothing,
 // the patch degenerates to one insert of the whole target (plus the
 // header).
+//
+// # Patch composition
+//
+// Compose folds a chain of patches into one patch from the first one's
+// base, in O(opcodes) and without rebuilding any intermediate state. The
+// store uses it to rebase a state whose chain is full onto the chain's
+// snapshot: a fresh Make against a snapshot hundreds of edits old costs
+// what indexing the whole base costs whenever the edits are scattered.
 package delta
 
 import (

@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -485,6 +486,29 @@ func segmentRecords(t *testing.T, path string) (bounds []int64, kinds []byte) {
 	return bounds, kinds
 }
 
+// composedObjects counts the objects of the log in dir stored as one
+// patch composed onto their chain's snapshot: depth-1 patches whose base
+// is not the state of their commit's first parent.
+func composedObjects(t *testing.T, dir string) int {
+	t.Helper()
+	l, rec, err := disk.Open(dir, disk.WithFullReplay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n := 0
+	for _, c := range rec.State.Commits {
+		if len(c.Parents) == 0 {
+			continue
+		}
+		parent := rec.State.Commits[c.Parents[0]]
+		if o := rec.State.Objects[c.State]; o.Delta && o.Depth == 1 && o.Base != parent.State {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCrashPointSweep cuts one recorded log at every record boundary and
 // once inside every record, and reopens each cut through the recovery
 // ladder: every cut must recover a VerifyPack-clean store whose branch
@@ -504,6 +528,10 @@ func TestCrashPointSweep(t *testing.T) {
 	}
 
 	s, l, _ := openLogStore(t, dir, opts...)
+	// A large first entry keeps the patches of the short entries below a
+	// quarter of the state, so chain-full states compose onto their
+	// chain's snapshot and the sweep cuts through composed objects too.
+	appendMsg(t, s, "main", strings.Repeat("large first entry ", 256))
 	for _, b := range []string{"dev", "scratch"} {
 		if err := s.Fork("main", b); err != nil {
 			t.Fatal(err)
@@ -542,6 +570,11 @@ func TestCrashPointSweep(t *testing.T) {
 		}
 	}
 
+	if n := composedObjects(t, dir); n == 0 {
+		t.Fatal("the swept log holds no object composed onto its chain's snapshot")
+	} else {
+		t.Logf("swept log holds %d composed objects", n)
+	}
 	orig, lo, _ := openLogStore(t, dir, opts...)
 	defer lo.Close()
 	origHeads := branchHeads(t, orig)

@@ -61,7 +61,8 @@ func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, Hash, error) {
 // receiver (topological order puts it earlier in the batch, or it is a
 // member of the have-set the walk was cut at), so Import can always
 // reassemble. Snapshots and commits whose chain base is not their parent
-// (deduplicated states) ship full.
+// ship full: deduplicated states, and chain-full states composed onto
+// their chain's snapshot, since the wire form has no base field.
 func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]ExportedCommit, Hash, error) {
 	return s.export(b, have, true)
 }
@@ -116,6 +117,9 @@ func (s *Store[S, Op, Val]) exportOrderLocked(order []Hash, packed bool) ([]Expo
 			}
 			ec.Patch = append([]byte(nil), patch...)
 		default:
+			// Snapshots, and patches whose base is not the parent's state
+			// (chain-full states composed onto their chain's snapshot),
+			// ship full: the wire form patches against the parent only.
 			enc, err := s.materializeHintLocked(c.State, lastHash, lastEnc)
 			if err != nil {
 				return nil, err

@@ -21,7 +21,7 @@ type storePhase int
 const (
 	phaseEncode storePhase = iota // codec.Encode of the new state
 	phaseHash                     // SHA-256 of the encoding
-	phaseDelta                    // materializing the base and delta.Make against it
+	phaseDelta                    // materializing the base, delta.Make against it, composing a chain-full state
 	numStorePhases
 )
 

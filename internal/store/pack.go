@@ -15,12 +15,15 @@ import (
 // Every state used to pin its full encoding forever, so resident bytes
 // grew O(history × state size). Packed, each state object is either a
 // full snapshot or a binary delta (internal/delta) chained to the state
-// of its commit-parent, with a snapshot every SnapshotEvery links so no
-// read ever walks an unbounded chain — Git's packfile discipline applied
-// to the paper's version store. Reads reassemble through materialize,
-// which verifies the content hash of everything it rebuilds; decoded
-// states are held in a small LRU so branch heads stay hot while deep
-// history stops pinning memory.
+// of its commit-parent — Git's packfile discipline applied to the
+// paper's version store. The chain bound is SnapshotEvery−1 patches, so
+// no read ever walks an unbounded chain: a state whose parent's chain is
+// full is stored as one patch composed onto that chain's snapshot (depth
+// 1, delta.Compose over the chain's patches and its own), unless that
+// patch reaches a quarter of the state, when it is stored whole. Reads
+// reassemble through materialize, which verifies the content hash of
+// everything it rebuilds; decoded states are held in a small LRU so
+// branch heads stay hot while deep history stops pinning memory.
 
 // ErrCorruptPack is returned when a stored object fails to reassemble to
 // its content address — a broken chain or a corrupted patch.
@@ -292,11 +295,17 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 	return st, nil
 }
 
-// packLocked stores encoding enc under its content address h, as a delta
-// chained to base when the spacing policy permits, else as a snapshot.
-// patch, when non-nil, is a ready-made delta from base's encoding to enc
-// (a patch that arrived over the wire) and is reused instead of being
-// recomputed; packLocked owns both slices. Callers hold the write lock.
+// packLocked stores encoding enc under its content address h. With a
+// base — the state of the commit's first parent — it is stored as a
+// patch against base while base's chain has room below SnapshotEvery−1
+// patches. A state whose base's chain is full is stored instead as one
+// patch against that chain's snapshot, at depth 1: the composition of
+// the chain's patches and its own (composeLocked), kept only while it is
+// under a quarter of enc. Otherwise, and whenever a patch does not beat
+// enc, the state is stored whole. patch, when non-nil, is a ready-made
+// delta from base's encoding to enc (a patch that arrived over the wire)
+// and is reused instead of being recomputed; packLocked owns both
+// slices. Callers hold the write lock.
 func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []byte) {
 	if s.objExistsLocked(h) {
 		return
@@ -305,17 +314,25 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 	// States beyond the patch format's target limit always snapshot:
 	// Apply rejects larger announced targets (its allocation bound), so
 	// chaining them would make the state unreadable.
-	if bo, ok := s.objLocked(base); ok && base != h && len(enc) <= delta.MaxTarget &&
-		bo.depth+1 < s.opts.SnapshotEvery {
-		if patch == nil {
-			t := s.metrics.startPhases()
+	if bo, ok := s.objLocked(base); ok && base != h && len(enc) <= delta.MaxTarget && s.opts.SnapshotEvery > 1 {
+		// The delta phase times a patch made here, and its composition.
+		t, made := s.metrics.startPhases(), patch == nil
+		if made {
 			if baseEnc, err := s.materializeLocked(base); err == nil {
 				patch = delta.Make(baseEnc, enc)
 			}
-			s.metrics.lap(phaseDelta, &t)
 		}
-		if patch != nil && len(patch) < len(enc) {
+		switch {
+		case patch == nil || len(patch) >= len(enc):
+		case bo.depth+1 < s.opts.SnapshotEvery:
 			obj.data, obj.base, obj.delta, obj.depth = patch, base, true, bo.depth+1
+		default:
+			if root, composed, ok := s.composeLocked(bo, patch); ok && composeKeep*len(composed) < len(enc) {
+				obj.data, obj.base, obj.delta, obj.depth = composed, root, true, 1
+			}
+		}
+		if made {
+			s.metrics.lap(phaseDelta, &t)
 		}
 	}
 	if !obj.delta {
@@ -328,6 +345,44 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 	s.encMu.Lock()
 	s.encHash, s.encBuf = h, enc
 	s.encMu.Unlock()
+}
+
+// composeKeep is the chain-full rule's bound: a composed patch is kept
+// only while composeKeep times its length is under the full encoding,
+// the same quarter the durable log's delta checkpoints are held to.
+const composeKeep = 4
+
+// composeLocked composes the stored patches of bo's chain, from its
+// snapshot up to bo, with top, a patch from bo's state onwards: the
+// result is one patch from the snapshot, whose hash it returns as root.
+// ok is false when a patch of the chain does not load or compose.
+// Callers hold s.mu.
+func (s *Store[S, Op, Val]) composeLocked(bo *packObject, top []byte) (root Hash, patch []byte, ok bool) {
+	if !bo.delta {
+		return Hash{}, nil, false
+	}
+	// The recorded depth sizes the chain and bounds the walk, so a base
+	// cycle in a damaged pack cannot spin it.
+	chain := make([][]byte, bo.depth+1)
+	i := bo.depth
+	chain[i] = top
+	for obj := bo; obj.delta; {
+		if i == 0 {
+			return Hash{}, nil, false
+		}
+		p, err := obj.bytes()
+		if err != nil {
+			return Hash{}, nil, false
+		}
+		i--
+		chain[i] = p
+		root = obj.base
+		if obj, ok = s.objLocked(root); !ok {
+			return Hash{}, nil, false
+		}
+	}
+	patch, err := delta.Compose(chain[i:]...)
+	return root, patch, err == nil
 }
 
 // VerifyPack materializes every retained state object, checking that each

@@ -51,11 +51,12 @@ type Codec[S any] interface {
 // directly — DefaultOptions supplies the defaults and functional Option
 // values override them.
 type Options struct {
-	// SnapshotEvery is the pack layer's snapshot spacing: a state is
-	// stored as a full snapshot whenever chaining it would put more than
-	// SnapshotEvery-1 patches between it and the nearest snapshot, so no
-	// read walks a longer chain. 1 disables packing (every state a
-	// snapshot — the pre-pack storage format).
+	// SnapshotEvery is the pack layer's chain bound: no read walks more
+	// than SnapshotEvery-1 patches to reach a snapshot. A state whose
+	// parent's chain is full is composed onto that chain's snapshot as
+	// one patch, unless the patch reaches a quarter of the state's full
+	// encoding; then it is stored whole. 1 disables packing (every state
+	// a snapshot — the pre-pack storage format).
 	SnapshotEvery int
 	// StateCacheSize bounds the LRU of decoded states: branch heads and
 	// recent merge bases stay hot while deep history is re-materialized
@@ -91,11 +92,12 @@ func DefaultOptions() Options {
 // Option adjusts store construction.
 type Option func(*Options)
 
-// WithSnapshotEvery sets the pack layer's snapshot spacing — the maximum
+// WithSnapshotEvery sets the pack layer's chain bound — the maximum
 // delta-chain length between a state and the snapshot it reassembles
-// from. Smaller values trade resident bytes for cheaper cold reads; 1
-// stores every state as a full snapshot. Values below one are clamped to
-// one.
+// from. A chain-full state is composed onto the snapshot unless that
+// patch reaches a quarter of the state; then it is stored whole. Smaller
+// values trade composition work for cheaper cold reads; 1 stores every
+// state as a full snapshot. Values below one are clamped to one.
 func WithSnapshotEvery(n int) Option {
 	return func(o *Options) { o.SnapshotEvery = max(n, 1) }
 }
@@ -291,11 +293,28 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 		Gen:     hc.Gen + 1,
 		Time:    t,
 	})
+	// The superseded state leaves the cache unless a head still pins it:
+	// a writer's trail of dead heads would otherwise flush the merge
+	// bases and peer heads the cache is for.
+	if st != hc.State && !s.headPinsLocked(hc.State) {
+		s.cache.remove(hc.State)
+	}
 	s.persistBranchLocked(b)
 	if err := s.finishPersistLocked(); err != nil {
 		return zero, err
 	}
 	return val, nil
+}
+
+// headPinsLocked reports whether some branch head pins state st.
+// Callers hold s.mu.
+func (s *Store[S, Op, Val]) headPinsLocked(st Hash) bool {
+	for _, h := range s.heads {
+		if s.commitAtLocked(h).State == st {
+			return true
+		}
+	}
+	return false
 }
 
 // Head returns the current state of branch b.

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/alphamap"
 	"repro/internal/chat"
+	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/ewflag"
 	"repro/internal/gmap"
@@ -213,24 +215,40 @@ func putPair(w *Writer, p orset.Pair) {
 	w.PutTimestamp(p.T)
 }
 
+// appendPairs appends the count and the pairs to dst, the Queue codec's
+// shape: one growth for the collection, then an indexed loop of
+// fixed-width stores.
 func appendPairs(dst []byte, ps []orset.Pair) []byte {
-	w := Writer{buf: dst}
-	w.PutLen(len(ps))
-	for _, p := range ps {
-		putPair(&w, p)
+	at := len(dst)
+	dst = slices.Grow(dst, pairsLen(len(ps)))[:at+pairsLen(len(ps))]
+	b := dst[at:]
+	binary.BigEndian.PutUint32(b, uint32(len(ps)))
+	for i, p := range ps {
+		binary.BigEndian.PutUint64(b[4+16*i:], uint64(p.E))
+		binary.BigEndian.PutUint64(b[12+16*i:], uint64(p.T))
 	}
-	return w.Bytes()
+	return dst
 }
 
 func encodePairs(ps []orset.Pair) []byte {
 	return appendPairs(make([]byte, 0, pairsLen(len(ps))), ps)
 }
 
+// decodePairs consumes a count and its pairs: one length check for the
+// collection, then an indexed loop of fixed-width loads.
 func decodePairs(r *Reader) []orset.Pair {
 	n := r.Len(16)
-	ps := make([]orset.Pair, 0, n)
-	for i := 0; i < n; i++ {
-		ps = append(ps, orset.Pair{E: r.Int64(), T: r.Timestamp()})
+	if !r.need(16 * n) {
+		return nil
+	}
+	b := r.buf[r.off : r.off+16*n]
+	r.off += 16 * n
+	ps := make([]orset.Pair, n)
+	for i := range ps {
+		ps[i] = orset.Pair{
+			E: int64(binary.BigEndian.Uint64(b[16*i:])),
+			T: core.Timestamp(binary.BigEndian.Uint64(b[16*i+8:])),
+		}
 	}
 	return ps
 }
