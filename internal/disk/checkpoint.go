@@ -47,10 +47,13 @@ package disk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -448,18 +451,22 @@ func (l *Log) loader() store.FrozenLoader {
 
 // readObjectData re-reads one object record at (seg, off), re-verifies
 // its CRC and content, and returns its stored bytes — the lazy-load path
-// behind checkpoint-recovered objects. It opens its own descriptor, so
-// concurrent loads never contend; the owning store's locking guarantees
-// the segment cannot be compacted away mid-read (compaction forces every
-// live object resident first, under the store's write lock).
+// behind checkpoint-recovered objects. It reads through the segment's
+// shared read descriptor (segReaders) with ReadAt, which moves no file
+// offset, so concurrent loads never contend and a chain of patches in one
+// segment costs one open, not one per patch. The owning store's locking
+// guarantees the segment cannot be compacted away mid-read (compaction
+// forces every live object resident first, under the store's write
+// lock). After Close the load fails with ErrClosed and opens nothing.
 func (l *Log) readObjectData(seg int, off int64, want store.Hash) ([]byte, error) {
-	path := filepath.Join(l.dir, segName(seg))
-	f, err := os.Open(path)
+	f, err := l.readers.get(l.dir, seg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("disk: lazy load %v at %s+%d: %w", want, segName(seg), off, err)
 	}
-	defer f.Close()
 	payload, _, err := readFrameAt(f, off, 0)
+	if errors.Is(err, os.ErrClosed) {
+		err = ErrClosed // Close shut the descriptor under the read
+	}
 	if err != nil {
 		return nil, fmt.Errorf("disk: lazy load %v at %s+%d: %w", want, segName(seg), off, err)
 	}
@@ -468,6 +475,59 @@ func (l *Log) readObjectData(seg int, off int64, want store.Hash) ([]byte, error
 		return nil, fmt.Errorf("disk: lazy load %v at %s+%d: record does not match index", want, segName(seg), off)
 	}
 	return op.object.Data, nil
+}
+
+// segReaders caches one read-only descriptor per segment for lazy loads.
+// Its lock is its own: a load takes it and never the log's, and holds it
+// only for the map lookup (and a segment's first open), never across a
+// read. Log.Close closes it, and compaction drops the descriptors of the
+// segments it deletes.
+type segReaders struct {
+	mu     sync.Mutex
+	closed bool
+	files  map[int]*os.File
+}
+
+// get returns the read descriptor of segment seg in dir, opening it on
+// first use; ErrClosed once the cache is closed.
+func (r *segReaders) get(dir string, seg int) (*os.File, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, ErrClosed
+	}
+	if f, ok := r.files[seg]; ok {
+		return f, nil
+	}
+	f, err := os.Open(filepath.Join(dir, segName(seg)))
+	if err != nil {
+		return nil, err
+	}
+	if r.files == nil {
+		r.files = make(map[int]*os.File)
+	}
+	r.files[seg] = f
+	return f, nil
+}
+
+// drop closes the descriptors of segments numbered up to last.
+func (r *segReaders) drop(last int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for seg, f := range r.files {
+		if seg <= last {
+			f.Close()
+			delete(r.files, seg)
+		}
+	}
+}
+
+// close closes every descriptor and refuses every later get.
+func (r *segReaders) close() {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.drop(math.MaxInt)
 }
 
 // attachCheckpoint installs the checkpoint a seek found as the base of

@@ -68,7 +68,9 @@ func (l *Log) Compact(rs *store.RecoveredState) error {
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
-	// The switch is durable; the old segments are garbage now.
+	// The switch is durable; the old segments are garbage now, and so are
+	// the lazy loads' descriptors on them.
+	l.readers.drop(oldEnd)
 	seqs, err := listSegments(l.dir)
 	if err != nil {
 		return err

@@ -71,7 +71,8 @@ func (p Policy) String() string {
 	}
 }
 
-// ErrClosed is returned by appends to a closed log.
+// ErrClosed is returned by appends to a closed log, and by lazy object
+// loads from one.
 var ErrClosed = errors.New("disk: log closed")
 
 // Options collects the log's tunables.
@@ -246,6 +247,10 @@ type Log struct {
 	// metrics is the optional instrumentation (obs.go); nil without a
 	// registry.
 	metrics *diskMetrics
+
+	// readers holds the lazy loads' read descriptors (checkpoint.go),
+	// under a lock of its own: loads never take mu.
+	readers segReaders
 }
 
 // Open opens (creating if needed) the pack log in dir and recovers it.
@@ -705,11 +710,12 @@ func (l *Log) timedSync() error {
 	return err
 }
 
-// Close flushes, fsyncs and closes the log. Further appends return
-// ErrClosed; Close is idempotent, and repeated calls keep returning the
-// first call's error — a failed final flush (full disk at shutdown) is
-// never masked by a later defer-stacked Close. The file descriptor is
-// released even when the flush fails.
+// Close flushes, fsyncs and closes the log. Further appends and lazy
+// loads return ErrClosed; Close is idempotent, and repeated calls keep
+// returning the first call's error — a failed final flush (full disk at
+// shutdown) is never masked by a later defer-stacked Close. Every file
+// descriptor, the lazy loads' read descriptors included, is released
+// even when the flush fails.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -728,6 +734,7 @@ func (l *Log) Close() error {
 		ckErr = l.checkpointLocked()
 	}
 	l.closed = true
+	l.readers.close()
 	if l.f == nil {
 		l.closeErr = ckErr
 		return ckErr

@@ -114,7 +114,9 @@ type segScan struct {
 // (clamped to just past the magic header, which is always verified).
 // A non-zero from lets the checkpoint path skip the already-decoded
 // head record. I/O errors other than EOF, and an intact record of a kind
-// this build does not know, surface as err.
+// this build does not know, surface as err. The read buffer is
+// segBufBytes: a checkpoint-seeded open scans only the few records past
+// the checkpoint, and pays for the buffer whether it fills it or not.
 func scanSegmentOps(path string, seq int, from int64) segScan {
 	res := segScan{seq: seq}
 	f, err := os.Open(path)
@@ -123,7 +125,7 @@ func scanSegmentOps(path string, seq int, from int64) segScan {
 		return res
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, segBufBytes)
 
 	var magic [len(segMagic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -236,8 +238,19 @@ func readFrameAt(f io.ReaderAt, off int64, room int) (payload []byte, end int64,
 	return payload, off + 8 + int64(length), nil
 }
 
-// newSegWriter wraps a segment file in the log's standard write buffer.
-func newSegWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, 1<<20) }
+// segBufBytes sizes the segment write buffer and the scan read buffer.
+// Both are allocated, and zeroed, on every open, so their size is paid
+// per open whatever the open goes on to do. 64 KiB holds the few records
+// one mutation appends (Flush writes once per mutation, and a record
+// larger than the buffer bypasses it), and the short tail a
+// checkpoint-seeded open scans, so a larger buffer saves no write and no
+// read there; a full replay reads a 64 MiB segment in a thousand steps,
+// few beside the records it decodes.
+const segBufBytes = 64 << 10
+
+// newSegWriter wraps a segment file in the log's standard write buffer
+// (segBufBytes).
+func newSegWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, segBufBytes) }
 
 // createSegment creates the segment file for seq with its header
 // written, failing if it already exists.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/delta"
@@ -68,7 +69,7 @@ func (o *packObject) bytes() ([]byte, error) {
 	o.once.Do(func() {
 		data, err := o.load()
 		if err != nil {
-			o.loadErr = fmt.Errorf("%w: %v", ErrCorruptPack, err)
+			o.loadErr = fmt.Errorf("%w: %w", ErrCorruptPack, err)
 			return
 		}
 		o.data = data
@@ -184,10 +185,11 @@ func (c *stateCache[S]) remove(h Hash) {
 }
 
 // materializeLocked reassembles the full encoding of the state addressed
-// by h: walk the delta chain down to its snapshot, apply the patches back
-// up, and verify the result against the content address. Callers must
-// hold s.mu (read or write) and must not modify the returned buffer — it
-// may be the stored snapshot or the reassembly cache.
+// by h: walk the delta chain down to its snapshot, compose the patches
+// into one and apply it, and verify the result against the content
+// address. Callers must hold s.mu (read or write) and must not modify the
+// returned buffer — it may be the stored snapshot or the reassembly
+// cache.
 //
 // A one-slot reassembly cache keyed by state hash makes chain-sequential
 // access — Apply deltifying against the state it just built, imports
@@ -222,7 +224,7 @@ func (s *Store[S, Op, Val]) materializeHintLocked(h Hash, hintHash Hash, hintEnc
 		m.reasmMiss.Inc()
 	}
 
-	var chain []*packObject // objects from h down, snapshot excluded
+	var patches [][]byte // stored patches from h down, snapshot excluded
 	cur := h
 	var enc []byte
 	for {
@@ -238,23 +240,31 @@ func (s *Store[S, Op, Val]) materializeHintLocked(h Hash, hintHash Hash, hintEnc
 		if !ok {
 			return nil, fmt.Errorf("%w: missing object %v in chain of %v", ErrCorruptPack, cur, h)
 		}
-		if !obj.delta {
-			var err error
-			enc, err = obj.bytes()
-			if err != nil {
-				return nil, err
-			}
-			break
-		}
-		chain = append(chain, obj)
-		cur = obj.base
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		patch, err := chain[i].bytes()
+		data, err := obj.bytes()
 		if err != nil {
 			return nil, err
 		}
-		enc, err = delta.Apply(enc, patch)
+		if !obj.delta {
+			enc = data
+			break
+		}
+		patches = append(patches, data)
+		cur = obj.base
+	}
+	if len(patches) > 0 {
+		// One Apply rebuilds the state: a longer chain first folds into
+		// one composed patch, bottom patch first, which builds no
+		// intermediate state where applying patch by patch builds one per
+		// patch.
+		slices.Reverse(patches)
+		patch := patches[0]
+		var err error
+		if len(patches) > 1 {
+			patch, err = delta.Compose(patches...)
+		}
+		if err == nil {
+			enc, err = delta.Apply(enc, patch)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, h)
 		}
@@ -262,7 +272,7 @@ func (s *Store[S, Op, Val]) materializeHintLocked(h Hash, hintHash Hash, hintEnc
 	if sha256.Sum256(enc) != h {
 		return nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
 	}
-	if len(chain) > 0 {
+	if len(patches) > 0 {
 		s.encMu.Lock()
 		s.encHash, s.encBuf = h, enc
 		s.encMu.Unlock()
