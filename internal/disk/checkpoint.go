@@ -276,12 +276,13 @@ func encodeCheckpoint(meta map[string]string, sh *shadowState, delta bool) (reco
 		w.PutString(v)
 	}
 	w.PutInt64(int64(sh.nextID))
+	// The single-head format's branch count is zero: an older build reads
+	// no branch, then refuses the checkpoint for its trailing bytes, and
+	// its fallback replay refuses the kind-9 branch records.
+	w.PutLen(0)
 	w.PutLen(len(sh.branches))
 	for name, b := range sh.branches {
-		w.PutString(name)
-		w.PutHash(b.Head)
-		w.PutInt64(int64(b.Replica))
-		w.PutInt64(b.Clock)
+		putBranch(&w, name, b)
 	}
 	tail := w.Bytes()
 
@@ -354,14 +355,13 @@ func decodeCheckpoint(kind byte, body []byte) (*checkpoint, error) {
 		ck.meta[k] = r.String()
 	}
 	ck.nextID = int(r.Int64())
-	nb := r.Len(4 + len(store.Hash{}) + 16)
+	if r.Len(0) != 0 {
+		return nil, fmt.Errorf("checkpoint has single-head branch entries")
+	}
+	nb := r.Len(4 + 4 + 16)
 	ck.branches = make(map[string]store.BranchRecord, nb)
 	for i := 0; i < nb; i++ {
-		name := r.String()
-		var b store.BranchRecord
-		b.Head = r.Hash()
-		b.Replica = int(r.Int64())
-		b.Clock = r.Int64()
+		name, b := readBranch(r)
 		ck.branches[name] = b
 	}
 	if err := r.Close(); err != nil {

@@ -2,9 +2,14 @@ package disk
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // TestMergeBackMatchesForwardMerge: the in-place backward merge an open
@@ -58,5 +63,44 @@ func TestMergeBackMatchesForwardMerge(t *testing.T) {
 		if got := mergeBack(buf, at, len(lower), upper, width); !bytes.Equal(got, want) {
 			t.Fatalf("trial %d (%d lower at %d, %d upper, slack %d): backward merge differs from forward merge", trial, len(lo), at, len(u), slack)
 		}
+	}
+}
+
+// TestCheckpointTailCarriesHeadSets: a checkpoint's branch entries carry
+// whole head sets and clockless tracking branches, and come back exactly.
+// The single-head format's parser — a branch count, then per branch a
+// name, one head and a clock, then nothing — reads the tail as no branch
+// followed by trailing bytes, so an older build refuses the checkpoint
+// rather than misread it.
+func TestCheckpointTailCarriesHeadSets(t *testing.T) {
+	sh := newShadow()
+	sh.nextID = 65
+	sh.branches["node"] = store.BranchRecord{Heads: []store.Hash{{1}, {2}, {3}}, Replica: 64, Clock: 9}
+	sh.branches["remote/peer"] = store.BranchRecord{Heads: []store.Hash{{4}}, Replica: store.NoClock}
+	record, _ := encodeCheckpoint(map[string]string{"datatype": "pn-counter"}, &sh, false)
+	ck, err := decodeCheckpoint(record[0], bytes.Clone(record[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.EqualFunc(ck.branches, sh.branches, func(a, b store.BranchRecord) bool {
+		return slices.Equal(a.Heads, b.Heads) && a.Replica == b.Replica && a.Clock == b.Clock
+	}) {
+		t.Fatalf("tail branches %+v, want %+v", ck.branches, sh.branches)
+	}
+
+	// The tail is what follows the two empty index sections.
+	r := wire.NewReader(record[1+4+4:])
+	for n := r.Len(2); n > 0; n-- {
+		_, _ = r.String(), r.String()
+	}
+	r.Int64()
+	for n := r.Len(4 + 32 + 16); n > 0; n-- {
+		_ = r.String()
+		r.Hash()
+		r.Int64()
+		r.Int64()
+	}
+	if err := r.Close(); err == nil {
+		t.Fatal("the single-head parser accepts a head-set tail")
 	}
 }

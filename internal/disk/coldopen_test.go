@@ -87,7 +87,7 @@ func headDepth(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	c := rec.State.Commits[rec.State.Branches["main"].Head]
+	c := rec.State.Commits[rec.State.Branches["main"].Heads[0]]
 	return rec.State.Objects[c.State].Depth
 }
 

@@ -245,9 +245,10 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 		}
 	}
 	// Branches in creation order — the store allocates replica ids
-	// ascending, the main branch first — so a torn tail keeps the
-	// branches created first, as any prefix of the append path does; a
-	// prefix holding a fork but not the main branch would not reopen.
+	// ascending, the main branch first, and tracking branches (NoClock,
+	// the largest uint) take none — so a torn tail keeps the branches
+	// created first, as any prefix of the append path does; a prefix
+	// holding a fork but not the main branch would not reopen.
 	names := make([]string, 0, len(rs.Branches))
 	for name := range rs.Branches {
 		names = append(names, name)
@@ -255,7 +256,7 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 	sort.Slice(names, func(i, j int) bool {
 		a, b := rs.Branches[names[i]], rs.Branches[names[j]]
 		if a.Replica != b.Replica {
-			return a.Replica < b.Replica
+			return uint(a.Replica) < uint(b.Replica)
 		}
 		return names[i] < names[j]
 	})

@@ -459,7 +459,7 @@ func (l *Log) applyOp(rec *Recovered, seq int, op *scanOp) {
 			base: op.object.Base, delta: op.object.Delta, size: op.object.Size,
 			depth: op.object.Depth, stored: len(op.object.Data), seg: seq, off: op.off,
 		}
-	case recBranch:
+	case recBranch, recBranchSet:
 		rec.State.Branches[op.name] = op.branch
 		l.shadow.branches[op.name] = op.branch
 	case recBranchDel:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -649,8 +650,22 @@ func TestFullReplayMatchesCheckpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		appendMsg(t, s, "main", "a message long enough to exercise delta chains")
 	}
+	// main ends with two heads: its record and the checkpoint tail carry
+	// the set.
+	if err := s.Fork("main", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	appendMsg(t, s, "main", "main's side")
+	appendMsg(t, s, "dev", "dev's side")
+	if err := s.Pull("main", "dev"); err != nil {
+		t.Fatal(err)
+	}
 	want := headMsgs(t, s, "main")
 	wantHead, _ := s.HeadHash("main")
+	wantHeads := s.Heads("main")
+	if len(wantHeads) != 2 {
+		t.Fatalf("main holds %d heads, want 2", len(wantHeads))
+	}
 	wantCommits := s.NumCommits()
 	l.Close()
 
@@ -661,8 +676,8 @@ func TestFullReplayMatchesCheckpoint(t *testing.T) {
 	if got := headMsgs(t, s2, "main"); !statesEqual(got, want) {
 		t.Fatalf("full replay recovered different state")
 	}
-	if h, _ := s2.HeadHash("main"); h != wantHead {
-		t.Fatalf("full replay head %v, want %v", h, wantHead)
+	if h, _ := s2.HeadHash("main"); h != wantHead || !slices.Equal(s2.Heads("main"), wantHeads) {
+		t.Fatalf("full replay heads %v, want %v", s2.Heads("main"), wantHeads)
 	}
 	if n := s2.NumCommits(); n != wantCommits {
 		t.Fatalf("full replay has %d commits, want %d", n, wantCommits)
@@ -674,8 +689,49 @@ func TestFullReplayMatchesCheckpoint(t *testing.T) {
 	if rec3.Mode != disk.ModeCheckpoint {
 		t.Fatalf("seek reopen reported mode %q", rec3.Mode)
 	}
-	if h, _ := s3.HeadHash("main"); h != wantHead {
-		t.Fatalf("seek recovery head %v, want %v", h, wantHead)
+	if h, _ := s3.HeadHash("main"); h != wantHead || !slices.Equal(s3.Heads("main"), wantHeads) {
+		t.Fatalf("seek recovery heads %v, want %v", s3.Heads("main"), wantHeads)
+	}
+	if got := headMsgs(t, s3, "main"); !statesEqual(got, want) {
+		t.Fatalf("seek recovery recovered different state")
+	}
+}
+
+// TestSingleHeadBranchRecordReplays: a branch record of the single-head
+// format (kind 4), as an older build wrote it, replays as a one-member
+// head set with its clock, past a seek and in a full replay alike.
+func TestSingleHeadBranchRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	s, l, _ := openLogStore(t, dir)
+	appendMsg(t, s, "main", "m")
+	head, _ := s.HeadHash("main")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Writer
+	w.PutString("legacy")
+	w.PutHash(head)
+	w.PutInt64(5)
+	w.PutInt64(7)
+	segs := segmentFiles(t, dir)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(disk.Frame(append([]byte{4}, w.Bytes()...))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, open := range [][]disk.Option{nil, {disk.WithFullReplay()}} {
+		s2, l2, rec := openLogStore(t, dir, open...)
+		b := rec.State.Branches["legacy"]
+		if !slices.Equal(b.Heads, []store.Hash{head}) || b.Replica != 5 || b.Clock != 7 {
+			t.Fatalf("kind-4 record replays as %+v", b)
+		}
+		if got := s2.Heads("legacy"); !slices.Equal(got, []store.Hash{head}) {
+			t.Fatalf("legacy branch heads %v, want %v", got, head)
+		}
+		l2.Close()
 	}
 }
 

@@ -28,8 +28,9 @@ const (
 	// recObject is one pack object in its stored form: snapshot bytes or
 	// a patch plus its chain base, with the recorded full size and depth.
 	recObject byte = 3
-	// recBranch is a branch-head move: name, head hash, and the branch
-	// clock's replica id and counter.
+	// recBranch is a branch-head move of the single-head format: name,
+	// head hash, and the branch clock's replica id and counter. Replay
+	// still reads it, as a one-member head set; nothing writes it.
 	recBranch byte = 4
 	// recBranchDel removes a branch.
 	recBranchDel byte = 5
@@ -43,6 +44,10 @@ const (
 	// entries recorded since a full checkpoint (its base, named by segment
 	// and frame CRC), plus the same tail. It also heads a fresh segment.
 	recCheckpointDelta byte = 8
+	// recBranchSet is a branch-head move: name, head set, and the branch
+	// clock's replica id and counter (store.NoClock and zero for a
+	// tracking branch). Every branch write uses it.
+	recBranchSet byte = 9
 )
 
 // errUnknownKind marks a record that passed its checksum but carries a
@@ -83,11 +88,32 @@ func encodeObject(h store.Hash, o store.ObjectRecord) []byte {
 
 func encodeBranch(name string, b store.BranchRecord) []byte {
 	var w wire.Writer
+	putBranch(&w, name, b)
+	return frame(recBranchSet, w.Bytes())
+}
+
+// putBranch appends one branch — name, head set, clock — in the form a
+// kind-9 record and a checkpoint tail entry share.
+func putBranch(w *wire.Writer, name string, b store.BranchRecord) {
 	w.PutString(name)
-	w.PutHash(b.Head)
+	w.PutLen(len(b.Heads))
+	for _, h := range b.Heads {
+		w.PutHash(h)
+	}
 	w.PutInt64(int64(b.Replica))
 	w.PutInt64(b.Clock)
-	return frame(recBranch, w.Bytes())
+}
+
+// readBranch consumes one putBranch encoding.
+func readBranch(r *wire.Reader) (string, store.BranchRecord) {
+	name := r.String()
+	var b store.BranchRecord
+	for n := r.Len(len(store.Hash{})); len(b.Heads) < n; {
+		b.Heads = append(b.Heads, r.Hash())
+	}
+	b.Replica = int(r.Int64())
+	b.Clock = r.Int64()
+	return name, b
 }
 
 func encodeBranchDelete(name string) []byte {
@@ -164,9 +190,11 @@ func decodeRecord(payload []byte, off int64) (scanOp, error) {
 		op.object.Data = r.Bytes()
 	case recBranch:
 		op.name = r.String()
-		op.branch.Head = r.Hash()
+		op.branch.Heads = []store.Hash{r.Hash()}
 		op.branch.Replica = int(r.Int64())
 		op.branch.Clock = r.Int64()
+	case recBranchSet:
+		op.name, op.branch = readBranch(r)
 	case recBranchDel:
 		op.name = r.String()
 	case recNextID:

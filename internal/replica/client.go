@@ -14,10 +14,10 @@ import (
 
 // SyncWith synchronizes every object this node hosts with the peer
 // listening at addr, over a single connection: per object, the pair
-// reconciles its commit sets, the peer merges this node's missing
-// commits into its branch, and this node then merges the peer's reply
-// (usually a fast-forward, since the reply is computed after the peer
-// merged). Objects the peer does not host (or hosts under a different
+// reconciles its commit sets, the peer lands this node's missing commits
+// on its branch, and this node then lands the peer's reply; landing
+// unions the sender's head set into the branch and commits nothing.
+// Objects the peer does not host (or hosts under a different
 // datatype) are skipped and counted in Misses. The session ships what
 // this node held when it connected; commits made on either side while it
 // runs are not waited for and travel with the next stream batch or
@@ -272,11 +272,11 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject) (miss b
 // halves the server's range — and resolves the exact symmetric
 // difference in O(diff · log n) frames. A want list and one delta in
 // each direction then ship precisely the missing commits; the server's
-// reply adds only the merge commits its pull minted.
+// reply adds only what it installed during the exchange.
 //
 // The descent reads the live fingerprint tree, which local commits and
 // inbound sessions keep growing; what ships is the resolved set cut back
-// to the session's capture (store.AsOf), under the snapshot's head.
+// to the session's capture (store.AsOf), under the snapshot's heads.
 func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello, root wire.ReconAnswer) error {
 	object, e, fl := so.name, so.e, c.flow.Load()
 	type keyRange struct{ x, y recon.Item }
@@ -369,16 +369,15 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	// What ships is the resolved set as of the snapshot; commits younger
 	// than the session ride the next stream batch or round.
 	shipStart := time.Now()
-	commits, head, err := e.st.ExportSet(so.capture, ship, store.AsOf, "")
+	commits, heads, err := e.st.ExportSet(so.capture, ship, store.AsOf, "")
 	if err != nil {
 		return err
 	}
-	// Converged shortcut: equal sets and equal heads need no delta phase
-	// at all — the whole re-sync was the hello, its root probe and the
-	// ack's answer. (Equal sets with differing branch heads still run the
-	// empty-delta exchange below, which resolves the heads by pulling each
-	// other's.)
-	if len(want) == 0 && len(commits) == 0 && ack.Head == head {
+	// Converged shortcut: equal sets and equal head sets need no delta
+	// phase at all — the whole re-sync was the hello, its root probe and
+	// the ack's answer. (Equal sets with differing head sets still run the
+	// empty-delta exchange below, which unions them.)
+	if len(want) == 0 && len(commits) == 0 && ack.Head == store.HeadSetHash(heads) {
 		fl.exchanges.Inc()
 		c.span.objects(1)
 		return nil
@@ -386,16 +385,16 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	if err := wire.WriteMsg(c, wire.FrameReconWant, wire.EncodeReconWant(want)); err != nil {
 		return err
 	}
-	if err := wire.WriteDeltaPacked(c, commits, head); err != nil {
+	if err := wire.WriteDeltaPacked(c, commits, heads); err != nil {
 		return err
 	}
 	c.span.phase("ship", object, shipStart)
 	importStart := time.Now()
-	reply, replyHead, err := readDelta(c)
+	reply, replyHeads, err := readDelta(c)
 	if err != nil {
 		return err
 	}
-	redundant, err := n.integrate(e, object, ack.Node, reply, replyHead)
+	redundant, err := n.integrate(e, object, ack.Node, reply, replyHeads)
 	if err != nil {
 		return err
 	}

@@ -162,7 +162,7 @@ func (l *peerLink) Push(heartbeat bool) (carried bool, _ error) {
 // frame when asked and there is none — and flushes.
 func (l *peerLink) write(heartbeat bool) (commits int, _ error) {
 	for _, so := range l.objs {
-		batch, head, err := so.e.st.ExportSet(so.capture, nil, store.Drain, l.via)
+		batch, heads, err := so.e.st.ExportSet(so.capture, nil, store.Drain, l.via)
 		if err != nil {
 			return commits, err
 		}
@@ -170,11 +170,11 @@ func (l *peerLink) write(heartbeat bool) (commits int, _ error) {
 			continue
 		}
 		l.conn.at(so.e)
-		hello := wire.Hello{Node: l.n.name, Object: so.name, Datatype: so.e.obj.Datatype(), Head: head}
+		hello := wire.Hello{Node: l.n.name, Object: so.name, Datatype: so.e.obj.Datatype(), Head: store.HeadSetHash(heads)}
 		if err := wire.WriteMsg(l.conn, wire.FrameLinkBatch, wire.EncodeHello(hello)); err != nil {
 			return commits, err
 		}
-		if err := wire.WriteDeltaPacked(l.conn, batch, head); err != nil {
+		if err := wire.WriteDeltaPacked(l.conn, batch, heads); err != nil {
 			return commits, err
 		}
 		l.conn.flow.Load().shipped(batch)

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/counter"
+	"repro/internal/recon"
 	"repro/internal/replica"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -242,4 +244,69 @@ func TestManualSyncDuringDaemonRounds(t *testing.T) {
 	}()
 	wg.Wait()
 	waitValue(t, 40, 10*time.Second, a, b)
+}
+
+// TestMeshMintsNoDeadCommits: three counter nodes in a full mesh at the
+// test daemon cadence do 40 incs each, 3 ms apart. Once every node reads
+// 120, every commit each node holds — every item of its recon set, so
+// every commit a sync ships — is reachable from its head set, and no
+// merge is a virtual base: a pull mints nothing, so no node keeps a
+// merge that convergence walked away from.
+func TestMeshMintsNoDeadCommits(t *testing.T) {
+	nodes := []*counterNode{newMeshCounterNode(t, "a", 1), newMeshCounterNode(t, "b", 2), newMeshCounterNode(t, "c", 3)}
+	for _, n := range nodes {
+		for _, p := range nodes {
+			if p != n {
+				n.AddPeer(p.Addr())
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if _, err := n.obj.Do(counter.Op{Kind: counter.Inc, N: 1}); err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(3 * time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	waitValue(t, 120, 20*time.Second, nodes...)
+	for _, n := range nodes {
+		st := n.obj.Store()
+		reached := make(map[store.Hash]bool)
+		stack := st.Heads(n.obj.Branch())
+		for len(stack) > 0 {
+			h := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if reached[h] {
+				continue
+			}
+			reached[h] = true
+			c, _ := st.Commit(h)
+			stack = append(stack, c.Parents...)
+		}
+		items := st.ReconItems(recon.Item{}, recon.Item{}, -1)
+		merges := 0
+		for _, it := range items {
+			h := it.Addr()
+			if !reached[h] {
+				t.Errorf("%s: commit %v is reachable from no head", n.Name(), h)
+			}
+			if c, _ := st.Commit(h); len(c.Parents) == 2 {
+				merges++
+				p, _ := st.Commit(c.Parents[0])
+				q, _ := st.Commit(c.Parents[1])
+				if c.Time == 0 || c.Time != max(p.Time, q.Time) {
+					t.Errorf("%s: merge %v is a virtual base or not canonical: %+v", n.Name(), h, c)
+				}
+			}
+		}
+		t.Logf("%s: %d commits for 120 ops, %d of them merges", n.Name(), len(items), merges)
+	}
 }

@@ -14,17 +14,18 @@
 // miss for objects the server does not host). The client then descends
 // the hash ranges that differ until the exact symmetric difference is
 // known, ships a want list and a packed delta of the commits the server
-// lacks, and the server replies with exactly the wanted commits plus the
-// merges its pull minted. The receiver grafts the partial DAG onto the
-// commits it already holds and performs a store Pull, whose DAG-based
-// lowest common ancestor is correct even when history reached a node
-// indirectly through third parties — ring and mesh gossip topologies
-// converge, which per-pair state exchange cannot achieve. A peer that has
-// acked a hello before is opened with a whole-node span probe, so a
-// re-sync of a converged pair costs one round trip, not one per object.
-// Merging is the store's job and keeps its guarantees verbatim: every
-// pull merges over a base carrying exactly the operations common to both
-// heads (Ψ_lca by construction), and fast-forwards adopt commits.
+// lacks, and the server replies with exactly the wanted commits plus what
+// it installed meanwhile. Each side grafts the partial DAG onto the
+// commits it already holds and unions the sender's head set into its
+// branch (a store Pull), which commits nothing. A branch's state is the
+// canonical merge of its head set over DAG-based merge bases, correct
+// even when history reached a node indirectly through third parties —
+// ring and mesh gossip topologies converge, which per-pair state exchange
+// cannot achieve. A peer that has acked a hello before is opened with a
+// whole-node span probe, so a re-sync of a converged pair costs one round
+// trip, not one per object. Merging is the store's job and keeps its
+// guarantees verbatim: every merge is over a base carrying exactly the
+// operations common to both sides (Ψ_lca by construction).
 //
 // Session connections flush on block: each is buffered both ways, frames
 // written during a protocol turn accumulate in the write buffer, and the
@@ -70,13 +71,15 @@
 // Nothing blocks on a connection while holding a lock another session
 // needs, so two nodes syncing each other simultaneously have no
 // waits-for edge between them and need no tie-break. That crossed
-// sessions still converge is the store's doing: Pull declines to mint a
-// merge when the operation sets already agree and elects the smaller head
-// hash, so crossed merges meet on one head within a round or two. What
-// crossing can cost is a second delivery: two sessions running opposite
-// ways between one pair may both carry the same commit (one in its ship
-// set, one in its reply), which content addressing drops on arrival and
-// RedundantCommits counts. Uncrossed sessions ship exactly once, and a
+// sessions still converge is the store's doing: a pull mints no commit,
+// so a node's head set is the set of maximal commits it holds, and two
+// nodes holding the same commits hold the same heads — there is nothing
+// left for crossed sessions to chase. What crossing can cost is a second
+// delivery: two sessions running opposite ways between one pair may both
+// carry the same commit (one in its ship set, one in its reply), and two
+// nodes that write after seeing the same heads both mint the same
+// canonical merge; content addressing drops the copy on arrival and
+// RedundantCommits counts it. Uncrossed sessions ship exactly once, and a
 // link never streams back what its peer sent, so between linked nodes
 // crossing happens only between a round (or connect session) and the
 // other side's stream. Client sessions additionally take turns per peer
@@ -570,16 +573,15 @@ func (n *Node) serve() {
 
 // integrate lands a peer's batch on an object's store under the peer's
 // tracking branch (store.Integrate). A pull that moved the node branch's
-// head fires the object's watchers and re-notifies the mesh daemon: the
-// news a merge brought in is itself streamed onward, so commits cascade
-// hop by hop through ring and mesh topologies instead of waiting out an
-// anti-entropy round per hop. (The cascade terminates: a link never
+// head set fires the object's watchers and re-notifies the mesh daemon:
+// the commits it brought in are themselves streamed onward, so they
+// cascade hop by hop through ring and mesh topologies instead of waiting
+// out an anti-entropy round per hop. (The cascade terminates: a link never
 // streams a commit back to the peer it came from, and a commit already
-// present installs nothing.) Whether the head moved is the store's
-// verdict, so a Do racing the integrate never fires watchers, and a pull
-// that failed after moving the head still does.
-func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.ExportedCommit, head store.Hash) (redundant int, _ error) {
-	redundant, after, moved, err := e.st.Integrate(n.name, "remote/"+peer, batch, head)
+// present installs nothing.) Whether the head set moved is the store's
+// verdict, so a Do racing the integrate never fires watchers.
+func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.ExportedCommit, heads []store.Hash) (redundant int, _ error) {
+	redundant, after, moved, err := e.st.Integrate(n.name, "remote/"+peer, batch, heads)
 	if moved {
 		e.watchers.broadcast(WatchEvent{Object: object, From: peer, Head: after})
 		n.engine.NotifyCommit()
@@ -589,13 +591,13 @@ func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.Expo
 
 // readDelta reads the peer's delta — a client's ship set or a server's
 // reply; a refusal the peer sent in its place is a protocol error.
-func readDelta(c *countedConn) ([]store.ExportedCommit, store.Hash, error) {
-	commits, head, err := wire.ReadDelta(c)
+func readDelta(c *countedConn) ([]store.ExportedCommit, []store.Hash, error) {
+	commits, heads, err := wire.ReadDelta(c)
 	var pe *wire.PeerError
 	if errors.As(err, &pe) {
 		err = fmt.Errorf("%w: peer: %s", ErrProtocol, pe.Msg)
 	}
-	return commits, head, err
+	return commits, heads, err
 }
 
 var _ io.ReadWriter = (*countedConn)(nil)

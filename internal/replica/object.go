@@ -16,7 +16,8 @@ type Object interface {
 	// Datatype is the registered datatype name; hellos carry it so two
 	// nodes never merge states of different types under one object name.
 	Datatype() string
-	// Head returns the node branch's current head hash.
+	// Head returns the name of the node branch's current head set
+	// (store.HeadSetHash).
 	Head() (store.Hash, error)
 }
 
@@ -31,8 +32,8 @@ type syncStore interface {
 	ReconItems(x, y recon.Item, max int) []recon.Item
 	ReconSelect(x, y recon.Item, k int) (recon.Item, bool)
 	Snapshot(branch string) (*store.Capture, error)
-	ExportSet(c *store.Capture, ship map[store.Hash]bool, mode store.ExportMode, held string) ([]store.ExportedCommit, store.Hash, error)
-	Integrate(branch, via string, batch []store.ExportedCommit, head store.Hash) (redundant int, after store.Hash, moved bool, err error)
+	ExportSet(c *store.Capture, ship map[store.Hash]bool, mode store.ExportMode, held string) ([]store.ExportedCommit, []store.Hash, error)
+	Integrate(branch, via string, batch []store.ExportedCommit, heads []store.Hash) (redundant int, after store.Hash, moved bool, err error)
 	FlushStorage() error
 }
 

@@ -237,9 +237,9 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 // handleReconWant finishes a recon exchange: read the client's want list
 // and its delta of commits we lack, integrate it, and reply through the
 // session's capture with exactly the wanted commits plus whatever was
-// installed since the hello — the merges the pull minted, and commits
-// local writes and other sessions raced in, which the reply head may
-// reach — bar what arrived under the client's own tracking branch. The
+// installed since the hello — commits local writes and other sessions
+// raced in, which the reply heads may reach — bar what arrived under the
+// client's own tracking branch. The
 // client cannot have any of it, and the reply re-ships nothing.
 func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	wStart := time.Now()
@@ -250,12 +250,12 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	commits, head, err := readDelta(conn)
+	commits, heads, err := readDelta(conn)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
 	e := rs.e
-	redundant, err := n.integrate(e, rs.hello.Object, rs.hello.Node, commits, head)
+	redundant, err := n.integrate(e, rs.hello.Object, rs.hello.Node, commits, heads)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -263,7 +263,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	for _, h := range want {
 		ship[h] = true
 	}
-	reply, replyHead, err := e.st.ExportSet(rs.capture, ship, store.Reply, "remote/"+rs.hello.Node)
+	reply, replyHeads, err := e.st.ExportSet(rs.capture, ship, store.Reply, "remote/"+rs.hello.Node)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -277,12 +277,12 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	sp.commits(len(reply), len(commits))
 	sp.objects(1)
 	sp.phase("ship", rs.hello.Object, wStart)
-	return wire.WriteDeltaPacked(conn, reply, replyHead)
+	return wire.WriteDeltaPacked(conn, reply, replyHeads)
 }
 
 // handleLinkBatch integrates one batch of a link's stream: the commits
 // the dialer installed since its previous batch, grafted on its branch
-// head, go under its tracking branch and are pulled into the node branch
+// heads, go under its tracking branch and are pulled into the node branch
 // exactly as a session's delta is.
 // A batch that does not graft (or names an object not hosted here) is a
 // violation: the refusal reaches the dialer's reader and ends the link.
@@ -308,14 +308,14 @@ func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) 
 		return refuse(conn, fmt.Sprintf("link batch for object %s (%s), not hosted here", hello.Object, hello.Datatype))
 	}
 	conn.at(e)
-	commits, head, err := readDelta(conn)
+	commits, heads, err := readDelta(conn)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	if head != hello.Head {
+	if store.HeadSetHash(heads) != hello.Head {
 		return refuse(conn, "link batch head differs from its delta's")
 	}
-	redundant, err := n.integrate(e, hello.Object, hello.Node, commits, head)
+	redundant, err := n.integrate(e, hello.Object, hello.Node, commits, heads)
 	if err != nil {
 		return refuseErr(conn, err)
 	}

@@ -264,13 +264,13 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 		"mid-delta": func(c *net.TCPConn, head store.Hash) {
 			var turn bytes.Buffer
 			wire.WriteMsg(&turn, wire.FrameReconWant, wire.EncodeReconWant(nil))
-			wire.WriteMsg(&turn, wire.FrameDeltaHeader, append(head[:], 0, 0, 0, 1))
+			wire.WriteMsg(&turn, wire.FrameDeltaHeader, append(append([]byte{0, 0, 0, 1}, head[:]...), 0, 0, 0, 1))
 			c.Write(turn.Bytes())
 		},
 		"reset after delta": func(c *net.TCPConn, head store.Hash) {
 			var turn bytes.Buffer
 			wire.WriteMsg(&turn, wire.FrameReconWant, wire.EncodeReconWant(nil))
-			wire.WriteDeltaPacked(&turn, nil, head)
+			wire.WriteDeltaPacked(&turn, nil, []store.Hash{head})
 			c.Write(turn.Bytes())
 			c.SetLinger(0)
 		},
@@ -323,14 +323,21 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 // another version fails with ErrProtocol.
 func TestUnsupportedVersionRefused(t *testing.T) {
 	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
-	other := wire.Version + 1
-	want := fmt.Sprintf("unsupported protocol version %d", other)
-	hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: "counter", Datatype: "pn-counter"})
-	hello[0] = other
-	span := wire.EncodeReconSpan(wire.ReconSpan{})
-	span[0] = other
-	root := wire.EncodeReconRange(wire.ReconRange{})
-	for i, send := range [][]byte{frameOf(wire.FrameHello, hello, root), frameOf(wire.FrameReconSpan, span)} {
+	// Version 3, the single-head dialect, and a version from the future.
+	var sends [][]byte
+	var wants []string
+	for _, other := range []byte{3, wire.Version + 1} {
+		hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: "counter", Datatype: "pn-counter"})
+		hello[0] = other
+		span := wire.EncodeReconSpan(wire.ReconSpan{})
+		span[0] = other
+		root := wire.EncodeReconRange(wire.ReconRange{})
+		sends = append(sends, frameOf(wire.FrameHello, hello, root), frameOf(wire.FrameReconSpan, span))
+		want := fmt.Sprintf("unsupported protocol version %d", other)
+		wants = append(wants, want, want)
+	}
+	for i, send := range sends {
+		want := wants[i]
 		c, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -353,6 +360,8 @@ func TestUnsupportedVersionRefused(t *testing.T) {
 	}
 
 	// A peer that answers the hello in another version.
+	other := wire.Version + 1
+	want := fmt.Sprintf("unsupported protocol version %d", other)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,8 @@ type WatchEvent struct {
 	Object string
 	// From is the name of the peer node whose commits moved the head.
 	From string
-	// Head is the branch's new head commit hash.
+	// Head names the branch's new head set (store.HeadSetHash): its
+	// head commit's hash while it has one head.
 	Head store.Hash
 }
 

@@ -63,42 +63,10 @@ func BenchmarkStorePullDeepHistory(b *testing.B) {
 // above it and returns (base, headA, headB) for direct walk benchmarks.
 func diamond(history, divergence int) (*Store[int64, counter.Op, counter.Val], Hash, Hash, Hash) {
 	s := newInternalCounterStore()
-	base := commitChain(s, s.heads["main"], history)
+	base := commitChain(s, mainRoot(s), history)
 	a := commitChain(s, base, divergence)
 	b := commitChain(s, base, divergence)
 	return s, base, a, b
-}
-
-func BenchmarkStoreExclusiveOps(b *testing.B) {
-	for _, history := range benchHistories {
-		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			b.ReportAllocs()
-			s, _, x, y := diamond(history, 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				xo, yo := s.exclusiveOps(x, y)
-				if len(xo) != 8 || len(yo) != 8 {
-					b.Fatal("diamond sides must each hold their own ops")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkStoreExclusiveOpsRef(b *testing.B) {
-	for _, history := range benchHistories {
-		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			b.ReportAllocs()
-			s, _, x, y := diamond(history, 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				xo, yo := s.refExclusiveOps(x, y)
-				if len(xo) != 8 || len(yo) != 8 {
-					b.Fatal("diamond sides must each hold their own ops")
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkStoreLCA(b *testing.B) {
@@ -108,7 +76,7 @@ func BenchmarkStoreLCA(b *testing.B) {
 			s, _, x, y := diamond(history, 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.lca(x, y); err != nil {
+				if _, err := mergeBase(s, x, y); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,9 +91,7 @@ func BenchmarkStoreLCARef(b *testing.B) {
 			s, _, x, y := diamond(history, 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.refLCA(x, y); err != nil {
-					b.Fatal(err)
-				}
+				refMergeBase(s, x, y)
 			}
 		})
 	}
@@ -139,7 +105,7 @@ func BenchmarkStoreLCACrissCross(b *testing.B) {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
 			b.ReportAllocs()
 			s := newInternalCounterStore()
-			fork := commitChain(s, s.heads["main"], history)
+			fork := commitChain(s, mainRoot(s), history)
 			t1 := commitChain(s, fork, 1)
 			t2 := commitChain(s, fork, 2)
 			ma := mergeCommit(s, t1, t2, 100)
@@ -148,7 +114,7 @@ func BenchmarkStoreLCACrissCross(b *testing.B) {
 			y := commitChain(s, mb, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.lca(x, y); err != nil {
+				if _, err := mergeBase(s, x, y); err != nil {
 					b.Fatal(err)
 				}
 			}

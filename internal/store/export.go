@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/delta"
 )
@@ -38,15 +38,15 @@ type ExportedCommit struct {
 var ErrBadImport = errors.New("store: bad import")
 
 // Export returns branch b's full history — every ancestor commit of its
-// head in parents-before-children order — together with the head hash.
+// heads in parents-before-children order — together with the head set.
 // Feeding the result to another store's Import reproduces the history
 // bit-for-bit (content addressing makes re-imported commits identical).
-func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, Hash, error) {
+func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, []Hash, error) {
 	return s.export(b, nil, false)
 }
 
 // ExportSincePacked returns the part of branch b's history a peer is
-// missing: every ancestor of the head not dominated by the have-set, a
+// missing: every ancestor of the heads not dominated by the have-set, a
 // set of commit hashes the peer is known to possess (possession of a
 // commit implies possession of all its ancestors, so the walk cuts
 // there). Commits come parents-before-children; any parent outside the
@@ -63,16 +63,16 @@ func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, Hash, error) {
 // reassemble. Snapshots and commits whose chain base is not their parent
 // ship full: deduplicated states, and chain-full states composed onto
 // their chain's snapshot, since the wire form has no base field.
-func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]ExportedCommit, Hash, error) {
+func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]ExportedCommit, []Hash, error) {
 	return s.export(b, have, true)
 }
 
-func (s *Store[S, Op, Val]) export(b string, have []Hash, packed bool) ([]ExportedCommit, Hash, error) {
+func (s *Store[S, Op, Val]) export(b string, have []Hash, packed bool) ([]ExportedCommit, []Hash, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	head, ok := s.heads[b]
+	heads, ok := s.heads[b]
 	if !ok {
-		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
 	var cut map[Hash]bool
 	if len(have) > 0 {
@@ -81,9 +81,9 @@ func (s *Store[S, Op, Val]) export(b string, have []Hash, packed bool) ([]Export
 			cut[h] = true
 		}
 	}
-	order := s.topoOrderSince(head, cut)
+	order := s.topoOrderSince(heads, cut)
 	commits, err := s.exportOrderLocked(order, packed)
-	return commits, head, err
+	return commits, heads, err
 }
 
 // exportOrderLocked materializes the commits of a parents-first order
@@ -140,22 +140,19 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 	return s.commitAtLocked(c.Parents[0]).State, true
 }
 
-// topoOrder returns the ancestors of head (inclusive) with every commit
-// after its parents.
-func (s *Store[S, Op, Val]) topoOrder(head Hash) []Hash {
-	return s.topoOrderSince(head, nil)
-}
-
-// topoOrderSince is topoOrder with a cut: members of cut are neither
+// topoOrderSince returns the ancestors of heads (inclusive) with every
+// commit after its parents, cut at cut: members of cut are neither
 // emitted nor walked through, so the result is exactly the commits above
 // the cut. The walk is iterative; history depth does not grow the stack.
-func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash {
-	if cut[head] {
-		return nil
-	}
+func (s *Store[S, Op, Val]) topoOrderSince(heads []Hash, cut map[Hash]bool) []Hash {
 	var order []Hash
 	state := make(map[Hash]int) // 0 unseen, 1 visiting, 2 done
-	stack := []Hash{head}
+	var stack []Hash
+	for _, h := range heads {
+		if !cut[h] {
+			stack = append(stack, h)
+		}
+	}
 	for len(stack) > 0 {
 		h := stack[len(stack)-1]
 		switch state[h] {
@@ -178,7 +175,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 }
 
 // Import installs a transferred history — full or partial — and points
-// branch name at its head. The branch is created if needed (tracking
+// branch name at its head set. The branch is created if needed (tracking
 // branches for remote peers); the caller is expected to merge via Pull
 // afterwards, or to call Integrate, which does both. A partial history —
 // a recon session's delta or reply, a link's batch — grafts onto the
@@ -186,7 +183,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // among commits already present, so a dangling parent fails the import.
 // Commit hashes are recomputed locally; a corrupted transfer cannot forge
 // history. An empty batch is a valid delta as long as the advertised
-// head is already known. States decode through the store's own codec,
+// heads are already known. States decode through the store's own codec,
 // each first-seen state exactly once: an encoded state whose hash is
 // already present — a commit two crossed sessions both delivered, a new
 // commit pinning a known state, a no-op shipped as an identity patch —
@@ -199,7 +196,7 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // the same hash/decode/canonicality verification as a full state. A
 // corrupt patch therefore cannot forge state: the reassembled bytes hash
 // to a state address the commit chain must be consistent with, and the
-// advertised head check fails otherwise.
+// advertised heads check fails otherwise.
 //
 // Verification is pipelined. The caller's goroutine checks parents and
 // generations, applies patches and hashes states in batch order; decode
@@ -208,22 +205,21 @@ func (s *Store[S, Op, Val]) topoOrderSince(head Hash, cut map[Hash]bool) []Hash 
 // Commits install in batch order as their verdicts arrive, so a failed
 // import reports the first bad commit in the batch and leaves exactly
 // the commits before it installed, however the helpers finish.
-func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, head Hash) error {
+func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads []Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.importLocked(name, commits, head)
+	return s.importLocked(name, commits, heads)
 }
 
 // Integrate lands a peer's batch: it imports it under the tracking branch
 // via and pulls via into branch, in one critical section, so no other
 // session's import interleaves between the two. redundant counts the
 // batch's commits that were already present — re-ships an exact
-// negotiation never makes. after is branch's head afterwards and moved
-// whether the pull changed it: a concurrent Apply cannot pass for remote
-// news, and a pull that failed after moving the head still reports the
-// move. Open captures record the imported commits under via and the
-// merges the pull mints as the store's own.
-func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit, head Hash) (redundant int, after Hash, moved bool, err error) {
+// negotiation never makes. after names branch's head set afterwards
+// (HeadSetHash) and moved tells whether the pull changed it: a concurrent
+// Apply cannot pass for remote news. Open captures record the imported
+// commits under via.
+func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit, heads []Hash) (redundant int, after Hash, moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m := s.metrics; m != nil {
@@ -231,27 +227,23 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 		defer func() { m.integrateNs.Observe(time.Since(start).Nanoseconds()) }()
 	}
 	before, known := s.heads[branch], len(s.commits)
-	if err := s.importLocked(via, batch, head); err != nil {
-		return 0, before, false, err
+	if err := s.importLocked(via, batch, heads); err != nil {
+		return 0, HeadSetHash(before), false, err
 	}
 	// addCommitLocked adds to s.commits exactly the commits it newly
 	// installs.
 	redundant = len(batch) - (len(s.commits) - known)
-	// importLocked has cleared importVia: the merges the pull mints are
-	// recorded as the store's own, so a reply or a drain that skips via
-	// still ships them.
 	err = s.pullLocked(branch, via)
-	after = s.heads[branch]
 	if err == nil {
 		err = s.finishPersistLocked()
 	}
-	return redundant, after, after != before, err
+	return redundant, HeadSetHash(s.heads[branch]), !slices.Equal(s.heads[branch], before), err
 }
 
 // importLocked is the body of Import and Integrate, the pipeline Import
 // describes: prepareImportLocked, then verify on a helper for a
 // first-seen state, then drain's in-order install.
-func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, head Hash) error {
+func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, heads []Hash) error {
 	s.importVia = name
 	defer func() { s.importVia = "" }()
 	// The producer blocks once window commits are queued: enough to keep
@@ -324,35 +316,17 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 	if err := drain(0); err != nil {
 		return err
 	}
-	if !s.commitExistsLocked(head) {
-		return fmt.Errorf("%w: advertised head %v not present after import", ErrBadImport, head)
+	if len(heads) == 0 {
+		return fmt.Errorf("%w: no advertised head", ErrBadImport)
 	}
-	if _, ok := s.heads[name]; !ok {
-		if s.nextID > clock.MaxReplica {
-			return fmt.Errorf("store: replica id space exhausted")
-		}
-		c, err := clock.New(s.nextID)
-		if err != nil {
-			return err
-		}
-		s.nextID++
-		s.clocks[name] = c
-		s.persistNextIDLocked()
-	}
-	// Tracking branches never Apply; their clock only needs to dominate
-	// the imported history so merges hand out later timestamps. A delta
-	// batch alone may not witness the maximum (an empty delta moves the
-	// branch to an already-known head), but head commits always carry the
-	// largest timestamp of their history, so observing the head covers
-	// whatever arrived through other tracking branches.
-	maxT := s.commitAtLocked(head).Time
-	for _, ec := range commits {
-		if ec.Time > maxT {
-			maxT = ec.Time
+	for _, h := range heads {
+		if !s.commitExistsLocked(h) {
+			return fmt.Errorf("%w: advertised head %v not present after import", ErrBadImport, h)
 		}
 	}
-	s.clocks[name].Observe(maxT)
-	s.heads[name] = head
+	// A tracking branch only mirrors the peer's heads: it takes no
+	// operations, so it has no clock and spends no replica id.
+	s.heads[name] = s.maximalLocked(heads)
 	s.persistBranchLocked(name)
 	return s.finishPersistLocked()
 }

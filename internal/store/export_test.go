@@ -86,7 +86,7 @@ func TestImportRejectsBogusHead(t *testing.T) {
 	inc(t, src, "main", 1)
 	commits, _, _ := src.Export("main")
 	dst := counterStore()
-	err := dst.Import("remote/x", commits, store.Hash{0xde, 0xad})
+	err := dst.Import("remote/x", commits, []store.Hash{{0xde, 0xad}})
 	if !errors.Is(err, store.ErrBadImport) {
 		t.Fatalf("Import = %v, want ErrBadImport", err)
 	}

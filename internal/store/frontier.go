@@ -1,27 +1,29 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Frontier is a compact summary of a branch's history: the head hash plus
+// Frontier is a compact summary of a branch's history: the head set plus
 // a sample of ancestor hashes — dense over the most recent commits,
 // exponentially sparse further back (the spacing trick of Git's commit
 // negotiation). Everything dominated by the frontier's hashes can be cut
 // from an export (ExportSincePacked), so shipping to a store that holds
 // the frontier costs the gap, not the history.
 type Frontier struct {
-	// Head is the branch's current head commit.
-	Head Hash
-	// Have samples ancestors of Head (Head itself excluded): every commit
-	// within the dense generation window, then power-of-two distances.
+	// Heads is the branch's current head set.
+	Heads []Hash
+	// Have samples ancestors of Heads (the heads excluded): every commit
+	// within the dense generation window below the highest head, then
+	// power-of-two distances.
 	Have []Hash
 }
 
-// HaveSet returns the frontier's hashes — head and sample — as the
+// HaveSet returns the frontier's hashes — heads and sample — as the
 // have-set understood by ExportSincePacked.
 func (f Frontier) HaveSet() []Hash {
-	out := make([]Hash, 0, len(f.Have)+1)
-	out = append(out, f.Head)
-	return append(out, f.Have...)
+	return append(slices.Clone(f.Heads), f.Have...)
 }
 
 // Frontier sampling bounds: every ancestor within frontierDense
@@ -46,23 +48,27 @@ const (
 func (s *Store[S, Op, Val]) Frontier(b string) (Frontier, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	head, ok := s.heads[b]
+	heads, ok := s.heads[b]
 	if !ok {
 		return Frontier{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	headGen := s.commitAtLocked(head).Gen
+	headGen := 0
+	seen := make(map[Hash]bool, len(heads))
+	for _, h := range heads {
+		headGen = max(headGen, s.commitAtLocked(h).Gen)
+		seen[h] = true
+	}
 	const (
 		sparseCap = frontierMaxHave / 4
 		denseCap  = frontierMaxHave - sparseCap
 	)
 	var dense, sparse []Hash
-	seen := map[Hash]bool{head: true}
-	queue := []Hash{head}
+	queue := slices.Clone(heads)
 	for visited := 0; len(queue) > 0 && visited < frontierWalkBudget &&
 		(len(dense) < denseCap || len(sparse) < sparseCap); visited++ {
 		h := queue[0]
 		queue = queue[1:]
-		if h != head {
+		if !slices.Contains(heads, h) {
 			switch d := headGen - s.commitAtLocked(h).Gen; {
 			case d <= frontierDense:
 				if len(dense) < denseCap {
@@ -81,6 +87,6 @@ func (s *Store[S, Op, Val]) Frontier(b string) (Frontier, error) {
 			}
 		}
 	}
-	f := Frontier{Head: head, Have: append(dense, sparse...)}
+	f := Frontier{Heads: heads, Have: append(dense, sparse...)}
 	return f, nil
 }

@@ -19,7 +19,7 @@ func TestFrontierShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	head, _ := s.HeadHash("main")
-	if f.Head != head {
+	if len(f.Heads) != 1 || f.Heads[0] != head {
 		t.Fatal("frontier head must be the branch head")
 	}
 	headCommit, _ := s.Commit(head)
@@ -65,9 +65,10 @@ func TestFrontierSparseTailReserved(t *testing.T) {
 		inc(t, s, "main", 1)
 	}
 	// ...under a wide top: 128 branches commit once each off the prefix
-	// head, and pairwise merges fold them back into main in seven levels.
-	// All 255 commits of the top lie within 16 generations of the head —
-	// twice the default sample cap of 128 on their own.
+	// head, and pairwise pulls fold them back into main in seven levels,
+	// each pull followed by an op that commits its merge. All 382 commits
+	// of the top lie within 16 generations of the head — three times the
+	// default sample cap of 128 on their own.
 	branches := []string{"main"}
 	for i := 1; i < 128; i++ {
 		name := fmt.Sprintf("b%d", i)
@@ -85,6 +86,7 @@ func TestFrontierSparseTailReserved(t *testing.T) {
 			if err := s.Pull(branches[i], branches[i+1]); err != nil {
 				t.Fatal(err)
 			}
+			inc(t, s, branches[i], 1)
 			next = append(next, branches[i])
 		}
 		branches = next
@@ -147,7 +149,7 @@ func TestExportSinceConvergedIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(commits) != 0 || h != head {
+	if len(commits) != 0 || len(h) != 1 || h[0] != head {
 		t.Fatalf("cut at head must be empty, got %d commits", len(commits))
 	}
 }
@@ -247,7 +249,7 @@ func TestImportEmptyDeltaMovesBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An empty delta with an unknown head still fails.
-	if err := dst.Import("remote/main", nil, store.Hash{1}); err == nil {
+	if err := dst.Import("remote/main", nil, []store.Hash{{1}}); err == nil {
 		t.Fatal("unknown head must fail the import")
 	}
 }

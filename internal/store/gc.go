@@ -30,9 +30,11 @@ func (s *Store[S, Op, Val]) GC() int {
 	s.thawLocked()
 
 	live := make(map[Hash]bool)
-	for _, head := range s.heads {
-		for h := range s.ancestors(head) {
-			live[h] = true
+	for _, hs := range s.heads {
+		for _, head := range hs {
+			for h := range s.ancestors(head) {
+				live[h] = true
+			}
 		}
 	}
 

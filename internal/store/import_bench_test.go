@@ -43,7 +43,7 @@ func BenchmarkIntegrateBatch(b *testing.B) {
 			next++
 			oldest++
 		}
-		commits, tip, err := src.ExportSincePacked("main", []store.Hash{head})
+		commits, tip, err := src.ExportSincePacked("main", head)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func TestImportErrorNamesFirstBadCommit(t *testing.T) {
 	}
 	defer c.Close()
 
-	err = s.Import("remote/peer", b.batch, parent)
+	err = s.Import("remote/peer", b.batch, []Hash{parent})
 	if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 5 state encoding is not canonical") {
 		t.Fatalf("Import = %v, want commit 5's canonicality failure", err)
 	}
@@ -158,7 +158,7 @@ func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 	}
 
 	decodes.Store(0)
-	if err := s.Import("remote/peer", b.batch, head); err != nil {
+	if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
 		t.Fatal(err)
 	}
 	if got := decodes.Load(); got != 3 {
@@ -167,7 +167,7 @@ func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 	if got, want := s.NumCommits(), 1+len(b.batch); got != want {
 		t.Fatalf("%d commits after import, want %d", got, want)
 	}
-	if err := s.Import("remote/peer", b.batch, head); err != nil {
+	if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
 		t.Fatal(err)
 	}
 	if got := decodes.Load(); got != 3 {

@@ -64,30 +64,56 @@ func mergeCommit(s *Store[int64, counter.Op, counter.Val], a, b Hash, state int6
 	return s.putCommit(Commit{Parents: []Hash{a, b}, State: st, Gen: gen + 1})
 }
 
+// mainRoot is the one head of a fresh store's main branch.
+func mainRoot(s *Store[int64, counter.Op, counter.Val]) Hash { return s.heads["main"][0] }
+
+// mergeBase is the state a fold merges a and b over: the canonical
+// merge of their maximal common ancestors.
+func mergeBase(s *Store[int64, counter.Op, counter.Val], a, b Hash) (int64, error) {
+	return s.foldLocked(sortHashes(s.maximalCommonAncestors([]Hash{a}, []Hash{b})))
+}
+
+// refMergeBase is mergeBase over the reference search (refFold).
+func refMergeBase(s *Store[int64, counter.Op, counter.Val], a, b Hash) int64 {
+	return refFold(s, sortHashes(s.refMaximalCommonAncestors([]Hash{a}, []Hash{b})))
+}
+
+// refFold is foldLocked with every merge base found by the reference
+// search and nothing cached.
+func refFold(s *Store[int64, counter.Op, counter.Val], hs []Hash) int64 {
+	state := func(h Hash) int64 {
+		st, err := s.stateLocked(s.commits[h].State)
+		if err != nil {
+			panic(err)
+		}
+		return st
+	}
+	last := len(hs) - 1
+	if last == 0 {
+		return state(hs[0])
+	}
+	base := refFold(s, sortHashes(s.refMaximalCommonAncestors(hs[:last], hs[last:])))
+	return s.impl.Merge(base, refFold(s, hs[:last]), state(hs[last]))
+}
+
 func TestLCASimpleFork(t *testing.T) {
 	s := newInternalCounterStore()
-	root := s.heads["main"]
-	base := commitChain(s, root, 2)
+	base := commitChain(s, mainRoot(s), 2)
 	a := commitChain(s, base, 3)
 	b := commitChain(s, base, 1)
-	got, err := s.lca(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != base {
+	if got := s.maximalCommonAncestors([]Hash{a}, []Hash{b}); len(got) != 1 || got[0] != base {
 		t.Fatalf("lca = %v, want the fork point %v", got, base)
 	}
 }
 
 func TestLCAAncestorCases(t *testing.T) {
 	s := newInternalCounterStore()
-	root := s.heads["main"]
-	mid := commitChain(s, root, 2)
+	mid := commitChain(s, mainRoot(s), 2)
 	tip := commitChain(s, mid, 2)
-	if got, _ := s.lca(mid, tip); got != mid {
+	if got := s.maximalCommonAncestors([]Hash{mid}, []Hash{tip}); len(got) != 1 || got[0] != mid {
 		t.Fatal("lca(ancestor, descendant) must be the ancestor")
 	}
-	if got, _ := s.lca(tip, tip); got != tip {
+	if got := s.maximalCommonAncestors([]Hash{tip}, []Hash{tip}); len(got) != 1 || got[0] != tip {
 		t.Fatal("lca(x, x) must be x")
 	}
 }
@@ -96,69 +122,44 @@ func TestLCACrissCrossVirtualBase(t *testing.T) {
 	// Classic criss-cross: fork at base into a1 and b1; create merge
 	// commits ma = merge(a1, b1) and mb = merge(b1, a1); extend both.
 	// a1 and b1 are then both maximal common ancestors, and the merge
-	// base must be their recursive (virtual) merge.
+	// base must be their recursive (virtual) merge — cached, not
+	// committed.
 	s := newInternalCounterStore()
-	root := s.heads["main"]
-	base := commitChain(s, root, 1) // state 1
-	a1 := commitChain(s, base, 1)   // state 2
-	b1 := commitChain(s, base, 2)   // state 3
+	base := commitChain(s, mainRoot(s), 1) // state 1
+	a1 := commitChain(s, base, 1)          // state 2
+	b1 := commitChain(s, base, 2)          // state 3
 	// Correct three-way merges by hand: a1+b1-base = 2+3-1 = 4.
 	ma := mergeCommit(s, a1, b1, 4)
 	mb := mergeCommit(s, b1, a1, 4)
 	a2 := commitChain(s, ma, 1) // state 5
 	b2 := commitChain(s, mb, 2) // state 6
 
-	maximal := s.maximalCommonAncestors(a2, b2)
+	maximal := s.maximalCommonAncestors([]Hash{a2}, []Hash{b2})
 	if len(maximal) != 2 {
 		t.Fatalf("expected 2 maximal common ancestors, got %d", len(maximal))
 	}
-	vbase, err := s.lca(a2, b2)
+	commits := s.NumCommits()
+	vbase, err := mergeBase(s, a2, b2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.commits[vbase]
-	if len(c.Parents) != 2 {
-		t.Fatalf("virtual base must be a merge commit, got %+v", c)
+	if s.NumCommits() != commits {
+		t.Fatal("the virtual base was committed")
+	}
+	if cached, ok := s.cache.get(HeadSetHash(sortHashes(maximal))); !ok || cached != vbase {
+		t.Fatal("the virtual base is not in the decoded-state cache under its set's name")
 	}
 	// The virtual base's state is merge(base, a1, b1) = 4, so a final
 	// three-way merge yields 5 + 6 − 4 = 7 — each increment counted once.
-	mustState := func(h Hash) int64 {
-		st, err := s.stateLocked(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+	if vbase != 4 {
+		t.Fatalf("virtual base state = %d, want 4", vbase)
 	}
-	if got := mustState(c.State); got != 4 {
-		t.Fatalf("virtual base state = %d, want 4", got)
+	merged, err := s.foldLocked(sortHashes([]Hash{a2, b2}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged := s.impl.Merge(mustState(c.State), mustState(s.commits[a2].State), mustState(s.commits[b2].State))
 	if merged != 7 {
 		t.Fatalf("merge over virtual base = %d, want 7", merged)
-	}
-}
-
-func TestExclusiveOpsPartition(t *testing.T) {
-	s := newInternalCounterStore()
-	root := s.heads["main"]
-	base := commitChain(s, root, 2)
-	shared := commitChain(s, base, 1) // op below both heads: reported by neither
-	a1 := commitChain(s, shared, 2)
-	b1 := commitChain(s, shared, 1)
-	m := mergeCommit(s, a1, b1, 0) // merge commit: creates no event
-	a := commitChain(s, m, 1)
-	aOps, bOps := s.exclusiveOps(a, b1)
-	// a's side: its own two ops above shared, plus the op atop the merge.
-	// b1's ops are reachable from a through the merge, so b has none.
-	if len(aOps) != 3 || len(bOps) != 0 {
-		t.Fatalf("exclusiveOps = %d/%d ops, want 3/0", len(aOps), len(bOps))
-	}
-	aOps, bOps = s.exclusiveOps(a1, b1)
-	if len(aOps) != 2 || len(bOps) != 1 {
-		t.Fatalf("exclusiveOps(a1, b1) = %d/%d ops, want 2/1", len(aOps), len(bOps))
-	}
-	if x, y := s.exclusiveOps(a, a); x != nil || y != nil {
-		t.Fatal("exclusiveOps(x, x) must be empty")
 	}
 }
 
@@ -166,11 +167,10 @@ func TestMaximalCommonAncestorsDominated(t *testing.T) {
 	// A chain: every common ancestor of two descendants is dominated by
 	// the deepest one; only one maximal ancestor must be reported.
 	s := newInternalCounterStore()
-	root := s.heads["main"]
-	deep := commitChain(s, root, 5)
+	deep := commitChain(s, mainRoot(s), 5)
 	a := commitChain(s, deep, 1)
 	b := commitChain(s, deep, 2)
-	maximal := s.maximalCommonAncestors(a, b)
+	maximal := s.maximalCommonAncestors([]Hash{a}, []Hash{b})
 	if len(maximal) != 1 || maximal[0] != deep {
 		t.Fatalf("maximal = %v, want just the deepest fork point", maximal)
 	}

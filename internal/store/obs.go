@@ -60,10 +60,10 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 	reg.Describe("peepul_store_apply_ns", "wall time of one operation commit (Apply) under the store lock: Do, put state, put commit, persist")
 	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (SHA-256), delta (base reassembly + delta.Make)")
-	reg.Describe("peepul_store_pull_ns", "wall time of one branch pull, merge base to head move")
-	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge commit")
+	reg.Describe("peepul_store_pull_ns", "wall time of one branch pull: the union of two head sets, less dominated members")
+	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge: one step of a head set's canonical fold")
 	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the pull that lands it")
-	reg.Describe("peepul_store_lca_steps_total", "commits popped by paint-down-to-common LCA walks")
+	reg.Describe("peepul_store_lca_steps_total", "commits popped by the generation-ordered DAG walks: merge-base searches and head-set reductions")
 	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	return m

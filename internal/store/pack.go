@@ -491,16 +491,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 			}
 		}
 	}
-	for b, head := range s.heads {
-		c, ok := s.commitLocked(head)
-		if !ok {
-			return fmt.Errorf("%w: branch %s heads a missing commit", ErrCorruptPack, b)
-		}
-		if _, ok := objects[c.State]; !ok {
-			return fmt.Errorf("%w: branch %s pins a missing state", ErrCorruptPack, b)
-		}
-	}
-	return nil
+	return s.validateHeads()
 }
 
 // EncodedState materializes the encoded state pinned by state hash h and

@@ -15,6 +15,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -33,14 +34,18 @@ type ObjectRecord struct {
 	Depth int
 }
 
-// BranchRecord is the persisted form of one branch: its head commit and
-// the state of its Lamport clock (replica id plus counter), enough to
-// resume issuing unique, monotonic timestamps after a restart.
+// BranchRecord is the persisted form of one branch: its head set, sorted
+// by hash, and the state of its Lamport clock (replica id plus counter),
+// enough to resume issuing unique, monotonic timestamps after a restart.
+// A tracking branch has no clock: Replica is NoClock and Clock zero.
 type BranchRecord struct {
-	Head    Hash
+	Heads   []Hash
 	Replica int
 	Clock   int64
 }
+
+// NoClock is the Replica of a BranchRecord whose branch has no clock.
+const NoClock = -1
 
 // RecoveredState is a store's durable contents in persister-neutral
 // form: what a Persister replays from its log on open, and what GC hands
@@ -99,17 +104,21 @@ func (s *Store[S, Op, Val]) persistObjectLocked(h Hash, o *packObject) {
 	}
 }
 
-// persistBranchLocked reports branch b's current head and clock.
+// persistBranchLocked reports branch b's current head set and clock.
 func (s *Store[S, Op, Val]) persistBranchLocked(b string) {
-	p := s.opts.Persister
-	if p == nil || s.persistErr != nil {
-		return
+	if p := s.opts.Persister; p != nil && s.persistErr == nil {
+		if err := p.AppendBranch(b, s.branchRecordLocked(b)); err != nil {
+			s.persistErr = err
+		}
 	}
-	c := s.clocks[b]
-	err := p.AppendBranch(b, BranchRecord{Head: s.heads[b], Replica: c.Replica(), Clock: c.Now()})
-	if err != nil {
-		s.persistErr = err
+}
+
+// branchRecordLocked is branch b's persisted form.
+func (s *Store[S, Op, Val]) branchRecordLocked(b string) BranchRecord {
+	if c := s.clocks[b]; c != nil {
+		return BranchRecord{Heads: s.heads[b], Replica: c.Replica(), Clock: c.Now()}
 	}
+	return BranchRecord{Heads: s.heads[b], Replica: NoClock}
 }
 
 // persistNextIDLocked reports the replica-id allocator's position.
@@ -181,7 +190,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		objects: make(map[Hash]*packObject, no+1),
 		cache:   newStateCache[S](o.StateCacheSize),
 		commits: make(map[Hash]Commit, nc+1),
-		heads:   make(map[string]Hash),
+		heads:   make(map[string][]Hash),
 		clocks:  make(map[string]*clock.Clock),
 		metrics: newStoreMetrics(o.Obs),
 	}
@@ -197,7 +206,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		init := impl.Init()
 		st := s.putState(init, Hash{})
 		root := s.putCommit(Commit{State: st, Gen: 1})
-		s.heads[main] = root
+		s.heads[main] = []Hash{root}
 		c, err := clock.New(s.nextID)
 		if err != nil {
 			return nil, err
@@ -237,16 +246,20 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 	}
 	maxReplica := -1
 	for name, b := range rs.Branches {
+		if len(b.Heads) == 0 {
+			return nil, fmt.Errorf("%w: recovered branch %q has no head", ErrCorruptPack, name)
+		}
+		s.heads[name] = sortHashes(slices.Clone(b.Heads))
+		if b.Replica == NoClock {
+			continue
+		}
 		c, err := clock.New(b.Replica)
 		if err != nil {
 			return nil, fmt.Errorf("store: recovered branch %q: %w", name, err)
 		}
 		c.Observe(clock.Pack(b.Clock, 0))
-		s.heads[name] = b.Head
 		s.clocks[name] = c
-		if b.Replica > maxReplica {
-			maxReplica = b.Replica
-		}
+		maxReplica = max(maxReplica, b.Replica)
 	}
 	s.nextID = max(rs.NextID, maxReplica+1, replicaBase)
 	if _, ok := s.heads[main]; !ok {
@@ -277,15 +290,17 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 // generation numbers respect Gen = 1 + max parent generation (the
 // invariant the generation-guided DAG walks assume).
 func (s *Store[S, Op, Val]) validateRecovered() error {
+	if err := s.validateHeads(); err != nil {
+		return err
+	}
 	seen := make(map[Hash]bool)
 	var stack []Hash
-	for b, head := range s.heads {
-		if _, ok := s.commits[head]; !ok {
-			return fmt.Errorf("%w: branch %s heads missing commit %v", ErrCorruptPack, b, head)
-		}
-		if !seen[head] {
-			seen[head] = true
-			stack = append(stack, head)
+	for _, hs := range s.heads {
+		for _, h := range hs {
+			if !seen[h] {
+				seen[h] = true
+				stack = append(stack, h)
+			}
 		}
 	}
 	for len(stack) > 0 {
@@ -318,15 +333,18 @@ func (s *Store[S, Op, Val]) validateRecovered() error {
 
 // validateHeads checks that every branch head resolves to a present
 // commit pinning a present state object — the O(heads) validation
-// checkpoint recoveries run in place of the full closure walk.
+// checkpoint recoveries run in place of the full closure walk, and
+// VerifyPack's last step.
 func (s *Store[S, Op, Val]) validateHeads() error {
-	for b, head := range s.heads {
-		c, ok := s.commitLocked(head)
-		if !ok {
-			return fmt.Errorf("%w: branch %s heads missing commit %v", ErrCorruptPack, b, head)
-		}
-		if !s.objExistsLocked(c.State) {
-			return fmt.Errorf("%w: branch %s pins missing state %v", ErrCorruptPack, b, c.State)
+	for b, hs := range s.heads {
+		for _, h := range hs {
+			c, ok := s.commitLocked(h)
+			if !ok {
+				return fmt.Errorf("%w: branch %s heads missing commit %v", ErrCorruptPack, b, h)
+			}
+			if !s.objExistsLocked(c.State) {
+				return fmt.Errorf("%w: branch %s pins missing state %v", ErrCorruptPack, b, c.State)
+			}
 		}
 	}
 	return nil
@@ -352,9 +370,8 @@ func (s *Store[S, Op, Val]) liveStateLocked() (*RecoveredState, error) {
 		}
 		rs.Objects[h] = ObjectRecord{Data: data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth}
 	}
-	for b, head := range s.heads {
-		c := s.clocks[b]
-		rs.Branches[b] = BranchRecord{Head: head, Replica: c.Replica(), Clock: c.Now()}
+	for b := range s.heads {
+		rs.Branches[b] = s.branchRecordLocked(b)
 	}
 	return rs, nil
 }

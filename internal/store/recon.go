@@ -28,7 +28,7 @@ import (
 // node that never syncs (or syncs only with pre-recon peers) pays
 // nothing, and checkpointed recovery stays flat in history. Once built,
 // addCommitLocked and GC keep it exact: every commit installation
-// funnels through addCommitLocked (Apply, Import, merges), and GC's
+// funnels through addCommitLocked (Apply and its merges, Import), and GC's
 // sweep removes the collected hashes.
 
 // ensureRecon builds the recon tree if it does not exist yet. It takes
@@ -105,23 +105,22 @@ func (s *Store[S, Op, Val]) HasCommit(h Hash) bool {
 // install is one capture-log entry: a newly installed commit and the
 // tracking branch it was imported under — the name of a peer that
 // provably holds it — or "" for a commit this store made itself (an
-// Apply or a merge).
+// Apply and the merge it commits).
 type install struct {
 	hash Hash
 	via  string
 }
 
 // Capture is a snapshot of one branch that keeps recording: the branch
-// head at the instant Snapshot took it, and every commit the store
-// installs from that instant on — by Apply, Import or the merges a pull
-// mints — with the tracking branch it was imported under ("" for the
-// store's own commits). Only Close stops the recording; no export
-// consumes a capture.
+// head set at the instant Snapshot took it, and every commit the store
+// installs from that instant on — by Apply or Import — with the tracking
+// branch it was imported under ("" for the store's own commits). Only
+// Close stops the recording; no export consumes a capture.
 //
 // This is the one exactness argument every sync path rests on. The head
 // and the record start in one critical section, and every installation
 // (addCommitLocked) runs under the same lock, so each commit is either an
-// ancestor candidate of the snapshot head — it existed at the snapshot
+// ancestor candidate of the snapshot heads — it existed at the snapshot
 // and a recon descent can find it — or in the record; never neither. No
 // lock is held across the network: local writes and other sessions
 // interleave freely, and ExportSet's three modes each use the record to
@@ -130,35 +129,35 @@ type install struct {
 //   - AsOf (a client session): the ship set was resolved against the
 //     live, growing commit set; minus the record, it is cut back to
 //     commits that existed at the snapshot, and ships under the snapshot
-//     head. Every ancestor of that head predates the snapshot, so what
+//     heads. Every ancestor of those heads predates the snapshot, so what
 //     the receiver lacks of it was there for the negotiation to find and
 //     nothing subtracted is one of them: the batch grafts. A session's
 //     work is bounded by the state it connected with, however long it
 //     runs under sustained writes.
 //   - Reply (a serving session, captured at its hello): the batch ships
-//     under the live head, which may reach commits installed after the
+//     under the live heads, which may reach commits installed after the
 //     probes read the tree — a local Apply, another session's import,
-//     this session's own pull. All of them are in the record, so folding
+//     this session's own. All of them are in the record, so folding
 //     it in keeps the batch grafting onto what the receiver holds; the
 //     entries imported under held, the receiver's own tracking branch,
 //     came from the receiver and stay out.
 //   - Drain (a link, which keeps its connect session's capture): what was
-//     recorded since the last drain, bar held and virtual merge bases,
-//     under the live head. Drained in turn the batches stay graftable: a
-//     commit's parents were installed before it, so each sits in the same
-//     or an earlier batch, predates the snapshot (the connect session's
-//     to ship), or came from the receiver; and no branch commit has a
-//     virtual parent.
+//     recorded since the last drain, bar held, under the live heads.
+//     Drained in turn the batches stay graftable: a commit's parents were
+//     installed before it, so each sits in the same or an earlier batch,
+//     predates the snapshot (the connect session's to ship), or came from
+//     the receiver.
 type Capture struct {
 	branch string
-	head   Hash
+	heads  []Hash
 	// log is guarded by the store's lock.
 	log   []install
 	close func()
 }
 
-// Head returns the branch head the capture was taken at.
-func (c *Capture) Head() Hash { return c.head }
+// Head returns the name (HeadSetHash) of the head set the capture was
+// taken at.
+func (c *Capture) Head() Hash { return HeadSetHash(c.heads) }
 
 // Close stops the recording. It is idempotent, and a closed capture
 // refuses every export.
@@ -169,16 +168,16 @@ func (c *Capture) Close() { c.close() }
 // snapshot.
 var ErrNoCapture = errors.New("store: capture is closed")
 
-// Snapshot captures branch b: its head, and a record of every commit
+// Snapshot captures branch b: its head set, and a record of every commit
 // installed from now on (see Capture).
 func (s *Store[S, Op, Val]) Snapshot(b string) (*Capture, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	head, ok := s.heads[b]
+	hs, ok := s.heads[b]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	c := &Capture{branch: b, head: head}
+	c := &Capture{branch: b, heads: hs}
 	c.close = func() {
 		s.mu.Lock()
 		delete(s.captures, c)
@@ -197,61 +196,56 @@ type ExportMode int
 
 const (
 	// AsOf removes the recorded commits from ship and exports under the
-	// snapshot head.
+	// snapshot heads.
 	AsOf ExportMode = iota
 	// Reply adds the recorded commits not imported under held and exports
-	// under the live head.
+	// under the live heads.
 	Reply
 	// Drain adds the commits recorded since the last drain, bar those
-	// imported under held and virtual merge bases, exports under the live
-	// head, and resets the record.
+	// imported under held, exports under the live heads, and resets the
+	// record.
 	Drain
 )
 
 // ExportSet exports a negotiated ship set through capture c, in one
-// critical section, and returns the batch with the head it grafts under.
-// ship is the caller's map and shows the mode's additions or removals; a
-// nil ship is an empty one. The batch is in generation order (see
-// exportSetLocked). AsOf fails if the snapshot head is gone.
-func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode ExportMode, held string) ([]ExportedCommit, Hash, error) {
+// critical section, and returns the batch with the head set it grafts
+// under. ship is the caller's map and shows the mode's additions or
+// removals; a nil ship is an empty one. The batch is in generation order
+// (see exportSetLocked). AsOf fails if a snapshot head is gone.
+func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode ExportMode, held string) ([]ExportedCommit, []Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, open := s.captures[c]; !open {
-		return nil, Hash{}, ErrNoCapture
+		return nil, nil, ErrNoCapture
 	}
 	if ship == nil {
 		ship = make(map[Hash]bool, len(c.log))
 	}
-	head, ok := s.heads[c.branch]
+	heads, ok := s.heads[c.branch]
 	for _, in := range c.log {
 		switch {
 		case mode == AsOf:
 			delete(ship, in.hash)
-		case in.via != held && (mode == Reply || !s.virtualLocked(in.hash)):
+		case in.via != held:
 			ship[in.hash] = true
 		}
 	}
 	switch mode {
 	case AsOf:
-		if !s.commitExistsLocked(c.head) {
-			return nil, Hash{}, fmt.Errorf("store: snapshot head %v no longer present", c.head)
+		for _, h := range c.heads {
+			if !s.commitExistsLocked(h) {
+				return nil, nil, fmt.Errorf("store: snapshot head %v no longer present", h)
+			}
 		}
-		head, ok = c.head, true
+		heads, ok = c.heads, true
 	case Drain:
 		c.log = nil
 	}
 	if !ok {
-		return nil, Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, c.branch)
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoBranch, c.branch)
 	}
 	commits, err := s.exportSetLocked(ship)
-	return commits, head, err
-}
-
-// virtualLocked reports whether h is a virtual merge base (foldBases):
-// the only commits with parents that carry no timestamp.
-func (s *Store[S, Op, Val]) virtualLocked(h Hash) bool {
-	c, ok := s.commitLocked(h)
-	return ok && c.Time == 0 && len(c.Parents) > 0
+	return commits, heads, err
 }
 
 // exportSetLocked exports exactly the commits in ship,

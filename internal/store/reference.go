@@ -1,11 +1,13 @@
 package store
 
-// Reference implementations of the DAG queries, retained from before the
-// generation-guided rewrite (lca.go, walk.go). They materialize full
-// ancestor sets — O(history) per query — and serve as the executable
+import "maps"
+
+// Reference implementation of the merge-base search, retained from before
+// the generation-guided rewrite (lca.go, walk.go). It materializes full
+// ancestor sets — O(history) per query — and serves as the executable
 // specification: the randomized-DAG property tests
-// (lca_property_test.go) require the fast walks to agree with these on
-// every seed. GC keeps using ancestors() directly, where the full
+// (lca_property_test.go) require the fast walk to agree with it on every
+// seed. GC keeps using ancestors() directly, where the full
 // reachability set is the point of the computation.
 
 // ancestors returns the set of commits reachable from h, including h.
@@ -25,19 +27,17 @@ func (s *Store[S, Op, Val]) ancestors(h Hash) map[Hash]bool {
 	return seen
 }
 
-// refLCA is the reference counterpart of lca: identical fold over the
-// reference candidate set. Content addressing makes its virtual base
-// commits bit-identical to the fast implementation's.
-func (s *Store[S, Op, Val]) refLCA(a, b Hash) (Hash, error) {
-	return s.foldBases(s.refMaximalCommonAncestors(a, b), s.refLCA)
-}
-
 // refMaximalCommonAncestors is the full-ancestor-set merge-base search:
-// intersect the two ancestor sets, then discard candidates dominated by
-// a higher-generation candidate.
-func (s *Store[S, Op, Val]) refMaximalCommonAncestors(a, b Hash) []Hash {
-	aAnc := s.ancestors(a)
-	bAnc := s.ancestors(b)
+// intersect the ancestor sets of the two commit sets, then discard
+// candidates dominated by a higher-generation candidate.
+func (s *Store[S, Op, Val]) refMaximalCommonAncestors(a, b []Hash) []Hash {
+	aAnc, bAnc := map[Hash]bool{}, map[Hash]bool{}
+	for _, h := range a {
+		maps.Copy(aAnc, s.ancestors(h))
+	}
+	for _, h := range b {
+		maps.Copy(bAnc, s.ancestors(h))
+	}
 	var common []Hash
 	for h := range aAnc {
 		if bAnc[h] {
@@ -85,21 +85,4 @@ func (s *Store[S, Op, Val]) refMaximalCommonAncestors(a, b Hash) []Hash {
 		}
 	}
 	return maximal
-}
-
-// refExclusiveOps is the full-set counterpart of exclusiveOps: set
-// difference over materialized ancestor sets, operation commits only.
-func (s *Store[S, Op, Val]) refExclusiveOps(a, b Hash) (aOps, bOps []Hash) {
-	aAnc, bAnc := s.ancestors(a), s.ancestors(b)
-	for h := range aAnc {
-		if !bAnc[h] && len(s.commitAtLocked(h).Parents) == 1 {
-			aOps = append(aOps, h)
-		}
-	}
-	for h := range bAnc {
-		if !aAnc[h] && len(s.commitAtLocked(h).Parents) == 1 {
-			bOps = append(bOps, h)
-		}
-	}
-	return aOps, bOps
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,14 +146,17 @@ func snapshotExportRound(t *testing.T, seed int64) {
 			ship[it.Addr()] = true
 		}
 	}
-	batch, _, err := local.ExportSet(c, ship, AsOf, "")
+	batch, heads, err := local.ExportSet(c, ship, AsOf, "")
 	stop.Store(true)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("seed %d: ExportSet(AsOf): %v", seed, err)
 	}
 
-	if err := receiver.Import("remote/main", batch, h0); err != nil {
+	if HeadSetHash(heads) != h0 {
+		t.Fatalf("seed %d: AsOf ships under %v, want the snapshot heads %v", seed, heads, h0)
+	}
+	if err := receiver.Import("remote/main", batch, heads); err != nil {
 		t.Fatalf("seed %d: batch does not graft onto ancestors(H0) ∖ ship: %v", seed, err)
 	}
 	if err := receiver.VerifyPack(); err != nil {
@@ -176,11 +180,12 @@ func snapshotExportRound(t *testing.T, seed int64) {
 		}
 	}
 	local.mu.RLock()
-	anc := local.ancestors(h0)
-	local.mu.RUnlock()
-	for h := range anc {
-		if !now[h] {
-			t.Fatalf("seed %d: ancestor %v of the snapshot head missing at the receiver", seed, h)
+	defer local.mu.RUnlock()
+	for _, head := range heads {
+		for h := range local.ancestors(head) {
+			if !now[h] {
+				t.Fatalf("seed %d: ancestor %v of the snapshot heads missing at the receiver", seed, h)
+			}
 		}
 	}
 }
@@ -240,11 +245,11 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	}
 	peer := newCounterStoreAt("peer", 64)
 	mustApply(t, peer, "peer")
-	commits, head, err := peer.Export("peer")
+	commits, heads, err := peer.Export("peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.Integrate("main", "remote/peer", commits, head); err != nil {
+	if _, _, _, err := s.Integrate("main", "remote/peer", commits, heads); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(s.captures); n != 1 {
@@ -267,27 +272,27 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	}
 }
 
-// TestIntegrateRecordsMergesAsOwn: a capture armed before an Integrate
-// whose pull mints a merge records the merge as the store's own and the
-// imported commits under the tracking branch — so a reply ships the
-// merge with no list of what the pull minted, a drain that skips the
-// sender's commits still streams it, and only re-shipped commits count
-// as redundant.
+// TestIntegrateRecordsMergesAsOwn: Integrate mints nothing — it records
+// the imported commits under the tracking branch and unions the head set
+// — and the merge the next Apply commits is recorded as the store's own.
+// So a reply ships no merge, a drain that skips the sender's commits
+// still streams the Apply's merge, and only re-shipped commits count as
+// redundant.
 func TestIntegrateRecordsMergesAsOwn(t *testing.T) {
 	s := newCounterStoreAt("main", 0)
 	peer := newCounterStoreAt("peer", 64)
 	mustApply(t, s, "main")
 	mustApply(t, peer, "peer")
 	// s already holds peer's first commit; the batch re-ships it.
-	early, earlyHead, err := peer.Export("peer")
+	early, earlyHeads, err := peer.Export("peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Import("remote/peer", early, earlyHead); err != nil {
+	if err := s.Import("remote/peer", early, earlyHeads); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, peer, "peer")
-	batch, head, err := peer.Export("peer")
+	batch, heads, err := peer.Export("peer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,41 +303,42 @@ func TestIntegrateRecordsMergesAsOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	redundant, merged, moved, err := s.Integrate("main", "remote/peer", batch, head)
+	commits := s.NumCommits()
+	redundant, after, moved, err := s.Integrate("main", "remote/peer", batch, heads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := s.HeadHash("main"); !moved || merged != now {
-		t.Fatalf("Integrate: head %v moved=%v, want the branch head %v", merged, moved, now)
+	want := sortHashes([]Hash{local, heads[0]})
+	if got := s.Heads("main"); !moved || after != HeadSetHash(want) || !slices.Equal(got, want) {
+		t.Fatalf("Integrate: heads %v (%v) moved=%v, want the union %v", got, after, moved, want)
 	}
-	if mc, _ := s.Commit(merged); len(mc.Parents) != 2 {
-		t.Fatalf("pull minted %v with %d parents, want a merge", merged, len(mc.Parents))
-	}
-	if redundant != len(early) {
-		t.Fatalf("redundant = %d, want the %d re-shipped commits", redundant, len(early))
+	if redundant != len(early) || s.NumCommits() != commits+len(batch)-len(early) {
+		t.Fatalf("redundant = %d, %d commits installed; want the %d re-shipped, no merge", redundant, s.NumCommits()-commits, len(early))
 	}
 
-	// The reply to a peer that wants the local commit: that commit plus
-	// the merge, and nothing the peer sent. It grafts onto the peer.
+	// The reply to a peer that wants the local commit: that commit alone,
+	// under both heads, and nothing the peer sent. It grafts onto the peer.
 	ship := map[Hash]bool{local: true}
-	reply, replyHead, err := s.ExportSet(c, ship, Reply, "remote/peer")
+	reply, replyHeads, err := s.ExportSet(c, ship, Reply, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply) != 2 || len(ship) != 2 || !ship[merged] || replyHead != merged {
-		t.Fatalf("reply of %d commits under %v, ship %v; want the local commit and the merge %v", len(reply), replyHead, ship, merged)
+	if len(reply) != 1 || len(ship) != 1 || !slices.Equal(replyHeads, want) {
+		t.Fatalf("reply of %d commits under %v, ship %v; want the local commit under %v", len(reply), replyHeads, ship, want)
 	}
-	if err := peer.Import("remote/main", reply, replyHead); err != nil {
+	if err := peer.Import("remote/main", reply, replyHeads); err != nil {
 		t.Fatalf("reply does not graft onto the peer: %v", err)
 	}
 
-	// A link's drain skips what the peer sent, not what the pull minted.
+	// The next Apply commits the canonical merge, then its op; a link's
+	// drain skips what the peer sent, not those.
+	mustApply(t, s, "main")
 	drained, _, err := s.ExportSet(c, nil, Drain, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(drained) != 1 || len(drained[0].Parents) != 2 {
-		t.Fatalf("drained %d commits %+v, want the merge alone", len(drained), drained)
+	if len(drained) != 2 || len(drained[0].Parents) != 2 || len(drained[1].Parents) != 1 {
+		t.Fatalf("drained %d commits %+v, want the merge and the op", len(drained), drained)
 	}
 }
 
@@ -368,11 +374,11 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 	fromThird, _ := third.HeadHash("third")
 
 	ship := make(map[Hash]bool)
-	batch, head, err := s.ExportSet(c, ship, Reply, "remote/peer")
+	batch, heads, err := s.ExportSet(c, ship, Reply, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head != local || len(batch) != 2 || !ship[local] || !ship[fromThird] || ship[fromPeer] {
+	if HeadSetHash(heads) != local || len(batch) != 2 || !ship[local] || !ship[fromThird] || ship[fromPeer] {
 		t.Fatalf("reply of %d commits, ship local=%v third=%v peer=%v; want the local and third-party commit only",
 			len(batch), ship[local], ship[fromThird], ship[fromPeer])
 	}
@@ -402,15 +408,16 @@ func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch, head, err := s.ExportSet(link, nil, Drain, "remote/peer")
+	batch, heads, err := s.ExportSet(link, nil, Drain, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The local commit, third's commit and the two merges; not peer's own.
-	if now, _ := s.HeadHash("main"); len(batch) != 4 || head != now {
-		t.Fatalf("drained %d commits under %v, want 4 under the head %v", len(batch), head, now)
+	// The local commit and third's commit under the three heads; not
+	// peer's own, and no merge: pulls mint none.
+	if now := s.Heads("main"); len(batch) != 2 || len(heads) != 3 || !slices.Equal(heads, now) {
+		t.Fatalf("drained %d commits under %v, want 2 under the heads %v", len(batch), heads, now)
 	}
-	if err := peer.Import("remote/main", batch, head); err != nil {
+	if err := peer.Import("remote/main", batch, heads); err != nil {
 		t.Fatalf("batch does not graft onto the receiver: %v", err)
 	}
 
@@ -418,59 +425,18 @@ func TestDrainCaptureStreamsWhatTheReceiverLacks(t *testing.T) {
 	if again, _, err := s.ExportSet(link, nil, Drain, "remote/peer"); err != nil || len(again) != 0 {
 		t.Fatalf("second drain: %d commits, %v; want none", len(again), err)
 	}
+	// An apply over three heads commits their two-step canonical merge,
+	// then the op.
 	mustApply(t, s, "main")
-	next, head, err := s.ExportSet(link, nil, Drain, "remote/peer")
-	if err != nil || len(next) != 1 {
+	next, heads, err := s.ExportSet(link, nil, Drain, "remote/peer")
+	if err != nil || len(next) != 3 {
 		t.Fatalf("drain after one apply: %d commits, %v", len(next), err)
 	}
-	if err := peer.Import("remote/main", next, head); err != nil {
+	if err := peer.Import("remote/main", next, heads); err != nil {
 		t.Fatalf("second batch does not graft: %v", err)
 	}
 	link.Close()
 	if _, _, err := s.ExportSet(link, nil, Drain, "remote/peer"); !errors.Is(err, ErrNoCapture) {
 		t.Fatalf("closed capture: err = %v, want ErrNoCapture", err)
-	}
-}
-
-// TestDrainCaptureSkipsVirtualBases: a criss-cross pull folds its merge
-// bases into a virtual commit on no branch; the drain leaves it out —
-// every store that needs it folds it itself.
-func TestDrainCaptureSkipsVirtualBases(t *testing.T) {
-	x := newCounterStoreAt("main", 0)
-	y := newCounterStoreAt("main", 64)
-	mustApply(t, x, "main")
-	mustApply(t, y, "main")
-	early, earlyHead, err := x.Export("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := absorb(x, y, "main"); err != nil { // x merges y's commit
-		t.Fatal(err)
-	}
-	if err := y.Import("remote/main", early, earlyHead); err != nil {
-		t.Fatal(err)
-	}
-	if err := y.Pull("main", "remote/main"); err != nil { // y merges x's: a criss-cross
-		t.Fatal(err)
-	}
-
-	link, err := x.Snapshot("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	before := len(commitSet(x))
-	if err := absorb(x, y, "main"); err != nil {
-		t.Fatal(err)
-	}
-	if grown := len(commitSet(x)) - before; grown != 2 {
-		t.Fatalf("criss-cross pull installed %d commits, want y's merge and a virtual base", grown)
-	}
-	batch, _, err := x.ExportSet(link, nil, Drain, "elsewhere")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 1 || batch[0].Time == 0 {
-		t.Fatalf("drained %d commits %+v, want y's merge alone", len(batch), batch)
 	}
 }

@@ -1,24 +1,31 @@
 // Package store is the Git-like replicated datastore the MRDTs run on —
 // the reproduction's substitute for Irmin (§7.1). It keeps versioned,
-// content-addressed states in a commit DAG with named branches; operations
-// commit new versions, and a branch pulls from another via an MRDT
-// three-way merge whose base is the branches' lowest common ancestor.
+// content-addressed states in a commit DAG with named branches;
+// operations commit new versions, and a branch pulls from another.
+//
+// A branch head is a head set: commits none of which descends from
+// another. In the paper's model a merge creates no event, so a pull
+// commits nothing: it unions the two head sets and drops the dominated
+// members. A branch's state is the canonical merge of its head set — the
+// members folded pairwise in hash order, each step an MRDT three-way
+// merge over the fold of the maximal common ancestors, so criss-cross
+// histories merge the way Git's recursive strategy merges them — and is
+// cached, not committed. Only an operation on a branch with several
+// heads commits that merge first, as binary merge commits every replica
+// that saw the same heads mints identically.
 //
 // The store provides exactly the guarantees the paper's semantics assume:
 // unique, happens-before-respecting timestamps (Ψ_ts, from internal/clock)
-// and a well-defined LCA for every pair of branches (Ψ_lca). Criss-cross
-// merge patterns, where the DAG has several maximal common ancestors, are
-// handled the way Git's recursive strategy handles them: the candidate
-// ancestors are merged into a virtual base commit, which restores the
-// "intersection of histories" reading of the LCA.
+// and, for every merge, a base carrying exactly the operations common to
+// both sides (Ψ_lca).
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,14 +139,15 @@ func WithObs(reg *obs.Registry) Option {
 // Commit is one version in the DAG.
 type Commit struct {
 	// Parents are the commit's parents: none for the root, one for an
-	// operation commit, two for a merge commit.
+	// operation commit, two for a merge commit, sorted by hash.
 	Parents []Hash
 	// State addresses the encoded state this commit pins.
 	State Hash
 	// Gen is the commit's generation number: 1 + max parent generation.
 	Gen int
-	// Time is the timestamp of the operation that created the commit (the
-	// merge point's clock for merge commits).
+	// Time is the timestamp of the operation that created the commit; a
+	// merge commit repeats its later parent's, so only operation commits
+	// carry timestamps of their own.
 	Time core.Timestamp
 }
 
@@ -159,8 +167,9 @@ var (
 // shared read lock and run concurrently with each other, while mutations
 // (Apply, Pull, Sync, Fork, Import, Integrate, GC, DeleteBranch) and the
 // capture calls (Snapshot, ExportSet, Capture.Close) serialize behind the
-// write lock. Each branch carries its own Lamport clock, modelling one
-// replica per branch.
+// write lock. Each branch that takes operations carries its own Lamport
+// clock, modelling one replica per branch; a tracking branch, which only
+// mirrors a peer's heads, has none.
 type Store[S, Op, Val any] struct {
 	mu      sync.RWMutex
 	impl    core.MRDT[S, Op, Val]
@@ -174,9 +183,11 @@ type Store[S, Op, Val any] struct {
 	frozen  *FrozenIndex
 	cache   *stateCache[S]
 	commits map[Hash]Commit
-	heads   map[string]Hash
-	clocks  map[string]*clock.Clock
-	nextID  int
+	// heads maps each branch to its head set: sorted by hash, never
+	// empty, and never modified in place, so a set may be shared.
+	heads  map[string][]Hash
+	clocks map[string]*clock.Clock
+	nextID int
 	// rtree mirrors the commit-hash set for range-fingerprint set
 	// reconciliation (recon.go). Built lazily on the first recon query —
 	// so open time stays flat in history — and kept exact by
@@ -212,7 +223,8 @@ func New[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], main string
 }
 
 // NewAt is New with an explicit replica-id base for the store's branch
-// clocks: branch k created in this store uses replica id replicaBase+k.
+// clocks: the k-th branch created with a clock (main, then each Fork)
+// uses replica id replicaBase+k.
 // It panics if initialization fails, which can only happen when a
 // Persister rejects the initial records — persistent stores are opened
 // with OpenRecovered, whose error return covers that path.
@@ -236,28 +248,25 @@ func (s *Store[S, Op, Val]) Branches() []string {
 	return out
 }
 
-// Fork creates branch name from the current head of src (the
-// CREATEBRANCH rule).
+// Fork creates branch name at the head set of src (the CREATEBRANCH
+// rule). The new branch is a new replica with a clock of its own, which
+// needs no history: Apply observes the head set's latest timestamp before
+// every tick.
 func (s *Store[S, Op, Val]) Fork(src, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.heads[src]
+	hs, ok := s.heads[src]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoBranch, src)
 	}
 	if _, dup := s.heads[name]; dup {
 		return fmt.Errorf("%w: %s", ErrBranchExists, name)
 	}
-	if s.nextID > clock.MaxReplica {
-		return fmt.Errorf("store: replica id space exhausted")
-	}
-	s.heads[name] = h
 	c, err := clock.New(s.nextID)
 	if err != nil {
 		return err
 	}
-	// The new replica's clock must dominate everything it has seen.
-	c.Observe(clock.Pack(s.clocks[src].Now(), 0))
+	s.heads[name] = hs
 	s.clocks[name] = c
 	s.nextID++
 	s.persistBranchLocked(name)
@@ -266,7 +275,11 @@ func (s *Store[S, Op, Val]) Fork(src, name string) error {
 }
 
 // Apply performs op on branch b (the DO rule) and commits the resulting
-// state. It returns the operation's value.
+// state. On a branch with several heads it first commits their canonical
+// merge (mergeHeadsLocked), the op's one parent. The branch clock
+// observes that parent's timestamp, the latest in its history, before it
+// ticks. A tracking branch has no clock and takes no operations. Apply
+// returns the operation's value.
 func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,24 +288,33 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 		defer func() { m.applyNs.Observe(time.Since(start).Nanoseconds()) }()
 	}
 	var zero Val
-	head, ok := s.heads[b]
+	hs, ok := s.heads[b]
 	if !ok {
 		return zero, fmt.Errorf("%w: %s", ErrNoBranch, b)
+	}
+	clk := s.clocks[b]
+	if clk == nil {
+		return zero, fmt.Errorf("store: %s is a tracking branch and takes no operations", b)
+	}
+	head, err := s.mergeHeadsLocked(hs)
+	if err != nil {
+		return zero, err
 	}
 	hc := s.commitAtLocked(head)
 	cur, err := s.stateLocked(hc.State)
 	if err != nil {
 		return zero, err
 	}
-	t := s.clocks[b].Tick()
+	clk.Observe(hc.Time)
+	t := clk.Tick()
 	next, val := s.impl.Do(op, cur, t)
 	st := s.putState(next, hc.State)
-	s.heads[b] = s.putCommit(Commit{
+	s.heads[b] = []Hash{s.putCommit(Commit{
 		Parents: []Hash{head},
 		State:   st,
 		Gen:     hc.Gen + 1,
 		Time:    t,
-	})
+	})}
 	// The superseded state leaves the cache unless a head still pins it:
 	// a writer's trail of dead heads would otherwise flush the merge
 	// bases and peer heads the cache is for.
@@ -309,35 +331,75 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 // headPinsLocked reports whether some branch head pins state st.
 // Callers hold s.mu.
 func (s *Store[S, Op, Val]) headPinsLocked(st Hash) bool {
-	for _, h := range s.heads {
-		if s.commitAtLocked(h).State == st {
-			return true
+	for _, hs := range s.heads {
+		for _, h := range hs {
+			if s.commitAtLocked(h).State == st {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// Head returns the current state of branch b.
+// mergeHeadsLocked returns the one commit that carries head set hs: its
+// member, or else the canonical merge of its members, committed. The
+// members fold in foldLocked's order, one binary merge commit per step,
+// each with its two parents sorted, the later parent's timestamp and no
+// clock tick. So every replica that writes after seeing the same heads
+// commits the same merges. Callers hold the write lock.
+func (s *Store[S, Op, Val]) mergeHeadsLocked(hs []Hash) (Hash, error) {
+	acc := hs[0]
+	for i := 1; i < len(hs); i++ {
+		merged, err := s.foldLocked(hs[:i+1])
+		if err != nil {
+			return Hash{}, err
+		}
+		ps := sortHashes([]Hash{acc, hs[i]})
+		pc, qc := s.commitAtLocked(ps[0]), s.commitAtLocked(ps[1])
+		// The pack layer chains the merged state against the first
+		// parent's: the patch packed exports ship.
+		st := s.putState(merged, pc.State)
+		acc = s.putCommit(Commit{
+			Parents: ps,
+			State:   st,
+			Gen:     max(pc.Gen, qc.Gen) + 1,
+			Time:    max(pc.Time, qc.Time),
+		})
+	}
+	return acc, nil
+}
+
+// Head returns the current state of branch b: its head's state, or the
+// canonical merge of its head set (foldLocked).
 func (s *Store[S, Op, Val]) Head(b string) (S, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var zero S
-	head, ok := s.heads[b]
+	hs, ok := s.heads[b]
 	if !ok {
+		var zero S
 		return zero, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	return s.stateLocked(s.commitAtLocked(head).State)
+	return s.foldLocked(hs)
 }
 
-// HeadHash returns the commit hash at the head of branch b.
+// HeadHash returns the name of branch b's head set (HeadSetHash): the
+// head commit's hash while the branch has one head.
 func (s *Store[S, Op, Val]) HeadHash(b string) (Hash, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	head, ok := s.heads[b]
+	hs, ok := s.heads[b]
 	if !ok {
 		return Hash{}, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	return head, nil
+	return HeadSetHash(hs), nil
+}
+
+// Heads returns the members of branch b's head set, sorted by hash; nil
+// for an unknown branch.
+func (s *Store[S, Op, Val]) Heads(b string) []Hash {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.heads[b])
 }
 
 // Size returns the encoded size in bytes of branch b's state — the space
@@ -345,38 +407,28 @@ func (s *Store[S, Op, Val]) HeadHash(b string) (Hash, error) {
 func (s *Store[S, Op, Val]) Size(b string) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	head, ok := s.heads[b]
+	hs, ok := s.heads[b]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	obj, _ := s.objLocked(s.commitAtLocked(head).State)
-	return obj.size, nil
+	if len(hs) == 1 {
+		obj, _ := s.objLocked(s.commitAtLocked(hs[0]).State)
+		return obj.size, nil
+	}
+	st, err := s.foldLocked(hs)
+	if err != nil {
+		return 0, err
+	}
+	return len(s.codec.Encode(st)), nil
 }
 
-// Pull merges branch src into branch dst (the MERGE rule). Degenerate
-// cases avoid the data type merge entirely:
-//
-//   - If the merge base is src's head, dst already has everything: the
-//     pull is a no-op. When the two heads carry identical operation sets
-//     under different merge commits — replicas that absorbed the same
-//     operations through different exchanges — the pull instead elects
-//     the smaller head hash as the canonical commit, so gossiping
-//     replicas converge to one head, not just one state.
-//   - If the merge base is dst's head, the pull fast-forwards by
-//     adopting src's head commit. Likewise when dst's exclusive commits
-//     are all merges (merges create no operations): adopting src's head
-//     loses nothing, and declining to mint a fresh merge commit is what
-//     lets repeated gossip rounds terminate instead of chasing each
-//     other's heads forever.
-//
-// Otherwise a three-way merge of the two heads over their merge base is
-// committed with both heads as parents. The base handed to the data type
-// merge is the join of every maximal common ancestor (see lca), so its
-// operation set is exactly the intersection of the heads' — the Ψ_lca
-// property the data type merges are verified against holds by
-// construction, for any divergence shape arbitrary-order gossip
-// produces. dst's clock observes src's so that later operations on dst
-// carry larger timestamps than everything merged in.
+// Pull merges branch src into branch dst (the MERGE rule): dst's head set
+// becomes the union of both sets, less every member another member
+// descends from. In the paper's model a merge creates no event, and a
+// pull mints no commit: dst's state is the canonical merge of its head
+// set (Head), and the next Apply on dst commits it. So a pull of news
+// already held changes nothing, and branches holding the same operations
+// hold the same head set.
 func (s *Store[S, Op, Val]) Pull(dst, src string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -399,99 +451,15 @@ func (s *Store[S, Op, Val]) pullLocked(dst, src string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoBranch, dst)
 	}
-	if hd == hs {
-		return nil // already identical
-	}
-	base, err := s.lca(hd, hs)
-	if err != nil {
-		return err
-	}
-	if base == hs {
-		return nil // src is behind dst: nothing to pull
-	}
-	s.clocks[dst].Observe(clock.Pack(s.clocks[src].Now(), 0))
-	if base == hd {
-		// Fast-forward: dst has no exclusive history; adopting src's
-		// head commit is exact and keeps the DAG transparent for
-		// future LCAs.
-		s.heads[dst] = hs
+	if u := s.maximalLocked(append(slices.Clone(hd), hs...)); !slices.Equal(u, hd) {
+		s.heads[dst] = u
 		s.persistBranchLocked(dst)
-		return nil
 	}
-	// Heads that differ without differing in operations are convergence
-	// bookkeeping, not merges: minting a merge commit for them would
-	// move the heads forever without bringing them together.
-	dstOps, srcOps := s.exclusiveOps(hd, hs)
-	if len(srcOps) == 0 {
-		if len(dstOps) == 0 && bytes.Compare(hs[:], hd[:]) < 0 {
-			// Identical operation sets under different merge commits:
-			// elect the smaller hash as the canonical head, so every
-			// replica converges to one commit, not just one state.
-			s.heads[dst] = hs
-			s.persistBranchLocked(dst)
-		}
-		return nil // src has no operations dst lacks
-	}
-	if len(dstOps) == 0 {
-		// Semantic fast-forward: src's head carries every operation
-		// dst has (dst's exclusive commits are merges, which create
-		// no events), so adopting it loses nothing.
-		s.heads[dst] = hs
-		s.persistBranchLocked(dst)
-		return nil
-	}
-	return s.mergeHeadsLocked(dst, hd, hs, base)
-}
-
-// mergeHeadsLocked commits the three-way merge of dst's head hd with
-// commit other over base, and advances dst to the merge commit. The
-// caller has already observed the source clock.
-func (s *Store[S, Op, Val]) mergeHeadsLocked(dst string, hd, other, base Hash) error {
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.mergeNs.Observe(time.Since(start).Nanoseconds()) }()
-	}
-	dc, oc := s.commitAtLocked(hd), s.commitAtLocked(other)
-	baseState, err := s.stateLocked(s.commitAtLocked(base).State)
-	if err != nil {
-		return err
-	}
-	dstState, err := s.stateLocked(dc.State)
-	if err != nil {
-		return err
-	}
-	otherState, err := s.stateLocked(oc.State)
-	if err != nil {
-		return err
-	}
-	merged := s.impl.Merge(baseState, dstState, otherState)
-	// The merge commit's timestamp must dominate its whole ancestry;
-	// the absorbed head's own timestamp bounds everything it carries.
-	s.clocks[dst].Observe(oc.Time)
-	t := s.clocks[dst].Tick()
-	gen := dc.Gen
-	if oc.Gen > gen {
-		gen = oc.Gen
-	}
-	// The merge commit's first parent is dst's head: the pack layer
-	// chains the merged state against it, and packed exports ship that
-	// patch to peers that hold the parent.
-	st := s.putState(merged, dc.State)
-	s.heads[dst] = s.putCommit(Commit{
-		Parents: []Hash{hd, other},
-		State:   st,
-		Gen:     gen + 1,
-		Time:    t,
-	})
-	s.persistBranchLocked(dst)
 	return nil
 }
 
-// Sync converges two branches atomically: a pulls b (a three-way merge
-// over their merge base), then b adopts the result — no operation can
-// interleave between the two pulls, so the second leg is always a
-// fast-forward or election, never a second data type merge. After Sync
-// the two branches hold equal heads.
+// Sync converges two branches atomically: afterwards both hold the union
+// of their head sets.
 func (s *Store[S, Op, Val]) Sync(a, b string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

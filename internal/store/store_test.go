@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -420,10 +421,23 @@ func TestStoreCommitDAGShape(t *testing.T) {
 	inc(t, s, "main", 1)
 	inc(t, s, "dev", 1)
 	s.Pull("main", "dev")
+	// A pull commits nothing: main holds both heads until its next op
+	// commits their merge, parents sorted, with the later parent's time.
+	heads := s.Heads("main")
+	if len(heads) != 2 || bytes.Compare(heads[0][:], heads[1][:]) >= 0 {
+		t.Fatalf("main after the pull holds heads %v, want both, sorted", heads)
+	}
+	inc(t, s, "main", 1)
 	h, _ = s.HeadHash("main")
 	c, _ = s.Commit(h)
-	if len(c.Parents) != 2 {
-		t.Fatalf("merge commit must have two parents: %+v", c)
+	m, _ := s.Commit(c.Parents[0])
+	if len(m.Parents) != 2 || m.Parents[0] != heads[0] || m.Parents[1] != heads[1] {
+		t.Fatalf("merge commit must have the two heads as parents: %+v", m)
+	}
+	p0, _ := s.Commit(heads[0])
+	p1, _ := s.Commit(heads[1])
+	if m.Time != max(p0.Time, p1.Time) || c.Time <= m.Time {
+		t.Fatalf("merge time %v, parents %v and %v, op %v", m.Time, p0.Time, p1.Time, c.Time)
 	}
 	if _, ok := s.Commit(store.Hash{}); ok {
 		t.Fatal("zero hash must not resolve")

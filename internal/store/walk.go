@@ -1,7 +1,7 @@
 package store
 
-// Generation-guided DAG walks. The merge-base search and the exclusive
-// operation partition are flag-propagation walks over the commit DAG
+// Generation-guided DAG walks. The merge-base search and the head-set
+// reduction are flag-propagation walks over the commit DAG
 // that visit commits in strictly non-increasing generation order, which
 // gives them two properties the old full-ancestor-set implementations
 // lacked:
@@ -12,16 +12,17 @@ package store
 //     reached it. Decisions made at pop time are final.
 //
 //   - Early termination: the walk stops as soon as every queued commit
-//     carries the walk's "boring" flag (STALE), so it never descends
+//     carries the walk's "boring" flag, so it never descends
 //     past the region the query is actually about — cost is
 //     O(divergence), not O(history).
 //
-// The retained full-set implementations in reference.go are the
+// The retained full-set merge-base search in reference.go is the
 // executable specification; property tests require the two to agree on
 // randomized DAGs.
 
-// Flag bits carried by painted commits: the walks paint flagP1/flagP2
-// down from the two tips and mark common ancestors' histories flagStale.
+// Flag bits carried by painted commits: the merge-base walk paints
+// flagP1/flagP2 down from the two tip sets and marks common ancestors'
+// histories flagStale.
 const (
 	flagP1    uint8 = 1 << iota // reachable from the first tip
 	flagP2                      // reachable from the second tip

@@ -18,6 +18,7 @@ package wire_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,27 +38,43 @@ import (
 const corpusDir = "testdata/fuzz/FuzzReadMsg"
 
 // TestRecordedSessionCorpusCommitted guards the committed corpus: the
-// recorded-session seeds must exist and carry the corpus file format.
+// recorded-session seeds must exist, carry the corpus file format, and
+// include delta headers announcing a head set of several members — the
+// recording's nodes both write between syncs, so each integrates the
+// other's head beside its own.
 func TestRecordedSessionCorpusCommitted(t *testing.T) {
 	entries, err := os.ReadDir(corpusDir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("recorded-session corpus missing (%v); regenerate with PEEPUL_WRITE_CORPUS=1", err)
 	}
-	sessions := 0
+	sessions, headSets := 0, 0
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(corpusDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(string(data), "go test fuzz v1\n") {
+		body, ok := strings.CutPrefix(string(data), "go test fuzz v1\n")
+		if !ok {
 			t.Fatalf("seed %s is not in go corpus format", e.Name())
 		}
-		if strings.HasPrefix(e.Name(), "session-") {
-			sessions++
+		if !strings.HasPrefix(e.Name(), "session-") {
+			continue
+		}
+		sessions++
+		raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")\n"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		if kind, fields, err := wire.ReadMsg(strings.NewReader(raw)); err == nil && kind == wire.FrameDeltaHeader &&
+			len(fields) == 1 && len(fields[0]) >= 4 && binary.BigEndian.Uint32(fields[0]) > 1 {
+			headSets++
 		}
 	}
 	if sessions < 10 {
 		t.Fatalf("only %d recorded-session seeds committed, want a real capture", sessions)
+	}
+	if headSets == 0 {
+		t.Fatal("no recorded delta header announces several heads")
 	}
 }
 

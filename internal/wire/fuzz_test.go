@@ -208,26 +208,30 @@ func versionedHellos() [][]byte {
 }
 
 // linkHello is the opener of one link batch: the sender, the object and
-// its datatype, and the graft head.
-func linkHello() []byte {
-	return wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter", Head: store.Hash{4}})
+// its datatype, and the name of the graft head set.
+func linkHello(heads []store.Hash) []byte {
+	return wire.EncodeHello(wire.Hello{Node: "a", Object: "o", Datatype: "pn-counter", Head: store.HeadSetHash(heads)})
 }
 
 // linkBatches frames a link's traffic: a heartbeat, a batch (opener,
-// then its delta of one patched commit), the opener cut short, and an
-// opener with an extra field.
+// then its delta of one patched commit) under one head and under two,
+// the opener cut short, and an opener with an extra field.
 func linkBatches() [][]byte {
-	hello := linkHello()
-	var batch bytes.Buffer
-	batch.Write(frame(wire.FrameLinkBatch, hello))
 	commit := store.ExportedCommit{Parents: []store.Hash{{3}}, Patch: []byte{1, 2}, Gen: 2, Time: 65}
-	if err := wire.WriteDeltaPacked(&batch, []store.ExportedCommit{commit}, store.Hash{4}); err != nil {
-		panic(err)
+	batch := func(heads []store.Hash) []byte {
+		var b bytes.Buffer
+		b.Write(frame(wire.FrameLinkBatch, linkHello(heads)))
+		if err := wire.WriteDeltaPacked(&b, []store.ExportedCommit{commit}, heads); err != nil {
+			panic(err)
+		}
+		return b.Bytes()
 	}
+	hello := linkHello([]store.Hash{{4}})
 	opener := frame(wire.FrameLinkBatch, hello)
 	return [][]byte{
 		frame(wire.FrameLinkBatch),
-		batch.Bytes(),
+		batch([]store.Hash{{4}}),
+		batch([]store.Hash{{4}, {5}}),
 		opener[:len(opener)-5],
 		frame(wire.FrameLinkBatch, hello, []byte("stray")),
 	}
@@ -261,7 +265,7 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(append([]byte{wire.Version + 1}, good[1:]...))
 	// A link batch opens with a hello naming its graft head: whole and
 	// truncated.
-	opener := linkHello()
+	opener := linkHello([]store.Hash{{4}, {5}})
 	f.Add(opener)
 	f.Add(opener[:len(opener)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {

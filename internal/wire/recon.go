@@ -39,8 +39,8 @@ const (
 	FrameReconSplit FrameKind = 15
 	// FrameReconWant closes the descent: the exact commit hashes the
 	// sender is missing. The receiver answers with a delta stream
-	// containing those commits (plus any merge commits the exchange
-	// mints).
+	// containing those commits (plus any it installed during the
+	// exchange).
 	FrameReconWant FrameKind = 16
 	// FrameReconSpan probes a whole node pair at once: a fingerprint
 	// folded over every hosted object's commit set, name and head, plus

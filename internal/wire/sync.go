@@ -26,7 +26,7 @@ const (
 	FrameErr         FrameKind = 3 // error text (any phase)
 	FrameHello       FrameKind = 4 // hello + root recon probe
 	FrameHelloAck    FrameKind = 5 // hello + root probe answer
-	FrameDeltaHeader FrameKind = 6 // head hash + announced commit count
+	FrameDeltaHeader FrameKind = 6 // head set + announced commit count
 	FrameDeltaEnd    FrameKind = 8 // end of commit stream
 	// FrameHelloMiss answers a hello for an object the responder does not
 	// host (or hosts under a different datatype): the pair skips that
@@ -38,17 +38,19 @@ const (
 	FramePackedCommits FrameKind = 10
 	// FrameLinkBatch opens one batch of a link's commit stream, which the
 	// dialer writes after its connect session's exchanges: a Hello naming
-	// the sender, the object and its datatype, with Head the graft point,
-	// followed by a delta of the commits (WriteDeltaPacked) under that same
-	// head. With no field it is a heartbeat: an idle link's proof of life
+	// the sender, the object and its datatype, with Head the name of the
+	// graft point's head set, followed by a delta of the commits
+	// (WriteDeltaPacked) under that same head set. With no field it is a heartbeat: an idle link's proof of life
 	// against the reader's idle deadline, followed by nothing.
 	FrameLinkBatch FrameKind = 18
 )
 
 // Version is the sync protocol version. The hello and the span probe
 // payloads open with it, so the first frame a peer decodes tells it
-// whether the two sides speak the same protocol.
-const Version byte = 3
+// whether the two sides speak the same protocol. Version 4 names head
+// sets: a hello's Head is a store.HeadSetHash and a delta header lists
+// the set's members.
+const Version byte = 4
 
 // ErrVersion is wrapped by decoding errors of a payload that opens with
 // a protocol version other than Version.
@@ -249,7 +251,7 @@ func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 // Hello is the negotiation payload of one object's sync: who is asking,
 // which named object on the node, the datatype it is expected to hold
 // (so mismatched registrations fail cleanly instead of corrupting
-// states), and the sender's branch head.
+// states), and the name of the sender's branch head set.
 type Hello struct {
 	// Node is the sending node's name.
 	Node string
@@ -257,7 +259,7 @@ type Hello struct {
 	Object string
 	// Datatype is the registered datatype name of the object.
 	Datatype string
-	// Head is the sender's branch head.
+	// Head is store.HeadSetHash of the sender's branch head set.
 	Head store.Hash
 }
 
@@ -344,13 +346,16 @@ func readPackedCommit(r *Reader) store.ExportedCommit {
 }
 
 // WriteDeltaPacked streams a commit delta: a header frame announcing the
-// head and commit count, then FramePackedCommits chunks of bounded size,
-// each commit shipping either its full state or a patch against its
+// head set and commit count, then FramePackedCommits chunks of bounded
+// size, each commit shipping either its full state or a patch against its
 // first parent, then an end frame. The caller's slice is never
 // re-buffered whole.
-func WriteDeltaPacked(w io.Writer, commits []store.ExportedCommit, head store.Hash) error {
+func WriteDeltaPacked(w io.Writer, commits []store.ExportedCommit, heads []store.Hash) error {
 	var hdr Writer
-	hdr.PutHash(head)
+	hdr.PutLen(len(heads))
+	for _, h := range heads {
+		hdr.PutHash(h)
+	}
 	hdr.PutLen(len(commits))
 	if err := WriteMsg(w, FrameDeltaHeader, hdr.Bytes()); err != nil {
 		return err
@@ -370,65 +375,73 @@ func WriteDeltaPacked(w io.Writer, commits []store.ExportedCommit, head store.Ha
 	return WriteMsg(w, FrameDeltaEnd)
 }
 
-// ReadDelta consumes one delta stream and returns the commits and head.
-// The announced count, cumulative chunk bytes, and per-chunk contents are
-// all length-checked; a FrameErr from the peer surfaces as *PeerError.
-func ReadDelta(r io.Reader) ([]store.ExportedCommit, store.Hash, error) {
+// ReadDelta consumes one delta stream and returns the commits and head
+// set. The announced counts, cumulative chunk bytes, and per-chunk
+// contents are all length-checked; a FrameErr from the peer surfaces as
+// *PeerError.
+func ReadDelta(r io.Reader) ([]store.ExportedCommit, []store.Hash, error) {
 	kind, fields, err := ReadMsg(r)
 	if err != nil {
-		return nil, store.Hash{}, err
+		return nil, nil, err
 	}
 	if kind == FrameErr {
-		return nil, store.Hash{}, peerErr(fields)
+		return nil, nil, peerErr(fields)
 	}
 	if kind != FrameDeltaHeader || len(fields) != 1 {
-		return nil, store.Hash{}, fmt.Errorf("%w: expected delta header, got kind %d", ErrFraming, kind)
+		return nil, nil, fmt.Errorf("%w: expected delta header, got kind %d", ErrFraming, kind)
 	}
 	hr := NewReader(fields[0])
-	head := hr.Hash()
+	// Len bounds the count by the bytes that follow it.
+	heads := make([]store.Hash, hr.Len(len(store.Hash{})))
+	for i := range heads {
+		heads[i] = hr.Hash()
+	}
 	total := hr.Len(0)
 	if err := hr.Close(); err != nil {
-		return nil, store.Hash{}, err
+		return nil, nil, err
+	}
+	if len(heads) == 0 {
+		return nil, nil, fmt.Errorf("%w: delta announces no head", ErrFraming)
 	}
 	if total > MaxDeltaCommits {
-		return nil, store.Hash{}, fmt.Errorf("%w: delta announces %d commits, limit %d", ErrFraming, total, MaxDeltaCommits)
+		return nil, nil, fmt.Errorf("%w: delta announces %d commits, limit %d", ErrFraming, total, MaxDeltaCommits)
 	}
 	commits := make([]store.ExportedCommit, 0, min(total, maxCommitPrealloc))
 	bytesRead := 0
 	for {
 		kind, fields, err := ReadMsg(r)
 		if err != nil {
-			return nil, store.Hash{}, err
+			return nil, nil, err
 		}
 		switch kind {
 		case FramePackedCommits:
 			if len(fields) != 1 {
-				return nil, store.Hash{}, fmt.Errorf("%w: commit chunk wants 1 field, got %d", ErrFraming, len(fields))
+				return nil, nil, fmt.Errorf("%w: commit chunk wants 1 field, got %d", ErrFraming, len(fields))
 			}
 			bytesRead += len(fields[0])
 			if bytesRead > MaxDeltaBytes {
-				return nil, store.Hash{}, fmt.Errorf("%w: delta exceeds %d bytes", ErrFraming, MaxDeltaBytes)
+				return nil, nil, fmt.Errorf("%w: delta exceeds %d bytes", ErrFraming, MaxDeltaBytes)
 			}
 			cr := NewReader(fields[0])
 			for cr.Remaining() > 0 {
 				c := readPackedCommit(cr)
 				if err := cr.Err(); err != nil {
-					return nil, store.Hash{}, err
+					return nil, nil, err
 				}
 				if len(commits) >= total {
-					return nil, store.Hash{}, fmt.Errorf("%w: more commits than the %d announced", ErrFraming, total)
+					return nil, nil, fmt.Errorf("%w: more commits than the %d announced", ErrFraming, total)
 				}
 				commits = append(commits, c)
 			}
 		case FrameDeltaEnd:
 			if len(commits) != total {
-				return nil, store.Hash{}, fmt.Errorf("%w: got %d commits, %d announced", ErrFraming, len(commits), total)
+				return nil, nil, fmt.Errorf("%w: got %d commits, %d announced", ErrFraming, len(commits), total)
 			}
-			return commits, head, nil
+			return commits, heads, nil
 		case FrameErr:
-			return nil, store.Hash{}, peerErr(fields)
+			return nil, nil, peerErr(fields)
 		default:
-			return nil, store.Hash{}, fmt.Errorf("%w: unexpected kind %d in delta stream", ErrFraming, kind)
+			return nil, nil, fmt.Errorf("%w: unexpected kind %d in delta stream", ErrFraming, kind)
 		}
 	}
 }

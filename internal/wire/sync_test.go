@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -127,7 +128,7 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 	// 2000 commits with 1 KiB states: forces several chunks by both the
 	// commit-count bound and the byte bound.
 	commits := testCommits(2000, 1024)
-	head := store.Hash{7}
+	head := []store.Hash{{7}}
 	var buf bytes.Buffer
 	if err := WriteDeltaPacked(&buf, commits, head); err != nil {
 		t.Fatal(err)
@@ -157,13 +158,13 @@ func TestDeltaRoundTripChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotHead != head || !sameCommits(commits, got) {
+	if !slices.Equal(gotHead, head) || !sameCommits(commits, got) {
 		t.Fatal("delta round trip mismatch")
 	}
 }
 
 func TestDeltaEmpty(t *testing.T) {
-	head := store.Hash{1}
+	head := []store.Hash{{1}}
 	var buf bytes.Buffer
 	if err := WriteDeltaPacked(&buf, nil, head); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestDeltaEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 || gotHead != head {
+	if len(got) != 0 || !slices.Equal(gotHead, head) {
 		t.Fatalf("empty delta mismatch: %d commits", len(got))
 	}
 }
@@ -180,6 +181,7 @@ func TestDeltaEmpty(t *testing.T) {
 func TestReadDeltaCountMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr Writer
+	hdr.PutLen(1)
 	hdr.PutHash(store.Hash{})
 	hdr.PutLen(5) // announce five, deliver none
 	if err := WriteMsg(&buf, FrameDeltaHeader, hdr.Bytes()); err != nil {
@@ -196,6 +198,7 @@ func TestReadDeltaCountMismatch(t *testing.T) {
 func TestReadDeltaHugeAnnouncementFails(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr Writer
+	hdr.PutLen(1)
 	hdr.PutHash(store.Hash{})
 	hdr.PutLen(MaxDeltaCommits + 1)
 	if err := WriteMsg(&buf, FrameDeltaHeader, hdr.Bytes()); err != nil {
@@ -203,6 +206,19 @@ func TestReadDeltaHugeAnnouncementFails(t *testing.T) {
 	}
 	if _, _, err := ReadDelta(&buf); !errors.Is(err, ErrFraming) {
 		t.Fatalf("oversized announcement must fail, got %v", err)
+	}
+}
+
+func TestReadDeltaNeedsAHead(t *testing.T) {
+	var buf bytes.Buffer
+	var hdr Writer
+	hdr.PutLen(0) // no head set
+	hdr.PutLen(0)
+	if err := WriteMsg(&buf, FrameDeltaHeader, hdr.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDelta(&buf); !errors.Is(err, ErrFraming) {
+		t.Fatalf("a headless delta must fail, got %v", err)
 	}
 }
 
@@ -222,6 +238,7 @@ func TestReadDeltaExtraCommitsFail(t *testing.T) {
 	commits := testCommits(3, 8)
 	var buf bytes.Buffer
 	var hdr Writer
+	hdr.PutLen(1)
 	hdr.PutHash(store.Hash{})
 	hdr.PutLen(2) // announce fewer than shipped
 	if err := WriteMsg(&buf, FrameDeltaHeader, hdr.Bytes()); err != nil {
@@ -276,7 +293,8 @@ func samePackedCommits(a, b []store.ExportedCommit) bool {
 
 func TestPackedDeltaRoundTrip(t *testing.T) {
 	commits := packedTestCommits(40)
-	head := store.Hash{9, 9}
+	// A multi-head branch ships every member of its head set.
+	head := []store.Hash{{1, 2}, {9, 9}, {9, 9, 9}}
 	var buf bytes.Buffer
 	if err := WriteDeltaPacked(&buf, commits, head); err != nil {
 		t.Fatal(err)
@@ -285,7 +303,7 @@ func TestPackedDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotHead != head || !samePackedCommits(got, commits) {
+	if !slices.Equal(gotHead, head) || !samePackedCommits(got, commits) {
 		t.Fatal("packed delta round trip mismatch")
 	}
 }

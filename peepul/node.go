@@ -184,19 +184,20 @@ func (h *Handle[S, Op, Val]) StateOf(branch string) (S, error) {
 	return h.obj.Store().Head(branch)
 }
 
-// Pull merges branch src into branch dst (the MERGE rule): a three-way
-// MRDT merge over a base carrying exactly the branches' common
-// operations (the store's Ψ_lca guarantee). A pull onto the node branch
-// takes only the store's lock — it never waits for a sync session — and
-// is streamed to mesh peers like a Do.
+// Pull merges branch src into branch dst (the MERGE rule): dst takes
+// src's heads beside its own, and its state becomes their canonical
+// merge — three-way MRDT merges over bases carrying exactly the common
+// operations (the store's Ψ_lca guarantee) — which dst's next Do commits.
+// A pull onto the node branch takes only the store's lock — it never
+// waits for a sync session — and is streamed to mesh peers like a Do.
 func (h *Handle[S, Op, Val]) Pull(dst, src string) error {
 	return h.obj.PullLocal(dst, src)
 }
 
-// Sync converges two local branches atomically: a pulls b, then b
-// fast-forwards to the merge commit. After Sync both branches hold equal
-// states. Like Pull, it never waits for a sync session, and involving
-// the node branch notifies mesh peers.
+// Sync converges two local branches atomically: each pulls the other,
+// so both hold the same heads and equal states. Like Pull, it never
+// waits for a sync session, and involving the node branch notifies mesh
+// peers.
 func (h *Handle[S, Op, Val]) Sync(a, b string) error {
 	return h.obj.SyncLocal(a, b)
 }
