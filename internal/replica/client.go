@@ -14,15 +14,20 @@ import (
 
 // SyncWith synchronizes every object this node hosts with the peer
 // listening at addr, over a single connection: per object, the pair
-// reconciles its commit sets, the peer lands this node's missing commits
-// on its branch, and this node then lands the peer's reply; landing
-// unions the sender's head set into the branch and commits nothing.
-// Objects the peer does not host (or hosts under a different
-// datatype) are skipped and counted in Misses. The session ships what
-// this node held when it connected; commits made on either side while it
-// runs are not waited for and travel with the next stream batch or
-// round. Between quiescent nodes a successful exchange leaves both with
-// equal states on every shared object.
+// reconciles its commit sets, the peer replies with the commits this
+// node lacks, and then both land at once: this node the reply, the peer
+// this node's missing commits; landing unions the sender's head set into
+// the branch and commits nothing. SyncWith returns once the peer reports
+// its side landed. Objects the peer does not host (or hosts under a
+// different datatype) are skipped and counted in Misses. The session
+// ships what this node held when it connected; commits made on either
+// side while it runs are not waited for and travel with the next stream
+// batch or round. Between quiescent nodes a successful exchange leaves
+// both with equal states on every shared object. A peer that refuses
+// this node's commits does so after its reply, so a SyncWith that fails
+// with ErrProtocol for that reason has still landed the reply, which is
+// valid on its own; the peer keeps the commits before the first it
+// refused.
 func (n *Node) SyncWith(addr string) error {
 	_, _, err := n.syncPeer(context.Background(), addr, false)
 	return err
@@ -272,7 +277,10 @@ func (n *Node) syncObject(c *countedConn, addr string, so sessionObject) (miss b
 // halves the server's range — and resolves the exact symmetric
 // difference in O(diff · log n) frames. A want list and one delta in
 // each direction then ship precisely the missing commits; the server's
-// reply adds only what it installed during the exchange.
+// reply adds only what it installed during the exchange. The server
+// replies before it lands the delta, so the two sides land at the same
+// time, and its FrameLanded, read after this side has landed the reply,
+// ends the exchange.
 //
 // The descent reads the live fingerprint tree, which local commits and
 // inbound sessions keep growing; what ships is the resolved set cut back
@@ -397,6 +405,17 @@ func (n *Node) syncObjectRecon(c *countedConn, so sessionObject, ack wire.Hello,
 	redundant, err := n.integrate(e, object, ack.Node, reply, replyHeads)
 	if err != nil {
 		return err
+	}
+	// The server integrates our delta while we land its reply; its
+	// FrameLanded (or refusal) ends the exchange.
+	kind, fields, err := wire.ReadMsg(c)
+	switch {
+	case err != nil:
+		return err
+	case kind == wire.FrameErr:
+		return fmt.Errorf("%w: peer refused our delta: %s", ErrProtocol, peerMsg(fields))
+	case kind != wire.FrameLanded || len(fields) != 0:
+		return fmt.Errorf("%w: unexpected kind %d with %d fields after the reply, want landed", ErrProtocol, kind, len(fields))
 	}
 	fl.exchanges.Inc()
 	fl.shipped(commits)

@@ -15,9 +15,11 @@
 // the hash ranges that differ until the exact symmetric difference is
 // known, ships a want list and a packed delta of the commits the server
 // lacks, and the server replies with exactly the wanted commits plus what
-// it installed meanwhile. Each side grafts the partial DAG onto the
-// commits it already holds and unions the sender's head set into its
-// branch (a store Pull), which commits nothing. A branch's state is the
+// it installed meanwhile — before it lands the delta, so the two sides
+// land at the same time — and then ends the exchange with FrameLanded.
+// Each side grafts the partial DAG onto the commits it already holds and
+// unions the sender's head set into its branch (a store Pull), which
+// commits nothing. A branch's state is the
 // canonical merge of its head set over DAG-based merge bases, correct
 // even when history reached a node indirectly through third parties —
 // ring and mesh gossip topologies converge, which per-pair state exchange
@@ -34,9 +36,11 @@
 // its root recon probe, a probe, a want with its delta, a reply) thus
 // leaves in one write however many frames and fields it holds, a session
 // costs about two conn operations per round trip, and the framing layer
-// (internal/wire) never learns that buffering exists. The serving
-// handler flushes once more on exit, so its last reply or refusal still
-// reaches the client. Deadlines and byte accounting apply per raw fill
+// (internal/wire) never learns that buffering exists. The one turn the
+// server answers in two writes is the want: it flushes the reply before
+// it integrates the delta, then sends FrameLanded. The serving handler
+// flushes once more on exit, so its last reply or refusal still reaches
+// the client. Deadlines and byte accounting apply per raw fill
 // and flush.
 //
 // Replication can be always-on: every node embeds an internal/mesh
@@ -59,8 +63,9 @@
 // fingerprint tree, the ship set is exported as of the capture
 // (store.AsOf), and the peer's reply is integrated — imported and pulled
 // in one store critical section (store.Integrate) — into whatever head
-// the branch has by then. A serving session captures at its hello and
-// replies through the capture (store.Reply); a link keeps its connect
+// the branch has by then. A serving session captures at its hello,
+// replies through the capture (store.Reply) and only then integrates the
+// client's delta, so the two stores import at once; a link keeps its connect
 // session's capture and drains it (store.Drain). Why each export is exact
 // while writes and other sessions interleave is argued once, on
 // store.Capture. A session's work is bounded by the state it connected

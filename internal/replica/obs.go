@@ -54,6 +54,8 @@ func kindName(k wire.FrameKind) string {
 		return "recon-span"
 	case wire.FrameLinkBatch:
 		return "link-batch"
+	case wire.FrameLanded:
+		return "landed"
 	}
 	return "other"
 }

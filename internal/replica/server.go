@@ -235,12 +235,20 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 }
 
 // handleReconWant finishes a recon exchange: read the client's want list
-// and its delta of commits we lack, integrate it, and reply through the
-// session's capture with exactly the wanted commits plus whatever was
-// installed since the hello — commits local writes and other sessions
-// raced in, which the reply heads may reach — bar what arrived under the
-// client's own tracking branch. The
-// client cannot have any of it, and the reply re-ships nothing.
+// and its delta of commits we lack, reply through the session's capture
+// with exactly the wanted commits plus whatever was installed since the
+// hello — commits local writes and other sessions raced in, which the
+// reply heads may reach — bar what arrived under the client's own
+// tracking branch, and only then integrate the delta. The client cannot
+// have any of the reply, and the reply re-ships nothing.
+//
+// The reply leaves before the integrate starts, so the client lands it
+// while this side lands the delta: a session's two imports overlap
+// instead of running one after the other. FrameLanded then tells the
+// client the delta is in, so its SyncWith still returns only once both
+// sides have landed. A delta that fails to integrate is refused after
+// the reply: the client has landed a valid reply by then and fails its
+// sync on the refusal.
 func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSession, sp *spanRec) error {
 	wStart := time.Now()
 	if rs.capture == nil || len(fields) != 1 {
@@ -255,10 +263,6 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 		return refuseErr(conn, err)
 	}
 	e := rs.e
-	redundant, err := n.integrate(e, rs.hello.Object, rs.hello.Node, commits, heads)
-	if err != nil {
-		return refuseErr(conn, err)
-	}
 	ship := make(map[store.Hash]bool, len(want))
 	for _, h := range want {
 		ship[h] = true
@@ -267,17 +271,29 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	if err != nil {
 		return refuseErr(conn, err)
 	}
-	// Count the exchange before the reply streams out: the client may
-	// read its own stats the moment its SyncWith returns, and this
-	// handler goroutine has no happens-before edge past the write.
-	rs.flow.exchanges.Inc()
-	rs.flow.landed(commits, redundant)
 	rs.flow.shipped(reply)
 	n.metrics.descent(rs.probes)
+	sp.phase("ship", rs.hello.Object, wStart)
+	if err := wire.WriteDeltaPacked(conn, reply, replyHeads); err != nil {
+		return err
+	}
+	if err := conn.w.Flush(); err != nil {
+		return err
+	}
+	landStart := time.Now()
+	redundant, err := n.integrate(e, rs.hello.Object, rs.hello.Node, commits, heads)
+	if err != nil {
+		return refuseErr(conn, err)
+	}
+	// Count the exchange before FrameLanded goes out: the client may read
+	// its own stats the moment its SyncWith returns, and this handler
+	// goroutine has no happens-before edge past the write.
+	rs.flow.exchanges.Inc()
+	rs.flow.landed(commits, redundant)
 	sp.commits(len(reply), len(commits))
 	sp.objects(1)
-	sp.phase("ship", rs.hello.Object, wStart)
-	return wire.WriteDeltaPacked(conn, reply, replyHeads)
+	sp.phase("import", rs.hello.Object, landStart)
+	return wire.WriteMsg(conn, wire.FrameLanded)
 }
 
 // handleLinkBatch integrates one batch of a link's stream: the commits

@@ -116,9 +116,11 @@ func (p *dagPeer) pull(t *testing.T, q *dagPeer) {
 }
 
 // crossMerge is the merging part of a criss-cross round: an operation
-// each, concurrent cross-merges (both ship, then both merge — two merge
-// commits of the same two tips), then a's resolving pull of b's merge,
-// whose LCA walk finds two maximal common ancestors.
+// each, on a branch holding both peers' previous tips, so each Apply
+// first commits the canonical merge of that pair — the same commit on
+// both sides — over the fold's LCA walk; then both ship and pull, which
+// unions the two new tips into one head set on each side and mints
+// nothing, and a's second ship and pull finds nothing new.
 func crossMerge(t *testing.T, a, b *dagPeer) {
 	applyInc(t, a.s, "main")
 	applyInc(t, b.s, "main")
@@ -130,10 +132,10 @@ func crossMerge(t *testing.T, a, b *dagPeer) {
 	a.pull(t, b)
 }
 
-// crossRound is crossMerge plus b adopting a's resolution. The two merge
-// commits hold the same operations, so a's resolving pull elects the
-// smaller hash as the head; whether b's adoption is then a no-op or one
-// more walk depends on that hash order, which changes with depth.
+// crossRound is crossMerge plus b shipping and pulling a's heads once
+// more. A pull mints nothing, so both peers already hold the same two
+// heads and this re-sync lands no commit; every round adds the shared
+// canonical merge and one operation per peer, whatever the depth.
 func crossRound(t *testing.T, a, b *dagPeer) {
 	crossMerge(t, a, b)
 	b.ship(t, a)

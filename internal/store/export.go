@@ -280,13 +280,18 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 					return it.err
 				}
 				s.cache.put(it.commit.State, it.state)
-				// The defensive copy happens only for first-seen states:
-				// re-shipped known history never stores the patch at all.
-				patch := it.patch
+				// The pack keeps the verified bytes. A reassembled state is
+				// the store's own delta.Apply output; a state shipped whole
+				// and a shipped patch are the caller's, so they are copied —
+				// only for first-seen states: re-shipped known history never
+				// stores either.
+				enc, patch := it.enc, it.patch
 				if patch != nil {
-					patch = append([]byte(nil), patch...)
+					patch = bytes.Clone(patch)
+				} else {
+					enc = bytes.Clone(enc)
 				}
-				s.packLocked(it.commit.State, it.reenc, it.base, patch)
+				s.packLocked(it.commit.State, enc, it.base, patch)
 				delete(fresh, it.commit.State)
 			}
 			s.addCommitLocked(it.hash, it.commit)
@@ -333,7 +338,7 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 
 // importItem is one batch commit between the two ordered stages of an
 // import. prepareImportLocked fills in the commit; for a first-seen state
-// it also keeps the encoding, and verify then sets state, reenc and err.
+// it also keeps the encoding, and verify then sets state and err.
 type importItem[S any] struct {
 	i      int // batch position, for errors
 	hash   Hash
@@ -345,10 +350,9 @@ type importItem[S any] struct {
 	// also the patch base for later batch commits that chain to it.
 	enc []byte
 	// done is nil unless enc is being verified; a helper closes it when
-	// it has set state, reenc and err.
+	// it has set state and err.
 	done  chan struct{}
 	state S
-	reenc []byte
 	err   error
 }
 
@@ -416,19 +420,35 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 // verify is the per-state stage: a first-seen state must decode and
 // round-trip to the same bytes — accepting a non-canonical encoding would
 // give one logical state two content addresses and fork identical
-// histories forever. It reads only the item and the codec.
-func (it *importItem[S]) verify(codec Codec[S]) {
+// histories forever. A codec with Append re-encodes into buf, the
+// calling helper's scratch buffer, which verify returns grown for the
+// next state; any other codec's Encode allocates the copy it compares.
+// It reads only the item and the codec.
+func (it *importItem[S]) verify(codec Codec[S], buf []byte) []byte {
 	state, err := codec.Decode(it.enc)
 	if err != nil {
 		it.err = fmt.Errorf("%w: commit %d state: %v", ErrBadImport, it.i, err)
-		return
+		return buf
 	}
-	reenc := codec.Encode(state)
+	var reenc []byte
+	if a, ok := codec.(appender[S]); ok {
+		buf = a.Append(buf[:0], state)
+		reenc = buf
+	} else {
+		reenc = codec.Encode(state)
+	}
 	if !bytes.Equal(reenc, it.enc) {
 		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical", ErrBadImport, it.i)
-		return
+		return buf
 	}
-	it.state, it.reenc = state, reenc
+	it.state = state
+	return buf
+}
+
+// appender is the optional form of a Codec that encodes onto the end of
+// a buffer: Append(dst, s) is dst followed by Encode(s).
+type appender[S any] interface {
+	Append(dst []byte, s S) []byte
 }
 
 // verifiers is one import's pool of helper goroutines: each submitted
@@ -452,10 +472,12 @@ func (v *verifiers[S]) submit(it *importItem[S]) {
 	}
 }
 
-// work verifies queued items until the import closes jobs.
+// work verifies queued items until the import closes jobs, reusing one
+// scratch buffer for every re-encoding it compares.
 func (v *verifiers[S]) work() {
+	var buf []byte
 	for it := range v.jobs {
-		it.verify(v.codec)
+		buf = it.verify(v.codec, buf)
 		close(it.done)
 	}
 }

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/orset"
@@ -8,52 +9,126 @@ import (
 	"repro/internal/wire"
 )
 
-// BenchmarkIntegrateBatch measures landing one catch-up batch: 64 packed
-// or-set commits on top of a 3 000-element state both stores share — the
-// import layer of a deep catch-up sync, without the network. Each
-// iteration ships the sender's next 64 commits, which add the newest
-// element and remove the oldest in turn, so the state stays at 3 000.
-func BenchmarkIntegrateBatch(b *testing.B) {
-	const shared, batch = 3000, 64
-	src := orsetStore()
-	var oldest, next int64
-	apply := func(op orset.Op) {
-		if _, err := src.Apply("main", op); err != nil {
-			b.Fatal(err)
-		}
+// catchUp is the import layer of a deep catch-up sync, without the
+// network: a sender and a receiver sharing a 3 000-element or-set
+// history, and batches of the sender's next 64 packed commits, which add
+// the newest element and remove the oldest in turn, so the state stays
+// at 3 000.
+type catchUp struct {
+	src, dst     *store.Store[orset.SpaceState, orset.Op, orset.Val]
+	head         []store.Hash // the sender's heads the receiver holds
+	oldest, next int64
+}
+
+const catchUpShared, catchUpBatch = 3000, 64
+
+func newCatchUp(tb testing.TB) *catchUp {
+	f := &catchUp{src: orsetStore()}
+	for ; f.next < catchUpShared; f.next++ {
+		f.apply(tb, orset.Op{Kind: orset.Add, E: f.next})
 	}
-	for ; next < shared; next++ {
-		apply(orset.Op{Kind: orset.Add, E: next})
-	}
-	history, head, err := src.ExportSincePacked("main", nil)
+	history, head, err := f.src.ExportSincePacked("main", nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	dst := store.NewAt[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main", 64)
-	if _, _, _, err := dst.Integrate("main", "remote/src", history, head); err != nil {
-		b.Fatal(err)
+	f.dst = store.NewAt[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main", 64)
+	if _, _, _, err := f.dst.Integrate("main", "remote/src", history, head); err != nil {
+		tb.Fatal(err)
 	}
+	f.head = head
+	return f
+}
+
+func (f *catchUp) apply(tb testing.TB, op orset.Op) {
+	if _, err := f.src.Apply("main", op); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// batch commits the sender's next 64 operations and exports them packed
+// against the heads the receiver holds.
+func (f *catchUp) batch(tb testing.TB) ([]store.ExportedCommit, []store.Hash) {
+	for j := 0; j < catchUpBatch; j += 2 {
+		f.apply(tb, orset.Op{Kind: orset.Add, E: f.next})
+		f.apply(tb, orset.Op{Kind: orset.Remove, E: f.oldest})
+		f.next++
+		f.oldest++
+	}
+	commits, tip, err := f.src.ExportSincePacked("main", f.head)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(commits) != catchUpBatch {
+		tb.Fatalf("batch of %d commits, want %d", len(commits), catchUpBatch)
+	}
+	return commits, tip
+}
+
+// land integrates a batch and records its tip as held.
+func (f *catchUp) land(tb testing.TB, commits []store.ExportedCommit, tip []store.Hash) {
+	if _, _, _, err := f.dst.Integrate("main", "remote/src", commits, tip); err != nil {
+		tb.Fatal(err)
+	}
+	f.head = tip
+}
+
+// stateBytes sums the encoded states the receiver's last n commits along
+// tip's first-parent chain pin.
+func (f *catchUp) stateBytes(tb testing.TB, tip store.Hash, n int) int {
+	total := 0
+	for h := tip; n > 0; n-- {
+		c, ok := f.dst.Commit(h)
+		if !ok {
+			tb.Fatalf("commit %v missing", h)
+		}
+		enc, err := f.dst.EncodedState(c.State)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		total += len(enc)
+		h = c.Parents[0]
+	}
+	return total
+}
+
+// BenchmarkIntegrateBatch measures landing one catch-up batch (catchUp).
+func BenchmarkIntegrateBatch(b *testing.B) {
+	f := newCatchUp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for j := 0; j < batch; j += 2 {
-			apply(orset.Op{Kind: orset.Add, E: next})
-			apply(orset.Op{Kind: orset.Remove, E: oldest})
-			next++
-			oldest++
-		}
-		commits, tip, err := src.ExportSincePacked("main", head)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(commits) != batch {
-			b.Fatalf("batch of %d commits, want %d", len(commits), batch)
-		}
+		commits, tip := f.batch(b)
 		b.StartTimer()
-		if _, _, _, err := dst.Integrate("main", "remote/src", commits, tip); err != nil {
-			b.Fatal(err)
-		}
-		head = tip
+		f.land(b, commits, tip)
+	}
+}
+
+// TestIntegrateAllocatesOneEncodingPerState: landing a catch-up batch of
+// 64 first-seen or-set states allocates under 2.5 times the bytes of
+// those states — each state's reassembled encoding, which the pack
+// keeps, and its decode, but no second full encoding per state to
+// compare against.
+func TestIntegrateAllocatesOneEncodingPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const batches = 4
+	f := newCatchUp(t)
+	var alloc uint64
+	states := 0
+	for i := 0; i < batches; i++ {
+		commits, tip := f.batch(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.land(t, commits, tip)
+		runtime.ReadMemStats(&after)
+		alloc += after.TotalAlloc - before.TotalAlloc
+		states += f.stateBytes(t, tip[0], catchUpBatch)
+	}
+	ratio := float64(alloc) / float64(states)
+	t.Logf("%d batches of %d commits: %d B allocated for %d B of first-seen states (%.2fx)", batches, catchUpBatch, alloc, states, ratio)
+	if ratio >= 2.5 {
+		t.Fatalf("Integrate allocated %.2fx the batch's state bytes, want < 2.5x", ratio)
 	}
 }

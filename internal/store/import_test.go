@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -15,7 +16,9 @@ import (
 )
 
 // Tests of the import pipeline: commits verify on workers but install in
-// batch order, and each first-seen state decodes once.
+// batch order, and each first-seen state decodes once. Each runs over a
+// codec without Append, whose Encode verification compares against, and
+// over the same codec with it, which re-encodes into a helper's buffer.
 
 // batchBuilder assembles an import batch by hand, so a test can ship
 // encodings no store would export. Each commit chains to the receiver's
@@ -81,50 +84,83 @@ func (slowPaddedCodec) Decode(b []byte) (int64, error) {
 	return int64Codec{}.Decode(b)
 }
 
+// withAppend gives a test codec the optional Append form, int64Codec's
+// encoding onto dst, so import verification takes the scratch-buffer
+// path.
+type withAppend[C Codec[int64]] struct{ inner C }
+
+func (c withAppend[C]) Encode(s int64) []byte          { return c.inner.Encode(s) }
+func (c withAppend[C]) Decode(b []byte) (int64, error) { return c.inner.Decode(b) }
+func (withAppend[C]) Append(dst []byte, s int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(s))
+}
+
+// verifyPaths runs test once over codec, which has no Append, and once
+// over it with Append, checking that the type picks the path.
+func verifyPaths[C Codec[int64]](t *testing.T, codec C, test func(t *testing.T, codec Codec[int64])) {
+	for _, tc := range []struct {
+		name   string
+		codec  Codec[int64]
+		append bool
+	}{
+		{"Encode", codec, false},
+		{"Append", withAppend[C]{codec}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, ok := tc.codec.(appender[int64]); ok != tc.append {
+				t.Fatalf("codec has Append = %v, want %v", ok, tc.append)
+			}
+			test(t, tc.codec)
+		})
+	}
+}
+
 // TestImportErrorNamesFirstBadCommit: in a 12-commit packed batch where
 // commit 5 is not canonical and commit 8 does not decode, Import names
 // commit 5 whichever verdict lands first, installs commits 0–4 and
 // nothing after, and no capture records anything past commit 4.
 func TestImportErrorNamesFirstBadCommit(t *testing.T) {
-	s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, slowPaddedCodec{}, "main")
-	b, parent := newBatchBuilder(t, s)
-	var hashes []Hash
-	for i := 0; i < 12; i++ {
-		enc := int64Codec{}.Encode(int64(i + 1))
-		switch i {
-		case 5:
-			enc = append(enc, 0xff)
-		case 8:
-			enc = enc[:3]
+	verifyPaths(t, slowPaddedCodec{}, func(t *testing.T, codec Codec[int64]) {
+		s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, codec, "main")
+		b, parent := newBatchBuilder(t, s)
+		var hashes []Hash
+		for i := 0; i < 12; i++ {
+			enc := int64Codec{}.Encode(int64(i + 1))
+			switch i {
+			case 5:
+				enc = append(enc, 0xff)
+			case 8:
+				enc = enc[:3]
+			}
+			parent = b.add(parent, enc, i > 0)
+			hashes = append(hashes, parent)
 		}
-		parent = b.add(parent, enc, i > 0)
-		hashes = append(hashes, parent)
-	}
-	c, err := s.Snapshot("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+		c, err := s.Snapshot("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-	err = s.Import("remote/peer", b.batch, []Hash{parent})
-	if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 5 state encoding is not canonical") {
-		t.Fatalf("Import = %v, want commit 5's canonicality failure", err)
-	}
-	for i, h := range hashes {
-		if got := s.HasCommit(h); got != (i < 5) {
-			t.Errorf("commit %d installed = %v, want %v", i, got, i < 5)
+		err = s.Import("remote/peer", b.batch, []Hash{parent})
+		if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 5 state encoding is not canonical") {
+			t.Fatalf("Import = %v, want commit 5's canonicality failure", err)
 		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(c.log) != 5 {
-		t.Fatalf("capture recorded %d commits, want commits 0-4", len(c.log))
-	}
-	for i, in := range c.log {
-		if in.hash != hashes[i] || in.via != "remote/peer" {
-			t.Fatalf("capture entry %d = %v via %q, want commit %d via remote/peer", i, in.hash, in.via, i)
+		for i, h := range hashes {
+			if got := s.HasCommit(h); got != (i < 5) {
+				t.Errorf("commit %d installed = %v, want %v", i, got, i < 5)
+			}
 		}
-	}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if len(c.log) != 5 {
+			t.Fatalf("capture recorded %d commits, want commits 0-4", len(c.log))
+		}
+		for i, in := range c.log {
+			if in.hash != hashes[i] || in.via != "remote/peer" {
+				t.Fatalf("capture entry %d = %v via %q, want commit %d via remote/peer", i, in.hash, in.via, i)
+			}
+		}
+	})
 }
 
 // countingCodec is int64Codec that counts its decodes.
@@ -144,33 +180,35 @@ func (c countingCodec) Decode(b []byte) (int64, error) {
 // cost no decode beyond the first.
 func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 	var decodes atomic.Int64
-	s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, countingCodec{decodes: &decodes}, "main")
-	b, root := newBatchBuilder(t, s)
-	enc := func(v int64) []byte { return int64Codec{}.Encode(v) }
-	c1 := b.add(root, enc(1), true) // first seen
-	c2 := b.add(c1, enc(1), true)   // no-op: identity patch
-	c3 := b.add(c2, enc(2), true)   // first seen
-	c4 := b.add(c3, enc(0), true)   // the receiver's root state
-	b.add(root, enc(2), false)      // c3's state again, shipped in full
-	head := b.add(c4, enc(3), true) // first seen
-	if !bytes.Equal(b.batch[1].Patch, delta.Identity(8)) {
-		t.Fatalf("no-op commit ships %x, want an identity patch", b.batch[1].Patch)
-	}
+	verifyPaths(t, countingCodec{decodes: &decodes}, func(t *testing.T, codec Codec[int64]) {
+		s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, codec, "main")
+		b, root := newBatchBuilder(t, s)
+		enc := func(v int64) []byte { return int64Codec{}.Encode(v) }
+		c1 := b.add(root, enc(1), true) // first seen
+		c2 := b.add(c1, enc(1), true)   // no-op: identity patch
+		c3 := b.add(c2, enc(2), true)   // first seen
+		c4 := b.add(c3, enc(0), true)   // the receiver's root state
+		b.add(root, enc(2), false)      // c3's state again, shipped in full
+		head := b.add(c4, enc(3), true) // first seen
+		if !bytes.Equal(b.batch[1].Patch, delta.Identity(8)) {
+			t.Fatalf("no-op commit ships %x, want an identity patch", b.batch[1].Patch)
+		}
 
-	decodes.Store(0)
-	if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
-		t.Fatal(err)
-	}
-	if got := decodes.Load(); got != 3 {
-		t.Fatalf("%d decodes, want one per first-seen state (3)", got)
-	}
-	if got, want := s.NumCommits(), 1+len(b.batch); got != want {
-		t.Fatalf("%d commits after import, want %d", got, want)
-	}
-	if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
-		t.Fatal(err)
-	}
-	if got := decodes.Load(); got != 3 {
-		t.Fatalf("re-import decoded %d more states, want none", got-3)
-	}
+		decodes.Store(0)
+		if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
+			t.Fatal(err)
+		}
+		if got := decodes.Load(); got != 3 {
+			t.Fatalf("%d decodes, want one per first-seen state (3)", got)
+		}
+		if got, want := s.NumCommits(), 1+len(b.batch); got != want {
+			t.Fatalf("%d commits after import, want %d", got, want)
+		}
+		if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
+			t.Fatal(err)
+		}
+		if got := decodes.Load(); got != 3 {
+			t.Fatalf("re-import decoded %d more states, want none", got-3)
+		}
+	})
 }

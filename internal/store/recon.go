@@ -136,11 +136,13 @@ type install struct {
 //     runs under sustained writes.
 //   - Reply (a serving session, captured at its hello): the batch ships
 //     under the live heads, which may reach commits installed after the
-//     probes read the tree — a local Apply, another session's import,
-//     this session's own. All of them are in the record, so folding
-//     it in keeps the batch grafting onto what the receiver holds; the
-//     entries imported under held, the receiver's own tracking branch,
-//     came from the receiver and stay out.
+//     probes read the tree — a local Apply, another session's import.
+//     All of them are in the record, so folding it in keeps the batch
+//     grafting onto what the receiver holds; the entries imported under
+//     held, the receiver's own tracking branch (its link's batches),
+//     came from the receiver and stay out. The session exports its reply
+//     before it integrates the receiver's delta, so the reply never
+//     carries that delta back and the two sides land at the same time.
 //   - Drain (a link, which keeps its connect session's capture): what was
 //     recorded since the last drain, bar held, under the live heads.
 //     Drained in turn the batches stay graftable: a commit's parents were

@@ -49,6 +49,11 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // to round-trip states uniformly. Import calls Encode and Decode from
 // several goroutines at once, so a codec must not share mutable state
 // between calls.
+//
+// A codec may also have the form Append(dst []byte, s S) []byte, which
+// appends exactly Encode(s) to dst and leaves dst's bytes alone. Import
+// then checks that a state's encoding is canonical by re-encoding into a
+// buffer it reuses, instead of allocating a second encoding per state.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)

@@ -41,13 +41,14 @@ const corpusDir = "testdata/fuzz/FuzzReadMsg"
 // recorded-session seeds must exist, carry the corpus file format, and
 // include delta headers announcing a head set of several members — the
 // recording's nodes both write between syncs, so each integrates the
-// other's head beside its own.
+// other's head beside its own — and the landed frame that ends each
+// serving exchange.
 func TestRecordedSessionCorpusCommitted(t *testing.T) {
 	entries, err := os.ReadDir(corpusDir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("recorded-session corpus missing (%v); regenerate with PEEPUL_WRITE_CORPUS=1", err)
 	}
-	sessions, headSets := 0, 0
+	sessions, headSets, landed := 0, 0, 0
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(corpusDir, e.Name()))
 		if err != nil {
@@ -65,9 +66,13 @@ func TestRecordedSessionCorpusCommitted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %s: %v", e.Name(), err)
 		}
-		if kind, fields, err := wire.ReadMsg(strings.NewReader(raw)); err == nil && kind == wire.FrameDeltaHeader &&
-			len(fields) == 1 && len(fields[0]) >= 4 && binary.BigEndian.Uint32(fields[0]) > 1 {
+		kind, fields, err := wire.ReadMsg(strings.NewReader(raw))
+		switch {
+		case err != nil:
+		case kind == wire.FrameDeltaHeader && len(fields) == 1 && len(fields[0]) >= 4 && binary.BigEndian.Uint32(fields[0]) > 1:
 			headSets++
+		case kind == wire.FrameLanded && len(fields) == 0:
+			landed++
 		}
 	}
 	if sessions < 10 {
@@ -75,6 +80,9 @@ func TestRecordedSessionCorpusCommitted(t *testing.T) {
 	}
 	if headSets == 0 {
 		t.Fatal("no recorded delta header announces several heads")
+	}
+	if landed == 0 {
+		t.Fatal("no recorded landed frame")
 	}
 }
 

@@ -61,6 +61,12 @@ func FuzzReadMsg(f *testing.F) {
 	for _, fr := range linkBatches() {
 		f.Add(fr)
 	}
+	// The end of a serving exchange: a landed frame, one carrying a
+	// stray field, and its header cut short.
+	landed := frame(wire.FrameLanded)
+	f.Add(landed)
+	f.Add(frame(wire.FrameLanded, []byte("stray")))
+	f.Add(landed[:3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, fields, err := wire.ReadMsg(bytes.NewReader(data))

@@ -43,14 +43,21 @@ const (
 	// (WriteDeltaPacked) under that same head set. With no field it is a heartbeat: an idle link's proof of life
 	// against the reader's idle deadline, followed by nothing.
 	FrameLinkBatch FrameKind = 18
+	// FrameLanded ends an object's exchange on the serving side: the
+	// server, having replied, integrated the client's delta. It carries
+	// no field; a server whose integrate fails sends FrameErr instead.
+	FrameLanded FrameKind = 19
 )
 
 // Version is the sync protocol version. The hello and the span probe
 // payloads open with it, so the first frame a peer decodes tells it
-// whether the two sides speak the same protocol. Version 4 names head
+// whether the two sides speak the same protocol. Version 4 named head
 // sets: a hello's Head is a store.HeadSetHash and a delta header lists
-// the set's members.
-const Version byte = 4
+// the set's members. Version 5 keeps that and ends each exchange with
+// FrameLanded after the server's reply, so a version-4 peer is refused
+// at its first frame instead of leaving the client waiting for a frame
+// it never sends.
+const Version byte = 5
 
 // ErrVersion is wrapped by decoding errors of a payload that opens with
 // a protocol version other than Version.

@@ -54,7 +54,10 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // Codec serializes and deserializes states of type S; encoding drives
 // content addressing, decoding lets transferred histories round-trip.
 // Encode and Decode may be called concurrently from several goroutines
-// and must not share mutable state.
+// and must not share mutable state. A codec that also has
+// Append(dst []byte, s S) []byte — appending exactly Encode(s) to dst —
+// lets an import check each incoming state against a reused buffer
+// instead of a fresh encoding.
 type Codec[S any] = store.Codec[S]
 
 // Spec is a declarative replicated data type specification F_τ: the value
