@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -19,21 +20,21 @@ import (
 // integrates the client's delta, so the two imports overlap, and ends
 // the exchange with FrameLanded or a refusal.
 
-// gatedCodec is wire.PNCounter whose Decode, once armed, calls hook
-// first — a test's view into when each side's import decodes.
+// gatedCodec is wire.PNCounter whose Check, once armed, calls hook
+// first — a test's view into when each side's import verifies a state.
 type gatedCodec struct {
 	wire.PNCounter
 	armed *atomic.Bool
 	hook  func() error
 }
 
-func (c gatedCodec) Decode(b []byte) (counter.PNState, error) {
+func (c gatedCodec) Check(b []byte) error {
 	if c.armed.Load() {
 		if err := c.hook(); err != nil {
-			return counter.PNState{}, err
+			return err
 		}
 	}
-	return c.PNCounter.Decode(b)
+	return c.PNCounter.Check(b)
 }
 
 // codecNode is a counter node whose object uses codec.
@@ -55,7 +56,7 @@ func codecNode(t *testing.T, name string, id int, codec store.Codec[counter.PNSt
 }
 
 // TestSessionImportsOverlap: the server's import of the client's delta
-// cannot finish a decode until the client has decoded a state of the
+// cannot finish a check until the client has checked a state of the
 // server's reply, so a session that ran the two imports one after the
 // other would fail (after a bounded wait, not a hang). It succeeds, and
 // both sides end on the same state.
@@ -72,7 +73,7 @@ func TestSessionImportsOverlap(t *testing.T) {
 		case <-replyDecoded:
 			return nil
 		case <-time.After(10 * time.Second):
-			return errors.New("the client decoded no state of the reply while the server imported")
+			return errors.New("the client checked no state of the reply while the server imported")
 		}
 	}})
 	for i := 0; i < 4; i++ {
@@ -107,6 +108,16 @@ func (c pickyCodec) Decode(b []byte) (counter.PNState, error) {
 		s.N++
 	}
 	return s, err
+}
+
+// Check holds to the Check contract for this Decode, which the embedded
+// wire.PNCounter's Check would break: it fails where the round trip does.
+func (c pickyCodec) Check(b []byte) error {
+	s, err := c.Decode(b)
+	if err == nil && !bytes.Equal(c.Encode(s), b) {
+		return errors.New("decodes to a state that encodes differently")
+	}
+	return err
 }
 
 // TestPeerRefusalAfterReplyFailsSync: a server that cannot land the

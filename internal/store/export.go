@@ -183,24 +183,24 @@ func (s *Store[S, Op, Val]) topoOrderSince(heads []Hash, cut map[Hash]bool) []Ha
 // among commits already present, so a dangling parent fails the import.
 // Commit hashes are recomputed locally; a corrupted transfer cannot forge
 // history. An empty batch is a valid delta as long as the advertised
-// heads are already known. States decode through the store's own codec,
-// each first-seen state exactly once: an encoded state whose hash is
-// already present — a commit two crossed sessions both delivered, a new
-// commit pinning a known state, a no-op shipped as an identity patch —
-// or that an earlier batch commit pins skips the decode.
+// heads are already known. Each first-seen state is verified exactly
+// once (verify): an encoded state whose hash is already present — a
+// commit two crossed sessions both delivered, a new commit pinning a
+// known state, a no-op shipped as an identity patch — or that an earlier
+// batch commit pins is not verified again.
 //
 // A commit may carry its state as a Patch against its first parent's
 // state (packed exports); the parent is necessarily known — the batch is
 // parents-before-children and dangling parents fail the import — so the
 // patch is applied to the parent's encoding and the result goes through
-// the same hash/decode/canonicality verification as a full state. A
+// the same hash and canonicality verification as a full state. A
 // corrupt patch therefore cannot forge state: the reassembled bytes hash
 // to a state address the commit chain must be consistent with, and the
 // advertised heads check fails otherwise.
 //
 // Verification is pipelined. The caller's goroutine checks parents and
-// generations, applies patches and hashes states in batch order; decode
-// and canonical re-encode, which need only the state's own bytes, run on
+// generations, applies patches and hashes states in batch order; the
+// canonicality check, which needs only the state's own bytes, runs on
 // up to GOMAXPROCS helper goroutines, a few states per helper in flight.
 // Commits install in batch order as their verdicts arrive, so a failed
 // import reports the first bad commit in the batch and leaves exactly
@@ -279,7 +279,9 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 				if it.err != nil {
 					return it.err
 				}
-				s.cache.put(it.commit.State, it.state)
+				if _, checked := s.codec.(checker); !checked {
+					s.cache.put(it.commit.State, it.state) // verify decoded it
+				}
 				// The pack keeps the verified bytes. A reassembled state is
 				// the store's own delta.Apply output; a state shipped whole
 				// and a shipped patch are the caller's, so they are copied —
@@ -350,7 +352,7 @@ type importItem[S any] struct {
 	// also the patch base for later batch commits that chain to it.
 	enc []byte
 	// done is nil unless enc is being verified; a helper closes it when
-	// it has set state and err.
+	// it has set err, and state if it decoded enc.
 	done  chan struct{}
 	state S
 	err   error
@@ -407,7 +409,7 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		it.patch = ec.Patch
 	}
 	// Content addressing lets re-imported history short-circuit: a state
-	// already stored, or queued earlier in this batch, is never decoded.
+	// already stored, or queued earlier in this batch, is never verified.
 	st := sha256.Sum256(enc)
 	if !s.objExistsLocked(st) && fresh[st] == nil {
 		it.enc = enc
@@ -417,39 +419,32 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	return it, nil
 }
 
-// verify is the per-state stage: a first-seen state must decode and
-// round-trip to the same bytes — accepting a non-canonical encoding would
-// give one logical state two content addresses and fork identical
-// histories forever. A codec with Append re-encodes into buf, the
-// calling helper's scratch buffer, which verify returns grown for the
-// next state; any other codec's Encode allocates the copy it compares.
-// It reads only the item and the codec.
-func (it *importItem[S]) verify(codec Codec[S], buf []byte) []byte {
+// verify is the per-state stage: a first-seen state's encoding must be
+// canonical — accepting a non-canonical one would give one logical state
+// two content addresses and fork identical histories forever. A codec
+// with Check validates the bytes in place, and the state is decoded on
+// its first read; any other codec's state must decode and re-encode to
+// the same bytes, and is kept for the cache. It reads only the item and
+// the codec.
+func (it *importItem[S]) verify(codec Codec[S]) {
+	if c, ok := codec.(checker); ok {
+		if err := c.Check(it.enc); err != nil {
+			it.err = fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, it.i, err)
+		}
+		return
+	}
 	state, err := codec.Decode(it.enc)
 	if err != nil {
 		it.err = fmt.Errorf("%w: commit %d state: %v", ErrBadImport, it.i, err)
-		return buf
-	}
-	var reenc []byte
-	if a, ok := codec.(appender[S]); ok {
-		buf = a.Append(buf[:0], state)
-		reenc = buf
-	} else {
-		reenc = codec.Encode(state)
-	}
-	if !bytes.Equal(reenc, it.enc) {
+	} else if !bytes.Equal(codec.Encode(state), it.enc) {
 		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical", ErrBadImport, it.i)
-		return buf
 	}
 	it.state = state
-	return buf
 }
 
-// appender is the optional form of a Codec that encodes onto the end of
-// a buffer: Append(dst, s) is dst followed by Encode(s).
-type appender[S any] interface {
-	Append(dst []byte, s S) []byte
-}
+// checker is the optional form of a Codec that validates an encoding in
+// place (Codec).
+type checker interface{ Check(enc []byte) error }
 
 // verifiers is one import's pool of helper goroutines: each submitted
 // state starts a helper until max run, so a batch of n first-seen states
@@ -472,12 +467,10 @@ func (v *verifiers[S]) submit(it *importItem[S]) {
 	}
 }
 
-// work verifies queued items until the import closes jobs, reusing one
-// scratch buffer for every re-encoding it compares.
+// work verifies queued items until the import closes jobs.
 func (v *verifiers[S]) work() {
-	var buf []byte
 	for it := range v.jobs {
-		buf = it.verify(v.codec, buf)
+		it.verify(v.codec)
 		close(it.done)
 	}
 }

@@ -2,9 +2,15 @@ package store_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/mlog"
+	"repro/internal/orset"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -268,5 +274,83 @@ func TestImportRejectsNonCanonicalState(t *testing.T) {
 	// The untampered batch still imports cleanly.
 	if err := dst.Import("remote/main", commits, head); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// swapping is a datatype whose operations matching at swap the first two
+// elements of their result: a peer committing states out of the order
+// its datatype's searches and merges rely on, which its codec still
+// encodes.
+type swapping[S ~[]E, E, Op, Val any] struct {
+	core.MRDT[S, Op, Val]
+	at func(Op) bool
+}
+
+func (d swapping[S, E, Op, Val]) Do(op Op, s S, t core.Timestamp) (S, Val) {
+	next, v := d.MRDT.Do(op, s, t)
+	if d.at(op) {
+		next = slices.Clone(next)
+		next[0], next[1] = next[1], next[0]
+	}
+	return next, v
+}
+
+// TestImportRejectsDisorderedState: a packed batch of six commits whose
+// commit 3 pins a state with two swapped elements — or-set pairs out of
+// ascending element order, log entries out of descending timestamp
+// order — fails to import naming commit 3, with commits 0–2 installed
+// and none after, through the real wire codecs.
+func TestImportRejectsDisorderedState(t *testing.T) {
+	const k = 3
+	t.Run("or-set-space", func(t *testing.T) {
+		var ops []orset.Op
+		for i := range 6 {
+			ops = append(ops, orset.Op{Kind: orset.Add, E: int64(10 * (i + 1))})
+		}
+		bad := func(op orset.Op) bool { return op == ops[k] }
+		importDisordered(t, orset.OrSetSpace{}, swapping[orset.SpaceState, orset.Pair, orset.Op, orset.Val]{orset.OrSetSpace{}, bad}, wire.OrSetSpace{}, ops, k)
+	})
+	t.Run("mlog", func(t *testing.T) {
+		var ops []mlog.Op
+		for i := range 6 {
+			ops = append(ops, mlog.Op{Kind: mlog.Append, Msg: fmt.Sprint("m", i)})
+		}
+		bad := func(op mlog.Op) bool { return op == ops[k] }
+		importDisordered(t, mlog.Log{}, swapping[mlog.State, mlog.Entry, mlog.Op, mlog.Val]{mlog.Log{}, bad}, wire.MLog{}, ops, k)
+	})
+}
+
+// importDisordered commits ops on a store running forger, whose op k
+// disorders its state, ships them packed to a store running impl, and
+// checks the import fails on commit k.
+func importDisordered[S, Op, Val any](t *testing.T, impl, forger core.MRDT[S, Op, Val], codec store.Codec[S], ops []Op, k int) {
+	src := store.New(forger, codec, "main")
+	dst := store.New(impl, codec, "main")
+	var hashes []store.Hash
+	for _, op := range ops {
+		if _, err := src.Apply("main", op); err != nil {
+			t.Fatal(err)
+		}
+		h, err := src.HeadHash("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, h)
+	}
+	batch, heads, err := src.ExportSincePacked("main", dst.Heads("main"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(ops) {
+		t.Fatalf("batch of %d commits, want one per op (%d)", len(batch), len(ops))
+	}
+	err = dst.Import("remote/src", batch, heads)
+	if !errors.Is(err, store.ErrBadImport) || !strings.Contains(err.Error(), fmt.Sprintf("commit %d state", k)) {
+		t.Fatalf("Import = %v, want ErrBadImport naming commit %d", err, k)
+	}
+	for i, h := range hashes {
+		if got := dst.HasCommit(h); got != (i < k) {
+			t.Errorf("commit %d installed = %v, want %v", i, got, i < k)
+		}
 	}
 }

@@ -3,8 +3,8 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,9 +16,10 @@ import (
 )
 
 // Tests of the import pipeline: commits verify on workers but install in
-// batch order, and each first-seen state decodes once. Each runs over a
-// codec without Append, whose Encode verification compares against, and
-// over the same codec with it, which re-encodes into a helper's buffer.
+// batch order, and each first-seen state is verified once. Each runs
+// over a codec without Check, whose states the import decodes and
+// re-encodes, and over the same codec with Check, which the import calls
+// instead.
 
 // batchBuilder assembles an import batch by hand, so a test can ship
 // encodings no store would export. Each commit chains to the receiver's
@@ -84,33 +85,41 @@ func (slowPaddedCodec) Decode(b []byte) (int64, error) {
 	return int64Codec{}.Decode(b)
 }
 
-// withAppend gives a test codec the optional Append form, int64Codec's
-// encoding onto dst, so import verification takes the scratch-buffer
-// path.
-type withAppend[C Codec[int64]] struct{ inner C }
+// withCheck gives a test codec the optional Check form. Exactly the
+// 8-byte encodings are canonical for every int64Codec variant here; any
+// other length is rejected with the inner Decode's verdict as the reason
+// (slowly, for slowPaddedCodec's padded encodings), so Check decodes
+// nothing a canonical encoding needs.
+type withCheck[C Codec[int64]] struct{ inner C }
 
-func (c withAppend[C]) Encode(s int64) []byte          { return c.inner.Encode(s) }
-func (c withAppend[C]) Decode(b []byte) (int64, error) { return c.inner.Decode(b) }
-func (withAppend[C]) Append(dst []byte, s int64) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(s))
+func (c withCheck[C]) Encode(s int64) []byte          { return c.inner.Encode(s) }
+func (c withCheck[C]) Decode(b []byte) (int64, error) { return c.inner.Decode(b) }
+func (c withCheck[C]) Check(b []byte) error {
+	if len(b) == 8 {
+		return nil
+	}
+	if _, err := c.inner.Decode(b); err != nil {
+		return err
+	}
+	return fmt.Errorf("%d bytes decode to a state that encodes to 8", len(b))
 }
 
-// verifyPaths runs test once over codec, which has no Append, and once
-// over it with Append, checking that the type picks the path.
-func verifyPaths[C Codec[int64]](t *testing.T, codec C, test func(t *testing.T, codec Codec[int64])) {
+// verifyPaths runs test once over codec, which has no Check, and once
+// over it with Check, checking that the type picks the path.
+func verifyPaths[C Codec[int64]](t *testing.T, codec C, test func(t *testing.T, codec Codec[int64], check bool)) {
 	for _, tc := range []struct {
-		name   string
-		codec  Codec[int64]
-		append bool
+		name  string
+		codec Codec[int64]
+		check bool
 	}{
 		{"Encode", codec, false},
-		{"Append", withAppend[C]{codec}, true},
+		{"Check", withCheck[C]{codec}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := tc.codec.(appender[int64]); ok != tc.append {
-				t.Fatalf("codec has Append = %v, want %v", ok, tc.append)
+			if _, ok := tc.codec.(checker); ok != tc.check {
+				t.Fatalf("codec has Check = %v, want %v", ok, tc.check)
 			}
-			test(t, tc.codec)
+			test(t, tc.codec, tc.check)
 		})
 	}
 }
@@ -120,7 +129,7 @@ func verifyPaths[C Codec[int64]](t *testing.T, codec C, test func(t *testing.T, 
 // commit 5 whichever verdict lands first, installs commits 0–4 and
 // nothing after, and no capture records anything past commit 4.
 func TestImportErrorNamesFirstBadCommit(t *testing.T) {
-	verifyPaths(t, slowPaddedCodec{}, func(t *testing.T, codec Codec[int64]) {
+	verifyPaths(t, slowPaddedCodec{}, func(t *testing.T, codec Codec[int64], _ bool) {
 		s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, codec, "main")
 		b, parent := newBatchBuilder(t, s)
 		var hashes []Hash
@@ -177,10 +186,11 @@ func (c countingCodec) Decode(b []byte) (int64, error) {
 // TestImportDecodesEachFreshStateOnce: the pipeline decides before
 // install which states are first seen, so a no-op shipped as an identity
 // patch, a state the receiver holds and a state two batch commits pin
-// cost no decode beyond the first.
+// cost no decode beyond the first. A codec with Check decodes nothing at
+// import; the first read of the head decodes its state, once.
 func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 	var decodes atomic.Int64
-	verifyPaths(t, countingCodec{decodes: &decodes}, func(t *testing.T, codec Codec[int64]) {
+	verifyPaths(t, countingCodec{decodes: &decodes}, func(t *testing.T, codec Codec[int64], check bool) {
 		s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, codec, "main")
 		b, root := newBatchBuilder(t, s)
 		enc := func(v int64) []byte { return int64Codec{}.Encode(v) }
@@ -194,12 +204,16 @@ func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 			t.Fatalf("no-op commit ships %x, want an identity patch", b.batch[1].Patch)
 		}
 
+		want := int64(3) // one per first-seen state
+		if check {
+			want = 0
+		}
 		decodes.Store(0)
 		if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
 			t.Fatal(err)
 		}
-		if got := decodes.Load(); got != 3 {
-			t.Fatalf("%d decodes, want one per first-seen state (3)", got)
+		if got := decodes.Load(); got != want {
+			t.Fatalf("%d decodes, want %d", got, want)
 		}
 		if got, want := s.NumCommits(), 1+len(b.batch); got != want {
 			t.Fatalf("%d commits after import, want %d", got, want)
@@ -207,8 +221,19 @@ func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 		if err := s.Import("remote/peer", b.batch, []Hash{head}); err != nil {
 			t.Fatal(err)
 		}
-		if got := decodes.Load(); got != 3 {
-			t.Fatalf("re-import decoded %d more states, want none", got-3)
+		if got := decodes.Load(); got != want {
+			t.Fatalf("re-import decoded %d more states, want none", got-want)
+		}
+		if check {
+			want = 1 // the head's state, on its first read
+		}
+		for range 2 {
+			if st, err := s.Head("remote/peer"); err != nil || st != 3 {
+				t.Fatalf("Head = %d (%v), want 3", st, err)
+			}
+			if got := decodes.Load(); got != want {
+				t.Fatalf("%d decodes after reading the head, want %d", got, want)
+			}
 		}
 	})
 }

@@ -50,10 +50,10 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // several goroutines at once, so a codec must not share mutable state
 // between calls.
 //
-// A codec may also have the form Append(dst []byte, s S) []byte, which
-// appends exactly Encode(s) to dst and leaves dst's bytes alone. Import
-// then checks that a state's encoding is canonical by re-encoding into a
-// buffer it reuses, instead of allocating a second encoding per state.
+// A codec may also have the form Check(enc []byte) error, nil exactly
+// when Decode(enc) succeeds and Encode of the result is enc. Import and
+// VerifyPack then validate encodings in place: an imported state is not
+// decoded, or cached, until it is first read.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)

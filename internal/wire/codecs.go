@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 
 	"repro/internal/alphamap"
@@ -51,6 +52,15 @@ func (PNCounter) Append(dst []byte, s counter.PNState) []byte {
 	w.PutInt64(s.P)
 	w.PutInt64(s.N)
 	return w.Bytes()
+}
+
+// Check reports whether b is a PN-counter encoding: exactly two
+// integers. Every such buffer decodes and re-encodes to itself.
+func (PNCounter) Check(b []byte) error {
+	if len(b) != 16 {
+		return fmt.Errorf("%w: pn-counter of %d bytes, want 16", ErrMalformed, len(b))
+	}
+	return nil
 }
 
 // Decode deserializes the PN-counter.
@@ -196,15 +206,43 @@ func (MLog) Append(dst []byte, s mlog.State) []byte {
 	return w.Bytes()
 }
 
-// Decode deserializes the log.
+// Check reports whether b is a canonical log encoding, in one pass
+// that allocates nothing: the count, then exactly that many entries in
+// strictly descending timestamp order, the log's invariant. Any other
+// buffer either fails to decode or decodes to a state that breaks the
+// invariant its merge relies on.
+func (MLog) Check(b []byte) error {
+	r := Reader{buf: b}
+	n := r.Len(12)
+	var prev core.Timestamp
+	for i := 0; i < n && r.err == nil; i++ {
+		t := r.Timestamp()
+		r.skipString()
+		if i > 0 && t >= prev && r.err == nil {
+			return logOrderError(i)
+		}
+		prev = t
+	}
+	return r.Close()
+}
+
+// Decode deserializes the log, rejecting what Check rejects.
 func (MLog) Decode(b []byte) (mlog.State, error) {
 	r := NewReader(b)
 	n := r.Len(12)
 	s := make(mlog.State, 0, n)
 	for i := 0; i < n; i++ {
-		s = append(s, mlog.Entry{T: r.Timestamp(), Msg: r.String()})
+		e := mlog.Entry{T: r.Timestamp(), Msg: r.String()}
+		if i > 0 && e.T >= s[i-1].T && r.err == nil {
+			return nil, logOrderError(i)
+		}
+		s = append(s, e)
 	}
 	return s, r.Close()
+}
+
+func logOrderError(i int) error {
+	return fmt.Errorf("%w: log entry %d is not older than the one before it", ErrMalformed, i)
 }
 
 // pairsLen is the encoded size of n OR-set pairs behind their count.
@@ -278,11 +316,49 @@ func (OrSetSpace) EncodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 // Append appends Encode(s) to dst.
 func (OrSetSpace) Append(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
 
-// Decode deserializes the set.
+// Check reports whether b is a canonical space-efficient OR-set
+// encoding, in one pass that allocates nothing: the count, then exactly
+// that many pairs in strictly ascending element order, the order the
+// set's binary search and linear merge rely on. The pairs are fixed
+// width, so every other buffer fails to decode.
+func (OrSetSpace) Check(b []byte) error {
+	r := Reader{buf: b}
+	n := r.Len(16)
+	if !r.need(16 * n) {
+		return r.err
+	}
+	r.off += 16 * n
+	if err := r.Close(); err != nil {
+		return err
+	}
+	var prev int64
+	for i := 0; i < n; i++ {
+		e := int64(binary.BigEndian.Uint64(b[4+16*i:]))
+		if i > 0 && e <= prev {
+			return pairOrderError(i)
+		}
+		prev = e
+	}
+	return nil
+}
+
+// Decode deserializes the set, rejecting what Check rejects.
 func (OrSetSpace) Decode(b []byte) (orset.SpaceState, error) {
 	r := NewReader(b)
 	ps := decodePairs(r)
-	return orset.SpaceState(ps), r.Close()
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(ps); i++ {
+		if ps[i].E <= ps[i-1].E {
+			return nil, pairOrderError(i)
+		}
+	}
+	return ps, nil
+}
+
+func pairOrderError(i int) error {
+	return fmt.Errorf("%w: set pair %d is not above the one before it", ErrMalformed, i)
 }
 
 // OrSetSpaceTime is the codec for the tree-backed OR-set. The tree is

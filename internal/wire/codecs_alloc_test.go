@@ -121,3 +121,33 @@ func TestCollectionEncodeAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAllocatesNothing: a codec's Check validates an encoding in
+// place, one pass over the bytes, so the store's import checks a state
+// without building it.
+func TestCheckAllocatesNothing(t *testing.T) {
+	const n = 300
+	pairs := make(orset.SpaceState, n)
+	log := make(mlog.State, n)
+	for i := 0; i < n; i++ {
+		pairs[i] = orset.Pair{E: int64(3 * i), T: core.Timestamp(i + 1)}
+		log[i] = mlog.Entry{T: core.Timestamp(n - i), Msg: fmt.Sprintf("message number %d", i)}
+	}
+	checks := []struct {
+		name  string
+		check func([]byte) error
+		enc   []byte
+	}{
+		{"pn-counter", wire.PNCounter{}.Check, wire.PNCounter{}.Encode(counter.PNState{P: 2})},
+		{"mlog", wire.MLog{}.Check, wire.MLog{}.Encode(log)},
+		{"or-set-space", wire.OrSetSpace{}.Check, wire.OrSetSpace{}.Encode(pairs)},
+	}
+	for _, c := range checks {
+		if err := c.check(c.enc); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { c.check(c.enc) }); allocs != 0 {
+			t.Errorf("%s: Check makes %.0f allocations, want 0", c.name, allocs)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 var (
 	pairSink  orset.SpaceState
 	bytesSink []byte
+	errSink   error
 )
 
 // BenchmarkPairCodec times the OR-set pair kernels on 2 800 pairs, the
@@ -31,6 +32,12 @@ func BenchmarkPairCodec(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
 		for b.Loop() {
 			pairSink, _ = wire.OrSetSpace{}.Decode(enc)
+		}
+	})
+	b.Run("check", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for b.Loop() {
+			errSink = wire.OrSetSpace{}.Check(enc)
 		}
 	})
 }

@@ -8,6 +8,11 @@
 // The format is deliberately simple: fixed-width big-endian integers and
 // length-prefixed strings, concatenated in state order. Every Decode
 // validates lengths and returns an error on truncated or trailing input.
+// The or-set-space, log and PN-counter codecs also have Check, which the
+// store's import calls instead of a decode: Check(b) is nil exactly when
+// Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
+// or-set-space and log codecs reject, in Check and Decode alike, a state
+// out of the order their datatype's searches and merges rely on.
 package wire
 
 import (
@@ -144,6 +149,13 @@ func (r *Reader) String() string {
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
 	return s
+}
+
+// skipString consumes a length-prefixed string without copying it.
+func (r *Reader) skipString() {
+	if n := r.Len(1); r.err == nil && r.need(n) {
+		r.off += n
+	}
 }
 
 // Close verifies the payload was fully consumed and returns the first

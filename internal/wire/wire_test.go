@@ -158,12 +158,7 @@ func TestMLogCodecQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 100,
 		Values: func(vals []reflect.Value, r *rand.Rand) {
-			n := r.Intn(20)
-			s := make(mlog.State, n)
-			for i := range s {
-				s[i] = mlog.Entry{T: core.Timestamp(r.Int63n(1 << 40)), Msg: randString(r)}
-			}
-			vals[0] = reflect.ValueOf(s)
+			vals[0] = reflect.ValueOf(logOf(r, r.Intn(20)))
 		},
 	}
 	f := func(s mlog.State) bool {
@@ -183,8 +178,8 @@ func randString(r *rand.Rand) string {
 	return string(b)
 }
 
-// appendCodec is a codec with the optional Append form the store's
-// import verification re-encodes through.
+// appendCodec is a codec with an Append form, which its Encode and
+// AlphaMap's build on.
 type appendCodec[S any] interface {
 	wire.Codec[S]
 	Append(dst []byte, s S) []byte

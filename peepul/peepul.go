@@ -55,9 +55,9 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // content addressing, decoding lets transferred histories round-trip.
 // Encode and Decode may be called concurrently from several goroutines
 // and must not share mutable state. A codec that also has
-// Append(dst []byte, s S) []byte — appending exactly Encode(s) to dst —
-// lets an import check each incoming state against a reused buffer
-// instead of a fresh encoding.
+// Check(enc []byte) error — nil exactly when Decode(enc) succeeds and
+// Encode of the result is enc — lets an import validate each incoming
+// state in place, with no decode and no second encoding.
 type Codec[S any] = store.Codec[S]
 
 // Spec is a declarative replicated data type specification F_τ: the value
