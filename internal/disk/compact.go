@@ -6,12 +6,15 @@ package disk
 // but crash-safe and prefix-consistent:
 //
 //  1. Seal the active segment.
-//  2. Write every live record into seg-<next>.log.tmp, in dependency
-//     order: meta and allocator first, pack objects with each chain
-//     base before its dependents, commits with parents before children,
+//  2. Write every live record into seg-<next>.log.tmp in an order read
+//     off the store's invariants, with no graph search: meta by key, the
+//     allocator floor, pack objects by (depth, hash) — GC leaves every
+//     live depth exact, so each chain base precedes its dependents —
+//     commits by (generation, hash), so parents precede children, and
 //     branch heads last. A torn tail inside a compacted segment then
 //     still replays to a self-consistent prefix (worst case: no branch
-//     records survive and the store reopens fresh).
+//     records survive and the store reopens fresh), and two compactions
+//     of one live set write the same bytes.
 //  3. Fsync the temp file, rename it into place, fsync the directory —
 //     the atomic switch.
 //  4. Delete the old segments and fsync the directory again.
@@ -24,8 +27,12 @@ package disk
 // only until the next GC.
 
 import (
+	"bytes"
+	"cmp"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/store"
@@ -140,17 +147,6 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 		nrec++
 		return nil
 	}
-	emitObject := func(h store.Hash, o store.ObjectRecord) error {
-		loc := objLoc{
-			base: o.Base, delta: o.Delta, size: o.Size, depth: o.Depth,
-			stored: len(o.Data), seg: seq, off: written,
-		}
-		if err := emit(encodeObject(h, o)); err != nil {
-			return err
-		}
-		locs[h] = loc
-		return nil
-	}
 	fail := func(err error) (int64, int64, map[store.Hash]objLoc, error) {
 		return 0, 0, nil, err
 	}
@@ -159,89 +155,37 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 	}
 	written += int64(len(segMagic))
 
-	for k, v := range meta {
-		if err := emit(encodeMeta(k, v)); err != nil {
+	for _, k := range slices.Sorted(maps.Keys(meta)) {
+		if err := emit(encodeMeta(k, meta[k])); err != nil {
 			return fail(err)
 		}
 	}
 	if err := emit(encodeNextID(rs.NextID)); err != nil {
 		return fail(err)
 	}
-	// Objects in chain order: snapshots first, then each delta after its
-	// base. Deltas whose base is outside the set (impossible for a
-	// GC-closed live set, tolerated defensively) flush last — replay
-	// into maps does not need them ordered, only prefix consistency
-	// wants it.
-	children := make(map[store.Hash][]store.Hash)
-	emitted := make(map[store.Hash]bool, len(rs.Objects))
-	var stack []store.Hash
-	for h, o := range rs.Objects {
-		if o.Delta {
-			children[o.Base] = append(children[o.Base], h)
-		} else {
-			stack = append(stack, h)
+	// Objects by (depth, hash): GC leaves every live depth exact, so each
+	// chain base precedes the patches on it.
+	objects := slices.SortedFunc(maps.Keys(rs.Objects), func(a, b store.Hash) int {
+		return cmp.Or(cmp.Compare(rs.Objects[a].Depth, rs.Objects[b].Depth), bytes.Compare(a[:], b[:]))
+	})
+	for _, h := range objects {
+		o := rs.Objects[h]
+		locs[h] = objLoc{
+			base: o.Base, delta: o.Delta, size: o.Size, depth: o.Depth,
+			stored: len(o.Data), seg: seq, off: written,
 		}
-	}
-	for len(stack) > 0 {
-		h := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if emitted[h] {
-			continue
-		}
-		emitted[h] = true
-		if err := emitObject(h, rs.Objects[h]); err != nil {
+		if err := emit(encodeObject(h, o)); err != nil {
 			return fail(err)
 		}
-		stack = append(stack, children[h]...)
 	}
-	for h, o := range rs.Objects {
-		if !emitted[h] {
-			if err := emitObject(h, o); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	// Commits parents-first (Kahn's algorithm on the in-set parent
-	// counts); out-of-set parents are treated as satisfied.
-	waiting := make(map[store.Hash]int, len(rs.Commits))
-	dependents := make(map[store.Hash][]store.Hash)
-	var ready []store.Hash
-	for h, c := range rs.Commits {
-		n := 0
-		for _, p := range c.Parents {
-			if _, ok := rs.Commits[p]; ok {
-				n++
-				dependents[p] = append(dependents[p], h)
-			}
-		}
-		waiting[h] = n
-		if n == 0 {
-			ready = append(ready, h)
-		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		h := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+	// Commits by (generation, hash): Gen = 1 + max parent generation, so
+	// parents precede children.
+	commits := slices.SortedFunc(maps.Keys(rs.Commits), func(a, b store.Hash) int {
+		return cmp.Or(cmp.Compare(rs.Commits[a].Gen, rs.Commits[b].Gen), bytes.Compare(a[:], b[:]))
+	})
+	for _, h := range commits {
 		if err := emit(encodeCommit(h, rs.Commits[h])); err != nil {
 			return fail(err)
-		}
-		done++
-		for _, d := range dependents[h] {
-			if waiting[d]--; waiting[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	if done != len(rs.Commits) {
-		// A parent cycle cannot happen in a hash-addressed DAG; emit any
-		// stragglers rather than lose them.
-		for h, c := range rs.Commits {
-			if waiting[h] > 0 {
-				if err := emit(encodeCommit(h, c)); err != nil {
-					return fail(err)
-				}
-			}
 		}
 	}
 	// Branches in creation order — the store allocates replica ids

@@ -20,12 +20,14 @@
 // heads that reach them).
 //
 // Compaction. The store's GC hands the log its complete live state; the
-// log writes it into a fresh segment (objects in chain order, commits in
-// parent order, branch records last — the same prefix-consistency
-// discipline), atomically renames it into place, and deletes the old
-// segments. A crash anywhere in that sequence leaves either the old
-// segments, or both old and new (replay order makes that benign:
-// records are idempotent upserts), never a half-visible state.
+// log writes it into a fresh segment (objects by chain depth, commits by
+// generation, branch records last — the same prefix-consistency
+// discipline, read off invariants the store already holds, so two
+// compactions of one live set write the same bytes), atomically renames
+// it into place, and deletes the old segments. A crash anywhere in that
+// sequence leaves either the old segments, or both old and new (replay
+// order makes that benign: records are idempotent upserts), never a
+// half-visible state.
 package disk
 
 import (

@@ -198,10 +198,10 @@ func (s *Store[S, Op, Val]) topoOrderSince(heads []Hash, cut map[Hash]bool) []Ha
 // to a state address the commit chain must be consistent with, and the
 // advertised heads check fails otherwise.
 //
-// Verification is pipelined. The caller's goroutine checks parents and
-// generations, applies patches and hashes states in batch order; the
-// canonicality check, which needs only the state's own bytes, runs on
-// up to GOMAXPROCS helper goroutines, a few states per helper in flight.
+// Verification is pipelined. The caller's goroutine checks commit
+// metadata, applies patches and hashes states in batch order; the
+// canonicality check (checkEncoding, as VerifyPack), which needs only the
+// state's bytes and caches nothing, runs on up to GOMAXPROCS helpers.
 // Commits install in batch order as their verdicts arrive, so a failed
 // import reports the first bad commit in the batch and leaves exactly
 // the commits before it installed, however the helpers finish.
@@ -252,11 +252,12 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 	// full window, so a submit never blocks.
 	helpers := runtime.GOMAXPROCS(0)
 	window := 4 * helpers
-	v := &verifiers[S]{codec: s.codec, jobs: make(chan *importItem[S], window), max: helpers}
+	check := func(enc []byte) error { return checkEncoding(s.codec, enc) }
+	v := &verifiers{check: check, jobs: make(chan *importItem, window), max: helpers}
 	var (
-		queue   []*importItem[S]                // prepared, not yet installed
-		pending = make(map[Hash]Commit)         // their commits, by commit hash
-		fresh   = make(map[Hash]*importItem[S]) // their first-seen states, by state hash
+		queue   []*importItem                // prepared, not yet installed
+		pending = make(map[Hash]Commit)      // their commits, by commit hash
+		fresh   = make(map[Hash]*importItem) // their first-seen states, by state hash
 	)
 	defer func() {
 		// No helper may touch an item once the import returns.
@@ -278,9 +279,6 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 				<-it.done
 				if it.err != nil {
 					return it.err
-				}
-				if _, checked := s.codec.(checker); !checked {
-					s.cache.put(it.commit.State, it.state) // verify decoded it
 				}
 				// The pack keeps the verified bytes. A reassembled state is
 				// the store's own delta.Apply output; a state shipped whole
@@ -340,8 +338,8 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 
 // importItem is one batch commit between the two ordered stages of an
 // import. prepareImportLocked fills in the commit; for a first-seen state
-// it also keeps the encoding, and verify then sets state and err.
-type importItem[S any] struct {
+// it also keeps the encoding, and verify then sets err.
+type importItem struct {
 	i      int // batch position, for errors
 	hash   Hash
 	commit Commit
@@ -351,11 +349,9 @@ type importItem[S any] struct {
 	// state already stored or queued. Until the item is installed it is
 	// also the patch base for later batch commits that chain to it.
 	enc []byte
-	// done is nil unless enc is being verified; a helper closes it when
-	// it has set err, and state if it decoded enc.
-	done  chan struct{}
-	state S
-	err   error
+	// done is nil unless enc is being verified; closed once err is set.
+	done chan struct{}
+	err  error
 }
 
 // prepareImportLocked runs the order-dependent stage for batch commit i:
@@ -363,12 +359,17 @@ type importItem[S any] struct {
 // reassembled against the first parent's state, and its hash. Parents and
 // patch bases resolve among the queued commits (pending, fresh) before
 // the store. Callers hold the write lock.
-func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem[S]) (*importItem[S], error) {
-	it := &importItem[S]{i: i}
+func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem) (*importItem, error) {
+	it := &importItem{i: i}
 	// The generation-guided DAG walks (lca.go) are only correct under
 	// the invariant Gen = 1 + max parent generation, so a transferred
 	// generation is verified, never trusted: a peer shipping a bogus
-	// one gets a rejected import instead of silently wrong merges.
+	// one gets a rejected import instead of silently wrong merges. Nor
+	// does a commit no store mints pass: over two parents (the frozen
+	// index keeps two), or a single parent whose Time is not below its own.
+	if len(ec.Parents) > 2 {
+		return nil, fmt.Errorf("%w: commit %d has %d parents, at most 2", ErrBadImport, i, len(ec.Parents))
+	}
 	wantGen := 1
 	for j, p := range ec.Parents {
 		pc, known := pending[p]
@@ -383,6 +384,9 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		}
 		if j == 0 {
 			it.base = pc.State
+		}
+		if len(ec.Parents) == 1 && ec.Time <= pc.Time {
+			return nil, fmt.Errorf("%w: commit %d time %d does not exceed its parent's %d", ErrBadImport, i, ec.Time, pc.Time)
 		}
 	}
 	if ec.Gen != wantGen {
@@ -421,25 +425,26 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 
 // verify is the per-state stage: a first-seen state's encoding must be
 // canonical — accepting a non-canonical one would give one logical state
-// two content addresses and fork identical histories forever. A codec
-// with Check validates the bytes in place, and the state is decoded on
-// its first read; any other codec's state must decode and re-encode to
-// the same bytes, and is kept for the cache. It reads only the item and
-// the codec.
-func (it *importItem[S]) verify(codec Codec[S]) {
+// two content addresses and fork identical histories forever. It reads
+// only the item and check; the state's first read decodes it.
+func (it *importItem) verify(check func(enc []byte) error) {
+	if err := check(it.enc); err != nil {
+		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, it.i, err)
+	}
+}
+
+// checkEncoding is the store's one validity test of an encoding: nil
+// exactly when Decode accepts enc and Encode gives it back. Check, if
+// the codec has it (Codec), answers in place; else it round-trips.
+func checkEncoding[S any](codec Codec[S], enc []byte) error {
 	if c, ok := codec.(checker); ok {
-		if err := c.Check(it.enc); err != nil {
-			it.err = fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, it.i, err)
-		}
-		return
+		return c.Check(enc)
 	}
-	state, err := codec.Decode(it.enc)
-	if err != nil {
-		it.err = fmt.Errorf("%w: commit %d state: %v", ErrBadImport, it.i, err)
-	} else if !bytes.Equal(codec.Encode(state), it.enc) {
-		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical", ErrBadImport, it.i)
+	state, err := codec.Decode(enc)
+	if err == nil && !bytes.Equal(codec.Encode(state), enc) {
+		err = errors.New("it re-encodes differently")
 	}
-	it.state = state
+	return err
 }
 
 // checker is the optional form of a Codec that validates an encoding in
@@ -448,17 +453,17 @@ type checker interface{ Check(enc []byte) error }
 
 // verifiers is one import's pool of helper goroutines: each submitted
 // state starts a helper until max run, so a batch of n first-seen states
-// runs min(max, n). A helper touches only the codec and the items it
+// runs min(max, n). A helper touches only check and the items it
 // takes, never a store field, so the write lock the importer holds
 // throughout guards the store as before.
-type verifiers[S any] struct {
-	codec   Codec[S]
-	jobs    chan *importItem[S]
+type verifiers struct {
+	check   func(enc []byte) error
+	jobs    chan *importItem
 	max     int
 	started int
 }
 
-func (v *verifiers[S]) submit(it *importItem[S]) {
+func (v *verifiers) submit(it *importItem) {
 	it.done = make(chan struct{})
 	v.jobs <- it
 	if v.started < v.max {
@@ -468,9 +473,9 @@ func (v *verifiers[S]) submit(it *importItem[S]) {
 }
 
 // work verifies queued items until the import closes jobs.
-func (v *verifiers[S]) work() {
+func (v *verifiers) work() {
 	for it := range v.jobs {
-		it.verify(v.codec)
+		it.verify(v.check)
 		close(it.done)
 	}
 }

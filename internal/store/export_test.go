@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/gmap"
+	"repro/internal/gset"
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/store"
@@ -297,11 +299,36 @@ func (d swapping[S, E, Op, Val]) Do(op Op, s S, t core.Timestamp) (S, Val) {
 
 // TestImportRejectsDisorderedState: a packed batch of six commits whose
 // commit 3 pins a state with two swapped elements — or-set pairs out of
-// ascending element order, log entries out of descending timestamp
-// order — fails to import naming commit 3, with commits 0–2 installed
-// and none after, through the real wire codecs.
+// ascending order, log entries out of descending timestamp order, g-set
+// elements or g-map keys out of ascending order — fails to import naming
+// commit 3, with commits 0–2 installed and none after, through the real
+// wire codecs.
 func TestImportRejectsDisorderedState(t *testing.T) {
 	const k = 3
+	t.Run("gset", func(t *testing.T) {
+		var ops []gset.Op
+		for i := range 6 {
+			ops = append(ops, gset.Op{Kind: gset.Add, E: int64(10 * (i + 1))})
+		}
+		bad := func(op gset.Op) bool { return op == ops[k] }
+		importDisordered(t, gset.Set{}, swapping[gset.State, int64, gset.Op, gset.Val]{gset.Set{}, bad}, wire.GSet{}, ops, k)
+	})
+	t.Run("gmap", func(t *testing.T) {
+		var ops []gmap.Op
+		for i := range 6 {
+			ops = append(ops, gmap.Op{Kind: gmap.Put, K: fmt.Sprint("k", i), V: int64(i)})
+		}
+		bad := func(op gmap.Op) bool { return op == ops[k] }
+		importDisordered(t, gmap.Map{}, swapping[gmap.State, gmap.Entry, gmap.Op, gmap.Val]{gmap.Map{}, bad}, wire.GMap{}, ops, k)
+	})
+	t.Run("or-set", func(t *testing.T) {
+		var ops []orset.Op
+		for i := range 6 {
+			ops = append(ops, orset.Op{Kind: orset.Add, E: int64(10 * (i + 1))})
+		}
+		bad := func(op orset.Op) bool { return op == ops[k] }
+		importDisordered(t, orset.OrSet{}, swapping[orset.State, orset.Pair, orset.Op, orset.Val]{orset.OrSet{}, bad}, wire.OrSet{}, ops, k)
+	})
 	t.Run("or-set-space", func(t *testing.T) {
 		var ops []orset.Op
 		for i := range 6 {

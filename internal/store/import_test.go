@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/delta"
+	"repro/internal/mlog"
 )
 
 // Tests of the import pipeline: commits verify on workers but install in
@@ -187,7 +189,8 @@ func (c countingCodec) Decode(b []byte) (int64, error) {
 // install which states are first seen, so a no-op shipped as an identity
 // patch, a state the receiver holds and a state two batch commits pin
 // cost no decode beyond the first. A codec with Check decodes nothing at
-// import; the first read of the head decodes its state, once.
+// import. Import caches no state on either path, so the first read of
+// the head decodes its state, once.
 func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 	var decodes atomic.Int64
 	verifyPaths(t, countingCodec{decodes: &decodes}, func(t *testing.T, codec Codec[int64], check bool) {
@@ -224,15 +227,68 @@ func TestImportDecodesEachFreshStateOnce(t *testing.T) {
 		if got := decodes.Load(); got != want {
 			t.Fatalf("re-import decoded %d more states, want none", got-want)
 		}
-		if check {
-			want = 1 // the head's state, on its first read
-		}
+		want++ // the head's state, on its first read
 		for range 2 {
 			if st, err := s.Head("remote/peer"); err != nil || st != 3 {
 				t.Fatalf("Head = %d (%v), want 3", st, err)
 			}
 			if got := decodes.Load(); got != want {
 				t.Fatalf("%d decodes after reading the head, want %d", got, want)
+			}
+		}
+	})
+}
+
+// TestImportRefusesCommitsNoStoreMints: a commit whose metadata no store
+// mints fails the import at that commit, with the commits before it
+// installed — an operation commit whose Time does not exceed its
+// parent's, which would drag the receiver's clock below events it has
+// seen, and a commit with three parents, which the frozen index cannot
+// hold.
+func TestImportRefusesCommitsNoStoreMints(t *testing.T) {
+	t.Run("time", func(t *testing.T) {
+		src := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
+		dst := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
+		var hashes []Hash
+		for i := range 6 {
+			if _, err := src.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprint("m", i)}); err != nil {
+				t.Fatal(err)
+			}
+			hashes = append(hashes, src.Heads("main")[0])
+		}
+		batch, _, err := src.ExportSincePacked("main", dst.Heads("main"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := src.Commit(hashes[5])
+		c.Time, batch[5].Time = 0, 0
+		err = dst.Import("remote/src", batch, []Hash{commitHash(c)})
+		if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 5 time 0 does not exceed") {
+			t.Fatalf("Import = %v, want ErrBadImport naming commit 5's time", err)
+		}
+		for i, h := range append(hashes[:5:5], commitHash(c)) {
+			if got := dst.HasCommit(h); got != (i < 5) {
+				t.Errorf("commit %d installed = %v, want %v", i, got, i < 5)
+			}
+		}
+	})
+	t.Run("parents", func(t *testing.T) {
+		s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, int64Codec{}, "main")
+		b, root := newBatchBuilder(t, s)
+		var hashes []Hash
+		for i := range 3 {
+			hashes = append(hashes, b.add(root, int64Codec{}.Encode(int64(i+1)), false))
+		}
+		enc := int64Codec{}.Encode(6)
+		c := Commit{Parents: sortHashes(slices.Clone(hashes)), State: sha256.Sum256(enc), Gen: b.gen[root] + 2, Time: 4}
+		b.batch = append(b.batch, ExportedCommit{Parents: c.Parents, State: enc, Gen: c.Gen, Time: c.Time})
+		err := s.Import("remote/peer", b.batch, []Hash{commitHash(c)})
+		if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 3 has 3 parents") {
+			t.Fatalf("Import = %v, want ErrBadImport naming commit 3's parents", err)
+		}
+		for i, h := range append(hashes, commitHash(c)) {
+			if got := s.HasCommit(h); got != (i < 3) {
+				t.Errorf("commit %d installed = %v, want %v", i, got, i < 3)
 			}
 		}
 	})

@@ -396,8 +396,8 @@ func (s *Store[S, Op, Val]) composeLocked(bo *packObject, top []byte) (root Hash
 }
 
 // VerifyPack materializes every retained state object, checking that each
-// chain reassembles to its content address and to an encoding the codec's
-// Check accepts, as Import does, or else one that decodes. It is the
+// chain reassembles to its content address and to a canonical encoding
+// (checkEncoding, the test Import applies). It is the
 // pack layer's integrity check, used by tests (notably the GC-over-chains
 // property test), by recovery-on-open (OpenRecovered runs it before a
 // recovered store is handed out), and available to tools.
@@ -431,13 +431,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		if len(enc) != obj.size {
 			return fmt.Errorf("%w: object %v is %d bytes, %d recorded", ErrCorruptPack, h, len(enc), obj.size)
 		}
-		var err error
-		if c, ok := s.codec.(checker); ok {
-			err = c.Check(enc)
-		} else {
-			_, err = s.codec.Decode(enc)
-		}
-		if err != nil {
+		if err := checkEncoding(s.codec, enc); err != nil {
 			return fmt.Errorf("%w: object %v is not a valid encoding: %v", ErrCorruptPack, h, err)
 		}
 		return nil

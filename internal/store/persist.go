@@ -78,7 +78,8 @@ type Persister interface {
 	AppendBranchDelete(name string) error
 	AppendNextID(id int) error
 	// Compact replaces the persisted contents with exactly rs — the
-	// store's live state after a GC sweep.
+	// store's live state after a GC sweep, in which every Depth is exact
+	// (fixDepth) and every Gen is 1 + its parents' greatest.
 	Compact(rs *RecoveredState) error
 	Flush() error
 }
@@ -169,7 +170,7 @@ func (s *Store[S, Op, Val]) FlushStorage() error {
 // present, and the generation invariant must hold — an O(commit index)
 // walk that never touches state bytes. The state objects of a frozen
 // index stay on disk until first read, and nothing is decoded at open. With WithVerifyOnOpen(true),
-// VerifyPack additionally reassembles and decodes every retained object
+// VerifyPack additionally reassembles and checks every retained object
 // before the store is handed out (the pre-lazy behaviour — crash tests
 // and tools use it to fail at open instead of first read). When
 // recovering, replicaBase only acts as a floor for the replica-id

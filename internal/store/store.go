@@ -52,8 +52,8 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 //
 // A codec may also have the form Check(enc []byte) error, nil exactly
 // when Decode(enc) succeeds and Encode of the result is enc. Import and
-// VerifyPack then validate encodings in place: an imported state is not
-// decoded, or cached, until it is first read.
+// VerifyPack then validate encodings in place instead of round-tripping
+// them (checkEncoding); neither caches a state.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)

@@ -40,14 +40,12 @@ type PNCounter struct{}
 
 // Encode serializes the PN-counter.
 func (c PNCounter) Encode(s counter.PNState) []byte {
-	return c.Append(make([]byte, 0, c.EncodedLen(s)), s)
+	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
 }
 
-// EncodedLen returns len(Encode(s)).
-func (PNCounter) EncodedLen(counter.PNState) int { return 16 }
+func (PNCounter) encodedLen(counter.PNState) int { return 16 }
 
-// Append appends Encode(s) to dst.
-func (PNCounter) Append(dst []byte, s counter.PNState) []byte {
+func (PNCounter) appendTo(dst []byte, s counter.PNState) []byte {
 	w := Writer{buf: dst}
 	w.PutInt64(s.P)
 	w.PutInt64(s.N)
@@ -143,7 +141,9 @@ func (GSet) Decode(b []byte) (gset.State, error) {
 	n := r.Len(8)
 	s := make(gset.State, 0, n)
 	for i := 0; i < n; i++ {
-		s = append(s, r.Int64())
+		if s = append(s, r.Int64()); i > 0 && s[i] <= s[i-1] && r.err == nil {
+			return nil, orderError("set element", i)
+		}
 	}
 	return s, r.Close()
 }
@@ -174,6 +174,9 @@ func (GMap) Decode(b []byte) (gmap.State, error) {
 	s := make(gmap.State, 0, n)
 	for i := 0; i < n; i++ {
 		s = append(s, gmap.Entry{K: r.String(), T: r.Timestamp(), V: r.Int64()})
+		if i > 0 && s[i].K <= s[i-1].K && r.err == nil {
+			return nil, orderError("map key", i)
+		}
 	}
 	return s, r.Close()
 }
@@ -183,11 +186,10 @@ type MLog struct{}
 
 // Encode serializes the log.
 func (c MLog) Encode(s mlog.State) []byte {
-	return c.Append(make([]byte, 0, c.EncodedLen(s)), s)
+	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
 }
 
-// EncodedLen returns len(Encode(s)).
-func (MLog) EncodedLen(s mlog.State) int {
+func (MLog) encodedLen(s mlog.State) int {
 	n := 4 + 12*len(s)
 	for _, e := range s {
 		n += len(e.Msg)
@@ -195,8 +197,7 @@ func (MLog) EncodedLen(s mlog.State) int {
 	return n
 }
 
-// Append appends Encode(s) to dst.
-func (MLog) Append(dst []byte, s mlog.State) []byte {
+func (MLog) appendTo(dst []byte, s mlog.State) []byte {
 	w := Writer{buf: dst}
 	w.PutLen(len(s))
 	for _, e := range s {
@@ -219,7 +220,7 @@ func (MLog) Check(b []byte) error {
 		t := r.Timestamp()
 		r.skipString()
 		if i > 0 && t >= prev && r.err == nil {
-			return logOrderError(i)
+			return orderError("log entry", i)
 		}
 		prev = t
 	}
@@ -234,24 +235,15 @@ func (MLog) Decode(b []byte) (mlog.State, error) {
 	for i := 0; i < n; i++ {
 		e := mlog.Entry{T: r.Timestamp(), Msg: r.String()}
 		if i > 0 && e.T >= s[i-1].T && r.err == nil {
-			return nil, logOrderError(i)
+			return nil, orderError("log entry", i)
 		}
 		s = append(s, e)
 	}
 	return s, r.Close()
 }
 
-func logOrderError(i int) error {
-	return fmt.Errorf("%w: log entry %d is not older than the one before it", ErrMalformed, i)
-}
-
 // pairsLen is the encoded size of n OR-set pairs behind their count.
 func pairsLen(n int) int { return 4 + 16*n }
-
-func putPair(w *Writer, p orset.Pair) {
-	w.PutInt64(p.E)
-	w.PutTimestamp(p.T)
-}
 
 // appendPairs appends the count and the pairs to dst, the Queue codec's
 // shape: one growth for the collection, then an indexed loop of
@@ -297,10 +289,15 @@ type OrSet struct{}
 // Encode serializes the set.
 func (OrSet) Encode(s orset.State) []byte { return encodePairs(s) }
 
-// Decode deserializes the set.
+// Decode deserializes the set, whose pairs must ascend by (E, T).
 func (OrSet) Decode(b []byte) (orset.State, error) {
 	r := NewReader(b)
 	ps := decodePairs(r)
+	for i := 1; i < len(ps); i++ {
+		if p, q := ps[i-1], ps[i]; q.E < p.E || q.E == p.E && q.T <= p.T {
+			return nil, orderError("set pair", i)
+		}
+	}
 	return orset.State(ps), r.Close()
 }
 
@@ -310,11 +307,9 @@ type OrSetSpace struct{}
 // Encode serializes the set.
 func (OrSetSpace) Encode(s orset.SpaceState) []byte { return encodePairs(s) }
 
-// EncodedLen returns len(Encode(s)).
-func (OrSetSpace) EncodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
+func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 
-// Append appends Encode(s) to dst.
-func (OrSetSpace) Append(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
+func (OrSetSpace) appendTo(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
 
 // Check reports whether b is a canonical space-efficient OR-set
 // encoding, in one pass that allocates nothing: the count, then exactly
@@ -335,7 +330,7 @@ func (OrSetSpace) Check(b []byte) error {
 	for i := 0; i < n; i++ {
 		e := int64(binary.BigEndian.Uint64(b[4+16*i:]))
 		if i > 0 && e <= prev {
-			return pairOrderError(i)
+			return orderError("set pair", i)
 		}
 		prev = e
 	}
@@ -351,14 +346,14 @@ func (OrSetSpace) Decode(b []byte) (orset.SpaceState, error) {
 	}
 	for i := 1; i < len(ps); i++ {
 		if ps[i].E <= ps[i-1].E {
-			return nil, pairOrderError(i)
+			return nil, orderError("set pair", i)
 		}
 	}
 	return ps, nil
 }
 
-func pairOrderError(i int) error {
-	return fmt.Errorf("%w: set pair %d is not above the one before it", ErrMalformed, i)
+func orderError(item string, i int) error {
+	return fmt.Errorf("%w: %s %d is out of order", ErrMalformed, item, i)
 }
 
 // OrSetSpaceTime is the codec for the tree-backed OR-set. The tree is
@@ -372,7 +367,10 @@ func (OrSetSpaceTime) Encode(s orset.TreeState) []byte {
 	n := orset.Len(s)
 	w := sizedWriter(pairsLen(n))
 	w.PutLen(n)
-	orset.Walk(s, func(p orset.Pair) { putPair(&w, p) })
+	orset.Walk(s, func(p orset.Pair) {
+		w.PutInt64(p.E)
+		w.PutTimestamp(p.T)
+	})
 	return w.Bytes()
 }
 
@@ -425,15 +423,15 @@ type AlphaMap[S any] struct {
 	Inner InnerCodec[S]
 }
 
-// InnerCodec is a Codec that can also size its encoding up front and write
-// it in place — what lets AlphaMap encode a whole map, inner states
-// included, in one exact-size allocation.
+// InnerCodec is a Codec of this package (PNCounter, MLog, OrSetSpace)
+// that can also size its encoding up front, encodedLen(s) =
+// len(Encode(s)), and append exactly those bytes to dst — what lets
+// AlphaMap encode a whole map, inner states included, in one exact-size
+// allocation.
 type InnerCodec[S any] interface {
 	Codec[S]
-	// EncodedLen returns len(Encode(s)) without encoding.
-	EncodedLen(S) int
-	// Append appends exactly the bytes of Encode(s) to dst.
-	Append(dst []byte, s S) []byte
+	encodedLen(S) int
+	appendTo(dst []byte, s S) []byte
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
@@ -441,7 +439,7 @@ type InnerCodec[S any] interface {
 func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 	n := 4 + 8*len(s)
 	for _, e := range s {
-		n += len(e.K) + c.Inner.EncodedLen(e.V)
+		n += len(e.K) + c.Inner.encodedLen(e.V)
 	}
 	w := sizedWriter(n)
 	w.PutLen(len(s))
@@ -449,7 +447,7 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 		w.PutString(e.K)
 		at := len(w.buf)
 		w.PutLen(0) // patched below, once the inner payload's length is known
-		w.buf = c.Inner.Append(w.buf, e.V)
+		w.buf = c.Inner.appendTo(w.buf, e.V)
 		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()

@@ -9,10 +9,10 @@
 // length-prefixed strings, concatenated in state order. Every Decode
 // validates lengths and returns an error on truncated or trailing input.
 // The or-set-space, log and PN-counter codecs also have Check, which the
-// store's import calls instead of a decode: Check(b) is nil exactly when
+// store calls instead of a round trip: Check(b) is nil exactly when
 // Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
-// or-set-space and log codecs reject, in Check and Decode alike, a state
-// out of the order their datatype's searches and merges rely on.
+// g-set, g-map, or-set, or-set-space and log codecs reject a state out
+// of the order their datatype's searches and merges rely on.
 package wire
 
 import (

@@ -177,52 +177,3 @@ func randString(r *rand.Rand) string {
 	}
 	return string(b)
 }
-
-// appendCodec is a codec with an Append form, which its Encode and
-// AlphaMap's build on.
-type appendCodec[S any] interface {
-	wire.Codec[S]
-	Append(dst []byte, s S) []byte
-}
-
-// checkAppend holds Append(prefix, s) to prefix ‖ Encode(s) for an empty
-// prefix, a full one and one with spare capacity, each left intact.
-func checkAppend[S any](t *testing.T, name string, c appendCodec[S], s S) {
-	t.Helper()
-	enc := c.Encode(s)
-	roomy := make([]byte, 3, 64)
-	copy(roomy, "pfx")
-	for _, prefix := range [][]byte{nil, []byte("prefix"), roomy} {
-		keep := slices.Clone(prefix)
-		got := c.Append(prefix, s)
-		if !slices.Equal(got, append(slices.Clone(keep), enc...)) {
-			t.Fatalf("%s: Append(%q, s) = %x, want the prefix and then Encode(s) = %x", name, keep, got, enc)
-		}
-		if !slices.Equal(prefix, keep) {
-			t.Fatalf("%s: Append changed its prefix %q to %q", name, keep, prefix)
-		}
-	}
-}
-
-// TestAppendExtendsEncode: every codec with Append appends exactly the
-// bytes of Encode, for random states and empty ones, and never touches
-// the bytes it appends to.
-func TestAppendExtendsEncode(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	checkAppend(t, "pn-counter", wire.PNCounter{}, counter.PNState{})
-	checkAppend(t, "mlog", wire.MLog{}, nil)
-	checkAppend(t, "or-set-space", wire.OrSetSpace{}, nil)
-	for i := 0; i < 100; i++ {
-		checkAppend(t, "pn-counter", wire.PNCounter{}, counter.PNState{P: r.Int63(), N: r.Int63()})
-		log := make(mlog.State, r.Intn(20))
-		for j := range log {
-			log[j] = mlog.Entry{T: core.Timestamp(r.Int63n(1 << 40)), Msg: randString(r)}
-		}
-		checkAppend(t, "mlog", wire.MLog{}, log)
-		set := make(orset.SpaceState, r.Intn(40))
-		for j := range set {
-			set[j] = orset.Pair{E: r.Int63() - r.Int63(), T: core.Timestamp(r.Int63n(1 << 40))}
-		}
-		checkAppend(t, "or-set-space", wire.OrSetSpace{}, set)
-	}
-}
