@@ -601,7 +601,7 @@ func (l *Log) checkpointLocked() error {
 		if err := syncDir(l.dir); err != nil {
 			return err
 		}
-		l.metrics.rotated()
+		l.metrics.rotations.Inc()
 	}
 	framed := appendFrame(nil, record)
 	seg := l.seq

@@ -104,7 +104,7 @@ func (l *Log) Compact(rs *store.RecoveredState) error {
 	l.size = written
 	l.sealed, l.nseal = 0, 0
 	l.stats.Compactions++
-	l.metrics.compacted()
+	l.metrics.compactions.Inc()
 
 	// The shadow index is rebuilt from the live set. rs aliases the
 	// store's own maps on this path, so every map is copied, never kept.
@@ -189,7 +189,7 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 		}
 	}
 	// Branches in creation order — the store allocates replica ids
-	// ascending, the main branch first, and tracking branches (NoClock,
+	// ascending, the main branch first, and clockless branches (NoClock,
 	// the largest uint) take none — so a torn tail keeps the branches
 	// created first, as any prefix of the append path does; a prefix
 	// holding a fork but not the main branch would not reopen.

@@ -97,8 +97,9 @@ type Options struct {
 	// ladder reopens with when a checkpoint-seeded open fails
 	// verification.
 	FullReplay bool
-	// Obs, when non-nil, receives the log's metrics (append/fsync
-	// latency, rotations, checkpoints, recovery — see obs.go).
+	// Obs receives the log's metrics (append/fsync latency, rotations,
+	// checkpoints, recovery — see obs.go). nil gives the log a registry
+	// of its own.
 	Obs *obs.Registry
 }
 
@@ -141,7 +142,7 @@ func WithFullReplay() Option {
 
 // WithObs attaches an observability registry: the log registers its
 // latency histograms and rotation/checkpoint/recovery counters on it.
-// A nil registry keeps instrumentation disabled.
+// Without one (or with nil) the log counts into a private registry.
 func WithObs(reg *obs.Registry) Option {
 	return func(o *Options) { o.Obs = reg }
 }
@@ -246,8 +247,7 @@ type Log struct {
 	sinceCkpt int64
 	mode      string
 
-	// metrics is the optional instrumentation (obs.go); nil without a
-	// registry.
+	// metrics is the instrumentation (obs.go).
 	metrics *diskMetrics
 
 	// readers holds the lazy loads' read descriptors (checkpoint.go),
@@ -275,6 +275,9 @@ func Open(dir string, opts ...Option) (*Log, *Recovered, error) {
 	o := DefaultOptions()
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if o.Obs == nil {
+		o.Obs = obs.NewRegistry()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -517,10 +520,8 @@ func (l *Log) appendLocked(record []byte) (seg int, off int64, err error) {
 	if err := checkRecordSize(record); err != nil {
 		return 0, 0, err
 	}
-	if m := l.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.appendNs.Observe(time.Since(start).Nanoseconds()) }()
-	}
+	start := time.Now()
+	defer func() { l.metrics.appendNs.Observe(time.Since(start).Nanoseconds()) }()
 	framed := appendFrame(nil, record)
 	if l.size > int64(len(segMagic)) && l.size+int64(len(framed)) > l.opts.SegmentBytes {
 		if err := l.sealLocked(); err != nil {
@@ -532,7 +533,7 @@ func (l *Log) appendLocked(record []byte) (seg int, off int64, err error) {
 		if err := syncDir(l.dir); err != nil {
 			return 0, 0, err
 		}
-		l.metrics.rotated()
+		l.metrics.rotations.Inc()
 	}
 	seg, off = l.seq, l.size
 	if _, err := l.w.Write(framed); err != nil {
@@ -700,15 +701,11 @@ func (l *Log) Sync() error {
 }
 
 // timedSync fsyncs the active segment, feeding the fsync-latency
-// histogram when instrumentation is attached.
+// histogram.
 func (l *Log) timedSync() error {
-	m := l.metrics
-	if m == nil {
-		return l.f.Sync()
-	}
 	start := time.Now()
 	err := l.f.Sync()
-	m.fsyncNs.Observe(time.Since(start).Nanoseconds())
+	l.metrics.fsyncNs.Observe(time.Since(start).Nanoseconds())
 	return err
 }
 

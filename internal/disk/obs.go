@@ -2,9 +2,9 @@ package disk
 
 // Disk-layer observability: append and fsync latency, segment
 // rotations, checkpoint writes, and how (and how long) recovery-on-open
-// ran. Attached with WithObs; a nil registry leaves l.metrics nil and
-// the append path pays one nil check. Instruments resolve by name, so
-// the several per-object logs of one node share series.
+// ran. Attached with WithObs; without one the log counts into a private
+// registry. Instruments resolve by name, so the several per-object logs
+// of one node share series.
 
 import "repro/internal/obs"
 
@@ -18,9 +18,6 @@ type diskMetrics struct {
 }
 
 func newDiskMetrics(reg *obs.Registry) *diskMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &diskMetrics{
 		reg:         reg,
 		appendNs:    reg.Histogram("peepul_disk_append_ns", obs.LatencyBuckets),
@@ -40,20 +37,10 @@ func newDiskMetrics(reg *obs.Registry) *diskMetrics {
 	return m
 }
 
-// rotated records one segment seal + fresh segment, nil-safely.
-func (m *diskMetrics) rotated() {
-	if m != nil {
-		m.rotations.Inc()
-	}
-}
-
-// checkpointed records one index checkpoint write of n framed bytes,
-// nil-safely. Like recovered, it resolves its series per call: the kind
-// is known only at write time, and checkpoints are rare.
+// checkpointed records one index checkpoint write of n framed bytes.
+// Like recovered, it resolves its series per call: the kind is known
+// only at write time, and checkpoints are rare.
 func (m *diskMetrics) checkpointed(delta bool, n int) {
-	if m == nil {
-		return
-	}
 	kind := "full"
 	if delta {
 		kind = "delta"
@@ -62,20 +49,10 @@ func (m *diskMetrics) checkpointed(delta bool, n int) {
 	m.reg.Counter("peepul_disk_checkpoint_bytes_total", "kind", kind).Add(int64(n))
 }
 
-// compacted records one completed compaction, nil-safely.
-func (m *diskMetrics) compacted() {
-	if m != nil {
-		m.compactions.Inc()
-	}
-}
-
 // recovered records one completed open: its duration and its mode. The
 // per-mode counter is resolved here rather than pre-created because the
 // mode is only known after recovery runs, and opens are rare.
 func (m *diskMetrics) recovered(mode string, ns int64) {
-	if m == nil {
-		return
-	}
 	m.recoveryNs.Observe(ns)
 	m.reg.Counter("peepul_disk_recovery_total", "mode", mode).Inc()
 }

@@ -46,7 +46,7 @@ const (
 	recCheckpointDelta byte = 8
 	// recBranchSet is a branch-head move: name, head set, and the branch
 	// clock's replica id and counter (store.NoClock and zero for a
-	// tracking branch). Every branch write uses it.
+	// clockless branch). Every branch write uses it.
 	recBranchSet byte = 9
 )
 

@@ -302,15 +302,8 @@ func TestPackedSyncShipsPatches(t *testing.T) {
 		t.Fatalf("server received %d patches, client sent %d", sb.PatchesRecv, sa.PatchesSent)
 	}
 	// And the packed transfer must be far smaller than the full states of
-	// the same history, the yardstick.
-	history, _, err := a.obj.Store().Export("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := int64(0)
-	for _, c := range history {
-		full += int64(len(c.State))
-	}
+	// the same history, the yardstick: what its states pin unpacked.
+	full := a.obj.Store().PackStats().FullBytes
 	if packed := sa.BytesSent; packed*2 > full {
 		t.Fatalf("packed deep sync sent %d bytes, the full states are %d — expected at least 2x win", packed, full)
 	}

@@ -41,8 +41,8 @@ func (n *Node) OpenLink(ctx context.Context, addr string) (mesh.Link, mesh.Repor
 type peerLink struct {
 	n    *Node
 	conn *countedConn
-	// via is the peer's tracking branch: commits imported under it came
-	// from the peer and never stream back.
+	// via is the label the peer's batches land under: commits recorded
+	// with it came from the peer and never stream back.
 	via string
 	// objs are the objects the link streams, each with its connect
 	// session's capture.

@@ -61,14 +61,14 @@
 // store.Capture of every object in scope; the span probe and hello
 // advertise the capture's head, the recon descent reads the live
 // fingerprint tree, the ship set is exported as of the capture
-// (store.AsOf), and the peer's reply is integrated — imported and pulled
-// in one store critical section (store.Integrate) — into whatever head
-// the branch has by then. A serving session captures at its hello,
-// replies through the capture (store.Reply) and only then integrates the
-// client's delta, so the two stores import at once; a link keeps its connect
-// session's capture and drains it (store.Drain). Why each export is exact
-// while writes and other sessions interleave is argued once, on
-// store.Capture. A session's work is bounded by the state it connected
+// (store.AsOf), and the peer's reply is integrated — imported and united
+// with the node branch in one store critical section (store.Integrate) —
+// into whatever head the branch has by then. A serving session captures
+// at its hello, drains the capture into its reply (store.Drain) and only
+// then integrates the client's delta, so the two stores import at once;
+// a link keeps its connect session's capture and drains it per batch.
+// Why each export is exact while writes and other sessions interleave is
+// argued once, on store.Capture. A session's work is bounded by the state it connected
 // with: commits younger than it ride the link's next batch or the next
 // round. Local commits (Do, PullLocal, SyncLocal) take only the store's
 // lock and never wait for a session.
@@ -319,9 +319,9 @@ type Node struct {
 	// hello, with the node name the latest ack carried. Only a session to
 	// such an address opens with the whole-node span probe — a first
 	// session never pays that turn, since against a peer it has never
-	// synced with the probe would only report a difference. A link takes
-	// the name for its peer's tracking branch. The set only grows; a peer
-	// that restarts in place answers the probe like any other.
+	// synced with the probe would only report a difference. A link labels
+	// its peer's batches with the name. The set only grows; a peer that
+	// restarts in place answers the probe like any other.
 	ackedPeers sync.Map // addr -> peer node name
 
 	ln     net.Listener
@@ -576,15 +576,15 @@ func (n *Node) serve() {
 	}
 }
 
-// integrate lands a peer's batch on an object's store under the peer's
-// tracking branch (store.Integrate). A pull that moved the node branch's
-// head set fires the object's watchers and re-notifies the mesh daemon:
-// the commits it brought in are themselves streamed onward, so they
-// cascade hop by hop through ring and mesh topologies instead of waiting
-// out an anti-entropy round per hop. (The cascade terminates: a link never
-// streams a commit back to the peer it came from, and a commit already
-// present installs nothing.) Whether the head set moved is the store's
-// verdict, so a Do racing the integrate never fires watchers.
+// integrate lands a peer's batch on an object's store, labelled with the
+// peer's name for open captures (store.Integrate). A union that moved the
+// node branch's head set fires the object's watchers and re-notifies the
+// mesh daemon: the commits it brought in are themselves streamed onward,
+// so they cascade hop by hop through ring and mesh topologies instead of
+// waiting out an anti-entropy round per hop. (The cascade terminates: a
+// link never streams a commit back to the peer it came from, and a commit
+// already present installs nothing.) Whether the head set moved is the
+// store's verdict, so a Do racing the integrate never fires watchers.
 func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.ExportedCommit, heads []store.Hash) (redundant int, _ error) {
 	redundant, after, moved, err := e.st.Integrate(n.name, "remote/"+peer, batch, heads)
 	if moved {

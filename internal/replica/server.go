@@ -17,8 +17,8 @@ import (
 // set by a hello, consulted by the probe and want frames that follow on
 // the same session, reset by the next hello. Sessions are
 // single-goroutine, so no locking. capture is taken at the hello, before
-// its root probe is answered, and the want handler replies through it
-// (store.Reply); it is nil between exchanges.
+// its root probe is answered, and the want handler drains it into its
+// reply (store.Drain); it is nil between exchanges.
 type reconSession struct {
 	e       *objectEntry
 	flow    *flow // the exchange's series
@@ -238,9 +238,9 @@ func (n *Node) answerProbe(rs *reconSession, rr wire.ReconRange) (wire.ReconAnsw
 // and its delta of commits we lack, reply through the session's capture
 // with exactly the wanted commits plus whatever was installed since the
 // hello — commits local writes and other sessions raced in, which the
-// reply heads may reach — bar what arrived under the client's own
-// tracking branch, and only then integrate the delta. The client cannot
-// have any of the reply, and the reply re-ships nothing.
+// reply heads may reach — bar what arrived labelled with the client's
+// name, and only then integrate the delta. The client cannot have any
+// of the reply, and the reply re-ships nothing.
 //
 // The reply leaves before the integrate starts, so the client lands it
 // while this side lands the delta: a session's two imports overlap
@@ -267,7 +267,7 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 	for _, h := range want {
 		ship[h] = true
 	}
-	reply, replyHeads, err := e.st.ExportSet(rs.capture, ship, store.Reply, "remote/"+rs.hello.Node)
+	reply, replyHeads, err := e.st.ExportSet(rs.capture, ship, store.Drain, "remote/"+rs.hello.Node)
 	if err != nil {
 		return refuseErr(conn, err)
 	}
@@ -298,8 +298,8 @@ func (n *Node) handleReconWant(conn *countedConn, fields [][]byte, rs *reconSess
 
 // handleLinkBatch integrates one batch of a link's stream: the commits
 // the dialer installed since its previous batch, grafted on its branch
-// heads, go under its tracking branch and are pulled into the node branch
-// exactly as a session's delta is.
+// heads, are united with the node branch exactly as a session's delta
+// is.
 // A batch that does not graft (or names an object not hosted here) is a
 // violation: the refusal reaches the dialer's reader and ends the link.
 // The first batch takes the connection out of the session clip: a link

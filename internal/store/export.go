@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -15,20 +16,20 @@ import (
 
 // ExportedCommit is one commit prepared for transfer to another store:
 // the commit metadata plus the state it pins, carried either as the full
-// encoding (State) or — in packed exports — as a binary patch against the
-// state of the commit's first parent (Patch). Exactly one of State and
-// Patch is set. Hashes are recomputed on import from the reassembled
-// bytes, so a corrupted transfer cannot forge history, and the buffers
-// are copies: mutating an exported commit never reaches into the store.
+// encoding (State) or as a binary patch against the state of the
+// commit's first parent (Patch). Exactly one of State and Patch is set.
+// Hashes are recomputed on import from the reassembled bytes, so a
+// corrupted transfer cannot forge history, and the buffers are copies:
+// mutating an exported commit never reaches into the store.
 type ExportedCommit struct {
 	Parents []Hash
 	State   []byte
 	// Patch is a delta (internal/delta) from the encoded state of
-	// Parents[0]'s commit to this commit's encoded state. Packed exports
-	// use it for every commit the receiver can provably rebase: the
-	// parent is either earlier in the batch or one the receiver holds —
-	// a set export ships only commits the receiver provably lacks, so a
-	// parent outside the batch is one it has.
+	// Parents[0]'s commit to this commit's encoded state. Every export
+	// uses it for a commit stored as a patch on that state: the parent is
+	// either earlier in the batch or one the receiver holds — an export
+	// ships only commits the receiver provably lacks, so a parent outside
+	// the batch is one it has.
 	Patch []byte
 	Gen   int
 	Time  core.Timestamp
@@ -38,64 +39,85 @@ type ExportedCommit struct {
 var ErrBadImport = errors.New("store: bad import")
 
 // Export returns branch b's full history — every ancestor commit of its
-// heads in parents-before-children order — together with the head set.
-// Feeding the result to another store's Import reproduces the history
-// bit-for-bit (content addressing makes re-imported commits identical).
+// heads — together with the head set: ExportSincePacked with an empty
+// have-set. Feeding the result to another store's Import reproduces the
+// history bit-for-bit (content addressing makes re-imported commits
+// identical).
 func (s *Store[S, Op, Val]) Export(b string) ([]ExportedCommit, []Hash, error) {
-	return s.export(b, nil, false)
+	return s.ExportSincePacked(b, nil)
 }
 
 // ExportSincePacked returns the part of branch b's history a peer is
 // missing: every ancestor of the heads not dominated by the have-set, a
 // set of commit hashes the peer is known to possess (possession of a
 // commit implies possession of all its ancestors, so the walk cuts
-// there). Commits come parents-before-children; any parent outside the
-// returned slice is a member of the have-set, so the peer's Import grafts
-// the partial DAG onto commits it already holds. Have hashes unknown
-// locally are harmless: they cannot lie on any walked path.
-//
-// Commits ship in the packed wire form: one whose stored object is a
-// delta against its first parent's state ships that patch instead of a
-// re-materialized full encoding — O(op) bytes per commit instead of
-// O(state). Every patched commit's parent is provably available to the
-// receiver (topological order puts it earlier in the batch, or it is a
-// member of the have-set the walk was cut at), so Import can always
-// reassemble. Snapshots and commits whose chain base is not their parent
-// ship full: deduplicated states, and chain-full states composed onto
-// their chain's snapshot, since the wire form has no base field.
+// there). The commits form a ship set, exported as sessions export
+// theirs (exportSetLocked): in generation order, packed. Any parent
+// outside the batch is a member of the have-set, so the peer's Import
+// grafts the partial DAG onto commits it already holds. Have hashes
+// unknown locally are harmless: they cannot lie on any walked path.
 func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]ExportedCommit, []Hash, error) {
-	return s.export(b, have, true)
-}
-
-func (s *Store[S, Op, Val]) export(b string, have []Hash, packed bool) ([]ExportedCommit, []Hash, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	heads, ok := s.heads[b]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoBranch, b)
 	}
-	var cut map[Hash]bool
-	if len(have) > 0 {
-		cut = make(map[Hash]bool, len(have))
-		for _, h := range have {
-			cut[h] = true
+	cut := make(map[Hash]bool, len(have))
+	for _, h := range have {
+		cut[h] = true
+	}
+	ship := make(map[Hash]bool)
+	for stack := slices.Clone(heads); len(stack) > 0; {
+		h := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !cut[h] && !ship[h] {
+			ship[h] = true
+			stack = append(stack, s.commitAtLocked(h).Parents...)
 		}
 	}
-	order := s.topoOrderSince(heads, cut)
-	commits, err := s.exportOrderLocked(order, packed)
+	commits, err := s.exportSetLocked(ship)
 	return commits, heads, err
 }
 
-// exportOrderLocked materializes the commits of a parents-first order
-// into the wire form. Callers must hold s.mu (read or write).
-func (s *Store[S, Op, Val]) exportOrderLocked(order []Hash, packed bool) ([]ExportedCommit, error) {
+// exportSetLocked exports exactly the commits in ship,
+// parents-before-children, in generation order — Gen = 1 + max parent
+// generation, so a parent always sorts strictly before its children and
+// no DAG walk is needed. Ship hashes the store does not hold are skipped
+// silently (the peer re-negotiates them next round). Callers must hold
+// s.mu.
+//
+// Enumerating the set directly — rather than walking down from the
+// branch heads — matters for completeness: a reconciliation can
+// legitimately resolve a commit that no branch head reaches any more (an
+// import that failed part way installed it, or a deleted branch held it,
+// and GC has not run), and a reachability walk would silently drop it,
+// leaving the two fingerprint trees permanently different and the pair
+// re-probing the same dead diff every round.
+//
+// The receiver can graft the batch because its holdings are closed
+// under ancestry and the caller builds ship as "commits the receiver
+// provably lacks": a parent outside the batch is therefore a commit the
+// receiver already holds. The export is packed — a commit may ship as a
+// patch against its first parent — for the same reason.
+func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommit, error) {
+	if len(ship) == 0 {
+		return nil, nil
+	}
+	order := make([]Hash, 0, len(ship))
+	for h := range ship {
+		if s.commitExistsLocked(h) {
+			order = append(order, h)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		gi, gj := s.commitAtLocked(order[i]).Gen, s.commitAtLocked(order[j]).Gen
+		if gi != gj {
+			return gi < gj
+		}
+		return bytes.Compare(order[i][:], order[j][:]) < 0
+	})
 	out := make([]ExportedCommit, 0, len(order))
-	// The walk materializes states in topological order, so the previous
-	// result is almost always the next commit's chain base; carrying it
-	// as a local hint keeps a full-state export O(patch) per commit even
-	// when concurrent exports race the store's shared reassembly slot.
-	var lastHash Hash
-	var lastEnc []byte
 	for _, h := range order {
 		c := s.commitAtLocked(h)
 		ec := ExportedCommit{
@@ -105,12 +127,12 @@ func (s *Store[S, Op, Val]) exportOrderLocked(order []Hash, packed bool) ([]Expo
 		}
 		obj, _ := s.objLocked(c.State)
 		switch parentState, hasParent := s.parentState(c); {
-		case packed && hasParent && c.State == parentState:
+		case hasParent && c.State == parentState:
 			// A deduplicated no-op commit pins exactly its parent's
 			// state: an identity patch costs a dozen bytes where the
 			// stored chain (based elsewhere) would force a full ship.
 			ec.Patch = delta.Identity(obj.size)
-		case packed && hasParent && obj.delta && obj.base == parentState:
+		case hasParent && obj.delta && obj.base == parentState:
 			patch, err := obj.bytes()
 			if err != nil {
 				return nil, err
@@ -120,11 +142,10 @@ func (s *Store[S, Op, Val]) exportOrderLocked(order []Hash, packed bool) ([]Expo
 			// Snapshots, and patches whose base is not the parent's state
 			// (chain-full states composed onto their chain's snapshot),
 			// ship full: the wire form patches against the parent only.
-			enc, err := s.materializeHintLocked(c.State, lastHash, lastEnc)
+			enc, err := s.materializeLocked(c.State)
 			if err != nil {
 				return nil, err
 			}
-			lastHash, lastEnc = c.State, enc
 			ec.State = append([]byte(nil), enc...)
 		}
 		out = append(out, ec)
@@ -140,57 +161,24 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 	return s.commitAtLocked(c.Parents[0]).State, true
 }
 
-// topoOrderSince returns the ancestors of heads (inclusive) with every
-// commit after its parents, cut at cut: members of cut are neither
-// emitted nor walked through, so the result is exactly the commits above
-// the cut. The walk is iterative; history depth does not grow the stack.
-func (s *Store[S, Op, Val]) topoOrderSince(heads []Hash, cut map[Hash]bool) []Hash {
-	var order []Hash
-	state := make(map[Hash]int) // 0 unseen, 1 visiting, 2 done
-	var stack []Hash
-	for _, h := range heads {
-		if !cut[h] {
-			stack = append(stack, h)
-		}
-	}
-	for len(stack) > 0 {
-		h := stack[len(stack)-1]
-		switch state[h] {
-		case 0:
-			state[h] = 1
-			for _, p := range s.commitAtLocked(h).Parents {
-				if state[p] == 0 && !cut[p] {
-					stack = append(stack, p)
-				}
-			}
-		case 1:
-			state[h] = 2
-			order = append(order, h)
-			stack = stack[:len(stack)-1]
-		default:
-			stack = stack[:len(stack)-1] // finished via another path
-		}
-	}
-	return order
-}
-
 // Import installs a transferred history — full or partial — and points
-// branch name at its head set. The branch is created if needed (tracking
-// branches for remote peers); the caller is expected to merge via Pull
-// afterwards, or to call Integrate, which does both. A partial history —
-// a recon session's delta or reply, a link's batch — grafts onto the
-// local DAG: every parent must resolve either earlier in the batch or
-// among commits already present, so a dangling parent fails the import.
-// Commit hashes are recomputed locally; a corrupted transfer cannot forge
-// history. An empty batch is a valid delta as long as the advertised
-// heads are already known. Each first-seen state is verified exactly
-// once (verify): an encoded state whose hash is already present — a
-// commit two crossed sessions both delivered, a new commit pinning a
+// branch name at its head set, creating the branch if needed: such a
+// branch only mirrors the heads, so it takes no operations, has no clock
+// and spends no replica id. Tests and tools merge it in with Pull;
+// replicas land batches with Integrate instead, which creates no branch.
+// A partial history — a recon session's delta or reply, a link's batch —
+// grafts onto the local DAG: every parent must resolve either earlier in
+// the batch or among commits already present, so a dangling parent fails
+// the import. Commit hashes are recomputed locally; a corrupted transfer
+// cannot forge history. An empty batch is a valid delta as long as the
+// advertised heads are already known. Each first-seen state is verified
+// exactly once (verify): an encoded state whose hash is already present —
+// a commit two crossed sessions both delivered, a new commit pinning a
 // known state, a no-op shipped as an identity patch — or that an earlier
 // batch commit pins is not verified again.
 //
 // A commit may carry its state as a Patch against its first parent's
-// state (packed exports); the parent is necessarily known — the batch is
+// state; the parent is necessarily known — the batch is
 // parents-before-children and dangling parents fail the import — so the
 // patch is applied to the parent's encoding and the result goes through
 // the same hash and canonicality verification as a full state. A
@@ -208,24 +196,28 @@ func (s *Store[S, Op, Val]) topoOrderSince(heads []Hash, cut map[Hash]bool) []Ha
 func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads []Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.importLocked(name, commits, heads)
+	if err := s.importLocked(name, commits, heads); err != nil {
+		return err
+	}
+	s.heads[name] = s.maximalLocked(heads)
+	s.persistBranchLocked(name)
+	return s.finishPersistLocked()
 }
 
-// Integrate lands a peer's batch: it imports it under the tracking branch
-// via and pulls via into branch, in one critical section, so no other
-// session's import interleaves between the two. redundant counts the
-// batch's commits that were already present — re-ships an exact
-// negotiation never makes. after names branch's head set afterwards
-// (HeadSetHash) and moved tells whether the pull changed it: a concurrent
-// Apply cannot pass for remote news. Open captures record the imported
-// commits under via.
+// Integrate lands a peer's batch: it installs it as Import does and
+// unites its heads with branch's head set (as Pull), in one critical
+// section, so no other session's import interleaves between the two. It
+// creates no branch; via only labels the installed commits in open
+// captures (Capture). redundant counts the batch's commits that were
+// already present — re-ships an exact negotiation never makes. after
+// names branch's head set afterwards (HeadSetHash) and moved tells
+// whether the union changed it: a concurrent Apply cannot pass for
+// remote news.
 func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit, heads []Hash) (redundant int, after Hash, moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.integrateNs.Observe(time.Since(start).Nanoseconds()) }()
-	}
+	start := time.Now()
+	defer func() { s.metrics.integrateNs.Observe(time.Since(start).Nanoseconds()) }()
 	before, known := s.heads[branch], len(s.commits)
 	if err := s.importLocked(via, batch, heads); err != nil {
 		return 0, HeadSetHash(before), false, err
@@ -233,7 +225,7 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 	// addCommitLocked adds to s.commits exactly the commits it newly
 	// installs.
 	redundant = len(batch) - (len(s.commits) - known)
-	err = s.pullLocked(branch, via)
+	err = s.uniteLocked(branch, heads)
 	if err == nil {
 		err = s.finishPersistLocked()
 	}
@@ -242,9 +234,11 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 
 // importLocked is the body of Import and Integrate, the pipeline Import
 // describes: prepareImportLocked, then verify on a helper for a
-// first-seen state, then drain's in-order install.
-func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, heads []Hash) error {
-	s.importVia = name
+// first-seen state, then drain's in-order install, and the check that
+// every advertised head is present. Open captures record the installed
+// commits under via.
+func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, heads []Hash) error {
+	s.importVia = via
 	defer func() { s.importVia = "" }()
 	// The producer blocks once window commits are queued: enough to keep
 	// every helper busy while it runs ahead, and a bound on the
@@ -329,11 +323,7 @@ func (s *Store[S, Op, Val]) importLocked(name string, commits []ExportedCommit, 
 			return fmt.Errorf("%w: advertised head %v not present after import", ErrBadImport, h)
 		}
 	}
-	// A tracking branch only mirrors the peer's heads: it takes no
-	// operations, so it has no clock and spends no replica id.
-	s.heads[name] = s.maximalLocked(heads)
-	s.persistBranchLocked(name)
-	return s.finishPersistLocked()
+	return nil
 }
 
 // importItem is one batch commit between the two ordered stages of an

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alphamap"
+	"repro/internal/chat"
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/gmap"
@@ -297,12 +299,30 @@ func (d swapping[S, E, Op, Val]) Do(op Op, s S, t core.Timestamp) (S, Val) {
 	return next, v
 }
 
+// swappingTree disorders an or-set-space-time state as swapping does a
+// slice: at matching operations it rebuilds the tree from its in-order
+// pairs with the first two swapped.
+type swappingTree struct {
+	orset.OrSetSpaceTime
+	at func(orset.Op) bool
+}
+
+func (d swappingTree) Do(op orset.Op, s orset.TreeState, t core.Timestamp) (orset.TreeState, orset.Val) {
+	next, v := d.OrSetSpaceTime.Do(op, s, t)
+	if d.at(op) {
+		ps := orset.Flatten(next)
+		ps[0], ps[1] = ps[1], ps[0]
+		next = orset.BuildBalanced(ps)
+	}
+	return next, v
+}
+
 // TestImportRejectsDisorderedState: a packed batch of six commits whose
 // commit 3 pins a state with two swapped elements — or-set pairs out of
 // ascending order, log entries out of descending timestamp order, g-set
-// elements or g-map keys out of ascending order — fails to import naming
-// commit 3, with commits 0–2 installed and none after, through the real
-// wire codecs.
+// elements, g-map or α-map keys out of ascending order — fails to import
+// naming commit 3, with commits 0–2 installed and none after, through
+// the real wire codecs.
 func TestImportRejectsDisorderedState(t *testing.T) {
 	const k = 3
 	t.Run("gset", func(t *testing.T) {
@@ -336,6 +356,22 @@ func TestImportRejectsDisorderedState(t *testing.T) {
 		}
 		bad := func(op orset.Op) bool { return op == ops[k] }
 		importDisordered(t, orset.OrSetSpace{}, swapping[orset.SpaceState, orset.Pair, orset.Op, orset.Val]{orset.OrSetSpace{}, bad}, wire.OrSetSpace{}, ops, k)
+	})
+	t.Run("or-set-space-time", func(t *testing.T) {
+		var ops []orset.Op
+		for i := range 6 {
+			ops = append(ops, orset.Op{Kind: orset.Add, E: int64(10 * (i + 1))})
+		}
+		bad := func(op orset.Op) bool { return op == ops[k] }
+		importDisordered(t, orset.OrSetSpaceTime{}, swappingTree{orset.OrSetSpaceTime{}, bad}, wire.OrSetSpaceTime{}, ops, k)
+	})
+	t.Run("alpha-map", func(t *testing.T) {
+		var ops []chat.Op
+		for i := range 6 {
+			ops = append(ops, chat.Op{Kind: chat.Send, Ch: fmt.Sprint("ch", i), Msg: "hello"})
+		}
+		bad := func(op chat.Op) bool { return op == ops[k] }
+		importDisordered(t, chat.Chat{}, swapping[chat.State, alphamap.Entry[mlog.State], chat.Op, chat.Val]{chat.Chat{}, bad}, wire.Chat{}, ops, k)
 	})
 	t.Run("mlog", func(t *testing.T) {
 		var ops []mlog.Op

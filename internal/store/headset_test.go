@@ -203,10 +203,11 @@ func opHistory(s *counterStoreT) *core.AbstractState[counter.Op, counter.Val] {
 }
 
 // TestTrackingBranchesTakeNoReplicaID: a store with replica block 64
-// integrates batches under 70 tracking branches. A tracking branch takes
-// no operations, so it gets no clock: the replica-id allocator never
+// integrates batches from 70 peers. Integrate creates no branch, so the
+// store keeps one branch and one clock, the replica-id allocator never
 // moves past the node branch's id, and every timestamp the node branch
-// mints carries it.
+// mints carries it. A branch Import creates mirrors heads and takes no
+// operations, so it persists with no clock.
 func TestTrackingBranchesTakeNoReplicaID(t *testing.T) {
 	s := newCounterStoreAt("node", 64)
 	src := newCounterStoreAt("src", 0)
@@ -223,16 +224,26 @@ func TestTrackingBranchesTakeNoReplicaID(t *testing.T) {
 		h, _ := s.HeadHash("node")
 		c, _ := s.Commit(h)
 		if _, id := clock.Unpack(c.Time); id != 64 {
-			t.Fatalf("after %d tracking branches the node minted a timestamp of replica %d, want 64", i+1, id)
+			t.Fatalf("after %d landings the node minted a timestamp of replica %d, want 64", i+1, id)
 		}
 	}
-	if len(s.Branches()) != 71 {
-		t.Fatalf("%d branches, want the node's and 70 tracking branches", len(s.Branches()))
+	if b := s.Branches(); len(b) != 1 {
+		t.Fatalf("branches %v after 70 landings, want the node's alone", b)
 	}
 	if s.nextID != 65 || len(s.clocks) != 1 {
 		t.Fatalf("replica-id allocator at %d with %d clocks, want 65 and the node's alone", s.nextID, len(s.clocks))
 	}
-	if rec := s.branchRecordLocked("remote/p69"); rec.Replica != NoClock || rec.Clock != 0 {
-		t.Fatalf("tracking branch persists as %+v, want no clock", rec)
+	commits, heads, err := src.Export("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Import("remote/src", commits, heads); err != nil {
+		t.Fatal(err)
+	}
+	if rec := s.branchRecordLocked("remote/src"); rec.Replica != NoClock || rec.Clock != 0 {
+		t.Fatalf("imported branch persists as %+v, want no clock", rec)
+	}
+	if s.nextID != 65 || len(s.clocks) != 1 {
+		t.Fatalf("Import moved the allocator to %d with %d clocks", s.nextID, len(s.clocks))
 	}
 }

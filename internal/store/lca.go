@@ -80,9 +80,7 @@ func (s *Store[S, Op, Val]) foldLocked(hs []Hash) (S, error) {
 	}
 	start := time.Now()
 	merged := s.impl.Merge(base, left, right)
-	if m := s.metrics; m != nil {
-		m.mergeNs.Observe(time.Since(start).Nanoseconds())
-	}
+	s.metrics.mergeNs.Observe(time.Since(start).Nanoseconds())
 	s.cache.put(id, merged)
 	return merged, nil
 }
@@ -109,9 +107,7 @@ func (s *Store[S, Op, Val]) maximalLocked(hs []Hash) []Hash {
 			p.add(par, flagP2)
 		}
 	}
-	if m := s.metrics; m != nil {
-		m.lcaSteps.Add(int64(steps))
-	}
+	s.metrics.lcaSteps.Add(int64(steps))
 	return sortHashes(out)
 }
 
@@ -152,8 +148,6 @@ func (s *Store[S, Op, Val]) maximalCommonAncestors(a, b []Hash) []Hash {
 			p.add(par, f)
 		}
 	}
-	if m := s.metrics; m != nil {
-		m.lcaSteps.Add(int64(steps))
-	}
+	s.metrics.lcaSteps.Add(int64(steps))
 	return maximal
 }

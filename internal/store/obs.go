@@ -4,10 +4,10 @@ package store
 // the phase split of storing one state (encode, hash, delta), LCA walk
 // effort, and the hit ratios of the two caches that make deep histories
 // cheap (the decoded-state LRU and the one-slot reassembly cache). All
-// instruments hang off an optional obs.Registry handed in with WithObs;
-// without one s.metrics stays nil and every instrumented site pays a
-// single nil check. Instruments are looked up by name, so several
-// stores on one node (one per replicated object) share the same series.
+// instruments hang off the obs.Registry handed in with WithObs, or a
+// private one the store makes without it. Instruments are looked up by
+// name, so several stores on one node (one per replicated object) share
+// the same series.
 
 import (
 	"time"
@@ -41,9 +41,6 @@ type storeMetrics struct {
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &storeMetrics{
 		applyNs:     reg.Histogram("peepul_store_apply_ns", obs.LatencyBuckets),
 		pullNs:      reg.Histogram("peepul_store_pull_ns", obs.LatencyBuckets),
@@ -60,30 +57,18 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 	reg.Describe("peepul_store_apply_ns", "wall time of one operation commit (Apply) under the store lock: Do, put state, put commit, persist")
 	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (SHA-256), delta (base reassembly + delta.Make)")
-	reg.Describe("peepul_store_pull_ns", "wall time of one branch pull: the union of two head sets, less dominated members")
+	reg.Describe("peepul_store_pull_ns", "wall time of one head-set union, a Pull's or an Integrate's: both sets less every dominated member")
 	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge: one step of a head set's canonical fold")
-	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the pull that lands it")
+	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the union that lands it")
 	reg.Describe("peepul_store_lca_steps_total", "commits popped by the generation-ordered DAG walks: merge-base searches and head-set reductions")
 	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	return m
 }
 
-// startPhases reads the clock the first lap is measured from; the zero
-// time (and no clock read) when instrumentation is off.
-func (m *storeMetrics) startPhases() (t time.Time) {
-	if m != nil {
-		t = time.Now()
-	}
-	return t
-}
-
 // lap records the time since *since as one observation of phase p and
 // restarts *since, so back-to-back phases cost one clock read each.
 func (m *storeMetrics) lap(p storePhase, since *time.Time) {
-	if m == nil {
-		return
-	}
 	now := time.Now()
 	m.phaseNs[p].Observe(now.Sub(*since).Nanoseconds())
 	*since = now

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/delta"
 )
@@ -195,43 +196,19 @@ func (c *stateCache[S]) remove(h Hash) {
 // access — Apply deltifying against the state it just built, imports
 // walking a shipped chain — O(patch) instead of O(chain).
 func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, error) {
-	return s.materializeHintLocked(h, Hash{}, nil)
-}
-
-// materializeHintLocked is materializeLocked with a caller-local
-// (hash, encoding) pair the chain walk may stop at. Concurrent readers
-// each racing a long loop of materializations (exports under the shared
-// read lock) thrash the store-global slot; carrying the previous result
-// through the loop keeps each of them O(patch) per commit regardless of
-// interleaving.
-func (s *Store[S, Op, Val]) materializeHintLocked(h Hash, hintHash Hash, hintEnc []byte) ([]byte, error) {
-	if hintHash == h && hintEnc != nil {
-		if m := s.metrics; m != nil {
-			m.reasmHit.Inc()
-		}
-		return hintEnc, nil
-	}
 	s.encMu.Lock()
 	cached, cachedHash := s.encBuf, s.encHash
 	s.encMu.Unlock()
 	if cachedHash == h && cached != nil {
-		if m := s.metrics; m != nil {
-			m.reasmHit.Inc()
-		}
+		s.metrics.reasmHit.Inc()
 		return cached, nil
 	}
-	if m := s.metrics; m != nil {
-		m.reasmMiss.Inc()
-	}
+	s.metrics.reasmMiss.Inc()
 
 	var patches [][]byte // stored patches from h down, snapshot excluded
 	cur := h
 	var enc []byte
 	for {
-		if cur == hintHash && hintEnc != nil {
-			enc = hintEnc
-			break
-		}
 		if cur == cachedHash && cached != nil {
 			enc = cached
 			break
@@ -284,14 +261,10 @@ func (s *Store[S, Op, Val]) materializeHintLocked(h Hash, hintHash Hash, hintEnc
 // Callers must hold s.mu (read or write).
 func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 	if st, ok := s.cache.get(h); ok {
-		if m := s.metrics; m != nil {
-			m.cacheHit.Inc()
-		}
+		s.metrics.cacheHit.Inc()
 		return st, nil
 	}
-	if m := s.metrics; m != nil {
-		m.cacheMiss.Inc()
-	}
+	s.metrics.cacheMiss.Inc()
 	var zero S
 	enc, err := s.materializeLocked(h)
 	if err != nil {
@@ -326,7 +299,7 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 	// chaining them would make the state unreadable.
 	if bo, ok := s.objLocked(base); ok && base != h && len(enc) <= delta.MaxTarget && s.opts.SnapshotEvery > 1 {
 		// The delta phase times a patch made here, and its composition.
-		t, made := s.metrics.startPhases(), patch == nil
+		t, made := time.Now(), patch == nil
 		if made {
 			if baseEnc, err := s.materializeLocked(base); err == nil {
 				patch = delta.Make(baseEnc, enc)

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // ObjectRecord is the persisted form of one pack object: the stored
@@ -37,7 +38,9 @@ type ObjectRecord struct {
 // BranchRecord is the persisted form of one branch: its head set, sorted
 // by hash, and the state of its Lamport clock (replica id plus counter),
 // enough to resume issuing unique, monotonic timestamps after a restart.
-// A tracking branch has no clock: Replica is NoClock and Clock zero.
+// A branch Import created has no clock: Replica is NoClock and Clock
+// zero. A log may also hold clockless remote/* branches an older build's
+// Integrate wrote; nothing reads them.
 type BranchRecord struct {
 	Heads   []Hash
 	Replica int
@@ -179,6 +182,9 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 	o := DefaultOptions()
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if o.Obs == nil {
+		o.Obs = obs.NewRegistry()
 	}
 	nc, no := 0, 0
 	if rs != nil {

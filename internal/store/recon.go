@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/recon"
 )
@@ -103,7 +101,7 @@ func (s *Store[S, Op, Val]) HasCommit(h Hash) bool {
 }
 
 // install is one capture-log entry: a newly installed commit and the
-// tracking branch it was imported under — the name of a peer that
+// label of the import that installed it — Integrate's via, the peer that
 // provably holds it — or "" for a commit this store made itself (an
 // Apply and the merge it commits).
 type install struct {
@@ -113,9 +111,9 @@ type install struct {
 
 // Capture is a snapshot of one branch that keeps recording: the branch
 // head set at the instant Snapshot took it, and every commit the store
-// installs from that instant on — by Apply or Import — with the tracking
-// branch it was imported under ("" for the store's own commits). Only
-// Close stops the recording; no export consumes a capture.
+// installs from that instant on — by Apply or an import — with the label
+// it was imported under ("" for the store's own commits). Only Close
+// stops the recording; no export consumes a capture.
 //
 // This is the one exactness argument every sync path rests on. The head
 // and the record start in one critical section, and every installation
@@ -123,7 +121,7 @@ type install struct {
 // ancestor candidate of the snapshot heads — it existed at the snapshot
 // and a recon descent can find it — or in the record; never neither. No
 // lock is held across the network: local writes and other sessions
-// interleave freely, and ExportSet's three modes each use the record to
+// interleave freely, and ExportSet's two modes each use the record to
 // stay exact anyway.
 //
 //   - AsOf (a client session): the ship set was resolved against the
@@ -134,21 +132,20 @@ type install struct {
 //     nothing subtracted is one of them: the batch grafts. A session's
 //     work is bounded by the state it connected with, however long it
 //     runs under sustained writes.
-//   - Reply (a serving session, captured at its hello): the batch ships
-//     under the live heads, which may reach commits installed after the
-//     probes read the tree — a local Apply, another session's import.
-//     All of them are in the record, so folding it in keeps the batch
-//     grafting onto what the receiver holds; the entries imported under
-//     held, the receiver's own tracking branch (its link's batches),
-//     came from the receiver and stay out. The session exports its reply
-//     before it integrates the receiver's delta, so the reply never
-//     carries that delta back and the two sides land at the same time.
-//   - Drain (a link, which keeps its connect session's capture): what was
-//     recorded since the last drain, bar held, under the live heads.
-//     Drained in turn the batches stay graftable: a commit's parents were
-//     installed before it, so each sits in the same or an earlier batch,
-//     predates the snapshot (the connect session's to ship), or came from
-//     the receiver.
+//   - Drain (a serving session, captured at its hello; a link, which
+//     keeps its connect session's capture): what was recorded since the
+//     last drain, bar what was imported under held, the receiver's own
+//     label, joins the ship set under the live heads. The live heads may
+//     reach commits installed after the probes read the tree — a local
+//     Apply, another session's import — and all of them are in the
+//     record, so folding it in keeps the batch grafting; what came from
+//     the receiver it holds already. Drained in turn, a link's batches
+//     stay graftable: a commit's parents were installed before it, so
+//     each sits in the same or an earlier batch, predates the snapshot
+//     (the connect session's to ship), or came from the receiver. A
+//     serving session drains once, for its reply, before it integrates
+//     the receiver's delta, so the reply never carries that delta back
+//     and the two sides land at the same time.
 type Capture struct {
 	branch string
 	heads  []Hash
@@ -200,9 +197,6 @@ const (
 	// AsOf removes the recorded commits from ship and exports under the
 	// snapshot heads.
 	AsOf ExportMode = iota
-	// Reply adds the recorded commits not imported under held and exports
-	// under the live heads.
-	Reply
 	// Drain adds the commits recorded since the last drain, bar those
 	// imported under held, exports under the live heads, and resets the
 	// record.
@@ -248,44 +242,4 @@ func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode Expor
 	}
 	commits, err := s.exportSetLocked(ship)
 	return commits, heads, err
-}
-
-// exportSetLocked exports exactly the commits in ship,
-// parents-before-children, in generation order — Gen = 1 + max parent
-// generation, so a parent always sorts strictly before its children and
-// no DAG walk is needed. Ship hashes the store does not hold are skipped
-// silently (the peer re-negotiates them next round). Callers must hold
-// s.mu.
-//
-// Enumerating the set directly — rather than walking down from the
-// branch heads — matters for completeness: a reconciliation can
-// legitimately resolve a commit that no branch head reaches any more (a
-// tracking branch moved past it and GC has not run), and a reachability
-// walk would silently drop it, leaving the two fingerprint trees
-// permanently different and the pair re-probing the same dead diff
-// every round.
-//
-// The receiver can graft the batch because its holdings are closed
-// under ancestry and the caller builds ship as "commits the receiver
-// provably lacks": a parent outside the batch is therefore a commit the
-// receiver already holds. The export is packed — a commit may ship as a
-// patch against its first parent — for the same reason.
-func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommit, error) {
-	if len(ship) == 0 {
-		return nil, nil
-	}
-	order := make([]Hash, 0, len(ship))
-	for h := range ship {
-		if s.commitExistsLocked(h) {
-			order = append(order, h)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		gi, gj := s.commitAtLocked(order[i]).Gen, s.commitAtLocked(order[j]).Gen
-		if gi != gj {
-			return gi < gj
-		}
-		return bytes.Compare(order[i][:], order[j][:]) < 0
-	})
-	return s.exportOrderLocked(order, true)
 }

@@ -265,7 +265,7 @@ func TestSnapshotExportTokenEdges(t *testing.T) {
 	if len(c.log) != recorded {
 		t.Fatal("a closed capture still records installs")
 	}
-	for _, mode := range []ExportMode{AsOf, Reply, Drain} {
+	for _, mode := range []ExportMode{AsOf, Drain} {
 		if _, _, err := s.ExportSet(c, nil, mode, ""); !errors.Is(err, ErrNoCapture) {
 			t.Fatalf("mode %d on a closed capture: err = %v, want ErrNoCapture", mode, err)
 		}
@@ -319,7 +319,7 @@ func TestIntegrateRecordsMergesAsOwn(t *testing.T) {
 	// The reply to a peer that wants the local commit: that commit alone,
 	// under both heads, and nothing the peer sent. It grafts onto the peer.
 	ship := map[Hash]bool{local: true}
-	reply, replyHeads, err := s.ExportSet(c, ship, Reply, "remote/peer")
+	reply, replyHeads, err := s.ExportSet(c, ship, Drain, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestExportSetCaptureSkipsWhatTheReceiverSent(t *testing.T) {
 	fromThird, _ := third.HeadHash("third")
 
 	ship := make(map[Hash]bool)
-	batch, heads, err := s.ExportSet(c, ship, Reply, "remote/peer")
+	batch, heads, err := s.ExportSet(c, ship, Drain, "remote/peer")
 	if err != nil {
 		t.Fatal(err)
 	}

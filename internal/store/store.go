@@ -77,9 +77,9 @@ type Options struct {
 	// Persister, when non-nil, receives every durable mutation (see
 	// persist.go). nil keeps the store purely in-memory.
 	Persister Persister
-	// Obs, when non-nil, receives the store's metrics (merge/pull
-	// latency, LCA walk steps, cache hit ratios — see obs.go). nil
-	// disables instrumentation; the hot paths then pay one nil check.
+	// Obs receives the store's metrics (merge/pull latency, LCA walk
+	// steps, cache hit ratios — see obs.go). nil gives the store a
+	// registry of its own.
 	Obs *obs.Registry
 	// VerifyOnOpen makes OpenRecovered run VerifyPack — the full
 	// chain-forest reassembly and decode of every recovered state object
@@ -136,7 +136,7 @@ func WithPersister(p Persister) Option {
 
 // WithObs attaches an observability registry: the store registers its
 // latency histograms, LCA walk counter and cache hit-ratio counters on
-// it. A nil registry keeps instrumentation disabled.
+// it. Without one (or with nil) the store counts into a private registry.
 func WithObs(reg *obs.Registry) Option {
 	return func(o *Options) { o.Obs = reg }
 }
@@ -173,8 +173,8 @@ var (
 // (Apply, Pull, Sync, Fork, Import, Integrate, GC, DeleteBranch) and the
 // capture calls (Snapshot, ExportSet, Capture.Close) serialize behind the
 // write lock. Each branch that takes operations carries its own Lamport
-// clock, modelling one replica per branch; a tracking branch, which only
-// mirrors a peer's heads, has none.
+// clock, modelling one replica per branch; a branch Import created, which
+// only mirrors the heads it was given, has none.
 type Store[S, Op, Val any] struct {
 	mu      sync.RWMutex
 	impl    core.MRDT[S, Op, Val]
@@ -199,16 +199,15 @@ type Store[S, Op, Val any] struct {
 	// addCommitLocked and GC from then on.
 	rtree *recon.Tree
 	// captures are the open Captures; addCommitLocked appends every commit it
-	// newly installs to each one's record. importVia is the tracking
-	// branch of the Import in progress, stamped on the entries it
-	// installs.
+	// newly installs to each one's record. importVia is the label of the
+	// import in progress (Integrate's via, Import's branch), stamped on
+	// the entries it installs.
 	captures  map[*Capture]struct{}
 	importVia string
 	// persistErr is the sticky persistence failure (persist.go): once a
 	// Persister call fails, every later mutation reports it.
 	persistErr error
-	// metrics is the optional instrumentation (obs.go); nil when no
-	// registry was attached.
+	// metrics is the instrumentation (obs.go).
 	metrics *storeMetrics
 
 	// One-slot reassembly cache (pack.go); own lock so readers holding
@@ -283,15 +282,13 @@ func (s *Store[S, Op, Val]) Fork(src, name string) error {
 // state. On a branch with several heads it first commits their canonical
 // merge (mergeHeadsLocked), the op's one parent. The branch clock
 // observes that parent's timestamp, the latest in its history, before it
-// ticks. A tracking branch has no clock and takes no operations. Apply
+// ticks. A branch without a clock (Import's) takes no operations. Apply
 // returns the operation's value.
 func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.applyNs.Observe(time.Since(start).Nanoseconds()) }()
-	}
+	start := time.Now()
+	defer func() { s.metrics.applyNs.Observe(time.Since(start).Nanoseconds()) }()
 	var zero Val
 	hs, ok := s.heads[b]
 	if !ok {
@@ -299,7 +296,7 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	}
 	clk := s.clocks[b]
 	if clk == nil {
-		return zero, fmt.Errorf("store: %s is a tracking branch and takes no operations", b)
+		return zero, fmt.Errorf("store: %s has no clock and takes no operations", b)
 	}
 	head, err := s.mergeHeadsLocked(hs)
 	if err != nil {
@@ -444,14 +441,19 @@ func (s *Store[S, Op, Val]) Pull(dst, src string) error {
 }
 
 func (s *Store[S, Op, Val]) pullLocked(dst, src string) error {
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.pullNs.Observe(time.Since(start).Nanoseconds()) }()
-	}
 	hs, ok := s.heads[src]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoBranch, src)
 	}
+	return s.uniteLocked(dst, hs)
+}
+
+// uniteLocked is the union every pull and Integrate lands with: dst's
+// head set becomes the maximal members of itself and hs. It persists dst
+// only when the set moved. Callers hold the write lock.
+func (s *Store[S, Op, Val]) uniteLocked(dst string, hs []Hash) error {
+	start := time.Now()
+	defer func() { s.metrics.pullNs.Observe(time.Since(start).Nanoseconds()) }()
 	hd, ok := s.heads[dst]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoBranch, dst)
@@ -487,7 +489,7 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 // putState packs state, chained against the base state hash (its commit
 // parent's state; zero for the root), and returns its content address.
 func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
-	t := s.metrics.startPhases()
+	t := time.Now()
 	enc := s.codec.Encode(state)
 	s.metrics.lap(phaseEncode, &t)
 	h := sha256.Sum256(enc)

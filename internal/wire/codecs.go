@@ -374,12 +374,19 @@ func (OrSetSpaceTime) Encode(s orset.TreeState) []byte {
 	return w.Bytes()
 }
 
-// Decode deserializes the set.
+// Decode deserializes the set, whose pairs must ascend strictly by
+// element: the tree is rebuilt from them as given, and its searches
+// rely on that order.
 func (OrSetSpaceTime) Decode(b []byte) (orset.TreeState, error) {
 	r := NewReader(b)
 	ps := decodePairs(r)
 	if err := r.Close(); err != nil {
 		return nil, err
+	}
+	for i := 1; i < len(ps); i++ {
+		if ps[i].E <= ps[i-1].E {
+			return nil, orderError("set pair", i)
+		}
 	}
 	return orset.BuildBalanced(orset.SpaceState(ps)), nil
 }
@@ -453,7 +460,8 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 	return w.Bytes()
 }
 
-// Decode deserializes the map.
+// Decode deserializes the map, whose keys must ascend strictly: the
+// map's lookups binary-search them.
 func (c AlphaMap[S]) Decode(b []byte) (alphamap.State[S], error) {
 	r := NewReader(b)
 	n := r.Len(8)
@@ -463,6 +471,9 @@ func (c AlphaMap[S]) Decode(b []byte) (alphamap.State[S], error) {
 		payload := r.Bytes()
 		if r.Err() != nil {
 			break
+		}
+		if i > 0 && k <= s[i-1].K {
+			return nil, orderError("map key", i)
 		}
 		inner, err := c.Inner.Decode(payload)
 		if err != nil {
