@@ -204,3 +204,29 @@ func parseRuns(runs []run, patch []byte, src int) (out []run, baseLen, targetLen
 	}
 	return runs, baseLen, targetLen, nil
 }
+
+// CopyRun is a stretch of a patch's target copied from its base:
+// target[At:At+Len] is base[Off:Off+Len].
+type CopyRun struct {
+	At, Off, Len int
+}
+
+// CopyRuns returns patch's copy runs in target order, and the base length
+// it announces. It validates the patch as Compose does, so it fails
+// exactly where Apply would on a base of that length. Adjacent copies of
+// adjacent base bytes come back as one run.
+func CopyRuns(patch []byte) ([]CopyRun, int, error) {
+	runs, baseLen, _, err := parseRuns(nil, patch, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out []CopyRun
+	at := 0
+	for _, r := range runs {
+		if r.src < 0 {
+			out = append(out, CopyRun{At: at, Off: r.off, Len: r.n})
+		}
+		at += r.n
+	}
+	return out, int(baseLen), nil
+}

@@ -57,8 +57,9 @@ type TypedObject[S, Op, Val any] struct {
 // opened (and recovered) from its own subdirectory of the storage
 // directory: a fresh directory starts empty and records the datatype in
 // the log's metadata; an existing one replays the object's entire
-// history — refusing a log written under a different datatype or by a
-// node of a different name, so storage mix-ups fail loudly instead of
+// history — refusing a log written under a different datatype, by a
+// node of a different name or by an older build that addressed states
+// another way (checkGuard), so storage mix-ups fail loudly instead of
 // merging incompatible states.
 func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, Op, Val], codec store.Codec[S]) (*TypedObject[S, Op, Val], error) {
 	n.mu.Lock()
@@ -94,14 +95,18 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 	if err != nil {
 		return nil, fmt.Errorf("%w: opening storage for %q: %v", ErrObject, object, err)
 	}
-	st, err := openRecoveredStore(n, log, rec, object, datatype, impl, codec)
+	if err := checkGuard(log, &rec.State, object, datatype); err != nil {
+		log.Close()
+		return nil, err
+	}
+	st, err := openRecoveredStore(n, log, rec, object, impl, codec)
 	if err != nil && rec.Mode == disk.ModeCheckpoint {
 		log.Close()
 		log, rec, err = disk.Open(dir, append(append([]disk.Option(nil), logOpts...), disk.WithFullReplay())...)
 		if err != nil {
 			return nil, fmt.Errorf("%w: opening storage for %q: %v", ErrObject, object, err)
 		}
-		st, err = openRecoveredStore(n, log, rec, object, datatype, impl, codec)
+		st, err = openRecoveredStore(n, log, rec, object, impl, codec)
 	}
 	if err != nil {
 		log.Close()
@@ -114,23 +119,43 @@ func Ensure[S, Op, Val any](n *Node, object, datatype string, impl core.MRDT[S, 
 	return to, nil
 }
 
-// openRecoveredStore checks the log's datatype guard (stamping it on
-// first open) and builds the object's store from the recovered state —
-// one rung of Ensure's recovery ladder.
-func openRecoveredStore[S, Op, Val any](n *Node, log *disk.Log, rec *disk.Recovered, object, datatype string, impl core.MRDT[S, Op, Val], codec store.Codec[S]) (*store.Store[S, Op, Val], error) {
-	if dt, ok := log.Meta("datatype"); ok {
-		if dt != datatype {
-			return nil, fmt.Errorf("%w: storage for %q holds datatype %s, want %s", ErrObject, object, dt, datatype)
-		}
-	} else {
-		// Record the datatype *before* the store writes its first
-		// records, so no crash window can leave a log with history but
-		// no type guard. (A meta-less log with recovered branches —
-		// pre-guard or damaged — gets the guard stamped now.)
-		if err := log.SetMeta("datatype", datatype); err != nil {
-			return nil, fmt.Errorf("%w: storage for %q: %v", ErrObject, object, err)
-		}
+// addressing names the state-address format of the commits a log holds
+// (store.StateAddr: the root of a chunk tree over the encoding). The
+// log's datatype guard carries it, so a log this build writes and one an
+// older build wrote — whose commits pin states by the SHA-256 of the
+// whole encoding — refuse each other: an older build compares the guard
+// with its bare datatype name and finds a different datatype.
+const addressing = "chunk-tree"
+
+// guardOf is the datatype guard this build stamps on a log of datatype.
+func guardOf(datatype string) string { return datatype + "@" + addressing }
+
+// checkGuard checks the log's datatype guard, stamping it on a log that
+// holds nothing yet, before the store writes its first records, so no
+// crash window can leave a log with history but no guard. A log an older
+// build wrote is refused, and nothing is written to it: a bare datatype
+// guard, or no guard on a log with history, means its states are
+// addressed the old way.
+func checkGuard(log *disk.Log, rec *store.RecoveredState, object, datatype string) error {
+	dt, ok := log.Meta("datatype")
+	switch {
+	case dt == guardOf(datatype):
+		return nil
+	case ok && dt == datatype || !ok && (len(rec.Commits) > 0 || len(rec.Branches) > 0 || rec.Frozen != nil):
+		return fmt.Errorf("%w: storage for %q was written by an older build, which addresses states by the SHA-256 of their whole encoding; this build addresses them by chunk tree (%s) and does not read it", ErrObject, object, addressing)
+	case ok:
+		return fmt.Errorf("%w: storage for %q holds datatype %s, want %s", ErrObject, object, dt, guardOf(datatype))
 	}
+	if err := log.SetMeta("datatype", guardOf(datatype)); err != nil {
+		return fmt.Errorf("%w: storage for %q: %v", ErrObject, object, err)
+	}
+	return nil
+}
+
+// openRecoveredStore builds the object's store from the recovered state
+// of a log whose guard checkGuard accepted — one rung of Ensure's
+// recovery ladder.
+func openRecoveredStore[S, Op, Val any](n *Node, log *disk.Log, rec *disk.Recovered, object string, impl core.MRDT[S, Op, Val], codec store.Codec[S]) (*store.Store[S, Op, Val], error) {
 	storeOpts := append(n.cfg.storeOptions(), store.WithPersister(log))
 	if n.cfg.verifyOnOpen {
 		storeOpts = append(storeOpts, store.WithVerifyOnOpen(true))

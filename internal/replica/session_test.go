@@ -326,10 +326,11 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 func TestUnsupportedVersionRefused(t *testing.T) {
 	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
 	// Version 3, the single-head dialect; version 4, whose server never
-	// sends FrameLanded; and a version from the future.
+	// sends FrameLanded; version 5, whose commits address states by the
+	// SHA-256 of the whole encoding; and a version from the future.
 	var sends [][]byte
 	var wants []string
-	for _, other := range []byte{3, 4, wire.Version + 1} {
+	for _, other := range []byte{3, 4, 5, wire.Version + 1} {
 		hello := wire.EncodeHello(wire.Hello{Node: "raw", Object: "counter", Datatype: "pn-counter"})
 		hello[0] = other
 		span := wire.EncodeReconSpan(wire.ReconSpan{})

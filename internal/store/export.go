@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -142,7 +141,7 @@ func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommi
 			// Snapshots, and patches whose base is not the parent's state
 			// (chain-full states composed onto their chain's snapshot),
 			// ship full: the wire form patches against the parent only.
-			enc, err := s.materializeLocked(c.State)
+			enc, _, err := s.materializeLocked(c.State)
 			if err != nil {
 				return nil, err
 			}
@@ -164,8 +163,10 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 // Import installs a transferred history — full or partial — and points
 // branch name at its head set, creating the branch if needed: such a
 // branch only mirrors the heads, so it takes no operations, has no clock
-// and spends no replica id. Tests and tools merge it in with Pull;
-// replicas land batches with Integrate instead, which creates no branch.
+// and spends no replica id. A branch that takes operations is refused,
+// before anything installs: pointing it at the heads would drop its own.
+// Tests and tools merge an imported branch in with Pull; replicas land
+// batches with Integrate instead, which creates no branch.
 // A partial history — a recon session's delta or reply, a link's batch —
 // grafts onto the local DAG: every parent must resolve either earlier in
 // the batch or among commits already present, so a dangling parent fails
@@ -196,6 +197,9 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads []Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.clocks[name] != nil {
+		return fmt.Errorf("%w: %s takes operations; import into a branch of its own and pull", ErrBadImport, name)
+	}
 	if err := s.importLocked(name, commits, heads); err != nil {
 		return err
 	}
@@ -285,7 +289,7 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 				} else {
 					enc = bytes.Clone(enc)
 				}
-				s.packLocked(it.commit.State, enc, it.base, patch)
+				s.packLocked(it.commit.State, enc, it.tree, it.base, patch)
 				delete(fresh, it.commit.State)
 			}
 			s.addCommitLocked(it.hash, it.commit)
@@ -336,9 +340,11 @@ type importItem struct {
 	base   Hash   // the chain base: the first parent's state
 	patch  []byte // the shipped patch; nil for a full state
 	// enc is the reassembled encoding of a first-seen state, nil for a
-	// state already stored or queued. Until the item is installed it is
-	// also the patch base for later batch commits that chain to it.
-	enc []byte
+	// state already stored or queued, and tree its chunk tree. Until the
+	// item is installed they are also the patch base, and the base of the
+	// address, for later batch commits that chain to it.
+	enc  []byte
+	tree *chunkTree
 	// done is nil unless enc is being verified; closed once err is set.
 	done chan struct{}
 	err  error
@@ -346,9 +352,10 @@ type importItem struct {
 
 // prepareImportLocked runs the order-dependent stage for batch commit i:
 // parent and generation checks, then the encoding, shipped whole or
-// reassembled against the first parent's state, and its hash. Parents and
-// patch bases resolve among the queued commits (pending, fresh) before
-// the store. Callers hold the write lock.
+// reassembled against the first parent's state, and its address — from
+// the base's chunk tree and the shipped patch, or from scratch for a
+// state shipped whole. Parents and patch bases resolve among the queued
+// commits (pending, fresh) before the store. Callers hold the write lock.
 func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem) (*importItem, error) {
 	it := &importItem{i: i}
 	// The generation-guided DAG walks (lca.go) are only correct under
@@ -383,6 +390,7 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		return nil, fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
 	}
 	enc := ec.State
+	var baseTree *chunkTree
 	if ec.Patch != nil {
 		if ec.State != nil {
 			return nil, fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
@@ -393,8 +401,8 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		var baseEnc []byte
 		var err error
 		if f, ok := fresh[it.base]; ok {
-			baseEnc = f.enc
-		} else if baseEnc, err = s.materializeLocked(it.base); err != nil {
+			baseEnc, baseTree = f.enc, f.tree
+		} else if baseEnc, baseTree, err = s.materializeLocked(it.base); err != nil {
 			return nil, fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
 		}
 		if enc, err = delta.Apply(baseEnc, ec.Patch); err != nil {
@@ -404,9 +412,9 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	}
 	// Content addressing lets re-imported history short-circuit: a state
 	// already stored, or queued earlier in this batch, is never verified.
-	st := sha256.Sum256(enc)
+	st, tree := s.addrLocked(enc, baseTree, it.patch)
 	if !s.objExistsLocked(st) && fresh[st] == nil {
-		it.enc = enc
+		it.enc, it.tree = enc, tree
 	}
 	it.commit = Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
 	it.hash = commitHash(it.commit)

@@ -57,7 +57,7 @@ func (s *Store[S, Op, Val]) GC() int {
 		if obj == nil || !obj.delta || liveStates[obj.base] {
 			continue
 		}
-		enc, err := s.materializeLocked(h)
+		enc, _, err := s.materializeLocked(h)
 		if err != nil {
 			for cur := obj; cur != nil && cur.delta && !liveStates[cur.base]; cur = s.objects[cur.base] {
 				liveStates[cur.base] = true
@@ -109,7 +109,7 @@ func (s *Store[S, Op, Val]) GC() int {
 	// Drop the reassembly cache if its subject died with the sweep.
 	s.encMu.Lock()
 	if !liveStates[s.encHash] {
-		s.encHash, s.encBuf = Hash{}, nil
+		s.encHash, s.encBuf, s.encTree = Hash{}, nil, nil
 	}
 	s.encMu.Unlock()
 	// A GC is the persister's compaction point: the log is rewritten to

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -55,7 +54,7 @@ func newBatchBuilder(t *testing.T, s *counterStoreT) (*batchBuilder, Hash) {
 func (b *batchBuilder) add(parent Hash, enc []byte, patch bool) Hash {
 	c := Commit{
 		Parents: []Hash{parent},
-		State:   sha256.Sum256(enc),
+		State:   StateAddr(enc),
 		Gen:     b.gen[parent] + 1,
 		Time:    core.Timestamp(len(b.batch) + 1),
 	}
@@ -280,7 +279,7 @@ func TestImportRefusesCommitsNoStoreMints(t *testing.T) {
 			hashes = append(hashes, b.add(root, int64Codec{}.Encode(int64(i+1)), false))
 		}
 		enc := int64Codec{}.Encode(6)
-		c := Commit{Parents: sortHashes(slices.Clone(hashes)), State: sha256.Sum256(enc), Gen: b.gen[root] + 2, Time: 4}
+		c := Commit{Parents: sortHashes(slices.Clone(hashes)), State: StateAddr(enc), Gen: b.gen[root] + 2, Time: 4}
 		b.batch = append(b.batch, ExportedCommit{Parents: c.Parents, State: enc, Gen: c.Gen, Time: c.Time})
 		err := s.Import("remote/peer", b.batch, []Hash{commitHash(c)})
 		if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "commit 3 has 3 parents") {
@@ -292,4 +291,46 @@ func TestImportRefusesCommitsNoStoreMints(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestImportRefusesAWritableBranch: Import points a branch at the heads
+// it was given, so into a branch that takes operations it would drop the
+// branch's own commits. It refuses such a branch, installs nothing, and
+// the branch keeps its head and, through a GC, its commits.
+func TestImportRefusesAWritableBranch(t *testing.T) {
+	peer := New[int64, counter.Op, counter.Val](counter.IncCounter{}, int64Codec{}, "main")
+	if _, err := peer.Apply("main", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
+		t.Fatal(err)
+	}
+	history, heads, err := peer.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewAt[int64, counter.Op, counter.Val](counter.IncCounter{}, int64Codec{}, "main", 1)
+	for range 2 {
+		if _, err := s.Apply("main", counter.Op{Kind: counter.Inc, N: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, commits := s.Heads("main"), s.NumCommits()
+	if err := s.Import("main", history, heads); !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "takes operations") {
+		t.Fatalf("Import into main = %v, want ErrBadImport: main takes operations", err)
+	}
+	s.GC()
+	if v, err := s.Head("main"); err != nil || v != 2 || !slices.Equal(s.Heads("main"), before) || s.NumCommits() != commits {
+		t.Fatalf("after the refused import: head %d (%v), heads %v (want %v), %d commits (want %d)",
+			v, err, s.Heads("main"), before, s.NumCommits(), commits)
+	}
+
+	// A branch of its own, then a pull, is the way in.
+	if err := s.Import("remote/peer", history, heads); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pull("main", "remote/peer"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Head("main"); err != nil || v != 7 {
+		t.Fatalf("after the pull: head %d (%v), want 7", v, err)
+	}
 }

@@ -20,8 +20,8 @@ type storePhase int
 
 const (
 	phaseEncode storePhase = iota // codec.Encode of the new state
-	phaseHash                     // SHA-256 of the encoding
-	phaseDelta                    // materializing the base, delta.Make against it, composing a chain-full state
+	phaseHash                     // the encoding's address (addr.go)
+	phaseDelta                    // materializing the base and delta.Make against it
 	numStorePhases
 )
 
@@ -38,6 +38,7 @@ type storeMetrics struct {
 	cacheMiss   *obs.Counter
 	reasmHit    *obs.Counter
 	reasmMiss   *obs.Counter
+	hashBytes   *obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -51,18 +52,20 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		cacheMiss:   reg.Counter("peepul_store_state_cache_total", "result", "miss"),
 		reasmHit:    reg.Counter("peepul_store_reassembly_total", "result", "hit"),
 		reasmMiss:   reg.Counter("peepul_store_reassembly_total", "result", "miss"),
+		hashBytes:   reg.Counter("peepul_store_state_hash_bytes_total"),
 	}
 	for p, name := range storePhaseNames {
 		m.phaseNs[p] = reg.Histogram("peepul_store_put_state_ns", obs.LatencyBuckets, "phase", name)
 	}
 	reg.Describe("peepul_store_apply_ns", "wall time of one operation commit (Apply) under the store lock: Do, put state, put commit, persist")
-	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (SHA-256), delta (base reassembly + delta.Make)")
+	reg.Describe("peepul_store_put_state_ns", "wall time of one phase of storing a state, for operation and merge commits: encode, hash (the state's address, from its base's chunk tree where one is at hand), delta (base reassembly + delta.Make)")
 	reg.Describe("peepul_store_pull_ns", "wall time of one head-set union, a Pull's or an Integrate's: both sets less every dominated member")
 	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge: one step of a head set's canonical fold")
 	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the union that lands it")
 	reg.Describe("peepul_store_lca_steps_total", "commits popped by the generation-ordered DAG walks: merge-base searches and head-set reductions")
 	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
+	reg.Describe("peepul_store_state_hash_bytes_total", "bytes fed to SHA-256 to compute or check state addresses: chunks, groups and roots of their chunk trees")
 	return m
 }
 

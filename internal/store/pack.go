@@ -2,7 +2,6 @@ package store
 
 import (
 	"container/list"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,9 +22,10 @@ import (
 // full is stored as one patch composed onto that chain's snapshot (depth
 // 1, delta.Compose over the chain's patches and its own), unless that
 // patch reaches a quarter of the state, when it is stored whole. Reads
-// reassemble through materialize, which verifies the content hash of
-// everything it rebuilds; decoded states are held in a small LRU so
-// branch heads stay hot while deep history stops pinning memory.
+// reassemble through materialize, which verifies the content address
+// (addr.go) of everything it rebuilds; decoded states are held in a
+// small LRU so branch heads stay hot while deep history stops pinning
+// memory.
 
 // ErrCorruptPack is returned when a stored object fails to reassemble to
 // its content address — a broken chain or a corrupted patch.
@@ -188,38 +188,42 @@ func (c *stateCache[S]) remove(h Hash) {
 // materializeLocked reassembles the full encoding of the state addressed
 // by h: walk the delta chain down to its snapshot, compose the patches
 // into one and apply it, and verify the result against the content
-// address. Callers must hold s.mu (read or write) and must not modify the
-// returned buffer — it may be the stored snapshot or the reassembly
-// cache.
+// address. It returns the encoding's chunk tree too, the base of an
+// incremental address. Callers must hold s.mu (read or write) and must
+// not modify the returned buffer — it may be the stored snapshot or the
+// reassembly cache.
 //
 // A one-slot reassembly cache keyed by state hash makes chain-sequential
 // access — Apply deltifying against the state it just built, imports
-// walking a shipped chain — O(patch) instead of O(chain).
-func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, error) {
+// walking a shipped chain — O(patch) instead of O(chain). The slot keeps
+// its encoding's chunk tree, so a chain rebuilt from it is addressed
+// incrementally too; any other is addressed from scratch.
+func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error) {
 	s.encMu.Lock()
-	cached, cachedHash := s.encBuf, s.encHash
+	cached, cachedHash, cachedTree := s.encBuf, s.encHash, s.encTree
 	s.encMu.Unlock()
 	if cachedHash == h && cached != nil {
 		s.metrics.reasmHit.Inc()
-		return cached, nil
+		return cached, cachedTree, nil
 	}
 	s.metrics.reasmMiss.Inc()
 
 	var patches [][]byte // stored patches from h down, snapshot excluded
 	cur := h
 	var enc []byte
+	var baseTree *chunkTree // enc's tree while enc is the slot's
 	for {
 		if cur == cachedHash && cached != nil {
-			enc = cached
+			enc, baseTree = cached, cachedTree
 			break
 		}
 		obj, ok := s.objLocked(cur)
 		if !ok {
-			return nil, fmt.Errorf("%w: missing object %v in chain of %v", ErrCorruptPack, cur, h)
+			return nil, nil, fmt.Errorf("%w: missing object %v in chain of %v", ErrCorruptPack, cur, h)
 		}
 		data, err := obj.bytes()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !obj.delta {
 			enc = data
@@ -228,13 +232,14 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, error) {
 		patches = append(patches, data)
 		cur = obj.base
 	}
+	var patch []byte
 	if len(patches) > 0 {
 		// One Apply rebuilds the state: a longer chain first folds into
 		// one composed patch, bottom patch first, which builds no
 		// intermediate state where applying patch by patch builds one per
 		// patch.
 		slices.Reverse(patches)
-		patch := patches[0]
+		patch = patches[0]
 		var err error
 		if len(patches) > 1 {
 			patch, err = delta.Compose(patches...)
@@ -243,18 +248,19 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, error) {
 			enc, err = delta.Apply(enc, patch)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, h)
+			return nil, nil, fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, h)
 		}
 	}
-	if sha256.Sum256(enc) != h {
-		return nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
+	got, tree := s.addrLocked(enc, baseTree, patch)
+	if got != h {
+		return nil, nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
 	}
 	if len(patches) > 0 {
 		s.encMu.Lock()
-		s.encHash, s.encBuf = h, enc
+		s.encHash, s.encBuf, s.encTree = h, enc, tree
 		s.encMu.Unlock()
 	}
-	return enc, nil
+	return enc, tree, nil
 }
 
 // stateLocked returns the decoded state addressed by h, via the LRU.
@@ -266,7 +272,7 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 	}
 	s.metrics.cacheMiss.Inc()
 	var zero S
-	enc, err := s.materializeLocked(h)
+	enc, _, err := s.materializeLocked(h)
 	if err != nil {
 		return zero, err
 	}
@@ -278,32 +284,25 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 	return st, nil
 }
 
-// packLocked stores encoding enc under its content address h. With a
-// base — the state of the commit's first parent — it is stored as a
-// patch against base while base's chain has room below SnapshotEvery−1
-// patches. A state whose base's chain is full is stored instead as one
-// patch against that chain's snapshot, at depth 1: the composition of
-// the chain's patches and its own (composeLocked), kept only while it is
-// under a quarter of enc. Otherwise, and whenever a patch does not beat
-// enc, the state is stored whole. patch, when non-nil, is a ready-made
-// delta from base's encoding to enc (a patch that arrived over the wire)
-// and is reused instead of being recomputed; packLocked owns both
-// slices. Callers hold the write lock.
-func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []byte) {
+// packLocked stores encoding enc, whose chunk tree is tree, under its
+// content address h. With a patch from base — the state of the commit's
+// first parent — to enc, it is stored as that patch while base's chain
+// has room below SnapshotEvery−1 patches; a nil patch (a state shipped
+// whole) is made here (diffLocked). A state whose base's chain is full is
+// stored instead as one patch against that chain's snapshot, at depth 1:
+// the composition of the chain's patches and its own (composeLocked),
+// kept only while it is under a quarter of enc. Otherwise, and whenever
+// the patch does not beat enc or chainBaseLocked refuses base, the state
+// is stored whole. packLocked owns enc and patch. Callers hold the write
+// lock.
+func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base Hash, patch []byte) {
 	if s.objExistsLocked(h) {
 		return
 	}
 	obj := &packObject{size: len(enc)}
-	// States beyond the patch format's target limit always snapshot:
-	// Apply rejects larger announced targets (its allocation bound), so
-	// chaining them would make the state unreadable.
-	if bo, ok := s.objLocked(base); ok && base != h && len(enc) <= delta.MaxTarget && s.opts.SnapshotEvery > 1 {
-		// The delta phase times a patch made here, and its composition.
-		t, made := time.Now(), patch == nil
-		if made {
-			if baseEnc, err := s.materializeLocked(base); err == nil {
-				patch = delta.Make(baseEnc, enc)
-			}
+	if bo, ok := s.chainBaseLocked(base, enc); ok {
+		if patch == nil {
+			patch, _ = s.diffLocked(base, enc)
 		}
 		switch {
 		case patch == nil || len(patch) >= len(enc):
@@ -314,9 +313,6 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 				obj.data, obj.base, obj.delta, obj.depth = composed, root, true, 1
 			}
 		}
-		if made {
-			s.metrics.lap(phaseDelta, &t)
-		}
 	}
 	if !obj.delta {
 		obj.data = enc
@@ -326,8 +322,37 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, base Hash, patch []by
 	s.persistObjectLocked(h, obj)
 	// The freshly packed encoding is the likeliest next chain base.
 	s.encMu.Lock()
-	s.encHash, s.encBuf = h, enc
+	s.encHash, s.encBuf, s.encTree = h, enc, tree
 	s.encMu.Unlock()
+}
+
+// diffLocked returns a patch from base's encoding to enc, and base's
+// chunk tree, or nils when enc does not chain onto base
+// (chainBaseLocked) or base does not reassemble. The delta phase times
+// it. Callers hold s.mu.
+func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) ([]byte, *chunkTree) {
+	if _, ok := s.chainBaseLocked(base, enc); !ok {
+		return nil, nil
+	}
+	t := time.Now()
+	defer s.metrics.lap(phaseDelta, &t)
+	baseEnc, tree, err := s.materializeLocked(base)
+	if err != nil {
+		return nil, nil
+	}
+	return delta.Make(baseEnc, enc), tree
+}
+
+// chainBaseLocked returns the object a state encoded as enc may chain
+// onto as a patch: base's, unless the store keeps snapshots only
+// (SnapshotEvery 1) or enc is beyond the patch format's target limit —
+// Apply rejects larger announced targets (its allocation bound), so
+// chaining such a state would make it unreadable. Callers hold s.mu.
+func (s *Store[S, Op, Val]) chainBaseLocked(base Hash, enc []byte) (*packObject, bool) {
+	if s.opts.SnapshotEvery <= 1 || len(enc) > delta.MaxTarget {
+		return nil, false
+	}
+	return s.objLocked(base)
 }
 
 // composeKeep is the chain-full rule's bound: a composed patch is kept
@@ -396,33 +421,39 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 			roots = append(roots, h)
 		}
 	}
-	verify := func(h Hash, enc []byte) error {
+	// verify checks the encoding enc of object h, which patch builds from
+	// the encoding base summarizes (both nil for a snapshot), and returns
+	// its chunk tree.
+	verify := func(h Hash, enc []byte, base *chunkTree, patch []byte) (*chunkTree, error) {
 		obj := objects[h]
-		if sha256.Sum256(enc) != h {
-			return fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
+		got, tree := s.addrLocked(enc, base, patch)
+		if got != h {
+			return nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
 		}
 		if len(enc) != obj.size {
-			return fmt.Errorf("%w: object %v is %d bytes, %d recorded", ErrCorruptPack, h, len(enc), obj.size)
+			return nil, fmt.Errorf("%w: object %v is %d bytes, %d recorded", ErrCorruptPack, h, len(enc), obj.size)
 		}
 		if err := checkEncoding(s.codec, enc); err != nil {
-			return fmt.Errorf("%w: object %v is not a valid encoding: %v", ErrCorruptPack, h, err)
+			return nil, fmt.Errorf("%w: object %v is not a valid encoding: %v", ErrCorruptPack, h, err)
 		}
-		return nil
+		return tree, nil
 	}
 	reached := make(map[Hash]bool, len(objects))
 	type frame struct {
-		h   Hash
-		enc []byte
+		h    Hash
+		enc  []byte
+		tree *chunkTree
 	}
 	for _, root := range roots {
 		rootEnc, err := objects[root].bytes()
 		if err != nil {
 			return err
 		}
-		stack := []frame{{h: root, enc: rootEnc}}
-		if err := verify(root, stack[0].enc); err != nil {
+		tree, err := verify(root, rootEnc, nil, nil)
+		if err != nil {
 			return err
 		}
+		stack := []frame{{h: root, enc: rootEnc, tree: tree}}
 		reached[root] = true
 		for len(stack) > 0 {
 			top := stack[len(stack)-1]
@@ -436,11 +467,12 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 				if err != nil {
 					return fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, child)
 				}
-				if err := verify(child, enc); err != nil {
+				tree, err := verify(child, enc, top.tree, patch)
+				if err != nil {
 					return err
 				}
 				reached[child] = true
-				stack = append(stack, frame{h: child, enc: enc})
+				stack = append(stack, frame{h: child, enc: enc, tree: tree})
 			}
 		}
 	}
@@ -473,7 +505,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 func (s *Store[S, Op, Val]) EncodedState(h Hash) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	enc, err := s.materializeLocked(h)
+	enc, _, err := s.materializeLocked(h)
 	if err != nil {
 		return nil, err
 	}

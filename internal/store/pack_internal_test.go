@@ -107,3 +107,52 @@ func TestApplyPhaseMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyHashesOnlyTheEdit: an append to a log of 10³ or 10⁴ entries
+// feeds SHA-256 the chunk the entry lands in, the group that chunk is in
+// and the root of the state's chunk tree — at most 8 KiB, however long
+// the log — where addressing the whole encoding would feed it 36 KB or
+// 360 KB. The count is the always-on peepul_store_state_hash_bytes_total.
+func TestApplyHashesOnlyTheEdit(t *testing.T) {
+	const appends, bound = 32, 8 << 10
+	var means []int64
+	for _, n := range []int{1000, 10000} {
+		s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
+		// The log's n entries, newest first, land as one commit on main.
+		st := make(mlog.State, n)
+		for i := range st {
+			st[i] = mlog.Entry{T: core.Timestamp(n - i), Msg: fmt.Sprintf("message %06d of 24 bytes", n-i)}
+		}
+		s.mu.Lock()
+		root := s.commitAtLocked(s.heads["main"][0])
+		s.heads["main"] = []Hash{s.putCommit(Commit{
+			Parents: s.heads["main"],
+			State:   s.putState(st, root.State),
+			Gen:     root.Gen + 1,
+			Time:    core.Timestamp(n),
+		})}
+		s.mu.Unlock()
+
+		var total, most int64
+		for i := range appends {
+			before := s.metrics.hashBytes.Value()
+			if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", n+i+1)}); err != nil {
+				t.Fatal(err)
+			}
+			fed := s.metrics.hashBytes.Value() - before
+			total += fed
+			most = max(most, fed)
+		}
+		size, _ := s.Size("main")
+		t.Logf("%d entries (%d B): an append hashes %d B on average, %d B at most", n, size, total/appends, most)
+		if most > bound {
+			t.Errorf("%d entries: an append hashed %d bytes, want at most %d", n, most, bound)
+		}
+		means = append(means, total/appends)
+	}
+	// Ten times the log costs its chunk tree's root 32 bytes per 16 chunks
+	// more, not ten times the hashing.
+	if means[1] > 2*means[0] {
+		t.Errorf("appends hash %d B on average at 10⁴ entries, %d B at 10³: not flat in the log's size", means[1], means[0])
+	}
+}

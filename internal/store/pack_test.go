@@ -167,6 +167,34 @@ func TestPackedExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportPacksStatesShippedWhole: a state that arrives whole — here
+// every one, from a sender that keeps snapshots only — is still stored
+// as a patch against its parent's state, so the receiver's pack holds a
+// fraction of the full encodings, as the sender's would have.
+func TestImportPacksStatesShippedWhole(t *testing.T) {
+	src := logStore(store.WithSnapshotEvery(1))
+	appendN(t, src, "main", 60, "a")
+	commits, head, err := src.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range commits {
+		if c.State == nil {
+			t.Fatalf("commit %d shipped as a patch from a snapshot-only sender", i)
+		}
+	}
+	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64)
+	if err := dst.Import("remote/main", commits, head); err != nil {
+		t.Fatal(err)
+	}
+	if ps := dst.PackStats(); ps.Deltas == 0 || 4*ps.PackedBytes > ps.FullBytes {
+		t.Fatalf("receiver packs %d of %d full bytes in %d deltas, want patches", ps.PackedBytes, ps.FullBytes, ps.Deltas)
+	}
+	if err := dst.VerifyPack(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
 	// A converged peer re-syncing: the export is cut at the frontier, and
 	// patched commits rebase onto commits the peer already holds.

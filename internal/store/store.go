@@ -36,7 +36,9 @@ import (
 	"repro/internal/recon"
 )
 
-// Hash is a content address: the SHA-256 of an encoded object.
+// Hash is a content address, 32 bytes of SHA-256 output: a commit's is
+// the SHA-256 of its fields (commitHash), a state's the root of its
+// encoding's chunk tree (StateAddr).
 type Hash [sha256.Size]byte
 
 // String renders the short form of the hash.
@@ -215,6 +217,7 @@ type Store[S, Op, Val any] struct {
 	encMu   sync.Mutex
 	encHash Hash
 	encBuf  []byte
+	encTree *chunkTree // encBuf's chunk tree
 }
 
 // New creates a store for impl with a single branch named main, holding
@@ -488,14 +491,19 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 
 // putState packs state, chained against the base state hash (its commit
 // parent's state; zero for the root), and returns its content address.
+// The patch against base comes first: the address is computed from
+// base's chunk tree and the patch's copy runs, so it hashes what the
+// operation changed, and the pack stores the same patch.
 func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
 	t := time.Now()
 	enc := s.codec.Encode(state)
 	s.metrics.lap(phaseEncode, &t)
-	h := sha256.Sum256(enc)
+	patch, baseTree := s.diffLocked(base, enc)
+	t = time.Now()
+	h, tree := s.addrLocked(enc, baseTree, patch)
 	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
-	s.packLocked(h, enc, base, nil)
+	s.packLocked(h, enc, tree, base, patch)
 	return h
 }
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"maps"
 	"reflect"
@@ -67,7 +66,7 @@ func TestExportIsOneShipSet(t *testing.T) {
 				t.Fatalf("commit %d: %v", i, err)
 			}
 		}
-		c := Commit{Parents: ec.Parents, State: sha256.Sum256(enc), Gen: ec.Gen, Time: ec.Time}
+		c := Commit{Parents: ec.Parents, State: StateAddr(enc), Gen: ec.Gen, Time: ec.Time}
 		h := commitHash(c)
 		encs[h], hashes[i] = enc, h
 		if i > 0 {

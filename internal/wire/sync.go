@@ -56,8 +56,13 @@ const (
 // the set's members. Version 5 keeps that and ends each exchange with
 // FrameLanded after the server's reply, so a version-4 peer is refused
 // at its first frame instead of leaving the client waiting for a frame
-// it never sends.
-const Version byte = 5
+// it never sends. Version 6 keeps the frames and changes what a commit's
+// state hash means: the root of the state's chunk tree
+// (store.StateAddr), where version 5 hashed the whole encoding. The two
+// name the same history with different commit hashes, so a version-5
+// peer is refused at its first frame instead of reconciling hashes that
+// can never match.
+const Version byte = 6
 
 // ErrVersion is wrapped by decoding errors of a payload that opens with
 // a protocol version other than Version.

@@ -112,7 +112,7 @@ func TestDecodeHelloForgedCountFails(t *testing.T) {
 func TestDecodeRefusesOtherVersion(t *testing.T) {
 	hello := EncodeHello(Hello{Node: "a", Object: "o", Datatype: "pn-counter"})
 	span := EncodeReconSpan(ReconSpan{Count: 3})
-	for _, v := range []byte{0, 2, Version + 1, 0xff} {
+	for _, v := range []byte{0, 2, Version - 1, Version + 1, 0xff} {
 		hello[0], span[0] = v, v
 		want := fmt.Sprintf("unsupported protocol version %d", v)
 		if _, err := DecodeHello(hello); !errors.Is(err, ErrVersion) || err.Error() != want {

@@ -2,13 +2,13 @@ package peepul
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Datatype is the descriptor of one MRDT: everything the system knows
@@ -114,7 +114,7 @@ func (r registered[S, Op, Val]) CodecRoundTrip(seed int64, steps int) error {
 		if !bytes.Equal(enc, enc2) {
 			return fmt.Errorf("%s: step %d: re-encode differs (%d vs %d bytes)", d.Name, i, len(enc), len(enc2))
 		}
-		if sha256.Sum256(enc) != sha256.Sum256(enc2) {
+		if store.StateAddr(enc) != store.StateAddr(enc2) {
 			return fmt.Errorf("%s: step %d: content hash unstable", d.Name, i)
 		}
 		// The decoded state must be observationally equal to the
