@@ -284,7 +284,9 @@ func BenchmarkStoreApply(b *testing.B) {
 // state that grows with history (encode, SHA-256 and delta.Make all see
 // the whole state). Commits go to a branch forked from the n-entry log
 // and replaced once it has grown by a tenth, so every timed commit sees
-// about n entries.
+// about n entries. The replaced branch is deleted: a store holding every
+// fork it ever made would time Apply's scan of their dead heads, not the
+// commit path.
 func BenchmarkStoreApplyGrowing(b *testing.B) {
 	appendOp := mlog.Op{Kind: mlog.Append, Msg: "a message of 24 bytes ok"}
 	for _, n := range []int{1_000, 10_000} {
@@ -299,6 +301,11 @@ func BenchmarkStoreApplyGrowing(b *testing.B) {
 			branch := ""
 			for i := 0; b.Loop(); i++ {
 				if i%(n/10) == 0 {
+					if branch != "" {
+						if err := st.DeleteBranch(branch); err != nil {
+							b.Fatal(err)
+						}
+					}
 					branch = fmt.Sprintf("b%d", i)
 					if err := st.Fork("main", branch); err != nil {
 						b.Fatal(err)

@@ -3,6 +3,7 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -59,10 +60,24 @@ func Compose(patches ...[]byte) ([]byte, error) {
 		cur, next = next, cur
 	}
 
-	// Most compositions are a few dozen bytes, like most patches: they
-	// are assembled on the stack and leave as one exact-size allocation.
-	var scratch [256]byte
-	patch := binary.AppendUvarint(scratch[:0], baseLen)
+	// The patch is sized first and leaves as one exact-size allocation: a
+	// chain-full state's composition carries every literal since its
+	// snapshot, up to a quarter of the state, which append's growth would
+	// allocate several times over.
+	size := uvarintLen(baseLen) + uvarintLen(targetLen)
+	for i := 0; i < len(cur); {
+		if cur[i].src < 0 {
+			size += 1 + uvarintLen(uint64(cur[i].off)) + uvarintLen(uint64(cur[i].n))
+			i++
+			continue
+		}
+		n := 0
+		for ; i < len(cur) && cur[i].src >= 0; i++ {
+			n += cur[i].n
+		}
+		size += 1 + uvarintLen(uint64(n)) + n
+	}
+	patch := binary.AppendUvarint(make([]byte, 0, size), baseLen)
 	patch = binary.AppendUvarint(patch, targetLen)
 	for i := 0; i < len(cur); {
 		if cur[i].src < 0 {
@@ -81,8 +96,11 @@ func Compose(patches ...[]byte) ([]byte, error) {
 			patch = append(patch, patches[r.src][r.off:r.off+r.n]...)
 		}
 	}
-	return clip(patch), nil
+	return patch, nil
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // run is one stretch of a patch's output, n > 0 bytes long: a copy of the
 // patch's base at off when src < 0, else n literal bytes at offset off of

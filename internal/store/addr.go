@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"slices"
 	"sort"
 
 	"repro/internal/delta"
@@ -115,13 +116,33 @@ type chunkTree struct {
 	chunks []byte // each chunk's hash
 	groups []int  // each group's end, as an index into the chunks
 	sums   []byte // each group's hash
+	// from is next's record of the base chunk each chunk is, -1 for one
+	// hashed afresh, kept so that a recycled tree reuses it.
+	from []int
+	// A tree of one chunk in one group — every state under chunkMin —
+	// keeps its levels here instead of in allocations of their own.
+	end1   [1]int
+	chunk1 [sha256.Size]byte
+	group1 [1]int
+	sum1   [sha256.Size]byte
+}
+
+// reset empties t to be built again, for about n chunks, keeping its
+// storage: a recycled tree's levels, or the inline ones while one chunk
+// is expected.
+func (t *chunkTree) reset(n int) {
+	if t.ends == nil && n <= 1 {
+		t.ends, t.chunks, t.groups, t.sums = t.end1[:0], t.chunk1[:0], t.group1[:0], t.sum1[:0]
+	}
+	t.ends = slices.Grow(t.ends[:0], n)
+	t.chunks = slices.Grow(t.chunks[:0], n*sha256.Size)
 }
 
 // StateAddr returns the content address of the state encoded as enc: the
 // root of its chunk tree.
 func StateAddr(enc []byte) Hash {
 	var hs hasher
-	return hs.tree(enc).root
+	return hs.tree(enc, nil).root
 }
 
 // hasher builds chunk trees with one SHA-256 digest and counts the bytes
@@ -143,10 +164,13 @@ func (hs *hasher) sum(dst, tag, data []byte) []byte {
 	return hs.d.Sum(dst)
 }
 
-// tree builds enc's chunk tree from scratch.
-func (hs *hasher) tree(enc []byte) *chunkTree {
-	n := len(enc)/(chunkMin+1<<cutBits) + 1
-	t := &chunkTree{ends: make([]int, 0, n), chunks: make([]byte, 0, n*sha256.Size)}
+// tree builds enc's chunk tree from scratch, in t's storage (a recycled
+// tree, which reset empties) or, when t is nil, in a new tree.
+func (hs *hasher) tree(enc []byte, t *chunkTree) *chunkTree {
+	if t == nil {
+		t = new(chunkTree)
+	}
+	t.reset(len(enc)/(chunkMin+1<<cutBits) + 1)
 	for pos := 0; pos < len(enc); {
 		end := pos + chunkLen(enc[pos:])
 		t.ends = append(t.ends, end)
@@ -158,14 +182,18 @@ func (hs *hasher) tree(enc []byte) *chunkTree {
 }
 
 // next builds the chunk tree of enc, which patch runs build from the
-// encoding b summarizes. It equals tree(enc) bit for bit and hashes only
-// what the copy runs do not carry over whole from b.
-func (b *chunkTree) next(hs *hasher, enc []byte, runs []delta.CopyRun) *chunkTree {
+// encoding b summarizes, in t's storage as tree does; t must not be b. It
+// equals tree(enc) bit for bit and hashes only what the copy runs do not
+// carry over whole from b.
+func (b *chunkTree) next(hs *hasher, enc []byte, runs []delta.CopyRun, t *chunkTree) *chunkTree {
 	n := len(b.ends) + 1
-	t := &chunkTree{ends: make([]int, 0, n), chunks: make([]byte, 0, n*sha256.Size)}
+	if t == nil {
+		t = new(chunkTree)
+	}
+	t.reset(n)
 	// from[i] is the base chunk new chunk i is, or -1 for a chunk hashed
 	// afresh.
-	from := make([]int, 0, n)
+	from := slices.Grow(t.from[:0], n)
 	for pos, ri := 0, 0; pos < len(enc); {
 		for ri < len(runs) && runs[ri].At+runs[ri].Len <= pos {
 			ri++
@@ -198,6 +226,7 @@ func (b *chunkTree) next(hs *hasher, enc []byte, runs []delta.CopyRun) *chunkTre
 		from = append(from, -1)
 		pos = end
 	}
+	t.from = from
 	hs.group(t, b, from)
 	return t
 }
@@ -207,8 +236,8 @@ func (b *chunkTree) next(hs *hasher, enc []byte, runs []delta.CopyRun) *chunkTre
 // order, reuses that group's hash.
 func (hs *hasher) group(t, b *chunkTree, from []int) {
 	n := len(t.ends)
-	t.groups = make([]int, 0, n/groupFanout+1)
-	t.sums = make([]byte, 0, cap(t.groups)*sha256.Size)
+	t.groups = slices.Grow(t.groups[:0], n/groupFanout+1)
+	t.sums = slices.Grow(t.sums[:0], (n/groupFanout+1)*sha256.Size)
 	for start, i := 0, 0; i < n; i++ {
 		if c := t.chunk(i); i < n-1 && c[len(c)-1]%groupFanout != 0 {
 			continue
@@ -274,19 +303,21 @@ func (b *chunkTree) sum(g int) []byte   { return b.sums[g*sha256.Size : (g+1)*sh
 
 // addrLocked returns enc's address and chunk tree: from base's tree and
 // patch, a patch from base's encoding to enc, when both are given, else
-// from scratch. It counts the bytes it hashes. Callers hold s.mu.
-func (s *Store[S, Op, Val]) addrLocked(enc []byte, base *chunkTree, patch []byte) (Hash, *chunkTree) {
+// from scratch. The tree is built in into's storage, a recycled tree
+// that is not base, or in a new one when into is nil. It counts the
+// bytes it hashes. Callers hold s.mu.
+func (s *Store[S, Op, Val]) addrLocked(enc []byte, base *chunkTree, patch []byte, into *chunkTree) (Hash, *chunkTree) {
 	var hs hasher
 	var t *chunkTree
 	// A one-chunk base has nothing to lend but its one chunk, so a small
 	// state is cheaper to address from scratch.
 	if base != nil && patch != nil && len(base.ends) > 1 {
 		if runs, baseLen, err := delta.CopyRuns(patch); err == nil && baseLen == base.size() {
-			t = base.next(&hs, enc, runs)
+			t = base.next(&hs, enc, runs, into)
 		}
 	}
 	if t == nil {
-		t = hs.tree(enc)
+		t = hs.tree(enc, into)
 	}
 	s.metrics.hashBytes.Add(hs.fed)
 	return t.root, t

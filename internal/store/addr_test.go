@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -13,25 +12,40 @@ import (
 )
 
 // checkNext builds target's tree from base's and patch, and fails unless
-// it is the tree built from scratch, field for field.
+// it is the tree built from scratch, level for level.
 func checkNext(t testing.TB, base, target, patch []byte) {
 	t.Helper()
 	var hs hasher
-	bt := hs.tree(base)
+	bt := hs.tree(base, nil)
 	runs, baseLen, err := delta.CopyRuns(patch)
 	if err != nil || baseLen != len(base) {
 		t.Fatalf("CopyRuns: base %d of %d: %v", baseLen, len(base), err)
 	}
 	hs = hasher{}
-	got := bt.next(&hs, target, runs)
-	want := (&hasher{}).tree(target)
-	if !reflect.DeepEqual(got, want) {
+	got := bt.next(&hs, target, runs, nil)
+	want := (&hasher{}).tree(target, nil)
+	if !sameTree(got, want) {
 		t.Fatalf("incremental tree (%d chunks, root %v) differs from the cold one (%d chunks, root %v) for a %d-byte target",
 			len(got.ends), got.root, len(want.ends), want.root, len(target))
+	}
+	// Built in a recycled tree's storage, here another encoding's, either
+	// way, the tree is the same.
+	hs = hasher{}
+	if again := bt.next(&hs, target, runs, (&hasher{}).tree(patch, nil)); !sameTree(again, want) {
+		t.Fatalf("incremental tree built in a recycled one differs from the cold one for a %d-byte target", len(target))
+	}
+	if again := (&hasher{}).tree(target, (&hasher{}).tree(base, nil)); !sameTree(again, want) {
+		t.Fatalf("cold tree built in a recycled one differs from a new one for a %d-byte target", len(target))
 	}
 	if want.root != StateAddr(target) {
 		t.Fatal("StateAddr differs from the cold tree's root")
 	}
+}
+
+// sameTree reports whether a and b have the same levels.
+func sameTree(a, b *chunkTree) bool {
+	return a.root == b.root && slices.Equal(a.ends, b.ends) && slices.Equal(a.chunks, b.chunks) &&
+		slices.Equal(a.groups, b.groups) && slices.Equal(a.sums, b.sums)
 }
 
 // logOf encodes n log entries (count, then timestamp, length and message
@@ -185,14 +199,14 @@ func FuzzChunkBoundaries(f *testing.F) {
 	f.Add(make([]byte, 10000), uint16(0), []byte{1, 2, 3})
 	f.Add(logOf(rng, 300), uint16(4), []byte("prepended entry"))
 	f.Fuzz(func(t *testing.T, data []byte, at uint16, ins []byte) {
-		tree := (&hasher{}).tree(data)
+		tree := (&hasher{}).tree(data, nil)
 		start := 0
 		for i, end := range tree.ends {
 			n := end - start
 			if n <= 0 || n > chunkMax || n < chunkMin && i < len(tree.ends)-1 {
 				t.Fatalf("chunk %d is %d bytes", i, n)
 			}
-			rest := (&hasher{}).tree(data[start:])
+			rest := (&hasher{}).tree(data[start:], nil)
 			for j, e := range rest.ends {
 				if e+start != tree.ends[i+j] {
 					t.Fatalf("chunking from cut %d gives cut %d, want %d", start, e+start, tree.ends[i+j])
@@ -251,7 +265,7 @@ const (
 
 // BenchmarkStateAddr times addressing a 48 KiB encoding from scratch, and
 // from its base's tree after a one-entry log prepend, against plain
-// SHA-256 of the same bytes.
+// SHA-256 of the same bytes; and addressing a 300-byte state, one chunk.
 func BenchmarkStateAddr(b *testing.B) {
 	rng := rand.New(rand.NewSource(4404))
 	base := logOf(rng, 1)
@@ -262,7 +276,7 @@ func BenchmarkStateAddr(b *testing.B) {
 	target := slices.Concat(base[:4], []byte("a prepended entry of 36 bytes ....."), base[4:])
 	patch := delta.Make(base, target)
 	runs, _, _ := delta.CopyRuns(patch)
-	bt := (&hasher{}).tree(base)
+	bt := (&hasher{}).tree(base, nil)
 	b.Run("sha256", func(b *testing.B) {
 		b.SetBytes(int64(len(base)))
 		for range b.N {
@@ -279,7 +293,21 @@ func BenchmarkStateAddr(b *testing.B) {
 		b.SetBytes(int64(len(target)))
 		for range b.N {
 			var hs hasher
-			bt.next(&hs, target, runs)
+			bt.next(&hs, target, runs, nil)
+		}
+	})
+	small := base[:300]
+	b.Run("small-sha256", func(b *testing.B) {
+		b.SetBytes(int64(len(small)))
+		for range b.N {
+			sha256.Sum256(small)
+		}
+	})
+	b.Run("small", func(b *testing.B) {
+		b.SetBytes(int64(len(small)))
+		b.ReportAllocs()
+		for range b.N {
+			StateAddr(small)
 		}
 	})
 }

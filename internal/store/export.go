@@ -282,12 +282,13 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 				// the store's own delta.Apply output; a state shipped whole
 				// and a shipped patch are the caller's, so they are copied —
 				// only for first-seen states: re-shipped known history never
-				// stores either.
+				// stores either. A whole state is copied at its exact size,
+				// which packLocked then stores without a second copy.
 				enc, patch := it.enc, it.patch
 				if patch != nil {
 					patch = bytes.Clone(patch)
 				} else {
-					enc = bytes.Clone(enc)
+					enc = append(make([]byte, 0, len(enc)), enc...)
 				}
 				s.packLocked(it.commit.State, enc, it.tree, it.base, patch)
 				delete(fresh, it.commit.State)
@@ -412,7 +413,7 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	}
 	// Content addressing lets re-imported history short-circuit: a state
 	// already stored, or queued earlier in this batch, is never verified.
-	st, tree := s.addrLocked(enc, baseTree, it.patch)
+	st, tree := s.addrLocked(enc, baseTree, it.patch, nil)
 	if !s.objExistsLocked(st) && fresh[st] == nil {
 		it.enc, it.tree = enc, tree
 	}

@@ -106,12 +106,14 @@ func (s *Store[S, Op, Val]) GC() int {
 			s.cache.remove(h)
 		}
 	}
-	// Drop the reassembly cache if its subject died with the sweep.
+	// Drop the reassembly cache if its subject died with the sweep, and
+	// the spares: a collection gives memory back.
 	s.encMu.Lock()
 	if !liveStates[s.encHash] {
-		s.encHash, s.encBuf, s.encTree = Hash{}, nil, nil
+		s.encHash, s.encBuf, s.encTree, s.encFree = Hash{}, nil, nil, false
 	}
 	s.encMu.Unlock()
+	s.spare, s.spareTree = nil, nil
 	// A GC is the persister's compaction point: the log is rewritten to
 	// exactly the survivors (including the re-snapshotted chain roots and
 	// recomputed depths), so on-disk bytes shrink with resident bytes. A

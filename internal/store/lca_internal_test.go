@@ -48,7 +48,7 @@ func commitChain(s *Store[int64, counter.Op, counter.Val], parent Hash, n int) H
 		if err != nil {
 			panic(err)
 		}
-		st := s.putState(cur+1, c.State)
+		st := s.putState(cur+1, nil, c.State)
 		nextTime++
 		h = s.putCommit(Commit{Parents: []Hash{h}, State: st, Gen: c.Gen + 1, Time: core.Timestamp(nextTime)})
 	}
@@ -60,7 +60,7 @@ func mergeCommit(s *Store[int64, counter.Op, counter.Val], a, b Hash, state int6
 	if g := s.commits[b].Gen; g > gen {
 		gen = g
 	}
-	st := s.putState(state, s.commits[a].State)
+	st := s.putState(state, nil, s.commits[a].State)
 	return s.putCommit(Commit{Parents: []Hash{a, b}, State: st, Gen: gen + 1})
 }
 

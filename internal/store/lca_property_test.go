@@ -240,7 +240,7 @@ func TestMergeBaseCarriesExactCommonOps(t *testing.T) {
 			c := s.commits[x]
 			st, _ := s.stateLocked(c.State)
 			next, _ := s.impl.Do(counter.Op{}, st, core.Timestamp(nextTime))
-			hashes = append(hashes, s.putCommit(Commit{Parents: []Hash{x}, State: s.putState(next, c.State), Gen: c.Gen + 1, Time: core.Timestamp(nextTime)}))
+			hashes = append(hashes, s.putCommit(Commit{Parents: []Hash{x}, State: s.putState(next, nil, c.State), Gen: c.Gen + 1, Time: core.Timestamp(nextTime)}))
 		}
 		opsOf := func(h Hash) map[int64]bool {
 			out := map[int64]bool{}

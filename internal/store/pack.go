@@ -251,13 +251,13 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 			return nil, nil, fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, h)
 		}
 	}
-	got, tree := s.addrLocked(enc, baseTree, patch)
+	got, tree := s.addrLocked(enc, baseTree, patch, nil)
 	if got != h {
 		return nil, nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
 	}
 	if len(patches) > 0 {
 		s.encMu.Lock()
-		s.encHash, s.encBuf, s.encTree = h, enc, tree
+		s.encHash, s.encBuf, s.encTree, s.encFree = h, enc, tree, true
 		s.encMu.Unlock()
 	}
 	return enc, tree, nil
@@ -295,12 +295,21 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 // the patch does not beat enc or chainBaseLocked refuses base, the state
 // is stored whole. packLocked owns enc and patch. Callers hold the write
 // lock.
+//
+// enc becomes the reassembly slot's buffer. A state stored whole is
+// stored as enc itself only when enc has no spare capacity (a snapshot
+// pins no slack); the slot then records that a pack object holds its
+// buffer. Otherwise the buffer is the store's alone, and once a later
+// packLocked displaces it from the slot it is the spare the next state
+// is encoded into (putState). An enc stored nowhere, its state already
+// present, is the spare at once.
 func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base Hash, patch []byte) {
 	if s.objExistsLocked(h) {
+		s.keepSpareLocked(enc, tree)
 		return
 	}
 	obj := &packObject{size: len(enc)}
-	if bo, ok := s.chainBaseLocked(base, enc); ok {
+	if bo, ok := s.chainBaseLocked(base, len(enc)); ok {
 		if patch == nil {
 			patch, _ = s.diffLocked(base, enc)
 		}
@@ -314,16 +323,39 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 			}
 		}
 	}
+	held := false
 	if !obj.delta {
-		obj.data = enc
+		if held = cap(enc) == len(enc); held {
+			obj.data = enc
+		} else {
+			obj.data = append(make([]byte, 0, len(enc)), enc...)
+		}
 	}
 	obj.stored = len(obj.data)
 	s.objects[h] = obj
 	s.persistObjectLocked(h, obj)
 	// The freshly packed encoding is the likeliest next chain base.
 	s.encMu.Lock()
-	s.encHash, s.encBuf, s.encTree = h, enc, tree
+	buf := s.encBuf
+	if !s.encFree {
+		buf = nil
+	}
+	s.keepSpareLocked(buf, s.encTree)
+	s.encHash, s.encBuf, s.encTree, s.encFree = h, enc, tree, !held
 	s.encMu.Unlock()
+}
+
+// keepSpareLocked keeps buf and tree, which nothing else refers to, for
+// putState to build the next state's encoding and chunk tree in: buf
+// only if the codec has the append form that encodes into it (Codec).
+// Either may be nil. Callers hold the write lock.
+func (s *Store[S, Op, Val]) keepSpareLocked(buf []byte, tree *chunkTree) {
+	if buf != nil && s.appender != nil {
+		s.spare = buf[:0]
+	}
+	if tree != nil {
+		s.spareTree = tree
+	}
 }
 
 // diffLocked returns a patch from base's encoding to enc, and base's
@@ -331,7 +363,7 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 // (chainBaseLocked) or base does not reassemble. The delta phase times
 // it. Callers hold s.mu.
 func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) ([]byte, *chunkTree) {
-	if _, ok := s.chainBaseLocked(base, enc); !ok {
+	if _, ok := s.chainBaseLocked(base, len(enc)); !ok {
 		return nil, nil
 	}
 	t := time.Now()
@@ -343,13 +375,14 @@ func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) ([]byte, *chunkTre
 	return delta.Make(baseEnc, enc), tree
 }
 
-// chainBaseLocked returns the object a state encoded as enc may chain
-// onto as a patch: base's, unless the store keeps snapshots only
-// (SnapshotEvery 1) or enc is beyond the patch format's target limit —
-// Apply rejects larger announced targets (its allocation bound), so
-// chaining such a state would make it unreadable. Callers hold s.mu.
-func (s *Store[S, Op, Val]) chainBaseLocked(base Hash, enc []byte) (*packObject, bool) {
-	if s.opts.SnapshotEvery <= 1 || len(enc) > delta.MaxTarget {
+// chainBaseLocked returns the object a state whose encoding is size
+// bytes may chain onto as a patch: base's, unless the store keeps
+// snapshots only (SnapshotEvery 1) or size is beyond the patch format's
+// target limit — Apply rejects larger announced targets (its allocation
+// bound), so chaining such a state would make it unreadable. Callers
+// hold s.mu.
+func (s *Store[S, Op, Val]) chainBaseLocked(base Hash, size int) (*packObject, bool) {
+	if s.opts.SnapshotEvery <= 1 || size > delta.MaxTarget {
 		return nil, false
 	}
 	return s.objLocked(base)
@@ -426,7 +459,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 	// its chunk tree.
 	verify := func(h Hash, enc []byte, base *chunkTree, patch []byte) (*chunkTree, error) {
 		obj := objects[h]
-		got, tree := s.addrLocked(enc, base, patch)
+		got, tree := s.addrLocked(enc, base, patch, nil)
 		if got != h {
 			return nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
 		}

@@ -127,7 +127,7 @@ func TestApplyHashesOnlyTheEdit(t *testing.T) {
 		root := s.commitAtLocked(s.heads["main"][0])
 		s.heads["main"] = []Hash{s.putCommit(Commit{
 			Parents: s.heads["main"],
-			State:   s.putState(st, root.State),
+			State:   s.putState(st, nil, root.State),
 			Gen:     root.Gen + 1,
 			Time:    core.Timestamp(n),
 		})}

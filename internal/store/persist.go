@@ -201,6 +201,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		clocks:  make(map[string]*clock.Clock),
 		metrics: newStoreMetrics(o.Obs),
 	}
+	s.appender, _ = codec.(appender[S])
 	if rs == nil || len(rs.Branches) == 0 {
 		// Fresh start — possibly over a log whose branch records were
 		// truncated away. Respect a recovered allocator floor so new
@@ -211,7 +212,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 			s.nextID = rs.NextID
 		}
 		init := impl.Init()
-		st := s.putState(init, Hash{})
+		st := s.putState(init, nil, Hash{})
 		root := s.putCommit(Commit{State: st, Gen: 1})
 		s.heads[main] = []Hash{root}
 		c, err := clock.New(s.nextID)

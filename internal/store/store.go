@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/obs"
 	"repro/internal/recon"
 )
@@ -56,6 +57,16 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // when Decode(enc) succeeds and Encode of the result is enc. Import and
 // VerifyPack then validate encodings in place instead of round-tripping
 // them (checkEncoding); neither caches a state.
+//
+// A codec may also have the append form AppendEncode(dst []byte, next,
+// prev S, prevEnc []byte) []byte, which appends exactly Encode(next) to
+// dst. When prevEnc is non-nil it is Encode(prev), and the codec may copy
+// from it whatever next shares with prev; dst never shares memory with
+// prevEnc. The store then encodes each
+// operation commit from its parent's encoding, into a buffer it recycles
+// (putState): so such a codec's Decode and Check must keep no part of
+// their input, which the store may overwrite once they return. In
+// internal/wire, MLog, OrSetSpace and PNCounter have this form.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)
@@ -213,11 +224,26 @@ type Store[S, Op, Val any] struct {
 	metrics *storeMetrics
 
 	// One-slot reassembly cache (pack.go); own lock so readers holding
-	// mu.RLock can refresh it.
+	// mu.RLock can refresh it. encFree is true when no pack object holds
+	// encBuf, so that a writer displacing it may recycle it.
 	encMu   sync.Mutex
 	encHash Hash
 	encBuf  []byte
 	encTree *chunkTree // encBuf's chunk tree
+	encFree bool
+	// appender is the codec's append form (Codec), nil without one, and
+	// spare the buffer putState encodes the next state into: a slot
+	// buffer packLocked displaced and no one holds. spareTree is the
+	// slot's last displaced chunk tree, which putState builds the next
+	// address in. Guarded by the write lock.
+	appender  appender[S]
+	spare     []byte
+	spareTree *chunkTree
+}
+
+// appender is the append form of a Codec.
+type appender[S any] interface {
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
 }
 
 // New creates a store for impl with a single branch named main, holding
@@ -313,7 +339,7 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	clk.Observe(hc.Time)
 	t := clk.Tick()
 	next, val := s.impl.Do(op, cur, t)
-	st := s.putState(next, hc.State)
+	st := s.putState(next, &cur, hc.State)
 	s.heads[b] = []Hash{s.putCommit(Commit{
 		Parents: []Hash{head},
 		State:   st,
@@ -363,7 +389,7 @@ func (s *Store[S, Op, Val]) mergeHeadsLocked(hs []Hash) (Hash, error) {
 		pc, qc := s.commitAtLocked(ps[0]), s.commitAtLocked(ps[1])
 		// The pack layer chains the merged state against the first
 		// parent's: the patch packed exports ship.
-		st := s.putState(merged, pc.State)
+		st := s.putState(merged, nil, pc.State)
 		acc = s.putCommit(Commit{
 			Parents: ps,
 			State:   st,
@@ -491,20 +517,61 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 
 // putState packs state, chained against the base state hash (its commit
 // parent's state; zero for the root), and returns its content address.
-// The patch against base comes first: the address is computed from
-// base's chunk tree and the patch's copy runs, so it hashes what the
-// operation changed, and the pack stores the same patch.
-func (s *Store[S, Op, Val]) putState(state S, base Hash) Hash {
+// prev, when non-nil, is base's decoded state. The base's encoding is
+// materialized once — the reassembly slot holds it when base was the
+// last state stored — and serves three steps. A codec with the append
+// form (Codec) encodes state into the spare buffer, copying what it
+// shares with prev from that encoding. delta.Make diffs against it. And
+// the address is computed from its chunk tree and the patch's copy runs,
+// so it hashes what the operation changed; the pack stores the same
+// patch.
+func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
+	start := time.Now()
+	var baseEnc []byte
+	var baseTree *chunkTree
+	// The state's own size is checked against the patch format's limit
+	// once it is encoded. A base that does not reassemble gets no patch,
+	// here or in packLocked: the state is stored whole.
+	if _, ok := s.chainBaseLocked(base, 0); ok {
+		baseEnc, baseTree, _ = s.materializeLocked(base)
+	}
 	t := time.Now()
-	enc := s.codec.Encode(state)
+	reassembly := t.Sub(start)
+	enc := s.encodeLocked(state, prev, baseEnc)
 	s.metrics.lap(phaseEncode, &t)
-	patch, baseTree := s.diffLocked(base, enc)
-	t = time.Now()
-	h, tree := s.addrLocked(enc, baseTree, patch)
+	var patch []byte
+	if _, ok := s.chainBaseLocked(base, len(enc)); ok && baseEnc != nil {
+		patch = delta.Make(baseEnc, enc)
+		now := time.Now()
+		s.metrics.phaseNs[phaseDelta].Observe((reassembly + now.Sub(t)).Nanoseconds())
+		t = now
+	}
+	into := s.spareTree
+	s.spareTree = nil
+	h, tree := s.addrLocked(enc, baseTree, patch, into)
 	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
 	s.packLocked(h, enc, tree, base, patch)
 	return h
+}
+
+// encodeLocked encodes state. A codec with the append form encodes it
+// into the spare buffer, copying from baseEnc, base's encoding, when
+// prev is base's state; any other codec allocates with Encode. Callers
+// hold the write lock.
+func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) []byte {
+	if s.appender == nil {
+		return s.codec.Encode(state)
+	}
+	var p S
+	if prev != nil {
+		p = *prev
+	} else {
+		baseEnc = nil
+	}
+	dst := s.spare[:0]
+	s.spare = nil
+	return s.appender.AppendEncode(dst, state, p, baseEnc)
 }
 
 func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {

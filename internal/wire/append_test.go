@@ -1,0 +1,208 @@
+package wire_test
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/counter"
+	"repro/internal/mlog"
+	"repro/internal/orset"
+	"repro/internal/wire"
+)
+
+// appendCodec is a codec with the store's append form (store.Codec).
+type appendCodec[S any] interface {
+	checkCodec[S]
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
+}
+
+var (
+	_ appendCodec[mlog.State]       = wire.MLog{}
+	_ appendCodec[orset.SpaceState] = wire.OrSetSpace{}
+	_ appendCodec[counter.PNState]  = wire.PNCounter{}
+)
+
+// checkAppendEncode holds AppendEncode to its contract: it appends
+// exactly Encode(next) to dst, given prevEnc = Encode(prev) or, without
+// withPrev, nil, and leaves dst's bytes and prevEnc as they were. dst's
+// spare capacity may hold anything, as a recycled buffer's does.
+func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst []byte, next, prev S, withPrev bool) {
+	t.Helper()
+	var prevEnc []byte
+	if withPrev {
+		prevEnc = c.Encode(prev)
+	}
+	keepDst, keepPrev := slices.Clone(dst), slices.Clone(prevEnc)
+	got := c.AppendEncode(dst, next, prev, prevEnc)
+	if want := append(slices.Clone(keepDst), c.Encode(next)...); !bytes.Equal(got, want) {
+		t.Fatalf("%s: AppendEncode (prevEnc given: %v) appends %x to %d bytes, want %x", name, withPrev, got[len(dst):], len(dst), want[len(dst):])
+	}
+	if !bytes.Equal(dst, keepDst) {
+		t.Fatalf("%s: AppendEncode rewrote dst's %d bytes", name, len(dst))
+	}
+	if !bytes.Equal(prevEnc, keepPrev) {
+		t.Fatalf("%s: AppendEncode rewrote prevEnc", name)
+	}
+}
+
+// appendCase derives a next state from prev by one of the ways a store
+// commit or merge can produce one, picked by how: an operation (Do), a
+// second one, an unrelated state, prev itself with one value changed in
+// place of its bytes, an empty state, or prev unchanged.
+type appendCase[S any] struct {
+	name  string
+	codec appendCodec[S]
+	gen   func(r *rand.Rand, n int) S
+	// step returns next from prev; how picks the way.
+	step func(r *rand.Rand, prev S, how byte) S
+}
+
+func (a appendCase[S]) run(t *testing.T, seed int64, n int, script []byte, dstLen, spare int) {
+	r := rand.New(rand.NewSource(seed))
+	prev := a.gen(r, n)
+	next := prev
+	for _, how := range script {
+		next = a.step(r, next, how)
+	}
+	buf := make([]byte, dstLen+spare)
+	r.Read(buf)
+	for _, withPrev := range []bool{true, false} {
+		checkAppendEncode(t, a.name, a.codec, buf[:dstLen], next, prev, withPrev)
+		checkAppendEncode(t, a.name, a.codec, nil, next, prev, withPrev)
+	}
+}
+
+// newest is a timestamp above every entry of s.
+func newest(s mlog.State) core.Timestamp {
+	if len(s) == 0 {
+		return 1
+	}
+	return s[0].T + 1
+}
+
+var (
+	logCase = appendCase[mlog.State]{"mlog", wire.MLog{}, logOf, func(r *rand.Rand, s mlog.State, how byte) mlog.State {
+		switch how % 6 {
+		case 0, 1:
+			next, _ := mlog.Log{}.Do(mlog.Op{Kind: mlog.Append, Msg: randString(r)}, s, newest(s)+core.Timestamp(r.Intn(3)))
+			return next
+		case 2:
+			// Another replica's entries, interleaved by a merge.
+			return mlog.Log{}.Merge(nil, s, logOf(r, r.Intn(5)))
+		case 3:
+			// One message replaced by another of its length: same
+			// timestamps, same lengths, other bytes (randString's are
+			// lower case).
+			next := slices.Clone(s)
+			for k := range next {
+				if i := (k + r.Intn(len(next))) % len(next); next[i].Msg != "" {
+					b := []byte(next[i].Msg)
+					b[r.Intn(len(b))] = 'A' + byte(r.Intn(26))
+					next[i].Msg = string(b)
+					break
+				}
+			}
+			return next
+		case 4:
+			// The same entries, with messages at other addresses.
+			next := slices.Clone(s)
+			for i := range next {
+				next[i].Msg = string([]byte(next[i].Msg))
+			}
+			return next
+		default:
+			return nil
+		}
+	}}
+	setCase = appendCase[orset.SpaceState]{"or-set-space", wire.OrSetSpace{}, randSet, func(r *rand.Rand, s orset.SpaceState, how byte) orset.SpaceState {
+		switch how % 4 {
+		case 0:
+			next, _ := orset.OrSetSpace{}.Do(orset.Op{Kind: orset.Add, E: r.Int63n(1 << 20)}, s, core.Timestamp(r.Int63n(1<<40)))
+			return next
+		case 1:
+			if len(s) == 0 {
+				return s
+			}
+			next, _ := orset.OrSetSpace{}.Do(orset.Op{Kind: orset.Remove, E: s[r.Intn(len(s))].E}, s, 0)
+			return next
+		case 2:
+			return randSet(r, r.Intn(8))
+		default:
+			return nil
+		}
+	}}
+	pnCase = appendCase[counter.PNState]{"pn-counter", wire.PNCounter{}, func(r *rand.Rand, n int) counter.PNState {
+		return counter.PNState{P: int64(n), N: r.Int63n(100)}
+	}, func(r *rand.Rand, s counter.PNState, how byte) counter.PNState {
+		kind := counter.Inc
+		if how%2 == 1 {
+			kind = counter.Dec
+		}
+		next, _ := counter.PNCounter{}.Do(counter.Op{Kind: kind, N: r.Int63n(10)}, s, 0)
+		return next
+	}}
+)
+
+// FuzzAppendEncodeMatchesEncode: for every codec with the append form,
+// AppendEncode(dst, next, prev, prevEnc) is dst followed by Encode(next),
+// for next reached from prev by operations, merges, replaced messages,
+// copied messages, or an unrelated or empty state, with prevEnc given
+// and nil, and a dst empty or holding bytes, with spare capacity holding
+// others.
+func FuzzAppendEncodeMatchesEncode(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{}, uint8(0), uint8(0))
+	f.Add(int64(2), uint8(5), []byte{0}, uint8(0), uint8(64))
+	f.Add(int64(3), uint8(20), []byte{0, 0, 0}, uint8(7), uint8(200))
+	f.Add(int64(4), uint8(12), []byte{2, 0}, uint8(3), uint8(0))
+	f.Add(int64(5), uint8(12), []byte{3}, uint8(0), uint8(16))
+	f.Add(int64(6), uint8(9), []byte{4, 0}, uint8(1), uint8(1))
+	f.Add(int64(7), uint8(9), []byte{5}, uint8(4), uint8(4))
+	f.Add(int64(8), uint8(30), []byte{1, 0, 2, 3, 4, 5}, uint8(9), uint8(99))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, script []byte, dstLen, spare uint8) {
+		if len(script) > 16 {
+			script = script[:16]
+		}
+		logCase.run(t, seed, int(n%40), script, int(dstLen), int(spare))
+		setCase.run(t, seed, int(n%40), script, int(dstLen), int(spare))
+		pnCase.run(t, seed, int(n), script, int(dstLen), int(spare))
+	})
+}
+
+// TestDecodeAndCheckKeepNoInput: the store may overwrite a buffer once a
+// codec with the append form has decoded or checked it (store.Codec), so
+// Decode's state shares no bytes with its input — overwriting the input
+// leaves its encoding as it was — and Check neither writes its input nor
+// depends on it afterwards.
+func TestDecodeAndCheckKeepNoInput(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	t.Run("mlog", func(t *testing.T) { keepsNoInput(t, wire.MLog{}, logOf(r, 30)) })
+	t.Run("or-set-space", func(t *testing.T) { keepsNoInput(t, wire.OrSetSpace{}, randSet(r, 30)) })
+	t.Run("pn-counter", func(t *testing.T) { keepsNoInput(t, wire.PNCounter{}, counter.PNState{P: 9, N: 4}) })
+}
+
+func keepsNoInput[S any](t *testing.T, c appendCodec[S], s S) {
+	orig := c.Encode(s)
+	buf := slices.Clone(orig)
+	dec, err := c.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Check(buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Fatal("Decode or Check wrote into its input")
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if got := c.Encode(dec); !bytes.Equal(got, orig) {
+		t.Fatalf("overwriting Decode's input changed the decoded state: it encodes to %x, was %x", got, orig)
+	}
+	if err := c.Check(slices.Clone(orig)); err != nil {
+		t.Fatalf("Check of the original bytes fails after its last input was overwritten: %v", err)
+	}
+}

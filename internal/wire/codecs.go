@@ -3,7 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"unsafe"
 
 	"repro/internal/alphamap"
 	"repro/internal/chat"
@@ -40,15 +40,17 @@ type PNCounter struct{}
 
 // Encode serializes the PN-counter.
 func (c PNCounter) Encode(s counter.PNState) []byte {
-	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
+	return c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil)
 }
 
 func (PNCounter) encodedLen(counter.PNState) int { return 16 }
 
-func (PNCounter) appendTo(dst []byte, s counter.PNState) []byte {
-	w := Writer{buf: dst}
-	w.PutInt64(s.P)
-	w.PutInt64(s.N)
+// AppendEncode appends Encode(next) to dst (store.Codec's append form).
+// The state is two integers, so nothing of prev is worth copying.
+func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte) []byte {
+	w := Writer{buf: grow(dst, c.encodedLen(next))}
+	w.PutInt64(next.P)
+	w.PutInt64(next.N)
 	return w.Bytes()
 }
 
@@ -186,7 +188,7 @@ type MLog struct{}
 
 // Encode serializes the log.
 func (c MLog) Encode(s mlog.State) []byte {
-	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
+	return c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil)
 }
 
 func (MLog) encodedLen(s mlog.State) int {
@@ -197,13 +199,38 @@ func (MLog) encodedLen(s mlog.State) int {
 	return n
 }
 
-func (MLog) appendTo(dst []byte, s mlog.State) []byte {
-	w := Writer{buf: dst}
-	w.PutLen(len(s))
-	for _, e := range s {
+// AppendEncode appends Encode(next) to dst (store.Codec's append form).
+// When prevEnc is non-nil it is Encode(prev): the entries next shares
+// with prev at its end — after an append, all of prev — are copied from
+// prevEnc as one run, and only the entries before them are encoded. An
+// entry is shared when its timestamp and message are prev's; a message
+// both states point at is not compared byte by byte.
+func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) []byte {
+	shared, tail := 0, 0 // entries and encoded bytes at the end of both
+	if prevEnc != nil {
+		for shared < len(next) && shared < len(prev) {
+			a, b := next[len(next)-1-shared], prev[len(prev)-1-shared]
+			if a.T != b.T || len(a.Msg) != len(b.Msg) ||
+				unsafe.StringData(a.Msg) != unsafe.StringData(b.Msg) && a.Msg != b.Msg {
+				break
+			}
+			shared++
+			tail += 12 + len(a.Msg)
+		}
+		// An encoding too short for the entries is not prev's; then
+		// nothing is copied from it.
+		if tail > len(prevEnc)-4 {
+			shared, tail = 0, 0
+		}
+	}
+	head := next[:len(next)-shared]
+	w := Writer{buf: grow(dst, c.encodedLen(head)+tail)}
+	w.PutLen(len(next))
+	for _, e := range head {
 		w.PutTimestamp(e.T)
 		w.PutString(e.Msg)
 	}
+	w.buf = append(w.buf, prevEnc[len(prevEnc)-tail:]...)
 	return w.Bytes()
 }
 
@@ -250,7 +277,7 @@ func pairsLen(n int) int { return 4 + 16*n }
 // fixed-width stores.
 func appendPairs(dst []byte, ps []orset.Pair) []byte {
 	at := len(dst)
-	dst = slices.Grow(dst, pairsLen(len(ps)))[:at+pairsLen(len(ps))]
+	dst = grow(dst, pairsLen(len(ps)))[:at+pairsLen(len(ps))]
 	b := dst[at:]
 	binary.BigEndian.PutUint32(b, uint32(len(ps)))
 	for i, p := range ps {
@@ -309,7 +336,12 @@ func (OrSetSpace) Encode(s orset.SpaceState) []byte { return encodePairs(s) }
 
 func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 
-func (OrSetSpace) appendTo(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
+// AppendEncode appends Encode(next) to dst (store.Codec's append form).
+// An add inserts its pair where its element sorts, so the set appends
+// next whole rather than splice runs of prevEnc around the insertion.
+func (OrSetSpace) AppendEncode(dst []byte, next, _ orset.SpaceState, _ []byte) []byte {
+	return appendPairs(dst, next)
+}
 
 // Check reports whether b is a canonical space-efficient OR-set
 // encoding, in one pass that allocates nothing: the count, then exactly
@@ -432,13 +464,13 @@ type AlphaMap[S any] struct {
 
 // InnerCodec is a Codec of this package (PNCounter, MLog, OrSetSpace)
 // that can also size its encoding up front, encodedLen(s) =
-// len(Encode(s)), and append exactly those bytes to dst — what lets
-// AlphaMap encode a whole map, inner states included, in one exact-size
-// allocation.
+// len(Encode(s)), and has the append form the store encodes commits
+// with (store.Codec) — what lets AlphaMap encode a whole map, inner
+// states included, in one exact-size allocation.
 type InnerCodec[S any] interface {
 	Codec[S]
 	encodedLen(S) int
-	appendTo(dst []byte, s S) []byte
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
@@ -450,11 +482,12 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 	}
 	w := sizedWriter(n)
 	w.PutLen(len(s))
+	var zero S
 	for _, e := range s {
 		w.PutString(e.K)
 		at := len(w.buf)
 		w.PutLen(0) // patched below, once the inner payload's length is known
-		w.buf = c.Inner.appendTo(w.buf, e.V)
+		w.buf = c.Inner.AppendEncode(w.buf, e.V, zero, nil)
 		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()

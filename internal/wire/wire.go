@@ -11,14 +11,21 @@
 // The or-set-space, log and PN-counter codecs also have Check, which the
 // store calls instead of a round trip: Check(b) is nil exactly when
 // Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
-// g-set, g-map, or-set, or-set-space and log codecs reject a state out
-// of the order their datatype's searches and merges rely on.
+// same three have the store's append form, AppendEncode(dst, next, prev,
+// prevEnc), which appends Encode(next) to a buffer the store recycles:
+// the log copies from prevEnc, prev's encoding, the entries an append
+// leaves in place, and the set and the counter encode next whole. Their
+// Decode and Check keep no part of their input (strings are copied), the
+// condition on which the store may overwrite a buffer they have read.
+// The g-set, g-map, or-set, or-set-space and log codecs reject a state
+// out of the order their datatype's searches and merges rely on.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -42,6 +49,20 @@ type Writer struct {
 // with cap == len, so the snapshots the store keeps resident carry no
 // slack.
 func sizedWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
+
+// grow returns dst with room for n more bytes. A buffer too small is
+// replaced by one of the size needed, rounded up only to the allocator's
+// size class (slices.Grow of an empty slice), which takes no memory the
+// allocation would not take anyway and leaves a recycled buffer room for
+// the next few commits of a growing state. Append's growth would add a
+// quarter or more, slack the store's recycled buffer would carry from
+// commit to commit.
+func grow(dst []byte, n int) []byte {
+	if n <= cap(dst)-len(dst) {
+		return dst
+	}
+	return append(slices.Grow([]byte(nil), len(dst)+n), dst...)
+}
 
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -57,7 +57,12 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // and must not share mutable state. A codec that also has
 // Check(enc []byte) error — nil exactly when Decode(enc) succeeds and
 // Encode of the result is enc — lets an import validate each incoming
-// state in place, with no decode and no second encoding.
+// state in place, with no decode and no second encoding. A codec that
+// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
+// — appending exactly Encode(next) to dst, free to copy from prevEnc,
+// Encode(prev), when it is non-nil — lets each operation commit be
+// encoded from its parent's encoding into a buffer the store recycles;
+// such a codec's Decode and Check must keep no part of their input.
 type Codec[S any] = store.Codec[S]
 
 // Spec is a declarative replicated data type specification F_τ: the value
