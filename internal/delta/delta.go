@@ -96,26 +96,44 @@ const (
 // compare lengths. The returned slice has cap == len: the store keeps
 // patches resident for as long as their commit lives.
 func Make(base, target []byte) []byte {
+	patch, _ := MakeShared(base, target, 0)
+	return patch
+}
+
+// MakeShared returns Make(base, target) for a target whose last tail
+// bytes are base's last tail bytes — what an encoder that copied them
+// from base knows without looking — and trims that run without comparing
+// it, so a patch from a state to one that prepends to it costs O(edit).
+// It also returns how many bytes it read to build the patch: the length
+// of the shared ends it compared, and of the middles it indexed and
+// scanned.
+func MakeShared(base, target []byte, tail int) ([]byte, int) {
 	// Most patches are a few dozen bytes; they are assembled on the stack
 	// and leave as one exact-size allocation.
 	var scratch [256]byte
 	patch := binary.AppendUvarint(scratch[:0], uint64(len(base)))
 	patch = binary.AppendUvarint(patch, uint64(len(target)))
 	if len(base) < blockSize || len(target) < blockSize {
-		return clip(appendInsert(patch, target))
+		return clip(appendInsert(patch, target)), 0
 	}
 
 	// Trim: a shared run shorter than a block is not worth a copy opcode
-	// and stays part of the middle, so the scan below sees it.
+	// and stays part of the middle, so the scan below sees it. The
+	// common suffix is the given tail and what the compare finds before
+	// it.
 	pre := commonPrefix(base, target)
+	read := pre
 	if pre < blockSize {
 		pre = 0
 	}
-	suf := commonSuffix(base[pre:], target[pre:])
+	tail = max(min(tail, len(base)-pre, len(target)-pre), 0)
+	suf := tail + commonSuffix(base[pre:len(base)-tail], target[pre:len(target)-tail])
+	read += suf - tail
 	if suf < blockSize {
 		suf = 0
 	}
 	baseEnd, targetEnd := len(base)-suf, len(target)-suf
+	read += baseEnd - pre + targetEnd - pre
 	patch = appendCopy(patch, 0, pre)
 
 	// Scan the target middle against the base windows that overlap the
@@ -157,7 +175,7 @@ func Make(base, target []byte) []byte {
 	}
 	patch = appendInsert(patch, target[insertStart:rest])
 	patch = appendCopy(patch, baseEnd+rest-targetEnd, len(target)-rest)
-	return clip(patch)
+	return clip(patch), read
 }
 
 // clip returns patch in a buffer of exactly its length.

@@ -263,9 +263,71 @@ func FuzzRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, target) {
 			t.Fatal("round trip mismatch")
 		}
+		checkShared(t, base, target)
 		// Below one 16-byte block Make does not look for copies at all.
 		if len(base) >= 16 && bytes.Equal(base, target) && len(patch) > len(delta.Identity(len(base))) {
 			t.Fatalf("unchanged %d-byte input costs a %d-byte patch", len(base), len(patch))
 		}
 	})
+}
+
+// commonTail is the length of the longest common suffix of a and b.
+func commonTail(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[len(a)-1-n] == b[len(b)-1-n] {
+		n++
+	}
+	return n
+}
+
+// checkShared holds MakeShared to Make: given any part of the suffix
+// base and target share, it returns Make's patch byte for byte.
+func checkShared(t *testing.T, base, target []byte) {
+	t.Helper()
+	want := delta.Make(base, target)
+	c := commonTail(base, target)
+	for _, tail := range []int{0, c / 2, c - 1, c} {
+		if tail < 0 {
+			continue
+		}
+		if got, _ := delta.MakeShared(base, target, tail); !bytes.Equal(got, want) {
+			t.Fatalf("MakeShared with a %d-byte tail of %d shared = %x, Make = %x", tail, c, got, want)
+		}
+	}
+}
+
+// TestMakeSharedEqualsMake: MakeShared returns Make's patch for the
+// boundary cases, random edits and prepends to a long log-like encoding,
+// and reads only the edit when told the shared tail: a record prepended
+// to a 64 KB encoding behind a changed count reads a few dozen bytes,
+// where Make compares the whole shared run.
+func TestMakeSharedEqualsMake(t *testing.T) {
+	for _, c := range trimBoundaryCases() {
+		checkShared(t, c.base, c.target)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 300 {
+		base := make([]byte, rng.Intn(2048))
+		for i := range base {
+			base[i] = byte('a' + rng.Intn(3))
+		}
+		head := make([]byte, rng.Intn(80))
+		rng.Read(head)
+		checkShared(t, base, append(head, base[rng.Intn(len(base)+1):]...))
+	}
+	body := make([]byte, 64<<10)
+	rng.Read(body)
+	for k := range 256 {
+		base := binary.BigEndian.AppendUint32(nil, uint32(1000+k))
+		base = append(base, body...)
+		target := binary.BigEndian.AppendUint32(nil, uint32(1001+k))
+		target = append(target, []byte("a new record of some 30 bytes.")...)
+		target = append(target, body...)
+		checkShared(t, base, target)
+		_, all := delta.MakeShared(base, target, 0)
+		_, edit := delta.MakeShared(base, target, len(body))
+		if edit > 64 || all < len(body) {
+			t.Fatalf("a prepend reads %d bytes given the shared tail, %d without; want at most 64 and at least %d", edit, all, len(body))
+		}
+	}
 }

@@ -2,6 +2,14 @@
 // append-only log that totally orders messages in reverse chronological
 // order of their operation timestamps. It is the value type the IRC-style
 // chat of §5.1 stores per channel.
+//
+// The paper's log is an immutable list whose append is a cons that shares
+// the whole parent. Here a State is a slice, realised as shared blocks
+// (block.go): an append writes its entry into the free slot just before
+// its parent's first entry, when the parent is the newest state of a
+// block this package allocated, and returns a slice over the same array.
+// So an append costs O(1), amortized over the copies that start a new
+// block, and every state of one branch's history shares one array.
 package mlog
 
 import (
@@ -41,7 +49,10 @@ type Val struct {
 func ValEq(a, b Val) bool { return slices.Equal(a.Log, b.Log) }
 
 // State is the concrete log: entries in strictly descending timestamp
-// order (newest first). Treat as immutable.
+// order (newest first). Treat as immutable. A state Do returned may share
+// its array with other states, and its capacity may reach past its
+// length into memory this package owns: a caller that appends to a state
+// must clip it first (s[:len(s):len(s)]).
 type State []Entry
 
 // Log is the mergeable log MRDT.
@@ -53,16 +64,14 @@ var _ core.MRDT[State, Op, Val] = Log{}
 func (Log) Init() State { return nil }
 
 // Do applies op at state s with timestamp t. Append prepends (the new
-// timestamp is larger than every timestamp already present).
+// timestamp is larger than every timestamp already present), sharing s
+// (cons).
 func (Log) Do(op Op, s State, t core.Timestamp) (State, Val) {
 	switch op.Kind {
 	case Read:
 		return s, Val{Log: slices.Clone(s)}
 	case Append:
-		next := make(State, 0, len(s)+1)
-		next = append(next, Entry{T: t, Msg: op.Msg})
-		next = append(next, s...)
-		return next, Val{}
+		return cons(Entry{T: t, Msg: op.Msg}, s), Val{}
 	default:
 		return s, Val{}
 	}

@@ -200,23 +200,23 @@ func (b *chunkTree) next(hs *hasher, enc []byte, runs []delta.CopyRun, t *chunkT
 		}
 		if ri < len(runs) && runs[ri].At <= pos {
 			r := runs[ri]
-			off := r.Off + pos - r.At
-			reused := false
-			for j := b.chunkAt(off); j >= 0 && j < len(b.ends); j++ {
-				n := b.ends[j] - off
-				// The whole base chunk must be copied, and the base's last
-				// chunk, cut by its end rather than its bytes, is the same
-				// chunk only where enc ends too.
-				if pos+n > r.At+r.Len || j == len(b.ends)-1 && pos+n != len(enc) {
+			// Base offset off is enc offset off+shift within the run.
+			shift := r.At - r.Off
+			first := b.chunkAt(pos - shift)
+			j := first
+			// The whole base chunk must be copied, and the base's last
+			// chunk, cut by its end rather than its bytes, is the same
+			// chunk only where enc ends too.
+			for ; j >= 0 && j < len(b.ends) && b.ends[j]+shift <= r.At+r.Len; j++ {
+				if j == len(b.ends)-1 && b.ends[j]+shift != len(enc) {
 					break
 				}
-				pos, off = pos+n, off+n
-				t.ends = append(t.ends, pos)
-				t.chunks = append(t.chunks, b.chunk(j)...)
+				t.ends = append(t.ends, b.ends[j]+shift)
 				from = append(from, j)
-				reused = true
 			}
-			if reused {
+			if j > first {
+				t.chunks = append(t.chunks, b.chunks[first*sha256.Size:j*sha256.Size]...)
+				pos = b.ends[j-1] + shift
 				continue
 			}
 		}
@@ -303,20 +303,29 @@ func (b *chunkTree) sum(g int) []byte   { return b.sums[g*sha256.Size : (g+1)*sh
 
 // addrLocked returns enc's address and chunk tree: from base's tree and
 // patch, a patch from base's encoding to enc, when both are given, else
-// from scratch. The tree is built in into's storage, a recycled tree
-// that is not base, or in a new one when into is nil. It counts the
-// bytes it hashes. Callers hold s.mu.
+// from scratch (addrRunsLocked). Callers hold s.mu.
 func (s *Store[S, Op, Val]) addrLocked(enc []byte, base *chunkTree, patch []byte, into *chunkTree) (Hash, *chunkTree) {
+	if base != nil && patch != nil {
+		if runs, baseLen, err := delta.CopyRuns(patch); err == nil && baseLen == base.size() {
+			return s.addrRunsLocked(enc, base, runs, into)
+		}
+	}
+	return s.addrRunsLocked(enc, nil, nil, into)
+}
+
+// addrRunsLocked returns enc's address and chunk tree: from base's tree
+// and runs, the runs enc copies from base's encoding, when base is
+// given, else from scratch. The tree is built in into's storage, a
+// recycled tree that is not base, or in a new one when into is nil. It
+// counts the bytes it hashes. Callers hold s.mu.
+func (s *Store[S, Op, Val]) addrRunsLocked(enc []byte, base *chunkTree, runs []delta.CopyRun, into *chunkTree) (Hash, *chunkTree) {
 	var hs hasher
 	var t *chunkTree
 	// A one-chunk base has nothing to lend but its one chunk, so a small
 	// state is cheaper to address from scratch.
-	if base != nil && patch != nil && len(base.ends) > 1 {
-		if runs, baseLen, err := delta.CopyRuns(patch); err == nil && baseLen == base.size() {
-			t = base.next(&hs, enc, runs, into)
-		}
-	}
-	if t == nil {
+	if base != nil && len(base.ends) > 1 {
+		t = base.next(&hs, enc, runs, into)
+	} else {
 		t = hs.tree(enc, into)
 	}
 	s.metrics.hashBytes.Add(hs.fed)

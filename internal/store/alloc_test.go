@@ -4,17 +4,23 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mlog"
+	"repro/internal/obs"
+	"repro/internal/orset"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // TestApplyAllocatesNoEncoding: an append to a log of 10³ or 10⁴ entries
-// allocates the new []Entry the log's Do builds and at most 8 KiB more,
-// on average over 256 appends. The codec encodes each state into the
+// allocates at most 8 KiB in all, on average over 256 appends: no new
+// encoding, and no []Entry of the log's length. The log's Do writes the
+// entry into its parent's block, the codec encodes the state into the
 // buffer the store recycled, copying the old entries from the parent's
-// encoding, where a fresh encoding would cost 36 KB or 360 KB a commit.
+// encoding, and the diff and the address start from that copied run.
+// Each state is the store's alone: nothing but Apply appends to it, and
+// every new head shares its parent's memory but where a block fills.
 func TestApplyAllocatesNoEncoding(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account")
@@ -30,19 +36,7 @@ func TestApplyAllocatesNoEncoding(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cur, err := s.Head("main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// What Do alone allocates for the same appends: the new logs.
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range appends {
-			cur, _ = mlog.Log{}.Do(op(n+i), cur, 0)
-		}
-		runtime.ReadMemStats(&after)
-		entries := after.TotalAlloc - before.TotalAlloc
-
 		runtime.ReadMemStats(&before)
 		for i := range appends {
 			if _, err := s.Apply("main", op(n+i)); err != nil {
@@ -50,12 +44,29 @@ func TestApplyAllocatesNoEncoding(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		applied := after.TotalAlloc - before.TotalAlloc
+		perOp := (after.TotalAlloc - before.TotalAlloc) / appends
 		size, _ := s.Size("main")
-		extra := (int64(applied) - int64(entries)) / appends
-		t.Logf("%d entries (%d B): an append allocates %d B, %d B beyond its new []Entry", n, size, applied/appends, extra)
-		if extra > bound {
-			t.Errorf("%d entries: an append allocates %d B beyond its new []Entry, want at most %d", n, extra, bound)
+		t.Logf("%d entries (%d B): an append allocates %d B", n, size, perOp)
+		if perOp > bound {
+			t.Errorf("%d entries: an append allocates %d B, want at most %d", n, perOp, bound)
+		}
+		// The same appends again, each new head checked against the old:
+		// it is the old one's memory with an entry in front, except where
+		// a block fills and the log is copied, once in n/4 appends.
+		copies := 0
+		prev, _ := s.Head("main")
+		for i := range appends {
+			if _, err := s.Apply("main", op(n+appends+i)); err != nil {
+				t.Fatal(err)
+			}
+			cur, _ := s.Head("main")
+			if unsafe.SliceData(cur[1:]) != unsafe.SliceData(prev) {
+				copies++
+			}
+			prev = cur
+		}
+		if copies > 1 {
+			t.Errorf("%d entries: %d of %d appends copied the log, want at most 1", n, copies, appends)
 		}
 	}
 }
@@ -77,5 +88,67 @@ func TestSmallStateAddrAllocatesTwice(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { store.StateAddr(enc) }); allocs > 2 {
 			t.Errorf("addressing a %d-byte state makes %.0f allocations, want at most 2", n, allocs)
 		}
+	}
+}
+
+// TestAppendDiffsOnlyTheEdit: the store's work counters show where an
+// append's bytes go. At 10³ and 10⁴ entries, each log append's encoding
+// copies exactly its parent's entry section from the parent's encoding
+// (peepul_store_encode_copied_bytes_total), and the diff against the
+// parent reads only the edit — the count, the new entry and the bytes
+// around them, the same at either size — not the copied run
+// (peepul_store_delta_compared_bytes_total). An add to an or-set of 10³
+// elements, whose codec copies nothing, still diffs its whole state.
+func TestAppendDiffsOnlyTheEdit(t *testing.T) {
+	const appends, bound = 64, 128
+	for _, n := range []int{1000, 10000} {
+		reg := obs.NewRegistry()
+		s := store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main", store.WithObs(reg))
+		for i := range n {
+			if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encoded := reg.Counter("peepul_store_encoded_bytes_total")
+		copied := reg.Counter("peepul_store_encode_copied_bytes_total")
+		read := reg.Counter("peepul_store_delta_compared_bytes_total")
+		most := int64(0)
+		for i := range appends {
+			size, _ := s.Size("main")
+			e, c, r := encoded.Value(), copied.Value(), read.Value()
+			if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", n+i)}); err != nil {
+				t.Fatal(err)
+			}
+			next, _ := s.Size("main")
+			if e, c := encoded.Value()-e, copied.Value()-c; e != int64(next) || c != int64(size-4) {
+				t.Fatalf("%d entries: an append encoded %d B and copied %d B of it, want %d and the parent's %d entry bytes", n, e, c, next, size-4)
+			}
+			most = max(most, read.Value()-r)
+		}
+		t.Logf("%d entries: an append's diff reads at most %d B", n, most)
+		if most > bound {
+			t.Errorf("%d entries: an append's diff read %d B, want at most %d", n, most, bound)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	s := store.New[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main", store.WithObs(reg))
+	add := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
+	for i := range 1000 {
+		if _, err := s.Apply("main", add(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copied := reg.Counter("peepul_store_encode_copied_bytes_total")
+	read := reg.Counter("peepul_store_delta_compared_bytes_total")
+	size, _ := s.Size("main")
+	c, r := copied.Value(), read.Value()
+	if _, err := s.Apply("main", add(1000)); err != nil {
+		t.Fatal(err)
+	}
+	c, r = copied.Value()-c, read.Value()-r
+	t.Logf("or-set of %d B: an add copies %d B and its diff reads %d B", size, c, r)
+	if c != 0 || r < int64(size) {
+		t.Errorf("or-set of %d B: an add copied %d B and its diff read %d B, want 0 and at least the state", size, c, r)
 	}
 }

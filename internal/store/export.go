@@ -203,7 +203,7 @@ func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads 
 	if err := s.importLocked(name, commits, heads); err != nil {
 		return err
 	}
-	s.heads[name] = s.maximalLocked(heads)
+	s.setHeadsLocked(name, s.maximalLocked(heads))
 	s.persistBranchLocked(name)
 	return s.finishPersistLocked()
 }

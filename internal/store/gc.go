@@ -150,7 +150,7 @@ func (s *Store[S, Op, Val]) DeleteBranch(name string) error {
 	if len(s.heads) == 1 {
 		return ErrLastBranch
 	}
-	delete(s.heads, name)
+	s.setHeadsLocked(name, nil)
 	delete(s.clocks, name)
 	if p := s.opts.Persister; p != nil && s.persistErr == nil {
 		if err := p.AppendBranchDelete(name); err != nil {

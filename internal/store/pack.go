@@ -372,7 +372,9 @@ func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) ([]byte, *chunkTre
 	if err != nil {
 		return nil, nil
 	}
-	return delta.Make(baseEnc, enc), tree
+	patch, read := delta.MakeShared(baseEnc, enc, 0)
+	s.metrics.deltaCompared.Add(int64(read))
+	return patch, tree
 }
 
 // chainBaseLocked returns the object a state whose encoding is size

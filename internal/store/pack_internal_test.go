@@ -125,12 +125,12 @@ func TestApplyHashesOnlyTheEdit(t *testing.T) {
 		}
 		s.mu.Lock()
 		root := s.commitAtLocked(s.heads["main"][0])
-		s.heads["main"] = []Hash{s.putCommit(Commit{
+		s.setHeadsLocked("main", []Hash{s.putCommit(Commit{
 			Parents: s.heads["main"],
 			State:   s.putState(st, nil, root.State),
 			Gen:     root.Gen + 1,
 			Time:    core.Timestamp(n),
-		})}
+		})})
 		s.mu.Unlock()
 
 		var total, most int64

@@ -198,6 +198,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		cache:   newStateCache[S](o.StateCacheSize),
 		commits: make(map[Hash]Commit, nc+1),
 		heads:   make(map[string][]Hash),
+		pins:    make(map[Hash]int),
 		clocks:  make(map[string]*clock.Clock),
 		metrics: newStoreMetrics(o.Obs),
 	}
@@ -214,7 +215,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		init := impl.Init()
 		st := s.putState(init, nil, Hash{})
 		root := s.putCommit(Commit{State: st, Gen: 1})
-		s.heads[main] = []Hash{root}
+		s.setHeadsLocked(main, []Hash{root})
 		c, err := clock.New(s.nextID)
 		if err != nil {
 			return nil, err
@@ -257,7 +258,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		if len(b.Heads) == 0 {
 			return nil, fmt.Errorf("%w: recovered branch %q has no head", ErrCorruptPack, name)
 		}
-		s.heads[name] = sortHashes(slices.Clone(b.Heads))
+		s.setHeadsLocked(name, sortHashes(slices.Clone(b.Heads)))
 		if b.Replica == NoClock {
 			continue
 		}

@@ -59,14 +59,18 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // them (checkEncoding); neither caches a state.
 //
 // A codec may also have the append form AppendEncode(dst []byte, next,
-// prev S, prevEnc []byte) []byte, which appends exactly Encode(next) to
-// dst. When prevEnc is non-nil it is Encode(prev), and the codec may copy
-// from it whatever next shares with prev; dst never shares memory with
-// prevEnc. The store then encodes each
-// operation commit from its parent's encoding, into a buffer it recycles
-// (putState): so such a codec's Decode and Check must keep no part of
-// their input, which the store may overwrite once they return. In
-// internal/wire, MLog, OrSetSpace and PNCounter have this form.
+// prev S, prevEnc []byte) ([]byte, int), which appends exactly
+// Encode(next) to dst and returns the result with the number of its last
+// bytes it copied from the end of prevEnc (0 when it copied none). When
+// prevEnc is non-nil it is Encode(prev), and the codec may copy from it
+// whatever next shares with prev; dst never shares memory with prevEnc.
+// The store then encodes each operation commit from its parent's
+// encoding, into a buffer it recycles, and diffs it against that
+// encoding knowing the copied run is shared (putState): so such a
+// codec's Decode and Check must keep no part of their input, which the
+// store may overwrite once they return. In internal/wire, MLog,
+// OrSetSpace and PNCounter have this form; MLog copies an append's
+// parent whole.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)
@@ -202,8 +206,11 @@ type Store[S, Op, Val any] struct {
 	cache   *stateCache[S]
 	commits map[Hash]Commit
 	// heads maps each branch to its head set: sorted by hash, never
-	// empty, and never modified in place, so a set may be shared.
+	// empty, and never modified in place, so a set may be shared. pins
+	// counts the head-set members, over all branches, that pin each
+	// state. Both change only through setHeadsLocked.
 	heads  map[string][]Hash
+	pins   map[Hash]int
 	clocks map[string]*clock.Clock
 	nextID int
 	// rtree mirrors the commit-hash set for range-fingerprint set
@@ -243,7 +250,7 @@ type Store[S, Op, Val any] struct {
 
 // appender is the append form of a Codec.
 type appender[S any] interface {
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) ([]byte, int)
 }
 
 // New creates a store for impl with a single branch named main, holding
@@ -299,7 +306,7 @@ func (s *Store[S, Op, Val]) Fork(src, name string) error {
 	if err != nil {
 		return err
 	}
-	s.heads[name] = hs
+	s.setHeadsLocked(name, hs)
 	s.clocks[name] = c
 	s.nextID++
 	s.persistBranchLocked(name)
@@ -340,16 +347,16 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	t := clk.Tick()
 	next, val := s.impl.Do(op, cur, t)
 	st := s.putState(next, &cur, hc.State)
-	s.heads[b] = []Hash{s.putCommit(Commit{
+	s.setHeadsLocked(b, []Hash{s.putCommit(Commit{
 		Parents: []Hash{head},
 		State:   st,
 		Gen:     hc.Gen + 1,
 		Time:    t,
-	})}
+	})})
 	// The superseded state leaves the cache unless a head still pins it:
 	// a writer's trail of dead heads would otherwise flush the merge
 	// bases and peer heads the cache is for.
-	if st != hc.State && !s.headPinsLocked(hc.State) {
+	if st != hc.State && s.pins[hc.State] == 0 {
 		s.cache.remove(hc.State)
 	}
 	s.persistBranchLocked(b)
@@ -359,17 +366,24 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	return val, nil
 }
 
-// headPinsLocked reports whether some branch head pins state st.
-// Callers hold s.mu.
-func (s *Store[S, Op, Val]) headPinsLocked(st Hash) bool {
-	for _, hs := range s.heads {
-		for _, h := range hs {
-			if s.commitAtLocked(h).State == st {
-				return true
-			}
+// setHeadsLocked makes hs branch b's head set, or deletes b's when hs is
+// nil, and keeps pins in step: each member of the old set unpins its
+// state and each of the new one pins it. Callers hold the write lock.
+func (s *Store[S, Op, Val]) setHeadsLocked(b string, hs []Hash) {
+	for _, h := range s.heads[b] {
+		st := s.commitAtLocked(h).State
+		if s.pins[st]--; s.pins[st] <= 0 {
+			delete(s.pins, st)
 		}
 	}
-	return false
+	if hs == nil {
+		delete(s.heads, b)
+		return
+	}
+	s.heads[b] = hs
+	for _, h := range hs {
+		s.pins[s.commitAtLocked(h).State]++
+	}
 }
 
 // mergeHeadsLocked returns the one commit that carries head set hs: its
@@ -488,7 +502,7 @@ func (s *Store[S, Op, Val]) uniteLocked(dst string, hs []Hash) error {
 		return fmt.Errorf("%w: %s", ErrNoBranch, dst)
 	}
 	if u := s.maximalLocked(append(slices.Clone(hd), hs...)); !slices.Equal(u, hd) {
-		s.heads[dst] = u
+		s.setHeadsLocked(dst, u)
 		s.persistBranchLocked(dst)
 	}
 	return nil
@@ -521,10 +535,13 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 // materialized once — the reassembly slot holds it when base was the
 // last state stored — and serves three steps. A codec with the append
 // form (Codec) encodes state into the spare buffer, copying what it
-// shares with prev from that encoding. delta.Make diffs against it. And
-// the address is computed from its chunk tree and the patch's copy runs,
-// so it hashes what the operation changed; the pack stores the same
-// patch.
+// shares with prev from that encoding, and reports the run it copied.
+// The patch from base's encoding is diffed with that run already known
+// to be shared (delta.MakeShared), so an append to a log compares only
+// what it added. And the address is computed from base's chunk tree and
+// the patch's copy runs — the copied run alone when the codec reported
+// one — so it hashes what the operation changed; the pack stores the
+// same patch.
 func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	start := time.Now()
 	var baseEnc []byte
@@ -537,41 +554,58 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	}
 	t := time.Now()
 	reassembly := t.Sub(start)
-	enc := s.encodeLocked(state, prev, baseEnc)
+	enc, copied := s.encodeLocked(state, prev, baseEnc)
 	s.metrics.lap(phaseEncode, &t)
 	var patch []byte
+	var runs []delta.CopyRun
 	if _, ok := s.chainBaseLocked(base, len(enc)); ok && baseEnc != nil {
-		patch = delta.Make(baseEnc, enc)
+		var read int
+		patch, read = delta.MakeShared(baseEnc, enc, copied)
+		s.metrics.deltaCompared.Add(int64(read))
+		if copied > 0 {
+			runs = []delta.CopyRun{{At: len(enc) - copied, Off: len(baseEnc) - copied, Len: copied}}
+		} else {
+			runs, _, _ = delta.CopyRuns(patch)
+		}
 		now := time.Now()
 		s.metrics.phaseNs[phaseDelta].Observe((reassembly + now.Sub(t)).Nanoseconds())
 		t = now
+	} else {
+		baseTree = nil
 	}
 	into := s.spareTree
 	s.spareTree = nil
-	h, tree := s.addrLocked(enc, baseTree, patch, into)
+	h, tree := s.addrRunsLocked(enc, baseTree, runs, into)
 	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
 	s.packLocked(h, enc, tree, base, patch)
 	return h
 }
 
-// encodeLocked encodes state. A codec with the append form encodes it
-// into the spare buffer, copying from baseEnc, base's encoding, when
-// prev is base's state; any other codec allocates with Encode. Callers
-// hold the write lock.
-func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) []byte {
+// encodeLocked encodes state and counts the bytes. A codec with the
+// append form encodes it into the spare buffer, copying from baseEnc,
+// base's encoding, when prev is base's state, and reports how many of
+// the encoding's last bytes it copied; any other codec allocates with
+// Encode. Callers hold the write lock.
+func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) ([]byte, int) {
+	var enc []byte
+	copied := 0
 	if s.appender == nil {
-		return s.codec.Encode(state)
-	}
-	var p S
-	if prev != nil {
-		p = *prev
+		enc = s.codec.Encode(state)
 	} else {
-		baseEnc = nil
+		var p S
+		if prev != nil {
+			p = *prev
+		} else {
+			baseEnc = nil
+		}
+		dst := s.spare[:0]
+		s.spare = nil
+		enc, copied = s.appender.AppendEncode(dst, state, p, baseEnc)
 	}
-	dst := s.spare[:0]
-	s.spare = nil
-	return s.appender.AppendEncode(dst, state, p, baseEnc)
+	s.metrics.encodedBytes.Add(int64(len(enc)))
+	s.metrics.encodeCopied.Add(int64(copied))
+	return enc, copied
 }
 
 func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {

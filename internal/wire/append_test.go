@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/counter"
@@ -16,7 +17,7 @@ import (
 // appendCodec is a codec with the store's append form (store.Codec).
 type appendCodec[S any] interface {
 	checkCodec[S]
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) ([]byte, int)
 }
 
 var (
@@ -28,15 +29,17 @@ var (
 // checkAppendEncode holds AppendEncode to its contract: it appends
 // exactly Encode(next) to dst, given prevEnc = Encode(prev) or, without
 // withPrev, nil, and leaves dst's bytes and prevEnc as they were. dst's
-// spare capacity may hold anything, as a recycled buffer's does.
-func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst []byte, next, prev S, withPrev bool) {
+// spare capacity may hold anything, as a recycled buffer's does. The run
+// it reports copied is the end of both encodings, none without prevEnc,
+// and, when wantTail is given, exactly wantTail(next, prev, prevEnc).
+func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst []byte, next, prev S, withPrev bool, wantTail func(next, prev S, prevEnc []byte) int) {
 	t.Helper()
 	var prevEnc []byte
 	if withPrev {
 		prevEnc = c.Encode(prev)
 	}
 	keepDst, keepPrev := slices.Clone(dst), slices.Clone(prevEnc)
-	got := c.AppendEncode(dst, next, prev, prevEnc)
+	got, tail := c.AppendEncode(dst, next, prev, prevEnc)
 	if want := append(slices.Clone(keepDst), c.Encode(next)...); !bytes.Equal(got, want) {
 		t.Fatalf("%s: AppendEncode (prevEnc given: %v) appends %x to %d bytes, want %x", name, withPrev, got[len(dst):], len(dst), want[len(dst):])
 	}
@@ -46,6 +49,25 @@ func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst [
 	if !bytes.Equal(prevEnc, keepPrev) {
 		t.Fatalf("%s: AppendEncode rewrote prevEnc", name)
 	}
+	if tail < 0 || tail > len(prevEnc) || tail > len(got)-len(dst) || !bytes.Equal(got[len(got)-tail:], prevEnc[len(prevEnc)-tail:]) {
+		t.Fatalf("%s: AppendEncode reports its last %d bytes copied from a %d-byte prevEnc, and they differ", name, tail, len(prevEnc))
+	}
+	if withPrev && wantTail != nil {
+		if want := wantTail(next, prev, prevEnc); tail != want {
+			t.Fatalf("%s: AppendEncode reports %d bytes copied, want %d", name, tail, want)
+		}
+	}
+}
+
+// logTail is the encoded length of the entries two logs share at their
+// ends: what MLog copies from prevEnc, whether it finds them by identity
+// or by walking.
+func logTail(next, prev mlog.State, _ []byte) int {
+	n := 0
+	for k := 1; k <= len(next) && k <= len(prev) && next[len(next)-k] == prev[len(prev)-k]; k++ {
+		n += 12 + len(prev[len(prev)-k].Msg)
+	}
+	return n
 }
 
 // appendCase derives a next state from prev by one of the ways a store
@@ -58,6 +80,8 @@ type appendCase[S any] struct {
 	gen   func(r *rand.Rand, n int) S
 	// step returns next from prev; how picks the way.
 	step func(r *rand.Rand, prev S, how byte) S
+	// tail, when non-nil, is the copied run AppendEncode must report.
+	tail func(next, prev S, prevEnc []byte) int
 }
 
 func (a appendCase[S]) run(t *testing.T, seed int64, n int, script []byte, dstLen, spare int) {
@@ -70,9 +94,21 @@ func (a appendCase[S]) run(t *testing.T, seed int64, n int, script []byte, dstLe
 	buf := make([]byte, dstLen+spare)
 	r.Read(buf)
 	for _, withPrev := range []bool{true, false} {
-		checkAppendEncode(t, a.name, a.codec, buf[:dstLen], next, prev, withPrev)
-		checkAppendEncode(t, a.name, a.codec, nil, next, prev, withPrev)
+		checkAppendEncode(t, a.name, a.codec, buf[:dstLen], next, prev, withPrev, a.tail)
+		checkAppendEncode(t, a.name, a.codec, nil, next, prev, withPrev, a.tail)
 	}
+}
+
+// sharedLogOf returns a log of n entries which is, when it has any, the
+// newest state of a block mlog allocated, as a store's head is: appends
+// to it share its memory.
+func sharedLogOf(r *rand.Rand, n int) mlog.State {
+	s := logOf(r, n)
+	if n == 0 {
+		return s
+	}
+	s, _ = mlog.Log{}.Do(mlog.Op{Kind: mlog.Append, Msg: s[0].Msg}, s[1:], s[0].T)
+	return s
 }
 
 // newest is a timestamp above every entry of s.
@@ -84,8 +120,8 @@ func newest(s mlog.State) core.Timestamp {
 }
 
 var (
-	logCase = appendCase[mlog.State]{"mlog", wire.MLog{}, logOf, func(r *rand.Rand, s mlog.State, how byte) mlog.State {
-		switch how % 6 {
+	logCase = appendCase[mlog.State]{"mlog", wire.MLog{}, sharedLogOf, func(r *rand.Rand, s mlog.State, how byte) mlog.State {
+		switch how % 7 {
 		case 0, 1:
 			next, _ := mlog.Log{}.Do(mlog.Op{Kind: mlog.Append, Msg: randString(r)}, s, newest(s)+core.Timestamp(r.Intn(3)))
 			return next
@@ -113,10 +149,13 @@ var (
 				next[i].Msg = string([]byte(next[i].Msg))
 			}
 			return next
+		case 5:
+			// An older state of s's block.
+			return s[r.Intn(len(s)+1):]
 		default:
 			return nil
 		}
-	}}
+	}, logTail}
 	setCase = appendCase[orset.SpaceState]{"or-set-space", wire.OrSetSpace{}, randSet, func(r *rand.Rand, s orset.SpaceState, how byte) orset.SpaceState {
 		switch how % 4 {
 		case 0:
@@ -133,7 +172,7 @@ var (
 		default:
 			return nil
 		}
-	}}
+	}, nil}
 	pnCase = appendCase[counter.PNState]{"pn-counter", wire.PNCounter{}, func(r *rand.Rand, n int) counter.PNState {
 		return counter.PNState{P: int64(n), N: r.Int63n(100)}
 	}, func(r *rand.Rand, s counter.PNState, how byte) counter.PNState {
@@ -143,15 +182,18 @@ var (
 		}
 		next, _ := counter.PNCounter{}.Do(counter.Op{Kind: kind, N: r.Int63n(10)}, s, 0)
 		return next
-	}}
+	}, nil}
 )
 
 // FuzzAppendEncodeMatchesEncode: for every codec with the append form,
 // AppendEncode(dst, next, prev, prevEnc) is dst followed by Encode(next),
 // for next reached from prev by operations, merges, replaced messages,
-// copied messages, or an unrelated or empty state, with prevEnc given
-// and nil, and a dst empty or holding bytes, with spare capacity holding
-// others.
+// copied messages, an older state of prev's block, or an unrelated or
+// empty state, with prevEnc given and nil, and a dst empty or holding
+// bytes, with spare capacity holding others. The log's prev is the newest
+// state of a block, so its appends share prev's memory; the run the log
+// reports copied is exactly the encoding of the entries next and prev
+// share at their ends.
 func FuzzAppendEncodeMatchesEncode(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{}, uint8(0), uint8(0))
 	f.Add(int64(2), uint8(5), []byte{0}, uint8(0), uint8(64))
@@ -204,5 +246,24 @@ func keepsNoInput[S any](t *testing.T, c appendCodec[S], s S) {
 	}
 	if err := c.Check(slices.Clone(orig)); err != nil {
 		t.Fatalf("Check of the original bytes fails after its last input was overwritten: %v", err)
+	}
+}
+
+// TestDecodedLogAppendCopies: a decoded log owns no spare slot, so the
+// first append to it copies it into a block of its own, and the appends
+// after that share; every one encodes as Encode does.
+func TestDecodedLogAppendCopies(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	s, err := wire.MLog{}.Decode(wire.MLog{}.Encode(logOf(r, 50)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range 3 {
+		next, _ := mlog.Log{}.Do(mlog.Op{Kind: mlog.Append, Msg: randString(r)}, s, newest(s))
+		if shared := unsafe.SliceData(next[1:]) == unsafe.SliceData(s); shared != (k > 0) {
+			t.Fatalf("append %d shares its parent's memory: %v, want %v", k, shared, k > 0)
+		}
+		checkAppendEncode(t, "mlog", wire.MLog{}, nil, next, s, true, logTail)
+		s = next
 	}
 }

@@ -40,18 +40,19 @@ type PNCounter struct{}
 
 // Encode serializes the PN-counter.
 func (c PNCounter) Encode(s counter.PNState) []byte {
-	return c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil)
+	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil)
+	return enc
 }
 
 func (PNCounter) encodedLen(counter.PNState) int { return 16 }
 
 // AppendEncode appends Encode(next) to dst (store.Codec's append form).
 // The state is two integers, so nothing of prev is worth copying.
-func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte) []byte {
+func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte) ([]byte, int) {
 	w := Writer{buf: grow(dst, c.encodedLen(next))}
 	w.PutInt64(next.P)
 	w.PutInt64(next.N)
-	return w.Bytes()
+	return w.Bytes(), 0
 }
 
 // Check reports whether b is a PN-counter encoding: exactly two
@@ -188,7 +189,8 @@ type MLog struct{}
 
 // Encode serializes the log.
 func (c MLog) Encode(s mlog.State) []byte {
-	return c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil)
+	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil)
+	return enc
 }
 
 func (MLog) encodedLen(s mlog.State) int {
@@ -202,12 +204,21 @@ func (MLog) encodedLen(s mlog.State) int {
 // AppendEncode appends Encode(next) to dst (store.Codec's append form).
 // When prevEnc is non-nil it is Encode(prev): the entries next shares
 // with prev at its end — after an append, all of prev — are copied from
-// prevEnc as one run, and only the entries before them are encoded. An
-// entry is shared when its timestamp and message are prev's; a message
-// both states point at is not compared byte by byte.
-func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) []byte {
+// prevEnc as one run, and only the entries before them are encoded. It
+// returns the length of that run, the encoding's last bytes.
+//
+// When next's last len(prev) entries are prev's own memory, as after
+// appends to prev (mlog's shared blocks), they are shared with no walk.
+// Otherwise an entry is shared when its timestamp and message are prev's;
+// a message both states point at is not compared byte by byte.
+func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) ([]byte, int) {
 	shared, tail := 0, 0 // entries and encoded bytes at the end of both
-	if prevEnc != nil {
+	switch {
+	case prevEnc == nil || len(prevEnc) < 4:
+	case len(prev) > 0 && len(prev) <= len(next) &&
+		unsafe.SliceData(next[len(next)-len(prev):]) == unsafe.SliceData(prev):
+		shared, tail = len(prev), len(prevEnc)-4
+	default:
 		for shared < len(next) && shared < len(prev) {
 			a, b := next[len(next)-1-shared], prev[len(prev)-1-shared]
 			if a.T != b.T || len(a.Msg) != len(b.Msg) ||
@@ -224,14 +235,20 @@ func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) []
 		}
 	}
 	head := next[:len(next)-shared]
-	w := Writer{buf: grow(dst, c.encodedLen(head)+tail)}
+	n := c.encodedLen(head) + tail
+	if n > cap(dst)-len(dst) {
+		// dst is the buffer the store recycles: one that a growing log
+		// outgrows gets room for the appends after this one too.
+		n += n / 8
+	}
+	w := Writer{buf: grow(dst, n)}
 	w.PutLen(len(next))
 	for _, e := range head {
 		w.PutTimestamp(e.T)
 		w.PutString(e.Msg)
 	}
 	w.buf = append(w.buf, prevEnc[len(prevEnc)-tail:]...)
-	return w.Bytes()
+	return w.Bytes(), tail
 }
 
 // Check reports whether b is a canonical log encoding, in one pass
@@ -339,8 +356,8 @@ func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 // AppendEncode appends Encode(next) to dst (store.Codec's append form).
 // An add inserts its pair where its element sorts, so the set appends
 // next whole rather than splice runs of prevEnc around the insertion.
-func (OrSetSpace) AppendEncode(dst []byte, next, _ orset.SpaceState, _ []byte) []byte {
-	return appendPairs(dst, next)
+func (OrSetSpace) AppendEncode(dst []byte, next, _ orset.SpaceState, _ []byte) ([]byte, int) {
+	return appendPairs(dst, next), 0
 }
 
 // Check reports whether b is a canonical space-efficient OR-set
@@ -470,7 +487,7 @@ type AlphaMap[S any] struct {
 type InnerCodec[S any] interface {
 	Codec[S]
 	encodedLen(S) int
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte) ([]byte, int)
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
@@ -487,7 +504,7 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 		w.PutString(e.K)
 		at := len(w.buf)
 		w.PutLen(0) // patched below, once the inner payload's length is known
-		w.buf = c.Inner.AppendEncode(w.buf, e.V, zero, nil)
+		w.buf, _ = c.Inner.AppendEncode(w.buf, e.V, zero, nil)
 		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()

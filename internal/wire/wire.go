@@ -12,9 +12,10 @@
 // store calls instead of a round trip: Check(b) is nil exactly when
 // Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
 // same three have the store's append form, AppendEncode(dst, next, prev,
-// prevEnc), which appends Encode(next) to a buffer the store recycles:
-// the log copies from prevEnc, prev's encoding, the entries an append
-// leaves in place, and the set and the counter encode next whole. Their
+// prevEnc), which appends Encode(next) to a buffer the store recycles and
+// reports the run at its end copied from prevEnc: the log copies from
+// prevEnc, prev's encoding, the entries an append leaves in place, and
+// the set and the counter encode next whole and report none. Their
 // Decode and Check keep no part of their input (strings are copied), the
 // condition on which the store may overwrite a buffer they have read.
 // The g-set, g-map, or-set, or-set-space and log codecs reject a state

@@ -35,7 +35,9 @@ type (
 	MLogOp = mlog.Op
 	// MLogVal is a mergeable-log operation's return value.
 	MLogVal = mlog.Val
-	// MLogState is the mergeable-log state (entries newest first).
+	// MLogState is the mergeable-log state (entries newest first). States
+	// share memory with one another: clip one (s[:len(s):len(s)]) before
+	// appending to it.
 	MLogState = mlog.State
 	// QueueOp is a functional-queue operation.
 	QueueOp = queue.Op

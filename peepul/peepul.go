@@ -58,11 +58,13 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // Check(enc []byte) error — nil exactly when Decode(enc) succeeds and
 // Encode of the result is enc — lets an import validate each incoming
 // state in place, with no decode and no second encoding. A codec that
-// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte) []byte
-// — appending exactly Encode(next) to dst, free to copy from prevEnc,
-// Encode(prev), when it is non-nil — lets each operation commit be
-// encoded from its parent's encoding into a buffer the store recycles;
-// such a codec's Decode and Check must keep no part of their input.
+// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte)
+// ([]byte, int) — appending exactly Encode(next) to dst, free to copy
+// from prevEnc, Encode(prev), when it is non-nil, and returning with it
+// how many of its last bytes it copied from prevEnc's end — lets each
+// operation commit be encoded from its parent's encoding into a buffer
+// the store recycles, and diffed against it without comparing the copied
+// run; such a codec's Decode and Check must keep no part of their input.
 type Codec[S any] = store.Codec[S]
 
 // Spec is a declarative replicated data type specification F_τ: the value
