@@ -283,33 +283,28 @@ func BenchmarkStoreApply(b *testing.B) {
 // mergeable log that already holds n entries: the per-commit cost of a
 // state that grows with history. Commits go to a branch forked from the
 // n-entry log and replaced once it has grown by a tenth, so every timed
-// commit sees about n entries. The replaced branch is deleted, except in
-// the keep-forks variant, which keeps every fork it made: a store with
-// many branches must not pay for them on each commit. The or-set variant
-// adds elements that land anywhere in the set, the edit the codec cannot
-// hand the store as a copied run.
+// commit sees about n entries. A replaced branch stays, as every branch
+// of a store does: a store with many branches must not pay for them on
+// each commit. The or-set variant adds elements that land anywhere in
+// the set, the edit the codec cannot hand the store as a copied run.
 func BenchmarkStoreApplyGrowing(b *testing.B) {
 	appendOp := func(int) mlog.Op { return mlog.Op{Kind: mlog.Append, Msg: "a message of 24 bytes ok"} }
 	addOp := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("mlog-%d", n), func(b *testing.B) {
-			applyGrowing(b, store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main"), n, appendOp, false)
+			applyGrowing(b, store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main"), n, appendOp)
 		})
 	}
-	b.Run("mlog-1000-keep-forks", func(b *testing.B) {
-		applyGrowing(b, store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main"), 1000, appendOp, true)
-	})
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("or-set-%d", n), func(b *testing.B) {
-			applyGrowing(b, store.New[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main"), n, addOp, false)
+			applyGrowing(b, store.New[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main"), n, addOp)
 		})
 	}
 }
 
 // applyGrowing fills st's main branch with n operations, then times ops
-// on forks of it, each replaced once it has grown by a tenth, and
-// deleted then unless keep.
-func applyGrowing[S, Op, Val any](b *testing.B, st *store.Store[S, Op, Val], n int, op func(int) Op, keep bool) {
+// on forks of it, each replaced once it has grown by a tenth.
+func applyGrowing[S, Op, Val any](b *testing.B, st *store.Store[S, Op, Val], n int, op func(int) Op) {
 	for i := 0; i < n; i++ {
 		if _, err := st.Apply("main", op(i)); err != nil {
 			b.Fatal(err)
@@ -319,11 +314,6 @@ func applyGrowing[S, Op, Val any](b *testing.B, st *store.Store[S, Op, Val], n i
 	branch := ""
 	for i := 0; b.Loop(); i++ {
 		if i%(n/10) == 0 {
-			if branch != "" && !keep {
-				if err := st.DeleteBranch(branch); err != nil {
-					b.Fatal(err)
-				}
-			}
 			branch = fmt.Sprintf("b%d", i)
 			if err := st.Fork("main", branch); err != nil {
 				b.Fatal(err)

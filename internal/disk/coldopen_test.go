@@ -170,9 +170,9 @@ func logFDs(t *testing.T, dir string) (open, deleted int) {
 // TestLazyLoadDescriptors: lazy loads read through one shared descriptor
 // per segment, and the log gives every one of them back. Fifty cycles of
 // a cold open, a first read down a 31-patch chain and Close leave the
-// process's descriptor count where it started; a GC compaction on an open
-// log with lazy objects drops the descriptors of the segments it deletes,
-// and reads after it still succeed; a lazy load after Close fails with
+// process's descriptor count where it started; a compaction leaves no
+// descriptor on a segment it deletes, and a store over the compacted log
+// reads the fold and appends; a lazy load after Close fails with
 // ErrClosed and opens nothing. Concurrent loads share the descriptor,
 // and loads racing Close either succeed or fail with ErrClosed.
 func TestLazyLoadDescriptors(t *testing.T) {
@@ -253,23 +253,15 @@ func TestLazyLoadDescriptors(t *testing.T) {
 	})
 
 	t.Run("compaction", func(t *testing.T) {
-		s, l, _ := coldOpen(t, dir)
+		l, rec := compactLog(t, dir)
 		defer l.Close()
-		if err := s.Fork("main", "side"); err != nil {
-			t.Fatal(err)
-		}
-		appendMsg(t, s, "side", "dead after the delete")
-		if err := s.DeleteBranch("side"); err != nil {
-			t.Fatal(err)
-		}
-		if s.GC() != 1 {
-			t.Fatal("GC collected nothing")
-		}
-		if err := s.FlushStorage(); err != nil {
-			t.Fatal(err)
-		}
 		if open, deleted := logFDs(t, dir); deleted != 0 || open != 1 {
 			t.Fatalf("after compaction %d descriptors on the log, %d of them on deleted segments; want the active segment's alone", open, deleted)
+		}
+		s, err := store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](
+			mlog.Log{}, wire.MLog{}, "main", 0, &rec.State, store.WithPersister(l))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := s.VerifyPack(); err != nil {
 			t.Fatal(err)

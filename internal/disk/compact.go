@@ -1,20 +1,24 @@
 package disk
 
-// Compaction: rewriting the log to exactly the store's live state. The
-// store's GC already computed the survivors (and re-snapshotted any
-// delta chain whose base died), so the log's job is purely mechanical —
+// Compaction: rewriting a log to exactly the state a full replay of it
+// recovers, so superseded branch records and checkpoints stop costing
+// disk. Nothing in a node calls it, as the store deletes nothing; it
+// stays because the benchmark's traced persister refers to it, and this
+// package's tests compact with it. The caller hands it a quiescent log's
+// full-replay state: a store's lazily loaded objects read (segment,
+// offset) positions that compaction deletes. The rewrite is mechanical
 // but crash-safe and prefix-consistent:
 //
 //  1. Seal the active segment.
-//  2. Write every live record into seg-<next>.log.tmp in an order read
-//     off the store's invariants, with no graph search: meta by key, the
-//     allocator floor, pack objects by (depth, hash) — GC leaves every
-//     live depth exact, so each chain base precedes its dependents —
+//  2. Write every record into seg-<next>.log.tmp in an order read off
+//     the store's invariants, with no graph search: meta by key, the
+//     allocator floor, pack objects by (depth, hash) — every recorded
+//     depth is exact, so each chain base precedes its dependents —
 //     commits by (generation, hash), so parents precede children, and
 //     branch heads last. A torn tail inside a compacted segment then
 //     still replays to a self-consistent prefix (worst case: no branch
 //     records survive and the store reopens fresh), and two compactions
-//     of one live set write the same bytes.
+//     of one state write the same bytes.
 //  3. Fsync the temp file, rename it into place, fsync the directory —
 //     the atomic switch.
 //  4. Delete the old segments and fsync the directory again.
@@ -23,8 +27,7 @@ package disk
 // the next open). A crash between 3 and 4 leaves old and new segments
 // side by side; replay visits them oldest-first and every record is an
 // idempotent upsert, so the compacted segment simply re-states what the
-// old ones already said about live history, and dead records resurrect
-// only until the next GC.
+// old ones already said.
 
 import (
 	"bytes"
@@ -38,7 +41,8 @@ import (
 	"repro/internal/store"
 )
 
-// Compact implements store.Persister.
+// Compact replaces the log's contents with exactly rs, which must be the
+// state a full replay of this log recovered, with no frozen index.
 func (l *Log) Compact(rs *store.RecoveredState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -106,8 +110,8 @@ func (l *Log) Compact(rs *store.RecoveredState) error {
 	l.stats.Compactions++
 	l.metrics.compactions.Inc()
 
-	// The shadow index is rebuilt from the live set. rs aliases the
-	// store's own maps on this path, so every map is copied, never kept.
+	// The shadow index is rebuilt from rs, whose maps stay the caller's:
+	// every map is copied, never kept.
 	sh := newShadow()
 	for h, c := range rs.Commits {
 		sh.commits[h] = c
@@ -126,10 +130,10 @@ func (l *Log) Compact(rs *store.RecoveredState) error {
 	return l.checkpointLocked()
 }
 
-// writeCompacted streams the live state as framed records. It returns
-// the bytes written (header included), the record count, and each pack
-// object's location within the new segment — the entries the rebuilt
-// shadow index (and the post-compaction checkpoint) carries.
+// writeCompacted streams rs as framed records. It returns the bytes
+// written (header included), the record count, and each pack object's
+// location within the new segment — the entries the rebuilt shadow index
+// (and the post-compaction checkpoint) carries.
 func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState, seq int) (int64, int64, map[store.Hash]objLoc, error) {
 	w := newSegWriter(f)
 	written := int64(0)
@@ -163,7 +167,7 @@ func writeCompacted(f *os.File, meta map[string]string, rs *store.RecoveredState
 	if err := emit(encodeNextID(rs.NextID)); err != nil {
 		return fail(err)
 	}
-	// Objects by (depth, hash): GC leaves every live depth exact, so each
+	// Objects by (depth, hash): every recorded depth is exact, so each
 	// chain base precedes the patches on it.
 	objects := slices.SortedFunc(maps.Keys(rs.Objects), func(a, b store.Hash) int {
 		return cmp.Or(cmp.Compare(rs.Objects[a].Depth, rs.Objects[b].Depth), bytes.Compare(a[:], b[:]))

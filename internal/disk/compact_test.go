@@ -16,8 +16,9 @@ import (
 // TestCompactionWritesInvariantOrder: a compacted segment holds meta by
 // key, the allocator floor, pack objects by (depth, hash), commits by
 // (generation, hash) and branch heads last — an order read off the
-// store's invariants, with no graph search — so a second compaction of
-// the same live set writes the same bytes.
+// store's invariants, with no graph search — so a second compaction,
+// of what a full replay of the first one recovers, writes the same
+// bytes.
 func TestCompactionWritesInvariantOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, rec, err := Open(dir)
@@ -52,12 +53,22 @@ func TestCompactionWritesInvariantOrder(t *testing.T) {
 		}
 	}
 
-	// compacted runs a GC and returns the bytes of the segment it wrote:
-	// the oldest one left, which the post-compaction checkpoint follows.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// compacted compacts the closed log to what a full replay of it
+	// recovers and returns the bytes of the segment it wrote: the oldest
+	// one left, which the post-compaction checkpoint follows.
 	compacted := func() (string, []byte) {
 		t.Helper()
-		s.GC()
-		if err := s.FlushStorage(); err != nil {
+		l, rec, err := Open(dir, WithFullReplay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(&rec.State); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 		seqs, err := listSegments(dir)

@@ -7,8 +7,8 @@ package disk_test
 // undamaged peer through the ordinary delta-sync path.
 //
 // Each seed builds a random history over several sessions (operations on
-// two branches, syncs, occasional GC so compaction runs too; every
-// session closes the log, leaving a full or delta checkpoint), then
+// two branches and syncs; every session closes the log, leaving a full or
+// delta checkpoint, and some are followed by a compaction), then
 // injures the segment files one of three ways: truncating the byte
 // stream at a random point, appending garbage, or flipping a random bit
 // inside the tail region. Recovery must then (1) succeed, (2) recover
@@ -35,7 +35,8 @@ import (
 
 // buildRandomHistory drives a persistent store in dir through a random
 // but Ψ_lca-sound workload over 2–4 sessions — each opens the log, runs
-// some operations and closes it — so the log holds several sessions'
+// some operations and closes it, and about half are followed by a
+// compaction of the closed log — so the log holds several sessions'
 // close checkpoints: deltas against a full base, or full ones after a
 // compaction. It returns the final history as an undamaged replica: a
 // store over a pristine copy of the log, so damage to dir never reaches
@@ -63,11 +64,6 @@ func buildRandomHistory(t *testing.T, dir string, rng *rand.Rand, opts ...disk.O
 				if err := s.Sync("main", "dev"); err != nil {
 					t.Fatal(err)
 				}
-			case 3:
-				s.GC() // exercises compaction mid-history
-				if err := s.FlushStorage(); err != nil {
-					t.Fatal(err)
-				}
 			default:
 				appendMsg(t, s, "main", fmt.Sprintf("main %d.%d", sess, i))
 			}
@@ -80,6 +76,12 @@ func buildRandomHistory(t *testing.T, dir string, rng *rand.Rand, opts ...disk.O
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			cl, _ := compactLog(t, dir, opts...)
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	pristine := dir + ".orig"
@@ -568,20 +570,18 @@ func TestCrashPointSweep(t *testing.T) {
 			sync(s)
 		}
 	}
-	if err := s.DeleteBranch("scratch"); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.GC()
-	if err := s.FlushStorage(); err != nil {
-		t.Fatal(err)
-	}
+	l, _ = compactLog(t, dir, opts...)
 	if n := l.Stats().Compactions; n != 1 {
 		t.Fatalf("%d compactions, want 1", n)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for sess := 0; sess < 3; sess++ {
-		if sess > 0 {
-			s, l, _ = openLogStore(t, dir, opts...)
-		}
+		s, l, _ = openLogStore(t, dir, opts...)
 		appendMsg(t, s, "main", fmt.Sprintf("session %d", sess))
 		appendMsg(t, s, "dev", fmt.Sprintf("session %d", sess))
 		sync(s)

@@ -19,15 +19,10 @@
 // (objects before the commits that pin them, commits before the branch
 // heads that reach them).
 //
-// Compaction. The store's GC hands the log its complete live state; the
-// log writes it into a fresh segment (objects by chain depth, commits by
-// generation, branch records last — the same prefix-consistency
-// discipline, read off invariants the store already holds, so two
-// compactions of one live set write the same bytes), atomically renames
-// it into place, and deletes the old segments. A crash anywhere in that
-// sequence leaves either the old segments, or both old and new (replay
-// order makes that benign: records are idempotent upserts), never a
-// half-visible state.
+// Compaction (compact.go) is a log operation that nothing in a node
+// calls: the store deletes nothing, so its log only grows. Given a
+// quiescent log's full replay, Log.Compact rewrites it into one fresh
+// segment, atomically renames it into place and deletes the old ones.
 package disk
 
 import (
@@ -464,7 +459,7 @@ func (l *Log) applyOp(rec *Recovered, seq int, op *scanOp) {
 			base: op.object.Base, delta: op.object.Delta, size: op.object.Size,
 			depth: op.object.Depth, stored: len(op.object.Data), seg: seq, off: op.off,
 		}
-	case recBranch, recBranchSet:
+	case recBranchSet:
 		rec.State.Branches[op.name] = op.branch
 		l.shadow.branches[op.name] = op.branch
 	case recBranchDel:
@@ -601,7 +596,8 @@ func (l *Log) AppendBranch(name string, b store.BranchRecord) error {
 	return nil
 }
 
-// AppendBranchDelete implements store.Persister.
+// AppendBranchDelete appends a record that deletes branch name. The
+// store deletes no branch; the benchmark's traced persister refers to it.
 func (l *Log) AppendBranchDelete(name string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

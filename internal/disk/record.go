@@ -28,11 +28,12 @@ const (
 	// recObject is one pack object in its stored form: snapshot bytes or
 	// a patch plus its chain base, with the recorded full size and depth.
 	recObject byte = 3
-	// recBranch is a branch-head move of the single-head format: name,
-	// head hash, and the branch clock's replica id and counter. Replay
-	// still reads it, as a one-member head set; nothing writes it.
-	recBranch byte = 4
-	// recBranchDel removes a branch.
+	// Kind 4 was the single-head branch record. Only logs older than the
+	// head-set format hold one, and no such log carries the chunk-tree
+	// datatype guard a node opens with, so Open refuses it as unknown.
+	//
+	// recBranchDel removes a branch. Only Log.AppendBranchDelete writes
+	// it; the store deletes no branch.
 	recBranchDel byte = 5
 	// recNextID advances the replica-id allocator floor.
 	recNextID byte = 6
@@ -188,11 +189,6 @@ func decodeRecord(payload []byte, off int64) (scanOp, error) {
 		op.object.Size = int(r.Int64())
 		op.object.Depth = int(r.Int64())
 		op.object.Data = r.Bytes()
-	case recBranch:
-		op.name = r.String()
-		op.branch.Heads = []store.Hash{r.Hash()}
-		op.branch.Replica = int(r.Int64())
-		op.branch.Clock = r.Int64()
 	case recBranchSet:
 		op.name, op.branch = readBranch(r)
 	case recBranchDel:

@@ -17,24 +17,24 @@
 // touch.
 //
 // The fingerprint of a set is the XOR of the items' content addresses —
-// an order-independent commutative monoid with inverse: adding and
-// removing an item are the same XOR, which is what makes the aggregate
-// cheap to maintain incrementally. Two equal sets always fingerprint
-// equal; two different sets collide only if their symmetric difference
-// XORs to zero, which for content addresses an honest peer computed is
-// a 2^-256 event (fingerprints are compared together with exact counts,
-// so the trivial "empty difference" is never mistaken). A peer grinding
-// commit contents to force collisions would need a preimage-style
-// attack on SHA-256 XOR sums; the sync layer treats fingerprints as an
-// optimization and re-verifies every shipped commit by content address,
-// so a forged match can suppress a transfer but never corrupt a store.
+// an order-independent commutative monoid, which is what makes the
+// aggregate cheap to maintain incrementally. Two equal sets always
+// fingerprint equal; two different sets collide only if their symmetric
+// difference XORs to zero, which for content addresses an honest peer
+// computed is a 2^-256 event (fingerprints are compared together with
+// exact counts, so the trivial "empty difference" is never mistaken). A
+// peer grinding commit contents to force collisions would need a
+// preimage-style attack on SHA-256 XOR sums; the sync layer treats
+// fingerprints as an optimization and re-verifies every shipped commit
+// by content address, so a forged match can suppress a transfer but
+// never corrupt a store.
 //
 // The Tree is a deterministic treap ordered by item bytes: priorities
 // are a fixed mix of the item's own bytes, so equal sets build equal
 // shapes, and because items carry cryptographic hashes the priorities
 // are uniform and the expected depth is O(log n). Every node carries
 // the XOR fingerprint and count of its subtree, giving O(log n)
-// incremental Add/Remove and — crucially — read-only range queries:
+// incremental Add and — crucially — read-only range queries:
 // Range, Items and Select walk the tree without rebalancing, so a store
 // can answer fingerprint probes under its shared read lock while
 // writers hold the exclusive one.
@@ -87,9 +87,9 @@ func (f *Fingerprint) Xor(other Fingerprint) {
 	}
 }
 
-// XorItem folds one item's content address into f (its own inverse:
-// add == remove). The prefix is deterministic from the address's
-// preimage, so it adds nothing to the digest.
+// XorItem folds one item's content address into f (its own inverse).
+// The prefix is deterministic from the address's preimage, so it adds
+// nothing to the digest.
 func (f *Fingerprint) XorItem(it Item) {
 	for i := range f {
 		f[i] ^= it[PrefixSize+i]
@@ -200,44 +200,6 @@ func add(n *node, it Item, p uint64) (*node, bool) {
 	}
 	n.pull()
 	return n, added
-}
-
-// Remove deletes it, reporting whether the set changed (false: was not
-// present).
-func (t *Tree) Remove(it Item) bool {
-	root, removed := remove(t.root, it)
-	t.root = root
-	return removed
-}
-
-func remove(n *node, it Item) (*node, bool) {
-	if n == nil {
-		return nil, false
-	}
-	c := bytes.Compare(it[:], n.item[:])
-	var removed bool
-	switch {
-	case c < 0:
-		n.left, removed = remove(n.left, it)
-	case c > 0:
-		n.right, removed = remove(n.right, it)
-	default:
-		// Rotate the node down until it is a leaf, then drop it.
-		switch {
-		case n.left == nil:
-			return n.right, true
-		case n.right == nil:
-			return n.left, true
-		case n.left.prio > n.right.prio:
-			n = rotateRight(n)
-			n.right, removed = remove(n.right, it)
-		default:
-			n = rotateLeft(n)
-			n.left, removed = remove(n.left, it)
-		}
-	}
-	n.pull()
-	return n, removed
 }
 
 func rotateRight(n *node) *node {

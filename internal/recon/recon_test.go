@@ -29,7 +29,7 @@ func refFingerprint(items []Item, x, y Item) (Fingerprint, int) {
 	return fp, count
 }
 
-func TestAddRemoveLen(t *testing.T) {
+func TestAddLen(t *testing.T) {
 	var tr Tree
 	for i := 0; i < 100; i++ {
 		if !tr.Add(item(i)) {
@@ -41,15 +41,6 @@ func TestAddRemoveLen(t *testing.T) {
 	}
 	if tr.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", tr.Len())
-	}
-	if !tr.Remove(item(7)) {
-		t.Fatal("Remove of a present item reported no change")
-	}
-	if tr.Remove(item(7)) {
-		t.Fatal("Remove of an absent item reported a change")
-	}
-	if tr.Len() != 99 {
-		t.Fatalf("Len = %d, want 99", tr.Len())
 	}
 }
 
@@ -71,11 +62,10 @@ func TestFingerprintIsOrderIndependent(t *testing.T) {
 	if fa != fb || ca != cb {
 		t.Fatalf("insertion order changed the root: %x/%d vs %x/%d", fa[:6], ca, fb[:6], cb)
 	}
-	// Removing and re-adding is the identity.
-	b.Remove(items[13])
+	// Adding a present item is the identity.
 	b.Add(items[13])
 	if fb2, _ := b.Root(); fb2 != fb {
-		t.Fatal("remove+add changed the fingerprint")
+		t.Fatal("a duplicate Add changed the fingerprint")
 	}
 }
 
@@ -164,17 +154,10 @@ func TestRandomizedChurnAgainstOracle(t *testing.T) {
 	}
 	for step := 0; step < 5000; step++ {
 		it := universe[rnd.Intn(len(universe))]
-		if rnd.Intn(2) == 0 {
-			if tr.Add(it) == ref[it] {
-				t.Fatalf("step %d: Add change-report disagrees with oracle", step)
-			}
-			ref[it] = true
-		} else {
-			if tr.Remove(it) != ref[it] {
-				t.Fatalf("step %d: Remove change-report disagrees with oracle", step)
-			}
-			delete(ref, it)
+		if tr.Add(it) == ref[it] {
+			t.Fatalf("step %d: Add change-report disagrees with oracle", step)
 		}
+		ref[it] = true
 	}
 	var want Fingerprint
 	for it := range ref {
@@ -188,7 +171,7 @@ func TestRandomizedChurnAgainstOracle(t *testing.T) {
 
 func TestDeterministicShape(t *testing.T) {
 	// Equal sets must fingerprint equal regardless of construction
-	// history, including sets that passed through deletions.
+	// history, including sets built with duplicate adds.
 	var a, b Tree
 	for i := 0; i < 100; i++ {
 		a.Add(item(i))
@@ -196,11 +179,8 @@ func TestDeterministicShape(t *testing.T) {
 	for i := 99; i >= 0; i-- {
 		b.Add(item(i))
 	}
-	for i := 200; i < 260; i++ {
+	for i := 0; i < 100; i += 3 {
 		b.Add(item(i))
-	}
-	for i := 200; i < 260; i++ {
-		b.Remove(item(i))
 	}
 	fa, _ := a.Root()
 	fb, _ := b.Root()

@@ -88,11 +88,11 @@ func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]Exported
 //
 // Enumerating the set directly — rather than walking down from the
 // branch heads — matters for completeness: a reconciliation can
-// legitimately resolve a commit that no branch head reaches any more (an
-// import that failed part way installed it, or a deleted branch held it,
-// and GC has not run), and a reachability walk would silently drop it,
-// leaving the two fingerprint trees permanently different and the pair
-// re-probing the same dead diff every round.
+// legitimately resolve a commit that no branch head reaches (an import
+// that failed part way installed it), and a reachability walk would
+// silently drop it, leaving the two fingerprint trees permanently
+// different and the pair re-probing the same unreachable diff every
+// round.
 //
 // The receiver can graft the batch because its holdings are closed
 // under ancestry and the caller builds ship as "commits the receiver
@@ -364,11 +364,17 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	// generation is verified, never trusted: a peer shipping a bogus
 	// one gets a rejected import instead of silently wrong merges. Nor
 	// does a commit no store mints pass: over two parents (the frozen
-	// index keeps two), or a single parent whose Time is not below its own.
+	// index keeps two), a single parent whose Time is not below its own,
+	// or a merge unlike mergeHeadsLocked's, whose parents are strictly
+	// ascending and whose Time is the later parent's.
 	if len(ec.Parents) > 2 {
 		return nil, fmt.Errorf("%w: commit %d has %d parents, at most 2", ErrBadImport, i, len(ec.Parents))
 	}
+	if len(ec.Parents) == 2 && bytes.Compare(ec.Parents[0][:], ec.Parents[1][:]) >= 0 {
+		return nil, fmt.Errorf("%w: commit %d parents are not strictly ascending", ErrBadImport, i)
+	}
 	wantGen := 1
+	var latest core.Timestamp
 	for j, p := range ec.Parents {
 		pc, known := pending[p]
 		if !known {
@@ -386,6 +392,10 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		if len(ec.Parents) == 1 && ec.Time <= pc.Time {
 			return nil, fmt.Errorf("%w: commit %d time %d does not exceed its parent's %d", ErrBadImport, i, ec.Time, pc.Time)
 		}
+		latest = max(latest, pc.Time)
+	}
+	if len(ec.Parents) == 2 && ec.Time != latest {
+		return nil, fmt.Errorf("%w: merge commit %d time %d is not its later parent's %d", ErrBadImport, i, ec.Time, latest)
 	}
 	if ec.Gen != wantGen {
 		return nil, fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)

@@ -10,9 +10,9 @@ package store
 // raw fixed-width entry arrays instead, both sorted ascending by hash:
 // commits and pack objects alike are looked up by binary search over the
 // raw bytes and materialized only when a walk actually touches them. The
-// store's maps overlay the index — post-recovery writes and thawed
-// entries shadow it — so opening a store over a frozen index costs O(1)
-// in history, the same shape Git gets from commit-graph and midx sidecars
+// store's maps overlay the index — the replayed suffix and post-recovery
+// writes shadow it — so opening a store over a frozen index costs O(1) in
+// history, the same shape Git gets from commit-graph and midx sidecars
 // over its packs. The DAG walks are O(divergence), so the per-lookup
 // binary search (a dozen hash compares) never multiplies against history
 // depth.
@@ -244,8 +244,8 @@ func frozenPackObject(h Hash, fo FrozenObject, loader FrozenLoader) *packObject 
 }
 
 // objLocked resolves the pack object addressed by h: the mutable map
-// first (post-recovery writes and thawed entries shadow the index), then
-// the frozen index. Frozen hits construct a fresh lazy packObject per
+// first (the replayed suffix and post-recovery writes shadow the index),
+// then the frozen index. Frozen hits construct a fresh lazy packObject per
 // call rather than caching it in the map — readers hold only the shared
 // read lock; the state LRU and the reassembly slot keep repeated reads
 // cheap regardless. Callers must hold s.mu (read or write).
@@ -296,8 +296,8 @@ func (s *Store[S, Op, Val]) allObjectsLocked() map[Hash]*packObject {
 }
 
 // commitLocked resolves the commit addressed by h: the mutable map first
-// (post-recovery commits and thawed entries shadow the index), then the
-// frozen index by binary search. Callers must hold s.mu (read or write).
+// (the replayed suffix and post-recovery commits shadow the index), then
+// the frozen index by binary search. Callers must hold s.mu (read or write).
 func (s *Store[S, Op, Val]) commitLocked(h Hash) (Commit, bool) {
 	if c, ok := s.commits[h]; ok {
 		return c, true
@@ -335,29 +335,4 @@ func (s *Store[S, Op, Val]) numCommitsLocked() int {
 		n += s.frozen.NumCommits()
 	}
 	return n
-}
-
-// thawLocked dissolves the frozen index into the mutable maps. GC calls
-// it first thing: the mark phase iterates the full commit map, the sweep
-// mutates object depths in place, deletes entries, and compacts the log —
-// after which frozen (segment, offset) positions would dangle. Requires
-// the write lock.
-func (s *Store[S, Op, Val]) thawLocked() {
-	fz := s.frozen
-	if fz == nil {
-		return
-	}
-	for i, n := 0, fz.NumCommits(); i < n; i++ {
-		h, c := fz.CommitAt(i)
-		if _, ok := s.commits[h]; !ok {
-			s.commits[h] = c
-		}
-	}
-	for i, n := 0, fz.NumObjects(); i < n; i++ {
-		h, fo := fz.ObjectAt(i)
-		if _, ok := s.objects[h]; !ok {
-			s.objects[h] = frozenPackObject(h, fo, fz.Loader)
-		}
-	}
-	s.frozen = nil
 }

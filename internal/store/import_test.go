@@ -293,10 +293,58 @@ func TestImportRefusesCommitsNoStoreMints(t *testing.T) {
 	})
 }
 
+// TestImportRefusesForgedMerge: a merge commit is what mergeHeadsLocked
+// mints — two parents in strictly ascending order, and the Time of the
+// later one — or the import fails at it, with the commits before it
+// installed. Parents out of order or repeated, and a Time that is not
+// the later parent's, are each refused; the genuine merge lands.
+func TestImportRefusesForgedMerge(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(a, c Hash) ([]Hash, core.Timestamp)
+		want  string
+	}{
+		{"genuine", func(a, c Hash) ([]Hash, core.Timestamp) { return []Hash{a, c}, 2 }, ""},
+		{"unsorted parents", func(a, c Hash) ([]Hash, core.Timestamp) { return []Hash{c, a}, 2 }, "commit 2 parents are not strictly ascending"},
+		{"duplicate parents", func(a, _ Hash) ([]Hash, core.Timestamp) { return []Hash{a, a}, 1 }, "commit 2 parents are not strictly ascending"},
+		{"time of the earlier parent", func(a, c Hash) ([]Hash, core.Timestamp) { return []Hash{a, c}, 1 }, "merge commit 2 time 1 is not its later parent's 2"},
+		{"ticked time", func(a, c Hash) ([]Hash, core.Timestamp) { return []Hash{a, c}, 3 }, "merge commit 2 time 3 is not its later parent's 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New[int64, counter.Op, counter.Val](counter.IncCounter{}, int64Codec{}, "main")
+			b, root := newBatchBuilder(t, s)
+			// Two operation commits on the root, at times 1 and 2, then
+			// their merge.
+			ops := []Hash{b.add(root, int64Codec{}.Encode(1), false), b.add(root, int64Codec{}.Encode(2), false)}
+			a, c := ops[0], ops[1]
+			if bytes.Compare(a[:], c[:]) > 0 {
+				a, c = c, a
+			}
+			parents, at := tc.forge(a, c)
+			enc := int64Codec{}.Encode(3)
+			m := Commit{Parents: parents, State: StateAddr(enc), Gen: b.gen[root] + 2, Time: at}
+			b.batch = append(b.batch, ExportedCommit{Parents: m.Parents, State: enc, Gen: m.Gen, Time: m.Time})
+			err := s.Import("remote/peer", b.batch, []Hash{commitHash(m)})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Import of the genuine merge = %v", err)
+				}
+			} else if !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Import = %v, want ErrBadImport: %s", err, tc.want)
+			}
+			for i, h := range append(ops, commitHash(m)) {
+				if got, want := s.HasCommit(h), i < 2 || tc.want == ""; got != want {
+					t.Errorf("commit %d installed = %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestImportRefusesAWritableBranch: Import points a branch at the heads
 // it was given, so into a branch that takes operations it would drop the
 // branch's own commits. It refuses such a branch, installs nothing, and
-// the branch keeps its head and, through a GC, its commits.
+// the branch keeps its head and its commits.
 func TestImportRefusesAWritableBranch(t *testing.T) {
 	peer := New[int64, counter.Op, counter.Val](counter.IncCounter{}, int64Codec{}, "main")
 	if _, err := peer.Apply("main", counter.Op{Kind: counter.Inc, N: 5}); err != nil {
@@ -317,7 +365,6 @@ func TestImportRefusesAWritableBranch(t *testing.T) {
 	if err := s.Import("main", history, heads); !errors.Is(err, ErrBadImport) || !strings.Contains(err.Error(), "takes operations") {
 		t.Fatalf("Import into main = %v, want ErrBadImport: main takes operations", err)
 	}
-	s.GC()
 	if v, err := s.Head("main"); err != nil || v != 2 || !slices.Equal(s.Heads("main"), before) || s.NumCommits() != commits {
 		t.Fatalf("after the refused import: head %d (%v), heads %v (want %v), %d commits (want %d)",
 			v, err, s.Heads("main"), before, s.NumCommits(), commits)

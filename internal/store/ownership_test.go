@@ -16,8 +16,8 @@ import (
 // TestRecycledBuffersStayPrivate: a store whose codec has the append form
 // encodes each commit into a buffer it recycled from the reassembly slot
 // (putState, packLocked). Readers — Head, Size, EncodedState, a full
-// export and a capture's ExportSet — run alongside Apply, Integrate and
-// GC, under a chain bound of 4, so that states are stored whole, as
+// export and a capture's ExportSet — run alongside Apply and Integrate,
+// under a chain bound of 4, so that states are stored whole, as
 // patches and as compositions, and of 1, so that every state is stored
 // whole: on a log, whose states only grow, and on an or-set, whose
 // removes shrink them so that a recycled buffer fits the next state.
@@ -68,9 +68,6 @@ func checkBuffersPrivate[S, Op, Val any](t *testing.T, every int, impl core.MRDT
 			if _, err := s.Apply("main", op(0, i)); err != nil {
 				report(err)
 				return
-			}
-			if i%50 == 49 {
-				s.GC()
 			}
 		}
 	}()

@@ -430,10 +430,10 @@ func (s *Store[S, Op, Val]) composeLocked(bo *packObject, top []byte) (root Hash
 
 // VerifyPack materializes every retained state object, checking that each
 // chain reassembles to its content address and to a canonical encoding
-// (checkEncoding, the test Import applies). It is the
-// pack layer's integrity check, used by tests (notably the GC-over-chains
-// property test), by recovery-on-open (OpenRecovered runs it before a
-// recovered store is handed out), and available to tools.
+// (checkEncoding, the test Import applies). It is the pack layer's
+// integrity check, used by tests, by recovery-on-open (OpenRecovered
+// runs it before a recovered store is handed out), and available to
+// tools.
 //
 // Objects are visited chain-forest order — each snapshot's dependent
 // patches depth-first, every encoding built with exactly one patch

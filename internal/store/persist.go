@@ -2,12 +2,11 @@ package store
 
 // Persistence: the store's durability seam. A store constructed with
 // WithPersister reports every durable mutation — new commits, new pack
-// objects, branch-head moves, branch deletions, replica-id allocation —
-// to a Persister as it happens, in an order that keeps any prefix of the
-// record stream self-consistent (an object precedes the commit that pins
-// it, a commit precedes the branch record that points at it). GC hands
-// the persister the complete live state instead, so the persister can
-// rewrite its log to exactly the survivors (compaction).
+// objects, branch-head moves, replica-id allocation — to a Persister as
+// it happens, in an order that keeps any prefix of the record stream
+// self-consistent (an object precedes the commit that pins it, a commit
+// precedes the branch record that points at it). The store deletes
+// nothing, so the stream only ever adds.
 //
 // The concrete persister is internal/disk's segmented pack log; the
 // interface lives here so the store stays free of file-format concerns
@@ -39,8 +38,7 @@ type ObjectRecord struct {
 // by hash, and the state of its Lamport clock (replica id plus counter),
 // enough to resume issuing unique, monotonic timestamps after a restart.
 // A branch Import created has no clock: Replica is NoClock and Clock
-// zero. A log may also hold clockless remote/* branches an older build's
-// Integrate wrote; nothing reads them.
+// zero.
 type BranchRecord struct {
 	Heads   []Hash
 	Replica int
@@ -51,9 +49,7 @@ type BranchRecord struct {
 const NoClock = -1
 
 // RecoveredState is a store's durable contents in persister-neutral
-// form: what a Persister replays from its log on open, and what GC hands
-// to Compact. Maps may be shared with the store on the Compact path;
-// persisters must not mutate them.
+// form: what a Persister replays from its log on open.
 type RecoveredState struct {
 	Commits  map[Hash]Commit
 	Objects  map[Hash]ObjectRecord
@@ -62,8 +58,7 @@ type RecoveredState struct {
 	// Frozen, when non-nil, is the checkpoint's index in serialized form
 	// (frozen.go): Commits and Objects then hold only the replayed suffix
 	// — records appended after the checkpoint, which shadow the frozen
-	// sections. Compact never receives a frozen index; the store
-	// dissolves it before compacting.
+	// sections.
 	Frozen *FrozenIndex
 }
 
@@ -78,12 +73,7 @@ type Persister interface {
 	AppendCommit(h Hash, c Commit) error
 	AppendObject(h Hash, o ObjectRecord) error
 	AppendBranch(name string, b BranchRecord) error
-	AppendBranchDelete(name string) error
 	AppendNextID(id int) error
-	// Compact replaces the persisted contents with exactly rs — the
-	// store's live state after a GC sweep, in which every Depth is exact
-	// (fixDepth) and every Gen is 1 + its parents' greatest.
-	Compact(rs *RecoveredState) error
 	Flush() error
 }
 
@@ -357,30 +347,4 @@ func (s *Store[S, Op, Val]) validateHeads() error {
 		}
 	}
 	return nil
-}
-
-// liveStateLocked assembles the store's current durable contents for a
-// persister's Compact. The maps are shared with the store; the persister
-// reads them synchronously under the store's write lock. Lazily
-// recovered objects are forced resident here — compaction rewrites (and
-// then deletes) the segments their bytes live in, so every live object
-// must be in memory before the persister starts.
-func (s *Store[S, Op, Val]) liveStateLocked() (*RecoveredState, error) {
-	rs := &RecoveredState{
-		Commits:  s.commits,
-		Objects:  make(map[Hash]ObjectRecord, len(s.objects)),
-		Branches: make(map[string]BranchRecord, len(s.heads)),
-		NextID:   s.nextID,
-	}
-	for h, o := range s.objects {
-		data, err := o.bytes()
-		if err != nil {
-			return nil, err
-		}
-		rs.Objects[h] = ObjectRecord{Data: data, Base: o.base, Delta: o.delta, Size: o.size, Depth: o.depth}
-	}
-	for b := range s.heads {
-		rs.Branches[b] = s.branchRecordLocked(b)
-	}
-	return rs, nil
 }

@@ -25,9 +25,9 @@ import (
 // seeding over the commit map plus any frozen checkpoint index — so a
 // node that never syncs (or syncs only with pre-recon peers) pays
 // nothing, and checkpointed recovery stays flat in history. Once built,
-// addCommitLocked and GC keep it exact: every commit installation
-// funnels through addCommitLocked (Apply and its merges, Import), and GC's
-// sweep removes the collected hashes.
+// addCommitLocked keeps it exact: every commit installation funnels
+// through it (Apply and its merges, Import, Integrate), and no commit is
+// ever removed, so the tree only grows.
 
 // ensureRecon builds the recon tree if it does not exist yet. It takes
 // the write lock only on the build path; steady-state callers get a

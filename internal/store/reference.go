@@ -7,8 +7,7 @@ import "maps"
 // ancestor sets — O(history) per query — and serves as the executable
 // specification: the randomized-DAG property tests
 // (lca_property_test.go) require the fast walk to agree with it on every
-// seed. GC keeps using ancestors() directly, where the full
-// reachability set is the point of the computation.
+// seed.
 
 // ancestors returns the set of commits reachable from h, including h.
 func (s *Store[S, Op, Val]) ancestors(h Hash) map[Hash]bool {

@@ -18,6 +18,10 @@
 // unique, happens-before-respecting timestamps (Ψ_ts, from internal/clock)
 // and, for every merge, a base carrying exactly the operations common to
 // both sides (Ψ_lca).
+//
+// A store never forgets. No branch is deleted and a head set only grows
+// by union, so every commit stays reachable: commits, pack objects and
+// the recon tree only ever grow, and there is nothing to collect.
 package store
 
 import (
@@ -145,8 +149,8 @@ func WithVerifyOnOpen(v bool) Option {
 
 // WithPersister attaches a durable log (e.g. internal/disk's segmented
 // pack log) to the store: every commit, pack object and branch move is
-// appended to it, and GC compacts it. Stores opened over a recovered log
-// use OpenRecovered so history survives restarts.
+// appended to it. Stores opened over a recovered log use OpenRecovered
+// so history survives restarts.
 func WithPersister(p Persister) Option {
 	return func(o *Options) { o.Persister = p }
 }
@@ -177,21 +181,17 @@ type Commit struct {
 var (
 	ErrNoBranch     = errors.New("store: unknown branch")
 	ErrBranchExists = errors.New("store: branch already exists")
-
-	// ErrLastBranch is returned by DeleteBranch when asked to remove the
-	// only remaining branch.
-	ErrLastBranch = errors.New("store: cannot delete the last branch")
 )
 
 // Store is a single-object replicated datastore for one MRDT. It is safe
 // for concurrent use and read-parallel: queries (Head, HeadHash, Size,
 // Branches, Frontier, Export, ExportSincePacked, Commit, NumCommits) take a
 // shared read lock and run concurrently with each other, while mutations
-// (Apply, Pull, Sync, Fork, Import, Integrate, GC, DeleteBranch) and the
-// capture calls (Snapshot, ExportSet, Capture.Close) serialize behind the
-// write lock. Each branch that takes operations carries its own Lamport
-// clock, modelling one replica per branch; a branch Import created, which
-// only mirrors the heads it was given, has none.
+// (Apply, Pull, Sync, Fork, Import, Integrate) and the capture calls
+// (Snapshot, ExportSet, Capture.Close) serialize behind the write lock.
+// Each branch that takes operations carries its own Lamport clock,
+// modelling one replica per branch; a branch Import created, which only
+// mirrors the heads it was given, has none.
 type Store[S, Op, Val any] struct {
 	mu      sync.RWMutex
 	impl    core.MRDT[S, Op, Val]
@@ -201,7 +201,8 @@ type Store[S, Op, Val any] struct {
 	// frozen is a checkpoint's object index kept in serialized form
 	// (frozen.go): entries not shadowed by the objects map resolve
 	// through it by binary search and materialize lazily. nil except
-	// after a checkpoint recovery; GC thaws and drops it.
+	// after a checkpoint recovery, and never dissolved: commits and
+	// objects installed later go to the maps.
 	frozen  *FrozenIndex
 	cache   *stateCache[S]
 	commits map[Hash]Commit
@@ -216,7 +217,7 @@ type Store[S, Op, Val any] struct {
 	// rtree mirrors the commit-hash set for range-fingerprint set
 	// reconciliation (recon.go). Built lazily on the first recon query —
 	// so open time stays flat in history — and kept exact by
-	// addCommitLocked and GC from then on.
+	// addCommitLocked from then on.
 	rtree *recon.Tree
 	// captures are the open Captures; addCommitLocked appends every commit it
 	// newly installs to each one's record. importVia is the label of the
@@ -366,19 +367,15 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	return val, nil
 }
 
-// setHeadsLocked makes hs branch b's head set, or deletes b's when hs is
-// nil, and keeps pins in step: each member of the old set unpins its
-// state and each of the new one pins it. Callers hold the write lock.
+// setHeadsLocked makes hs branch b's head set and keeps pins in step:
+// each member of the old set unpins its state and each of the new one
+// pins it. Callers hold the write lock.
 func (s *Store[S, Op, Val]) setHeadsLocked(b string, hs []Hash) {
 	for _, h := range s.heads[b] {
 		st := s.commitAtLocked(h).State
 		if s.pins[st]--; s.pins[st] <= 0 {
 			delete(s.pins, st)
 		}
-	}
-	if hs == nil {
-		delete(s.heads, b)
-		return
 	}
 	s.heads[b] = hs
 	for _, h := range hs {
@@ -527,6 +524,13 @@ func (s *Store[S, Op, Val]) Commit(h Hash) (Commit, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.commitLocked(h)
+}
+
+// NumCommits returns the number of commits the store holds.
+func (s *Store[S, Op, Val]) NumCommits() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.numCommitsLocked()
 }
 
 // putState packs state, chained against the base state hash (its commit

@@ -124,10 +124,8 @@ func (p *branchCounter) AppendBranch(name string, _ BranchRecord) error {
 	p.branches[name]++
 	return nil
 }
-func (p *branchCounter) AppendBranchDelete(string) error { return nil }
-func (p *branchCounter) AppendNextID(int) error          { return nil }
-func (p *branchCounter) Compact(*RecoveredState) error   { return nil }
-func (p *branchCounter) Flush() error                    { return nil }
+func (p *branchCounter) AppendNextID(int) error { return nil }
+func (p *branchCounter) Flush() error           { return nil }
 
 // TestIntegrateWritesOneBranch: an Integrate that moves the head set
 // appends one branch record, for the target branch alone; one that

@@ -15,8 +15,8 @@ type NodeOption = replica.NodeOption
 
 // WithStorage makes the node durable: every object opened on it keeps a
 // segmented, checksummed pack log in its own subdirectory of dir —
-// every commit and delta-chained state object appended as it happens,
-// compacted whenever the store garbage-collects. Reopening a node of
+// every commit and delta-chained state object appended as it happens.
+// A node forgets nothing, so the log only grows. Reopening a node of
 // the same name over the same directory resumes each object with its
 // full history, branches and clocks intact; a log damaged by a crash
 // recovers to a verified prefix and re-converges through ordinary sync.
@@ -42,7 +42,7 @@ func WithFsync(p FsyncPolicy) NodeOption { return replica.WithFsync(p) }
 // an index checkpoint (the full commit/pack index, no state bytes), so
 // reopening the node seeks to the checkpoint and replays only the records
 // after it — flat-time restart however deep the history. Checkpoints are
-// also written after compaction and on clean close. The cadence is a
+// also written on clean close. The cadence is a
 // floor: since a full checkpoint snapshots the whole index, deep logs
 // throttle to geometric spacing so checkpoint bytes stay linear in the
 // log. A clean close still checkpoints, so clean reopens stay flat, but
@@ -210,5 +210,5 @@ func (h *Handle[S, Op, Val]) Stats() SyncStats { return h.node.ObjectStats(h.obj
 func (h *Handle[S, Op, Val]) StorageStats() (StorageStats, bool) { return h.obj.StorageStats() }
 
 // Store exposes the object's embedded versioned store for advanced use
-// (branch listing, export/import, garbage collection).
+// (branch listing, head sets, export/import, pack statistics).
 func (h *Handle[S, Op, Val]) Store() *store.Store[S, Op, Val] { return h.obj.Store() }

@@ -22,8 +22,8 @@
 //     Node.SyncWith negotiates and delta-syncs every shared object with a
 //     peer over a single connection, with per-object SyncStats. A node
 //     created WithStorage is durable: each object keeps a segmented,
-//     checksummed pack log on disk, recovers it (verified) on reopen,
-//     and compacts it whenever the store garbage-collects.
+//     checksummed pack log on disk and recovers it (verified) on
+//     reopen.
 //
 //   - Certification is executable: Registered.Certify explores the
 //     replicated store's transition system and checks the paper's proof
