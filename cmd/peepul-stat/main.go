@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/replica"
+	"repro/peepul"
 )
 
 func main() {
@@ -64,7 +64,7 @@ func main() {
 			os.Stdout.Write(body)
 			return
 		}
-		var snap replica.DebugSnapshot
+		var snap peepul.DebugSnapshot
 		decode(body, &snap)
 		render(snap, *spans)
 	}
@@ -98,7 +98,7 @@ func fatalf(format string, args ...any) {
 }
 
 // render prints the snapshot as the standard table set.
-func render(snap replica.DebugSnapshot, maxSpans int) {
+func render(snap peepul.DebugSnapshot, maxSpans int) {
 	fmt.Printf("node %s (replica %d)", snap.Node, snap.ReplicaID)
 	if snap.Addr != "" {
 		fmt.Printf("  listening %s", snap.Addr)

@@ -25,7 +25,7 @@ package disk
 // entries by binary search, and decodes nothing until a walk touches it,
 // which is what makes open time flat instead of O(index).
 //
-// Checkpoints are written every CheckpointEvery mutations, after every
+// Checkpoints are written every CheckpointEvery commits, after every
 // compaction, and on a clean Close (so an orderly restart replays a
 // zero-length suffix). A torn or corrupt checkpoint fails its CRC like
 // any record; Open then probes the next older segment head and, with no
@@ -588,7 +588,7 @@ func (l *Log) checkpointLocked() error {
 		// A colossal index (beyond the replay limit) skips its
 		// checkpoint: recovery falls back to segment replay, losing time,
 		// not data.
-		l.mutsSince = 0
+		l.commitsSince = 0
 		return nil
 	}
 	if l.size > int64(len(segMagic)) {
@@ -624,13 +624,13 @@ func (l *Log) checkpointLocked() error {
 	l.stats.Records++
 	l.stats.Checkpoints++
 	l.metrics.checkpointed(delta, len(framed))
-	l.mutsSince = 0
+	l.commitsSince = 0
 	l.sinceCkpt = 0
 	return nil
 }
 
-// maybeCheckpointLocked writes a checkpoint when the mutation counter
-// crosses the configured interval — self-throttled on deep histories.
+// maybeCheckpointLocked writes a checkpoint when the commits appended
+// since the last one reach the configured interval — self-throttled on deep histories.
 // A full checkpoint is O(history) bytes, so a fixed cadence would cost
 // O(history²/N) disk over the life of a log. Requiring the
 // un-checkpointed suffix to also reach a quarter of the index makes
@@ -644,11 +644,11 @@ func (l *Log) checkpointLocked() error {
 // whatever the depth; only recovery from a crash pays the bounded
 // suffix.
 func (l *Log) maybeCheckpointLocked() error {
-	if l.mutsSince < l.opts.CheckpointEvery {
+	if l.commitsSince < l.opts.CheckpointEvery {
 		return nil
 	}
 	entries := len(l.shadow.commits) + len(l.shadow.objects) + l.shadow.frozen.entries()
-	if l.mutsSince < entries/4 {
+	if l.commitsSince < entries/4 {
 		return nil
 	}
 	return l.checkpointLocked()

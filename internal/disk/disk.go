@@ -79,10 +79,13 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync is the append-path fsync policy.
 	Fsync Policy
-	// CheckpointEvery is the checkpoint cadence in mutations (Flush
-	// calls): once that many mutations accumulate since the last
-	// checkpoint, the next Flush seals the active segment and writes an
-	// index checkpoint at the head of a fresh one. Checkpoints are also
+	// CheckpointEvery is the checkpoint cadence in commits: once that
+	// many commits have been appended since the last checkpoint, the next
+	// Flush seals the active segment and writes an index checkpoint at the
+	// head of a fresh one. A writer's operation appends one commit, a
+	// sync's landing one per commit it brings, and a Flush that appended
+	// no commit (a fast-forward or fork writes only branch records)
+	// counts as one. Checkpoints are also
 	// written after every compaction and on clean Close; each is a full
 	// index or, when the entries since the last full one are under a
 	// quarter of it, a delta against it.
@@ -99,7 +102,7 @@ type Options struct {
 }
 
 // DefaultOptions returns 64 MiB segments, FsyncNever, and a checkpoint
-// every 1024 mutations.
+// every 1024 commits.
 func DefaultOptions() Options {
 	return Options{SegmentBytes: 64 << 20, Fsync: FsyncNever, CheckpointEvery: 1024}
 }
@@ -118,7 +121,7 @@ func WithFsync(p Policy) Option {
 	return func(o *Options) { o.Fsync = p }
 }
 
-// WithCheckpointEvery sets the checkpoint cadence in mutations; values
+// WithCheckpointEvery sets the checkpoint cadence in commits; values
 // below 1 are clamped to 1. The cadence is a floor, not an exact period:
 // on deep histories checkpoints self-throttle until the un-checkpointed
 // suffix is a quarter of the index, keeping total checkpoint bytes
@@ -234,13 +237,15 @@ type Log struct {
 	closeErr error
 
 	// shadow mirrors the durable contents in index form so a checkpoint
-	// can be serialized at any moment (checkpoint.go); mutsSince and
-	// sinceCkpt drive the checkpoint cadence and the CheckpointAge stat;
-	// mode is how the last Open rebuilt the state.
-	shadow    shadowState
-	mutsSince int
-	sinceCkpt int64
-	mode      string
+	// can be serialized at any moment (checkpoint.go); commitsSince
+	// and sinceCkpt drive the checkpoint cadence and the CheckpointAge
+	// stat, and committed records whether a commit was appended since
+	// the last Flush; mode is how the last Open rebuilt the state.
+	shadow       shadowState
+	commitsSince int
+	committed    bool
+	sinceCkpt    int64
+	mode         string
 
 	// metrics is the instrumentation (obs.go).
 	metrics *diskMetrics
@@ -567,6 +572,8 @@ func (l *Log) AppendCommit(h store.Hash, c store.Commit) error {
 		return err
 	}
 	l.shadow.commits[h] = c
+	l.commitsSince++
+	l.committed = true
 	return nil
 }
 
@@ -643,9 +650,11 @@ func (l *Log) Meta(key string) (string, bool) {
 
 // Flush implements store.Persister: push buffered records to the OS and,
 // under FsyncAlways, to stable storage. Flush marks the end of one store
-// mutation, so it is also the checkpoint cadence's clock: every
-// CheckpointEvery mutations, the batch lands in a fresh segment headed
-// by an index checkpoint.
+// mutation, so it is also where the checkpoint cadence fires: once
+// CheckpointEvery commits have been appended since the last checkpoint,
+// the batch lands in a fresh segment headed by an index checkpoint. A
+// mutation that appended no commit counts as one, so a log fed only by
+// branch moves still reaches a periodic checkpoint.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -655,7 +664,10 @@ func (l *Log) Flush() error {
 	if l.f == nil {
 		return errors.New("disk: log has no active segment (failed compaction)")
 	}
-	l.mutsSince++
+	if !l.committed {
+		l.commitsSince++
+	}
+	l.committed = false
 	if err := l.maybeCheckpointLocked(); err != nil {
 		return err
 	}
@@ -677,23 +689,6 @@ func (l *Log) flushLocked() error {
 		return l.timedSync()
 	}
 	return nil
-}
-
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.f == nil {
-		return errors.New("disk: log has no active segment (failed compaction)")
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	l.stats.Fsyncs++
-	return l.timedSync()
 }
 
 // timedSync fsyncs the active segment, feeding the fsync-latency

@@ -770,3 +770,69 @@ func TestClosedLog(t *testing.T) {
 		t.Fatal("Apply succeeded with a closed log")
 	}
 }
+
+// TestIntegrateFeedsTheCheckpointCadence: the checkpoint cadence counts
+// commits, not Flush calls. A syncing node's log that only lands batches
+// — one Flush per batch of several commits — writes periodic checkpoints
+// before any Close, so a crash replays only the suffix after the last
+// one. A single writer's log, one commit per Flush, keeps the count it
+// had when the cadence counted Flush calls.
+func TestIntegrateFeedsTheCheckpointCadence(t *testing.T) {
+	opts := []disk.Option{disk.WithCheckpointEvery(8)}
+
+	src := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "src", 64)
+	capture, err := src.Snapshot("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capture.Close()
+	s, l, _ := openLogStore(t, t.TempDir(), opts...)
+	defer l.Close()
+	const batches, perBatch = 25, 4
+	for b := 0; b < batches; b++ {
+		for i := 0; i < perBatch; i++ {
+			appendMsg(t, src, "src", fmt.Sprintf("batch %d message %d", b, i))
+		}
+		commits, heads, err := src.ExportSet(capture, nil, store.Drain, "remote/main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(commits) != perBatch {
+			t.Fatalf("batch %d holds %d commits, want %d", b, len(commits), perBatch)
+		}
+		if _, _, _, err := s.Integrate("main", "remote/src", commits, heads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.Stats()
+	t.Logf("integrate-fed log: %d commits landed in %d batches, %d checkpoints, %d records since the last", batches*perBatch, batches, st.Checkpoints, st.CheckpointAge)
+	if st.Checkpoints == 0 {
+		t.Fatalf("no periodic checkpoint after %d landed commits at cadence 8: %+v", batches*perBatch, st)
+	}
+	if st.CheckpointAge >= st.Records {
+		t.Fatalf("a crash now would replay all %d records", st.Records)
+	}
+
+	w, wl, _ := openLogStore(t, t.TempDir(), opts...)
+	defer wl.Close()
+	for i := 0; i < batches*perBatch; i++ {
+		appendMsg(t, w, "main", fmt.Sprintf("message %d", i))
+	}
+	if got := wl.Stats().Checkpoints; got != 4 {
+		t.Fatalf("single writer: %d checkpoints after %d appends at cadence 8, want 4", got, batches*perBatch)
+	}
+
+	// A fork writes only a branch record; its Flush counts as one commit,
+	// so a log fed by branch moves alone still checkpoints.
+	f, fl, _ := openLogStore(t, t.TempDir(), opts...)
+	defer fl.Close()
+	appendMsg(t, f, "main", "root")
+	for i := 0; i < batches*perBatch; i++ {
+		if err := f.Fork("main", fmt.Sprintf("fork-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs := fl.Stats(); fs.Checkpoints == 0 {
+		t.Fatalf("no periodic checkpoint after %d forks at cadence 8: %+v", batches*perBatch, fs)
+	}
+}

@@ -7,8 +7,8 @@
 // Each supervisor keeps one long-lived outbound link to its peer. Adding
 // the peer dials it at once: the connect session — the same
 // reconcile-and-ship-missing code path a manual SyncWith uses — repairs
-// whatever the pair lacks, and the connection then streams. The replica
-// layer calls NotifyCommit on every local operation and every
+// whatever the pair lacks, and the connection then streams. The node
+// (package peepul) calls NotifyCommit on every local operation and every
 // remote-merge head move; the kick wakes the link's streamer, which
 // writes everything the node installed since its previous write as one
 // batch (commits that arrived from the peer itself excepted). A burst
@@ -38,7 +38,7 @@
 // supervisor, so a peer that is down can never wedge node shutdown.
 //
 // The engine knows nothing of the sync protocol: it drives a Syncer (the
-// replica node) and consumes its Reports, including which objects the
+// peepul node) and consumes its Reports, including which objects the
 // peer turned out not to host — the link skips those, and a later round
 // that finds the peer hosting one reconnects the link to cover it (the
 // subscription model: interest is learned from the wire, not
@@ -116,7 +116,7 @@ var ErrRelink = errors.New("mesh: link scope changed")
 
 // FailureClass is how the supervisor schedules retries after a failed
 // exchange: the engine knows nothing of the sync protocol, so the
-// Config.Classify hook (supplied by the replica layer) maps errors to
+// Config.Classify hook (supplied by the node) maps errors to
 // classes.
 type FailureClass int
 
@@ -639,9 +639,9 @@ func (e *Engine) settle(p *peer, kind string, err error) {
 		// its failures look like now — recovery is declared by a clean
 		// exchange, not by the violations merely pausing.
 		if st.Quarantined {
-			st.Backoff = e.quarantineBackoff(st.ConsecutiveViolations - e.cfg.QuarantineAfter + 1)
+			st.Backoff = doubling(st.ConsecutiveViolations-e.cfg.QuarantineAfter+1, e.cfg.QuarantineMin, e.cfg.QuarantineMax)
 		} else {
-			st.Backoff = e.backoff(st.ConsecutiveFailures)
+			st.Backoff = doubling(st.ConsecutiveFailures, e.cfg.BackoffMin, e.cfg.BackoffMax)
 		}
 		e.metrics.round(p.addr, kind, outcome)
 		e.transitions(p, prevBackoff, prevQuar, st, err)
@@ -658,30 +658,19 @@ func (e *Engine) settle(p *peer, kind string, err error) {
 	e.transitions(p, prevBackoff, prevQuar, st, nil)
 }
 
-// backoff is the retry delay for the n-th consecutive failure:
-// BackoffMin doubling per failure, capped at BackoffMax.
-func (e *Engine) backoff(n int) time.Duration {
-	d := e.cfg.BackoffMin
+// doubling is the n-th delay of a retry schedule: lo doubling per step,
+// capped at hi. The backoff after the n-th consecutive failure runs from
+// BackoffMin to BackoffMax, the quarantine after the n-th violation past
+// the threshold from QuarantineMin to QuarantineMax.
+func doubling(n int, lo, hi time.Duration) time.Duration {
+	d := lo
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= e.cfg.BackoffMax {
-			return e.cfg.BackoffMax
+		if d >= hi {
+			return hi
 		}
 	}
-	return min(d, e.cfg.BackoffMax)
-}
-
-// quarantineBackoff is the retry delay for the n-th violation past the
-// quarantine threshold: QuarantineMin doubling up to QuarantineMax.
-func (e *Engine) quarantineBackoff(n int) time.Duration {
-	d := e.cfg.QuarantineMin
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= e.cfg.QuarantineMax {
-			return e.cfg.QuarantineMax
-		}
-	}
-	return min(d, e.cfg.QuarantineMax)
+	return min(d, hi)
 }
 
 // nextDelay schedules the supervisor's next wake-up: the jittered round

@@ -415,15 +415,13 @@ func TestBackoffGrowsAndRecovers(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	e := New(&script{}, Config{BackoffMin: 10 * time.Millisecond, BackoffMax: 65 * time.Millisecond})
-	defer e.Close()
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
 		65 * time.Millisecond, 65 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := e.backoff(i + 1); got != w {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
+		if got := doubling(i+1, 10*time.Millisecond, 65*time.Millisecond); got != w {
+			t.Fatalf("doubling(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }

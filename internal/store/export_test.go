@@ -15,6 +15,7 @@ import (
 	"repro/internal/gset"
 	"repro/internal/mlog"
 	"repro/internal/orset"
+	"repro/internal/queue"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -317,10 +318,30 @@ func (d swappingTree) Do(op orset.Op, s orset.TreeState, t core.Timestamp) (orse
 	return next, v
 }
 
+// twinningQueue forges a functional-queue state the way swappingTree
+// forges a tree: at matching operations it rebuilds the queue from its
+// oldest-first pairs with the second given the first's timestamp. A
+// swap would not do: queue states need not ascend (wire.Queue).
+type twinningQueue struct {
+	queue.Queue
+	at func(queue.Op) bool
+}
+
+func (d twinningQueue) Do(op queue.Op, s queue.State, t core.Timestamp) (queue.State, queue.Val) {
+	next, v := d.Queue.Do(op, s, t)
+	if d.at(op) {
+		ps := next.ToSlice()
+		ps[1].T = ps[0].T
+		next = queue.FromSlice(ps)
+	}
+	return next, v
+}
+
 // TestImportRejectsDisorderedState: a packed batch of six commits whose
 // commit 3 pins a state with two swapped elements — or-set pairs out of
 // ascending order, log entries out of descending timestamp order, g-set
-// elements, g-map or α-map keys out of ascending order — fails to import
+// elements, g-map or α-map keys out of ascending order, two queue
+// elements with one timestamp — fails to import
 // naming commit 3, with commits 0–2 installed and none after, through
 // the real wire codecs.
 func TestImportRejectsDisorderedState(t *testing.T) {
@@ -380,6 +401,14 @@ func TestImportRejectsDisorderedState(t *testing.T) {
 		}
 		bad := func(op mlog.Op) bool { return op == ops[k] }
 		importDisordered(t, mlog.Log{}, swapping[mlog.State, mlog.Entry, mlog.Op, mlog.Val]{mlog.Log{}, bad}, wire.MLog{}, ops, k)
+	})
+	t.Run("functional-queue", func(t *testing.T) {
+		var ops []queue.Op
+		for i := range 6 {
+			ops = append(ops, queue.Op{Kind: queue.Enqueue, V: int64(10 * (i + 1))})
+		}
+		bad := func(op queue.Op) bool { return op == ops[k] }
+		importDisordered(t, queue.Queue{}, twinningQueue{queue.Queue{}, bad}, wire.Queue{}, ops, k)
 	})
 }
 

@@ -22,7 +22,7 @@ package store
 // individually. Object bytes themselves are re-checked on load (the lazy
 // loader re-reads the record's CRC) and by content address when chains
 // reassemble, so a frozen entry pointing at damaged bytes fails loudly at
-// first use — and the recovery ladder (internal/replica) then reopens
+// first use — and the recovery ladder (peepul) then reopens
 // with a full replay.
 
 import (
@@ -107,19 +107,6 @@ func (x *FrozenIndex) CommitAt(i int) (Hash, Commit) {
 	return h, c
 }
 
-// RawCommit returns commit entry i's raw bytes (for re-emitting the entry
-// into a new checkpoint without a decode/encode round trip).
-func (x *FrozenIndex) RawCommit(i int) []byte {
-	return x.commits[i*frozenCommitSize : (i+1)*frozenCommitSize]
-}
-
-// CommitHashAt returns just the hash of commit entry i.
-func (x *FrozenIndex) CommitHashAt(i int) Hash {
-	var h Hash
-	copy(h[:], x.commits[i*frozenCommitSize:])
-	return h
-}
-
 // ObjectAt decodes object entry i.
 func (x *FrozenIndex) ObjectAt(i int) (Hash, FrozenObject) {
 	e := x.objects[i*frozenObjectSize : (i+1)*frozenObjectSize]
@@ -134,18 +121,6 @@ func (x *FrozenIndex) ObjectAt(i int) (Hash, FrozenObject) {
 	o.Seg = int(binary.BigEndian.Uint32(e[85:89]))
 	o.Off = int64(binary.BigEndian.Uint64(e[89:97]))
 	return h, o
-}
-
-// RawObject returns object entry i's raw bytes.
-func (x *FrozenIndex) RawObject(i int) []byte {
-	return x.objects[i*frozenObjectSize : (i+1)*frozenObjectSize]
-}
-
-// ObjectHashAt returns just the hash of object entry i.
-func (x *FrozenIndex) ObjectHashAt(i int) Hash {
-	var h Hash
-	copy(h[:], x.objects[i*frozenObjectSize:])
-	return h
 }
 
 // FindObject binary-searches the hash-sorted object section.

@@ -268,7 +268,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		// Checkpoint recovery validates heads only: the index arrived
 		// under a CRC-verified frame, every chain re-checks its content
 		// address at first materialization, and the recovery ladder
-		// (internal/replica) reopens with a full replay when a checkpoint
+		// (peepul) reopens with a full replay when a checkpoint
 		// turns out bad — so open stays flat instead of O(history).
 		if err := s.validateHeads(); err != nil {
 			return nil, err

@@ -207,7 +207,7 @@ const (
 // critical section, and returns the batch with the head set it grafts
 // under. ship is the caller's map and shows the mode's additions or
 // removals; a nil ship is an empty one. The batch is in generation order
-// (see exportSetLocked). AsOf fails if a snapshot head is gone.
+// (see exportSetLocked).
 func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode ExportMode, held string) ([]ExportedCommit, []Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -228,11 +228,6 @@ func (s *Store[S, Op, Val]) ExportSet(c *Capture, ship map[Hash]bool, mode Expor
 	}
 	switch mode {
 	case AsOf:
-		for _, h := range c.heads {
-			if !s.commitExistsLocked(h) {
-				return nil, nil, fmt.Errorf("store: snapshot head %v no longer present", h)
-			}
-		}
 		heads, ok = c.heads, true
 	case Drain:
 		c.log = nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/alphamap"
@@ -443,6 +444,11 @@ func (OrSetSpaceTime) Decode(b []byte) (orset.TreeState, error) {
 // Queue is the codec for the replicated functional queue. The queue is
 // serialized oldest-first; decoding rebuilds the two-list representation
 // with everything in the front list, an observationally equivalent state.
+// The merge tells elements apart by enqueue timestamp, so Decode rejects
+// a timestamp that repeats. It does not require ascending timestamps:
+// a merge puts the elements both sides kept before those either side
+// enqueued since their base, so a replica can hold a younger element
+// ahead of an older, concurrent one.
 type Queue struct{}
 
 // Encode serializes the queue.
@@ -462,11 +468,20 @@ func (Queue) Decode(b []byte) (queue.State, error) {
 	r := NewReader(b)
 	n := r.Len(16)
 	ps := make([]queue.Pair, 0, n)
+	ts := make([]core.Timestamp, 0, n)
 	for i := 0; i < n; i++ {
-		ps = append(ps, queue.Pair{T: r.Timestamp(), V: r.Int64()})
+		p := queue.Pair{T: r.Timestamp(), V: r.Int64()}
+		ps = append(ps, p)
+		ts = append(ts, p.T)
 	}
 	if err := r.Close(); err != nil {
 		return queue.State{}, err
+	}
+	slices.Sort(ts)
+	for i := 1; i < n; i++ {
+		if ts[i] == ts[i-1] {
+			return queue.State{}, fmt.Errorf("%w: queue timestamp %d repeats", ErrMalformed, ts[i])
+		}
 	}
 	return queue.FromSlice(ps), nil
 }

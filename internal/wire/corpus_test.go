@@ -31,8 +31,8 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/faultnet"
-	"repro/internal/replica"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 const corpusDir = "testdata/fuzz/FuzzReadMsg"
@@ -108,13 +108,12 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	fn := faultnet.New(1, faultnet.WithTap(tap))
 
-	mk := func(name string, id int) (*replica.Node, *replica.TypedObject[counter.PNState, counter.Op, counter.Val]) {
-		n, err := replica.NewNode(name, id, replica.WithTransport(fn.Transport(name)), replica.WithMeshInterval(time.Hour))
+	mk := func(name string, id int) (*peepul.Node, *peepul.Handle[counter.PNState, counter.Op, counter.Val]) {
+		n, err := peepul.NewNode(name, id, peepul.WithTransport(fn.Transport(name)), peepul.WithMeshInterval(time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-			n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+		obj, err := peepul.Open(n, peepul.PNCounter, "counter")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package wire provides compact binary codecs for every MRDT state in the
 // library. The versioned store uses encoding for content addressing and
-// space accounting; the network replication layer (internal/replica)
+// space accounting; the network replication layer (peepul)
 // additionally needs decoding to ship states between geo-distributed
 // replicas, which is how the paper's system model deploys MRDTs (replicas
 // exchange branch states, not operations).

@@ -94,6 +94,21 @@ func TestQueueCodec(t *testing.T) {
 	if !slices.Equal(dec.ToSlice(), s.ToSlice()) {
 		t.Fatal("queue contents changed across the wire")
 	}
+	// A merge can leave a younger element ahead of an older, concurrent
+	// one; only a repeated timestamp is malformed.
+	for _, tc := range []struct {
+		ts []core.Timestamp
+		ok bool
+	}{{[]core.Timestamp{5, 3, 7}, true}, {[]core.Timestamp{5, 3, 5}, false}, {[]core.Timestamp{2, 2}, false}} {
+		var ps []queue.Pair
+		for _, ts := range tc.ts {
+			ps = append(ps, queue.Pair{T: ts, V: int64(ts)})
+		}
+		dec, err := c.Decode(c.Encode(queue.FromSlice(ps)))
+		if (err == nil) != tc.ok || tc.ok && !slices.Equal(dec.ToSlice(), ps) {
+			t.Fatalf("queue %v: Decode = %v, %v; want accepted %v", tc.ts, dec.ToSlice(), err, tc.ok)
+		}
+	}
 }
 
 func TestChatCodec(t *testing.T) {

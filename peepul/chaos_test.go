@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // The chaos acceptance gate: a ten-node mesh runs through a seeded
 // fault-injection net — 25% connection drops, rolling two-way
@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/peepul"
 )
 
 // waitConverged polls until every node reports the same counter value
@@ -35,7 +35,7 @@ func waitConverged(t *testing.T, want int64, timeout time.Duration, nodes ...*co
 				ok = false
 				break
 			}
-			head, err := n.obj.Head()
+			head, err := n.head()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func waitConverged(t *testing.T, want int64, timeout time.Duration, nodes ...*co
 		time.Sleep(10 * time.Millisecond)
 	}
 	for _, n := range nodes {
-		head, _ := n.obj.Head()
+		head, _ := n.head()
 		t.Logf("node %s: counter = %d (want %d), head %v", n.Name(), value(t, n), want, head)
 	}
 	t.Fatalf("nodes did not converge to identical heads at %d within %v", want, timeout)
@@ -73,11 +73,11 @@ func TestChaosMeshConvergesAndQuarantinesCorrupter(t *testing.T) {
 	nodes := make([]*counterNode, len(names))
 	for i, name := range names {
 		nodes[i] = newMeshCounterNode(t, name, i+1,
-			replica.WithTransport(fn.Transport(name)),
-			replica.WithSyncTimeout(300*time.Millisecond),
-			replica.WithSessionTimeout(2*time.Second),
-			replica.WithMeshQuarantine(2, 100*time.Millisecond, time.Second),
-			replica.WithObservability(),
+			peepul.WithTransport(fn.Transport(name)),
+			peepul.WithSyncTimeout(300*time.Millisecond),
+			peepul.WithSessionTimeout(2*time.Second),
+			peepul.WithMeshQuarantine(2, 100*time.Millisecond, time.Second),
+			peepul.WithObservability(),
 		)
 	}
 	honest := nodes[:9]

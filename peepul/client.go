@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 import (
 	"context"
@@ -12,12 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// SyncWith synchronizes every object this node hosts with the peer
-// listening at addr, over a single connection: per object, the pair
-// reconciles its commit sets, the peer replies with the commits this
-// node lacks, and then both land at once: this node the reply, the peer
-// this node's missing commits; landing unions the sender's head set into
-// the branch and commits nothing. SyncWith returns once the peer reports
+// SyncWith synchronizes every object this node hosts with the peer at
+// addr over a single connection, object by object: range fingerprints
+// resolve exactly which commits each side lacks, and only those cross
+// the wire. Per object, the pair reconciles its commit sets, the peer
+// replies with the commits this node lacks, and then both land at once:
+// this node the reply, the peer this node's missing commits; landing
+// unions the sender's head set into the branch and commits nothing. SyncWith returns once the peer reports
 // its side landed. Objects the peer does not host (or hosts under a
 // different datatype) are skipped and counted in Misses. The session
 // ships what this node held when it connected; commits made on either
@@ -33,10 +34,13 @@ func (n *Node) SyncWith(addr string) error {
 	return err
 }
 
+// meshSyncer is the node as its mesh engine drives it (mesh.Syncer).
+type meshSyncer struct{ n *Node }
+
 // MeshSync implements mesh.Syncer: the daemon's anti-entropy round is the
 // exact code path SyncWith uses, abortable through ctx.
-func (n *Node) MeshSync(ctx context.Context, addr string) (mesh.Report, error) {
-	missed, _, err := n.syncPeer(ctx, addr, false)
+func (s meshSyncer) MeshSync(ctx context.Context, addr string) (mesh.Report, error) {
+	missed, _, err := s.n.syncPeer(ctx, addr, false)
 	return mesh.Report{Missed: missed}, err
 }
 
@@ -229,7 +233,7 @@ func peerMsg(fields [][]byte) string {
 func (n *Node) syncObject(c *countedConn, addr string, so sessionObject) (miss bool, _ error) {
 	object, e := so.name, so.e
 	negStart := time.Now()
-	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.obj.Datatype(), Head: so.capture.Head()}
+	hello := wire.Hello{Node: n.name, Object: object, Datatype: e.datatype, Head: so.capture.Head()}
 	// The root probe is the live fingerprint and count of the whole
 	// keyspace.
 	fp, count := e.st.ReconRange(recon.Item{}, recon.Item{})

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 import (
 	"net"
@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/chat"
-	"repro/internal/replica"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // TestCloseIdempotent: Close must be safe to call any number of times —
@@ -15,7 +15,7 @@ import (
 // must keep returning the first call's result instead of panicking on
 // the closed channel.
 func TestCloseIdempotent(t *testing.T) {
-	n, err := replica.NewNode("x", 1)
+	n, err := peepul.NewNode("x", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestCloseIdempotent(t *testing.T) {
 // TestCloseIdempotentWithoutListen: a node that never listened must
 // close cleanly twice as well.
 func TestCloseIdempotentWithoutListen(t *testing.T) {
-	n, err := replica.NewNode("y", 2)
+	n, err := peepul.NewNode("y", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.Ensure[chat.State, chat.Op, chat.Val](n, "room", "chat", chat.Chat{}, wire.Chat{}); err != nil {
+	if _, err := peepul.Open(n, peepul.Datatype[chat.State, chat.Op, chat.Val]{Name: "chat", Impl: chat.Chat{}, Codec: wire.Chat{}}, "room"); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Close(); err != nil {
@@ -58,7 +58,7 @@ func TestCloseIdempotentWithoutListen(t *testing.T) {
 // is refused — were it to replace the first, the first accept loop would
 // never be woken, and Close would wait for it forever.
 func TestSecondListenRefused(t *testing.T) {
-	n, err := replica.NewNode("z", 3)
+	n, err := peepul.NewNode("z", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Daemon integration tests: real nodes, real TCP, the mesh engine
 // driving the same sync path SyncWith uses. Cadences are tightened so
@@ -13,30 +13,28 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/recon"
-	"repro/internal/replica"
 	"repro/internal/store"
-	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // meshOpts is the tight daemon cadence the integration tests run at.
-func meshOpts() []replica.NodeOption {
-	return []replica.NodeOption{
-		replica.WithMeshInterval(25 * time.Millisecond),
-		replica.WithMeshJitter(5 * time.Millisecond),
-		replica.WithMeshBackoff(10*time.Millisecond, 100*time.Millisecond),
+func meshOpts() []peepul.NodeOption {
+	return []peepul.NodeOption{
+		peepul.WithMeshInterval(25 * time.Millisecond),
+		peepul.WithMeshJitter(5 * time.Millisecond),
+		peepul.WithMeshBackoff(10*time.Millisecond, 100*time.Millisecond),
 	}
 }
 
 // newMeshCounterNode builds a listening counter node with daemon-tuned
 // options (plus any extra), without configuring peers yet.
-func newMeshCounterNode(t *testing.T, name string, id int, extra ...replica.NodeOption) *counterNode {
+func newMeshCounterNode(t *testing.T, name string, id int, extra ...peepul.NodeOption) *counterNode {
 	t.Helper()
-	n, err := replica.NewNode(name, id, append(meshOpts(), extra...)...)
+	n, err := peepul.NewNode(name, id, append(meshOpts(), extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	obj, err := peepul.Open(n, peepul.PNCounter, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +144,11 @@ func TestDaemonRetriesUnreachablePeer(t *testing.T) {
 	}
 
 	// Bring the peer up on the reserved address; backoff retries find it.
-	b, err := replica.NewNode("b", 2, meshOpts()...)
+	b, err := peepul.NewNode("b", 2, meshOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bobj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		b, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	bobj, err := peepul.Open(b, peepul.PNCounter, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +184,11 @@ func TestDownPeerNeverWedgesClose(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	n, err := replica.NewNode("a", 1, append(meshOpts(), replica.WithPeers(addr))...)
+	n, err := peepul.NewNode("a", 1, append(meshOpts(), peepul.WithPeers(addr))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{}); err != nil {
+	if _, err := peepul.Open(n, peepul.PNCounter, "counter"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the supervisor fail a round or two

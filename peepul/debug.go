@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 // The live debug endpoint (WithDebugAddr): a small HTTP server owned by
 // the node serving /metrics (Prometheus text), /debug/peepul/snapshot
@@ -18,43 +18,41 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"repro/internal/disk"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 )
 
-// DebugSnapshot is the one-document view served at
-// /debug/peepul/snapshot: node identity, aggregate and per-object sync
-// stats, per-peer mesh state, the full metric registry, and the
-// recorder's retained spans and events.
+// DebugSnapshot is the one-document debug view: node identity,
+// aggregate and per-object sync stats, per-peer mesh state, every
+// metric series, and the recent trace. Served at
+// /debug/peepul/snapshot when WithDebugAddr is set.
 type DebugSnapshot struct {
-	Node      string                    `json:"node"`
-	ReplicaID int                       `json:"replica_id"`
-	Time      time.Time                 `json:"time"`
-	Addr      string                    `json:"addr,omitempty"`
-	Stats     SyncStats                 `json:"stats"`
-	Objects   map[string]ObjectDebug    `json:"objects"`
-	Mesh      map[string]mesh.PeerStats `json:"mesh"`
-	Metrics   []obs.Metric              `json:"metrics"`
-	Spans     []obs.Span                `json:"spans"`
-	Events    []obs.Event               `json:"events"`
+	Node      string                 `json:"node"`
+	ReplicaID int                    `json:"replica_id"`
+	Time      time.Time              `json:"time"`
+	Addr      string                 `json:"addr,omitempty"`
+	Stats     SyncStats              `json:"stats"`
+	Objects   map[string]ObjectDebug `json:"objects"`
+	Mesh      map[string]MeshStats   `json:"mesh"`
+	Metrics   []Metric               `json:"metrics"`
+	Spans     []Span                 `json:"spans"`
+	Events    []TraceEvent           `json:"events"`
 }
 
-// ObjectDebug is one object's row in the snapshot.
+// ObjectDebug is one object's row in a DebugSnapshot.
 type ObjectDebug struct {
 	Datatype string `json:"datatype"`
 	// Commits is the object's current commit count (the size of its
 	// reconciliation tree).
-	Commits int         `json:"commits"`
-	Head    string      `json:"head,omitempty"`
-	Stats   SyncStats   `json:"stats"`
-	Storage *disk.Stats `json:"storage,omitempty"`
+	Commits int           `json:"commits"`
+	Head    string        `json:"head,omitempty"`
+	Stats   SyncStats     `json:"stats"`
+	Storage *StorageStats `json:"storage,omitempty"`
 }
 
-// DebugSnapshot assembles the unified debug document. It works without
-// WithDebugAddr — any node can be snapshotted in process, metrics
-// included — and its spans and events are empty without
-// WithObservability.
+// DebugSnapshot assembles the unified debug document in process — the
+// same document WithDebugAddr serves over HTTP. It works without
+// WithDebugAddr, metrics included, and its spans and events are empty
+// without WithObservability.
 func (n *Node) DebugSnapshot() DebugSnapshot {
 	snap := DebugSnapshot{
 		Node:      n.name,
@@ -70,9 +68,9 @@ func (n *Node) DebugSnapshot() DebugSnapshot {
 		if !ok {
 			continue
 		}
-		od := ObjectDebug{Datatype: e.obj.Datatype(), Stats: n.ObjectStats(name)}
+		od := ObjectDebug{Datatype: e.datatype, Stats: n.ObjectStats(name)}
 		_, od.Commits = e.st.ReconRoot()
-		if h, err := e.obj.Head(); err == nil {
+		if h, err := e.st.HeadHash(n.name); err == nil {
 			od.Head = hex.EncodeToString(h[:])
 		}
 		if e.log != nil {
@@ -81,7 +79,7 @@ func (n *Node) DebugSnapshot() DebugSnapshot {
 		}
 		snap.Objects[name] = od
 	}
-	snap.Metrics = n.Registry().Snapshot()
+	snap.Metrics = n.Metrics()
 	tr := n.Trace()
 	snap.Spans, snap.Events = tr.Spans, tr.Events
 	return snap
@@ -113,7 +111,7 @@ func (n *Node) startDebug(addr string) error {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		n.Registry().WriteProm(w)
+		n.WriteMetrics(w)
 	})
 	mux.HandleFunc("/debug/peepul/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -152,9 +150,8 @@ func (n *Node) startDebug(addr string) error {
 	return nil
 }
 
-// DebugAddr returns the bound address of the node's debug endpoint
-// ("" without WithDebugAddr) — with ":0" this is how callers learn the
-// picked port.
+// DebugAddr returns the bound debug-endpoint address, "" without
+// WithDebugAddr — with ":0" this is how callers learn the picked port.
 func (n *Node) DebugAddr() string {
 	if n.debug == nil {
 		return ""

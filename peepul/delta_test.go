@@ -1,21 +1,21 @@
-package replica_test
+package peepul_test
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/mlog"
-	"repro/internal/replica"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // commitsMoved sums the commits shipped in both directions between two
 // stats snapshots of the same node.
-func commitsMoved(before, after replica.SyncStats) int64 {
+func commitsMoved(before, after peepul.SyncStats) int64 {
 	return (after.CommitsSent - before.CommitsSent) + (after.CommitsRecv - before.CommitsRecv)
 }
 
-func bytesMoved(before, after replica.SyncStats) int64 {
+func bytesMoved(before, after peepul.SyncStats) int64 {
 	return (after.BytesSent - before.BytesSent) + (after.BytesRecv - before.BytesRecv)
 }
 
@@ -138,7 +138,7 @@ func TestDeltaRingGossip(t *testing.T) {
 		}
 	}
 	// Converged ring: one more full round is span probes, no commits.
-	var before [3]replica.SyncStats
+	var before [3]peepul.SyncStats
 	for i, n := range ring {
 		before[i] = n.Stats()
 	}
@@ -188,7 +188,7 @@ func TestDeltaMeshGossip(t *testing.T) {
 			t.Fatalf("m%d = %d, want %d", i, v, want)
 		}
 	}
-	var before []replica.SyncStats
+	var before []peepul.SyncStats
 	for _, n := range mesh {
 		before = append(before, n.Stats())
 	}
@@ -237,18 +237,18 @@ func TestDeltaShipsOnlyTheGap(t *testing.T) {
 // state, a growing log is where the pack layer's patches actually beat
 // full encodings, so these are the nodes the packed-dialect tests use.
 type logNode struct {
-	*replica.Node
-	obj *replica.TypedObject[mlog.State, mlog.Op, mlog.Val]
+	*peepul.Node
+	obj *peepul.Handle[mlog.State, mlog.Op, mlog.Val]
 }
 
 func newLogNode(t *testing.T, name string, id int) *logNode {
 	t.Helper()
-	n, err := replica.NewNode(name, id)
+	n, err := peepul.NewNode(name, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		n, "log", "mlog", mlog.Log{}, wire.MLog{})
+	obj, err := peepul.Open(
+		n, peepul.Datatype[mlog.State, mlog.Op, mlog.Val]{Name: "mlog", Impl: mlog.Log{}, Codec: wire.MLog{}}, "log")
 	if err != nil {
 		t.Fatal(err)
 	}

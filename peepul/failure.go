@@ -1,8 +1,8 @@
-package replica
+package peepul
 
 // Failure classification: the mesh supervisor treats a peer that is
 // merely unreachable very differently from one that breaks the
-// protocol. This file is the taxonomy — the replica layer knows which
+// protocol. This file is the taxonomy — the node knows which
 // error values mean what, the engine only consumes the class.
 
 import (

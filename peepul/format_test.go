@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 import (
 	"bytes"
@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/disk"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // Tests of the state-address format generation: commits pin states by
@@ -47,12 +47,12 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 // under dir, and closes the node again.
 func openCounter(t *testing.T, name, dir string) error {
 	t.Helper()
-	n, err := replica.NewNode(name, 1, replica.WithStorage(dir))
+	n, err := peepul.NewNode(name, 1, peepul.WithStorage(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	_, err = replica.Ensure[counter.PNState, counter.Op, counter.Val](n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	_, err = peepul.Open(n, peepul.PNCounter, "counter")
 	return err
 }
 
@@ -100,7 +100,7 @@ func checkRefused(t *testing.T, dir string) {
 	t.Helper()
 	before := readTree(t, dir)
 	err := openCounter(t, "old", dir)
-	if !errors.Is(err, replica.ErrObject) || !strings.Contains(err.Error(), "older build") || !strings.Contains(err.Error(), "chunk tree") {
+	if !errors.Is(err, peepul.ErrObject) || !strings.Contains(err.Error(), "older build") || !strings.Contains(err.Error(), "chunk tree") {
 		t.Fatalf("opening a log of an older build: %v, want ErrObject naming the older build and the address format", err)
 	}
 	if after := readTree(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
@@ -115,11 +115,11 @@ func checkRefused(t *testing.T, dir string) {
 // reopens it.
 func TestNewLogRefusedByOlderGuard(t *testing.T) {
 	dir := t.TempDir()
-	n, err := replica.NewNode("new", 1, replica.WithStorage(dir))
+	n, err := peepul.NewNode("new", 1, peepul.WithStorage(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	obj, err := peepul.Open(n, peepul.PNCounter, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Hardening regression tests: the inbound session cap under a dial
 // storm, backoff on a listener whose Accept keeps failing, goroutine
@@ -16,9 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/counter"
-	"repro/internal/replica"
-	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // waitGoroutines polls until the goroutine count returns to (near) the
@@ -44,8 +42,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 // syncs once the storm passes.
 func TestDialStormShedsExcessInbound(t *testing.T) {
 	srv := newMeshCounterNode(t, "srv", 1,
-		replica.WithMaxInbound(2),
-		replica.WithSyncTimeout(200*time.Millisecond))
+		peepul.WithMaxInbound(2),
+		peepul.WithSyncTimeout(200*time.Millisecond))
 	inc(t, srv, 9)
 
 	// 20 stormers connect and say nothing. At most 2 occupy handlers
@@ -108,7 +106,7 @@ func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127
 
 // failingTransport listens on a failingListener.
 type failingTransport struct {
-	replica.TCPTransport
+	peepul.TCPTransport
 	ln *failingListener
 }
 
@@ -118,7 +116,7 @@ func (t failingTransport) Listen(string) (net.Listener, error) { return t.ln, ni
 // with backoff, not in a busy loop, and Close still returns promptly.
 func TestAcceptErrorsBackOff(t *testing.T) {
 	ln := &failingListener{}
-	n, err := replica.NewNode("srv", 1, replica.WithTransport(failingTransport{ln: ln}))
+	n, err := peepul.NewNode("srv", 1, peepul.WithTransport(failingTransport{ln: ln}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func TestMalformedHelloLeaksNoGoroutines(t *testing.T) {
 // TestMidFrameDisconnectLeaksNoGoroutines: a peer that promises a frame
 // and dies mid-body must not wedge the handler.
 func TestMidFrameDisconnectLeaksNoGoroutines(t *testing.T) {
-	srv := newMeshCounterNode(t, "srv", 1, replica.WithSyncTimeout(200*time.Millisecond))
+	srv := newMeshCounterNode(t, "srv", 1, peepul.WithSyncTimeout(200*time.Millisecond))
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		c, err := net.Dial("tcp", srv.Addr())
@@ -181,12 +179,11 @@ func TestMidFrameDisconnectLeaksNoGoroutines(t *testing.T) {
 // is mid-read returns promptly and leaves no handler behind.
 func TestCloseDuringInflightInboundSession(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	n, err := replica.NewNode("srv", 1, meshOpts()...)
+	n, err := peepul.NewNode("srv", 1, meshOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{}); err != nil {
+	if _, err := peepul.Open(n, peepul.PNCounter, "counter"); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Listen("127.0.0.1:0"); err != nil {
@@ -223,7 +220,7 @@ func TestCloseDuringInflightInboundSession(t *testing.T) {
 // connecting is cut within the idle window instead of holding its
 // handler forever.
 func TestSyncTimeoutCutsSilentPeer(t *testing.T) {
-	srv := newMeshCounterNode(t, "srv", 1, replica.WithSyncTimeout(100*time.Millisecond))
+	srv := newMeshCounterNode(t, "srv", 1, peepul.WithSyncTimeout(100*time.Millisecond))
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +244,8 @@ func TestSyncTimeoutCutsSilentPeer(t *testing.T) {
 // must cut the connection regardless.
 func TestSessionTimeoutCutsDribblingPeer(t *testing.T) {
 	srv := newMeshCounterNode(t, "srv", 1,
-		replica.WithSyncTimeout(150*time.Millisecond),
-		replica.WithSessionTimeout(300*time.Millisecond))
+		peepul.WithSyncTimeout(150*time.Millisecond),
+		peepul.WithSessionTimeout(300*time.Millisecond))
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 import (
 	"bytes"
@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"repro/internal/counter"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // Tests of the end of an exchange: the server replies before it
@@ -40,11 +40,11 @@ func (c gatedCodec) Check(b []byte) error {
 // codecNode is a counter node whose object uses codec.
 func codecNode(t *testing.T, name string, id int, codec store.Codec[counter.PNState]) *counterNode {
 	t.Helper()
-	n, err := replica.NewNode(name, id)
+	n, err := peepul.NewNode(name, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](n, "counter", "pn-counter", counter.PNCounter{}, codec)
+	obj, err := peepul.Open(n, peepul.Datatype[counter.PNState, counter.Op, counter.Val]{Name: "pn-counter", Impl: counter.PNCounter{}, Codec: codec}, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPeerRefusalAfterReplyFailsSync(t *testing.T) {
 	var batch []store.Hash
 	for i := 0; i < 6; i++ {
 		inc(t, cli, 1)
-		h, err := cli.obj.Head()
+		h, err := cli.head()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,13 +142,13 @@ func TestPeerRefusalAfterReplyFailsSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srvHead, err := srv.obj.Head()
+	srvHead, err := srv.head()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	err = cli.SyncWith(srv.Addr())
-	if !errors.Is(err, replica.ErrProtocol) || !strings.Contains(err.Error(), fmt.Sprintf("commit %d state encoding is not canonical", k)) {
+	if !errors.Is(err, peepul.ErrProtocol) || !strings.Contains(err.Error(), fmt.Sprintf("commit %d state encoding is not canonical", k)) {
 		t.Fatalf("SyncWith = %v, want ErrProtocol naming commit %d", err, k)
 	}
 	for i, h := range batch {

@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 // Links: the mesh daemon's long-lived outbound connections. A link is a
 // client session whose connection outlives it. The connect session runs
@@ -29,8 +29,8 @@ import (
 // OpenLink implements mesh.Syncer: it runs a connect session with addr
 // — the code path SyncWith uses, abortable through ctx — and returns its
 // connection as a link in stream mode.
-func (n *Node) OpenLink(ctx context.Context, addr string) (mesh.Link, mesh.Report, error) {
-	missed, l, err := n.syncPeer(ctx, addr, true)
+func (s meshSyncer) OpenLink(ctx context.Context, addr string) (mesh.Link, mesh.Report, error) {
+	missed, l, err := s.n.syncPeer(ctx, addr, true)
 	if err != nil {
 		return nil, mesh.Report{Missed: missed}, err
 	}
@@ -170,7 +170,7 @@ func (l *peerLink) write(heartbeat bool) (commits int, _ error) {
 			continue
 		}
 		l.conn.at(so.e)
-		hello := wire.Hello{Node: l.n.name, Object: so.name, Datatype: so.e.obj.Datatype(), Head: store.HeadSetHash(heads)}
+		hello := wire.Hello{Node: l.n.name, Object: so.name, Datatype: so.e.datatype, Head: store.HeadSetHash(heads)}
 		if err := wire.WriteMsg(l.conn, wire.FrameLinkBatch, wire.EncodeHello(hello)); err != nil {
 			return commits, err
 		}

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Link tests: the mesh daemon's long-lived outbound connections. Each
 // commit crosses each directed link at most once (counted through a
@@ -22,14 +22,14 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/faultnet"
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // quietMesh keeps anti-entropy rounds out of a test: only links carry
 // news.
-func quietMesh() replica.NodeOption { return replica.WithMeshInterval(time.Hour) }
+func quietMesh() peepul.NodeOption { return peepul.WithMeshInterval(time.Hour) }
 
 // waitLinks polls until every node's link to each of its peers is up.
 func waitLinks(t *testing.T, nodes ...*counterNode) {
@@ -125,7 +125,7 @@ func TestLinkCarriesEachCommitOnce(t *testing.T) {
 			names := []string{"a", "b", "c"}
 			nodes := make([]*counterNode, len(names))
 			for i, name := range names {
-				nodes[i] = newMeshCounterNode(t, name, i+1, replica.WithTransport(fn.Transport(name)), quietMesh())
+				nodes[i] = newMeshCounterNode(t, name, i+1, peepul.WithTransport(fn.Transport(name)), quietMesh())
 			}
 			for _, e := range tc.edges {
 				nodes[e[0]].AddPeer(nodes[e[1]].Addr())
@@ -190,8 +190,8 @@ func TestLinkCarriesEachCommitOnce(t *testing.T) {
 // is lost.
 func TestLinkReconnectRepairs(t *testing.T) {
 	fn := faultnet.New(3)
-	a := newMeshCounterNode(t, "a", 1, replica.WithTransport(fn.Transport("a")), quietMesh())
-	b := newMeshCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")), quietMesh())
+	a := newMeshCounterNode(t, "a", 1, peepul.WithTransport(fn.Transport("a")), quietMesh())
+	b := newMeshCounterNode(t, "b", 2, peepul.WithTransport(fn.Transport("b")), quietMesh())
 	a.AddPeer(b.Addr())
 	waitLinks(t, a)
 
@@ -231,7 +231,7 @@ func TestLinkReconnectRepairs(t *testing.T) {
 
 // dialCounter is TCP that counts its dials.
 type dialCounter struct {
-	replica.TCPTransport
+	peepul.TCPTransport
 	dials *atomic.Int64
 }
 
@@ -245,8 +245,8 @@ func (d dialCounter) Dial(ctx context.Context, addr string) (net.Conn, error) {
 // with no new dial.
 func TestIdleLinkOutlivesIdleTimeout(t *testing.T) {
 	var dials atomic.Int64
-	idle := replica.WithSyncTimeout(200 * time.Millisecond)
-	a := newMeshCounterNode(t, "a", 1, idle, quietMesh(), replica.WithTransport(dialCounter{dials: &dials}))
+	idle := peepul.WithSyncTimeout(200 * time.Millisecond)
+	a := newMeshCounterNode(t, "a", 1, idle, quietMesh(), peepul.WithTransport(dialCounter{dials: &dials}))
 	b := newMeshCounterNode(t, "b", 2, idle, quietMesh())
 	a.AddPeer(b.Addr())
 	waitLinks(t, a)
@@ -292,7 +292,7 @@ func TestRemovePeerClosesLink(t *testing.T) {
 // silence, but a batch whose commit names a parent the server lacks is
 // refused, ends the connection, and counts one server violation.
 func TestLinkBatchThatDoesNotGraftIsAViolation(t *testing.T) {
-	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
+	srv := newObsCounterNode(t, "srv", 1, peepul.WithObservability())
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +334,7 @@ func TestLinkBatchThatDoesNotGraftIsAViolation(t *testing.T) {
 // disturb the link.
 func TestUninterestedObjectsSkipPushes(t *testing.T) {
 	a := newMeshCounterNode(t, "a", 1, quietMesh())
-	x, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		a.Node, "x", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	x, err := peepul.Open(a.Node, peepul.PNCounter, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +364,7 @@ func TestUninterestedObjectsSkipPushes(t *testing.T) {
 // both ways shows them in the peer's mesh stats and in the client
 // session's span.
 func TestMeshPeerStatsCountCommits(t *testing.T) {
-	a := newMeshCounterNode(t, "a", 1, replica.WithObservability(), quietMesh())
+	a := newMeshCounterNode(t, "a", 1, peepul.WithObservability(), quietMesh())
 	b := newMeshCounterNode(t, "b", 2)
 	inc(t, a, 4)
 	inc(t, b, 3)

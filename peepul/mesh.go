@@ -16,40 +16,47 @@ import (
 	"time"
 
 	"repro/internal/mesh"
-	"repro/internal/replica"
 )
 
 // WithPeers seeds the node's always-on sync daemon: from construction
 // on, every address gets a supervisor goroutine that links to it and
 // runs anti-entropy rounds. Equivalent to calling AddPeer for each
 // address right after NewNode.
-func WithPeers(addrs ...string) NodeOption { return replica.WithPeers(addrs...) }
+func WithPeers(addrs ...string) NodeOption {
+	return func(c *nodeConfig) { c.peers = append(c.peers, addrs...) }
+}
 
 // WithMeshInterval sets the daemon's anti-entropy round period per peer
 // (default 2s). Zero and below keep the default.
-func WithMeshInterval(d time.Duration) NodeOption { return replica.WithMeshInterval(d) }
+func WithMeshInterval(d time.Duration) NodeOption {
+	return func(c *nodeConfig) { c.meshInterval = d }
+}
 
 // WithMeshJitter caps the random addition to each round's delay
 // (default a quarter of the interval), de-synchronizing a fleet's
 // supervisors. Zero disables jitter entirely.
-func WithMeshJitter(d time.Duration) NodeOption { return replica.WithMeshJitter(d) }
+func WithMeshJitter(d time.Duration) NodeOption {
+	return func(c *nodeConfig) { c.meshJitter, c.meshJitterSet = d, true }
+}
 
 // WithMeshBackoff sets the daemon's failure retry window: min after a
 // first failure, doubling per consecutive failure up to max (defaults
 // 250ms and 30s). Non-positive values keep the defaults.
-func WithMeshBackoff(min, max time.Duration) NodeOption { return replica.WithMeshBackoff(min, max) }
+func WithMeshBackoff(min, max time.Duration) NodeOption {
+	return func(c *nodeConfig) { c.meshBackoffMin, c.meshBackoffMax = min, max }
+}
 
 // AddPeer registers addr with the node's sync daemon, which dials its
 // link immediately. Adding a present peer is a no-op.
-func (n *Node) AddPeer(addr string) { n.rn.AddPeer(addr) }
+func (n *Node) AddPeer(addr string) { n.engine.AddPeer(addr) }
 
 // RemovePeer stops the daemon's supervision of addr and closes its link;
 // once it returns, the peer receives nothing more from the daemon.
 // Removing an unknown peer is a no-op.
-func (n *Node) RemovePeer(addr string) { n.rn.RemovePeer(addr) }
+func (n *Node) RemovePeer(addr string) { n.engine.RemovePeer(addr) }
 
 // Peers returns the daemon's supervised peer addresses, sorted.
-func (n *Node) Peers() []string { return n.rn.Peers() }
+func (n *Node) Peers() []string { return n.engine.Peers() }
 
 // MeshStats is a snapshot of one peer's daemon state: whether its link
 // is up, anti-entropy rounds completed (the link's connect sessions
@@ -61,15 +68,11 @@ func (n *Node) Peers() []string { return n.rn.Peers() }
 type MeshStats = mesh.PeerStats
 
 // MeshStats snapshots the daemon's per-peer state, keyed by address.
-func (n *Node) MeshStats() map[string]MeshStats { return n.rn.MeshStats() }
+func (n *Node) MeshStats() map[string]MeshStats { return n.engine.Stats() }
 
 // PeerMeshStats snapshots one peer's daemon state; ok is false for
 // addresses the daemon does not supervise.
-func (n *Node) PeerMeshStats(addr string) (MeshStats, bool) { return n.rn.PeerMeshStats(addr) }
-
-// WatchEvent reports one remote-merge head move of a watched object: a
-// sync exchange with peer From moved the node branch's head to Head.
-type WatchEvent = replica.WatchEvent
+func (n *Node) PeerMeshStats(addr string) (MeshStats, bool) { return n.engine.PeerStats(addr) }
 
 // Watch returns a channel of this object's remote-merge head moves.
 // Events fire when a sync exchange (daemon round, link batch, or manual
@@ -80,5 +83,5 @@ type WatchEvent = replica.WatchEvent
 // closes when ctx is cancelled or the node closes; either way the
 // watcher detaches without leaking a goroutine.
 func (h *Handle[S, Op, Val]) Watch(ctx context.Context) <-chan WatchEvent {
-	return h.obj.Watch(ctx)
+	return h.entry.watchers.add(ctx)
 }

@@ -1,6 +1,6 @@
-package replica
+package peepul
 
-// Replica-layer observability: session duration and outcomes by role,
+// Sync-session observability: session duration and outcomes by role,
 // per-frame wire accounting, reconciliation descent depth, the traffic
 // series SyncStats is a view over (stats.go), and the flight-recorder
 // spans a sync session leaves behind. The registry is always on: every
@@ -60,7 +60,7 @@ func kindName(k wire.FrameKind) string {
 	return "other"
 }
 
-// nodeMetrics is the replica layer's registry view. Frame counters are
+// nodeMetrics is the sync sessions' registry view. Frame counters are
 // resolved on a kind's first frame into arrays indexed by kind, so the
 // per-frame hot path is one bounds check, one load and two atomic adds,
 // and a node holds series only for the kinds it has seen.
@@ -235,17 +235,3 @@ func (sr *spanRec) finish(err error) {
 	}
 	sr.rec.AddSpan(sr.span)
 }
-
-// Trace snapshots the node's flight recorder: the retained sync-session
-// spans and mesh lifecycle events, oldest first. Empty without
-// WithObservability.
-func (n *Node) Trace() obs.Trace {
-	if n.rec == nil {
-		return obs.Trace{}
-	}
-	return n.rec.Snapshot()
-}
-
-// Registry exposes the node's metrics registry, the one counter source
-// every layer of the node ticks.
-func (n *Node) Registry() *obs.Registry { return n.metrics.reg }

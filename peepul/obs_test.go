@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Observability tests: the session counters count one exchange per role
 // and object, the Stats/Trace/Snapshot surfaces stay
@@ -20,20 +20,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/counter"
-	"repro/internal/replica"
-	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // newObsCounterNode is newCounterNode with construction options.
-func newObsCounterNode(t *testing.T, name string, id int, opts ...replica.NodeOption) *counterNode {
+func newObsCounterNode(t *testing.T, name string, id int, opts ...peepul.NodeOption) *counterNode {
 	t.Helper()
-	n, err := replica.NewNode(name, id, opts...)
+	n, err := peepul.NewNode(name, id, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	obj, err := peepul.Open(n, peepul.PNCounter, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +45,8 @@ func newObsCounterNode(t *testing.T, name string, id int, opts ...replica.NodeOp
 // object, and the session-outcome metric is labelled by role and outcome
 // alone — there is one dialect, so no tier.
 func TestTierCountersRecon(t *testing.T) {
-	a := newObsCounterNode(t, "a", 1, replica.WithObservability())
-	b := newObsCounterNode(t, "b", 2, replica.WithObservability())
+	a := newObsCounterNode(t, "a", 1, peepul.WithObservability())
+	b := newObsCounterNode(t, "b", 2, peepul.WithObservability())
 	inc(t, a, 5)
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
@@ -78,7 +75,7 @@ func TestTierCountersRecon(t *testing.T) {
 func okSession(t *testing.T, n *counterNode, role string) bool {
 	t.Helper()
 	found := false
-	for _, m := range n.Registry().Snapshot() {
+	for _, m := range n.Metrics() {
 		if m.Name != "peepul_replica_sessions_total" {
 			continue
 		}
@@ -96,8 +93,8 @@ func okSession(t *testing.T, n *counterNode, role string) bool {
 // sync traffic flows. It asserts nothing beyond "no race, no panic";
 // the race detector is the assertion.
 func TestStatsSurfacesRaceFree(t *testing.T) {
-	a := newObsCounterNode(t, "a", 1, replica.WithObservability(),
-		replica.WithMeshInterval(5*time.Millisecond), replica.WithMeshJitter(time.Millisecond))
+	a := newObsCounterNode(t, "a", 1, peepul.WithObservability(),
+		peepul.WithMeshInterval(5*time.Millisecond), peepul.WithMeshJitter(time.Millisecond))
 	b := newCounterNode(t, "b", 2)
 	c := newCounterNode(t, "c", 3)
 
@@ -131,8 +128,8 @@ func TestStatsSurfacesRaceFree(t *testing.T) {
 		_ = a.MeshStats()
 		_ = a.DebugSnapshot()
 		_ = a.Trace()
-		_ = a.Registry().Snapshot()
-		_ = a.Registry().WriteProm(io.Discard)
+		_ = a.Metrics()
+		_ = a.WriteMetrics(io.Discard)
 	})
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
@@ -150,7 +147,7 @@ var expositionLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -
 // server down without leaking its goroutines.
 func TestDebugEndpoint(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	a := newObsCounterNode(t, "a", 1, replica.WithDebugAddr("127.0.0.1:0"))
+	a := newObsCounterNode(t, "a", 1, peepul.WithDebugAddr("127.0.0.1:0"))
 	b := newCounterNode(t, "b", 2)
 	inc(t, a, 7)
 	if err := a.SyncWith(b.Addr()); err != nil {
@@ -194,7 +191,7 @@ func TestDebugEndpoint(t *testing.T) {
 		t.Fatalf("scrape is missing the client session counter:\n%s", metrics)
 	}
 
-	var snap replica.DebugSnapshot
+	var snap peepul.DebugSnapshot
 	if err := json.Unmarshal([]byte(get("/debug/peepul/snapshot")), &snap); err != nil {
 		t.Fatalf("snapshot does not decode: %v", err)
 	}
@@ -209,7 +206,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again replica.DebugSnapshot
+	var again peepul.DebugSnapshot
 	if err := json.Unmarshal(reencoded, &again); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"repro/internal/obs"
-	"repro/internal/replica"
 )
 
 // Metric is one metric series from the node's registry: name, sorted
@@ -33,21 +32,15 @@ type SpanPhase = obs.Phase
 // quarantine enter/lift) with its cause.
 type TraceEvent = obs.Event
 
-// DebugSnapshot is the one-document debug view: node identity,
-// aggregate and per-object sync stats, per-peer mesh state, every
-// metric series, and the recent trace. Served at
-// /debug/peepul/snapshot when WithDebugAddr is set.
-type DebugSnapshot = replica.DebugSnapshot
-
-// ObjectDebug is one object's row in a DebugSnapshot.
-type ObjectDebug = replica.ObjectDebug
-
 // WithObservability turns on the node's flight recorder: each sync
 // session leaves a trace span and the mesh daemon its lifecycle events.
 // Read them back with Trace and DebugSnapshot. The metrics registry
 // (Metrics, WriteMetrics) needs no option: wire framing, store merges,
 // disk appends, mesh rounds and sync sessions always record into it.
-func WithObservability() NodeOption { return replica.WithObservability() }
+// The recorder is opt-in because its rings cost about 120 KB per node.
+func WithObservability() NodeOption {
+	return func(c *nodeConfig) { c.obsEnabled = true }
+}
 
 // WithDebugAddr serves the node's live debug endpoint on addr
 // ("127.0.0.1:0" picks a free port — read it back with DebugAddr):
@@ -55,27 +48,27 @@ func WithObservability() NodeOption { return replica.WithObservability() }
 // /debug/peepul/trace (append ?format=text for a human-readable
 // timeline), /healthz, and the net/http/pprof profiles under
 // /debug/pprof/. Implies WithObservability.
-func WithDebugAddr(addr string) NodeOption { return replica.WithDebugAddr(addr) }
+func WithDebugAddr(addr string) NodeOption {
+	return func(c *nodeConfig) { c.debugAddr, c.obsEnabled = addr, true }
+}
 
-// Trace snapshots the node's flight recorder. Empty without
+// Trace snapshots the node's flight recorder: the retained sync-session
+// spans and mesh lifecycle events, oldest first. Empty without
 // WithObservability.
-func (n *Node) Trace() Trace { return n.rn.Trace() }
-
-// DebugAddr returns the bound debug-endpoint address, "" without
-// WithDebugAddr.
-func (n *Node) DebugAddr() string { return n.rn.DebugAddr() }
-
-// DebugSnapshot assembles the unified debug document in process — the
-// same document WithDebugAddr serves over HTTP.
-func (n *Node) DebugSnapshot() DebugSnapshot { return n.rn.DebugSnapshot() }
+func (n *Node) Trace() Trace {
+	if n.rec == nil {
+		return Trace{}
+	}
+	return n.rec.Snapshot()
+}
 
 // Metrics snapshots every metric series of the node's registry, sorted
 // by name and labels.
-func (n *Node) Metrics() []Metric { return n.rn.Registry().Snapshot() }
+func (n *Node) Metrics() []Metric { return n.metrics.reg.Snapshot() }
 
 // WriteMetrics writes the node's registry to w in Prometheus text
 // exposition format — what /metrics serves.
-func (n *Node) WriteMetrics(w io.Writer) error { return n.rn.Registry().WriteProm(w) }
+func (n *Node) WriteMetrics(w io.Writer) error { return n.metrics.reg.WriteProm(w) }
 
 // FormatTrace renders a trace as a human-readable timeline, one line
 // per event and per span phase.

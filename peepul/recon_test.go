@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Tests for range-fingerprint reconciliation: the O(1) converged re-sync
 // it promises, the exactness of its diffs (zero redundant commits), the
@@ -14,8 +14,8 @@ import (
 	"repro/internal/counter"
 	"repro/internal/faultnet"
 	"repro/internal/recon"
-	"repro/internal/replica"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // convergePair drives two syncs so both nodes hold equal sets and equal
@@ -257,8 +257,8 @@ func spanProbes(frames []tappedFrame) int {
 func TestFirstContactSkipsSpan(t *testing.T) {
 	frames := newFrameTap()
 	fn := faultnet.New(1, faultnet.WithTap(frames.tap))
-	a := newObsCounterNode(t, "a", 1, replica.WithTransport(fn.Transport("a")))
-	b := newObsCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")))
+	a := newObsCounterNode(t, "a", 1, peepul.WithTransport(fn.Transport("a")))
+	b := newObsCounterNode(t, "b", 2, peepul.WithTransport(fn.Transport("b")))
 	inc(t, a, 2)
 	inc(t, b, 5)
 	if err := a.SyncWith(b.Addr()); err != nil {
@@ -299,20 +299,19 @@ func TestFirstContactSkipsSpan(t *testing.T) {
 // single span probe — one probe for the whole node, not one per object —
 // and per-object counters still tick.
 func TestReconMultiObjectSpan(t *testing.T) {
-	a, err := replica.NewNode("a", 1)
+	a, err := peepul.NewNode("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := replica.NewNode("b", 2)
+	b, err := peepul.NewNode("b", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
-	var objs []*replica.TypedObject[counter.PNState, counter.Op, counter.Val]
-	for _, n := range []*replica.Node{a, b} {
+	var objs []*peepul.Handle[counter.PNState, counter.Op, counter.Val]
+	for _, n := range []*peepul.Node{a, b} {
 		for _, name := range []string{"x", "y", "z"} {
-			o, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-				n, name, "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+			o, err := peepul.Open(n, peepul.PNCounter, name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 import (
 	"fmt"
@@ -10,25 +10,24 @@ import (
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/queue"
-	"repro/internal/replica"
-	"repro/internal/wire"
+	"repro/internal/store"
+	"repro/peepul"
 )
 
 // counterNode is a node hosting a single PN-counter object — the
 // single-object shape most protocol tests use.
 type counterNode struct {
-	*replica.Node
-	obj *replica.TypedObject[counter.PNState, counter.Op, counter.Val]
+	*peepul.Node
+	obj *peepul.Handle[counter.PNState, counter.Op, counter.Val]
 }
 
 func newCounterNode(t *testing.T, name string, id int) *counterNode {
 	t.Helper()
-	n, err := replica.NewNode(name, id)
+	n, err := peepul.NewNode(name, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "counter", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	obj, err := peepul.Open(n, peepul.PNCounter, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +36,11 @@ func newCounterNode(t *testing.T, name string, id int) *counterNode {
 	}
 	t.Cleanup(func() { n.Close() })
 	return &counterNode{Node: n, obj: obj}
+}
+
+// head names the node branch's head set.
+func (n *counterNode) head() (store.Hash, error) {
+	return n.obj.Store().HeadHash(n.obj.Branch())
 }
 
 func inc(t *testing.T, n *counterNode, amount int64) {
@@ -123,16 +127,15 @@ func TestRingGossipConverges(t *testing.T) {
 
 func TestORSetAddWinsOverTheWire(t *testing.T) {
 	type orsetNode struct {
-		*replica.Node
-		obj *replica.TypedObject[orset.SpaceState, orset.Op, orset.Val]
+		*peepul.Node
+		obj *peepul.Handle[orset.SpaceState, orset.Op, orset.Val]
 	}
 	mk := func(name string, id int) *orsetNode {
-		n, err := replica.NewNode(name, id)
+		n, err := peepul.NewNode(name, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := replica.Ensure[orset.SpaceState, orset.Op, orset.Val](
-			n, "cart", "or-set-space", orset.OrSetSpace{}, wire.OrSetSpace{})
+		obj, err := peepul.Open(n, peepul.OrSetSpace, "cart")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,16 +167,15 @@ func TestORSetAddWinsOverTheWire(t *testing.T) {
 
 func TestQueueWorkersOverTheWire(t *testing.T) {
 	type queueNode struct {
-		*replica.Node
-		obj *replica.TypedObject[queue.State, queue.Op, queue.Val]
+		*peepul.Node
+		obj *peepul.Handle[queue.State, queue.Op, queue.Val]
 	}
 	mk := func(name string, id int) *queueNode {
-		n, err := replica.NewNode(name, id)
+		n, err := peepul.NewNode(name, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := replica.Ensure[queue.State, queue.Op, queue.Val](
-			n, "jobs", "functional-queue", queue.Queue{}, wire.Queue{})
+		obj, err := peepul.Open(n, peepul.Queue, "jobs")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,20 +283,18 @@ func TestConcurrentOpsDuringGossip(t *testing.T) {
 // single connection and checks per-object frontier negotiation: a
 // re-sync of the converged pair ships zero commits for each object.
 func TestMultiObjectSession(t *testing.T) {
-	mk := func(name string, id int) (*replica.Node,
-		*replica.TypedObject[counter.PNState, counter.Op, counter.Val],
-		*replica.TypedObject[mlog.State, mlog.Op, mlog.Val]) {
-		n, err := replica.NewNode(name, id)
+	mk := func(name string, id int) (*peepul.Node,
+		*peepul.Handle[counter.PNState, counter.Op, counter.Val],
+		*peepul.Handle[mlog.State, mlog.Op, mlog.Val]) {
+		n, err := peepul.NewNode(name, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cnt, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-			n, "hits", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+		cnt, err := peepul.Open(n, peepul.PNCounter, "hits")
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-			n, "feed", "mergeable-log", mlog.Log{}, wire.MLog{})
+		feed, err := peepul.Open(n, peepul.MLog, "feed")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestMultiObjectSession(t *testing.T) {
 	if err := a.SyncWith(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	for _, cnt := range []*replica.TypedObject[counter.PNState, counter.Op, counter.Val]{aCnt, bCnt} {
+	for _, cnt := range []*peepul.Handle[counter.PNState, counter.Op, counter.Val]{aCnt, bCnt} {
 		s, err := cnt.State()
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +324,7 @@ func TestMultiObjectSession(t *testing.T) {
 			t.Fatalf("counter = %d, want 12", got)
 		}
 	}
-	for _, feed := range []*replica.TypedObject[mlog.State, mlog.Op, mlog.Val]{aFeed, bFeed} {
+	for _, feed := range []*peepul.Handle[mlog.State, mlog.Op, mlog.Val]{aFeed, bFeed} {
 		s, err := feed.State()
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +335,7 @@ func TestMultiObjectSession(t *testing.T) {
 	}
 
 	// Converged: a re-sync ships zero commits per object, on both sides.
-	before := map[string][2]replica.SyncStats{
+	before := map[string][2]peepul.SyncStats{
 		"hits": {a.ObjectStats("hits"), b.ObjectStats("hits")},
 		"feed": {a.ObjectStats("feed"), b.ObjectStats("feed")},
 	}
@@ -343,7 +343,7 @@ func TestMultiObjectSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for object, prev := range before {
-		for i, n := range []*replica.Node{a, b} {
+		for i, n := range []*peepul.Node{a, b} {
 			after := n.ObjectStats(object)
 			moved := (after.CommitsSent - prev[i].CommitsSent) + (after.CommitsRecv - prev[i].CommitsRecv)
 			if moved != 0 {
@@ -361,23 +361,20 @@ func TestMultiObjectSession(t *testing.T) {
 // overlap: shared objects converge, unshared ones are skipped and
 // counted as misses, and the session survives the miss.
 func TestPartialObjectOverlap(t *testing.T) {
-	a, err := replica.NewNode("a", 1)
+	a, err := peepul.NewNode("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := replica.NewNode("b", 2)
+	b, err := peepul.NewNode("b", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
-	aCnt, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		a, "shared", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		a, "a-only", "mergeable-log", mlog.Log{}, wire.MLog{}); err != nil {
+	aCnt, _ := peepul.Open(a, peepul.PNCounter, "shared")
+	if _, err := peepul.Open(a, peepul.MLog, "a-only"); err != nil {
 		t.Fatal(err)
 	}
-	bCnt, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		b, "shared", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
+	bCnt, _ := peepul.Open(b, peepul.PNCounter, "shared")
 	if err := b.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +402,11 @@ func TestPartialObjectOverlap(t *testing.T) {
 // TestDatatypeMismatchIsMiss: the same object name registered under
 // different datatypes must not merge; the hello is answered with a miss.
 func TestDatatypeMismatchIsMiss(t *testing.T) {
-	a, _ := replica.NewNode("a", 1)
-	b, _ := replica.NewNode("b", 2)
+	a, _ := peepul.NewNode("a", 1)
+	b, _ := peepul.NewNode("b", 2)
 	t.Cleanup(func() { a.Close(); b.Close() })
-	aObj, _ := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		a, "thing", "pn-counter", counter.PNCounter{}, wire.PNCounter{})
-	replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		b, "thing", "mergeable-log", mlog.Log{}, wire.MLog{})
+	aObj, _ := peepul.Open(a, peepul.PNCounter, "thing")
+	peepul.Open(b, peepul.MLog, "thing")
 	if err := b.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -427,21 +422,18 @@ func TestDatatypeMismatchIsMiss(t *testing.T) {
 // TestEnsureRejectsMismatch: re-opening an object under another datatype
 // or concrete type fails instead of corrupting the store.
 func TestEnsureRejectsMismatch(t *testing.T) {
-	n, _ := replica.NewNode("x", 1)
+	n, _ := peepul.NewNode("x", 1)
 	defer n.Close()
-	if _, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "obj", "pn-counter", counter.PNCounter{}, wire.PNCounter{}); err != nil {
+	if _, err := peepul.Open(n, peepul.PNCounter, "obj"); err != nil {
 		t.Fatal(err)
 	}
 	// Same name and types: idempotent.
-	if _, err := replica.Ensure[counter.PNState, counter.Op, counter.Val](
-		n, "obj", "pn-counter", counter.PNCounter{}, wire.PNCounter{}); err != nil {
+	if _, err := peepul.Open(n, peepul.PNCounter, "obj"); err != nil {
 		t.Fatal(err)
 	}
 	// Same name, different datatype: refused.
-	if _, err := replica.Ensure[mlog.State, mlog.Op, mlog.Val](
-		n, "obj", "mergeable-log", mlog.Log{}, wire.MLog{}); err == nil {
-		t.Fatal("mismatched Ensure must fail")
+	if _, err := peepul.Open(n, peepul.MLog, "obj"); err == nil {
+		t.Fatal("mismatched Open must fail")
 	}
 }
 
@@ -453,10 +445,10 @@ func TestSyncWithUnreachablePeer(t *testing.T) {
 }
 
 func TestNewNodeValidatesID(t *testing.T) {
-	if _, err := replica.NewNode("x", -1); err == nil {
+	if _, err := peepul.NewNode("x", -1); err == nil {
 		t.Fatal("negative replica id accepted")
 	}
-	if _, err := replica.NewNode("x", replica.MaxReplicaID+1); err == nil {
+	if _, err := peepul.NewNode("x", peepul.MaxReplicaID+1); err == nil {
 		t.Fatal("oversized replica id accepted")
 	}
 }
@@ -475,13 +467,13 @@ func TestNodeAccessors(t *testing.T) {
 	if got := a.Objects(); !slices.Equal(got, []string{"counter"}) {
 		t.Fatalf("Objects = %v", got)
 	}
-	if _, ok := a.Object("counter"); !ok {
-		t.Fatal("Object lookup")
+	if h, err := peepul.Open(a.Node, peepul.PNCounter, "counter"); err != nil || h != a.obj {
+		t.Fatalf("Object lookup: %v, %v; want the open handle", h, err)
 	}
-	if _, ok := a.Object("ghost"); ok {
+	if a.ObjectStats("ghost") != (peepul.SyncStats{}) {
 		t.Fatal("ghost object must not resolve")
 	}
-	n, _ := replica.NewNode("x", 9)
+	n, _ := peepul.NewNode("x", 9)
 	if n.Addr() != "" {
 		t.Fatal("Addr before Listen must be empty")
 	}

@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 import (
 	"crypto/sha256"
@@ -150,7 +150,7 @@ func (n *Node) handleHello(conn *countedConn, fields [][]byte, rs *reconSession,
 		return wire.WriteMsg(conn, wire.FrameHelloMiss, []byte("object not hosted: "+hello.Object))
 	}
 	conn.at(e)
-	if dt := e.obj.Datatype(); dt != hello.Datatype {
+	if dt := e.datatype; dt != hello.Datatype {
 		conn.flow.Load().misses.Inc()
 		return wire.WriteMsg(conn, wire.FrameHelloMiss,
 			[]byte(fmt.Sprintf("object %s is %s here, peer has %s", hello.Object, dt, hello.Datatype)))
@@ -319,7 +319,7 @@ func (n *Node) handleLinkBatch(conn *countedConn, fields [][]byte, sp *spanRec) 
 	}
 	sp.setPeer(hello.Node)
 	e, ok := n.entry(hello.Object)
-	if !ok || e.obj.Datatype() != hello.Datatype {
+	if !ok || e.datatype != hello.Datatype {
 		conn.at(nil)
 		return refuse(conn, fmt.Sprintf("link batch for object %s (%s), not hosted here", hello.Object, hello.Datatype))
 	}

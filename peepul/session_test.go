@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Session-connection tests: a protocol turn leaves in one write, a
 // refusal still reaches the peer before the server hangs up, and a
@@ -18,9 +18,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/peepul"
 )
 
 // connOps counts the raw reads and writes one connection made.
@@ -53,7 +53,7 @@ func (c *opConn) Close() error {
 // opTransport is TCP that counts the raw operations of every connection
 // it dials or accepts.
 type opTransport struct {
-	replica.TCPTransport
+	peepul.TCPTransport
 	mu               sync.Mutex
 	dialed, accepted []*connOps
 }
@@ -127,8 +127,8 @@ func (t *opTransport) last(tb testing.TB, accepted bool) *connOps {
 // client reads FrameLanded with the reply or in one read of its own.
 func TestReconSessionOneFlushPerTurn(t *testing.T) {
 	ta, tb := &opTransport{}, &opTransport{}
-	a := newObsCounterNode(t, "a", 1, replica.WithTransport(ta))
-	b := newObsCounterNode(t, "b", 2, replica.WithTransport(tb))
+	a := newObsCounterNode(t, "a", 1, peepul.WithTransport(ta))
+	b := newObsCounterNode(t, "b", 2, peepul.WithTransport(tb))
 	// A history deep enough that the root answer is a split, so the
 	// descent takes probes of its own.
 	for i := 0; i < 200; i++ {
@@ -180,7 +180,7 @@ func TestReconSessionOneFlushPerTurn(t *testing.T) {
 // serverSessions returns the server-role session counts of n by outcome.
 func serverSessions(n *counterNode) map[string]int64 {
 	out := make(map[string]int64)
-	for _, m := range n.Registry().Snapshot() {
+	for _, m := range n.Metrics() {
 		if m.Name == "peepul_replica_sessions_total" && m.Labels["role"] == "server" {
 			out[m.Labels["outcome"]] += m.Value
 		}
@@ -207,7 +207,7 @@ func frameOf(kind wire.FrameKind, fields ...[]byte) []byte {
 // EOF, which the client would classify as transient and so never
 // quarantine. The refusing side records each one as a violation.
 func TestServerRefusalsReachThePeer(t *testing.T) {
-	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
+	srv := newObsCounterNode(t, "srv", 1, peepul.WithObservability())
 	root := wire.EncodeReconRange(wire.ReconRange{Count: 1})
 	cases := []struct {
 		name string
@@ -279,7 +279,7 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 	}
 	for name, send := range cases {
 		t.Run(name, func(t *testing.T) {
-			srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
+			srv := newObsCounterNode(t, "srv", 1, peepul.WithObservability())
 			inc(t, srv, 1)
 			conn, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
@@ -324,7 +324,7 @@ func TestServerCountsHangupAsTransient(t *testing.T) {
 // the server records one violation for each; a client whose peer acks in
 // another version fails with ErrProtocol.
 func TestUnsupportedVersionRefused(t *testing.T) {
-	srv := newObsCounterNode(t, "srv", 1, replica.WithObservability())
+	srv := newObsCounterNode(t, "srv", 1, peepul.WithObservability())
 	// Version 3, the single-head dialect; version 4, whose server never
 	// sends FrameLanded; version 5, whose commits address states by the
 	// SHA-256 of the whole encoding; and a version from the future.
@@ -386,7 +386,7 @@ func TestUnsupportedVersionRefused(t *testing.T) {
 	}()
 	cli := newCounterNode(t, "cli", 2)
 	err = cli.SyncWith(ln.Addr().String())
-	if !errors.Is(err, replica.ErrProtocol) || !strings.Contains(err.Error(), want) {
+	if !errors.Is(err, peepul.ErrProtocol) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("client against another version: %v, want ErrProtocol naming %q", err, want)
 	}
 }

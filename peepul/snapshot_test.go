@@ -1,4 +1,4 @@
-package replica_test
+package peepul_test
 
 // Tests for snapshot sync sessions: a client session ships from the
 // state it connected with and holds no lock across its round trips, so
@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/faultnet"
-	"repro/internal/replica"
+	"repro/peepul"
 )
 
 func incOp(n int64) counter.Op { return counter.Op{Kind: counter.Inc, N: n} }
@@ -29,8 +29,8 @@ func settle(t *testing.T, a, b *counterNode, want int64, maxSyncs int) {
 		if err := a.SyncWith(b.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		ha, _ := a.obj.Head()
-		hb, _ := b.obj.Head()
+		ha, _ := a.head()
+		hb, _ := b.head()
 		if ha == hb {
 			break
 		}
@@ -56,8 +56,8 @@ func settle(t *testing.T, a, b *counterNode, want int64, maxSyncs int) {
 func TestDoBoundedByStoreNotSession(t *testing.T) {
 	const hop = 20 * time.Millisecond
 	fn := faultnet.New(1)
-	a := newMeshCounterNode(t, "a", 1, replica.WithTransport(fn.Transport("a")))
-	b := newMeshCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")))
+	a := newMeshCounterNode(t, "a", 1, peepul.WithTransport(fn.Transport("a")))
+	b := newMeshCounterNode(t, "b", 2, peepul.WithTransport(fn.Transport("b")))
 	total := int64(0)
 	for i := 0; i < 40; i++ {
 		inc(t, a, 1)
@@ -122,9 +122,9 @@ func TestCrossedSessionsNeedNoTieBreak(t *testing.T) {
 	for _, names := range [][2]string{{"a", "b"}, {"b", "a"}} {
 		t.Run(names[0]+names[1], func(t *testing.T) {
 			const sessionTimeout = 5 * time.Second
-			x := newMeshCounterNode(t, names[0], 1, replica.WithSessionTimeout(sessionTimeout),
-				replica.WithObservability())
-			y := newMeshCounterNode(t, names[1], 2, replica.WithSessionTimeout(sessionTimeout))
+			x := newMeshCounterNode(t, names[0], 1, peepul.WithSessionTimeout(sessionTimeout),
+				peepul.WithObservability())
+			y := newMeshCounterNode(t, names[1], 2, peepul.WithSessionTimeout(sessionTimeout))
 			var total atomic.Int64
 			for iter := 0; iter < 50; iter++ {
 				var wg sync.WaitGroup
@@ -216,7 +216,7 @@ func TestWatchSilentForLocalWrites(t *testing.T) {
 
 // countingTransport counts the dials a node makes.
 type countingTransport struct {
-	replica.Transport
+	peepul.Transport
 	dials atomic.Int64
 }
 
@@ -231,15 +231,13 @@ func (c *countingTransport) Dial(ctx context.Context, addr string) (net.Conn, er
 func TestSpanProbeTransportErrorKeepsMemo(t *testing.T) {
 	fn := faultnet.New(3)
 	tr := &countingTransport{Transport: fn.Transport("a")}
-	a := newMeshCounterNode(t, "a", 1, replica.WithTransport(tr), replica.WithObservability())
-	b := newMeshCounterNode(t, "b", 2, replica.WithTransport(fn.Transport("b")))
+	a := newMeshCounterNode(t, "a", 1, peepul.WithTransport(tr), peepul.WithObservability())
+	b := newMeshCounterNode(t, "b", 2, peepul.WithTransport(fn.Transport("b")))
 	inc(t, a, 1)
 	inc(t, b, 1)
 	convergePair(t, a, b)
 	spanProbes := func() int64 {
-		reg := a.Registry()
-		return reg.Counter("peepul_recon_span_probes_total", "result", "match").Value() +
-			reg.Counter("peepul_recon_span_probes_total", "result", "diff").Value()
+		return seriesSum(a.Metrics(), "peepul_recon_span_probes_total")
 	}
 
 	fn.SetLink("b", "a", faultnet.Link{CutRate: 1})

@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 import (
 	"repro/internal/mesh"
@@ -6,10 +6,11 @@ import (
 	"repro/internal/store"
 )
 
-// SyncStats counts sync traffic across both client and server roles. It
-// is a view over the node's registry: each field is the sum of the
-// series one kind of event ticks (see flow), over the whole node for
-// Stats and over one object's series for ObjectStats. The node's
+// SyncStats counts a node's (or one object's) sync traffic, across both
+// client and server roles. It is a view over the node's metrics
+// registry: each field sums the series of one kind of event (see
+// Metrics), over the whole node for Stats and over one object's series
+// for ObjectStats. The node's
 // aggregate covers both directions of every connection the node took
 // part in; per-object stats attribute commits exactly and bytes to the
 // object whose exchange was in flight when they crossed the wire. Commit
@@ -46,7 +47,7 @@ type SyncStats struct {
 	InboundShed int64
 }
 
-// The replica layer's traffic series, besides mesh.BytesSeries and
+// The sync sessions' traffic series, besides mesh.BytesSeries and
 // mesh.CommitsSeries. Each is labelled object, except for traffic no
 // exchange owns (span probes, hellos for objects not hosted here), and
 // on the dial side peer, the dialled address. Shed connections belong to
@@ -154,11 +155,11 @@ func (m *nodeMetrics) stats(match ...string) SyncStats {
 	}
 }
 
-// Stats returns a snapshot of the node's aggregate sync counters.
+// Stats returns the node's aggregate sync counters.
 func (n *Node) Stats() SyncStats { return n.metrics.stats() }
 
-// ObjectStats returns a snapshot of one object's sync counters (zero for
-// objects the node does not host).
+// ObjectStats returns one object's sync counters (zero for objects the
+// node does not host).
 func (n *Node) ObjectStats(object string) SyncStats {
 	if _, ok := n.entry(object); !ok {
 		return SyncStats{}

@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 // Transport abstraction: every connection a node makes or accepts goes
 // through a Transport, so the same engine runs over real TCP in
@@ -11,11 +11,12 @@ import (
 	"time"
 )
 
-// Transport is how a node reaches the network: Dial opens a client sync
-// connection to a peer address, Listen binds the node's serving
-// listener. Implementations must be safe for concurrent use; Dial must
-// honour ctx cancellation (node close aborts in-flight dials through
-// it).
+// Transport is how a node reaches the network: Dial opens client sync
+// connections, Listen binds the serving listener. The default is plain
+// TCP; tests and benchmarks inject a fault net (internal/faultnet), and
+// future authenticated transports plug in the same way. Implementations
+// must be safe for concurrent use; Dial must honour ctx cancellation
+// (node close aborts in-flight dials through it).
 type Transport interface {
 	Dial(ctx context.Context, addr string) (net.Conn, error)
 	Listen(addr string) (net.Listener, error)

@@ -1,4 +1,4 @@
-package replica
+package peepul
 
 // Watch: notification channels for remote-merge head moves. A watcher is
 // a bounded channel fed from the sync path's Integrate — the single
