@@ -330,9 +330,19 @@ func blockHash(b []byte) uint64 {
 // announced length is capped at MaxTarget, and the announced base
 // length must match len(base) — so a hostile patch can neither read out
 // of bounds nor drive allocation beyond MaxTarget, however many
-// whole-base copy opcodes it stacks. The returned slice is freshly
-// allocated.
+// whole-base copy opcodes it stacks. It is ApplyTo with no buffer to
+// write into.
 func Apply(base, patch []byte) ([]byte, error) {
+	return ApplyTo(nil, base, patch)
+}
+
+// ApplyTo is Apply writing the target into dst's storage when cap(dst)
+// covers the announced target length; dst's contents are ignored, and it
+// must not overlap base or patch. Otherwise it allocates the target with
+// an eighth more room, so that a caller recycling the result has room
+// for a growing state's next version too. It validates exactly as Apply
+// does.
+func ApplyTo(dst, base, patch []byte) ([]byte, error) {
 	baseLen, n := binary.Uvarint(patch)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: bad base length", ErrCorrupt)
@@ -349,16 +359,19 @@ func Apply(base, patch []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: announced target of %d bytes exceeds the %d limit", ErrCorrupt, targetLen, MaxTarget)
 	}
 	patch = patch[n:]
-	// Every opcode below is checked against the remaining room before
-	// appending, so out never grows past targetLen; still cap the
-	// prealloc at what the patch could plausibly produce, so a forged
-	// length paired with a tiny patch does not get a large buffer for
-	// free.
-	prealloc := targetLen
-	if lim := uint64(len(base)+len(patch)) * 8; prealloc > lim {
-		prealloc = lim
+	out := dst[:0]
+	if dst == nil || uint64(cap(dst)) < targetLen {
+		// Every opcode below is checked against the remaining room before
+		// appending, so out never grows past targetLen; still cap the
+		// prealloc at what the patch could plausibly produce, so a forged
+		// length paired with a tiny patch does not get a large buffer for
+		// free.
+		prealloc := targetLen + targetLen/8
+		if lim := uint64(len(base)+len(patch)) * 8; prealloc > lim {
+			prealloc = lim
+		}
+		out = make([]byte, 0, prealloc)
 	}
-	out := make([]byte, 0, prealloc)
 	for len(patch) > 0 {
 		op := patch[0]
 		patch = patch[1:]

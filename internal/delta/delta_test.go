@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/delta"
@@ -188,6 +189,88 @@ func TestApplyBoundsHostileAmplification(t *testing.T) {
 	}
 }
 
+// TestApplyToMatchesApply: on every codec-shaped corpus, ApplyTo rebuilds
+// Apply's target whatever dst holds — nil, a dirty buffer too small for
+// the target, or a dirty one large enough. Given no room it allocates an
+// eighth more than the target; into a large-enough dst it writes in
+// place and allocates nothing.
+func TestApplyToMatchesApply(t *testing.T) {
+	dirty := func(n int) []byte { return bytes.Repeat([]byte{0xa5}, n) }
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, c := range codecCorpora(rand.New(rand.NewSource(seed))) {
+			patch := delta.Make(c.base, c.target)
+			want, err := delta.Apply(c.base, patch)
+			if err != nil || !bytes.Equal(want, c.target) {
+				t.Fatalf("seed %d %s: Apply: %v, or a different target", seed, c.name, err)
+			}
+			for _, d := range []struct {
+				name string
+				dst  []byte
+			}{
+				{"nil", nil},
+				{"too-small", dirty(len(c.target) / 2)[:1]},
+				{"large-enough", dirty(len(c.target) + 16)[:3]},
+			} {
+				got, err := delta.ApplyTo(d.dst, c.base, patch)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("seed %d %s: ApplyTo into a %s dst: %v, or not Apply's target", seed, c.name, d.name, err)
+				}
+				if d.dst == nil && cap(got) < len(want)+len(want)/8 {
+					t.Errorf("seed %d %s: ApplyTo allocated cap %d for a %d-byte target, want an eighth more", seed, c.name, cap(got), len(want))
+				}
+			}
+			dst := dirty(len(c.target) + 16)
+			var got []byte
+			allocs := testing.AllocsPerRun(10, func() { got, err = delta.ApplyTo(dst, c.base, patch) })
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("seed %d %s: ApplyTo in place: %v, or not Apply's target", seed, c.name, err)
+			}
+			if allocs != 0 {
+				t.Errorf("seed %d %s: ApplyTo into a large-enough dst allocated %v times, want 0", seed, c.name, allocs)
+			}
+			if &got[:1][0] != &dst[0] {
+				t.Errorf("seed %d %s: ApplyTo's result does not share dst's array", seed, c.name)
+			}
+		}
+	}
+}
+
+// TestApplyToAllocatesWithinApplysBound: a patch announcing a target far
+// beyond what its opcodes produce gets no more room from ApplyTo than
+// Apply gives it — at most eight times the base and patch bytes,
+// whatever dst it is given — and is refused.
+func TestApplyToAllocatesWithinApplysBound(t *testing.T) {
+	base := bytes.Repeat([]byte("0123456789abcdef"), 64) // 1 KiB
+	forged := func(target uint64) []byte {
+		p := binary.AppendUvarint(nil, uint64(len(base)))
+		p = binary.AppendUvarint(p, target)
+		p = append(p, 0x01) // opCopy of the whole base
+		p = binary.AppendUvarint(p, 0)
+		return binary.AppendUvarint(p, uint64(len(base)))
+	}
+	const runs = 20
+	for _, target := range []uint64{1 << 40, delta.MaxTarget, 64 << 10, 9 << 10} {
+		patch := forged(target)
+		// The allocator rounds a large buffer up by less than an eighth,
+		// and the error the refusal formats costs a few hundred bytes.
+		lim := 8 * (len(base) + len(patch))
+		bound := uint64(lim + lim/8 + 1024)
+		for _, dst := range [][]byte{nil, make([]byte, 100)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := delta.ApplyTo(dst, base, patch); err == nil {
+					t.Fatalf("a patch announcing %d bytes for a %d-byte output applied", target, len(base))
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > bound {
+				t.Errorf("announced %d bytes, dst cap %d: ApplyTo allocated %d bytes a call, want at most %d", target, cap(dst), per, bound)
+			}
+		}
+	}
+}
+
 // TestRandomizedRoundTrip is the property test: targets derived from a
 // random base by random splices must always round-trip, whatever the
 // mutation pattern.
@@ -262,6 +345,11 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, target) {
 			t.Fatal("round trip mismatch")
+		}
+		// Into a dirty recycled buffer with room for the target.
+		dst := bytes.Repeat([]byte{0xa5}, len(target)+8)
+		if got, err := delta.ApplyTo(dst[:1], base, patch); err != nil || !bytes.Equal(got, target) {
+			t.Fatalf("ApplyTo into a recycled buffer: %v, or a different target", err)
 		}
 		checkShared(t, base, target)
 		// Below one 16-byte block Make does not look for copies at all.

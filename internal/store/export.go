@@ -279,11 +279,14 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 					return it.err
 				}
 				// The pack keeps the verified bytes. A reassembled state is
-				// the store's own delta.Apply output; a state shipped whole
-				// and a shipped patch are the caller's, so they are copied —
-				// only for first-seen states: re-shipped known history never
-				// stores either. A whole state is copied at its exact size,
-				// which packLocked then stores without a second copy.
+				// in the store's own buffer, which the reassembly slot holds
+				// next; it is the spare again only once a later state
+				// displaces it, when this item has left the queue and its
+				// helper is done. A state shipped whole and a shipped patch
+				// are the caller's, so they are copied — only for first-seen
+				// states: re-shipped known history never stores either. A
+				// whole state is copied at its exact size, which packLocked
+				// then stores without a second copy.
 				enc, patch := it.enc, it.patch
 				if patch != nil {
 					patch = bytes.Clone(patch)
@@ -340,10 +343,12 @@ type importItem struct {
 	commit Commit
 	base   Hash   // the chain base: the first parent's state
 	patch  []byte // the shipped patch; nil for a full state
-	// enc is the reassembled encoding of a first-seen state, nil for a
-	// state already stored or queued, and tree its chunk tree. Until the
-	// item is installed they are also the patch base, and the base of the
-	// address, for later batch commits that chain to it.
+	// enc is the encoding of a first-seen state, nil for a state already
+	// stored or queued, and tree its chunk tree: a shipped patch is
+	// reassembled into the store's spare buffer and the tree built in its
+	// spare tree, which the item then owns. Until the item is installed
+	// they are also the patch base, and the base of the address, for later
+	// batch commits that chain to it.
 	enc  []byte
 	tree *chunkTree
 	// done is nil unless enc is being verified; closed once err is set.
@@ -353,10 +358,11 @@ type importItem struct {
 
 // prepareImportLocked runs the order-dependent stage for batch commit i:
 // parent and generation checks, then the encoding, shipped whole or
-// reassembled against the first parent's state, and its address — from
-// the base's chunk tree and the shipped patch, or from scratch for a
-// state shipped whole. Parents and patch bases resolve among the queued
-// commits (pending, fresh) before the store. Callers hold the write lock.
+// reassembled against the first parent's state into the spare buffer,
+// and its address, built in the spare tree — from the base's chunk tree
+// and the shipped patch, or from scratch for a state shipped whole.
+// Parents and patch bases resolve among the queued commits (pending,
+// fresh) before the store. Callers hold the write lock.
 func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem) (*importItem, error) {
 	it := &importItem{i: i}
 	// The generation-guided DAG walks (lca.go) are only correct under
@@ -416,16 +422,26 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		} else if baseEnc, baseTree, err = s.materializeLocked(it.base); err != nil {
 			return nil, fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
 		}
-		if enc, err = delta.Apply(baseEnc, ec.Patch); err != nil {
+		dst := s.spare
+		s.spare = nil
+		if enc, err = delta.ApplyTo(dst, baseEnc, ec.Patch); err != nil {
 			return nil, fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
 		}
 		it.patch = ec.Patch
 	}
+	into := s.spareTree
+	s.spareTree = nil
 	// Content addressing lets re-imported history short-circuit: a state
-	// already stored, or queued earlier in this batch, is never verified.
-	st, tree := s.addrLocked(enc, baseTree, it.patch, nil)
+	// already stored, or queued earlier in this batch, is never verified,
+	// and its reassembled encoding and chunk tree are spares again at
+	// once.
+	st, tree := s.addrLocked(enc, baseTree, it.patch, into)
 	if !s.objExistsLocked(st) && fresh[st] == nil {
 		it.enc, it.tree = enc, tree
+	} else if it.patch != nil {
+		s.keepSpareLocked(enc, tree)
+	} else {
+		s.keepSpareLocked(nil, tree) // a state shipped whole is the caller's
 	}
 	it.commit = Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
 	it.hash = commitHash(it.commit)

@@ -105,10 +105,13 @@ func BenchmarkIntegrateBatch(b *testing.B) {
 }
 
 // TestIntegrateAllocatesOneEncodingPerState: landing a catch-up batch of
-// 64 first-seen or-set states allocates under 1.5 times the bytes of
-// those states — each state's reassembled encoding, which the pack
-// keeps, but no decode and no second full encoding per state: the
-// codec's Check validates the encoding in place.
+// 64 first-seen or-set states allocates under half the bytes of those
+// states. The pack keeps each state's shipped patch, not its encoding,
+// so a state's reassembled encoding is needed only until the state is
+// installed: each is reassembled into the buffer the store recycles, and
+// only the states in flight while the verifiers run (about one window)
+// get new buffers. Nor does a state cost a decode or a second full
+// encoding: the codec's Check validates the encoding in place.
 func TestIntegrateAllocatesOneEncodingPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account")
@@ -128,7 +131,7 @@ func TestIntegrateAllocatesOneEncodingPerState(t *testing.T) {
 	}
 	ratio := float64(alloc) / float64(states)
 	t.Logf("%d batches of %d commits: %d B allocated for %d B of first-seen states (%.2fx)", batches, catchUpBatch, alloc, states, ratio)
-	if ratio >= 1.5 {
-		t.Fatalf("Integrate allocated %.2fx the batch's state bytes, want < 1.5x", ratio)
+	if ratio >= 0.5 {
+		t.Fatalf("Integrate allocated %.2fx the batch's state bytes, want < 0.5x", ratio)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/delta"
@@ -57,6 +58,12 @@ type packObject struct {
 	load    func() ([]byte, error)
 	once    sync.Once
 	loadErr error
+	// verified is set once materializeLocked has matched a snapshot's
+	// bytes to its address: a resident object's bytes never change once
+	// loaded, so later reads skip the check. Readers set it under the
+	// shared lock. A frozen-index object is built afresh on every lookup,
+	// so it is checked on every read.
+	verified atomic.Bool
 }
 
 // bytes returns the object's stored bytes, fetching them from the
@@ -197,7 +204,9 @@ func (c *stateCache[S]) remove(h Hash) {
 // access — Apply deltifying against the state it just built, imports
 // walking a shipped chain — O(patch) instead of O(chain). The slot keeps
 // its encoding's chunk tree, so a chain rebuilt from it is addressed
-// incrementally too; any other is addressed from scratch.
+// incrementally too; any other is addressed from scratch. A snapshot
+// read whole is addressed until one read has verified it
+// (packObject.verified); later reads return it with a nil tree.
 func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error) {
 	s.encMu.Lock()
 	cached, cachedHash, cachedTree := s.encBuf, s.encHash, s.encTree
@@ -212,6 +221,7 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 	cur := h
 	var enc []byte
 	var baseTree *chunkTree // enc's tree while enc is the slot's
+	var whole *packObject   // h's object when it is a snapshot
 	for {
 		if cur == cachedHash && cached != nil {
 			enc, baseTree = cached, cachedTree
@@ -227,6 +237,12 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 		}
 		if !obj.delta {
 			enc = data
+			if cur == h {
+				if obj.verified.Load() {
+					return enc, nil, nil
+				}
+				whole = obj
+			}
 			break
 		}
 		patches = append(patches, data)
@@ -254,6 +270,9 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 	got, tree := s.addrLocked(enc, baseTree, patch, nil)
 	if got != h {
 		return nil, nil, fmt.Errorf("%w: object %v reassembles to a different hash", ErrCorruptPack, h)
+	}
+	if whole != nil {
+		whole.verified.Store(true)
 	}
 	if len(patches) > 0 {
 		s.encMu.Lock()
@@ -301,8 +320,8 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 // pins no slack); the slot then records that a pack object holds its
 // buffer. Otherwise the buffer is the store's alone, and once a later
 // packLocked displaces it from the slot it is the spare the next state
-// is encoded into (putState). An enc stored nowhere, its state already
-// present, is the spare at once.
+// is encoded (putState) or reassembled (an import) into. An enc stored
+// nowhere, its state already present, is the spare at once.
 func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base Hash, patch []byte) {
 	if s.objExistsLocked(h) {
 		s.keepSpareLocked(enc, tree)
@@ -311,7 +330,7 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 	obj := &packObject{size: len(enc)}
 	if bo, ok := s.chainBaseLocked(base, len(enc)); ok {
 		if patch == nil {
-			patch, _ = s.diffLocked(base, enc)
+			patch = s.diffLocked(base, enc)
 		}
 		switch {
 		case patch == nil || len(patch) >= len(enc):
@@ -346,11 +365,11 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 }
 
 // keepSpareLocked keeps buf and tree, which nothing else refers to, for
-// putState to build the next state's encoding and chunk tree in: buf
-// only if the codec has the append form that encodes into it (Codec).
-// Either may be nil. Callers hold the write lock.
+// the next state's encoding and chunk tree to be built in: putState's
+// append form (Codec) encodes into buf, and an import reassembles a
+// shipped patch into it. Either may be nil. Callers hold the write lock.
 func (s *Store[S, Op, Val]) keepSpareLocked(buf []byte, tree *chunkTree) {
-	if buf != nil && s.appender != nil {
+	if buf != nil {
 		s.spare = buf[:0]
 	}
 	if tree != nil {
@@ -358,23 +377,22 @@ func (s *Store[S, Op, Val]) keepSpareLocked(buf []byte, tree *chunkTree) {
 	}
 }
 
-// diffLocked returns a patch from base's encoding to enc, and base's
-// chunk tree, or nils when enc does not chain onto base
-// (chainBaseLocked) or base does not reassemble. The delta phase times
-// it. Callers hold s.mu.
-func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) ([]byte, *chunkTree) {
+// diffLocked returns a patch from base's encoding to enc, or nil when
+// enc does not chain onto base (chainBaseLocked) or base does not
+// reassemble. The delta phase times it. Callers hold s.mu.
+func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) []byte {
 	if _, ok := s.chainBaseLocked(base, len(enc)); !ok {
-		return nil, nil
+		return nil
 	}
 	t := time.Now()
 	defer s.metrics.lap(phaseDelta, &t)
-	baseEnc, tree, err := s.materializeLocked(base)
+	baseEnc, _, err := s.materializeLocked(base)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	patch, read := delta.MakeShared(baseEnc, enc, 0)
 	s.metrics.deltaCompared.Add(int64(read))
-	return patch, tree
+	return patch
 }
 
 // chainBaseLocked returns the object a state whose encoding is size

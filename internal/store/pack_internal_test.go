@@ -156,3 +156,56 @@ func TestApplyHashesOnlyTheEdit(t *testing.T) {
 		t.Errorf("appends hash %d B on average at 10⁴ entries, %d B at 10³: not flat in the log's size", means[1], means[0])
 	}
 }
+
+// TestResidentSnapshotVerifiedOnce: a resident state stored whole is
+// checked against its address on its first read only. With a one-state
+// cache, reading a snapshot and the head in turn evicts each for the
+// other, yet over all the rounds the snapshot feeds
+// peepul_store_state_hash_bytes_total its bytes once, not once a round;
+// the head reads from the reassembly slot, which hashes nothing.
+func TestResidentSnapshotVerifiedOnce(t *testing.T) {
+	const rounds = 10
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithStateCacheSize(1), WithSnapshotEvery(4))
+	// Append until the head's state is stored whole and spans chunks,
+	// then keep it on a branch of its own and move main past it.
+	var snap Hash
+	for i := 0; snap == (Hash{}); i++ {
+		if i == 1000 {
+			t.Fatal("no state of 1000 appends was stored whole")
+		}
+		if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := s.Commit(s.Heads("main")[0])
+		s.mu.RLock()
+		o := s.objects[c.State]
+		s.mu.RUnlock()
+		if !o.delta && o.size > 2*chunkMin {
+			snap = c.State
+		}
+	}
+	if err := s.Fork("main", "snap"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 4)
+
+	before := s.metrics.hashBytes.Value()
+	for range rounds {
+		for _, b := range []string{"snap", "main"} {
+			if _, err := s.Head(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fed := s.metrics.hashBytes.Value() - before
+	enc, err := s.EncodedState(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold hasher
+	cold.tree(enc, nil)
+	t.Logf("%d rounds over a %d-byte snapshot: %d B hashed, %d B to address it once", rounds, len(enc), fed, cold.fed)
+	if fed != cold.fed {
+		t.Fatalf("%d rounds hashed %d bytes, want the snapshot's %d once", rounds, fed, cold.fed)
+	}
+}

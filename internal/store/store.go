@@ -240,10 +240,11 @@ type Store[S, Op, Val any] struct {
 	encTree *chunkTree // encBuf's chunk tree
 	encFree bool
 	// appender is the codec's append form (Codec), nil without one, and
-	// spare the buffer putState encodes the next state into: a slot
-	// buffer packLocked displaced and no one holds. spareTree is the
-	// slot's last displaced chunk tree, which putState builds the next
-	// address in. Guarded by the write lock.
+	// spare the buffer putState encodes the next state into with it, or
+	// an import reassembles the next shipped patch into: a slot buffer
+	// packLocked displaced and no one holds. spareTree is the slot's last
+	// displaced chunk tree, which the next address is built in. Guarded
+	// by the write lock.
 	appender  appender[S]
 	spare     []byte
 	spareTree *chunkTree

@@ -7,8 +7,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/chat"
 	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/gmap"
+	"repro/internal/gset"
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/wire"
@@ -214,38 +217,70 @@ func FuzzAppendEncodeMatchesEncode(f *testing.F) {
 }
 
 // TestDecodeAndCheckKeepNoInput: the store may overwrite a buffer once a
-// codec with the append form has decoded or checked it (store.Codec), so
-// Decode's state shares no bytes with its input — overwriting the input
-// leaves its encoding as it was — and Check neither writes its input nor
-// depends on it afterwards.
+// codec has decoded or checked it — its append form encodes into one, and
+// an import reassembles a shipped patch into one whatever the codec
+// (store.Codec) — so Decode's state shares no bytes with its input —
+// overwriting the input leaves its encoding as it was — and Check neither
+// writes its input nor depends on it afterwards.
 func TestDecodeAndCheckKeepNoInput(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	t.Run("mlog", func(t *testing.T) { keepsNoInput(t, wire.MLog{}, logOf(r, 30)) })
 	t.Run("or-set-space", func(t *testing.T) { keepsNoInput(t, wire.OrSetSpace{}, randSet(r, 30)) })
 	t.Run("pn-counter", func(t *testing.T) { keepsNoInput(t, wire.PNCounter{}, counter.PNState{P: 9, N: 4}) })
+	// The collection codecs without Check.
+	t.Run("gset", func(t *testing.T) { decodeKeepsNoInput(t, wire.GSet{}, gset.State{1, 5, 9}) })
+	t.Run("gmap", func(t *testing.T) {
+		decodeKeepsNoInput(t, wire.GMap{}, gmap.State{{K: "a", T: 1, V: 10}, {K: "bc", T: 2, V: -20}})
+	})
+	t.Run("or-set", func(t *testing.T) { decodeKeepsNoInput(t, wire.OrSet{}, orset.State{{E: 1, T: 1}, {E: 1, T: 4}}) })
+	t.Run("or-set-spacetime", func(t *testing.T) {
+		decodeKeepsNoInput(t, wire.OrSetSpaceTime{}, orset.BuildBalanced(randSet(r, 30)))
+	})
+	t.Run("queue", func(t *testing.T) { decodeKeepsNoInput(t, wire.Queue{}, twoListQueue(3, 4)) })
+	t.Run("chat", func(t *testing.T) {
+		decodeKeepsNoInput(t, wire.Chat{}, chat.State{{K: "#empty", V: nil}, {K: "#go", V: logOf(r, 5)}})
+	})
 }
 
 func keepsNoInput[S any](t *testing.T, c appendCodec[S], s S) {
+	decodeKeepsNoInput(t, c, s)
+	orig := c.Encode(s)
+	buf := slices.Clone(orig)
+	if err := c.Check(buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Fatal("Check wrote into its input")
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if err := c.Check(slices.Clone(orig)); err != nil {
+		t.Fatalf("Check of the original bytes fails after its last input was overwritten: %v", err)
+	}
+}
+
+// decodeKeepsNoInput: Decode writes nothing into its input, and the state
+// it returns encodes as before once the input is overwritten.
+func decodeKeepsNoInput[S any](t *testing.T, c interface {
+	Encode(S) []byte
+	Decode([]byte) (S, error)
+}, s S) {
+	t.Helper()
 	orig := c.Encode(s)
 	buf := slices.Clone(orig)
 	dec, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Check(buf); err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(buf, orig) {
-		t.Fatal("Decode or Check wrote into its input")
+		t.Fatal("Decode wrote into its input")
 	}
 	for i := range buf {
 		buf[i] = 0xff
 	}
 	if got := c.Encode(dec); !bytes.Equal(got, orig) {
 		t.Fatalf("overwriting Decode's input changed the decoded state: it encodes to %x, was %x", got, orig)
-	}
-	if err := c.Check(slices.Clone(orig)); err != nil {
-		t.Fatalf("Check of the original bytes fails after its last input was overwritten: %v", err)
 	}
 }
 
