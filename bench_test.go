@@ -285,8 +285,9 @@ func BenchmarkStoreApply(b *testing.B) {
 // n-entry log and replaced once it has grown by a tenth, so every timed
 // commit sees about n entries. A replaced branch stays, as every branch
 // of a store does: a store with many branches must not pay for them on
-// each commit. The or-set variant adds elements that land anywhere in
-// the set, the edit the codec cannot hand the store as a copied run.
+// each commit. The or-set variants add elements that land anywhere in
+// the set, to the space-efficient set's sorted slice and to the
+// space- and time-efficient set's tree.
 func BenchmarkStoreApplyGrowing(b *testing.B) {
 	appendOp := func(int) mlog.Op { return mlog.Op{Kind: mlog.Append, Msg: "a message of 24 bytes ok"} }
 	addOp := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
@@ -295,9 +296,15 @@ func BenchmarkStoreApplyGrowing(b *testing.B) {
 			applyGrowing(b, store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main"), n, appendOp)
 		})
 	}
-	for _, n := range []int{1_000, 10_000} {
+	// 3 000 adds is the set catchup-deep's set-up builds.
+	for _, n := range []int{1_000, 3_000, 10_000} {
 		b.Run(fmt.Sprintf("or-set-%d", n), func(b *testing.B) {
 			applyGrowing(b, store.New[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main"), n, addOp)
+		})
+	}
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("or-set-spacetime-%d", n), func(b *testing.B) {
+			applyGrowing(b, store.New[orset.TreeState, orset.Op, orset.Val](orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{}, "main"), n, addOp)
 		})
 	}
 }

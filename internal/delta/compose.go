@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Compose returns one patch equivalent to a chain: for every base the
@@ -29,15 +30,15 @@ func Compose(patches ...[]byte) ([]byte, error) {
 	if len(patches) == 0 {
 		return nil, fmt.Errorf("%w: nothing to compose", ErrCorrupt)
 	}
+	sc := scratchPool.Get().(*composeScratch)
+	defer scratchPool.Put(sc)
 	top := len(patches) - 1
-	cur, baseLen, targetLen, err := parseRuns(nil, patches[top], top)
+	cur, baseLen, targetLen, err := parseRuns(sc.cur[:0], patches[top], top)
 	if err != nil {
 		return nil, fmt.Errorf("patch %d: %w", top, err)
 	}
-	var (
-		next []run
-		tab  runTable
-	)
+	next, tab := sc.next[:0], &sc.tab
+	defer func() { sc.cur, sc.next = cur, next }()
 	for j := top - 1; j >= 0; j-- {
 		var below uint64
 		tab.runs, below, tab.targetLen, err = parseRuns(tab.runs[:0], patches[j], j)
@@ -98,6 +99,17 @@ func Compose(patches ...[]byte) ([]byte, error) {
 	}
 	return patch, nil
 }
+
+// composeScratch is the run lists of one Compose, kept for the next: a
+// store composes a chain each time one fills, and the lists of its
+// bottom patch grow with the state. The runs hold offsets, not slices,
+// so a pooled list pins no patch.
+type composeScratch struct {
+	cur, next []run
+	tab       runTable
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(composeScratch) }}
 
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

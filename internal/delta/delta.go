@@ -33,9 +33,14 @@
 // prepends one record to a 72 KB log compares 72 KB and hashes a few dozen
 // bytes. An edit that changes both the first and the last block (a count
 // header plus a record appended at the tail) leaves nothing to trim and
-// costs what indexing the whole base costs. The price of the narrow index
-// is that middle bytes which also occur in base outside its middle (a
-// repeated record, a longer run of a periodic input) go out as literals.
+// costs what indexing the whole base costs — unless the caller names the
+// runs it copied (MakeShared): an encoder that spliced its parent's
+// encoding around the edit knows them, and then only the bytes between
+// the runs are indexed and scanned, so an element inserted into a sorted
+// set behind its changed count costs a few dozen bytes however large the
+// set. The price of the narrow index is that middle bytes which also
+// occur in base outside its middle (a repeated record, a longer run of a
+// periodic input) go out as literals.
 //
 // Make always produces a valid patch; when base and target share nothing,
 // the patch degenerates to one insert of the whole target (plus the
@@ -57,6 +62,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrCorrupt is wrapped by every Apply failure.
@@ -96,18 +102,33 @@ const (
 // compare lengths. The returned slice has cap == len: the store keeps
 // patches resident for as long as their commit lives.
 func Make(base, target []byte) []byte {
-	patch, _ := MakeShared(base, target, 0)
+	patch, _ := MakeShared(base, target, nil)
 	return patch
 }
 
-// MakeShared returns Make(base, target) for a target whose last tail
-// bytes are base's last tail bytes — what an encoder that copied them
-// from base knows without looking — and trims that run without comparing
-// it, so a patch from a state to one that prepends to it costs O(edit).
-// It also returns how many bytes it read to build the patch: the length
-// of the shared ends it compared, and of the middles it indexed and
-// scanned.
-func MakeShared(base, target []byte, tail int) ([]byte, int) {
+// MakeShared returns Make(base, target) for a target whose runs — what an
+// encoder that copied target[At:At+Len] from base[Off:Off+Len] knows
+// without looking — it does not compare. The runs must ascend by At, lie
+// inside both inputs and not overlap; when they do not, MakeShared
+// ignores them all. It also returns how many bytes it read to build the
+// patch: the length of the shared ends it compared, and of the middles
+// it indexed and scanned.
+//
+// A run at either end is trimmed as Make trims a shared end, and each
+// trimmed end and every copy extends from a run across its seams by
+// comparing the bytes beyond it, so a run costs nothing however long it
+// is. When a run lies inside the middle Make would index and scan, as an
+// element inserted into a sorted set behind its changed count does,
+// MakeShared indexes only the base windows no single run holds whole and
+// scans the target only between runs, taking the run itself as the copy
+// Make would find there. The patch is then Make's whenever no 16-byte
+// string occurs twice in target and Make's index of base keeps every
+// window (at most maxChainProbe equal windows and maxBucket windows in a
+// bucket): a repeat elsewhere in base is the one copy Make could find that
+// MakeShared does not look at. It is a valid patch in any case. With more
+// than maxLocal windows to index between runs, MakeShared indexes the
+// whole middle as Make does and returns Make's patch.
+func MakeShared(base, target []byte, runs []CopyRun) ([]byte, int) {
 	// Most patches are a few dozen bytes; they are assembled on the stack
 	// and leave as one exact-size allocation.
 	var scratch [256]byte
@@ -116,66 +137,270 @@ func MakeShared(base, target []byte, tail int) ([]byte, int) {
 	if len(base) < blockSize || len(target) < blockSize {
 		return clip(appendInsert(patch, target)), 0
 	}
+	s := scan{matcher: matcher{base: base, target: target, runs: checkRuns(runs, len(base), len(target))}}
 
 	// Trim: a shared run shorter than a block is not worth a copy opcode
-	// and stays part of the middle, so the scan below sees it. The
-	// common suffix is the given tail and what the compare finds before
-	// it.
-	pre := commonPrefix(base, target)
-	read := pre
+	// and stays part of the middle, so the scan below sees it.
+	pre, read := s.forward(0, 0)
 	if pre < blockSize {
 		pre = 0
 	}
-	tail = max(min(tail, len(base)-pre, len(target)-pre), 0)
-	suf := tail + commonSuffix(base[pre:len(base)-tail], target[pre:len(target)-tail])
-	read += suf - tail
+	suf, compared := s.backward(len(base), len(target), pre, pre)
+	read += compared
 	if suf < blockSize {
 		suf = 0
 	}
 	baseEnd, targetEnd := len(base)-suf, len(target)-suf
-	read += baseEnd - pre + targetEnd - pre
 	patch = appendCopy(patch, 0, pre)
 
 	// Scan the target middle against the base windows that overlap the
 	// base middle. Extension reads all of base and target, so a match may
 	// run out of the middle into the shared suffix.
-	index := newBlockIndex(base, pre, baseEnd)
-	insertStart, i := pre, pre
-	for len(index.next) > 0 && i < targetEnd && i+blockSize <= len(target) {
-		bestOff, bestStart, bestLen := -1, 0, 0
-		window := target[i : i+blockSize]
-		for w := index.first(window); w != 0; w = index.next[w-1] {
-			off := index.offset(w)
-			if !bytes.Equal(base[off:off+blockSize], window) {
-				continue
+	lo, n := windowRange(pre, baseEnd, len(base))
+	var index blockIndex
+	var localBuf [maxLocal]localWindow
+	local, isLocal := s.localWindows(localBuf[:0], lo, n, pre, targetEnd)
+	if isLocal {
+		read += blockSize * len(local)
+	} else {
+		index = newBlockIndex(base, lo, n)
+		read += baseEnd - pre + targetEnd - pre
+	}
+	s.insertStart, s.i = pre, pre
+	for k := 0; n > 0 && s.i < targetEnd && s.i+blockSize <= len(target); {
+		s.bestOff, s.bestStart, s.bestLen = -1, 0, 0
+		window := target[s.i : s.i+blockSize]
+		if isLocal {
+			read++
+			for k < len(s.runs) && s.runs[k].At+s.runs[k].Len <= s.i {
+				k++
 			}
-			end := i + blockSize
-			end += commonPrefix(base[off+blockSize:], target[end:])
-			// Backward only into the pending insert run.
-			back := commonSuffix(base[:off], target[insertStart:i])
-			if l := end - i + back; l > bestLen {
-				bestOff, bestStart, bestLen = off-back, i-back, l
+			s.offerLocal(local, window, s.runWindow(k, lo, n))
+		} else {
+			for w := index.first(window); w != 0; w = index.next[w-1] {
+				s.consider(index.offset(w), false)
 			}
 		}
-		if bestLen >= blockSize {
-			patch = appendInsert(patch, target[insertStart:bestStart])
-			patch = appendCopy(patch, bestOff, bestLen)
-			i = bestStart + bestLen
-			insertStart = i
+		if s.bestLen >= blockSize {
+			patch = appendInsert(patch, target[s.insertStart:s.bestStart])
+			patch = appendCopy(patch, s.bestOff, s.bestLen)
+			s.i = s.bestStart + s.bestLen
+			s.insertStart = s.i
 		} else {
-			i++
+			s.i++
 		}
 	}
 
 	// What is left of the shared suffix (all of it unless a copy ran into
 	// it) is one more copy when it is still worth one.
-	rest := max(insertStart, targetEnd)
+	rest := max(s.insertStart, targetEnd)
 	if len(target)-rest < blockSize {
 		rest = len(target)
 	}
-	patch = appendInsert(patch, target[insertStart:rest])
+	patch = appendInsert(patch, target[s.insertStart:rest])
 	patch = appendCopy(patch, baseEnd+rest-targetEnd, len(target)-rest)
 	return clip(patch), read
+}
+
+// maxLocal bounds the base windows MakeShared indexes between runs in a
+// list it searches whole at every target position; past it, it indexes
+// the whole middle.
+const maxLocal = 32
+
+// localWindow is an aligned base window MakeShared indexes between runs.
+type localWindow struct {
+	off  int
+	hash uint64
+}
+
+// scan is MakeShared's matcher and its greedy scan's state: the target
+// position, the start of the pending insert, and the best copy found at
+// the position so far.
+type scan struct {
+	matcher
+	i, insertStart              int
+	bestOff, bestStart, bestLen int
+}
+
+// consider offers the base window at off as a copy of the target window
+// at s.i, extended both ways; known says the window is a run's, equal
+// without a compare. The longest copy wins, the first offered on a tie.
+func (s *scan) consider(off int, known bool) {
+	if !known && !bytes.Equal(s.base[off:off+blockSize], s.target[s.i:s.i+blockSize]) {
+		return
+	}
+	fwd, _ := s.forward(off+blockSize, s.i+blockSize)
+	// Backward only into the pending insert run.
+	back, _ := s.backward(off, s.i, 0, s.insertStart)
+	if l := blockSize + fwd + back; l > s.bestLen {
+		s.bestOff, s.bestStart, s.bestLen = off-back, s.i-back, l
+	}
+}
+
+// runWindow returns the base window in Make's index, n windows from lo,
+// that run k lines the target window at s.i up with, when the run holds
+// that target window whole; else -1.
+func (s *scan) runWindow(k, lo, n int) int {
+	if k == len(s.runs) {
+		return -1
+	}
+	r := s.runs[k]
+	if w := r.Off + s.i - r.At; r.At <= s.i && s.i+blockSize <= r.At+r.Len &&
+		w%blockSize == 0 && w >= lo && w < lo+n*blockSize {
+		return w
+	}
+	return -1
+}
+
+// offerLocal offers the local windows whose hash is window's, and the
+// run's window runOff when it is one, in base order, as Make's chains
+// offer theirs.
+func (s *scan) offerLocal(local []localWindow, window []byte, runOff int) {
+	h := blockHash(window)
+	for _, lw := range local {
+		if runOff >= 0 && runOff < lw.off {
+			s.consider(runOff, true)
+			runOff = -1
+		}
+		if lw.hash == h {
+			s.consider(lw.off, false)
+		}
+	}
+	if runOff >= 0 {
+		s.consider(runOff, true)
+	}
+}
+
+// matcher compares base and target knowing runs, the stretches of target
+// copied from base: ascending, in bounds, not overlapping, none empty.
+type matcher struct {
+	base, target []byte
+	runs         []CopyRun
+}
+
+// checkRuns returns runs when they are what matcher needs for a base and
+// a target of these lengths, and nil otherwise.
+func checkRuns(runs []CopyRun, baseLen, targetLen int) []CopyRun {
+	end := 0
+	for _, r := range runs {
+		if r.Len <= 0 || r.At < end || r.Off < 0 || r.Len > targetLen-r.At || r.Len > baseLen-r.Off {
+			return nil
+		}
+		end = r.At + r.Len
+	}
+	return runs
+}
+
+// runBefore returns the index of the last run that starts before target
+// offset t, or -1.
+func (m *matcher) runBefore(t int) int {
+	lo, hi := 0, len(m.runs)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); m.runs[h].At < t {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo - 1
+}
+
+// forward returns the length of the longest common prefix of base[b:] and
+// target[t:], and how many of its bytes it compared: a run that lines
+// the two up where the prefix has reached is skipped to its end.
+func (m *matcher) forward(b, t int) (n, compared int) {
+	limit := min(len(m.base)-b, len(m.target)-t)
+	k := max(m.runBefore(t+1), 0) // the run holding t, or the next one
+	for n < limit {
+		stop := limit
+		for k < len(m.runs) && m.runs[k].At+m.runs[k].Len <= t+n {
+			k++
+		}
+		if k < len(m.runs) {
+			r := m.runs[k]
+			switch {
+			case r.At > t+n:
+				stop = min(stop, r.At-t)
+			case r.At-r.Off == t-b:
+				n = min(r.At+r.Len-t, limit)
+				continue
+			default:
+				stop = min(stop, r.At+r.Len-t)
+			}
+		}
+		c := commonPrefix(m.base[b+n:b+stop], m.target[t+n:t+stop])
+		n += c
+		compared += c
+		if n < stop {
+			break
+		}
+	}
+	return n, compared
+}
+
+// backward returns the length of the longest common suffix of
+// base[blo:b] and target[tlo:t], and how many of its bytes it compared,
+// skipping runs as forward does.
+func (m *matcher) backward(b, t, blo, tlo int) (n, compared int) {
+	limit := min(b-blo, t-tlo)
+	k := m.runBefore(t) // the run holding t-1, or the one before it
+	for n < limit {
+		stop := limit
+		for k >= 0 && m.runs[k].At >= t-n {
+			k--
+		}
+		if k >= 0 {
+			r := m.runs[k]
+			switch {
+			case r.At+r.Len < t-n:
+				stop = min(stop, t-r.At-r.Len)
+			case r.At-r.Off == t-b:
+				n = min(t-r.At, limit)
+				continue
+			default:
+				stop = min(stop, t-r.At)
+			}
+		}
+		c := commonSuffix(m.base[b-stop:b-n], m.target[t-stop:t-n])
+		n += c
+		compared += c
+		if n < stop {
+			break
+		}
+	}
+	return n, compared
+}
+
+// localWindows appends to dst, when a run lies inside the target middle
+// [pre, targetEnd), the n aligned base windows from lo that no single
+// run's base range holds whole, each with its hash, and reports true;
+// it reports false when no run lies there or dst's capacity cannot hold
+// them.
+func (m *matcher) localWindows(dst []localWindow, lo, n, pre, targetEnd int) ([]localWindow, bool) {
+	var spans [8][2]int
+	held := spans[:0] // [first, end) of the windows a run's base range holds
+	inside := false
+	for _, r := range m.runs {
+		inside = inside || r.At < targetEnd && r.At+r.Len > pre
+		if first, end := (r.Off+blockSize-1)/blockSize*blockSize, (r.Off+r.Len)/blockSize*blockSize; first < end {
+			held = append(held, [2]int{first, end})
+		}
+	}
+	if !inside {
+		return dst, false
+	}
+	slices.SortFunc(held, func(x, y [2]int) int { return x[0] - y[0] })
+	w, end := lo, lo+n*blockSize
+	for _, h := range append(held, [2]int{end, end}) {
+		for ; w < min(h[0], end); w += blockSize {
+			if len(dst) == cap(dst) {
+				return dst, false
+			}
+			dst = append(dst, localWindow{off: w, hash: blockHash(m.base[w : w+blockSize])})
+		}
+		w = max(w, h[1])
+	}
+	return dst, true
 }
 
 // clip returns patch in a buffer of exactly its length.
@@ -240,13 +465,18 @@ type blockIndex struct {
 	next  []uint32 // window-1 → next window in its bucket
 }
 
-// newBlockIndex indexes the aligned windows of base that overlap
-// base[from:to]. A bucket keeps at most maxChainProbe windows of equal
-// content and at most maxBucket windows in all; later ones are dropped.
-func newBlockIndex(base []byte, from, to int) blockIndex {
-	lo := from / blockSize * blockSize
-	hi := min((to+blockSize-1)/blockSize*blockSize, len(base)/blockSize*blockSize)
-	n := min((hi-lo)/blockSize, math.MaxInt32)
+// windowRange returns the first of the blockSize-aligned windows of a
+// baseLen-byte base that overlap base[from:to], and how many there are.
+func windowRange(from, to, baseLen int) (lo, n int) {
+	lo = from / blockSize * blockSize
+	hi := min((to+blockSize-1)/blockSize*blockSize, baseLen/blockSize*blockSize)
+	return lo, max(min((hi-lo)/blockSize, math.MaxInt32), 0)
+}
+
+// newBlockIndex indexes the n aligned windows of base from lo on. A
+// bucket keeps at most maxChainProbe windows of equal content and at most
+// maxBucket windows in all; later ones are dropped.
+func newBlockIndex(base []byte, lo, n int) blockIndex {
 	if n <= 0 {
 		return blockIndex{}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/delta"
@@ -369,26 +370,163 @@ func commonTail(a, b []byte) int {
 }
 
 // checkShared holds MakeShared to Make: given any part of the suffix
-// base and target share, it returns Make's patch byte for byte.
+// base and target share as a run, it returns Make's patch byte for byte.
 func checkShared(t *testing.T, base, target []byte) {
 	t.Helper()
 	want := delta.Make(base, target)
 	c := commonTail(base, target)
 	for _, tail := range []int{0, c / 2, c - 1, c} {
-		if tail < 0 {
+		if tail <= 0 {
 			continue
 		}
-		if got, _ := delta.MakeShared(base, target, tail); !bytes.Equal(got, want) {
+		runs := []delta.CopyRun{{At: len(target) - tail, Off: len(base) - tail, Len: tail}}
+		if got, _ := delta.MakeShared(base, target, runs); !bytes.Equal(got, want) {
 			t.Fatalf("MakeShared with a %d-byte tail of %d shared = %x, Make = %x", tail, c, got, want)
 		}
 	}
+}
+
+// checkSharedRuns holds MakeShared given runs to its contract: its patch
+// rebuilds target, and it is Make's byte for byte whenever no 16-byte
+// string occurs twice in target and Make's index of base keeps every
+// window. It reports whether the two were held equal, and returns the
+// bytes MakeShared read.
+func checkSharedRuns(t testing.TB, base, target []byte, runs []delta.CopyRun) (bool, int) {
+	t.Helper()
+	got, read := delta.MakeShared(base, target, runs)
+	if out, err := delta.Apply(base, got); err != nil || !bytes.Equal(out, target) {
+		t.Fatalf("MakeShared given runs %v: the patch does not rebuild the target (%v)", runs, err)
+	}
+	if repeatsWindow(target) || !delta.MakeIndexKeepsAll(base, target) {
+		return false, read
+	}
+	if want := delta.Make(base, target); !bytes.Equal(got, want) {
+		t.Fatalf("MakeShared given runs %v = %x, Make = %x", runs, got, want)
+	}
+	return true, read
+}
+
+// repeatsWindow reports whether some 16-byte string occurs twice in b.
+func repeatsWindow(b []byte) bool {
+	seen := make(map[string]bool, len(b))
+	for i := 0; i+16 <= len(b); i++ {
+		if seen[string(b[i:i+16])] {
+			return true
+		}
+		seen[string(b[i:i+16])] = true
+	}
+	return false
+}
+
+// orSetEncoding is a space-efficient OR-set's encoding: a 4-byte count,
+// then sorted 16-byte (element, timestamp) pairs with both below 2⁴⁰, so
+// neighbours share their leading zero bytes.
+func orSetEncoding(es, ts []uint64) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(es)))
+	for i := range es {
+		b = binary.BigEndian.AppendUint64(b, es[i])
+		b = binary.BigEndian.AppendUint64(b, ts[i])
+	}
+	return b
+}
+
+// orSetEdit returns an OR-set encoding of n pairs, the encoding after one
+// edit at pair k — an add (how 0), a refresh (1) or a remove (2) — and
+// the runs the codec copies from the first into the second: the pairs
+// around the edit, and the count with them when it stays.
+func orSetEdit(rng *rand.Rand, n, k int, how int) (base, target []byte, runs []delta.CopyRun) {
+	es := make([]uint64, n+1)
+	ts := make([]uint64, n+1)
+	for i := range es {
+		es[i] = uint64(rng.Int63n(1 << 40))
+		ts[i] = uint64(rng.Int63n(1 << 40))
+	}
+	slices.Sort(es)
+	es = slices.Compact(es)
+	n = min(n, len(es)-1)
+	k = min(k, n)
+	if how != 0 && k == n {
+		k = n - 1
+	}
+	if n == 0 || k < 0 {
+		how, k = 0, 0
+	}
+	// base holds every element but es[k] when the edit adds it.
+	bes, bts := slices.Clone(es[:n+1]), slices.Clone(ts[:n+1])
+	switch how {
+	case 0:
+		bes, bts = slices.Delete(bes, k, k+1), slices.Delete(bts, k, k+1)
+		base, target = orSetEncoding(bes, bts), orSetEncoding(es[:n+1], ts[:n+1])
+		runs = []delta.CopyRun{{At: 4, Off: 4, Len: 16 * k}, {At: 20 + 16*k, Off: 4 + 16*k, Len: 16 * (n - k)}}
+	case 1:
+		bes, bts = bes[:n], bts[:n]
+		tts := slices.Clone(bts)
+		tts[k] = uint64(rng.Int63n(1 << 40))
+		base, target = orSetEncoding(bes, bts), orSetEncoding(bes, tts)
+		runs = []delta.CopyRun{{At: 0, Off: 0, Len: 4 + 16*k}, {At: 20 + 16*k, Off: 20 + 16*k, Len: 16 * (n - 1 - k)}}
+	default:
+		bes, bts = bes[:n], bts[:n]
+		base = orSetEncoding(bes, bts)
+		target = orSetEncoding(slices.Delete(slices.Clone(bes), k, k+1), slices.Delete(slices.Clone(bts), k, k+1))
+		runs = []delta.CopyRun{{At: 4, Off: 4, Len: 16 * k}, {At: 4 + 16*k, Off: 20 + 16*k, Len: 16 * (n - 1 - k)}}
+	}
+	return base, target, slices.DeleteFunc(runs, func(r delta.CopyRun) bool { return r.Len == 0 })
+}
+
+// splice builds a target from pieces of base and random literals, and
+// returns it with the runs it copied: up to runs copies of stretches of
+// base, each behind up to maxLit literal bytes. The stretches are
+// disjoint but taken in any order, so that a target spliced from a
+// random base repeats no 16-byte string; with overlap they are taken
+// anywhere in base, and may repeat one another. A run is reported
+// shorter than it was copied when shrink is set, as an encoder that
+// copies more than it names may.
+func splice(rng *rand.Rand, base []byte, runs, maxLit int, overlap, shrink bool) ([]byte, []delta.CopyRun) {
+	cuts := []int{0, len(base)}
+	for range 2 * runs {
+		cuts = append(cuts, rng.Intn(len(base)+1))
+	}
+	slices.Sort(cuts)
+	var pieces [][2]int
+	for i := 0; i+1 < len(cuts); i += 2 {
+		if cuts[i] < cuts[i+1] {
+			pieces = append(pieces, [2]int{cuts[i], cuts[i+1]})
+		}
+	}
+	rng.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
+	var target []byte
+	var out []delta.CopyRun
+	for _, p := range pieces[:min(runs, len(pieces))] {
+		lit := make([]byte, rng.Intn(maxLit+1))
+		rng.Read(lit)
+		target = append(target, lit...)
+		off, l := p[0], p[1]-p[0]
+		if overlap {
+			off = rng.Intn(len(base))
+			l = 1 + rng.Intn(len(base)-off)
+		}
+		r := delta.CopyRun{At: len(target), Off: off, Len: l}
+		target = append(target, base[off:off+l]...)
+		if shrink && l > 2 {
+			cut := rng.Intn(l / 2)
+			r.At, r.Off, r.Len = r.At+cut, r.Off+cut, r.Len-cut-rng.Intn(l/2)
+		}
+		out = append(out, r)
+	}
+	lit := make([]byte, rng.Intn(maxLit+1))
+	rng.Read(lit)
+	return append(target, lit...), out
 }
 
 // TestMakeSharedEqualsMake: MakeShared returns Make's patch for the
 // boundary cases, random edits and prepends to a long log-like encoding,
 // and reads only the edit when told the shared tail: a record prepended
 // to a 64 KB encoding behind a changed count reads a few dozen bytes,
-// where Make compares the whole shared run.
+// where Make compares the whole shared run. Given the runs an OR-set
+// codec copies around an added, refreshed or removed pair — at the
+// first, a middle and the last position, and in between — or the runs
+// of random multi-run splices of random bytes, its patch is Make's too,
+// and an OR-set edit reads at most 128 B of a 16 KB or 160 KB encoding.
 func TestMakeSharedEqualsMake(t *testing.T) {
 	for _, c := range trimBoundaryCases() {
 		checkShared(t, c.base, c.target)
@@ -412,10 +550,75 @@ func TestMakeSharedEqualsMake(t *testing.T) {
 		target = append(target, []byte("a new record of some 30 bytes.")...)
 		target = append(target, body...)
 		checkShared(t, base, target)
-		_, all := delta.MakeShared(base, target, 0)
-		_, edit := delta.MakeShared(base, target, len(body))
+		_, all := delta.MakeShared(base, target, nil)
+		_, edit := delta.MakeShared(base, target, []delta.CopyRun{{At: len(target) - len(body), Off: len(base) - len(body), Len: len(body)}})
 		if edit > 64 || all < len(body) {
 			t.Fatalf("a prepend reads %d bytes given the shared tail, %d without; want at most 64 and at least %d", edit, all, len(body))
 		}
 	}
+
+	held, cases := 0, 0
+	for _, n := range []int{0, 1, 2, 3, 40, 1000, 10000} {
+		for how := range 3 {
+			for _, k := range []int{0, n / 2, n, rng.Intn(n + 1), rng.Intn(n + 1)} {
+				base, target, runs := orSetEdit(rng, n, k, how)
+				equal, read := checkSharedRuns(t, base, target, runs)
+				cases++
+				if equal {
+					held++
+				}
+				if n >= 1000 && read > 128 {
+					t.Fatalf("an OR-set edit (%d) at pair %d of %d reads %d bytes given its runs, want at most 128", how, k, n, read)
+				}
+			}
+		}
+	}
+	for i := range 2000 {
+		base := make([]byte, rng.Intn(3000))
+		rng.Read(base)
+		target, runs := splice(rng, base, rng.Intn(6), []int{0, 4, 40, 200}[i%4], i%5 == 4, i%3 == 0)
+		cases++
+		if equal, _ := checkSharedRuns(t, base, target, runs); equal {
+			held++
+		}
+	}
+	t.Logf("MakeShared given runs held equal to Make in %d of %d cases", held, cases)
+	if held < cases*3/4 {
+		t.Errorf("only %d of %d cases met the condition for equality; the test no longer tests it", held, cases)
+	}
+}
+
+// FuzzMakeSharedEqualsMake: for a target spliced from pieces of base and
+// literals, MakeShared given the spliced runs rebuilds the target, and
+// it is Make's patch whenever no 16-byte string occurs twice in the
+// target and Make's index keeps every window.
+func FuzzMakeSharedEqualsMake(f *testing.F) {
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"), []byte("literal bytes!"), []byte{4, 0, 20, 3, 30, 40, 2})
+	f.Add(orSetEncoding([]uint64{5, 900, 1 << 39}, []uint64{7, 8, 1 << 30}), []byte{0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 1, 0}, []byte{3, 4, 32, 0, 0, 36, 16, 1})
+	f.Add(bytes.Repeat([]byte("ab"), 40), []byte("xy"), []byte{1, 0, 50, 1, 1, 2, 60, 5})
+	f.Fuzz(func(t *testing.T, base, lits, plan []byte) {
+		// plan is read in triples: literal bytes to insert, then the base
+		// offset and length of a copy; a fourth byte past the last triple
+		// trims the runs reported.
+		var target []byte
+		var runs []delta.CopyRun
+		for len(plan) >= 3 && len(base) > 0 {
+			l := min(int(plan[0]), len(lits))
+			target = append(target, lits[:l]...)
+			lits = lits[l:]
+			off := int(plan[1]) * len(base) / 256
+			n := min(1+int(plan[2]), len(base)-off)
+			runs = append(runs, delta.CopyRun{At: len(target), Off: off, Len: n})
+			target = append(target, base[off:off+n]...)
+			plan = plan[3:]
+		}
+		target = append(target, lits...)
+		if len(plan) > 0 && len(runs) > 0 {
+			r := &runs[int(plan[0])%len(runs)]
+			if cut := int(plan[0]) % 4; cut < r.Len {
+				r.At, r.Off, r.Len = r.At+cut, r.Off+cut, r.Len-cut
+			}
+		}
+		checkSharedRuns(t, base, target, runs)
+	})
 }

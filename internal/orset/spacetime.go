@@ -6,11 +6,12 @@ import "repro/internal/core"
 // that backs OrSetSpaceTime. Nodes are immutable: updates copy the path
 // from the root, so ancestor states retained by the store as merge bases
 // stay valid. The tree is keyed by element; each element appears at most
-// once, carrying the timestamp of its latest add.
+// once, carrying the timestamp of its latest add. Each node keeps its
+// subtree's height and size, so a pair's rank is a walk down one path.
 type TreeNode struct {
-	Pair        Pair
-	Left, Right *TreeNode
-	height      int
+	Pair         Pair
+	Left, Right  *TreeNode
+	height, size int
 }
 
 // TreeState is the OR-set-spacetime state: the root of a persistent AVL
@@ -70,7 +71,7 @@ func RsimSpaceTime(abs *core.AbstractState[Op, Val], s TreeState) bool {
 // Flatten returns the tree's pairs in element order.
 func Flatten(s TreeState) SpaceState { return flatten(s) }
 
-// Len returns the number of pairs in the tree (O(n)).
+// Len returns the number of pairs in the tree.
 func Len(s TreeState) int { return size(s) }
 
 // Walk calls f on the tree's pairs in element order, without building the
@@ -105,7 +106,7 @@ func size(n *TreeNode) int {
 	if n == nil {
 		return 0
 	}
-	return 1 + size(n.Left) + size(n.Right)
+	return n.size
 }
 
 func height(n *TreeNode) int {
@@ -120,7 +121,7 @@ func mk(p Pair, l, r *TreeNode) *TreeNode {
 	if hr := height(r); hr > h {
 		h = hr
 	}
-	return &TreeNode{Pair: p, Left: l, Right: r, height: h + 1}
+	return &TreeNode{Pair: p, Left: l, Right: r, height: h + 1, size: size(l) + size(r) + 1}
 }
 
 // balance restores the AVL invariant at a node whose subtrees differ in
@@ -213,7 +214,7 @@ func buildBalanced(s SpaceState) *TreeNode {
 }
 
 // validAVL checks the search-tree order, the AVL height invariant, and
-// cached heights.
+// cached heights and sizes.
 func validAVL(n *TreeNode) bool {
 	ok := true
 	var rec func(n *TreeNode, lo, hi *int64) int
@@ -236,11 +237,127 @@ func validAVL(n *TreeNode) bool {
 		if hr > h {
 			h = hr
 		}
-		if n.height != h+1 {
+		if n.height != h+1 || n.size != size(n.Left)+size(n.Right)+1 {
 			ok = false
 		}
 		return h + 1
 	}
 	rec(n, nil, nil)
 	return ok
+}
+
+// Edit reports whether next is prev with at most one pair added,
+// replaced or removed, and where: k is the pair's rank — in next, or in
+// prev for a removal — and p next's pair there (zero for a removal); an
+// unchanged set reports k = Len(prev). Which edit it is follows from the
+// two lengths. Subtrees the two trees share are skipped whole, so after
+// a Do on prev, whose nodes next shares off the path it copied, Edit
+// takes O(log n). Trees that differ more are walked until a second
+// difference shows, and trees of equal pairs and different shapes are
+// walked whole.
+func Edit(prev, next TreeState) (k int, p Pair, ok bool) {
+	grow := size(next) - size(prev)
+	if grow < -1 || grow > 1 {
+		return 0, Pair{}, false
+	}
+	var a, b cursor
+	a.push(next, true)
+	b.push(prev, true)
+	k = skipShared(&a, &b)
+	if a.n == 0 && b.n == 0 {
+		return k, Pair{}, grow == 0 && !a.full && !b.full
+	}
+	switch grow {
+	case 1:
+		p, ok = a.pop()
+	case 0:
+		_, gone := b.pop()
+		p, ok = a.pop()
+		ok = ok && gone
+	default:
+		_, ok = b.pop()
+	}
+	skipShared(&a, &b)
+	return k, p, ok && a.n == 0 && b.n == 0 && !a.full && !b.full
+}
+
+// piece is a stretch of a tree's in-order pairs: node's whole subtree, or
+// node's own pair alone.
+type piece struct {
+	node  *TreeNode
+	whole bool
+}
+
+// cursor is the rest of a tree's in-order pairs from some rank on, as a
+// stack of pieces whose top comes first. A height-balanced tree of 2³²
+// pairs needs under 96; a cursor that runs out of room says so in full
+// and stops, as if the tree ended there.
+type cursor struct {
+	stack [96]piece
+	n     int
+	full  bool
+}
+
+func (c *cursor) push(n *TreeNode, whole bool) {
+	switch {
+	case n == nil:
+	case c.n == len(c.stack):
+		c.full = true
+	default:
+		c.stack[c.n] = piece{n, whole}
+		c.n++
+	}
+}
+
+func (c *cursor) top() piece { return c.stack[c.n-1] }
+
+// split replaces the whole subtree on top by its left subtree, its own
+// pair and its right subtree.
+func (c *cursor) split() {
+	c.n--
+	n := c.stack[c.n].node
+	c.push(n.Right, true)
+	c.push(n, false)
+	c.push(n.Left, true)
+}
+
+// pop removes and returns the first pair, false when there is none.
+func (c *cursor) pop() (Pair, bool) {
+	for c.n > 0 && c.top().whole {
+		c.split()
+	}
+	if c.n == 0 {
+		return Pair{}, false
+	}
+	c.n--
+	return c.stack[c.n].node.Pair, true
+}
+
+// skipShared advances a and b past the pairs they begin with in common
+// and returns how many that is. It stops where either ends, or at two
+// pairs that differ, each then a single piece on top. A subtree both
+// have on top is skipped whole; of two different ones, the larger is
+// split first, so that shared subtrees line up again.
+func skipShared(a, b *cursor) int {
+	skipped := 0
+	for a.n > 0 && b.n > 0 {
+		x, y := a.top(), b.top()
+		switch {
+		case x.whole && y.whole && x.node == y.node:
+			a.n--
+			b.n--
+			skipped += x.node.size
+		case x.whole && (!y.whole || x.node.size >= y.node.size):
+			a.split()
+		case y.whole:
+			b.split()
+		case x.node.Pair != y.node.Pair:
+			return skipped
+		default:
+			a.n--
+			b.n--
+			skipped++
+		}
+	}
+	return skipped
 }

@@ -218,3 +218,61 @@ func TestConvergenceModuloObservableBehaviour(t *testing.T) {
 		t.Fatal("structurally different trees must be observationally equivalent")
 	}
 }
+
+// TestEditFindsTheOnePair: after any one Do on a tree, Edit(prev, next)
+// names the pair the operation added, refreshed or removed — its rank,
+// and next's pair there — as comparing the two flattened sets does; an
+// unchanged set, or the same pairs in a tree of another shape, reports
+// no pair; and two trees that differ in two pairs are refused. Every
+// tree keeps its subtree sizes right.
+func TestEditFindsTheOnePair(t *testing.T) {
+	var impl OrSetSpaceTime
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 10, 100, 2000} {
+		var s TreeState
+		for i := range n {
+			s, _ = impl.Do(Op{Kind: Add, E: rng.Int63n(4 * int64(n+1))}, s, core.Timestamp(i+1))
+		}
+		for i := range 200 {
+			flat := flatten(s)
+			op := Op{Kind: Add, E: rng.Int63n(4*int64(n+1)) - 2}
+			switch {
+			case i%3 == 1 && len(flat) > 0:
+				op = Op{Kind: Add, E: flat[rng.Intn(len(flat))].E}
+			case i%3 == 2 && len(flat) > 0:
+				op = Op{Kind: Remove, E: flat[rng.Intn(len(flat))].E}
+			case i%3 == 2:
+				op.Kind = Remove
+			}
+			next, _ := impl.Do(op, s, core.Timestamp(n+i+1))
+			if !validAVL(next) {
+				t.Fatal("a Do left a tree with wrong heights or sizes")
+			}
+			k, p, ok := Edit(s, next)
+			after := flatten(next)
+			wantK := 0
+			for wantK < min(len(flat), len(after)) && flat[wantK] == after[wantK] {
+				wantK++
+			}
+			var wantP Pair
+			if len(after) >= len(flat) && wantK < len(after) {
+				wantP = after[wantK]
+			}
+			if !ok || k != wantK || p != wantP {
+				t.Fatalf("%d pairs, %v: Edit = %d, %v, %v; want %d, %v", len(flat), op, k, p, ok, wantK, wantP)
+			}
+			if k, _, ok := Edit(s, buildBalanced(flat)); !ok || k != len(flat) {
+				t.Fatalf("%d pairs in another shape: Edit = %d, %v; want %d, true", len(flat), k, ok, len(flat))
+			}
+			s = next
+		}
+		if flat := flatten(s); len(flat) >= 4 {
+			two := slices.Clone(flat)
+			two[0].T++
+			two[len(two)-1].T++
+			if _, _, ok := Edit(s, buildBalanced(two)); ok {
+				t.Fatalf("%d pairs: Edit accepts two changed pairs", len(flat))
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/mlog"
 	"repro/internal/obs"
 	"repro/internal/orset"
@@ -98,57 +99,53 @@ func TestSmallStateAddrAllocatesTwice(t *testing.T) {
 // parent reads only the edit — the count, the new entry and the bytes
 // around them, the same at either size — not the copied run
 // (peepul_store_delta_compared_bytes_total). An add to an or-set of 10³
-// elements, whose codec copies nothing, still diffs its whole state.
+// or 10⁴ elements, space-efficient or tree-backed, likewise copies every
+// pair of its parent's encoding and only writes the count and its own
+// pair, wherever that lands, and its diff reads as little.
 func TestAppendDiffsOnlyTheEdit(t *testing.T) {
-	const appends, bound = 64, 128
+	const bound = 128
 	for _, n := range []int{1000, 10000} {
-		reg := obs.NewRegistry()
-		s := store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main", store.WithObs(reg))
-		for i := range n {
-			if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}); err != nil {
-				t.Fatal(err)
-			}
+		msg := func(i int) mlog.Op {
+			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}
 		}
-		encoded := reg.Counter("peepul_store_encoded_bytes_total")
-		copied := reg.Counter("peepul_store_encode_copied_bytes_total")
-		read := reg.Counter("peepul_store_delta_compared_bytes_total")
-		most := int64(0)
-		for i := range appends {
-			size, _ := s.Size("main")
-			e, c, r := encoded.Value(), copied.Value(), read.Value()
-			if _, err := s.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", n+i)}); err != nil {
-				t.Fatal(err)
-			}
-			next, _ := s.Size("main")
-			if e, c := encoded.Value()-e, copied.Value()-c; e != int64(next) || c != int64(size-4) {
-				t.Fatalf("%d entries: an append encoded %d B and copied %d B of it, want %d and the parent's %d entry bytes", n, e, c, next, size-4)
-			}
-			most = max(most, read.Value()-r)
-		}
-		t.Logf("%d entries: an append's diff reads at most %d B", n, most)
-		if most > bound {
-			t.Errorf("%d entries: an append's diff read %d B, want at most %d", n, most, bound)
-		}
+		diffsOnlyTheEdit(t, "log", mlog.Log{}, wire.MLog{}, n, msg, bound)
+		add := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
+		diffsOnlyTheEdit(t, "or-set", orset.OrSetSpace{}, wire.OrSetSpace{}, n, add, bound)
+		diffsOnlyTheEdit(t, "or-set-spacetime", orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{}, n, add, bound)
 	}
+}
 
+// diffsOnlyTheEdit applies n operations op(0), …, op(n-1), then 64 more,
+// each of which must grow the encoding and copy all of its parent's but
+// the 4-byte count, and read at most bound bytes in its diff.
+func diffsOnlyTheEdit[S, Op, Val any](t *testing.T, name string, impl core.MRDT[S, Op, Val], codec store.Codec[S], n int, op func(int) Op, bound int64) {
+	t.Helper()
+	const appends = 64
 	reg := obs.NewRegistry()
-	s := store.New[orset.SpaceState, orset.Op, orset.Val](orset.OrSetSpace{}, wire.OrSetSpace{}, "main", store.WithObs(reg))
-	add := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
-	for i := range 1000 {
-		if _, err := s.Apply("main", add(i)); err != nil {
+	s := store.New[S, Op, Val](impl, codec, "main", store.WithObs(reg))
+	for i := range n {
+		if _, err := s.Apply("main", op(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	encoded := reg.Counter("peepul_store_encoded_bytes_total")
 	copied := reg.Counter("peepul_store_encode_copied_bytes_total")
 	read := reg.Counter("peepul_store_delta_compared_bytes_total")
-	size, _ := s.Size("main")
-	c, r := copied.Value(), read.Value()
-	if _, err := s.Apply("main", add(1000)); err != nil {
-		t.Fatal(err)
+	most := int64(0)
+	for i := range appends {
+		size, _ := s.Size("main")
+		e, c, r := encoded.Value(), copied.Value(), read.Value()
+		if _, err := s.Apply("main", op(n+i)); err != nil {
+			t.Fatal(err)
+		}
+		next, _ := s.Size("main")
+		if e, c := encoded.Value()-e, copied.Value()-c; e != int64(next) || next <= size || c != int64(size-4) {
+			t.Fatalf("%s of %d: an op encoded %d B and copied %d B of it, want %d > %d and the parent's %d bytes past its count", name, n, e, c, next, size, size-4)
+		}
+		most = max(most, read.Value()-r)
 	}
-	c, r = copied.Value()-c, read.Value()-r
-	t.Logf("or-set of %d B: an add copies %d B and its diff reads %d B", size, c, r)
-	if c != 0 || r < int64(size) {
-		t.Errorf("or-set of %d B: an add copied %d B and its diff read %d B, want 0 and at least the state", size, c, r)
+	t.Logf("%s of %d: an op's diff reads at most %d B", name, n, most)
+	if most > bound {
+		t.Errorf("%s of %d: an op's diff read %d B, want at most %d", name, n, most, bound)
 	}
 }

@@ -390,7 +390,7 @@ func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	patch, read := delta.MakeShared(baseEnc, enc, 0)
+	patch, read := delta.MakeShared(baseEnc, enc, nil)
 	s.metrics.deltaCompared.Add(int64(read))
 	return patch
 }

@@ -63,18 +63,22 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // them (checkEncoding); neither caches a state.
 //
 // A codec may also have the append form AppendEncode(dst []byte, next,
-// prev S, prevEnc []byte) ([]byte, int), which appends exactly
-// Encode(next) to dst and returns the result with the number of its last
-// bytes it copied from the end of prevEnc (0 when it copied none). When
-// prevEnc is non-nil it is Encode(prev), and the codec may copy from it
-// whatever next shares with prev; dst never shares memory with prevEnc.
-// The store then encodes each operation commit from its parent's
-// encoding, into a buffer it recycles, and diffs it against that
-// encoding knowing the copied run is shared (putState): so such a
-// codec's Decode and Check must keep no part of their input, which the
-// store may overwrite once they return. In internal/wire, MLog,
-// OrSetSpace and PNCounter have this form; MLog copies an append's
-// parent whole.
+// prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun),
+// which appends exactly Encode(next) to dst and returns the result with
+// runs, to which it has appended each run of its output it copied from
+// prevEnc: enc[At:At+Len] == prevEnc[Off:Off+Len] for enc, the bytes it
+// appended, the runs ascending by At, inside both encodings and apart.
+// When prevEnc is non-nil it is Encode(prev), and the codec may copy from
+// it whatever next shares with prev; dst never shares memory with
+// prevEnc, and runs is the store's, reused from commit to commit. The
+// store then encodes each operation commit from its parent's encoding,
+// into a buffer it recycles, and diffs it against that encoding knowing
+// the runs are shared (putState), so a false run corrupts the stored
+// patch. Such a codec's Decode and Check must keep no part of their
+// input, which the store may overwrite once they return. In
+// internal/wire, MLog, OrSetSpace, OrSetSpaceTime and PNCounter have this
+// form: MLog copies an append's parent whole, and the OR-sets copy the
+// pairs around one added, refreshed or removed pair.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)
@@ -248,11 +252,13 @@ type Store[S, Op, Val any] struct {
 	appender  appender[S]
 	spare     []byte
 	spareTree *chunkTree
+	// runs is the buffer the append form reports its copied runs in.
+	runs []delta.CopyRun
 }
 
 // appender is the append form of a Codec.
 type appender[S any] interface {
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte) ([]byte, int)
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun)
 }
 
 // New creates a store for impl with a single branch named main, holding
@@ -540,13 +546,12 @@ func (s *Store[S, Op, Val]) NumCommits() int {
 // materialized once — the reassembly slot holds it when base was the
 // last state stored — and serves three steps. A codec with the append
 // form (Codec) encodes state into the spare buffer, copying what it
-// shares with prev from that encoding, and reports the run it copied.
-// The patch from base's encoding is diffed with that run already known
-// to be shared (delta.MakeShared), so an append to a log compares only
-// what it added. And the address is computed from base's chunk tree and
-// the patch's copy runs — the copied run alone when the codec reported
-// one — so it hashes what the operation changed; the pack stores the
-// same patch.
+// shares with prev from that encoding, and reports the runs it copied.
+// The patch from base's encoding is diffed with those runs already known
+// to be shared (delta.MakeShared), so an append to a log or an add to a
+// set compares only what it changed. And the address is computed from
+// base's chunk tree and the patch's copy runs, so it hashes what the
+// operation changed; the pack stores the same patch.
 func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	start := time.Now()
 	var baseEnc []byte
@@ -567,11 +572,7 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 		var read int
 		patch, read = delta.MakeShared(baseEnc, enc, copied)
 		s.metrics.deltaCompared.Add(int64(read))
-		if copied > 0 {
-			runs = []delta.CopyRun{{At: len(enc) - copied, Off: len(baseEnc) - copied, Len: copied}}
-		} else {
-			runs, _, _ = delta.CopyRuns(patch)
-		}
+		runs, _, _ = delta.CopyRuns(patch)
 		now := time.Now()
 		s.metrics.phaseNs[phaseDelta].Observe((reassembly + now.Sub(t)).Nanoseconds())
 		t = now
@@ -589,12 +590,12 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 
 // encodeLocked encodes state and counts the bytes. A codec with the
 // append form encodes it into the spare buffer, copying from baseEnc,
-// base's encoding, when prev is base's state, and reports how many of
-// the encoding's last bytes it copied; any other codec allocates with
-// Encode. Callers hold the write lock.
-func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) ([]byte, int) {
+// base's encoding, when prev is base's state, and reports the runs it
+// copied, in the store's run buffer; any other codec allocates with
+// Encode and reports none. Callers hold the write lock.
+func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) ([]byte, []delta.CopyRun) {
 	var enc []byte
-	copied := 0
+	runs := s.runs[:0]
 	if s.appender == nil {
 		enc = s.codec.Encode(state)
 	} else {
@@ -606,11 +607,16 @@ func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) ([]by
 		}
 		dst := s.spare[:0]
 		s.spare = nil
-		enc, copied = s.appender.AppendEncode(dst, state, p, baseEnc)
+		enc, runs = s.appender.AppendEncode(dst, state, p, baseEnc, runs)
+		s.runs = runs
+	}
+	copied := 0
+	for _, r := range runs {
+		copied += r.Len
 	}
 	s.metrics.encodedBytes.Add(int64(len(enc)))
 	s.metrics.encodeCopied.Add(int64(copied))
-	return enc, copied
+	return enc, runs
 }
 
 func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/chat"
 	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/delta"
 	"repro/internal/ewflag"
 	"repro/internal/gmap"
 	"repro/internal/gset"
@@ -41,19 +43,20 @@ type PNCounter struct{}
 
 // Encode serializes the PN-counter.
 func (c PNCounter) Encode(s counter.PNState) []byte {
-	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil)
+	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil, nil)
 	return enc
 }
 
 func (PNCounter) encodedLen(counter.PNState) int { return 16 }
 
 // AppendEncode appends Encode(next) to dst (store.Codec's append form).
-// The state is two integers, so nothing of prev is worth copying.
-func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte) ([]byte, int) {
+// The state is two integers, so nothing of prev is worth copying, and it
+// reports no run.
+func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
 	w := Writer{buf: grow(dst, c.encodedLen(next))}
 	w.PutInt64(next.P)
 	w.PutInt64(next.N)
-	return w.Bytes(), 0
+	return w.Bytes(), runs
 }
 
 // Check reports whether b is a PN-counter encoding: exactly two
@@ -190,7 +193,7 @@ type MLog struct{}
 
 // Encode serializes the log.
 func (c MLog) Encode(s mlog.State) []byte {
-	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil)
+	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil, nil)
 	return enc
 }
 
@@ -206,13 +209,13 @@ func (MLog) encodedLen(s mlog.State) int {
 // When prevEnc is non-nil it is Encode(prev): the entries next shares
 // with prev at its end — after an append, all of prev — are copied from
 // prevEnc as one run, and only the entries before them are encoded. It
-// returns the length of that run, the encoding's last bytes.
+// appends that run, the encoding's last bytes, to runs.
 //
 // When next's last len(prev) entries are prev's own memory, as after
 // appends to prev (mlog's shared blocks), they are shared with no walk.
 // Otherwise an entry is shared when its timestamp and message are prev's;
 // a message both states point at is not compared byte by byte.
-func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) ([]byte, int) {
+func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
 	shared, tail := 0, 0 // entries and encoded bytes at the end of both
 	switch {
 	case prevEnc == nil || len(prevEnc) < 4:
@@ -236,20 +239,16 @@ func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte) ([
 		}
 	}
 	head := next[:len(next)-shared]
-	n := c.encodedLen(head) + tail
-	if n > cap(dst)-len(dst) {
-		// dst is the buffer the store recycles: one that a growing log
-		// outgrows gets room for the appends after this one too.
-		n += n / 8
-	}
-	w := Writer{buf: grow(dst, n)}
+	at := len(dst)
+	w := Writer{buf: growRecycled(dst, c.encodedLen(head)+tail)}
 	w.PutLen(len(next))
 	for _, e := range head {
 		w.PutTimestamp(e.T)
 		w.PutString(e.Msg)
 	}
+	runs = appendRun(runs, len(w.buf)-at, len(prevEnc)-tail, tail)
 	w.buf = append(w.buf, prevEnc[len(prevEnc)-tail:]...)
-	return w.Bytes(), tail
+	return w.Bytes(), runs
 }
 
 // Check reports whether b is a canonical log encoding, in one pass
@@ -355,10 +354,103 @@ func (OrSetSpace) Encode(s orset.SpaceState) []byte { return encodePairs(s) }
 func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 
 // AppendEncode appends Encode(next) to dst (store.Codec's append form).
-// An add inserts its pair where its element sorts, so the set appends
-// next whole rather than splice runs of prevEnc around the insertion.
-func (OrSetSpace) AppendEncode(dst []byte, next, _ orset.SpaceState, _ []byte) ([]byte, int) {
-	return appendPairs(dst, next), 0
+// When prevEnc, Encode(prev), is given and next is prev with one pair
+// added, replaced or removed — as after an add, a refresh or a remove —
+// it copies the pairs on either side of that pair from prevEnc and
+// appends those runs to runs; comparing the two sets to find the pair
+// reads them at memory speed. Otherwise it encodes next whole and
+// reports no run.
+func (OrSetSpace) AppendEncode(dst []byte, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+	if len(prevEnc) == pairsLen(len(prev)) {
+		if k, ok := sliceEdit(prev, next); ok {
+			var p orset.Pair
+			if k < len(next) {
+				p = next[k]
+			}
+			return appendPairsEdit(dst, prevEnc, len(next), k, p, runs)
+		}
+	}
+	return appendPairs(growRecycled(dst, pairsLen(len(next))), next), runs
+}
+
+// sliceEdit reports whether next is prev with at most one pair added,
+// replaced or removed, and the rank of that pair, as orset.Edit does for
+// trees: the first pair the two differ in.
+func sliceEdit(prev, next []orset.Pair) (int, bool) {
+	grow := len(next) - len(prev)
+	if grow < -1 || grow > 1 {
+		return 0, false
+	}
+	k := samePairs(prev, next)
+	switch grow {
+	case 1:
+		return k, bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k:]))
+	case 0:
+		return k, k == len(next) || bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k+1:]))
+	default:
+		return k, bytes.Equal(pairBytes(next[k:]), pairBytes(prev[k+1:]))
+	}
+}
+
+// samePairs returns how many pairs a and b begin with in common.
+func samePairs(a, b []orset.Pair) int {
+	const chunk = 64 // pairs compared at once
+	n := min(len(a), len(b))
+	k := 0
+	for k+chunk <= n && bytes.Equal(pairBytes(a[k:k+chunk]), pairBytes(b[k:k+chunk])) {
+		k += chunk
+	}
+	for k < n && a[k] == b[k] {
+		k++
+	}
+	return k
+}
+
+// pairBytes is ps's memory: two int64 fields per pair, no padding.
+func pairBytes(ps []orset.Pair) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ps))), 16*len(ps))
+}
+
+// appendPairsEdit appends to dst the encoding of n pairs that is prevEnc's
+// with the pair of rank k added, replaced by p, or removed — which, n
+// tells against prevEnc's count — and appends to runs what it copied
+// from prevEnc: the pairs before rank k, with the count when it stays,
+// and those after. k at prevEnc's count with n equal to it copies
+// prevEnc whole.
+func appendPairsEdit(dst, prevEnc []byte, n, k int, p orset.Pair, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+	was := (len(prevEnc) - 4) / 16
+	at := len(dst)
+	dst = growRecycled(dst, pairsLen(n))[:at+pairsLen(n)]
+	enc := dst[at:]
+	head := 4 + 16*k // the pairs before rank k end here in both
+	from := 4        // the run before the pair starts here
+	if n == was {
+		from = 0
+	} else {
+		binary.BigEndian.PutUint32(enc, uint32(n))
+	}
+	copy(enc[from:head], prevEnc[from:head])
+	runs = appendRun(runs, from, from, head-from)
+	if n < was || n == was && k == was {
+		// A removal, or nothing: the pairs after rank k close up on it.
+		rest := head + 16*(was-n)
+		copy(enc[head:], prevEnc[rest:])
+		return dst, appendRun(runs, head, rest, len(prevEnc)-rest)
+	}
+	binary.BigEndian.PutUint64(enc[head:], uint64(p.E))
+	binary.BigEndian.PutUint64(enc[head+8:], uint64(p.T))
+	rest := head + 16*(1-n+was) // after a replaced pair, or where an added one went
+	copy(enc[head+16:], prevEnc[rest:])
+	return dst, appendRun(runs, head+16, rest, len(prevEnc)-rest)
+}
+
+// appendRun appends the run enc[at:at+n] = prevEnc[off:off+n] to runs,
+// unless it is empty.
+func appendRun(runs []delta.CopyRun, at, off, n int) []delta.CopyRun {
+	if n == 0 {
+		return runs
+	}
+	return append(runs, delta.CopyRun{At: at, Off: off, Len: n})
 }
 
 // Check reports whether b is a canonical space-efficient OR-set
@@ -413,15 +505,38 @@ func orderError(item string, i int) error {
 type OrSetSpaceTime struct{}
 
 // Encode serializes the set.
-func (OrSetSpaceTime) Encode(s orset.TreeState) []byte {
-	n := orset.Len(s)
-	w := sizedWriter(pairsLen(n))
-	w.PutLen(n)
-	orset.Walk(s, func(p orset.Pair) {
-		w.PutInt64(p.E)
-		w.PutTimestamp(p.T)
+func (c OrSetSpaceTime) Encode(s orset.TreeState) []byte {
+	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil, nil)
+	return enc
+}
+
+func (OrSetSpaceTime) encodedLen(s orset.TreeState) int { return pairsLen(orset.Len(s)) }
+
+// AppendEncode appends Encode(next) to dst (store.Codec's append form),
+// as OrSetSpace's does: when prevEnc, Encode(prev), is given and next is
+// prev with one pair added, replaced or removed, it copies the pairs
+// around that pair from prevEnc and appends those runs to runs. The
+// pair and its rank come from orset.Edit, which skips the subtrees next
+// shares with prev, so after a Do only the encoding's copy is O(n).
+// Otherwise it encodes next whole and reports no run.
+func (OrSetSpaceTime) AppendEncode(dst []byte, next, prev orset.TreeState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+	n := orset.Len(next)
+	if len(prevEnc) == pairsLen(orset.Len(prev)) {
+		if k, p, ok := orset.Edit(prev, next); ok {
+			return appendPairsEdit(dst, prevEnc, n, k, p, runs)
+		}
+	}
+	at := len(dst)
+	dst = growRecycled(dst, pairsLen(n))[:at+pairsLen(n)]
+	b := dst[at:]
+	binary.BigEndian.PutUint32(b, uint32(n))
+	i := 0
+	orset.Walk(next, func(p orset.Pair) {
+		binary.BigEndian.PutUint64(b[4+16*i:], uint64(p.E))
+		binary.BigEndian.PutUint64(b[12+16*i:], uint64(p.T))
+		i++
 	})
-	return w.Bytes()
+	return dst, runs
 }
 
 // Decode deserializes the set, whose pairs must ascend strictly by
@@ -494,15 +609,16 @@ type AlphaMap[S any] struct {
 	Inner InnerCodec[S]
 }
 
-// InnerCodec is a Codec of this package (PNCounter, MLog, OrSetSpace)
-// that can also size its encoding up front, encodedLen(s) =
-// len(Encode(s)), and has the append form the store encodes commits
-// with (store.Codec) — what lets AlphaMap encode a whole map, inner
-// states included, in one exact-size allocation.
+// InnerCodec is a Codec of this package (PNCounter, MLog, OrSetSpace,
+// OrSetSpaceTime) that can also size its encoding up front,
+// encodedLen(s) = len(Encode(s)), and has the append form the store
+// encodes commits with (store.Codec), appending the runs it copied to a
+// run list — what lets AlphaMap encode a whole map, inner states
+// included, in one exact-size allocation, with no prevEnc and so no run.
 type InnerCodec[S any] interface {
 	Codec[S]
 	encodedLen(S) int
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte) ([]byte, int)
+	AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun)
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
@@ -519,7 +635,7 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 		w.PutString(e.K)
 		at := len(w.buf)
 		w.PutLen(0) // patched below, once the inner payload's length is known
-		w.buf, _ = c.Inner.AppendEncode(w.buf, e.V, zero, nil)
+		w.buf, _ = c.Inner.AppendEncode(w.buf, e.V, zero, nil, nil)
 		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()

@@ -11,13 +11,15 @@
 // The or-set-space, log and PN-counter codecs also have Check, which the
 // store calls instead of a round trip: Check(b) is nil exactly when
 // Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
-// same three have the store's append form, AppendEncode(dst, next, prev,
-// prevEnc), which appends Encode(next) to a buffer the store recycles and
-// reports the run at its end copied from prevEnc: the log copies from
-// prevEnc, prev's encoding, the entries an append leaves in place, and
-// the set and the counter encode next whole and report none. Their
-// Decode and Check keep no part of their input (strings are copied), the
-// condition on which the store may overwrite a buffer they have read.
+// same three and the or-set-spacetime codec have the store's append
+// form, AppendEncode(dst, next, prev, prevEnc, runs), which appends
+// Encode(next) to a buffer the store recycles and appends to runs each
+// run of it copied from prevEnc, prev's encoding: the log copies the
+// entries an append leaves in place, the two OR-sets the pairs around
+// the one pair an add, a refresh or a remove changed, and the counter
+// encodes next whole and reports none. Their Decode and Check keep no
+// part of their input (strings are copied), the condition on which the
+// store may overwrite a buffer they have read.
 // The g-set, g-map, or-set, or-set-space and log codecs reject a state
 // out of the order their datatype's searches and merges rely on.
 package wire
@@ -63,6 +65,16 @@ func grow(dst []byte, n int) []byte {
 		return dst
 	}
 	return append(slices.Grow([]byte(nil), len(dst)+n), dst...)
+}
+
+// growRecycled is grow for a buffer the store recycles (store.Codec's
+// append form): one that a growing state outgrows gets room for the
+// states after this one too.
+func growRecycled(dst []byte, n int) []byte {
+	if n > cap(dst)-len(dst) {
+		n += n / 8
+	}
+	return grow(dst, n)
 }
 
 // Bytes returns the accumulated payload.

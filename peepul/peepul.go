@@ -136,6 +136,7 @@ package peepul
 
 import (
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -153,14 +154,20 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // Check(enc []byte) error — nil exactly when Decode(enc) succeeds and
 // Encode of the result is enc — lets an import validate each incoming
 // state in place, with no decode and no second encoding. A codec that
-// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte)
-// ([]byte, int) — appending exactly Encode(next) to dst, free to copy
-// from prevEnc, Encode(prev), when it is non-nil, and returning with it
-// how many of its last bytes it copied from prevEnc's end — lets each
-// operation commit be encoded from its parent's encoding into a buffer
-// the store recycles, and diffed against it without comparing the copied
-// run; such a codec's Decode and Check must keep no part of their input.
+// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs
+// []CopyRun) ([]byte, []CopyRun) — appending exactly Encode(next) to dst,
+// free to copy from prevEnc, Encode(prev), when it is non-nil, and
+// appending to runs each stretch of its output it copied from prevEnc —
+// lets each operation commit be encoded from its parent's encoding into a
+// buffer the store recycles, and diffed against it without comparing the
+// copied runs; such a codec's Decode and Check must keep no part of their
+// input.
 type Codec[S any] = store.Codec[S]
+
+// CopyRun is a stretch of an encoding a codec's append form copied from
+// its parent's encoding: enc[At:At+Len] is prevEnc[Off:Off+Len], with enc
+// the bytes AppendEncode appended.
+type CopyRun = delta.CopyRun
 
 // Spec is a declarative replicated data type specification F_τ: the value
 // an operation must return given the abstract (event-history) state
