@@ -241,22 +241,25 @@ type CopyRun struct {
 	At, Off, Len int
 }
 
-// CopyRuns returns patch's copy runs in target order, and the base length
-// it announces. It validates the patch as Compose does, so it fails
-// exactly where Apply would on a base of that length. Adjacent copies of
-// adjacent base bytes come back as one run.
-func CopyRuns(patch []byte) ([]CopyRun, int, error) {
-	runs, baseLen, _, err := parseRuns(nil, patch, 0)
+// CopyRuns appends patch's copy runs to dst in target order, and returns
+// them with the base length the patch announces. It validates the patch
+// as Compose does, so it fails exactly where Apply would on a base of
+// that length. Adjacent copies of adjacent base bytes come back as one
+// run.
+func CopyRuns(dst []CopyRun, patch []byte) ([]CopyRun, int, error) {
+	sc := scratchPool.Get().(*composeScratch)
+	defer scratchPool.Put(sc)
+	runs, baseLen, _, err := parseRuns(sc.cur[:0], patch, 0)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	var out []CopyRun
+	sc.cur = runs
 	at := 0
 	for _, r := range runs {
 		if r.src < 0 {
-			out = append(out, CopyRun{At: at, Off: r.off, Len: r.n})
+			dst = append(dst, CopyRun{At: at, Off: r.off, Len: r.n})
 		}
 		at += r.n
 	}
-	return out, int(baseLen), nil
+	return dst, int(baseLen), nil
 }

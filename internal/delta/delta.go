@@ -377,17 +377,15 @@ func (m *matcher) backward(b, t, blo, tlo int) (n, compared int) {
 // it reports false when no run lies there or dst's capacity cannot hold
 // them.
 func (m *matcher) localWindows(dst []localWindow, lo, n, pre, targetEnd int) ([]localWindow, bool) {
+	if !slices.ContainsFunc(m.runs, func(r CopyRun) bool { return r.At < targetEnd && r.At+r.Len > pre }) {
+		return dst, false
+	}
 	var spans [8][2]int
 	held := spans[:0] // [first, end) of the windows a run's base range holds
-	inside := false
 	for _, r := range m.runs {
-		inside = inside || r.At < targetEnd && r.At+r.Len > pre
 		if first, end := (r.Off+blockSize-1)/blockSize*blockSize, (r.Off+r.Len)/blockSize*blockSize; first < end {
 			held = append(held, [2]int{first, end})
 		}
-	}
-	if !inside {
-		return dst, false
 	}
 	slices.SortFunc(held, func(x, y [2]int) int { return x[0] - y[0] })
 	w, end := lo, lo+n*blockSize

@@ -306,7 +306,8 @@ func (b *chunkTree) sum(g int) []byte   { return b.sums[g*sha256.Size : (g+1)*sh
 // from scratch (addrRunsLocked). Callers hold s.mu.
 func (s *Store[S, Op, Val]) addrLocked(enc []byte, base *chunkTree, patch []byte, into *chunkTree) (Hash, *chunkTree) {
 	if base != nil && patch != nil {
-		if runs, baseLen, err := delta.CopyRuns(patch); err == nil && baseLen == base.size() {
+		var buf [8]delta.CopyRun // a patch of an edit or two has a few
+		if runs, baseLen, err := delta.CopyRuns(buf[:0], patch); err == nil && baseLen == base.size() {
 			return s.addrRunsLocked(enc, base, runs, into)
 		}
 	}

@@ -17,7 +17,7 @@ func checkNext(t testing.TB, base, target, patch []byte) {
 	t.Helper()
 	var hs hasher
 	bt := hs.tree(base, nil)
-	runs, baseLen, err := delta.CopyRuns(patch)
+	runs, baseLen, err := delta.CopyRuns(nil, patch)
 	if err != nil || baseLen != len(base) {
 		t.Fatalf("CopyRuns: base %d of %d: %v", baseLen, len(base), err)
 	}
@@ -275,7 +275,7 @@ func BenchmarkStateAddr(b *testing.B) {
 	base = base[:48<<10]
 	target := slices.Concat(base[:4], []byte("a prepended entry of 36 bytes ....."), base[4:])
 	patch := delta.Make(base, target)
-	runs, _, _ := delta.CopyRuns(patch)
+	runs, _, _ := delta.CopyRuns(nil, patch)
 	bt := (&hasher{}).tree(base, nil)
 	b.Run("sha256", func(b *testing.B) {
 		b.SetBytes(int64(len(base)))

@@ -564,24 +564,20 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	}
 	t := time.Now()
 	reassembly := t.Sub(start)
-	enc, copied := s.encodeLocked(state, prev, baseEnc)
+	enc, copies := s.encodeLocked(state, prev, baseEnc)
 	s.metrics.lap(phaseEncode, &t)
 	var patch []byte
-	var runs []delta.CopyRun
 	if _, ok := s.chainBaseLocked(base, len(enc)); ok && baseEnc != nil {
 		var read int
-		patch, read = delta.MakeShared(baseEnc, enc, copied)
+		patch, read = delta.MakeShared(baseEnc, enc, copies)
 		s.metrics.deltaCompared.Add(int64(read))
-		runs, _, _ = delta.CopyRuns(patch)
 		now := time.Now()
 		s.metrics.phaseNs[phaseDelta].Observe((reassembly + now.Sub(t)).Nanoseconds())
 		t = now
-	} else {
-		baseTree = nil
 	}
 	into := s.spareTree
 	s.spareTree = nil
-	h, tree := s.addrRunsLocked(enc, baseTree, runs, into)
+	h, tree := s.addrLocked(enc, baseTree, patch, into)
 	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
 	s.packLocked(h, enc, tree, base, patch)

@@ -362,33 +362,31 @@ func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 // reports no run.
 func (OrSetSpace) AppendEncode(dst []byte, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
 	if len(prevEnc) == pairsLen(len(prev)) {
-		if k, ok := sliceEdit(prev, next); ok {
-			var p orset.Pair
-			if k < len(next) {
-				p = next[k]
-			}
+		if k, p, ok := sliceEdit(prev, next); ok {
 			return appendPairsEdit(dst, prevEnc, len(next), k, p, runs)
 		}
 	}
 	return appendPairs(growRecycled(dst, pairsLen(len(next))), next), runs
 }
 
-// sliceEdit reports whether next is prev with at most one pair added,
-// replaced or removed, and the rank of that pair, as orset.Edit does for
-// trees: the first pair the two differ in.
-func sliceEdit(prev, next []orset.Pair) (int, bool) {
+// sliceEdit is orset.Edit for sorted slices: whether next is prev with
+// at most one pair added, replaced or removed, the first pair the two
+// differ in, and next's pair there (zero for a removal).
+func sliceEdit(prev, next []orset.Pair) (k int, p orset.Pair, ok bool) {
 	grow := len(next) - len(prev)
 	if grow < -1 || grow > 1 {
-		return 0, false
+		return 0, p, false
 	}
-	k := samePairs(prev, next)
-	switch grow {
-	case 1:
-		return k, bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k:]))
-	case 0:
-		return k, k == len(next) || bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k+1:]))
+	k = samePairs(prev, next)
+	switch {
+	case grow == 1:
+		return k, next[k], bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k:]))
+	case grow == -1:
+		return k, p, bytes.Equal(pairBytes(next[k:]), pairBytes(prev[k+1:]))
+	case k == len(next):
+		return k, p, true
 	default:
-		return k, bytes.Equal(pairBytes(next[k:]), pairBytes(prev[k+1:]))
+		return k, next[k], bytes.Equal(pairBytes(next[k+1:]), pairBytes(prev[k+1:]))
 	}
 }
 
@@ -526,17 +524,13 @@ func (OrSetSpaceTime) AppendEncode(dst []byte, next, prev orset.TreeState, prevE
 			return appendPairsEdit(dst, prevEnc, n, k, p, runs)
 		}
 	}
-	at := len(dst)
-	dst = growRecycled(dst, pairsLen(n))[:at+pairsLen(n)]
-	b := dst[at:]
-	binary.BigEndian.PutUint32(b, uint32(n))
-	i := 0
+	w := Writer{buf: growRecycled(dst, pairsLen(n))}
+	w.PutLen(n)
 	orset.Walk(next, func(p orset.Pair) {
-		binary.BigEndian.PutUint64(b[4+16*i:], uint64(p.E))
-		binary.BigEndian.PutUint64(b[12+16*i:], uint64(p.T))
-		i++
+		w.PutInt64(p.E)
+		w.PutTimestamp(p.T)
 	})
-	return dst, runs
+	return w.Bytes(), runs
 }
 
 // Decode deserializes the set, whose pairs must ascend strictly by
