@@ -235,8 +235,9 @@ func parseRuns(runs []run, patch []byte, src int) (out []run, baseLen, targetLen
 	return runs, baseLen, targetLen, nil
 }
 
-// CopyRun is a stretch of a patch's target copied from its base:
-// target[At:At+Len] is base[Off:Off+Len].
+// CopyRun is a stretch of a target copied from its base:
+// target[At:At+Len] is base[Off:Off+Len]. CopyRuns reads a patch's; an
+// encoder that copied them hands them to MakeShared.
 type CopyRun struct {
 	At, Off, Len int
 }

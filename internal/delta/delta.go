@@ -108,9 +108,9 @@ func Make(base, target []byte) []byte {
 
 // MakeShared returns Make(base, target) for a target whose runs — what an
 // encoder that copied target[At:At+Len] from base[Off:Off+Len] knows
-// without looking — it does not compare. The runs must ascend by At, lie
-// inside both inputs and not overlap; when they do not, MakeShared
-// ignores them all. It also returns how many bytes it read to build the
+// without looking — it does not compare. The runs must ascend by At
+// without overlapping and lie inside both inputs; when they do not,
+// MakeShared ignores them all. It also returns how many bytes it read to build the
 // patch: the length of the shared ends it compared, and of the middles
 // it indexed and scanned.
 //
