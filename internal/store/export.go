@@ -25,10 +25,11 @@ type ExportedCommit struct {
 	State   []byte
 	// Patch is a delta (internal/delta) from the encoded state of
 	// Parents[0]'s commit to this commit's encoded state. Every export
-	// uses it for a commit stored as a patch on that state: the parent is
-	// either earlier in the batch or one the receiver holds — an export
-	// ships only commits the receiver provably lacks, so a parent outside
-	// the batch is one it has.
+	// uses it when the store holds such a patch: the state's stored one,
+	// or the one packLocked kept beside a chain-full composition or a
+	// snapshot. The parent is either earlier in the batch or one the
+	// receiver holds — an export ships only commits the receiver provably
+	// lacks, so a parent outside the batch is one it has.
 	Patch []byte
 	Gen   int
 	Time  core.Timestamp
@@ -97,8 +98,12 @@ func (s *Store[S, Op, Val]) ExportSincePacked(b string, have []Hash) ([]Exported
 // The receiver can graft the batch because its holdings are closed
 // under ancestry and the caller builds ship as "commits the receiver
 // provably lacks": a parent outside the batch is therefore a commit the
-// receiver already holds. The export is packed — a commit may ship as a
-// patch against its first parent — for the same reason.
+// receiver already holds. The export is packed for the same reason: a
+// commit ships as a patch against its first parent's state whenever the
+// store holds one — its stored patch, or the patch packLocked kept from
+// that state beside a chain-full composition or a snapshot. Only roots,
+// states recovered from disk (a kept patch is never persisted) and
+// states whose patch reached a quarter of them ship whole.
 func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommit, error) {
 	if len(ship) == 0 {
 		return nil, nil
@@ -137,10 +142,14 @@ func (s *Store[S, Op, Val]) exportSetLocked(ship map[Hash]bool) ([]ExportedCommi
 				return nil, err
 			}
 			ec.Patch = append([]byte(nil), patch...)
+		case hasParent && obj.parent != nil && obj.parent.base == parentState:
+			// A chain-full composition or a snapshot, with the patch from
+			// this parent's state it was made from. Another commit pinning
+			// the state may have another parent, so the kept base decides.
+			ec.Patch = bytes.Clone(obj.parent.patch)
 		default:
-			// Snapshots, and patches whose base is not the parent's state
-			// (chain-full states composed onto their chain's snapshot),
-			// ship full: the wire form patches against the parent only.
+			// The rest ship full: the wire form patches against the
+			// parent's state only.
 			enc, _, err := s.materializeLocked(c.State)
 			if err != nil {
 				return nil, err
@@ -188,12 +197,15 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 // advertised heads check fails otherwise.
 //
 // Verification is pipelined. The caller's goroutine checks commit
-// metadata, applies patches and hashes states in batch order; the
-// canonicality check (checkEncoding, as VerifyPack), which needs only the
-// state's bytes and caches nothing, runs on up to GOMAXPROCS helpers.
-// Commits install in batch order as their verdicts arrive, so a failed
-// import reports the first bad commit in the batch and leaves exactly
-// the commits before it installed, however the helpers finish.
+// metadata, applies patches and hashes states in batch order. A state a
+// patch builds is checked there too when the codec has the edit form
+// (Codec's CheckEdit), against the patch's base and copy runs, in the
+// work of the edit. Any other canonicality check (checkEncoding, as
+// VerifyPack), which needs only the state's bytes and caches nothing,
+// runs on up to GOMAXPROCS helpers. Commits install in batch order as
+// their verdicts arrive, so a failed import reports the first bad commit
+// in the batch and leaves exactly the commits before it installed,
+// however the helpers finish.
 func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads []Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,6 +290,8 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 				if it.err != nil {
 					return it.err
 				}
+			}
+			if it.enc != nil {
 				// The pack keeps the verified bytes. A reassembled state is
 				// in the store's own buffer, which the reassembly slot holds
 				// next; it is the spare again only once a later state
@@ -317,7 +331,9 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 		pending[it.hash] = it.commit
 		if it.enc != nil {
 			fresh[it.commit.State] = it
-			v.submit(it)
+			if !it.checked {
+				v.submit(it)
+			}
 		}
 	}
 	if err := drain(0); err != nil {
@@ -351,18 +367,23 @@ type importItem struct {
 	// batch commits that chain to it.
 	enc  []byte
 	tree *chunkTree
-	// done is nil unless enc is being verified; closed once err is set.
-	done chan struct{}
-	err  error
+	// checked is set when prepareImportLocked verified enc itself
+	// (CheckEdit); otherwise done is nil unless enc is being verified on a
+	// helper, and closed once err is set.
+	checked bool
+	done    chan struct{}
+	err     error
 }
 
 // prepareImportLocked runs the order-dependent stage for batch commit i:
 // parent and generation checks, then the encoding, shipped whole or
 // reassembled against the first parent's state into the spare buffer,
 // and its address, built in the spare tree — from the base's chunk tree
-// and the shipped patch, or from scratch for a state shipped whole.
-// Parents and patch bases resolve among the queued commits (pending,
-// fresh) before the store. Callers hold the write lock.
+// and the shipped patch's copy runs, or from scratch for a state shipped
+// whole. A first-seen state a patch builds is checked here with the same
+// runs when the codec has the edit form. Parents and patch bases resolve
+// among the queued commits (pending, fresh) before the store. Callers
+// hold the write lock.
 func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem) (*importItem, error) {
 	it := &importItem{i: i}
 	// The generation-guided DAG walks (lca.go) are only correct under
@@ -371,8 +392,9 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	// one gets a rejected import instead of silently wrong merges. Nor
 	// does a commit no store mints pass: over two parents (the frozen
 	// index keeps two), a single parent whose Time is not below its own,
-	// or a merge unlike mergeHeadsLocked's, whose parents are strictly
-	// ascending and whose Time is the later parent's.
+	// a merge unlike mergeHeadsLocked's, whose parents are strictly
+	// ascending and whose Time is the later parent's, or a root other
+	// than the store's own (below).
 	if len(ec.Parents) > 2 {
 		return nil, fmt.Errorf("%w: commit %d has %d parents, at most 2", ErrBadImport, i, len(ec.Parents))
 	}
@@ -407,7 +429,9 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		return nil, fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
 	}
 	enc := ec.State
+	var baseEnc []byte
 	var baseTree *chunkTree
+	var runs []delta.CopyRun
 	if ec.Patch != nil {
 		if ec.State != nil {
 			return nil, fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
@@ -415,7 +439,6 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 		if len(ec.Parents) == 0 {
 			return nil, fmt.Errorf("%w: commit %d is a patch with no parent", ErrBadImport, i)
 		}
-		var baseEnc []byte
 		var err error
 		if f, ok := fresh[it.base]; ok {
 			baseEnc, baseTree = f.enc, f.tree
@@ -428,6 +451,9 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 			return nil, fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
 		}
 		it.patch = ec.Patch
+		// ApplyTo accepted the patch against baseEnc, so its runs parse.
+		runs, _, _ = delta.CopyRuns(s.runs[:0], ec.Patch)
+		s.runs = runs
 	}
 	into := s.spareTree
 	s.spareTree = nil
@@ -435,16 +461,31 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	// already stored, or queued earlier in this batch, is never verified,
 	// and its reassembled encoding and chunk tree are spares again at
 	// once.
-	st, tree := s.addrLocked(enc, baseTree, it.patch, into)
-	if !s.objExistsLocked(st) && fresh[st] == nil {
-		it.enc, it.tree = enc, tree
-	} else if it.patch != nil {
-		s.keepSpareLocked(enc, tree)
-	} else {
-		s.keepSpareLocked(nil, tree) // a state shipped whole is the caller's
-	}
+	st, tree := s.addrRunsLocked(enc, baseTree, runs, into)
 	it.commit = Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
 	it.hash = commitHash(it.commit)
+	// Every store mints the same root, Init's state at generation 1 and
+	// time 0, so a parentless commit is one the store holds.
+	if len(ec.Parents) == 0 && !s.commitExistsLocked(it.hash) {
+		return nil, fmt.Errorf("%w: commit %d is a root other than this store's", ErrBadImport, i)
+	}
+	if s.objExistsLocked(st) || fresh[st] != nil {
+		if it.patch != nil {
+			s.keepSpareLocked(enc, tree)
+		} else {
+			s.keepSpareLocked(nil, tree) // a state shipped whole is the caller's
+		}
+		return it, nil
+	}
+	it.enc, it.tree = enc, tree
+	if s.editCheck != nil && it.patch != nil {
+		// The base is canonical: stored, or queued before this commit, so
+		// a bad base fails the import first.
+		if err := s.editCheck.CheckEdit(enc, baseEnc, runs); err != nil {
+			return nil, notCanonical(i, err)
+		}
+		it.checked = true
+	}
 	return it, nil
 }
 
@@ -454,8 +495,14 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 // only the item and check; the state's first read decodes it.
 func (it *importItem) verify(check func(enc []byte) error) {
 	if err := check(it.enc); err != nil {
-		it.err = fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, it.i, err)
+		it.err = notCanonical(it.i, err)
 	}
+}
+
+// notCanonical is the import's verdict on batch commit i, whose state
+// encoding check refused with err.
+func notCanonical(i int, err error) error {
+	return fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, i, err)
 }
 
 // checkEncoding is the store's one validity test of an encoding: nil
@@ -475,6 +522,12 @@ func checkEncoding[S any](codec Codec[S], enc []byte) error {
 // checker is the optional form of a Codec that validates an encoding in
 // place (Codec).
 type checker interface{ Check(enc []byte) error }
+
+// editChecker is the optional form of a Codec that validates an encoding
+// a patch built from a canonical one by the patch's copy runs (Codec).
+type editChecker interface {
+	CheckEdit(enc, base []byte, runs []delta.CopyRun) error
+}
 
 // verifiers is one import's pool of helper goroutines: each submitted
 // state starts a helper until max run, so a batch of n first-seen states

@@ -1,5 +1,7 @@
 package store
 
+import "repro/internal/core"
+
 // WholeObjectsWithSlack returns how many of s's resident objects stored
 // whole hold a buffer with spare capacity, for tests in package
 // store_test: a snapshot pins exactly its encoding, so that no object
@@ -17,11 +19,13 @@ func WholeObjectsWithSlack[S, Op, Val any](s *Store[S, Op, Val]) int {
 }
 
 // ResidentObject is a resident pack object as tests in package store_test
-// see it: Data is the stored buffer itself, not a copy, and Delta tells
-// a patch from a state stored whole.
+// see it: Data is the stored buffer itself, not a copy, Delta tells a
+// patch from a state stored whole, and Base is the state a patch chains
+// to.
 type ResidentObject struct {
 	Data  []byte
 	Delta bool
+	Base  Hash
 }
 
 // ResidentObjects returns s's resident pack objects by state hash.
@@ -31,8 +35,26 @@ func ResidentObjects[S, Op, Val any](s *Store[S, Op, Val]) map[Hash]ResidentObje
 	out := make(map[Hash]ResidentObject, len(s.objects))
 	for h, o := range s.objects {
 		if o.load == nil {
-			out[h] = ResidentObject{Data: o.data, Delta: o.delta}
+			out[h] = ResidentObject{Data: o.data, Delta: o.delta, Base: o.base}
 		}
 	}
 	return out
+}
+
+// CommitHash is c's content address (commitHash), for tests in package
+// store_test that forge commits.
+func CommitHash(c Commit) Hash { return commitHash(c) }
+
+// MemLog is, for tests in package store_test, a Persister that keeps
+// what a replay of its log would recover (memLog).
+type MemLog = memLog
+
+// NewMemLog returns an empty MemLog.
+func NewMemLog() *MemLog { return newMemLog() }
+
+// Reopen opens a store, with main as its first branch, from what log
+// holds, as a restart recovers one: no object holds a patch packLocked
+// kept beside it.
+func Reopen[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], log *MemLog, replicaBase int, opts ...Option) (*Store[S, Op, Val], error) {
+	return OpenRecovered(impl, codec, "main", replicaBase, &log.rs, opts...)
 }

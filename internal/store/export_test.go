@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -444,5 +445,168 @@ func importDisordered[S, Op, Val any](t *testing.T, impl, forger core.MRDT[S, Op
 		if got := dst.HasCommit(h); got != (i < k) {
 			t.Errorf("commit %d installed = %v, want %v", i, got, i < k)
 		}
+	}
+}
+
+// patchOf writes a patch (internal/delta's format) from base that
+// rebuilds, in order, each piece: a []byte goes in as literal bytes, a
+// [2]int{off, n} copies base[off:off+n]. It returns the patch and the
+// encoding it rebuilds.
+func patchOf(base []byte, pieces ...any) (patch, enc []byte) {
+	var ops []byte
+	for _, p := range pieces {
+		switch p := p.(type) {
+		case []byte:
+			ops = append(ops, 0)
+			ops = binary.AppendUvarint(ops, uint64(len(p)))
+			ops = append(ops, p...)
+			enc = append(enc, p...)
+		case [2]int:
+			ops = append(ops, 1)
+			ops = binary.AppendUvarint(ops, uint64(p[0]))
+			ops = binary.AppendUvarint(ops, uint64(p[1]))
+			enc = append(enc, base[p[0]:p[0]+p[1]]...)
+		}
+	}
+	patch = binary.AppendUvarint(nil, uint64(len(base)))
+	patch = binary.AppendUvarint(patch, uint64(len(enc)))
+	return append(patch, ops...), enc
+}
+
+// TestImportRefusesForgedEdits: a patched or-set state, space-efficient
+// or tree-backed, that is out of order or miscounted fails the import at
+// its commit, whose state the receiver checks from the patch's copy runs
+// (CheckEdit): a literal pair that repeats the element of the copied pair
+// before it or after it, a copy 8 bytes off the pair grid that lands a
+// timestamp where an element goes, and a count one above the pairs that
+// follow. Each forgery is
+// shipped on a base the receiver holds, and at the end of a batch whose
+// earlier commits it builds on, which install while it does not.
+func TestImportRefusesForgedEdits(t *testing.T) {
+	t.Run("or-set-space", func(t *testing.T) {
+		importForgedEdits(t, orset.OrSetSpace{}, wire.OrSetSpace{})
+	})
+	t.Run("or-set-space-time", func(t *testing.T) {
+		importForgedEdits(t, orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{})
+	})
+}
+
+func importForgedEdits[S any](t *testing.T, impl core.MRDT[S, orset.Op, orset.Val], codec store.Codec[S]) {
+	const n, k = 6, 3 // the base's pairs, and the rank each forgery edits
+	src := store.NewAt(impl, codec, "main", 100)
+	var hashes []store.Hash
+	for i := range n {
+		// Elements above every timestamp, so that a timestamp read as an
+		// element is out of order.
+		if _, err := src.Apply("main", orset.Op{Kind: orset.Add, E: 1<<62 + 10*int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, src.Heads("main")[0])
+	}
+	parent, _ := src.Commit(hashes[n-1])
+	base, err := src.EncodedState(parent.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(c int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(c)) }
+	// Pairs that repeat the element of the pair before rank k and of the
+	// pair at rank k, which the forgeries put before and after them.
+	before, after := slices.Clone(base[4+16*(k-1):4+16*k]), slices.Clone(base[4+16*k:4+16*(k+1)])
+	binary.BigEndian.PutUint64(before[8:], 1)
+	binary.BigEndian.PutUint64(after[8:], 1)
+	forgeries := []struct {
+		name, why string
+		pieces    []any
+	}{
+		{"literal-after-run", fmt.Sprintf("set pair %d is out of order", k), []any{count(n + 1), [2]int{4, 16 * k}, before, [2]int{4 + 16*k, 16 * (n - k)}}},
+		{"literal-before-run", fmt.Sprintf("set pair %d is out of order", k+1), []any{count(n + 1), [2]int{4, 16 * k}, after, [2]int{4 + 16*k, 16 * (n - k)}}},
+		{"unaligned", fmt.Sprintf("set pair %d is out of order", k), []any{[2]int{0, 4 + 16*k}, [2]int{4 + 16*k - 8, 16}, [2]int{4 + 16*(k+1), 16 * (n - k - 1)}}},
+		{"count", "exceeds remaining payload", []any{count(n + 1), [2]int{4, 16 * n}}},
+	}
+	for _, f := range forgeries {
+		patch, enc := patchOf(base, f.pieces...)
+		c := store.Commit{Parents: []store.Hash{hashes[n-1]}, State: store.StateAddr(enc), Gen: parent.Gen + 1, Time: parent.Time + 1}
+		forged := store.ExportedCommit{Parents: c.Parents, Patch: patch, Gen: c.Gen, Time: c.Time}
+		h := store.CommitHash(c)
+		want := func(i int) string { return fmt.Sprintf("commit %d state encoding is not canonical", i) }
+
+		t.Run(f.name+"/queued-base", func(t *testing.T) {
+			dst := store.New(impl, codec, "main")
+			batch, _, err := src.ExportSincePacked("main", dst.Heads("main"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = dst.Import("remote/src", append(batch, forged), []store.Hash{h})
+			if !errors.Is(err, store.ErrBadImport) || !strings.Contains(err.Error(), want(n)) || !strings.Contains(err.Error(), f.why) {
+				t.Fatalf("Import = %v, want ErrBadImport naming commit %d: %s", err, n, f.why)
+			}
+			for i, ch := range append(slices.Clone(hashes), h) {
+				if got := dst.HasCommit(ch); got != (i < n) {
+					t.Errorf("commit %d installed = %v, want %v", i, got, i < n)
+				}
+			}
+		})
+		t.Run(f.name+"/stored-base", func(t *testing.T) {
+			dst := store.New(impl, codec, "main")
+			batch, heads, err := src.ExportSincePacked("main", dst.Heads("main"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := dst.Integrate("main", "src", batch, heads); err != nil {
+				t.Fatal(err)
+			}
+			err = dst.Import("remote/src", []store.ExportedCommit{forged}, []store.Hash{h})
+			if !errors.Is(err, store.ErrBadImport) || !strings.Contains(err.Error(), want(0)) || !strings.Contains(err.Error(), f.why) {
+				t.Fatalf("Import = %v, want ErrBadImport naming commit 0: %s", err, f.why)
+			}
+			if dst.HasCommit(h) {
+				t.Error("the forged commit is installed")
+			}
+		})
+	}
+}
+
+// TestImportRefusesASecondRoot: every store mints one root, the initial
+// state at generation 1 and time 0, so a parentless commit is the
+// receiver's own root or fails the import — one pinning another state,
+// and one pinning the initial state at another time — while the store's
+// own root, shipped with a full history, lands.
+func TestImportRefusesASecondRoot(t *testing.T) {
+	codec := wire.OrSetSpace{}
+	dst := store.New(orset.OrSetSpace{}, codec, "main")
+	for _, root := range []struct {
+		name  string
+		state orset.SpaceState
+		time  core.Timestamp
+	}{
+		{"other-state", orset.SpaceState{{E: 7, T: 1}}, 0},
+		{"other-time", nil, 5},
+	} {
+		t.Run(root.name, func(t *testing.T) {
+			enc := codec.Encode(root.state)
+			c := store.Commit{State: store.StateAddr(enc), Gen: 1, Time: root.time}
+			h := store.CommitHash(c)
+			err := dst.Import("remote/forger", []store.ExportedCommit{{State: enc, Gen: 1, Time: root.time}}, []store.Hash{h})
+			if !errors.Is(err, store.ErrBadImport) || !strings.Contains(err.Error(), "commit 0 is a root other than this store's") {
+				t.Fatalf("Import = %v, want ErrBadImport naming commit 0 as a second root", err)
+			}
+			if dst.HasCommit(h) {
+				t.Fatal("the second root is installed")
+			}
+		})
+	}
+	src := store.NewAt(orset.OrSetSpace{}, codec, "main", 100)
+	if _, err := src.Apply("main", orset.Op{Kind: orset.Add, E: 1}); err != nil {
+		t.Fatal(err)
+	}
+	batch, heads, err := src.Export("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch[0].Parents) != 0 {
+		t.Fatal("a full export does not open with the root")
+	}
+	if err := dst.Import("remote/src", batch, heads); err != nil {
+		t.Fatalf("the store's own root, shipped with a full history: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/store"
@@ -215,15 +216,19 @@ func readAlong[S, Op, Val any](s *store.Store[S, Op, Val], stop <-chan struct{},
 // a write of its own after each, while two readers run (readAlong). Under
 // a chain bound of 4 on both sides, the batches hold every form an import
 // reassembles or copies: each forks in itself (two children of one batch
-// commit); snapshots and chain-full states, which the sender stores
-// composed onto their chain's snapshot, ship whole; and every third batch
-// re-ships the sender's whole history, every state of it known. After
-// each Integrate, every buffer a resident pack object held before it,
-// and every encoding EncodedState returned before it, holds the bytes it
-// did: the import reassembled nothing into a buffer anyone holds.
+// commit); chain-full states, which the sender stores composed onto their
+// chain's snapshot, ship as the patch from their parent's state the
+// sender kept; and every third batch re-ships the sender's whole history,
+// every state of it known. The last batch comes from the sender reopened
+// from its log, which has lost its kept patches, so its snapshots and
+// compositions ship whole. After each Integrate, every buffer a resident
+// pack object held before it, and every encoding EncodedState returned
+// before it, holds the bytes it did: the import reassembled nothing into
+// a buffer anyone holds.
 func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val], codec store.Codec[S], op func(writer, i int) Op) {
 	const rounds, perRound = 12, 8
-	src := store.NewAt(impl, codec, "main", 100, store.WithSnapshotEvery(4))
+	log := store.NewMemLog()
+	src := store.NewAt(impl, codec, "main", 100, store.WithSnapshotEvery(4), store.WithPersister(log))
 	dst := store.New(impl, codec, "main", store.WithSnapshotEvery(4), store.WithStateCacheSize(2))
 
 	var readers sync.WaitGroup
@@ -263,7 +268,7 @@ func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val]
 	objects := make(map[store.Hash]held) // by state hash: their bytes never change
 	var reads []held
 	var have []store.Hash
-	var forks, snapshots, composed, known int
+	var forks, snapshots, composed, kept, known int
 	for r := range rounds {
 		for range perRound {
 			apply(src, "main", 1)
@@ -280,22 +285,47 @@ func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val]
 		if r%3 == 2 {
 			have = nil
 		}
-		batch, heads, err := src.ExportSincePacked("main", have)
+		sender := src
+		if r == rounds-1 {
+			var err error
+			if sender, err = store.Reopen(impl, codec, log, 100, store.WithSnapshotEvery(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch, heads, err := sender.ExportSincePacked("main", have)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent := store.ResidentObjects(src)
+		sent := store.ResidentObjects(sender)
 		children := make(map[store.Hash]int)
 		for _, ec := range batch {
 			if len(ec.Parents) == 1 && !dst.HasCommit(ec.Parents[0]) {
 				children[ec.Parents[0]]++
 			}
-			if ec.State != nil && len(ec.Parents) > 0 {
+			if len(ec.Parents) == 0 {
+				continue
+			}
+			if ec.State != nil {
 				if sent[store.StateAddr(ec.State)].Delta {
 					composed++
 				} else {
 					snapshots++
 				}
+				continue
+			}
+			// A patch the sender did not store: kept beside a composition
+			// or a snapshot.
+			parent, _ := sender.Commit(ec.Parents[0])
+			base, err := sender.EncodedState(parent.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := delta.Apply(base, ec.Patch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o := sent[store.StateAddr(enc)]; !o.Delta || o.Base != parent.State {
+				kept++
 			}
 		}
 		for _, k := range children {
@@ -340,9 +370,9 @@ func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val]
 	for err := range fail {
 		t.Fatal(err)
 	}
-	t.Logf("%d batches: %d in-batch forks, %d snapshots and %d compositions shipped whole, %d known commits re-shipped", rounds, forks, snapshots, composed, known)
-	if forks < rounds || snapshots == 0 || composed == 0 || known == 0 {
-		t.Fatalf("the batches miss a form: %d forks in %d batches, %d snapshots, %d compositions, %d known commits", forks, rounds, snapshots, composed, known)
+	t.Logf("%d batches: %d in-batch forks, %d snapshots and %d compositions shipped whole, %d snapshots and compositions shipped as kept patches, %d known commits re-shipped", rounds, forks, snapshots, composed, kept, known)
+	if forks < rounds || snapshots == 0 || composed == 0 || kept == 0 || known == 0 {
+		t.Fatalf("the batches miss a form: %d forks in %d batches, %d snapshots, %d compositions, %d kept patches, %d known commits", forks, rounds, snapshots, composed, kept, known)
 	}
 	checkSettled(t, dst, codec, next(0))
 }

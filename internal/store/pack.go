@@ -64,6 +64,20 @@ type packObject struct {
 	// shared lock. A frozen-index object is built afresh on every lookup,
 	// so it is checked on every read.
 	verified atomic.Bool
+	// parent is the patch from the first parent's state that packLocked
+	// held for a state it stored otherwise — a chain-full composition or
+	// a snapshot — while under a quarter of the state, so that an export
+	// ships that patch and not the state (exportSetLocked). It is kept in
+	// memory only: a recovered object has none, and it counts in no
+	// PackStats figure.
+	parent *parentPatch
+}
+
+// parentPatch is a patch from the state base, the first parent's state
+// of the commit packLocked stored its object for.
+type parentPatch struct {
+	base  Hash
+	patch []byte
 }
 
 // bytes returns the object's stored bytes, fetching them from the
@@ -312,8 +326,10 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 // the composition of the chain's patches and its own (composeLocked),
 // kept only while it is under a quarter of enc. Otherwise, and whenever
 // the patch does not beat enc or chainBaseLocked refuses base, the state
-// is stored whole. packLocked owns enc and patch. Callers hold the write
-// lock.
+// is stored whole. A state stored either way but as the patch from base
+// keeps that patch beside it (packObject.parent) while the patch is under
+// a quarter of enc, for exports to ship. packLocked owns enc and patch.
+// Callers hold the write lock.
 //
 // enc becomes the reassembly slot's buffer. A state stored whole is
 // stored as enc itself only when enc has no spare capacity (a snapshot
@@ -341,6 +357,9 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 				obj.data, obj.base, obj.delta, obj.depth = composed, root, true, 1
 			}
 		}
+	}
+	if obj.base != base && patch != nil && composeKeep*len(patch) < len(enc) {
+		obj.parent = &parentPatch{base: base, patch: patch}
 	}
 	held := false
 	if !obj.delta {

@@ -193,6 +193,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		metrics: newStoreMetrics(o.Obs),
 	}
 	s.appender, _ = codec.(appender[S])
+	s.editCheck, _ = codec.(editChecker)
 	if rs == nil || len(rs.Branches) == 0 {
 		// Fresh start — possibly over a log whose branch records were
 		// truncated away. Respect a recovered allocator floor so new

@@ -62,6 +62,14 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // VerifyPack then validate encodings in place instead of round-tripping
 // them (checkEncoding); neither caches a state.
 //
+// A codec with Check may also have the edit form CheckEdit(enc, base
+// []byte, runs []delta.CopyRun) error, nil exactly when Check(enc) is,
+// given that base is canonical and that runs are the runs enc copies
+// from it (enc[At:At+Len] == base[Off:Off+Len]). Import then checks each
+// first-seen state a shipped patch builds with the patch's copy runs,
+// inline, in the work of the edit rather than of the state. In
+// internal/wire, OrSetSpace and OrSetSpaceTime have it.
+//
 // A codec may also have the append form AppendEncode(dst []byte, next,
 // prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun),
 // which appends exactly Encode(next) to dst and returns the result with
@@ -252,8 +260,11 @@ type Store[S, Op, Val any] struct {
 	appender  appender[S]
 	spare     []byte
 	spareTree *chunkTree
-	// runs is the buffer the append form reports its copied runs in.
-	runs []delta.CopyRun
+	// runs is the buffer the append form reports its copied runs in, and
+	// an import parses a shipped patch's copy runs into. editCheck is the
+	// codec's edit form (Codec), nil without one.
+	runs      []delta.CopyRun
+	editCheck editChecker
 }
 
 // appender is the append form of a Codec.

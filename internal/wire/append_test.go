@@ -363,15 +363,15 @@ func TestDecodeAndCheckKeepNoInput(t *testing.T) {
 	t.Run("mlog", func(t *testing.T) { keepsNoInput(t, wire.MLog{}, logOf(r, 30)) })
 	t.Run("or-set-space", func(t *testing.T) { keepsNoInput(t, wire.OrSetSpace{}, randSet(r, 30)) })
 	t.Run("pn-counter", func(t *testing.T) { keepsNoInput(t, wire.PNCounter{}, counter.PNState{P: 9, N: 4}) })
+	t.Run("or-set-spacetime", func(t *testing.T) {
+		keepsNoInput(t, wire.OrSetSpaceTime{}, orset.BuildBalanced(randSet(r, 30)))
+	})
 	// The collection codecs without Check.
 	t.Run("gset", func(t *testing.T) { decodeKeepsNoInput(t, wire.GSet{}, gset.State{1, 5, 9}) })
 	t.Run("gmap", func(t *testing.T) {
 		decodeKeepsNoInput(t, wire.GMap{}, gmap.State{{K: "a", T: 1, V: 10}, {K: "bc", T: 2, V: -20}})
 	})
 	t.Run("or-set", func(t *testing.T) { decodeKeepsNoInput(t, wire.OrSet{}, orset.State{{E: 1, T: 1}, {E: 1, T: 4}}) })
-	t.Run("or-set-spacetime", func(t *testing.T) {
-		decodeKeepsNoInput(t, wire.OrSetSpaceTime{}, orset.BuildBalanced(randSet(r, 30)))
-	})
 	t.Run("queue", func(t *testing.T) { decodeKeepsNoInput(t, wire.Queue{}, twoListQueue(3, 4)) })
 	t.Run("chat", func(t *testing.T) {
 		decodeKeepsNoInput(t, wire.Chat{}, chat.State{{K: "#empty", V: nil}, {K: "#go", V: logOf(r, 5)}})

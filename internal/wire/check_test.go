@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/delta"
 	"repro/internal/mlog"
 	"repro/internal/orset"
 	"repro/internal/wire"
@@ -163,6 +164,13 @@ func TestCheckMatchesRoundTrip(t *testing.T) {
 	testCheck(t, "or-set-space", wire.OrSetSpace{}, randSet, func(r *rand.Rand, s orset.SpaceState) []orset.SpaceState {
 		return disorderOf(r, s, func(dst *orset.Pair, src orset.Pair) { dst.E = src.E })
 	})
+	testCheck(t, "or-set-space-time", wire.OrSetSpaceTime{}, randTree, func(r *rand.Rand, s orset.TreeState) []orset.TreeState {
+		var out []orset.TreeState
+		for _, bad := range disorderOf(r, orset.Flatten(s), func(dst *orset.Pair, src orset.Pair) { dst.E = src.E }) {
+			out = append(out, orset.BuildBalanced(bad))
+		}
+		return out
+	})
 }
 
 // FuzzCheckMatchesRoundTrip holds every Check to the round trip on
@@ -182,5 +190,154 @@ func FuzzCheckMatchesRoundTrip(f *testing.F) {
 		checkRoundTrip(t, "pn-counter", wire.PNCounter{}, b)
 		checkRoundTrip(t, "mlog", wire.MLog{}, b)
 		checkRoundTrip(t, "or-set-space", wire.OrSetSpace{}, b)
+		checkRoundTrip(t, "or-set-space-time", wire.OrSetSpaceTime{}, b)
+	})
+}
+
+// editCodec is a codec with the edit form of Check (store.Codec).
+type editCodec interface {
+	Check(b []byte) error
+	CheckEdit(enc, base []byte, runs []delta.CopyRun) error
+}
+
+// patchBuilder writes a patch (internal/delta's format) opcode by opcode,
+// keeping the target it rebuilds.
+type patchBuilder struct {
+	base, target, ops []byte
+}
+
+func (p *patchBuilder) insert(lit []byte) {
+	if len(lit) == 0 {
+		return
+	}
+	p.ops = append(p.ops, 0)
+	p.ops = binary.AppendUvarint(p.ops, uint64(len(lit)))
+	p.ops = append(p.ops, lit...)
+	p.target = append(p.target, lit...)
+}
+
+func (p *patchBuilder) copy(off, n int) {
+	if n <= 0 {
+		return
+	}
+	p.ops = append(p.ops, 1)
+	p.ops = binary.AppendUvarint(p.ops, uint64(off))
+	p.ops = binary.AppendUvarint(p.ops, uint64(n))
+	p.target = append(p.target, p.base[off:off+n]...)
+}
+
+func (p *patchBuilder) patch() []byte {
+	out := binary.AppendUvarint(nil, uint64(len(p.base)))
+	out = binary.AppendUvarint(out, uint64(len(p.target)))
+	return append(out, p.ops...)
+}
+
+// lastElem is the element of the last whole pair in b past its count, 0
+// when it has none.
+func lastElem(b []byte) int64 {
+	if len(b) < 20 {
+		return 0
+	}
+	k := (len(b) - 4) / 16
+	return int64(binary.BigEndian.Uint64(b[4+16*(k-1):]))
+}
+
+// editOf builds, by plan, a patch from base, a canonical pair encoding,
+// and returns the encoding it rebuilds. plan's first byte picks the
+// count: written correct, copied from base, or written one too high or
+// too low. Then each triple (op, a, b) appends one piece: a pair-aligned
+// copy of 1–8 of base's pairs from rank a; an unaligned copy of 1+b
+// bytes from offset a·len(base)/256; a literal pair whose element is the
+// last pair's plus int8(a), so it may land out of order; or an aligned
+// copy shrunk by a%16 bytes at its start (b even) or end (b odd), which
+// go out as literal bytes.
+func editOf(base, plan []byte) (enc, patch []byte) {
+	p := &patchBuilder{base: base}
+	m := (len(base) - 4) / 16
+	head := byte(0)
+	if len(plan) > 0 {
+		head, plan = plan[0]%4, plan[1:]
+	}
+	if head == 1 {
+		p.copy(0, 4)
+	} else {
+		p.insert(make([]byte, 4)) // written below
+	}
+	for ; len(plan) >= 3; plan = plan[3:] {
+		op, a, b := plan[0]%4, int(plan[1]), int(plan[2])
+		switch {
+		case op == 1:
+			off := a * len(base) / 256
+			p.copy(off, min(1+b, len(base)-off))
+		case op == 2:
+			var pair [16]byte
+			binary.BigEndian.PutUint64(pair[:], uint64(lastElem(p.target)+int64(int8(a))))
+			binary.BigEndian.PutUint64(pair[8:], uint64(b))
+			p.insert(pair[:])
+		case m > 0:
+			j := a % m
+			off, n := 4+16*j, 16*min(1+b%8, m-j)
+			cut := 0
+			if op == 3 {
+				cut = min(a%16, n)
+			}
+			switch {
+			case cut > 0 && b%2 == 0:
+				p.insert(base[off : off+cut])
+				p.copy(off+cut, n-cut)
+			case cut > 0:
+				p.copy(off, n-cut)
+				p.insert(base[off+n-cut : off+n])
+			default:
+				p.copy(off, n)
+			}
+		}
+	}
+	if head != 1 {
+		count := uint32((len(p.target) - 4) / 16)
+		switch head {
+		case 2:
+			count++
+		case 3:
+			count--
+		}
+		binary.BigEndian.PutUint32(p.target, count)
+		binary.BigEndian.PutUint32(p.ops[2:], count) // the literal's bytes
+	}
+	return p.target, p.patch()
+}
+
+// FuzzCheckEditMatchesCheck: for a canonical OR-set encoding base (a
+// random set of n pairs, by seed) and an encoding a patch builds from it
+// (editOf's plan: aligned, unaligned and shrunk copies and literal
+// pairs, behind a count written, copied or forged), each OR-set codec's
+// CheckEdit, given the patch's copy runs, accepts exactly what its Check
+// accepts. The committed corpus (testdata/fuzz) names each case: a pair
+// out of order at either edge of a copied run or inside an unaligned
+// one, forged counts, shrunk runs, and edits that stay in order.
+func FuzzCheckEditMatchesCheck(f *testing.F) {
+	f.Add(int64(1), uint8(6), []byte{0, 0, 0, 1, 2, 5, 3, 0, 4, 2})
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, plan []byte) {
+		if len(plan) > 64 {
+			plan = plan[:64]
+		}
+		base := wire.OrSetSpace{}.Encode(randSet(rand.New(rand.NewSource(seed)), int(n%40)))
+		enc, patch := editOf(base, plan)
+		if got, err := delta.Apply(base, patch); err != nil || !bytes.Equal(got, enc) {
+			t.Fatalf("the patch does not rebuild the edit: %v", err)
+		}
+		runs, _, err := delta.CopyRuns(nil, patch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]editCodec{"or-set-space": wire.OrSetSpace{}, "or-set-space-time": wire.OrSetSpaceTime{}} {
+			if c.Check(base) != nil {
+				continue
+			}
+			want, got := c.Check(enc), c.CheckEdit(enc, base, runs)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("%s: CheckEdit(%x, runs %v) = %v, Check = %v", name, enc, runs, got, want)
+			}
+		}
 	})
 }

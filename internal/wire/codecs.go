@@ -456,20 +456,78 @@ func appendRun(runs []delta.CopyRun, at, off, n int) []delta.CopyRun {
 // that many pairs in strictly ascending element order, the order the
 // set's binary search and linear merge rely on. The pairs are fixed
 // width, so every other buffer fails to decode.
-func (OrSetSpace) Check(b []byte) error {
-	r := Reader{buf: b}
-	n := r.Len(16)
-	if !r.need(16 * n) {
-		return r.err
-	}
-	r.off += 16 * n
-	if err := r.Close(); err != nil {
+func (OrSetSpace) Check(b []byte) error { return checkPairs(b) }
+
+// CheckEdit is Check for an encoding enc that runs copy from base, a
+// canonical encoding (store.Codec's edit form): it returns nil exactly
+// when Check(enc) does, comparing only what an edit can have put out of
+// order (checkPairsEdit).
+func (OrSetSpace) CheckEdit(enc, base []byte, runs []delta.CopyRun) error {
+	return checkPairsEdit(enc, base, runs)
+}
+
+// checkPairs is the OR-set codecs' Check: a count that matches the
+// length, and pairs in strictly ascending element order.
+func checkPairs(b []byte) error {
+	n, err := pairCount(b)
+	if err != nil {
 		return err
 	}
-	var prev int64
-	for i := 0; i < n; i++ {
+	return pairsAscend(b, 1, n)
+}
+
+// checkPairsEdit is checkPairs for an encoding enc whose runs copy from
+// base, a canonical encoding: a run that keeps base's pair boundaries
+// (At and Off a whole number of pairs apart) holds base's pairs, in
+// base's order, so a pair is compared with its predecessor only where
+// the two are not both inside one such run — at a run's edges and in the
+// literal bytes between runs. After the count, the work is the edit's,
+// not the set's.
+func checkPairsEdit(enc, base []byte, runs []delta.CopyRun) error {
+	n, err := pairCount(enc)
+	if err != nil {
+		return err
+	}
+	i := 1 // every pair before i is compared or inside a run with its predecessor
+	for _, r := range runs {
+		if (r.At-r.Off)%16 != 0 || min(r.At, r.Off, r.Len) < 0 || r.At+r.Len > len(enc) || r.Off+r.Len > len(base) {
+			continue
+		}
+		// The run holds pairs [first, end) whole.
+		first, end := (r.At+11)/16, (r.At+r.Len-4)/16
+		if end-first < 2 {
+			continue
+		}
+		if err := pairsAscend(enc, i, first+1); err != nil {
+			return err
+		}
+		i = max(i, end)
+	}
+	return pairsAscend(enc, i, n)
+}
+
+// pairCount returns the count b opens with, checking that exactly that
+// many pairs follow it.
+func pairCount(b []byte) (int, error) {
+	r := Reader{buf: b}
+	n := r.Len(16)
+	if r.need(16 * n) {
+		r.off += 16 * n
+	}
+	return n, r.Close()
+}
+
+// pairsAscend checks that each pair of b from rank from to rank to holds
+// a larger element than the pair before it.
+func pairsAscend(b []byte, from, to int) error {
+	from = max(from, 1)
+	if from >= to {
+		return nil
+	}
+	prev := int64(binary.BigEndian.Uint64(b[4+16*(from-1):]))
+	for i := from; i < to; i++ {
 		e := int64(binary.BigEndian.Uint64(b[4+16*i:]))
-		if i > 0 && e <= prev {
+		if e <= prev {
 			return orderError("set pair", i)
 		}
 		prev = e
@@ -531,6 +589,17 @@ func (OrSetSpaceTime) AppendEncode(dst []byte, next, prev orset.TreeState, prevE
 		w.PutTimestamp(p.T)
 	})
 	return w.Bytes(), runs
+}
+
+// Check reports whether b is a canonical tree-backed OR-set encoding:
+// OrSetSpace's encoding, which Decode rebuilds a balanced tree from and
+// Encode walks back in order.
+func (OrSetSpaceTime) Check(b []byte) error { return checkPairs(b) }
+
+// CheckEdit is OrSetSpace's: Check in O(edit) for an encoding that runs
+// copy from a canonical base.
+func (OrSetSpaceTime) CheckEdit(enc, base []byte, runs []delta.CopyRun) error {
+	return checkPairsEdit(enc, base, runs)
 }
 
 // Decode deserializes the set, whose pairs must ascend strictly by

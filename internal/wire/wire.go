@@ -8,11 +8,16 @@
 // The format is deliberately simple: fixed-width big-endian integers and
 // length-prefixed strings, concatenated in state order. Every Decode
 // validates lengths and returns an error on truncated or trailing input.
-// The or-set-space, log and PN-counter codecs also have Check, which the
-// store calls instead of a round trip: Check(b) is nil exactly when
-// Decode(b) succeeds and re-encodes to b, and it allocates nothing. The
-// same three and the or-set-spacetime codec have the store's append
-// form, AppendEncode(dst, next, prev, prevEnc, runs), which appends
+// The or-set-space, or-set-spacetime, log and PN-counter codecs also
+// have Check, which the store calls instead of a round trip: Check(b) is nil
+// exactly when Decode(b) succeeds and re-encodes to b, and it allocates
+// nothing. The two OR-set codecs also have the store's edit form,
+// CheckEdit(enc, base, runs), Check for an encoding a patch built from
+// a canonical base, given the runs it copies from base: it compares a
+// pair with its predecessor only where the two are not both inside one
+// run that keeps base's pair boundaries, so an import checks a patched
+// state in the work of the edit. The same four codecs have the store's
+// append form, AppendEncode(dst, next, prev, prevEnc, runs), which appends
 // Encode(next) to a buffer the store recycles and appends to runs each
 // run of it copied from prevEnc, prev's encoding: the log copies the
 // entries an append leaves in place, the two OR-sets the pairs around
@@ -20,8 +25,9 @@
 // encodes next whole and reports none. Their Decode and Check keep no
 // part of their input (strings are copied), the condition on which the
 // store may overwrite a buffer they have read.
-// The g-set, g-map, or-set, or-set-space and log codecs reject a state
-// out of the order their datatype's searches and merges rely on.
+// The g-set, g-map, or-set, or-set-space, or-set-spacetime and log
+// codecs reject a state out of the order their datatype's searches and
+// merges rely on.
 package wire
 
 import (

@@ -294,7 +294,8 @@ func TestPackedSyncShipsPatches(t *testing.T) {
 		t.Fatalf("client stats: %+v", sa)
 	}
 	// The bulk of 80+ shipped commits must have traveled as patches
-	// (snapshot-boundary commits and the root ship full).
+	// (the root, and a state whose patch reached a quarter of it, ship
+	// full).
 	if sa.PatchesSent < int64(sa.CommitsSent)/2 || sa.PatchesSent == 0 {
 		t.Fatalf("client shipped %d patches of %d commits", sa.PatchesSent, sa.CommitsSent)
 	}

@@ -153,15 +153,18 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // and must not share mutable state. A codec that also has
 // Check(enc []byte) error — nil exactly when Decode(enc) succeeds and
 // Encode of the result is enc — lets an import validate each incoming
-// state in place, with no decode and no second encoding. A codec that
-// also has AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs
-// []CopyRun) ([]byte, []CopyRun) — appending exactly Encode(next) to dst,
-// free to copy from prevEnc, Encode(prev), when it is non-nil, and
-// appending to runs each stretch of its output it copied from prevEnc —
-// lets each operation commit be encoded from its parent's encoding into a
-// buffer the store recycles, and diffed against it without comparing the
-// copied runs; such a codec's Decode and Check must keep no part of their
-// input.
+// state in place, with no decode and no second encoding; one that also
+// has CheckEdit(enc, base []byte, runs []CopyRun) error — nil exactly
+// when Check(enc) is, given a canonical base and the runs enc copies
+// from it — lets an import check a state a shipped patch built in the
+// work of the edit. A codec that also has AppendEncode(dst []byte, next,
+// prev S, prevEnc []byte, runs []CopyRun) ([]byte, []CopyRun) —
+// appending exactly Encode(next) to dst, free to copy from prevEnc,
+// Encode(prev), when it is non-nil, and appending to runs each stretch of
+// its output it copied from prevEnc — lets each operation commit be
+// encoded from its parent's encoding into a buffer the store recycles,
+// and diffed against it without comparing the copied runs; such a
+// codec's Decode and Check must keep no part of their input.
 type Codec[S any] = store.Codec[S]
 
 // CopyRun is a stretch of an encoding a codec's append form copied from
