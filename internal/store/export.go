@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -182,10 +181,10 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 // the import. Commit hashes are recomputed locally; a corrupted transfer
 // cannot forge history. An empty batch is a valid delta as long as the
 // advertised heads are already known. Each first-seen state is verified
-// exactly once (verify): an encoded state whose hash is already present —
-// a commit two crossed sessions both delivered, a new commit pinning a
-// known state, a no-op shipped as an identity patch — or that an earlier
-// batch commit pins is not verified again.
+// exactly once: an encoded state whose hash is already present — a
+// commit two crossed sessions both delivered, a new commit pinning a
+// known state, a no-op shipped as an identity patch, a state an earlier
+// batch commit pins — is not verified again.
 //
 // A commit may carry its state as a Patch against its first parent's
 // state; the parent is necessarily known — the batch is
@@ -196,16 +195,14 @@ func (s *Store[S, Op, Val]) parentState(c Commit) (Hash, bool) {
 // to a state address the commit chain must be consistent with, and the
 // advertised heads check fails otherwise.
 //
-// Verification is pipelined. The caller's goroutine checks commit
-// metadata, applies patches and hashes states in batch order. A state a
-// patch builds is checked there too when the codec has the edit form
-// (Codec's CheckEdit), against the patch's base and copy runs, in the
-// work of the edit. Any other canonicality check (checkEncoding, as
-// VerifyPack), which needs only the state's bytes and caches nothing,
-// runs on up to GOMAXPROCS helpers. Commits install in batch order as
-// their verdicts arrive, so a failed import reports the first bad commit
-// in the batch and leaves exactly the commits before it installed,
-// however the helpers finish.
+// Commits land one at a time, in batch order, on the caller's goroutine:
+// each is checked, its state reassembled, addressed and verified, and
+// then installed before the next is read. A state a patch builds is
+// verified against the patch's base and copy runs when the codec has the
+// edit form (Codec's CheckEdit), in the work of the edit; any other by
+// checkEncoding, as VerifyPack does. So a failed import reports the
+// first bad commit in the batch and leaves exactly the commits before it
+// installed.
 func (s *Store[S, Op, Val]) Import(name string, commits []ExportedCommit, heads []Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,96 +245,16 @@ func (s *Store[S, Op, Val]) Integrate(branch, via string, batch []ExportedCommit
 	return redundant, HeadSetHash(s.heads[branch]), !slices.Equal(s.heads[branch], before), err
 }
 
-// importLocked is the body of Import and Integrate, the pipeline Import
-// describes: prepareImportLocked, then verify on a helper for a
-// first-seen state, then drain's in-order install, and the check that
-// every advertised head is present. Open captures record the installed
-// commits under via.
+// importLocked is the body of Import and Integrate: importOneLocked for
+// each batch commit in order, then the check that every advertised head
+// is present. Open captures record the installed commits under via.
 func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, heads []Hash) error {
 	s.importVia = via
 	defer func() { s.importVia = "" }()
-	// The producer blocks once window commits are queued: enough to keep
-	// every helper busy while it runs ahead, and a bound on the
-	// reassembled encodings held however deep the batch. jobs holds a
-	// full window, so a submit never blocks.
-	helpers := runtime.GOMAXPROCS(0)
-	window := 4 * helpers
-	check := func(enc []byte) error { return checkEncoding(s.codec, enc) }
-	v := &verifiers{check: check, jobs: make(chan *importItem, window), max: helpers}
-	var (
-		queue   []*importItem                // prepared, not yet installed
-		pending = make(map[Hash]Commit)      // their commits, by commit hash
-		fresh   = make(map[Hash]*importItem) // their first-seen states, by state hash
-	)
-	defer func() {
-		// No helper may touch an item once the import returns.
-		for _, it := range queue {
-			if it.done != nil {
-				<-it.done
-			}
-		}
-		close(v.jobs)
-	}()
-	// drain installs queued items, oldest first, until keep remain. A bad
-	// verdict stops it: the commits before the failing one are installed,
-	// it and everything after are not.
-	drain := func(keep int) error {
-		for len(queue) > keep {
-			it := queue[0]
-			queue[0], queue = nil, queue[1:]
-			if it.done != nil {
-				<-it.done
-				if it.err != nil {
-					return it.err
-				}
-			}
-			if it.enc != nil {
-				// The pack keeps the verified bytes. A reassembled state is
-				// in the store's own buffer, which the reassembly slot holds
-				// next; it is the spare again only once a later state
-				// displaces it, when this item has left the queue and its
-				// helper is done. A state shipped whole and a shipped patch
-				// are the caller's, so they are copied — only for first-seen
-				// states: re-shipped known history never stores either. A
-				// whole state is copied at its exact size, which packLocked
-				// then stores without a second copy.
-				enc, patch := it.enc, it.patch
-				if patch != nil {
-					patch = bytes.Clone(patch)
-				} else {
-					enc = append(make([]byte, 0, len(enc)), enc...)
-				}
-				s.packLocked(it.commit.State, enc, it.tree, it.base, patch)
-				delete(fresh, it.commit.State)
-			}
-			s.addCommitLocked(it.hash, it.commit)
-			delete(pending, it.hash)
-		}
-		return nil
-	}
 	for i := range commits {
-		if err := drain(window - 1); err != nil {
+		if err := s.importOneLocked(i, &commits[i]); err != nil {
 			return err
 		}
-		it, err := s.prepareImportLocked(i, &commits[i], pending, fresh)
-		if err != nil {
-			// A bad verdict on an earlier commit is the first error.
-			if derr := drain(0); derr != nil {
-				return derr
-			}
-			return err
-		}
-		queue = append(queue, it)
-		pending[it.hash] = it.commit
-		if it.enc != nil {
-			fresh[it.commit.State] = it
-			if !it.checked {
-				v.submit(it)
-			}
-		}
-	}
-	if err := drain(0); err != nil {
-		return err
 	}
 	if len(heads) == 0 {
 		return fmt.Errorf("%w: no advertised head", ErrBadImport)
@@ -350,42 +267,17 @@ func (s *Store[S, Op, Val]) importLocked(via string, commits []ExportedCommit, h
 	return nil
 }
 
-// importItem is one batch commit between the two ordered stages of an
-// import. prepareImportLocked fills in the commit; for a first-seen state
-// it also keeps the encoding, and verify then sets err.
-type importItem struct {
-	i      int // batch position, for errors
-	hash   Hash
-	commit Commit
-	base   Hash   // the chain base: the first parent's state
-	patch  []byte // the shipped patch; nil for a full state
-	// enc is the encoding of a first-seen state, nil for a state already
-	// stored or queued, and tree its chunk tree: a shipped patch is
-	// reassembled into the store's spare buffer and the tree built in its
-	// spare tree, which the item then owns. Until the item is installed
-	// they are also the patch base, and the base of the address, for later
-	// batch commits that chain to it.
-	enc  []byte
-	tree *chunkTree
-	// checked is set when prepareImportLocked verified enc itself
-	// (CheckEdit); otherwise done is nil unless enc is being verified on a
-	// helper, and closed once err is set.
-	checked bool
-	done    chan struct{}
-	err     error
-}
-
-// prepareImportLocked runs the order-dependent stage for batch commit i:
-// parent and generation checks, then the encoding, shipped whole or
-// reassembled against the first parent's state into the spare buffer,
-// and its address, built in the spare tree — from the base's chunk tree
-// and the shipped patch's copy runs, or from scratch for a state shipped
-// whole. A first-seen state a patch builds is checked here with the same
-// runs when the codec has the edit form. Parents and patch bases resolve
-// among the queued commits (pending, fresh) before the store. Callers
-// hold the write lock.
-func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pending map[Hash]Commit, fresh map[Hash]*importItem) (*importItem, error) {
-	it := &importItem{i: i}
+// importOneLocked lands batch commit i: parent and generation checks,
+// then the encoding, shipped whole or reassembled against the first
+// parent's state into the spare buffer, and its address, built in the
+// spare tree — from the base's chunk tree and the shipped patch's copy
+// runs, or from scratch for a state shipped whole. A first-seen state is
+// then checked, packed and its commit installed. Every earlier batch
+// commit is installed by then, so parents and patch bases resolve in the
+// store, and a first-seen base packed just before is the reassembly
+// slot's.
+// Callers hold the write lock.
+func (s *Store[S, Op, Val]) importOneLocked(i int, ec *ExportedCommit) error {
 	// The generation-guided DAG walks (lca.go) are only correct under
 	// the invariant Gen = 1 + max parent generation, so a transferred
 	// generation is verified, never trusted: a peer shipping a bogus
@@ -396,37 +288,35 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	// ascending and whose Time is the later parent's, or a root other
 	// than the store's own (below).
 	if len(ec.Parents) > 2 {
-		return nil, fmt.Errorf("%w: commit %d has %d parents, at most 2", ErrBadImport, i, len(ec.Parents))
+		return fmt.Errorf("%w: commit %d has %d parents, at most 2", ErrBadImport, i, len(ec.Parents))
 	}
 	if len(ec.Parents) == 2 && bytes.Compare(ec.Parents[0][:], ec.Parents[1][:]) >= 0 {
-		return nil, fmt.Errorf("%w: commit %d parents are not strictly ascending", ErrBadImport, i)
+		return fmt.Errorf("%w: commit %d parents are not strictly ascending", ErrBadImport, i)
 	}
 	wantGen := 1
+	var base Hash // the chain base: the first parent's state
 	var latest core.Timestamp
 	for j, p := range ec.Parents {
-		pc, known := pending[p]
+		pc, known := s.commitLocked(p)
 		if !known {
-			pc, known = s.commitLocked(p)
-		}
-		if !known {
-			return nil, fmt.Errorf("%w: commit %d references unknown parent %v", ErrBadImport, i, p)
+			return fmt.Errorf("%w: commit %d references unknown parent %v", ErrBadImport, i, p)
 		}
 		if pc.Gen >= wantGen {
 			wantGen = pc.Gen + 1
 		}
 		if j == 0 {
-			it.base = pc.State
+			base = pc.State
 		}
 		if len(ec.Parents) == 1 && ec.Time <= pc.Time {
-			return nil, fmt.Errorf("%w: commit %d time %d does not exceed its parent's %d", ErrBadImport, i, ec.Time, pc.Time)
+			return fmt.Errorf("%w: commit %d time %d does not exceed its parent's %d", ErrBadImport, i, ec.Time, pc.Time)
 		}
 		latest = max(latest, pc.Time)
 	}
 	if len(ec.Parents) == 2 && ec.Time != latest {
-		return nil, fmt.Errorf("%w: merge commit %d time %d is not its later parent's %d", ErrBadImport, i, ec.Time, latest)
+		return fmt.Errorf("%w: merge commit %d time %d is not its later parent's %d", ErrBadImport, i, ec.Time, latest)
 	}
 	if ec.Gen != wantGen {
-		return nil, fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
+		return fmt.Errorf("%w: commit %d generation %d, want %d", ErrBadImport, i, ec.Gen, wantGen)
 	}
 	enc := ec.State
 	var baseEnc []byte
@@ -434,75 +324,76 @@ func (s *Store[S, Op, Val]) prepareImportLocked(i int, ec *ExportedCommit, pendi
 	var runs []delta.CopyRun
 	if ec.Patch != nil {
 		if ec.State != nil {
-			return nil, fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
+			return fmt.Errorf("%w: commit %d carries both a state and a patch", ErrBadImport, i)
 		}
 		if len(ec.Parents) == 0 {
-			return nil, fmt.Errorf("%w: commit %d is a patch with no parent", ErrBadImport, i)
+			return fmt.Errorf("%w: commit %d is a patch with no parent", ErrBadImport, i)
 		}
 		var err error
-		if f, ok := fresh[it.base]; ok {
-			baseEnc, baseTree = f.enc, f.tree
-		} else if baseEnc, baseTree, err = s.materializeLocked(it.base); err != nil {
-			return nil, fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
+		if baseEnc, baseTree, err = s.materializeLocked(base); err != nil {
+			return fmt.Errorf("%w: commit %d base: %v", ErrBadImport, i, err)
 		}
 		dst := s.spare
 		s.spare = nil
 		if enc, err = delta.ApplyTo(dst, baseEnc, ec.Patch); err != nil {
-			return nil, fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
+			return fmt.Errorf("%w: commit %d patch: %v", ErrBadImport, i, err)
 		}
-		it.patch = ec.Patch
 		// ApplyTo accepted the patch against baseEnc, so its runs parse.
 		runs, _, _ = delta.CopyRuns(s.runs[:0], ec.Patch)
 		s.runs = runs
 	}
 	into := s.spareTree
 	s.spareTree = nil
-	// Content addressing lets re-imported history short-circuit: a state
-	// already stored, or queued earlier in this batch, is never verified,
-	// and its reassembled encoding and chunk tree are spares again at
-	// once.
 	st, tree := s.addrRunsLocked(enc, baseTree, runs, into)
-	it.commit = Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
-	it.hash = commitHash(it.commit)
+	c := Commit{Parents: append([]Hash(nil), ec.Parents...), State: st, Gen: ec.Gen, Time: ec.Time}
+	h := commitHash(c)
 	// Every store mints the same root, Init's state at generation 1 and
 	// time 0, so a parentless commit is one the store holds.
-	if len(ec.Parents) == 0 && !s.commitExistsLocked(it.hash) {
-		return nil, fmt.Errorf("%w: commit %d is a root other than this store's", ErrBadImport, i)
+	if len(ec.Parents) == 0 && !s.commitExistsLocked(h) {
+		return fmt.Errorf("%w: commit %d is a root other than this store's", ErrBadImport, i)
 	}
-	if s.objExistsLocked(st) || fresh[st] != nil {
-		if it.patch != nil {
+	// Content addressing lets re-imported history short-circuit: a state
+	// already stored is never verified again, and its reassembled
+	// encoding and chunk tree are spares again at once.
+	if s.objExistsLocked(st) {
+		if ec.Patch != nil {
 			s.keepSpareLocked(enc, tree)
 		} else {
 			s.keepSpareLocked(nil, tree) // a state shipped whole is the caller's
 		}
-		return it, nil
+		s.addCommitLocked(h, c)
+		return nil
 	}
-	it.enc, it.tree = enc, tree
-	if s.editCheck != nil && it.patch != nil {
-		// The base is canonical: stored, or queued before this commit, so
-		// a bad base fails the import first.
-		if err := s.editCheck.CheckEdit(enc, baseEnc, runs); err != nil {
-			return nil, notCanonical(i, err)
-		}
-		it.checked = true
+	// A first-seen state's encoding must be canonical: accepting a
+	// non-canonical one would give one logical state two content
+	// addresses and fork identical histories forever. A state a patch
+	// builds is checked against its base, which is stored and so
+	// canonical, with the patch's copy runs when the codec has the edit
+	// form (Codec); any other is checked whole. The state's first read
+	// decodes it.
+	var err error
+	if s.editCheck != nil && ec.Patch != nil {
+		err = s.editCheck.CheckEdit(enc, baseEnc, runs)
+	} else {
+		err = checkEncoding(s.codec, enc)
 	}
-	return it, nil
-}
-
-// verify is the per-state stage: a first-seen state's encoding must be
-// canonical — accepting a non-canonical one would give one logical state
-// two content addresses and fork identical histories forever. It reads
-// only the item and check; the state's first read decodes it.
-func (it *importItem) verify(check func(enc []byte) error) {
-	if err := check(it.enc); err != nil {
-		it.err = notCanonical(it.i, err)
+	if err != nil {
+		return fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, i, err)
 	}
-}
-
-// notCanonical is the import's verdict on batch commit i, whose state
-// encoding check refused with err.
-func notCanonical(i int, err error) error {
-	return fmt.Errorf("%w: commit %d state encoding is not canonical: %v", ErrBadImport, i, err)
+	// The pack keeps the checked bytes. A reassembled state is in the
+	// store's own buffer, which becomes the reassembly slot's. A state
+	// shipped whole and a shipped patch are the caller's, so they are
+	// copied, a whole state at its exact size, which packLocked then
+	// stores without a second copy.
+	patch := ec.Patch
+	if patch != nil {
+		patch = bytes.Clone(patch)
+	} else {
+		enc = append(make([]byte, 0, len(enc)), enc...)
+	}
+	s.packLocked(st, enc, tree, base, patch)
+	s.addCommitLocked(h, c)
+	return nil
 }
 
 // checkEncoding is the store's one validity test of an encoding: nil
@@ -527,33 +418,4 @@ type checker interface{ Check(enc []byte) error }
 // a patch built from a canonical one by the patch's copy runs (Codec).
 type editChecker interface {
 	CheckEdit(enc, base []byte, runs []delta.CopyRun) error
-}
-
-// verifiers is one import's pool of helper goroutines: each submitted
-// state starts a helper until max run, so a batch of n first-seen states
-// runs min(max, n). A helper touches only check and the items it
-// takes, never a store field, so the write lock the importer holds
-// throughout guards the store as before.
-type verifiers struct {
-	check   func(enc []byte) error
-	jobs    chan *importItem
-	max     int
-	started int
-}
-
-func (v *verifiers) submit(it *importItem) {
-	it.done = make(chan struct{})
-	v.jobs <- it
-	if v.started < v.max {
-		v.started++
-		go v.work()
-	}
-}
-
-// work verifies queued items until the import closes jobs.
-func (v *verifiers) work() {
-	for it := range v.jobs {
-		it.verify(v.check)
-		close(it.done)
-	}
 }

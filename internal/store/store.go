@@ -53,9 +53,10 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // content addressing and the space-accounting used by the benchmarks;
 // decoding lets the store install transferred histories (Import) without
 // a side-channel decoder, which is what allows a registry of data types
-// to round-trip states uniformly. Import calls Encode and Decode from
-// several goroutines at once, so a codec must not share mutable state
-// between calls.
+// to round-trip states uniformly. Readers that hold the store's read
+// lock at once — state reads, VerifyPack, size queries — call Encode and
+// Decode concurrently, so a codec must not share mutable state between
+// calls.
 //
 // A codec may also have the form Check(enc []byte) error, nil exactly
 // when Decode(enc) succeeds and Encode of the result is enc. Import and
