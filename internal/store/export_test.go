@@ -530,6 +530,8 @@ func importForgedEdits[S any](t *testing.T, impl core.MRDT[S, orset.Op, orset.Va
 		h := store.CommitHash(c)
 		want := func(i int) string { return fmt.Sprintf("commit %d state encoding is not canonical", i) }
 
+		// queued-base: the forgery's base is a commit installed earlier in
+		// the same batch, not one the receiver stored before it.
 		t.Run(f.name+"/queued-base", func(t *testing.T) {
 			dst := store.New(impl, codec, "main")
 			batch, _, err := src.ExportSincePacked("main", dst.Heads("main"))

@@ -16,11 +16,11 @@ import (
 	"repro/internal/mlog"
 )
 
-// Tests of the import pipeline: commits verify on workers but install in
-// batch order, and each first-seen state is verified once. Each runs
-// over a codec without Check, whose states the import decodes and
-// re-encodes, and over the same codec with Check, which the import calls
-// instead.
+// Tests of the import: commits land one at a time in batch order, each
+// checked and installed before the next is read, and each first-seen
+// state is verified once. Each runs over a codec without Check, whose
+// states the import decodes and re-encodes, and over the same codec with
+// Check, which the import calls instead.
 
 // batchBuilder assembles an import batch by hand, so a test can ship
 // encodings no store would export. Each commit chains to the receiver's
@@ -184,8 +184,9 @@ func (c countingCodec) Decode(b []byte) (int64, error) {
 	return c.int64Codec.Decode(b)
 }
 
-// TestImportDecodesEachFreshStateOnce: the pipeline decides before
-// install which states are first seen, so a no-op shipped as an identity
+// TestImportDecodesEachFreshStateOnce: a commit's state is first seen
+// only if no commit installed before it — stored earlier or landed
+// earlier in the batch — pins it, so a no-op shipped as an identity
 // patch, a state the receiver holds and a state two batch commits pin
 // cost no decode beyond the first. A codec with Check decodes nothing at
 // import. Import caches no state on either path, so the first read of

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mesh"
 	"repro/internal/recon"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -32,16 +31,6 @@ import (
 func (n *Node) SyncWith(addr string) error {
 	_, _, err := n.syncPeer(context.Background(), addr, false)
 	return err
-}
-
-// meshSyncer is the node as its mesh engine drives it (mesh.Syncer).
-type meshSyncer struct{ n *Node }
-
-// MeshSync implements mesh.Syncer: the daemon's anti-entropy round is the
-// exact code path SyncWith uses, abortable through ctx.
-func (s meshSyncer) MeshSync(ctx context.Context, addr string) (mesh.Report, error) {
-	missed, _, err := s.n.syncPeer(ctx, addr, false)
-	return mesh.Report{Missed: missed}, err
 }
 
 // peerLock returns the mutex serializing client sessions with addr: a

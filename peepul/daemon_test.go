@@ -1,6 +1,6 @@
 package peepul_test
 
-// Daemon integration tests: real nodes, real TCP, the mesh engine
+// Daemon integration tests: real nodes, real TCP, the sync daemon
 // driving the same sync path SyncWith uses. Cadences are tightened so
 // convergence lands in tens of milliseconds; waits are generous so
 // loaded CI machines do not flake.
@@ -175,7 +175,7 @@ func TestDaemonRetriesUnreachablePeer(t *testing.T) {
 }
 
 // TestDownPeerNeverWedgesClose: a node whose only peer stays down
-// closes promptly — the engine drain cancels any in-flight dial.
+// closes promptly — the daemon's drain cancels any in-flight dial.
 func TestDownPeerNeverWedgesClose(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

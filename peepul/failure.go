@@ -2,8 +2,9 @@ package peepul
 
 // Failure classification: the mesh supervisor treats a peer that is
 // merely unreachable very differently from one that breaks the
-// protocol. This file is the taxonomy — the node knows which
-// error values mean what, the engine only consumes the class.
+// protocol. This file is the taxonomy: one label per exchange outcome,
+// which both the session counters and the supervisor's retry schedule
+// read.
 
 import (
 	"context"
@@ -11,35 +12,43 @@ import (
 	"io"
 	"net"
 
-	"repro/internal/mesh"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// classifyFailure maps one sync-exchange error to the mesh engine's
-// failure taxonomy. Transport trouble — refused or timed-out dials,
-// resets, cut connections, deadlines — is transient: the peer is down
-// or the network is flaky, and the ordinary exponential backoff is the
-// right schedule. Protocol violations — corrupt frames, malformed
-// payloads, bad hellos, another protocol version, hash or canonicality
-// failures on import — mean the bytes arrived and were wrong: the peer
-// (or the path to it) is hostile or broken, and earns quarantine.
-// Network causes are checked first because a framing error wrapping
-// ECONNRESET is a cut wire, not a hostile peer.
-func classifyFailure(err error) mesh.FailureClass {
-	if err == nil || isNetworkCause(err) {
-		return mesh.FailTransient
-	}
+// Exchange outcomes: the outcome label of peepul_replica_sessions_total
+// and peepul_mesh_rounds_total, and a failed span's FailClass.
+const (
+	outcomeOK        = "ok"
+	outcomeTransient = "transient"
+	outcomeViolation = "violation"
+)
+
+// classifyFailure labels one sync exchange's outcome: ok for a nil
+// error, else transient or violation. Transport trouble — refused or
+// timed-out dials, resets, cut connections, deadlines — is transient:
+// the peer is down or the network is flaky, and the ordinary exponential
+// backoff is the right schedule. Protocol violations — corrupt frames,
+// malformed payloads, bad hellos, another protocol version, hash or
+// canonicality failures on import — mean the bytes arrived and were
+// wrong: the peer (or the path to it) is hostile or broken, and earns
+// quarantine. Network causes are checked first because a framing error
+// wrapping ECONNRESET is a cut wire, not a hostile peer.
+func classifyFailure(err error) string {
 	switch {
+	case err == nil:
+		return outcomeOK
+	case isNetworkCause(err):
+		return outcomeTransient
 	case errors.Is(err, ErrProtocol),
 		errors.Is(err, wire.ErrFraming),
 		errors.Is(err, wire.ErrMalformed),
 		errors.Is(err, wire.ErrVersion),
 		errors.Is(err, store.ErrBadImport),
 		errors.Is(err, store.ErrCorruptPack):
-		return mesh.FailViolation
+		return outcomeViolation
 	}
-	return mesh.FailTransient
+	return outcomeTransient
 }
 
 // isNetworkCause reports whether err's chain contains a transport-level

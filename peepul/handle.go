@@ -191,7 +191,7 @@ func (h *Handle[S, Op, Val]) Branch() string { return h.node.name }
 func (h *Handle[S, Op, Val]) Do(op Op) (Val, error) {
 	v, err := h.st.Apply(h.node.name, op)
 	if err == nil {
-		h.node.engine.NotifyCommit()
+		h.node.notifyCommit()
 	}
 	return v, err
 }
@@ -224,7 +224,7 @@ func (h *Handle[S, Op, Val]) StateOf(branch string) (S, error) {
 func (h *Handle[S, Op, Val]) Pull(dst, src string) error {
 	err := h.st.Pull(dst, src)
 	if err == nil && dst == h.node.name {
-		h.node.engine.NotifyCommit()
+		h.node.notifyCommit()
 	}
 	return err
 }
@@ -236,7 +236,7 @@ func (h *Handle[S, Op, Val]) Pull(dst, src string) error {
 func (h *Handle[S, Op, Val]) Sync(a, b string) error {
 	err := h.st.Sync(a, b)
 	if err == nil && (a == h.node.name || b == h.node.name) {
-		h.node.engine.NotifyCommit()
+		h.node.notifyCommit()
 	}
 	return err
 }

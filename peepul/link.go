@@ -13,7 +13,6 @@ package peepul
 // dispatches them after the session's exchanges).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -21,23 +20,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mesh"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// OpenLink implements mesh.Syncer: it runs a connect session with addr
-// — the code path SyncWith uses, abortable through ctx — and returns its
-// connection as a link in stream mode.
-func (s meshSyncer) OpenLink(ctx context.Context, addr string) (mesh.Link, mesh.Report, error) {
-	missed, l, err := s.n.syncPeer(ctx, addr, true)
-	if err != nil {
-		return nil, mesh.Report{Missed: missed}, err
-	}
-	return l, mesh.Report{Missed: missed}, nil
-}
-
-// peerLink is the dial side of a link (mesh.Link).
+// peerLink is the dial side of a link.
 type peerLink struct {
 	n    *Node
 	conn *countedConn
@@ -109,7 +96,7 @@ func (l *peerLink) fail(err error) {
 	})
 }
 
-// Done and Err implement mesh.Link.
+// Done and Err implement link.
 func (l *peerLink) Done() <-chan struct{} { return l.done }
 
 func (l *peerLink) Err() error {
@@ -121,11 +108,11 @@ func (l *peerLink) Err() error {
 	}
 }
 
-// Heartbeat implements mesh.Link: a third of the idle bound, so two
+// Heartbeat implements link: a third of the idle bound, so two
 // heartbeats can be late before the peer's read deadline fires.
 func (l *peerLink) Heartbeat() time.Duration { return l.n.cfg.syncTimeout() / 3 }
 
-// Close implements mesh.Link. A Push still in flight finds the captures
+// Close implements link. A Push still in flight finds the captures
 // closed and fails like any push on a dead link.
 func (l *peerLink) Close() {
 	l.fail(net.ErrClosed)
@@ -133,7 +120,7 @@ func (l *peerLink) Close() {
 	closeScope(l.objs)
 }
 
-// Push implements mesh.Link: per object, drain the link capture and
+// Push implements link: per object, drain the link capture and
 // write what it held as one batch grafted on the branch head, then flush
 // once. Drained commits that fail to leave are not retried: the link
 // dies, and the next connect session's recon finds them. A failed push
@@ -146,7 +133,7 @@ func (l *peerLink) Push(heartbeat bool) (carried bool, _ error) {
 	default:
 	}
 	if l.n.objectCount() > l.known {
-		l.fail(fmt.Errorf("%w: an object was opened after the link connected", mesh.ErrRelink))
+		l.fail(fmt.Errorf("%w: an object was opened after the link connected", errRelink))
 		return false, l.err
 	}
 	commits, err := l.write(heartbeat)

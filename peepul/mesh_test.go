@@ -6,6 +6,8 @@ package peepul_test
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +116,67 @@ func TestMeshRingConvergence(t *testing.T) {
 		}
 		if st.Rounds+st.Pushes == 0 {
 			t.Fatalf("m%d converged with zero completed exchanges: %+v", i, st)
+		}
+	}
+}
+
+// meshGauge reads one of the daemon's gauges from the node's registry.
+func meshGauge(n *peepul.Node, name string) int64 {
+	for _, m := range n.Metrics() {
+		if m.Name == name && m.Kind == "gauge" {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// TestCloseClearsMeshGauges: Close takes every peer's contribution out
+// of the daemon's gauges. One peer has a live link; the other answers
+// every session with a corrupt frame, so one violation quarantines it and
+// it backs off for an hour. After Close the three gauges read 0.
+func TestCloseClearsMeshGauges(t *testing.T) {
+	corrupt, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corrupt.Close()
+	go func() {
+		for {
+			conn, err := corrupt.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				// A frame header claiming 2^32-1 fields: a framing violation.
+				conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+
+	b := newMeshCounterNode(t, "b", 2)
+	a := newMeshCounterNode(t, "a", 1,
+		peepul.WithMeshBackoff(time.Hour, time.Hour),
+		peepul.WithMeshQuarantine(1, time.Hour, time.Hour))
+	a.AddPeer(b.Addr())
+	a.AddPeer(corrupt.Addr().String())
+
+	gauges := []string{"peepul_mesh_links_up", "peepul_mesh_peers_backing_off", "peepul_mesh_peers_quarantined"}
+	deadline := time.Now().Add(10 * time.Second)
+	for meshGauge(a.Node, gauges[0]) != 1 || meshGauge(a.Node, gauges[1]) != 1 || meshGauge(a.Node, gauges[2]) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauges never read 1 each: links_up %d, backing_off %d, quarantined %d",
+				meshGauge(a.Node, gauges[0]), meshGauge(a.Node, gauges[1]), meshGauge(a.Node, gauges[2]))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gauges {
+		if v := meshGauge(a.Node, g); v != 0 {
+			t.Errorf("%s reads %d after Close, want 0", g, v)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -230,9 +229,10 @@ type Node struct {
 	// exchanges with different peers overlap freely.
 	peerMus sync.Map // addr -> *sync.Mutex
 
-	// engine is the always-on sync daemon; it has no peers (and spawns
-	// no goroutines) until WithPeers or AddPeer names some.
-	engine *mesh.Engine
+	// mesh is the always-on sync daemon (mesh.go, supervisor.go); it has
+	// no peers (and spawns no goroutines) until WithPeers or AddPeer
+	// names some.
+	mesh daemon
 
 	// flows holds the series of traffic no exchange owns, per peer.
 	flows sync.Map // peer -> *flow
@@ -292,16 +292,18 @@ func NewNode(name string, replicaID int, opts ...NodeOption) (*Node, error) {
 	n.cfg.obsReg = obs.NewRegistry()
 	n.metrics = newNodeMetrics(n.cfg.obsReg)
 	if n.cfg.obsEnabled {
-		n.cfg.obsRec = obs.NewRecorder()
-		n.rec = n.cfg.obsRec
+		n.rec = obs.NewRecorder()
 	}
-	n.engine = mesh.New(meshSyncer{n}, n.cfg.meshConfig())
+	n.cfg.resolveMesh()
+	n.mesh.syncer = n
+	n.mesh.ctx, n.mesh.cancel = context.WithCancel(context.Background())
+	n.mesh.peers = make(map[string]*meshPeer)
 	for _, addr := range n.cfg.peers {
-		n.engine.AddPeer(addr)
+		n.AddPeer(addr)
 	}
 	if n.cfg.debugAddr != "" {
 		if err := n.startDebug(n.cfg.debugAddr); err != nil {
-			n.engine.Close()
+			n.closeMesh()
 			return nil, err
 		}
 	}
@@ -371,7 +373,7 @@ func (n *Node) Addr() string {
 // no-ops returning the first call's error.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
-		n.engine.Close()
+		n.closeMesh()
 		close(n.closed)
 		if n.debug != nil {
 			n.debug.close()
@@ -473,7 +475,7 @@ func (n *Node) integrate(e *objectEntry, object, peer string, batch []store.Expo
 	redundant, after, moved, err := e.st.Integrate(n.name, "remote/"+peer, batch, heads)
 	if moved {
 		e.watchers.broadcast(WatchEvent{Object: object, From: peer, Head: after})
-		n.engine.NotifyCommit()
+		n.notifyCommit()
 	}
 	return redundant, err
 }

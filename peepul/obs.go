@@ -2,19 +2,29 @@ package peepul
 
 // Sync-session observability: session duration and outcomes by role,
 // per-frame wire accounting, reconciliation descent depth, the traffic
-// series SyncStats is a view over (stats.go), and the flight-recorder
-// spans a sync session leaves behind. The registry is always on: every
-// node builds one and hands it to its stores, logs and mesh engine. The
-// recorder is opt-in (WithObservability, or WithDebugAddr which implies
-// it); without it n.rec stays nil and every span hook is a nil check.
+// series SyncStats is a view over (stats.go), the daemon's round, push
+// and quarantine series and gauges (supervisor.go), and the
+// flight-recorder spans a sync session leaves behind. The registry is
+// always on: every node builds one, counts its sessions and daemon into
+// it and hands it to its stores and logs. The recorder is opt-in
+// (WithObservability, or WithDebugAddr which implies it); without it
+// n.rec stays nil and every span hook is a nil check.
 
 import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/wire"
+)
+
+// The daemon's per-peer series: exchanges by kind and outcome, stream
+// batches that carried commits, and quarantine transitions. MeshStats
+// sums them.
+const (
+	roundsSeries     = "peepul_mesh_rounds_total"
+	pushesSeries     = "peepul_mesh_pushes_total"
+	quarantineSeries = "peepul_mesh_quarantine_transitions_total"
 )
 
 // maxFrameKind bounds the pre-resolved frame counter arrays; kinds past
@@ -72,6 +82,9 @@ type nodeMetrics struct {
 	descentDepth    *obs.Histogram
 	spanMatch       *obs.Counter
 	spanDiff        *obs.Counter
+	// The daemon's gauges: outbound links up, peers backing off, peers
+	// quarantined.
+	linksUp, backingOff, quarantined *obs.Gauge
 
 	framesIn, framesOut [maxFrameKind + 1]atomic.Pointer[frameSeries]
 }
@@ -88,9 +101,12 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		descentDepth:    reg.Histogram("peepul_recon_descent_ranges", obs.DepthBuckets),
 		spanMatch:       reg.Counter("peepul_recon_span_probes_total", "result", "match"),
 		spanDiff:        reg.Counter("peepul_recon_span_probes_total", "result", "diff"),
+		linksUp:         reg.Gauge("peepul_mesh_links_up"),
+		backingOff:      reg.Gauge("peepul_mesh_peers_backing_off"),
+		quarantined:     reg.Gauge("peepul_mesh_peers_quarantined"),
 	}
-	reg.Describe(mesh.BytesSeries, "raw session bytes by direction, object and (dial side) peer")
-	reg.Describe(mesh.CommitsSeries, "commits shipped by direction, object and (dial side) peer")
+	reg.Describe(bytesSeries, "raw session bytes by direction, object and (dial side) peer")
+	reg.Describe(commitsSeries, "commits shipped by direction, object and (dial side) peer")
 	reg.Describe(patchesSeries, "commits that crossed the wire as binary patches, by direction, object and peer")
 	reg.Describe(exchangesSeries, "completed per-object exchanges, one per role")
 	reg.Describe(missesSeries, "hellos answered with object not hosted here")
@@ -103,6 +119,12 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	reg.Describe("peepul_recon_span_probes_total", "whole-node span probes by result; a match short-circuits the round")
 	reg.Describe("peepul_wire_frames_total", "protocol frames by kind and direction")
 	reg.Describe("peepul_wire_frame_bytes_total", "protocol frame bytes by kind and direction")
+	reg.Describe(roundsSeries, "exchanges by peer, kind (full round, link connect session, failed stream) and outcome (ok/transient/violation)")
+	reg.Describe(pushesSeries, "link stream batches that carried commits, by peer")
+	reg.Describe(quarantineSeries, "peers entering and leaving quarantine")
+	reg.Describe("peepul_mesh_links_up", "outbound links currently connected and streaming")
+	reg.Describe("peepul_mesh_peers_backing_off", "peers currently on the backoff schedule")
+	reg.Describe("peepul_mesh_peers_quarantined", "peers currently quarantined")
 	return m
 }
 
@@ -115,11 +137,7 @@ func (m *nodeMetrics) session(role string, start time.Time, err error) {
 		ns = m.sessionNsServer
 	}
 	ns.Observe(time.Since(start).Nanoseconds())
-	outcome := "ok"
-	if err != nil {
-		outcome = failClassName(classifyFailure(err))
-	}
-	m.reg.Counter("peepul_replica_sessions_total", "role", role, "outcome", outcome).Inc()
+	m.reg.Counter("peepul_replica_sessions_total", "role", role, "outcome", classifyFailure(err)).Inc()
 }
 
 // frame feeds one frame into its kind's counters (FrameMeter).
@@ -148,14 +166,6 @@ func (m *nodeMetrics) frame(out bool, kind wire.FrameKind, bytes int) {
 // descent records one finished reconciliation descent's probe count.
 func (m *nodeMetrics) descent(ranges int) {
 	m.descentDepth.Observe(int64(ranges))
-}
-
-// failClassName maps the mesh failure taxonomy to metric label values.
-func failClassName(c mesh.FailureClass) string {
-	if c == mesh.FailViolation {
-		return "violation"
-	}
-	return "transient"
 }
 
 // spanRec accumulates one sync session's flight-recorder span. A nil
@@ -231,7 +241,7 @@ func (sr *spanRec) finish(err error) {
 	sr.span.DurNs = time.Since(sr.span.Start).Nanoseconds()
 	if err != nil {
 		sr.span.Err = err.Error()
-		sr.span.FailClass = failClassName(classifyFailure(err))
+		sr.span.FailClass = classifyFailure(err)
 	}
 	sr.rec.AddSpan(sr.span)
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -25,9 +24,10 @@ type nodeConfig struct {
 	// open time.
 	checkpointEvery int
 	verifyOnOpen    bool
-	// peers seeds the mesh engine's supervised peer set; the mesh*
-	// fields tune its cadence (zero values keep the engine defaults,
-	// meshJitterSet distinguishes "explicitly no jitter" from unset).
+	// peers seeds the sync daemon's supervised peer set; the mesh*
+	// fields tune its cadence (resolveMesh replaces unset values with the
+	// defaults; meshJitterSet distinguishes "explicitly no jitter" from
+	// unset).
 	peers          []string
 	meshInterval   time.Duration
 	meshJitter     time.Duration
@@ -35,7 +35,7 @@ type nodeConfig struct {
 	meshBackoffMin time.Duration
 	meshBackoffMax time.Duration
 	// meshQuar* tune the quarantine schedule for protocol-violating
-	// peers (zero values keep the engine defaults).
+	// peers.
 	meshQuarAfter int
 	meshQuarMin   time.Duration
 	meshQuarMax   time.Duration
@@ -52,13 +52,12 @@ type nodeConfig struct {
 	sessionTOSet bool
 	// obsEnabled turns on the node's flight recorder (WithObservability,
 	// or WithDebugAddr which implies it); debugAddr, when set, serves the
-	// live debug endpoint. obsReg (always) and obsRec (when enabled) are
-	// resolved by NewNode once the options are folded, so the store, disk
-	// and mesh layers all share the node's registry.
+	// live debug endpoint. obsReg is built by NewNode once the options
+	// are folded, so the stores, logs and sync daemon all share the
+	// node's registry.
 	obsEnabled bool
 	debugAddr  string
 	obsReg     *obs.Registry
-	obsRec     *obs.Recorder
 }
 
 // defaultMaxInbound is the default cap on concurrent inbound sync
@@ -161,28 +160,6 @@ func WithCheckpointEvery(n int) NodeOption {
 // unconditional.) No effect without WithStorage.
 func WithVerifyOnOpen(v bool) NodeOption {
 	return func(c *nodeConfig) { c.verifyOnOpen = v }
-}
-
-// meshConfig assembles the mesh engine configuration.
-func (c *nodeConfig) meshConfig() mesh.Config {
-	mc := mesh.Config{
-		Interval:        c.meshInterval,
-		BackoffMin:      c.meshBackoffMin,
-		BackoffMax:      c.meshBackoffMax,
-		Classify:        classifyFailure,
-		QuarantineAfter: c.meshQuarAfter,
-		QuarantineMin:   c.meshQuarMin,
-		QuarantineMax:   c.meshQuarMax,
-	}
-	if c.meshJitterSet {
-		mc.Jitter = c.meshJitter
-		if c.meshJitter == 0 {
-			mc.Jitter = -1 // explicit zero means "no jitter", not "default"
-		}
-	}
-	mc.Obs = c.obsReg
-	mc.Recorder = c.obsRec
-	return mc
 }
 
 // storeOptions assembles the store options for one object: the store

@@ -84,10 +84,10 @@
 // the client. Deadlines and byte accounting apply per raw fill
 // and flush.
 //
-// Replication can be always-on: every node embeds an internal/mesh
-// engine. Peers configured with WithPeers (or added with AddPeer) get a
-// supervisor goroutine that keeps one outbound link to the peer (link.go)
-// and runs jittered anti-entropy rounds — the same syncPeer code path a
+// Replication can be always-on: every node runs a sync daemon (mesh.go,
+// supervisor.go). Peers configured with WithPeers (or added with
+// AddPeer) get a supervisor goroutine that keeps one outbound link to
+// the peer (link.go) and runs jittered anti-entropy rounds — the same syncPeer code path a
 // manual SyncWith uses — while the link is up. A link is a client session
 // whose connection outlives it: the connect session repairs the pair, and
 // then the connection streams, one way, every commit the node installs —

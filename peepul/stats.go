@@ -1,7 +1,6 @@
 package peepul
 
 import (
-	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -47,12 +46,14 @@ type SyncStats struct {
 	InboundShed int64
 }
 
-// The sync sessions' traffic series, besides mesh.BytesSeries and
-// mesh.CommitsSeries. Each is labelled object, except for traffic no
-// exchange owns (span probes, hellos for objects not hosted here), and
-// on the dial side peer, the dialled address. Shed connections belong to
-// neither and are one unlabelled series.
+// The sync sessions' traffic series. Each is labelled object, except for
+// traffic no exchange owns (span probes, hellos for objects not hosted
+// here), and on the dial side peer, the dialled address; MeshStats reads
+// a peer's byte and commit totals back from the first two. Shed
+// connections belong to neither and are one unlabelled series.
 const (
+	bytesSeries     = "peepul_replica_bytes_total"
+	commitsSeries   = "peepul_replica_commits_total"
 	patchesSeries   = "peepul_replica_patches_total"
 	exchangesSeries = "peepul_replica_exchanges_total"
 	missesSeries    = "peepul_replica_misses_total"
@@ -77,10 +78,10 @@ func newFlow(reg *obs.Registry, labels []string) *flow {
 		return reg.Counter(name, append(kv, labels...)...)
 	}
 	return &flow{
-		bytesSent:   c(mesh.BytesSeries, "dir", "sent"),
-		bytesRecv:   c(mesh.BytesSeries, "dir", "recv"),
-		commitsSent: c(mesh.CommitsSeries, "dir", "sent"),
-		commitsRecv: c(mesh.CommitsSeries, "dir", "recv"),
+		bytesSent:   c(bytesSeries, "dir", "sent"),
+		bytesRecv:   c(bytesSeries, "dir", "recv"),
+		commitsSent: c(commitsSeries, "dir", "sent"),
+		commitsRecv: c(commitsSeries, "dir", "recv"),
 		patchesSent: c(patchesSeries, "dir", "sent"),
 		patchesRecv: c(patchesSeries, "dir", "recv"),
 		rangesSent:  c(rangesSeries, "role", "client"),
@@ -140,10 +141,10 @@ func (m *nodeMetrics) stats(match ...string) SyncStats {
 		return m.reg.Sum(name, append(kv, match...)...)
 	}
 	return SyncStats{
-		BytesSent:        sum(mesh.BytesSeries, "dir", "sent"),
-		BytesRecv:        sum(mesh.BytesSeries, "dir", "recv"),
-		CommitsSent:      sum(mesh.CommitsSeries, "dir", "sent"),
-		CommitsRecv:      sum(mesh.CommitsSeries, "dir", "recv"),
+		BytesSent:        sum(bytesSeries, "dir", "sent"),
+		BytesRecv:        sum(bytesSeries, "dir", "recv"),
+		CommitsSent:      sum(commitsSeries, "dir", "sent"),
+		CommitsRecv:      sum(commitsSeries, "dir", "recv"),
 		DeltaSyncs:       sum(exchangesSeries),
 		Misses:           sum(missesSeries),
 		PatchesSent:      sum(patchesSeries, "dir", "sent"),
