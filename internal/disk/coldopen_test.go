@@ -179,9 +179,10 @@ func TestLazyLoadDescriptors(t *testing.T) {
 	if _, ok := openFDs(t); !ok {
 		t.Skip("no /proc/self/fd to count descriptors in")
 	}
-	// 1 002 appends put the head 31 patches above its snapshot.
+	// 607 appends put the head 31 patches above its snapshot, the chain
+	// bound of the default spacing.
 	dir := t.TempDir()
-	want := buildColdLog(t, dir, coldAppends+2)
+	want := buildColdLog(t, dir, 607)
 	if d := headDepth(t, dir); d != 31 {
 		t.Fatalf("head sits %d patches above its snapshot, want 31", d)
 	}

@@ -81,25 +81,28 @@ func (OrSetSpace) Do(op Op, s SpaceState, t core.Timestamp) (SpaceState, Val) {
 //     the larger timestamp;
 //   - otherwise (unchanged on one side, removed on the other, or removed on
 //     both): drop it.
+//
+// The pass visits elements in ascending order, so lca is read through a
+// cursor that only moves forward (inLCA), not searched once per pair.
 func (OrSetSpace) Merge(lca, a, b SpaceState) SpaceState {
 	out := make(SpaceState, 0, max(len(a), len(b)))
-	i, j := 0, 0
+	i, j, k := 0, 0, 0
 	for i < len(a) || j < len(b) {
 		switch {
 		case j >= len(b) || (i < len(a) && a[i].E < b[j].E):
-			if !pairInState(lca, a[i]) { // in a − lca, element absent from b
+			if !inLCA(lca, &k, a[i]) { // in a − lca, element absent from b
 				out = append(out, a[i])
 			}
 			i++
 		case i >= len(a) || b[j].E < a[i].E:
-			if !pairInState(lca, b[j]) {
+			if !inLCA(lca, &k, b[j]) {
 				out = append(out, b[j])
 			}
 			j++
 		default: // same element on both branches
 			pa, pb := a[i], b[j]
-			newA := !pairInState(lca, pa)
-			newB := !pairInState(lca, pb)
+			newA := !inLCA(lca, &k, pa)
+			newB := !inLCA(lca, &k, pb)
 			switch {
 			case newA && newB:
 				if pa.T >= pb.T {
@@ -121,9 +124,14 @@ func (OrSetSpace) Merge(lca, a, b SpaceState) SpaceState {
 	return out
 }
 
-func pairInState(s SpaceState, p Pair) bool {
-	i, ok := findElem(s, p.E)
-	return ok && s[i] == p
+// inLCA reports whether p is a pair of lca, moving the cursor *k past
+// lca's smaller elements first. Calls must come in ascending element
+// order, as Merge's pass makes them.
+func inLCA(lca SpaceState, k *int, p Pair) bool {
+	for *k < len(lca) && lca[*k].E < p.E {
+		*k++
+	}
+	return *k < len(lca) && lca[*k] == p
 }
 
 // RsimSpace is the simulation relation of §4.2 (equation 4). On top of the

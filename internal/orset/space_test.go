@@ -162,3 +162,95 @@ func TestRsimSpace(t *testing.T) {
 		t.Fatal("RsimSpace must reject a missing element")
 	}
 }
+
+// mergeBySearch is OrSetSpace.Merge with lca searched once per pair
+// (binary search) instead of read through a forward cursor: the
+// reference the linear pass must agree with.
+func mergeBySearch(lca, a, b SpaceState) SpaceState {
+	in := func(p Pair) bool {
+		i, ok := findElem(lca, p.E)
+		return ok && lca[i] == p
+	}
+	out := make(SpaceState, 0, max(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j >= len(b) || (i < len(a) && a[i].E < b[j].E):
+			if !in(a[i]) {
+				out = append(out, a[i])
+			}
+			i++
+		case i >= len(a) || b[j].E < a[i].E:
+			if !in(b[j]) {
+				out = append(out, b[j])
+			}
+			j++
+		default:
+			pa, pb := a[i], b[j]
+			newA, newB := !in(pa), !in(pb)
+			switch {
+			case newA && newB:
+				if pa.T >= pb.T {
+					out = append(out, pa)
+				} else {
+					out = append(out, pb)
+				}
+			case newA:
+				out = append(out, pa)
+			case newB:
+				out = append(out, pb)
+			default:
+				out = append(out, pa)
+			}
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// TestOrSetSpaceMergeMatchesSearch: the linear merge returns exactly the
+// binary-search form's output on random triples whose branches refresh
+// and remove the ancestor's elements and add new ones, some of them on
+// both branches.
+func TestOrSetSpaceMergeMatchesSearch(t *testing.T) {
+	var impl OrSetSpace
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		domain := int64(1 + r.Intn(64))
+		ts := core.Timestamp(1)
+		do := func(s SpaceState, kind OpKind, e int64) SpaceState {
+			next, _ := impl.Do(Op{Kind: kind, E: e}, s, ts)
+			ts++
+			return next
+		}
+		lca := impl.Init()
+		for i, n := 0, r.Intn(48); i < n; i++ {
+			lca = do(lca, Add, r.Int63n(domain))
+		}
+		a, b := lca, lca
+		for i, n := 0, r.Intn(32); i < n; i++ {
+			e := r.Int63n(domain)
+			switch r.Intn(4) {
+			case 0: // a concurrent add of one element on both branches
+				a, b = do(a, Add, e), do(b, Add, e)
+			case 1:
+				if r.Intn(2) == 0 {
+					a = do(a, Remove, e)
+				} else {
+					b = do(b, Remove, e)
+				}
+			default: // an add: a refresh when e is in the branch
+				if r.Intn(2) == 0 {
+					a = do(a, Add, e)
+				} else {
+					b = do(b, Add, e)
+				}
+			}
+		}
+		got, want := impl.Merge(lca, a, b), mergeBySearch(lca, a, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Merge(%v, %v, %v) = %v, want %v", trial, lca, a, b, got, want)
+		}
+	}
+}

@@ -19,14 +19,34 @@ import (
 // full snapshot or a binary delta (internal/delta) chained to the state
 // of its commit-parent — Git's packfile discipline applied to the
 // paper's version store. The chain bound is SnapshotEvery−1 patches, so
-// no read ever walks an unbounded chain: a state whose parent's chain is
-// full is stored as one patch composed onto that chain's snapshot (depth
-// 1, delta.Compose over the chain's patches and its own), unless that
-// patch reaches a quarter of the state, when it is stored whole. Reads
-// reassemble through materialize, which verifies the content address
-// (addr.go) of everything it rebuilds; decoded states are held in a
-// small LRU so branch heads stay hot while deep history stops pinning
-// memory.
+// no read ever walks an unbounded chain.
+//
+// A state whose ordinary run is full is stored as one patch composed
+// (delta.Compose) onto a level base, after Mercurial's sparse-revlog
+// intermediate snapshots. The chain bound's SnapshotEvery−1 patches are
+// split into an ordinary run and levels of up to levelFan bases each
+// (levelsFor: at the default spacing, a run of 15 and 4 levels of 4). A
+// level-1 base holds one run's literals and chains onto the level-1 base
+// before it; once levelFan of them stand, the next chain-full state folds
+// them into a level-2 base, and so on, like a base-levelFan counter. A
+// level's first base chains onto the newest base of a higher level, or
+// onto the snapshot when there is none; when every level is full, the
+// next base goes on the top level, onto the snapshot, and the count
+// starts over. So a literal is stored again about once per level, not
+// once per run since the snapshot, and no chain holds more than levelFan
+// bases per level in all, nor more patches than the bound. A
+// composition is kept only while it is under a quarter of its state and
+// its chain — it and every patch below it — under half, so a read folds
+// no more than that; one that is not leaves its depth to the level
+// below, and the state is stored whole when no form fits. Spacings up to
+// 8 have no levels: a chain-full state composes onto the snapshot. Levels
+// live in memory only; the records carry each object's base and depth,
+// as before.
+//
+// Reads reassemble through materialize, which verifies the content
+// address (addr.go) of everything it rebuilds; decoded states are held
+// in a small LRU so branch heads stay hot while deep history stops
+// pinning memory.
 
 // ErrCorruptPack is returned when a stored object fails to reassemble to
 // its content address — a broken chain or a corrupted patch.
@@ -42,6 +62,14 @@ type packObject struct {
 	base Hash
 	// delta distinguishes patches from snapshots.
 	delta bool
+	// level and run place the object in the leveled layout: level is 0
+	// for a snapshot or an ordinary patch and i for a level-i base, and
+	// run counts the ordinary patches from the newest base or snapshot
+	// below up to the object. Both are kept in memory only: a recovered
+	// object has zeros, so its chain holds no base and the next
+	// composition on it goes onto the snapshot, starting a new stack.
+	level int8
+	run   int32
 	// size is the length of the full encoding, whatever the storage form
 	// — it keeps Size O(1) and the space accounting exact.
 	size int
@@ -319,17 +347,17 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 
 // packLocked stores encoding enc, whose chunk tree is tree, under its
 // content address h. With a patch from base — the state of the commit's
-// first parent — to enc, it is stored as that patch while base's chain
-// has room below SnapshotEvery−1 patches; a nil patch (a state shipped
-// whole) is made here (diffLocked). A state whose base's chain is full is
-// stored instead as one patch against that chain's snapshot, at depth 1:
-// the composition of the chain's patches and its own (composeLocked),
-// kept only while it is under a quarter of enc. Otherwise, and whenever
-// the patch does not beat enc or chainBaseLocked refuses base, the state
-// is stored whole. A state stored either way but as the patch from base
-// keeps that patch beside it (packObject.parent) while the patch is under
-// a quarter of enc, for exports to ship. packLocked owns enc and patch.
-// Callers hold the write lock.
+// first parent — to enc, it is stored as that patch while base's run has
+// room (placeLocked); a nil patch (a state shipped whole) is made here
+// (diffLocked). A state whose base's run is full is stored instead as a
+// level base: one patch composed onto the newest base with room, or onto
+// the snapshot (composeLocked), kept only while it is under a quarter of
+// enc. Otherwise, and whenever the patch does not beat enc or
+// chainBaseLocked refuses base, the state is stored whole. A state stored
+// either way but as the patch from base keeps that patch beside it
+// (packObject.parent) while the patch is under a quarter of enc, for
+// exports to ship. packLocked owns enc and patch. Callers hold the write
+// lock.
 //
 // enc becomes the reassembly slot's buffer. A state stored whole is
 // stored as enc itself only when enc has no spare capacity (a snapshot
@@ -348,14 +376,8 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 		if patch == nil {
 			patch = s.diffLocked(base, enc)
 		}
-		switch {
-		case patch == nil || len(patch) >= len(enc):
-		case bo.depth+1 < s.opts.SnapshotEvery:
-			obj.data, obj.base, obj.delta, obj.depth = patch, base, true, bo.depth+1
-		default:
-			if root, composed, ok := s.composeLocked(bo, patch); ok && composeKeep*len(composed) < len(enc) {
-				obj.data, obj.base, obj.delta, obj.depth = composed, root, true, 1
-			}
+		if patch != nil && len(patch) < len(enc) {
+			s.placeLocked(obj, bo, base, patch)
 		}
 	}
 	if obj.base != base && patch != nil && composeKeep*len(patch) < len(enc) {
@@ -381,6 +403,25 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 	s.keepSpareLocked(buf, s.encTree)
 	s.encHash, s.encBuf, s.encTree, s.encFree = h, enc, tree, !held
 	s.encMu.Unlock()
+}
+
+// placeLocked makes obj, a state of obj.size bytes, a patch on its first
+// parent's state base, whose object is bo and patch the patch from it:
+// an ordinary patch while bo's run is short of the layout's and the chain
+// bound has room, else a level base (composeLocked). A state whose
+// composition fails at the end of a run stays an ordinary patch while
+// the chain bound has room, so a small state is composed again, or
+// stored whole, only once its chain is full. obj stays a snapshot when
+// no form fits. Callers hold the write lock.
+func (s *Store[S, Op, Val]) placeLocked(obj, bo *packObject, base Hash, patch []byte) {
+	shape := levelsFor(s.opts.SnapshotEvery)
+	full := bo.depth+1 >= s.opts.SnapshotEvery
+	if (full || int(bo.run) == shape.run) && s.composeLocked(obj, bo, patch, shape) {
+		return
+	}
+	if !full {
+		obj.data, obj.base, obj.delta, obj.depth, obj.run = patch, base, true, bo.depth+1, bo.run+1
+	}
 }
 
 // keepSpareLocked keeps buf and tree, which nothing else refers to, for
@@ -432,37 +473,133 @@ func (s *Store[S, Op, Val]) chainBaseLocked(base Hash, size int) (*packObject, b
 // the same quarter the durable log's delta checkpoints are held to.
 const composeKeep = 4
 
-// composeLocked composes the stored patches of bo's chain, from its
-// snapshot up to bo, with top, a patch from bo's state onwards: the
-// result is one patch from the snapshot, whose hash it returns as root.
-// ok is false when a patch of the chain does not load or compose.
-// Callers hold s.mu.
-func (s *Store[S, Op, Val]) composeLocked(bo *packObject, top []byte) (root Hash, patch []byte, ok bool) {
+// chainKeep bounds what a read composes: a composed patch is kept only
+// while chainKeep times its chain's bytes — it and every patch below it
+// — is under the full encoding, as Mercurial's revlog bounds a delta
+// chain's bytes by its text's. Reassembly folds a chain's patches into
+// one (materializeLocked), work that grows with every run they hold.
+const chainKeep = 2
+
+// levelFan is the number of bases a level takes before the next
+// chain-full state folds them into one base a level up.
+const levelFan = 4
+
+// maxLevels caps the levels of a wide spacing: eight levels of levelFan
+// fold more than 390 000 runs before a state composes onto the snapshot.
+const maxLevels = 8
+
+// levelShape splits the chain bound's SnapshotEvery−1 patches between an
+// ordinary run and levels of up to levelFan bases.
+type levelShape struct {
+	run    int // ordinary patches from a base to a chain-full state
+	levels int // levels of bases
+}
+
+// bases is the most bases a chain holds: levelFan per level.
+func (l levelShape) bases() int { return l.levels * levelFan }
+
+// levelsFor gives the layout of spacing every: as many levels as fit in
+// half the chain bound while the run keeps levelFan patches or more, the
+// rest the run. The default spacing, 32, has a run of 15 and 4 levels.
+// Spacings up to 8 have none: a chain-full state composes onto the
+// snapshot, at depth 1.
+func levelsFor(every int) levelShape {
+	budget := max(every-1, 0)
+	levels := max(min(every/(2*levelFan), (budget-levelFan)/levelFan, maxLevels), 0)
+	return levelShape{run: budget - levels*levelFan, levels: levels}
+}
+
+// composeLocked makes obj, whose first parent's object is bo and whose
+// patch from that state is top, a level base, and reports whether it
+// did. It walks bo's chain down to its snapshot and counts its bases.
+// The new base goes on the lowest level with fewer than levelFan bases
+// on the chain and depth for one more within shape.bases(), composed onto
+// the newest base of that level or above, or onto the snapshot when
+// there is none; when no level has room, it goes on the top level, onto
+// the snapshot. A composition that does not stay within composeKeep and
+// chainKeep gives its depth to the level below, which takes a base
+// beyond its fan while the chain has room. Callers hold s.mu.
+func (s *Store[S, Op, Val]) composeLocked(obj, bo *packObject, top []byte, shape levelShape) bool {
 	if !bo.delta {
-		return Hash{}, nil, false
+		return false
 	}
 	// The recorded depth sizes the chain and bounds the walk, so a base
 	// cycle in a damaged pack cannot spin it.
-	chain := make([][]byte, bo.depth+1)
-	i := bo.depth
-	chain[i] = top
-	for obj := bo; obj.delta; {
-		if i == 0 {
-			return Hash{}, nil, false
+	chain := make([]*packObject, 0, bo.depth) // bo first
+	for o := bo; o.delta; {
+		if len(chain) == bo.depth {
+			return false
 		}
-		p, err := obj.bytes()
-		if err != nil {
-			return Hash{}, nil, false
-		}
-		i--
-		chain[i] = p
-		root = obj.base
-		if obj, ok = s.objLocked(root); !ok {
-			return Hash{}, nil, false
+		chain = append(chain, o)
+		var ok bool
+		if o, ok = s.objLocked(o.base); !ok {
+			return false
 		}
 	}
-	patch, err := delta.Compose(chain[i:]...)
-	return root, patch, err == nil
+	// above[i] counts the chain's bases of level i or higher, so a new
+	// level-i base lands at depth above[i]+1.
+	above := make([]int, shape.levels+2)
+	for _, o := range chain {
+		if l := int(o.level); l > 0 && l <= shape.levels {
+			above[l]++
+		}
+	}
+	for i := shape.levels - 1; i > 0; i-- {
+		above[i] += above[i+1]
+	}
+	level := 1
+	for level <= shape.levels && (above[level]-above[level+1] >= levelFan || above[level] >= shape.bases()) {
+		level++
+	}
+	if s.composeAtLocked(obj, chain, top, level, shape) {
+		return true
+	}
+	below := level - 1
+	return below > 0 && above[below] < shape.bases() && s.composeAtLocked(obj, chain, top, below, shape)
+}
+
+// composeAtLocked makes obj a base of level level on chain (composeLocked)
+// when the composition stays within composeKeep and chainKeep: chain's
+// patches above the newest base of that level or higher, or all of them
+// when there is none or level is past the top, composed with top.
+// Callers hold s.mu.
+func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject, top []byte, level int, shape levelShape) bool {
+	cut := len(chain) // chain[:cut] composes onto chain[cut-1].base
+	if level > shape.levels {
+		level = shape.levels
+	} else {
+		for i, o := range chain {
+			if int(o.level) >= level {
+				cut = i
+				break
+			}
+		}
+	}
+	below := 0 // the stored bytes under the root
+	for _, o := range chain[cut:] {
+		below += o.stored
+	}
+	if chainKeep*below >= obj.size {
+		return false
+	}
+	patches := make([][]byte, cut+1)
+	patches[cut] = top
+	for i, o := range chain[:cut] {
+		p, err := o.bytes()
+		if err != nil {
+			return false
+		}
+		patches[cut-1-i] = p
+	}
+	composed, err := delta.Compose(patches...)
+	if err != nil || composeKeep*len(composed) >= obj.size || chainKeep*(below+len(composed)) >= obj.size {
+		return false
+	}
+	obj.data, obj.base, obj.delta, obj.level = composed, chain[cut-1].base, true, int8(level)
+	if obj.depth = 1; cut < len(chain) {
+		obj.depth = chain[cut].depth + 1
+	}
+	return true
 }
 
 // VerifyPack materializes every retained state object, checking that each

@@ -98,11 +98,15 @@ type Codec[S any] interface {
 // values override them.
 type Options struct {
 	// SnapshotEvery is the pack layer's chain bound: no read walks more
-	// than SnapshotEvery-1 patches to reach a snapshot. A state whose
-	// parent's chain is full is composed onto that chain's snapshot as
-	// one patch, unless the patch reaches a quarter of the state's full
-	// encoding; then it is stored whole. 1 disables packing (every state
-	// a snapshot — the pre-pack storage format).
+	// than SnapshotEvery-1 patches to reach a snapshot. The bound is
+	// split between an ordinary run of patches and levels of composed
+	// bases (pack.go): a state whose parent's run is full is composed as
+	// one patch onto the newest level base with room, or onto the
+	// snapshot, unless the patch reaches a quarter of the state's full
+	// encoding, or its chain (it and the patches below it) half; then it
+	// is stored whole. Spacings up to 8 have no levels and compose onto
+	// the snapshot. 1 disables packing (every state a snapshot — the
+	// pre-pack storage format).
 	SnapshotEvery int
 	// StateCacheSize bounds the LRU of decoded states: branch heads and
 	// recent merge bases stay hot while deep history is re-materialized
@@ -140,10 +144,11 @@ type Option func(*Options)
 
 // WithSnapshotEvery sets the pack layer's chain bound — the maximum
 // delta-chain length between a state and the snapshot it reassembles
-// from. A chain-full state is composed onto the snapshot unless that
-// patch reaches a quarter of the state; then it is stored whole. Smaller
-// values trade composition work for cheaper cold reads; 1 stores every
-// state as a full snapshot. Values below one are clamped to one.
+// from. A chain-full state is composed onto a level base or the snapshot
+// unless that patch reaches a quarter of the state; then it is stored
+// whole (Options.SnapshotEvery). Smaller values trade composition work
+// for cheaper cold reads; 1 stores every state as a full snapshot.
+// Values below one are clamped to one.
 func WithSnapshotEvery(n int) Option {
 	return func(o *Options) { o.SnapshotEvery = max(n, 1) }
 }
