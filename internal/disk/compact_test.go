@@ -28,7 +28,7 @@ func TestCompactionWritesInvariantOrder(t *testing.T) {
 	defer l.Close()
 	s, err := store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](
 		mlog.Log{}, wire.MLog{}, "main", 0, &rec.State,
-		store.WithPersister(l), store.WithSnapshotEvery(8))
+		store.WithPersister(l))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,18 +30,22 @@ func openLogStore(t *testing.T, dir string, opts ...disk.Option) (*store.Store[m
 	if err != nil {
 		t.Fatalf("disk.Open: %v", err)
 	}
-	s, err := store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](
-		mlog.Log{}, wire.MLog{}, "main", 0, &rec.State,
-		store.WithPersister(l), store.WithVerifyOnOpen(true))
+	open := func() (*store.Store[mlog.State, mlog.Op, mlog.Val], error) {
+		s, err := store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](
+			mlog.Log{}, wire.MLog{}, "main", 0, &rec.State, store.WithPersister(l))
+		if err == nil {
+			err = s.VerifyPack()
+		}
+		return s, err
+	}
+	s, err := open()
 	if err != nil && rec.Mode == disk.ModeCheckpoint {
 		l.Close()
 		l, rec, err = disk.Open(dir, append(append([]disk.Option(nil), opts...), disk.WithFullReplay())...)
 		if err != nil {
 			t.Fatalf("disk.Open (full replay): %v", err)
 		}
-		s, err = store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](
-			mlog.Log{}, wire.MLog{}, "main", 0, &rec.State,
-			store.WithPersister(l), store.WithVerifyOnOpen(true))
+		s, err = open()
 	}
 	if err != nil {
 		t.Fatalf("store.OpenRecovered: %v", err)

@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/mlog"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// openDiskLogStore opens (or creates) a log store over the durable log in
-// dir, verifying the whole pack at open.
-func openDiskLogStore(t *testing.T, dir string, opts ...store.Option) (*store.Store[mlog.State, mlog.Op, mlog.Val], *disk.Log) {
+// openDiskStore opens (or creates) a store of impl over the durable log
+// in dir.
+func openDiskStore[S, Op, Val any](t *testing.T, dir string, impl core.MRDT[S, Op, Val], codec store.Codec[S]) (*store.Store[S, Op, Val], *disk.Log) {
 	t.Helper()
 	l, rec, err := disk.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]store.Option{store.WithPersister(l), store.WithVerifyOnOpen(true)}, opts...)
-	s, err := store.OpenRecovered[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main", 0, &rec.State, opts...)
+	s, err := store.OpenRecovered(impl, codec, "main", 0, &rec.State, store.WithPersister(l))
 	if err != nil {
 		l.Close()
 		t.Fatal(err)
@@ -27,10 +27,22 @@ func openDiskLogStore(t *testing.T, dir string, opts ...store.Option) (*store.St
 	return s, l
 }
 
+// openDiskLogStore opens (or creates) a log store over the durable log in
+// dir and verifies the whole pack before handing it out.
+func openDiskLogStore(t *testing.T, dir string) (*store.Store[mlog.State, mlog.Op, mlog.Val], *disk.Log) {
+	t.Helper()
+	s, l := openDiskStore(t, dir, mlog.Log{}, wire.MLog{})
+	if err := s.VerifyPack(); err != nil {
+		l.Close()
+		t.Fatal(err)
+	}
+	return s, l
+}
+
 // composedObjects counts the objects of the durable log in dir that are
-// composed onto their chain's snapshot: depth-1 patches based elsewhere
-// than the state of a commit's first parent. Each must be under a quarter
-// of its state's full encoding.
+// composed: patches based elsewhere than the state of their commit's
+// first parent. Each must be under a quarter of its state's full
+// encoding.
 func composedObjects(t *testing.T, dir string) int {
 	t.Helper()
 	l, rec, err := disk.Open(dir, disk.WithFullReplay())
@@ -47,7 +59,7 @@ func composedObjects(t *testing.T, dir string) int {
 		if !ok {
 			t.Fatalf("commit with state %v has no recorded parent", c.State)
 		}
-		if o := rec.State.Objects[c.State]; o.Delta && o.Depth == 1 && o.Base != parent.State {
+		if o := rec.State.Objects[c.State]; o.Delta && o.Base != parent.State {
 			if 4*len(o.Data) >= o.Size {
 				t.Fatalf("composed object of %d bytes for a %d-byte state", len(o.Data), o.Size)
 			}
@@ -57,15 +69,15 @@ func composedObjects(t *testing.T, dir string) int {
 	return n
 }
 
-// TestChainFullStatesCompose: at spacing 4 a chain-full state is stored
-// as one patch composed onto its chain's snapshot, so reads still walk at
-// most three patches while snapshots stay rare, and the pack verifies
-// across a disk reopen and after more writes that compose through the
-// reopened, lazily loaded objects.
+// TestChainFullStatesCompose: a chain-full state is stored as one patch
+// composed onto a level base or its chain's snapshot, so reads walk at
+// most ChainBound−1 patches while snapshots stay rare, and the pack
+// verifies across a disk reopen and after more writes that compose
+// through the reopened, lazily loaded objects. Two branches that sync
+// every 50 appends take enough appends to stack level bases.
 func TestChainFullStatesCompose(t *testing.T) {
-	const spacing = 4
 	dir := t.TempDir()
-	s, l := openDiskLogStore(t, dir, store.WithSnapshotEvery(spacing))
+	s, l := openDiskLogStore(t, dir)
 	if err := s.Fork("main", "dev"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +98,8 @@ func TestChainFullStatesCompose(t *testing.T) {
 	check := func(when string) store.PackStats {
 		t.Helper()
 		ps := s.PackStats()
-		if ps.MaxDepth > spacing-1 {
-			t.Fatalf("%s: MaxDepth %d, want ≤ %d", when, ps.MaxDepth, spacing-1)
+		if ps.MaxDepth >= store.ChainBound {
+			t.Fatalf("%s: MaxDepth %d, want < %d", when, ps.MaxDepth, store.ChainBound)
 		}
 		if err := s.VerifyPack(); err != nil {
 			t.Fatalf("%s: %v", when, err)
@@ -107,12 +119,16 @@ func TestChainFullStatesCompose(t *testing.T) {
 	if n == 0 {
 		t.Fatalf("no composed object among %d packed states (%d snapshots)", before.Objects, before.Snapshots)
 	}
-	t.Logf("%d objects: %d snapshots, %d composed", before.Objects, before.Snapshots, n)
-	if before.Snapshots*spacing > before.Objects {
+	stacked := stackedCompositions(t, dir)
+	t.Logf("%d objects: %d snapshots, %d composed, %d of them onto a composed base", before.Objects, before.Snapshots, n, stacked)
+	if stacked == 0 {
+		t.Fatal("no composed object is based on a composed object: no level base formed")
+	}
+	if before.Snapshots*store.ChainBound > before.Objects {
 		t.Fatalf("%d snapshots of %d objects: chain-full states are not composing", before.Snapshots, before.Objects)
 	}
 
-	s, l = openDiskLogStore(t, dir, store.WithSnapshotEvery(spacing))
+	s, l = openDiskLogStore(t, dir)
 	defer l.Close()
 	check("after reopen")
 	got, err := s.Head("main")

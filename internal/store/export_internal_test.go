@@ -2,6 +2,24 @@ package store
 
 import "repro/internal/core"
 
+// ChainBound and MaxBases are the pack layout's bounds (chainBound,
+// maxBases), for tests in package store_test: no state is ChainBound or
+// more patches above its chain's snapshot, and no chain holds more than
+// MaxBases level bases.
+const (
+	ChainBound = chainBound
+	MaxBases   = maxBases
+)
+
+// DropDecodedStates empties s's cache of decoded states, so that the
+// next read of any state materializes it from the pack, as a read of a
+// state the cache evicted does.
+func DropDecodedStates[S, Op, Val any](s *Store[S, Op, Val]) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cache = newStateCache[S]()
+}
+
 // WholeObjectsWithSlack returns how many of s's resident objects stored
 // whole hold a buffer with spare capacity, for tests in package
 // store_test: a snapshot pins exactly its encoding, so that no object
@@ -37,6 +55,30 @@ func ResidentObjects[S, Op, Val any](s *Store[S, Op, Val]) map[Hash]ResidentObje
 		if o.load == nil {
 			out[h] = ResidentObject{Data: o.data, Delta: o.delta, Base: o.base}
 		}
+	}
+	return out
+}
+
+// LayoutObject is a pack object as tests in package store_test see its
+// place in the layout: Delta tells a patch from a state stored whole,
+// Base is the state a patch chains to, Depth the patches below it to its
+// chain's snapshot as recorded, and Stored and Size its stored and full
+// bytes.
+type LayoutObject struct {
+	Delta               bool
+	Base                Hash
+	Depth, Stored, Size int
+}
+
+// PackLayout returns every pack object s holds, resident or recovered
+// and not yet loaded, by state hash.
+func PackLayout[S, Op, Val any](s *Store[S, Op, Val]) map[Hash]LayoutObject {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	objects := s.allObjectsLocked()
+	out := make(map[Hash]LayoutObject, len(objects))
+	for h, o := range objects {
+		out[h] = LayoutObject{Delta: o.delta, Base: o.base, Depth: o.depth, Stored: o.stored, Size: o.size}
 	}
 	return out
 }

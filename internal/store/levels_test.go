@@ -16,12 +16,12 @@ func appendMsg(tag string, i int) string {
 	return fmt.Sprintf("%s-%0*d", tag, 23-len(tag), i)
 }
 
-// TestPackBytesPerAppendFlat: at the default spacing the pack bytes an
+// TestPackBytesPerAppendFlat: at the store's layout the pack bytes an
 // append adds stay flat as the log grows. Chain-full states compose onto
 // level bases, so each literal is stored again about once per level, not
 // once per run since the snapshot. The bytes per append, averaged over
 // appends n/2..n, stay within 2× of each other from n = 2·10³ to 3·10⁴
-// and at most 300 B, every chain stays under the spacing, and the pack
+// and at most 300 B, every chain stays under the bound, and the pack
 // verifies. A -race build, which runs the same single goroutine many
 // times slower (VerifyPack rebuilds and checks every state), stops after
 // the first leg; the figures are a plain build's.
@@ -57,15 +57,15 @@ func TestPackBytesPerAppendFlat(t *testing.T) {
 	}
 	ps := s.PackStats()
 	t.Logf("%d objects: %d snapshots, %d deltas, max depth %d", ps.Objects, ps.Snapshots, ps.Deltas, ps.MaxDepth)
-	if every := store.DefaultOptions().SnapshotEvery; ps.MaxDepth >= every {
-		t.Fatalf("MaxDepth %d, want < SnapshotEvery (%d)", ps.MaxDepth, every)
+	if ps.MaxDepth >= store.ChainBound {
+		t.Fatalf("MaxDepth %d, want < ChainBound (%d)", ps.MaxDepth, store.ChainBound)
 	}
 	if err := s.VerifyPack(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLevelBasesSurviveReopen: a durable log at the default spacing
+// TestLevelBasesSurviveReopen: a durable log at the store's layout
 // holds level bases composed onto other composed bases. A store reopened
 // over it knows no levels: its next composition goes onto the snapshot
 // and starts a new stack, and it keeps the chain bound, a clean pack and
@@ -97,9 +97,8 @@ func TestLevelBasesSurviveReopen(t *testing.T) {
 	s, l = openDiskLogStore(t, dir)
 	defer l.Close()
 	add(500, "reopened")
-	every := store.DefaultOptions().SnapshotEvery
-	if ps := s.PackStats(); ps.MaxDepth >= every {
-		t.Fatalf("MaxDepth %d, want < SnapshotEvery (%d)", ps.MaxDepth, every)
+	if ps := s.PackStats(); ps.MaxDepth >= store.ChainBound {
+		t.Fatalf("MaxDepth %d, want < ChainBound (%d)", ps.MaxDepth, store.ChainBound)
 	}
 	if err := s.VerifyPack(); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/delta"
 	"repro/internal/mlog"
 	"repro/internal/orset"
@@ -19,47 +20,77 @@ import (
 // append form (putState, packLocked), and reassembles each patch a peer
 // ships into one whatever its codec (Integrate). Readers — Head, Size,
 // EncodedState, a full export and a capture's ExportSet — run alongside
-// Apply and Integrate, under a chain bound of 4, so that states are
-// stored whole, as patches and as compositions, and of 1, so that every
-// state is stored whole: on a log, whose states only grow, and on an
+// Apply and Integrate: on a log, whose states only grow, and on an
 // or-set, whose removes shrink them so that a recycled buffer fits the
-// next state. Afterwards the pack verifies, every head's encoded state
-// is the encoding of its state, and no object stored whole holds a
-// buffer with spare capacity: none holds a recyclable one. The import
-// legs (checkImportPrivate) also check, after every batch, that no
-// buffer a pack object held, or EncodedState returned, changed. Run
-// under -race, it also shows the slot and the spare are never touched
-// without the lock that guards them.
+// next state, both long enough that states are stored as patches and as
+// compositions onto level bases; and on a pn-counter, whose 16-byte
+// states never take a patch, so that every state is stored whole — those
+// the store encodes into a buffer with room to spare as a copy, those a
+// peer ships whole as the exact-size buffer itself. Afterwards the pack
+// verifies, every head's encoded state is the encoding of its state, and
+// no object stored whole holds a buffer with spare capacity: none holds
+// a recyclable one. The import legs (checkImportPrivate) also check,
+// after every batch, that no buffer a pack object held, or EncodedState
+// returned, changed. Run under -race, it also shows the slot and the
+// spare are never touched without the lock that guards them.
 func TestRecycledBuffersStayPrivate(t *testing.T) {
-	for _, every := range []int{4, 1} {
-		t.Run(fmt.Sprintf("mlog-chain-%d", every), func(t *testing.T) {
-			checkBuffersPrivate(t, every, mlog.Log{}, wire.MLog{}, func(writer, i int) mlog.Op {
-				return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, i)}
-			})
+	t.Run("mlog", func(t *testing.T) {
+		checkBuffersPrivate(t, mlog.Log{}, wire.MLog{}, func(writer, i int) mlog.Op {
+			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, i)}
 		})
-		t.Run(fmt.Sprintf("or-set-space-chain-%d", every), func(t *testing.T) {
-			// Both writers add and remove the same elements, so that a
-			// state after a merge is no larger than the peer's.
-			checkBuffersPrivate(t, every, orset.OrSetSpace{}, wire.OrSetSpace{}, func(_, i int) orset.Op {
-				e := int64(i)
-				if i%3 == 2 {
-					return orset.Op{Kind: orset.Remove, E: e - 1}
-				}
-				return orset.Op{Kind: orset.Add, E: e}
-			})
+	})
+	t.Run("or-set-space", func(t *testing.T) {
+		// Both writers add and remove the same elements, so that a state
+		// after a merge is no larger than the peer's.
+		checkBuffersPrivate(t, orset.OrSetSpace{}, wire.OrSetSpace{}, func(_, i int) orset.Op {
+			e := int64(i)
+			if i%3 == 2 {
+				return orset.Op{Kind: orset.Remove, E: e - 1}
+			}
+			return orset.Op{Kind: orset.Add, E: e}
 		})
-	}
+	})
+	t.Run("pn-counter-whole", func(t *testing.T) {
+		// The store increments and the peer decrements, so a state with no
+		// increment is one the peer shipped.
+		s := checkBuffersPrivate(t, counter.PNCounter{}, roomyPNCounter{}, func(writer, _ int) counter.Op {
+			if writer == 0 {
+				return counter.Op{Kind: counter.Inc, N: 1}
+			}
+			return counter.Op{Kind: counter.Dec, N: 1}
+		})
+		if ps := s.PackStats(); ps.Deltas != 0 {
+			t.Fatalf("%d of %d pn-counter states stored as patches, want none", ps.Deltas, ps.Objects)
+		}
+		copied, held := 0, 0
+		for _, o := range store.ResidentObjects(s) {
+			st, err := wire.PNCounter{}.Decode(o.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.P == 0 && st.N > 0 {
+				held++
+			} else {
+				copied++
+			}
+		}
+		t.Logf("%d states stored whole: %d encoded with room to spare and copied, %d shipped whole and held in place", copied+held, copied, held)
+		if copied == 0 || held == 0 {
+			t.Fatalf("the states stored whole miss a form: %d copied, %d held in place", copied, held)
+		}
+	})
 	t.Run("import-mlog", func(t *testing.T) {
 		checkImportPrivate(t, mlog.Log{}, wire.MLog{}, func(writer, i int) mlog.Op {
 			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, i)}
 		})
 	})
 	t.Run("import-or-set-space", func(t *testing.T) {
-		// Every other op removes an element added five ops before, so
-		// that states keep their size and a recycled buffer fits the next.
+		// Every fourth op removes an element added five ops before, so
+		// that states grow, enough for chain-full ones to compose, and
+		// shrink now and then, so that a recycled buffer fits the next.
 		checkImportPrivate(t, orset.OrSetSpace{}, wire.OrSetSpace{}, func(_, i int) orset.Op {
 			e := int64(i)
-			if i%2 == 1 {
+			if i%4 == 3 {
 				return orset.Op{Kind: orset.Remove, E: e - 5}
 			}
 			return orset.Op{Kind: orset.Add, E: e}
@@ -67,10 +98,28 @@ func TestRecycledBuffersStayPrivate(t *testing.T) {
 	})
 }
 
-func checkBuffersPrivate[S, Op, Val any](t *testing.T, every int, impl core.MRDT[S, Op, Val], codec store.Codec[S], op func(writer, i int) Op) {
+// roomyPNCounter is wire.PNCounter encoding into a buffer with room to
+// spare, as a codec whose states change size does: a store copies each
+// state it encodes with it and recycles the buffer, where it would hold
+// wire.PNCounter's exact 16-byte buffers in place, as it holds each
+// state a peer ships whole, copied at its exact size.
+type roomyPNCounter struct{ wire.PNCounter }
+
+func (c roomyPNCounter) AppendEncode(dst []byte, next, prev counter.PNState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+	if cap(dst)-len(dst) < 32 {
+		dst = append(make([]byte, 0, len(dst)+32), dst...)
+	}
+	return c.PNCounter.AppendEncode(dst, next, prev, prevEnc, runs)
+}
+
+// checkBuffersPrivate runs a store whose writer applies ops while a peer
+// applies its own and ships them in batches the store integrates, and two
+// readers read along (readAlong); then it settles the store
+// (checkSettled) and returns it.
+func checkBuffersPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val], codec store.Codec[S], op func(writer, i int) Op) *store.Store[S, Op, Val] {
 	const writes, rounds = 200, 20
-	s := store.New(impl, codec, "main", store.WithSnapshotEvery(every), store.WithStateCacheSize(2))
-	peer := store.NewAt(impl, codec, "main", 100, store.WithSnapshotEvery(every))
+	s := store.New(impl, codec, "main")
+	peer := store.NewAt(impl, codec, "main", 100)
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -126,6 +175,7 @@ func checkBuffersPrivate[S, Op, Val any](t *testing.T, every int, impl core.MRDT
 	}
 
 	checkSettled(t, s, codec, op(0, writes))
+	return s
 }
 
 // checkSettled commits one more write, folding main's head set into one
@@ -213,23 +263,22 @@ func readAlong[S, Op, Val any](s *store.Store[S, Op, Val], stop <-chan struct{},
 }
 
 // checkImportPrivate lands a sender's batches on a receiver that commits
-// a write of its own after each, while two readers run (readAlong). Under
-// a chain bound of 4 on both sides, the batches hold every form an import
-// reassembles or copies: each forks in itself (two children of one batch
-// commit); chain-full states, which the sender stores composed onto their
-// chain's snapshot, ship as the patch from their parent's state the
-// sender kept; and every third batch re-ships the sender's whole history,
-// every state of it known. The last batch comes from the sender reopened
-// from its log, which has lost its kept patches, so its snapshots and
-// compositions ship whole. After each Integrate, every buffer a resident
+// a write of its own after each, while two readers run (readAlong). The
+// batches hold every form an import reassembles or copies: each forks in
+// itself (two children of one batch commit); chain-full states, which the
+// sender stores composed onto a level base or its chain's snapshot, ship
+// as the patch from their parent's state the sender kept; and every third
+// batch re-ships the sender's whole history, every state of it known. The
+// last batch comes from the sender reopened from its log, which has lost
+// its kept patches, so its snapshots and compositions ship whole. After each Integrate, every buffer a resident
 // pack object held before it, and every encoding EncodedState returned
 // before it, holds the bytes it did: the import reassembled nothing into
 // a buffer anyone holds.
 func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val], codec store.Codec[S], op func(writer, i int) Op) {
-	const rounds, perRound = 12, 8
+	const rounds, perRound = 12, 12
 	log := store.NewMemLog()
-	src := store.NewAt(impl, codec, "main", 100, store.WithSnapshotEvery(4), store.WithPersister(log))
-	dst := store.New(impl, codec, "main", store.WithSnapshotEvery(4), store.WithStateCacheSize(2))
+	src := store.NewAt(impl, codec, "main", 100, store.WithPersister(log))
+	dst := store.New(impl, codec, "main")
 
 	var readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -288,7 +337,7 @@ func checkImportPrivate[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val]
 		sender := src
 		if r == rounds-1 {
 			var err error
-			if sender, err = store.Reopen(impl, codec, log, 100, store.WithSnapshotEvery(4)); err != nil {
+			if sender, err = store.Reopen(impl, codec, log, 100); err != nil {
 				t.Fatal(err)
 			}
 		}

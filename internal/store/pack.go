@@ -18,35 +18,54 @@ import (
 // grew O(history × state size). Packed, each state object is either a
 // full snapshot or a binary delta (internal/delta) chained to the state
 // of its commit-parent — Git's packfile discipline applied to the
-// paper's version store. The chain bound is SnapshotEvery−1 patches, so
-// no read ever walks an unbounded chain.
+// paper's version store. The chain bound is chainBound−1 patches, so no
+// read ever walks an unbounded chain.
 //
 // A state whose ordinary run is full is stored as one patch composed
 // (delta.Compose) onto a level base, after Mercurial's sparse-revlog
-// intermediate snapshots. The chain bound's SnapshotEvery−1 patches are
-// split into an ordinary run and levels of up to levelFan bases each
-// (levelsFor: at the default spacing, a run of 15 and 4 levels of 4). A
-// level-1 base holds one run's literals and chains onto the level-1 base
-// before it; once levelFan of them stand, the next chain-full state folds
-// them into a level-2 base, and so on, like a base-levelFan counter. A
-// level's first base chains onto the newest base of a higher level, or
-// onto the snapshot when there is none; when every level is full, the
-// next base goes on the top level, onto the snapshot, and the count
-// starts over. So a literal is stored again about once per level, not
-// once per run since the snapshot, and no chain holds more than levelFan
-// bases per level in all, nor more patches than the bound. A
-// composition is kept only while it is under a quarter of its state and
-// its chain — it and every patch below it — under half, so a read folds
-// no more than that; one that is not leaves its depth to the level
-// below, and the state is stored whole when no form fits. Spacings up to
-// 8 have no levels: a chain-full state composes onto the snapshot. Levels
-// live in memory only; the records carry each object's base and depth,
-// as before.
+// intermediate snapshots. The chain bound's chainBound−1 patches are
+// split into an ordinary run of runLen (15) and levels (4) levels of up
+// to levelFan (4) bases each. A level-1 base holds one run's literals
+// and chains onto the level-1 base before it; once levelFan of them
+// stand, the next chain-full state folds them into a level-2 base, and
+// so on, like a base-levelFan counter. A level's first base chains onto
+// the newest base of a higher level, or onto the snapshot when there is
+// none; when every level is full, the next base goes on the top level,
+// onto the snapshot, and the count starts over. So a literal is stored
+// again about once per level, not once per run since the snapshot, and
+// no chain holds more than levelFan bases per level in all, nor more
+// patches than the bound. A composition is kept only while it is under a
+// quarter of its state and its chain — it and every patch below it —
+// under half, so a read folds no more than that; one that is not leaves
+// its depth to the level below, and the state is stored whole when no
+// form fits. Levels live in memory only; the records carry each object's
+// base and depth, as before.
 //
 // Reads reassemble through materialize, which verifies the content
 // address (addr.go) of everything it rebuilds; decoded states are held
-// in a small LRU so branch heads stay hot while deep history stops
-// pinning memory.
+// in an LRU of stateCacheSize so branch heads stay hot while deep
+// history stops pinning memory.
+
+// The pack layout and the decoded-state cache. No record holds them.
+const (
+	// chainBound bounds every read: no state is chainBound or more
+	// patches above its chain's snapshot.
+	chainBound = 32
+	// levels is the number of levels of bases, and levelFan the number
+	// of bases a level takes before the next chain-full state folds them
+	// into one base a level up.
+	levels   = 4
+	levelFan = 4
+	// maxBases is the most bases a chain holds: levelFan per level.
+	maxBases = levels * levelFan
+	// runLen is the ordinary patches from a base, or the snapshot, to a
+	// chain-full state: what the bound leaves after the bases.
+	runLen = chainBound - 1 - maxBases
+	// stateCacheSize bounds the LRU of decoded states: branch heads and
+	// recent merge bases stay hot while deep history is re-materialized
+	// on demand.
+	stateCacheSize = 128
+)
 
 // ErrCorruptPack is returned when a stored object fails to reassemble to
 // its content address — a broken chain or a corrupted patch.
@@ -179,12 +198,11 @@ func (s *Store[S, Op, Val]) PackStats() PackStats {
 	return ps
 }
 
-// stateCache is a bounded LRU of decoded states keyed by state hash. It
-// has its own lock: readers holding the store's shared read lock still
-// mutate recency.
+// stateCache is an LRU of up to stateCacheSize decoded states keyed by
+// state hash. It has its own lock: readers holding the store's shared
+// read lock still mutate recency.
 type stateCache[S any] struct {
 	mu    sync.Mutex
-	cap   int
 	ll    *list.List // front = most recently used
 	items map[Hash]*list.Element
 }
@@ -194,8 +212,8 @@ type cacheEntry[S any] struct {
 	s S
 }
 
-func newStateCache[S any](capacity int) *stateCache[S] {
-	return &stateCache[S]{cap: capacity, ll: list.New(), items: make(map[Hash]*list.Element)}
+func newStateCache[S any]() *stateCache[S] {
+	return &stateCache[S]{ll: list.New(), items: make(map[Hash]*list.Element)}
 }
 
 func (c *stateCache[S]) get(h Hash) (S, bool) {
@@ -218,7 +236,7 @@ func (c *stateCache[S]) put(h Hash, s S) {
 		return
 	}
 	c.items[h] = c.ll.PushFront(&cacheEntry[S]{h: h, s: s})
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > stateCacheSize {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry[S]).h)
@@ -414,9 +432,8 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 // stored whole, only once its chain is full. obj stays a snapshot when
 // no form fits. Callers hold the write lock.
 func (s *Store[S, Op, Val]) placeLocked(obj, bo *packObject, base Hash, patch []byte) {
-	shape := levelsFor(s.opts.SnapshotEvery)
-	full := bo.depth+1 >= s.opts.SnapshotEvery
-	if (full || int(bo.run) == shape.run) && s.composeLocked(obj, bo, patch, shape) {
+	full := bo.depth+1 >= chainBound
+	if (full || bo.run == runLen) && s.composeLocked(obj, bo, patch) {
 		return
 	}
 	if !full {
@@ -456,13 +473,12 @@ func (s *Store[S, Op, Val]) diffLocked(base Hash, enc []byte) []byte {
 }
 
 // chainBaseLocked returns the object a state whose encoding is size
-// bytes may chain onto as a patch: base's, unless the store keeps
-// snapshots only (SnapshotEvery 1) or size is beyond the patch format's
-// target limit — Apply rejects larger announced targets (its allocation
-// bound), so chaining such a state would make it unreadable. Callers
-// hold s.mu.
+// bytes may chain onto as a patch: base's, unless size is beyond the
+// patch format's target limit — Apply rejects larger announced targets
+// (its allocation bound), so chaining such a state would make it
+// unreadable. Callers hold s.mu.
 func (s *Store[S, Op, Val]) chainBaseLocked(base Hash, size int) (*packObject, bool) {
-	if s.opts.SnapshotEvery <= 1 || size > delta.MaxTarget {
+	if size > delta.MaxTarget {
 		return nil, false
 	}
 	return s.objLocked(base)
@@ -480,46 +496,17 @@ const composeKeep = 4
 // one (materializeLocked), work that grows with every run they hold.
 const chainKeep = 2
 
-// levelFan is the number of bases a level takes before the next
-// chain-full state folds them into one base a level up.
-const levelFan = 4
-
-// maxLevels caps the levels of a wide spacing: eight levels of levelFan
-// fold more than 390 000 runs before a state composes onto the snapshot.
-const maxLevels = 8
-
-// levelShape splits the chain bound's SnapshotEvery−1 patches between an
-// ordinary run and levels of up to levelFan bases.
-type levelShape struct {
-	run    int // ordinary patches from a base to a chain-full state
-	levels int // levels of bases
-}
-
-// bases is the most bases a chain holds: levelFan per level.
-func (l levelShape) bases() int { return l.levels * levelFan }
-
-// levelsFor gives the layout of spacing every: as many levels as fit in
-// half the chain bound while the run keeps levelFan patches or more, the
-// rest the run. The default spacing, 32, has a run of 15 and 4 levels.
-// Spacings up to 8 have none: a chain-full state composes onto the
-// snapshot, at depth 1.
-func levelsFor(every int) levelShape {
-	budget := max(every-1, 0)
-	levels := max(min(every/(2*levelFan), (budget-levelFan)/levelFan, maxLevels), 0)
-	return levelShape{run: budget - levels*levelFan, levels: levels}
-}
-
 // composeLocked makes obj, whose first parent's object is bo and whose
 // patch from that state is top, a level base, and reports whether it
 // did. It walks bo's chain down to its snapshot and counts its bases.
 // The new base goes on the lowest level with fewer than levelFan bases
-// on the chain and depth for one more within shape.bases(), composed onto
+// on the chain and depth for one more within maxBases, composed onto
 // the newest base of that level or above, or onto the snapshot when
 // there is none; when no level has room, it goes on the top level, onto
 // the snapshot. A composition that does not stay within composeKeep and
 // chainKeep gives its depth to the level below, which takes a base
 // beyond its fan while the chain has room. Callers hold s.mu.
-func (s *Store[S, Op, Val]) composeLocked(obj, bo *packObject, top []byte, shape levelShape) bool {
+func (s *Store[S, Op, Val]) composeLocked(obj, bo *packObject, top []byte) bool {
 	if !bo.delta {
 		return false
 	}
@@ -538,24 +525,24 @@ func (s *Store[S, Op, Val]) composeLocked(obj, bo *packObject, top []byte, shape
 	}
 	// above[i] counts the chain's bases of level i or higher, so a new
 	// level-i base lands at depth above[i]+1.
-	above := make([]int, shape.levels+2)
+	var above [levels + 2]int
 	for _, o := range chain {
-		if l := int(o.level); l > 0 && l <= shape.levels {
+		if l := int(o.level); l > 0 && l <= levels {
 			above[l]++
 		}
 	}
-	for i := shape.levels - 1; i > 0; i-- {
+	for i := levels - 1; i > 0; i-- {
 		above[i] += above[i+1]
 	}
 	level := 1
-	for level <= shape.levels && (above[level]-above[level+1] >= levelFan || above[level] >= shape.bases()) {
+	for level <= levels && (above[level]-above[level+1] >= levelFan || above[level] >= maxBases) {
 		level++
 	}
-	if s.composeAtLocked(obj, chain, top, level, shape) {
+	if s.composeAtLocked(obj, chain, top, level) {
 		return true
 	}
 	below := level - 1
-	return below > 0 && above[below] < shape.bases() && s.composeAtLocked(obj, chain, top, below, shape)
+	return below > 0 && above[below] < maxBases && s.composeAtLocked(obj, chain, top, below)
 }
 
 // composeAtLocked makes obj a base of level level on chain (composeLocked)
@@ -563,10 +550,10 @@ func (s *Store[S, Op, Val]) composeLocked(obj, bo *packObject, top []byte, shape
 // patches above the newest base of that level or higher, or all of them
 // when there is none or level is past the top, composed with top.
 // Callers hold s.mu.
-func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject, top []byte, level int, shape levelShape) bool {
+func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject, top []byte, level int) bool {
 	cut := len(chain) // chain[:cut] composes onto chain[cut-1].base
-	if level > shape.levels {
-		level = shape.levels
+	if level > levels {
+		level = levels
 	} else {
 		for i, o := range chain {
 			if int(o.level) >= level {
@@ -605,9 +592,9 @@ func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject
 // VerifyPack materializes every retained state object, checking that each
 // chain reassembles to its content address and to a canonical encoding
 // (checkEncoding, the test Import applies). It is the pack layer's
-// integrity check, used by tests, by recovery-on-open (OpenRecovered
-// runs it before a recovered store is handed out), and available to
-// tools.
+// integrity check, used by tests, by a node opened WithVerifyOnOpen
+// (which runs it before a recovered store is handed out), and available
+// to tools.
 //
 // Objects are visited chain-forest order — each snapshot's dependent
 // patches depth-first, every encoding built with exactly one patch

@@ -82,10 +82,10 @@ func TestPackedObjectsPinNoSlack(t *testing.T) {
 // TestApplyPhaseMetrics: with a registry attached, every Apply lands one
 // observation in the apply histogram and in each put-state phase. Every
 // Apply diffs against its parent, a chain-full one to compose the patch
-// onto its chain's snapshot, so delta is observed once per Apply too.
+// onto a level base, so delta is observed once per Apply too.
 func TestApplyPhaseMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithObs(reg), WithSnapshotEvery(4))
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithObs(reg))
 	const applies = 40
 	appendN(t, s, applies)
 
@@ -158,14 +158,15 @@ func TestApplyHashesOnlyTheEdit(t *testing.T) {
 }
 
 // TestResidentSnapshotVerifiedOnce: a resident state stored whole is
-// checked against its address on its first read only. With a one-state
-// cache, reading a snapshot and the head in turn evicts each for the
-// other, yet over all the rounds the snapshot feeds
+// checked against its address on its first read only. With the decoded
+// states dropped before every read, reading a snapshot and the head in
+// turn materializes each every time, yet over all the rounds the
+// snapshot feeds
 // peepul_store_state_hash_bytes_total its bytes once, not once a round;
 // the head reads from the reassembly slot, which hashes nothing.
 func TestResidentSnapshotVerifiedOnce(t *testing.T) {
 	const rounds = 10
-	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithStateCacheSize(1), WithSnapshotEvery(4))
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
 	// Append until the head's state is stored whole and spans chunks,
 	// then keep it on a branch of its own and move main past it.
 	var snap Hash
@@ -192,6 +193,7 @@ func TestResidentSnapshotVerifiedOnce(t *testing.T) {
 	before := s.metrics.hashBytes.Value()
 	for range rounds {
 		for _, b := range []string{"snap", "main"} {
+			DropDecodedStates(s)
 			if _, err := s.Head(b); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mlog"
@@ -14,8 +15,8 @@ import (
 // append, so delta chains actually form (an 8-byte counter state is
 // smaller than any patch and always stores as a snapshot).
 
-func logStore(opts ...store.Option) *store.Store[mlog.State, mlog.Op, mlog.Val] {
-	return store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main", opts...)
+func logStore() *store.Store[mlog.State, mlog.Op, mlog.Val] {
+	return store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "main")
 }
 
 func appendN(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val], b string, n int, tag string) {
@@ -27,38 +28,27 @@ func appendN(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val], b stri
 	}
 }
 
-func TestPackSnapshotSpacing(t *testing.T) {
-	checkSnapshotSpacing(t, 8, store.WithSnapshotEvery(8))
-}
-
-// TestPackDefaultSnapshotSpacing holds a store built with no options to
-// the same chain bound at the default spacing.
+// TestPackDefaultSnapshotSpacing: 100 appends to a log store form delta
+// chains shorter than the chain bound, pack below their full bytes with
+// roughly one snapshot per bound, and verify and read back the whole log.
 func TestPackDefaultSnapshotSpacing(t *testing.T) {
-	checkSnapshotSpacing(t, store.DefaultOptions().SnapshotEvery)
-}
-
-// checkSnapshotSpacing appends 100 ops to a log store built with opts
-// and requires delta chains shorter than spacing, packed bytes below
-// full bytes, and a pack that verifies and reads back the whole log.
-func checkSnapshotSpacing(t *testing.T, spacing int, opts ...store.Option) {
-	t.Helper()
-	s := logStore(opts...)
+	s := logStore()
 	appendN(t, s, "main", 100, "op")
 
 	ps := s.PackStats()
 	if ps.Deltas == 0 {
-		t.Fatalf("spacing %d: no delta objects formed on a growing log", spacing)
+		t.Fatal("no delta objects formed on a growing log")
 	}
-	if ps.MaxDepth >= spacing {
-		t.Fatalf("MaxDepth = %d, want < SnapshotEvery (%d)", ps.MaxDepth, spacing)
+	if ps.MaxDepth >= store.ChainBound {
+		t.Fatalf("MaxDepth = %d, want < ChainBound (%d)", ps.MaxDepth, store.ChainBound)
 	}
 	if ps.PackedBytes >= ps.FullBytes {
-		t.Fatalf("spacing %d: packed bytes %d not below full bytes %d", spacing, ps.PackedBytes, ps.FullBytes)
+		t.Fatalf("packed bytes %d not below full bytes %d", ps.PackedBytes, ps.FullBytes)
 	}
-	// Roughly one snapshot per spacing states (plus the root); the exact
+	// Roughly one snapshot per bound's states (plus the root); the exact
 	// count depends on patch-vs-encoding size races early in the history.
 	if ps.Snapshots > ps.Objects/4 {
-		t.Fatalf("spacing %d: %d snapshots of %d objects — spacing is not bounding snapshots", spacing, ps.Snapshots, ps.Objects)
+		t.Fatalf("%d snapshots of %d objects — the bound is not bounding snapshots", ps.Snapshots, ps.Objects)
 	}
 	if err := s.VerifyPack(); err != nil {
 		t.Fatal(err)
@@ -68,32 +58,24 @@ func checkSnapshotSpacing(t *testing.T, spacing int, opts ...store.Option) {
 		t.Fatal(err)
 	}
 	if len(st) != 100 {
-		t.Fatalf("spacing %d: head log has %d entries, want 100", spacing, len(st))
+		t.Fatalf("head log has %d entries, want 100", len(st))
 	}
 }
 
-func TestPackSnapshotEveryOneIsLegacyFormat(t *testing.T) {
-	s := logStore(store.WithSnapshotEvery(1))
-	appendN(t, s, "main", 40, "op")
-	ps := s.PackStats()
-	if ps.Deltas != 0 {
-		t.Fatalf("SnapshotEvery(1) stored %d deltas, want none", ps.Deltas)
-	}
-	if ps.PackedBytes != ps.FullBytes {
-		t.Fatalf("unpacked store: packed %d != full %d", ps.PackedBytes, ps.FullBytes)
-	}
-}
-
+// TestPackColdReadThroughTinyCache: with the decoded states dropped
+// before every read, every branch switch goes through materialize, so
+// chains — here through level bases, a branch 300 appends deep — must
+// reassemble and verify on every read.
 func TestPackColdReadThroughTinyCache(t *testing.T) {
-	// A one-entry state cache forces every branch switch through
-	// materialize: chains must reassemble and verify on every read.
-	s := logStore(store.WithSnapshotEvery(8), store.WithStateCacheSize(1))
+	const deep = 300
+	s := logStore()
 	appendN(t, s, "main", 5, "base")
 	if err := s.Fork("main", "old"); err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, "main", 80, "deep")
+	appendN(t, s, "main", deep, "deep")
 	for i := 0; i < 3; i++ {
+		store.DropDecodedStates(s)
 		old, err := s.Head("old")
 		if err != nil {
 			t.Fatal(err)
@@ -101,18 +83,19 @@ func TestPackColdReadThroughTinyCache(t *testing.T) {
 		if len(old) != 5 {
 			t.Fatalf("old branch has %d entries, want 5", len(old))
 		}
+		store.DropDecodedStates(s)
 		cur, err := s.Head("main")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cur) != 85 {
-			t.Fatalf("main has %d entries, want 85", len(cur))
+		if len(cur) != 5+deep {
+			t.Fatalf("main has %d entries, want %d", len(cur), 5+deep)
 		}
 	}
 }
 
 func TestPackedExportImportRoundTrip(t *testing.T) {
-	s := logStore(store.WithSnapshotEvery(8))
+	s := logStore()
 	appendN(t, s, "main", 30, "a")
 	if err := s.Fork("main", "dev"); err != nil {
 		t.Fatal(err)
@@ -145,8 +128,7 @@ func TestPackedExportImportRoundTrip(t *testing.T) {
 		t.Fatal("packed export shipped no snapshots (root must be full)")
 	}
 
-	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64,
-		store.WithSnapshotEvery(8))
+	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64)
 	if err := dst.Import("remote/main", commits, head); err != nil {
 		t.Fatal(err)
 	}
@@ -168,23 +150,42 @@ func TestPackedExportImportRoundTrip(t *testing.T) {
 }
 
 // TestImportPacksStatesShippedWhole: a state that arrives whole — here
-// every one, from a sender that keeps snapshots only — is still stored
-// as a patch against its parent's state, so the receiver's pack holds a
-// fraction of the full encodings, as the sender's would have.
+// every one: each patch of an export is replaced by the encoded state of
+// its commit — is still stored as a patch against its parent's state, so
+// the receiver's pack holds a fraction of the full encodings, as the
+// sender's does.
 func TestImportPacksStatesShippedWhole(t *testing.T) {
-	src := logStore(store.WithSnapshotEvery(1))
+	src := logStore()
 	appendN(t, src, "main", 60, "a")
 	commits, head, err := src.Export("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range commits {
-		if c.State == nil {
-			t.Fatalf("commit %d shipped as a patch from a snapshot-only sender", i)
+	// The history is one line, so the export holds one commit per
+	// generation: the head's ancestors, oldest first.
+	line := make([]store.Hash, len(commits))
+	for h, i := head[0], len(commits)-1; i >= 0; i-- {
+		line[i] = h
+		if c, _ := src.Commit(h); len(c.Parents) > 0 {
+			h = c.Parents[0]
 		}
 	}
+	whole := make([]store.ExportedCommit, len(commits))
+	for i, ec := range commits {
+		c, ok := src.Commit(line[i])
+		if !ok || c.Gen != ec.Gen || !slices.Equal(c.Parents, ec.Parents) {
+			t.Fatalf("commit %d of the export is not generation %d of the line", i, ec.Gen)
+		}
+		if ec.Patch != nil {
+			if ec.State, err = src.EncodedState(c.State); err != nil {
+				t.Fatal(err)
+			}
+			ec.Patch = nil
+		}
+		whole[i] = ec
+	}
 	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64)
-	if err := dst.Import("remote/main", commits, head); err != nil {
+	if err := dst.Import("remote/main", whole, head); err != nil {
 		t.Fatal(err)
 	}
 	if ps := dst.PackStats(); ps.Deltas == 0 || 4*ps.PackedBytes > ps.FullBytes {
@@ -198,14 +199,13 @@ func TestImportPacksStatesShippedWhole(t *testing.T) {
 func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
 	// A converged peer re-syncing: the export is cut at the frontier, and
 	// patched commits rebase onto commits the peer already holds.
-	src := logStore(store.WithSnapshotEvery(8))
+	src := logStore()
 	appendN(t, src, "main", 40, "shared")
 	commits, head, err := src.Export("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64,
-		store.WithSnapshotEvery(8))
+	dst := store.NewAt[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, wire.MLog{}, "local", 64)
 	if err := dst.Import("remote/main", commits, head); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +228,9 @@ func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
 			patches++
 		}
 	}
-	// At most one of six consecutive states lands on a snapshot boundary
-	// (SnapshotEvery is 8); the rest must ship as patches.
+	// Every state ships as a patch — its stored one, or the patch from its
+	// parent's state kept beside a composition — but for at most one
+	// stored whole.
 	if patches < 5 {
 		t.Fatalf("delta shipped %d patches of 6 commits, want at least 5", patches)
 	}
@@ -243,7 +244,7 @@ func TestPackedExportSinceGraftsOntoHaves(t *testing.T) {
 }
 
 func TestImportRejectsCorruptPatch(t *testing.T) {
-	src := logStore(store.WithSnapshotEvery(8))
+	src := logStore()
 	appendN(t, src, "main", 20, "op")
 	commits, head, err := src.ExportSincePacked("main", nil)
 	if err != nil {
@@ -304,7 +305,7 @@ func TestImportRejectsMalformedPatchCommits(t *testing.T) {
 func TestSizeIsFullEncodedSize(t *testing.T) {
 	// Size reports the full encoded state size (the Figure 15 metric)
 	// even when the head is stored as a delta.
-	s := logStore(store.WithSnapshotEvery(16))
+	s := logStore()
 	appendN(t, s, "main", 20, "op")
 	sz, err := s.Size("main")
 	if err != nil {
@@ -326,7 +327,7 @@ func mustHead(t *testing.T, s *store.Store[mlog.State, mlog.Op, mlog.Val]) mlog.
 }
 
 func TestEncodedStateMatchesCodec(t *testing.T) {
-	s := logStore(store.WithSnapshotEvery(4), store.WithStateCacheSize(1))
+	s := logStore()
 	appendN(t, s, "main", 25, "op")
 	h, err := s.HeadHash("main")
 	if err != nil {

@@ -162,14 +162,14 @@ func (s *Store[S, Op, Val]) FlushStorage() error {
 // resolve, every reachable commit's parents and state object must be
 // present, and the generation invariant must hold — an O(commit index)
 // walk that never touches state bytes. The state objects of a frozen
-// index stay on disk until first read, and nothing is decoded at open. With WithVerifyOnOpen(true),
-// VerifyPack additionally reassembles and checks every retained object
-// before the store is handed out (the pre-lazy behaviour — crash tests
-// and tools use it to fail at open instead of first read). When
-// recovering, replicaBase only acts as a floor for the replica-id
-// allocator — recovered branches keep the ids they were created with.
+// index stay on disk until first read, and nothing is decoded at open:
+// a caller that wants to fail at open instead of first read runs
+// VerifyPack on the store it gets, which reassembles and checks every
+// retained object. When recovering, replicaBase only acts as a floor
+// for the replica-id allocator — recovered branches keep the ids they
+// were created with.
 func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], main string, replicaBase int, rs *RecoveredState, opts ...Option) (*Store[S, Op, Val], error) {
-	o := DefaultOptions()
+	var o Options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -185,7 +185,7 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		codec:   codec,
 		opts:    o,
 		objects: make(map[Hash]*packObject, no+1),
-		cache:   newStateCache[S](o.StateCacheSize),
+		cache:   newStateCache[S](),
 		commits: make(map[Hash]Commit, nc+1),
 		heads:   make(map[string][]Hash),
 		pins:    make(map[Hash]int),
@@ -276,11 +276,6 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		}
 	} else if err := s.validateRecovered(); err != nil {
 		return nil, err
-	}
-	if o.VerifyOnOpen {
-		if err := s.VerifyPack(); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }

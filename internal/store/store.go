@@ -93,25 +93,10 @@ type Codec[S any] interface {
 	Decode([]byte) (S, error)
 }
 
-// Options collects the store's tunables; the zero value is never used
-// directly — DefaultOptions supplies the defaults and functional Option
-// values override them.
+// Options collects what a store is built with. The zero value is a
+// purely in-memory store counting into a registry of its own; the pack
+// layout and the decoded-state cache are fixed (pack.go).
 type Options struct {
-	// SnapshotEvery is the pack layer's chain bound: no read walks more
-	// than SnapshotEvery-1 patches to reach a snapshot. The bound is
-	// split between an ordinary run of patches and levels of composed
-	// bases (pack.go): a state whose parent's run is full is composed as
-	// one patch onto the newest level base with room, or onto the
-	// snapshot, unless the patch reaches a quarter of the state's full
-	// encoding, or its chain (it and the patches below it) half; then it
-	// is stored whole. Spacings up to 8 have no levels and compose onto
-	// the snapshot. 1 disables packing (every state a snapshot — the
-	// pre-pack storage format).
-	SnapshotEvery int
-	// StateCacheSize bounds the LRU of decoded states: branch heads and
-	// recent merge bases stay hot while deep history is re-materialized
-	// on demand instead of pinning memory.
-	StateCacheSize int
 	// Persister, when non-nil, receives every durable mutation (see
 	// persist.go). nil keeps the store purely in-memory.
 	Persister Persister
@@ -119,51 +104,10 @@ type Options struct {
 	// steps, cache hit ratios — see obs.go). nil gives the store a
 	// registry of its own.
 	Obs *obs.Registry
-	// VerifyOnOpen makes OpenRecovered run VerifyPack — the full
-	// chain-forest reassembly and decode of every recovered state object
-	// — before handing the store out. Off by default: recovery installs
-	// the commit and pack index without touching state bytes (O(live
-	// index), flat in history), the CRC framing of the durable log
-	// already guards integrity, and materialize re-verifies every chain
-	// it reassembles on first read. Tests and crash-injection properties
-	// turn it on to fail at open instead of first read.
-	VerifyOnOpen bool
-}
-
-// DefaultOptions returns the store defaults: a snapshot every 32 states
-// and 128 cached decoded states.
-func DefaultOptions() Options {
-	return Options{
-		SnapshotEvery:  32,
-		StateCacheSize: 128,
-	}
 }
 
 // Option adjusts store construction.
 type Option func(*Options)
-
-// WithSnapshotEvery sets the pack layer's chain bound — the maximum
-// delta-chain length between a state and the snapshot it reassembles
-// from. A chain-full state is composed onto a level base or the snapshot
-// unless that patch reaches a quarter of the state; then it is stored
-// whole (Options.SnapshotEvery). Smaller values trade composition work
-// for cheaper cold reads; 1 stores every state as a full snapshot.
-// Values below one are clamped to one.
-func WithSnapshotEvery(n int) Option {
-	return func(o *Options) { o.SnapshotEvery = max(n, 1) }
-}
-
-// WithStateCacheSize bounds the store's LRU of decoded states. Values
-// below one are clamped to one so the hot head state is always cached.
-func WithStateCacheSize(n int) Option {
-	return func(o *Options) { o.StateCacheSize = max(n, 1) }
-}
-
-// WithVerifyOnOpen controls whether OpenRecovered runs VerifyPack on the
-// recovered state (default false — lazy open; see Options.VerifyOnOpen).
-func WithVerifyOnOpen(v bool) Option {
-	return func(o *Options) { o.VerifyOnOpen = v }
-}
 
 // WithPersister attaches a durable log (e.g. internal/disk's segmented
 // pack log) to the store: every commit, pack object and branch move is

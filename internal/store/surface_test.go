@@ -16,12 +16,13 @@ import (
 
 // TestExportIsOneShipSet: Export is ExportSincePacked with no have-set,
 // and both are the ship-set exporter sessions use. Over two branches
-// with merges and a chain bound of 4, the batch ascends by (Gen, hash),
+// with merges, deep enough that chain-full states compose onto level
+// bases, the batch ascends by (Gen, hash),
 // every commit stored as a patch on its first parent's state ships that
 // patch, and a fresh store's Import reproduces every hash with a clean
 // VerifyPack.
 func TestExportIsOneShipSet(t *testing.T) {
-	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main", WithSnapshotEvery(4))
+	s := New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, mlogCodec{}, "main")
 	add := func(b string, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {

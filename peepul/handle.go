@@ -158,13 +158,13 @@ func checkGuard(log *disk.Log, rec *store.RecoveredState, object, datatype strin
 
 // openRecoveredStore builds the object's store from the recovered state
 // of a log whose guard checkGuard accepted — one rung of Open's
-// recovery ladder.
+// recovery ladder. WithVerifyOnOpen makes it verify the whole pack
+// before it hands the store out.
 func openRecoveredStore[S, Op, Val any](n *Node, log *disk.Log, rec *disk.Recovered, object string, impl core.MRDT[S, Op, Val], codec store.Codec[S]) (*store.Store[S, Op, Val], error) {
-	storeOpts := append(n.cfg.storeOptions(), store.WithPersister(log))
-	if n.cfg.verifyOnOpen {
-		storeOpts = append(storeOpts, store.WithVerifyOnOpen(true))
+	st, err := store.OpenRecovered(impl, codec, n.name, n.replicaID*64, &rec.State, append(n.cfg.storeOptions(), store.WithPersister(log))...)
+	if err == nil && n.cfg.verifyOnOpen {
+		err = st.VerifyPack()
 	}
-	st, err := store.OpenRecovered(impl, codec, n.name, n.replicaID*64, &rec.State, storeOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: recovering %q: %v", ErrObject, object, err)
 	}
