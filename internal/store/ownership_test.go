@@ -2,7 +2,9 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -23,7 +25,9 @@ import (
 // Apply and Integrate: on a log, whose states only grow, and on an
 // or-set, whose removes shrink them so that a recycled buffer fits the
 // next state, both long enough that states are stored as patches and as
-// compositions onto level bases; and on a pn-counter, whose 16-byte
+// compositions onto level bases, and again through a codec whose
+// encodings share no runs (scrambled), so that every state is stored
+// whole and each chain is one state long; and on a pn-counter, whose 16-byte
 // states never take a patch, so that every state is stored whole — those
 // the store encodes into a buffer with room to spare as a copy, those a
 // peer ships whole as the exact-size buffer itself. Afterwards the pack
@@ -50,6 +54,24 @@ func TestRecycledBuffersStayPrivate(t *testing.T) {
 			return orset.Op{Kind: orset.Add, E: e}
 		})
 	})
+	// The chain-1 legs run the same ops through scrambled, so that every
+	// state is stored whole: each chain is one state long.
+	t.Run("mlog-chain-1", func(t *testing.T) {
+		s := checkBuffersPrivate(t, mlog.Log{}, scrambled[mlog.State]{wire.MLog{}}, func(writer, i int) mlog.Op {
+			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, i)}
+		})
+		checkAllWhole(t, s)
+	})
+	t.Run("or-set-space-chain-1", func(t *testing.T) {
+		s := checkBuffersPrivate(t, orset.OrSetSpace{}, scrambled[orset.SpaceState]{wire.OrSetSpace{}}, func(_, i int) orset.Op {
+			e := int64(i)
+			if i%3 == 2 {
+				return orset.Op{Kind: orset.Remove, E: e - 1}
+			}
+			return orset.Op{Kind: orset.Add, E: e}
+		})
+		checkAllWhole(t, s)
+	})
 	t.Run("pn-counter-whole", func(t *testing.T) {
 		// The store increments and the peer decrements, so a state with no
 		// increment is one the peer shipped.
@@ -59,9 +81,7 @@ func TestRecycledBuffersStayPrivate(t *testing.T) {
 			}
 			return counter.Op{Kind: counter.Dec, N: 1}
 		})
-		if ps := s.PackStats(); ps.Deltas != 0 {
-			t.Fatalf("%d of %d pn-counter states stored as patches, want none", ps.Deltas, ps.Objects)
-		}
+		checkAllWhole(t, s)
 		copied, held := 0, 0
 		for _, o := range store.ResidentObjects(s) {
 			st, err := wire.PNCounter{}.Decode(o.Data)
@@ -110,6 +130,60 @@ func (c roomyPNCounter) AppendEncode(dst []byte, next, prev counter.PNState, pre
 		dst = append(make([]byte, 0, len(dst)+32), dst...)
 	}
 	return c.PNCounter.AppendEncode(dst, next, prev, prevEnc, runs)
+}
+
+// scrambled is a codec whose encoding of a state is inner's, prefixed by
+// an 8-byte seed hashed from it and XORed past the seed with a keystream
+// the seed starts: the encodings of two states share no runs, so no
+// patch is shorter than its state and the store keeps every state whole.
+// Its append form encodes into the store's recycled buffer with room to
+// spare and reports no copied runs.
+type scrambled[S any] struct{ inner store.Codec[S] }
+
+func (c scrambled[S]) Encode(st S) []byte {
+	enc, _ := c.AppendEncode(nil, st, st, nil, nil)
+	return enc
+}
+
+func (c scrambled[S]) AppendEncode(dst []byte, next, _ S, _ []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+	plain := c.inner.Encode(next)
+	if n := 8 + len(plain); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n+n/8), dst...)
+	}
+	h := fnv.New64a()
+	h.Write(plain)
+	seed := h.Sum64()
+	dst = binary.BigEndian.AppendUint64(dst, seed)
+	return append(dst, scramble(seed, plain)...), runs
+}
+
+func (c scrambled[S]) Decode(b []byte) (S, error) {
+	if len(b) < 8 {
+		var zero S
+		return zero, fmt.Errorf("scrambled encoding of %d bytes has no seed", len(b))
+	}
+	return c.inner.Decode(scramble(binary.BigEndian.Uint64(b), b[8:]))
+}
+
+// scramble returns b XORed with the xorshift keystream seed starts.
+func scramble(seed uint64, b []byte) []byte {
+	out := make([]byte, len(b))
+	x := seed | 1
+	for i, v := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		out[i] = v ^ byte(x)
+	}
+	return out
+}
+
+// checkAllWhole fails unless s stores every state whole.
+func checkAllWhole[S, Op, Val any](t *testing.T, s *store.Store[S, Op, Val]) {
+	t.Helper()
+	if ps := s.PackStats(); ps.Deltas != 0 {
+		t.Fatalf("%d of %d states stored as patches, want none", ps.Deltas, ps.Objects)
+	}
 }
 
 // checkBuffersPrivate runs a store whose writer applies ops while a peer
