@@ -94,31 +94,38 @@ func TestSmallStateAddrAllocatesTwice(t *testing.T) {
 
 // TestAppendDiffsOnlyTheEdit: the store's work counters show where an
 // append's bytes go. At 10³ and 10⁴ entries, each log append's encoding
-// copies exactly its parent's entry section from the parent's encoding
-// (peepul_store_encode_copied_bytes_total), and the diff against the
-// parent reads only the edit — the count, the new entry and the bytes
-// around them, the same at either size — not the copied run
+// shares exactly its parent's entry section with the parent's encoding
+// (peepul_store_encode_copied_bytes_total), the codec writes at most 128
+// bytes of it into its buffer — the count, the new entry and the
+// parent's own newest entry, in front of the entries the buffer still
+// holds from the grandparent's encoding
+// (peepul_store_encode_written_bytes_total) — but when a buffer grows, at
+// most twice in 64 appends, and the diff against the parent reads only
+// the edit — the count, the new entry and the bytes around them, the
+// same at either size — not the shared run
 // (peepul_store_delta_compared_bytes_total). An add to an or-set of 10³
-// or 10⁴ elements, space-efficient or tree-backed, likewise copies every
+// or 10⁴ elements, space-efficient or tree-backed, likewise shares every
 // pair of its parent's encoding and only writes the count and its own
-// pair, wherever that lands, and its diff reads as little.
+// pair anew, wherever that lands, and its diff reads as little.
 func TestAppendDiffsOnlyTheEdit(t *testing.T) {
 	const bound = 128
 	for _, n := range []int{1000, 10000} {
 		msg := func(i int) mlog.Op {
 			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("message %06d of 24 bytes", i)}
 		}
-		diffsOnlyTheEdit(t, "log", mlog.Log{}, wire.MLog{}, n, msg, bound)
+		diffsOnlyTheEdit(t, "log", mlog.Log{}, wire.MLog{}, n, msg, bound, bound)
 		add := func(i int) orset.Op { return orset.Op{Kind: orset.Add, E: int64(uint32(i) * 2654435761)} }
-		diffsOnlyTheEdit(t, "or-set", orset.OrSetSpace{}, wire.OrSetSpace{}, n, add, bound)
-		diffsOnlyTheEdit(t, "or-set-spacetime", orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{}, n, add, bound)
+		diffsOnlyTheEdit(t, "or-set", orset.OrSetSpace{}, wire.OrSetSpace{}, n, add, bound, 0)
+		diffsOnlyTheEdit(t, "or-set-spacetime", orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{}, n, add, bound, 0)
 	}
 }
 
 // diffsOnlyTheEdit applies n operations op(0), …, op(n-1), then 64 more,
-// each of which must grow the encoding and copy all of its parent's but
-// the 4-byte count, and read at most bound bytes in its diff.
-func diffsOnlyTheEdit[S, Op, Val any](t *testing.T, name string, impl core.MRDT[S, Op, Val], codec store.Codec[S], n int, op func(int) Op, bound int64) {
+// each of which must grow the encoding and share all of its parent's but
+// the 4-byte count, and read at most bound bytes in its diff. With
+// writes > 0, each must also write at most writes bytes of its encoding,
+// but for at most two that write all of it into a grown buffer.
+func diffsOnlyTheEdit[S, Op, Val any](t *testing.T, name string, impl core.MRDT[S, Op, Val], codec store.Codec[S], n int, op func(int) Op, bound, writes int64) {
 	t.Helper()
 	const appends = 64
 	reg := obs.NewRegistry()
@@ -129,23 +136,32 @@ func diffsOnlyTheEdit[S, Op, Val any](t *testing.T, name string, impl core.MRDT[
 		}
 	}
 	encoded := reg.Counter("peepul_store_encoded_bytes_total")
+	written := reg.Counter("peepul_store_encode_written_bytes_total")
 	copied := reg.Counter("peepul_store_encode_copied_bytes_total")
 	read := reg.Counter("peepul_store_delta_compared_bytes_total")
-	most := int64(0)
+	most, wrote, whole := int64(0), int64(0), 0
 	for i := range appends {
 		size, _ := s.Size("main")
-		e, c, r := encoded.Value(), copied.Value(), read.Value()
+		e, w, c, r := encoded.Value(), written.Value(), copied.Value(), read.Value()
 		if _, err := s.Apply("main", op(n+i)); err != nil {
 			t.Fatal(err)
 		}
 		next, _ := s.Size("main")
 		if e, c := encoded.Value()-e, copied.Value()-c; e != int64(next) || next <= size || c != int64(size-4) {
-			t.Fatalf("%s of %d: an op encoded %d B and copied %d B of it, want %d > %d and the parent's %d bytes past its count", name, n, e, c, next, size, size-4)
+			t.Fatalf("%s of %d: an op encoded %d B and shared %d B of it, want %d > %d and the parent's %d bytes past its count", name, n, e, c, next, size, size-4)
 		}
 		most = max(most, read.Value()-r)
+		if w := written.Value() - w; w == int64(next) {
+			whole++
+		} else {
+			wrote = max(wrote, w)
+		}
 	}
-	t.Logf("%s of %d: an op's diff reads at most %d B", name, n, most)
+	t.Logf("%s of %d: an op's diff reads at most %d B; %d ops write all their encoding, the others at most %d B", name, n, most, whole, wrote)
 	if most > bound {
 		t.Errorf("%s of %d: an op's diff read %d B, want at most %d", name, n, most, bound)
+	}
+	if writes > 0 && (wrote > writes || whole > 2) {
+		t.Errorf("%s of %d: %d ops wrote all of their encoding and the others up to %d B, want at most 2 and %d B", name, n, whole, wrote, writes)
 	}
 }

@@ -357,9 +357,9 @@ func (s *Store[S, Op, Val]) importOneLocked(i int, ec *ExportedCommit) error {
 	// encoding and chunk tree are spares again at once.
 	if s.objExistsLocked(st) {
 		if ec.Patch != nil {
-			s.keepSpareLocked(enc, tree)
+			s.keepSpareLocked(enc[:cap(enc)], st, endHeld(enc), tree)
 		} else {
-			s.keepSpareLocked(nil, tree) // a state shipped whole is the caller's
+			s.keepSpareLocked(nil, st, 0, tree) // a state shipped whole is the caller's
 		}
 		s.addCommitLocked(h, c)
 		return nil
@@ -391,7 +391,7 @@ func (s *Store[S, Op, Val]) importOneLocked(i int, ec *ExportedCommit) error {
 	} else {
 		enc = append(make([]byte, 0, len(enc)), enc...)
 	}
-	s.packLocked(st, enc, tree, base, patch)
+	s.packLocked(st, enc, enc[:cap(enc)], tree, base, patch, 0)
 	s.addCommitLocked(h, c)
 	return nil
 }

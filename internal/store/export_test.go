@@ -474,14 +474,18 @@ func patchOf(base []byte, pieces ...any) (patch, enc []byte) {
 }
 
 // TestImportRefusesForgedEdits: a patched or-set state, space-efficient
-// or tree-backed, that is out of order or miscounted fails the import at
-// its commit, whose state the receiver checks from the patch's copy runs
-// (CheckEdit): a literal pair that repeats the element of the copied pair
-// before it or after it, a copy 8 bytes off the pair grid that lands a
-// timestamp where an element goes, and a count one above the pairs that
-// follow. Each forgery is
-// shipped on a base the receiver holds, and at the end of a batch whose
-// earlier commits it builds on, which install while it does not.
+// or tree-backed, or a patched log state, that is out of order or
+// miscounted fails the import at its commit, whose state the receiver
+// checks from the patch's copy runs (CheckEdit). For the sets: a literal
+// pair that repeats the element of the copied pair before it or after
+// it, a copy 8 bytes off the pair grid that lands a timestamp where an
+// element goes, and a count one above the pairs that follow. For the
+// log, each an append's shape — a count, new entries, and a copy of all
+// of the base's entries: a new entry whose timestamp equals or falls
+// below the base's newest, two new entries out of order, and a count one
+// above or one below the entries. Each forgery is shipped on a base the
+// receiver holds, and at the end of a batch whose earlier commits it
+// builds on, which install while it does not.
 func TestImportRefusesForgedEdits(t *testing.T) {
 	t.Run("or-set-space", func(t *testing.T) {
 		importForgedEdits(t, orset.OrSetSpace{}, wire.OrSetSpace{})
@@ -489,6 +493,7 @@ func TestImportRefusesForgedEdits(t *testing.T) {
 	t.Run("or-set-space-time", func(t *testing.T) {
 		importForgedEdits(t, orset.OrSetSpaceTime{}, wire.OrSetSpaceTime{})
 	})
+	t.Run("mlog", importForgedLogEdits)
 }
 
 func importForgedEdits[S any](t *testing.T, impl core.MRDT[S, orset.Op, orset.Val], codec store.Codec[S]) {
@@ -503,26 +508,76 @@ func importForgedEdits[S any](t *testing.T, impl core.MRDT[S, orset.Op, orset.Va
 		}
 		hashes = append(hashes, src.Heads("main")[0])
 	}
-	parent, _ := src.Commit(hashes[n-1])
-	base, err := src.EncodedState(parent.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(c int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(c)) }
+	base := encodedHead(t, src, hashes[n-1])
 	// Pairs that repeat the element of the pair before rank k and of the
 	// pair at rank k, which the forgeries put before and after them.
 	before, after := slices.Clone(base[4+16*(k-1):4+16*k]), slices.Clone(base[4+16*k:4+16*(k+1)])
 	binary.BigEndian.PutUint64(before[8:], 1)
 	binary.BigEndian.PutUint64(after[8:], 1)
-	forgeries := []struct {
-		name, why string
-		pieces    []any
-	}{
+	refuseForgeries(t, impl, codec, src, hashes, base, []forgery{
 		{"literal-after-run", fmt.Sprintf("set pair %d is out of order", k), []any{count(n + 1), [2]int{4, 16 * k}, before, [2]int{4 + 16*k, 16 * (n - k)}}},
 		{"literal-before-run", fmt.Sprintf("set pair %d is out of order", k+1), []any{count(n + 1), [2]int{4, 16 * k}, after, [2]int{4 + 16*k, 16 * (n - k)}}},
 		{"unaligned", fmt.Sprintf("set pair %d is out of order", k), []any{[2]int{0, 4 + 16*k}, [2]int{4 + 16*k - 8, 16}, [2]int{4 + 16*(k+1), 16 * (n - k - 1)}}},
 		{"count", "exceeds remaining payload", []any{count(n + 1), [2]int{4, 16 * n}}},
+	})
+}
+
+func importForgedLogEdits(t *testing.T) {
+	const n = 6 // the base's entries
+	src := store.NewAt(mlog.Log{}, wire.MLog{}, "main", 100)
+	var hashes []store.Hash
+	for i := range n {
+		if _, err := src.Apply("main", mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("entry %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, src.Heads("main")[0])
 	}
+	base := encodedHead(t, src, hashes[n-1])
+	newest := core.Timestamp(binary.BigEndian.Uint64(base[4:]))
+	entry := func(ts core.Timestamp) []byte {
+		b := binary.BigEndian.AppendUint64(nil, uint64(ts))
+		b = binary.BigEndian.AppendUint32(b, 6)
+		return append(b, "forged"...)
+	}
+	entries := [2]int{4, len(base) - 4} // the copy of all of base's entries
+	refuseForgeries(t, mlog.Log{}, wire.MLog{}, src, hashes, base, []forgery{
+		{"seam-equal", "log entry 1 is out of order", []any{count(n + 1), entry(newest), entries}},
+		{"seam-below", "log entry 1 is out of order", []any{count(n + 1), entry(newest - 1), entries}},
+		{"new-out-of-order", "log entry 1 is out of order", []any{count(n + 2), entry(newest + 1), entry(newest + 2), entries}},
+		{"count-high", fmt.Sprintf("log count %d, %d entries", n+2, n+1), []any{count(n + 2), entry(newest + 1), entries}},
+		{"count-low", fmt.Sprintf("log count %d, %d entries", n, n+1), []any{count(n), entry(newest + 1), entries}},
+	})
+}
+
+// count is a collection encoding's 4-byte count.
+func count(c int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(c)) }
+
+// encodedHead is the encoding of the state of src's commit h.
+func encodedHead[S, Op, Val any](t *testing.T, src *store.Store[S, Op, Val], h store.Hash) []byte {
+	t.Helper()
+	c, _ := src.Commit(h)
+	enc, err := src.EncodedState(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// forgery is a patch from the state of a sender's last commit: its
+// pieces (patchOf), and what the error refusing it must say.
+type forgery struct {
+	name, why string
+	pieces    []any
+}
+
+// refuseForgeries ships each forgery as a child of hashes' last commit,
+// whose state's encoding is base, from src, whose main branch holds
+// hashes: once at the end of a batch of all of them, to a receiver that
+// must install them and refuse it, and once alone, to one that holds
+// them.
+func refuseForgeries[S, Op, Val any](t *testing.T, impl core.MRDT[S, Op, Val], codec store.Codec[S], src *store.Store[S, Op, Val], hashes []store.Hash, base []byte, forgeries []forgery) {
+	n := len(hashes)
+	parent, _ := src.Commit(hashes[n-1])
 	for _, f := range forgeries {
 		patch, enc := patchOf(base, f.pieces...)
 		c := store.Commit{Parents: []store.Hash{hashes[n-1]}, State: store.StateAddr(enc), Gen: parent.Gen + 1, Time: parent.Time + 1}

@@ -40,9 +40,10 @@ type storeMetrics struct {
 	reasmMiss   *obs.Counter
 	hashBytes   *obs.Counter
 	// The write path's work in bytes: encodings produced, the part of
-	// them copied from the parent's encoding, and what delta.MakeShared
-	// read to diff them.
+	// them the codec wrote, the part it reported shared with the parent's
+	// encoding, and what delta.MakeShared read to diff them.
 	encodedBytes  *obs.Counter
+	encodeWritten *obs.Counter
 	encodeCopied  *obs.Counter
 	deltaCompared *obs.Counter
 }
@@ -60,6 +61,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		reasmMiss:     reg.Counter("peepul_store_reassembly_total", "result", "miss"),
 		hashBytes:     reg.Counter("peepul_store_state_hash_bytes_total"),
 		encodedBytes:  reg.Counter("peepul_store_encoded_bytes_total"),
+		encodeWritten: reg.Counter("peepul_store_encode_written_bytes_total"),
 		encodeCopied:  reg.Counter("peepul_store_encode_copied_bytes_total"),
 		deltaCompared: reg.Counter("peepul_store_delta_compared_bytes_total"),
 	}
@@ -76,7 +78,8 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	reg.Describe("peepul_store_state_hash_bytes_total", "bytes fed to SHA-256 to compute or check state addresses: chunks, groups and roots of their chunk trees")
 	reg.Describe("peepul_store_encoded_bytes_total", "bytes of the state encodings operation and merge commits produced")
-	reg.Describe("peepul_store_encode_copied_bytes_total", "bytes of those encodings the codec's append form copied from the parent's encoding as one run")
+	reg.Describe("peepul_store_encode_written_bytes_total", "bytes of those encodings the codec wrote into its buffer: all but what the recycled buffer's end already held of a run shared with the parent's encoding")
+	reg.Describe("peepul_store_encode_copied_bytes_total", "bytes of those encodings the codec's append form reported shared with the parent's encoding, in runs: copied, or already in place in the recycled buffer")
 	reg.Describe("peepul_store_delta_compared_bytes_total", "bytes the diff of a new state against its parent's read: the shared ends it compared, less a run the codec reported copied, and the middles it indexed and scanned")
 	return m
 }

@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/delta"
 	"repro/internal/mlog"
+	"repro/internal/obs"
 	"repro/internal/orset"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -99,6 +101,7 @@ func TestRecycledBuffersStayPrivate(t *testing.T) {
 			t.Fatalf("the states stored whole miss a form: %d copied, %d held in place", copied, held)
 		}
 	})
+	t.Run("mlog-alternating", checkAlternatingPrivate)
 	t.Run("import-mlog", func(t *testing.T) {
 		checkImportPrivate(t, mlog.Log{}, wire.MLog{}, func(writer, i int) mlog.Op {
 			return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, i)}
@@ -118,43 +121,236 @@ func TestRecycledBuffersStayPrivate(t *testing.T) {
 	})
 }
 
+// checkAlternatingPrivate runs a log store whose appends alternate
+// between two recycled buffers, each written only in front of the
+// entries it still holds from the grandparent's encoding, interleaved
+// with what breaks the alternation: a Fork whose branch takes an append,
+// the two-head merge the next append on main commits, an append to a
+// branch forked from the empty log and never merged, whose entries share
+// no tail with main's, an Integrate of a peer's batch, and states stored
+// whole from a buffer the codec wrote them at the end of. Two readers
+// read along (readAlong). After every append, the encoding the store
+// holds for the new head is the codec's encoding of its state; after
+// every step, no buffer a resident pack object held and no encoding
+// EncodedState returned before it has changed. At the end the store
+// settles (checkSettled), and no object stored whole holds an encoding
+// written with room in front of it, which would pin that room.
+func checkAlternatingPrivate(t *testing.T) {
+	const rounds, appends = 24, 12
+	reg := obs.NewRegistry()
+	codec := &watchedLog{roomy: make(map[*byte]bool)}
+	s := store.New[mlog.State, mlog.Op, mlog.Val](mlog.Log{}, codec, "main", store.WithObs(reg))
+	peer := store.NewAt(mlog.Log{}, wire.MLog{}, "main", 100)
+
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	fail := make(chan error, 1)
+	report := func(err error) {
+		select {
+		case fail <- err:
+		default:
+		}
+	}
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			readAlong(s, stop, report)
+		}()
+	}
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		readers.Wait()
+	})
+	defer stopReaders()
+
+	type held struct{ buf, was []byte }
+	var kept []held
+	seen := make(map[store.Hash]bool)
+	keep := func() {
+		for h, o := range store.ResidentObjects(s) {
+			if !seen[h] {
+				seen[h] = true
+				kept = append(kept, held{o.Data, bytes.Clone(o.Data)})
+			}
+		}
+		for _, h := range s.Heads("main") {
+			c, _ := s.Commit(h)
+			enc, err := s.EncodedState(c.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, held{enc, bytes.Clone(enc)})
+		}
+	}
+	unchanged := func(step string, r int) {
+		t.Helper()
+		for i, k := range kept {
+			if !bytes.Equal(k.buf, k.was) {
+				t.Fatalf("round %d, %s: held buffer %d changed", r, step, i)
+			}
+		}
+		keep()
+	}
+	written := reg.Counter("peepul_store_encode_written_bytes_total")
+	n, local, alternated, whole := 0, 0, 0, 0
+	op := func(writer int) mlog.Op {
+		n++
+		return mlog.Op{Kind: mlog.Append, Msg: fmt.Sprintf("writer %d message %04d", writer, n)}
+	}
+	// apply appends to branch b and reports whether its new state is
+	// stored whole.
+	apply := func(b string, writer int) bool {
+		t.Helper()
+		w := written.Value()
+		if _, err := s.Apply(b, op(writer)); err != nil {
+			t.Fatal(err)
+		}
+		local++
+		if written.Value()-w <= 128 {
+			alternated++
+		}
+		c, _ := s.Commit(s.Heads(b)[0])
+		o, ok := store.ResidentObjects(s)[c.State]
+		if ok && !o.Delta {
+			whole++
+		}
+		head, err := s.Head(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc, err := s.EncodedState(c.State); err != nil || !bytes.Equal(enc, codec.Encode(head)) {
+			t.Fatalf("append %d to %s: the store holds an encoding other than its state's (%v)", local, b, err)
+		}
+		return ok && !o.Delta
+	}
+	if err := s.Fork("main", "apart"); err != nil {
+		t.Fatal(err)
+	}
+	var have []store.Hash
+	for r := range rounds {
+		for range appends {
+			if apply("main", 0) {
+				// The next append on main starts from a state stored
+				// whole, which no read puts in the reassembly slot; the
+				// slot holds apart's.
+				apply("apart", 3)
+				apply("main", 0)
+				apply("main", 0)
+			}
+		}
+		unchanged("appends", r)
+		side := fmt.Sprintf("side-%d", r)
+		if err := s.Fork("main", side); err != nil {
+			t.Fatal(err)
+		}
+		apply(side, 2)
+		apply("main", 0)
+		if err := s.Pull("main", side); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("fork", r)
+		apply("main", 0) // commits the two-head merge first
+		unchanged("merge", r)
+		apply("apart", 3)
+		apply("main", 0)
+		unchanged("apart", r)
+		for range 4 {
+			if _, err := peer.Apply("main", op(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch, heads, err := peer.ExportSincePacked("main", have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.Integrate("main", "peer", batch, heads); err != nil {
+			t.Fatal(err)
+		}
+		have = heads
+		unchanged("integrate", r)
+	}
+	stopReaders()
+	close(fail)
+	for err := range fail {
+		t.Fatal(err)
+	}
+	checkSettled(t, s, store.Codec[mlog.State](codec), op(0))
+	for h, o := range store.ResidentObjects(s) {
+		if !o.Delta && len(o.Data) > 0 && codec.wroteRoomy(unsafe.SliceData(o.Data)) {
+			t.Fatalf("object %v stored whole holds an encoding written with room in front of it", h)
+		}
+	}
+	t.Logf("%d local appends: %d wrote at most 128 B, %d stored whole", local, alternated, whole)
+	if alternated < rounds*appends/2 || whole == 0 {
+		t.Fatalf("%d appends wrote at most 128 B and %d were stored whole, want at least %d and 1", alternated, whole, rounds*appends/2)
+	}
+}
+
+// watchedLog is wire.MLog noting the start of each encoding its append
+// form wrote with room in front of it in its buffer.
+type watchedLog struct {
+	wire.MLog
+	mu    sync.Mutex
+	roomy map[*byte]bool
+}
+
+func (c *watchedLog) AppendEncode(dst []byte, inPlace int, next, prev mlog.State, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+	enc, buf, runs = c.MLog.AppendEncode(dst, inPlace, next, prev, prevEnc, runs)
+	if len(buf) > len(enc) {
+		c.mu.Lock()
+		c.roomy[unsafe.SliceData(enc)] = true
+		c.mu.Unlock()
+	}
+	return enc, buf, runs
+}
+
+func (c *watchedLog) wroteRoomy(p *byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.roomy[p]
+}
+
 // roomyPNCounter is wire.PNCounter encoding into a buffer with room to
-// spare, as a codec whose states change size does: a store copies each
-// state it encodes with it and recycles the buffer, where it would hold
-// wire.PNCounter's exact 16-byte buffers in place, as it holds each
-// state a peer ships whole, copied at its exact size.
+// spare in front, as a codec whose states change size does: a store
+// copies each state it encodes with it and recycles the buffer, where it
+// would hold wire.PNCounter's exact 16-byte buffers in place, as it holds
+// each state a peer ships whole, copied at its exact size.
 type roomyPNCounter struct{ wire.PNCounter }
 
-func (c roomyPNCounter) AppendEncode(dst []byte, next, prev counter.PNState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
-	if cap(dst)-len(dst) < 32 {
-		dst = append(make([]byte, 0, len(dst)+32), dst...)
+func (c roomyPNCounter) AppendEncode(dst []byte, inPlace int, next, prev counter.PNState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+	if len(dst) < 48 {
+		dst = make([]byte, 48)
 	}
-	return c.PNCounter.AppendEncode(dst, next, prev, prevEnc, runs)
+	return c.PNCounter.AppendEncode(dst, inPlace, next, prev, prevEnc, runs)
 }
 
 // scrambled is a codec whose encoding of a state is inner's, prefixed by
 // an 8-byte seed hashed from it and XORed past the seed with a keystream
 // the seed starts: the encodings of two states share no runs, so no
 // patch is shorter than its state and the store keeps every state whole.
-// Its append form encodes into the store's recycled buffer with room to
-// spare and reports no copied runs.
+// Its append form encodes at the end of the store's recycled buffer,
+// with room to spare in front, and reports no copied runs.
 type scrambled[S any] struct{ inner store.Codec[S] }
 
 func (c scrambled[S]) Encode(st S) []byte {
-	enc, _ := c.AppendEncode(nil, st, st, nil, nil)
+	enc, _, _ := c.AppendEncode(nil, 0, st, st, nil, nil)
 	return enc
 }
 
-func (c scrambled[S]) AppendEncode(dst []byte, next, _ S, _ []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+func (c scrambled[S]) AppendEncode(dst []byte, _ int, next, _ S, _ []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	plain := c.inner.Encode(next)
-	if n := 8 + len(plain); cap(dst)-len(dst) < n {
-		dst = append(make([]byte, 0, len(dst)+n+n/8), dst...)
+	n := 8 + len(plain)
+	if len(dst) < n {
+		dst = make([]byte, n+n/8)
 	}
+	enc = dst[len(dst)-n:]
 	h := fnv.New64a()
 	h.Write(plain)
 	seed := h.Sum64()
-	dst = binary.BigEndian.AppendUint64(dst, seed)
-	return append(dst, scramble(seed, plain)...), runs
+	binary.BigEndian.PutUint64(enc, seed)
+	copy(enc[8:], scramble(seed, plain))
+	return enc, dst, runs
 }
 
 func (c scrambled[S]) Decode(b []byte) (S, error) {

@@ -336,7 +336,7 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 	}
 	if len(patches) > 0 {
 		s.encMu.Lock()
-		s.encHash, s.encBuf, s.encTree, s.encFree = h, enc, tree, true
+		s.encHash, s.encBuf, s.encWhole, s.encTree, s.encFree = h, enc, enc[:cap(enc)], tree, true
 		s.encMu.Unlock()
 	}
 	return enc, tree, nil
@@ -374,19 +374,22 @@ func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
 // chainBaseLocked refuses base, the state is stored whole. A state stored
 // either way but as the patch from base keeps that patch beside it
 // (packObject.parent) while the patch is under a quarter of enc, for
-// exports to ship. packLocked owns enc and patch. Callers hold the write
-// lock.
+// exports to ship. packLocked owns enc, buf — the whole buffer enc lies
+// in, len == cap — and patch; enc's last tail bytes are the last tail
+// bytes of base's encoding. Callers hold the write lock.
 //
 // enc becomes the reassembly slot's buffer. A state stored whole is
-// stored as enc itself only when enc has no spare capacity (a snapshot
-// pins no slack); the slot then records that a pack object holds its
-// buffer. Otherwise the buffer is the store's alone, and once a later
-// packLocked displaces it from the slot it is the spare the next state
-// is encoded (putState) or reassembled (an import) into. An enc stored
-// nowhere, its state already present, is the spare at once.
-func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base Hash, patch []byte) {
+// stored as enc itself only when buf is enc, with no room in front or
+// behind (a snapshot pins no slack); the slot then records that a pack
+// object holds its buffer. Otherwise the buffer is the store's alone,
+// and once a later packLocked displaces it from the slot it is the spare
+// the next state is encoded (putState) or reassembled (an import) into.
+// A displaced slot that held base and ends its buffer leaves the spare
+// ending with enc's last tail bytes. An enc stored nowhere, its state
+// already present, is the spare at once.
+func (s *Store[S, Op, Val]) packLocked(h Hash, enc, buf []byte, tree *chunkTree, base Hash, patch []byte, tail int) {
 	if s.objExistsLocked(h) {
-		s.keepSpareLocked(enc, tree)
+		s.keepSpareLocked(buf, h, endHeld(enc), tree)
 		return
 	}
 	obj := &packObject{size: len(enc)}
@@ -403,7 +406,7 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 	}
 	held := false
 	if !obj.delta {
-		if held = cap(enc) == len(enc); held {
+		if held = len(enc) == cap(buf); held {
 			obj.data = enc
 		} else {
 			obj.data = append(make([]byte, 0, len(enc)), enc...)
@@ -414,13 +417,27 @@ func (s *Store[S, Op, Val]) packLocked(h Hash, enc []byte, tree *chunkTree, base
 	s.persistObjectLocked(h, obj)
 	// The freshly packed encoding is the likeliest next chain base.
 	s.encMu.Lock()
-	buf := s.encBuf
-	if !s.encFree {
-		buf = nil
+	if s.encFree {
+		known := 0
+		if s.encHash == base {
+			known = min(tail, endHeld(s.encBuf))
+		}
+		s.keepSpareLocked(s.encWhole, h, known, s.encTree)
+	} else {
+		s.keepSpareLocked(nil, h, 0, s.encTree)
 	}
-	s.keepSpareLocked(buf, s.encTree)
-	s.encHash, s.encBuf, s.encTree, s.encFree = h, enc, tree, !held
+	s.encHash, s.encBuf, s.encWhole, s.encTree, s.encFree = h, enc, buf, tree, !held
 	s.encMu.Unlock()
+}
+
+// endHeld is how many of enc's last bytes the end of its whole buffer
+// holds: all of them when enc ends it, as the append form's encodings
+// do, else none.
+func endHeld(enc []byte) int {
+	if cap(enc) == len(enc) {
+		return len(enc)
+	}
+	return 0
 }
 
 // placeLocked makes obj, a state of obj.size bytes, a patch on its first
@@ -441,13 +458,15 @@ func (s *Store[S, Op, Val]) placeLocked(obj, bo *packObject, base Hash, patch []
 	}
 }
 
-// keepSpareLocked keeps buf and tree, which nothing else refers to, for
-// the next state's encoding and chunk tree to be built in: putState's
-// append form (Codec) encodes into buf, and an import reassembles a
-// shipped patch into it. Either may be nil. Callers hold the write lock.
-func (s *Store[S, Op, Val]) keepSpareLocked(buf []byte, tree *chunkTree) {
+// keepSpareLocked keeps buf, a whole buffer whose last tail bytes are
+// the last tail bytes of state key's encoding, and tree, which nothing
+// else refers to, for the next state's encoding and chunk tree to be
+// built in: putState's append form (Codec) encodes at buf's end, and an
+// import reassembles a shipped patch into it. Either may be nil. Callers
+// hold the write lock.
+func (s *Store[S, Op, Val]) keepSpareLocked(buf []byte, key Hash, tail int, tree *chunkTree) {
 	if buf != nil {
-		s.spare = buf[:0]
+		s.spare, s.spareKey, s.spareTail = buf, key, tail
 	}
 	if tree != nil {
 		s.spareTree = tree
@@ -591,15 +610,18 @@ func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject
 
 // VerifyPack materializes every retained state object, checking that each
 // chain reassembles to its content address and to a canonical encoding
-// (checkEncoding, the test Import applies). It is the pack layer's
-// integrity check, used by tests, by a node opened WithVerifyOnOpen
-// (which runs it before a recovered store is handed out), and available
-// to tools.
+// by the test Import applies: a patched encoding against its verified
+// base with the codec's edit form (Codec's CheckEdit), any other with
+// checkEncoding. It is the pack layer's integrity check, used by tests,
+// by a node opened WithVerifyOnOpen (which runs it before a recovered
+// store is handed out), and available to tools.
 //
 // Objects are visited chain-forest order — each snapshot's dependent
 // patches depth-first, every encoding built with exactly one patch
-// application from its base — so a full verification costs O(total
-// state bytes), not O(chain length × state bytes). Objects no such walk
+// application from its base and, with the edit form, checked and
+// addressed in the work of its patch — so a full verification costs
+// O(total state bytes) in copies at most, not O(chain length × state
+// bytes). Objects no such walk
 // reaches (a missing or cyclic chain base) are verified individually,
 // which yields the precise corruption error.
 func (s *Store[S, Op, Val]) VerifyPack() error {
@@ -618,9 +640,12 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		}
 	}
 	// verify checks the encoding enc of object h, which patch builds from
-	// the encoding base summarizes (both nil for a snapshot), and returns
-	// its chunk tree.
-	verify := func(h Hash, enc []byte, base *chunkTree, patch []byte) (*chunkTree, error) {
+	// baseEnc, a verified encoding whose chunk tree is base (all nil for a
+	// snapshot), and returns its chunk tree. A codec with the edit form
+	// (Codec) checks a patched encoding from the patch's copy runs, as
+	// Import does.
+	var runs []delta.CopyRun
+	verify := func(h Hash, enc []byte, base *chunkTree, baseEnc, patch []byte) (*chunkTree, error) {
 		obj := objects[h]
 		got, tree := s.addrLocked(enc, base, patch, nil)
 		if got != h {
@@ -629,7 +654,15 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		if len(enc) != obj.size {
 			return nil, fmt.Errorf("%w: object %v is %d bytes, %d recorded", ErrCorruptPack, h, len(enc), obj.size)
 		}
-		if err := checkEncoding(s.codec, enc); err != nil {
+		var err error
+		if s.editCheck != nil && patch != nil {
+			// Apply accepted the patch against baseEnc, so its runs parse.
+			runs, _, _ = delta.CopyRuns(runs[:0], patch)
+			err = s.editCheck.CheckEdit(enc, baseEnc, runs)
+		} else {
+			err = checkEncoding(s.codec, enc)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: object %v is not a valid encoding: %v", ErrCorruptPack, h, err)
 		}
 		return tree, nil
@@ -645,7 +678,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		if err != nil {
 			return err
 		}
-		tree, err := verify(root, rootEnc, nil, nil)
+		tree, err := verify(root, rootEnc, nil, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -663,7 +696,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 				if err != nil {
 					return fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, child)
 				}
-				tree, err := verify(child, enc, top.tree, patch)
+				tree, err := verify(child, enc, top.tree, top.enc, patch)
 				if err != nil {
 					return err
 				}

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -69,25 +70,33 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // from it (enc[At:At+Len] == base[Off:Off+Len]). Import then checks each
 // first-seen state a shipped patch builds with the patch's copy runs,
 // inline, in the work of the edit rather than of the state. In
-// internal/wire, OrSetSpace and OrSetSpaceTime have it.
+// internal/wire, OrSetSpace, OrSetSpaceTime and MLog have it.
 //
-// A codec may also have the append form AppendEncode(dst []byte, next,
-// prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun),
-// which appends exactly Encode(next) to dst and returns the result with
-// runs, to which it has appended each run of its output it copied from
-// prevEnc: enc[At:At+Len] == prevEnc[Off:Off+Len] for enc, the bytes it
-// appended, the runs ascending by At, inside both encodings and apart.
-// When prevEnc is non-nil it is Encode(prev), and the codec may copy from
-// it whatever next shares with prev; dst never shares memory with
-// prevEnc, and runs is the store's, reused from commit to commit. The
-// store then encodes each operation commit from its parent's encoding,
-// into a buffer it recycles, and diffs it against that encoding knowing
-// the runs are shared (putState), so a false run corrupts the stored
-// patch. Such a codec's Decode and Check must keep no part of their
-// input, which the store may overwrite once they return. In
-// internal/wire, MLog, OrSetSpace, OrSetSpaceTime and PNCounter have this
-// form: MLog copies an append's parent whole, and the OR-sets copy the
-// pairs around one added, refreshed or removed pair.
+// A codec may also have the append form AppendEncode(dst []byte, inPlace
+// int, next, prev S, prevEnc []byte, runs []delta.CopyRun) (enc, buf
+// []byte, copied []delta.CopyRun), which writes exactly Encode(next) at
+// the end of buf — dst when the encoding fits in it, else a new buffer
+// with an eighth more room in front — and returns the encoding, enc, the
+// last len(enc) bytes of buf, and runs, to which it has appended each run
+// of enc it copied from prevEnc: enc[At:At+Len] == prevEnc[Off:Off+Len],
+// the runs ascending by At, inside both encodings and apart. When prevEnc
+// is non-nil it is Encode(prev), and the codec may copy from it whatever
+// next shares with prev; dst's last inPlace bytes are then prevEnc's
+// last inPlace bytes, and of a run ending both encodings the codec writes
+// none of those bytes into dst, and every other byte of enc. dst never
+// shares memory with prevEnc, and runs is the store's, reused from commit
+// to commit. The store then encodes each operation commit from its
+// parent's encoding into one of two buffers it alternates, the one that
+// holds the grandparent's encoding, so that an append writes only what
+// is new since the grandparent; and it diffs the encoding against the
+// parent's knowing the runs are shared (putState), so a false run
+// corrupts the stored patch. Such a codec's Decode and Check must keep no
+// part of their input, which the store may overwrite once they return.
+// In internal/wire, MLog, OrSetSpace, OrSetSpaceTime and PNCounter have
+// this form: MLog copies an append's parent whole, the OR-sets copy the
+// pairs around one added, refreshed or removed pair, and PNCounter copies
+// nothing. A codec whose AppendEncode has any other signature has no
+// append form: the store encodes with its Encode.
 type Codec[S any] interface {
 	Encode(S) []byte
 	Decode([]byte) (S, error)
@@ -194,21 +203,30 @@ type Store[S, Op, Val any] struct {
 	metrics *storeMetrics
 
 	// One-slot reassembly cache (pack.go); own lock so readers holding
-	// mu.RLock can refresh it. encFree is true when no pack object holds
-	// encBuf, so that a writer displacing it may recycle it.
-	encMu   sync.Mutex
-	encHash Hash
-	encBuf  []byte
-	encTree *chunkTree // encBuf's chunk tree
-	encFree bool
+	// mu.RLock can refresh it. encWhole is the whole buffer encBuf lies
+	// in, len == cap: encBuf ends it when the append form wrote it, and
+	// starts it when a patch was applied into it. encFree is true when no
+	// pack object holds encBuf, so that a writer displacing it may
+	// recycle encWhole.
+	encMu    sync.Mutex
+	encHash  Hash
+	encBuf   []byte
+	encWhole []byte
+	encTree  *chunkTree // encBuf's chunk tree
+	encFree  bool
 	// appender is the codec's append form (Codec), nil without one, and
-	// spare the buffer putState encodes the next state into with it, or
-	// an import reassembles the next shipped patch into: a slot buffer
-	// packLocked displaced and no one holds. spareTree is the slot's last
+	// spare the whole buffer putState encodes the next state at the end
+	// of with it, or an import reassembles the next shipped patch into
+	// from its start: a slot buffer packLocked displaced and no one
+	// holds. The spare's last spareTail bytes are the last spareTail
+	// bytes of the encoding of state spareKey, so an encoding copied from
+	// that one's need not write them. spareTree is the slot's last
 	// displaced chunk tree, which the next address is built in. Guarded
 	// by the write lock.
 	appender  appender[S]
 	spare     []byte
+	spareKey  Hash
+	spareTail int
 	spareTree *chunkTree
 	// runs is the buffer the append form reports its copied runs in, and
 	// an import parses a shipped patch's copy runs into. editCheck is the
@@ -219,7 +237,7 @@ type Store[S, Op, Val any] struct {
 
 // appender is the append form of a Codec.
 type appender[S any] interface {
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun)
+	AppendEncode(dst []byte, inPlace int, next, prev S, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun)
 }
 
 // New creates a store for impl with a single branch named main, holding
@@ -506,13 +524,14 @@ func (s *Store[S, Op, Val]) NumCommits() int {
 // prev, when non-nil, is base's decoded state. The base's encoding is
 // materialized once — the reassembly slot holds it when base was the
 // last state stored — and serves three steps. A codec with the append
-// form (Codec) encodes state into the spare buffer, copying what it
-// shares with prev from that encoding, and reports the runs it copied.
-// The patch from base's encoding is diffed with those runs already known
-// to be shared (delta.MakeShared), so an append to a log or an add to a
-// set compares only what it changed. And the address is computed from
-// base's chunk tree and the patch's copy runs, so it hashes what the
-// operation changed; the pack stores the same patch.
+// form (Codec) encodes state at the end of the spare buffer, copying what
+// it shares with prev from that encoding, less what the spare already
+// holds of it, and reports the runs it copied. The patch from base's
+// encoding is diffed with those runs already known to be shared
+// (delta.MakeShared), so an append to a log or an add to a set compares
+// only what it changed. And the address is computed from base's chunk
+// tree and the patch's copy runs, so it hashes what the operation
+// changed; the pack stores the same patch.
 func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	start := time.Now()
 	var baseEnc []byte
@@ -525,7 +544,7 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	}
 	t := time.Now()
 	reassembly := t.Sub(start)
-	enc, copies := s.encodeLocked(state, prev, baseEnc)
+	enc, buf, copies, tail := s.encodeLocked(state, prev, base, baseEnc)
 	s.metrics.lap(phaseEncode, &t)
 	var patch []byte
 	if _, ok := s.chainBaseLocked(base, len(enc)); ok && baseEnc != nil {
@@ -541,39 +560,59 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	h, tree := s.addrLocked(enc, baseTree, patch, into)
 	s.metrics.lap(phaseHash, &t)
 	s.cache.put(h, state)
-	s.packLocked(h, enc, tree, base, patch)
+	s.packLocked(h, enc, buf, tree, base, patch, tail)
 	return h
 }
 
 // encodeLocked encodes state and counts the bytes. A codec with the
-// append form encodes it into the spare buffer, copying from baseEnc,
-// base's encoding, when prev is base's state, and reports the runs it
-// copied, in the store's run buffer; any other codec allocates with
-// Encode and reports none. Callers hold the write lock.
-func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, baseEnc []byte) ([]byte, []delta.CopyRun) {
-	var enc []byte
-	runs := s.runs[:0]
+// append form writes it at the end of the spare buffer, copying from
+// baseEnc, base's encoding, when prev is base's state, and leaving as
+// they are the bytes the spare's end already holds of it (spareTail).
+// It reports the runs it copied, in the store's run buffer, and tail,
+// the length of the run that ends both encodings. Any other codec
+// allocates with Encode and reports none. buf is the whole buffer enc
+// lies in. Callers hold the write lock.
+func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, base Hash, baseEnc []byte) (enc, buf []byte, runs []delta.CopyRun, tail int) {
 	if s.appender == nil {
 		enc = s.codec.Encode(state)
-	} else {
-		var p S
-		if prev != nil {
-			p = *prev
-		} else {
-			baseEnc = nil
-		}
-		dst := s.spare[:0]
-		s.spare = nil
-		enc, runs = s.appender.AppendEncode(dst, state, p, baseEnc, runs)
-		s.runs = runs
+		s.countEncodedLocked(len(enc), len(enc), 0)
+		return enc, enc[:cap(enc)], nil, 0
 	}
+	var p S
+	inPlace := 0
+	if prev == nil {
+		baseEnc = nil
+	} else {
+		p = *prev
+		if s.spare != nil && s.spareKey == base {
+			inPlace = s.spareTail
+		}
+	}
+	dst := s.spare
+	s.spare = nil
+	enc, buf, runs = s.appender.AppendEncode(dst, inPlace, state, p, baseEnc, s.runs[:0])
+	s.runs = runs
 	copied := 0
 	for _, r := range runs {
 		copied += r.Len
 	}
-	s.metrics.encodedBytes.Add(int64(len(enc)))
+	if k := len(runs); k > 0 && runs[k-1].At+runs[k-1].Len == len(enc) && runs[k-1].Off+runs[k-1].Len == len(baseEnc) {
+		tail = runs[k-1].Len
+	}
+	written := len(enc)
+	if unsafe.SliceData(buf) == unsafe.SliceData(dst) {
+		written -= min(inPlace, tail)
+	}
+	s.countEncodedLocked(len(enc), written, copied)
+	return enc, buf, runs, tail
+}
+
+// countEncodedLocked counts an encoding of n bytes, of which the codec
+// wrote written and reported copied shared with the parent's.
+func (s *Store[S, Op, Val]) countEncodedLocked(n, written, copied int) {
+	s.metrics.encodedBytes.Add(int64(n))
+	s.metrics.encodeWritten.Add(int64(written))
 	s.metrics.encodeCopied.Add(int64(copied))
-	return enc, runs
 }
 
 func (s *Store[S, Op, Val]) putCommit(c Commit) Hash {

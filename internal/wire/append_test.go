@@ -21,7 +21,7 @@ import (
 // appendCodec is a codec with the store's append form (store.Codec).
 type appendCodec[S any] interface {
 	wire.Codec[S]
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun)
+	AppendEncode(dst []byte, inPlace int, next, prev S, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun)
 }
 
 var (
@@ -31,47 +31,70 @@ var (
 	_ appendCodec[counter.PNState]  = wire.PNCounter{}
 )
 
-// checkAppendEncode holds AppendEncode to its contract: it appends
-// exactly Encode(next) to dst, given prevEnc = Encode(prev) or, without
-// withPrev, nil, and leaves dst's bytes and prevEnc as they were. dst's
-// spare capacity may hold anything, as a recycled buffer's does. It keeps
-// the runs it is handed and appends after them runs that ascend, lie
-// inside both encodings, do not overlap, and name bytes it copied:
-// enc[At:At+Len] == prevEnc[Off:Off+Len] for enc, what it appended — a
-// false run would corrupt the patch the store diffs with it. Without
-// prevEnc it reports none; with it and wantCopied, the runs add up to
-// wantCopied(next, prev) bytes.
-func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst []byte, next, prev S, withPrev bool, wantCopied func(next, prev S) int) {
+// checkAppendEncode holds AppendEncode to its contract: it writes
+// Encode(next) at the end of buf, dst when the encoding fits in it and
+// else a new buffer with an eighth more room in front, given prevEnc =
+// Encode(prev) or, without withPrev, nil, and leaves prevEnc and dst's
+// bytes in front of the encoding as they were. dst's last inPlace bytes
+// are said to be prevEnc's last ones; here they are those bytes flipped,
+// so that the output shows which the codec wrote: it must write none of
+// them that its run from prevEnc's end covers, and every other byte of
+// the encoding. It keeps the runs it is handed and appends after them
+// runs that ascend, lie inside both encodings, do not overlap, and name
+// bytes it copied: enc[At:At+Len] == prevEnc[Off:Off+Len] — a false run
+// would corrupt the patch the store diffs with it. Without prevEnc it
+// reports none; with it and wantCopied, the runs add up to
+// wantCopied(next, prev) bytes. It returns how many bytes the codec left
+// in place.
+func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst []byte, inPlace int, next, prev S, withPrev bool, wantCopied func(next, prev S) int) int {
 	t.Helper()
 	var prevEnc []byte
 	if withPrev {
 		prevEnc = c.Encode(prev)
 	}
+	inPlace = min(inPlace, len(dst), len(prevEnc))
+	for i := range inPlace {
+		dst[len(dst)-inPlace+i] = ^prevEnc[len(prevEnc)-inPlace+i]
+	}
 	keepDst, keepPrev := slices.Clone(dst), slices.Clone(prevEnc)
 	held := delta.CopyRun{At: -1, Off: -2, Len: -3} // the caller's own
-	got, runs := c.AppendEncode(dst, next, prev, prevEnc, []delta.CopyRun{held})
-	if want := append(slices.Clone(keepDst), c.Encode(next)...); !bytes.Equal(got, want) {
-		t.Fatalf("%s: AppendEncode (prevEnc given: %v) appends %x to %d bytes, want %x", name, withPrev, got[len(dst):], len(dst), want[len(dst):])
-	}
-	if !bytes.Equal(dst, keepDst) {
-		t.Fatalf("%s: AppendEncode rewrote dst's %d bytes", name, len(dst))
-	}
+	enc, buf, runs := c.AppendEncode(dst, inPlace, next, prev, prevEnc, []delta.CopyRun{held})
+	want := c.Encode(next)
 	if !bytes.Equal(prevEnc, keepPrev) {
 		t.Fatalf("%s: AppendEncode rewrote prevEnc", name)
 	}
 	if len(runs) == 0 || runs[0] != held {
 		t.Fatalf("%s: AppendEncode dropped the runs it was handed: %v", name, runs)
 	}
-	enc, end, copied := got[len(dst):], 0, 0
+	end, copied, tail := 0, 0, 0
 	for _, r := range runs[1:] {
 		if r.Len <= 0 || r.At < end || r.Off < 0 || r.Len > len(enc)-r.At || r.Len > len(prevEnc)-r.Off {
 			t.Fatalf("%s: AppendEncode reports runs %v of a %d-byte encoding from a %d-byte prevEnc: not ascending, in bounds and apart", name, runs[1:], len(enc), len(prevEnc))
 		}
-		if !bytes.Equal(enc[r.At:r.At+r.Len], prevEnc[r.Off:r.Off+r.Len]) {
-			t.Fatalf("%s: AppendEncode reports %+v copied, and the bytes differ", name, r)
+		if r.At+r.Len == len(enc) && r.Off+r.Len == len(prevEnc) {
+			tail = r.Len
 		}
 		end = r.At + r.Len
 		copied += r.Len
+	}
+	left := min(inPlace, tail)
+	fits := len(want) <= len(dst)
+	switch {
+	case len(enc) != len(want) || len(buf) < len(enc) || len(enc) > 0 && &buf[len(buf)-len(enc)] != &enc[0]:
+		t.Fatalf("%s: AppendEncode returns %d bytes that do not end its %d-byte buffer, want %d", name, len(enc), len(buf), len(want))
+	case fits && (len(buf) != len(dst) || len(dst) > 0 && &buf[0] != &dst[0]):
+		t.Fatalf("%s: AppendEncode wrote %d bytes into a new buffer, not the %d-byte dst", name, len(want), len(dst))
+	case !fits && (len(buf) < len(want)+len(want)/8 || cap(buf) != len(buf)):
+		t.Fatalf("%s: AppendEncode grew a %d-byte buffer for %d bytes, want an eighth more, whole", name, len(buf), len(want))
+	case !fits:
+		left = 0
+	case !bytes.Equal(dst[:len(dst)-len(enc)], keepDst[:len(dst)-len(enc)]):
+		t.Fatalf("%s: AppendEncode rewrote dst's bytes in front of the encoding", name)
+	case !bytes.Equal(enc[len(enc)-left:], keepDst[len(dst)-left:]):
+		t.Fatalf("%s: AppendEncode wrote over the %d bytes it was told were in place", name, left)
+	}
+	if !bytes.Equal(enc[:len(enc)-left], want[:len(want)-left]) {
+		t.Fatalf("%s: AppendEncode (prevEnc given: %v, %d bytes in place) writes %x, want %x", name, withPrev, inPlace, enc[:len(enc)-left], want[:len(want)-left])
 	}
 	if !withPrev && copied > 0 {
 		t.Fatalf("%s: AppendEncode reports %d bytes copied from no prevEnc", name, copied)
@@ -81,6 +104,7 @@ func checkAppendEncode[S any](t *testing.T, name string, c appendCodec[S], dst [
 			t.Fatalf("%s: AppendEncode reports %d bytes copied, want %d", name, copied, want)
 		}
 	}
+	return left
 }
 
 // logTail is the encoded length of the entries two logs share at their
@@ -145,19 +169,27 @@ type appendCase[S any] struct {
 	copied func(next, prev S) int
 }
 
-func (a appendCase[S]) run(t *testing.T, seed int64, n int, script []byte, dstLen, spare int) {
+// run derives next from a state of n elements by script and checks
+// AppendEncode (checkAppendEncode) into a buffer of random bytes room−128
+// bytes longer than next's encoding, or none, of which the last
+// claim/255 of prevEnc's length are said to be in place. It returns the
+// bytes the codec left in place.
+func (a appendCase[S]) run(t *testing.T, seed int64, n int, script []byte, claim, room int) int {
 	r := rand.New(rand.NewSource(seed))
 	prev := a.gen(r, n)
 	next := prev
 	for _, how := range script {
 		next = a.step(r, next, how)
 	}
-	buf := make([]byte, dstLen+spare)
-	r.Read(buf)
+	buf := make([]byte, max(0, len(a.codec.Encode(next))+room-128))
+	inPlace := len(a.codec.Encode(prev)) * claim / 255
+	left := 0
 	for _, withPrev := range []bool{true, false} {
-		checkAppendEncode(t, a.name, a.codec, buf[:dstLen], next, prev, withPrev, a.copied)
-		checkAppendEncode(t, a.name, a.codec, nil, next, prev, withPrev, a.copied)
+		r.Read(buf)
+		left += checkAppendEncode(t, a.name, a.codec, buf, inPlace, next, prev, withPrev, a.copied)
+		checkAppendEncode(t, a.name, a.codec, nil, inPlace, next, prev, withPrev, a.copied)
 	}
+	return left
 }
 
 // sharedLogOf returns a log of n entries which is, when it has any, the
@@ -302,10 +334,13 @@ func setOp(r *rand.Rand, s orset.SpaceState, how byte) orset.Op {
 // operation, among them an add, a refresh and a remove at the first, a
 // middle and the last pair, and an add to the empty set; several; an
 // unrelated state; the same pairs changed in place or in a tree of
-// another shape; and with prevEnc nil. An OR-set edit by one operation
-// copies all of prev's encoding but the count, when it changes, and the
-// edited pair.
+// another shape; and with prevEnc nil; into a buffer with room for the
+// encoding or without, with any share of prevEnc said to be in place.
+// An OR-set edit by one operation copies all of prev's encoding but the
+// count, when it changes, and the edited pair. The log and both OR-sets
+// leave bytes in place; the counter, which copies nothing, does not.
 func TestAppendEncodeRuns(t *testing.T) {
+	left := map[string]int{}
 	for seed := range int64(400) {
 		r := rand.New(rand.NewSource(seed))
 		n := []int{0, 1, 2, 3, 17, 100, 1000}[seed%7]
@@ -314,24 +349,35 @@ func TestAppendEncodeRuns(t *testing.T) {
 		if seed%4 == 0 {
 			script[0] = byte(r.Intn(8)) * 4 // one operation
 		}
-		dstLen, spare := r.Intn(40), r.Intn(200)
-		logCase.run(t, seed, min(n, 300), script, dstLen, spare)
-		setCase.run(t, seed, n, script, dstLen, spare)
-		treeCase.run(t, seed, n, script, dstLen, spare)
-		pnCase.run(t, seed, n, script, dstLen, spare)
+		claim, room := r.Intn(256), r.Intn(256)
+		left["mlog"] += logCase.run(t, seed, min(n, 300), script, claim, room)
+		left["or-set-space"] += setCase.run(t, seed, n, script, claim, room)
+		left["or-set-spacetime"] += treeCase.run(t, seed, n, script, claim, room)
+		left["pn-counter"] += pnCase.run(t, seed, n, script, claim, room)
+	}
+	t.Logf("bytes left in place: %v", left)
+	for _, name := range []string{"mlog", "or-set-space", "or-set-spacetime"} {
+		if left[name] == 0 {
+			t.Errorf("%s left no byte in place", name)
+		}
+	}
+	if left["pn-counter"] != 0 {
+		t.Errorf("pn-counter left %d bytes in place, and copies none", left["pn-counter"])
 	}
 }
 
 // FuzzAppendEncodeMatchesEncode: for every codec with the append form,
-// AppendEncode(dst, next, prev, prevEnc, runs) is dst followed by
-// Encode(next), with runs that name bytes it copied from prevEnc, for
-// next reached from prev by operations, merges, replaced messages,
-// copied messages, an older state of prev's block, or an unrelated or
-// empty state, with prevEnc given and nil, and a dst empty or holding
-// bytes, with spare capacity holding others. The log's prev is the newest
-// state of a block, so its appends share prev's memory; the run the log
-// reports copied is exactly the encoding of the entries next and prev
-// share at their ends, and the OR-sets copy all but a one-pair edit.
+// AppendEncode(dst, inPlace, next, prev, prevEnc, runs) writes
+// Encode(next) at the end of dst, or of a new buffer when it does not
+// fit, with runs that name bytes it copied from prevEnc and none written
+// of the inPlace bytes its run from prevEnc's end covers
+// (checkAppendEncode), for next reached from prev by operations, merges,
+// replaced messages, copied messages, an older state of prev's block, or
+// an unrelated or empty state, with prevEnc given and nil. The log's prev
+// is the newest state of a block, so its appends share prev's memory;
+// the run the log reports copied is exactly the encoding of the entries
+// next and prev share at their ends, and the OR-sets copy all but a
+// one-pair edit.
 func FuzzAppendEncodeMatchesEncode(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{}, uint8(0), uint8(0))
 	f.Add(int64(2), uint8(5), []byte{0}, uint8(0), uint8(64))
@@ -341,14 +387,14 @@ func FuzzAppendEncodeMatchesEncode(f *testing.F) {
 	f.Add(int64(6), uint8(9), []byte{4, 0}, uint8(1), uint8(1))
 	f.Add(int64(7), uint8(9), []byte{5}, uint8(4), uint8(4))
 	f.Add(int64(8), uint8(30), []byte{1, 0, 2, 3, 4, 5}, uint8(9), uint8(99))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, script []byte, dstLen, spare uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, script []byte, claim, room uint8) {
 		if len(script) > 16 {
 			script = script[:16]
 		}
-		logCase.run(t, seed, int(n%40), script, int(dstLen), int(spare))
-		setCase.run(t, seed, int(n%40), script, int(dstLen), int(spare))
-		treeCase.run(t, seed, int(n%40), script, int(dstLen), int(spare))
-		pnCase.run(t, seed, int(n), script, int(dstLen), int(spare))
+		logCase.run(t, seed, int(n%40), script, int(claim), int(room))
+		setCase.run(t, seed, int(n%40), script, int(claim), int(room))
+		treeCase.run(t, seed, int(n%40), script, int(claim), int(room))
+		pnCase.run(t, seed, int(n), script, int(claim), int(room))
 	})
 }
 
@@ -434,7 +480,7 @@ func TestDecodedLogAppendCopies(t *testing.T) {
 		if shared := unsafe.SliceData(next[1:]) == unsafe.SliceData(s); shared != (k > 0) {
 			t.Fatalf("append %d shares its parent's memory: %v, want %v", k, shared, k > 0)
 		}
-		checkAppendEncode(t, "mlog", wire.MLog{}, nil, next, s, true, logTail)
+		checkAppendEncode(t, "mlog", wire.MLog{}, nil, 0, next, s, true, logTail)
 		s = next
 	}
 }

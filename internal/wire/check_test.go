@@ -307,14 +307,101 @@ func editOf(base, plan []byte) (enc, patch []byte) {
 	return p.target, p.patch()
 }
 
+// logEditOf builds, by plan, a patch from base, a canonical log
+// encoding, in an append's shape — a count, new entries, then base's
+// entries — and returns the encoding it rebuilds. plan's first byte picks
+// the count: written correct, copied from base, or written one too high
+// or too low. Its second picks where the copy of base's entries starts:
+// at them, past the first of them, or nowhere — they go out as literal
+// bytes — or one byte early, in place of the new entries' last byte, as
+// a diff extends a copy when that byte is base's count's last. Each pair
+// (a, b) after those is one new entry, in order, with a message of b%8
+// bytes b and the timestamp of the entry after it, or base's newest for
+// the last, plus int8(a): out of order when int8(a) ≤ 0.
+func logEditOf(base, plan []byte) (enc, patch []byte) {
+	var head, from byte
+	if len(plan) >= 2 {
+		head, from, plan = plan[0]%4, plan[1]%4, plan[2:]
+	}
+	m := int(binary.BigEndian.Uint32(base))
+	var t core.Timestamp // the timestamp of the entry after the next one written
+	second := 4          // where base's second entry starts
+	if m > 0 {
+		t = core.Timestamp(binary.BigEndian.Uint64(base[4:]))
+		second = 16 + int(binary.BigEndian.Uint32(base[12:]))
+	}
+	entries := make([][]byte, len(plan)/2)
+	for i := len(entries) - 1; i >= 0; i-- {
+		a, b := plan[2*i], plan[2*i+1]
+		t += core.Timestamp(int8(a))
+		e := binary.BigEndian.AppendUint64(nil, uint64(t))
+		e = binary.BigEndian.AppendUint32(e, uint32(b%8))
+		entries[i] = append(e, bytes.Repeat([]byte{b}, int(b%8))...)
+	}
+	p := &patchBuilder{base: base}
+	count := uint32(m + len(entries))
+	switch head {
+	case 1:
+		p.copy(0, 4)
+	case 2:
+		count++
+	case 3:
+		count--
+	}
+	if head != 1 {
+		p.insert(binary.BigEndian.AppendUint32(nil, count))
+	}
+	lit := bytes.Join(entries, nil)
+	switch {
+	case from == 1:
+		p.insert(lit)
+		p.copy(second, len(base)-second)
+	case from == 2 && len(lit) > 0:
+		p.insert(lit[:len(lit)-1])
+		p.copy(3, len(base)-3)
+	case from == 3:
+		p.insert(lit)
+		p.insert(base[4:])
+	default:
+		p.insert(lit)
+		p.copy(4, len(base)-4)
+	}
+	return p.target, p.patch()
+}
+
+// checkEditMatches holds c's CheckEdit of enc, which patch rebuilds from
+// base, a canonical encoding, given the patch's copy runs, to c's Check.
+func checkEditMatches(t *testing.T, name string, c editCodec, base, enc, patch []byte) {
+	t.Helper()
+	if got, err := delta.Apply(base, patch); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("%s: the patch does not rebuild the edit: %v", name, err)
+	}
+	runs, _, err := delta.CopyRuns(nil, patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := c.Check(enc), c.CheckEdit(enc, base, runs)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: CheckEdit(%x, runs %v) = %v, Check = %v", name, enc, runs, got, want)
+	}
+}
+
 // FuzzCheckEditMatchesCheck: for a canonical OR-set encoding base (a
 // random set of n pairs, by seed) and an encoding a patch builds from it
 // (editOf's plan: aligned, unaligned and shrunk copies and literal
 // pairs, behind a count written, copied or forged), each OR-set codec's
 // CheckEdit, given the patch's copy runs, accepts exactly what its Check
-// accepts. The committed corpus (testdata/fuzz) names each case: a pair
-// out of order at either edge of a copied run or inside an unaligned
-// one, forged counts, shrunk runs, and edits that stay in order.
+// accepts; and so does the log's, for a canonical log encoding (a random
+// log of n entries) and an append a patch builds from it (logEditOf: new
+// entries in or out of order, behind a count written, copied or forged,
+// in front of a copy of base's entries from where they start, from past
+// the first, from the count's last byte, or of none). The committed
+// corpus (testdata/fuzz) names each case: for the sets, a pair out of
+// order at either edge of a copied run or inside an unaligned one,
+// forged counts, shrunk runs, and edits that stay in order; for the log
+// (log-*), one and several entries appended, a new entry whose timestamp
+// equals or falls below the base's newest, counts one high and one low,
+// a copy that does not start at base's entries, and an empty base.
 func FuzzCheckEditMatchesCheck(f *testing.F) {
 	f.Add(int64(1), uint8(6), []byte{0, 0, 0, 1, 2, 5, 3, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, plan []byte) {
@@ -323,21 +410,10 @@ func FuzzCheckEditMatchesCheck(f *testing.F) {
 		}
 		base := wire.OrSetSpace{}.Encode(randSet(rand.New(rand.NewSource(seed)), int(n%40)))
 		enc, patch := editOf(base, plan)
-		if got, err := delta.Apply(base, patch); err != nil || !bytes.Equal(got, enc) {
-			t.Fatalf("the patch does not rebuild the edit: %v", err)
-		}
-		runs, _, err := delta.CopyRuns(nil, patch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, c := range map[string]editCodec{"or-set-space": wire.OrSetSpace{}, "or-set-space-time": wire.OrSetSpaceTime{}} {
-			if c.Check(base) != nil {
-				continue
-			}
-			want, got := c.Check(enc), c.CheckEdit(enc, base, runs)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("%s: CheckEdit(%x, runs %v) = %v, Check = %v", name, enc, runs, got, want)
-			}
-		}
+		checkEditMatches(t, "or-set-space", wire.OrSetSpace{}, base, enc, patch)
+		checkEditMatches(t, "or-set-space-time", wire.OrSetSpaceTime{}, base, enc, patch)
+		base = wire.MLog{}.Encode(logOf(rand.New(rand.NewSource(seed)), int(n%40)))
+		enc, patch = logEditOf(base, plan)
+		checkEditMatches(t, "mlog", wire.MLog{}, base, enc, patch)
 	})
 }

@@ -43,20 +43,25 @@ type PNCounter struct{}
 
 // Encode serializes the PN-counter.
 func (c PNCounter) Encode(s counter.PNState) []byte {
-	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, counter.PNState{}, nil, nil)
-	return enc
+	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
 }
 
 func (PNCounter) encodedLen(counter.PNState) int { return 16 }
 
-// AppendEncode appends Encode(next) to dst (store.Codec's append form).
-// The state is two integers, so nothing of prev is worth copying, and it
-// reports no run.
-func (c PNCounter) AppendEncode(dst []byte, next, _ counter.PNState, _ []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
-	w := Writer{buf: grow(dst, c.encodedLen(next))}
-	w.PutInt64(next.P)
-	w.PutInt64(next.N)
-	return w.Bytes(), runs
+func (c PNCounter) appendTo(dst []byte, s counter.PNState) []byte {
+	w := Writer{buf: grow(dst, c.encodedLen(s))}
+	w.PutInt64(s.P)
+	w.PutInt64(s.N)
+	return w.Bytes()
+}
+
+// AppendEncode writes Encode(next) at the end of dst (store.Codec's
+// append form). The state is two integers, so nothing of prev is worth
+// copying: it writes them whole and reports no run.
+func (c PNCounter) AppendEncode(dst []byte, _ int, next, _ counter.PNState, _ []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+	n := c.encodedLen(next)
+	buf, _ = recycled(dst, n, 0)
+	return c.appendTo(buf[len(buf)-n:][:0], next), buf, runs
 }
 
 // Check reports whether b is a PN-counter encoding: exactly two
@@ -193,8 +198,7 @@ type MLog struct{}
 
 // Encode serializes the log.
 func (c MLog) Encode(s mlog.State) []byte {
-	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil, nil)
-	return enc
+	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
 }
 
 func (MLog) encodedLen(s mlog.State) int {
@@ -205,17 +209,36 @@ func (MLog) encodedLen(s mlog.State) int {
 	return n
 }
 
-// AppendEncode appends Encode(next) to dst (store.Codec's append form).
-// When prevEnc is non-nil it is Encode(prev): the entries next shares
-// with prev at its end — after an append, all of prev — are copied from
-// prevEnc as one run, and only the entries before them are encoded. It
-// appends that run, the encoding's last bytes, to runs.
+func (c MLog) appendTo(dst []byte, s mlog.State) []byte {
+	w := Writer{buf: grow(dst, c.encodedLen(s))}
+	putLog(&w, len(s), s)
+	return w.Bytes()
+}
+
+// putLog appends the count n and the entries es: a log's encoding when n
+// is len(es), else its front.
+func putLog(w *Writer, n int, es mlog.State) {
+	w.PutLen(n)
+	for _, e := range es {
+		w.PutTimestamp(e.T)
+		w.PutString(e.Msg)
+	}
+}
+
+// AppendEncode writes Encode(next) at the end of dst (store.Codec's
+// append form). When prevEnc is non-nil it is Encode(prev): the entries
+// next shares with prev at its end — after an append, all of prev — are
+// copied from prevEnc as one run, and only the entries before them are
+// encoded. Of that run, the inPlace bytes dst already ends with are not
+// written: after an append to the state dst last held the parent of, all
+// but the parent's own newest entry. It appends the run, the encoding's
+// last bytes, to runs.
 //
 // When next's last len(prev) entries are prev's own memory, as after
 // appends to prev (mlog's shared blocks), they are shared with no walk.
 // Otherwise an entry is shared when its timestamp and message are prev's;
 // a message both states point at is not compared byte by byte.
-func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+func (c MLog) AppendEncode(dst []byte, inPlace int, next, prev mlog.State, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	shared, tail := 0, 0 // entries and encoded bytes at the end of both
 	switch {
 	case prevEnc == nil || len(prevEnc) < 4:
@@ -238,17 +261,12 @@ func (c MLog) AppendEncode(dst []byte, next, prev mlog.State, prevEnc []byte, ru
 			shared, tail = 0, 0
 		}
 	}
-	head := next[:len(next)-shared]
-	at := len(dst)
-	w := Writer{buf: growRecycled(dst, c.encodedLen(head)+tail)}
-	w.PutLen(len(next))
-	for _, e := range head {
-		w.PutTimestamp(e.T)
-		w.PutString(e.Msg)
-	}
-	runs = appendRun(runs, len(w.buf)-at, len(prevEnc)-tail, tail)
-	w.buf = append(w.buf, prevEnc[len(prevEnc)-tail:]...)
-	return w.Bytes(), runs
+	n := c.encodedLen(next[:len(next)-shared]) + tail
+	buf, inPlace = recycled(dst, n, inPlace)
+	w := Writer{buf: buf[len(buf)-n:][:0]}
+	putLog(&w, len(next), next[:len(next)-shared])
+	w.buf = append(w.buf, prevEnc[len(prevEnc)-tail:len(prevEnc)-min(inPlace, tail)]...)
+	return buf[len(buf)-n:], buf, appendRun(runs, n-tail, len(prevEnc)-tail, tail)
 }
 
 // Check reports whether b is a canonical log encoding, in one pass
@@ -269,6 +287,67 @@ func (MLog) Check(b []byte) error {
 		prev = t
 	}
 	return r.Close()
+}
+
+// CheckEdit is Check for an encoding enc whose runs copy from base, a
+// canonical log encoding (store.Codec's edit form). When the last run,
+// with any run it continues, ends both encodings and holds all of base's
+// entries, as an append's patch copies them, enc is a count, entries of
+// its own and base's entries, already in order: only the count, the
+// entries before base's and the seam between them are read. Any other
+// shape is checked whole.
+func (c MLog) CheckEdit(enc, base []byte, runs []delta.CopyRun) error {
+	seam, ok := logSeam(enc, base, runs)
+	if !ok {
+		return c.Check(enc)
+	}
+	r := Reader{buf: enc[:seam]}
+	n := r.Len(0)
+	var prev core.Timestamp
+	h := 0 // entries before the seam
+	for ; r.err == nil && r.off < seam; h++ {
+		t := r.Timestamp()
+		r.skipString()
+		if h > 0 && t >= prev && r.err == nil {
+			return orderError("log entry", h)
+		}
+		prev = t
+	}
+	if r.err != nil {
+		// An entry runs across the seam: enc is not base's entries behind
+		// some of its own.
+		return c.Check(enc)
+	}
+	m := int(binary.BigEndian.Uint32(base))
+	if n != h+m {
+		return fmt.Errorf("%w: log count %d, %d entries", ErrMalformed, n, h+m)
+	}
+	if h > 0 && m > 0 && prev <= core.Timestamp(binary.BigEndian.Uint64(base[4:])) {
+		return orderError("log entry", h)
+	}
+	return nil
+}
+
+// logSeam returns where base's entries start in enc when a run ends both
+// encodings and copies all of them, together with any runs it continues
+// without a gap in either, and at least a count precedes them.
+func logSeam(enc, base []byte, runs []delta.CopyRun) (int, bool) {
+	if len(runs) == 0 || len(base) < 4 {
+		return 0, false
+	}
+	i := len(runs) - 1
+	r := runs[i]
+	for ; r.Off > 4 && i > 0; i-- {
+		q := runs[i-1]
+		if q.At+q.Len != r.At || q.Off+q.Len != r.Off {
+			break
+		}
+		r = delta.CopyRun{At: q.At, Off: q.Off, Len: q.Len + r.Len}
+	}
+	seam := r.At + 4 - r.Off
+	ok := min(r.At, r.Off) >= 0 && r.Off <= 4 && seam >= 4 &&
+		r.At+r.Len == len(enc) && r.Off+r.Len == len(base)
+	return seam, ok
 }
 
 // Decode deserializes the log, rejecting what Check rejects.
@@ -353,20 +432,24 @@ func (OrSetSpace) Encode(s orset.SpaceState) []byte { return encodePairs(s) }
 
 func (OrSetSpace) encodedLen(s orset.SpaceState) int { return pairsLen(len(s)) }
 
-// AppendEncode appends Encode(next) to dst (store.Codec's append form).
-// When prevEnc, Encode(prev), is given and next is prev with one pair
-// added, replaced or removed — as after an add, a refresh or a remove —
-// it copies the pairs on either side of that pair from prevEnc and
-// appends those runs to runs; comparing the two sets to find the pair
-// reads them at memory speed. Otherwise it encodes next whole and
-// reports no run.
-func (OrSetSpace) AppendEncode(dst []byte, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+func (OrSetSpace) appendTo(dst []byte, s orset.SpaceState) []byte { return appendPairs(dst, s) }
+
+// AppendEncode writes Encode(next) at the end of dst (store.Codec's
+// append form). When prevEnc, Encode(prev), is given and next is prev
+// with one pair added, replaced or removed — as after an add, a refresh
+// or a remove — it copies the pairs on either side of that pair from
+// prevEnc, writing none of the inPlace bytes dst ends with, and appends
+// those runs to runs; comparing the two sets to find the pair reads them
+// at memory speed. Otherwise it encodes next whole and reports no run.
+func (OrSetSpace) AppendEncode(dst []byte, inPlace int, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	if len(prevEnc) == pairsLen(len(prev)) {
 		if k, p, ok := sliceEdit(prev, next); ok {
-			return appendPairsEdit(dst, prevEnc, len(next), k, p, runs)
+			return writePairsEdit(dst, inPlace, prevEnc, len(next), k, p, runs)
 		}
 	}
-	return appendPairs(growRecycled(dst, pairsLen(len(next))), next), runs
+	n := pairsLen(len(next))
+	buf, _ = recycled(dst, n, 0)
+	return appendPairs(buf[len(buf)-n:][:0], next), buf, runs
 }
 
 // sliceEdit is orset.Edit for sorted slices: whether next is prev with
@@ -409,17 +492,17 @@ func pairBytes(ps []orset.Pair) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ps))), 16*len(ps))
 }
 
-// appendPairsEdit appends to dst the encoding of n pairs that is prevEnc's
-// with the pair of rank k added, replaced by p, or removed — which, n
-// tells against prevEnc's count — and appends to runs what it copied
-// from prevEnc: the pairs before rank k, with the count when it stays,
-// and those after. k at prevEnc's count with n equal to it copies
-// prevEnc whole.
-func appendPairsEdit(dst, prevEnc []byte, n, k int, p orset.Pair, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
+// writePairsEdit writes at the end of dst the encoding of n pairs that is
+// prevEnc's with the pair of rank k added, replaced by p, or removed —
+// which, n tells against prevEnc's count — and appends to runs what it
+// copied from prevEnc: the pairs before rank k, with the count when it
+// stays, and those after. k at prevEnc's count with n equal to it copies
+// prevEnc whole. Of the run that ends both encodings, it writes none of
+// the inPlace bytes dst ends with.
+func writePairsEdit(dst []byte, inPlace int, prevEnc []byte, n, k int, p orset.Pair, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	was := (len(prevEnc) - 4) / 16
-	at := len(dst)
-	dst = growRecycled(dst, pairsLen(n))[:at+pairsLen(n)]
-	enc := dst[at:]
+	buf, inPlace = recycled(dst, pairsLen(n), inPlace)
+	enc = buf[len(buf)-pairsLen(n):]
 	head := 4 + 16*k // the pairs before rank k end here in both
 	from := 4        // the run before the pair starts here
 	if n == was {
@@ -427,19 +510,28 @@ func appendPairsEdit(dst, prevEnc []byte, n, k int, p orset.Pair, runs []delta.C
 	} else {
 		binary.BigEndian.PutUint32(enc, uint32(n))
 	}
-	copy(enc[from:head], prevEnc[from:head])
-	runs = appendRun(runs, from, from, head-from)
-	if n < was || n == was && k == was {
-		// A removal, or nothing: the pairs after rank k close up on it.
-		rest := head + 16*(was-n)
-		copy(enc[head:], prevEnc[rest:])
-		return dst, appendRun(runs, head, rest, len(prevEnc)-rest)
+	// The run after rank k starts at at in enc and rest in prevEnc: after
+	// a removal, or nothing, the pairs close up on rank k; after a
+	// replaced pair, or where an added one went, they follow it.
+	at, rest := head, head+16*(was-n)
+	if n > was || n == was && k < was {
+		binary.BigEndian.PutUint64(enc[head:], uint64(p.E))
+		binary.BigEndian.PutUint64(enc[head+8:], uint64(p.T))
+		at, rest = head+16, head+16*(1-n+was)
 	}
-	binary.BigEndian.PutUint64(enc[head:], uint64(p.E))
-	binary.BigEndian.PutUint64(enc[head+8:], uint64(p.T))
-	rest := head + 16*(1-n+was) // after a replaced pair, or where an added one went
-	copy(enc[head+16:], prevEnc[rest:])
-	return dst, appendRun(runs, head+16, rest, len(prevEnc)-rest)
+	end := len(enc) // the bytes from end on are in place
+	switch {
+	case at < len(enc):
+		end -= min(inPlace, len(enc)-at)
+	case n == was && k == was:
+		end -= min(inPlace, len(enc)) // the run before rank k is all of prevEnc
+	}
+	copy(enc[from:min(head, end)], prevEnc[from:])
+	if at < end {
+		copy(enc[at:end], prevEnc[rest:])
+	}
+	runs = appendRun(runs, from, from, head-from)
+	return enc, buf, appendRun(runs, at, rest, len(prevEnc)-rest)
 }
 
 // appendRun appends the run enc[at:at+n] = prevEnc[off:off+n] to runs,
@@ -562,33 +654,38 @@ type OrSetSpaceTime struct{}
 
 // Encode serializes the set.
 func (c OrSetSpaceTime) Encode(s orset.TreeState) []byte {
-	enc, _ := c.AppendEncode(make([]byte, 0, c.encodedLen(s)), s, nil, nil, nil)
-	return enc
+	return c.appendTo(make([]byte, 0, c.encodedLen(s)), s)
 }
 
 func (OrSetSpaceTime) encodedLen(s orset.TreeState) int { return pairsLen(orset.Len(s)) }
 
-// AppendEncode appends Encode(next) to dst (store.Codec's append form),
-// as OrSetSpace's does: when prevEnc, Encode(prev), is given and next is
-// prev with one pair added, replaced or removed, it copies the pairs
-// around that pair from prevEnc and appends those runs to runs. The
-// pair and its rank come from orset.Edit, which skips the subtrees next
-// shares with prev, so after a Do only the encoding's copy is O(n).
-// Otherwise it encodes next whole and reports no run.
-func (OrSetSpaceTime) AppendEncode(dst []byte, next, prev orset.TreeState, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun) {
-	n := orset.Len(next)
-	if len(prevEnc) == pairsLen(orset.Len(prev)) {
-		if k, p, ok := orset.Edit(prev, next); ok {
-			return appendPairsEdit(dst, prevEnc, n, k, p, runs)
-		}
-	}
-	w := Writer{buf: growRecycled(dst, pairsLen(n))}
-	w.PutLen(n)
-	orset.Walk(next, func(p orset.Pair) {
+func (c OrSetSpaceTime) appendTo(dst []byte, s orset.TreeState) []byte {
+	w := Writer{buf: grow(dst, c.encodedLen(s))}
+	w.PutLen(orset.Len(s))
+	orset.Walk(s, func(p orset.Pair) {
 		w.PutInt64(p.E)
 		w.PutTimestamp(p.T)
 	})
-	return w.Bytes(), runs
+	return w.Bytes()
+}
+
+// AppendEncode writes Encode(next) at the end of dst (store.Codec's
+// append form), as OrSetSpace's does: when prevEnc, Encode(prev), is
+// given and next is prev with one pair added, replaced or removed, it
+// copies the pairs around that pair from prevEnc, writing none of the
+// inPlace bytes dst ends with, and appends those runs to runs. The pair
+// and its rank come from orset.Edit, which skips the subtrees next
+// shares with prev, so after a Do only the encoding's copy is O(n).
+// Otherwise it encodes next whole and reports no run.
+func (c OrSetSpaceTime) AppendEncode(dst []byte, inPlace int, next, prev orset.TreeState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+	n := orset.Len(next)
+	if len(prevEnc) == pairsLen(orset.Len(prev)) {
+		if k, p, ok := orset.Edit(prev, next); ok {
+			return writePairsEdit(dst, inPlace, prevEnc, n, k, p, runs)
+		}
+	}
+	buf, _ = recycled(dst, pairsLen(n), 0)
+	return c.appendTo(buf[len(buf)-pairsLen(n):][:0], next), buf, runs
 }
 
 // Check reports whether b is a canonical tree-backed OR-set encoding:
@@ -674,14 +771,13 @@ type AlphaMap[S any] struct {
 
 // InnerCodec is a Codec of this package (PNCounter, MLog, OrSetSpace,
 // OrSetSpaceTime) that can also size its encoding up front,
-// encodedLen(s) = len(Encode(s)), and has the append form the store
-// encodes commits with (store.Codec), appending the runs it copied to a
-// run list — what lets AlphaMap encode a whole map, inner states
-// included, in one exact-size allocation, with no prevEnc and so no run.
+// encodedLen(s) = len(Encode(s)), and append it to a buffer,
+// appendTo(dst, s) — what lets AlphaMap encode a whole map, inner states
+// included, in one exact-size allocation.
 type InnerCodec[S any] interface {
 	Codec[S]
 	encodedLen(S) int
-	AppendEncode(dst []byte, next, prev S, prevEnc []byte, runs []delta.CopyRun) ([]byte, []delta.CopyRun)
+	appendTo(dst []byte, s S) []byte
 }
 
 // Encode serializes the map as length-prefixed (key, inner payload)
@@ -693,12 +789,11 @@ func (c AlphaMap[S]) Encode(s alphamap.State[S]) []byte {
 	}
 	w := sizedWriter(n)
 	w.PutLen(len(s))
-	var zero S
 	for _, e := range s {
 		w.PutString(e.K)
 		at := len(w.buf)
 		w.PutLen(0) // patched below, once the inner payload's length is known
-		w.buf, _ = c.Inner.AppendEncode(w.buf, e.V, zero, nil, nil)
+		w.buf = c.Inner.appendTo(w.buf, e.V)
 		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	return w.Bytes()

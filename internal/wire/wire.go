@@ -11,20 +11,24 @@
 // The or-set-space, or-set-spacetime, log and PN-counter codecs also
 // have Check, which the store calls instead of a round trip: Check(b) is nil
 // exactly when Decode(b) succeeds and re-encodes to b, and it allocates
-// nothing. The two OR-set codecs also have the store's edit form,
+// nothing. The two OR-set codecs and the log also have the store's edit form,
 // CheckEdit(enc, base, runs), Check for an encoding a patch built from
 // a canonical base, given the runs it copies from base: it compares a
 // pair with its predecessor only where the two are not both inside one
 // run that keeps base's pair boundaries, so an import checks a patched
-// state in the work of the edit. The same four codecs have the store's
-// append form, AppendEncode(dst, next, prev, prevEnc, runs), which appends
-// Encode(next) to a buffer the store recycles and appends to runs each
-// run of it copied from prevEnc, prev's encoding: the log copies the
-// entries an append leaves in place, the two OR-sets the pairs around
-// the one pair an add, a refresh or a remove changed, and the counter
-// encodes next whole and reports none. Their Decode and Check keep no
-// part of their input (strings are copied), the condition on which the
-// store may overwrite a buffer they have read.
+// state in the work of the edit. The log's CheckEdit reads, for an
+// append's shape — one run copying all of base's entries to the end —
+// only the count, the new entries and the seam. The same four codecs have
+// the store's append form, AppendEncode(dst, inPlace, next, prev,
+// prevEnc, runs), which writes Encode(next) at the end of a buffer the
+// store recycles, leaves unwritten the inPlace bytes at its end that a
+// run from prevEnc's end covers, and appends to runs each run of it
+// copied from prevEnc, prev's encoding: the log copies the entries an
+// append leaves in place, the two OR-sets the pairs around the one pair
+// an add, a refresh or a remove changed, and the counter encodes next
+// whole and reports none. Their Decode and Check keep no part of their
+// input (strings are copied), the condition on which the store may
+// overwrite a buffer they have read.
 // The g-set, g-map, or-set, or-set-space, or-set-spacetime and log
 // codecs reject a state out of the order their datatype's searches and
 // merges rely on.
@@ -62,10 +66,7 @@ func sizedWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
 // grow returns dst with room for n more bytes. A buffer too small is
 // replaced by one of the size needed, rounded up only to the allocator's
 // size class (slices.Grow of an empty slice), which takes no memory the
-// allocation would not take anyway and leaves a recycled buffer room for
-// the next few commits of a growing state. Append's growth would add a
-// quarter or more, slack the store's recycled buffer would carry from
-// commit to commit.
+// allocation would not take anyway.
 func grow(dst []byte, n int) []byte {
 	if n <= cap(dst)-len(dst) {
 		return dst
@@ -73,14 +74,17 @@ func grow(dst []byte, n int) []byte {
 	return append(slices.Grow([]byte(nil), len(dst)+n), dst...)
 }
 
-// growRecycled is grow for a buffer the store recycles (store.Codec's
-// append form): one that a growing state outgrows gets room for the
-// states after this one too.
-func growRecycled(dst []byte, n int) []byte {
-	if n > cap(dst)-len(dst) {
-		n += n / 8
+// recycled returns the buffer store.Codec's append form writes an n-byte
+// encoding at the end of, and how many bytes at its end are known to
+// hold the encoding's already: dst and inPlace when dst has room, else a
+// new buffer with an eighth more room in front, for the states after
+// this one, and none.
+func recycled(dst []byte, n, inPlace int) ([]byte, int) {
+	if n <= len(dst) {
+		return dst, inPlace
 	}
-	return grow(dst, n)
+	b := slices.Grow([]byte(nil), n+n/8)
+	return b[:cap(b)], 0
 }
 
 // Bytes returns the accumulated payload.

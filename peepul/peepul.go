@@ -157,19 +157,25 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // has CheckEdit(enc, base []byte, runs []CopyRun) error — nil exactly
 // when Check(enc) is, given a canonical base and the runs enc copies
 // from it — lets an import check a state a shipped patch built in the
-// work of the edit. A codec that also has AppendEncode(dst []byte, next,
-// prev S, prevEnc []byte, runs []CopyRun) ([]byte, []CopyRun) —
-// appending exactly Encode(next) to dst, free to copy from prevEnc,
-// Encode(prev), when it is non-nil, and appending to runs each stretch of
-// its output it copied from prevEnc — lets each operation commit be
-// encoded from its parent's encoding into a buffer the store recycles,
-// and diffed against it without comparing the copied runs; such a
-// codec's Decode and Check must keep no part of their input.
+// work of the edit. A codec that also has AppendEncode(dst []byte,
+// inPlace int, next, prev S, prevEnc []byte, runs []CopyRun) (enc, buf
+// []byte, copied []CopyRun) — writing exactly Encode(next) at the end of
+// dst, or of a new buffer with an eighth more room in front when it does
+// not fit, free to copy from prevEnc, Encode(prev), when it is non-nil,
+// writing none of dst's last inPlace bytes (prevEnc's own) that its run
+// from prevEnc's end covers, and appending to runs each stretch of enc it
+// copied from prevEnc — lets each operation commit be encoded from its
+// parent's encoding into one of two buffers the store alternates, writing
+// only what is new since the grandparent, and diffed without comparing
+// the copied runs; such a codec's Decode and Check must keep no part of
+// their input. A codec whose AppendEncode has another signature is
+// encoded with Encode.
 type Codec[S any] = store.Codec[S]
 
-// CopyRun is a stretch of an encoding a codec's append form copied from
+// CopyRun is a stretch of an encoding a codec's append form shares with
 // its parent's encoding: enc[At:At+Len] is prevEnc[Off:Off+Len], with enc
-// the bytes AppendEncode appended.
+// the encoding AppendEncode returned, whether it copied the stretch or
+// found it in place in its buffer.
 type CopyRun = delta.CopyRun
 
 // Spec is a declarative replicated data type specification F_τ: the value
