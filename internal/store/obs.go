@@ -78,7 +78,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	reg.Describe("peepul_store_state_hash_bytes_total", "bytes fed to SHA-256 to compute or check state addresses: chunks, groups and roots of their chunk trees")
 	reg.Describe("peepul_store_encoded_bytes_total", "bytes of the state encodings operation and merge commits produced")
-	reg.Describe("peepul_store_encode_written_bytes_total", "bytes of those encodings the codec wrote into its buffer: all but what the recycled buffer's end already held of a run shared with the parent's encoding")
+	reg.Describe("peepul_store_encode_written_bytes_total", "bytes of those encodings their recycled buffer did not already hold: all but what its end held of a run shared with the parent's encoding. The log's append form writes exactly these; the OR-sets' also rewrite the bytes in place")
 	reg.Describe("peepul_store_encode_copied_bytes_total", "bytes of those encodings the codec's append form reported shared with the parent's encoding, in runs: copied, or already in place in the recycled buffer")
 	reg.Describe("peepul_store_delta_compared_bytes_total", "bytes the diff of a new state against its parent's read: the shared ends it compared, less a run the codec reported copied, and the middles it indexed and scanned")
 	return m

@@ -610,18 +610,15 @@ func (s *Store[S, Op, Val]) composeAtLocked(obj *packObject, chain []*packObject
 
 // VerifyPack materializes every retained state object, checking that each
 // chain reassembles to its content address and to a canonical encoding
-// by the test Import applies: a patched encoding against its verified
-// base with the codec's edit form (Codec's CheckEdit), any other with
-// checkEncoding. It is the pack layer's integrity check, used by tests,
-// by a node opened WithVerifyOnOpen (which runs it before a recovered
-// store is handed out), and available to tools.
+// (checkEncoding, the test Import applies). It is the pack layer's
+// integrity check, used by tests, by a node opened WithVerifyOnOpen
+// (which runs it before a recovered store is handed out), and available
+// to tools.
 //
 // Objects are visited chain-forest order — each snapshot's dependent
 // patches depth-first, every encoding built with exactly one patch
-// application from its base and, with the edit form, checked and
-// addressed in the work of its patch — so a full verification costs
-// O(total state bytes) in copies at most, not O(chain length × state
-// bytes). Objects no such walk
+// application from its base — so a full verification costs O(total
+// state bytes), not O(chain length × state bytes). Objects no such walk
 // reaches (a missing or cyclic chain base) are verified individually,
 // which yields the precise corruption error.
 func (s *Store[S, Op, Val]) VerifyPack() error {
@@ -640,12 +637,9 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		}
 	}
 	// verify checks the encoding enc of object h, which patch builds from
-	// baseEnc, a verified encoding whose chunk tree is base (all nil for a
-	// snapshot), and returns its chunk tree. A codec with the edit form
-	// (Codec) checks a patched encoding from the patch's copy runs, as
-	// Import does.
-	var runs []delta.CopyRun
-	verify := func(h Hash, enc []byte, base *chunkTree, baseEnc, patch []byte) (*chunkTree, error) {
+	// the encoding base summarizes (both nil for a snapshot), and returns
+	// its chunk tree.
+	verify := func(h Hash, enc []byte, base *chunkTree, patch []byte) (*chunkTree, error) {
 		obj := objects[h]
 		got, tree := s.addrLocked(enc, base, patch, nil)
 		if got != h {
@@ -654,15 +648,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		if len(enc) != obj.size {
 			return nil, fmt.Errorf("%w: object %v is %d bytes, %d recorded", ErrCorruptPack, h, len(enc), obj.size)
 		}
-		var err error
-		if s.editCheck != nil && patch != nil {
-			// Apply accepted the patch against baseEnc, so its runs parse.
-			runs, _, _ = delta.CopyRuns(runs[:0], patch)
-			err = s.editCheck.CheckEdit(enc, baseEnc, runs)
-		} else {
-			err = checkEncoding(s.codec, enc)
-		}
-		if err != nil {
+		if err := checkEncoding(s.codec, enc); err != nil {
 			return nil, fmt.Errorf("%w: object %v is not a valid encoding: %v", ErrCorruptPack, h, err)
 		}
 		return tree, nil
@@ -678,7 +664,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 		if err != nil {
 			return err
 		}
-		tree, err := verify(root, rootEnc, nil, nil, nil)
+		tree, err := verify(root, rootEnc, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -696,7 +682,7 @@ func (s *Store[S, Op, Val]) VerifyPack() error {
 				if err != nil {
 					return fmt.Errorf("%w: %v (chain of %v)", ErrCorruptPack, err, child)
 				}
-				tree, err := verify(child, enc, top.tree, top.enc, patch)
+				tree, err := verify(child, enc, top.tree, patch)
 				if err != nil {
 					return err
 				}

@@ -82,8 +82,9 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // the runs ascending by At, inside both encodings and apart. When prevEnc
 // is non-nil it is Encode(prev), and the codec may copy from it whatever
 // next shares with prev; dst's last inPlace bytes are then prevEnc's
-// last inPlace bytes, and of a run ending both encodings the codec writes
-// none of those bytes into dst, and every other byte of enc. dst never
+// last inPlace bytes, and of a run ending both encodings the codec need
+// not write those bytes into dst again, but must write every other byte
+// of enc. dst never
 // shares memory with prevEnc, and runs is the store's, reused from commit
 // to commit. The store then encodes each operation commit from its
 // parent's encoding into one of two buffers it alternates, the one that
@@ -93,8 +94,9 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:6]) }
 // corrupts the stored patch. Such a codec's Decode and Check must keep no
 // part of their input, which the store may overwrite once they return.
 // In internal/wire, MLog, OrSetSpace, OrSetSpaceTime and PNCounter have
-// this form: MLog copies an append's parent whole, the OR-sets copy the
-// pairs around one added, refreshed or removed pair, and PNCounter copies
+// this form: MLog copies an append's parent whole and leaves the bytes in
+// place unwritten, the OR-sets copy the pairs around one added, refreshed
+// or removed pair, writing their whole encoding, and PNCounter copies
 // nothing. A codec whose AppendEncode has any other signature has no
 // append form: the store encodes with its Encode.
 type Codec[S any] interface {
@@ -566,12 +568,13 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 
 // encodeLocked encodes state and counts the bytes. A codec with the
 // append form writes it at the end of the spare buffer, copying from
-// baseEnc, base's encoding, when prev is base's state, and leaving as
-// they are the bytes the spare's end already holds of it (spareTail).
-// It reports the runs it copied, in the store's run buffer, and tail,
-// the length of the run that ends both encodings. Any other codec
-// allocates with Encode and reports none. buf is the whole buffer enc
-// lies in. Callers hold the write lock.
+// baseEnc, base's encoding, when prev is base's state, and need not
+// write again the bytes the spare's end already holds of it (spareTail);
+// the written-bytes counter counts the encoding less those. It reports
+// the runs it copied, in the store's run buffer, and tail, the length of
+// the run that ends both encodings. Any other codec allocates with
+// Encode and reports none. buf is the whole buffer enc lies in. Callers
+// hold the write lock.
 func (s *Store[S, Op, Val]) encodeLocked(state S, prev *S, base Hash, baseEnc []byte) (enc, buf []byte, runs []delta.CopyRun, tail int) {
 	if s.appender == nil {
 		enc = s.codec.Encode(state)

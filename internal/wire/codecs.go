@@ -438,13 +438,14 @@ func (OrSetSpace) appendTo(dst []byte, s orset.SpaceState) []byte { return appen
 // append form). When prevEnc, Encode(prev), is given and next is prev
 // with one pair added, replaced or removed — as after an add, a refresh
 // or a remove — it copies the pairs on either side of that pair from
-// prevEnc, writing none of the inPlace bytes dst ends with, and appends
-// those runs to runs; comparing the two sets to find the pair reads them
-// at memory speed. Otherwise it encodes next whole and reports no run.
-func (OrSetSpace) AppendEncode(dst []byte, inPlace int, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+// prevEnc and appends those runs to runs; comparing the two sets to find
+// the pair reads them at memory speed. Otherwise it encodes next whole
+// and reports no run. It writes every byte of the encoding, whatever
+// dst's end already holds.
+func (OrSetSpace) AppendEncode(dst []byte, _ int, next, prev orset.SpaceState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	if len(prevEnc) == pairsLen(len(prev)) {
 		if k, p, ok := sliceEdit(prev, next); ok {
-			return writePairsEdit(dst, inPlace, prevEnc, len(next), k, p, runs)
+			return writePairsEdit(dst, prevEnc, len(next), k, p, runs)
 		}
 	}
 	n := pairsLen(len(next))
@@ -497,11 +498,10 @@ func pairBytes(ps []orset.Pair) []byte {
 // which, n tells against prevEnc's count — and appends to runs what it
 // copied from prevEnc: the pairs before rank k, with the count when it
 // stays, and those after. k at prevEnc's count with n equal to it copies
-// prevEnc whole. Of the run that ends both encodings, it writes none of
-// the inPlace bytes dst ends with.
-func writePairsEdit(dst []byte, inPlace int, prevEnc []byte, n, k int, p orset.Pair, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+// prevEnc whole.
+func writePairsEdit(dst, prevEnc []byte, n, k int, p orset.Pair, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	was := (len(prevEnc) - 4) / 16
-	buf, inPlace = recycled(dst, pairsLen(n), inPlace)
+	buf, _ = recycled(dst, pairsLen(n), 0)
 	enc = buf[len(buf)-pairsLen(n):]
 	head := 4 + 16*k // the pairs before rank k end here in both
 	from := 4        // the run before the pair starts here
@@ -510,28 +510,19 @@ func writePairsEdit(dst []byte, inPlace int, prevEnc []byte, n, k int, p orset.P
 	} else {
 		binary.BigEndian.PutUint32(enc, uint32(n))
 	}
-	// The run after rank k starts at at in enc and rest in prevEnc: after
-	// a removal, or nothing, the pairs close up on rank k; after a
-	// replaced pair, or where an added one went, they follow it.
-	at, rest := head, head+16*(was-n)
-	if n > was || n == was && k < was {
-		binary.BigEndian.PutUint64(enc[head:], uint64(p.E))
-		binary.BigEndian.PutUint64(enc[head+8:], uint64(p.T))
-		at, rest = head+16, head+16*(1-n+was)
-	}
-	end := len(enc) // the bytes from end on are in place
-	switch {
-	case at < len(enc):
-		end -= min(inPlace, len(enc)-at)
-	case n == was && k == was:
-		end -= min(inPlace, len(enc)) // the run before rank k is all of prevEnc
-	}
-	copy(enc[from:min(head, end)], prevEnc[from:])
-	if at < end {
-		copy(enc[at:end], prevEnc[rest:])
-	}
+	copy(enc[from:head], prevEnc[from:head])
 	runs = appendRun(runs, from, from, head-from)
-	return enc, buf, appendRun(runs, at, rest, len(prevEnc)-rest)
+	if n < was || n == was && k == was {
+		// A removal, or nothing: the pairs after rank k close up on it.
+		rest := head + 16*(was-n)
+		copy(enc[head:], prevEnc[rest:])
+		return enc, buf, appendRun(runs, head, rest, len(prevEnc)-rest)
+	}
+	binary.BigEndian.PutUint64(enc[head:], uint64(p.E))
+	binary.BigEndian.PutUint64(enc[head+8:], uint64(p.T))
+	rest := head + 16*(1-n+was) // after a replaced pair, or where an added one went
+	copy(enc[head+16:], prevEnc[rest:])
+	return enc, buf, appendRun(runs, head+16, rest, len(prevEnc)-rest)
 }
 
 // appendRun appends the run enc[at:at+n] = prevEnc[off:off+n] to runs,
@@ -672,16 +663,16 @@ func (c OrSetSpaceTime) appendTo(dst []byte, s orset.TreeState) []byte {
 // AppendEncode writes Encode(next) at the end of dst (store.Codec's
 // append form), as OrSetSpace's does: when prevEnc, Encode(prev), is
 // given and next is prev with one pair added, replaced or removed, it
-// copies the pairs around that pair from prevEnc, writing none of the
-// inPlace bytes dst ends with, and appends those runs to runs. The pair
-// and its rank come from orset.Edit, which skips the subtrees next
-// shares with prev, so after a Do only the encoding's copy is O(n).
-// Otherwise it encodes next whole and reports no run.
-func (c OrSetSpaceTime) AppendEncode(dst []byte, inPlace int, next, prev orset.TreeState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
+// copies the pairs around that pair from prevEnc and appends those runs
+// to runs. The pair and its rank come from orset.Edit, which skips the
+// subtrees next shares with prev, so after a Do only the encoding's copy
+// is O(n). Otherwise it encodes next whole and reports no run. Like
+// OrSetSpace's, it writes every byte of the encoding.
+func (c OrSetSpaceTime) AppendEncode(dst []byte, _ int, next, prev orset.TreeState, prevEnc []byte, runs []delta.CopyRun) (enc, buf []byte, copied []delta.CopyRun) {
 	n := orset.Len(next)
 	if len(prevEnc) == pairsLen(orset.Len(prev)) {
 		if k, p, ok := orset.Edit(prev, next); ok {
-			return writePairsEdit(dst, inPlace, prevEnc, n, k, p, runs)
+			return writePairsEdit(dst, prevEnc, n, k, p, runs)
 		}
 	}
 	buf, _ = recycled(dst, pairsLen(n), 0)

@@ -21,12 +21,13 @@
 // only the count, the new entries and the seam. The same four codecs have
 // the store's append form, AppendEncode(dst, inPlace, next, prev,
 // prevEnc, runs), which writes Encode(next) at the end of a buffer the
-// store recycles, leaves unwritten the inPlace bytes at its end that a
-// run from prevEnc's end covers, and appends to runs each run of it
+// store recycles, may leave unwritten the inPlace bytes at its end that
+// a run from prevEnc's end covers, and appends to runs each run of it
 // copied from prevEnc, prev's encoding: the log copies the entries an
-// append leaves in place, the two OR-sets the pairs around the one pair
-// an add, a refresh or a remove changed, and the counter encodes next
-// whole and reports none. Their Decode and Check keep no part of their
+// append leaves in place and writes none of the bytes in place, the two
+// OR-sets copy the pairs around the one pair an add, a refresh or a
+// remove changed and write their whole encoding, and the counter encodes
+// next whole and reports none. Their Decode and Check keep no part of their
 // input (strings are copied), the condition on which the store may
 // overwrite a buffer they have read.
 // The g-set, g-map, or-set, or-set-space, or-set-spacetime and log

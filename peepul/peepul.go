@@ -162,14 +162,14 @@ type MRDT[S, Op, Val any] = core.MRDT[S, Op, Val]
 // []byte, copied []CopyRun) — writing exactly Encode(next) at the end of
 // dst, or of a new buffer with an eighth more room in front when it does
 // not fit, free to copy from prevEnc, Encode(prev), when it is non-nil,
-// writing none of dst's last inPlace bytes (prevEnc's own) that its run
-// from prevEnc's end covers, and appending to runs each stretch of enc it
-// copied from prevEnc — lets each operation commit be encoded from its
-// parent's encoding into one of two buffers the store alternates, writing
-// only what is new since the grandparent, and diffed without comparing
-// the copied runs; such a codec's Decode and Check must keep no part of
-// their input. A codec whose AppendEncode has another signature is
-// encoded with Encode.
+// free to leave unwritten dst's last inPlace bytes (prevEnc's own) that
+// its run from prevEnc's end covers, and appending to runs each stretch
+// of enc it copied from prevEnc — lets each operation commit be encoded
+// from its parent's encoding into one of two buffers the store
+// alternates, writing only what is new since the grandparent, and diffed
+// without comparing the copied runs; such a codec's Decode and Check
+// must keep no part of their input. A codec whose AppendEncode has
+// another signature is encoded with Encode.
 type Codec[S any] = store.Codec[S]
 
 // CopyRun is a stretch of an encoding a codec's append form shares with
