@@ -173,7 +173,9 @@ func render(snap peepul.DebugSnapshot, maxSpans int) {
 // of storing a state (the phase histograms also count merge commits);
 // then how many peer batches landed and how long each held the store's
 // write lock, which is how long it stalled the local writes queued
-// behind it.
+// behind it. Last, the encoded bytes of the decoded states the stores
+// hold, one per head state and multi-head fold, beside the share of
+// state reads they served.
 func renderWrites(metrics []obs.Metric) {
 	mean := func(m obs.Metric) time.Duration {
 		if m.Count == 0 {
@@ -182,6 +184,8 @@ func renderWrites(metrics []obs.Metric) {
 		return time.Duration(m.Sum / m.Count)
 	}
 	var apply, integrate obs.Metric
+	var resident int64
+	reads := make(map[string]int64)
 	phases := make(map[string]time.Duration)
 	for _, m := range metrics {
 		switch m.Name {
@@ -191,6 +195,10 @@ func renderWrites(metrics []obs.Metric) {
 			integrate = m
 		case "peepul_store_put_state_ns":
 			phases[m.Labels["phase"]] = mean(m)
+		case "peepul_store_resident_state_bytes":
+			resident = m.Value
+		case "peepul_store_state_cache_total":
+			reads[m.Labels["result"]] = m.Value
 		}
 	}
 	if apply.Count > 0 {
@@ -201,7 +209,12 @@ func renderWrites(metrics []obs.Metric) {
 		fmt.Printf("integrates: %d batch(es), mean %s under the write lock\n",
 			integrate.Count, mean(integrate))
 	}
-	if apply.Count > 0 || integrate.Count > 0 {
+	n := reads["hit"] + reads["miss"]
+	if n > 0 {
+		fmt.Printf("states: %d B decoded and held, %d of %d read(s) hit (%.0f%%)\n",
+			resident, reads["hit"], n, 100*float64(reads["hit"])/float64(n))
+	}
+	if apply.Count > 0 || integrate.Count > 0 || n > 0 {
 		fmt.Println()
 	}
 }

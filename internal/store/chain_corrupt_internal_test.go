@@ -67,7 +67,7 @@ func TestDamagedChainIsCorruptPack(t *testing.T) {
 				obj.stored = len(obj.data)
 				// Forget every decoded and reassembled state, so the read
 				// rebuilds the chain from the snapshot.
-				s.cache = newStateCache[mlog.State]()
+				DropDecodedStates(s)
 				s.encHash, s.encBuf = Hash{}, nil
 
 				st, err := s.Head("main")

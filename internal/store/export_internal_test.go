@@ -11,13 +11,42 @@ const (
 	MaxBases   = maxBases
 )
 
-// DropDecodedStates empties s's cache of decoded states, so that the
-// next read of any state materializes it from the pack, as a read of a
-// state the cache evicted does.
+// DropDecodedStates forgets every decoded state the head sets hold,
+// keeping the pins, so that the next read of any state or fold
+// materializes it from the pack, as the first read after a reopen does.
 func DropDecodedStates[S, Op, Val any](s *Store[S, Op, Val]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache = newStateCache[S]()
+	for _, p := range s.pins {
+		s.metrics.residentBytes.Add(-int64(p.size))
+		var zero S
+		p.st, p.size, p.ok = zero, 0, false
+	}
+}
+
+// HeldStates returns how many decoded states s holds, and how many its
+// head sets pin by a scan of them: the distinct states of their members
+// plus the distinct multi-head sets, whose folds a read holds.
+func HeldStates[S, Op, Val any](s *Store[S, Op, Val]) (held, pinned int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, p := range s.pins {
+		p.mu.Lock()
+		if p.ok {
+			held++
+		}
+		p.mu.Unlock()
+	}
+	keys := map[Hash]bool{}
+	for _, hs := range s.heads {
+		for _, h := range hs {
+			keys[s.commitAtLocked(h).State] = true
+		}
+		if len(hs) > 1 {
+			keys[HeadSetHash(hs)] = true
+		}
+	}
+	return held, len(keys)
 }
 
 // WholeObjectsWithSlack returns how many of s's resident objects stored

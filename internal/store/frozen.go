@@ -222,8 +222,9 @@ func frozenPackObject(h Hash, fo FrozenObject, loader FrozenLoader) *packObject 
 // first (the replayed suffix and post-recovery writes shadow the index),
 // then the frozen index. Frozen hits construct a fresh lazy packObject per
 // call rather than caching it in the map — readers hold only the shared
-// read lock; the state LRU and the reassembly slot keep repeated reads
-// cheap regardless. Callers must hold s.mu (read or write).
+// read lock; the decoded states the head sets hold and the reassembly
+// slot keep repeated reads cheap regardless. Callers must hold s.mu
+// (read or write).
 func (s *Store[S, Op, Val]) objLocked(h Hash) (*packObject, bool) {
 	if o, ok := s.objects[h]; ok {
 		return o, true

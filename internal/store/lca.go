@@ -39,50 +39,55 @@ func sortHashes(hs []Hash) []Hash {
 
 // foldLocked returns the canonical merge of head set hs, an antichain
 // sorted by hash: the state of its member, or else the fold of its
-// members in order. Each step merges the fold so far with the next member
-// over the fold of their maximal common ancestors, which is itself an
-// antichain. That base carries exactly the operations common to both
-// sides: a commit reachable from both is a common ancestor, every common
-// ancestor lies below a maximal one, and the fold joins them all. The
-// data type merges are verified against precisely that property (Ψ_lca),
-// so any head set merges over it, whatever order gossip delivered its
-// history in.
-//
-// Folds of two or more commits, branch states and criss-cross merge bases
-// alike, are kept in the decoded-state LRU under their HeadSetHash; none
-// is committed. mergeHeadsLocked commits the same fold when an operation
+// members in order (foldStepsLocked). The fold of a branch's multi-head
+// set is held while the set pins it (Store.pins); any other, a
+// criss-cross merge base among them, is folded on each read and never
+// committed. mergeHeadsLocked commits the same fold when an operation
 // needs a parent. Callers hold s.mu (read or write).
 func (s *Store[S, Op, Val]) foldLocked(hs []Hash) (S, error) {
 	if len(hs) == 1 {
 		return s.stateLocked(s.commitAtLocked(hs[0]).State)
 	}
-	id := HeadSetHash(hs)
-	if st, ok := s.cache.get(id); ok {
-		return st, nil
-	}
+	return s.readLocked(HeadSetHash(hs), func() (S, error) { return s.foldStepsLocked(hs, nil) })
+}
+
+// foldStepsLocked folds head set hs from its first member's state. Each
+// step merges the fold so far with the next member over the fold of
+// their maximal common ancestors, which is itself an antichain, and hands
+// step, when non-nil, the member's index and the fold through it. That
+// base carries exactly the operations common to both sides: a commit
+// reachable from both is a common ancestor, every common ancestor lies
+// below a maximal one, and the fold joins them all. The data type merges
+// are verified against precisely that property (Ψ_lca), so any head set
+// merges over it, whatever order gossip delivered its history in.
+// Callers hold s.mu (read or write).
+func (s *Store[S, Op, Val]) foldStepsLocked(hs []Hash, step func(i int, merged S)) (S, error) {
 	var zero S
-	last := len(hs) - 1
-	left, err := s.foldLocked(hs[:last])
+	acc, err := s.stateLocked(s.commitAtLocked(hs[0]).State)
 	if err != nil {
 		return zero, err
 	}
-	right, err := s.stateLocked(s.commitAtLocked(hs[last]).State)
-	if err != nil {
-		return zero, err
+	for i := 1; i < len(hs); i++ {
+		right, err := s.stateLocked(s.commitAtLocked(hs[i]).State)
+		if err != nil {
+			return zero, err
+		}
+		bases := s.maximalCommonAncestors(hs[:i], hs[i:i+1])
+		if len(bases) == 0 {
+			return zero, ErrNoCommonAncestor
+		}
+		base, err := s.foldLocked(sortHashes(bases))
+		if err != nil {
+			return zero, err
+		}
+		start := time.Now()
+		acc = s.impl.Merge(base, acc, right)
+		s.metrics.mergeNs.Observe(time.Since(start).Nanoseconds())
+		if step != nil {
+			step(i, acc)
+		}
 	}
-	bases := s.maximalCommonAncestors(hs[:last], hs[last:])
-	if len(bases) == 0 {
-		return zero, ErrNoCommonAncestor
-	}
-	base, err := s.foldLocked(sortHashes(bases))
-	if err != nil {
-		return zero, err
-	}
-	start := time.Now()
-	merged := s.impl.Merge(base, left, right)
-	s.metrics.mergeNs.Observe(time.Since(start).Nanoseconds())
-	s.cache.put(id, merged)
-	return merged, nil
+	return acc, nil
 }
 
 // maximalLocked returns the members of hs that no other member descends

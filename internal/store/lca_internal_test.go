@@ -122,8 +122,8 @@ func TestLCACrissCrossVirtualBase(t *testing.T) {
 	// Classic criss-cross: fork at base into a1 and b1; create merge
 	// commits ma = merge(a1, b1) and mb = merge(b1, a1); extend both.
 	// a1 and b1 are then both maximal common ancestors, and the merge
-	// base must be their recursive (virtual) merge — cached, not
-	// committed.
+	// base must be their recursive (virtual) merge — neither committed
+	// nor kept, since no head set pins it.
 	s := newInternalCounterStore()
 	base := commitChain(s, mainRoot(s), 1) // state 1
 	a1 := commitChain(s, base, 1)          // state 2
@@ -146,8 +146,8 @@ func TestLCACrissCrossVirtualBase(t *testing.T) {
 	if s.NumCommits() != commits {
 		t.Fatal("the virtual base was committed")
 	}
-	if cached, ok := s.cache.get(HeadSetHash(sortHashes(maximal))); !ok || cached != vbase {
-		t.Fatal("the virtual base is not in the decoded-state cache under its set's name")
+	if s.pins[HeadSetHash(sortHashes(maximal))] != nil {
+		t.Fatal("the virtual base is held under its set's name, which no head set pins")
 	}
 	// The virtual base's state is merge(base, a1, b1) = 4, so a final
 	// three-way merge yields 5 + 6 − 4 = 7 — each increment counted once.

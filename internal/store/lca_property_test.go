@@ -212,7 +212,7 @@ func sortedUnion(a, b []int64) []int64 {
 
 // TestMergeBaseCarriesExactCommonOps is the executable statement of
 // Ψ_lca: on arbitrary DAGs — including criss-crosses whose base is a
-// cached virtual fold — the base a fold merges over carries exactly the
+// virtual fold — the base a fold merges over carries exactly the
 // operations reachable from both sides, no more and no less. Every state
 // here is its history's set of operation timestamps, so the check reads
 // the cached base itself. Every fold step merges over such a base, which
@@ -228,7 +228,7 @@ func TestMergeBaseCarriesExactCommonOps(t *testing.T) {
 			if y := hashes[r.Intn(len(hashes))]; r.Intn(3) == 0 && len(hashes) > 2 && x != y {
 				// A merge commit: its state is the fold of its parents.
 				if len(s.maximalLocked([]Hash{x, y})) == 2 {
-					m, err := s.mergeHeadsLocked(sortHashes([]Hash{x, y}))
+					m, _, err := s.mergeHeadsLocked(sortHashes([]Hash{x, y}))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,8 +2,8 @@ package store
 
 // Store-layer observability: apply, merge, pull and integrate latency,
 // the phase split of storing one state (encode, hash, delta), LCA walk
-// effort, and the hit ratios of the two caches that make deep histories
-// cheap (the decoded-state LRU and the one-slot reassembly cache). All
+// effort, the decoded states the head sets hold (held) with the hit
+// ratio of reads of them, and that of the one-slot reassembly cache. All
 // instruments hang off the obs.Registry handed in with WithObs, or a
 // private one the store makes without it. Instruments are looked up by
 // name, so several stores on one node (one per replicated object) share
@@ -46,6 +46,7 @@ type storeMetrics struct {
 	encodeWritten *obs.Counter
 	encodeCopied  *obs.Counter
 	deltaCompared *obs.Counter
+	residentBytes *obs.Gauge
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -57,6 +58,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		lcaSteps:      reg.Counter("peepul_store_lca_steps_total"),
 		cacheHit:      reg.Counter("peepul_store_state_cache_total", "result", "hit"),
 		cacheMiss:     reg.Counter("peepul_store_state_cache_total", "result", "miss"),
+		residentBytes: reg.Gauge("peepul_store_resident_state_bytes"),
 		reasmHit:      reg.Counter("peepul_store_reassembly_total", "result", "hit"),
 		reasmMiss:     reg.Counter("peepul_store_reassembly_total", "result", "miss"),
 		hashBytes:     reg.Counter("peepul_store_state_hash_bytes_total"),
@@ -74,7 +76,8 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.Describe("peepul_store_merge_ns", "wall time of one three-way data type merge: one step of a head set's canonical fold")
 	reg.Describe("peepul_store_integrate_ns", "wall time one Integrate holds the store's write lock: a peer batch's import plus the union that lands it")
 	reg.Describe("peepul_store_lca_steps_total", "commits popped by the generation-ordered DAG walks: merge-base searches and head-set reductions")
-	reg.Describe("peepul_store_state_cache_total", "decoded-state LRU lookups by result")
+	reg.Describe("peepul_store_state_cache_total", "decoded-state reads by result: hit, a state or fold a head set pins, already decoded; miss, a state materialized and decoded from the pack")
+	reg.Describe("peepul_store_resident_state_bytes", "encoded bytes of the decoded states the head sets hold, the only ones kept: each member's state at its encoded size; a multi-head set's fold, never encoded, adds none")
 	reg.Describe("peepul_store_reassembly_total", "pack chain reassemblies short-circuited by the one-slot cache vs walked")
 	reg.Describe("peepul_store_state_hash_bytes_total", "bytes fed to SHA-256 to compute or check state addresses: chunks, groups and roots of their chunk trees")
 	reg.Describe("peepul_store_encoded_bytes_total", "bytes of the state encodings operation and merge commits produced")

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"slices"
@@ -42,11 +41,11 @@ import (
 // base and depth, as before.
 //
 // Reads reassemble through materialize, which verifies the content
-// address (addr.go) of everything it rebuilds; decoded states are held
-// in an LRU of stateCacheSize so branch heads stay hot while deep
-// history stops pinning memory.
+// address (addr.go) of everything it rebuilds. A decoded state stays in
+// memory only while a head set pins it (held); every other state, merge
+// bases among them, is materialized and decoded on each read.
 
-// The pack layout and the decoded-state cache. No record holds them.
+// The pack layout. No record holds it.
 const (
 	// chainBound bounds every read: no state is chainBound or more
 	// patches above its chain's snapshot.
@@ -61,10 +60,6 @@ const (
 	// runLen is the ordinary patches from a base, or the snapshot, to a
 	// chain-full state: what the bound leaves after the bases.
 	runLen = chainBound - 1 - maxBases
-	// stateCacheSize bounds the LRU of decoded states: branch heads and
-	// recent merge bases stay hot while deep history is re-materialized
-	// on demand.
-	stateCacheSize = 128
 )
 
 // ErrCorruptPack is returned when a stored object fails to reassemble to
@@ -198,60 +193,6 @@ func (s *Store[S, Op, Val]) PackStats() PackStats {
 	return ps
 }
 
-// stateCache is an LRU of up to stateCacheSize decoded states keyed by
-// state hash. It has its own lock: readers holding the store's shared
-// read lock still mutate recency.
-type stateCache[S any] struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[Hash]*list.Element
-}
-
-type cacheEntry[S any] struct {
-	h Hash
-	s S
-}
-
-func newStateCache[S any]() *stateCache[S] {
-	return &stateCache[S]{ll: list.New(), items: make(map[Hash]*list.Element)}
-}
-
-func (c *stateCache[S]) get(h Hash) (S, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[h]; ok {
-		c.ll.MoveToFront(e)
-		return e.Value.(*cacheEntry[S]).s, true
-	}
-	var zero S
-	return zero, false
-}
-
-func (c *stateCache[S]) put(h Hash, s S) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[h]; ok {
-		c.ll.MoveToFront(e)
-		e.Value.(*cacheEntry[S]).s = s
-		return
-	}
-	c.items[h] = c.ll.PushFront(&cacheEntry[S]{h: h, s: s})
-	for c.ll.Len() > stateCacheSize {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry[S]).h)
-	}
-}
-
-func (c *stateCache[S]) remove(h Hash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[h]; ok {
-		c.ll.Remove(e)
-		delete(c.items, h)
-	}
-}
-
 // materializeLocked reassembles the full encoding of the state addressed
 // by h: walk the delta chain down to its snapshot, compose the patches
 // into one and apply it, and verify the result against the content
@@ -342,25 +283,23 @@ func (s *Store[S, Op, Val]) materializeLocked(h Hash) ([]byte, *chunkTree, error
 	return enc, tree, nil
 }
 
-// stateLocked returns the decoded state addressed by h, via the LRU.
-// Callers must hold s.mu (read or write).
+// stateLocked returns the decoded state addressed by h: the one a head
+// set holds when one pins h, and otherwise a fresh decode of its
+// materialized encoding. Callers must hold s.mu (read or write).
 func (s *Store[S, Op, Val]) stateLocked(h Hash) (S, error) {
-	if st, ok := s.cache.get(h); ok {
-		s.metrics.cacheHit.Inc()
+	return s.readLocked(h, func() (S, error) {
+		s.metrics.cacheMiss.Inc()
+		var zero S
+		enc, _, err := s.materializeLocked(h)
+		if err != nil {
+			return zero, err
+		}
+		st, err := s.codec.Decode(enc)
+		if err != nil {
+			return zero, fmt.Errorf("%w: object %v does not decode: %v", ErrCorruptPack, h, err)
+		}
 		return st, nil
-	}
-	s.metrics.cacheMiss.Inc()
-	var zero S
-	enc, _, err := s.materializeLocked(h)
-	if err != nil {
-		return zero, err
-	}
-	st, err := s.codec.Decode(enc)
-	if err != nil {
-		return zero, fmt.Errorf("%w: object %v does not decode: %v", ErrCorruptPack, h, err)
-	}
-	s.cache.put(h, st)
-	return st, nil
+	})
 }
 
 // packLocked stores encoding enc, whose chunk tree is tree, under its

@@ -62,11 +62,11 @@ func TestPackDefaultSnapshotSpacing(t *testing.T) {
 	}
 }
 
-// TestPackColdReadThroughTinyCache: with the decoded states dropped
-// before every read, every branch switch goes through materialize, so
-// chains — here through level bases, a branch 300 appends deep — must
-// reassemble and verify on every read.
-func TestPackColdReadThroughTinyCache(t *testing.T) {
+// TestPackColdReadAfterDroppedStates: with the decoded states the head
+// sets hold dropped before every read, every branch switch goes through
+// materialize, so chains — here through level bases, a branch 300
+// appends deep — must reassemble and verify on every read.
+func TestPackColdReadAfterDroppedStates(t *testing.T) {
 	const deep = 300
 	s := logStore()
 	appendN(t, s, "main", 5, "base")

@@ -185,10 +185,9 @@ func OpenRecovered[S, Op, Val any](impl core.MRDT[S, Op, Val], codec Codec[S], m
 		codec:   codec,
 		opts:    o,
 		objects: make(map[Hash]*packObject, no+1),
-		cache:   newStateCache[S](),
 		commits: make(map[Hash]Commit, nc+1),
 		heads:   make(map[string][]Hash),
-		pins:    make(map[Hash]int),
+		pins:    make(map[Hash]*held[S]),
 		clocks:  make(map[string]*clock.Clock),
 		metrics: newStoreMetrics(o.Obs),
 	}

@@ -22,9 +22,16 @@ func checkPins(t *testing.T, s *logStore, when string) {
 		for _, h := range hs {
 			want[s.commitAtLocked(h).State]++
 		}
+		if len(hs) > 1 {
+			want[HeadSetHash(hs)]++
+		}
 	}
-	if !maps.Equal(s.pins, want) {
-		t.Fatalf("after %s: pins %v, a scan of the head sets counts %v", when, s.pins, want)
+	got := map[Hash]int{}
+	for k, p := range s.pins {
+		got[k] = p.n
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("after %s: pins %v, a scan of the head sets counts %v", when, got, want)
 	}
 }
 
@@ -58,16 +65,16 @@ func (p *memLog) AppendBranch(name string, b BranchRecord) error { p.rs.Branches
 func (p *memLog) AppendNextID(id int) error                      { p.rs.NextID = max(p.rs.NextID, id); return nil }
 func (p *memLog) Flush() error                                   { return nil }
 
+// cached reports whether s holds st decoded.
 func cached(s *logStore, st Hash) bool {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	_, ok := s.cache.items[st]
-	return ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p := s.pins[st]
+	return p != nil && p.ok
 }
 
-// TestSupersededStateLeavesCacheUnlessPinned: an Apply drops the state
-// it supersedes from the decoded-state cache exactly when no branch's
-// head set still pins it, as the pin counts kept by every write to a
+// TestSupersededStateLeavesCacheUnlessPinned: an Apply drops the decoded
+// state it supersedes exactly when no branch's head set still pins it, as the pin counts kept by every write to a
 // head set say, across Fork, Pull, Integrate, Import and a reopen; after
 // each the counts match a scan of the head sets.
 func TestSupersededStateLeavesCacheUnlessPinned(t *testing.T) {

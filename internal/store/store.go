@@ -10,9 +10,9 @@
 // members folded pairwise in hash order, each step an MRDT three-way
 // merge over the fold of the maximal common ancestors, so criss-cross
 // histories merge the way Git's recursive strategy merges them — and is
-// cached, not committed. Only an operation on a branch with several
-// heads commits that merge first, as binary merge commits every replica
-// that saw the same heads mints identically.
+// held decoded while the set pins it, not committed. Only an operation
+// on a branch with several heads commits that merge first, as binary
+// merge commits every replica that saw the same heads mints identically.
 //
 // The store provides exactly the guarantees the paper's semantics assume:
 // unique, happens-before-respecting timestamps (Ψ_ts, from internal/clock)
@@ -106,7 +106,7 @@ type Codec[S any] interface {
 
 // Options collects what a store is built with. The zero value is a
 // purely in-memory store counting into a registry of its own; the pack
-// layout and the decoded-state cache are fixed (pack.go).
+// layout is fixed (pack.go).
 type Options struct {
 	// Persister, when non-nil, receives every durable mutation (see
 	// persist.go). nil keeps the store purely in-memory.
@@ -177,14 +177,13 @@ type Store[S, Op, Val any] struct {
 	// after a checkpoint recovery, and never dissolved: commits and
 	// objects installed later go to the maps.
 	frozen  *FrozenIndex
-	cache   *stateCache[S]
 	commits map[Hash]Commit
 	// heads maps each branch to its head set: sorted by hash, never
 	// empty, and never modified in place, so a set may be shared. pins
-	// counts the head-set members, over all branches, that pin each
-	// state. Both change only through setHeadsLocked.
+	// holds what they pin (held), the only decoded states the store
+	// keeps. Both change only through setHeadsLocked.
 	heads  map[string][]Hash
-	pins   map[Hash]int
+	pins   map[Hash]*held[S]
 	clocks map[string]*clock.Clock
 	nextID int
 	// rtree mirrors the commit-hash set for range-fingerprint set
@@ -323,15 +322,11 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 	if clk == nil {
 		return zero, fmt.Errorf("store: %s has no clock and takes no operations", b)
 	}
-	head, err := s.mergeHeadsLocked(hs)
+	head, cur, err := s.mergeHeadsLocked(hs)
 	if err != nil {
 		return zero, err
 	}
 	hc := s.commitAtLocked(head)
-	cur, err := s.stateLocked(hc.State)
-	if err != nil {
-		return zero, err
-	}
 	clk.Observe(hc.Time)
 	t := clk.Tick()
 	next, val := s.impl.Do(op, cur, t)
@@ -342,12 +337,7 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 		Gen:     hc.Gen + 1,
 		Time:    t,
 	})})
-	// The superseded state leaves the cache unless a head still pins it:
-	// a writer's trail of dead heads would otherwise flush the merge
-	// bases and peer heads the cache is for.
-	if st != hc.State && s.pins[hc.State] == 0 {
-		s.cache.remove(hc.State)
-	}
+	s.holdLocked(st, s.pins[st], next)
 	s.persistBranchLocked(b)
 	if err := s.finishPersistLocked(); err != nil {
 		return zero, err
@@ -356,34 +346,95 @@ func (s *Store[S, Op, Val]) Apply(b string, op Op) (Val, error) {
 }
 
 // setHeadsLocked makes hs branch b's head set and keeps pins in step:
-// each member of the old set unpins its state and each of the new one
-// pins it. Callers hold the write lock.
+// the new set pins its members' states and, with several members, its
+// fold, and then the old set unpins its own, so a state both pin stays
+// decoded. Callers hold the write lock.
 func (s *Store[S, Op, Val]) setHeadsLocked(b string, hs []Hash) {
-	for _, h := range s.heads[b] {
-		st := s.commitAtLocked(h).State
-		if s.pins[st]--; s.pins[st] <= 0 {
-			delete(s.pins, st)
-		}
-	}
+	old := s.heads[b]
 	s.heads[b] = hs
+	s.pinSetLocked(hs, 1)
+	s.pinSetLocked(old, -1)
+}
+
+// held is what the head sets pin under one key of Store.pins: a member's
+// state under its address, or a multi-head set's fold under the set's
+// name (HeadSetHash), which no state address equals. n counts the pins,
+// and the entry goes with the last. st is filled on the key's first read
+// (readLocked); size is then its encoded size, 0 for a fold, which is
+// never encoded.
+type held[S any] struct {
+	n    int
+	mu   sync.Mutex
+	st   S
+	size int
+	ok   bool
+}
+
+// pinSetLocked moves by d the pins of head set hs: its members' states
+// and, with several members, its fold. Callers hold the write lock.
+func (s *Store[S, Op, Val]) pinSetLocked(hs []Hash, d int) {
 	for _, h := range hs {
-		s.pins[s.commitAtLocked(h).State]++
+		s.pinLocked(s.commitAtLocked(h).State, d)
+	}
+	if len(hs) > 1 {
+		s.pinLocked(HeadSetHash(hs), d)
 	}
 }
 
-// mergeHeadsLocked returns the one commit that carries head set hs: its
-// member, or else the canonical merge of its members, committed. The
-// members fold in foldLocked's order, one binary merge commit per step,
+func (s *Store[S, Op, Val]) pinLocked(k Hash, d int) {
+	p := s.pins[k]
+	if p == nil {
+		p = &held[S]{}
+		s.pins[k] = p
+	}
+	if p.n += d; p.n <= 0 {
+		s.metrics.residentBytes.Add(-int64(p.size))
+		delete(s.pins, k)
+	}
+}
+
+// readLocked returns the state read reads, held under k while a head set
+// pins k: read on the key's first read only, once even when readers
+// under the read lock race for it, since the entry's mutex is held while
+// it fills. Callers hold s.mu (read or write).
+func (s *Store[S, Op, Val]) readLocked(k Hash, read func() (S, error)) (S, error) {
+	p := s.pins[k]
+	if p == nil {
+		return read()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ok {
+		s.metrics.cacheHit.Inc()
+		return p.st, nil
+	}
+	st, err := read()
+	if err == nil {
+		s.holdLocked(k, p, st)
+	}
+	return st, err
+}
+
+// holdLocked makes st the decoded state p holds under k. Apply calls it
+// with the state it built, so the next operation starts from the value
+// the data type returned, not from a decode.
+func (s *Store[S, Op, Val]) holdLocked(k Hash, p *held[S], st S) {
+	if obj, ok := s.objLocked(k); ok && !p.ok {
+		p.size = obj.size
+		s.metrics.residentBytes.Add(int64(p.size))
+	}
+	p.st, p.ok = st, true
+}
+
+// mergeHeadsLocked returns the one commit that carries head set hs, and
+// its state: its member, or else the canonical merge of its members,
+// committed. The members fold once, one binary merge commit per step,
 // each with its two parents sorted, the later parent's timestamp and no
 // clock tick. So every replica that writes after seeing the same heads
 // commits the same merges. Callers hold the write lock.
-func (s *Store[S, Op, Val]) mergeHeadsLocked(hs []Hash) (Hash, error) {
+func (s *Store[S, Op, Val]) mergeHeadsLocked(hs []Hash) (Hash, S, error) {
 	acc := hs[0]
-	for i := 1; i < len(hs); i++ {
-		merged, err := s.foldLocked(hs[:i+1])
-		if err != nil {
-			return Hash{}, err
-		}
+	st, err := s.foldStepsLocked(hs, func(i int, merged S) {
 		ps := sortHashes([]Hash{acc, hs[i]})
 		pc, qc := s.commitAtLocked(ps[0]), s.commitAtLocked(ps[1])
 		// The pack layer chains the merged state against the first
@@ -395,8 +446,8 @@ func (s *Store[S, Op, Val]) mergeHeadsLocked(hs []Hash) (Hash, error) {
 			Gen:     max(pc.Gen, qc.Gen) + 1,
 			Time:    max(pc.Time, qc.Time),
 		})
-	}
-	return acc, nil
+	})
+	return acc, st, err
 }
 
 // Head returns the current state of branch b: its head's state, or the
@@ -561,7 +612,6 @@ func (s *Store[S, Op, Val]) putState(state S, prev *S, base Hash) Hash {
 	s.spareTree = nil
 	h, tree := s.addrLocked(enc, baseTree, patch, into)
 	s.metrics.lap(phaseHash, &t)
-	s.cache.put(h, state)
 	s.packLocked(h, enc, buf, tree, base, patch, tail)
 	return h
 }
